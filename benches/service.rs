@@ -66,7 +66,7 @@ fn workload(client: usize) -> Vec<String> {
                 1 | 5 => format!("FIND 10 NEAREST TO stocks.s{s} IN stocks"),
                 2 | 6 => format!("FIND SUBSEQUENCE OF walks.s{s} IN walks WITHIN 30 WINDOW {LEN}"),
                 3 => format!("FIND 5 NEAREST TO walks.s{s} IN walks APPLY reverse"),
-                _ => "JOIN stocks WITHIN 1.0 APPLY mavg(8) USING INDEX".to_string(),
+                _ => "JOIN stocks WITHIN 1.0 APPLY mavg(8) WITH (force = index)".to_string(),
             }
         })
         .collect()

@@ -73,7 +73,7 @@ fn workload(walks: &[TimeSeries]) -> Vec<String> {
     let mut queries = vec![
         "FIND SIMILAR TO walks.s3 IN walks WITHIN 1.5 APPLY mavg(8)".to_string(),
         "FIND 10 NEAREST TO stocks.s5 IN stocks".to_string(),
-        "JOIN stocks WITHIN 0.9 APPLY mavg(4) USING INDEX".to_string(),
+        "JOIN stocks WITHIN 0.9 APPLY mavg(4) WITH (force = index)".to_string(),
     ];
     for w in WINDOWS {
         let probe: Vec<String> = walks[7].values()[..w]

@@ -103,6 +103,14 @@ impl From<tsq_store::StoreError> for Error {
     }
 }
 
+/// The in-memory node store's fetch error: traversals written once over
+/// [`tsq_rtree::NodeStore`] convert whichever error their store has.
+impl From<std::convert::Infallible> for Error {
+    fn from(never: std::convert::Infallible) -> Self {
+        match never {}
+    }
+}
+
 impl From<tsq_series::NonFiniteValue> for Error {
     fn from(e: tsq_series::NonFiniteValue) -> Self {
         Error::NonFinite {

@@ -1,11 +1,10 @@
-//! Concurrent batched query execution.
+//! Fan-out primitives and thread-count policy shared by every parallel
+//! path in the engine.
 //!
 //! The paper argues the DFT index must beat even a *good* sequential scan
 //! (Section 5); at system scale the analogous bar is query *throughput*
 //! under concurrency, not single-query latency — the lesson of the
-//! Lernaean-Hydra evaluation of similarity-search systems. This module is
-//! the std-only worker-pool layer that turns the per-query engine into a
-//! batched one:
+//! Lernaean-Hydra evaluation of similarity-search systems.
 //!
 //! - [`parallel_map`] — the shared order-preserving fan-out primitive,
 //!   running on the persistent work-stealing [`Pool`] (no rayon in the
@@ -13,11 +12,11 @@
 //!   wildly between a selective range probe and a whole-relation KNN, so
 //!   indices are claimed one at a time rather than pre-chunked. Nested
 //!   fan-outs (a sharded query inside a batch) run inline on the owning
-//!   worker.
-//! - [`QueryExecutor`] — runs a batch of whole-sequence queries
-//!   ([`BatchQuery`]) against one [`SimilarityIndex`], or subsequence
-//!   queries ([`SubseqBatchQuery`]) against one [`SubseqIndex`], fanning
-//!   queries over the pool and aggregating per-batch [`BatchStats`].
+//!   worker. Batches of statements fan out over it one layer up
+//!   (`tsq_lang::Catalog::run_batch`).
+//! - [`clamp_threads`] / [`default_threads`] — the one place a requested
+//!   worker count becomes an actual one.
+//! - [`CancelToken`] — cooperative cancellation for graceful shutdown.
 //! - [`SimilarityIndex::range_query_parallel`] (in [`crate::index`])
 //!   parallelizes *within* one query: the R\*-tree filter step fans out per
 //!   root subtree, the exact refine step per candidate.
@@ -25,18 +24,11 @@
 //! Every parallel path is deterministic: results are byte-identical to the
 //! sequential oracle regardless of thread count, which the concurrency
 //! test suite asserts.
+//!
+//! [`SimilarityIndex::range_query_parallel`]: crate::index::SimilarityIndex::range_query_parallel
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use tsq_series::TimeSeries;
-
-use crate::error::Result;
-use crate::index::{Match, QueryStats, SimilarityIndex};
-use crate::space::QueryWindow;
-use crate::subseq::{SubseqIndex, SubseqMatch, SubseqStats};
-use crate::transform::LinearTransform;
 
 /// The shared order-preserving fan-out primitive, re-exported from the
 /// lowest crate that needs it (`tsq-rtree` uses it for parallel bulk
@@ -51,7 +43,7 @@ pub use tsq_rtree::par::parallel_map;
 pub use tsq_pool::{Pool, PoolStats};
 
 /// Samples the global pool's cumulative scheduler counters (tasks run,
-/// steals) — the pair `/metrics` and [`BatchStats`] surface. These are
+/// steals) — the pair `/metrics` surfaces. These are
 /// deliberately *not* part of `ExecStats`: query counters stay
 /// byte-identical between sequential and parallel execution, while
 /// scheduler counters inherently depend on timing.
@@ -121,212 +113,9 @@ impl CancelToken {
     }
 }
 
-/// One whole-sequence query of a batch, against a [`SimilarityIndex`].
-#[derive(Debug, Clone)]
-pub enum BatchQuery {
-    /// `D(T(o), q) <= eps` range query (Algorithm 2).
-    Range {
-        /// Query series.
-        q: TimeSeries,
-        /// Distance threshold.
-        eps: f64,
-        /// Transformation applied to the data side.
-        transform: LinearTransform,
-        /// Optional mean/std windows.
-        window: QueryWindow,
-    },
-    /// `k` nearest stored series under a transformation.
-    Knn {
-        /// Query series.
-        q: TimeSeries,
-        /// Number of neighbors.
-        k: usize,
-        /// Transformation applied to the data side.
-        transform: LinearTransform,
-    },
-}
-
-/// One subsequence query of a batch, against a [`SubseqIndex`].
-#[derive(Debug, Clone)]
-pub enum SubseqBatchQuery {
-    /// Every window within `eps` of the query.
-    Range {
-        /// Query series (exactly one window long).
-        q: TimeSeries,
-        /// Distance threshold.
-        eps: f64,
-    },
-    /// The `k` nearest windows over all series and offsets.
-    Knn {
-        /// Query series (exactly one window long).
-        q: TimeSeries,
-        /// Number of neighbors.
-        k: usize,
-    },
-}
-
-/// Per-query outcome of a whole-sequence batch.
-pub type BatchResult = Result<(Vec<Match>, QueryStats)>;
-
-/// Per-query outcome of a subsequence batch.
-pub type SubseqBatchResult = Result<(Vec<SubseqMatch>, SubseqStats)>;
-
-/// Aggregate counters for one executed batch.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchStats {
-    /// Queries in the batch.
-    pub queries: usize,
-    /// Queries that returned an error.
-    pub errors: usize,
-    /// Summed simulated disk accesses across successful queries.
-    pub nodes_visited: u64,
-    /// Summed index-level candidates across successful queries.
-    pub candidates: usize,
-    /// Wall-clock time for the whole batch.
-    pub elapsed: Duration,
-    /// Worker threads the batch ran on.
-    pub threads: usize,
-    /// Pool tasks executed while this batch ran (process-wide delta of
-    /// [`pool_stats`]; concurrent batches' tasks are included).
-    pub pool_tasks: u64,
-    /// Pool deque steals while this batch ran (same process-wide delta).
-    pub pool_steals: u64,
-}
-
-impl BatchStats {
-    /// Batch throughput in queries per second (0 when nothing ran).
-    pub fn queries_per_second(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.queries as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A fixed-size worker pool for batched query execution.
-///
-/// The executor holds no state beyond its thread count — indexes are
-/// passed per batch — so one executor can serve many relations, and
-/// cloning it is free.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryExecutor {
-    threads: usize,
-}
-
-impl Default for QueryExecutor {
-    fn default() -> Self {
-        QueryExecutor::new(default_threads())
-    }
-}
-
-impl QueryExecutor {
-    /// An executor fanning batches over `threads` workers, clamped to
-    /// `[1, MAX_THREAD_MULTIPLIER × available_parallelism]` by
-    /// [`clamp_threads`] (`0` means the machine's parallelism) — an
-    /// absurd request degrades to the cap instead of an OS-thread bomb.
-    /// [`QueryExecutor::threads`] reports the count actually used.
-    pub fn new(threads: usize) -> Self {
-        QueryExecutor {
-            threads: clamp_threads(threads),
-        }
-    }
-
-    /// Worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Executes a batch of whole-sequence queries against `index`,
-    /// fanning queries over the pool.
-    ///
-    /// Per-query failures (bad threshold, unsafe transformation, length
-    /// mismatch) come back as `Err` in that query's slot — one bad query
-    /// never poisons the batch. Results are in batch order and identical
-    /// to running each query sequentially.
-    pub fn run_batch(
-        &self,
-        index: &SimilarityIndex,
-        batch: Vec<BatchQuery>,
-    ) -> (Vec<BatchResult>, BatchStats) {
-        let started = Instant::now();
-        let before = pool_stats();
-        let queries = batch.len();
-        let results = parallel_map(self.threads, batch, |query| match query {
-            BatchQuery::Range {
-                q,
-                eps,
-                transform,
-                window,
-            } => index.range_query(&q, eps, &transform, &window),
-            BatchQuery::Knn { q, k, transform } => index.knn_query(&q, k, &transform),
-        });
-        let stats = self.batch_stats(queries, started, before, results.iter(), |r| {
-            (r.index.nodes_visited, r.candidates)
-        });
-        (results, stats)
-    }
-
-    /// Executes a batch of subsequence queries against `index`.
-    ///
-    /// Same contract as [`QueryExecutor::run_batch`]: batch order,
-    /// per-query errors, sequential-identical results.
-    pub fn run_subseq_batch(
-        &self,
-        index: &SubseqIndex,
-        batch: Vec<SubseqBatchQuery>,
-    ) -> (Vec<SubseqBatchResult>, BatchStats) {
-        let started = Instant::now();
-        let before = pool_stats();
-        let queries = batch.len();
-        let results = parallel_map(self.threads, batch, |query| match query {
-            SubseqBatchQuery::Range { q, eps } => index.subseq_range(&q, eps),
-            SubseqBatchQuery::Knn { q, k } => index.subseq_knn(&q, k),
-        });
-        let stats = self.batch_stats(queries, started, before, results.iter(), |r| {
-            (r.index.nodes_visited, r.candidates)
-        });
-        (results, stats)
-    }
-
-    fn batch_stats<'a, M: 'a, S: 'a>(
-        &self,
-        queries: usize,
-        started: Instant,
-        before: PoolStats,
-        results: impl Iterator<Item = &'a Result<(M, S)>>,
-        counters: impl Fn(&S) -> (u64, usize),
-    ) -> BatchStats {
-        let mut stats = BatchStats {
-            queries,
-            threads: self.threads,
-            ..BatchStats::default()
-        };
-        for r in results {
-            match r {
-                Ok((_, s)) => {
-                    let (nodes, candidates) = counters(s);
-                    stats.nodes_visited += nodes;
-                    stats.candidates += candidates;
-                }
-                Err(_) => stats.errors += 1,
-            }
-        }
-        stats.elapsed = started.elapsed();
-        let after = pool_stats();
-        stats.pool_tasks = after.tasks.saturating_sub(before.tasks);
-        stats.pool_steals = after.steals.saturating_sub(before.steals);
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexConfig;
-    use crate::subseq::SubseqConfig;
-    use tsq_series::generate::RandomWalkGenerator;
 
     #[test]
     fn parallel_map_preserves_order_and_balances() {
@@ -342,114 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_sequential_oracle() {
-        let rel = RandomWalkGenerator::new(41).relation(120, 32);
-        let index = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
-        let t = LinearTransform::moving_average(32, 4);
-        let mut batch = Vec::new();
-        for (qid, series) in rel.iter().enumerate().take(24) {
-            if qid % 2 == 0 {
-                batch.push(BatchQuery::Range {
-                    q: series.clone(),
-                    eps: 1.5,
-                    transform: t.clone(),
-                    window: QueryWindow::default(),
-                });
-            } else {
-                batch.push(BatchQuery::Knn {
-                    q: series.clone(),
-                    k: 5,
-                    transform: LinearTransform::identity(32),
-                });
-            }
-        }
-        // Sequential oracle.
-        let want: Vec<_> = batch
-            .iter()
-            .map(|q| match q {
-                BatchQuery::Range {
-                    q,
-                    eps,
-                    transform,
-                    window,
-                } => index.range_query(q, *eps, transform, window).unwrap().0,
-                BatchQuery::Knn { q, k, transform } => index.knn_query(q, *k, transform).unwrap().0,
-            })
-            .collect();
-        for threads in [1usize, 2, 4] {
-            let (results, stats) = QueryExecutor::new(threads).run_batch(&index, batch.clone());
-            assert_eq!(stats.queries, 24);
-            assert_eq!(stats.errors, 0);
-            assert!(stats.nodes_visited > 0);
-            let got: Vec<_> = results.into_iter().map(|r| r.unwrap().0).collect();
-            assert_eq!(got, want, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn bad_queries_error_without_poisoning_the_batch() {
-        let rel = RandomWalkGenerator::new(42).relation(30, 32);
-        let index = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
-        let id = LinearTransform::identity(32);
-        let batch = vec![
-            BatchQuery::Range {
-                q: rel[0].clone(),
-                eps: f64::NAN, // rejected: non-finite threshold
-                transform: id.clone(),
-                window: QueryWindow::default(),
-            },
-            BatchQuery::Range {
-                q: rel[1].clone(),
-                eps: 2.0,
-                transform: id.clone(),
-                window: QueryWindow::default(),
-            },
-            BatchQuery::Knn {
-                q: TimeSeries::new(vec![0.0; 7]), // wrong length
-                k: 3,
-                transform: id.clone(),
-            },
-        ];
-        let (results, stats) = QueryExecutor::new(2).run_batch(&index, batch);
-        assert_eq!(stats.queries, 3);
-        assert_eq!(stats.errors, 2);
-        assert!(results[0].is_err());
-        assert!(results[1].is_ok());
-        assert!(results[2].is_err());
-    }
-
-    #[test]
-    fn subseq_batch_matches_sequential_oracle() {
-        let mut g = RandomWalkGenerator::new(43);
-        let rel: Vec<TimeSeries> = (0..10).map(|_| g.series(80)).collect();
-        let index = SubseqIndex::build(SubseqConfig::new(16), rel.clone()).unwrap();
-        let batch: Vec<SubseqBatchQuery> = (0..8)
-            .map(|i| {
-                let q = TimeSeries::new(rel[i].values()[i..i + 16].to_vec());
-                if i % 2 == 0 {
-                    SubseqBatchQuery::Range { q, eps: 2.0 }
-                } else {
-                    SubseqBatchQuery::Knn { q, k: 4 }
-                }
-            })
-            .collect();
-        let want: Vec<_> = batch
-            .iter()
-            .map(|q| match q {
-                SubseqBatchQuery::Range { q, eps } => index.subseq_range(q, *eps).unwrap().0,
-                SubseqBatchQuery::Knn { q, k } => index.subseq_knn(q, *k).unwrap().0,
-            })
-            .collect();
-        for threads in [1usize, 3] {
-            let (results, stats) =
-                QueryExecutor::new(threads).run_subseq_batch(&index, batch.clone());
-            assert_eq!(stats.errors, 0);
-            let got: Vec<_> = results.into_iter().map(|r| r.unwrap().0).collect();
-            assert_eq!(got, want, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn thread_counts_are_clamped() {
         let cap = default_threads() * MAX_THREAD_MULTIPLIER;
         // Zero delegates to the machine.
@@ -461,20 +142,6 @@ mod tests {
         // OS threads.
         assert_eq!(clamp_threads(1_000_000), cap);
         assert_eq!(clamp_threads(usize::MAX), cap);
-        // The executor reports the clamped count.
-        assert_eq!(QueryExecutor::new(1_000_000).threads(), cap);
-        assert_eq!(QueryExecutor::new(0).threads(), default_threads());
-        // Clamped executors still answer correctly.
-        let rel = RandomWalkGenerator::new(7).relation(10, 32);
-        let index = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
-        let batch = vec![BatchQuery::Knn {
-            q: rel[0].clone(),
-            k: 3,
-            transform: LinearTransform::identity(32),
-        }];
-        let (results, stats) = QueryExecutor::new(usize::MAX).run_batch(&index, batch);
-        assert_eq!(stats.threads, cap);
-        assert_eq!(results[0].as_ref().unwrap().0.len(), 3);
     }
 
     #[test]
@@ -490,14 +157,5 @@ mod tests {
         // Idempotent.
         token.cancel();
         assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn empty_batch() {
-        let index = SimilarityIndex::build(IndexConfig::default(), Vec::new()).unwrap();
-        let (results, stats) = QueryExecutor::default().run_batch(&index, Vec::new());
-        assert!(results.is_empty());
-        assert_eq!(stats.queries, 0);
-        assert_eq!(stats.queries_per_second(), 0.0);
     }
 }

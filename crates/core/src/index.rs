@@ -15,7 +15,9 @@ use std::sync::Arc;
 
 use tsq_dft::energy::{euclidean_complex, euclidean_complex_early_abandon};
 use tsq_dft::FftPlanner;
-use tsq_rtree::{PagedTree, RStarTree, RTreeConfig, Rect, SearchStats};
+use tsq_rtree::knn::nearest_with_tie;
+use tsq_rtree::search::search_with;
+use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, SearchStats};
 use tsq_series::{NormalForm, TimeSeries};
 use tsq_store::{Decoder, Encoder, StoreError};
 
@@ -80,6 +82,24 @@ pub struct QueryStats {
     pub false_hits: usize,
     /// Exact distance computations performed.
     pub exact_checks: usize,
+}
+
+/// A tree payload read as the series id it stores: the in-memory tree
+/// hands out `&usize`, a page holds the id as a `u64` word.
+pub(crate) trait SeriesId: Copy {
+    fn series_id(self) -> usize;
+}
+
+impl SeriesId for &usize {
+    fn series_id(self) -> usize {
+        *self
+    }
+}
+
+impl SeriesId for u64 {
+    fn series_id(self) -> usize {
+        self as usize
+    }
 }
 
 /// The similarity index over a relation of time series.
@@ -423,8 +443,7 @@ impl SimilarityIndex {
     /// # Errors
     /// Same failure modes as [`SimilarityIndex::attach_paged`].
     pub fn attach_paged_budget(&mut self, path: &Path, budget_bytes: u64) -> Result<()> {
-        let dims = self.tree.dims().unwrap_or(0);
-        let page_size = tsq_rtree::paged::page_size_for(&self.config.rtree, dims)? as u64;
+        let page_size = self.tree.paged_page_size()? as u64;
         let capacity = usize::try_from(budget_bytes / page_size).unwrap_or(usize::MAX);
         self.attach_paged(path, capacity.max(1))
     }
@@ -675,7 +694,7 @@ impl SimilarityIndex {
             } else {
                 self.tree.search_with_parallel(transformed, threads)
             };
-            (candidates.into_iter().map(|(_, &id)| id).collect(), stats)
+            (candidates.into_iter().copied().collect(), stats)
         };
         // 3. Post-processing: exact distance on full records.
         let mut stats = QueryStats {
@@ -726,32 +745,39 @@ impl SimilarityIndex {
         t: &LinearTransform,
         force_transform: bool,
     ) -> Result<(Vec<usize>, SearchStats)> {
+        match &self.paged {
+            Some(paged) => self.filter_in(&**paged, qrect, t, force_transform),
+            None => self.filter_in(&self.tree, qrect, t, force_transform),
+        }
+    }
+
+    /// [`SimilarityIndex::filter_rect`] over whichever node store holds
+    /// the relation's tree.
+    fn filter_in<S>(
+        &self,
+        store: S,
+        qrect: &Rect,
+        t: &LinearTransform,
+        force_transform: bool,
+    ) -> Result<(Vec<usize>, SearchStats)>
+    where
+        S: NodeStore,
+        S::Item: SeriesId,
+        Error: From<S::Error>,
+    {
         let schema = self.config.schema;
         let space = self.config.space;
-        let identity = !force_transform && t.is_identity(1e-12);
         let mut ids = Vec::new();
-        let stats = match &self.paged {
-            Some(paged) => {
-                if identity {
-                    paged.search_with(|r| r.intersects(qrect), |_, item| ids.push(item as usize))?
-                } else {
-                    paged.search_with(
-                        |r| space.transformed_intersects(r, t, schema, qrect),
-                        |_, item| ids.push(item as usize),
-                    )?
-                }
-            }
-            None => {
-                if identity {
-                    self.tree
-                        .search_with(|r| r.intersects(qrect), |_, &id| ids.push(id))
-                } else {
-                    self.tree.search_with(
-                        |r| space.transformed_intersects(r, t, schema, qrect),
-                        |_, &id| ids.push(id),
-                    )
-                }
-            }
+        let collect = |_: &Rect, item: S::Item| ids.push(item.series_id());
+        // The identity fast path skips the per-rectangle transformation.
+        let stats = if !force_transform && t.is_identity(1e-12) {
+            search_with(store, |r| r.intersects(qrect), collect)?
+        } else {
+            search_with(
+                store,
+                |r| space.transformed_intersects(r, t, schema, qrect),
+                collect,
+            )?
         };
         Ok((ids, stats))
     }
@@ -770,55 +796,51 @@ impl SimilarityIndex {
     ) -> Result<(Vec<Match>, QueryStats)> {
         let qf = self.query_features(q, t)?;
         self.check_transform(t)?;
+        match &self.paged {
+            Some(paged) => self.knn_in(&**paged, k, t, &qf),
+            None => self.knn_in(&self.tree, k, t, &qf),
+        }
+    }
+
+    /// [`SimilarityIndex::knn_query`] over whichever node store holds the
+    /// relation's tree.
+    fn knn_in<S>(
+        &self,
+        store: S,
+        k: usize,
+        t: &LinearTransform,
+        qf: &Features,
+    ) -> Result<(Vec<Match>, QueryStats)>
+    where
+        S: NodeStore,
+        S::Item: SeriesId,
+        Error: From<S::Error>,
+    {
         let schema = self.config.schema;
         let space = self.config.space;
         let mut exact_checks = 0usize;
-        let (matches, index_stats) = match &self.paged {
-            Some(paged) => {
-                let (neighbors, index_stats) = paged.nearest_with_tie(
-                    k,
-                    |rect| space.transformed_lower_bound(rect, t, schema, &qf),
-                    |_, item| {
-                        exact_checks += 1;
-                        self.exact_distance(item as usize, t, &qf)
-                    },
-                    // Break exact-distance ties by series id: the answer set
-                    // is then a pure function of the data, independent of
-                    // tree shape — what sharded k-way merges rely on.
-                    |item| item,
-                )?;
-                let matches = neighbors
-                    .into_iter()
-                    .map(|n| Match {
-                        id: n.item as usize,
-                        distance: n.distance,
-                    })
-                    .collect::<Vec<Match>>();
-                (matches, index_stats)
-            }
-            None => {
-                let (neighbors, index_stats) = self.tree.nearest_with_tie(
-                    k,
-                    |rect| space.transformed_lower_bound(rect, t, schema, &qf),
-                    |_, &id| {
-                        exact_checks += 1;
-                        self.exact_distance(id, t, &qf)
-                    },
-                    // Same tie-break as the paged arm: (distance, id).
-                    |&id| id as u64,
-                );
-                let matches = neighbors
-                    .into_iter()
-                    .map(|n| Match {
-                        id: *n.item,
-                        distance: n.distance,
-                    })
-                    .collect::<Vec<Match>>();
-                (matches, index_stats)
-            }
-        };
+        let (neighbors, index) = nearest_with_tie(
+            store,
+            k,
+            |rect| space.transformed_lower_bound(rect, t, schema, qf),
+            |_, item| {
+                exact_checks += 1;
+                self.exact_distance(item.series_id(), t, qf)
+            },
+            // Break exact-distance ties by series id: the answer set is
+            // then a pure function of the data, independent of tree shape
+            // — what sharded k-way merges rely on.
+            |item| item.series_id() as u64,
+        )?;
+        let matches: Vec<Match> = neighbors
+            .into_iter()
+            .map(|n| Match {
+                id: n.item.series_id(),
+                distance: n.distance,
+            })
+            .collect();
         let stats = QueryStats {
-            index: index_stats,
+            index,
             candidates: matches.len(),
             false_hits: 0,
             exact_checks,

@@ -46,9 +46,9 @@
 //!
 //! ## Concurrency
 //!
-//! The [`executor`] module adds a std-only worker-pool layer:
-//! [`QueryExecutor`] fans a batch of queries over scoped threads with
-//! per-batch [`BatchStats`], [`SimilarityIndex::range_query_parallel`]
+//! The [`executor`] module holds the shared fan-out primitive
+//! ([`executor::parallel_map`], over the persistent work-stealing pool):
+//! [`SimilarityIndex::range_query_parallel`]
 //! parallelizes the filter and refine phases *within* one query, and the
 //! heavy build paths — STR bulk loading and sliding-DFT trail extraction
 //! ([`SubseqIndex::build_parallel`]) — partition their input across
@@ -86,7 +86,7 @@ pub mod subseq;
 pub mod transform;
 
 pub use error::{Error, Result};
-pub use executor::{BatchQuery, BatchStats, CancelToken, QueryExecutor, SubseqBatchQuery};
+pub use executor::CancelToken;
 pub use features::{FeatureSchema, Features};
 pub use index::{IndexConfig, Match, QueryStats, SimilarityIndex, StoredSeries};
 pub use plan::{

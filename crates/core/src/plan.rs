@@ -12,7 +12,7 @@
 //!    independent of how it will run.
 //! 2. A [`Planner`] costs every admissible [`PhysicalOp`] for that logical
 //!    plan from catalog statistics ([`RelationStats`]) and picks the
-//!    cheapest, unless a `USING` hint or a [`PlanPreference`] override
+//!    cheapest, unless a `WITH (force = ...)` hint or a [`PlanPreference`] override
 //!    forces one.
 //! 3. [`execute_plan`] runs the chosen [`PhysicalPlan`] — the one dispatch
 //!    point between the language and the engine — and reports full
@@ -103,7 +103,7 @@ pub enum LogicalPlan {
         eps: f64,
         /// Composed transformation (applied to both sides).
         transform: LinearTransform,
-        /// `USING` override from the language, if any. A hint also pins
+        /// `WITH (force = ...)` override from the language, if any. A hint also pins
         /// the historical answer multiplicity of the method (index/tree
         /// joins report each pair twice, scans once); without a hint the
         /// executor canonicalizes every strategy to one row per unordered
@@ -167,7 +167,7 @@ impl LogicalPlan {
     }
 }
 
-/// `USING` methods a join query may force (Table 1's methods).
+/// Methods a join query may force (Table 1's methods).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinHint {
     /// Sequential scan, full distances (method a).
@@ -200,7 +200,7 @@ pub enum PhysicalOp {
     JoinIndex {
         /// Canonicalize to one row per unordered pair (planner default;
         /// `false` preserves the paper's twice-per-pair accounting for
-        /// `USING INDEX`).
+        /// `WITH (force = index)`).
         dedup: bool,
     },
     /// Synchronized tree↔tree join.
@@ -269,7 +269,7 @@ pub struct PhysicalPlan {
     pub op: PhysicalOp,
     /// Its predicted cost.
     pub estimate: CostEstimate,
-    /// True when a `USING` hint or [`PlanPreference`] override picked the
+    /// True when a `WITH (force = ...)` hint or [`PlanPreference`] override picked the
     /// operator instead of the cost comparison.
     pub forced: bool,
 }
@@ -298,24 +298,22 @@ pub enum PlanPreference {
 }
 
 /// An access path a query's `WITH (force = ...)` clause may pin. `Scan`
-/// and `Index` are the surface forms; `ScanFull` and `Tree` exist so the
-/// deprecated `USING` join hints lower onto the same struct without
-/// losing Table-1 accounting.
+/// and `Index` apply to every query form; `ScanFull` and `Tree` are the
+/// join-only methods of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForceOp {
     /// Sequential-scan family (early-abandoning where possible).
     Scan,
-    /// Sequential scan with full distances (joins only; `USING SCANFULL`).
+    /// Sequential scan with full distances (joins only).
     ScanFull,
     /// Index family.
     Index,
-    /// Synchronized tree↔tree join (joins only; `USING TREE`).
+    /// Synchronized tree↔tree join (joins only).
     Tree,
 }
 
 /// The unified query-override surface: one struct carries everything a
-/// query may tune about its own execution — the access-path force (the
-/// old `USING` hint and [`PlanPreference`] rolled together), the worker
+/// query may tune about its own execution — the access-path force, the worker
 /// thread count, and the scatter width over a sharded relation. Parsed
 /// from the language's `WITH (force = scan|index, threads = n,
 /// shards = n)` clause and threaded AST → planner → wire → HTTP JSON.

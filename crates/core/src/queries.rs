@@ -15,11 +15,14 @@
 //! pair **twice** (once per direction), exactly as the paper tabulates
 //! (`12` for methods a/b vs `12 x 2 = 24` for method d).
 
-use tsq_rtree::{spatial_join_with, SearchStats};
+use std::collections::HashMap;
+
+use tsq_rtree::join::join_with;
+use tsq_rtree::{EntryId, NodeStore, Rect, SearchStats};
 
 use crate::error::{Error, Result};
 use crate::features::Features;
-use crate::index::SimilarityIndex;
+use crate::index::{SeriesId, SimilarityIndex};
 use crate::scan::ScanMode;
 use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
@@ -198,55 +201,47 @@ impl SimilarityIndex {
         }
         Error::check_threshold(eps)?;
         self.check_transform(t)?;
+        match self.paged() {
+            Some(paged) => self.join_tree_in(paged, eps, t),
+            None => self.join_tree_in(self.tree(), eps, t),
+        }
+    }
+
+    /// [`SimilarityIndex::join_tree`] over whichever node store holds the
+    /// relation's tree.
+    fn join_tree_in<S>(&self, store: S, eps: f64, t: &LinearTransform) -> Result<JoinOutcome>
+    where
+        S: NodeStore,
+        S::Item: SeriesId,
+        Error: From<S::Error>,
+    {
         let schema = self.config().schema;
         let space = self.config().space;
         let mut out = JoinOutcome::default();
         let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
-        let stats = match self.paged() {
-            // Paged traversal: node memory is recycled by the buffer pool,
-            // so rectangle addresses are not stable keys — transform each
-            // MBR on use. The bound values (and therefore the pruning and
-            // the counters) are identical to the memoized in-memory path.
-            Some(paged) => paged.self_join_with(
-                |ra, rb| {
-                    space.pair_lower_bound_pretransformed(
-                        &space.transform_mbr(ra, t, schema),
-                        &space.transform_mbr(rb, t, schema),
-                        schema,
-                    )
-                },
-                eps,
-                |_, ia, _, ib| candidate_pairs.push((ia as usize, ib as usize)),
-            )?,
-            None => {
-                // The synchronized join revisits the same node MBRs many
-                // times (once per pairing); memoize their transformed
-                // images by address. Stored rectangles are pinned for the
-                // duration of the traversal, so the address is a stable
-                // key.
-                let mut cache: std::collections::HashMap<usize, tsq_rtree::Rect> =
-                    std::collections::HashMap::new();
-                let mut transformed = |r: &tsq_rtree::Rect| -> tsq_rtree::Rect {
-                    cache
-                        .entry(r as *const tsq_rtree::Rect as usize)
-                        .or_insert_with(|| space.transform_mbr(r, t, schema))
-                        .clone()
-                };
-                spatial_join_with(
-                    self.tree(),
-                    self.tree(),
-                    |ra, rb| {
-                        space.pair_lower_bound_pretransformed(
-                            &transformed(ra),
-                            &transformed(rb),
-                            schema,
-                        )
-                    },
-                    eps,
-                    |_, &ia, _, &ib| candidate_pairs.push((ia, ib)),
-                )
-            }
+        // The synchronized join revisits the same node MBRs many times
+        // (once per pairing); memoize their transformed images by the
+        // store's entry identity. Both sides are the same store, so one
+        // memo serves both.
+        let mut memo: HashMap<EntryId, Rect> = HashMap::new();
+        let mut transformed = |id: EntryId, r: &Rect| -> Rect {
+            memo.entry(id)
+                .or_insert_with(|| space.transform_mbr(r, t, schema))
+                .clone()
         };
+        let stats = join_with(
+            store,
+            store,
+            |ida, ra, idb, rb| {
+                space.pair_lower_bound_pretransformed(
+                    &transformed(ida, ra),
+                    &transformed(idb, rb),
+                    schema,
+                )
+            },
+            eps,
+            |_, ia, _, ib| candidate_pairs.push((ia.series_id(), ib.series_id())),
+        )?;
         out.stats.index = stats;
         out.stats.candidates = candidate_pairs.len();
         // Feed runs of same-probe candidates to the shared refine path

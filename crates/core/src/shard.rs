@@ -738,7 +738,7 @@ impl ShardedIndex {
                 }));
             }
         }
-        // Cross-shard stage. Directed hints (USING INDEX / TREE) keep the
+        // Cross-shard stage. Directed hints (force = index / tree) keep the
         // paper's twice-per-pair accounting by probing every ordered
         // shard pair; undirected answers probe each unordered pair once.
         let directed = matches!(hint, Some(JoinHint::Index) | Some(JoinHint::Tree));

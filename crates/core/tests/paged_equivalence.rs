@@ -63,6 +63,10 @@ proptest! {
                     join.stats.index.nodes_visited,
                     mem_join.stats.index.nodes_visited
                 );
+                prop_assert_eq!(
+                    join.stats.index.entries_tested,
+                    mem_join.stats.index.entries_tested
+                );
                 prop_assert_eq!(join.stats.candidates, mem_join.stats.candidates);
                 prop_assert_eq!(join.stats.exact_checks, mem_join.stats.exact_checks);
             }
@@ -136,4 +140,28 @@ fn paged_relation_rejects_inserts_but_scans_fine() {
     let a = mem.join_scan(2.0, &t, ScanMode::EarlyAbandon).unwrap();
     let b = paged.join_scan(2.0, &t, ScanMode::EarlyAbandon).unwrap();
     assert_eq!(a.pairs, b.pairs);
+}
+
+/// A byte budget buys as many pages of the size the file actually has —
+/// also for an empty relation, whose one page is sized for one dimension
+/// (a 256-entry node then needs two alignment units, not one).
+#[test]
+fn budget_is_divided_by_the_files_page_size() {
+    let config = IndexConfig {
+        rtree: tsq_rtree::RTreeConfig::with_max_entries(256),
+        ..IndexConfig::default()
+    };
+    let rel = RandomWalkGenerator::new(5).relation(30, 32);
+    for (tag, relation) in [("budget-empty", Vec::new()), ("budget-full", rel)] {
+        let mut index = SimilarityIndex::build(config, relation).unwrap();
+        let budget = 5 * 8192 + 100;
+        index.attach_paged_budget(&temp_path(tag), budget).unwrap();
+        let paged = index.paged().unwrap();
+        assert!(paged.page_size() >= 8192, "{tag}");
+        assert_eq!(
+            paged.pool().capacity_pages() as u64,
+            budget / paged.page_size() as u64,
+            "{tag}"
+        );
+    }
 }

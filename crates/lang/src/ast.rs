@@ -9,8 +9,7 @@
 //! Every query form carries a [`QueryOptions`] parsed from the unified
 //! `WITH (force = ..., threads = ..., shards = ...)` clause — the one
 //! override surface for access-path forcing, worker-thread counts, and
-//! scatter width. The legacy `JOIN ... USING <method>` hint still parses
-//! as a deprecated alias that lowers to `WITH (force = <method>)`.
+//! scatter width.
 
 use tsq_core::shard::ShardBy;
 use tsq_core::QueryOptions;
@@ -47,9 +46,8 @@ pub enum Query {
         /// Execution overrides from the `WITH (...)` clause.
         options: QueryOptions,
     },
-    /// `JOIN <relation> WITHIN <eps> [APPLY ...] [USING <method>]
-    /// [WITH (...)]`. `USING <m>` is a deprecated alias for
-    /// `WITH (force = <m>)` and keeps that method's historical Table-1
+    /// `JOIN <relation> WITHIN <eps> [APPLY ...] [WITH (...)]`. A forced
+    /// method (`WITH (force = <m>)`) keeps its historical Table-1
     /// accounting (index and tree joins report each pair twice).
     Join {
         /// Relation self-joined.

@@ -6,7 +6,7 @@
 //! tsq> .gen walks rw 1000 128 42
 //! tsq> FIND 5 NEAREST TO walks.s17 IN walks APPLY mavg(10)
 //! tsq> .load stocks /tmp/prices.csv
-//! tsq> JOIN stocks WITHIN 1.5 APPLY mavg(20) USING INDEX
+//! tsq> JOIN stocks WITHIN 1.5 APPLY mavg(20) WITH (force = index)
 //! tsq> .quit
 //! ```
 //!
@@ -51,9 +51,9 @@ queries:
   FIND <k> NEAREST TO <rel>.<label>|[v1, v2, ...] IN <rel> [APPLY ...]
   FIND SUBSEQUENCE OF [v1, ..., vw] IN <rel> WITHIN <eps> WINDOW <w>
   FIND <k> NEAREST SUBSEQUENCE OF [v1, ..., vw] IN <rel> WINDOW <w>
-  JOIN <rel> WITHIN <eps> [APPLY ...] [USING SCAN|SCANFULL|INDEX|TREE]
+  JOIN <rel> WITHIN <eps> [APPLY ...]
   every query form accepts a trailing WITH (opt = val, ...) options clause:
-    WITH (force = scan|index)   pin the join method (USING is a deprecated alias)
+    WITH (force = scan|index)   pin the access path (joins also: scanfull|tree)
     WITH (threads = n)          cap scatter/batch parallelism
     WITH (shards = n)           cap how many shards are probed in parallel
 sharding:
@@ -67,7 +67,7 @@ ingest:
   appends maintain every index incrementally (no rebuild); an unknown label starts
   a new series; paged relations reject APPEND with a typed error
 planning:
-  every query runs through the cost-based planner; USING forces a join method
+  every query runs through the cost-based planner; WITH (force = ...) overrides it
   EXPLAIN <query>            show the chosen plan and cost estimates (no execution)
   EXPLAIN ANALYZE <query>    run the plan and append the actual counters
   e.g.  EXPLAIN FIND SIMILAR TO walks.s0 IN walks WITHIN 2

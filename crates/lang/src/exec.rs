@@ -1647,13 +1647,13 @@ mod tests {
     fn join_methods_agree() {
         let cat = catalog();
         let scan = cat
-            .run("JOIN walks WITHIN 1.5 APPLY mavg(4) USING SCAN")
+            .run("JOIN walks WITHIN 1.5 APPLY mavg(4) WITH (force = scan)")
             .unwrap();
         let index = cat
-            .run("JOIN walks WITHIN 1.5 APPLY mavg(4) USING INDEX")
+            .run("JOIN walks WITHIN 1.5 APPLY mavg(4) WITH (force = index)")
             .unwrap();
         let tree = cat
-            .run("JOIN walks WITHIN 1.5 APPLY mavg(4) USING TREE")
+            .run("JOIN walks WITHIN 1.5 APPLY mavg(4) WITH (force = tree)")
             .unwrap();
         // Scan reports each pair once; index/tree twice.
         assert_eq!(index.rows.len(), 2 * scan.rows.len());
@@ -1920,7 +1920,7 @@ mod tests {
                 0 => format!("FIND SIMILAR TO walks.s{i} IN walks WITHIN 2"),
                 1 => format!("FIND 3 NEAREST TO walks.s{i} IN walks"),
                 2 => format!("FIND SUBSEQUENCE OF walks.s{i} IN walks WITHIN 50 WINDOW 32"),
-                _ => "JOIN walks WITHIN 1.5 APPLY mavg(4) USING INDEX".to_string(),
+                _ => "JOIN walks WITHIN 1.5 APPLY mavg(4) WITH (force = index)".to_string(),
             })
             .collect();
         let want: Vec<_> = queries.iter().map(|q| cat.run(q)).collect();
@@ -2151,7 +2151,7 @@ mod tests {
             "FIND SIMILAR TO walks.s0 IN walks WITHIN 0.5",
             "FIND 5 NEAREST TO walks.s7 IN walks",
             "JOIN walks WITHIN 1.5 APPLY mavg(4)",
-            "JOIN walks WITHIN 1.5 APPLY mavg(4) USING INDEX",
+            "JOIN walks WITHIN 1.5 APPLY mavg(4) WITH (force = index)",
             "EXPLAIN ANALYZE FIND SIMILAR TO walks.s0 IN walks WITHIN 0.5",
             "EXPLAIN ANALYZE JOIN walks WITHIN 1.5 APPLY mavg(4)",
         ] {
@@ -2203,7 +2203,7 @@ mod tests {
         for q in [
             "FIND SIMILAR TO walks.s1 IN walks WITHIN 2",
             "FIND 3 NEAREST TO walks.s1 IN walks",
-            "JOIN walks WITHIN 1 USING SCAN",
+            "JOIN walks WITHIN 1 WITH (force = scan)",
         ] {
             assert!(
                 matches!(
@@ -2427,7 +2427,7 @@ mod tests {
         "FIND SIMILAR TO walks.s0 IN walks WITHIN 8 APPLY mavg(5)",
         "FIND 7 NEAREST TO walks.s3 IN walks",
         "JOIN walks WITHIN 6",
-        "JOIN walks WITHIN 6 USING INDEX",
+        "JOIN walks WITHIN 6 WITH (force = index)",
         "FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 6 WINDOW 8",
         "FIND 9 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WINDOW 8",
     ];

@@ -12,7 +12,7 @@
 //! ```text
 //! FIND SIMILAR TO stocks.BBA IN stocks WITHIN 2.75 APPLY mavg(20)
 //! FIND 5 NEAREST TO [36, 38, 40, ...] IN stocks APPLY reverse
-//! JOIN stocks WITHIN 1.5 APPLY mavg(20) USING INDEX
+//! JOIN stocks WITHIN 1.5 APPLY mavg(20) WITH (force = index)
 //! EXPLAIN ANALYZE FIND SIMILAR TO stocks.BBA IN stocks WITHIN 2.75
 //! APPEND stocks BBA VALUES (41.5, 42.25)
 //! ```
@@ -22,8 +22,7 @@
 //! statistics cost each access path (scan, early-abandoning scan, index
 //! filter-and-refine, transformed-MBR traversal), and the cheapest
 //! physical plan executes. The `WITH (force = ..., threads = ...,
-//! shards = ...)` clause is the unified override surface (`USING` remains
-//! a deprecated alias for `WITH (force = ...)`); `EXPLAIN [ANALYZE]`
+//! shards = ...)` clause is the unified override surface; `EXPLAIN [ANALYZE]`
 //! renders the choice with estimates (and actual counters).
 //!
 //! Relations can be repartitioned with `SHARD <rel> INTO <n> BY
@@ -66,5 +65,5 @@ pub mod token;
 pub use ast::{AppendRow, Query, Source, TransformSpec, WindowSpec};
 pub use error::LangError;
 pub use exec::{BatchSummary, Catalog, QueryOutput, Row, SharedCatalog};
-pub use parser::{parse, parse_with_notices};
+pub use parser::parse;
 pub use serve::serve;

@@ -11,8 +11,7 @@
 //!                 [with]
 //!               | FIND number NEAREST SUBSEQUENCE OF source IN ident
 //!                 WINDOW number [with]
-//! join_query   := JOIN ident WITHIN number [APPLY tlist]
-//!                 [USING (SCAN | SCANFULL | INDEX | TREE)] [with]
+//! join_query   := JOIN ident WITHIN number [APPLY tlist] [with]
 //! append_query := APPEND ident ident VALUES '(' number (, number)* ')'
 //!               | APPEND ident CSV row+ ; row := '(' ident (, number)* ')'
 //! shard_query  := SHARD ident INTO number BY (HASH | RANGE)
@@ -32,9 +31,6 @@
 //! The `WITH (...)` clause is the unified override surface
 //! ([`QueryOptions`]): `force` pins the access path, `threads` sizes the
 //! worker pool, `shards` caps the scatter width on sharded relations.
-//! `JOIN ... USING <m>` still parses as a deprecated alias for
-//! `WITH (force = <m>)` and emits a deprecation notice (see
-//! [`parse_with_notices`]); when both appear, the `WITH` clause wins.
 //! Validation the parser performs (so nonsense fails before execution):
 //! every `WITHIN` threshold must be non-negative, every `WINDOW` length
 //! must be an integer of at least 2, every `APPEND` row must carry at
@@ -56,31 +52,16 @@ use crate::token::{Token, TokenKind};
 /// # Errors
 /// [`LangError::Lex`] / [`LangError::Parse`] with byte positions.
 pub fn parse(src: &str) -> Result<Query, LangError> {
-    parse_with_notices(src).map(|(q, _)| q)
-}
-
-/// Parses a query string and returns any advisory notices alongside the
-/// query — currently the `USING` deprecation note. Shells print the
-/// notices; programmatic callers may ignore them via [`parse`].
-///
-/// # Errors
-/// [`LangError::Lex`] / [`LangError::Parse`] with byte positions.
-pub fn parse_with_notices(src: &str) -> Result<(Query, Vec<String>), LangError> {
     let tokens = tokenize(src)?;
-    let mut p = Parser {
-        tokens,
-        at: 0,
-        notices: Vec::new(),
-    };
+    let mut p = Parser { tokens, at: 0 };
     let q = p.query()?;
     p.expect_eof()?;
-    Ok((q, p.notices))
+    Ok(q)
 }
 
 struct Parser {
     tokens: Vec<Token>,
     at: usize,
-    notices: Vec<String>,
 }
 
 impl Parser {
@@ -460,31 +441,13 @@ impl Parser {
         let relation = self.ident()?;
         let eps = self.threshold()?;
         let transforms = self.apply_clause()?;
-        // `USING <m>` is the deprecated alias: it lowers to
-        // `WITH (force = <m>)`, keeping the paper's Table-1 accounting for
-        // the forced method, and emits a notice. An explicit WITH clause
-        // merges over it.
-        let mut lowered = QueryOptions::default();
-        if self.take_kw("USING") {
-            let force = if self.take_kw("SCANFULL") {
-                ForceOp::ScanFull
-            } else if self.take_kw("SCAN") {
-                ForceOp::Scan
-            } else if self.take_kw("INDEX") {
-                ForceOp::Index
-            } else if self.take_kw("TREE") {
-                ForceOp::Tree
-            } else {
-                return self.error("expected SCAN, SCANFULL, INDEX or TREE after USING");
-            };
-            lowered.force = Some(force);
-            self.notices.push(
-                "note: USING is deprecated; use WITH (force = scan|scanfull|index|tree) instead"
-                    .to_string(),
-            );
+        // The pre-`WITH` spelling of the join method: name its
+        // replacement instead of a bare "unexpected trailing input".
+        if self.at_kw("USING") {
+            return self
+                .error("USING was removed; write WITH (force = scan|scanfull|index|tree) instead");
         }
-        let with = self.with_clause()?;
-        let options = lowered.merged(&with);
+        let options = self.with_clause()?;
         Ok(Query::Join {
             relation,
             eps,
@@ -634,9 +597,7 @@ mod tests {
 
     #[test]
     fn parse_join_with_method() {
-        let (q, notices) =
-            parse_with_notices("JOIN stocks WITHIN 1.5 APPLY mavg(20) USING TREE").unwrap();
-        match q {
+        match parse("JOIN stocks WITHIN 1.5 APPLY mavg(20) WITH (force = tree)").unwrap() {
             Query::Join {
                 relation,
                 eps,
@@ -650,18 +611,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // The deprecated alias produces a notice; the modern spelling
-        // parses to the same query silently.
-        assert_eq!(notices.len(), 1);
-        assert!(notices[0].contains("deprecated"), "{}", notices[0]);
-        let (modern, notices) =
-            parse_with_notices("JOIN stocks WITHIN 1.5 APPLY mavg(20) WITH (force = tree)")
-                .unwrap();
-        assert!(notices.is_empty());
-        assert_eq!(
-            modern,
-            parse("JOIN stocks WITHIN 1.5 APPLY mavg(20) USING TREE").unwrap()
-        );
     }
 
     #[test]
@@ -684,15 +633,6 @@ mod tests {
         let q = parse("EXPLAIN FIND 3 NEAREST TO r.a IN r WITH (THREADS = 2)").unwrap();
         assert_eq!(q.options().threads, Some(2));
         assert_eq!(q.options().force, None);
-    }
-
-    #[test]
-    fn with_clause_wins_over_using() {
-        let q = parse("JOIN r WITHIN 1 USING SCAN WITH (force = index)").unwrap();
-        assert_eq!(q.options().force, Some(ForceOp::Index));
-        let q = parse("JOIN r WITHIN 1 USING SCAN WITH (threads = 2)").unwrap();
-        assert_eq!(q.options().force, Some(ForceOp::Scan));
-        assert_eq!(q.options().threads, Some(2));
     }
 
     #[test]
@@ -796,7 +736,7 @@ mod tests {
             Err(LangError::Parse { .. })
         ));
         assert!(matches!(
-            parse("JOIN r WITHIN 1 USING HASH"),
+            parse("JOIN r WITHIN 1 WITH (force = hash)"),
             Err(LangError::Parse { .. })
         ));
         assert!(matches!(
@@ -917,7 +857,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match parse("explain analyze JOIN r WITHIN 1 USING TREE").unwrap() {
+        match parse("explain analyze JOIN r WITHIN 1 WITH (force = tree)").unwrap() {
             Query::Explain { analyze, query } => {
                 assert!(analyze);
                 assert!(matches!(*query, Query::Join { .. }));
@@ -937,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn join_without_using_is_auto() {
+    fn join_without_force_is_auto() {
         match parse("JOIN r WITHIN 1").unwrap() {
             Query::Join { options, .. } => assert!(options.is_default()),
             other => panic!("unexpected {other:?}"),

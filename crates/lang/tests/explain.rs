@@ -83,10 +83,10 @@ Join on \"walks\": eps=1.5, transform=mavg(4)
      considered: JoinIndex 575.6 | JoinTree 398.5 | JoinScan 66.9 | JoinScan(full) 87.7
 "
     );
-    // USING demotes to an override hint: the method runs even though the
+    // A forced method is an override hint: it runs even though the
     // estimate says it is costlier, and the plan is marked [forced].
     assert_eq!(
-        explain(&cat, "EXPLAIN JOIN walks WITHIN 1.5 APPLY mavg(4) USING TREE"),
+        explain(&cat, "EXPLAIN JOIN walks WITHIN 1.5 APPLY mavg(4) WITH (force = tree)"),
         "\
 Join on \"walks\": eps=1.5, transform=mavg(4), using TREE
   relation: 60 series x 32 points; index: 6-d R*-tree, height 2, 3 node(s)

@@ -21,7 +21,7 @@ fn negative_eps_is_a_parse_error_in_every_query_form() {
         "FIND SIMILAR TO walks.s0 IN walks WITHIN -1",
         "FIND SIMILAR TO walks.s0 IN walks WITHIN -0.0001 APPLY mavg(4)",
         "FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN -3 WINDOW 8",
-        "JOIN walks WITHIN -2 USING SCAN",
+        "JOIN walks WITHIN -2 WITH (force = scan)",
     ] {
         match parse(src) {
             Err(LangError::Parse { pos, message }) => {
@@ -32,6 +32,29 @@ fn negative_eps_is_a_parse_error_in_every_query_form() {
             other => panic!("{src}: expected a parse error, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn using_is_a_parse_error_that_names_its_replacement() {
+    for src in [
+        "JOIN walks WITHIN 2 USING INDEX",
+        "JOIN walks WITHIN 2 APPLY mavg(4) using tree WITH (threads = 2)",
+        "EXPLAIN JOIN walks WITHIN 2 USING SCAN",
+    ] {
+        match parse(src) {
+            Err(LangError::Parse { pos, message }) => {
+                assert!(message.contains("WITH (force = "), "{src}: {message}");
+                assert_eq!(
+                    pos,
+                    src.to_ascii_uppercase().find("USING").unwrap(),
+                    "{src}"
+                );
+            }
+            other => panic!("{src}: expected a parse error, got {other:?}"),
+        }
+    }
+    // Only the clause position is reserved: a relation may be named so.
+    assert!(parse("JOIN using WITHIN 2").is_ok());
 }
 
 #[test]

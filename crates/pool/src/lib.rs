@@ -127,8 +127,8 @@ pub fn default_workers() -> usize {
 /// These are *scheduler* observability, deliberately **not** part of
 /// `ExecStats`: query counters are byte-identical between sequential and
 /// parallel execution (the repo-wide invariant), while task and steal
-/// counts inherently depend on scheduling. They surface through
-/// `BatchStats` deltas and the service `/metrics` endpoint instead.
+/// counts inherently depend on scheduling. They surface through the
+/// service `/metrics` endpoint instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Tasks executed by pool workers since the pool started.

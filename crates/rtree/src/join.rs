@@ -4,59 +4,207 @@
 //! where "we transform all objects used in the join predicate before we
 //! compute the predicate" (Section 4). Two strategies are provided:
 //!
-//! - [`spatial_join`] / [`spatial_join_with`] — synchronized tree↔tree
-//!   traversal pruning pairs of subtrees whose (transformed) MBRs are
-//!   farther apart than the distance threshold;
+//! - [`join_with`] — synchronized tree↔tree traversal pruning pairs of
+//!   subtrees whose (transformed) MBRs are farther apart than the distance
+//!   threshold, written once over [`NodeStore`]; [`spatial_join`] /
+//!   [`spatial_join_with`] (two in-memory trees) and
+//!   [`PagedTree::self_join_with`] call it;
 //! - index-nested-loop joins are composed by callers from
 //!   [`RStarTree::search_with`], which is what the paper's Table 1 methods
 //!   (c) and (d) do.
 
-use tsq_store::{StoreError, StoreResult};
+use tsq_store::StoreResult;
 
-use crate::node::{Entry, Node};
-use crate::page::PageId;
-use crate::paged::{PagedEntry, PagedTree};
+use crate::node::{infallible, EntryId, NodeStore, Slot};
+use crate::paged::PagedTree;
 use crate::rect::Rect;
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
-/// Synchronized R-tree join with a caller-supplied **lower bound** on the
-/// distance between the objects inside two stored rectangles.
+/// Synchronized join of two [`NodeStore`]s — the one join recursion in
+/// the workspace — with a caller-supplied **lower bound** on the distance
+/// between the objects inside two stored rectangles.
 ///
-/// `pair_bound(ra, rb)` receives *stored* rectangles from either tree and
-/// must return a value that never exceeds the true distance between any
-/// object in `ra` and any object in `rb` (after whatever transformation the
-/// caller applies inside the closure). Pairs with `pair_bound > eps` are
-/// pruned; every surviving leaf pair is passed to `out`.
+/// `pair_bound(ida, ra, idb, rb)` receives *stored* rectangles from either
+/// side and must return a value that never exceeds the true distance
+/// between any object in `ra` and any object in `rb` (after whatever
+/// transformation the caller applies inside the closure). Pairs with
+/// `pair_bound > eps` are pruned; every surviving leaf pair is passed to
+/// `out`. The [`EntryId`]s name the rectangles within their own store:
+/// the join revisits each node MBR once per pairing, so a caller whose
+/// bound is expensive memoizes per id.
 ///
 /// This generalization matters for the paper's polar coordinate space,
 /// where coordinate-wise rectangle distance is *not* a valid bound of the
 /// complex-plane distance (angles wrap), and an annular-sector bound must
 /// be used instead.
 ///
-/// When both arguments are the *same* tree, identical entries (`a` is the
+/// When both arguments are the *same* store, identical entries (`a` is the
 /// very same slot as `b`) are skipped, but each unordered pair is still
 /// reported twice — once in each order — matching the paper's Table 1
 /// accounting, where the transformed self-join answer of 12 pairs is listed
 /// as `12 x 2 = 24`.
+///
+/// Both nodes of a pair stay fetched across the recursion below them;
+/// visiting the pair `(p, p)` of a paged store pins the same page twice,
+/// which the pool counts as one miss and one hit (or two hits) — the
+/// honest I/O accounting.
+///
+/// # Errors
+/// The stores' fetch error (none for in-memory stores).
+///
+/// # Panics
+/// If `eps` is negative.
+pub fn join_with<A, B, PB, OUT>(
+    a: A,
+    b: B,
+    mut pair_bound: PB,
+    eps: f64,
+    mut out: OUT,
+) -> Result<SearchStats, A::Error>
+where
+    A: NodeStore,
+    B: NodeStore<Error = A::Error>,
+    PB: FnMut(EntryId, &Rect, EntryId, &Rect) -> f64,
+    OUT: FnMut(&Rect, A::Item, &Rect, B::Item),
+{
+    assert!(eps >= 0.0, "join distance must be non-negative");
+    let mut stats = SearchStats::default();
+    if !a.is_empty() && !b.is_empty() {
+        let mut join = Join {
+            a,
+            b,
+            same_store: a.store_id() == b.store_id(),
+            pair_bound: &mut pair_bound,
+            eps,
+            out: &mut out,
+            stats: &mut stats,
+        };
+        join.pair(a.root(), b.root())?;
+    }
+    Ok(stats)
+}
+
+/// What stays fixed across one join's recursion.
+struct Join<'j, A, B, PB, OUT> {
+    a: A,
+    b: B,
+    same_store: bool,
+    pair_bound: &'j mut PB,
+    eps: f64,
+    out: &'j mut OUT,
+    stats: &'j mut SearchStats,
+}
+
+impl<A, B, PB, OUT> Join<'_, A, B, PB, OUT>
+where
+    A: NodeStore,
+    B: NodeStore<Error = A::Error>,
+    PB: FnMut(EntryId, &Rect, EntryId, &Rect) -> f64,
+    OUT: FnMut(&Rect, A::Item, &Rect, B::Item),
+{
+    /// One bound test: true when the pair survives pruning.
+    fn close(&mut self, ida: EntryId, ra: &Rect, idb: EntryId, rb: &Rect) -> bool {
+        self.stats.entries_tested += 1;
+        (self.pair_bound)(ida, ra, idb, rb) <= self.eps
+    }
+
+    fn pair(&mut self, ra: A::Ref, rb: B::Ref) -> Result<(), A::Error> {
+        let na = self.a.fetch(ra, self.stats)?;
+        let nb = self.b.fetch(rb, self.stats)?;
+        self.stats.nodes_visited += 1;
+        match (A::level(&na) == 0, B::level(&nb) == 0) {
+            (true, true) => {
+                self.stats.leaves_visited += 1;
+                let same_node = self.same_store && A::node_id(ra) == B::node_id(rb);
+                for (ai, entry_a) in A::entries(&na).enumerate() {
+                    let Slot::Item(rect_a, item_a) = entry_a else {
+                        unreachable!("child entry in leaf");
+                    };
+                    for (bi, entry_b) in B::entries(&nb).enumerate() {
+                        let Slot::Item(rect_b, item_b) = entry_b else {
+                            unreachable!("child entry in leaf");
+                        };
+                        // Skip the literally-same entry in a self-join.
+                        if same_node && ai == bi {
+                            continue;
+                        }
+                        if self.close(A::entry_id(ra, ai), rect_a, B::entry_id(rb, bi), rect_b) {
+                            self.stats.candidates += 1;
+                            (self.out)(rect_a, item_a, rect_b, item_b);
+                        }
+                    }
+                }
+            }
+            (false, true) => {
+                let mbr_b = mbr::<B>(&nb);
+                for (ai, entry_a) in A::entries(&na).enumerate() {
+                    let Slot::Child(rect_a, child_a) = entry_a else {
+                        unreachable!("leaf entry in internal node");
+                    };
+                    if self.close(A::entry_id(ra, ai), rect_a, B::node_id(rb), &mbr_b) {
+                        self.pair(child_a, rb)?;
+                    }
+                }
+            }
+            (true, false) => {
+                let mbr_a = mbr::<A>(&na);
+                for (bi, entry_b) in B::entries(&nb).enumerate() {
+                    let Slot::Child(rect_b, child_b) = entry_b else {
+                        unreachable!("leaf entry in internal node");
+                    };
+                    if self.close(A::node_id(ra), &mbr_a, B::entry_id(rb, bi), rect_b) {
+                        self.pair(ra, child_b)?;
+                    }
+                }
+            }
+            (false, false) => {
+                for (ai, entry_a) in A::entries(&na).enumerate() {
+                    let Slot::Child(rect_a, child_a) = entry_a else {
+                        unreachable!("leaf entry in internal node");
+                    };
+                    for (bi, entry_b) in B::entries(&nb).enumerate() {
+                        let Slot::Child(rect_b, child_b) = entry_b else {
+                            unreachable!("leaf entry in internal node");
+                        };
+                        if self.close(A::entry_id(ra, ai), rect_a, B::entry_id(rb, bi), rect_b) {
+                            self.pair(child_a, child_b)?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Bounding rectangle of a fetched node's entries.
+fn mbr<S: NodeStore>(node: &S::Guard) -> Rect {
+    let mut entries = S::entries(node);
+    let first = entries
+        .next()
+        .expect("a populated store holds no empty node");
+    let mut mbr = first.rect().clone();
+    for entry in entries {
+        mbr.union_assign(entry.rect());
+    }
+    mbr
+}
+
+/// [`join_with`] over two in-memory trees, which cannot fail, for a bound
+/// that needs no memo.
 pub fn spatial_join_with<'a, T, U, B, OUT>(
     a: &'a RStarTree<T>,
     b: &'a RStarTree<U>,
     mut pair_bound: B,
     eps: f64,
-    mut out: OUT,
+    out: OUT,
 ) -> SearchStats
 where
     B: FnMut(&Rect, &Rect) -> f64,
-    OUT: FnMut(&'a Rect, &'a T, &'a Rect, &'a U),
+    OUT: FnMut(&Rect, &'a T, &Rect, &'a U),
 {
-    assert!(eps >= 0.0, "join distance must be non-negative");
-    let mut stats = SearchStats::default();
-    if a.is_empty() || b.is_empty() {
-        return stats;
-    }
-    join_rec(&a.root, &b.root, &mut pair_bound, eps, &mut out, &mut stats);
-    stats
+    infallible(join_with(a, b, |_, ra, _, rb| pair_bound(ra, rb), eps, out))
 }
 
 /// Plain Euclidean-space join: invokes `out` for every pair of leaf entries
@@ -75,7 +223,7 @@ pub fn spatial_join<'a, T, U, FA, FB, OUT>(
 where
     FA: FnMut(&Rect) -> Rect,
     FB: FnMut(&Rect) -> Rect,
-    OUT: FnMut(&'a Rect, &'a T, &'a Rect, &'a U),
+    OUT: FnMut(&Rect, &'a T, &Rect, &'a U),
 {
     spatial_join_with(
         a,
@@ -86,91 +234,10 @@ where
     )
 }
 
-fn join_rec<'a, T, U, B, OUT>(
-    na: &'a Node<T>,
-    nb: &'a Node<U>,
-    pair_bound: &mut B,
-    eps: f64,
-    out: &mut OUT,
-    stats: &mut SearchStats,
-) where
-    B: FnMut(&Rect, &Rect) -> f64,
-    OUT: FnMut(&'a Rect, &'a T, &'a Rect, &'a U),
-{
-    stats.nodes_visited += 1;
-    match (na.is_leaf(), nb.is_leaf()) {
-        (true, true) => {
-            stats.leaves_visited += 1;
-            for ea in &na.entries {
-                let (ra, ia) = match ea {
-                    Entry::Leaf { rect, item } => (rect, item),
-                    Entry::Node { .. } => unreachable!("node entry in leaf"),
-                };
-                for eb in &nb.entries {
-                    let (rb, ib) = match eb {
-                        Entry::Leaf { rect, item } => (rect, item),
-                        Entry::Node { .. } => unreachable!("node entry in leaf"),
-                    };
-                    // Skip the literally-same entry in a self-join.
-                    if std::ptr::eq(ra as *const Rect, rb as *const Rect) {
-                        continue;
-                    }
-                    stats.entries_tested += 1;
-                    if pair_bound(ra, rb) <= eps {
-                        stats.candidates += 1;
-                        out(ra, ia, rb, ib);
-                    }
-                }
-            }
-        }
-        (false, true) => {
-            for ea in &na.entries {
-                if let Entry::Node { rect, child } = ea {
-                    stats.entries_tested += 1;
-                    if pair_bound(rect, &nb.mbr()) <= eps {
-                        join_rec(child, nb, pair_bound, eps, out, stats);
-                    }
-                }
-            }
-        }
-        (true, false) => {
-            for eb in &nb.entries {
-                if let Entry::Node { rect, child } = eb {
-                    stats.entries_tested += 1;
-                    if pair_bound(&na.mbr(), rect) <= eps {
-                        join_rec(na, child, pair_bound, eps, out, stats);
-                    }
-                }
-            }
-        }
-        (false, false) => {
-            for ea in &na.entries {
-                let (ra, ca) = match ea {
-                    Entry::Node { rect, child } => (rect, child),
-                    Entry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-                };
-                for eb in &nb.entries {
-                    let (rb, cb) = match eb {
-                        Entry::Node { rect, child } => (rect, child),
-                        Entry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-                    };
-                    stats.entries_tested += 1;
-                    if pair_bound(ra, rb) <= eps {
-                        join_rec(ca, cb, pair_bound, eps, out, stats);
-                    }
-                }
-            }
-        }
-    }
-}
-
 impl PagedTree {
-    /// Paged twin of [`spatial_join_with`] for the self-join case (the
-    /// only join shape the engine ever runs — every `JOIN` is a
-    /// single-relation self-join). The traversal mirrors the in-memory
-    /// synchronized join pair-visit for pair-visit; the in-memory
-    /// version's "same slot" pointer check becomes an index check: the
-    /// literally-same entry is the same `(page, entry index)`.
+    /// [`join_with`] of this tree with itself (the only join shape the
+    /// engine ever runs — every `JOIN` is a single-relation self-join),
+    /// for a bound that needs no memo.
     ///
     /// # Errors
     /// Typed [`tsq_store::StoreError`]s when a page cannot be read or
@@ -182,125 +249,14 @@ impl PagedTree {
         &self,
         mut pair_bound: B,
         eps: f64,
-        mut out: OUT,
+        out: OUT,
     ) -> StoreResult<SearchStats>
     where
         B: FnMut(&Rect, &Rect) -> f64,
         OUT: FnMut(&Rect, u64, &Rect, u64),
     {
-        assert!(eps >= 0.0, "join distance must be non-negative");
-        let mut stats = SearchStats::default();
-        if self.is_empty() {
-            return Ok(stats);
-        }
-        self.join_pages(
-            self.root(),
-            self.root_level(),
-            self.root(),
-            self.root_level(),
-            &mut pair_bound,
-            eps,
-            &mut out,
-            &mut stats,
-        )?;
-        Ok(stats)
+        join_with(self, self, |_, ra, _, rb| pair_bound(ra, rb), eps, out)
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn join_pages<B, OUT>(
-        &self,
-        pa: PageId,
-        la: u32,
-        pb: PageId,
-        lb: u32,
-        pair_bound: &mut B,
-        eps: f64,
-        out: &mut OUT,
-        stats: &mut SearchStats,
-    ) -> StoreResult<()>
-    where
-        B: FnMut(&Rect, &Rect) -> f64,
-        OUT: FnMut(&Rect, u64, &Rect, u64),
-    {
-        // Both pins live across the recursion; visiting the pair (p, p)
-        // pins the same page twice, which the pool counts as one miss and
-        // one hit (or two hits) — the honest I/O accounting.
-        let na = self.fetch(pa, la, stats)?;
-        let nb = self.fetch(pb, lb, stats)?;
-        stats.nodes_visited += 1;
-        match (na.is_leaf(), nb.is_leaf()) {
-            (true, true) => {
-                stats.leaves_visited += 1;
-                for (ai, ea) in na.entries.iter().enumerate() {
-                    let (ra, ia) = match ea {
-                        PagedEntry::Leaf { rect, item } => (rect, *item),
-                        PagedEntry::Child { .. } => unreachable!("child entry in leaf"),
-                    };
-                    for (bi, eb) in nb.entries.iter().enumerate() {
-                        let (rb, ib) = match eb {
-                            PagedEntry::Leaf { rect, item } => (rect, *item),
-                            PagedEntry::Child { .. } => unreachable!("child entry in leaf"),
-                        };
-                        // Skip the literally-same entry in the self-join.
-                        if pa == pb && ai == bi {
-                            continue;
-                        }
-                        stats.entries_tested += 1;
-                        if pair_bound(ra, rb) <= eps {
-                            stats.candidates += 1;
-                            out(ra, ia, rb, ib);
-                        }
-                    }
-                }
-            }
-            (false, true) => {
-                let mbr_b = node_mbr(&nb)?;
-                for ea in &na.entries {
-                    if let PagedEntry::Child { rect, page } = ea {
-                        stats.entries_tested += 1;
-                        if pair_bound(rect, &mbr_b) <= eps {
-                            self.join_pages(*page, la - 1, pb, lb, pair_bound, eps, out, stats)?;
-                        }
-                    }
-                }
-            }
-            (true, false) => {
-                let mbr_a = node_mbr(&na)?;
-                for eb in &nb.entries {
-                    if let PagedEntry::Child { rect, page } = eb {
-                        stats.entries_tested += 1;
-                        if pair_bound(&mbr_a, rect) <= eps {
-                            self.join_pages(pa, la, *page, lb - 1, pair_bound, eps, out, stats)?;
-                        }
-                    }
-                }
-            }
-            (false, false) => {
-                for ea in &na.entries {
-                    let (ra, ca) = match ea {
-                        PagedEntry::Child { rect, page } => (rect, *page),
-                        PagedEntry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-                    };
-                    for eb in &nb.entries {
-                        let (rb, cb) = match eb {
-                            PagedEntry::Child { rect, page } => (rect, *page),
-                            PagedEntry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-                        };
-                        stats.entries_tested += 1;
-                        if pair_bound(ra, rb) <= eps {
-                            self.join_pages(ca, la - 1, cb, lb - 1, pair_bound, eps, out, stats)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-fn node_mbr(node: &crate::paged::PagedNode) -> StoreResult<Rect> {
-    node.mbr()
-        .ok_or_else(|| StoreError::corrupt("empty node in page file"))
 }
 
 #[cfg(test)]

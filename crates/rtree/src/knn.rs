@@ -7,172 +7,204 @@
 //! queries (`find the k series most similar to q under T`), `tsq-core`
 //! passes bounds computed on transformed rectangles, which keeps the search
 //! correct with no false dismissals.
+//!
+//! The loop is written once over [`NodeStore`]; the in-memory and the
+//! paged tree's `nearest_with_tie` methods both call it. The heap holds
+//! node *references* and items, never guards, so a paged search pins one
+//! page at a time.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use tsq_store::StoreResult;
 
-use crate::node::{Entry, Node};
-use crate::page::PageId;
-use crate::paged::{PagedEntry, PagedTree};
+use crate::node::{infallible, NodeStore, Slot};
+use crate::paged::PagedTree;
 use crate::rect::Rect;
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
-/// One nearest-neighbor result.
+/// One nearest-neighbor result: `&T` from an in-memory tree, the stored
+/// `u64` word from a paged one.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Neighbor<'a, T> {
+pub struct Neighbor<I> {
     /// Exact distance reported by the caller's distance function.
     pub distance: f64,
-    /// Stored bounding rectangle of the item.
-    pub rect: &'a Rect,
     /// The item.
-    pub item: &'a T,
+    pub item: I,
 }
 
-enum HeapPayload<'a, T> {
-    Node(&'a Node<T>),
-    Item(&'a Rect, &'a T),
+/// What waits on the heap: node *references* (never guards — a node is
+/// only fetched once it is popped) and items whose distance is known.
+enum Pending<S: NodeStore> {
+    Node(S::Ref),
+    Item(S::Item),
 }
 
-struct HeapEntry<'a, T> {
+struct HeapEntry<S: NodeStore> {
     dist: f64,
-    payload: HeapPayload<'a, T>,
+    pending: Pending<S>,
 }
 
-impl<T> PartialEq for HeapEntry<'_, T> {
+impl<S: NodeStore> PartialEq for HeapEntry<S> {
     fn eq(&self, other: &Self) -> bool {
         self.dist == other.dist
     }
 }
-impl<T> Eq for HeapEntry<'_, T> {}
-impl<T> PartialOrd for HeapEntry<'_, T> {
+impl<S: NodeStore> Eq for HeapEntry<S> {}
+impl<S: NodeStore> PartialOrd for HeapEntry<S> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T> Ord for HeapEntry<'_, T> {
+impl<S: NodeStore> Ord for HeapEntry<S> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we need smallest distance first.
         other.dist.total_cmp(&self.dist)
     }
 }
 
+/// Best-first nearest-neighbor search over any [`NodeStore`] — the one
+/// kNN loop in the workspace.
+///
+/// Returns the `k` items minimizing `exact_dist`, using `bound_dist` as
+/// an admissible (never over-estimating) lower bound on node MBRs, sorted
+/// by ascending distance; all items when the store holds fewer than `k`.
+/// Among items at equal exact distance the ones with the smallest
+/// `tie_key` win the boundary slots, and equal-distance results are
+/// ordered by ascending key.
+///
+/// The loop only prunes when a heap distance is *strictly* greater than
+/// the current `k`-th distance, so every item tied at the boundary is
+/// examined — keying the insertion is enough to make the retained set
+/// exactly the `k` smallest by `(distance, key)`.
+///
+/// A node is released before the next heap pop, so a paged search holds
+/// one page at a time.
+///
+/// # Errors
+/// The store's fetch error (none for the in-memory store).
+#[allow(clippy::type_complexity)]
+pub fn nearest_with_tie<S, B, E, K>(
+    store: S,
+    k: usize,
+    mut bound_dist: B,
+    mut exact_dist: E,
+    mut tie_key: K,
+) -> Result<(Vec<Neighbor<S::Item>>, SearchStats), S::Error>
+where
+    S: NodeStore,
+    B: FnMut(&Rect) -> f64,
+    E: FnMut(&Rect, S::Item) -> f64,
+    K: FnMut(S::Item) -> u64,
+{
+    let mut stats = SearchStats::default();
+    if k == 0 || store.is_empty() {
+        return Ok((Vec::new(), stats));
+    }
+    let mut results: Vec<(u64, Neighbor<S::Item>)> = Vec::with_capacity(k.min(store.len()));
+    let mut heap: BinaryHeap<HeapEntry<S>> = BinaryHeap::new();
+    heap.push(HeapEntry {
+        dist: 0.0,
+        pending: Pending::Node(store.root()),
+    });
+    while let Some(HeapEntry { dist, pending }) = heap.pop() {
+        if results.len() == k && dist > results[k - 1].1.distance {
+            break; // nothing on the heap can beat the current k-th
+        }
+        match pending {
+            Pending::Node(node) => {
+                let node = store.fetch(node, &mut stats)?;
+                stats.nodes_visited += 1;
+                // One loop per level kind, as in the range visitor: each
+                // reads a single entry variant.
+                if S::level(&node) == 0 {
+                    stats.leaves_visited += 1;
+                    for entry in S::entries(&node) {
+                        stats.entries_tested += 1;
+                        if let Slot::Item(rect, item) = entry {
+                            heap.push(HeapEntry {
+                                dist: exact_dist(rect, item),
+                                pending: Pending::Item(item),
+                            });
+                        }
+                    }
+                } else {
+                    for entry in S::entries(&node) {
+                        stats.entries_tested += 1;
+                        if let Slot::Child(rect, child) = entry {
+                            heap.push(HeapEntry {
+                                dist: bound_dist(rect),
+                                pending: Pending::Node(child),
+                            });
+                        }
+                    }
+                }
+            }
+            Pending::Item(item) => {
+                stats.candidates += 1;
+                // When the k-th distance is settled, the loop's break
+                // condition prunes the remaining heap.
+                let key = tie_key(item);
+                let pos = results
+                    .binary_search_by(|(pk, p)| p.distance.total_cmp(&dist).then(pk.cmp(&key)))
+                    .unwrap_or_else(|p| p);
+                results.insert(
+                    pos,
+                    (
+                        key,
+                        Neighbor {
+                            distance: dist,
+                            item,
+                        },
+                    ),
+                );
+                if results.len() > k {
+                    results.pop();
+                }
+            }
+        }
+    }
+    Ok((results.into_iter().map(|(_, n)| n).collect(), stats))
+}
+
 impl<T> RStarTree<T> {
-    /// Returns the `k` items minimizing `exact_dist`, using `bound_dist` as
-    /// an admissible (never over-estimating) lower bound on node MBRs.
-    ///
-    /// Results are sorted by ascending distance. If the tree holds fewer
-    /// than `k` items, all of them are returned. Items tied in distance at
-    /// the `k`-th boundary are kept in traversal order; use
-    /// [`RStarTree::nearest_with_tie`] when the selection must be
-    /// deterministic.
+    /// [`RStarTree::nearest_with_tie`] without a tie key: items tied in
+    /// distance at the `k`-th boundary are kept in traversal order.
     pub fn nearest_with<'a, B, E>(
         &'a self,
         k: usize,
         bound_dist: B,
         exact_dist: E,
-    ) -> (Vec<Neighbor<'a, T>>, SearchStats)
+    ) -> (Vec<Neighbor<&'a T>>, SearchStats)
     where
         B: FnMut(&Rect) -> f64,
-        E: FnMut(&Rect, &T) -> f64,
+        E: FnMut(&Rect, &'a T) -> f64,
     {
         // A constant tie key makes the keyed comparator degenerate to the
         // distance-only comparator, so this wrapper changes nothing.
         self.nearest_with_tie(k, bound_dist, exact_dist, |_| 0)
     }
 
-    /// [`RStarTree::nearest_with`] with deterministic tie-breaking: among
-    /// items at equal exact distance, the ones with the smallest `tie_key`
-    /// win the boundary slots, and equal-distance results are ordered by
-    /// ascending key.
-    ///
-    /// The best-first loop only prunes when a heap distance is *strictly*
-    /// greater than the current `k`-th distance, so every item tied at the
-    /// boundary is examined — keying the insertion is enough to make the
-    /// retained set exactly the `k` smallest by `(distance, key)`. Visit
-    /// counters are identical to the unkeyed search.
+    /// [`nearest_with_tie`] over the in-memory nodes, which cannot fail.
     pub fn nearest_with_tie<'a, B, E, K>(
         &'a self,
         k: usize,
-        mut bound_dist: B,
-        mut exact_dist: E,
-        mut tie_key: K,
-    ) -> (Vec<Neighbor<'a, T>>, SearchStats)
+        bound_dist: B,
+        exact_dist: E,
+        tie_key: K,
+    ) -> (Vec<Neighbor<&'a T>>, SearchStats)
     where
         B: FnMut(&Rect) -> f64,
-        E: FnMut(&Rect, &T) -> f64,
-        K: FnMut(&T) -> u64,
+        E: FnMut(&Rect, &'a T) -> f64,
+        K: FnMut(&'a T) -> u64,
     {
-        let mut stats = SearchStats::default();
-        let mut results: Vec<(u64, Neighbor<'a, T>)> = Vec::with_capacity(k.min(self.len()));
-        if k == 0 || self.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let mut heap: BinaryHeap<HeapEntry<'a, T>> = BinaryHeap::new();
-        heap.push(HeapEntry {
-            dist: 0.0,
-            payload: HeapPayload::Node(&self.root),
-        });
-        while let Some(HeapEntry { dist, payload }) = heap.pop() {
-            if results.len() == k && dist > results[k - 1].1.distance {
-                break; // nothing on the heap can beat the current k-th
-            }
-            match payload {
-                HeapPayload::Node(node) => {
-                    stats.nodes_visited += 1;
-                    if node.is_leaf() {
-                        stats.leaves_visited += 1;
-                    }
-                    for entry in &node.entries {
-                        stats.entries_tested += 1;
-                        match entry {
-                            Entry::Leaf { rect, item } => {
-                                let d = exact_dist(rect, item);
-                                heap.push(HeapEntry {
-                                    dist: d,
-                                    payload: HeapPayload::Item(rect, item),
-                                });
-                            }
-                            Entry::Node { rect, child } => {
-                                let d = bound_dist(rect);
-                                heap.push(HeapEntry {
-                                    dist: d,
-                                    payload: HeapPayload::Node(child),
-                                });
-                            }
-                        }
-                    }
-                }
-                HeapPayload::Item(rect, item) => {
-                    stats.candidates += 1;
-                    let key = tie_key(item);
-                    insert_sorted(
-                        &mut results,
-                        key,
-                        Neighbor {
-                            distance: dist,
-                            rect,
-                            item,
-                        },
-                        k,
-                    );
-                    // When the k-th distance is settled, the loop's break
-                    // condition prunes the remaining heap.
-                }
-            }
-        }
-        (results.into_iter().map(|(_, n)| n).collect(), stats)
+        infallible(nearest_with_tie(self, k, bound_dist, exact_dist, tie_key))
     }
 
     /// Euclidean k-nearest-neighbors of a query point, using `MINDIST`
     /// pruning on MBRs.
-    pub fn nearest_to_point<'a>(
-        &'a self,
-        k: usize,
-        point: &[f64],
-    ) -> (Vec<Neighbor<'a, T>>, SearchStats) {
+    pub fn nearest_to_point(&self, k: usize, point: &[f64]) -> (Vec<Neighbor<&T>>, SearchStats) {
         self.nearest_with(
             k,
             |rect| rect.min_dist2(point).sqrt(),
@@ -181,188 +213,43 @@ impl<T> RStarTree<T> {
     }
 }
 
-fn insert_sorted<'a, T>(
-    results: &mut Vec<(u64, Neighbor<'a, T>)>,
-    key: u64,
-    n: Neighbor<'a, T>,
-    k: usize,
-) {
-    let pos = results
-        .binary_search_by(|(pk, p)| p.distance.total_cmp(&n.distance).then(pk.cmp(&key)))
-        .unwrap_or_else(|p| p);
-    results.insert(pos, (key, n));
-    if results.len() > k {
-        results.pop();
-    }
-}
-
-/// One nearest-neighbor result from a paged tree. Owns its rectangle —
-/// the page it came from may be evicted before the caller looks.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedNeighbor {
-    /// Exact distance reported by the caller's distance function.
-    pub distance: f64,
-    /// Stored bounding rectangle of the item.
-    pub rect: Rect,
-    /// The stored payload word.
-    pub item: u64,
-}
-
-enum PagedHeapPayload {
-    Node(PageId, u32),
-    Item(Rect, u64),
-}
-
-struct PagedHeapEntry {
-    dist: f64,
-    payload: PagedHeapPayload,
-}
-
-impl PartialEq for PagedHeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist
-    }
-}
-impl Eq for PagedHeapEntry {}
-impl PartialOrd for PagedHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PagedHeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we need smallest distance first.
-        other.dist.total_cmp(&self.dist)
-    }
-}
-
 impl PagedTree {
-    /// Paged twin of [`RStarTree::nearest_with`]: the identical best-first
-    /// search — same heap discipline, same tie behavior, same counters —
-    /// with node fetches going through the buffer pool.
+    /// [`nearest_with_tie`] with node fetches going through the buffer
+    /// pool.
     ///
     /// # Errors
     /// Typed [`tsq_store::StoreError`]s when a page cannot be read or
     /// decodes as corrupt.
-    pub fn nearest_with<B, E>(
+    pub fn nearest_with_tie<B, E, K>(
         &self,
         k: usize,
         bound_dist: B,
         exact_dist: E,
-    ) -> StoreResult<(Vec<OwnedNeighbor>, SearchStats)>
-    where
-        B: FnMut(&Rect) -> f64,
-        E: FnMut(&Rect, u64) -> f64,
-    {
-        self.nearest_with_tie(k, bound_dist, exact_dist, |_| 0)
-    }
-
-    /// Paged twin of [`RStarTree::nearest_with_tie`]: deterministic
-    /// boundary tie-breaking by ascending `tie_key`, identical counters.
-    ///
-    /// # Errors
-    /// Same as [`PagedTree::nearest_with`].
-    pub fn nearest_with_tie<B, E, K>(
-        &self,
-        k: usize,
-        mut bound_dist: B,
-        mut exact_dist: E,
-        mut tie_key: K,
-    ) -> StoreResult<(Vec<OwnedNeighbor>, SearchStats)>
+        tie_key: K,
+    ) -> StoreResult<(Vec<Neighbor<u64>>, SearchStats)>
     where
         B: FnMut(&Rect) -> f64,
         E: FnMut(&Rect, u64) -> f64,
         K: FnMut(u64) -> u64,
     {
-        let mut stats = SearchStats::default();
-        let mut results: Vec<(u64, OwnedNeighbor)> = Vec::with_capacity(k.min(self.len()));
-        if k == 0 || self.is_empty() {
-            return Ok((Vec::new(), stats));
-        }
-        let mut heap: BinaryHeap<PagedHeapEntry> = BinaryHeap::new();
-        heap.push(PagedHeapEntry {
-            dist: 0.0,
-            payload: PagedHeapPayload::Node(self.root(), self.root_level()),
-        });
-        while let Some(PagedHeapEntry { dist, payload }) = heap.pop() {
-            if results.len() == k && dist > results[k - 1].1.distance {
-                break; // nothing on the heap can beat the current k-th
-            }
-            match payload {
-                PagedHeapPayload::Node(id, level) => {
-                    let node = self.fetch(id, level, &mut stats)?;
-                    stats.nodes_visited += 1;
-                    if node.is_leaf() {
-                        stats.leaves_visited += 1;
-                    }
-                    for entry in &node.entries {
-                        stats.entries_tested += 1;
-                        match entry {
-                            PagedEntry::Leaf { rect, item } => {
-                                let d = exact_dist(rect, *item);
-                                heap.push(PagedHeapEntry {
-                                    dist: d,
-                                    payload: PagedHeapPayload::Item(rect.clone(), *item),
-                                });
-                            }
-                            PagedEntry::Child { rect, page } => {
-                                let d = bound_dist(rect);
-                                heap.push(PagedHeapEntry {
-                                    dist: d,
-                                    payload: PagedHeapPayload::Node(*page, level - 1),
-                                });
-                            }
-                        }
-                    }
-                }
-                PagedHeapPayload::Item(rect, item) => {
-                    stats.candidates += 1;
-                    let key = tie_key(item);
-                    insert_sorted_owned(
-                        &mut results,
-                        key,
-                        OwnedNeighbor {
-                            distance: dist,
-                            rect,
-                            item,
-                        },
-                        k,
-                    );
-                }
-            }
-        }
-        Ok((results.into_iter().map(|(_, n)| n).collect(), stats))
+        nearest_with_tie(self, k, bound_dist, exact_dist, tie_key)
     }
 
-    /// Paged twin of [`RStarTree::nearest_to_point`].
+    /// Euclidean k-nearest-neighbors of a query point (no tie key).
     ///
     /// # Errors
-    /// Same as [`PagedTree::nearest_with`].
+    /// Same as [`PagedTree::nearest_with_tie`].
     pub fn nearest_to_point(
         &self,
         k: usize,
         point: &[f64],
-    ) -> StoreResult<(Vec<OwnedNeighbor>, SearchStats)> {
-        self.nearest_with(
+    ) -> StoreResult<(Vec<Neighbor<u64>>, SearchStats)> {
+        self.nearest_with_tie(
             k,
             |rect| rect.min_dist2(point).sqrt(),
             |rect, _| rect.min_dist2(point).sqrt(),
+            |_| 0,
         )
-    }
-}
-
-fn insert_sorted_owned(
-    results: &mut Vec<(u64, OwnedNeighbor)>,
-    key: u64,
-    n: OwnedNeighbor,
-    k: usize,
-) {
-    let pos = results
-        .binary_search_by(|(pk, p)| p.distance.total_cmp(&n.distance).then(pk.cmp(&key)))
-        .unwrap_or_else(|p| p);
-    results.insert(pos, (key, n));
-    if results.len() > k {
-        results.pop();
     }
 }
 

@@ -5,15 +5,15 @@
 //! Queries for Time Series Data* (Rafiei & Mendelzon, SIGMOD 1997) builds
 //! on. The pieces the paper's Algorithms 1 and 2 need are first-class:
 //!
-//! - [`RStarTree::search_with`] exposes every stored MBR to a caller-supplied
+//! - [`search::search_with`] exposes every stored MBR to a caller-supplied
 //!   acceptance test, so a safe transformation can be applied to the index
 //!   *on the fly* during traversal (Algorithm 1's `I' = T(I)` without
 //!   materializing `I'`);
-//! - [`RStarTree::nearest_with`] runs best-first nearest-neighbor search
+//! - [`knn::nearest_with_tie`] runs best-first nearest-neighbor search
 //!   with pluggable lower-bound metrics (MINDIST et al., Roussopoulos 1995),
 //!   again allowing transformed metrics;
-//! - [`join::spatial_join`] prunes all-pairs queries through both trees with
-//!   per-side rectangle transforms;
+//! - [`join::join_with`] prunes all-pairs queries through both trees with
+//!   a pluggable pair bound;
 //! - [`RStarTree::bulk_load`] packs a whole relation with STR;
 //! - every query returns [`stats::SearchStats`], whose node-visit counter
 //!   stands in for the paper's disk-access measurements.
@@ -22,11 +22,22 @@
 //! ([`rect::Rect`]); leaf entries may be points (degenerate rectangles),
 //! which is how feature vectors are stored by `tsq-core`.
 //!
-//! Storage comes in two modes. The default keeps every node in memory.
-//! [`paged::PagedTree`] stores one node per fixed-size page in a file
-//! behind a pin-counted LRU [`page::BufferPool`], so an index larger than
-//! memory still works — and its [`stats::SearchStats`] carry *measured*
-//! pool hit/miss counts next to the simulated node-visit count.
+//! Each of those three traversals exists once, written against a
+//! [`NodeStore`]: "fetch a node by reference, get a guard exposing its
+//! level and its `(rect, item | child ref)` entries". Two stores
+//! implement it. `&RStarTree<T>` keeps every node in memory, its guard is
+//! a plain borrow and its fetch cannot fail, so the generic code compiles
+//! to the direct pointer walk. `&PagedTree` ([`paged::PagedTree`]) stores
+//! one node per fixed-size page in a file behind a pin-counted
+//! [`page::BufferPool`], so an index larger than memory still works: its
+//! guard is a page pin, its fetch returns a typed
+//! [`tsq_store::StoreError`] on an unreadable or corrupt page, and its
+//! [`stats::SearchStats`] carry *measured* pool hit/miss counts next to
+//! the node-visit count. Because one piece of code counts for both, node
+//! visits, pruning and page accesses are comparable across storage modes.
+//! The tree types' own query methods (`RStarTree::search_with`,
+//! `PagedTree::nearest_with_tie`, [`spatial_join_with`], …) are thin
+//! callers of the three generic functions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +62,7 @@ mod split;
 pub use config::RTreeConfig;
 pub use join::{spatial_join, spatial_join_with};
 pub use knn::Neighbor;
+pub use node::{EntryId, NodeStore, Slot};
 pub use page::{BufferPool, PageId};
 pub use paged::PagedTree;
 pub use rect::Rect;

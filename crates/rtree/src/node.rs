@@ -1,6 +1,159 @@
-//! Tree nodes and entries.
+//! Tree nodes and entries, and the [`NodeStore`] abstraction every
+//! traversal is written against.
+//!
+//! A traversal never touches a node directly: it asks a store to *fetch*
+//! a node reference and reads the node through the guard it gets back.
+//! Two stores exist. `&RStarTree<T>` hands out plain borrows of its boxed
+//! in-memory nodes and cannot fail; `&PagedTree` pins a page of its file
+//! in the buffer pool, counting the hit or miss, and fails with a typed
+//! [`tsq_store::StoreError`] on a page that cannot be read or decodes as
+//! corrupt. The guard *is* the pin: a traversal that keeps it alive while
+//! descending (range search, join) keeps the parent page resident, and
+//! one that drops it before the next fetch (best-first kNN) holds a
+//! single page at a time.
+
+use std::convert::Infallible;
 
 use crate::rect::Rect;
+use crate::stats::SearchStats;
+use crate::tree::RStarTree;
+
+/// One entry of a fetched node: its stored rectangle and what sits under
+/// it. The rectangle is readable for as long as the node's guard is.
+#[derive(Debug, Clone, Copy)]
+pub enum Slot<'g, I, R> {
+    /// A stored item (leaf level).
+    Item(&'g Rect, I),
+    /// A reference to the child node (internal levels).
+    Child(&'g Rect, R),
+}
+
+impl<'g, I, R> Slot<'g, I, R> {
+    /// The entry's stored rectangle.
+    pub fn rect(&self) -> &'g Rect {
+        match self {
+            Slot::Item(rect, _) | Slot::Child(rect, _) => rect,
+        }
+    }
+}
+
+/// Identity of one rectangle of a store — an entry's, or a node's own
+/// recomputed bounds. Stable for as long as the store is borrowed and
+/// unique within it, so a caller can memoize work per rectangle without
+/// relying on rectangle addresses (a paged node's memory is recycled by
+/// the pool). One word, because a join memo hashes two per pair test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EntryId(pub(crate) u64);
+
+/// A source of R\*-tree nodes: the one interface the range visitor, the
+/// best-first kNN loop and the synchronized join are written against.
+///
+/// Implemented by shared references (`&RStarTree<T>`, `&PagedTree`), so a
+/// store is `Copy` and its associated types may borrow from the tree.
+pub trait NodeStore: Copy {
+    /// Names a node: enough to fetch it.
+    type Ref: Copy;
+    /// A leaf payload as handed to callers.
+    type Item: Copy;
+    /// Keeps a fetched node readable; dropping it releases the node.
+    type Guard;
+    /// Why a fetch can fail ([`Infallible`] for in-memory nodes).
+    type Error;
+
+    /// Number of stored items.
+    fn len(self) -> usize;
+
+    /// True when nothing is stored; nothing may be fetched then.
+    fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The root node.
+    fn root(self) -> Self::Ref;
+
+    /// Distinguishes this store from every other one alive (the join's
+    /// "same entry on both sides" test compares it).
+    fn store_id(self) -> usize;
+
+    /// Identifies `node`'s own bounding rectangle within this store.
+    fn node_id(node: Self::Ref) -> EntryId;
+
+    /// Identifies the rectangle in slot `slot` of `node` within this store.
+    fn entry_id(node: Self::Ref, slot: usize) -> EntryId;
+
+    /// Fetches one node. A store that measures its fetches records them
+    /// in `stats`.
+    ///
+    /// # Errors
+    /// Whatever makes the node unreadable; in-memory stores never fail.
+    fn fetch(self, node: Self::Ref, stats: &mut SearchStats) -> Result<Self::Guard, Self::Error>;
+
+    /// Distance of a fetched node from the leaves (0 = leaf).
+    fn level(node: &Self::Guard) -> u32;
+
+    /// The fetched node's entries in stored order.
+    fn entries(node: &Self::Guard) -> impl Iterator<Item = Slot<'_, Self::Item, Self::Ref>>;
+}
+
+impl<'a, T> NodeStore for &'a RStarTree<T> {
+    type Ref = &'a Node<T>;
+    type Item = &'a T;
+    type Guard = &'a Node<T>;
+    type Error = Infallible;
+
+    #[inline]
+    fn len(self) -> usize {
+        RStarTree::len(self)
+    }
+
+    #[inline]
+    fn root(self) -> Self::Ref {
+        &self.root
+    }
+
+    #[inline]
+    fn store_id(self) -> usize {
+        self as *const RStarTree<T> as usize
+    }
+
+    // A node and the entries in its vector are distinct places in memory:
+    // their addresses are the identities.
+    #[inline]
+    fn node_id(node: Self::Ref) -> EntryId {
+        EntryId(node as *const Node<T> as usize as u64)
+    }
+
+    #[inline]
+    fn entry_id(node: Self::Ref, slot: usize) -> EntryId {
+        EntryId(node.entries.as_ptr().wrapping_add(slot) as usize as u64)
+    }
+
+    #[inline]
+    fn fetch(self, node: Self::Ref, _: &mut SearchStats) -> Result<Self::Guard, Infallible> {
+        Ok(node)
+    }
+
+    #[inline]
+    fn level(node: &Self::Guard) -> u32 {
+        node.level
+    }
+
+    #[inline]
+    fn entries(node: &Self::Guard) -> impl Iterator<Item = Slot<'_, Self::Item, Self::Ref>> {
+        node.entries.iter().map(|entry| match entry {
+            Entry::Leaf { rect, item } => Slot::Item(rect, item),
+            Entry::Node { rect, child } => Slot::Child(rect, &**child),
+        })
+    }
+}
+
+/// Unwraps the result of a traversal over a store that cannot fail.
+pub(crate) fn infallible<V>(result: Result<V, Infallible>) -> V {
+    match result {
+        Ok(value) => value,
+        Err(never) => match never {},
+    }
+}
 
 /// An entry of a node: either a data item (in a leaf) or a child node (in an
 /// internal node), each under a bounding rectangle.
@@ -32,8 +185,10 @@ impl<T> Entry<T> {
 }
 
 /// A tree node. `level == 0` means leaf; the root is the highest level.
+/// Public only so the in-memory [`NodeStore`] can name it as its node
+/// reference; the module is private and the fields are crate-internal.
 #[derive(Debug, Clone)]
-pub(crate) struct Node<T> {
+pub struct Node<T> {
     pub(crate) level: u32,
     pub(crate) entries: Vec<Entry<T>>,
 }

@@ -3,11 +3,19 @@
 //!
 //! A [`PagedTree`] is created *from* an in-memory [`RStarTree`] (its
 //! structure is copied node-for-node, child pointers becoming
-//! [`PageId`]s) and answers the same queries through the paged traversals
-//! in `search`/`knn`/`join` — byte-identically, including every
-//! traversal counter, because each paged traversal mirrors its in-memory
-//! twin step for step. What the paged versions add are the *measured*
-//! `pool_hits`/`pool_misses` counters.
+//! [`PageId`]s) and answers the same queries byte-identically, including
+//! every traversal counter, because it *is* the same code: `&PagedTree`
+//! is a [`NodeStore`], and the range visitor, kNN loop and join in
+//! `search`/`knn`/`join` are written once over that trait. What this
+//! store adds are the *measured* `pool_hits`/`pool_misses` counters and
+//! typed errors for pages that cannot be read.
+//!
+//! Pins follow the traversal's guards: the range visitor and the join
+//! hold a node's pin while they descend below it (an ancestor chain of
+//! at most tree-height pages, twice that for a join), the best-first kNN
+//! loop drops each pin before it pops the next heap entry (one page at a
+//! time). The pool soft-overflows rather than deadlocks when every frame
+//! is pinned, so a capacity-1 pool still answers.
 //!
 //! Payloads are fixed to `u64` (the id-shaped types every index in this
 //! workspace stores); `create_from`/`materialize` bridge to the generic
@@ -20,7 +28,7 @@ use std::path::{Path, PathBuf};
 use tsq_store::{crc32, Decoder, Encoder, StoreError, StoreResult};
 
 use crate::config::{RTreeConfig, MAX_PAGE_BYTES, PAGE_ALIGN, PAGE_HEADER_BYTES};
-use crate::node::{Entry, Node};
+use crate::node::{Entry, EntryId, Node, NodeStore, Slot};
 use crate::page::{seal_page, BufferPool, PageId, PagePin};
 use crate::persist::{read_rect, write_rect, MAX_LEVEL};
 use crate::rect::Rect;
@@ -38,56 +46,26 @@ const VERSION: u32 = 1;
 /// CRC-32 4.
 const HEADER_BYTES: usize = 69;
 
+/// Bits of an [`EntryId`] that hold the slot of a paged entry.
+const SLOT_BITS: u32 = 18;
+const SLOT_MASK: usize = (1 << SLOT_BITS) - 1;
+const _: () = assert!(crate::config::MAX_FANOUT < SLOT_MASK);
+
 /// One decoded page: a node whose children are page references.
 #[derive(Debug)]
 pub struct PagedNode {
     /// Distance from the leaves (0 = leaf).
-    pub(crate) level: u32,
+    level: u32,
     /// Entries in stored order.
-    pub(crate) entries: Vec<PagedEntry>,
+    entries: Vec<PagedEntry>,
 }
 
-/// One entry of a paged node.
+/// One entry of a paged node: the stored rectangle and the word under it
+/// — the payload at level 0, the child's page id above.
 #[derive(Debug)]
-pub(crate) enum PagedEntry {
-    /// A data item (leaf level).
-    Leaf {
-        /// Stored bounding rectangle.
-        rect: Rect,
-        /// The payload word.
-        item: u64,
-    },
-    /// A child node reference (internal levels).
-    Child {
-        /// The child subtree's bounding rectangle.
-        rect: Rect,
-        /// Page holding the child node.
-        page: PageId,
-    },
-}
-
-impl PagedEntry {
-    pub(crate) fn rect(&self) -> &Rect {
-        match self {
-            PagedEntry::Leaf { rect, .. } | PagedEntry::Child { rect, .. } => rect,
-        }
-    }
-}
-
-impl PagedNode {
-    pub(crate) fn is_leaf(&self) -> bool {
-        self.level == 0
-    }
-
-    /// Bounding rectangle of all entries; `None` for an empty node.
-    pub(crate) fn mbr(&self) -> Option<Rect> {
-        let mut it = self.entries.iter();
-        let mut mbr = it.next()?.rect().clone();
-        for e in it {
-            mbr.union_assign(e.rect());
-        }
-        Some(mbr)
-    }
+struct PagedEntry {
+    rect: Rect,
+    word: u64,
 }
 
 /// A read-only R\*-tree stored one-node-per-page in a file, fetched
@@ -141,6 +119,16 @@ impl<T> RStarTree<T> {
     pub fn write_paged<F: FnMut(&T) -> u64>(&self, path: &Path, to_u64: F) -> StoreResult<()> {
         PagedTree::create_from(path, self, to_u64)
     }
+
+    /// Bytes per page of the file [`RStarTree::write_paged`] writes for
+    /// this tree (an empty tree has no dimensionality yet; its one empty
+    /// page is sized for one dimension).
+    ///
+    /// # Errors
+    /// [`StoreError::Corrupt`] when the configuration cannot fit a page.
+    pub fn paged_page_size(&self) -> StoreResult<usize> {
+        page_size_for(self.config(), self.dims().unwrap_or(1))
+    }
 }
 
 impl PagedTree {
@@ -156,7 +144,7 @@ impl PagedTree {
     ) -> StoreResult<()> {
         let config = *tree.config();
         let dims = tree.dims();
-        let page_size = page_size_for(&config, dims.unwrap_or(1))?;
+        let page_size = tree.paged_page_size()?;
         let file = File::create(path)?;
         let mut w = BufWriter::new(file);
         // Pages go first conceptually, but the header block leads the
@@ -263,18 +251,11 @@ impl PagedTree {
         &self.pool
     }
 
-    pub(crate) fn root(&self) -> PageId {
-        self.root
-    }
-
-    pub(crate) fn root_level(&self) -> u32 {
-        self.root_level
-    }
-
     /// Pins the page holding one node, recording the hit/miss in `stats`
     /// and verifying the node sits at `expected_level` (which bounds
-    /// recursion on hostile files: levels strictly decrease toward 0).
-    pub(crate) fn fetch(
+    /// recursion on hostile files: levels strictly decrease toward 0) and
+    /// is populated (nothing is fetched from an empty tree).
+    fn fetch(
         &self,
         id: PageId,
         expected_level: u32,
@@ -295,6 +276,11 @@ impl PagedTree {
             return Err(StoreError::corrupt(format!(
                 "{id} holds a level-{} node where level {expected_level} was expected",
                 pin.level
+            )));
+        }
+        if pin.entries.is_empty() {
+            return Err(StoreError::corrupt(format!(
+                "{id} holds an empty node in a populated page file"
             )));
         }
         Ok(pin)
@@ -344,31 +330,82 @@ impl PagedTree {
     ) -> StoreResult<Node<T>> {
         let page = self.fetch(id, level, stats)?;
         let mut entries = Vec::with_capacity(page.entries.len());
-        for entry in &page.entries {
-            match entry {
-                PagedEntry::Leaf { rect, item } => {
-                    *leaves += 1;
-                    entries.push(Entry::Leaf {
-                        rect: rect.clone(),
-                        item: from_u64(*item),
-                    });
+        for PagedEntry { rect, word } in &page.entries {
+            if level == 0 {
+                *leaves += 1;
+                entries.push(Entry::Leaf {
+                    rect: rect.clone(),
+                    item: from_u64(*word),
+                });
+            } else {
+                let child =
+                    self.materialize_node(PageId(*word), level - 1, from_u64, leaves, stats)?;
+                let computed = child.mbr();
+                if *rect != computed {
+                    return Err(StoreError::corrupt(format!(
+                        "stored MBR {rect} differs from recomputed child MBR {computed}"
+                    )));
                 }
-                PagedEntry::Child { rect, page } => {
-                    let child = self.materialize_node(*page, level - 1, from_u64, leaves, stats)?;
-                    let computed = child.mbr();
-                    if *rect != computed {
-                        return Err(StoreError::corrupt(format!(
-                            "stored MBR {rect} differs from recomputed child MBR {computed}"
-                        )));
-                    }
-                    entries.push(Entry::Node {
-                        rect: rect.clone(),
-                        child: Box::new(child),
-                    });
-                }
+                entries.push(Entry::Node {
+                    rect: rect.clone(),
+                    child: Box::new(child),
+                });
             }
         }
         Ok(Node::new(level, entries))
+    }
+}
+
+/// The paged node store: a node reference is a page id plus the level the
+/// node must sit at, a fetch is a pin in the buffer pool (hit or miss
+/// counted in the query's stats), and the guard is the pin — the page
+/// stays resident exactly as long as the traversal holds on to it.
+impl<'a> NodeStore for &'a PagedTree {
+    type Ref = (PageId, u32);
+    type Item = u64;
+    type Guard = PagePin<'a, PagedNode>;
+    type Error = StoreError;
+
+    fn len(self) -> usize {
+        self.len
+    }
+
+    fn root(self) -> Self::Ref {
+        (self.root, self.root_level)
+    }
+
+    fn store_id(self) -> usize {
+        self as *const PagedTree as usize
+    }
+
+    // Page id above the slot bits; the all-ones slot names the node's own
+    // bounds. A node holds at most `MAX_FANOUT` entries and `open` refuses
+    // a page count that needs the slot bits, so the fields never overlap.
+    fn node_id(node: Self::Ref) -> EntryId {
+        Self::entry_id(node, SLOT_MASK)
+    }
+
+    fn entry_id((page, _): Self::Ref, slot: usize) -> EntryId {
+        EntryId(page.0 << SLOT_BITS | slot as u64)
+    }
+
+    fn fetch(self, (page, level): Self::Ref, stats: &mut SearchStats) -> StoreResult<Self::Guard> {
+        PagedTree::fetch(self, page, level, stats)
+    }
+
+    fn level(node: &Self::Guard) -> u32 {
+        node.level
+    }
+
+    fn entries(node: &Self::Guard) -> impl Iterator<Item = Slot<'_, Self::Item, Self::Ref>> {
+        let level = node.level;
+        node.entries.iter().map(move |PagedEntry { rect, word }| {
+            if level == 0 {
+                Slot::Item(rect, *word)
+            } else {
+                Slot::Child(rect, (PageId(*word), level - 1))
+            }
+        })
     }
 }
 
@@ -451,19 +488,12 @@ fn decode_node(
     for _ in 0..count {
         let rect = read_rect(&mut dec, dims)?;
         let word = dec.u64("entry payload")?;
-        if level == 0 {
-            entries.push(PagedEntry::Leaf { rect, item: word });
-        } else {
-            if word >= page_count {
-                return Err(StoreError::corrupt(format!(
-                    "child reference to page {word} of {page_count}"
-                )));
-            }
-            entries.push(PagedEntry::Child {
-                rect,
-                page: PageId(word),
-            });
+        if level > 0 && word >= page_count {
+            return Err(StoreError::corrupt(format!(
+                "child reference to page {word} of {page_count}"
+            )));
         }
+        entries.push(PagedEntry { rect, word });
     }
     dec.finish()?;
     Ok(PagedNode { level, entries })
@@ -534,6 +564,12 @@ fn decode_header(h: &[u8; HEADER_BYTES]) -> StoreResult<ParsedHeader> {
     let page_count = u64_at(16);
     if page_count == 0 {
         return Err(StoreError::corrupt("page file with zero pages"));
+    }
+    // Page ids share a word with a slot number in an `EntryId`.
+    if page_count >> (u64::BITS - SLOT_BITS) != 0 {
+        return Err(StoreError::corrupt(format!(
+            "page count {page_count} exceeds what a page file can address"
+        )));
     }
     let root = PageId(u64_at(24));
     if root.0 >= page_count {

@@ -1,76 +1,123 @@
 //! Range search with a pluggable rectangle test — the hook that makes
 //! Algorithm 1/2 of the paper possible.
 //!
-//! [`RStarTree::search_with`] hands every *stored* MBR to a caller-supplied
+//! [`search_with`] hands every *stored* MBR to a caller-supplied
 //! acceptance closure. `tsq-core` implements the paper's transformed search
 //! by applying a safe transformation `T` to the MBR inside that closure and
 //! testing the result against the (transformed-space) search rectangle:
 //! the transformed index `I' = T(I)` is materialized lazily, node by node,
 //! during traversal, with no extra disk overhead.
+//!
+//! The visitor is written once over [`NodeStore`]; the in-memory and the
+//! paged tree's `search_with` methods both call it. It keeps each node's
+//! guard while it visits the node's subtree, so a paged search holds the
+//! pins of one root-to-leaf path at a time.
 
 use tsq_store::StoreResult;
 
-use crate::node::{Entry, Node};
-use crate::page::PageId;
-use crate::paged::{PagedEntry, PagedTree};
+use crate::node::{infallible, Entry, Node, NodeStore, Slot};
+use crate::paged::PagedTree;
 use crate::rect::Rect;
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
+/// Generic guided traversal over any [`NodeStore`] — the one range
+/// visitor in the workspace.
+///
+/// `accept` is called on the bounding rectangle of every entry reached
+/// (internal MBRs *and* leaf rectangles); subtrees whose MBR is rejected
+/// are pruned. Accepted leaf entries are passed to `on_candidate`; the
+/// rectangle it receives is only readable during the call (a paged node
+/// is released once its subtree is done).
+///
+/// Returns per-query access statistics; one visited node models one disk
+/// access, and a store that measures its fetches adds the pool counters.
+///
+/// # Errors
+/// The store's fetch error (none for the in-memory store).
+pub fn search_with<S, A, C>(
+    store: S,
+    mut accept: A,
+    mut on_candidate: C,
+) -> Result<SearchStats, S::Error>
+where
+    S: NodeStore,
+    A: FnMut(&Rect) -> bool,
+    C: FnMut(&Rect, S::Item),
+{
+    let mut stats = SearchStats::default();
+    if !store.is_empty() {
+        visit(
+            store,
+            store.root(),
+            &mut accept,
+            &mut on_candidate,
+            &mut stats,
+        )?;
+    }
+    Ok(stats)
+}
+
+fn visit<S, A, C>(
+    store: S,
+    node: S::Ref,
+    accept: &mut A,
+    on_candidate: &mut C,
+    stats: &mut SearchStats,
+) -> Result<(), S::Error>
+where
+    S: NodeStore,
+    A: FnMut(&Rect) -> bool,
+    C: FnMut(&Rect, S::Item),
+{
+    // The guard stays alive while children are visited: a paged parent
+    // cannot be evicted mid-recursion.
+    let node = store.fetch(node, stats)?;
+    stats.nodes_visited += 1;
+    // One loop per level kind: each then reads a single entry variant,
+    // which is what lets the in-memory instantiation compile to the
+    // direct field walk.
+    if S::level(&node) == 0 {
+        stats.leaves_visited += 1;
+        for entry in S::entries(&node) {
+            stats.entries_tested += 1;
+            if let Slot::Item(rect, item) = entry {
+                if accept(rect) {
+                    stats.candidates += 1;
+                    on_candidate(rect, item);
+                }
+            }
+        }
+    } else {
+        for entry in S::entries(&node) {
+            stats.entries_tested += 1;
+            if let Slot::Child(rect, child) = entry {
+                if accept(rect) {
+                    visit(store, child, accept, on_candidate, stats)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 impl<T> RStarTree<T> {
-    /// Generic guided traversal.
-    ///
-    /// `accept` is called on the bounding rectangle of every entry reached
-    /// (internal MBRs *and* leaf rectangles); subtrees whose MBR is rejected
-    /// are pruned. Accepted leaf entries are passed to `on_candidate`.
-    ///
-    /// Returns per-query access statistics; one visited node models one disk
-    /// access.
-    pub fn search_with<'a, A, C>(&'a self, mut accept: A, mut on_candidate: C) -> SearchStats
+    /// [`search_with`] over the in-memory nodes, which cannot fail.
+    pub fn search_with<'a, A, C>(&'a self, accept: A, on_candidate: C) -> SearchStats
     where
         A: FnMut(&Rect) -> bool,
-        C: FnMut(&'a Rect, &'a T),
+        C: FnMut(&Rect, &'a T),
     {
-        let mut stats = SearchStats::default();
-        if self.is_empty() {
-            return stats;
-        }
-        self.visit_node(root(self), &mut accept, &mut on_candidate, &mut stats);
-        stats
+        infallible(search_with(self, accept, on_candidate))
     }
 
-    fn visit_node<'a, A, C>(
-        &'a self,
-        node: &'a Node<T>,
-        accept: &mut A,
-        on_candidate: &mut C,
-        stats: &mut SearchStats,
-    ) where
-        A: FnMut(&Rect) -> bool,
-        C: FnMut(&'a Rect, &'a T),
+    /// Classic window query: all items whose stored rectangle intersects
+    /// `query`.
+    pub fn search<'a, C>(&'a self, query: &Rect, on_candidate: C) -> SearchStats
+    where
+        C: FnMut(&Rect, &'a T),
     {
-        stats.nodes_visited += 1;
-        if node.is_leaf() {
-            stats.leaves_visited += 1;
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                if let Entry::Leaf { rect, item } = entry {
-                    if accept(rect) {
-                        stats.candidates += 1;
-                        on_candidate(rect, item);
-                    }
-                }
-            }
-        } else {
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                if let Entry::Node { rect, child } = entry {
-                    if accept(rect) {
-                        self.visit_node(child, accept, on_candidate, stats);
-                    }
-                }
-            }
-        }
+        self.search_with(|r| r.intersects(query), on_candidate)
     }
 
     /// Window query collecting matches into a vector.
@@ -92,21 +139,14 @@ impl<T: Sync> RStarTree<T> {
     /// root entries and results are concatenated in root-entry order — and
     /// the returned [`SearchStats`] totals equal the sequential ones, so
     /// callers can assert byte-identical answers regardless of `threads`.
-    pub fn search_with_parallel<'a, A>(
-        &'a self,
-        accept: A,
-        threads: usize,
-    ) -> (Vec<(&'a Rect, &'a T)>, SearchStats)
+    pub fn search_with_parallel<A>(&self, accept: A, threads: usize) -> (Vec<&T>, SearchStats)
     where
         A: Fn(&Rect) -> bool + Sync,
     {
-        let sequential = |accept: &A| {
-            let mut out = Vec::new();
-            let stats = self.search_with(|r| accept(r), |r, item| out.push((r, item)));
-            (out, stats)
-        };
         if threads <= 1 || self.is_empty() || self.root.is_leaf() {
-            return sequential(&accept);
+            let mut out = Vec::new();
+            let stats = self.search_with(&accept, |_, item| out.push(item));
+            return (out, stats);
         }
         let mut stats = SearchStats {
             nodes_visited: 1, // the root itself
@@ -114,7 +154,7 @@ impl<T: Sync> RStarTree<T> {
         };
         // Test root entries in order (the sequential traversal's first
         // step), keeping the accepted subtrees for the fan-out.
-        let mut subtrees: Vec<&'a Node<T>> = Vec::new();
+        let mut subtrees: Vec<&Node<T>> = Vec::new();
         for entry in &self.root.entries {
             stats.entries_tested += 1;
             if let Entry::Node { rect, child } = entry {
@@ -124,19 +164,19 @@ impl<T: Sync> RStarTree<T> {
             }
         }
         // Each worker runs the very same sequential visitor over its
-        // subtree — there is exactly one traversal implementation, so the
-        // byte-identical answers/stats contract cannot drift — wrapping
-        // the shared `Fn` predicate in a worker-local `FnMut` closure.
+        // subtree, so the byte-identical answers/stats contract cannot
+        // drift.
         let accept = &accept;
         let per_subtree = crate::par::parallel_map(threads, subtrees, |node| {
             let mut out = Vec::new();
             let mut local = SearchStats::default();
-            self.visit_node(
+            infallible(visit(
+                self,
                 node,
                 &mut |r| accept(r),
-                &mut |r, item| out.push((r, item)),
+                &mut |_, item| out.push(item),
                 &mut local,
-            );
+            ));
             (out, local)
         });
         let mut out = Vec::new();
@@ -148,86 +188,23 @@ impl<T: Sync> RStarTree<T> {
     }
 }
 
-impl<T> RStarTree<T> {
-    /// Classic window query: all items whose stored rectangle intersects
-    /// `query`.
-    pub fn search<'a, C>(&'a self, query: &Rect, on_candidate: C) -> SearchStats
-    where
-        C: FnMut(&'a Rect, &'a T),
-    {
-        self.search_with(|r| r.intersects(query), on_candidate)
-    }
-}
-
 impl PagedTree {
-    /// Paged twin of [`RStarTree::search_with`]: the identical guided
-    /// traversal, with every node fetch going through the buffer pool.
-    /// The returned stats match the in-memory tree's counter for counter
-    /// and additionally carry measured `pool_hits`/`pool_misses`.
+    /// [`search_with`] with every node fetch going through the buffer
+    /// pool: the stats carry measured `pool_hits`/`pool_misses` next to
+    /// the traversal counters.
     ///
     /// # Errors
     /// Typed [`tsq_store::StoreError`]s when a page cannot be read or
     /// decodes as corrupt.
-    pub fn search_with<A, C>(&self, mut accept: A, mut on_candidate: C) -> StoreResult<SearchStats>
+    pub fn search_with<A, C>(&self, accept: A, on_candidate: C) -> StoreResult<SearchStats>
     where
         A: FnMut(&Rect) -> bool,
         C: FnMut(&Rect, u64),
     {
-        let mut stats = SearchStats::default();
-        if self.is_empty() {
-            return Ok(stats);
-        }
-        self.visit_page(
-            self.root(),
-            self.root_level(),
-            &mut accept,
-            &mut on_candidate,
-            &mut stats,
-        )?;
-        Ok(stats)
+        search_with(self, accept, on_candidate)
     }
 
-    fn visit_page<A, C>(
-        &self,
-        id: PageId,
-        level: u32,
-        accept: &mut A,
-        on_candidate: &mut C,
-        stats: &mut SearchStats,
-    ) -> StoreResult<()>
-    where
-        A: FnMut(&Rect) -> bool,
-        C: FnMut(&Rect, u64),
-    {
-        // The pin stays alive while children are visited: the parent page
-        // cannot be evicted mid-recursion.
-        let node = self.fetch(id, level, stats)?;
-        stats.nodes_visited += 1;
-        if node.is_leaf() {
-            stats.leaves_visited += 1;
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                if let PagedEntry::Leaf { rect, item } = entry {
-                    if accept(rect) {
-                        stats.candidates += 1;
-                        on_candidate(rect, *item);
-                    }
-                }
-            }
-        } else {
-            for entry in &node.entries {
-                stats.entries_tested += 1;
-                if let PagedEntry::Child { rect, page } = entry {
-                    if accept(rect) {
-                        self.visit_page(*page, level - 1, accept, on_candidate, stats)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Paged twin of [`RStarTree::search`]: plain window query.
+    /// Plain window query.
     ///
     /// # Errors
     /// Same as [`PagedTree::search_with`].
@@ -237,10 +214,6 @@ impl PagedTree {
     {
         self.search_with(|r| r.intersects(query), on_candidate)
     }
-}
-
-fn root<T>(tree: &RStarTree<T>) -> &Node<T> {
-    &tree.root
 }
 
 #[cfg(test)]
@@ -338,8 +311,8 @@ mod tests {
             Rect::new(vec![-1.0, -1.0], vec![30.0, 30.0]), // everything
             Rect::new(vec![100.0, 100.0], vec![101.0, 101.0]), // nothing
         ] {
-            let mut seq: Vec<(&Rect, &(usize, usize))> = Vec::new();
-            let seq_stats = t.search_with(|r| r.intersects(&q), |r, it| seq.push((r, it)));
+            let mut seq: Vec<&(usize, usize)> = Vec::new();
+            let seq_stats = t.search_with(|r| r.intersects(&q), |_, it| seq.push(it));
             for threads in [1usize, 2, 3, 8] {
                 let (par, par_stats) = t.search_with_parallel(|r| r.intersects(&q), threads);
                 assert_eq!(par, seq, "threads = {threads}");

@@ -1,12 +1,16 @@
-//! The paged-tree contract: every query through a [`PagedTree`] answers
-//! byte-identically to the in-memory tree it was created from — same
-//! results in the same order, same traversal counters — at every pool
-//! capacity, including a single page and an unbounded pool. On a fully
-//! warm pool, `pool_misses` must be exactly zero.
+//! The paged-store contract: the one range visitor, kNN loop and join
+//! recursion answer byte-identically over a [`PagedTree`] and over the
+//! in-memory tree it was created from — same results in the same order,
+//! same traversal counters — at every pool capacity, including a single
+//! page and an unbounded pool. On a fully warm pool, `pool_misses` must be
+//! exactly zero, and a hostile page is a typed error from every traversal.
 
 use proptest::prelude::*;
+use tsq_rtree::config::PAGE_ALIGN;
+use tsq_rtree::join::join_with;
 use tsq_rtree::stats::SearchStats;
 use tsq_rtree::{PagedTree, RStarTree, RTreeConfig, Rect};
+use tsq_store::{crc32, StoreError};
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tsq-paged-mirror-{}", std::process::id()));
@@ -81,9 +85,58 @@ proptest! {
             for (got, want) in res.iter().zip(&mem_res) {
                 prop_assert_eq!(got.item as usize, *want.item, "capacity {}", capacity);
                 prop_assert_eq!(got.distance.to_bits(), want.distance.to_bits());
-                prop_assert_eq!(&got.rect, want.rect);
             }
             assert_counters_match(&mem_stats, &stats, "knn");
+        }
+    }
+
+    /// Duplicated points put several items at exactly the k-th distance:
+    /// the `(distance, key)` boundary picks the same ones on both stores.
+    #[test]
+    fn knn_ties_mirror_memory(points in points_strategy(40),
+                              copies in 2usize..5,
+                              q in (-1e3f64..1e3, -1e3f64..1e3),
+                              k in 1usize..24) {
+        let duplicated: Vec<(f64, f64)> =
+            points.iter().flat_map(|&p| std::iter::repeat(p).take(copies)).collect();
+        let tree = build(&duplicated, 5);
+        let point = [q.0, q.1];
+        let (mem_res, mem_stats) = tree.nearest_with_tie(
+            k,
+            |rect| rect.min_dist2(&point).sqrt(),
+            |rect, _| rect.min_dist2(&point).sqrt(),
+            // Descending ids: the key order is not the insertion order.
+            |&i| u64::MAX - i as u64,
+        );
+        // The retained set is the k smallest by (distance, key).
+        let mut want: Vec<(f64, u64)> = duplicated
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| {
+                (Rect::from_point(&[x, y]).min_dist2(&point).sqrt(), u64::MAX - i as u64)
+            })
+            .collect();
+        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        want.truncate(k);
+        let got: Vec<(f64, u64)> =
+            mem_res.iter().map(|n| (n.distance, u64::MAX - *n.item as u64)).collect();
+        prop_assert_eq!(got, want);
+        for capacity in [1usize, 3, usize::MAX] {
+            let paged = paged_copy(&tree, &format!("ties-{k}-{copies}-{capacity}"), capacity);
+            let (res, stats) = paged
+                .nearest_with_tie(
+                    k,
+                    |rect| rect.min_dist2(&point).sqrt(),
+                    |rect, _| rect.min_dist2(&point).sqrt(),
+                    |i| u64::MAX - i,
+                )
+                .unwrap();
+            prop_assert_eq!(res.len(), mem_res.len());
+            for (got, want) in res.iter().zip(&mem_res) {
+                prop_assert_eq!(got.item as usize, *want.item, "capacity {}", capacity);
+                prop_assert_eq!(got.distance.to_bits(), want.distance.to_bits());
+            }
+            assert_counters_match(&mem_stats, &stats, "knn ties");
         }
     }
 
@@ -163,4 +216,154 @@ fn capacity_one_pool_thrashes_but_stays_correct() {
         paged.pool().hits() + paged.pool().misses(),
         first.pool_hits + first.pool_misses + second.pool_hits + second.pool_misses
     );
+}
+
+/// Two deterministic clouds whose trees differ in height, so a join of
+/// them runs the mixed-level arms (one side already at its leaves).
+fn tall_and_short() -> (RStarTree<usize>, RStarTree<usize>) {
+    let tall: Vec<(f64, f64)> = (0..260)
+        .map(|i| (((i * 37) % 101) as f64, ((i * 53) % 97) as f64))
+        .collect();
+    let short: Vec<(f64, f64)> = (0..9)
+        .map(|i| (((i * 71) % 103) as f64, ((i * 29) % 89) as f64))
+        .collect();
+    let (tall, short) = (build(&tall, 4), build(&short, 4));
+    assert!(tall.height() > short.height() + 1);
+    (tall, short)
+}
+
+#[test]
+fn two_tree_join_mirrors_memory() {
+    let (tall, short) = tall_and_short();
+    let eps = 9.0;
+    let bound = |ra: &Rect, rb: &Rect| ra.rect_min_dist2(rb).sqrt();
+    for (a, b, tag, want_stats) in [
+        // Counters of `spatial_join_with` before the traversals were
+        // unified over a node store; they must never move.
+        (&tall, &short, "tall-short", (63, 36, 429, 60)),
+        (&short, &tall, "short-tall", (63, 36, 429, 60)),
+    ] {
+        let mut mem_pairs = Vec::new();
+        let mem_stats =
+            tsq_rtree::spatial_join_with(a, b, bound, eps, |_, &x, _, &y| mem_pairs.push((x, y)));
+        assert_eq!(
+            (
+                mem_stats.nodes_visited,
+                mem_stats.leaves_visited,
+                mem_stats.entries_tested,
+                mem_stats.candidates
+            ),
+            want_stats,
+            "{tag}"
+        );
+        let mut brute = Vec::new();
+        for (ra, &x) in a.iter() {
+            for (rb, &y) in b.iter() {
+                if bound(ra, rb) <= eps {
+                    brute.push((x, y));
+                }
+            }
+        }
+        brute.sort_unstable();
+        let mut sorted = mem_pairs.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, brute, "{tag}");
+        for capacity in [1usize, 3, usize::MAX] {
+            let pa = paged_copy(a, &format!("{tag}-a-{capacity}"), capacity);
+            let pb = paged_copy(b, &format!("{tag}-b-{capacity}"), capacity);
+            let mut pairs = Vec::new();
+            let stats = join_with(
+                &pa,
+                &pb,
+                |_, ra, _, rb| bound(ra, rb),
+                eps,
+                |_, x, _, y| pairs.push((x as usize, y as usize)),
+            )
+            .unwrap();
+            assert_eq!(pairs, mem_pairs, "{tag} capacity {capacity}");
+            assert_counters_match(&mem_stats, &stats, tag);
+        }
+    }
+}
+
+/// Rewrites the payload of one page in place and reseals its checksum.
+fn patch_page(bytes: &mut [u8], page_size: usize, page: u64, patch: impl FnOnce(&mut [u8])) {
+    let start = PAGE_ALIGN + page as usize * page_size;
+    let len = u32::from_le_bytes(bytes[start..start + 4].try_into().unwrap()) as usize;
+    let payload = &mut bytes[start + 8..start + 8 + len];
+    patch(payload);
+    let crc = crc32(payload);
+    bytes[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn hostile_pages_are_typed_errors_from_every_traversal() {
+    let points: Vec<(f64, f64)> = (0..200)
+        .map(|i| (((i * 37) % 101) as f64, ((i * 53) % 97) as f64))
+        .collect();
+    let tree = build(&points, 5);
+    assert!(tree.height() >= 3);
+    let path = temp_path("hostile-good");
+    PagedTree::create_from(&path, &tree, |&i| i as u64).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let (page_size, pages) = {
+        let paged = PagedTree::open(&path, 4).unwrap();
+        (paged.page_size(), paged.page_count())
+    };
+    // Pages are written children first: page 0 is a leaf every full
+    // traversal reaches with its ancestors pinned, the root is the last.
+    // A 2-D entry is 32 bytes of bounds then its word; the first entry
+    // follows the 8-byte level/count prefix.
+    let root = pages - 1;
+    let first_word = 8 + 32..8 + 32 + 8;
+    let mut flipped_crc = good.clone();
+    flipped_crc[PAGE_ALIGN + 8 + 3] ^= 0xff;
+    // The root's first child is the root itself: unchecked, a traversal
+    // would recurse without end.
+    let mut wrong_level_child = good.clone();
+    patch_page(&mut wrong_level_child, page_size, root, |p| {
+        p[first_word.clone()].copy_from_slice(&root.to_le_bytes())
+    });
+    let mut child_out_of_range = good.clone();
+    patch_page(&mut child_out_of_range, page_size, root, |p| {
+        p[first_word.clone()].copy_from_slice(&(pages + 7).to_le_bytes())
+    });
+    let cases = [
+        ("flipped-crc", flipped_crc, "checksum"),
+        ("wrong-level-child", wrong_level_child, "corrupt"),
+        ("child-out-of-range", child_out_of_range, "corrupt"),
+    ];
+    for (tag, bytes, want) in cases {
+        let path = temp_path(&format!("hostile-{tag}"));
+        std::fs::write(&path, &bytes).unwrap();
+        for capacity in [1usize, usize::MAX] {
+            let paged = PagedTree::open(&path, capacity).unwrap();
+            let errors = [
+                (
+                    "search",
+                    paged.search_with(|_| true, |_, _| {}).unwrap_err(),
+                ),
+                (
+                    "knn",
+                    paged
+                        .nearest_with_tie(points.len(), |_| 0.0, |_, _| 0.0, |i| i)
+                        .unwrap_err(),
+                ),
+                (
+                    "join",
+                    paged
+                        .self_join_with(|_, _| 0.0, 1.0, |_, _, _, _| {})
+                        .unwrap_err(),
+                ),
+            ];
+            for (traversal, err) in errors {
+                let got = match err {
+                    StoreError::ChecksumMismatch { .. } => "checksum",
+                    StoreError::Corrupt { .. } => "corrupt",
+                    _ => "another error",
+                };
+                assert_eq!(got, want, "{tag} / {traversal}: {err}");
+            }
+        }
+    }
 }

@@ -29,7 +29,7 @@ fn main() {
         // Mean-constrained search (GK95-style shift window).
         "FIND 3 NEAREST TO stocks.TK001 IN stocks",
         // All-pairs join under smoothing, via the transformed index.
-        "JOIN stocks WITHIN 1.2 APPLY mavg(20) USING INDEX",
+        "JOIN stocks WITHIN 1.2 APPLY mavg(20) WITH (force = index)",
     ];
 
     for q in queries {

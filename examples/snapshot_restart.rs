@@ -43,7 +43,7 @@ fn main() {
     let queries = [
         "FIND SIMILAR TO walks.s1 IN walks WITHIN 2 APPLY mavg(6)".to_string(),
         "FIND 5 NEAREST TO stocks.s9 IN stocks".to_string(),
-        "JOIN stocks WITHIN 1.2 APPLY mavg(4) USING INDEX".to_string(),
+        "JOIN stocks WITHIN 1.2 APPLY mavg(4) WITH (force = index)".to_string(),
         format!(
             "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 4 WINDOW 32",
             subseq_probe.join(", ")

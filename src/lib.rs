@@ -30,6 +30,6 @@ pub use tsq_rtree as rtree;
 pub use tsq_series as series;
 pub use tsq_service as service;
 
-pub use tsq_core::{QueryExecutor, SimilarityIndex};
+pub use tsq_core::SimilarityIndex;
 pub use tsq_lang::{Catalog, SharedCatalog};
 pub use tsq_series::TimeSeries;

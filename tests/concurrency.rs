@@ -20,8 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use tsq::core::{
-    executor, BatchQuery, IndexConfig, LinearTransform, QueryExecutor, QueryWindow, SeriesRelation,
-    SimilarityIndex,
+    executor, IndexConfig, LinearTransform, QueryWindow, SeriesRelation, SimilarityIndex,
 };
 use tsq::lang::LangError;
 use tsq::series::generate::{RandomWalkGenerator, StockGenerator};
@@ -56,7 +55,7 @@ fn workload() -> Vec<String> {
             "FIND 3 NEAREST SUBSEQUENCE OF stocks.s{i} IN stocks WINDOW 64"
         ));
     }
-    queries.push("JOIN walks WITHIN 1.5 APPLY mavg(6) USING INDEX".to_string());
+    queries.push("JOIN walks WITHIN 1.5 APPLY mavg(6) WITH (force = index)".to_string());
     queries
 }
 
@@ -111,7 +110,7 @@ fn register_completes_while_long_batch_in_flight() {
     let queries: Vec<String> = (0..100)
         .map(|i| {
             format!(
-                "JOIN walks WITHIN {} APPLY mavg(6) USING INDEX",
+                "JOIN walks WITHIN {} APPLY mavg(6) WITH (force = index)",
                 1.0 + (i % 5) as f64 * 0.25
             )
         })
@@ -164,22 +163,16 @@ fn core_executor_and_parallel_range_agree_with_oracle() {
             .unwrap();
         assert_eq!(par, seq, "threads = {threads}");
     }
-    // Batched fan-out across queries.
-    let batch: Vec<BatchQuery> = (0..16)
-        .map(|i| BatchQuery::Range {
-            q: rel[i].clone(),
-            eps: 2.0,
-            transform: t.clone(),
-            window: QueryWindow::default(),
+    // Fan-out across queries.
+    let run = |threads| {
+        executor::parallel_map(threads, (0..16).collect(), |i: usize| {
+            let (rows, _) = index
+                .range_query(&rel[i], 2.0, &t, &QueryWindow::default())
+                .unwrap();
+            rows
         })
-        .collect();
-    let (seq_results, _) = QueryExecutor::new(1).run_batch(&index, batch.clone());
-    let (par_results, stats) = QueryExecutor::new(4).run_batch(&index, batch);
-    let seq_rows: Vec<_> = seq_results.into_iter().map(|r| r.unwrap().0).collect();
-    let par_rows: Vec<_> = par_results.into_iter().map(|r| r.unwrap().0).collect();
-    assert_eq!(par_rows, seq_rows);
-    assert_eq!(stats.queries, 16);
-    assert_eq!(stats.errors, 0);
+    };
+    assert_eq!(run(4), run(1));
 }
 
 #[test]

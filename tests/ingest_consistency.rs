@@ -153,7 +153,7 @@ proptest! {
                 "FIND SIMILAR TO w.s0 IN w WITHIN 3".to_string(),
                 "FIND SIMILAR TO w.s1 IN w WITHIN 40 APPLY mavg(4)".to_string(),
                 "FIND 2 NEAREST TO w.s1 IN w".to_string(),
-                "JOIN w WITHIN 2 USING INDEX".to_string(),
+                "JOIN w WITHIN 2 WITH (force = index)".to_string(),
                 "JOIN w WITHIN 2".to_string(),
                 "EXPLAIN ANALYZE FIND SIMILAR TO w.s0 IN w WITHIN 3".to_string(),
             ];
@@ -334,9 +334,9 @@ fn concurrent_appends_through_a_live_server_match_a_sequential_oracle() {
     for q in [
         "FIND SIMILAR TO walks.s3 IN walks WITHIN 2",
         "FIND 5 NEAREST TO walks.s7 IN walks APPLY mavg(8)",
-        "JOIN walks WITHIN 1.5 APPLY mavg(6) USING INDEX",
+        "JOIN walks WITHIN 1.5 APPLY mavg(6) WITH (force = index)",
         "EXPLAIN ANALYZE FIND SIMILAR TO walks.s3 IN walks WITHIN 2",
-        "EXPLAIN ANALYZE JOIN walks WITHIN 1.5 USING TREE",
+        "EXPLAIN ANALYZE JOIN walks WITHIN 1.5 WITH (force = tree)",
     ] {
         assert_eq!(shared.run(q).unwrap(), oracle.run(q).unwrap(), "{q}");
     }
@@ -408,7 +408,7 @@ fn appended_catalog_snapshot_round_trips_byte_identically() {
     for q in [
         "FIND SIMILAR TO walks.s0 IN walks WITHIN 2".to_string(),
         "FIND 4 NEAREST TO walks.s3 IN walks".to_string(),
-        "JOIN walks WITHIN 1.5 USING INDEX".to_string(),
+        "JOIN walks WITHIN 1.5 WITH (force = index)".to_string(),
         "EXPLAIN ANALYZE FIND 4 NEAREST TO walks.s3 IN walks".to_string(),
         sub_q,
     ] {

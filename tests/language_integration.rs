@@ -56,7 +56,7 @@ fn nearest_equals_engine_knn() {
 fn join_equals_engine_join() {
     let (catalog, index, _) = setup();
     let out = catalog
-        .run("JOIN stocks WITHIN 1.4 APPLY mavg(20) USING SCAN")
+        .run("JOIN stocks WITHIN 1.4 APPLY mavg(20) WITH (force = scan)")
         .unwrap();
     let t = LinearTransform::moving_average(64, 20);
     let outcome = index.join_scan(1.4, &t, ScanMode::EarlyAbandon).unwrap();

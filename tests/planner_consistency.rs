@@ -207,7 +207,7 @@ fn snapshot_round_trip_preserves_plan_choices() {
         "EXPLAIN FIND SIMILAR TO small.s2 IN small WITHIN 3 APPLY mavg(4)",
         "EXPLAIN FIND 5 NEAREST TO walks.s3 IN walks",
         "EXPLAIN JOIN small WITHIN 1.5 APPLY mavg(4)",
-        "EXPLAIN JOIN small WITHIN 1.5 USING TREE",
+        "EXPLAIN JOIN small WITHIN 1.5 WITH (force = tree)",
         "EXPLAIN FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 5 WINDOW 64",
     ];
     let before: Vec<String> = queries
@@ -255,7 +255,7 @@ fn explain_analyze_counters_match_query_stats() {
         "FIND SIMILAR TO walks.s4 IN walks WITHIN 25",
         "FIND 3 NEAREST TO walks.s5 IN walks",
         "JOIN walks WITHIN 1.2 APPLY mavg(4)",
-        "JOIN walks WITHIN 1.2 APPLY mavg(4) USING INDEX",
+        "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = index)",
         "FIND SUBSEQUENCE OF walks.s6 IN walks WITHIN 4 WINDOW 32",
     ] {
         let plain = cat.run(q).unwrap();

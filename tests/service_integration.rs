@@ -39,7 +39,7 @@ fn acceptance_queries() -> Vec<String> {
     vec![
         "FIND SIMILAR TO walks.s3 IN walks WITHIN 2".to_string(),
         "FIND 5 NEAREST TO walks.s7 IN walks APPLY mavg(8)".to_string(),
-        "JOIN walks WITHIN 1.5 APPLY mavg(6) USING INDEX".to_string(),
+        "JOIN walks WITHIN 1.5 APPLY mavg(6) WITH (force = index)".to_string(),
         "FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 40 WINDOW 64".to_string(),
     ]
 }
@@ -181,7 +181,7 @@ fn register_completes_while_server_chews_a_long_batch() {
     let batch: Vec<String> = (0..80)
         .map(|i| {
             format!(
-                "JOIN walks WITHIN {} APPLY mavg(6) USING INDEX",
+                "JOIN walks WITHIN {} APPLY mavg(6) WITH (force = index)",
                 1.0 + (i % 5) as f64 * 0.25
             )
         })
