@@ -120,13 +120,24 @@ impl SeriesId for u64 {
 #[derive(Debug, Clone)]
 pub struct SimilarityIndex {
     config: IndexConfig,
+    /// Length of the longest stored series.
     series_len: usize,
+    /// Length of the shortest stored series (0 for the empty index) —
+    /// kept next to `series_len` so the uniformity gate is two loads, not
+    /// a walk over the store on every plan and every execute.
+    min_len: usize,
     tree: RStarTree<usize>,
     store: Vec<StoredSeries>,
     /// Paged node storage; when set, `tree` is empty and every traversal
     /// goes through the page file's buffer pool. Shared so clones reuse
     /// one pool (and its cumulative counters).
     paged: Option<Arc<PagedTree>>,
+}
+
+/// `(shortest, longest)` series length of a store; `(0, 0)` when empty.
+fn len_bounds(store: &[StoredSeries]) -> (usize, usize) {
+    let lens = store.iter().map(|s| s.series.len());
+    (lens.clone().min().unwrap_or(0), lens.max().unwrap_or(0))
 }
 
 impl SimilarityIndex {
@@ -139,20 +150,20 @@ impl SimilarityIndex {
     /// series.
     pub fn build(config: IndexConfig, relation: Vec<TimeSeries>) -> Result<Self> {
         let mut planner = FftPlanner::new();
-        let mut series_len = 0usize;
         let mut store = Vec::with_capacity(relation.len());
         let mut points = Vec::with_capacity(relation.len());
         for (id, series) in relation.into_iter().enumerate() {
             let features = Features::extract(&series, config.schema, &mut planner)?;
             let coords = config.space.point(&features, config.schema);
             points.push((Rect::from_point(&coords), id));
-            series_len = series_len.max(series.len());
             store.push(StoredSeries { series, features });
         }
         let tree = Self::pack_tree(&config, points);
+        let (min_len, series_len) = len_bounds(&store);
         Ok(SimilarityIndex {
             config,
             series_len,
+            min_len,
             tree,
             store,
             paged: None,
@@ -258,9 +269,9 @@ impl SimilarityIndex {
         }
         // Commit phase: infallible.
         for (id, stored) in ready {
-            self.series_len = self.series_len.max(stored.series.len());
             self.store[id] = stored;
         }
+        (self.min_len, self.series_len) = len_bounds(&self.store);
         self.repack_tree();
         Ok(())
     }
@@ -303,10 +314,8 @@ impl SimilarityIndex {
         }
         let first = self.store.len();
         let ids = (first..first + staged.len()).collect();
-        for stored in staged {
-            self.series_len = self.series_len.max(stored.series.len());
-            self.store.push(stored);
-        }
+        self.store.extend(staged);
+        (self.min_len, self.series_len) = len_bounds(&self.store);
         self.repack_tree();
         Ok(ids)
     }
@@ -329,6 +338,11 @@ impl SimilarityIndex {
         let features = Features::extract(&series, self.config.schema, &mut planner)?;
         let coords = self.config.space.point(&features, self.config.schema);
         let id = self.store.len();
+        self.min_len = if id == 0 {
+            series.len()
+        } else {
+            self.min_len.min(series.len())
+        };
         self.series_len = self.series_len.max(series.len());
         self.tree.insert(Rect::from_point(&coords), id);
         self.store.push(StoredSeries { series, features });
@@ -358,15 +372,15 @@ impl SimilarityIndex {
     /// undefined, so a mid-ingest ragged relation is rejected with a typed
     /// error instead of answered wrongly.
     pub fn check_uniform(&self) -> Result<()> {
-        let mut lens = self.store.iter().map(|s| s.series.len());
-        let Some(first) = lens.next() else {
-            return Ok(());
-        };
-        let (min, max) = lens.fold((first, first), |(lo, hi), l| (lo.min(l), hi.max(l)));
-        if min != max {
-            return Err(Error::Ragged { min, max });
+        match self.len_bounds() {
+            (min, max) if min != max => Err(Error::Ragged { min, max }),
+            _ => Ok(()),
         }
-        Ok(())
+    }
+
+    /// `(shortest, longest)` stored series length; `(0, 0)` when empty.
+    pub fn len_bounds(&self) -> (usize, usize) {
+        (self.min_len, self.series_len)
     }
 
     /// The configuration.
@@ -489,7 +503,6 @@ impl SimilarityIndex {
         let series_len = dec.usize("index series_len")?;
         let count = dec.seq(48, "stored series count")?;
         let mut store = Vec::with_capacity(count);
-        let mut max_len = 0usize;
         for _ in 0..count {
             let series = crate::store::read_series(dec)?;
             // Lengths may differ per series (a relation snapshotted
@@ -507,9 +520,9 @@ impl SimilarityIndex {
             config.schema.validate(series.len()).map_err(|e| {
                 StoreError::corrupt(format!("index schema does not fit a stored series: {e}"))
             })?;
-            max_len = max_len.max(series.len());
             store.push(StoredSeries { series, features });
         }
+        let (min_len, max_len) = len_bounds(&store);
         if series_len != max_len {
             return Err(StoreError::corrupt(format!(
                 "index series_len {series_len} but longest stored series has length {max_len}"
@@ -564,6 +577,7 @@ impl SimilarityIndex {
         Ok(SimilarityIndex {
             config,
             series_len,
+            min_len,
             tree,
             store,
             paged: None,

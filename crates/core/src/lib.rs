@@ -98,8 +98,8 @@ pub use queries::{JoinOutcome, JoinPair, JoinStats};
 pub use relation::SeriesRelation;
 pub use scan::{ScanMode, ScanStats};
 pub use shard::{
-    render_sharded_analyze, render_sharded_plan, ShardBy, ShardMap, ShardSpec, ShardedIndex,
-    ShardedOutcome,
+    render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardMap, ShardSpec,
+    ShardedIndex, ShardedOutcome,
 };
 pub use space::{QueryWindow, SpaceKind};
 pub use subseq::{SubseqConfig, SubseqIndex, SubseqMatch, SubseqScanStats, SubseqStats};

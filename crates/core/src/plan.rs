@@ -466,9 +466,10 @@ impl SpaceProfile {
     }
 }
 
-/// Per-relation statistics the planner consumes — computed at
-/// registration, persisted in catalog snapshots so a restored catalog
-/// plans byte-for-byte identically.
+/// Per-shard statistics the planner consumes — derived from the shard's
+/// index whenever it is built, appended to or restored. They depend only
+/// on the tree structure, which snapshots preserve exactly, so a restored
+/// catalog plans byte-for-byte identically without persisting them.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RelationStats {
     /// Stored series.

@@ -1,9 +1,11 @@
 //! Sharded scatter-gather execution: a single-process rehearsal for
 //! distributing the paper's filter-and-refine pipeline.
 //!
-//! A relation is partitioned into `N` shards — by a hash of each series
-//! label or by contiguous label ranges — and every shard gets its own
-//! [`SimilarityIndex`]. A query is then executed scatter-gather style:
+//! A relation is partitioned into `N >= 1` shards — by a hash of each
+//! series label or by contiguous label ranges — and every shard gets its
+//! own [`SimilarityIndex`]. This is the only shape a catalog relation has:
+//! a freshly registered one is a single hash shard. A query is executed
+//! scatter-gather style:
 //! the [`Planner`] produces one physical plan *per shard* (each shard has
 //! its own [`RelationStats`]), the shard plans run concurrently on the
 //! worker pool ([`crate::executor::parallel_map`]), and a typed merge
@@ -29,6 +31,16 @@
 //! order-isomorphic to global ids — per-shard `(distance, local id)`
 //! tie-breaking therefore agrees with the global `(distance, id)` rule
 //! the k-way merge applies.
+//!
+//! **One shard is the unsharded engine.** With `N = 1` the merges are
+//! identities (local ids *are* global ids, one sorted run, nothing to
+//! sum), and the scatter runs inline on the calling thread. What a client
+//! sees of such a relation is what it always saw of an unsharded one, and
+//! that rule is kept here and nowhere else: [`sharded_plan_name`] names
+//! the plain operator (`IndexRange`, not `Sharded(1):IndexRange`),
+//! [`render_sharded_plan`] / [`render_sharded_analyze`] render the plain
+//! `EXPLAIN [ANALYZE]` tree, [`ShardedOutcome::per_shard`] is empty and
+//! [`ShardedIndex::layout`] is `None`.
 
 use std::sync::Arc;
 
@@ -38,8 +50,8 @@ use crate::error::{Error, Result};
 use crate::executor::parallel_map;
 use crate::index::{IndexConfig, Match, SimilarityIndex};
 use crate::plan::{
-    execute_plan, render_plan, ExecStats, JoinHint, LogicalPlan, PhysicalOp, PlanChoice,
-    PlanPreference, PlanRows, Planner, RelationStats,
+    execute_plan, render_analyze, render_plan, ExecStats, JoinHint, LogicalPlan, PhysicalOp,
+    PlanChoice, PlanPreference, PlanRows, Planner, RelationStats,
 };
 use crate::queries::JoinPair;
 use crate::relation::SeriesRelation;
@@ -192,7 +204,9 @@ pub struct ShardMap {
 }
 
 impl ShardMap {
-    /// Assigns `labels` (in global-id order) to shards under `spec`.
+    /// Assigns `labels` (in global-id order) to shards under `spec`. The
+    /// rule is a pure function of the label, so this is also how a
+    /// snapshot restores membership: it stores the rule, not the lists.
     pub fn build(spec: ShardSpec, labels: &[&str]) -> Self {
         let mut members = vec![Vec::new(); spec.count()];
         let mut owner = Vec::with_capacity(labels.len());
@@ -206,51 +220,6 @@ impl ShardMap {
             members,
             owner,
         }
-    }
-
-    /// Rebuilds a map from snapshot members.
-    ///
-    /// # Errors
-    /// [`Error::Unsupported`] when `members` is not a permutation of
-    /// `0..total` split across `spec.count()` shards in ascending order.
-    pub fn from_members(spec: ShardSpec, members: Vec<Vec<usize>>) -> Result<Self> {
-        if members.len() != spec.count() {
-            return Err(Error::Unsupported(format!(
-                "shard map has {} member lists for {} shards",
-                members.len(),
-                spec.count()
-            )));
-        }
-        let total: usize = members.iter().map(Vec::len).sum();
-        let mut owner = vec![(usize::MAX, usize::MAX); total];
-        for (shard, list) in members.iter().enumerate() {
-            for (local, &global) in list.iter().enumerate() {
-                if local > 0 && list[local - 1] >= global {
-                    return Err(Error::Unsupported(
-                        "shard members must ascend by global id".to_string(),
-                    ));
-                }
-                let slot = owner.get_mut(global).ok_or_else(|| {
-                    Error::Unsupported(format!("shard member id {global} out of range"))
-                })?;
-                if slot.0 != usize::MAX {
-                    return Err(Error::Unsupported(format!(
-                        "series {global} assigned to two shards"
-                    )));
-                }
-                *slot = (shard, local);
-            }
-        }
-        if owner.iter().any(|&(s, _)| s == usize::MAX) {
-            return Err(Error::Unsupported(
-                "shard map does not cover every series".to_string(),
-            ));
-        }
-        Ok(ShardMap {
-            spec,
-            members,
-            owner,
-        })
     }
 
     /// The assignment rule.
@@ -305,7 +274,8 @@ pub struct ShardedOutcome {
     pub rows: PlanRows,
     /// Exact sum of the per-shard counters.
     pub merged: ExecStats,
-    /// Per-shard counters (zeros for shards skipped as empty).
+    /// Per-shard counters (zeros for shards skipped as empty). Empty for
+    /// a one-shard relation: its breakdown would only repeat `merged`.
     pub per_shard: Vec<ExecStats>,
     /// Pre-merge row count each shard contributed.
     pub per_shard_rows: Vec<usize>,
@@ -336,7 +306,10 @@ impl ShardedIndex {
         Ok(ShardedIndex { map, parts, stats })
     }
 
-    /// Reassembles a sharded index from restored parts (snapshot open).
+    /// Reassembles a sharded index from restored parts (snapshot open),
+    /// recomputing the per-shard planner statistics from the restored
+    /// trees — they depend only on the tree structure, which snapshots
+    /// preserve exactly.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when part count or membership disagrees
@@ -380,6 +353,18 @@ impl ShardedIndex {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.parts.len()
+    }
+
+    /// `(rule, shard count, per-shard series counts)` — `None` for a
+    /// one-shard relation, which has no partitioning to report.
+    pub fn layout(&self) -> Option<(ShardBy, usize, Vec<usize>)> {
+        (self.parts.len() > 1).then(|| {
+            (
+                self.map.spec().by(),
+                self.parts.len(),
+                self.parts.iter().map(SimilarityIndex::len).collect(),
+            )
+        })
     }
 
     /// Total stored series across shards.
@@ -431,18 +416,16 @@ impl ShardedIndex {
     /// whole-series forms check the global `(min, max)` first and report
     /// the same [`Error::Ragged`] the unsharded engine would.
     pub fn check_uniform(&self) -> Result<()> {
-        let mut lens = self
+        let bounds = self
             .parts
             .iter()
-            .flat_map(|p| (0..p.len()).map(move |i| p.series(i).expect("local id valid").len()));
-        let Some(first) = lens.next() else {
-            return Ok(());
-        };
-        let (min, max) = lens.fold((first, first), |(lo, hi), l| (lo.min(l), hi.max(l)));
-        if min != max {
-            return Err(Error::Ragged { min, max });
+            .filter(|p| !p.is_empty())
+            .map(SimilarityIndex::len_bounds)
+            .reduce(|(lo, hi), (min, max)| (lo.min(min), hi.max(max)));
+        match bounds {
+            Some((min, max)) if min != max => Err(Error::Ragged { min, max }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Routes a batch of appends-to-existing-series (global ids) to their
@@ -468,20 +451,35 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Registers and stores a brand-new labeled series in its owning
-    /// shard, returning `(global id, shard)`.
+    /// Registers and stores a statement's brand-new labeled series: each
+    /// owning shard receives its share as one batch — one canonical
+    /// repack per touched shard, so the result is byte-identical to
+    /// building the shards over the final data — and the series take the
+    /// next global ids in the order given. Callers (the catalog) validate
+    /// the batch up front, as for [`ShardedIndex::extend_series_batch`].
     ///
     /// # Errors
-    /// The same failures [`SimilarityIndex::insert`] reports.
-    pub fn push_series(&mut self, label: &str, series: TimeSeries) -> Result<(usize, usize)> {
-        // Probe the assignment first; only commit the map entry after the
-        // shard accepts the series (insert validates features/paging).
-        let shard = self.map.spec().assign(label);
-        self.parts[shard].insert(series)?;
-        let (shard2, _local) = self.map.push_label(label);
-        debug_assert_eq!(shard, shard2);
-        self.stats[shard] = RelationStats::from_index(&self.parts[shard]);
-        Ok((self.map.total() - 1, shard))
+    /// The same failures [`SimilarityIndex::push_series_batch`] reports.
+    pub fn push_series_batch(&mut self, series: Vec<(&str, TimeSeries)>) -> Result<()> {
+        let mut per_shard: Vec<Vec<TimeSeries>> = vec![Vec::new(); self.parts.len()];
+        let mut labels = Vec::with_capacity(series.len());
+        for (label, series) in series {
+            per_shard[self.map.spec().assign(label)].push(series);
+            labels.push(label);
+        }
+        for (shard, batch) in per_shard.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            self.parts[shard].push_series_batch(batch)?;
+            self.stats[shard] = RelationStats::from_index(&self.parts[shard]);
+        }
+        // The map learns the labels only once every shard has accepted
+        // its share.
+        for label in labels {
+            self.map.push_label(label);
+        }
+        Ok(())
     }
 
     /// Plans every shard without executing anything (the `EXPLAIN` path).
@@ -498,20 +496,39 @@ impl ShardedIndex {
         if logical.subseq_window().is_none() {
             self.check_uniform()?;
         }
-        let mut out = Vec::with_capacity(self.parts.len());
-        for shard in self.active_shards(logical) {
-            match shard {
-                None => out.push(None),
-                Some(s) => {
-                    let st = subseq.map(|list| &*list[s]);
-                    let choice = Planner::new(&self.parts[s], &self.stats[s])
-                        .with_preference(pref)
-                        .plan(logical, st)?;
-                    out.push(Some(choice));
-                }
-            }
+        self.check_subseq(subseq)?;
+        self.active_shards(logical)
+            .into_iter()
+            .map(|slot| {
+                slot.map(|s| self.plan_shard(s, logical, pref, subseq))
+                    .transpose()
+            })
+            .collect()
+    }
+
+    /// One shard's plan choice (`subseq[s]` is its ST-index, if any).
+    fn plan_shard(
+        &self,
+        s: usize,
+        logical: &LogicalPlan,
+        pref: PlanPreference,
+        subseq: Option<&[Arc<SubseqIndex>]>,
+    ) -> Result<PlanChoice> {
+        Planner::new(&self.parts[s], &self.stats[s])
+            .with_preference(pref)
+            .plan(logical, subseq.map(|list| &*list[s]))
+    }
+
+    /// A supplied ST-index list must hold one index per shard.
+    fn check_subseq(&self, subseq: Option<&[Arc<SubseqIndex>]>) -> Result<()> {
+        match subseq {
+            Some(list) if list.len() != self.parts.len() => Err(Error::Unsupported(format!(
+                "{} ST-indexes supplied for {} shards",
+                list.len(),
+                self.parts.len()
+            ))),
+            _ => Ok(()),
         }
-        Ok(out)
     }
 
     /// Scatter-gather execution: per-shard plans run concurrently (up to
@@ -532,23 +549,31 @@ impl ShardedIndex {
         if logical.subseq_window().is_none() {
             self.check_uniform()?;
         }
+        self.check_subseq(subseq)?;
+        // Scatter: every active shard plans and runs its own physical
+        // plan (one item runs inline; more fan over the worker pool).
+        let ran = parallel_map(scatter.max(1), self.active_shards(logical), |slot| {
+            slot.map(|s| {
+                let choice = self.plan_shard(s, logical, pref, subseq)?;
+                let st = subseq.map(|list| &*list[s]);
+                let (rows, exec) = execute_plan(logical, &choice.plan, &self.parts[s], st)?;
+                Ok((choice, rows, exec))
+            })
+        });
+        let outcome = self.collect(ran)?;
+        // Gather: the form's typed merge.
         match logical {
             LogicalPlan::Range { .. } | LogicalPlan::Knn { .. } => {
-                self.execute_whole(logical, pref, scatter)
+                self.merge_whole(logical, outcome)
             }
             LogicalPlan::Join {
                 eps,
                 transform,
                 hint,
                 ..
-            } => self.execute_join(logical, *eps, transform, *hint, pref, scatter),
+            } => self.merge_join(outcome, *eps, transform, *hint, pref),
             LogicalPlan::SubseqRange { .. } | LogicalPlan::SubseqKnn { .. } => {
-                let parts = subseq.ok_or_else(|| {
-                    Error::Unsupported(
-                        "sharded subsequence plan executed without ST-indexes".to_string(),
-                    )
-                })?;
-                self.execute_subseq(logical, pref, scatter, parts)
+                self.merge_subseq(logical, outcome)
             }
         }
     }
@@ -572,24 +597,11 @@ impl ShardedIndex {
             .collect()
     }
 
-    fn execute_whole(
+    fn merge_whole(
         &self,
         logical: &LogicalPlan,
-        pref: PlanPreference,
-        scatter: usize,
+        mut outcome: PartialOutcome,
     ) -> Result<ShardedOutcome> {
-        let worklist = self.active_shards(logical);
-        let ran: Vec<Option<Result<(PlanChoice, PlanRows, ExecStats)>>> =
-            parallel_map(scatter.max(1), worklist, |slot| {
-                slot.map(|s| {
-                    let choice = Planner::new(&self.parts[s], &self.stats[s])
-                        .with_preference(pref)
-                        .plan(logical, None)?;
-                    let (rows, exec) = execute_plan(logical, &choice.plan, &self.parts[s], None)?;
-                    Ok((choice, rows, exec))
-                })
-            });
-        let mut outcome = self.collect(ran)?;
         match logical {
             LogicalPlan::Range { .. } => {
                 let mut all: Vec<Match> = Vec::new();
@@ -643,38 +655,15 @@ impl ShardedIndex {
                 let merged: Vec<Match> = order.into_iter().map(|x| all[x]).collect();
                 outcome.finish(PlanRows::Whole(merged))
             }
-            _ => unreachable!("execute_whole handles range and knn only"),
+            _ => unreachable!("merge_whole handles range and knn only"),
         }
     }
 
-    fn execute_subseq(
+    fn merge_subseq(
         &self,
         logical: &LogicalPlan,
-        pref: PlanPreference,
-        scatter: usize,
-        subseq: &[Arc<SubseqIndex>],
+        mut outcome: PartialOutcome,
     ) -> Result<ShardedOutcome> {
-        if subseq.len() != self.parts.len() {
-            return Err(Error::Unsupported(format!(
-                "{} ST-indexes supplied for {} shards",
-                subseq.len(),
-                self.parts.len()
-            )));
-        }
-        let worklist = self.active_shards(logical);
-        let ran: Vec<Option<Result<(PlanChoice, PlanRows, ExecStats)>>> =
-            parallel_map(scatter.max(1), worklist, |slot| {
-                slot.map(|s| {
-                    let st = &*subseq[s];
-                    let choice = Planner::new(&self.parts[s], &self.stats[s])
-                        .with_preference(pref)
-                        .plan(logical, Some(st))?;
-                    let (rows, exec) =
-                        execute_plan(logical, &choice.plan, &self.parts[s], Some(st))?;
-                    Ok((choice, rows, exec))
-                })
-            });
-        let mut outcome = self.collect(ran)?;
         let mut all: Vec<SubseqMatch> = Vec::new();
         for (s, rows) in outcome.shard_rows.drain(..).enumerate() {
             if let Some(PlanRows::Windows(matches)) = rows {
@@ -697,35 +686,22 @@ impl ShardedIndex {
                 });
                 all.truncate(*k);
             }
-            _ => unreachable!("execute_subseq handles subsequence forms only"),
+            _ => unreachable!("merge_subseq handles subsequence forms only"),
         }
         outcome.finish(PlanRows::Windows(all))
     }
 
-    fn execute_join(
+    /// The per-shard self-joins have already rejected what no join
+    /// accepts (a time warp, a bad threshold), so the cross stage only
+    /// ever sees a valid `(eps, t)`.
+    fn merge_join(
         &self,
-        logical: &LogicalPlan,
+        mut outcome: PartialOutcome,
         eps: f64,
         t: &LinearTransform,
         hint: Option<JoinHint>,
         pref: PlanPreference,
-        scatter: usize,
     ) -> Result<ShardedOutcome> {
-        if t.warp() > 1 {
-            return Err(Error::Unsupported("self-join under time warp".to_string()));
-        }
-        let worklist = self.active_shards(logical);
-        let ran: Vec<Option<Result<(PlanChoice, PlanRows, ExecStats)>>> =
-            parallel_map(scatter.max(1), worklist, |slot| {
-                slot.map(|s| {
-                    let choice = Planner::new(&self.parts[s], &self.stats[s])
-                        .with_preference(pref)
-                        .plan(logical, None)?;
-                    let (rows, exec) = execute_plan(logical, &choice.plan, &self.parts[s], None)?;
-                    Ok((choice, rows, exec))
-                })
-            });
-        let mut outcome = self.collect(ran)?;
         // Local pairs, remapped to global ids. The order-preserving
         // local→global embedding keeps canonical `a < b` orientation.
         let mut pairs: Vec<JoinPair> = Vec::new();
@@ -896,8 +872,11 @@ struct PartialOutcome {
 }
 
 impl PartialOutcome {
-    fn finish(self, rows: PlanRows) -> Result<ShardedOutcome> {
+    fn finish(mut self, rows: PlanRows) -> Result<ShardedOutcome> {
         let merged = ExecStats::sum(&self.per_shard);
+        if self.per_shard.len() == 1 {
+            self.per_shard.clear();
+        }
         Ok(ShardedOutcome {
             rows,
             merged,
@@ -908,14 +887,36 @@ impl PartialOutcome {
     }
 }
 
+/// The reported plan name of a scatter-gather run over `plans.len()`
+/// shards: `Sharded(n):<op>` when every active shard chose the same
+/// physical operator, `:mixed` when they diverged, `:empty` when every
+/// shard was skipped — and the bare operator name for a one-shard
+/// relation.
+pub fn sharded_plan_name(plans: &[Option<PlanChoice>]) -> String {
+    if let [Some(only)] = plans {
+        return only.plan.op.name().to_string();
+    }
+    let mut ops = plans.iter().flatten().map(|c| c.plan.op.name());
+    let body = match ops.next() {
+        None => "empty",
+        Some(first) if ops.all(|op| op == first) => first,
+        Some(_) => "mixed",
+    };
+    format!("Sharded({}):{body}", plans.len())
+}
+
 /// Renders a sharded `EXPLAIN` tree: the logical header, the sharding
 /// layout, then each shard's relation line, chosen operator, and
-/// considered alternatives (skipped empty shards are marked).
+/// considered alternatives (skipped empty shards are marked). A one-shard
+/// relation renders as the plain [`render_plan`] tree.
 pub fn render_sharded_plan(
     logical: &LogicalPlan,
     sharded: &ShardedIndex,
     plans: &[Option<PlanChoice>],
 ) -> String {
+    if let [Some(only)] = plans {
+        return render_plan(logical, only, &sharded.shard_stats()[0]);
+    }
     let mut out = String::new();
     let mut header_done = false;
     for (s, slot) in plans.iter().enumerate() {
@@ -953,8 +954,12 @@ pub fn render_sharded_plan(
 }
 
 /// Appends the sharded `EXPLAIN ANALYZE` counters: one per-shard actual
-/// line each, then the exact-sum total.
+/// line each, then the exact-sum total. A one-shard relation gets the
+/// plain [`render_analyze`] lines.
 pub fn render_sharded_analyze(rendered: &mut String, rows: usize, outcome: &ShardedOutcome) {
+    if outcome.plans.len() == 1 {
+        return render_analyze(rendered, rows, &outcome.merged);
+    }
     for (s, exec) in outcome.per_shard.iter().enumerate() {
         rendered.push_str(&format!(
             "     shard {s} actual: rows={}, nodes={}, candidates={}, refined={}, false_hits={}, disk={}\n",
@@ -1037,13 +1042,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_map_round_trips_members() {
+    fn shard_map_is_a_pure_function_of_the_labels() {
         let labels: Vec<String> = (0..17).map(|i| format!("s{i}")).collect();
         let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
         let map = ShardMap::build(ShardSpec::hash(3).unwrap(), &refs);
-        let members: Vec<Vec<usize>> = (0..3).map(|s| map.members(s).to_vec()).collect();
-        let rebuilt = ShardMap::from_members(map.spec().clone(), members).unwrap();
-        assert_eq!(map, rebuilt);
+        // Labels pushed one at a time land exactly where a build over the
+        // final label list puts them — which is what lets a snapshot store
+        // the rule alone.
+        let mut grown = ShardMap::build(ShardSpec::hash(3).unwrap(), &refs[..5]);
+        for label in &refs[5..] {
+            grown.push_label(label);
+        }
+        assert_eq!(map, grown);
         for g in 0..17 {
             let (s, l) = map.owner(g).unwrap();
             assert_eq!(map.to_global(s, l), g);
@@ -1197,14 +1207,83 @@ mod tests {
             old_len + 2
         );
         // Push a brand-new series: exactly one shard grows.
-        let (global, shard) = sharded
-            .push_series("fresh", TimeSeries::from(vec![0.5; 16]))
+        sharded
+            .push_series_batch(vec![("fresh", TimeSeries::from(vec![0.5; 16]))])
             .unwrap();
-        assert_eq!(global, 12);
+        let (shard, _) = sharded.map().owner(12).unwrap();
+        assert_eq!(shard, sharded.map().spec().assign("fresh"));
         let after: Vec<usize> = sharded.parts().iter().map(SimilarityIndex::len).collect();
         for s in 0..3 {
             assert_eq!(after[s], before[s] + usize::from(s == shard));
         }
-        assert_eq!(sharded.map().owner(global).unwrap().0, shard);
+    }
+
+    #[test]
+    fn batched_pushes_are_byte_identical_to_a_build_over_the_final_data() {
+        let rel = relation(20, 16, 23);
+        let config = IndexConfig::default();
+        for count in [1usize, 3] {
+            let mut live =
+                ShardedIndex::build(config, &rel, ShardSpec::hash(count).unwrap()).unwrap();
+            let mut grown = rel.clone();
+            let fresh: Vec<(String, TimeSeries)> = (0..6)
+                .map(|i| (format!("n{i}"), TimeSeries::from(vec![i as f64; 16])))
+                .collect();
+            for (label, series) in &fresh {
+                grown.push(label.clone(), series.clone()).unwrap();
+            }
+            live.push_series_batch(fresh.iter().map(|(l, s)| (l.as_str(), s.clone())).collect())
+                .unwrap();
+            let want =
+                ShardedIndex::build(config, &grown, ShardSpec::hash(count).unwrap()).unwrap();
+            assert_eq!(live.map(), want.map());
+            assert_eq!(live.shard_stats(), want.shard_stats());
+            for (got, want) in live.parts().iter().zip(want.parts()) {
+                let (mut a, mut b) = (tsq_store::Encoder::new(), tsq_store::Encoder::new());
+                got.write_to(&mut a).unwrap();
+                want.write_to(&mut b).unwrap();
+                assert_eq!(a.into_bytes(), b.into_bytes(), "count={count}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_shard_reports_like_the_unsharded_engine() {
+        let rel = relation(40, 32, 17);
+        let whole = whole_index(&rel);
+        let stats = RelationStats::from_index(&whole);
+        let one =
+            ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(1).unwrap()).unwrap();
+        assert_eq!(one.layout(), None);
+        let logical = range_logical(&rel, 4, 1.5);
+        let choice = Planner::new(&whole, &stats).plan(&logical, None).unwrap();
+        let (want_rows, want_exec) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
+        let mut want_text = render_plan(&logical, &choice, &stats);
+        render_analyze(&mut want_text, want_rows.len(), &want_exec);
+
+        let plans = one
+            .plan_shards(&logical, PlanPreference::Auto, None)
+            .unwrap();
+        assert_eq!(sharded_plan_name(&plans), choice.plan.op.name());
+        let mut text = render_sharded_plan(&logical, &one, &plans);
+        let got = one
+            .execute(&logical, PlanPreference::Auto, 4, None)
+            .unwrap();
+        render_sharded_analyze(&mut text, got.rows.len(), &got);
+        assert_eq!(text, want_text);
+        assert_eq!(got.rows, want_rows);
+        assert_eq!(got.merged, want_exec);
+        assert!(got.per_shard.is_empty());
+
+        let three =
+            ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(3).unwrap()).unwrap();
+        assert_eq!(
+            three.layout().map(|(by, n, _)| (by, n)),
+            Some((ShardBy::Hash, 3))
+        );
+        let plans = three
+            .plan_shards(&logical, PlanPreference::Auto, None)
+            .unwrap();
+        assert!(sharded_plan_name(&plans).starts_with("Sharded(3):"));
     }
 }

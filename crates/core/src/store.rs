@@ -18,10 +18,8 @@ use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
 use crate::features::{FeatureSchema, Features};
 use crate::index::IndexConfig;
-use crate::plan::{RelationStats, SpaceProfile};
 use crate::space::SpaceKind;
 use crate::subseq::SubseqConfig;
-use tsq_rtree::LevelStats;
 
 /// Writes a series as a length-prefixed run of `f64` bit patterns.
 pub fn write_series(enc: &mut Encoder, series: &TimeSeries) {
@@ -197,84 +195,6 @@ pub fn read_subseq_config(dec: &mut Decoder<'_>) -> StoreResult<SubseqConfig> {
     Ok(cfg)
 }
 
-/// Writes the planner statistics of one relation (see
-/// [`crate::plan::RelationStats`]): cardinality, series length, and the
-/// whole-match tree's per-level profile. Persisted with every catalog
-/// snapshot so a restored catalog plans byte-for-byte identically.
-pub fn write_relation_stats(enc: &mut Encoder, stats: &RelationStats) {
-    enc.usize(stats.cardinality);
-    enc.usize(stats.series_len);
-    enc.usize(stats.dims);
-    enc.u64(stats.profile.population);
-    enc.usize(stats.profile.bounds_lo.len());
-    enc.f64_slice(&stats.profile.bounds_lo);
-    enc.f64_slice(&stats.profile.bounds_hi);
-    enc.usize(stats.profile.levels.len());
-    for level in &stats.profile.levels {
-        enc.u32(level.level);
-        enc.u64(level.nodes);
-        enc.u64(level.entries);
-        enc.usize(level.avg_extent.len());
-        enc.f64_slice(&level.avg_extent);
-    }
-}
-
-/// Reads planner statistics, rejecting non-finite values and incoherent
-/// shapes.
-///
-/// # Errors
-/// [`StoreError::Truncated`] / [`StoreError::Corrupt`].
-pub fn read_relation_stats(dec: &mut Decoder<'_>) -> StoreResult<RelationStats> {
-    let cardinality = dec.usize("stats cardinality")?;
-    let series_len = dec.usize("stats series_len")?;
-    let dims = dec.usize("stats dims")?;
-    let population = dec.u64("stats population")?;
-    let bdims = dec.seq(16, "stats bounds dims")?;
-    let bounds_lo = finite_vec(dec, bdims, "stats bounds_lo")?;
-    let bounds_hi = finite_vec(dec, bdims, "stats bounds_hi")?;
-    let level_count = dec.seq(28, "stats level count")?;
-    let mut levels = Vec::with_capacity(level_count);
-    for i in 0..level_count {
-        let level = dec.u32("stats level index")?;
-        if level as usize != i {
-            return Err(StoreError::corrupt(format!(
-                "stats level {level} stored at position {i}"
-            )));
-        }
-        let nodes = dec.u64("stats level nodes")?;
-        let entries = dec.u64("stats level entries")?;
-        let edims = dec.seq(8, "stats extent dims")?;
-        let avg_extent = finite_vec(dec, edims, "stats avg_extent")?;
-        levels.push(LevelStats {
-            level,
-            nodes,
-            entries,
-            avg_extent,
-        });
-    }
-    Ok(RelationStats {
-        cardinality,
-        series_len,
-        dims,
-        profile: SpaceProfile {
-            population,
-            bounds_lo,
-            bounds_hi,
-            levels,
-        },
-    })
-}
-
-fn finite_vec(dec: &mut Decoder<'_>, n: usize, what: &str) -> StoreResult<Vec<f64>> {
-    let vs = dec.f64_vec(n, what)?;
-    for (i, v) in vs.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(StoreError::corrupt(format!("non-finite {what}[{i}]: {v}")));
-        }
-    }
-    Ok(vs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,28 +279,6 @@ mod tests {
         assert_eq!(got.window, 24);
         assert_eq!(got.k, scfg.k);
         assert_eq!(got.trail, scfg.trail);
-    }
-
-    #[test]
-    fn relation_stats_round_trip_bit_exact() {
-        let rel = tsq_series::generate::RandomWalkGenerator::new(99).relation(64, 32);
-        let idx = crate::SimilarityIndex::build(IndexConfig::default(), rel).unwrap();
-        let stats = RelationStats::from_index(&idx);
-        let mut enc = Encoder::new();
-        write_relation_stats(&mut enc, &stats);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let got = read_relation_stats(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(got, stats);
-        // Re-serialization is byte-identical (canonical encoding).
-        let mut enc2 = Encoder::new();
-        write_relation_stats(&mut enc2, &got);
-        assert_eq!(bytes, enc2.into_bytes());
-        // Truncations are typed errors, never panics.
-        for cut in (0..bytes.len()).step_by(9) {
-            assert!(read_relation_stats(&mut Decoder::new(&bytes[..cut])).is_err());
-        }
     }
 
     #[test]

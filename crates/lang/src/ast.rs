@@ -110,8 +110,9 @@ pub enum Query {
         rows: Vec<AppendRow>,
     },
     /// `SHARD <relation> INTO <n> BY HASH|RANGE` — repartition a relation
-    /// into `n` per-shard indexes for scatter-gather execution. `INTO 1`
-    /// collapses back to a single unsharded index.
+    /// into `n` per-shard indexes for scatter-gather execution. Every
+    /// relation has at least one shard (registration builds one), so
+    /// `INTO 1` is the layout a relation starts with.
     Shard {
         /// Relation repartitioned.
         relation: String,

@@ -59,8 +59,9 @@ queries:
 sharding:
   SHARD <rel> INTO <n> BY HASH|RANGE    split a relation into n shards with one
   R*-tree each; queries scatter to every shard and merge to the same rows,
-  order, and counter totals the unsharded engine produces (.rel shows the
-  layout; re-SHARD INTO 1 to restore unsharded execution)
+  order, and counter totals at every n (.rel shows the layout; a relation
+  starts as one shard, and INTO 1 is that layout again: plain plan names,
+  no per-shard lines)
 ingest:
   APPEND <rel> <label> VALUES (v1, v2, ...)           append points to one series
   APPEND <rel> CSV (label, v1, ...) (label, v1, ...)  batched, atomic multi-series append

@@ -1,22 +1,27 @@
 //! Planning and execution: AST → [`LogicalPlan`] → cost-based
-//! [`Planner`] → [`tsq_core::PhysicalPlan`] → the single plan executor.
+//! [`tsq_core::Planner`] → [`tsq_core::PhysicalPlan`] → the single plan
+//! executor.
 //!
 //! [`Catalog::execute_with`] is the one execution entry point: it merges
 //! the statement's own `WITH (...)` clause with caller overrides into a
-//! single [`QueryOptions`], lowers the AST to a resolved logical plan,
-//! asks the planner (fed by per-relation [`RelationStats`], which
-//! snapshots persist) for the cheapest physical operator, and runs it
-//! through [`tsq_core::plan::execute_plan`]. [`Catalog::execute`],
+//! single [`QueryOptions`], lowers the AST to a resolved logical plan
+//! and hands it to the relation's [`ShardedIndex`], where the planner
+//! (fed by per-shard statistics derived from the trees) picks the
+//! cheapest physical operator per shard and
+//! [`tsq_core::plan::execute_plan`] runs it. [`Catalog::execute`],
 //! [`Catalog::run`] and the batch paths are thin wrappers over it.
 //! `EXPLAIN` / `EXPLAIN ANALYZE` surface the choice.
 //!
-//! A relation repartitioned by `SHARD <rel> INTO <n> BY HASH|RANGE`
-//! keeps one [`ShardedIndex`] instead of a single whole-match index:
-//! queries against it run scatter-gather ([`ShardedIndex::execute`])
-//! with per-shard plans fanned over the worker pool and a typed merge
-//! that reassembles answers byte-identical to the unsharded engine.
-//! `APPEND` routes each row to its owning shard, so incremental
-//! maintenance keeps working.
+//! Every relation is a [`ShardedIndex`] with n >= 1 shards — there is no
+//! second, unsharded code path. `register` builds one hash shard;
+//! `SHARD <rel> INTO <n> BY HASH|RANGE` rebuilds with n. Queries run
+//! scatter-gather ([`ShardedIndex::execute`]): per-shard plans fan over
+//! the worker pool and a typed merge reassembles the answer. With one
+//! shard the scatter runs inline, the merges are identities, and what a
+//! client sees (rows, counters, plan name, `EXPLAIN` text) is the plain
+//! single-index answer; how a one-shard relation is *named and rendered*
+//! is decided in `tsq_core::shard`, not here. `APPEND` routes each row to
+//! its owning shard as one batch per shard per statement.
 //!
 //! Two layers of concurrency live here:
 //!
@@ -44,16 +49,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use tsq_core::plan::{
-    self, ExecStats, LogicalPlan, PlanChoice, PlanPreference, PlanRows, Planner, QueryOptions,
-    RelationStats,
-};
+use tsq_core::plan::{ExecStats, LogicalPlan, PlanPreference, PlanRows, QueryOptions};
 use tsq_core::shard::{
-    render_sharded_analyze, render_sharded_plan, ShardBy, ShardSpec, ShardedIndex,
+    render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardSpec,
+    ShardedIndex, ShardedOutcome,
 };
 use tsq_core::{
-    executor, IndexConfig, LinearTransform, QueryWindow, SeriesRelation, SimilarityIndex,
-    SubseqConfig, SubseqIndex,
+    executor, IndexConfig, LinearTransform, QueryWindow, SeriesRelation, SubseqConfig, SubseqIndex,
 };
 use tsq_series::TimeSeries;
 
@@ -64,41 +66,15 @@ use crate::error::LangError;
 /// subsequence ST-indexes (see [`Catalog::set_subseq_cache_capacity`]).
 pub const DEFAULT_SUBSEQ_CACHE_CAPACITY: usize = 16;
 
-/// A cached subsequence index: one ST-index over the whole relation, or
-/// one per shard (over shard-local series ids) for a sharded relation.
-/// The shapes never mix for one key — both `SHARD` and `register`
-/// invalidate every cached entry of the relation they touch.
-#[derive(Debug, Clone)]
-pub(crate) enum CachedSubseq {
-    /// ST-index over the whole relation (global series ids).
-    Whole(Arc<SubseqIndex>),
-    /// One ST-index per shard, shard order (shard-local series ids).
-    Sharded(Vec<Arc<SubseqIndex>>),
-}
-
-impl CachedSubseq {
-    /// The whole-relation index, when this entry has that shape.
-    pub(crate) fn as_whole(&self) -> Option<&Arc<SubseqIndex>> {
-        match self {
-            CachedSubseq::Whole(index) => Some(index),
-            CachedSubseq::Sharded(_) => None,
-        }
-    }
-
-    fn as_sharded(&self) -> Option<&[Arc<SubseqIndex>]> {
-        match self {
-            CachedSubseq::Whole(_) => None,
-            CachedSubseq::Sharded(parts) => Some(parts),
-        }
-    }
-}
-
-/// One cached ST-index with its last-hit stamp. The stamp is atomic so a
-/// cache *hit* — which holds only the read lock — can still record
-/// recency for the LRU eviction.
+/// One cached `(relation, window)` entry — one ST-index per shard of the
+/// relation, shard order, over shard-local series ids — with its last-hit
+/// stamp. The stamp is atomic so a cache *hit* — which holds only the
+/// read lock — can still record recency for the LRU eviction. `SHARD` and
+/// `register` drop every entry of the relation they touch, so an entry
+/// always has the relation's current shard count.
 #[derive(Debug)]
 pub(crate) struct CacheSlot {
-    pub(crate) index: CachedSubseq,
+    pub(crate) parts: Vec<Arc<SubseqIndex>>,
     pub(crate) last_used: AtomicU64,
 }
 
@@ -117,40 +93,6 @@ impl Default for SubseqCache {
     }
 }
 
-/// A relation's whole-match index: one [`SimilarityIndex`], or — after
-/// a `SHARD` statement — one per shard behind a [`ShardedIndex`] that
-/// executes queries scatter-gather.
-#[derive(Debug)]
-pub(crate) enum Indexed {
-    /// Single unsharded index.
-    Whole(SimilarityIndex),
-    /// Per-shard indexes with the label-assignment map.
-    Sharded(ShardedIndex),
-}
-
-impl Indexed {
-    fn series_len(&self) -> usize {
-        match self {
-            Indexed::Whole(index) => index.series_len(),
-            Indexed::Sharded(sharded) => sharded.series_len(),
-        }
-    }
-
-    pub(crate) fn is_paged(&self) -> bool {
-        match self {
-            Indexed::Whole(index) => index.is_paged(),
-            Indexed::Sharded(sharded) => sharded.is_paged(),
-        }
-    }
-
-    fn config(&self) -> &IndexConfig {
-        match self {
-            Indexed::Whole(index) => index.config(),
-            Indexed::Sharded(sharded) => sharded.config(),
-        }
-    }
-}
-
 /// A catalog of named relations with lazily-built similarity indexes.
 ///
 /// Whole-sequence indexes are built eagerly at registration (every query
@@ -162,12 +104,9 @@ impl Indexed {
 #[derive(Debug, Default)]
 pub struct Catalog {
     pub(crate) relations: HashMap<String, SeriesRelation>,
-    pub(crate) indexes: HashMap<String, Indexed>,
-    /// Planner statistics per unsharded relation, computed at
-    /// registration and persisted in snapshots so a restored catalog
-    /// plans identically. Sharded relations keep per-shard statistics
-    /// inside their [`ShardedIndex`] instead.
-    pub(crate) stats: HashMap<String, RelationStats>,
+    /// One index per relation: n >= 1 shards, each with its whole-match
+    /// R\*-tree and planner statistics.
+    pub(crate) indexes: HashMap<String, ShardedIndex>,
     pub(crate) subseq: RwLock<SubseqCache>,
     /// Logical LRU clock; bumped on every cache access.
     pub(crate) clock: AtomicU64,
@@ -204,43 +143,26 @@ impl Catalog {
     }
 
     /// Registers a relation (replacing any previous one of the same name)
-    /// and builds its index. Every cached ST-index over the old relation
-    /// is invalidated — a mutated relation must never serve stale
-    /// subsequence answers.
+    /// and builds its index as one hash shard. Every cached ST-index over
+    /// the old relation is invalidated — a mutated relation must never
+    /// serve stale subsequence answers.
     ///
     /// # Errors
     /// Propagates index-construction failures.
     pub fn register(&mut self, relation: SeriesRelation) -> Result<(), LangError> {
         let name = relation.name().to_string();
-        let index = relation.index(self.config)?;
+        let index = ShardedIndex::build(self.config, &relation, ShardSpec::hash(1)?)?;
         self.cache_write().map.retain(|(rel, _), _| rel != &name);
-        self.stats
-            .insert(name.clone(), RelationStats::from_index(&index));
         self.relations.insert(name.clone(), relation);
-        self.indexes.insert(name, Indexed::Whole(index));
+        self.indexes.insert(name, index);
         Ok(())
     }
 
-    /// Planner statistics of a registered relation (cardinality, series
-    /// length, R\*-tree level profile). `None` for sharded relations —
-    /// their per-shard statistics live behind [`Catalog::shard_layout`].
-    pub fn relation_stats(&self, name: &str) -> Option<&RelationStats> {
-        self.stats.get(name)
-    }
-
     /// Shard layout of a relation: `Some((by, count, per-shard series
-    /// counts))` when sharded, `None` when unsharded (or unknown).
+    /// counts))` when it is split over several shards, `None` for a
+    /// one-shard (or unknown) relation.
     pub fn shard_layout(&self, name: &str) -> Option<(ShardBy, usize, Vec<usize>)> {
-        match self.indexes.get(name)? {
-            Indexed::Whole(_) => None,
-            Indexed::Sharded(sharded) => Some((
-                sharded.map().spec().by(),
-                sharded.shard_count(),
-                (0..sharded.shard_count())
-                    .map(|s| sharded.map().members(s).len())
-                    .collect(),
-            )),
-        }
+        self.indexes.get(name)?.layout()
     }
 
     /// Sets the worker-thread count for each on-demand ST-index build
@@ -311,7 +233,7 @@ impl Catalog {
         names
     }
 
-    fn resolve_relation(&self, name: &str) -> Result<(&SeriesRelation, &Indexed), LangError> {
+    fn resolve_relation(&self, name: &str) -> Result<(&SeriesRelation, &ShardedIndex), LangError> {
         match (self.relations.get(name), self.indexes.get(name)) {
             (Some(r), Some(i)) => Ok((r, i)),
             _ => Err(LangError::Resolve(format!("unknown relation {name:?}"))),
@@ -339,35 +261,38 @@ impl Catalog {
         }
     }
 
-    /// Returns the ST-index over `rel` for `window`, building and caching
-    /// it on first use. The (potentially expensive) build happens outside
-    /// any lock — cache hits are never blocked behind it — and uses the
-    /// parallel build path. If two threads race on the same miss, the
-    /// first finished build wins and the other is dropped; both are
-    /// equivalent. Insertion beyond the capacity evicts the
-    /// least-recently-used entry.
+    /// Returns the per-shard ST-indexes over a relation for `window`,
+    /// building and caching them on first use. The (potentially
+    /// expensive) build happens outside any lock — cache hits are never
+    /// blocked behind it — and uses the parallel build path. If two
+    /// threads race on the same miss, the first finished build wins and
+    /// the other is dropped; both are equivalent. Insertion beyond the
+    /// capacity evicts the least-recently-used entry.
     fn subseq_index(
         &self,
-        rel: &SeriesRelation,
+        rel_name: &str,
+        index: &ShardedIndex,
         window: usize,
-    ) -> Result<Arc<SubseqIndex>, LangError> {
-        let key = (rel.name().to_string(), window);
+    ) -> Result<Vec<Arc<SubseqIndex>>, LangError> {
+        let key = (rel_name.to_string(), window);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(slot) = self.cache_read().map.get(&key) {
-            if let Some(index) = slot.index.as_whole() {
-                slot.last_used.store(stamp, Ordering::Relaxed);
-                return Ok(Arc::clone(index));
-            }
+            slot.last_used.store(stamp, Ordering::Relaxed);
+            return Ok(slot.parts.clone());
         }
         let build_threads = match self.build_threads {
             0 => executor::default_threads(),
             n => n,
         };
-        let built = Arc::new(SubseqIndex::build_parallel(
-            SubseqConfig::new(window),
-            rel.series().to_vec(),
-            build_threads,
-        )?);
+        let mut built = Vec::with_capacity(index.shard_count());
+        for part in index.parts() {
+            let series: Vec<TimeSeries> = part.entries().iter().map(|e| e.series.clone()).collect();
+            built.push(Arc::new(SubseqIndex::build_parallel(
+                SubseqConfig::new(window),
+                series,
+                build_threads,
+            )?));
+        }
         // Re-stamp *after* the build: concurrent hits advanced the clock
         // while we built, and inserting with the pre-build stamp would
         // make this freshest, most expensive entry the immediate LRU
@@ -375,85 +300,12 @@ impl Catalog {
         // won the build race.
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut cache = self.cache_write();
-        let slot = cache
-            .map
-            .entry(key.clone())
-            .and_modify(|slot| {
-                // Defensive: a stale entry of the wrong shape (cannot
-                // happen — SHARD invalidates) is replaced, never served.
-                if slot.index.as_whole().is_none() {
-                    slot.index = CachedSubseq::Whole(Arc::clone(&built));
-                }
-            })
-            .or_insert_with(|| CacheSlot {
-                index: CachedSubseq::Whole(Arc::clone(&built)),
-                last_used: AtomicU64::new(stamp),
-            });
+        let slot = cache.map.entry(key.clone()).or_insert_with(|| CacheSlot {
+            parts: built,
+            last_used: AtomicU64::new(stamp),
+        });
         slot.last_used.store(stamp, Ordering::Relaxed);
-        let index = Arc::clone(slot.index.as_whole().expect("shape ensured above"));
-        while cache.map.len() > cache.capacity {
-            let Some(victim) = Self::lru_key(&cache, Some(&key)) else {
-                break;
-            };
-            cache.map.remove(&victim);
-        }
-        Ok(index)
-    }
-
-    /// Per-shard ST-indexes over a sharded relation for `window`,
-    /// building and caching them on first use under the same
-    /// `(relation, window)` key — and the same LRU bound — as the
-    /// whole-relation path. Sharded cache entries are session-local:
-    /// snapshots do not persist them (they rebuild on demand).
-    fn subseq_shards(
-        &self,
-        rel_name: &str,
-        sharded: &ShardedIndex,
-        window: usize,
-    ) -> Result<Vec<Arc<SubseqIndex>>, LangError> {
-        let key = (rel_name.to_string(), window);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(slot) = self.cache_read().map.get(&key) {
-            if let Some(parts) = slot.index.as_sharded() {
-                slot.last_used.store(stamp, Ordering::Relaxed);
-                return Ok(parts.to_vec());
-            }
-        }
-        let build_threads = match self.build_threads {
-            0 => executor::default_threads(),
-            n => n,
-        };
-        let mut built = Vec::with_capacity(sharded.shard_count());
-        for part in sharded.parts() {
-            let series: Vec<TimeSeries> = (0..part.len())
-                .map(|i| part.series(i).expect("local id valid").clone())
-                .collect();
-            built.push(Arc::new(SubseqIndex::build_parallel(
-                SubseqConfig::new(window),
-                series,
-                build_threads,
-            )?));
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut cache = self.cache_write();
-        let slot = cache
-            .map
-            .entry(key.clone())
-            .and_modify(|slot| {
-                if slot.index.as_sharded().is_none() {
-                    slot.index = CachedSubseq::Sharded(built.clone());
-                }
-            })
-            .or_insert_with(|| CacheSlot {
-                index: CachedSubseq::Sharded(built.clone()),
-                last_used: AtomicU64::new(stamp),
-            });
-        slot.last_used.store(stamp, Ordering::Relaxed);
-        let parts = slot
-            .index
-            .as_sharded()
-            .expect("shape ensured above")
-            .to_vec();
+        let parts = slot.parts.clone();
         while cache.map.len() > cache.capacity {
             let Some(victim) = Self::lru_key(&cache, Some(&key)) else {
                 break;
@@ -493,8 +345,8 @@ impl Catalog {
     /// hash, or lexicographic label ranges with boundaries cut from the
     /// current label population) and rebuilds one index per shard.
     /// Queries then execute scatter-gather with answers byte-identical
-    /// to the unsharded engine; `INTO 1` collapses back to a single
-    /// unsharded index. Every cached ST-index over the relation is
+    /// to a one-shard relation's; `INTO 1` is that one shard again, and
+    /// reports like it. Every cached ST-index over the relation is
     /// invalidated (its partitioning shape changed).
     ///
     /// Returns one row per shard: `a` is `shard<i>`, `distance` the
@@ -512,59 +364,33 @@ impl Catalog {
         count: usize,
         by: ShardBy,
     ) -> Result<QueryOutput, LangError> {
-        let rebuilt: Indexed = {
-            let (rel, indexed) = self.resolve_relation(relation)?;
-            if indexed.is_paged() {
-                return Err(LangError::Engine(tsq_core::Error::Unsupported(
-                    "SHARD a relation with paged storage attached (the page file is immutable)"
-                        .to_string(),
-                )));
+        let (rel, index) = self.resolve_relation(relation)?;
+        if index.is_paged() {
+            return Err(LangError::Engine(tsq_core::Error::Unsupported(
+                "SHARD a relation with paged storage attached (the page file is immutable)"
+                    .to_string(),
+            )));
+        }
+        let spec = match by {
+            ShardBy::Hash => ShardSpec::hash(count),
+            ShardBy::Range => {
+                let labels: Vec<&str> = (0..rel.len())
+                    .map(|id| rel.label(id).expect("id < len"))
+                    .collect();
+                ShardSpec::range(count, &labels)
             }
-            if count == 1 {
-                Indexed::Whole(rel.index(self.config)?)
-            } else {
-                let spec = match by {
-                    ShardBy::Hash => ShardSpec::hash(count),
-                    ShardBy::Range => {
-                        let labels: Vec<&str> = (0..rel.len())
-                            .map(|id| rel.label(id).expect("id < len"))
-                            .collect();
-                        ShardSpec::range(count, &labels)
-                    }
-                }
-                .map_err(LangError::Engine)?;
-                Indexed::Sharded(
-                    ShardedIndex::build(self.config, rel, spec).map_err(LangError::Engine)?,
-                )
-            }
-        };
+        }?;
+        let rebuilt = ShardedIndex::build(self.config, rel, spec)?;
         // Cached ST-indexes carry the old partitioning shape; drop them.
         self.cache_write().map.retain(|(r, _), _| r != relation);
-        let rows = match &rebuilt {
-            Indexed::Whole(index) => vec![Row {
-                a: "shard0".to_string(),
+        let rows = (0..rebuilt.shard_count())
+            .map(|s| Row {
+                a: format!("shard{s}"),
                 b: None,
                 offset: None,
-                distance: index.len() as f64,
-            }],
-            Indexed::Sharded(sharded) => (0..sharded.shard_count())
-                .map(|s| Row {
-                    a: format!("shard{s}"),
-                    b: None,
-                    offset: None,
-                    distance: sharded.map().members(s).len() as f64,
-                })
-                .collect(),
-        };
-        match &rebuilt {
-            Indexed::Whole(index) => {
-                self.stats
-                    .insert(relation.to_string(), RelationStats::from_index(index));
-            }
-            Indexed::Sharded(_) => {
-                self.stats.remove(relation);
-            }
-        }
+                distance: rebuilt.map().members(s).len() as f64,
+            })
+            .collect();
         self.indexes.insert(relation.to_string(), rebuilt);
         Ok(QueryOutput {
             rows,
@@ -582,17 +408,18 @@ impl Catalog {
     /// - the relation's series grow in place ([`SeriesRelation`]); an
     ///   unknown label starts a new series (the relation is then ragged
     ///   until appends even the lengths out);
-    /// - the whole-series index re-extracts features for the touched
-    ///   series only and repacks canonically
-    ///   ([`SimilarityIndex::extend_series`]), so the result is
+    /// - each owning shard's whole-series index re-extracts features for
+    ///   its touched series only and repacks canonically, once per
+    ///   statement ([`ShardedIndex::extend_series_batch`] /
+    ///   [`ShardedIndex::push_series_batch`]), so the result is
     ///   byte-identical to a fresh build over the final data;
     /// - every cached subsequence ST-index over the relation is extended
     ///   in place ([`SubseqIndex::extend_series`] resumes the sliding-DFT
     ///   recurrence at `O(k)` per appended point) under the cache lock,
     ///   clone-on-write (`Arc::make_mut`) so in-flight readers keep their
     ///   consistent pre-append snapshot;
-    /// - planner statistics are refreshed so later plans see the new
-    ///   shape.
+    /// - the touched shards' planner statistics are refreshed so later
+    ///   plans see the new shape.
     ///
     /// The statement is **atomic**: everything is validated up front
     /// (unknown relation, paged storage, non-finite values, a schema that
@@ -613,8 +440,8 @@ impl Catalog {
     pub fn append(&mut self, relation: &str, rows: &[AppendRow]) -> Result<QueryOutput, LangError> {
         // Validation phase: nothing is mutated until every row has been
         // checked against the final state it would produce.
-        let (rel, indexed) = self.resolve_relation(relation)?;
-        if indexed.is_paged() {
+        let (rel, index) = self.resolve_relation(relation)?;
+        if index.is_paged() {
             return Err(LangError::Engine(tsq_core::Error::Unsupported(
                 "APPEND to a relation with paged storage attached (the page file is immutable)"
                     .to_string(),
@@ -623,7 +450,7 @@ impl Catalog {
         if rows.is_empty() {
             return Err(LangError::Resolve("APPEND carries no rows".to_string()));
         }
-        let schema = indexed.config().schema;
+        let schema = index.config().schema;
         let mut final_len: HashMap<&str, usize> = HashMap::new();
         // Rows for labels the relation does not know yet assemble into
         // whole new series (first-occurrence order), pushed once complete:
@@ -666,7 +493,7 @@ impl Catalog {
         // only grow, and a schema that fits a length fits every longer
         // one); new series are pushed complete, in first-occurrence order.
         let rel = self.relations.get_mut(relation).expect("resolved above");
-        let indexed = self.indexes.get_mut(relation).expect("resolved above");
+        let index = self.indexes.get_mut(relation).expect("resolved above");
         // The index absorbs the statement as one batch (one canonical
         // repack per touched shard), not row by row.
         let mut edits: Vec<(usize, &[f64])> = Vec::with_capacity(rows.len());
@@ -687,90 +514,46 @@ impl Catalog {
             rel.push(label.clone(), series.clone())
                 .expect("label is new");
         }
-        match indexed {
-            Indexed::Whole(index) => {
-                if !edits.is_empty() {
-                    index
-                        .extend_series_batch(&edits)
-                        .expect("validated upfront");
-                }
-                if !pushed.is_empty() {
-                    index.push_series_batch(pushed).expect("validated upfront");
-                }
-                self.stats
-                    .insert(relation.to_string(), RelationStats::from_index(index));
-            }
-            Indexed::Sharded(sharded) => {
-                // Each edit and each new series routes to its owning
-                // shard; the sharded index refreshes the touched shards'
-                // planner statistics itself.
-                if !edits.is_empty() {
-                    sharded
-                        .extend_series_batch(&edits)
-                        .expect("validated upfront");
-                }
-                for (label, series) in new_labels.iter().zip(pushed) {
-                    sharded
-                        .push_series(label, series)
-                        .expect("validated upfront");
-                }
-            }
+        // Each edit and each new series routes to its owning shard, which
+        // refreshes its planner statistics itself.
+        if !edits.is_empty() {
+            index
+                .extend_series_batch(&edits)
+                .expect("validated upfront");
+        }
+        if !pushed.is_empty() {
+            let labeled = new_labels.iter().map(String::as_str).zip(pushed).collect();
+            index.push_series_batch(labeled).expect("validated upfront");
         }
         // Maintain every cached ST-index over this relation in place —
         // never `retain`-drop it: the next subsequence query must hit the
         // incrementally-extended cache, not pay a full rebuild.
         // `Arc::make_mut` is clone-on-write, so a reader still traversing
-        // the pre-append index keeps its consistent snapshot.
+        // the pre-append index keeps its consistent snapshot. Per-shard
+        // ST-indexes speak shard-local ids: every edit and every new
+        // series routes through the owner map.
         {
-            let shard_map = match &*indexed {
-                Indexed::Whole(_) => None,
-                Indexed::Sharded(sharded) => Some(sharded.map()),
-            };
+            let map = index.map();
             let mut cache = self.subseq.write().unwrap_or_else(PoisonError::into_inner);
             for ((rel_name, _), slot) in cache.map.iter_mut() {
                 if rel_name != relation {
                     continue;
                 }
-                match &mut slot.index {
-                    CachedSubseq::Whole(index) => {
-                        let idx = Arc::make_mut(index);
-                        for row in rows {
-                            if new_labels.contains(&row.label) {
-                                continue;
-                            }
-                            let id = rel.id_of(&row.label).expect("applied above");
-                            idx.extend_series(id, &row.values)
-                                .expect("validated upfront");
-                        }
-                        for values in &new_values {
-                            idx.insert(
-                                TimeSeries::try_new(values.clone()).expect("validated upfront"),
-                            );
-                        }
+                for row in rows {
+                    if new_labels.contains(&row.label) {
+                        continue;
                     }
-                    // Per-shard ST-indexes speak shard-local ids: route
-                    // every edit through the owner map, and every new
-                    // series to the shard its label hashes/sorts into.
-                    CachedSubseq::Sharded(parts) => {
-                        let map = shard_map.expect("sharded cache entry implies sharded index");
-                        for row in rows {
-                            if new_labels.contains(&row.label) {
-                                continue;
-                            }
-                            let id = rel.id_of(&row.label).expect("applied above");
-                            let (shard, local) = map.owner(id).expect("applied above");
-                            Arc::make_mut(&mut parts[shard])
-                                .extend_series(local, &row.values)
-                                .expect("validated upfront");
-                        }
-                        for (label, values) in new_labels.iter().zip(&new_values) {
-                            let id = rel.id_of(label).expect("applied above");
-                            let (shard, _) = map.owner(id).expect("applied above");
-                            Arc::make_mut(&mut parts[shard]).insert(
-                                TimeSeries::try_new(values.clone()).expect("validated upfront"),
-                            );
-                        }
-                    }
+                    let id = rel.id_of(&row.label).expect("applied above");
+                    let (shard, local) = map.owner(id).expect("applied above");
+                    Arc::make_mut(&mut slot.parts[shard])
+                        .extend_series(local, &row.values)
+                        .expect("validated upfront");
+                }
+                for (label, values) in new_labels.iter().zip(&new_values) {
+                    let id = rel.id_of(label).expect("applied above");
+                    let (shard, _) = map.owner(id).expect("applied above");
+                    Arc::make_mut(&mut slot.parts[shard])
+                        .insert(TimeSeries::try_new(values.clone()).expect("validated upfront"));
                 }
             }
         }
@@ -852,10 +635,12 @@ impl Catalog {
 
     /// The single execution entry point: merge the statement's
     /// `WITH (...)` clause with `overrides` (overrides win field-wise),
-    /// lower to a [`LogicalPlan`], let the cost-based [`Planner`] pick
-    /// the cheapest [`tsq_core::PhysicalPlan`] per relation — or per
-    /// shard, scatter-gathered, when the relation is sharded — run it,
-    /// and attach labels.
+    /// lower to a [`LogicalPlan`], scatter it over the relation's shards
+    /// ([`ShardedIndex::execute`]: the cost-based planner picks the
+    /// cheapest [`tsq_core::PhysicalPlan`] per shard, the typed merge
+    /// reassembles the global answer), and attach labels. The output
+    /// carries the exact-sum merged counters and, for a relation of
+    /// several shards, the per-shard breakdown.
     ///
     /// # Errors
     /// Resolution, validation, and engine failures of the query.
@@ -869,50 +654,30 @@ impl Catalog {
         }
         let options = query.options().merged(overrides);
         let logical = self.lower(query, &options)?;
-        let (rel, indexed) = self.resolve_relation(logical.relation())?;
+        let (rel, index) = self.resolve_relation(logical.relation())?;
         let pref = preference_for(&logical, &options)?;
-        match indexed {
-            Indexed::Whole(index) => {
-                let stats = self.stats_for(logical.relation(), index);
-                let subseq = match logical.subseq_window() {
-                    Some(w) => Some(self.subseq_index(rel, w)?),
-                    None => None,
-                };
-                let choice = Planner::new(index, &stats)
-                    .with_preference(pref)
-                    .plan(&logical, subseq.as_deref())?;
-                let (rows, exec) =
-                    plan::execute_plan(&logical, &choice.plan, index, subseq.as_deref())?;
-                Ok(label_output(rel, rows, exec, choice.plan.op.name(), None))
-            }
-            Indexed::Sharded(sharded) => {
-                self.execute_sharded(rel, sharded, &logical, pref, &options)
-            }
-        }
+        let outcome = self.scatter(index, &logical, pref, &options)?;
+        let plan = sharded_plan_name(&outcome.plans);
+        let mut out = label_output(rel, outcome.rows, outcome.merged, plan);
+        out.shard_stats = outcome.per_shard;
+        Ok(out)
     }
 
-    /// Scatter-gather execution over a sharded relation: per-shard plans
-    /// fan over the worker pool ([`ShardedIndex::execute`]), the typed
-    /// merge reassembles the global answer, and the output carries both
-    /// the exact-sum merged counters and the per-shard breakdown.
-    fn execute_sharded(
+    /// Fetches (or builds) the ST-indexes a subsequence form needs and
+    /// runs the query scatter-gather over the relation's shards.
+    fn scatter(
         &self,
-        rel: &SeriesRelation,
-        sharded: &ShardedIndex,
+        index: &ShardedIndex,
         logical: &LogicalPlan,
         pref: PlanPreference,
         options: &QueryOptions,
-    ) -> Result<QueryOutput, LangError> {
+    ) -> Result<ShardedOutcome, LangError> {
         let subseq = match logical.subseq_window() {
-            Some(w) => Some(self.subseq_shards(logical.relation(), sharded, w)?),
+            Some(w) => Some(self.subseq_index(logical.relation(), index, w)?),
             None => None,
         };
-        let scatter = scatter_width(sharded.shard_count(), options);
-        let outcome = sharded.execute(logical, pref, scatter, subseq.as_deref())?;
-        let plan = sharded_plan_name(sharded.shard_count(), &outcome.plans);
-        let mut out = label_output(rel, outcome.rows, outcome.merged, &plan, None);
-        out.shard_stats = outcome.per_shard;
-        Ok(out)
+        let width = scatter_width(index.shard_count(), options);
+        Ok(index.execute(logical, pref, width, subseq.as_deref())?)
     }
 
     /// Plans a query and renders the plan tree without executing it
@@ -920,9 +685,9 @@ impl Catalog {
     /// the actual counters (`EXPLAIN ANALYZE`). The rendered text is in
     /// [`QueryOutput::explain`]; `ANALYZE` outputs carry the run's
     /// [`ExecStats`] (rows are never returned — the plan is the answer).
-    /// Sharded relations render the per-shard plan tree, and `ANALYZE`
-    /// appends one actual-counters line per shard plus the exact-sum
-    /// total.
+    /// Relations of several shards render the per-shard plan tree, and
+    /// `ANALYZE` appends one actual-counters line per shard plus the
+    /// exact-sum total.
     ///
     /// # Errors
     /// Same validation failures as executing the inner query.
@@ -941,71 +706,33 @@ impl Catalog {
         }
         let options = query.options().merged(overrides);
         let logical = self.lower(query, &options)?;
-        let (rel, indexed) = self.resolve_relation(logical.relation())?;
+        let (_, index) = self.resolve_relation(logical.relation())?;
         let pref = preference_for(&logical, &options)?;
-        match indexed {
-            Indexed::Whole(index) => {
-                let stats = self.stats_for(logical.relation(), index);
-                // Planning must not execute anything, so only a *cached*
-                // ST-index informs the estimate; a cold probe is planned
-                // as such.
-                let cached = logical
-                    .subseq_window()
-                    .and_then(|w| self.peek_subseq(logical.relation(), w));
-                let choice = Planner::new(index, &stats)
-                    .with_preference(pref)
-                    .plan(&logical, cached.as_deref())?;
-                let mut text = plan::render_plan(&logical, &choice, &stats);
-                let mut exec = ExecStats::default();
-                if analyze {
-                    let subseq = match logical.subseq_window() {
-                        Some(w) => Some(self.subseq_index(rel, w)?),
-                        None => cached,
-                    };
-                    let (rows, actual) =
-                        plan::execute_plan(&logical, &choice.plan, index, subseq.as_deref())?;
-                    plan::render_analyze(&mut text, rows.len(), &actual);
-                    exec = actual;
-                }
-                Ok(QueryOutput {
-                    rows: Vec::new(),
-                    nodes_visited: exec.nodes_visited,
-                    stats: exec,
-                    shard_stats: Vec::new(),
-                    plan: choice.plan.op.name().to_string(),
-                    explain: Some(text),
-                })
-            }
-            Indexed::Sharded(sharded) => {
-                let cached = logical
-                    .subseq_window()
-                    .and_then(|w| self.peek_subseq_shards(logical.relation(), w));
-                let plans = sharded.plan_shards(&logical, pref, cached.as_deref())?;
-                let mut text = render_sharded_plan(&logical, sharded, &plans);
-                let plan = sharded_plan_name(sharded.shard_count(), &plans);
-                let mut exec = ExecStats::default();
-                let mut shard_stats = Vec::new();
-                if analyze {
-                    let subseq = match logical.subseq_window() {
-                        Some(w) => Some(self.subseq_shards(logical.relation(), sharded, w)?),
-                        None => None,
-                    };
-                    let scatter = scatter_width(sharded.shard_count(), &options);
-                    let outcome = sharded.execute(&logical, pref, scatter, subseq.as_deref())?;
-                    render_sharded_analyze(&mut text, outcome.rows.len(), &outcome);
-                    exec = outcome.merged;
-                    shard_stats = outcome.per_shard;
-                }
-                Ok(QueryOutput {
-                    rows: Vec::new(),
-                    nodes_visited: exec.nodes_visited,
-                    stats: exec,
-                    shard_stats,
-                    plan,
-                    explain: Some(text),
-                })
-            }
+        // Planning must not execute anything, so only *cached* ST-indexes
+        // inform the estimate — peeked without building or LRU-touching
+        // anything; a cold probe is planned as such.
+        let cached = logical.subseq_window().and_then(|w| {
+            let key = (logical.relation().to_string(), w);
+            self.cache_read().map.get(&key).map(|s| s.parts.clone())
+        });
+        let plans = index.plan_shards(&logical, pref, cached.as_deref())?;
+        let mut text = render_sharded_plan(&logical, index, &plans);
+        let mut exec = ExecStats::default();
+        let mut shard_stats = Vec::new();
+        if analyze {
+            let outcome = self.scatter(index, &logical, pref, &options)?;
+            render_sharded_analyze(&mut text, outcome.rows.len(), &outcome);
+            exec = outcome.merged;
+            shard_stats = outcome.per_shard;
         }
+        Ok(QueryOutput {
+            rows: Vec::new(),
+            nodes_visited: exec.nodes_visited,
+            stats: exec,
+            shard_stats,
+            plan: sharded_plan_name(&plans),
+            explain: Some(text),
+        })
     }
 
     /// Lowers an AST query to a resolved [`LogicalPlan`]: names resolved,
@@ -1021,12 +748,12 @@ impl Catalog {
                 window,
                 ..
             } => {
-                let (_, indexed) = self.resolve_relation(relation)?;
+                let (_, index) = self.resolve_relation(relation)?;
                 Ok(LogicalPlan::Range {
                     relation: relation.clone(),
                     query: self.resolve_source(source)?,
                     eps: *eps,
-                    transform: resolve_transforms(transforms, indexed.series_len())?,
+                    transform: resolve_transforms(transforms, index.series_len())?,
                     window: to_window(window),
                 })
             }
@@ -1037,12 +764,12 @@ impl Catalog {
                 transforms,
                 ..
             } => {
-                let (_, indexed) = self.resolve_relation(relation)?;
+                let (_, index) = self.resolve_relation(relation)?;
                 Ok(LogicalPlan::Knn {
                     relation: relation.clone(),
                     query: self.resolve_source(source)?,
                     k: *k,
-                    transform: resolve_transforms(transforms, indexed.series_len())?,
+                    transform: resolve_transforms(transforms, index.series_len())?,
                 })
             }
             Query::Join {
@@ -1051,11 +778,11 @@ impl Catalog {
                 transforms,
                 ..
             } => {
-                let (_, indexed) = self.resolve_relation(relation)?;
+                let (_, index) = self.resolve_relation(relation)?;
                 Ok(LogicalPlan::Join {
                     relation: relation.clone(),
                     eps: *eps,
-                    transform: resolve_transforms(transforms, indexed.series_len())?,
+                    transform: resolve_transforms(transforms, index.series_len())?,
                     hint: options.join_hint(),
                 })
             }
@@ -1106,35 +833,6 @@ impl Catalog {
             )),
         }
     }
-
-    /// The relation's planner statistics — tracked at registration; the
-    /// fallback recomputation is defensive (the maps are always in step).
-    fn stats_for(&self, name: &str, index: &SimilarityIndex) -> RelationStats {
-        self.stats
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| RelationStats::from_index(index))
-    }
-
-    /// A cached whole-relation ST-index, if present — without building or
-    /// LRU-touching anything (the EXPLAIN path must not execute).
-    fn peek_subseq(&self, relation: &str, window: usize) -> Option<Arc<SubseqIndex>> {
-        let key = (relation.to_string(), window);
-        self.cache_read()
-            .map
-            .get(&key)
-            .and_then(|s| s.index.as_whole().map(Arc::clone))
-    }
-
-    /// Cached per-shard ST-indexes, if present — the sharded counterpart
-    /// of [`Catalog::peek_subseq`], equally side-effect free.
-    fn peek_subseq_shards(&self, relation: &str, window: usize) -> Option<Vec<Arc<SubseqIndex>>> {
-        let key = (relation.to_string(), window);
-        self.cache_read()
-            .map
-            .get(&key)
-            .and_then(|s| s.index.as_sharded().map(<[_]>::to_vec))
-    }
 }
 
 /// The plan preference a query's merged options imply. JOIN forms keep
@@ -1161,24 +859,6 @@ fn scatter_width(shards: usize, options: &QueryOptions) -> usize {
         .min(options.shards.unwrap_or(usize::MAX).max(1))
         .min(shards.max(1))
         .max(1)
-}
-
-/// The reported plan name of a scatter-gather run: `Sharded(n):<op>` when
-/// every active shard chose the same physical operator, `:mixed` when they
-/// diverged, `:empty` when every shard was skipped.
-fn sharded_plan_name(count: usize, plans: &[Option<PlanChoice>]) -> String {
-    let mut ops = plans.iter().flatten().map(|c| c.plan.op.name());
-    let body = match ops.next() {
-        None => "empty".to_string(),
-        Some(first) => {
-            if ops.all(|op| op == first) {
-                first.to_string()
-            } else {
-                "mixed".to_string()
-            }
-        }
-    };
-    format!("Sharded({count}):{body}")
 }
 
 /// Aggregate counters for one executed query batch.
@@ -1407,8 +1087,7 @@ fn label_output(
     rel: &SeriesRelation,
     rows: PlanRows,
     stats: ExecStats,
-    plan: &str,
-    explain: Option<String>,
+    plan: String,
 ) -> QueryOutput {
     let label = |id: usize| rel.label(id).unwrap_or("?").to_string();
     let rows = match rows {
@@ -1445,8 +1124,8 @@ fn label_output(
         nodes_visited: stats.nodes_visited,
         stats,
         shard_stats: Vec::new(),
-        plan: plan.to_string(),
-        explain,
+        plan,
+        explain: None,
     }
 }
 
@@ -1473,10 +1152,11 @@ pub struct QueryOutput {
     /// [`ExecStats`] for backward compatibility.
     pub nodes_visited: u64,
     /// Full execution counters (candidates, refines, disk accesses). For
-    /// a sharded relation this is the exact sum of [`Self::shard_stats`].
+    /// a relation of several shards this is the exact sum of
+    /// [`Self::shard_stats`].
     pub stats: ExecStats,
     /// Per-shard execution counters of a scatter-gather run, in shard
-    /// order — empty for unsharded relations and for mutations.
+    /// order — empty for one-shard relations and for mutations.
     pub shard_stats: Vec<ExecStats>,
     /// Name of the physical operator that ran (e.g. `IndexRange`, or
     /// `Sharded(4):IndexRange` for a scatter-gather run).
@@ -2300,30 +1980,24 @@ mod tests {
         let mut cat = catalog();
         cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 10 WINDOW 8")
             .unwrap();
-        let ptr_before = Arc::as_ptr(cat.cache_read().map[&key].index.as_whole().unwrap());
+        let ptr_before = Arc::as_ptr(&cat.cache_read().map[&key].parts[0]);
         cat.run_mut("APPEND walks s0 VALUES (1, 2, 3)").unwrap();
         // Still cached (never retain-dropped), updated in place (sole
         // owner ⇒ Arc::make_mut did not clone).
         assert_eq!(cat.subseq_cache_len(), 1);
         {
             let cache = cat.cache_read();
-            let index = cache.map[&key].index.as_whole().unwrap();
+            let index = &cache.map[&key].parts[0];
             assert_eq!(Arc::as_ptr(index), ptr_before);
             assert_eq!(index.series(0).unwrap().len(), 35);
         }
         // An in-flight reader holding the Arc keeps its consistent
         // pre-append snapshot while the cache moves on (clone-on-write).
-        let held = Arc::clone(cat.cache_read().map[&key].index.as_whole().unwrap());
+        let held = Arc::clone(&cat.cache_read().map[&key].parts[0]);
         cat.run_mut("APPEND walks s0 VALUES (4)").unwrap();
         assert_eq!(held.series(0).unwrap().len(), 35);
         assert_eq!(
-            cat.cache_read().map[&key]
-                .index
-                .as_whole()
-                .unwrap()
-                .series(0)
-                .unwrap()
-                .len(),
+            cat.cache_read().map[&key].parts[0].series(0).unwrap().len(),
             36
         );
     }
@@ -2610,8 +2284,8 @@ mod tests {
     fn sharded_snapshot_round_trips_byte_identically() {
         let mut cat = catalog();
         cat.run_mut("SHARD walks INTO 3 BY RANGE").unwrap();
-        // Populate a sharded ST cache entry; it is derived state and must
-        // not leak into the snapshot.
+        // Populate a per-shard ST cache entry; it travels with the
+        // snapshot like a one-shard relation's.
         cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 6 WINDOW 8")
             .unwrap();
         let bytes = cat.snapshot_bytes().unwrap();
@@ -2627,6 +2301,7 @@ mod tests {
             let got = restored.run(q).unwrap();
             assert_eq!(got, want, "{q}");
         }
+        assert_eq!(restored.subseq_cache_keys(), cat.subseq_cache_keys());
         // save → open → save reproduces the file byte for byte.
         assert_eq!(restored.snapshot_bytes().unwrap(), bytes);
     }

@@ -25,10 +25,10 @@
 //! shards = ...)` clause is the unified override surface; `EXPLAIN [ANALYZE]`
 //! renders the choice with estimates (and actual counters).
 //!
-//! Relations can be repartitioned with `SHARD <rel> INTO <n> BY
-//! HASH|RANGE`: queries then run scatter-gather over per-shard indexes
-//! ([`tsq_core::shard`]) with answers byte-identical to the unsharded
-//! engine.
+//! Every relation is a [`tsq_core::shard::ShardedIndex`] of n >= 1
+//! shards — one after registration, n after `SHARD <rel> INTO <n> BY
+//! HASH|RANGE`: queries run scatter-gather over the per-shard indexes
+//! with answers byte-identical at every n.
 //!
 //! Queries run against a [`Catalog`] of named [`tsq_core::SeriesRelation`]s
 //! whose similarity indexes are built on registration. [`SharedCatalog`]

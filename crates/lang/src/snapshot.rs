@@ -1,14 +1,29 @@
 //! Catalog persistence: [`Catalog::save`] / [`Catalog::open`] /
 //! [`Catalog::load`] snapshot an entire catalog — every relation with its
-//! labels, every whole-match [`SimilarityIndex`] (R\*-tree node structure
-//! preserved byte-identically, never rebuilt), and the LRU cache of
-//! subsequence ST-indexes in recency order — to a single `tsq-store` file.
+//! labels and its [`ShardedIndex`] (R\*-tree node structure preserved
+//! byte-identically, never rebuilt), and the LRU cache of subsequence
+//! ST-indexes in recency order — to a single `tsq-store` file.
 //!
-//! Sharded relations persist shard-per-section: the [`ShardSpec`]
-//! (rule + boundaries), the membership lists, and one R\*-tree per shard,
-//! so a restored catalog scatter-gathers over exactly the trees that were
-//! saved. Per-shard ST-index caches are derived state and are rebuilt on
-//! first use instead of being persisted.
+//! There is one relation-section layout and one cache-section layout, at
+//! every shard count (format version 4):
+//!
+//! ```text
+//! relation section            cache section
+//! ----------------            -------------
+//! name                        relation name
+//! label count, labels         window
+//! shard rule (0 hash,         one ST-index per shard of the
+//!   1 range), shard count       relation, shard order, trails only
+//! boundary count, boundaries
+//! one whole-match index per
+//!   shard, shard order
+//! ```
+//!
+//! A restored catalog scatter-gathers over exactly the trees that were
+//! saved. Two things are derived instead of stored: shard membership (the
+//! rule is a pure function of the label, so [`ShardMap::build`] over the
+//! labels reproduces it) and the planner statistics (they depend only on
+//! the tree structure, so [`ShardedIndex::from_parts`] recomputes them).
 //!
 //! ## Guarantees
 //!
@@ -34,26 +49,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tsq_core::shard::{ShardBy, ShardMap, ShardSpec, ShardedIndex};
-use tsq_core::{
-    executor, store as core_store, RelationStats, SeriesRelation, SimilarityIndex, SubseqIndex,
-};
+use tsq_core::{executor, store as core_store, SeriesRelation, SimilarityIndex, SubseqIndex};
 use tsq_store::{read_payload, seal, unseal, write_file, Decoder, Encoder, StoreError};
 
 use crate::error::LangError;
-use crate::exec::{CacheSlot, CachedSubseq, Catalog, Indexed};
+use crate::exec::{CacheSlot, Catalog};
 
 /// Everything one snapshot contains, decoded but not yet merged. The
 /// catalog-level index configuration is decoded (and validated) too, but
 /// only [`Catalog::load`] applies it — merging into an existing catalog
 /// keeps that catalog's configuration.
 struct DecodedSnapshot {
-    /// `(name, relation, index, stats)` in the file's (sorted) order.
-    /// Sharded relations carry no persisted stats — [`ShardedIndex`]
-    /// recomputes its per-shard statistics deterministically on restore.
-    relations: Vec<(String, SeriesRelation, Indexed, Option<RelationStats>)>,
-    /// `(name, window, index)` in LRU order (least recent first).
-    cache: Vec<(String, usize, SubseqIndex)>,
+    /// `(name, relation, index)` in the file's (sorted) order.
+    relations: Vec<DecodedRelation>,
+    /// `(name, window, per-shard ST-indexes)` in LRU order (least recent
+    /// first).
+    cache: Vec<(String, usize, Vec<SubseqIndex>)>,
 }
+
+type DecodedRelation = (String, SeriesRelation, ShardedIndex);
 
 impl Catalog {
     /// The unsealed snapshot payload (no header/checksum frame yet).
@@ -70,57 +84,29 @@ impl Catalog {
         enc.usize(names.len());
         for name in &names {
             let rel = &self.relations[name];
-            let indexed = &self.indexes[name];
+            let index = &self.indexes[name];
             let mut section = Encoder::new();
             section.str(name);
             section.usize(rel.len());
             for id in 0..rel.len() {
                 section.str(rel.label(id).expect("label within len"));
             }
-            match indexed {
-                Indexed::Whole(index) => {
-                    section.u8(RELATION_WHOLE);
-                    // Paged relations reconstruct their node structure from
-                    // the page file here, byte-identically to the in-memory
-                    // form — the only fallible step of a snapshot.
-                    index.write_to(&mut section).map_err(LangError::Engine)?;
-                    // Planner statistics travel with the relation, so a
-                    // restored catalog costs — and therefore chooses —
-                    // plans identically.
-                    let stats = self
-                        .stats
-                        .get(name)
-                        .cloned()
-                        .unwrap_or_else(|| RelationStats::from_index(index));
-                    core_store::write_relation_stats(&mut section, &stats);
-                }
-                Indexed::Sharded(sharded) => {
-                    section.u8(RELATION_SHARDED);
-                    let map = sharded.map();
-                    let spec = map.spec();
-                    section.u8(match spec.by() {
-                        ShardBy::Hash => SHARD_BY_HASH,
-                        ShardBy::Range => SHARD_BY_RANGE,
-                    });
-                    section.usize(spec.count());
-                    section.usize(spec.boundaries().len());
-                    for boundary in spec.boundaries() {
-                        section.str(boundary);
-                    }
-                    for shard in 0..spec.count() {
-                        let members = map.members(shard);
-                        section.usize(members.len());
-                        for &global in members {
-                            section.usize(global);
-                        }
-                    }
-                    // Per-shard R*-trees travel whole (structure preserved
-                    // byte-identically, like the unsharded form); per-shard
-                    // statistics are recomputed on restore.
-                    for part in sharded.parts() {
-                        part.write_to(&mut section).map_err(LangError::Engine)?;
-                    }
-                }
+            let spec = index.map().spec();
+            section.u8(match spec.by() {
+                ShardBy::Hash => SHARD_BY_HASH,
+                ShardBy::Range => SHARD_BY_RANGE,
+            });
+            section.usize(spec.count());
+            section.usize(spec.boundaries().len());
+            for boundary in spec.boundaries() {
+                section.str(boundary);
+            }
+            // Per-shard R*-trees travel whole (structure preserved
+            // byte-identically). Paged shards reconstruct their node
+            // structure from the page file here, byte-identically to the
+            // in-memory form — the only fallible step of a snapshot.
+            for part in index.parts() {
+                part.write_to(&mut section)?;
             }
             enc.usize(section.len());
             enc.raw(&section.into_bytes());
@@ -129,25 +115,19 @@ impl Catalog {
         // restoring replays them into an identical LRU ordering. The
         // series data is *not* repeated per cached index — a cached
         // ST-index's store always equals its relation's series, so only
-        // the trails travel (SubseqIndex::write_trails_to). Per-shard
-        // ST-indexes are cheap derived state and are *not* persisted;
-        // they rebuild on first use after a restore.
+        // the trails travel (SubseqIndex::write_trails_to), one run per
+        // shard.
         let cache = self.cache_read();
-        let mut entries: Vec<(&(String, usize), &CacheSlot)> = cache
-            .map
-            .iter()
-            .filter(|(_, slot)| slot.index.as_whole().is_some())
-            .collect();
+        let mut entries: Vec<(&(String, usize), &CacheSlot)> = cache.map.iter().collect();
         entries.sort_by_key(|(key, slot)| (slot.last_used.load(Ordering::Relaxed), (*key).clone()));
         enc.usize(entries.len());
         for ((name, window), slot) in entries {
             let mut section = Encoder::new();
             section.str(name);
             section.usize(*window);
-            slot.index
-                .as_whole()
-                .expect("filtered to whole entries")
-                .write_trails_to(&mut section);
+            for part in &slot.parts {
+                part.write_trails_to(&mut section);
+            }
             enc.usize(section.len());
             enc.raw(&section.into_bytes());
         }
@@ -198,7 +178,7 @@ impl Catalog {
     /// endianness, checksum — has been validated by the caller).
     fn restore_payload(&mut self, payload: &[u8]) -> Result<Vec<String>, LangError> {
         let snapshot = decode_snapshot(payload).map_err(store_err)?;
-        for (name, _, _, _) in &snapshot.relations {
+        for (name, _, _) in &snapshot.relations {
             if self.relations.contains_key(name) {
                 return Err(store_err(StoreError::DuplicateRelation {
                     name: name.clone(),
@@ -206,33 +186,26 @@ impl Catalog {
             }
         }
         let mut restored = Vec::with_capacity(snapshot.relations.len());
-        for (name, relation, index, stats) in snapshot.relations {
+        for (name, relation, index) in snapshot.relations {
             // Fresh names cannot have stale cache entries, but re-assert
             // the PR-3 invalidation invariant anyway: nothing keyed by a
             // name being (re-)introduced survives the registration.
             self.cache_write().map.retain(|(rel, _), _| rel != &name);
             self.relations.insert(name.clone(), relation);
             self.indexes.insert(name.clone(), index);
-            // Sharded relations keep no catalog-level stats entry; their
-            // per-shard statistics live inside the ShardedIndex.
-            if let Some(stats) = stats {
-                self.stats.insert(name.clone(), stats);
-            } else {
-                self.stats.remove(&name);
-            }
             restored.push(name);
         }
         // Replay the cached ST-indexes least-recent-first with fresh
         // stamps: relative recency survives the round trip, and the
         // capacity bound applies exactly as if the entries had been built.
-        for (name, window, index) in snapshot.cache {
+        for (name, window, parts) in snapshot.cache {
             let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
             let key = (name, window);
             let mut cache = self.cache_write();
             cache.map.insert(
                 key.clone(),
                 CacheSlot {
-                    index: CachedSubseq::Whole(Arc::new(index)),
+                    parts: parts.into_iter().map(Arc::new).collect(),
                     last_used: AtomicU64::new(stamp),
                 },
             );
@@ -258,15 +231,18 @@ impl Catalog {
     }
 
     /// [`Catalog::open`] followed by attaching paged node storage to every
-    /// restored relation: each whole-match R\*-tree is written to a
-    /// sidecar page file next to the snapshot (`<path>.<relation>.pages`)
-    /// and its in-memory nodes are dropped; queries then fetch nodes
-    /// through a pin-counted LRU buffer pool, and their statistics carry
-    /// *measured* `pool_hits`/`pool_misses`. The `budget_mib` pool budget
-    /// (MiB, minimum 1) is split evenly across the restored relations.
+    /// restored relation: each shard's whole-match R\*-tree is written to
+    /// a sidecar page file next to the snapshot
+    /// (`<path>.<relation>.s<shard>.pages`, at every shard count) and its
+    /// in-memory nodes are dropped; queries then fetch nodes through a
+    /// pin-counted LRU buffer pool, and their statistics carry *measured*
+    /// `pool_hits`/`pool_misses`. The `budget_mib` pool budget (MiB,
+    /// minimum 1) is split evenly across the restored relations, and a
+    /// relation's slice evenly across its shards.
     ///
-    /// Planner statistics were persisted in the snapshot, so plan choices
-    /// are identical to the in-memory catalog's. Paged relations are
+    /// Planner statistics were derived from the restored trees before the
+    /// nodes moved out, so plan choices are identical to the in-memory
+    /// catalog's. Paged relations are
     /// read-only until re-registered; [`Catalog::save`] still works (the
     /// node structure is read back from the page files).
     ///
@@ -291,24 +267,11 @@ impl Catalog {
             sidecar
         };
         for name in &restored {
-            match self.indexes.get_mut(name).expect("restored relation") {
-                Indexed::Whole(index) => {
-                    let sidecar = claim(name);
-                    index
-                        .attach_paged_budget(&sidecar, per_relation)
-                        .map_err(LangError::Engine)?;
-                }
-                Indexed::Sharded(sharded) => {
-                    // A sharded relation's slice of the pool budget splits
-                    // further across its shards, one sidecar per shard.
-                    let count = sharded.shard_count() as u64;
-                    let per_shard = (per_relation / count.max(1)).max(1);
-                    for (shard, part) in sharded.parts_mut().iter_mut().enumerate() {
-                        let sidecar = claim(&format!("{name}.s{shard}"));
-                        part.attach_paged_budget(&sidecar, per_shard)
-                            .map_err(LangError::Engine)?;
-                    }
-                }
+            let index = self.indexes.get_mut(name).expect("restored relation");
+            let per_shard = (per_relation / index.shard_count() as u64).max(1);
+            for (shard, part) in index.parts_mut().iter_mut().enumerate() {
+                let sidecar = claim(&format!("{name}.s{shard}"));
+                part.attach_paged_budget(&sidecar, per_shard)?;
             }
         }
         Ok(restored)
@@ -329,12 +292,7 @@ impl Catalog {
     }
 }
 
-/// Relation-section kind tags: a whole (unsharded) index followed by its
-/// planner statistics, or a sharded relation (spec, membership, one index
-/// per shard — statistics recomputed on restore).
-const RELATION_WHOLE: u8 = 0;
-const RELATION_SHARDED: u8 = 1;
-/// [`ShardBy`] tags within a sharded relation section.
+/// [`ShardBy`] tags within a relation section.
 const SHARD_BY_HASH: u8 = 0;
 const SHARD_BY_RANGE: u8 = 1;
 
@@ -342,10 +300,10 @@ fn store_err(e: StoreError) -> LangError {
     LangError::Engine(tsq_core::Error::Store(e))
 }
 
-/// Sidecar page-file path for one relation of a paged catalog. Relation
-/// names are file-system-hostile in general, so everything outside
-/// `[A-Za-z0-9_-]` is flattened to `_`; `bump > 0` disambiguates names
-/// that collide after flattening.
+/// Sidecar page-file path for one shard (`<relation>.s<shard>`) of a
+/// paged catalog. Relation names are file-system-hostile in general, so
+/// everything outside `[A-Za-z0-9_-]` is flattened to `_`; `bump > 0`
+/// disambiguates names that collide after flattening.
 fn paged_sidecar(snapshot: &Path, relation: &str, bump: usize) -> std::path::PathBuf {
     let safe: String = relation
         .chars()
@@ -405,8 +363,8 @@ fn decode_snapshot(payload: &[u8]) -> Result<DecodedSnapshot, StoreError> {
         rel_sections,
         decode_relation_section,
     ))?;
-    for (i, (name, _, _, _)) in relations.iter().enumerate() {
-        if relations[..i].iter().any(|(n, _, _, _)| n == name) {
+    for (i, (name, _, _)) in relations.iter().enumerate() {
+        if relations[..i].iter().any(|(n, _, _)| n == name) {
             return Err(StoreError::corrupt(format!(
                 "relation {name:?} appears twice in the snapshot"
             )));
@@ -428,9 +386,7 @@ fn decode_snapshot(payload: &[u8]) -> Result<DecodedSnapshot, StoreError> {
     Ok(DecodedSnapshot { relations, cache })
 }
 
-fn decode_relation_section(
-    bytes: &[u8],
-) -> Result<(String, SeriesRelation, Indexed, Option<RelationStats>), StoreError> {
+fn decode_relation_section(bytes: &[u8]) -> Result<DecodedRelation, StoreError> {
     let mut dec = Decoder::new(bytes);
     let name = dec.str("relation name")?;
     let label_count = dec.seq(8, "label count")?;
@@ -438,118 +394,71 @@ fn decode_relation_section(
     for _ in 0..label_count {
         labels.push(dec.str("series label")?);
     }
-    let (indexed, stats) = match dec.u8("relation kind")? {
-        RELATION_WHOLE => {
-            let index = SimilarityIndex::read_from(&mut dec).map_err(unwrap_core)?;
-            let stats = core_store::read_relation_stats(&mut dec)?;
-            dec.finish()?;
-            if index.len() != label_count {
-                return Err(StoreError::corrupt(format!(
-                    "relation {name:?} has {label_count} label(s) for {} series",
-                    index.len()
-                )));
-            }
-            if stats.cardinality != index.len() || stats.series_len != index.series_len() {
-                return Err(StoreError::corrupt(format!(
-                    "relation {name:?} stats describe {} series of length {}, \
-                     index holds {} of length {}",
-                    stats.cardinality,
-                    stats.series_len,
-                    index.len(),
-                    index.series_len()
-                )));
-            }
-            (Indexed::Whole(index), Some(stats))
-        }
-        RELATION_SHARDED => {
-            let by = match dec.u8("shard rule")? {
-                SHARD_BY_HASH => ShardBy::Hash,
-                SHARD_BY_RANGE => ShardBy::Range,
-                other => {
-                    return Err(StoreError::corrupt(format!(
-                        "relation {name:?} has unknown shard rule tag {other}"
-                    )))
-                }
-            };
-            let count = dec.seq(1, "shard count")?;
-            let boundary_count = dec.seq(1, "shard boundary count")?;
-            let mut boundaries = Vec::with_capacity(boundary_count);
-            for _ in 0..boundary_count {
-                boundaries.push(dec.str("shard boundary")?);
-            }
-            let spec = ShardSpec::from_parts(by, count, boundaries).map_err(unwrap_core)?;
-            let mut members = Vec::with_capacity(count);
-            for _ in 0..count {
-                let len = dec.seq(8, "shard member count")?;
-                let mut shard = Vec::with_capacity(len);
-                for _ in 0..len {
-                    shard.push(dec.usize("shard member id")?);
-                }
-                members.push(shard);
-            }
-            let map = ShardMap::from_members(spec, members).map_err(unwrap_core)?;
-            if map.total() != label_count {
-                return Err(StoreError::corrupt(format!(
-                    "relation {name:?} has {label_count} label(s) but its shard map \
-                     assigns {}",
-                    map.total()
-                )));
-            }
-            let mut parts = Vec::with_capacity(count);
-            for _ in 0..count {
-                parts.push(SimilarityIndex::read_from(&mut dec).map_err(unwrap_core)?);
-            }
-            dec.finish()?;
-            // from_parts re-validates membership against part sizes and
-            // recomputes per-shard planner statistics deterministically.
-            let sharded = ShardedIndex::from_parts(map, parts).map_err(unwrap_core)?;
-            (Indexed::Sharded(sharded), None)
-        }
+    let by = match dec.u8("shard rule")? {
+        SHARD_BY_HASH => ShardBy::Hash,
+        SHARD_BY_RANGE => ShardBy::Range,
         other => {
             return Err(StoreError::corrupt(format!(
-                "relation {name:?} has unknown kind tag {other}"
+                "relation {name:?} has unknown shard rule tag {other}"
             )))
         }
     };
+    let count = dec.seq(1, "shard count")?;
+    let boundary_count = dec.seq(1, "shard boundary count")?;
+    let mut boundaries = Vec::with_capacity(boundary_count);
+    for _ in 0..boundary_count {
+        boundaries.push(dec.str("shard boundary")?);
+    }
+    let spec = ShardSpec::from_parts(by, count, boundaries).map_err(unwrap_core)?;
+    let mut parts = Vec::with_capacity(count);
+    for _ in 0..count {
+        parts.push(SimilarityIndex::read_from(&mut dec).map_err(unwrap_core)?);
+    }
+    dec.finish()?;
+    // Membership is the rule applied to the labels; from_parts checks it
+    // against the part sizes (so a label count that disagrees with the
+    // stored series is caught here) and recomputes the per-shard planner
+    // statistics from the restored trees.
+    let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+    let map = ShardMap::build(spec, &label_refs);
+    let index = ShardedIndex::from_parts(map, parts).map_err(unwrap_core)?;
     let items = labels
         .into_iter()
         .enumerate()
-        .map(|(id, label)| {
-            let series = match &indexed {
-                Indexed::Whole(index) => index.series(id),
-                Indexed::Sharded(sharded) => sharded.series(id),
-            };
-            (label, series.expect("id < len").clone())
-        })
+        .map(|(id, label)| (label, index.series(id).expect("id < len").clone()))
         .collect();
     let relation = SeriesRelation::from_labeled(&name, items)
         .map_err(|e| StoreError::corrupt(format!("relation {name:?} cannot be rebuilt: {e}")))?;
-    Ok((name, relation, indexed, stats))
+    Ok((name, relation, index))
 }
 
 fn decode_cache_section(
     bytes: &[u8],
-    relations: &[(String, SeriesRelation, Indexed, Option<RelationStats>)],
-) -> Result<(String, usize, SubseqIndex), StoreError> {
+    relations: &[DecodedRelation],
+) -> Result<(String, usize, Vec<SubseqIndex>), StoreError> {
     let mut dec = Decoder::new(bytes);
     let name = dec.str("cached relation name")?;
     let window = dec.usize("cached window")?;
-    // Cached ST-indexes travel without their stored series (the
-    // trails-only form): the owning relation's series *are* the store, so
-    // hand them over instead of re-parsing a copy.
-    let Some((_, relation, _, _)) = relations.iter().find(|(n, _, _, _)| n == &name) else {
+    let Some((_, _, index)) = relations.iter().find(|(n, _, _)| n == &name) else {
         return Err(StoreError::corrupt(format!(
             "cached ST-index references unknown relation {name:?}"
         )));
     };
-    let index =
-        SubseqIndex::read_trails_from(&mut dec, relation.series().to_vec()).map_err(unwrap_core)?;
-    dec.finish()?;
-    if index.config().window != window {
-        return Err(StoreError::corrupt(format!(
-            "cached ST-index for window {window} was built for window {}",
-            index.config().window
-        )));
+    // Cached ST-indexes travel without their stored series (the
+    // trails-only form): the owning shard's series *are* the store, so
+    // hand them over instead of re-parsing a copy.
+    let mut parts = Vec::with_capacity(index.shard_count());
+    for shard in index.parts() {
+        let series = shard.entries().iter().map(|e| e.series.clone()).collect();
+        let part = SubseqIndex::read_trails_from(&mut dec, series).map_err(unwrap_core)?;
+        if part.config().window != window {
+            return Err(StoreError::corrupt(format!(
+                "cached ST-index for window {window} was built for window {}",
+                part.config().window
+            )));
+        }
+        parts.push(part);
     }
-    Ok((name, window, index))
+    dec.finish()?;
+    Ok((name, window, parts))
 }

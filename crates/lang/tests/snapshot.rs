@@ -82,6 +82,52 @@ fn save_open_save_is_byte_identical() {
     );
 }
 
+/// Restart at every shard count: the per-shard ST-indexes of a primed
+/// window travel with the snapshot (same cache keys, no rebuild on the
+/// other side, same answers), and `save → open → save` reproduces the
+/// file byte for byte for a one-shard and a three-shard catalog alike.
+#[test]
+fn primed_windows_survive_a_restart_at_every_shard_count() {
+    for shards in [1usize, 3] {
+        let mut cat = catalog();
+        cat.run_mut(&format!("SHARD walks INTO {shards} BY HASH"))
+            .unwrap();
+        let probes = [
+            "FIND SUBSEQUENCE OF walks.s5 IN walks WITHIN 40 WINDOW 32",
+            "FIND 3 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WINDOW 8",
+            "FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32",
+        ];
+        let want: Vec<_> = probes.iter().map(|q| cat.run(q).unwrap()).collect();
+        assert_eq!(cat.subseq_cache_len(), 3);
+
+        let path = temp_path(&format!("restart-{shards}.tsq"));
+        cat.save(&path).unwrap();
+        let mut reopened = Catalog::new();
+        reopened.open(&path).unwrap();
+        assert_eq!(
+            reopened.subseq_cache_keys(),
+            cat.subseq_cache_keys(),
+            "{shards} shard(s)"
+        );
+        // An EXPLAIN never builds: a cached plan proves the restored
+        // entry is what answers.
+        let explain = reopened
+            .run(&format!("EXPLAIN {}", probes[0]))
+            .unwrap()
+            .explain
+            .unwrap();
+        assert!(!explain.contains("cold"), "{explain}");
+        for (q, want) in probes.iter().zip(&want) {
+            assert_eq!(&reopened.run(q).unwrap(), want, "{shards} shard(s): {q}");
+        }
+        assert_eq!(
+            reopened.snapshot_bytes().unwrap(),
+            std::fs::read(&path).unwrap(),
+            "{shards} shard(s): save → open → save"
+        );
+    }
+}
+
 #[test]
 fn load_builds_a_fresh_catalog() {
     let cat = catalog();
@@ -280,6 +326,18 @@ fn corrupt_inputs_are_typed_errors() {
             got: 7,
             supported: tsq_store::FORMAT_VERSION
         }))
+    ));
+
+    // The previous format version: no reader for its layout exists, so
+    // it is refused on the version field, not decoded as the current one.
+    let mut bad = good.clone();
+    bad[8..12].copy_from_slice(&(tsq_store::FORMAT_VERSION - 1).to_le_bytes());
+    assert!(matches!(
+        Catalog::new().restore_bytes(&bad).unwrap_err(),
+        LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
+            got,
+            supported: tsq_store::FORMAT_VERSION
+        })) if got == tsq_store::FORMAT_VERSION - 1
     ));
 
     // Byte-swapped endianness marker.

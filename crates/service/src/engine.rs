@@ -49,7 +49,7 @@ pub struct QueryReply {
     /// [`QueryReply::shard_stats`].
     pub stats: ExecStats,
     /// Per-shard execution counters of a scatter-gather run, in shard
-    /// order — empty for unsharded relations and mutations.
+    /// order — empty for one-shard relations and mutations.
     pub shard_stats: Vec<ExecStats>,
 }
 

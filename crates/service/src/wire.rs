@@ -27,7 +27,7 @@
 //!          | 0x06 APPEND   reply-body (one row per appended label)
 //! reply-body := str(plan) counters
 //!               seq(counters)                   per-shard breakdown;
-//!                                               empty when unsharded
+//!                                               empty for one shard
 //!               seq(str(a) opt(str(b)) opt(u64(offset)) f64(distance))
 //! counters   := u64(candidates) u64(refined) u64(false_hits)
 //!               u64(nodes_visited) u64(disk_accesses)

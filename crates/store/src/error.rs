@@ -16,13 +16,13 @@ pub enum StoreError {
     Io(String),
     /// The file does not start with the snapshot magic bytes.
     BadMagic,
-    /// The file's format version is newer than this reader understands.
-    /// The policy is strict: version `n` readers open version `<= n` files
-    /// (today only version 1 exists), and never guess at future layouts.
+    /// The frame's format version is not the one this build reads. The
+    /// policy is strict: a build reads exactly the version it writes, and
+    /// never guesses at older or future layouts.
     UnsupportedVersion {
         /// Version recorded in the file.
         got: u32,
-        /// Newest version this build can read.
+        /// The version this build reads.
         supported: u32,
     },
     /// The endianness marker is byte-swapped: the file was produced by a
@@ -80,7 +80,7 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic => write!(f, "not a tsq snapshot (bad magic bytes)"),
             StoreError::UnsupportedVersion { got, supported } => write!(
                 f,
-                "unsupported snapshot format version {got} (this build reads <= {supported})"
+                "unsupported snapshot format version {got} (this build reads version {supported} only)"
             ),
             StoreError::WrongEndian => {
                 write!(f, "snapshot written with the wrong byte order (endianness marker mismatch)")

@@ -4,7 +4,7 @@
 //! offset  size  field
 //! ------  ----  ------------------------------------------------------
 //!      0     8  magic  "TSQSNAP\0"
-//!      8     4  format version (u32, little-endian) — currently 3
+//!      8     4  format version (u32, little-endian) — currently 4
 //!     12     4  endianness marker 0x01020304 (little-endian on disk:
 //!               bytes 04 03 02 01; a byte-swapped marker means the
 //!               writer used the wrong byte order)
@@ -32,9 +32,11 @@ use crate::error::{StoreError, StoreResult};
 /// The snapshot magic bytes.
 pub const MAGIC: &[u8; 8] = b"TSQSNAP\0";
 
-/// Newest format version this build writes and reads. Version 3 added
-/// the relation-kind byte (whole vs sharded) to catalog snapshots.
-pub const FORMAT_VERSION: u32 = 3;
+/// The one format version this build writes and reads: no reader for an
+/// older layout exists, so every other version is refused. Version 4
+/// gave catalog snapshots one relation-section layout (every relation is
+/// sharded, n >= 1) and per-shard ST-index cache sections.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Endianness sentinel; on disk as little-endian bytes `04 03 02 01`.
 const ENDIAN_MARKER: u32 = 0x0102_0304;
@@ -72,7 +74,7 @@ pub fn parse_header(header: &[u8]) -> StoreResult<u64> {
         return Err(StoreError::truncated("frame header"));
     }
     let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
-    if version == 0 || version > FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             got: version,
             supported: FORMAT_VERSION,
@@ -215,6 +217,23 @@ mod tests {
             unseal(&framed),
             Err(StoreError::UnsupportedVersion { .. })
         ));
+    }
+
+    #[test]
+    fn older_version_rejected() {
+        // A well-formed frame (checksum recomputed) that claims the
+        // previous version: no v3 reader exists, so the version field
+        // alone must refuse it — for files and wire frames alike.
+        let mut framed = seal(b"a v3 payload");
+        framed[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let at = framed.len() - TRAILER_LEN;
+        framed[at..].copy_from_slice(&chunked_crc32(b"a v3 payload").to_le_bytes());
+        let want = StoreError::UnsupportedVersion {
+            got: 3,
+            supported: FORMAT_VERSION,
+        };
+        assert_eq!(unseal(&framed).unwrap_err(), want);
+        assert_eq!(parse_header(&framed[..HEADER_LEN]).unwrap_err(), want);
     }
 
     #[test]

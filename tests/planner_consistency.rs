@@ -8,18 +8,24 @@
 //!    model picks, the *answer* never changes. Forced-index plans agree
 //!    too.
 //! 2. **Snapshot plan stability.** A `save → open` round trip restores
-//!    the persisted [`RelationStats`], so the restored catalog renders
-//!    byte-for-byte identical `EXPLAIN` output and picks the same plans.
+//!    the trees the [`RelationStats`] are derived from, so the restored
+//!    catalog renders byte-for-byte identical `EXPLAIN` output and picks
+//!    the same plans.
 //!
 //! Plus the `EXPLAIN ANALYZE` contract: the counters in the rendered text
-//! are exactly the [`tsq_lang::QueryOutput::stats`] of the run.
+//! are exactly the [`tsq_lang::QueryOutput::stats`] of the run — and the
+//! reference for the catalog's only execution path: a one-shard relation
+//! answers exactly like the planner and executor over a bare
+//! [`SimilarityIndex`], which never passes through `ShardedIndex`.
 
 use proptest::prelude::*;
+use tsq_core::plan::{render_analyze, render_plan};
 use tsq_core::{
     execute_plan, JoinHint, LinearTransform, LogicalPlan, PlanPreference, PlanRows, Planner,
-    QueryWindow, RelationStats, ScanMode, SeriesRelation, SimilarityIndex,
+    QueryWindow, RelationStats, ScanMode, SeriesRelation, SimilarityIndex, SubseqConfig,
+    SubseqIndex,
 };
-use tsq_lang::Catalog;
+use tsq_lang::{Catalog, Row};
 use tsq_series::generate::RandomWalkGenerator;
 use tsq_series::TimeSeries;
 
@@ -285,4 +291,227 @@ fn explain_analyze_counters_match_query_stats() {
     assert!(explained.rows.is_empty());
     assert_eq!(explained.stats, Default::default());
     assert!(!explained.explain.unwrap().contains("actual:"));
+}
+
+/// The reference that remains now that every catalog relation is a
+/// `ShardedIndex`: for every query form, a freshly registered (one-shard)
+/// relation answers `Catalog::run` — rows, counters, plan name and the
+/// `EXPLAIN [ANALYZE]` text — exactly like `Planner::plan` +
+/// `execute_plan` + `render_plan` / `render_analyze` over a bare
+/// `SimilarityIndex` built from the same series.
+#[test]
+fn one_shard_catalog_equals_the_bare_engine() {
+    let series = RandomWalkGenerator::new(1997).relation(70, 32);
+    let mut cat = Catalog::new();
+    cat.register(SeriesRelation::from_series("walks", series.clone()).unwrap())
+        .unwrap();
+    let idx = SimilarityIndex::build(Default::default(), series.clone()).unwrap();
+    let stats = RelationStats::from_index(&idx);
+    let st = SubseqIndex::build(SubseqConfig::new(8), series).unwrap();
+
+    let n = 32;
+    let q = |id: usize| idx.series(id).unwrap().clone();
+    let probe = TimeSeries::new(q(6).values()[4..12].to_vec());
+    let probe_text: Vec<String> = probe.values().iter().map(|v| format!("{v}")).collect();
+    let probe_text = probe_text.join(", ");
+    let range = |eps: f64, transform: LinearTransform, window: QueryWindow| LogicalPlan::Range {
+        relation: "walks".into(),
+        query: q(4),
+        eps,
+        transform,
+        window,
+    };
+    let join = |hint: Option<JoinHint>| LogicalPlan::Join {
+        relation: "walks".into(),
+        eps: 1.2,
+        transform: LinearTransform::moving_average(n, 4),
+        hint,
+    };
+    let auto = PlanPreference::Auto;
+    let cases: Vec<(String, LogicalPlan, PlanPreference)> = vec![
+        (
+            "FIND SIMILAR TO walks.s4 IN walks WITHIN 0.8".into(),
+            range(0.8, LinearTransform::identity(n), QueryWindow::default()),
+            auto,
+        ),
+        (
+            "FIND SIMILAR TO walks.s4 IN walks WITHIN 25".into(),
+            range(25.0, LinearTransform::identity(n), QueryWindow::default()),
+            auto,
+        ),
+        (
+            "FIND SIMILAR TO walks.s4 IN walks WITHIN 6 APPLY mavg(5)".into(),
+            range(
+                6.0,
+                LinearTransform::moving_average(n, 5),
+                QueryWindow::default(),
+            ),
+            auto,
+        ),
+        (
+            "FIND SIMILAR TO walks.s4 IN walks WITHIN 25 WHERE STD BETWEEN 0 AND 3".into(),
+            range(
+                25.0,
+                LinearTransform::identity(n),
+                QueryWindow {
+                    mean: None,
+                    std: Some((0.0, 3.0)),
+                },
+            ),
+            auto,
+        ),
+        (
+            "FIND SIMILAR TO walks.s4 IN walks WITHIN 0.8 WITH (force = scan)".into(),
+            range(0.8, LinearTransform::identity(n), QueryWindow::default()),
+            PlanPreference::ForceScan,
+        ),
+        (
+            "FIND SIMILAR TO walks.s4 IN walks WITHIN 25 WITH (force = index)".into(),
+            range(25.0, LinearTransform::identity(n), QueryWindow::default()),
+            PlanPreference::ForceIndex,
+        ),
+        (
+            "FIND 3 NEAREST TO walks.s5 IN walks".into(),
+            LogicalPlan::Knn {
+                relation: "walks".into(),
+                query: q(5),
+                k: 3,
+                transform: LinearTransform::identity(n),
+            },
+            auto,
+        ),
+        (
+            "FIND 9 NEAREST TO walks.s5 IN walks APPLY mavg(4) WITH (force = scan)".into(),
+            LogicalPlan::Knn {
+                relation: "walks".into(),
+                query: q(5),
+                k: 9,
+                transform: LinearTransform::moving_average(n, 4),
+            },
+            PlanPreference::ForceScan,
+        ),
+        (
+            "JOIN walks WITHIN 1.2 APPLY mavg(4)".into(),
+            join(None),
+            auto,
+        ),
+        (
+            "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = scan)".into(),
+            join(Some(JoinHint::Scan)),
+            auto,
+        ),
+        (
+            "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = scanfull)".into(),
+            join(Some(JoinHint::ScanFull)),
+            auto,
+        ),
+        (
+            "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = index)".into(),
+            join(Some(JoinHint::Index)),
+            auto,
+        ),
+        (
+            "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = tree)".into(),
+            join(Some(JoinHint::Tree)),
+            auto,
+        ),
+        (
+            format!("FIND SUBSEQUENCE OF [{probe_text}] IN walks WITHIN 4 WINDOW 8"),
+            LogicalPlan::SubseqRange {
+                relation: "walks".into(),
+                query: probe.clone(),
+                eps: 4.0,
+                window: 8,
+            },
+            auto,
+        ),
+        (
+            format!("FIND 5 NEAREST SUBSEQUENCE OF [{probe_text}] IN walks WINDOW 8"),
+            LogicalPlan::SubseqKnn {
+                relation: "walks".into(),
+                query: probe.clone(),
+                k: 5,
+                window: 8,
+            },
+            auto,
+        ),
+    ];
+
+    let label = |id: usize| format!("s{id}");
+    let labeled = |rows: PlanRows| -> Vec<Row> {
+        match rows {
+            PlanRows::Whole(ms) => ms
+                .into_iter()
+                .map(|m| Row {
+                    a: label(m.id),
+                    b: None,
+                    offset: None,
+                    distance: m.distance,
+                })
+                .collect(),
+            PlanRows::Pairs(ps) => ps
+                .into_iter()
+                .map(|p| Row {
+                    a: label(p.a),
+                    b: Some(label(p.b)),
+                    offset: None,
+                    distance: p.distance,
+                })
+                .collect(),
+            PlanRows::Windows(ws) => ws
+                .into_iter()
+                .map(|w| Row {
+                    a: label(w.series),
+                    b: None,
+                    offset: Some(w.offset),
+                    distance: w.distance,
+                })
+                .collect(),
+        }
+    };
+
+    for (text, logical, pref) in &cases {
+        let planner = Planner::new(&idx, &stats).with_preference(*pref);
+        // A cold subsequence EXPLAIN plans without an ST-index, on both
+        // sides; everything after the first run sees the cached one.
+        if logical.subseq_window().is_some() && cat.subseq_cache_len() == 0 {
+            let cold = planner.plan(logical, None).unwrap();
+            let got = cat.run(&format!("EXPLAIN {text}")).unwrap();
+            assert_eq!(got.explain.unwrap(), render_plan(logical, &cold, &stats));
+            assert_eq!(cat.subseq_cache_len(), 0, "EXPLAIN must not build");
+        }
+        let subseq = logical.subseq_window().map(|_| &st);
+        let choice = planner.plan(logical, subseq).unwrap();
+        let (rows, exec) = execute_plan(logical, &choice.plan, &idx, subseq).unwrap();
+        let mut explain = render_plan(logical, &choice, &stats);
+
+        let got = cat.run(text).unwrap();
+        assert_eq!(got.plan, choice.plan.op.name(), "{text}");
+        assert_eq!(got.stats, exec, "{text}");
+        assert_eq!(got.nodes_visited, exec.nodes_visited, "{text}");
+        assert!(got.shard_stats.is_empty(), "{text}");
+        assert_eq!(got.explain, None, "{text}");
+        let want_rows = labeled(rows);
+        assert_eq!(got.rows, want_rows, "{text}");
+
+        let planned = cat.run(&format!("EXPLAIN {text}")).unwrap();
+        assert_eq!(planned.explain.as_deref(), Some(explain.as_str()), "{text}");
+        assert_eq!(planned.plan, got.plan, "{text}");
+        assert_eq!(planned.stats, Default::default(), "{text}");
+
+        render_analyze(&mut explain, want_rows.len(), &exec);
+        let analyzed = cat.run(&format!("EXPLAIN ANALYZE {text}")).unwrap();
+        assert_eq!(
+            analyzed.explain.as_deref(),
+            Some(explain.as_str()),
+            "{text}"
+        );
+        assert_eq!(analyzed.plan, got.plan, "{text}");
+        assert_eq!(analyzed.stats, exec, "{text}");
+        assert!(
+            analyzed.rows.is_empty() && analyzed.shard_stats.is_empty(),
+            "{text}"
+        );
+    }
+    assert!(cat.shard_layout("walks").is_none());
 }

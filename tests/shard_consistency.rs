@@ -32,8 +32,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use tsq::core::plan::ExecStats;
-use tsq::core::SeriesRelation;
+use tsq::core::{IndexConfig, SeriesRelation};
 use tsq::lang::{AppendRow, Catalog, QueryOutput};
+use tsq::rtree::RTreeConfig;
 use tsq::series::generate::RandomWalkGenerator;
 use tsq::service::{Client, ServiceConfig};
 use tsq::{SharedCatalog, TimeSeries};
@@ -70,8 +71,9 @@ fn assert_sharded_matches(sharded: &QueryOutput, oracle: &QueryOutput, q: &str) 
 }
 
 /// Initial uniform data plus append rounds; every round appends the same
-/// point count to every series, so the relation stays uniform and every
-/// query form keeps answering between rounds.
+/// point count to every series (and introduces new, full-length ones), so
+/// the relation stays uniform and every query form keeps answering
+/// between rounds.
 type ShardScript = (Vec<Vec<f64>>, Vec<Vec<f64>>, usize, usize);
 
 fn shard_script() -> impl Strategy<Value = ShardScript> {
@@ -90,13 +92,39 @@ fn shard_script() -> impl Strategy<Value = ShardScript> {
     })
 }
 
+/// One round's `APPEND` statement: `round` appended to every series the
+/// relation holds, plus six labels it has never seen, each entering at
+/// the full post-round length so the relation stays uniform.
+fn round_rows(cat: &Catalog, round: &[f64], round_no: usize) -> Vec<AppendRow> {
+    let rel = cat.relation("w").unwrap();
+    let mut rows: Vec<AppendRow> = (0..rel.len())
+        .map(|id| AppendRow {
+            label: rel.label(id).unwrap().to_string(),
+            values: round.to_vec(),
+        })
+        .collect();
+    let mut grown = rel.get(0).unwrap().values().to_vec();
+    grown.extend_from_slice(round);
+    for (k, shift) in [0.5, -1.25, 2.0, -3.5, 4.75, -6.0].into_iter().enumerate() {
+        rows.push(AppendRow {
+            label: format!("n{round_no}_{k}"),
+            values: grown.iter().map(|v| v + shift).collect(),
+        });
+    }
+    rows
+}
+
 fn catalog_from(init: &[Vec<f64>]) -> Catalog {
+    catalog_with(IndexConfig::default(), init)
+}
+
+fn catalog_with(config: IndexConfig, init: &[Vec<f64>]) -> Catalog {
     let items: Vec<(String, TimeSeries)> = init
         .iter()
         .enumerate()
         .map(|(i, vals)| (format!("s{i}"), TimeSeries::new(vals.clone())))
         .collect();
-    let mut cat = Catalog::new();
+    let mut cat = Catalog::with_config(config);
     cat.register(SeriesRelation::from_labeled("w", items).unwrap())
         .unwrap();
     cat
@@ -125,16 +153,27 @@ proptest! {
         sharded.run(sub_q).unwrap();
         oracle.run(sub_q).unwrap();
 
-        for round in &rounds {
-            let count = sharded.relation("w").unwrap().len();
-            let rows: Vec<AppendRow> = (0..count)
-                .map(|i| AppendRow {
-                    label: format!("s{i}"),
-                    values: round.clone(),
-                })
-                .collect();
-            sharded.append("w", &rows).unwrap();
-            oracle.append("w", &rows).unwrap();
+        // One append path at every shard count: a catalog sharded first
+        // and appended to after must snapshot to the bytes of one that
+        // received the same appends first and was sharded after (hash
+        // sharding: the rule, unlike range boundaries, does not depend on
+        // when it is applied). Neither primes an ST-index, so the
+        // snapshots hold relation sections only; a fan-out of 4 gives
+        // even these small shards trees of several levels, where growing
+        // a tree entry by entry and packing it afresh part ways.
+        let small_nodes = IndexConfig {
+            rtree: RTreeConfig::with_max_entries(4),
+            ..IndexConfig::default()
+        };
+        let mut live = catalog_with(small_nodes, &init);
+        live.run_mut(&format!("SHARD w INTO {shards} BY HASH")).unwrap();
+        let mut late = catalog_with(small_nodes, &init);
+
+        for (round_no, round) in rounds.iter().enumerate() {
+            let rows = round_rows(&sharded, round, round_no);
+            for cat in [&mut sharded, &mut oracle, &mut live, &mut late] {
+                cat.append("w", &rows).unwrap();
+            }
 
             for q in oracle_queries() {
                 let got = sharded.run(&q).unwrap();
@@ -165,6 +204,14 @@ proptest! {
                 "{}", capped
             );
         }
+
+        late.run_mut(&format!("SHARD w INTO {shards} BY HASH")).unwrap();
+        // (Not `prop_assert_eq!`: a failure would print both snapshots.)
+        prop_assert!(
+            live.snapshot_bytes().unwrap() == late.snapshot_bytes().unwrap(),
+            "append-after-SHARD and SHARD-after-append diverge at {} shard(s)",
+            shards
+        );
     }
 }
 
