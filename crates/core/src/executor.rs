@@ -17,15 +17,12 @@
 //! - [`clamp_threads`] / [`default_threads`] — the one place a requested
 //!   worker count becomes an actual one.
 //! - [`CancelToken`] — cooperative cancellation for graceful shutdown.
-//! - [`SimilarityIndex::range_query_parallel`] (in [`crate::index`])
-//!   parallelizes *within* one query: the R\*-tree filter step fans out per
-//!   root subtree, the exact refine step per candidate.
 //!
-//! Every parallel path is deterministic: results are byte-identical to the
-//! sequential oracle regardless of thread count, which the concurrency
-//! test suite asserts.
-//!
-//! [`SimilarityIndex::range_query_parallel`]: crate::index::SimilarityIndex::range_query_parallel
+//! Two things fan out over it at query time — the statements of a batch,
+//! and the shards of one statement ([`crate::shard`]); inside one shard a
+//! query's filter and refine steps run sequentially. Every parallel path
+//! is deterministic: results are byte-identical to the sequential oracle
+//! regardless of thread count, which the concurrency test suite asserts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

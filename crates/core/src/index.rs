@@ -276,10 +276,11 @@ impl SimilarityIndex {
         Ok(())
     }
 
-    /// Appends one new series through the canonical repack path (the
-    /// `APPEND`-verb analogue of [`SimilarityIndex::insert`]): the result
-    /// is byte-identical to a fresh build over the final data, where
-    /// `insert` grows the existing tree in place.
+    /// Appends one new series through the canonical repack path: the
+    /// result is byte-identical to a fresh build over the final data. The
+    /// new series may differ in length from the others (the relation is
+    /// then ragged and whole-series queries are gated until appends even
+    /// the lengths out).
     ///
     /// # Errors
     /// [`Error::Unsupported`] when paged storage is attached,
@@ -318,35 +319,6 @@ impl SimilarityIndex {
         (self.min_len, self.series_len) = len_bounds(&self.store);
         self.repack_tree();
         Ok(ids)
-    }
-
-    /// Appends one series, returning its id. The new series may differ in
-    /// length from the others (the relation is then ragged and whole-series
-    /// queries are gated until appends even the lengths out).
-    ///
-    /// # Errors
-    /// [`Error::InvalidCutoff`] if the schema does not fit the new series,
-    /// [`Error::Unsupported`] when paged storage is attached (the page
-    /// file is immutable).
-    pub fn insert(&mut self, series: TimeSeries) -> Result<usize> {
-        if self.paged.is_some() {
-            return Err(Error::Unsupported(
-                "insert into a relation with paged storage attached".to_string(),
-            ));
-        }
-        let mut planner = FftPlanner::new();
-        let features = Features::extract(&series, self.config.schema, &mut planner)?;
-        let coords = self.config.space.point(&features, self.config.schema);
-        let id = self.store.len();
-        self.min_len = if id == 0 {
-            series.len()
-        } else {
-            self.min_len.min(series.len())
-        };
-        self.series_len = self.series_len.max(series.len());
-        self.tree.insert(Rect::from_point(&coords), id);
-        self.store.push(StoredSeries { series, features });
-        Ok(id)
     }
 
     /// Number of stored series.
@@ -427,8 +399,8 @@ impl SimilarityIndex {
     /// Every subsequent traversal fetches nodes through the pool, so
     /// query statistics carry measured `pool_hits`/`pool_misses`.
     ///
-    /// The relation becomes append-proof ([`SimilarityIndex::insert`] is
-    /// rejected); snapshots still work — [`SimilarityIndex::write_to`]
+    /// The relation becomes append-proof ([`SimilarityIndex::push_series`]
+    /// is rejected); snapshots still work — [`SimilarityIndex::write_to`]
     /// reconstructs the node structure from the page file byte-identically
     /// to the in-memory form.
     ///
@@ -584,21 +556,95 @@ impl SimilarityIndex {
         })
     }
 
-    /// Extracts query features for a query series, validating its length
-    /// against the transformation's warp factor: a warp-by-`m` query must
-    /// be `m` times as long as the indexed series (Example 1.2: daily
-    /// query series vs. every-other-day data).
-    pub fn query_features(&self, q: &TimeSeries, t: &LinearTransform) -> Result<Features> {
+    /// **Algorithm 2, step 1** — validation, in the one order every entry
+    /// point reports (direct calls, the planner, the plan executor, a
+    /// sharded relation, the catalog): a ragged relation, then the
+    /// threshold, then the transformation (a time warp under a self-join,
+    /// arity, safety for the coordinate space), then the query length. A
+    /// warp-by-`m` query must be `m` times as long as the indexed series
+    /// (Example 1.2: daily query series vs. every-other-day data).
+    ///
+    /// `eps` is `None` for k-NN forms, which have no threshold;
+    /// `query_len` is `None` for a self-join, which has no query.
+    pub(crate) fn validate(
+        &self,
+        eps: Option<f64>,
+        t: &LinearTransform,
+        query_len: Option<usize>,
+    ) -> Result<()> {
         self.check_uniform()?;
-        let expected = self.series_len * t.warp();
-        if q.len() != expected {
-            return Err(Error::LengthMismatch {
-                expected,
-                got: q.len(),
-            });
+        if let Some(eps) = eps {
+            Error::check_threshold(eps)?;
         }
-        let mut planner = FftPlanner::new();
-        Features::extract(q, self.config.schema, &mut planner)
+        if query_len.is_none() && t.warp() > 1 {
+            // A self-join between different-length representations is
+            // undefined.
+            return Err(Error::Unsupported("self-join under time warp".to_string()));
+        }
+        // An empty relation has no length to fit and no rectangle a
+        // transformation could be unsafe for (the safety check reads the
+        // indexed multipliers, which only a fitting arity guarantees).
+        if !self.store.is_empty() {
+            if t.n() != self.series_len {
+                return Err(Error::TransformArity {
+                    expected: self.series_len,
+                    got: t.n(),
+                });
+            }
+            self.config.space.check_safety(t, self.config.schema)?;
+        }
+        match query_len {
+            Some(got) if got != self.series_len * t.warp() => Err(Error::LengthMismatch {
+                expected: self.series_len * t.warp(),
+                got,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Binds a query series: [`SimilarityIndex::validate`], then the
+    /// query's features (its one FFT).
+    pub(crate) fn bind_query(
+        &self,
+        q: &TimeSeries,
+        eps: Option<f64>,
+        t: &LinearTransform,
+    ) -> Result<Features> {
+        self.validate(eps, t, Some(q.len()))?;
+        Features::extract(q, self.config.schema, &mut FftPlanner::new())
+    }
+
+    /// Binds a range query: the query's features and the Figure-7 search
+    /// rectangle around them.
+    pub(crate) fn bind_range(
+        &self,
+        q: &TimeSeries,
+        eps: f64,
+        t: &LinearTransform,
+        window: &QueryWindow,
+    ) -> Result<(Features, Rect)> {
+        let qf = self.bind_query(q, Some(eps), t)?;
+        let qrect = self.probe_rect(&qf, eps, window);
+        Ok((qf, qrect))
+    }
+
+    /// The search rectangle around a feature point for a checked
+    /// threshold — built here and nowhere else, for a bound range query
+    /// and for every per-series probe of an index join.
+    fn probe_rect(&self, qf: &Features, eps: f64, window: &QueryWindow) -> Rect {
+        self.config
+            .space
+            .search_rect(qf, self.config.schema, eps, window)
+    }
+
+    /// Extracts the features of a query series posed under `t`, validated
+    /// as a query would be (relation, transformation, length).
+    ///
+    /// # Errors
+    /// Everything [`SimilarityIndex::range_query`] rejects short of the
+    /// threshold.
+    pub fn query_features(&self, q: &TimeSeries, t: &LinearTransform) -> Result<Features> {
+        self.bind_query(q, None, t)
     }
 
     /// **Algorithm 2** — range query with a transformation: find all stored
@@ -610,8 +656,9 @@ impl SimilarityIndex {
     /// traversal (same node accesses as an ordinary query, per Figure 8).
     ///
     /// # Errors
-    /// Unsafe transformations ([`Error::UnsafeTransform`]) and length
-    /// mismatches are rejected.
+    /// A ragged relation, a bad threshold, a transformation of the wrong
+    /// arity or unsafe for the space ([`Error::UnsafeTransform`]) and a
+    /// query of the wrong length are rejected, in that order.
     pub fn range_query(
         &self,
         q: &TimeSeries,
@@ -619,12 +666,15 @@ impl SimilarityIndex {
         t: &LinearTransform,
         window: &QueryWindow,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let qf = self.query_features(q, t)?;
-        self.range_query_features(&qf, eps, t, window)
+        let (qf, qrect) = self.bind_range(q, eps, t, window)?;
+        self.range_bound(&qf, &qrect, eps, t, false)
     }
 
-    /// Range query against precomputed query features (used by joins,
-    /// where the query point is a transformed stored series).
+    /// Range query against precomputed query features (the figure
+    /// runners time the query without its FFT).
+    ///
+    /// # Errors
+    /// Same failure modes as [`SimilarityIndex::range_query`].
     pub fn range_query_features(
         &self,
         qf: &Features,
@@ -632,7 +682,8 @@ impl SimilarityIndex {
         t: &LinearTransform,
         window: &QueryWindow,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        self.range_query_features_opts(qf, eps, t, window, false, 1)
+        self.validate(Some(eps), t, Some(qf.spectrum.len()))?;
+        self.range_bound(qf, &self.probe_rect(qf, eps, window), eps, t, false)
     }
 
     /// Range query that *always* exercises the transformed traversal, even
@@ -647,91 +698,45 @@ impl SimilarityIndex {
         t: &LinearTransform,
         window: &QueryWindow,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let qf = self.query_features(q, t)?;
-        self.range_query_features_opts(&qf, eps, t, window, true, 1)
+        let (qf, qrect) = self.bind_range(q, eps, t, window)?;
+        self.range_bound(&qf, &qrect, eps, t, true)
     }
 
-    /// [`SimilarityIndex::range_query`] with both phases parallelized
-    /// *within* the query: the R\*-tree filter step fans out per root
-    /// subtree ([`tsq_rtree::RStarTree::search_with_parallel`]) and the
-    /// exact refine step per candidate. Answers and stats totals are
-    /// byte-identical to the sequential path for every thread count —
-    /// both run the same pipeline below, only the worker count differs.
-    ///
-    /// # Errors
-    /// Same failure modes as [`SimilarityIndex::range_query`].
-    pub fn range_query_parallel(
-        &self,
-        q: &TimeSeries,
-        eps: f64,
-        t: &LinearTransform,
-        window: &QueryWindow,
-        threads: usize,
-    ) -> Result<(Vec<Match>, QueryStats)> {
-        let qf = self.query_features(q, t)?;
-        self.range_query_features_opts(&qf, eps, t, window, false, threads)
-    }
-
-    /// The single range-query pipeline behind every public range form:
-    /// filter (tree traversal, fanned per root subtree when `threads > 1`)
-    /// then refine (exact distances, fanned per candidate). `threads = 1`
-    /// runs strictly sequentially — the parallel primitives spawn nothing
-    /// in that case.
-    fn range_query_features_opts(
+    /// Algorithm 2, steps 2–3, for a bound range query: filter (the
+    /// transformed traversal against the search rectangle) then refine
+    /// (exact distances on full records).
+    pub(crate) fn range_bound(
         &self,
         qf: &Features,
+        qrect: &Rect,
         eps: f64,
         t: &LinearTransform,
-        window: &QueryWindow,
         force_transform: bool,
-        threads: usize,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        Error::check_threshold(eps)?;
-        self.check_transform(t)?;
-        let schema = self.config.schema;
-        let space = self.config.space;
-        let qrect = space.search_rect(qf, schema, eps, window);
-        // 2. Search: transform every MBR on the fly; collect candidates.
-        // The identity fast path skips the per-rectangle transformation.
-        let (ids, index_stats) = if threads <= 1 || self.paged.is_some() {
-            // Sequential: the one filter implementation, shared with the
-            // per-series probes of an index join. Paged storage always
-            // takes this path — node fetches serialize through the buffer
-            // pool, and the answer is identical either way.
-            self.filter_rect(&qrect, t, force_transform)?
-        } else {
-            let identity = !force_transform && t.is_identity(1e-12);
-            let intersects = |r: &Rect| r.intersects(&qrect);
-            let transformed = |r: &Rect| space.transformed_intersects(r, t, schema, &qrect);
-            let (candidates, stats) = if identity {
-                self.tree.search_with_parallel(intersects, threads)
-            } else {
-                self.tree.search_with_parallel(transformed, threads)
-            };
-            (candidates.into_iter().copied().collect(), stats)
-        };
-        // 3. Post-processing: exact distance on full records.
+        let (ids, index) = self.filter_rect(qrect, t, force_transform)?;
         let mut stats = QueryStats {
-            index: index_stats,
+            index,
             candidates: ids.len(),
             exact_checks: ids.len(),
             ..QueryStats::default()
         };
-        let refined = crate::executor::parallel_map(threads, ids, |id| {
-            self.exact_distance_bounded(id, t, qf, eps)
-                .map(|distance| Match { id, distance })
-        });
-        let mut matches: Vec<Match> = refined.into_iter().flatten().collect();
+        let mut matches: Vec<Match> = ids
+            .into_iter()
+            .filter_map(|id| {
+                self.exact_distance_bounded(id, t, qf, eps)
+                    .map(|distance| Match { id, distance })
+            })
+            .collect();
         stats.false_hits = stats.exact_checks - matches.len();
         matches.sort_by_key(|m| m.id);
         Ok((matches, stats))
     }
 
     /// The index-level *filter* step of Algorithm 2 on its own: candidate
-    /// ids (in traversal order) for a range query around precomputed query
-    /// features, without the refine phase. Shared by the join strategies,
-    /// whose refine path ([`crate::queries`]) batches exact checks per
-    /// probe. The caller is responsible for validation.
+    /// ids (in traversal order) for a range probe around precomputed
+    /// features, without the refine phase. The join strategies run one
+    /// per series and batch the exact checks per probe
+    /// ([`crate::queries`]); the caller has validated `eps` and `t`.
     pub(crate) fn filter_candidates(
         &self,
         qf: &Features,
@@ -739,16 +744,11 @@ impl SimilarityIndex {
         t: &LinearTransform,
         window: &QueryWindow,
     ) -> Result<(Vec<usize>, SearchStats)> {
-        let qrect = self
-            .config
-            .space
-            .search_rect(qf, self.config.schema, eps, window);
-        self.filter_rect(&qrect, t, false)
+        self.filter_rect(&self.probe_rect(qf, eps, window), t, false)
     }
 
-    /// Sequential candidate traversal against a prebuilt search
-    /// rectangle — the single filter implementation behind
-    /// [`SimilarityIndex::range_query`]'s sequential path and the join
+    /// Candidate traversal against a prebuilt search rectangle — the
+    /// single filter implementation behind every range form and the join
     /// probes. `force_transform` exercises the transformed traversal even
     /// for the identity (the Figure-8/9 overhead experiment). In paged
     /// mode the traversal pins pages in the buffer pool and can fail on
@@ -801,22 +801,32 @@ impl SimilarityIndex {
     /// MBR lower bounds (the RKV95 scheme generalized per Section 4).
     ///
     /// # Errors
-    /// Same failure modes as [`SimilarityIndex::range_query`].
+    /// Same failure modes as [`SimilarityIndex::range_query`], the
+    /// threshold aside.
     pub fn knn_query(
         &self,
         q: &TimeSeries,
         k: usize,
         t: &LinearTransform,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let qf = self.query_features(q, t)?;
-        self.check_transform(t)?;
+        let qf = self.bind_query(q, None, t)?;
+        self.knn_bound(&qf, k, t)
+    }
+
+    /// Best-first search for a bound k-NN query.
+    pub(crate) fn knn_bound(
+        &self,
+        qf: &Features,
+        k: usize,
+        t: &LinearTransform,
+    ) -> Result<(Vec<Match>, QueryStats)> {
         match &self.paged {
-            Some(paged) => self.knn_in(&**paged, k, t, &qf),
-            None => self.knn_in(&self.tree, k, t, &qf),
+            Some(paged) => self.knn_in(&**paged, k, t, qf),
+            None => self.knn_in(&self.tree, k, t, qf),
         }
     }
 
-    /// [`SimilarityIndex::knn_query`] over whichever node store holds the
+    /// [`SimilarityIndex::knn_bound`] over whichever node store holds the
     /// relation's tree.
     fn knn_in<S>(
         &self,
@@ -860,19 +870,6 @@ impl SimilarityIndex {
             exact_checks,
         };
         Ok((matches, stats))
-    }
-
-    /// Validates a transformation against the index (uniformity + safety +
-    /// arity).
-    pub fn check_transform(&self, t: &LinearTransform) -> Result<()> {
-        self.check_uniform()?;
-        if !self.store.is_empty() && t.n() != self.series_len {
-            return Err(Error::TransformArity {
-                expected: self.series_len,
-                got: t.n(),
-            });
-        }
-        self.config.space.check_safety(t, self.config.schema)
     }
 
     /// Exact distance `D(T(o_id), q)`, or `None` if it exceeds `eps`
@@ -1145,7 +1142,7 @@ mod tests {
         let rel = small_relation(20, 32, 9);
         let mut idx = build_default(rel.clone());
         let extra = RandomWalkGenerator::new(99).series(32);
-        let id = idx.insert(extra.clone()).unwrap();
+        let id = idx.push_series(extra.clone()).unwrap();
         assert_eq!(id, 20);
         let t = LinearTransform::identity(32);
         let (matches, _) = idx
@@ -1156,11 +1153,11 @@ mod tests {
         // still rejected; a merely different length is now allowed (the
         // relation becomes ragged until appends even it out).
         assert!(matches!(
-            idx.insert(TimeSeries::new(vec![0.0, 1.0])),
+            idx.push_series(TimeSeries::new(vec![0.0, 1.0])),
             Err(Error::InvalidCutoff { .. })
         ));
         let short = RandomWalkGenerator::new(100).series(16);
-        idx.insert(short).unwrap();
+        idx.push_series(short).unwrap();
         assert!(matches!(idx.check_uniform(), Err(Error::Ragged { .. })));
     }
 
@@ -1219,42 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_range_query_identical_to_sequential() {
-        let rel = small_relation(300, 32, 13);
-        let idx = build_default(rel.clone());
-        for t in [
-            LinearTransform::identity(32),
-            LinearTransform::moving_average(32, 4),
-        ] {
-            for eps in [0.0, 0.8, 5.0] {
-                let (seq, seq_stats) = idx
-                    .range_query(&rel[9], eps, &t, &QueryWindow::default())
-                    .unwrap();
-                for threads in [1usize, 2, 4] {
-                    let (par, par_stats) = idx
-                        .range_query_parallel(&rel[9], eps, &t, &QueryWindow::default(), threads)
-                        .unwrap();
-                    assert_eq!(par, seq, "{} eps={eps} threads={threads}", t.name());
-                    assert_eq!(par_stats.index, seq_stats.index);
-                    assert_eq!(par_stats.candidates, seq_stats.candidates);
-                    assert_eq!(par_stats.false_hits, seq_stats.false_hits);
-                }
-            }
-        }
-        // Validation still applies on the parallel path.
-        assert!(matches!(
-            idx.range_query_parallel(
-                &rel[0],
-                f64::NAN,
-                &LinearTransform::identity(32),
-                &QueryWindow::default(),
-                2
-            ),
-            Err(Error::NonFinite { .. })
-        ));
-    }
-
-    #[test]
     fn snapshot_round_trip_preserves_answers_and_stats() {
         let rel = small_relation(150, 64, 14);
         let idx = build_default(rel.clone());
@@ -1308,7 +1269,7 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut restored = SimilarityIndex::read_from(&mut Decoder::new(&bytes)).unwrap();
         let extra = RandomWalkGenerator::new(123).series(32);
-        let id = restored.insert(extra.clone()).unwrap();
+        let id = restored.push_series(extra.clone()).unwrap();
         assert_eq!(id, 30);
         let t = LinearTransform::identity(32);
         let (m, _) = restored

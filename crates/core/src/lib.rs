@@ -27,6 +27,12 @@
 //!    support transformations; sequential-scan baselines ([`scan`]) and the
 //!    cost-bounded Equation-10 dissimilarity ([`cost`]) complete the
 //!    paper's toolbox.
+//! 5. Every statement is *bound* once before anything runs ([`plan`]):
+//!    Algorithm 2's preprocessing — validation in one fixed order (ragged
+//!    relation, threshold, transformation, query length), the query's
+//!    FFT, the search rectangle — happens there and nowhere else, for the
+//!    direct [`SimilarityIndex`] calls, the planner, the plan executor
+//!    and every shard of a [`ShardedIndex`] alike.
 //!
 //! ## Subsequence queries
 //!
@@ -48,12 +54,12 @@
 //!
 //! The [`executor`] module holds the shared fan-out primitive
 //! ([`executor::parallel_map`], over the persistent work-stealing pool):
-//! [`SimilarityIndex::range_query_parallel`]
-//! parallelizes the filter and refine phases *within* one query, and the
-//! heavy build paths — STR bulk loading and sliding-DFT trail extraction
-//! ([`SubseqIndex::build_parallel`]) — partition their input across
-//! threads. Every parallel path returns results byte-identical to its
-//! sequential oracle regardless of thread count.
+//! a sharded relation scatters one statement over its shards
+//! ([`ShardedIndex::execute`]), batches of statements fan out one layer
+//! up, and the heavy build paths — STR bulk loading and sliding-DFT
+//! trail extraction ([`SubseqIndex::build_parallel`]) — partition their
+//! input across threads. Every parallel path returns results
+//! byte-identical to its sequential oracle regardless of thread count.
 //!
 //! ## Persistence
 //!

@@ -1,5 +1,6 @@
 //! Cost-based query planning: logical plans, physical operator choice,
-//! and the single plan executor every query runs through.
+//! the one bind step, and the single plan executor every query runs
+//! through.
 //!
 //! The paper frames every similarity query as a choice among access
 //! paths — sequential scan, early-abandoning scan, index
@@ -10,11 +11,18 @@
 //! 1. A [`LogicalPlan`] states *what* the query asks (resolved query
 //!    series, threshold or `k`, composed transformation, filter window),
 //!    independent of how it will run.
-//! 2. A [`Planner`] costs every admissible [`PhysicalOp`] for that logical
-//!    plan from catalog statistics ([`RelationStats`]) and picks the
+//! 2. The statement is *bound* to its relation — Algorithm 2's
+//!    preprocessing step, once per statement: validation in the one order
+//!    every layer reports (ragged relation, then threshold, then
+//!    transformation — a warp under a self-join, arity, safety — then
+//!    query length), the query's FFT, and the Figure-7 search rectangle.
+//!    Planning and execution consume the bound statement and validate
+//!    nothing themselves; a sharded relation binds once for all shards.
+//! 3. A [`Planner`] costs every admissible [`PhysicalOp`] for the bound
+//!    statement from catalog statistics ([`RelationStats`]) and picks the
 //!    cheapest, unless a `WITH (force = ...)` hint or a [`PlanPreference`] override
 //!    forces one.
-//! 3. [`execute_plan`] runs the chosen [`PhysicalPlan`] — the one dispatch
+//! 4. [`execute_plan`] runs the chosen [`PhysicalPlan`] — the one dispatch
 //!    point between the language and the engine — and reports full
 //!    [`ExecStats`] (candidates, refines, node visits, simulated disk
 //!    accesses).
@@ -50,6 +58,7 @@ use tsq_rtree::{LevelStats, RStarTree, Rect};
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
+use crate::features::Features;
 use crate::index::{Match, SimilarityIndex};
 use crate::queries::JoinPair;
 use crate::scan::ScanMode;
@@ -155,16 +164,148 @@ impl LogicalPlan {
             _ => None,
         }
     }
+}
+
+/// A statement bound to a relation — the output of Algorithm 2's
+/// preprocessing step: the checked threshold or `k`, the checked
+/// transformation, and for forms with a query series its features and
+/// search rectangle. Binding is the one place a statement is validated
+/// ([`SimilarityIndex::validate`] fixes the order) and the one place its
+/// query is transformed to the frequency domain; the planner and the plan
+/// executor only consume the result, so a sharded relation binds once and
+/// hands the same `Bound` to every shard.
+#[derive(Debug, Clone)]
+pub(crate) enum Bound<'a> {
+    /// A bound range query.
+    Range {
+        /// The query's features.
+        query: Features,
+        /// The Figure-7 search rectangle around them.
+        rect: Rect,
+        eps: f64,
+        transform: &'a LinearTransform,
+        window: &'a QueryWindow,
+    },
+    /// A bound k-NN query.
+    Knn {
+        /// The query's features.
+        query: Features,
+        k: usize,
+        transform: &'a LinearTransform,
+    },
+    /// A bound self-join.
+    Join {
+        eps: f64,
+        transform: &'a LinearTransform,
+        hint: Option<JoinHint>,
+    },
+    /// A bound subsequence range query.
+    SubseqRange {
+        query: &'a TimeSeries,
+        eps: f64,
+        window: usize,
+    },
+    /// A bound k-nearest-subsequence query.
+    SubseqKnn {
+        query: &'a TimeSeries,
+        k: usize,
+        window: usize,
+    },
+}
+
+impl<'a> Bound<'a> {
+    /// Binds `logical` to the relation `index` stands for: the index
+    /// itself, or any non-empty shard of a uniform sharded relation (shards
+    /// share one configuration and one series length).
+    ///
+    /// # Errors
+    /// Every validation failure of the statement, in the one order:
+    /// ragged relation, threshold, transformation, query length.
+    pub(crate) fn new(logical: &'a LogicalPlan, index: &SimilarityIndex) -> Result<Self> {
+        match logical {
+            LogicalPlan::Range {
+                query,
+                eps,
+                transform,
+                window,
+                ..
+            } => {
+                let (query, rect) = index.bind_range(query, *eps, transform, window)?;
+                Ok(Bound::Range {
+                    query,
+                    rect,
+                    eps: *eps,
+                    transform,
+                    window,
+                })
+            }
+            LogicalPlan::Knn {
+                query,
+                k,
+                transform,
+                ..
+            } => Ok(Bound::Knn {
+                query: index.bind_query(query, None, transform)?,
+                k: *k,
+                transform,
+            }),
+            LogicalPlan::Join {
+                eps,
+                transform,
+                hint,
+                ..
+            } => {
+                index.validate(Some(*eps), transform, None)?;
+                Ok(Bound::Join {
+                    eps: *eps,
+                    transform,
+                    hint: *hint,
+                })
+            }
+            LogicalPlan::SubseqRange {
+                query, eps, window, ..
+            } => {
+                Error::check_threshold(*eps)?;
+                check_window(query, *window)?;
+                Ok(Bound::SubseqRange {
+                    query,
+                    eps: *eps,
+                    window: *window,
+                })
+            }
+            LogicalPlan::SubseqKnn {
+                query, k, window, ..
+            } => {
+                check_window(query, *window)?;
+                Ok(Bound::SubseqKnn {
+                    query,
+                    k: *k,
+                    window: *window,
+                })
+            }
+        }
+    }
 
     fn label(&self) -> &'static str {
         match self {
-            LogicalPlan::Range { .. } => "Range",
-            LogicalPlan::Knn { .. } => "Knn",
-            LogicalPlan::Join { .. } => "Join",
-            LogicalPlan::SubseqRange { .. } => "SubseqRange",
-            LogicalPlan::SubseqKnn { .. } => "SubseqKnn",
+            Bound::Range { .. } => "Range",
+            Bound::Knn { .. } => "Knn",
+            Bound::Join { .. } => "Join",
+            Bound::SubseqRange { .. } => "SubseqRange",
+            Bound::SubseqKnn { .. } => "SubseqKnn",
         }
     }
+}
+
+/// A subsequence query must be exactly one window long.
+fn check_window(query: &TimeSeries, window: usize) -> Result<()> {
+    if query.len() != window {
+        return Err(Error::LengthMismatch {
+            expected: window,
+            got: query.len(),
+        });
+    }
+    Ok(())
 }
 
 /// Methods a join query may force (Table 1's methods).
@@ -324,7 +465,8 @@ pub enum ForceOp {
 pub struct QueryOptions {
     /// Pin the access path instead of costing alternatives.
     pub force: Option<ForceOp>,
-    /// Worker threads for batch fan-out and intra-query parallel phases
+    /// Worker threads: how many statements of a batch, and how many
+    /// shards of one statement (the scatter width), run at once
     /// (`0`/`None` = the executor's hardware default).
     pub threads: Option<usize>,
     /// Cap on concurrently probed shards of a sharded relation (ignored
@@ -529,35 +671,32 @@ impl<'a> Planner<'a> {
     /// planning never builds one (EXPLAIN must not execute anything).
     ///
     /// # Errors
-    /// The same validation failures execution would report: length
-    /// mismatches, unsafe transformations, non-finite thresholds.
+    /// The same validation failures execution would report, in the same
+    /// order: the statement is bound first, exactly as [`execute_plan`]
+    /// binds it.
     pub fn plan(&self, logical: &LogicalPlan, subseq: Option<&SubseqIndex>) -> Result<PlanChoice> {
-        match logical {
-            LogicalPlan::Range {
-                query,
-                eps,
-                transform,
-                window,
-                ..
-            } => self.plan_range(query, *eps, transform, window),
-            LogicalPlan::Knn {
-                query,
-                k,
+        Ok(self.plan_bound(&Bound::new(logical, self.index)?, subseq))
+    }
+
+    /// Costs the operators of a bound statement. Infallible: everything
+    /// that can be wrong with a statement was found when it was bound.
+    pub(crate) fn plan_bound(&self, bound: &Bound<'_>, subseq: Option<&SubseqIndex>) -> PlanChoice {
+        match *bound {
+            Bound::Range {
+                ref rect,
                 transform,
                 ..
-            } => self.plan_knn(query, *k, transform),
-            LogicalPlan::Join {
+            } => self.plan_range(rect, transform),
+            Bound::Knn { k, transform, .. } => self.plan_knn(k, transform),
+            Bound::Join {
                 eps,
                 transform,
                 hint,
-                ..
-            } => self.plan_join(*eps, transform, *hint),
-            LogicalPlan::SubseqRange {
-                query, eps, window, ..
-            } => self.plan_subseq(query, Some(*eps), None, *window, subseq),
-            LogicalPlan::SubseqKnn {
-                query, k, window, ..
-            } => self.plan_subseq(query, None, Some(*k), *window, subseq),
+            } => self.plan_join(eps, transform, hint),
+            Bound::SubseqRange { eps, window, .. } => {
+                self.plan_subseq(Some(eps), None, window, subseq)
+            }
+            Bound::SubseqKnn { k, window, .. } => self.plan_subseq(None, Some(k), window, subseq),
         }
     }
 
@@ -603,19 +742,8 @@ impl<'a> Planner<'a> {
         }
     }
 
-    fn plan_range(
-        &self,
-        query: &TimeSeries,
-        eps: f64,
-        t: &LinearTransform,
-        window: &QueryWindow,
-    ) -> Result<PlanChoice> {
-        Error::check_threshold(eps)?;
-        self.index.check_transform(t)?;
-        let qf = self.index.query_features(query, t)?;
-        let config = self.index.config();
-        let qrect = config.space.search_rect(&qf, config.schema, eps, window);
-        let sides = rect_sides(&qrect);
+    fn plan_range(&self, qrect: &Rect, t: &LinearTransform) -> PlanChoice {
+        let sides = rect_sides(qrect);
         let transformed = !t.is_identity(1e-12);
         let index_est = self.index_range_estimate(&sides, t);
         let ea_est = self.scan_estimate(ScanMode::EarlyAbandon, transformed);
@@ -636,20 +764,17 @@ impl<'a> Planner<'a> {
                 }
             }
         };
-        Ok(PlanChoice {
+        PlanChoice {
             plan: PhysicalPlan {
                 op,
                 estimate,
                 forced,
             },
             considered,
-        })
+        }
     }
 
-    fn plan_knn(&self, query: &TimeSeries, k: usize, t: &LinearTransform) -> Result<PlanChoice> {
-        self.index.check_transform(t)?;
-        // Validate the query length exactly as execution will.
-        let _ = self.index.query_features(query, t)?;
+    fn plan_knn(&self, k: usize, t: &LinearTransform) -> PlanChoice {
         let n = self.stats.cardinality;
         let transformed = !t.is_identity(1e-12);
         // Equivalent-radius heuristic: the rectangle enclosing the k
@@ -690,26 +815,17 @@ impl<'a> Planner<'a> {
                 }
             }
         };
-        Ok(PlanChoice {
+        PlanChoice {
             plan: PhysicalPlan {
                 op,
                 estimate,
                 forced,
             },
             considered,
-        })
+        }
     }
 
-    fn plan_join(
-        &self,
-        eps: f64,
-        t: &LinearTransform,
-        hint: Option<JoinHint>,
-    ) -> Result<PlanChoice> {
-        Error::check_threshold(eps)?;
-        if t.warp() <= 1 {
-            self.index.check_transform(t)?;
-        }
+    fn plan_join(&self, eps: f64, t: &LinearTransform, hint: Option<JoinHint>) -> PlanChoice {
         let n = self.stats.cardinality as f64;
         let pairs = n * (n - 1.0).max(0.0) / 2.0;
         let transformed = !t.is_identity(1e-12);
@@ -835,14 +951,14 @@ impl<'a> Planner<'a> {
                 }
             },
         };
-        Ok(PlanChoice {
+        PlanChoice {
             plan: PhysicalPlan {
                 op,
                 estimate,
                 forced,
             },
             considered,
-        })
+        }
     }
 
     /// Per-dimension sides of an average eps-ball search rectangle: the
@@ -883,21 +999,11 @@ impl<'a> Planner<'a> {
 
     fn plan_subseq(
         &self,
-        query: &TimeSeries,
         eps: Option<f64>,
         k: Option<usize>,
         window: usize,
         subseq: Option<&SubseqIndex>,
-    ) -> Result<PlanChoice> {
-        if let Some(eps) = eps {
-            Error::check_threshold(eps)?;
-        }
-        if query.len() != window {
-            return Err(Error::LengthMismatch {
-                expected: window,
-                got: query.len(),
-            });
-        }
+    ) -> PlanChoice {
         let config = match subseq {
             Some(idx) => *idx.config(),
             None => SubseqConfig::new(window),
@@ -978,14 +1084,14 @@ impl<'a> Planner<'a> {
             knn: k.is_some(),
             cached: subseq.is_some(),
         };
-        Ok(PlanChoice {
+        PlanChoice {
             plan: PhysicalPlan {
                 op,
                 estimate,
                 forced: false,
             },
             considered: vec![(op.name(), estimate)],
-        })
+        }
     }
 }
 
@@ -1085,7 +1191,7 @@ impl PlanRows {
 /// Whether `features` passes the query's mean/std filter window — the
 /// scan-side equivalent of the index path's search-rectangle bounds on
 /// the two auxiliary dimensions.
-fn window_admits(features: &crate::features::Features, window: &QueryWindow) -> bool {
+fn window_admits(features: &Features, window: &QueryWindow) -> bool {
     if let Some((lo, hi)) = window.mean {
         if features.mean < lo || features.mean > hi {
             return false;
@@ -1104,27 +1210,43 @@ fn window_admits(features: &crate::features::Features, window: &QueryWindow) -> 
 /// plans (the catalog builds or fetches it from its cache).
 ///
 /// # Errors
-/// Engine validation failures, or [`Error::Unsupported`] when the plan
-/// does not fit the logical query (never produced by the [`Planner`]).
+/// The statement's validation failures (it is bound first, exactly as
+/// [`Planner::plan`] binds it), engine failures, or
+/// [`Error::Unsupported`] when the plan does not fit the logical query
+/// (never produced by the [`Planner`]).
 pub fn execute_plan(
     logical: &LogicalPlan,
     plan: &PhysicalPlan,
     index: &SimilarityIndex,
     subseq: Option<&SubseqIndex>,
 ) -> Result<(PlanRows, ExecStats)> {
+    execute_bound(&Bound::new(logical, index)?, plan, index, subseq)
+}
+
+/// Runs a physical plan for a bound statement against one index — a
+/// relation, or one shard of the relation the statement was bound to.
+/// No query is validated or transformed to the frequency domain here
+/// (the join strategies, which have no query, re-run their `O(k)` checks
+/// through their public entry points).
+pub(crate) fn execute_bound(
+    bound: &Bound<'_>,
+    plan: &PhysicalPlan,
+    index: &SimilarityIndex,
+    subseq: Option<&SubseqIndex>,
+) -> Result<(PlanRows, ExecStats)> {
     let n = index.len();
-    match (logical, plan.op) {
+    match (bound, plan.op) {
         (
-            LogicalPlan::Range {
+            Bound::Range {
                 query,
+                rect,
                 eps,
                 transform,
-                window,
                 ..
             },
             PhysicalOp::IndexRange,
         ) => {
-            let (matches, stats) = index.range_query(query, *eps, transform, window)?;
+            let (matches, stats) = index.range_bound(query, rect, *eps, transform, false)?;
             let exec = ExecStats {
                 candidates: stats.candidates,
                 refined: stats.exact_checks,
@@ -1137,7 +1259,7 @@ pub fn execute_plan(
             Ok((PlanRows::Whole(matches), exec))
         }
         (
-            LogicalPlan::Range {
+            Bound::Range {
                 query,
                 eps,
                 transform,
@@ -1146,9 +1268,6 @@ pub fn execute_plan(
             },
             PhysicalOp::SeqScan | PhysicalOp::EarlyAbandonScan,
         ) => {
-            Error::check_threshold(*eps)?;
-            index.check_transform(transform)?;
-            let qf = index.query_features(query, transform)?;
             let early = matches!(plan.op, PhysicalOp::EarlyAbandonScan);
             let mut exec = ExecStats {
                 disk_accesses: n as u64,
@@ -1163,9 +1282,9 @@ pub fn execute_plan(
                 exec.candidates += 1;
                 exec.refined += 1;
                 let hit = if early {
-                    index.exact_distance_bounded(id, transform, &qf, *eps)
+                    index.exact_distance_bounded(id, transform, query, *eps)
                 } else {
-                    Some(index.exact_distance(id, transform, &qf)).filter(|d| *d <= *eps)
+                    Some(index.exact_distance(id, transform, query)).filter(|d| d <= eps)
                 };
                 match hit {
                     Some(distance) => matches.push(Match { id, distance }),
@@ -1175,15 +1294,14 @@ pub fn execute_plan(
             Ok((PlanRows::Whole(matches), exec))
         }
         (
-            LogicalPlan::Knn {
+            Bound::Knn {
                 query,
                 k,
                 transform,
-                ..
             },
             PhysicalOp::IndexKnn,
         ) => {
-            let (matches, stats) = index.knn_query(query, *k, transform)?;
+            let (matches, stats) = index.knn_bound(query, *k, transform)?;
             let exec = ExecStats {
                 candidates: stats.candidates,
                 refined: stats.exact_checks,
@@ -1196,15 +1314,14 @@ pub fn execute_plan(
             Ok((PlanRows::Whole(matches), exec))
         }
         (
-            LogicalPlan::Knn {
+            Bound::Knn {
                 query,
                 k,
                 transform,
-                ..
             },
             PhysicalOp::SeqScan,
         ) => {
-            let matches = index.scan_knn(query, *k, transform)?;
+            let matches = index.scan_knn_features(query, *k, transform);
             let exec = ExecStats {
                 candidates: n,
                 refined: n,
@@ -1216,7 +1333,7 @@ pub fn execute_plan(
             };
             Ok((PlanRows::Whole(matches), exec))
         }
-        (LogicalPlan::Join { eps, transform, .. }, PhysicalOp::JoinScan { mode }) => {
+        (Bound::Join { eps, transform, .. }, PhysicalOp::JoinScan { mode }) => {
             let outcome = index.join_scan(*eps, transform, mode)?;
             let exec = ExecStats {
                 candidates: outcome.stats.exact_checks,
@@ -1230,7 +1347,7 @@ pub fn execute_plan(
             Ok((PlanRows::Pairs(outcome.pairs), exec))
         }
         (
-            LogicalPlan::Join { eps, transform, .. },
+            Bound::Join { eps, transform, .. },
             PhysicalOp::JoinIndex { dedup } | PhysicalOp::JoinTree { dedup },
         ) => {
             let outcome = if matches!(plan.op, PhysicalOp::JoinIndex { .. }) {
@@ -1261,7 +1378,7 @@ pub fn execute_plan(
             Ok((PlanRows::Pairs(pairs), exec))
         }
         (
-            LogicalPlan::SubseqRange { query, eps, .. },
+            Bound::SubseqRange { query, eps, .. },
             PhysicalOp::SubseqIndexProbe { knn: false, .. },
         ) => {
             let idx = subseq.ok_or_else(|| {
@@ -1270,10 +1387,7 @@ pub fn execute_plan(
             let (matches, stats) = idx.subseq_range(query, *eps)?;
             Ok((PlanRows::Windows(matches), subseq_exec(&stats)))
         }
-        (
-            LogicalPlan::SubseqKnn { query, k, .. },
-            PhysicalOp::SubseqIndexProbe { knn: true, .. },
-        ) => {
+        (Bound::SubseqKnn { query, k, .. }, PhysicalOp::SubseqIndexProbe { knn: true, .. }) => {
             let idx = subseq.ok_or_else(|| {
                 Error::Unsupported("subsequence plan executed without an ST-index".to_string())
             })?;
@@ -1283,7 +1397,7 @@ pub fn execute_plan(
         _ => Err(Error::Unsupported(format!(
             "physical operator {} does not implement logical form {}",
             plan.op.name(),
-            logical.label()
+            bound.label()
         ))),
     }
 }

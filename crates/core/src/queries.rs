@@ -80,19 +80,12 @@ impl SimilarityIndex {
     /// `a < b`.
     ///
     /// # Errors
-    /// Warping transformations are rejected (a self-join between
-    /// different-length representations is undefined).
+    /// A ragged relation, a bad threshold, a warping transformation (a
+    /// self-join between different-length representations is undefined)
+    /// and one of the wrong arity or unsafe for the space are rejected,
+    /// in that order — as by every join strategy.
     pub fn join_scan(&self, eps: f64, t: &LinearTransform, mode: ScanMode) -> Result<JoinOutcome> {
-        if t.warp() > 1 {
-            return Err(Error::Unsupported("self-join under time warp".to_string()));
-        }
-        self.check_uniform()?;
-        if !self.is_empty() && t.n() != self.series_len() {
-            return Err(Error::TransformArity {
-                expected: self.series_len(),
-                got: t.n(),
-            });
-        }
+        self.validate(Some(eps), t, None)?;
         // Transform every spectrum once; the quadratic pair loop dominates.
         let transformed: Vec<Vec<tsq_dft::Complex64>> = (0..self.len())
             .map(|id| t.apply_spectrum(&self.features(id).expect("valid id").spectrum))
@@ -172,12 +165,11 @@ impl SimilarityIndex {
     ///
     /// Each qualifying unordered pair appears twice (`(i, j)` and
     /// `(j, i)`), matching the paper's `12 x 2 = 24` accounting.
+    ///
+    /// # Errors
+    /// Same failure modes as [`SimilarityIndex::join_scan`].
     pub fn join_index(&self, eps: f64, t: &LinearTransform) -> Result<JoinOutcome> {
-        if t.warp() > 1 {
-            return Err(Error::Unsupported("self-join under time warp".to_string()));
-        }
-        Error::check_threshold(eps)?;
-        self.check_transform(t)?;
+        self.validate(Some(eps), t, None)?;
         let mut out = JoinOutcome::default();
         let window = QueryWindow::default();
         for i in 0..self.len() {
@@ -195,12 +187,11 @@ impl SimilarityIndex {
     /// index-nested-loop): both subtrees are pruned simultaneously using
     /// transformed-MBR distance bounds (annular-sector geometry in
     /// `S_pol`). Answer semantics match [`SimilarityIndex::join_index`].
+    ///
+    /// # Errors
+    /// Same failure modes as [`SimilarityIndex::join_scan`].
     pub fn join_tree(&self, eps: f64, t: &LinearTransform) -> Result<JoinOutcome> {
-        if t.warp() > 1 {
-            return Err(Error::Unsupported("self-join under time warp".to_string()));
-        }
-        Error::check_threshold(eps)?;
-        self.check_transform(t)?;
+        self.validate(Some(eps), t, None)?;
         match self.paged() {
             Some(paged) => self.join_tree_in(paged, eps, t),
             None => self.join_tree_in(self.tree(), eps, t),
@@ -372,7 +363,8 @@ mod tests {
     #[test]
     fn ragged_join_rejected() {
         let mut idx = index(10, 32, 37);
-        idx.insert(RandomWalkGenerator::new(38).series(16)).unwrap();
+        idx.push_series(RandomWalkGenerator::new(38).series(16))
+            .unwrap();
         let t = LinearTransform::identity(32);
         for result in [
             idx.join_scan(1.0, &t, ScanMode::Naive).map(|_| ()),

@@ -5,11 +5,10 @@
 //! the time domain", so that "each series ... has its larger coefficients
 //! at the beginning" and the distance computation "can skip many sequences
 //! within the first few coefficients" (early abandoning). Both the naive
-//! full-distance scan and the early-abandoning scan are provided, plus a
-//! multi-threaded variant (an extension; the index must beat even a
-//! parallel scan to justify itself).
-
-use std::sync::Mutex;
+//! full-distance scan and the early-abandoning scan are provided. They
+//! are the reference oracles the Lemma-1 suites compare the index
+//! against: their loops are their own, only validation is shared with
+//! the index path.
 
 use crate::error::Result;
 use crate::features::Features;
@@ -41,6 +40,9 @@ impl SimilarityIndex {
     /// relation: every stored series is transformed and compared against
     /// `q`; no index is used. Ground truth for Lemma-1 tests and the
     /// baseline of Figures 10–12.
+    ///
+    /// # Errors
+    /// Same failure modes as [`SimilarityIndex::range_query`].
     pub fn scan_range(
         &self,
         q: &tsq_series::TimeSeries,
@@ -48,13 +50,13 @@ impl SimilarityIndex {
         t: &LinearTransform,
         mode: ScanMode,
     ) -> Result<(Vec<Match>, ScanStats)> {
-        crate::error::Error::check_threshold(eps)?;
-        let qf = self.query_features(q, t)?;
+        let qf = self.bind_query(q, Some(eps), t)?;
         Ok(self.scan_range_features(&qf, eps, t, mode))
     }
 
-    /// Scan variant taking precomputed query features (used by join
-    /// baselines).
+    /// Scan variant taking precomputed query features (the figure runners
+    /// time the scan without the query's FFT). Validates nothing: `qf`
+    /// and `t` must fit the relation.
     pub fn scan_range_features(
         &self,
         qf: &Features,
@@ -84,74 +86,42 @@ impl SimilarityIndex {
 
     /// K-nearest-neighbor query by sequential scan (ground truth for KNN
     /// tests).
+    ///
+    /// # Errors
+    /// Same failure modes as [`SimilarityIndex::knn_query`].
     pub fn scan_knn(
         &self,
         q: &tsq_series::TimeSeries,
         k: usize,
         t: &LinearTransform,
     ) -> Result<Vec<Match>> {
-        let qf = self.query_features(q, t)?;
+        let qf = self.bind_query(q, None, t)?;
+        Ok(self.scan_knn_features(&qf, k, t))
+    }
+
+    /// [`SimilarityIndex::scan_knn`] for a bound query.
+    pub(crate) fn scan_knn_features(
+        &self,
+        qf: &Features,
+        k: usize,
+        t: &LinearTransform,
+    ) -> Vec<Match> {
         let mut all: Vec<Match> = (0..self.len())
             .map(|id| Match {
                 id,
-                distance: self.exact_distance(id, t, &qf),
+                distance: self.exact_distance(id, t, qf),
             })
             .collect();
         all.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
         all.truncate(k);
-        Ok(all)
-    }
-
-    /// Parallel early-abandoning scan over `threads` worker threads
-    /// (std scoped threads; results merged and sorted by id).
-    pub fn scan_range_parallel(
-        &self,
-        q: &tsq_series::TimeSeries,
-        eps: f64,
-        t: &LinearTransform,
-        threads: usize,
-    ) -> Result<(Vec<Match>, ScanStats)> {
-        crate::error::Error::check_threshold(eps)?;
-        let qf = self.query_features(q, t)?;
-        let threads = threads.max(1);
-        let n = self.len();
-        let chunk = n.div_ceil(threads).max(1);
-        let results: Mutex<(Vec<Match>, ScanStats)> =
-            Mutex::new((Vec::new(), ScanStats::default()));
-        std::thread::scope(|scope| {
-            for start in (0..n).step_by(chunk) {
-                let end = (start + chunk).min(n);
-                let qf = &qf;
-                let results = &results;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut stats = ScanStats::default();
-                    for id in start..end {
-                        stats.scanned += 1;
-                        match self.exact_distance_bounded(id, t, qf, eps) {
-                            Some(d) => local.push(Match { id, distance: d }),
-                            None => stats.abandoned += 1,
-                        }
-                    }
-                    // Poison recovery: a panicking sibling worker aborts
-                    // the whole scope anyway, so a poisoned flag carries no
-                    // information here — never turn it into a second panic.
-                    let mut guard = results.lock().unwrap_or_else(|e| e.into_inner());
-                    guard.0.extend(local);
-                    guard.1.scanned += stats.scanned;
-                    guard.1.abandoned += stats.abandoned;
-                });
-            }
-        });
-        let (mut matches, stats) = results.into_inner().unwrap_or_else(|e| e.into_inner());
-        matches.sort_by_key(|m| m.id);
-        Ok((matches, stats))
+        all
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::index::IndexConfig;
     use crate::space::QueryWindow;
     use tsq_series::generate::RandomWalkGenerator;
@@ -190,16 +160,45 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_matches_serial() {
-        let idx = index(101, 32, 23);
+    fn scans_reject_a_bad_transform_instead_of_panicking() {
+        // The scans used to validate only the threshold and the query
+        // length: a transformation of the wrong arity reached
+        // `apply_spectrum` and panicked there.
+        let idx = index(20, 32, 23);
         let q = idx.series(3).unwrap().clone();
-        let t = LinearTransform::identity(32);
-        let (serial, _) = idx.scan_range(&q, 3.0, &t, ScanMode::EarlyAbandon).unwrap();
-        for threads in [1usize, 2, 4, 7] {
-            let (par, stats) = idx.scan_range_parallel(&q, 3.0, &t, threads).unwrap();
-            assert_eq!(serial, par, "threads = {threads}");
-            assert_eq!(stats.scanned, 101);
+        let short = LinearTransform::moving_average(16, 4);
+        for mode in [ScanMode::Naive, ScanMode::EarlyAbandon] {
+            assert!(matches!(
+                idx.scan_range(&q, 3.0, &short, mode),
+                Err(Error::TransformArity {
+                    expected: 32,
+                    got: 16
+                })
+            ));
         }
+        assert!(matches!(
+            idx.scan_knn(&q, 3, &short),
+            Err(Error::TransformArity { .. })
+        ));
+        // Safety is the index's condition, but one validation order
+        // serves every entry point: a scan rejects what the index would.
+        let rect = SimilarityIndex::build(
+            IndexConfig {
+                space: crate::space::SpaceKind::Rectangular,
+                ..IndexConfig::default()
+            },
+            RandomWalkGenerator::new(23).relation(20, 32),
+        )
+        .unwrap();
+        let complex = LinearTransform::moving_average(32, 4);
+        assert!(matches!(
+            rect.scan_range(&q, 3.0, &complex, ScanMode::EarlyAbandon),
+            Err(Error::UnsafeTransform { .. })
+        ));
+        assert!(matches!(
+            rect.scan_knn(&q, 3, &complex),
+            Err(Error::UnsafeTransform { .. })
+        ));
     }
 
     #[test]

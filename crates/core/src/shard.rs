@@ -5,7 +5,9 @@
 //! series label or by contiguous label ranges — and every shard gets its
 //! own [`SimilarityIndex`]. This is the only shape a catalog relation has:
 //! a freshly registered one is a single hash shard. A query is executed
-//! scatter-gather style:
+//! scatter-gather style: the statement is bound once (validated, its
+//! query transformed and its search rectangle built — shards share one
+//! configuration and series length),
 //! the [`Planner`] produces one physical plan *per shard* (each shard has
 //! its own [`RelationStats`]), the shard plans run concurrently on the
 //! worker pool ([`crate::executor::parallel_map`]), and a typed merge
@@ -50,8 +52,8 @@ use crate::error::{Error, Result};
 use crate::executor::parallel_map;
 use crate::index::{IndexConfig, Match, SimilarityIndex};
 use crate::plan::{
-    execute_plan, render_analyze, render_plan, ExecStats, JoinHint, LogicalPlan, PhysicalOp,
-    PlanChoice, PlanPreference, PlanRows, Planner, RelationStats,
+    execute_bound, render_analyze, render_plan, Bound, ExecStats, JoinHint, LogicalPlan,
+    PhysicalOp, PlanChoice, PlanPreference, PlanRows, Planner, RelationStats,
 };
 use crate::queries::JoinPair;
 use crate::relation::SeriesRelation;
@@ -386,10 +388,35 @@ impl ShardedIndex {
     /// (shards of a uniform relation agree; use
     /// [`ShardedIndex::check_uniform`] to gate whole-series forms).
     pub fn series_len(&self) -> usize {
+        self.representative().series_len()
+    }
+
+    /// The shard a statement is bound against: shards share one
+    /// configuration and, past the global uniformity gate, one series
+    /// length, so the first non-empty shard stands for all of them — and
+    /// shard 0 for an entirely empty relation, which validates (and
+    /// answers emptily) exactly as the unsharded engine does.
+    fn representative(&self) -> &SimilarityIndex {
         self.parts
             .iter()
             .find(|p| !p.is_empty())
-            .map_or(0, |p| p.series_len())
+            .unwrap_or(&self.parts[0])
+    }
+
+    /// Binds a statement once for every shard: the global uniformity
+    /// gate (per-shard uniformity is not enough), the ST-index list's
+    /// shape, then the statement's own validation, query features and
+    /// search rectangle.
+    fn bind<'a>(
+        &self,
+        logical: &'a LogicalPlan,
+        subseq: Option<&[Arc<SubseqIndex>]>,
+    ) -> Result<Bound<'a>> {
+        if logical.subseq_window().is_none() {
+            self.check_uniform()?;
+        }
+        self.check_subseq(subseq)?;
+        Bound::new(logical, self.representative())
     }
 
     /// True when any shard runs on paged storage.
@@ -493,30 +520,25 @@ impl ShardedIndex {
         pref: PlanPreference,
         subseq: Option<&[Arc<SubseqIndex>]>,
     ) -> Result<Vec<Option<PlanChoice>>> {
-        if logical.subseq_window().is_none() {
-            self.check_uniform()?;
-        }
-        self.check_subseq(subseq)?;
-        self.active_shards(logical)
+        let bound = self.bind(logical, subseq)?;
+        Ok(self
+            .active_shards(logical)
             .into_iter()
-            .map(|slot| {
-                slot.map(|s| self.plan_shard(s, logical, pref, subseq))
-                    .transpose()
-            })
-            .collect()
+            .map(|slot| slot.map(|s| self.plan_shard(s, &bound, pref, subseq)))
+            .collect())
     }
 
     /// One shard's plan choice (`subseq[s]` is its ST-index, if any).
     fn plan_shard(
         &self,
         s: usize,
-        logical: &LogicalPlan,
+        bound: &Bound<'_>,
         pref: PlanPreference,
         subseq: Option<&[Arc<SubseqIndex>]>,
-    ) -> Result<PlanChoice> {
+    ) -> PlanChoice {
         Planner::new(&self.parts[s], &self.stats[s])
             .with_preference(pref)
-            .plan(logical, subseq.map(|list| &*list[s]))
+            .plan_bound(bound, subseq.map(|list| &*list[s]))
     }
 
     /// A supplied ST-index list must hold one index per shard.
@@ -546,17 +568,15 @@ impl ShardedIndex {
         scatter: usize,
         subseq: Option<&[Arc<SubseqIndex>]>,
     ) -> Result<ShardedOutcome> {
-        if logical.subseq_window().is_none() {
-            self.check_uniform()?;
-        }
-        self.check_subseq(subseq)?;
+        let bound = self.bind(logical, subseq)?;
         // Scatter: every active shard plans and runs its own physical
-        // plan (one item runs inline; more fan over the worker pool).
+        // plan for the one bound statement (one item runs inline; more
+        // fan over the worker pool).
         let ran = parallel_map(scatter.max(1), self.active_shards(logical), |slot| {
             slot.map(|s| {
-                let choice = self.plan_shard(s, logical, pref, subseq)?;
+                let choice = self.plan_shard(s, &bound, pref, subseq);
                 let st = subseq.map(|list| &*list[s]);
-                let (rows, exec) = execute_plan(logical, &choice.plan, &self.parts[s], st)?;
+                let (rows, exec) = execute_bound(&bound, &choice.plan, &self.parts[s], st)?;
                 Ok((choice, rows, exec))
             })
         });
@@ -993,7 +1013,7 @@ pub fn render_sharded_analyze(rendered: &mut String, rows: usize, outcome: &Shar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanPreference;
+    use crate::plan::execute_plan;
     use tsq_series::generate::RandomWalkGenerator;
 
     fn relation(count: usize, len: usize, seed: u64) -> SeriesRelation {

@@ -110,8 +110,6 @@ pub struct Catalog {
     pub(crate) subseq: RwLock<SubseqCache>,
     /// Logical LRU clock; bumped on every cache access.
     pub(crate) clock: AtomicU64,
-    /// Worker threads per ST-index build; 0 = the machine's parallelism.
-    build_threads: usize,
     pub(crate) config: IndexConfig,
 }
 
@@ -163,17 +161,6 @@ impl Catalog {
     /// one-shard (or unknown) relation.
     pub fn shard_layout(&self, name: &str) -> Option<(ShardBy, usize, Vec<usize>)> {
         self.indexes.get(name)?.layout()
-    }
-
-    /// Sets the worker-thread count for each on-demand ST-index build
-    /// (`0`, the default, uses the machine's available parallelism).
-    ///
-    /// Batch servers should set this: when several pool workers miss the
-    /// cache on distinct `(relation, window)` keys at once, each build
-    /// fans out on its own, so the machine can otherwise end up running
-    /// `pool × cores` build threads.
-    pub fn set_subseq_build_threads(&mut self, threads: usize) {
-        self.build_threads = threads;
     }
 
     /// Caps the ST-index cache at `capacity` entries (at least 1),
@@ -280,17 +267,13 @@ impl Catalog {
             slot.last_used.store(stamp, Ordering::Relaxed);
             return Ok(slot.parts.clone());
         }
-        let build_threads = match self.build_threads {
-            0 => executor::default_threads(),
-            n => n,
-        };
         let mut built = Vec::with_capacity(index.shard_count());
         for part in index.parts() {
             let series: Vec<TimeSeries> = part.entries().iter().map(|e| e.series.clone()).collect();
             built.push(Arc::new(SubseqIndex::build_parallel(
                 SubseqConfig::new(window),
                 series,
-                build_threads,
+                executor::default_threads(),
             )?));
         }
         // Re-stamp *after* the build: concurrent hits advanced the clock
@@ -585,45 +568,23 @@ impl Catalog {
         })
     }
 
-    /// Parses and executes a batch of queries, fanning them over up to
-    /// `threads` worker threads. A thin wrapper over
-    /// [`Catalog::run_batch_with`] (a `threads` of 0 means the hardware
-    /// default).
+    /// Parses and executes a batch of queries through
+    /// [`Catalog::execute_with`], fanning them over up to `threads` pool
+    /// workers (`0` means the hardware default; the count is clamped by
+    /// [`tsq_core::executor::clamp_threads`], so a hostile or fat-fingered
+    /// request cannot spawn unbounded OS threads) and passing `threads` on
+    /// as each statement's scatter-width override. Results come back in
+    /// batch order and are identical to running each query sequentially;
+    /// per-query failures occupy their slot without affecting the rest of
+    /// the batch.
     pub fn run_batch(
         &self,
         queries: Vec<String>,
         threads: usize,
     ) -> (Vec<Result<QueryOutput, LangError>>, BatchSummary) {
-        let overrides = QueryOptions {
-            threads: (threads > 0).then_some(threads),
-            ..QueryOptions::default()
-        };
-        self.run_batch_with(queries, &overrides)
-    }
-
-    /// The consolidated batch path: parses each query and runs it
-    /// through [`Catalog::execute_with`], overlaying `overrides` on
-    /// every statement's own `WITH (...)` clause. The batch fans over up
-    /// to `overrides.threads` worker threads (clamped by
-    /// [`tsq_core::executor::clamp_threads`], so a hostile or
-    /// fat-fingered request cannot spawn unbounded OS threads). Results
-    /// come back in batch order and are identical to running each query
-    /// sequentially; per-query failures occupy their slot without
-    /// affecting the rest of the batch.
-    pub fn run_batch_with(
-        &self,
-        queries: Vec<String>,
-        overrides: &QueryOptions,
-    ) -> (Vec<Result<QueryOutput, LangError>>, BatchSummary) {
-        let started = Instant::now();
-        let count = queries.len();
-        let threads = executor::clamp_threads(overrides.threads.unwrap_or(0));
-        let overrides = *overrides;
-        let results = executor::parallel_map(threads, queries, move |src| {
-            crate::parser::parse(&src).and_then(|query| self.execute_with(&query, &overrides))
-        });
-        let summary = summarize_batch(&results, count, threads, started.elapsed());
-        (results, summary)
+        run_batch(queries, threads, |query, overrides| {
+            self.execute_with(query, overrides)
+        })
     }
 
     /// Executes a parsed query with the engine-default overrides — a
@@ -691,10 +652,6 @@ impl Catalog {
     ///
     /// # Errors
     /// Same validation failures as executing the inner query.
-    pub fn explain(&self, query: &Query, analyze: bool) -> Result<QueryOutput, LangError> {
-        self.explain_with(query, analyze, &QueryOptions::default())
-    }
-
     fn explain_with(
         &self,
         query: &Query,
@@ -942,12 +899,6 @@ impl SharedCatalog {
         self.write().set_subseq_cache_capacity(capacity);
     }
 
-    /// Bounds per-build parallelism (see
-    /// [`Catalog::set_subseq_build_threads`]).
-    pub fn set_subseq_build_threads(&self, threads: usize) {
-        self.write().set_subseq_build_threads(threads);
-    }
-
     /// Parses and executes one statement: queries run under the read
     /// lock (any number of clients concurrently); an `APPEND` takes the
     /// write lock, so it waits for in-flight queries to drain and every
@@ -1005,31 +956,10 @@ impl SharedCatalog {
         queries: Vec<String>,
         threads: usize,
     ) -> (Vec<Result<QueryOutput, LangError>>, BatchSummary) {
-        let overrides = QueryOptions {
-            threads: (threads > 0).then_some(threads),
-            ..QueryOptions::default()
-        };
-        self.run_batch_with(queries, &overrides)
-    }
-
-    /// The consolidated shared-catalog batch path: per-statement locking
-    /// as in [`SharedCatalog::run_batch`], with `overrides` layered over
-    /// each statement's own `WITH (...)` clause.
-    pub fn run_batch_with(
-        &self,
-        queries: Vec<String>,
-        overrides: &QueryOptions,
-    ) -> (Vec<Result<QueryOutput, LangError>>, BatchSummary) {
-        let started = Instant::now();
-        let count = queries.len();
-        let threads = executor::clamp_threads(overrides.threads.unwrap_or(0));
-        let overrides = *overrides;
         // `execute_with` acquires and releases its lock per query.
-        let results = executor::parallel_map(threads, queries, move |src| {
-            crate::parser::parse(&src).and_then(|query| self.execute_with(&query, &overrides))
-        });
-        let summary = summarize_batch(&results, count, threads, started.elapsed());
-        (results, summary)
+        run_batch(queries, threads, |query, overrides| {
+            self.execute_with(query, overrides)
+        })
     }
 
     /// Unwraps the shared catalog, returning the inner [`Catalog`] when
@@ -1051,22 +981,30 @@ impl SharedCatalog {
     }
 }
 
-/// Folds per-query batch results into a [`BatchSummary`] — shared by the
-/// whole-batch ([`Catalog::run_batch`]) and per-query-lock
-/// ([`SharedCatalog::run_batch`]) paths so the two report identically.
-fn summarize_batch(
-    results: &[Result<QueryOutput, LangError>],
-    queries: usize,
+/// The one batch loop behind [`Catalog::run_batch`] and
+/// [`SharedCatalog::run_batch`], which differ only in how `execute` locks:
+/// parse each statement, run it with `threads` as its override, fold the
+/// results into a [`BatchSummary`].
+fn run_batch(
+    queries: Vec<String>,
     threads: usize,
-    elapsed: Duration,
-) -> BatchSummary {
+    execute: impl Fn(&Query, &QueryOptions) -> Result<QueryOutput, LangError> + Sync,
+) -> (Vec<Result<QueryOutput, LangError>>, BatchSummary) {
+    let started = Instant::now();
+    let overrides = QueryOptions {
+        threads: (threads > 0).then_some(threads),
+        ..QueryOptions::default()
+    };
     let mut summary = BatchSummary {
-        queries,
-        threads,
-        elapsed,
+        queries: queries.len(),
+        threads: executor::clamp_threads(threads),
         ..BatchSummary::default()
     };
-    for r in results {
+    let results = executor::parallel_map(summary.threads, queries, |src| {
+        crate::parser::parse(&src).and_then(|query| execute(&query, &overrides))
+    });
+    summary.elapsed = started.elapsed();
+    for r in &results {
         match r {
             Ok(out) => {
                 summary.rows += out.rows.len();
@@ -1078,7 +1016,7 @@ fn summarize_batch(
             Err(_) => summary.errors += 1,
         }
     }
-    summary
+    (results, summary)
 }
 
 /// Attaches labels to typed plan rows, producing the language-level

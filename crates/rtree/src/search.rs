@@ -15,7 +15,7 @@
 
 use tsq_store::StoreResult;
 
-use crate::node::{infallible, Entry, Node, NodeStore, Slot};
+use crate::node::{infallible, NodeStore, Slot};
 use crate::paged::PagedTree;
 use crate::rect::Rect;
 use crate::stats::SearchStats;
@@ -124,66 +124,6 @@ impl<T> RStarTree<T> {
     pub fn search_collect(&self, query: &Rect) -> (Vec<&T>, SearchStats) {
         let mut out = Vec::new();
         let stats = self.search(query, |_, item| out.push(item));
-        (out, stats)
-    }
-}
-
-impl<T: Sync> RStarTree<T> {
-    /// Parallel variant of [`RStarTree::search_with`]: the root's subtrees
-    /// are partitioned across up to `threads` worker threads (the filter
-    /// step of a filter-and-refine query fans out per subtree).
-    ///
-    /// `accept` must be a pure predicate (`Fn`, not `FnMut`): it is called
-    /// concurrently from several workers. Candidates come back in exactly
-    /// the sequential traversal's order — workers own contiguous runs of
-    /// root entries and results are concatenated in root-entry order — and
-    /// the returned [`SearchStats`] totals equal the sequential ones, so
-    /// callers can assert byte-identical answers regardless of `threads`.
-    pub fn search_with_parallel<A>(&self, accept: A, threads: usize) -> (Vec<&T>, SearchStats)
-    where
-        A: Fn(&Rect) -> bool + Sync,
-    {
-        if threads <= 1 || self.is_empty() || self.root.is_leaf() {
-            let mut out = Vec::new();
-            let stats = self.search_with(&accept, |_, item| out.push(item));
-            return (out, stats);
-        }
-        let mut stats = SearchStats {
-            nodes_visited: 1, // the root itself
-            ..SearchStats::default()
-        };
-        // Test root entries in order (the sequential traversal's first
-        // step), keeping the accepted subtrees for the fan-out.
-        let mut subtrees: Vec<&Node<T>> = Vec::new();
-        for entry in &self.root.entries {
-            stats.entries_tested += 1;
-            if let Entry::Node { rect, child } = entry {
-                if accept(rect) {
-                    subtrees.push(child);
-                }
-            }
-        }
-        // Each worker runs the very same sequential visitor over its
-        // subtree, so the byte-identical answers/stats contract cannot
-        // drift.
-        let accept = &accept;
-        let per_subtree = crate::par::parallel_map(threads, subtrees, |node| {
-            let mut out = Vec::new();
-            let mut local = SearchStats::default();
-            infallible(visit(
-                self,
-                node,
-                &mut |r| accept(r),
-                &mut |_, item| out.push(item),
-                &mut local,
-            ));
-            (out, local)
-        });
-        let mut out = Vec::new();
-        for (candidates, local) in per_subtree {
-            out.extend(candidates);
-            stats.absorb(&local);
-        }
         (out, stats)
     }
 }
@@ -301,42 +241,6 @@ mod tests {
             }
         }
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn parallel_search_identical_to_sequential() {
-        let t = grid_tree(25, 8); // 625 points, several levels
-        for q in [
-            Rect::new(vec![3.5, 3.5], vec![9.0, 14.0]),
-            Rect::new(vec![-1.0, -1.0], vec![30.0, 30.0]), // everything
-            Rect::new(vec![100.0, 100.0], vec![101.0, 101.0]), // nothing
-        ] {
-            let mut seq: Vec<&(usize, usize)> = Vec::new();
-            let seq_stats = t.search_with(|r| r.intersects(&q), |_, it| seq.push(it));
-            for threads in [1usize, 2, 3, 8] {
-                let (par, par_stats) = t.search_with_parallel(|r| r.intersects(&q), threads);
-                assert_eq!(par, seq, "threads = {threads}");
-                assert_eq!(par_stats, seq_stats, "threads = {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_search_on_small_and_empty_trees() {
-        let empty: RStarTree<u8> = RStarTree::default();
-        let q = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        assert!(empty
-            .search_with_parallel(|r| r.intersects(&q), 4)
-            .0
-            .is_empty());
-        // Root-only leaf tree takes the sequential fallback.
-        let mut small = RStarTree::new(RTreeConfig::with_max_entries(8));
-        for i in 0..5 {
-            small.insert_point(&[i as f64, 0.0], i);
-        }
-        let (got, stats) = small.search_with_parallel(|r| r.intersects(&q), 4);
-        assert_eq!(got.len(), 2); // x = 0, 1
-        assert_eq!(stats.nodes_visited, 1);
     }
 
     #[test]

@@ -82,27 +82,10 @@ impl Default for ServiceConfig {
     }
 }
 
-enum JobKind {
-    One(String),
-    Batch {
-        queries: Vec<String>,
-        threads: usize,
-    },
-    Append {
-        relation: String,
-        rows: Vec<IngestRow>,
-    },
-}
-
-enum JobReply {
-    One(Result<QueryReply, EngineError>),
-    Batch(Vec<Result<QueryReply, EngineError>>),
-}
-
-struct Job {
-    kind: JobKind,
-    reply_tx: SyncSender<JobReply>,
-}
+/// One admitted unit of work: runs on an exec worker against the engine
+/// and sends its own typed reply back to the connection worker that
+/// submitted it (see [`submit`]).
+type Job = Box<dyn FnOnce(&dyn Engine) + Send>;
 
 struct Shared {
     engine: Arc<dyn Engine>,
@@ -279,17 +262,7 @@ fn exec_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
         };
         let Ok(job) = job else { break };
         let _slot = SlotGuard(&shared.metrics);
-        let reply = match job.kind {
-            JobKind::One(q) => JobReply::One(shared.engine.execute(&q)),
-            JobKind::Batch { queries, threads } => {
-                JobReply::Batch(shared.engine.execute_batch(queries, threads))
-            }
-            JobKind::Append { relation, rows } => {
-                JobReply::One(shared.engine.append(&relation, rows))
-            }
-        };
-        // The waiter may have timed out and gone; that is its problem.
-        let _ = job.reply_tx.try_send(reply);
+        job(&*shared.engine);
     }
 }
 
@@ -495,45 +468,14 @@ fn dispatch(shared: &Shared, req: Request) -> Response {
             initiate_shutdown(shared);
             Response::Bye
         }
-        Request::Query(q) => match submit(shared, JobKind::One(q), shared.config.query_timeout) {
-            Ok(JobReply::One(Ok(reply))) => {
-                shared.metrics.record_ok(&reply);
-                Response::Rows(reply)
-            }
-            Ok(JobReply::One(Err(e))) => {
-                let err = WireError::from(e);
-                shared.metrics.record_err(err.code);
-                Response::Error(err)
-            }
-            Ok(JobReply::Batch(_)) => Response::Error(WireError::new(
-                ErrorCode::Engine,
-                "engine answered a query with a batch reply",
-            )),
-            Err(err) => {
-                shared.metrics.record_err(err.code);
-                Response::Error(err)
-            }
+        Request::Query(q) => match run_one(shared, move |engine| engine.execute(&q)) {
+            Ok(reply) => Response::Rows(reply),
+            Err(err) => Response::Error(err),
         },
         Request::Append { relation, rows } => {
-            let kind = JobKind::Append { relation, rows };
-            match submit(shared, kind, shared.config.query_timeout) {
-                Ok(JobReply::One(Ok(reply))) => {
-                    shared.metrics.record_ok(&reply);
-                    Response::Append(reply)
-                }
-                Ok(JobReply::One(Err(e))) => {
-                    let err = WireError::from(e);
-                    shared.metrics.record_err(err.code);
-                    Response::Error(err)
-                }
-                Ok(JobReply::Batch(_)) => Response::Error(WireError::new(
-                    ErrorCode::Engine,
-                    "engine answered an append with a batch reply",
-                )),
-                Err(err) => {
-                    shared.metrics.record_err(err.code);
-                    Response::Error(err)
-                }
+            match run_one(shared, move |engine| engine.append(&relation, rows)) {
+                Ok(reply) => Response::Append(reply),
+                Err(err) => Response::Error(err),
             }
         }
         Request::Batch { queries, threads } => {
@@ -543,32 +485,16 @@ fn dispatch(shared: &Shared, req: Request) -> Response {
                 .query_timeout
                 .checked_mul(n)
                 .unwrap_or(Duration::MAX);
-            let kind = JobKind::Batch {
-                queries,
-                threads: threads as usize,
-            };
-            match submit(shared, kind, timeout) {
-                Ok(JobReply::Batch(slots)) => {
-                    let out = slots
+            let slots = submit(shared, timeout, move |engine| {
+                engine.execute_batch(queries, threads as usize)
+            });
+            match slots {
+                Ok(slots) => Response::Batch(
+                    slots
                         .into_iter()
-                        .map(|slot| match slot {
-                            Ok(reply) => {
-                                shared.metrics.record_ok(&reply);
-                                Ok(reply)
-                            }
-                            Err(e) => {
-                                let err = WireError::from(e);
-                                shared.metrics.record_err(err.code);
-                                Err(err)
-                            }
-                        })
-                        .collect();
-                    Response::Batch(out)
-                }
-                Ok(JobReply::One(_)) => Response::Error(WireError::new(
-                    ErrorCode::Engine,
-                    "engine answered a batch with a query reply",
-                )),
+                        .map(|slot| record(shared, slot.map_err(WireError::from)))
+                        .collect(),
+                ),
                 Err(err) => {
                     shared.metrics.record_err(err.code);
                     Response::Error(err)
@@ -578,9 +504,37 @@ fn dispatch(shared: &Shared, req: Request) -> Response {
     }
 }
 
-/// Admission control + execution + timeout: the one path every query
-/// and batch takes, over either protocol.
-fn submit(shared: &Shared, kind: JobKind, timeout: Duration) -> Result<JobReply, WireError> {
+/// Counts one answered query — its rows and counters, or its error code
+/// — in the metrics, and hands the answer on.
+fn record(
+    shared: &Shared,
+    outcome: Result<QueryReply, WireError>,
+) -> Result<QueryReply, WireError> {
+    match &outcome {
+        Ok(reply) => shared.metrics.record_ok(reply),
+        Err(err) => shared.metrics.record_err(err.code),
+    }
+    outcome
+}
+
+/// Submits a single-reply job (a query or an append) under the per-query
+/// timeout and records its outcome.
+fn run_one(
+    shared: &Shared,
+    job: impl FnOnce(&dyn Engine) -> Result<QueryReply, EngineError> + Send + 'static,
+) -> Result<QueryReply, WireError> {
+    let answer = submit(shared, shared.config.query_timeout, job);
+    record(shared, answer.and_then(|r| r.map_err(WireError::from)))
+}
+
+/// Admission control + execution + timeout: the one path every query,
+/// append and batch takes, over either protocol. `job` runs on an exec
+/// worker; whatever it returns is this call's answer.
+fn submit<R: Send + 'static>(
+    shared: &Shared,
+    timeout: Duration,
+    job: impl FnOnce(&dyn Engine) -> R + Send + 'static,
+) -> Result<R, WireError> {
     if shared.cancel.is_cancelled() {
         return Err(WireError::new(
             ErrorCode::ShuttingDown,
@@ -607,7 +561,11 @@ fn submit(shared: &Shared, kind: JobKind, timeout: Duration) -> Result<JobReply,
         ));
     }
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    match tx.try_send(Job { kind, reply_tx }) {
+    let job: Job = Box::new(move |engine| {
+        // The waiter may have timed out and gone; that is its problem.
+        let _ = reply_tx.try_send(job(engine));
+    });
+    match tx.try_send(job) {
         Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             shared.metrics.query_done();
@@ -728,29 +686,8 @@ fn http_dispatch(shared: &Shared, req: &HttpRequest) -> Vec<u8> {
                     &http::error_body(ErrorCode::BadQuery.name(), "empty query body"),
                 );
             }
-            match submit(
-                shared,
-                JobKind::One(query.to_string()),
-                shared.config.query_timeout,
-            ) {
-                Ok(JobReply::One(Ok(reply))) => {
-                    shared.metrics.record_ok(&reply);
-                    http::response(200, "OK", "application/json", &reply_json(&reply))
-                }
-                Ok(JobReply::One(Err(e))) => {
-                    let err = WireError::from(e);
-                    shared.metrics.record_err(err.code);
-                    http_error_response(&err)
-                }
-                Ok(JobReply::Batch(_)) => http_error_response(&WireError::new(
-                    ErrorCode::Engine,
-                    "engine answered a query with a batch reply",
-                )),
-                Err(err) => {
-                    shared.metrics.record_err(err.code);
-                    http_error_response(&err)
-                }
-            }
+            let query = query.to_string();
+            http_reply(run_one(shared, move |engine| engine.execute(&query)))
         }
         ("POST", "/append") => {
             let Ok(body) = std::str::from_utf8(&req.body) else {
@@ -774,26 +711,9 @@ fn http_dispatch(shared: &Shared, req: &HttpRequest) -> Vec<u8> {
                     );
                 }
             };
-            let kind = JobKind::Append { relation, rows };
-            match submit(shared, kind, shared.config.query_timeout) {
-                Ok(JobReply::One(Ok(reply))) => {
-                    shared.metrics.record_ok(&reply);
-                    http::response(200, "OK", "application/json", &reply_json(&reply))
-                }
-                Ok(JobReply::One(Err(e))) => {
-                    let err = WireError::from(e);
-                    shared.metrics.record_err(err.code);
-                    http_error_response(&err)
-                }
-                Ok(JobReply::Batch(_)) => http_error_response(&WireError::new(
-                    ErrorCode::Engine,
-                    "engine answered an append with a batch reply",
-                )),
-                Err(err) => {
-                    shared.metrics.record_err(err.code);
-                    http_error_response(&err)
-                }
-            }
+            http_reply(run_one(shared, move |engine| {
+                engine.append(&relation, rows)
+            }))
         }
         _ => http::response(
             404,
@@ -845,6 +765,15 @@ fn parse_append_body(body: &str) -> Result<(String, Vec<IngestRow>), String> {
         return Err(format!("append body for {relation:?} carries no rows"));
     }
     Ok((relation, rows))
+}
+
+/// The HTTP answer to a query or an append: the reply as JSON, or the
+/// error under its status code.
+fn http_reply(outcome: Result<QueryReply, WireError>) -> Vec<u8> {
+    match outcome {
+        Ok(reply) => http::response(200, "OK", "application/json", &reply_json(&reply)),
+        Err(err) => http_error_response(&err),
+    }
 }
 
 fn http_error_response(err: &WireError) -> Vec<u8> {

@@ -153,16 +153,6 @@ fn core_executor_and_parallel_range_agree_with_oracle() {
     let rel = RandomWalkGenerator::new(33).relation(250, 64);
     let index = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
     let t = LinearTransform::moving_average(64, 6);
-    // Parallel filter + refine within one query.
-    let (seq, _) = index
-        .range_query(&rel[7], 2.5, &t, &QueryWindow::default())
-        .unwrap();
-    for threads in [2usize, 5] {
-        let (par, _) = index
-            .range_query_parallel(&rel[7], 2.5, &t, &QueryWindow::default(), threads)
-            .unwrap();
-        assert_eq!(par, seq, "threads = {threads}");
-    }
     // Fan-out across queries.
     let run = |threads| {
         executor::parallel_map(threads, (0..16).collect(), |i: usize| {

@@ -168,9 +168,11 @@ fn parallel_scan_and_tree_join_cross_check() {
     let idx = SimilarityIndex::build(IndexConfig::default(), rel).unwrap();
     let t = LinearTransform::moving_average(64, 10);
     let q = idx.series(0).unwrap().clone();
-    let (serial, _) = idx.scan_range(&q, 3.0, &t, ScanMode::EarlyAbandon).unwrap();
-    let (parallel, _) = idx.scan_range_parallel(&q, 3.0, &t, 4).unwrap();
-    assert_eq!(serial, parallel);
+    let (scan, _) = idx.scan_range(&q, 3.0, &t, ScanMode::EarlyAbandon).unwrap();
+    let (indexed, _) = idx
+        .range_query(&q, 3.0, &t, &QueryWindow::default())
+        .unwrap();
+    assert_eq!(scan, indexed);
 
     let a = idx.join_index(1.0, &t).unwrap();
     let b = idx.join_tree(1.0, &t).unwrap();
