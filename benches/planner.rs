@@ -3,7 +3,7 @@
 //! into a regression gate.
 //!
 //! For each workload (relation shape × threshold), the same range query
-//! runs three times: planner default ([`PlanPreference::Auto`]), forced
+//! runs three times: planner default (no `force`), forced
 //! early-abandoning scan, and forced index filter-and-refine. We record
 //! the *actual* simulated disk accesses of each run (scan: one access per
 //! record; index: nodes visited + candidate fetches — the accounting the
@@ -18,8 +18,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tsq_core::{
-    execute_plan, LinearTransform, LogicalPlan, PlanPreference, Planner, QueryWindow,
-    RelationStats, SimilarityIndex,
+    execute_plan, ForceOp, LinearTransform, LogicalPlan, Planner, QueryWindow, RelationStats,
+    SimilarityIndex,
 };
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 
@@ -76,11 +76,10 @@ fn workloads() -> Vec<Workload> {
 fn run_pref(
     w: &Workload,
     logical: &LogicalPlan,
-    pref: PlanPreference,
+    force: Option<ForceOp>,
 ) -> (u64, &'static str, usize) {
     let choice = Planner::new(&w.index, &w.stats)
-        .with_preference(pref)
-        .plan(logical, None)
+        .plan(logical, force, None)
         .expect("plan");
     let (rows, stats) = execute_plan(logical, &choice.plan, &w.index, None).expect("execute");
     (stats.disk_accesses, choice.plan.op.name(), rows.len())
@@ -99,9 +98,9 @@ fn measure(w: &Workload) -> Vec<Measurement> {
                 transform: t.clone(),
                 window: QueryWindow::default(),
             };
-            let (scan_disk, _, scan_rows) = run_pref(w, &logical, PlanPreference::ForceScan);
-            let (index_disk, _, index_rows) = run_pref(w, &logical, PlanPreference::ForceIndex);
-            let (auto_disk, plan, rows) = run_pref(w, &logical, PlanPreference::Auto);
+            let (scan_disk, _, scan_rows) = run_pref(w, &logical, Some(ForceOp::Scan));
+            let (index_disk, _, index_rows) = run_pref(w, &logical, Some(ForceOp::Index));
+            let (auto_disk, plan, rows) = run_pref(w, &logical, None);
             assert_eq!(rows, scan_rows, "{} eps={eps}: answers diverge", w.name);
             assert_eq!(rows, index_rows, "{} eps={eps}: answers diverge", w.name);
             Measurement {
@@ -187,7 +186,7 @@ fn bench_planner(c: &mut Criterion) {
     c.bench_function("planner_plan_and_execute", |b| {
         b.iter(|| {
             let choice = Planner::new(&w.index, &w.stats)
-                .plan(&logical, None)
+                .plan(&logical, None, None)
                 .expect("plan");
             std::hint::black_box(
                 execute_plan(&logical, &choice.plan, &w.index, None).expect("execute"),

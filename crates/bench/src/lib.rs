@@ -161,7 +161,7 @@ pub fn fig10_point(count: usize, len: usize, seed: u64) -> Point {
     let mut scanned = 0u64;
     let scan_ms = time_ms(1, || {
         for qf in &qfs {
-            let (_, s) = idx.scan_range_features(qf, eps, &t, ScanMode::EarlyAbandon);
+            let (_, s) = idx.scan_range_features(qf, eps, &t, &window, ScanMode::EarlyAbandon);
             scanned += s.scanned as u64;
         }
     }) / QUERY_REPEATS as f64;
@@ -221,7 +221,7 @@ pub fn fig12_curve(targets: &[usize]) -> Vec<Point> {
             accesses = s.index.nodes_visited;
         });
         let scan_ms = time_ms(5, || {
-            let _ = idx.scan_range_features(&qf, eps, &t, ScanMode::EarlyAbandon);
+            let _ = idx.scan_range_features(&qf, eps, &t, &window, ScanMode::EarlyAbandon);
         });
         out.push(Point {
             x: answers as f64,

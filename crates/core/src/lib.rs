@@ -64,9 +64,9 @@
 //! ## Persistence
 //!
 //! The [`store`] module plus [`SimilarityIndex::write_to`] /
-//! [`SimilarityIndex::read_from`] and [`SubseqIndex::write_to`] /
-//! [`SubseqIndex::read_from`] snapshot built indexes to the `tsq-store`
-//! binary format — R\*-tree node structure included, byte-identically, so
+//! [`SimilarityIndex::read_from`] and [`SubseqIndex::write_trails_to`] /
+//! [`SubseqIndex::read_trails_from`] snapshot built indexes to the
+//! `tsq-store` binary format — R\*-tree node structure included, byte-identically, so
 //! a restored index answers every query with the same results *and the
 //! same traversal statistics* without rebuilding anything. Malformed
 //! snapshot bytes are rejected with typed [`Error::Store`] values at
@@ -96,9 +96,8 @@ pub use executor::CancelToken;
 pub use features::{FeatureSchema, Features};
 pub use index::{IndexConfig, Match, QueryStats, SimilarityIndex, StoredSeries};
 pub use plan::{
-    execute_plan, CostEstimate, ExecStats, ForceOp, JoinHint, LogicalPlan, PhysicalOp,
-    PhysicalPlan, PlanChoice, PlanPreference, PlanRows, Planner, QueryOptions, RelationStats,
-    SpaceProfile,
+    execute_plan, CostEstimate, ExecStats, ForceOp, LogicalPlan, PhysicalOp, PhysicalPlan,
+    PlanChoice, PlanRows, Planner, QueryOptions, RelationStats, SpaceProfile,
 };
 pub use queries::{JoinOutcome, JoinPair, JoinStats};
 pub use relation::SeriesRelation;

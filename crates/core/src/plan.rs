@@ -1,6 +1,5 @@
-//! Cost-based query planning: logical plans, physical operator choice,
-//! the one bind step, and the single plan executor every query runs
-//! through.
+//! Cost-based query planning: logical plans, the one bind step, and the
+//! operator table every query runs through.
 //!
 //! The paper frames every similarity query as a choice among access
 //! paths — sequential scan, early-abandoning scan, index
@@ -18,14 +17,38 @@
 //!    query length), the query's FFT, and the Figure-7 search rectangle.
 //!    Planning and execution consume the bound statement and validate
 //!    nothing themselves; a sharded relation binds once for all shards.
-//! 3. A [`Planner`] costs every admissible [`PhysicalOp`] for the bound
-//!    statement from catalog statistics ([`RelationStats`]) and picks the
-//!    cheapest, unless a `WITH (force = ...)` hint or a [`PlanPreference`] override
-//!    forces one.
-//! 4. [`execute_plan`] runs the chosen [`PhysicalPlan`] — the one dispatch
-//!    point between the language and the engine — and reports full
-//!    [`ExecStats`] (candidates, refines, node visits, simulated disk
-//!    accesses).
+//! 3. A [`Planner`] costs every [`PhysicalOp`] that implements the bound
+//!    statement from catalog statistics ([`RelationStats`]), and one
+//!    `choose` picks among them: the operator the statement's
+//!    `WITH (force = ...)` names ([`ForceOp`], carried as one
+//!    `Option<ForceOp>` from [`QueryOptions`] to here), else the cheapest.
+//! 4. [`execute_plan`] runs the chosen [`PhysicalPlan`] — a dispatch on
+//!    `(statement form, operator)` into the table below — and reports
+//!    full [`ExecStats`].
+//!
+//! ## The operator table
+//!
+//! Each operator has one kernel, one cost function and one accounting
+//! constructor; anything that changes how an operator filters, times or
+//! cancels its work changes exactly one row.
+//!
+//! | operator | form | forced by | kernel | cost | accounting |
+//! |---|---|---|---|---|---|
+//! | `IndexRange` | range | `index` | [`SimilarityIndex::range_query`]'s filter + refine | `index_range_estimate` | `ExecStats::index` |
+//! | `EarlyAbandonScan` | range | `scan` | [`SimilarityIndex::scan_range_features`] | `scan_estimate` | `ExecStats::scan` |
+//! | `SeqScan` | range | — | [`SimilarityIndex::scan_range_features`] | `scan_estimate` | `ExecStats::scan` |
+//! | `IndexKnn` | k-NN | `index` | [`SimilarityIndex::knn_query`]'s best-first search | `plan_knn` | `ExecStats::index` |
+//! | `SeqScan` | k-NN | `scan` | [`SimilarityIndex::scan_knn`]'s sort | `scan_estimate` | `ExecStats::scan` |
+//! | `JoinIndex` | join | `index` | [`crate::queries`]' `probe_pairs` | `plan_join` | `ExecStats::index` |
+//! | `JoinTree` | join | `tree` | [`SimilarityIndex::join_tree`] | `plan_join` | `ExecStats::index` |
+//! | `JoinScan` | join | `scan` | [`crate::queries`]' `scan_pairs`, early abandoning | `scan_estimate` (per pair) | `ExecStats::scan` |
+//! | `JoinScan(full)` | join | `scanfull` | [`crate::queries`]' `scan_pairs`, full distances | `scan_estimate` (per pair) | `ExecStats::scan` |
+//! | `SubseqIndexProbe` | subsequence | — | [`SubseqIndex::subseq_range`] / [`SubseqIndex::subseq_knn`] | `plan_subseq` | `ExecStats::index` |
+//!
+//! The join kernels are written over a probe side and a partner side; a
+//! self-join is the case where both are the same index. The cross-shard
+//! stage of a sharded join ([`crate::shard`]) runs the same rows over
+//! pairs of shards.
 //!
 //! ## The cost model
 //!
@@ -50,17 +73,20 @@
 //! declare a transformation expensive and steer the planner away from
 //! transform-heavy paths.
 //!
-//! Disk-access accounting matches the reproduction benches: a sequential
-//! scan charges one access per stored record; an index plan charges one
-//! per visited node plus one per candidate record fetched for refinement.
+//! ## Accounting
+//!
+//! Disk accesses match the reproduction benches, and are computed in two
+//! places only: a scan charges one access per stored record
+//! (`ExecStats::scan`); an index plan charges one per visited node plus
+//! one per record fetched for an exact check (`ExecStats::index`).
 
-use tsq_rtree::{LevelStats, RStarTree, Rect};
+use tsq_rtree::{LevelStats, RStarTree, Rect, SearchStats};
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
 use crate::features::Features;
 use crate::index::{Match, SimilarityIndex};
-use crate::queries::JoinPair;
+use crate::queries::{probe_pairs, scan_pairs, JoinPair};
 use crate::scan::ScanMode;
 use crate::space::{QueryWindow, SpaceKind};
 use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
@@ -112,12 +138,6 @@ pub enum LogicalPlan {
         eps: f64,
         /// Composed transformation (applied to both sides).
         transform: LinearTransform,
-        /// `WITH (force = ...)` override from the language, if any. A hint also pins
-        /// the historical answer multiplicity of the method (index/tree
-        /// joins report each pair twice, scans once); without a hint the
-        /// executor canonicalizes every strategy to one row per unordered
-        /// pair, so the planner's choice can never change the answer.
-        hint: Option<JoinHint>,
     },
     /// Subsequence range query over a sliding window of length `window`.
     SubseqRange {
@@ -164,6 +184,25 @@ impl LogicalPlan {
             _ => None,
         }
     }
+
+    /// Whether the statement may carry `forced`: `scanfull` and `tree`
+    /// are join methods (Table 1) and name no operator of any other form.
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] for a join-only force on a non-join form.
+    pub fn check_force(&self, forced: Option<ForceOp>) -> Result<()> {
+        match forced {
+            Some(force @ (ForceOp::ScanFull | ForceOp::Tree))
+                if !matches!(self, LogicalPlan::Join { .. }) =>
+            {
+                Err(Error::Unsupported(format!(
+                    "force = {} applies only to JOIN queries",
+                    force.name()
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// A statement bound to a relation — the output of Algorithm 2's
@@ -197,7 +236,6 @@ pub(crate) enum Bound<'a> {
     Join {
         eps: f64,
         transform: &'a LinearTransform,
-        hint: Option<JoinHint>,
     },
     /// A bound subsequence range query.
     SubseqRange {
@@ -249,17 +287,11 @@ impl<'a> Bound<'a> {
                 k: *k,
                 transform,
             }),
-            LogicalPlan::Join {
-                eps,
-                transform,
-                hint,
-                ..
-            } => {
+            LogicalPlan::Join { eps, transform, .. } => {
                 index.validate(Some(*eps), transform, None)?;
                 Ok(Bound::Join {
                     eps: *eps,
                     transform,
-                    hint: *hint,
                 })
             }
             LogicalPlan::SubseqRange {
@@ -306,19 +338,6 @@ fn check_window(query: &TimeSeries, window: usize) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// Methods a join query may force (Table 1's methods).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinHint {
-    /// Sequential scan, full distances (method a).
-    ScanFull,
-    /// Sequential scan with early abandoning (method b).
-    Scan,
-    /// Index-nested-loop join (methods c/d).
-    Index,
-    /// Synchronized tree↔tree join (extension).
-    Tree,
 }
 
 /// A physical operator: one concrete access path.
@@ -401,6 +420,18 @@ impl CostEstimate {
     pub fn total(&self) -> f64 {
         self.disk + self.cpu
     }
+
+    /// The estimate of a filter-and-refine operator: every candidate is
+    /// fetched and refined, so disk is nodes plus candidates.
+    fn filter_refine(nodes: f64, candidates: f64, cpu: f64) -> Self {
+        CostEstimate {
+            nodes,
+            candidates,
+            refines: candidates,
+            disk: nodes + candidates,
+            cpu,
+        }
+    }
 }
 
 /// The planner's decision: a chosen operator with its estimate.
@@ -410,8 +441,8 @@ pub struct PhysicalPlan {
     pub op: PhysicalOp,
     /// Its predicted cost.
     pub estimate: CostEstimate,
-    /// True when a `WITH (force = ...)` hint or [`PlanPreference`] override picked the
-    /// operator instead of the cost comparison.
+    /// True when the statement's `WITH (force = ...)` picked the operator
+    /// instead of the cost comparison.
     pub forced: bool,
 }
 
@@ -423,19 +454,6 @@ pub struct PlanChoice {
     pub plan: PhysicalPlan,
     /// All candidates costed, chosen one included.
     pub considered: Vec<(&'static str, CostEstimate)>,
-}
-
-/// Planner-level override, used by ablation benches and tests to force an
-/// access-path family regardless of the cost comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanPreference {
-    /// Pick the cheapest estimate (the default).
-    #[default]
-    Auto,
-    /// Force the sequential-scan family (early-abandoning where possible).
-    ForceScan,
-    /// Force the index family.
-    ForceIndex,
 }
 
 /// An access path a query's `WITH (force = ...)` clause may pin. `Scan`
@@ -451,6 +469,18 @@ pub enum ForceOp {
     Index,
     /// Synchronized tree↔tree join (joins only).
     Tree,
+}
+
+impl ForceOp {
+    /// The `WITH (force = ...)` spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            ForceOp::Scan => "scan",
+            ForceOp::ScanFull => "scanfull",
+            ForceOp::Index => "index",
+            ForceOp::Tree => "tree",
+        }
+    }
 }
 
 /// The unified query-override surface: one struct carries everything a
@@ -478,37 +508,6 @@ impl QueryOptions {
     /// True when every field is the engine default.
     pub fn is_default(&self) -> bool {
         *self == QueryOptions::default()
-    }
-
-    /// The planner preference this force implies for non-join forms.
-    ///
-    /// # Errors
-    /// `ScanFull`/`Tree` apply only to joins ([`Error::Unsupported`]).
-    pub fn preference(&self) -> Result<PlanPreference> {
-        match self.force {
-            None => Ok(PlanPreference::Auto),
-            Some(ForceOp::Scan) => Ok(PlanPreference::ForceScan),
-            Some(ForceOp::Index) => Ok(PlanPreference::ForceIndex),
-            Some(ForceOp::ScanFull) => Err(Error::Unsupported(
-                "force = scanfull applies only to JOIN queries".to_string(),
-            )),
-            Some(ForceOp::Tree) => Err(Error::Unsupported(
-                "force = tree applies only to JOIN queries".to_string(),
-            )),
-        }
-    }
-
-    /// The join hint this force implies (joins keep the historical
-    /// per-method answer multiplicity, so a forced join is a hint, not a
-    /// mere preference).
-    pub fn join_hint(&self) -> Option<JoinHint> {
-        match self.force {
-            None => None,
-            Some(ForceOp::Scan) => Some(JoinHint::Scan),
-            Some(ForceOp::ScanFull) => Some(JoinHint::ScanFull),
-            Some(ForceOp::Index) => Some(JoinHint::Index),
-            Some(ForceOp::Tree) => Some(JoinHint::Tree),
-        }
     }
 
     /// Field-wise overlay: any field set in `over` wins over `self`.
@@ -567,44 +566,39 @@ impl SpaceProfile {
         }
     }
 
-    /// Expected `(node visits, point-selectivity fraction)` for a query
-    /// rectangle given by per-dimension sides (`f64::INFINITY` =
-    /// unconstrained). Sides are clipped to the data extent; the root is
-    /// always visited.
-    pub fn visit_estimate(&self, sides: &[f64]) -> (f64, f64) {
-        if self.levels.is_empty() {
-            return (0.0, 0.0);
-        }
-        let dims = self.bounds_lo.len();
-        let mut point_frac = 1.0f64;
-        for d in 0..dims {
+    /// Probability that a uniformly placed box of per-dimension `sides`
+    /// (`f64::INFINITY` = unconstrained; clipped to the data extent),
+    /// grown by `grow(d)` in every dimension — the Minkowski sum with a
+    /// node's extent — covers a point of the data bounds.
+    fn overlap(&self, sides: &[f64], grow: impl Fn(usize) -> f64) -> f64 {
+        let mut p = 1.0f64;
+        for d in 0..self.bounds_lo.len() {
             let w = self.extent(d);
             if w <= 0.0 {
                 continue;
             }
             let q = sides.get(d).copied().unwrap_or(f64::INFINITY).min(w);
-            point_frac *= (q / w).clamp(0.0, 1.0);
+            p *= ((grow(d) + q) / w).clamp(0.0, 1.0);
         }
-        let mut nodes = 0.0;
-        let top = self.levels.len() - 1;
-        for (i, level) in self.levels.iter().enumerate() {
-            if i == top {
-                nodes += 1.0; // the root is always read
-                continue;
-            }
-            let mut p = 1.0f64;
-            for d in 0..dims {
-                let w = self.extent(d);
-                if w <= 0.0 {
-                    continue;
-                }
-                let q = sides.get(d).copied().unwrap_or(f64::INFINITY).min(w);
-                let s = level.avg_extent.get(d).copied().unwrap_or(0.0);
-                p *= ((s + q) / w).clamp(0.0, 1.0);
-            }
-            nodes += (level.nodes as f64 * p).min(level.nodes as f64);
-        }
-        (nodes, point_frac)
+        p
+    }
+
+    /// Expected `(node visits, point-selectivity fraction)` for a query
+    /// rectangle given by per-dimension sides (Kamel & Faloutsos: a node
+    /// is read when the rectangle grown by the node's average extent
+    /// covers it). The root is always visited.
+    pub fn visit_estimate(&self, sides: &[f64]) -> (f64, f64) {
+        let Some((_root, below)) = self.levels.split_last() else {
+            return (0.0, 0.0);
+        };
+        let nodes: f64 = below
+            .iter()
+            .map(|level| {
+                let p = self.overlap(sides, |d| level.avg_extent.get(d).copied().unwrap_or(0.0));
+                (level.nodes as f64 * p).min(level.nodes as f64)
+            })
+            .sum();
+        (nodes + 1.0, self.overlap(sides, |_| 0.0))
     }
 }
 
@@ -641,63 +635,105 @@ impl RelationStats {
     }
 }
 
+/// One operator a planner costed for a statement: the operator, its
+/// estimate, and the `WITH (force = ...)` value that pins it (`None`:
+/// listed for `EXPLAIN`, named by no force).
+type Costed = (PhysicalOp, CostEstimate, Option<ForceOp>);
+
+/// The one place an operator is chosen: the candidate `forced` pins,
+/// else the cheapest (the first listed wins a tie). A force that pins no
+/// candidate — a family force on a subsequence form, which has one
+/// operator — leaves the choice to cost, unforced.
+fn choose(costed: Vec<Costed>, forced: Option<ForceOp>) -> PlanChoice {
+    let pinned = forced.and_then(|force| costed.iter().find(|c| c.2 == Some(force)));
+    let &(op, estimate, _) = pinned.unwrap_or_else(|| {
+        costed
+            .iter()
+            .reduce(|best, c| {
+                if c.1.total() < best.1.total() {
+                    c
+                } else {
+                    best
+                }
+            })
+            .expect("every form has an operator")
+    });
+    let forced = pinned.is_some();
+    // A forced join keeps its method's historical answer multiplicity
+    // (index/tree joins report each pair twice, scans once); a planned
+    // one is canonicalized to one row per unordered pair, so the
+    // planner's choice can never change the answer.
+    let op = match op {
+        PhysicalOp::JoinIndex { .. } => PhysicalOp::JoinIndex { dedup: !forced },
+        PhysicalOp::JoinTree { .. } => PhysicalOp::JoinTree { dedup: !forced },
+        other => other,
+    };
+    PlanChoice {
+        plan: PhysicalPlan {
+            op,
+            estimate,
+            forced,
+        },
+        considered: costed.iter().map(|c| (c.0.name(), c.1)).collect(),
+    }
+}
+
 /// The cost-based planner: statistics plus the index whose configuration
 /// (feature schema, coordinate space) shapes search rectangles.
 #[derive(Debug, Clone, Copy)]
 pub struct Planner<'a> {
     index: &'a SimilarityIndex,
     stats: &'a RelationStats,
-    pref: PlanPreference,
 }
 
 impl<'a> Planner<'a> {
     /// A planner over one relation's index and statistics.
     pub fn new(index: &'a SimilarityIndex, stats: &'a RelationStats) -> Self {
-        Planner {
-            index,
-            stats,
-            pref: PlanPreference::Auto,
-        }
+        Planner { index, stats }
     }
 
-    /// Overrides the access-path family (ablation benches and tests).
-    pub fn with_preference(mut self, pref: PlanPreference) -> Self {
-        self.pref = pref;
-        self
-    }
-
-    /// Picks the cheapest admissible physical plan for `logical`.
-    /// `subseq` is the cached ST-index for subsequence forms, if any —
-    /// planning never builds one (EXPLAIN must not execute anything).
+    /// Picks the physical plan for `logical`: the operator `forced` names,
+    /// else the cheapest. `subseq` is the cached ST-index for subsequence
+    /// forms, if any — planning never builds one (EXPLAIN must not
+    /// execute anything).
     ///
     /// # Errors
-    /// The same validation failures execution would report, in the same
-    /// order: the statement is bound first, exactly as [`execute_plan`]
-    /// binds it.
-    pub fn plan(&self, logical: &LogicalPlan, subseq: Option<&SubseqIndex>) -> Result<PlanChoice> {
-        Ok(self.plan_bound(&Bound::new(logical, self.index)?, subseq))
+    /// A join-only force on another form, then the same validation
+    /// failures execution would report, in the same order: the statement
+    /// is bound first, exactly as [`execute_plan`] binds it.
+    pub fn plan(
+        &self,
+        logical: &LogicalPlan,
+        forced: Option<ForceOp>,
+        subseq: Option<&SubseqIndex>,
+    ) -> Result<PlanChoice> {
+        logical.check_force(forced)?;
+        Ok(self.plan_bound(&Bound::new(logical, self.index)?, forced, subseq))
     }
 
-    /// Costs the operators of a bound statement. Infallible: everything
-    /// that can be wrong with a statement was found when it was bound.
-    pub(crate) fn plan_bound(&self, bound: &Bound<'_>, subseq: Option<&SubseqIndex>) -> PlanChoice {
-        match *bound {
+    /// Costs the operators of a bound statement and chooses one.
+    /// Infallible: everything that can be wrong with a statement was
+    /// found when it was bound.
+    pub(crate) fn plan_bound(
+        &self,
+        bound: &Bound<'_>,
+        forced: Option<ForceOp>,
+        subseq: Option<&SubseqIndex>,
+    ) -> PlanChoice {
+        let costed = match *bound {
             Bound::Range {
                 ref rect,
                 transform,
                 ..
             } => self.plan_range(rect, transform),
             Bound::Knn { k, transform, .. } => self.plan_knn(k, transform),
-            Bound::Join {
-                eps,
-                transform,
-                hint,
-            } => self.plan_join(eps, transform, hint),
+            Bound::Join { eps, transform } => self.plan_join(eps, transform),
             Bound::SubseqRange { eps, window, .. } => {
                 self.plan_subseq(Some(eps), None, window, subseq)
             }
             Bound::SubseqKnn { k, window, .. } => self.plan_subseq(None, Some(k), window, subseq),
-        }
+        };
+        choose(costed, forced)
     }
 
     /// CPU cost (in page units) of `checks` exact distance computations.
@@ -715,66 +751,49 @@ impl<'a> Planner<'a> {
         nodes * (self.stats.dims as f64 * 8.0) / POINT_OPS_PER_PAGE + t.cost()
     }
 
-    fn scan_estimate(&self, mode: ScanMode, transformed: bool) -> CostEstimate {
-        let n = self.stats.cardinality as f64;
+    /// A scan reads every stored record once and runs `checks` exact
+    /// distance computations over them (one per record for a query, one
+    /// per pair for a join).
+    fn scan_estimate(&self, mode: ScanMode, checks: f64, transformed: bool) -> CostEstimate {
         let factor = match mode {
             ScanMode::Naive => 1.0,
             ScanMode::EarlyAbandon => EARLY_ABANDON_FACTOR,
         };
         CostEstimate {
             nodes: 0.0,
-            candidates: n,
-            refines: n,
-            disk: n,
-            cpu: self.refine_cpu(n, transformed) * factor,
+            candidates: checks,
+            refines: checks,
+            disk: self.stats.cardinality as f64,
+            cpu: self.refine_cpu(checks, transformed) * factor,
         }
     }
 
     fn index_range_estimate(&self, sides: &[f64], t: &LinearTransform) -> CostEstimate {
         let (nodes, frac) = self.stats.profile.visit_estimate(sides);
         let candidates = self.stats.cardinality as f64 * frac;
-        CostEstimate {
-            nodes,
-            candidates,
-            refines: candidates,
-            disk: nodes + candidates,
-            cpu: self.refine_cpu(candidates, !t.is_identity(1e-12)) + self.traversal_cpu(nodes, t),
-        }
+        let cpu = self.refine_cpu(candidates, !t.is_identity(1e-12)) + self.traversal_cpu(nodes, t);
+        CostEstimate::filter_refine(nodes, candidates, cpu)
     }
 
-    fn plan_range(&self, qrect: &Rect, t: &LinearTransform) -> PlanChoice {
-        let sides = rect_sides(qrect);
-        let transformed = !t.is_identity(1e-12);
-        let index_est = self.index_range_estimate(&sides, t);
-        let ea_est = self.scan_estimate(ScanMode::EarlyAbandon, transformed);
-        let seq_est = self.scan_estimate(ScanMode::Naive, transformed);
-        let considered = vec![
-            (PhysicalOp::IndexRange.name(), index_est),
-            (PhysicalOp::EarlyAbandonScan.name(), ea_est),
-            (PhysicalOp::SeqScan.name(), seq_est),
-        ];
-        let (op, estimate, forced) = match self.pref {
-            PlanPreference::ForceScan => (PhysicalOp::EarlyAbandonScan, ea_est, true),
-            PlanPreference::ForceIndex => (PhysicalOp::IndexRange, index_est, true),
-            PlanPreference::Auto => {
-                if index_est.total() <= ea_est.total() {
-                    (PhysicalOp::IndexRange, index_est, false)
-                } else {
-                    (PhysicalOp::EarlyAbandonScan, ea_est, false)
-                }
-            }
-        };
-        PlanChoice {
-            plan: PhysicalPlan {
-                op,
-                estimate,
-                forced,
-            },
-            considered,
-        }
+    fn plan_range(&self, qrect: &Rect, t: &LinearTransform) -> Vec<Costed> {
+        let n = self.stats.cardinality as f64;
+        let scan = |mode| self.scan_estimate(mode, n, !t.is_identity(1e-12));
+        vec![
+            (
+                PhysicalOp::IndexRange,
+                self.index_range_estimate(&rect_sides(qrect), t),
+                Some(ForceOp::Index),
+            ),
+            (
+                PhysicalOp::EarlyAbandonScan,
+                scan(ScanMode::EarlyAbandon),
+                Some(ForceOp::Scan),
+            ),
+            (PhysicalOp::SeqScan, scan(ScanMode::Naive), None),
+        ]
     }
 
-    fn plan_knn(&self, k: usize, t: &LinearTransform) -> PlanChoice {
+    fn plan_knn(&self, k: usize, t: &LinearTransform) -> Vec<Costed> {
         let n = self.stats.cardinality;
         let transformed = !t.is_identity(1e-12);
         // Equivalent-radius heuristic: the rectangle enclosing the k
@@ -792,54 +811,22 @@ impl<'a> Planner<'a> {
         let (nodes, frac) = self.stats.profile.visit_estimate(&sides);
         // Best-first search refines a small multiple of the answer set.
         let refines = (2.0 * (k as f64).max(n as f64 * frac)).min(n as f64);
-        let index_est = CostEstimate {
-            nodes,
-            candidates: refines,
-            refines,
-            disk: nodes + refines,
-            cpu: self.refine_cpu(refines, transformed) + self.traversal_cpu(nodes, t),
-        };
-        let scan_est = self.scan_estimate(ScanMode::Naive, transformed);
-        let considered = vec![
-            (PhysicalOp::IndexKnn.name(), index_est),
-            (PhysicalOp::SeqScan.name(), scan_est),
-        ];
-        let (op, estimate, forced) = match self.pref {
-            PlanPreference::ForceScan => (PhysicalOp::SeqScan, scan_est, true),
-            PlanPreference::ForceIndex => (PhysicalOp::IndexKnn, index_est, true),
-            PlanPreference::Auto => {
-                if index_est.total() <= scan_est.total() {
-                    (PhysicalOp::IndexKnn, index_est, false)
-                } else {
-                    (PhysicalOp::SeqScan, scan_est, false)
-                }
-            }
-        };
-        PlanChoice {
-            plan: PhysicalPlan {
-                op,
-                estimate,
-                forced,
-            },
-            considered,
-        }
+        let cpu = self.refine_cpu(refines, transformed) + self.traversal_cpu(nodes, t);
+        let index_est = CostEstimate::filter_refine(nodes, refines, cpu);
+        vec![
+            (PhysicalOp::IndexKnn, index_est, Some(ForceOp::Index)),
+            (
+                PhysicalOp::SeqScan,
+                self.scan_estimate(ScanMode::Naive, n as f64, transformed),
+                Some(ForceOp::Scan),
+            ),
+        ]
     }
 
-    fn plan_join(&self, eps: f64, t: &LinearTransform, hint: Option<JoinHint>) -> PlanChoice {
+    fn plan_join(&self, eps: f64, t: &LinearTransform) -> Vec<Costed> {
         let n = self.stats.cardinality as f64;
         let pairs = n * (n - 1.0).max(0.0) / 2.0;
         let transformed = !t.is_identity(1e-12);
-        let scan_full = CostEstimate {
-            nodes: 0.0,
-            candidates: pairs,
-            refines: pairs,
-            disk: n,
-            cpu: self.refine_cpu(pairs, transformed),
-        };
-        let scan_ea = CostEstimate {
-            cpu: scan_full.cpu * EARLY_ABANDON_FACTOR,
-            ..scan_full
-        };
         // An average probe: the eps-ball search rectangle around a typical
         // feature point (the center of the data bounds), with the mean/std
         // filter dimensions unconstrained.
@@ -855,110 +842,45 @@ impl<'a> Planner<'a> {
         // The synchronized join prunes both sides at once: at each level,
         // node pairs survive with the Minkowski probability of their two
         // average extents, and each surviving pair costs two node reads.
+        let profile = &self.stats.profile;
         let mut tree_nodes = 0.0;
-        let dims = self.stats.dims;
-        let top = self.stats.profile.levels.len().saturating_sub(1);
-        for (i, level) in self.stats.profile.levels.iter().enumerate() {
-            if i == top {
-                tree_nodes += 1.0;
-                continue;
+        if let Some((_root, below)) = profile.levels.split_last() {
+            for level in below {
+                let p = profile.overlap(&sides, |d| {
+                    2.0 * level.avg_extent.get(d).copied().unwrap_or(0.0)
+                });
+                let nodes_l = level.nodes as f64;
+                tree_nodes += (nodes_l * (1.0 + nodes_l * p)).min(nodes_l * nodes_l).min(
+                    // Never model the synchronized join as costlier than
+                    // probing every node once per series.
+                    n * nodes_l,
+                );
             }
-            let mut p = 1.0f64;
-            for d in 0..dims {
-                let w = self.stats.profile.extent(d);
-                if w <= 0.0 {
-                    continue;
-                }
-                let s = level.avg_extent.get(d).copied().unwrap_or(0.0);
-                let q = sides.get(d).copied().unwrap_or(f64::INFINITY).min(w);
-                p *= ((2.0 * s + q) / w).clamp(0.0, 1.0);
-            }
-            let nodes_l = level.nodes as f64;
-            tree_nodes += (nodes_l * (1.0 + nodes_l * p)).min(nodes_l * nodes_l).min(
-                // Never model the synchronized join as costlier than
-                // probing every node once per series.
-                n * nodes_l,
-            );
+            tree_nodes += 1.0;
         }
-        let join_tree = CostEstimate {
-            nodes: tree_nodes,
-            candidates: join_index.candidates,
-            refines: join_index.refines,
-            disk: tree_nodes + join_index.candidates,
-            cpu: self.refine_cpu(join_index.refines, transformed)
-                + self.traversal_cpu(tree_nodes, t),
+        let join_tree = CostEstimate::filter_refine(
+            tree_nodes,
+            join_index.candidates,
+            self.refine_cpu(join_index.refines, transformed) + self.traversal_cpu(tree_nodes, t),
+        );
+        let scan = |mode, force| {
+            let estimate = self.scan_estimate(mode, pairs, transformed);
+            (PhysicalOp::JoinScan { mode }, estimate, Some(force))
         };
-        let considered = vec![
-            (PhysicalOp::JoinIndex { dedup: true }.name(), join_index),
-            (PhysicalOp::JoinTree { dedup: true }.name(), join_tree),
+        vec![
             (
-                PhysicalOp::JoinScan {
-                    mode: ScanMode::EarlyAbandon,
-                }
-                .name(),
-                scan_ea,
+                PhysicalOp::JoinIndex { dedup: true },
+                join_index,
+                Some(ForceOp::Index),
             ),
             (
-                PhysicalOp::JoinScan {
-                    mode: ScanMode::Naive,
-                }
-                .name(),
-                scan_full,
+                PhysicalOp::JoinTree { dedup: true },
+                join_tree,
+                Some(ForceOp::Tree),
             ),
-        ];
-        let (op, estimate, forced) = match hint {
-            Some(JoinHint::ScanFull) => (
-                PhysicalOp::JoinScan {
-                    mode: ScanMode::Naive,
-                },
-                scan_full,
-                true,
-            ),
-            Some(JoinHint::Scan) => (
-                PhysicalOp::JoinScan {
-                    mode: ScanMode::EarlyAbandon,
-                },
-                scan_ea,
-                true,
-            ),
-            Some(JoinHint::Index) => (PhysicalOp::JoinIndex { dedup: false }, join_index, true),
-            Some(JoinHint::Tree) => (PhysicalOp::JoinTree { dedup: false }, join_tree, true),
-            None => match self.pref {
-                PlanPreference::ForceScan => (
-                    PhysicalOp::JoinScan {
-                        mode: ScanMode::EarlyAbandon,
-                    },
-                    scan_ea,
-                    true,
-                ),
-                PlanPreference::ForceIndex => {
-                    (PhysicalOp::JoinIndex { dedup: true }, join_index, true)
-                }
-                PlanPreference::Auto => {
-                    let mut best = (PhysicalOp::JoinIndex { dedup: true }, join_index);
-                    if join_tree.total() < best.1.total() {
-                        best = (PhysicalOp::JoinTree { dedup: true }, join_tree);
-                    }
-                    if scan_ea.total() < best.1.total() {
-                        best = (
-                            PhysicalOp::JoinScan {
-                                mode: ScanMode::EarlyAbandon,
-                            },
-                            scan_ea,
-                        );
-                    }
-                    (best.0, best.1, false)
-                }
-            },
-        };
-        PlanChoice {
-            plan: PhysicalPlan {
-                op,
-                estimate,
-                forced,
-            },
-            considered,
-        }
+            scan(ScanMode::EarlyAbandon, ForceOp::Scan),
+            scan(ScanMode::Naive, ForceOp::ScanFull),
+        ]
     }
 
     /// Per-dimension sides of an average eps-ball search rectangle: the
@@ -1003,7 +925,7 @@ impl<'a> Planner<'a> {
         k: Option<usize>,
         window: usize,
         subseq: Option<&SubseqIndex>,
-    ) -> PlanChoice {
+    ) -> Vec<Costed> {
         let config = match subseq {
             Some(idx) => *idx.config(),
             None => SubseqConfig::new(window),
@@ -1014,41 +936,28 @@ impl<'a> Planner<'a> {
             Some(idx) => idx.windows_total() as f64,
             None => (self.stats.cardinality * windows_per_series) as f64,
         };
-        // The ST-index query rectangle is a cube of side 2 eps in the
-        // window-feature space; k-NN uses the equivalent-radius heuristic.
-        let side = match (eps, k) {
-            (Some(eps), _) => 2.0 * eps,
-            (None, Some(k)) => {
-                let frac = if windows_total > 0.0 {
-                    (k as f64 / windows_total).min(1.0)
-                } else {
-                    0.0
-                };
-                frac.powf(1.0 / dims.max(1) as f64)
-            }
-            (None, None) => 0.0,
-        };
-        let (probe, build_cpu) = match subseq {
+        let refine_cpu = |candidates: f64| candidates * window as f64 / POINT_OPS_PER_PAGE;
+        let estimate = match subseq {
             Some(idx) => {
-                let profile = SpaceProfile::of_tree(idx.tree(), idx.windows_total() as u64);
-                let sides: Vec<f64> = (0..dims)
-                    .map(|d| match (eps, k) {
-                        (Some(_), _) => side,
-                        _ => profile.extent(d) * side,
-                    })
-                    .collect();
+                let profile = idx.profile();
+                // The ST-index query rectangle is a cube of side 2 eps in
+                // the window-feature space; k-NN uses the
+                // equivalent-radius heuristic.
+                let sides: Vec<f64> = match (eps, k) {
+                    (Some(eps), _) => vec![2.0 * eps; dims],
+                    (None, k) => {
+                        let frac = if windows_total > 0.0 {
+                            (k.unwrap_or(0) as f64 / windows_total).min(1.0)
+                        } else {
+                            0.0
+                        };
+                        let scale = frac.powf(1.0 / dims.max(1) as f64);
+                        (0..dims).map(|d| profile.extent(d) * scale).collect()
+                    }
+                };
                 let (nodes, frac) = profile.visit_estimate(&sides);
                 let candidates = windows_total * frac;
-                (
-                    CostEstimate {
-                        nodes,
-                        candidates,
-                        refines: candidates,
-                        disk: nodes + candidates,
-                        cpu: candidates * window as f64 / POINT_OPS_PER_PAGE,
-                    },
-                    0.0,
-                )
+                CostEstimate::filter_refine(nodes, candidates, refine_cpu(candidates))
             }
             None => {
                 // Cold probe: coarse estimate (no tree to profile yet) plus
@@ -1064,34 +973,14 @@ impl<'a> Planner<'a> {
                 nodes += 1.0;
                 let candidates = (windows_total * 0.05).max(1.0).min(windows_total);
                 let build_cpu = windows_total * window as f64 / POINT_OPS_PER_PAGE;
-                (
-                    CostEstimate {
-                        nodes,
-                        candidates,
-                        refines: candidates,
-                        disk: nodes + candidates,
-                        cpu: candidates * window as f64 / POINT_OPS_PER_PAGE,
-                    },
-                    build_cpu,
-                )
+                CostEstimate::filter_refine(nodes, candidates, refine_cpu(candidates) + build_cpu)
             }
-        };
-        let estimate = CostEstimate {
-            cpu: probe.cpu + build_cpu,
-            ..probe
         };
         let op = PhysicalOp::SubseqIndexProbe {
             knn: k.is_some(),
             cached: subseq.is_some(),
         };
-        PlanChoice {
-            plan: PhysicalPlan {
-                op,
-                estimate,
-                forced: false,
-            },
-            considered: vec![(op.name(), estimate)],
-        }
+        vec![(op, estimate, None)]
     }
 }
 
@@ -1137,6 +1026,38 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
+    /// The accounting of an index plan: one disk access per visited node
+    /// plus one per record fetched for an exact check.
+    pub(crate) fn index(
+        search: &SearchStats,
+        candidates: usize,
+        refined: usize,
+        false_hits: usize,
+    ) -> Self {
+        ExecStats {
+            candidates,
+            refined,
+            false_hits,
+            nodes_visited: search.nodes_visited,
+            disk_accesses: search.nodes_visited + refined as u64,
+            pool_hits: search.pool_hits,
+            pool_misses: search.pool_misses,
+        }
+    }
+
+    /// The accounting of a scan: one disk access per record read off the
+    /// `stored` relation; each of the `compared` records is a candidate
+    /// and an exact check, and all but the `rows` answers are false hits.
+    pub(crate) fn scan(stored: usize, compared: usize, rows: usize) -> Self {
+        ExecStats {
+            candidates: compared,
+            refined: compared,
+            false_hits: compared - rows,
+            disk_accesses: stored as u64,
+            ..ExecStats::default()
+        }
+    }
+
     /// Adds every counter of `other` into `self` — the scatter-gather
     /// merge rule: the merged stats of a sharded execution are the exact
     /// sum of the per-shard counters, buffer-pool traffic included.
@@ -1188,23 +1109,6 @@ impl PlanRows {
     }
 }
 
-/// Whether `features` passes the query's mean/std filter window — the
-/// scan-side equivalent of the index path's search-rectangle bounds on
-/// the two auxiliary dimensions.
-fn window_admits(features: &Features, window: &QueryWindow) -> bool {
-    if let Some((lo, hi)) = window.mean {
-        if features.mean < lo || features.mean > hi {
-            return false;
-        }
-    }
-    if let Some((lo, hi)) = window.std {
-        if features.std < lo || features.std > hi {
-            return false;
-        }
-    }
-    true
-}
-
 /// Executes a physical plan — the single dispatch point between planned
 /// queries and the engine. `subseq` must be provided for subsequence
 /// plans (the catalog builds or fetches it from its cache).
@@ -1224,10 +1128,10 @@ pub fn execute_plan(
 }
 
 /// Runs a physical plan for a bound statement against one index — a
-/// relation, or one shard of the relation the statement was bound to.
-/// No query is validated or transformed to the frequency domain here
-/// (the join strategies, which have no query, re-run their `O(k)` checks
-/// through their public entry points).
+/// relation, or one shard of the relation the statement was bound to:
+/// the dispatch on `(statement form, operator)` into the operator table
+/// (module docs). No query is validated or transformed to the frequency
+/// domain here.
 pub(crate) fn execute_bound(
     bound: &Bound<'_>,
     plan: &PhysicalPlan,
@@ -1235,7 +1139,12 @@ pub(crate) fn execute_bound(
     subseq: Option<&SubseqIndex>,
 ) -> Result<(PlanRows, ExecStats)> {
     let n = index.len();
-    match (bound, plan.op) {
+    let st_index = || {
+        subseq.ok_or_else(|| {
+            Error::Unsupported("subsequence plan executed without an ST-index".to_string())
+        })
+    };
+    Ok(match (bound, plan.op) {
         (
             Bound::Range {
                 query,
@@ -1247,16 +1156,13 @@ pub(crate) fn execute_bound(
             PhysicalOp::IndexRange,
         ) => {
             let (matches, stats) = index.range_bound(query, rect, *eps, transform, false)?;
-            let exec = ExecStats {
-                candidates: stats.candidates,
-                refined: stats.exact_checks,
-                false_hits: stats.false_hits,
-                nodes_visited: stats.index.nodes_visited,
-                disk_accesses: stats.index.nodes_visited + stats.candidates as u64,
-                pool_hits: stats.index.pool_hits,
-                pool_misses: stats.index.pool_misses,
-            };
-            Ok((PlanRows::Whole(matches), exec))
+            let exec = ExecStats::index(
+                &stats.index,
+                stats.candidates,
+                stats.exact_checks,
+                stats.false_hits,
+            );
+            (PlanRows::Whole(matches), exec)
         }
         (
             Bound::Range {
@@ -1268,30 +1174,13 @@ pub(crate) fn execute_bound(
             },
             PhysicalOp::SeqScan | PhysicalOp::EarlyAbandonScan,
         ) => {
-            let early = matches!(plan.op, PhysicalOp::EarlyAbandonScan);
-            let mut exec = ExecStats {
-                disk_accesses: n as u64,
-                ..ExecStats::default()
+            let mode = match plan.op {
+                PhysicalOp::SeqScan => ScanMode::Naive,
+                _ => ScanMode::EarlyAbandon,
             };
-            let mut matches = Vec::new();
-            for id in 0..n {
-                let features = index.features(id).expect("id < len");
-                if !window_admits(features, window) {
-                    continue;
-                }
-                exec.candidates += 1;
-                exec.refined += 1;
-                let hit = if early {
-                    index.exact_distance_bounded(id, transform, query, *eps)
-                } else {
-                    Some(index.exact_distance(id, transform, query)).filter(|d| d <= eps)
-                };
-                match hit {
-                    Some(distance) => matches.push(Match { id, distance }),
-                    None => exec.false_hits += 1,
-                }
-            }
-            Ok((PlanRows::Whole(matches), exec))
+            let (matches, stats) = index.scan_range_features(query, *eps, transform, window, mode);
+            let exec = ExecStats::scan(n, stats.scanned, matches.len());
+            (PlanRows::Whole(matches), exec)
         }
         (
             Bound::Knn {
@@ -1302,16 +1191,8 @@ pub(crate) fn execute_bound(
             PhysicalOp::IndexKnn,
         ) => {
             let (matches, stats) = index.knn_bound(query, *k, transform)?;
-            let exec = ExecStats {
-                candidates: stats.candidates,
-                refined: stats.exact_checks,
-                false_hits: 0,
-                nodes_visited: stats.index.nodes_visited,
-                disk_accesses: stats.index.nodes_visited + stats.exact_checks as u64,
-                pool_hits: stats.index.pool_hits,
-                pool_misses: stats.index.pool_misses,
-            };
-            Ok((PlanRows::Whole(matches), exec))
+            let exec = ExecStats::index(&stats.index, stats.candidates, stats.exact_checks, 0);
+            (PlanRows::Whole(matches), exec)
         }
         (
             Bound::Knn {
@@ -1322,96 +1203,97 @@ pub(crate) fn execute_bound(
             PhysicalOp::SeqScan,
         ) => {
             let matches = index.scan_knn_features(query, *k, transform);
-            let exec = ExecStats {
-                candidates: n,
-                refined: n,
-                false_hits: n - matches.len(),
-                nodes_visited: 0,
-                disk_accesses: n as u64,
-                pool_hits: 0,
-                pool_misses: 0,
-            };
-            Ok((PlanRows::Whole(matches), exec))
-        }
-        (Bound::Join { eps, transform, .. }, PhysicalOp::JoinScan { mode }) => {
-            let outcome = index.join_scan(*eps, transform, mode)?;
-            let exec = ExecStats {
-                candidates: outcome.stats.exact_checks,
-                refined: outcome.stats.exact_checks,
-                false_hits: outcome.stats.exact_checks - outcome.pairs.len(),
-                nodes_visited: 0,
-                disk_accesses: n as u64,
-                pool_hits: 0,
-                pool_misses: 0,
-            };
-            Ok((PlanRows::Pairs(outcome.pairs), exec))
+            let exec = ExecStats::scan(n, n, matches.len());
+            (PlanRows::Whole(matches), exec)
         }
         (
-            Bound::Join { eps, transform, .. },
-            PhysicalOp::JoinIndex { dedup } | PhysicalOp::JoinTree { dedup },
+            Bound::Join { eps, transform },
+            PhysicalOp::JoinScan { .. }
+            | PhysicalOp::JoinIndex { .. }
+            | PhysicalOp::JoinTree { .. },
         ) => {
-            let outcome = if matches!(plan.op, PhysicalOp::JoinIndex { .. }) {
-                index.join_index(*eps, transform)?
-            } else {
-                index.join_tree(*eps, transform)?
-            };
-            let mut pairs = outcome.pairs;
-            if dedup {
+            let (mut pairs, exec) = run_join(plan.op, index, index, *eps, transform)?;
+            if let PhysicalOp::JoinIndex { dedup: true } | PhysicalOp::JoinTree { dedup: true } =
+                plan.op
+            {
                 // Canonical answer: one row per unordered pair, `a < b`,
                 // sorted — identical to the scan strategies' output keys.
                 pairs.retain(|p| p.a < p.b);
                 pairs.sort_by_key(|p| (p.a, p.b));
             }
-            let exec = ExecStats {
-                candidates: outcome.stats.candidates,
-                refined: outcome.stats.exact_checks,
-                // Refines rejected by the exact check. Derived from the
-                // abandon counter, not `refined - rows`: an index probe's
-                // own series is a candidate that *passes* the check yet is
-                // never emitted as a pair.
-                false_hits: outcome.stats.abandoned,
-                nodes_visited: outcome.stats.index.nodes_visited,
-                disk_accesses: outcome.stats.index.nodes_visited + outcome.stats.candidates as u64,
-                pool_hits: outcome.stats.index.pool_hits,
-                pool_misses: outcome.stats.index.pool_misses,
-            };
-            Ok((PlanRows::Pairs(pairs), exec))
+            (PlanRows::Pairs(pairs), exec)
         }
         (
             Bound::SubseqRange { query, eps, .. },
             PhysicalOp::SubseqIndexProbe { knn: false, .. },
         ) => {
-            let idx = subseq.ok_or_else(|| {
-                Error::Unsupported("subsequence plan executed without an ST-index".to_string())
-            })?;
-            let (matches, stats) = idx.subseq_range(query, *eps)?;
-            Ok((PlanRows::Windows(matches), subseq_exec(&stats)))
+            let (matches, stats) = st_index()?.subseq_range(query, *eps)?;
+            (PlanRows::Windows(matches), subseq_exec(&stats))
         }
         (Bound::SubseqKnn { query, k, .. }, PhysicalOp::SubseqIndexProbe { knn: true, .. }) => {
-            let idx = subseq.ok_or_else(|| {
-                Error::Unsupported("subsequence plan executed without an ST-index".to_string())
-            })?;
-            let (matches, stats) = idx.subseq_knn(query, *k)?;
-            Ok((PlanRows::Windows(matches), subseq_exec(&stats)))
+            let (matches, stats) = st_index()?.subseq_knn(query, *k)?;
+            (PlanRows::Windows(matches), subseq_exec(&stats))
         }
-        _ => Err(Error::Unsupported(format!(
-            "physical operator {} does not implement logical form {}",
-            plan.op.name(),
-            bound.label()
-        ))),
-    }
+        _ => {
+            return Err(Error::Unsupported(format!(
+                "physical operator {} does not implement logical form {}",
+                plan.op.name(),
+                bound.label()
+            )))
+        }
+    })
+}
+
+/// The join rows of the operator table, over a probe side and a partner
+/// side: a self-join when both are the same index, one ordered pair of
+/// shards in a sharded relation's cross stage otherwise. Pairs are
+/// `(probe id, partner id)` in the method's own multiplicity and order;
+/// the caller has validated `eps` and `t`.
+pub(crate) fn run_join(
+    op: PhysicalOp,
+    probe: &SimilarityIndex,
+    partner: &SimilarityIndex,
+    eps: f64,
+    t: &LinearTransform,
+) -> Result<(Vec<JoinPair>, ExecStats)> {
+    let own = std::ptr::eq(probe, partner);
+    let outcome = match op {
+        PhysicalOp::JoinScan { mode } => {
+            let outcome = scan_pairs(probe, partner, eps, t, mode);
+            // A self-join reads its relation once; the records a cross
+            // stage compares were charged by their shards' self-joins.
+            let stored = if own { probe.len() } else { 0 };
+            let exec = ExecStats::scan(stored, outcome.stats.exact_checks, outcome.pairs.len());
+            return Ok((outcome.pairs, exec));
+        }
+        PhysicalOp::JoinIndex { .. } => probe_pairs(probe, partner, eps, t)?,
+        PhysicalOp::JoinTree { .. } if own => probe.join_tree(eps, t)?,
+        _ => {
+            return Err(Error::Unsupported(format!(
+                "physical operator {} does not join two relations",
+                op.name()
+            )))
+        }
+    };
+    // False hits are the refines the exact check rejected — the abandon
+    // counter, not `refined - rows`: a self-join probe's own series is a
+    // candidate that *passes* the check yet is never emitted as a pair.
+    let exec = ExecStats::index(
+        &outcome.stats.index,
+        outcome.stats.candidates,
+        outcome.stats.exact_checks,
+        outcome.stats.abandoned,
+    );
+    Ok((outcome.pairs, exec))
 }
 
 fn subseq_exec(stats: &crate::subseq::SubseqStats) -> ExecStats {
-    ExecStats {
-        candidates: stats.candidates,
-        refined: stats.candidates,
-        false_hits: stats.false_hits,
-        nodes_visited: stats.index.nodes_visited,
-        disk_accesses: stats.index.nodes_visited + stats.candidates as u64,
-        pool_hits: stats.index.pool_hits,
-        pool_misses: stats.index.pool_misses,
-    }
+    ExecStats::index(
+        &stats.index,
+        stats.candidates,
+        stats.candidates,
+        stats.false_hits,
+    )
 }
 
 fn fmt_est(v: f64) -> String {
@@ -1467,17 +1349,20 @@ pub fn render_plan(logical: &LogicalPlan, choice: &PlanChoice, stats: &RelationS
             relation,
             eps,
             transform,
-            hint,
         } => {
-            let hint = match hint {
-                None => String::new(),
-                Some(JoinHint::ScanFull) => ", using SCANFULL".to_string(),
-                Some(JoinHint::Scan) => ", using SCAN".to_string(),
-                Some(JoinHint::Index) => ", using INDEX".to_string(),
-                Some(JoinHint::Tree) => ", using TREE".to_string(),
+            // A forced join names its method in the header.
+            let using = match choice.plan.op {
+                _ if !choice.plan.forced => "",
+                PhysicalOp::JoinScan {
+                    mode: ScanMode::Naive,
+                } => ", using SCANFULL",
+                PhysicalOp::JoinScan { .. } => ", using SCAN",
+                PhysicalOp::JoinIndex { .. } => ", using INDEX",
+                PhysicalOp::JoinTree { .. } => ", using TREE",
+                _ => "",
             };
             format!(
-                "Join on \"{relation}\": eps={eps}, transform={}{hint}",
+                "Join on \"{relation}\": eps={eps}, transform={}{using}",
                 transform.name()
             )
         }
@@ -1558,6 +1443,10 @@ mod tests {
         SimilarityIndex::build(IndexConfig::default(), rel).unwrap()
     }
 
+    fn idx_series(idx: &SimilarityIndex) -> Vec<TimeSeries> {
+        idx.entries().iter().map(|s| s.series.clone()).collect()
+    }
+
     fn range_logical(idx: &SimilarityIndex, qid: usize, eps: f64) -> LogicalPlan {
         LogicalPlan::Range {
             relation: "r".into(),
@@ -1586,32 +1475,100 @@ mod tests {
         let idx = index(300, 32, 2);
         let stats = RelationStats::from_index(&idx);
         let planner = Planner::new(&idx, &stats);
-        let tight = planner.plan(&range_logical(&idx, 0, 0.05), None).unwrap();
+        let tight = planner
+            .plan(&range_logical(&idx, 0, 0.05), None, None)
+            .unwrap();
         assert_eq!(tight.plan.op, PhysicalOp::IndexRange);
         assert!(!tight.plan.forced);
         // eps large enough that every record qualifies: scanning must win.
-        let loose = planner.plan(&range_logical(&idx, 0, 1e6), None).unwrap();
+        let loose = planner
+            .plan(&range_logical(&idx, 0, 1e6), None, None)
+            .unwrap();
         assert_eq!(loose.plan.op, PhysicalOp::EarlyAbandonScan);
         assert_eq!(loose.considered.len(), 3);
     }
 
     #[test]
-    fn preference_overrides_cost() {
+    fn force_overrides_cost() {
         let idx = index(100, 32, 3);
         let stats = RelationStats::from_index(&idx);
         let logical = range_logical(&idx, 1, 0.1);
         let scan = Planner::new(&idx, &stats)
-            .with_preference(PlanPreference::ForceScan)
-            .plan(&logical, None)
+            .plan(&logical, Some(ForceOp::Scan), None)
             .unwrap();
         assert_eq!(scan.plan.op, PhysicalOp::EarlyAbandonScan);
         assert!(scan.plan.forced);
         let index_plan = Planner::new(&idx, &stats)
-            .with_preference(PlanPreference::ForceIndex)
-            .plan(&logical, None)
+            .plan(&logical, Some(ForceOp::Index), None)
             .unwrap();
         assert_eq!(index_plan.plan.op, PhysicalOp::IndexRange);
         assert!(index_plan.plan.forced);
+    }
+
+    #[test]
+    fn join_only_forces_are_rejected_on_other_forms() {
+        let idx = index(20, 32, 13);
+        let stats = RelationStats::from_index(&idx);
+        let planner = Planner::new(&idx, &stats);
+        let window = TimeSeries::new(idx.series(0).unwrap().values()[..8].to_vec());
+        let others = [
+            range_logical(&idx, 0, 1.0),
+            LogicalPlan::Knn {
+                relation: "r".into(),
+                query: idx.series(0).unwrap().clone(),
+                k: 2,
+                transform: LinearTransform::identity(32),
+            },
+            LogicalPlan::SubseqRange {
+                relation: "r".into(),
+                query: window.clone(),
+                eps: 1.0,
+                window: 8,
+            },
+            LogicalPlan::SubseqKnn {
+                relation: "r".into(),
+                query: window,
+                k: 2,
+                window: 8,
+            },
+        ];
+        for logical in &others {
+            for (force, text) in [
+                (
+                    ForceOp::ScanFull,
+                    "force = scanfull applies only to JOIN queries",
+                ),
+                (ForceOp::Tree, "force = tree applies only to JOIN queries"),
+            ] {
+                match planner.plan(logical, Some(force), None) {
+                    Err(Error::Unsupported(msg)) => assert_eq!(msg, text),
+                    other => panic!("{force:?} on {logical:?}: {other:?}"),
+                }
+            }
+            // The family forces apply everywhere; a subsequence form has
+            // one operator, so there they pin nothing.
+            for force in [ForceOp::Scan, ForceOp::Index] {
+                let choice = planner.plan(logical, Some(force), None).unwrap();
+                assert_eq!(
+                    choice.plan.forced,
+                    logical.subseq_window().is_none(),
+                    "{force:?} on {logical:?}"
+                );
+            }
+        }
+        let join = LogicalPlan::Join {
+            relation: "r".into(),
+            eps: 1.0,
+            transform: LinearTransform::identity(32),
+        };
+        for force in [
+            ForceOp::Scan,
+            ForceOp::ScanFull,
+            ForceOp::Index,
+            ForceOp::Tree,
+        ] {
+            assert!(planner.plan(&join, Some(force), None).unwrap().plan.forced);
+        }
     }
 
     #[test]
@@ -1621,14 +1578,9 @@ mod tests {
         for eps in [0.2, 1.0, 3.0, 10.0] {
             let logical = range_logical(&idx, 7, eps);
             let mut answers = Vec::new();
-            for pref in [
-                PlanPreference::Auto,
-                PlanPreference::ForceScan,
-                PlanPreference::ForceIndex,
-            ] {
+            for force in [None, Some(ForceOp::Scan), Some(ForceOp::Index)] {
                 let choice = Planner::new(&idx, &stats)
-                    .with_preference(pref)
-                    .plan(&logical, None)
+                    .plan(&logical, force, None)
                     .unwrap();
                 let (rows, exec) = execute_plan(&logical, &choice.plan, &idx, None).unwrap();
                 if matches!(choice.plan.op, PhysicalOp::IndexRange) {
@@ -1663,25 +1615,33 @@ mod tests {
             relation: "r".into(),
             eps: 1.6,
             transform: t.clone(),
-            hint: None,
         };
         let oracle = idx.join_scan(1.6, &t, ScanMode::Naive).unwrap();
-        for pref in [
-            PlanPreference::Auto,
-            PlanPreference::ForceScan,
-            PlanPreference::ForceIndex,
-        ] {
-            let choice = Planner::new(&idx, &stats)
-                .with_preference(pref)
-                .plan(&logical, None)
-                .unwrap();
-            let (rows, _) = execute_plan(&logical, &choice.plan, &idx, None).unwrap();
+        let want: Vec<(usize, usize)> = oracle.pairs.iter().map(|p| (p.a, p.b)).collect();
+        // Whatever the cost comparison picks is canonicalized to the scan
+        // joins' one row per unordered pair.
+        let auto = Planner::new(&idx, &stats)
+            .plan(&logical, None, None)
+            .unwrap();
+        let operators: Vec<PhysicalOp> = vec![
+            auto.plan.op,
+            PhysicalOp::JoinIndex { dedup: true },
+            PhysicalOp::JoinTree { dedup: true },
+            PhysicalOp::JoinScan {
+                mode: ScanMode::EarlyAbandon,
+            },
+            PhysicalOp::JoinScan {
+                mode: ScanMode::Naive,
+            },
+        ];
+        for op in operators {
+            let plan = PhysicalPlan { op, ..auto.plan };
+            let (rows, _) = execute_plan(&logical, &plan, &idx, None).unwrap();
             let PlanRows::Pairs(pairs) = rows else {
                 panic!()
             };
             let got: Vec<(usize, usize)> = pairs.iter().map(|p| (p.a, p.b)).collect();
-            let want: Vec<(usize, usize)> = oracle.pairs.iter().map(|p| (p.a, p.b)).collect();
-            assert_eq!(got, want, "{pref:?}");
+            assert_eq!(got, want, "{op:?}");
         }
     }
 
@@ -1694,9 +1654,10 @@ mod tests {
             relation: "r".into(),
             eps: 1.6,
             transform: t.clone(),
-            hint: Some(JoinHint::Index),
         };
-        let choice = Planner::new(&idx, &stats).plan(&hinted, None).unwrap();
+        let choice = Planner::new(&idx, &stats)
+            .plan(&hinted, Some(ForceOp::Index), None)
+            .unwrap();
         assert!(choice.plan.forced);
         assert_eq!(choice.plan.op, PhysicalOp::JoinIndex { dedup: false });
         let (rows, _) = execute_plan(&hinted, &choice.plan, &idx, None).unwrap();
@@ -1716,9 +1677,10 @@ mod tests {
             relation: "r".into(),
             eps: 1e-3,
             transform: LinearTransform::identity(32),
-            hint: Some(JoinHint::Index),
         };
-        let choice = Planner::new(&idx, &stats).plan(&hinted, None).unwrap();
+        let choice = Planner::new(&idx, &stats)
+            .plan(&hinted, Some(ForceOp::Index), None)
+            .unwrap();
         let (rows, exec) = execute_plan(&hinted, &choice.plan, &idx, None).unwrap();
         assert!(rows.is_empty(), "1e-3 admits no distinct pairs");
         assert!(exec.refined >= 20, "each probe refines at least itself");
@@ -1739,10 +1701,9 @@ mod tests {
             transform: LinearTransform::moving_average(32, 4),
         };
         let mut results = Vec::new();
-        for pref in [PlanPreference::ForceScan, PlanPreference::ForceIndex] {
+        for force in [ForceOp::Scan, ForceOp::Index] {
             let choice = Planner::new(&idx, &stats)
-                .with_preference(pref)
-                .plan(&logical, None)
+                .plan(&logical, Some(force), None)
                 .unwrap();
             let (rows, _) = execute_plan(&logical, &choice.plan, &idx, None).unwrap();
             let PlanRows::Whole(m) = rows else { panic!() };
@@ -1771,14 +1732,8 @@ mod tests {
             window,
         };
         let planner = Planner::new(&idx, &stats);
-        let scan = planner
-            .with_preference(PlanPreference::ForceScan)
-            .plan(&logical, None)
-            .unwrap();
-        let via_index = planner
-            .with_preference(PlanPreference::ForceIndex)
-            .plan(&logical, None)
-            .unwrap();
+        let scan = planner.plan(&logical, Some(ForceOp::Scan), None).unwrap();
+        let via_index = planner.plan(&logical, Some(ForceOp::Index), None).unwrap();
         let (a, sa) = execute_plan(&logical, &scan.plan, &idx, None).unwrap();
         let (b, _) = execute_plan(&logical, &via_index.plan, &idx, None).unwrap();
         assert_eq!(a, b);
@@ -1787,23 +1742,95 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_plan_is_typed_error() {
-        let idx = index(10, 16, 9);
-        let logical = LogicalPlan::Knn {
-            relation: "r".into(),
-            query: idx.series(0).unwrap().clone(),
-            k: 2,
-            transform: LinearTransform::identity(16),
-        };
-        let bad = PhysicalPlan {
-            op: PhysicalOp::JoinTree { dedup: true },
-            estimate: CostEstimate::default(),
-            forced: false,
-        };
-        assert!(matches!(
-            execute_plan(&logical, &bad, &idx, None),
-            Err(Error::Unsupported(_))
-        ));
+    fn every_form_operator_pair_answers_or_is_a_typed_mismatch() {
+        let idx = index(30, 32, 9);
+        let st = SubseqIndex::build(SubseqConfig::new(8), idx_series(&idx)).unwrap();
+        let whole = idx.series(0).unwrap().clone();
+        let window = TimeSeries::new(whole.values()[..8].to_vec());
+        let forms = [
+            LogicalPlan::Range {
+                relation: "r".into(),
+                query: whole.clone(),
+                eps: 2.0,
+                transform: LinearTransform::identity(32),
+                window: QueryWindow::default(),
+            },
+            LogicalPlan::Knn {
+                relation: "r".into(),
+                query: whole,
+                k: 2,
+                transform: LinearTransform::identity(32),
+            },
+            LogicalPlan::Join {
+                relation: "r".into(),
+                eps: 2.0,
+                transform: LinearTransform::moving_average(32, 4),
+            },
+            LogicalPlan::SubseqRange {
+                relation: "r".into(),
+                query: window.clone(),
+                eps: 2.0,
+                window: 8,
+            },
+            LogicalPlan::SubseqKnn {
+                relation: "r".into(),
+                query: window,
+                k: 2,
+                window: 8,
+            },
+        ];
+        // Every operator, in every variant that changes what it runs, and
+        // the forms (by index into `forms`) it implements.
+        let scan = |mode| PhysicalOp::JoinScan { mode };
+        let probe = |knn| PhysicalOp::SubseqIndexProbe { knn, cached: true };
+        let table: [(PhysicalOp, &[usize]); 12] = [
+            (PhysicalOp::SeqScan, &[0, 1]),
+            (PhysicalOp::EarlyAbandonScan, &[0]),
+            (PhysicalOp::IndexRange, &[0]),
+            (PhysicalOp::IndexKnn, &[1]),
+            (scan(ScanMode::Naive), &[2]),
+            (scan(ScanMode::EarlyAbandon), &[2]),
+            (PhysicalOp::JoinIndex { dedup: true }, &[2]),
+            (PhysicalOp::JoinIndex { dedup: false }, &[2]),
+            (PhysicalOp::JoinTree { dedup: true }, &[2]),
+            (PhysicalOp::JoinTree { dedup: false }, &[2]),
+            (probe(false), &[3]),
+            (probe(true), &[4]),
+        ];
+        for (f, logical) in forms.iter().enumerate() {
+            for (op, implements) in &table {
+                let forged = PhysicalPlan {
+                    op: *op,
+                    estimate: CostEstimate::default(),
+                    forced: false,
+                };
+                let got = execute_plan(logical, &forged, &idx, Some(&st));
+                if implements.contains(&f) {
+                    let (rows, exec) = got.unwrap_or_else(|e| panic!("{op:?} on form {f}: {e}"));
+                    assert!(!rows.is_empty(), "{op:?} on form {f}");
+                    assert_eq!(
+                        exec.disk_accesses,
+                        match exec.nodes_visited {
+                            0 => idx.len() as u64,
+                            nodes => nodes + exec.refined as u64,
+                        },
+                        "{op:?} on form {f}: one of the two accounting rules"
+                    );
+                } else {
+                    match got {
+                        Err(Error::Unsupported(msg)) => assert_eq!(
+                            msg,
+                            format!(
+                                "physical operator {} does not implement logical form {}",
+                                op.name(),
+                                ["Range", "Knn", "Join", "SubseqRange", "SubseqKnn"][f]
+                            )
+                        ),
+                        other => panic!("{op:?} on form {f}: {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1817,7 +1844,9 @@ mod tests {
             window: 8,
         };
         // Planning without a cached ST-index works (cold estimate)...
-        let choice = Planner::new(&idx, &stats).plan(&logical, None).unwrap();
+        let choice = Planner::new(&idx, &stats)
+            .plan(&logical, None, None)
+            .unwrap();
         assert_eq!(
             choice.plan.op,
             PhysicalOp::SubseqIndexProbe {
@@ -1830,15 +1859,9 @@ mod tests {
             execute_plan(&logical, &choice.plan, &idx, None),
             Err(Error::Unsupported(_))
         ));
-        let st = SubseqIndex::build(
-            SubseqConfig::new(8),
-            (0..idx.len())
-                .map(|i| idx.series(i).unwrap().clone())
-                .collect(),
-        )
-        .unwrap();
+        let st = SubseqIndex::build(SubseqConfig::new(8), idx_series(&idx)).unwrap();
         let cached_choice = Planner::new(&idx, &stats)
-            .plan(&logical, Some(&st))
+            .plan(&logical, None, Some(&st))
             .unwrap();
         assert_eq!(
             cached_choice.plan.op,
@@ -1860,7 +1883,9 @@ mod tests {
         let idx = index(80, 32, 11);
         let stats = RelationStats::from_index(&idx);
         let logical = range_logical(&idx, 2, 1.5);
-        let choice = Planner::new(&idx, &stats).plan(&logical, None).unwrap();
+        let choice = Planner::new(&idx, &stats)
+            .plan(&logical, None, None)
+            .unwrap();
         let a = render_plan(&logical, &choice, &stats);
         let b = render_plan(&logical, &choice, &stats);
         assert_eq!(a, b);

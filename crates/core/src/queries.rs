@@ -14,9 +14,16 @@
 //! Scan joins report each unordered pair **once**; index joins report each
 //! pair **twice** (once per direction), exactly as the paper tabulates
 //! (`12` for methods a/b vs `12 x 2 = 24` for method d).
+//!
+//! The scan and index-nested-loop kernels (`scan_pairs`, `probe_pairs`)
+//! are written over a probe side and a partner side. A self-join is the
+//! case where both sides are the same index — what the methods above
+//! pass — and the cross-shard stage of a sharded join passes two shards.
 
 use std::collections::HashMap;
 
+use tsq_dft::energy::{euclidean_complex, euclidean_complex_early_abandon};
+use tsq_dft::Complex64;
 use tsq_rtree::join::join_with;
 use tsq_rtree::{EntryId, NodeStore, Rect, SearchStats};
 
@@ -60,6 +67,116 @@ pub struct JoinOutcome {
     pub stats: JoinStats,
 }
 
+/// The scan-join kernel (Table 1 methods (a)/(b)) over a probe side and
+/// a partner side: every probe series is compared with every partner
+/// series under `t`, and pairs within `eps` are reported as
+/// `(probe id, partner id)`. A self-join is the case where both sides
+/// are the same index: each unordered pair is then met once, `a < b`.
+/// The caller has validated `eps` and `t` against both sides.
+pub(crate) fn scan_pairs(
+    probe: &SimilarityIndex,
+    partner: &SimilarityIndex,
+    eps: f64,
+    t: &LinearTransform,
+    mode: ScanMode,
+) -> JoinOutcome {
+    let own = std::ptr::eq(probe, partner);
+    // Transform every spectrum once; the quadratic pair loop dominates.
+    let spectra = |side: &SimilarityIndex| -> Vec<Vec<Complex64>> {
+        side.entries()
+            .iter()
+            .map(|s| t.apply_spectrum(&s.features.spectrum))
+            .collect()
+    };
+    let left = spectra(probe);
+    let other = (!own).then(|| spectra(partner));
+    let right = other.as_ref().unwrap_or(&left);
+    let mut out = JoinOutcome::default();
+    for (i, x) in left.iter().enumerate() {
+        let first = if own { i + 1 } else { 0 };
+        for (j, y) in right.iter().enumerate().skip(first) {
+            out.stats.exact_checks += 1;
+            let hit = match mode {
+                ScanMode::Naive => Some(euclidean_complex(x, y)).filter(|d| *d <= eps),
+                ScanMode::EarlyAbandon => {
+                    let hit = euclidean_complex_early_abandon(x, y, eps);
+                    out.stats.abandoned += usize::from(hit.is_none());
+                    hit
+                }
+            };
+            if let Some(distance) = hit {
+                out.pairs.push(JoinPair {
+                    a: i,
+                    b: j,
+                    distance,
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The index-nested-loop join kernel (Table 1 methods (c)/(d)) over a
+/// probe side and a partner side: for every probe series a search
+/// rectangle is built around its *transformed* feature point and posed
+/// to the partner's on-the-fly transformed index as a range query, and
+/// the candidates are refined. Pairs are `(probe id, partner id)`, in
+/// probe order. A self-join is the case where both sides are the same
+/// index: each unordered pair then appears twice (once per direction),
+/// and a series is never paired with itself. The caller has validated
+/// `eps` and `t` against both sides.
+pub(crate) fn probe_pairs(
+    probe: &SimilarityIndex,
+    partner: &SimilarityIndex,
+    eps: f64,
+    t: &LinearTransform,
+) -> Result<JoinOutcome> {
+    let mut out = JoinOutcome::default();
+    let window = QueryWindow::default();
+    for i in 0..probe.len() {
+        let qf = probe.transformed_features(i, t)?;
+        let (mut ids, fstats) = partner.filter_candidates(&qf, eps, t, &window)?;
+        ids.sort_unstable();
+        out.stats.index.absorb(&fstats);
+        out.stats.candidates += ids.len();
+        refine_group(partner, eps, t, i, &qf, &ids, &mut out);
+    }
+    if std::ptr::eq(probe, partner) {
+        out.pairs.retain(|p| p.a != p.b);
+    }
+    Ok(out)
+}
+
+/// The single refine step shared by the index-nested-loop and
+/// synchronized tree joins: every partner of one probe (whose
+/// transformed features are `qf`) has its exact distance checked with
+/// early abandoning at `eps`. Every check counts toward `exact_checks`,
+/// abandoned checks toward `abandoned`. Under a self-join the probe is
+/// its own candidate and passes the check; the caller drops that pair.
+/// Callers invoke it per probe, so candidate memory stays bounded by one
+/// probe's answer.
+fn refine_group(
+    partner: &SimilarityIndex,
+    eps: f64,
+    t: &LinearTransform,
+    probe: usize,
+    qf: &Features,
+    partners: &[usize],
+    out: &mut JoinOutcome,
+) {
+    for &j in partners {
+        out.stats.exact_checks += 1;
+        match partner.exact_distance_bounded(j, t, qf, eps) {
+            Some(distance) => out.pairs.push(JoinPair {
+                a: probe,
+                b: j,
+                distance,
+            }),
+            None => out.stats.abandoned += 1,
+        }
+    }
+}
+
 impl SimilarityIndex {
     /// Transformed feature point of a stored series (query side of join
     /// method (d): both the index *and* the search rectangle are
@@ -86,76 +203,7 @@ impl SimilarityIndex {
     /// in that order — as by every join strategy.
     pub fn join_scan(&self, eps: f64, t: &LinearTransform, mode: ScanMode) -> Result<JoinOutcome> {
         self.validate(Some(eps), t, None)?;
-        // Transform every spectrum once; the quadratic pair loop dominates.
-        let transformed: Vec<Vec<tsq_dft::Complex64>> = (0..self.len())
-            .map(|id| t.apply_spectrum(&self.features(id).expect("valid id").spectrum))
-            .collect();
-        let mut out = JoinOutcome::default();
-        for i in 0..self.len() {
-            for j in (i + 1)..self.len() {
-                out.stats.exact_checks += 1;
-                match mode {
-                    ScanMode::Naive => {
-                        let d =
-                            tsq_dft::energy::euclidean_complex(&transformed[i], &transformed[j]);
-                        if d <= eps {
-                            out.pairs.push(JoinPair {
-                                a: i,
-                                b: j,
-                                distance: d,
-                            });
-                        }
-                    }
-                    ScanMode::EarlyAbandon => {
-                        match tsq_dft::energy::euclidean_complex_early_abandon(
-                            &transformed[i],
-                            &transformed[j],
-                            eps,
-                        ) {
-                            Some(d) => out.pairs.push(JoinPair {
-                                a: i,
-                                b: j,
-                                distance: d,
-                            }),
-                            None => out.stats.abandoned += 1,
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// The single filter-and-refine back end shared by the index-nested-
-    /// loop and synchronized tree joins: for one probe group `(i,
-    /// partners)` the probe's transformed features are computed once, and
-    /// every partner's exact distance is checked with early abandoning at
-    /// `eps`. Every check counts toward `exact_checks`, abandoned checks
-    /// toward `abandoned`, and self-pairs are refined (they are index
-    /// candidates) but never emitted. Callers invoke it per probe, so
-    /// candidate memory stays bounded by one probe's answer.
-    fn refine_group(
-        &self,
-        eps: f64,
-        t: &LinearTransform,
-        probe: usize,
-        partners: &[usize],
-        out: &mut JoinOutcome,
-    ) -> Result<()> {
-        let qf = self.transformed_features(probe, t)?;
-        for &j in partners {
-            out.stats.exact_checks += 1;
-            match self.exact_distance_bounded(j, t, &qf, eps) {
-                Some(d) if j != probe => out.pairs.push(JoinPair {
-                    a: probe,
-                    b: j,
-                    distance: d,
-                }),
-                Some(_) => {}
-                None => out.stats.abandoned += 1,
-            }
-        }
-        Ok(())
+        Ok(scan_pairs(self, self, eps, t, mode))
     }
 
     /// Table 1 methods (c)/(d): index-nested-loop self-join. For every
@@ -170,17 +218,7 @@ impl SimilarityIndex {
     /// Same failure modes as [`SimilarityIndex::join_scan`].
     pub fn join_index(&self, eps: f64, t: &LinearTransform) -> Result<JoinOutcome> {
         self.validate(Some(eps), t, None)?;
-        let mut out = JoinOutcome::default();
-        let window = QueryWindow::default();
-        for i in 0..self.len() {
-            let qf = self.transformed_features(i, t)?;
-            let (mut ids, fstats) = self.filter_candidates(&qf, eps, t, &window)?;
-            ids.sort_unstable();
-            out.stats.index.absorb(&fstats);
-            out.stats.candidates += ids.len();
-            self.refine_group(eps, t, i, &ids, &mut out)?;
-        }
-        Ok(out)
+        probe_pairs(self, self, eps, t)
     }
 
     /// Synchronized tree↔tree self-join (extension beyond the paper's
@@ -235,7 +273,7 @@ impl SimilarityIndex {
         )?;
         out.stats.index = stats;
         out.stats.candidates = candidate_pairs.len();
-        // Feed runs of same-probe candidates to the shared refine path
+        // Feed runs of same-probe candidates to the shared refine step
         // (one transformed-feature computation per probe).
         candidate_pairs.sort_unstable();
         let mut at = 0;
@@ -243,9 +281,11 @@ impl SimilarityIndex {
             let probe = candidate_pairs[at].0;
             let end = at + candidate_pairs[at..].partition_point(|&(i, _)| i == probe);
             let partners: Vec<usize> = candidate_pairs[at..end].iter().map(|&(_, j)| j).collect();
-            self.refine_group(eps, t, probe, &partners, &mut out)?;
+            let qf = self.transformed_features(probe, t)?;
+            refine_group(self, eps, t, probe, &qf, &partners, &mut out);
             at = end;
         }
+        out.pairs.retain(|p| p.a != p.b);
         out.pairs.sort_by_key(|p| (p.a, p.b));
         Ok(out)
     }

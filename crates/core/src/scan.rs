@@ -7,12 +7,14 @@
 //! within the first few coefficients" (early abandoning). Both the naive
 //! full-distance scan and the early-abandoning scan are provided. They
 //! are the reference oracles the Lemma-1 suites compare the index
-//! against: their loops are their own, only validation is shared with
-//! the index path.
+//! against, and the kernels of the planner's scan operators: a planned
+//! scan and an oracle scan are the same loop, and share nothing with the
+//! index path but validation.
 
 use crate::error::Result;
 use crate::features::Features;
 use crate::index::{Match, SimilarityIndex};
+use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
 
 /// Whether the scan may abandon a distance computation once it exceeds the
@@ -29,7 +31,8 @@ pub enum ScanMode {
 /// Counters from a sequential scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Sequences examined (always the whole relation).
+    /// Sequences compared (the whole relation, unless a mean/std filter
+    /// window passed some over).
     pub scanned: usize,
     /// Distance computations abandoned early.
     pub abandoned: usize,
@@ -51,22 +54,29 @@ impl SimilarityIndex {
         mode: ScanMode,
     ) -> Result<(Vec<Match>, ScanStats)> {
         let qf = self.bind_query(q, Some(eps), t)?;
-        Ok(self.scan_range_features(&qf, eps, t, mode))
+        Ok(self.scan_range_features(&qf, eps, t, &QueryWindow::default(), mode))
     }
 
-    /// Scan variant taking precomputed query features (the figure runners
-    /// time the scan without the query's FFT). Validates nothing: `qf`
-    /// and `t` must fit the relation.
+    /// The range-scan kernel, taking precomputed query features (the
+    /// figure runners time the scan without the query's FFT): every
+    /// stored series the mean/std filter `window` admits — the scan-side
+    /// equivalent of the search rectangle's bounds on the two auxiliary
+    /// dimensions — is transformed and compared against `qf`. Validates
+    /// nothing: `qf` and `t` must fit the relation.
     pub fn scan_range_features(
         &self,
         qf: &Features,
         eps: f64,
         t: &LinearTransform,
+        window: &QueryWindow,
         mode: ScanMode,
     ) -> (Vec<Match>, ScanStats) {
         let mut stats = ScanStats::default();
         let mut matches = Vec::new();
-        for id in 0..self.len() {
+        for (id, stored) in self.entries().iter().enumerate() {
+            if !window.admits(&stored.features) {
+                continue;
+            }
             stats.scanned += 1;
             match mode {
                 ScanMode::Naive => {
@@ -123,7 +133,6 @@ mod tests {
     use super::*;
     use crate::error::Error;
     use crate::index::IndexConfig;
-    use crate::space::QueryWindow;
     use tsq_series::generate::RandomWalkGenerator;
 
     fn index(count: usize, len: usize, seed: u64) -> SimilarityIndex {

@@ -17,7 +17,7 @@
 //! |------|-------|
 //! | range | threshold-union: concatenate, remap to global ids, sort by id |
 //! | k-NN | bounded k-way merge by `(distance, id)` — deterministic ties |
-//! | join | per-shard self-joins plus cross-shard probes, sorted `(a, b)` |
+//! | join | per-shard self-joins plus the same join kernels over pairs of shards, sorted `(a, b)` |
 //! | subseq range | union sorted by `(series, offset)` |
 //! | subseq k-NN | k-way merge by `(distance, series, offset)` |
 //!
@@ -52,12 +52,12 @@ use crate::error::{Error, Result};
 use crate::executor::parallel_map;
 use crate::index::{IndexConfig, Match, SimilarityIndex};
 use crate::plan::{
-    execute_bound, render_analyze, render_plan, Bound, ExecStats, JoinHint, LogicalPlan,
-    PhysicalOp, PlanChoice, PlanPreference, PlanRows, Planner, RelationStats,
+    execute_bound, render_analyze, render_plan, run_join, Bound, ExecStats, ForceOp, LogicalPlan,
+    PhysicalOp, PlanChoice, PlanRows, Planner, RelationStats,
 };
 use crate::queries::JoinPair;
 use crate::relation::SeriesRelation;
-use crate::space::QueryWindow;
+use crate::scan::ScanMode;
 use crate::subseq::{SubseqIndex, SubseqMatch};
 use crate::transform::LinearTransform;
 
@@ -403,15 +403,17 @@ impl ShardedIndex {
             .unwrap_or(&self.parts[0])
     }
 
-    /// Binds a statement once for every shard: the global uniformity
-    /// gate (per-shard uniformity is not enough), the ST-index list's
-    /// shape, then the statement's own validation, query features and
-    /// search rectangle.
+    /// Binds a statement once for every shard: whether the form may
+    /// carry its force, the global uniformity gate (per-shard uniformity
+    /// is not enough), the ST-index list's shape, then the statement's
+    /// own validation, query features and search rectangle.
     fn bind<'a>(
         &self,
         logical: &'a LogicalPlan,
+        forced: Option<ForceOp>,
         subseq: Option<&[Arc<SubseqIndex>]>,
     ) -> Result<Bound<'a>> {
+        logical.check_force(forced)?;
         if logical.subseq_window().is_none() {
             self.check_uniform()?;
         }
@@ -517,14 +519,14 @@ impl ShardedIndex {
     pub fn plan_shards(
         &self,
         logical: &LogicalPlan,
-        pref: PlanPreference,
+        forced: Option<ForceOp>,
         subseq: Option<&[Arc<SubseqIndex>]>,
     ) -> Result<Vec<Option<PlanChoice>>> {
-        let bound = self.bind(logical, subseq)?;
+        let bound = self.bind(logical, forced, subseq)?;
         Ok(self
             .active_shards(logical)
             .into_iter()
-            .map(|slot| slot.map(|s| self.plan_shard(s, &bound, pref, subseq)))
+            .map(|slot| slot.map(|s| self.plan_shard(s, &bound, forced, subseq)))
             .collect())
     }
 
@@ -533,12 +535,14 @@ impl ShardedIndex {
         &self,
         s: usize,
         bound: &Bound<'_>,
-        pref: PlanPreference,
+        forced: Option<ForceOp>,
         subseq: Option<&[Arc<SubseqIndex>]>,
     ) -> PlanChoice {
-        Planner::new(&self.parts[s], &self.stats[s])
-            .with_preference(pref)
-            .plan_bound(bound, subseq.map(|list| &*list[s]))
+        Planner::new(&self.parts[s], &self.stats[s]).plan_bound(
+            bound,
+            forced,
+            subseq.map(|list| &*list[s]),
+        )
     }
 
     /// A supplied ST-index list must hold one index per shard.
@@ -553,28 +557,30 @@ impl ShardedIndex {
         }
     }
 
-    /// Scatter-gather execution: per-shard plans run concurrently (up to
-    /// `scatter` at once), then the form's typed merge reassembles the
+    /// Scatter-gather execution: per-shard plans (the operator `forced`
+    /// names, else each shard's cheapest) run concurrently, up to
+    /// `scatter` at once, then the form's typed merge reassembles the
     /// global answer. See the module docs for the exact merge rules and
     /// the stats contract.
     ///
     /// # Errors
-    /// The same validation failures the unsharded engine reports (global
-    /// raggedness, transform arity/safety, bad thresholds, warp joins).
+    /// The same validation failures the unsharded engine reports (a
+    /// join-only force on another form, global raggedness, transform
+    /// arity/safety, bad thresholds, warp joins).
     pub fn execute(
         &self,
         logical: &LogicalPlan,
-        pref: PlanPreference,
+        forced: Option<ForceOp>,
         scatter: usize,
         subseq: Option<&[Arc<SubseqIndex>]>,
     ) -> Result<ShardedOutcome> {
-        let bound = self.bind(logical, subseq)?;
+        let bound = self.bind(logical, forced, subseq)?;
         // Scatter: every active shard plans and runs its own physical
         // plan for the one bound statement (one item runs inline; more
         // fan over the worker pool).
         let ran = parallel_map(scatter.max(1), self.active_shards(logical), |slot| {
             slot.map(|s| {
-                let choice = self.plan_shard(s, &bound, pref, subseq);
+                let choice = self.plan_shard(s, &bound, forced, subseq);
                 let st = subseq.map(|list| &*list[s]);
                 let (rows, exec) = execute_bound(&bound, &choice.plan, &self.parts[s], st)?;
                 Ok((choice, rows, exec))
@@ -586,12 +592,9 @@ impl ShardedIndex {
             LogicalPlan::Range { .. } | LogicalPlan::Knn { .. } => {
                 self.merge_whole(logical, outcome)
             }
-            LogicalPlan::Join {
-                eps,
-                transform,
-                hint,
-                ..
-            } => self.merge_join(outcome, *eps, transform, *hint, pref),
+            LogicalPlan::Join { eps, transform, .. } => {
+                self.merge_join(outcome, *eps, transform, forced)
+            }
             LogicalPlan::SubseqRange { .. } | LogicalPlan::SubseqKnn { .. } => {
                 self.merge_subseq(logical, outcome)
             }
@@ -711,16 +714,18 @@ impl ShardedIndex {
         outcome.finish(PlanRows::Windows(all))
     }
 
-    /// The per-shard self-joins have already rejected what no join
-    /// accepts (a time warp, a bad threshold), so the cross stage only
-    /// ever sees a valid `(eps, t)`.
+    /// Local pairs plus the cross-shard stage, which runs a join operator
+    /// of the same table ([`run_join`]) over pairs of shards. Its method
+    /// comes from the statement's force, not from a cost comparison: the
+    /// scan join a scan force names, else the index-nested-loop probe.
+    /// The bind has already rejected what no join accepts (a time warp, a
+    /// bad threshold), so the stage only ever sees a valid `(eps, t)`.
     fn merge_join(
         &self,
         mut outcome: PartialOutcome,
         eps: f64,
         t: &LinearTransform,
-        hint: Option<JoinHint>,
-        pref: PlanPreference,
+        forced: Option<ForceOp>,
     ) -> Result<ShardedOutcome> {
         // Local pairs, remapped to global ids. The order-preserving
         // local→global embedding keeps canonical `a < b` orientation.
@@ -734,122 +739,49 @@ impl ShardedIndex {
                 }));
             }
         }
-        // Cross-shard stage. Directed hints (force = index / tree) keep the
-        // paper's twice-per-pair accounting by probing every ordered
-        // shard pair; undirected answers probe each unordered pair once.
-        let directed = matches!(hint, Some(JoinHint::Index) | Some(JoinHint::Tree));
-        let scan_cross = matches!(hint, Some(JoinHint::Scan) | Some(JoinHint::ScanFull))
-            || (hint.is_none() && pref == PlanPreference::ForceScan);
+        let op = match forced {
+            Some(ForceOp::Scan) => PhysicalOp::JoinScan {
+                mode: ScanMode::EarlyAbandon,
+            },
+            Some(ForceOp::ScanFull) => PhysicalOp::JoinScan {
+                mode: ScanMode::Naive,
+            },
+            _ => PhysicalOp::JoinIndex { dedup: false },
+        };
+        // Directed forces (index / tree) keep the paper's twice-per-pair
+        // accounting by probing every ordered shard pair and reporting
+        // `(probe, partner)`; every other answer meets each unordered
+        // shard pair once and orients its pairs `a < b`.
+        let directed = matches!(forced, Some(ForceOp::Index | ForceOp::Tree));
         let active: Vec<usize> = (0..self.parts.len())
             .filter(|&s| !self.parts[s].is_empty())
             .collect();
         for (ai, &sa) in active.iter().enumerate() {
             for &sb in &active[ai + 1..] {
-                if scan_cross {
-                    self.cross_scan(sa, sb, eps, t, &mut pairs, &mut outcome.per_shard[sa])?;
-                } else {
-                    self.cross_probe(
-                        sa,
-                        sb,
-                        eps,
-                        t,
-                        directed,
-                        &mut pairs,
-                        &mut outcome.per_shard[sa],
-                    )?;
-                    if directed {
-                        let exec = &mut outcome.per_shard[sb];
-                        self.cross_probe(sb, sa, eps, t, directed, &mut pairs, exec)?;
-                    }
+                let orders = if directed { 2 } else { 1 };
+                for (probe, partner) in [(sa, sb), (sb, sa)].into_iter().take(orders) {
+                    let (found, exec) =
+                        run_join(op, &self.parts[probe], &self.parts[partner], eps, t)?;
+                    outcome.per_shard[probe].absorb(&exec);
+                    pairs.extend(found.into_iter().map(|p| {
+                        let a = self.map.to_global(probe, p.a);
+                        let b = self.map.to_global(partner, p.b);
+                        let (a, b) = if directed {
+                            (a, b)
+                        } else {
+                            (a.min(b), a.max(b))
+                        };
+                        JoinPair {
+                            a,
+                            b,
+                            distance: p.distance,
+                        }
+                    }));
                 }
             }
         }
         pairs.sort_by_key(|p| (p.a, p.b));
         outcome.finish(PlanRows::Pairs(pairs))
-    }
-
-    /// Brute-force cross-shard scan: one early-abandoning exact check per
-    /// cross pair, so the merged counters sum to the unsharded scan's
-    /// `C(n, 2)` accounting exactly. Emits each unordered pair once,
-    /// oriented `a < b` in global ids.
-    fn cross_scan(
-        &self,
-        sa: usize,
-        sb: usize,
-        eps: f64,
-        t: &LinearTransform,
-        pairs: &mut Vec<JoinPair>,
-        exec: &mut ExecStats,
-    ) -> Result<()> {
-        let pa = &self.parts[sa];
-        let pb = &self.parts[sb];
-        for i in 0..pa.len() {
-            let qf = pa.transformed_features(i, t)?;
-            let gi = self.map.to_global(sa, i);
-            for j in 0..pb.len() {
-                exec.candidates += 1;
-                exec.refined += 1;
-                match pb.exact_distance_bounded(j, t, &qf, eps) {
-                    Some(distance) => {
-                        let gj = self.map.to_global(sb, j);
-                        pairs.push(JoinPair {
-                            a: gi.min(gj),
-                            b: gi.max(gj),
-                            distance,
-                        });
-                    }
-                    None => exec.false_hits += 1,
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Index-probing cross stage: every series of shard `sa` runs one
-    /// transformed range probe against shard `sb`'s index (the paper's
-    /// join method (d), pointed across shards). Directed mode emits
-    /// `(probe, partner)`; undirected emits each pair oriented `a < b`.
-    #[allow(clippy::too_many_arguments)]
-    fn cross_probe(
-        &self,
-        sa: usize,
-        sb: usize,
-        eps: f64,
-        t: &LinearTransform,
-        directed: bool,
-        pairs: &mut Vec<JoinPair>,
-        exec: &mut ExecStats,
-    ) -> Result<()> {
-        let pa = &self.parts[sa];
-        let pb = &self.parts[sb];
-        let window = QueryWindow::default();
-        for i in 0..pa.len() {
-            let qf = pa.transformed_features(i, t)?;
-            let gi = self.map.to_global(sa, i);
-            let (mut ids, fstats) = pb.filter_candidates(&qf, eps, t, &window)?;
-            ids.sort_unstable();
-            exec.nodes_visited += fstats.nodes_visited;
-            exec.pool_hits += fstats.pool_hits;
-            exec.pool_misses += fstats.pool_misses;
-            exec.disk_accesses += fstats.nodes_visited + ids.len() as u64;
-            exec.candidates += ids.len();
-            for j in ids {
-                exec.refined += 1;
-                match pb.exact_distance_bounded(j, t, &qf, eps) {
-                    Some(distance) => {
-                        let gj = self.map.to_global(sb, j);
-                        let (a, b) = if directed {
-                            (gi, gj)
-                        } else {
-                            (gi.min(gj), gi.max(gj))
-                        };
-                        pairs.push(JoinPair { a, b, distance });
-                    }
-                    None => exec.false_hits += 1,
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Folds raw scatter results into a partially-built outcome: first
@@ -1014,6 +946,7 @@ pub fn render_sharded_analyze(rendered: &mut String, rows: usize, outcome: &Shar
 mod tests {
     use super::*;
     use crate::plan::execute_plan;
+    use crate::space::QueryWindow;
     use tsq_series::generate::RandomWalkGenerator;
 
     fn relation(count: usize, len: usize, seed: u64) -> SeriesRelation {
@@ -1094,11 +1027,11 @@ mod tests {
             .unwrap();
             for eps in [0.5, 2.0, 8.0] {
                 let logical = range_logical(&rel, 7, eps);
-                let choice = Planner::new(&whole, &stats).plan(&logical, None).unwrap();
-                let (want, _) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
-                let got = sharded
-                    .execute(&logical, PlanPreference::Auto, 4, None)
+                let choice = Planner::new(&whole, &stats)
+                    .plan(&logical, None, None)
                     .unwrap();
+                let (want, _) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
+                let got = sharded.execute(&logical, None, 4, None).unwrap();
                 assert_eq!(got.rows, want, "count={count} eps={eps}");
             }
         }
@@ -1113,12 +1046,11 @@ mod tests {
             ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(4).unwrap()).unwrap();
         let logical = range_logical(&rel, 3, 2.5);
         let choice = Planner::new(&whole, &stats)
-            .with_preference(PlanPreference::ForceScan)
-            .plan(&logical, None)
+            .plan(&logical, Some(ForceOp::Scan), None)
             .unwrap();
         let (want_rows, want_exec) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
         let got = sharded
-            .execute(&logical, PlanPreference::ForceScan, 4, None)
+            .execute(&logical, Some(ForceOp::Scan), 4, None)
             .unwrap();
         assert_eq!(got.rows, want_rows);
         assert_eq!(got.merged, want_exec, "scan counters sum exactly");
@@ -1143,7 +1075,9 @@ mod tests {
             k: 5,
             transform: LinearTransform::identity(32),
         };
-        let choice = Planner::new(&whole, &stats).plan(&logical, None).unwrap();
+        let choice = Planner::new(&whole, &stats)
+            .plan(&logical, None, None)
+            .unwrap();
         let (want, _) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
         for count in [2usize, 3, 4] {
             let sharded = ShardedIndex::build(
@@ -1152,9 +1086,7 @@ mod tests {
                 ShardSpec::hash(count).unwrap(),
             )
             .unwrap();
-            let got = sharded
-                .execute(&logical, PlanPreference::Auto, 2, None)
-                .unwrap();
+            let got = sharded.execute(&logical, None, 2, None).unwrap();
             assert_eq!(got.rows, want, "count={count}");
         }
     }
@@ -1167,20 +1099,19 @@ mod tests {
         let t = LinearTransform::moving_average(32, 4);
         let sharded =
             ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(3).unwrap()).unwrap();
-        for hint in [None, Some(JoinHint::Scan), Some(JoinHint::Index)] {
-            let logical = LogicalPlan::Join {
-                relation: "r".into(),
-                eps: 1.6,
-                transform: t.clone(),
-                hint,
-            };
-            let choice = Planner::new(&whole, &stats).plan(&logical, None).unwrap();
-            let (want, want_exec) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
-            let got = sharded
-                .execute(&logical, PlanPreference::Auto, 3, None)
+        let logical = LogicalPlan::Join {
+            relation: "r".into(),
+            eps: 1.6,
+            transform: t.clone(),
+        };
+        for force in [None, Some(ForceOp::Scan), Some(ForceOp::Index)] {
+            let choice = Planner::new(&whole, &stats)
+                .plan(&logical, force, None)
                 .unwrap();
-            assert_eq!(got.rows, want, "hint={hint:?}");
-            if matches!(hint, Some(JoinHint::Scan)) {
+            let (want, want_exec) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
+            let got = sharded.execute(&logical, force, 3, None).unwrap();
+            assert_eq!(got.rows, want, "force={force:?}");
+            if force == Some(ForceOp::Scan) {
                 assert_eq!(got.merged, want_exec, "scan join counters sum exactly");
             }
         }
@@ -1207,7 +1138,7 @@ mod tests {
             window: QueryWindow::default(),
         };
         assert!(matches!(
-            sharded.execute(&logical, PlanPreference::Auto, 2, None),
+            sharded.execute(&logical, None, 2, None),
             Err(Error::Ragged { min: 16, max: 32 })
         ));
     }
@@ -1276,19 +1207,17 @@ mod tests {
             ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(1).unwrap()).unwrap();
         assert_eq!(one.layout(), None);
         let logical = range_logical(&rel, 4, 1.5);
-        let choice = Planner::new(&whole, &stats).plan(&logical, None).unwrap();
+        let choice = Planner::new(&whole, &stats)
+            .plan(&logical, None, None)
+            .unwrap();
         let (want_rows, want_exec) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
         let mut want_text = render_plan(&logical, &choice, &stats);
         render_analyze(&mut want_text, want_rows.len(), &want_exec);
 
-        let plans = one
-            .plan_shards(&logical, PlanPreference::Auto, None)
-            .unwrap();
+        let plans = one.plan_shards(&logical, None, None).unwrap();
         assert_eq!(sharded_plan_name(&plans), choice.plan.op.name());
         let mut text = render_sharded_plan(&logical, &one, &plans);
-        let got = one
-            .execute(&logical, PlanPreference::Auto, 4, None)
-            .unwrap();
+        let got = one.execute(&logical, None, 4, None).unwrap();
         render_sharded_analyze(&mut text, got.rows.len(), &got);
         assert_eq!(text, want_text);
         assert_eq!(got.rows, want_rows);
@@ -1301,9 +1230,7 @@ mod tests {
             three.layout().map(|(by, n, _)| (by, n)),
             Some((ShardBy::Hash, 3))
         );
-        let plans = three
-            .plan_shards(&logical, PlanPreference::Auto, None)
-            .unwrap();
+        let plans = three.plan_shards(&logical, None, None).unwrap();
         assert!(sharded_plan_name(&plans).starts_with("Sharded(3):"));
     }
 }

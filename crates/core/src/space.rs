@@ -468,6 +468,18 @@ pub struct QueryWindow {
     pub std: Option<(f64, f64)>,
 }
 
+impl QueryWindow {
+    /// Whether a stored series' mean and standard deviation lie inside
+    /// the window.
+    pub fn admits(&self, features: &Features) -> bool {
+        let inside = |bounds: Option<(f64, f64)>, v: f64| match bounds {
+            Some((lo, hi)) => !(v < lo || v > hi),
+            None => true,
+        };
+        inside(self.mean, features.mean) && inside(self.std, features.std)
+    }
+}
+
 #[inline]
 fn push_affine(lo: &mut Vec<f64>, hi: &mut Vec<f64>, l: f64, h: f64, a: f64, b: f64) {
     let x = a * l + b;

@@ -5,7 +5,7 @@
 //! `tsq-core`'s own vocabulary — [`TimeSeries`], [`Features`],
 //! [`FeatureSchema`], [`SpaceKind`], [`IndexConfig`] and
 //! [`SubseqConfig`] — shared by [`crate::SimilarityIndex::write_to`],
-//! [`crate::SubseqIndex::write_to`] and the catalog snapshots in
+//! [`crate::SubseqIndex::write_trails_to`] and the catalog snapshots in
 //! `tsq-lang`. Every reader validates what it decodes (finite samples,
 //! in-range enum tags, coherent configurations) and reports violations as
 //! typed [`StoreError`]s, so corrupt bytes that survive the frame

@@ -32,15 +32,18 @@
 //! rounding (same trick as the transformed-MBR padding in
 //! [`crate::space`]).
 
+use std::sync::OnceLock;
+
 use tsq_dft::dft::dft_prefix;
 use tsq_dft::energy::euclidean_real;
-use tsq_dft::sliding::{sliding_prefix, SlidingCursor};
+use tsq_dft::sliding::SlidingCursor;
 use tsq_dft::Complex64;
 use tsq_rtree::{RStarTree, RTreeConfig, Rect, SearchStats};
 use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
 use crate::error::{Error, Result};
+use crate::plan::SpaceProfile;
 use crate::scan::ScanMode;
 
 /// Configuration of a [`SubseqIndex`].
@@ -168,6 +171,9 @@ pub struct SubseqIndex {
     store: Vec<TimeSeries>,
     windows_total: usize,
     trails_total: usize,
+    /// The trail tree's shape for the planner, kept from the first plan
+    /// that asks until the next append (see [`SubseqIndex::profile`]).
+    profile: OnceLock<SpaceProfile>,
 }
 
 impl SubseqIndex {
@@ -205,18 +211,19 @@ impl SubseqIndex {
             store: Vec::new(),
             windows_total: 0,
             trails_total: 0,
+            profile: OnceLock::new(),
         };
         if config.bulk_load {
             let per_series = crate::executor::parallel_map(
                 threads,
                 relation.iter().enumerate().collect(),
-                |(id, series)| trails_of(&config, id, series),
+                |(id, series)| trails_of(&config, id, series.values()),
             );
             let items: Vec<(Rect, TrailEntry)> = per_series.into_iter().flatten().collect();
             index.tree = RStarTree::bulk_load_parallel(config.rtree, items, threads);
         } else {
             for (id, series) in relation.iter().enumerate() {
-                for (rect, entry) in trails_of(&config, id, series) {
+                for (rect, entry) in trails_of(&config, id, series.values()) {
                     index.tree.insert(rect, entry);
                 }
             }
@@ -232,8 +239,9 @@ impl SubseqIndex {
     /// through the STR-sorted batch path ([`RStarTree::bulk_extend`]).
     pub fn insert(&mut self, series: TimeSeries) -> usize {
         let id = self.store.len();
-        let items = trails_of(&self.config, id, &series);
+        let items = trails_of(&self.config, id, series.values());
         self.tree.bulk_extend(items);
+        self.profile.take();
         self.count_windows(&series);
         self.store.push(series);
         id
@@ -317,6 +325,7 @@ impl SubseqIndex {
             assert!(updated, "indexed partial trail must be present");
         }
         self.tree.bulk_extend(items);
+        self.profile.take();
         self.windows_total += new_windows - old_windows;
         self.trails_total += new_windows.div_ceil(trail) - old_windows.div_ceil(trail);
         Ok(())
@@ -367,28 +376,25 @@ impl SubseqIndex {
         &self.tree
     }
 
-    /// Serializes the ST-index — configuration, stored series, window and
-    /// trail counters, and the R\*-tree's node structure byte-identically.
-    pub fn write_to(&self, enc: &mut Encoder) {
-        crate::store::write_subseq_config(enc, &self.config);
-        enc.usize(self.store.len());
-        for series in &self.store {
-            crate::store::write_series(enc, series);
-        }
-        self.write_tail(enc);
+    /// Shape of the trail tree over the indexed windows, for the cost
+    /// model. Profiling walks every tree entry, so the result is kept:
+    /// computed by the first plan that asks and dropped by the next
+    /// append, which is the only thing that can change it. A statement
+    /// over a static relation plans without touching the tree, and an
+    /// append does not pay for a walk no statement may ever need.
+    pub fn profile(&self) -> &SpaceProfile {
+        self.profile
+            .get_or_init(|| SpaceProfile::of_tree(&self.tree, self.windows_total as u64))
     }
 
-    /// [`SubseqIndex::write_to`] minus the stored series: configuration,
-    /// counters and tree only. Catalog snapshots use this for cached
-    /// ST-indexes, whose store always equals the owning relation's series
-    /// — writing (and re-parsing) a second copy of the raw data would
+    /// Serializes the ST-index minus its stored series: configuration,
+    /// window and trail counters, and the R\*-tree's node structure
+    /// byte-identically. A catalog's ST-index always stores exactly the
+    /// owning relation's series, which the snapshot already holds —
+    /// writing (and re-parsing) a second copy of the raw data would
     /// double both snapshot size and restore time for nothing.
     pub fn write_trails_to(&self, enc: &mut Encoder) {
         crate::store::write_subseq_config(enc, &self.config);
-        self.write_tail(enc);
-    }
-
-    fn write_tail(&self, enc: &mut Encoder) {
         enc.usize(self.windows_total);
         enc.usize(self.trails_total);
         self.tree.write_to(enc, &mut |e, trail: &TrailEntry| {
@@ -398,40 +404,19 @@ impl SubseqIndex {
         });
     }
 
-    /// Restores an ST-index written by [`SubseqIndex::write_to`] without
-    /// re-extracting any trail: queries on the restored index return the
-    /// same answers with the same traversal statistics as the original.
+    /// Restores an ST-index written by [`SubseqIndex::write_trails_to`]
+    /// without re-extracting any trail, adopting `store` (the owning
+    /// relation's series) as the stored data: queries on the restored
+    /// index return the same answers with the same traversal statistics
+    /// as the original.
     ///
     /// # Errors
-    /// [`Error::Store`] for truncated, corrupt or inconsistent bytes
-    /// (out-of-range trail entries, counter mismatches) — never a panic.
-    pub fn read_from(dec: &mut Decoder<'_>) -> Result<Self> {
-        let config = crate::store::read_subseq_config(dec)?;
-        let count = dec.seq(8, "subseq stored series count")?;
-        let mut store = Vec::with_capacity(count);
-        for _ in 0..count {
-            store.push(crate::store::read_series(dec)?);
-        }
-        Self::read_tail(dec, config, store)
-    }
-
-    /// Restores an ST-index written by [`SubseqIndex::write_trails_to`],
-    /// adopting `store` (the owning relation's series) as the stored data.
-    ///
-    /// # Errors
-    /// Same failure modes as [`SubseqIndex::read_from`]; the counters and
-    /// trail bounds are validated against the supplied store, so a store
-    /// that does not match the trails is rejected as corrupt.
+    /// [`Error::Store`] for truncated, corrupt or inconsistent bytes —
+    /// never a panic. The counters and trail bounds are validated against
+    /// the supplied store, so a store that does not match the trails is
+    /// rejected as corrupt.
     pub fn read_trails_from(dec: &mut Decoder<'_>, store: Vec<TimeSeries>) -> Result<Self> {
         let config = crate::store::read_subseq_config(dec)?;
-        Self::read_tail(dec, config, store)
-    }
-
-    fn read_tail(
-        dec: &mut Decoder<'_>,
-        config: SubseqConfig,
-        store: Vec<TimeSeries>,
-    ) -> Result<Self> {
         let count = store.len();
         let windows_total = dec.usize("subseq windows_total")?;
         let trails_total = dec.usize("subseq trails_total")?;
@@ -443,6 +428,7 @@ impl SubseqIndex {
             store: Vec::new(),
             windows_total: 0,
             trails_total: 0,
+            profile: OnceLock::new(),
         };
         for series in &store {
             index.count_windows(series);
@@ -734,9 +720,23 @@ impl SubseqIndex {
     }
 }
 
-/// Sliding-DFT feature trail of one series, grouped into MBRs. A free
-/// function (not a method) so trail extraction can fan out across worker
-/// threads while the index is still being assembled.
+/// Sliding-DFT feature trail of one series, grouped into MBRs: every
+/// chunk from the first. A free function (not a method) so trail
+/// extraction can fan out across worker threads while the index is still
+/// being assembled.
+fn trails_of(config: &SubseqConfig, id: usize, values: &[f64]) -> Vec<(Rect, TrailEntry)> {
+    let windows = values.len().saturating_sub(config.window - 1);
+    chunks_of(config, id, values, 0, windows)
+}
+
+/// Trail MBRs of one series from `first_chunk` onward, computed by
+/// *resuming* the sliding-DFT recurrence at that chunk's first window
+/// instead of recomputing the prefix — the `O(k)`-per-point incremental
+/// path behind [`SubseqIndex::extend_series`], and with `first_chunk = 0`
+/// the build's. The cursor re-anchors on absolute offsets
+/// ([`SlidingCursor::resume`] is bit-identical to a from-zero walk) and
+/// chunk boundaries are absolute too, so a chunk's rectangle does not
+/// depend on where the walk started.
 ///
 /// Each MBR is widened by a relative `1e-9` per dimension: sliding-DFT
 /// drift scales with the *stored* coefficients' magnitude (the error of
@@ -745,37 +745,6 @@ impl SubseqIndex {
 /// coordinates — a pad derived from the query's magnitude alone would
 /// not cover large-valued data. Same recipe as the anti-rounding pad in
 /// [`crate::space::SpaceKind::transform_mbr`].
-fn trails_of(config: &SubseqConfig, id: usize, series: &TimeSeries) -> Vec<(Rect, TrailEntry)> {
-    let w = config.window;
-    let k = config.k;
-    let points = sliding_prefix(series.values(), w, k);
-    let mut out = Vec::with_capacity(points.len().div_ceil(config.trail));
-    for (chunk_idx, chunk) in points.chunks(config.trail).enumerate() {
-        let start = chunk_idx * config.trail;
-        let mut mbr = Rect::from_point(&coeff_coords(&chunk[0]));
-        for p in &chunk[1..] {
-            mbr.union_assign(&Rect::from_point(&coeff_coords(p)));
-        }
-        out.push((
-            pad_trail_mbr(&mbr),
-            TrailEntry {
-                series: id,
-                start,
-                len: chunk.len(),
-            },
-        ));
-    }
-    out
-}
-
-/// Trail MBRs of one series from `first_chunk` onward, computed by
-/// *resuming* the sliding-DFT recurrence at that chunk's first window
-/// instead of recomputing the prefix — the `O(k)`-per-point incremental
-/// path behind [`SubseqIndex::extend_series`]. Because the cursor
-/// re-anchors on absolute offsets ([`SlidingCursor::resume`] is
-/// bit-identical to a from-zero walk) and chunk boundaries are absolute
-/// too, the rectangles equal the ones [`trails_of`] emits for the same
-/// windows.
 fn chunks_of(
     config: &SubseqConfig,
     id: usize,
@@ -813,8 +782,7 @@ fn chunks_of(
     out
 }
 
-/// The anti-drift padding applied to every trail MBR — one shared
-/// implementation so the bulk and incremental paths stay bit-identical.
+/// The anti-drift padding applied to every trail MBR.
 fn pad_trail_mbr(mbr: &Rect) -> Rect {
     let mut lo = mbr.lo().to_vec();
     let mut hi = mbr.hi().to_vec();
@@ -841,7 +809,7 @@ fn coeff_coords(coeffs: &[Complex64]) -> Vec<f64> {
 
 /// The search box `[c_i - eps - pad, c_i + eps + pad]` around a query
 /// feature point. The stored side's sliding-DFT drift is absorbed by the
-/// build-time trail padding (see `trails_of`); this query-side pad covers
+/// build-time trail padding (see `chunks_of`); this query-side pad covers
 /// the remaining rounding of the query's own transform and of the `c ± eps`
 /// bound arithmetic, so a boundary window can never be lost.
 fn query_rect(qcoords: &[f64], eps: f64) -> Rect {
@@ -1197,22 +1165,36 @@ mod tests {
         }
     }
 
+    fn store_of(idx: &SubseqIndex) -> Vec<TimeSeries> {
+        (0..idx.len())
+            .map(|i| idx.series(i).unwrap().clone())
+            .collect()
+    }
+
+    fn trail_bytes(idx: &SubseqIndex) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        idx.write_trails_to(&mut enc);
+        enc.into_bytes()
+    }
+
+    fn restore(bytes: &[u8], store: Vec<TimeSeries>) -> Result<SubseqIndex> {
+        let mut dec = Decoder::new(bytes);
+        let restored = SubseqIndex::read_trails_from(&mut dec, store)?;
+        dec.finish()?;
+        Ok(restored)
+    }
+
     #[test]
     fn snapshot_round_trip_preserves_answers_and_stats() {
         let idx = build(16, 11);
-        let mut enc = Encoder::new();
-        idx.write_to(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let restored = SubseqIndex::read_from(&mut dec).unwrap();
-        dec.finish().unwrap();
+        let bytes = trail_bytes(&idx);
+        let restored = restore(&bytes, store_of(&idx)).unwrap();
         restored.tree().validate();
         assert_eq!(restored.windows_total(), idx.windows_total());
         assert_eq!(restored.trails_total(), idx.trails_total());
+        assert_eq!(restored.profile(), idx.profile());
         // Canonical bytes on re-serialization.
-        let mut enc2 = Encoder::new();
-        restored.write_to(&mut enc2);
-        assert_eq!(bytes, enc2.into_bytes());
+        assert_eq!(bytes, trail_bytes(&restored));
         let q = TimeSeries::new(idx.series(3).unwrap().values()[4..20].to_vec());
         for eps in [0.0, 1.0, 5.0] {
             let (a, sa) = idx.subseq_range(&q, eps).unwrap();
@@ -1228,30 +1210,13 @@ mod tests {
 
     #[test]
     fn trails_only_round_trip_with_shared_store() {
+        // The bytes hold no series: the same trails restore over the
+        // owning relation's store, and over no other.
         let idx = build(16, 14);
-        let store: Vec<TimeSeries> = (0..idx.len())
-            .map(|i| idx.series(i).unwrap().clone())
-            .collect();
-        let mut enc = Encoder::new();
-        idx.write_trails_to(&mut enc);
-        let full_len = {
-            let mut full = Encoder::new();
-            idx.write_to(&mut full);
-            full.len()
-        };
-        assert!(enc.len() < full_len, "trails-only form must be smaller");
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let restored = SubseqIndex::read_trails_from(&mut dec, store).unwrap();
-        dec.finish().unwrap();
-        let q = TimeSeries::new(idx.series(2).unwrap().values()[3..19].to_vec());
-        let (a, sa) = idx.subseq_range(&q, 2.0).unwrap();
-        let (b, sb) = restored.subseq_range(&q, 2.0).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(sa.index, sb.index);
-        // A store that does not match the trails is rejected.
-        let mut dec = Decoder::new(&bytes);
-        let err = SubseqIndex::read_trails_from(&mut dec, Vec::new()).unwrap_err();
+        let bytes = trail_bytes(&idx);
+        let restored = restore(&bytes, store_of(&idx)).unwrap();
+        assert_eq!(store_of(&restored), store_of(&idx));
+        let err = restore(&bytes, Vec::new()).unwrap_err();
         assert!(
             matches!(err, Error::Store(StoreError::Corrupt { .. })),
             "{err:?}"
@@ -1261,10 +1226,7 @@ mod tests {
     #[test]
     fn empty_subseq_index_round_trips() {
         let idx = SubseqIndex::build(SubseqConfig::new(8), Vec::new()).unwrap();
-        let mut enc = Encoder::new();
-        idx.write_to(&mut enc);
-        let bytes = enc.into_bytes();
-        let restored = SubseqIndex::read_from(&mut Decoder::new(&bytes)).unwrap();
+        let restored = restore(&trail_bytes(&idx), Vec::new()).unwrap();
         assert!(restored.is_empty());
         let q = TimeSeries::new(vec![0.0; 8]);
         assert!(restored.subseq_range(&q, 1.0).unwrap().0.is_empty());
@@ -1273,10 +1235,7 @@ mod tests {
     #[test]
     fn restored_subseq_index_accepts_inserts() {
         let idx = build(16, 12);
-        let mut enc = Encoder::new();
-        idx.write_to(&mut enc);
-        let bytes = enc.into_bytes();
-        let mut restored = SubseqIndex::read_from(&mut Decoder::new(&bytes)).unwrap();
+        let mut restored = restore(&trail_bytes(&idx), store_of(&idx)).unwrap();
         let extra = RandomWalkGenerator::new(7).series(48);
         let id = restored.insert(extra.clone());
         assert_eq!(id, 12);
@@ -1289,38 +1248,58 @@ mod tests {
     #[test]
     fn corrupt_subseq_bytes_are_typed_errors() {
         let idx = build(16, 13);
-        let mut enc = Encoder::new();
-        idx.write_to(&mut enc);
-        let bytes = enc.into_bytes();
-        for cut in (0..bytes.len()).step_by(5) {
-            let mut dec = Decoder::new(&bytes[..cut]);
+        let bytes = trail_bytes(&idx);
+        let corrupt = |result: Result<SubseqIndex>, what: &str| {
+            let err = result.expect_err(what);
             assert!(
-                SubseqIndex::read_from(&mut dec).is_err(),
+                matches!(err, Error::Store(StoreError::Corrupt { .. })),
+                "{what}: {err:?}"
+            );
+        };
+        // Truncation anywhere.
+        for cut in (0..bytes.len()).step_by(5) {
+            assert!(
+                restore(&bytes[..cut], store_of(&idx)).is_err(),
                 "cut at {cut} still decoded"
             );
         }
-        // Tampered windows_total (does not match the stored series).
-        let mut enc = Encoder::new();
-        idx.write_to(&mut enc);
-        let mut bad = enc.into_bytes();
-        // Locate the counter: config (8+8+8 + 12 + 1 = 37 bytes), then the
-        // store block; recompute its size to find the counter offset.
-        let mut store_bytes = 0usize;
-        for i in 0..idx.len() {
-            store_bytes += 8 + 8 * idx.series(i).unwrap().len();
-        }
-        let off = 37 + 8 + store_bytes;
-        let old = u64::from_le_bytes(bad[off..off + 8].try_into().unwrap());
+        // A counter that does not match the stored series. The counters
+        // follow the configuration block.
+        let config_len = {
+            let mut enc = Encoder::new();
+            crate::store::write_subseq_config(&mut enc, idx.config());
+            enc.len()
+        };
+        let mut bad = bytes.clone();
+        let old = u64::from_le_bytes(bad[config_len..config_len + 8].try_into().unwrap());
         assert_eq!(
             old as usize,
             idx.windows_total(),
             "offset arithmetic drifted"
         );
-        bad[off..off + 8].copy_from_slice(&(old + 1).to_le_bytes());
-        let err = SubseqIndex::read_from(&mut Decoder::new(&bad)).unwrap_err();
-        assert!(
-            matches!(err, Error::Store(StoreError::Corrupt { .. })),
-            "{err:?}"
+        bad[config_len..config_len + 8].copy_from_slice(&(old + 1).to_le_bytes());
+        corrupt(restore(&bad, store_of(&idx)), "tampered windows_total");
+        // A trail outside its series: two series of different lengths
+        // trade places, so both counters still add up but the longer
+        // one's last trails now point past the shorter one's windows.
+        let mut swapped = store_of(&idx);
+        assert_ne!(swapped[0].len(), swapped[1].len());
+        swapped.swap(0, 1);
+        corrupt(restore(&bytes, swapped), "out-of-range trail");
+        // A configuration block whose R*-tree tuning is not the tree's.
+        let other = SubseqIndex::build(
+            SubseqConfig {
+                rtree: RTreeConfig::with_max_entries(8),
+                ..SubseqConfig::new(16)
+            },
+            store_of(&idx),
+        )
+        .unwrap();
+        let mut spliced = trail_bytes(&other)[..config_len].to_vec();
+        spliced.extend_from_slice(&bytes[config_len..]);
+        corrupt(
+            restore(&spliced, store_of(&idx)),
+            "config/tree disagreement",
         );
     }
 

@@ -48,7 +48,6 @@ pub struct LinearTransform {
 }
 
 impl LinearTransform {
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         a: Vec<Complex64>,
         b: Vec<Complex64>,

@@ -90,7 +90,9 @@ fn plan_pool_counters_equal_the_pools_own_exactly() {
         transform: LinearTransform::identity(64),
         window: QueryWindow::default(),
     };
-    let choice = Planner::new(&paged, &stats).plan(&logical, None).unwrap();
+    let choice = Planner::new(&paged, &stats)
+        .plan(&logical, None, None)
+        .unwrap();
     assert_eq!(choice.plan.op.name(), "IndexRange", "must be an index plan");
     let pool = paged.paged().unwrap().pool();
 

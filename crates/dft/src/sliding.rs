@@ -196,10 +196,10 @@ impl SlidingCursor {
 ///
 /// Returns one coefficient vector per window offset (`x.len() - window + 1`
 /// of them), or an empty vector when `x` is shorter than the window.
-/// This is the workhorse the ST-index build calls; the property suite pins
-/// it against an independent full transform per window. It is implemented
-/// over [`SlidingCursor`], so an index that later *extends* a series with
-/// a resumed cursor continues this exact walk, bit for bit.
+/// The property suite pins it against an independent full transform per
+/// window. It is implemented over [`SlidingCursor`] — the walk the
+/// ST-index builds and extends its trails with, without materialising a
+/// vector per window — so the two agree bit for bit.
 pub fn sliding_prefix(x: &[f64], window: usize, k: usize) -> Vec<Vec<Complex64>> {
     assert!(window > 0, "sliding DFT window must be non-empty");
     if x.len() < window {

@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use tsq_core::plan::{ExecStats, LogicalPlan, PlanPreference, PlanRows, QueryOptions};
+use tsq_core::plan::{ExecStats, LogicalPlan, PlanRows, QueryOptions};
 use tsq_core::shard::{
     render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardSpec,
     ShardedIndex, ShardedOutcome,
@@ -614,10 +614,9 @@ impl Catalog {
             return self.explain_with(query, *analyze, overrides);
         }
         let options = query.options().merged(overrides);
-        let logical = self.lower(query, &options)?;
+        let logical = self.lower(query)?;
         let (rel, index) = self.resolve_relation(logical.relation())?;
-        let pref = preference_for(&logical, &options)?;
-        let outcome = self.scatter(index, &logical, pref, &options)?;
+        let outcome = self.scatter(index, &logical, &options)?;
         let plan = sharded_plan_name(&outcome.plans);
         let mut out = label_output(rel, outcome.rows, outcome.merged, plan);
         out.shard_stats = outcome.per_shard;
@@ -630,15 +629,17 @@ impl Catalog {
         &self,
         index: &ShardedIndex,
         logical: &LogicalPlan,
-        pref: PlanPreference,
         options: &QueryOptions,
     ) -> Result<ShardedOutcome, LangError> {
+        // A force the form cannot carry is refused before an ST-index is
+        // built for the statement.
+        logical.check_force(options.force)?;
         let subseq = match logical.subseq_window() {
             Some(w) => Some(self.subseq_index(logical.relation(), index, w)?),
             None => None,
         };
         let width = scatter_width(index.shard_count(), options);
-        Ok(index.execute(logical, pref, width, subseq.as_deref())?)
+        Ok(index.execute(logical, options.force, width, subseq.as_deref())?)
     }
 
     /// Plans a query and renders the plan tree without executing it
@@ -662,9 +663,8 @@ impl Catalog {
             return Err(LangError::Resolve("cannot EXPLAIN an EXPLAIN".to_string()));
         }
         let options = query.options().merged(overrides);
-        let logical = self.lower(query, &options)?;
+        let logical = self.lower(query)?;
         let (_, index) = self.resolve_relation(logical.relation())?;
-        let pref = preference_for(&logical, &options)?;
         // Planning must not execute anything, so only *cached* ST-indexes
         // inform the estimate — peeked without building or LRU-touching
         // anything; a cold probe is planned as such.
@@ -672,12 +672,12 @@ impl Catalog {
             let key = (logical.relation().to_string(), w);
             self.cache_read().map.get(&key).map(|s| s.parts.clone())
         });
-        let plans = index.plan_shards(&logical, pref, cached.as_deref())?;
+        let plans = index.plan_shards(&logical, options.force, cached.as_deref())?;
         let mut text = render_sharded_plan(&logical, index, &plans);
         let mut exec = ExecStats::default();
         let mut shard_stats = Vec::new();
         if analyze {
-            let outcome = self.scatter(index, &logical, pref, &options)?;
+            let outcome = self.scatter(index, &logical, &options)?;
             render_sharded_analyze(&mut text, outcome.rows.len(), &outcome);
             exec = outcome.merged;
             shard_stats = outcome.per_shard;
@@ -693,9 +693,8 @@ impl Catalog {
     }
 
     /// Lowers an AST query to a resolved [`LogicalPlan`]: names resolved,
-    /// transformations composed and validated, `force` demoted to a
-    /// join hint on JOIN forms.
-    fn lower(&self, query: &Query, options: &QueryOptions) -> Result<LogicalPlan, LangError> {
+    /// transformations composed and validated.
+    fn lower(&self, query: &Query) -> Result<LogicalPlan, LangError> {
         match query {
             Query::Similar {
                 source,
@@ -740,7 +739,6 @@ impl Catalog {
                     relation: relation.clone(),
                     eps: *eps,
                     transform: resolve_transforms(transforms, index.series_len())?,
-                    hint: options.join_hint(),
                 })
             }
             Query::SubseqSimilar {
@@ -789,22 +787,6 @@ impl Catalog {
                     .to_string(),
             )),
         }
-    }
-}
-
-/// The plan preference a query's merged options imply. JOIN forms keep
-/// `Auto` — their `force` travels as a [`tsq_core::plan::JoinHint`] inside
-/// the logical plan, and two of its values (`scanfull`, `tree`) exist
-/// *only* for joins, so routing them through `preference()` would reject
-/// them spuriously.
-fn preference_for(
-    logical: &LogicalPlan,
-    options: &QueryOptions,
-) -> Result<PlanPreference, LangError> {
-    if matches!(logical, LogicalPlan::Join { .. }) {
-        Ok(PlanPreference::Auto)
-    } else {
-        options.preference().map_err(LangError::Engine)
     }
 }
 

@@ -30,6 +30,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -82,10 +83,10 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One admitted unit of work: runs on an exec worker against the engine
-/// and sends its own typed reply back to the connection worker that
-/// submitted it (see [`submit`]).
-type Job = Box<dyn FnOnce(&dyn Engine) + Send>;
+/// One admitted unit of work: runs on an exec worker against the engine,
+/// releases its admission slot and sends its own typed reply back to the
+/// connection worker that submitted it (see [`submit`]).
+type Job = Box<dyn FnOnce(&dyn Engine, &Metrics) + Send>;
 
 struct Shared {
     engine: Arc<dyn Engine>,
@@ -243,17 +244,6 @@ fn initiate_shutdown(shared: &Shared) {
 }
 
 fn exec_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
-    /// Releases the admission slot when dropped — including during a
-    /// panic unwind. The slot was claimed in `submit`, and the waiter
-    /// there may already have timed out and left, so nobody else will
-    /// ever decrement it: without this guard a panicking engine leaks
-    /// the slot and permanently shrinks the server's capacity.
-    struct SlotGuard<'a>(&'a Metrics);
-    impl Drop for SlotGuard<'_> {
-        fn drop(&mut self) {
-            self.0.query_done();
-        }
-    }
     loop {
         // Hold the lock only to dequeue — workers run jobs concurrently.
         let job = {
@@ -261,8 +251,7 @@ fn exec_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
             guard.recv()
         };
         let Ok(job) = job else { break };
-        let _slot = SlotGuard(&shared.metrics);
-        job(&*shared.engine);
+        job(&*shared.engine, &shared.metrics);
     }
 }
 
@@ -561,9 +550,21 @@ fn submit<R: Send + 'static>(
         ));
     }
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job: Job = Box::new(move |engine| {
-        // The waiter may have timed out and gone; that is its problem.
-        let _ = reply_tx.try_send(job(engine));
+    let job: Job = Box::new(move |engine, metrics| {
+        // A panicking engine must not unwind out of the exec worker: with
+        // one exec thread the queue would lose its only receiver and
+        // every later query would be refused until a restart.
+        let answer = catch_unwind(AssertUnwindSafe(|| job(engine)));
+        // The admission slot claimed above goes back before the waiter
+        // can hear the outcome, so its next statement is never refused
+        // for a slot this one still holds — and it goes back even when
+        // the waiter has timed out and left.
+        metrics.query_done();
+        // A caught panic drops the sender instead: the waiter reports it
+        // as an engine error.
+        if let Ok(answer) = answer {
+            let _ = reply_tx.try_send(answer);
+        }
     });
     match tx.try_send(job) {
         Ok(()) => {}

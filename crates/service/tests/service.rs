@@ -63,9 +63,8 @@ impl Engine for GatedEngine {
     }
 }
 
-/// Panics on `panic ...` queries, otherwise echoes. Exercises the
-/// exec-loop slot guard: a panicking engine must not leak its admission
-/// slot.
+/// Panics on `panic ...` queries, otherwise echoes: a panicking engine
+/// must leak neither its admission slot nor its exec worker.
 struct FragileEngine;
 
 impl Engine for FragileEngine {
@@ -330,28 +329,42 @@ fn admission_control_rejects_with_overloaded() {
     assert_eq!(finished.load(Ordering::SeqCst), 1);
 }
 
-#[test]
-fn panicking_engine_releases_its_admission_slot() {
+/// `panics` panicking statements, then one that must still be answered.
+fn engine_panics_then_answers(exec_threads: usize, panics: usize) {
     let config = ServiceConfig {
         max_inflight: 1,
-        exec_threads: 2,
+        exec_threads,
         ..quick_config()
     };
     let handle = Server::start("127.0.0.1:0", FragileEngine, config).unwrap();
     let mut client = connect(&handle);
-    match client.query("panic now") {
-        Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Engine),
-        other => panic!("expected engine error, got {other:?}"),
+    for _ in 0..panics {
+        match client.query("panic now") {
+            Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Engine),
+            other => panic!("expected engine error, got {other:?}"),
+        }
     }
-    // Before the exec-loop slot guard, the panic skipped the gauge
-    // decrement: with max_inflight = 1 every later query came back
-    // Overloaded forever. Now the slot is released during unwind.
     let reply = client.query("still alive").unwrap();
     assert_eq!(reply.rows[0].a, "still alive");
     let snap = handle.shutdown();
     assert_eq!(snap.in_flight, 0, "admission slot leaked by the panic");
     assert_eq!(snap.queries_ok, 1);
     assert_eq!(snap.overloads, 0);
+}
+
+#[test]
+fn panicking_engine_releases_its_admission_slot() {
+    // The panic used to skip the gauge decrement: with max_inflight = 1
+    // every later query came back Overloaded forever.
+    engine_panics_then_answers(2, 1);
+}
+
+#[test]
+fn panicking_engine_keeps_its_only_exec_worker() {
+    // The unwind used to run out of the exec loop and end the thread:
+    // with one exec thread the queue lost its only receiver, and every
+    // later query was refused as ShuttingDown until a restart.
+    engine_panics_then_answers(1, 2);
 }
 
 #[test]

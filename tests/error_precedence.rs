@@ -15,9 +15,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tsq_core::shard::{ShardSpec, ShardedIndex};
 use tsq_core::{
-    execute_plan, CostEstimate, Error, Features, IndexConfig, JoinHint, LinearTransform,
-    LogicalPlan, PhysicalOp, PhysicalPlan, PlanPreference, Planner, QueryWindow, RelationStats,
-    ScanMode, SeriesRelation, SimilarityIndex, SpaceKind,
+    execute_plan, CostEstimate, Error, Features, ForceOp, IndexConfig, LinearTransform,
+    LogicalPlan, PhysicalOp, PhysicalPlan, Planner, QueryWindow, RelationStats, ScanMode,
+    SeriesRelation, SimilarityIndex, SpaceKind,
 };
 use tsq_dft::{Complex64, FftPlanner};
 use tsq_lang::{parse, Catalog, LangError, Query};
@@ -258,7 +258,6 @@ fn layers(
                     relation: "r".into(),
                     eps,
                     transform: t.clone(),
-                    hint: None,
                 },
                 vec![
                     PhysicalOp::JoinScan {
@@ -272,7 +271,7 @@ fn layers(
     };
     push(
         "Planner::plan",
-        outcome(|| Planner::new(idx, &w.stats).plan(&logical, None)),
+        outcome(|| Planner::new(idx, &w.stats).plan(&logical, None, None)),
     );
     for op in ops {
         push(
@@ -281,29 +280,23 @@ fn layers(
         );
     }
     for (name, sharded) in [("1-shard", &w.one), ("4-shard", &w.four)] {
-        for pref in [PlanPreference::Auto, PlanPreference::ForceScan] {
+        for force in [None, Some(ForceOp::Scan)] {
             push(
-                &format!("{name} plan_shards {pref:?}"),
-                outcome(|| sharded.plan_shards(&logical, pref, None)),
+                &format!("{name} plan_shards {force:?}"),
+                outcome(|| sharded.plan_shards(&logical, force, None)),
             );
             push(
-                &format!("{name} execute {pref:?}"),
-                outcome(|| sharded.execute(&logical, pref, 2, None)),
+                &format!("{name} execute {force:?}"),
+                outcome(|| sharded.execute(&logical, force, 2, None)),
             );
         }
     }
     if form == Form::Join {
-        // A hinted join pins the operator before costing anything.
-        for hint in [JoinHint::Scan, JoinHint::Index, JoinHint::Tree] {
-            let hinted = LogicalPlan::Join {
-                relation: "r".into(),
-                eps,
-                transform: t.clone(),
-                hint: Some(hint),
-            };
+        // A forced join pins the operator before costing anything.
+        for force in [ForceOp::Index, ForceOp::Tree] {
             push(
-                &format!("4-shard execute {hint:?}"),
-                outcome(|| w.four.execute(&hinted, PlanPreference::Auto, 2, None)),
+                &format!("4-shard execute {force:?}"),
+                outcome(|| w.four.execute(&logical, Some(force), 2, None)),
             );
         }
     }

@@ -21,9 +21,8 @@
 use proptest::prelude::*;
 use tsq_core::plan::{render_analyze, render_plan};
 use tsq_core::{
-    execute_plan, JoinHint, LinearTransform, LogicalPlan, PlanPreference, PlanRows, Planner,
-    QueryWindow, RelationStats, ScanMode, SeriesRelation, SimilarityIndex, SubseqConfig,
-    SubseqIndex,
+    execute_plan, ForceOp, LinearTransform, LogicalPlan, PlanRows, Planner, QueryWindow,
+    RelationStats, ScanMode, SeriesRelation, SimilarityIndex, SubseqConfig, SubseqIndex,
 };
 use tsq_lang::{Catalog, Row};
 use tsq_series::generate::RandomWalkGenerator;
@@ -60,7 +59,7 @@ fn assert_whole_rows_equal(a: &PlanRows, b: &PlanRows, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Range queries: Auto / ForceScan / ForceIndex all return the
+    /// Range queries: unforced, `scan` and `index` all return the
     /// forced-scan oracle's rows, across selectivities.
     #[test]
     fn range_plans_agree_with_scan_oracle(
@@ -83,13 +82,13 @@ proptest! {
             transform: t,
             window: QueryWindow::default(),
         };
-        let run = |pref: PlanPreference| {
-            let choice = Planner::new(&idx, &stats).with_preference(pref).plan(&logical, None).unwrap();
+        let run = |force: Option<ForceOp>| {
+            let choice = Planner::new(&idx, &stats).plan(&logical, force, None).unwrap();
             execute_plan(&logical, &choice.plan, &idx, None).unwrap().0
         };
-        let oracle = run(PlanPreference::ForceScan);
-        assert_whole_rows_equal(&run(PlanPreference::Auto), &oracle, "auto vs scan");
-        assert_whole_rows_equal(&run(PlanPreference::ForceIndex), &oracle, "index vs scan");
+        let oracle = run(Some(ForceOp::Scan));
+        assert_whole_rows_equal(&run(None), &oracle, "auto vs scan");
+        assert_whole_rows_equal(&run(Some(ForceOp::Index)), &oracle, "index vs scan");
     }
 
     /// K-NN queries: both access paths produce the same neighbor set.
@@ -104,19 +103,20 @@ proptest! {
             k,
             transform: LinearTransform::identity(len),
         };
-        let run = |pref: PlanPreference| {
-            let choice = Planner::new(&idx, &stats).with_preference(pref).plan(&logical, None).unwrap();
+        let run = |force: Option<ForceOp>| {
+            let choice = Planner::new(&idx, &stats).plan(&logical, force, None).unwrap();
             execute_plan(&logical, &choice.plan, &idx, None).unwrap().0
         };
-        let oracle = run(PlanPreference::ForceScan);
+        let oracle = run(Some(ForceOp::Scan));
         // Neighbor *distances* must agree exactly (ids may permute only
         // between exactly-tied distances, which random data never hits).
-        assert_whole_rows_equal(&run(PlanPreference::Auto), &oracle, "auto vs scan");
-        assert_whole_rows_equal(&run(PlanPreference::ForceIndex), &oracle, "index vs scan");
+        assert_whole_rows_equal(&run(None), &oracle, "auto vs scan");
+        assert_whole_rows_equal(&run(Some(ForceOp::Index)), &oracle, "index vs scan");
     }
 
-    /// Un-hinted joins: every strategy the planner may pick returns the
-    /// scan oracle's unordered pair set, once per pair.
+    /// Joins: the planner's own pick and both scan forces return the
+    /// scan oracle's unordered pair set, once per pair; the index and
+    /// tree forces keep the paper's twice-per-pair accounting.
     #[test]
     fn join_plans_agree_with_scan_oracle(rel in relation(16, 24), eps in 0.0f64..20.0) {
         let len = rel[0].len();
@@ -127,27 +127,24 @@ proptest! {
             relation: "r".into(),
             eps,
             transform: t.clone(),
-            hint: None,
         };
         let oracle = idx.join_scan(eps, &t, ScanMode::Naive).unwrap();
         let want: Vec<(usize, usize)> = oracle.pairs.iter().map(|p| (p.a, p.b)).collect();
-        for pref in [PlanPreference::Auto, PlanPreference::ForceScan, PlanPreference::ForceIndex] {
-            let choice = Planner::new(&idx, &stats).with_preference(pref).plan(&logical, None).unwrap();
+        let run = |force: Option<ForceOp>| {
+            let choice = Planner::new(&idx, &stats).plan(&logical, force, None).unwrap();
             let (rows, _) = execute_plan(&logical, &choice.plan, &idx, None).unwrap();
             let PlanRows::Pairs(pairs) = rows else { panic!("join returns pairs") };
-            let got: Vec<(usize, usize)> = pairs.iter().map(|p| (p.a, p.b)).collect();
-            prop_assert_eq!(&got, &want, "{:?}", pref);
-        }
-        // Hinted joins keep the paper's twice-per-pair accounting.
-        let hinted = LogicalPlan::Join {
-            relation: "r".into(),
-            eps,
-            transform: t,
-            hint: Some(JoinHint::Tree),
+            pairs.iter().map(|p| (p.a, p.b)).collect::<Vec<(usize, usize)>>()
         };
-        let choice = Planner::new(&idx, &stats).plan(&hinted, None).unwrap();
-        let (rows, _) = execute_plan(&hinted, &choice.plan, &idx, None).unwrap();
-        prop_assert_eq!(rows.len(), 2 * want.len());
+        for force in [None, Some(ForceOp::Scan), Some(ForceOp::ScanFull)] {
+            prop_assert_eq!(&run(force), &want, "{:?}", force);
+        }
+        for force in [ForceOp::Index, ForceOp::Tree] {
+            let mut twice = run(Some(force));
+            prop_assert_eq!(twice.len(), 2 * want.len(), "{:?}", force);
+            twice.retain(|(a, b)| a < b);
+            prop_assert_eq!(&twice, &want, "{:?}", force);
+        }
     }
 }
 
@@ -321,14 +318,13 @@ fn one_shard_catalog_equals_the_bare_engine() {
         transform,
         window,
     };
-    let join = |hint: Option<JoinHint>| LogicalPlan::Join {
+    let join = || LogicalPlan::Join {
         relation: "walks".into(),
         eps: 1.2,
         transform: LinearTransform::moving_average(n, 4),
-        hint,
     };
-    let auto = PlanPreference::Auto;
-    let cases: Vec<(String, LogicalPlan, PlanPreference)> = vec![
+    let auto = None;
+    let cases: Vec<(String, LogicalPlan, Option<ForceOp>)> = vec![
         (
             "FIND SIMILAR TO walks.s4 IN walks WITHIN 0.8".into(),
             range(0.8, LinearTransform::identity(n), QueryWindow::default()),
@@ -363,12 +359,12 @@ fn one_shard_catalog_equals_the_bare_engine() {
         (
             "FIND SIMILAR TO walks.s4 IN walks WITHIN 0.8 WITH (force = scan)".into(),
             range(0.8, LinearTransform::identity(n), QueryWindow::default()),
-            PlanPreference::ForceScan,
+            Some(ForceOp::Scan),
         ),
         (
             "FIND SIMILAR TO walks.s4 IN walks WITHIN 25 WITH (force = index)".into(),
             range(25.0, LinearTransform::identity(n), QueryWindow::default()),
-            PlanPreference::ForceIndex,
+            Some(ForceOp::Index),
         ),
         (
             "FIND 3 NEAREST TO walks.s5 IN walks".into(),
@@ -388,32 +384,28 @@ fn one_shard_catalog_equals_the_bare_engine() {
                 k: 9,
                 transform: LinearTransform::moving_average(n, 4),
             },
-            PlanPreference::ForceScan,
+            Some(ForceOp::Scan),
         ),
-        (
-            "JOIN walks WITHIN 1.2 APPLY mavg(4)".into(),
-            join(None),
-            auto,
-        ),
+        ("JOIN walks WITHIN 1.2 APPLY mavg(4)".into(), join(), auto),
         (
             "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = scan)".into(),
-            join(Some(JoinHint::Scan)),
-            auto,
+            join(),
+            Some(ForceOp::Scan),
         ),
         (
             "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = scanfull)".into(),
-            join(Some(JoinHint::ScanFull)),
-            auto,
+            join(),
+            Some(ForceOp::ScanFull),
         ),
         (
             "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = index)".into(),
-            join(Some(JoinHint::Index)),
-            auto,
+            join(),
+            Some(ForceOp::Index),
         ),
         (
             "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = tree)".into(),
-            join(Some(JoinHint::Tree)),
-            auto,
+            join(),
+            Some(ForceOp::Tree),
         ),
         (
             format!("FIND SUBSEQUENCE OF [{probe_text}] IN walks WITHIN 4 WINDOW 8"),
@@ -470,18 +462,18 @@ fn one_shard_catalog_equals_the_bare_engine() {
         }
     };
 
-    for (text, logical, pref) in &cases {
-        let planner = Planner::new(&idx, &stats).with_preference(*pref);
+    for (text, logical, force) in &cases {
+        let planner = Planner::new(&idx, &stats);
         // A cold subsequence EXPLAIN plans without an ST-index, on both
         // sides; everything after the first run sees the cached one.
         if logical.subseq_window().is_some() && cat.subseq_cache_len() == 0 {
-            let cold = planner.plan(logical, None).unwrap();
+            let cold = planner.plan(logical, *force, None).unwrap();
             let got = cat.run(&format!("EXPLAIN {text}")).unwrap();
             assert_eq!(got.explain.unwrap(), render_plan(logical, &cold, &stats));
             assert_eq!(cat.subseq_cache_len(), 0, "EXPLAIN must not build");
         }
         let subseq = logical.subseq_window().map(|_| &st);
-        let choice = planner.plan(logical, subseq).unwrap();
+        let choice = planner.plan(logical, *force, subseq).unwrap();
         let (rows, exec) = execute_plan(logical, &choice.plan, &idx, subseq).unwrap();
         let mut explain = render_plan(logical, &choice, &stats);
 

@@ -253,6 +253,78 @@ fn knn_tie_order_survives_the_shard_merge() {
     }
 }
 
+/// The join matrix: every `force` a join can carry, at 1, 2 and 4 shards,
+/// hash- and range-partitioned, plus a layout with empty shards. Rows —
+/// multiplicity (once per pair, twice under `index`/`tree`), order and
+/// distance bits — equal the one-shard relation's; the merged counters
+/// equal the per-shard sum everywhere, and the one-shard relation's
+/// exactly under the scan forces, whose local and cross-shard stages
+/// together compare each unordered pair once.
+#[test]
+fn sharded_join_matrix_matches_the_one_shard_relation() {
+    let catalog = |series: Vec<TimeSeries>| {
+        let mut cat = Catalog::new();
+        cat.register(SeriesRelation::from_series("w", series).unwrap())
+            .unwrap();
+        cat
+    };
+    let walks = RandomWalkGenerator::new(83).relation(36, 24);
+    // (series, shard count, rule): the full matrix, then five series over
+    // eight hash shards, which leaves at least three shards empty.
+    let mut layouts: Vec<(&[TimeSeries], usize, &str)> = Vec::new();
+    for by in ["HASH", "RANGE"] {
+        for shards in [1usize, 2, 4] {
+            layouts.push((&walks, shards, by));
+        }
+    }
+    layouts.push((&walks[..5], 8, "HASH"));
+
+    for (series, shards, by) in layouts {
+        let one = catalog(series.to_vec());
+        let mut sharded = catalog(series.to_vec());
+        sharded
+            .run_mut(&format!("SHARD w INTO {shards} BY {by}"))
+            .unwrap();
+        if shards == 8 {
+            let (_, _, sizes) = sharded.shard_layout("w").unwrap();
+            assert!(sizes.contains(&0), "the layout must hold an empty shard");
+        }
+        for force in ["", "scan", "scanfull", "index", "tree"] {
+            let with = if force.is_empty() {
+                String::new()
+            } else {
+                format!(" WITH (force = {force})")
+            };
+            let q = format!("JOIN w WITHIN 4 APPLY mavg(4){with}");
+            let cell = format!("{q} [{} series, {shards} by {by}]", series.len());
+            let got = sharded.run(&q).unwrap();
+            let want = one.run(&q).unwrap();
+            let ordered_pairs = series.len() * (series.len() - 1);
+            assert!(
+                !want.rows.is_empty() && want.rows.len() < ordered_pairs,
+                "{cell}: the join must be selective, found {} rows",
+                want.rows.len()
+            );
+            let key = |out: &QueryOutput| -> Vec<(String, Option<String>, u64)> {
+                out.rows
+                    .iter()
+                    .map(|r| (r.a.clone(), r.b.clone(), r.distance.to_bits()))
+                    .collect()
+            };
+            assert_eq!(key(&got), key(&want), "{cell}");
+            if shards == 1 {
+                assert_eq!(got, want, "{cell}");
+            } else {
+                assert_eq!(got.shard_stats.len(), shards, "{cell}");
+                assert_sharded_matches(&got, &want, &cell);
+            }
+            if force.starts_with("scan") {
+                assert_eq!(got.stats, want.stats, "{cell}");
+            }
+        }
+    }
+}
+
 /// A sharded catalog round-trips byte-identically through
 /// `save → open → save`, and the restored catalog still answers exactly
 /// like the unsharded oracle.

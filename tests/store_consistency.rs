@@ -98,14 +98,14 @@ proptest! {
     fn subseq_index_round_trips(rel in varied_relation(8), window in 4usize..12) {
         let idx = SubseqIndex::build(SubseqConfig::new(window), rel.clone()).unwrap();
         let mut enc = Encoder::new();
-        idx.write_to(&mut enc);
+        idx.write_trails_to(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
-        let restored = SubseqIndex::read_from(&mut dec).unwrap();
+        let restored = SubseqIndex::read_trails_from(&mut dec, rel.clone()).unwrap();
         dec.finish().unwrap();
         restored.tree().validate();
         let mut enc2 = Encoder::new();
-        restored.write_to(&mut enc2);
+        restored.write_trails_to(&mut enc2);
         prop_assert_eq!(&bytes, &enc2.into_bytes());
 
         // Query with a window cut from the longest stored series (one is
