@@ -1,14 +1,16 @@
-//! Shared workloads and experiment runners for the benchmark harness.
+//! Workloads and experiment runners for the paper's Section 5.
 //!
-//! Every figure and table of the paper's Section 5 has a runner here; the
-//! `reproduce` binary prints the paper-shaped series and the Criterion
-//! benches measure representative points with statistical rigor.
+//! Every figure and table of Section 5 has a runner here, and the
+//! `reproduce` binary is the one thing that calls them: it prints the
+//! paper-shaped series. (Performance of the system itself is measured by
+//! the repo benchmark under `bench/`, not here.)
 //!
 //! Hardware note: the paper ran on 1997 disk-resident infrastructure, so
 //! absolute milliseconds are not comparable. Each runner therefore reports
 //! both wall-clock time and simulated disk accesses (R\*-tree node visits),
-//! and EXPERIMENTS.md compares *shapes*: who wins, by what factor, where
-//! the crossover sits.
+//! and the results are judged by *shape*: who wins, by what factor, where
+//! the crossover sits. `tests/table1_shape.rs` asserts Table 1's shape on
+//! the deterministic columns; no wall time is asserted anywhere.
 
 use std::time::Instant;
 

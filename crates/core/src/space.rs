@@ -370,25 +370,12 @@ impl SpaceKind {
         true
     }
 
-    /// Lower bound on the distance between any two (transformed) objects
-    /// drawn from a pair of stored MBRs — the pruning predicate of the
-    /// tree↔tree spatial join. Rectangular blocks use axis-gap distance;
-    /// polar blocks use exact annular-sector-to-sector distance (the
-    /// coordinate-space gap would be invalid because angles wrap).
-    pub fn transformed_pair_lower_bound(
-        &self,
-        ra: &Rect,
-        rb: &Rect,
-        t: &LinearTransform,
-        schema: FeatureSchema,
-    ) -> f64 {
-        let ta = self.transform_mbr(ra, t, schema);
-        let tb = self.transform_mbr(rb, t, schema);
-        self.pair_lower_bound_pretransformed(&ta, &tb, schema)
-    }
-
-    /// Same bound, for rectangles that are *already* transformed (the tree
-    /// join memoizes transformed MBRs and calls this).
+    /// Lower bound on the distance between any two objects drawn from a
+    /// pair of stored MBRs that are *already* transformed (the tree join
+    /// memoizes transformed MBRs) — the pruning predicate of the tree↔tree
+    /// spatial join. Rectangular blocks use axis-gap distance; polar blocks
+    /// use exact annular-sector-to-sector distance (the coordinate-space
+    /// gap would be invalid because angles wrap).
     pub fn pair_lower_bound_pretransformed(
         &self,
         ta: &Rect,

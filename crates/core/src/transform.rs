@@ -293,12 +293,6 @@ impl LinearTransform {
         self
     }
 
-    /// Renames the transformation (shown in query plans and `Display`).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Spectrum length `n` this transformation acts on.
     pub fn n(&self) -> usize {
         self.a.len()

@@ -32,11 +32,6 @@ pub fn variance_sample(values: &[f64]) -> f64 {
     values.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64
 }
 
-/// Sample standard deviation.
-pub fn std_sample(values: &[f64]) -> f64 {
-    variance_sample(values).sqrt()
-}
-
 /// Pearson correlation of two equal-length slices; 0 when either side is
 /// constant. Used by the synthetic stock generator's tests to verify that
 /// planted co-movers / opposite movers really correlate.

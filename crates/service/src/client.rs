@@ -2,7 +2,7 @@
 //! the load bench, the CI smoke test, and anyone scripting the server
 //! without HTTP.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -61,7 +61,6 @@ impl From<tsq_store::StoreError> for ClientError {
 /// the connection is reusable until an error or [`Client::shutdown`].
 pub struct Client {
     stream: TcpStream,
-    max_frame: usize,
 }
 
 impl Client {
@@ -72,15 +71,7 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Client {
-            stream,
-            max_frame: DEFAULT_MAX_FRAME_LEN,
-        })
-    }
-
-    /// Caps how large a server response this client will accept.
-    pub fn set_max_frame(&mut self, max: usize) {
-        self.max_frame = max;
+        Ok(Client { stream })
     }
 
     /// Sets a read timeout so a dead server cannot hang the client.
@@ -95,8 +86,7 @@ impl Client {
 
     fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
         wire::write_frame(&mut self.stream, &wire::encode_request(req))?;
-        let payload = wire::read_frame(&mut self.stream, self.max_frame)?;
-        Ok(wire::decode_response(&payload)?)
+        self.read_response()
     }
 
     /// Executes one query; a typed server error becomes
@@ -229,25 +219,8 @@ impl Client {
     /// # Errors
     /// [`ClientError`] in all its variants.
     pub fn read_response(&mut self) -> Result<Response, ClientError> {
-        let payload = wire::read_frame(&mut self.stream, self.max_frame)?;
+        let payload = wire::read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?;
         Ok(wire::decode_response(&payload)?)
-    }
-
-    /// Reads until the server closes the connection; returns how many
-    /// bytes arrived. For tests asserting a clean close.
-    ///
-    /// # Errors
-    /// Propagates socket failures other than a clean close.
-    pub fn drain_to_eof(&mut self) -> Result<usize, ClientError> {
-        let mut sink = [0u8; 4096];
-        let mut total = 0;
-        loop {
-            match self.stream.read(&mut sink) {
-                Ok(0) => return Ok(total),
-                Ok(n) => total += n,
-                Err(e) => return Err(ClientError::Io(e)),
-            }
-        }
     }
 }
 

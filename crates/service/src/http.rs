@@ -18,7 +18,8 @@ const MAX_HEAD_LEN: usize = 16 * 1024;
 pub struct HttpRequest {
     /// Uppercase method token (`GET`, `POST`, ...).
     pub method: String,
-    /// Request target as sent (e.g. `/metrics`).
+    /// Path of the request target (e.g. `/metrics`); a query string is
+    /// dropped, since no endpoint takes parameters.
     pub path: String,
     /// Request body (empty unless `Content-Length` said otherwise).
     pub body: Vec<u8>,
@@ -101,7 +102,9 @@ pub fn read_request(
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split(' ');
     let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) if !m.is_empty() && p.starts_with('/') => (m, p, v),
+        (Some(m), Some(p), Some(v)) if !m.is_empty() && p.starts_with('/') => {
+            (m, p.split_once('?').map_or(p, |(path, _query)| path), v)
+        }
         _ => {
             return Err(HttpError::Malformed(format!(
                 "bad request line {request_line:?}"
@@ -187,6 +190,11 @@ mod tests {
         let req = read_request(&mut &raw[8..], &raw[..8], 1024).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"JOIN walks ");
+
+        // A query string is not part of the path (probes send `?x=1`).
+        let raw = b"GET /health?probe=1&x=a?b HTTP/1.1\r\n\r\n";
+        let req = read_request(&mut &raw[8..], &raw[..8], 1024).unwrap();
+        assert_eq!(req.path, "/health");
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl ServerHandle {
         self.shared.metrics.snapshot()
     }
 
-    /// True once shutdown has been initiated (locally or remotely).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.cancel.is_cancelled()
-    }
-
     /// Initiates graceful shutdown and blocks until the drain completes:
     /// acceptors finish their current connections, the job queue closes,
     /// and the exec pool finishes every admitted job. Returns the final

@@ -7,7 +7,8 @@
 //! throughput in the gigabytes-per-second range instead of the
 //! ~300 MB/s of the classic byte-at-a-time loop. Snapshot restores hash
 //! the whole payload before decoding anything, so checksum speed is
-//! directly on the restart-latency path the `snapshot` bench asserts.
+//! directly on the restart-latency path (`bench/` reports it as
+//! `store.crc_mib_s` next to `lang.open_s`).
 //! Std-only, no unsafe, byte-order independent.
 
 /// Sixteen 256-entry tables: `TABLES[j][b]` is the CRC contribution of

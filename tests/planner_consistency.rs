@@ -25,7 +25,7 @@ use tsq_core::{
     RelationStats, ScanMode, SeriesRelation, SimilarityIndex, SubseqConfig, SubseqIndex,
 };
 use tsq_lang::{Catalog, Row};
-use tsq_series::generate::RandomWalkGenerator;
+use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
 
 fn relation(max_count: usize, max_len: usize) -> impl Strategy<Value = Vec<TimeSeries>> {
@@ -185,6 +185,64 @@ fn language_level_answers_are_plan_independent() {
         for (row, m) in out.rows.iter().zip(&oracle) {
             assert_eq!(row.a, format!("s{}", m.id), "eps={eps}");
             assert!((row.distance - m.distance).abs() < 1e-9);
+        }
+    }
+}
+
+/// The Figure-12 experiment as a gate, on deterministic counters only:
+/// across selectivities from "self only" to "everything", the plan the
+/// planner picks never costs more simulated disk accesses than the better
+/// of the forced scan and the forced index, and all three return the same
+/// rows. A cost model that mispredicts the crossover fails here.
+#[test]
+fn planner_never_costs_more_than_the_better_forced_plan() {
+    const WIDE: &[f64] = &[0.05, 0.2, 0.5, 1.0, 2.0, 8.0, 32.0];
+    let workloads: [(&str, Vec<TimeSeries>, &[f64]); 3] = [
+        (
+            "walks_400x64",
+            RandomWalkGenerator::new(20_270_741).relation(400, 64),
+            WIDE,
+        ),
+        (
+            "stocks_250x128",
+            StockGenerator::new(20_270_742).relation(250, 128),
+            WIDE,
+        ),
+        (
+            "small_48x32",
+            RandomWalkGenerator::new(20_270_743).relation(48, 32),
+            &[0.1, 1.0, 10.0],
+        ),
+    ];
+    for (name, series, eps_grid) in workloads {
+        let idx = SimilarityIndex::build(Default::default(), series).unwrap();
+        let stats = RelationStats::from_index(&idx);
+        for &eps in eps_grid {
+            let logical = LogicalPlan::Range {
+                relation: name.into(),
+                query: idx.series(7).unwrap().clone(),
+                eps,
+                transform: LinearTransform::identity(idx.series_len()),
+                window: QueryWindow::default(),
+            };
+            let run = |force: Option<ForceOp>| {
+                let choice = Planner::new(&idx, &stats)
+                    .plan(&logical, force, None)
+                    .unwrap();
+                let (rows, exec) = execute_plan(&logical, &choice.plan, &idx, None).unwrap();
+                (rows, exec.disk_accesses, choice.plan.op.name())
+            };
+            let (scan_rows, scan_disk, _) = run(Some(ForceOp::Scan));
+            let (index_rows, index_disk, _) = run(Some(ForceOp::Index));
+            let (rows, auto_disk, plan) = run(None);
+            let what = format!("{name} eps={eps}");
+            assert_whole_rows_equal(&rows, &scan_rows, &what);
+            assert_whole_rows_equal(&index_rows, &scan_rows, &what);
+            assert!(
+                auto_disk <= scan_disk.min(index_disk),
+                "{what}: planner chose {plan} with {auto_disk} disk accesses \
+                 (forced scan {scan_disk}, forced index {index_disk})"
+            );
         }
     }
 }

@@ -150,16 +150,18 @@ fn http_facade_matches_in_process_execution() {
     assert!(answer.starts_with("HTTP/1.1 400"), "{answer}");
     assert!(answer.contains("\"error\":\"bad-query\""), "{answer}");
 
-    // /metrics sees both outcomes.
+    // /metrics sees both outcomes; a scraper's query string does not
+    // change the route.
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        .write_all(b"GET /metrics?x=1 HTTP/1.1\r\nHost: t\r\n\r\n")
         .unwrap();
     let mut metrics = String::new();
     stream.read_to_string(&mut metrics).unwrap();
+    assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
     assert!(metrics.contains("\"queries_ok\":1"), "{metrics}");
     assert!(metrics.contains("\"queries_err\":1"), "{metrics}");
 
