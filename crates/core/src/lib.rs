@@ -104,7 +104,7 @@ pub use relation::SeriesRelation;
 pub use scan::{ScanMode, ScanStats};
 pub use shard::{
     render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardMap, ShardSpec,
-    ShardedIndex, ShardedOutcome,
+    ShardedIndex, ShardedOutcome, MAX_SUBSEQ_WINDOWS,
 };
 pub use space::{QueryWindow, SpaceKind};
 pub use subseq::{SubseqConfig, SubseqIndex, SubseqMatch, SubseqScanStats, SubseqStats};

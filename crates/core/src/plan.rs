@@ -372,8 +372,8 @@ pub enum PhysicalOp {
     SubseqIndexProbe {
         /// K-nearest form (`false` = range form).
         knn: bool,
-        /// Whether a cached ST-index existed at planning time (a cold
-        /// probe pays the trail-extraction build first).
+        /// Whether the relation held the window's ST-index at planning
+        /// time (a cold probe pays the trail-extraction build first).
         cached: bool,
     },
 }
@@ -693,9 +693,9 @@ impl<'a> Planner<'a> {
     }
 
     /// Picks the physical plan for `logical`: the operator `forced` names,
-    /// else the cheapest. `subseq` is the cached ST-index for subsequence
-    /// forms, if any — planning never builds one (EXPLAIN must not
-    /// execute anything).
+    /// else the cheapest. `subseq` is the window's ST-index for
+    /// subsequence forms, if the relation holds one — planning never
+    /// builds one (EXPLAIN must not execute anything).
     ///
     /// # Errors
     /// A join-only force on another form, then the same validation
@@ -1111,7 +1111,7 @@ impl PlanRows {
 
 /// Executes a physical plan — the single dispatch point between planned
 /// queries and the engine. `subseq` must be provided for subsequence
-/// plans (the catalog builds or fetches it from its cache).
+/// plans (a [`crate::ShardedIndex`] builds or fetches its own).
 ///
 /// # Errors
 /// The statement's validation failures (it is bound first, exactly as

@@ -43,13 +43,31 @@
 //! [`render_sharded_plan`] / [`render_sharded_analyze`] render the plain
 //! `EXPLAIN [ANALYZE]` tree, [`ShardedOutcome::per_shard`] is empty and
 //! [`ShardedIndex::layout`] is `None`.
+//!
+//! **A relation owns its ST-indexes.** Subsequence forms probe one
+//! [`SubseqIndex`] per shard, built for the statement's `WINDOW` on first
+//! use and kept by the [`ShardedIndex`] — at most [`MAX_SUBSEQ_WINDOWS`]
+//! windows. *Who owns:* the `ShardedIndex`, so whatever replaces it
+//! (`register`, `SHARD`, a restore) drops them with it and nothing is ever
+//! invalidated; a clone shares them by `Arc`. *Who locks:*
+//! [`ShardedIndex::execute`] stays `&self` — a hit takes the set's read
+//! lock and stamps recency atomically; a miss builds outside any lock,
+//! after the bind (a rejected statement builds nothing), and takes the
+//! write lock only to insert, first finished build wins;
+//! [`ShardedIndex::plan_shards`] only peeks; appends hold `&mut self` and
+//! extend every window's index clone-on-write, so a reader keeps its
+//! pre-append snapshot. The lock recovers from poisoning: it guards `Arc`s
+//! and integer stamps, and no user code runs under it. *Who evicts:* only
+//! the insert of a further window into a full set, and only this
+//! relation's least recently used window.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
-use crate::executor::parallel_map;
+use crate::executor::{default_threads, parallel_map};
 use crate::index::{IndexConfig, Match, SimilarityIndex};
 use crate::plan::{
     execute_bound, render_analyze, render_plan, run_join, Bound, ExecStats, ForceOp, LogicalPlan,
@@ -58,8 +76,14 @@ use crate::plan::{
 use crate::queries::JoinPair;
 use crate::relation::SeriesRelation;
 use crate::scan::ScanMode;
-use crate::subseq::{SubseqIndex, SubseqMatch};
+use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
 use crate::transform::LinearTransform;
+
+/// How many `WINDOW` lengths one relation keeps ST-indexes for. A
+/// constant, not a setting: an ST-index is about as large as the shard
+/// data it indexes, so a relation's subsequence memory is bounded by a
+/// fixed multiple of its own size.
+pub const MAX_SUBSEQ_WINDOWS: usize = 4;
 
 /// How series labels are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,6 +291,92 @@ pub struct ShardedIndex {
     map: ShardMap,
     parts: Vec<SimilarityIndex>,
     stats: Vec<RelationStats>,
+    subseq: SubseqSet,
+}
+
+/// One window's ST-indexes — one per shard, shard order, over shard-local
+/// series ids — with its last-hit stamp. The stamp is atomic so a hit,
+/// which holds only the read lock, still records recency.
+#[derive(Debug)]
+struct WindowSlot {
+    window: usize,
+    parts: Vec<Arc<SubseqIndex>>,
+    last_used: AtomicU64,
+}
+
+/// A relation's ST-indexes by window (see the module docs for who owns,
+/// locks and evicts).
+#[derive(Debug, Default)]
+struct SubseqSet(RwLock<Vec<WindowSlot>>);
+
+impl Clone for SubseqSet {
+    fn clone(&self) -> Self {
+        let slots = self.read();
+        let slots = slots.iter().map(|slot| WindowSlot {
+            window: slot.window,
+            parts: slot.parts.clone(),
+            last_used: AtomicU64::new(slot.last_used.load(Ordering::Relaxed)),
+        });
+        SubseqSet(RwLock::new(slots.collect()))
+    }
+}
+
+/// A stamp newer than every slot's.
+fn newest(slots: &[WindowSlot]) -> u64 {
+    let stamps = slots
+        .iter()
+        .map(|slot| slot.last_used.load(Ordering::Relaxed));
+    stamps.max().map_or(0, |newest| newest + 1)
+}
+
+impl SubseqSet {
+    fn read(&self) -> RwLockReadGuard<'_, Vec<WindowSlot>> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The indexes kept for `window`, if any; `touch` records the hit.
+    fn get(&self, window: usize, touch: bool) -> Option<Vec<Arc<SubseqIndex>>> {
+        let slots = self.read();
+        let slot = slots.iter().find(|slot| slot.window == window)?;
+        if touch {
+            slot.last_used.store(newest(&slots), Ordering::Relaxed);
+        }
+        Some(slot.parts.clone())
+    }
+
+    /// Every window's ST-index of one shard, for an append to maintain in
+    /// place. `Arc::make_mut` is clone-on-write: a query still traversing
+    /// the pre-append index keeps its consistent snapshot.
+    fn of_shard(&mut self, shard: usize) -> impl Iterator<Item = &mut SubseqIndex> {
+        let slots = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
+        slots
+            .iter_mut()
+            .map(move |slot| Arc::make_mut(&mut slot.parts[shard]))
+    }
+
+    /// Keeps `built` for `window` unless another thread's build got there
+    /// first (both are equivalent), evicting the least recently used
+    /// window of a full set. Returns the indexes now kept. Either way the
+    /// window is stamped now, after the build — the hits that passed
+    /// meanwhile must not make this dearest entry the next victim.
+    fn insert(&self, window: usize, built: Vec<Arc<SubseqIndex>>) -> Vec<Arc<SubseqIndex>> {
+        let mut slots = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        let stamp = newest(&slots);
+        if let Some(slot) = slots.iter().find(|slot| slot.window == window) {
+            slot.last_used.store(stamp, Ordering::Relaxed);
+            return slot.parts.clone();
+        }
+        if slots.len() == MAX_SUBSEQ_WINDOWS {
+            let lru = (0..slots.len()).min_by_key(|&i| slots[i].last_used.load(Ordering::Relaxed));
+            slots.swap_remove(lru.expect("a full set is not empty"));
+        }
+        slots.push(WindowSlot {
+            window,
+            parts: built.clone(),
+            last_used: AtomicU64::new(stamp),
+        });
+        built
+    }
 }
 
 /// The merged result of one scatter-gather execution.
@@ -304,14 +414,13 @@ impl ShardedIndex {
                 .collect();
             parts.push(SimilarityIndex::build(config, series)?);
         }
-        let stats = parts.iter().map(RelationStats::from_index).collect();
-        Ok(ShardedIndex { map, parts, stats })
+        Self::from_parts(map, parts)
     }
 
-    /// Reassembles a sharded index from restored parts (snapshot open),
-    /// recomputing the per-shard planner statistics from the restored
-    /// trees — they depend only on the tree structure, which snapshots
-    /// preserve exactly.
+    /// Assembles a sharded index from its parts — freshly built, or
+    /// restored (snapshot open) — deriving the per-shard planner statistics
+    /// from the trees: they depend only on the tree structure, which
+    /// snapshots preserve exactly.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when part count or membership disagrees
@@ -334,7 +443,66 @@ impl ShardedIndex {
             }
         }
         let stats = parts.iter().map(RelationStats::from_index).collect();
-        Ok(ShardedIndex { map, parts, stats })
+        Ok(ShardedIndex {
+            map,
+            parts,
+            stats,
+            subseq: SubseqSet::default(),
+        })
+    }
+
+    /// Adopts restored per-shard ST-indexes for `window` (snapshot open;
+    /// call in the saved, least-recently-used-first order to keep it).
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] unless there is exactly one index per shard,
+    /// each built for `window` over as many series as its shard holds, the
+    /// window is not held yet and the set is not full.
+    pub fn restore_subseq(&mut self, window: usize, parts: Vec<SubseqIndex>) -> Result<()> {
+        let fits = parts.len() == self.parts.len()
+            && parts
+                .iter()
+                .zip(&self.parts)
+                .all(|(st, shard)| st.config().window == window && st.len() == shard.len());
+        let full = self.subseq.read().len() == MAX_SUBSEQ_WINDOWS;
+        if !fits || full || self.subseq.get(window, false).is_some() {
+            return Err(Error::Unsupported(format!(
+                "restored ST-indexes do not fit window {window} of this relation"
+            )));
+        }
+        self.subseq
+            .insert(window, parts.into_iter().map(Arc::new).collect());
+        Ok(())
+    }
+
+    /// The windows this relation keeps ST-indexes for, least recently
+    /// used first, each with its per-shard indexes in shard order.
+    pub fn subseq_entries(&self) -> Vec<(usize, Vec<Arc<SubseqIndex>>)> {
+        let slots = self.subseq.read();
+        let mut order: Vec<&WindowSlot> = slots.iter().collect();
+        order.sort_by_key(|slot| slot.last_used.load(Ordering::Relaxed));
+        order
+            .into_iter()
+            .map(|slot| (slot.window, slot.parts.clone()))
+            .collect()
+    }
+
+    /// The per-shard ST-indexes for `window`, built and kept on first use
+    /// (see the module docs for the locking).
+    fn subseq_indexes(&self, window: usize) -> Result<Vec<Arc<SubseqIndex>>> {
+        if let Some(parts) = self.subseq.get(window, true) {
+            return Ok(parts);
+        }
+        let mut built = Vec::with_capacity(self.parts.len());
+        for part in &self.parts {
+            let series = part.entries().iter().map(|e| e.series.clone()).collect();
+            built.push(Arc::new(SubseqIndex::build_parallel(
+                SubseqConfig::new(window),
+                series,
+                default_threads(),
+            )?));
+        }
+        Ok(self.subseq.insert(window, built))
     }
 
     /// The assignment map.
@@ -405,19 +573,13 @@ impl ShardedIndex {
 
     /// Binds a statement once for every shard: whether the form may
     /// carry its force, the global uniformity gate (per-shard uniformity
-    /// is not enough), the ST-index list's shape, then the statement's
-    /// own validation, query features and search rectangle.
-    fn bind<'a>(
-        &self,
-        logical: &'a LogicalPlan,
-        forced: Option<ForceOp>,
-        subseq: Option<&[Arc<SubseqIndex>]>,
-    ) -> Result<Bound<'a>> {
+    /// is not enough), then the statement's own validation, query
+    /// features and search rectangle.
+    fn bind<'a>(&self, logical: &'a LogicalPlan, forced: Option<ForceOp>) -> Result<Bound<'a>> {
         logical.check_force(forced)?;
         if logical.subseq_window().is_none() {
             self.check_uniform()?;
         }
-        self.check_subseq(subseq)?;
         Bound::new(logical, self.representative())
     }
 
@@ -458,9 +620,12 @@ impl ShardedIndex {
     }
 
     /// Routes a batch of appends-to-existing-series (global ids) to their
-    /// owning shards and refreshes the touched shards' statistics.
-    /// Callers (the catalog) validate the batch up front; per-shard
-    /// application reuses the index's atomic batch append.
+    /// owning shards and refreshes the touched shards' statistics; every
+    /// window's ST-index of an owning shard is extended in place, in edit
+    /// order ([`SubseqIndex::extend_series`] resumes the sliding-DFT
+    /// recurrence at `O(k)` per appended point). Callers (the catalog)
+    /// validate the batch up front; per-shard application reuses the
+    /// index's atomic batch append.
     ///
     /// # Errors
     /// The same failures [`SimilarityIndex::extend_series_batch`] reports.
@@ -476,6 +641,11 @@ impl ShardedIndex {
             }
             self.parts[shard].extend_series_batch(batch)?;
             self.stats[shard] = RelationStats::from_index(&self.parts[shard]);
+            for st in self.subseq.of_shard(shard) {
+                for &(local, values) in batch {
+                    st.extend_series(local, values)?;
+                }
+            }
         }
         Ok(())
     }
@@ -500,8 +670,14 @@ impl ShardedIndex {
             if batch.is_empty() {
                 continue;
             }
+            let first = self.parts[shard].len();
             self.parts[shard].push_series_batch(batch)?;
             self.stats[shard] = RelationStats::from_index(&self.parts[shard]);
+            for st in self.subseq.of_shard(shard) {
+                for pushed in &self.parts[shard].entries()[first..] {
+                    st.insert(pushed.series.clone());
+                }
+            }
         }
         // The map learns the labels only once every shard has accepted
         // its share.
@@ -520,41 +696,19 @@ impl ShardedIndex {
         &self,
         logical: &LogicalPlan,
         forced: Option<ForceOp>,
-        subseq: Option<&[Arc<SubseqIndex>]>,
     ) -> Result<Vec<Option<PlanChoice>>> {
-        let bound = self.bind(logical, forced, subseq)?;
-        Ok(self
-            .active_shards(logical)
-            .into_iter()
-            .map(|slot| slot.map(|s| self.plan_shard(s, &bound, forced, subseq)))
-            .collect())
-    }
-
-    /// One shard's plan choice (`subseq[s]` is its ST-index, if any).
-    fn plan_shard(
-        &self,
-        s: usize,
-        bound: &Bound<'_>,
-        forced: Option<ForceOp>,
-        subseq: Option<&[Arc<SubseqIndex>]>,
-    ) -> PlanChoice {
-        Planner::new(&self.parts[s], &self.stats[s]).plan_bound(
-            bound,
-            forced,
-            subseq.map(|list| &*list[s]),
-        )
-    }
-
-    /// A supplied ST-index list must hold one index per shard.
-    fn check_subseq(&self, subseq: Option<&[Arc<SubseqIndex>]>) -> Result<()> {
-        match subseq {
-            Some(list) if list.len() != self.parts.len() => Err(Error::Unsupported(format!(
-                "{} ST-indexes supplied for {} shards",
-                list.len(),
-                self.parts.len()
-            ))),
-            _ => Ok(()),
-        }
+        let bound = self.bind(logical, forced)?;
+        // Planning must not execute anything: only ST-indexes already
+        // kept inform the estimate, peeked without building or touching
+        // recency; a cold probe is planned as such.
+        let window = logical.subseq_window();
+        let subseq = window.and_then(|w| self.subseq.get(w, false));
+        let plan = |s: usize| {
+            let st = subseq.as_ref().map(|list| &*list[s]);
+            Planner::new(&self.parts[s], &self.stats[s]).plan_bound(&bound, forced, st)
+        };
+        let active = self.active_shards(logical).into_iter();
+        Ok(active.map(|slot| slot.map(plan)).collect())
     }
 
     /// Scatter-gather execution: per-shard plans (the operator `forced`
@@ -572,16 +726,21 @@ impl ShardedIndex {
         logical: &LogicalPlan,
         forced: Option<ForceOp>,
         scatter: usize,
-        subseq: Option<&[Arc<SubseqIndex>]>,
     ) -> Result<ShardedOutcome> {
-        let bound = self.bind(logical, forced, subseq)?;
+        // Bind first: a statement that fails validation builds nothing.
+        let bound = self.bind(logical, forced)?;
+        let subseq = match logical.subseq_window() {
+            Some(w) => Some(self.subseq_indexes(w)?),
+            None => None,
+        };
         // Scatter: every active shard plans and runs its own physical
         // plan for the one bound statement (one item runs inline; more
         // fan over the worker pool).
         let ran = parallel_map(scatter.max(1), self.active_shards(logical), |slot| {
             slot.map(|s| {
-                let choice = self.plan_shard(s, &bound, forced, subseq);
-                let st = subseq.map(|list| &*list[s]);
+                let st = subseq.as_ref().map(|list| &*list[s]);
+                let planner = Planner::new(&self.parts[s], &self.stats[s]);
+                let choice = planner.plan_bound(&bound, forced, st);
                 let (rows, exec) = execute_bound(&bound, &choice.plan, &self.parts[s], st)?;
                 Ok((choice, rows, exec))
             })
@@ -1031,7 +1190,7 @@ mod tests {
                     .plan(&logical, None, None)
                     .unwrap();
                 let (want, _) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
-                let got = sharded.execute(&logical, None, 4, None).unwrap();
+                let got = sharded.execute(&logical, None, 4).unwrap();
                 assert_eq!(got.rows, want, "count={count} eps={eps}");
             }
         }
@@ -1049,9 +1208,7 @@ mod tests {
             .plan(&logical, Some(ForceOp::Scan), None)
             .unwrap();
         let (want_rows, want_exec) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
-        let got = sharded
-            .execute(&logical, Some(ForceOp::Scan), 4, None)
-            .unwrap();
+        let got = sharded.execute(&logical, Some(ForceOp::Scan), 4).unwrap();
         assert_eq!(got.rows, want_rows);
         assert_eq!(got.merged, want_exec, "scan counters sum exactly");
         assert_eq!(ExecStats::sum(&got.per_shard), got.merged);
@@ -1086,7 +1243,7 @@ mod tests {
                 ShardSpec::hash(count).unwrap(),
             )
             .unwrap();
-            let got = sharded.execute(&logical, None, 2, None).unwrap();
+            let got = sharded.execute(&logical, None, 2).unwrap();
             assert_eq!(got.rows, want, "count={count}");
         }
     }
@@ -1109,7 +1266,7 @@ mod tests {
                 .plan(&logical, force, None)
                 .unwrap();
             let (want, want_exec) = execute_plan(&logical, &choice.plan, &whole, None).unwrap();
-            let got = sharded.execute(&logical, force, 3, None).unwrap();
+            let got = sharded.execute(&logical, force, 3).unwrap();
             assert_eq!(got.rows, want, "force={force:?}");
             if force == Some(ForceOp::Scan) {
                 assert_eq!(got.merged, want_exec, "scan join counters sum exactly");
@@ -1138,7 +1295,7 @@ mod tests {
             window: QueryWindow::default(),
         };
         assert!(matches!(
-            sharded.execute(&logical, None, 2, None),
+            sharded.execute(&logical, None, 2),
             Err(Error::Ragged { min: 16, max: 32 })
         ));
     }
@@ -1198,6 +1355,104 @@ mod tests {
         }
     }
 
+    fn subseq_logical(window: usize) -> LogicalPlan {
+        LogicalPlan::SubseqRange {
+            relation: "r".into(),
+            query: TimeSeries::from(vec![0.5; window]),
+            eps: 100.0,
+            window,
+        }
+    }
+
+    fn windows_of(sharded: &ShardedIndex) -> Vec<usize> {
+        let entries = sharded.subseq_entries();
+        entries.into_iter().map(|(window, _)| window).collect()
+    }
+
+    #[test]
+    fn st_indexes_are_built_after_the_bind_kept_lru_and_shared_by_clones() {
+        let rel = relation(12, 32, 29);
+        let sharded =
+            ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(3).unwrap()).unwrap();
+        // A statement that fails its bind builds nothing; neither does a
+        // plan, which renders the probe as cold.
+        let wrong = LogicalPlan::SubseqRange {
+            relation: "r".into(),
+            query: TimeSeries::from(vec![0.5; 8]),
+            eps: 100.0,
+            window: 16,
+        };
+        assert!(matches!(
+            sharded.execute(&wrong, None, 2),
+            Err(Error::LengthMismatch {
+                expected: 16,
+                got: 8
+            })
+        ));
+        let cold = sharded.plan_shards(&subseq_logical(8), None).unwrap();
+        assert!(windows_of(&sharded).is_empty());
+        let probe = |plans: &[Option<PlanChoice>]| plans[0].as_ref().unwrap().plan.op;
+        assert!(matches!(
+            probe(&cold),
+            PhysicalOp::SubseqIndexProbe { cached: false, .. }
+        ));
+        // Fill to the bound, hit the oldest, add one more: the least
+        // recently used window goes, a peek touches nothing.
+        let full: Vec<usize> = (8..8 + MAX_SUBSEQ_WINDOWS).collect();
+        for &w in &full {
+            sharded.execute(&subseq_logical(w), None, 2).unwrap();
+        }
+        assert_eq!(windows_of(&sharded), full);
+        let warm = sharded.plan_shards(&subseq_logical(9), None).unwrap();
+        assert!(matches!(
+            probe(&warm),
+            PhysicalOp::SubseqIndexProbe { cached: true, .. }
+        ));
+        assert_eq!(windows_of(&sharded), full, "a plan is not a hit");
+        let held = sharded.subseq_entries().remove(1).1;
+        sharded.execute(&subseq_logical(8), None, 2).unwrap();
+        sharded.execute(&subseq_logical(20), None, 2).unwrap();
+        let mut want = full[2..].to_vec();
+        want.extend([8, 20]);
+        assert_eq!(windows_of(&sharded), want);
+        // Eviction dropped the set's reference, not the reader's.
+        assert_eq!(held.len(), 3);
+        assert!(held.iter().all(|st| st.config().window == 9));
+        // A clone shares the indexes, not the set.
+        let copy = sharded.clone();
+        assert_eq!(windows_of(&copy), want);
+        for ((_, a), (_, b)) in copy.subseq_entries().iter().zip(sharded.subseq_entries()) {
+            assert!(a.iter().zip(&b).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        copy.execute(&subseq_logical(24), None, 2).unwrap();
+        assert_eq!(windows_of(&sharded), want);
+    }
+
+    #[test]
+    fn poisoned_cache_lock_recovers_instead_of_panicking() {
+        let rel = relation(12, 32, 31);
+        let mut sharded =
+            ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(2).unwrap()).unwrap();
+        sharded.execute(&subseq_logical(16), None, 2).unwrap();
+        // Poison the set's lock: a thread panics while holding the write
+        // guard. With `.unwrap()` instead of poison recovery every later
+        // subsequence statement on the relation would panic.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = sharded.subseq.0.write().unwrap();
+            panic!("query thread dies mid-flight");
+        }));
+        assert!(result.is_err());
+        assert!(sharded.subseq.0.is_poisoned());
+        // A hit, a miss, a peek, the listing, an append and a clone all
+        // still work.
+        sharded.execute(&subseq_logical(16), None, 2).unwrap();
+        sharded.execute(&subseq_logical(8), None, 2).unwrap();
+        sharded.plan_shards(&subseq_logical(8), None).unwrap();
+        assert_eq!(windows_of(&sharded), [16, 8]);
+        sharded.extend_series_batch(&[(0, &[1.0, 2.0])]).unwrap();
+        assert_eq!(windows_of(&sharded.clone()), [16, 8]);
+    }
+
     #[test]
     fn one_shard_reports_like_the_unsharded_engine() {
         let rel = relation(40, 32, 17);
@@ -1214,10 +1469,10 @@ mod tests {
         let mut want_text = render_plan(&logical, &choice, &stats);
         render_analyze(&mut want_text, want_rows.len(), &want_exec);
 
-        let plans = one.plan_shards(&logical, None, None).unwrap();
+        let plans = one.plan_shards(&logical, None).unwrap();
         assert_eq!(sharded_plan_name(&plans), choice.plan.op.name());
         let mut text = render_sharded_plan(&logical, &one, &plans);
-        let got = one.execute(&logical, None, 4, None).unwrap();
+        let got = one.execute(&logical, None, 4).unwrap();
         render_sharded_analyze(&mut text, got.rows.len(), &got);
         assert_eq!(text, want_text);
         assert_eq!(got.rows, want_rows);
@@ -1230,7 +1485,7 @@ mod tests {
             three.layout().map(|(by, n, _)| (by, n)),
             Some((ShardBy::Hash, 3))
         );
-        let plans = three.plan_shards(&logical, None, None).unwrap();
+        let plans = three.plan_shards(&logical, None).unwrap();
         assert!(sharded_plan_name(&plans).starts_with("Sharded(3):"));
     }
 }

@@ -26,90 +26,53 @@
 //! Two layers of concurrency live here:
 //!
 //! - [`Catalog`] executes queries through `&self`, so any number of reader
-//!   threads can share one catalog. The only interior mutability is the
-//!   per-`(relation, window)` ST-index cache, guarded by an [`RwLock`]:
-//!   cache hits take the read lock (concurrent), builds happen *outside*
-//!   any lock, and only the final cache insertion takes the write lock.
-//!   The cache is LRU-bounded and invalidated whenever its relation is
-//!   re-registered, so long sessions neither grow without limit nor serve
-//!   stale answers.
+//!   threads can share one catalog. It holds no lock of its own: the only
+//!   interior mutability a query meets is inside the relation's
+//!   [`ShardedIndex`], which owns the subsequence ST-indexes it builds on
+//!   first use (who locks and who evicts: `tsq_core::shard`). Replacing a
+//!   relation's index — `register`, `SHARD`, a restore — drops them with
+//!   it, so nothing is ever invalidated and nothing stale is ever served.
 //! - [`SharedCatalog`] wraps a catalog in `Arc<RwLock<..>>` for the
 //!   many-clients-one-catalog topology: queries take the outer read lock,
 //!   registration the write lock. [`Catalog::run_batch`] fans a batch of
 //!   query strings over a worker pool (`tsq_core::executor`).
 //!
 //! All locks recover from poisoning instead of panicking: a query that
-//! panics mid-flight must not take the whole catalog down with it. The
-//! guarded state stays consistent under recovery because every critical
-//! section is a plain map operation on `Arc`'d immutable indexes — no user
-//! code runs while a lock is held.
+//! panics mid-flight must not take the whole catalog down with it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use tsq_core::plan::{ExecStats, LogicalPlan, PlanRows, QueryOptions};
 use tsq_core::shard::{
     render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardSpec,
-    ShardedIndex, ShardedOutcome,
+    ShardedIndex,
 };
-use tsq_core::{
-    executor, IndexConfig, LinearTransform, QueryWindow, SeriesRelation, SubseqConfig, SubseqIndex,
-};
+use tsq_core::{executor, IndexConfig, LinearTransform, QueryWindow, SeriesRelation};
 use tsq_series::TimeSeries;
 
 use crate::ast::{AppendRow, Query, Source, TransformSpec, WindowSpec};
 use crate::error::LangError;
 
-/// Default bound on the number of cached per-`(relation, window)`
-/// subsequence ST-indexes (see [`Catalog::set_subseq_cache_capacity`]).
-pub const DEFAULT_SUBSEQ_CACHE_CAPACITY: usize = 16;
-
-/// One cached `(relation, window)` entry — one ST-index per shard of the
-/// relation, shard order, over shard-local series ids — with its last-hit
-/// stamp. The stamp is atomic so a cache *hit* — which holds only the
-/// read lock — can still record recency for the LRU eviction. `SHARD` and
-/// `register` drop every entry of the relation they touch, so an entry
-/// always has the relation's current shard count.
+/// One registered relation: its labelled series (name resolution, answer
+/// labelling) and its index — n >= 1 shards, each with its whole-match
+/// R\*-tree and planner statistics, and the ST-indexes built so far.
 #[derive(Debug)]
-pub(crate) struct CacheSlot {
-    pub(crate) parts: Vec<Arc<SubseqIndex>>,
-    pub(crate) last_used: AtomicU64,
+pub(crate) struct Relation {
+    pub(crate) labels: SeriesRelation,
+    pub(crate) index: ShardedIndex,
 }
 
-#[derive(Debug)]
-pub(crate) struct SubseqCache {
-    pub(crate) map: HashMap<(String, usize), CacheSlot>,
-    pub(crate) capacity: usize,
-}
-
-impl Default for SubseqCache {
-    fn default() -> Self {
-        SubseqCache {
-            map: HashMap::new(),
-            capacity: DEFAULT_SUBSEQ_CACHE_CAPACITY,
-        }
-    }
-}
-
-/// A catalog of named relations with lazily-built similarity indexes.
+/// A catalog of named relations with their similarity indexes.
 ///
 /// Whole-sequence indexes are built eagerly at registration (every query
 /// form needs one); subsequence ST-indexes depend on the query's `WINDOW`
-/// length, so they are built on first use and cached per
-/// `(relation, window)` behind an [`RwLock`] — `execute` stays `&self`,
-/// and concurrent queries (cache hits included) never serialize behind a
-/// single lock holder.
+/// length, so the relation's [`ShardedIndex`] builds and keeps them on
+/// first use — `execute` stays `&self`.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    pub(crate) relations: HashMap<String, SeriesRelation>,
-    /// One index per relation: n >= 1 shards, each with its whole-match
-    /// R\*-tree and planner statistics.
-    pub(crate) indexes: HashMap<String, ShardedIndex>,
-    pub(crate) subseq: RwLock<SubseqCache>,
-    /// Logical LRU clock; bumped on every cache access.
-    pub(crate) clock: AtomicU64,
+    pub(crate) relations: HashMap<String, Relation>,
     pub(crate) config: IndexConfig,
 }
 
@@ -127,32 +90,18 @@ impl Catalog {
         }
     }
 
-    /// Read access to the ST-index cache, recovering from poisoning: the
-    /// cache holds only `Arc`'d immutable indexes and integer stamps, and
-    /// no user code runs under the lock, so a panicking lock holder cannot
-    /// leave it logically inconsistent — the poison flag carries no
-    /// information worth a second panic.
-    pub(crate) fn cache_read(&self) -> RwLockReadGuard<'_, SubseqCache> {
-        self.subseq.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub(crate) fn cache_write(&self) -> RwLockWriteGuard<'_, SubseqCache> {
-        self.subseq.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Registers a relation (replacing any previous one of the same name)
-    /// and builds its index as one hash shard. Every cached ST-index over
-    /// the old relation is invalidated — a mutated relation must never
-    /// serve stale subsequence answers.
+    /// and builds its index as one hash shard. The old relation's index
+    /// goes, and every ST-index over it with it — a replaced relation
+    /// cannot serve stale subsequence answers.
     ///
     /// # Errors
     /// Propagates index-construction failures.
     pub fn register(&mut self, relation: SeriesRelation) -> Result<(), LangError> {
         let name = relation.name().to_string();
         let index = ShardedIndex::build(self.config, &relation, ShardSpec::hash(1)?)?;
-        self.cache_write().map.retain(|(rel, _), _| rel != &name);
-        self.relations.insert(name.clone(), relation);
-        self.indexes.insert(name, index);
+        let labels = relation;
+        self.relations.insert(name, Relation { labels, index });
         Ok(())
     }
 
@@ -160,57 +109,30 @@ impl Catalog {
     /// counts))` when it is split over several shards, `None` for a
     /// one-shard (or unknown) relation.
     pub fn shard_layout(&self, name: &str) -> Option<(ShardBy, usize, Vec<usize>)> {
-        self.indexes.get(name)?.layout()
+        self.relations.get(name)?.index.layout()
     }
 
-    /// Caps the ST-index cache at `capacity` entries (at least 1),
-    /// evicting least-recently-used entries beyond it immediately.
-    pub fn set_subseq_cache_capacity(&mut self, capacity: usize) {
-        let mut cache = self.cache_write();
-        cache.capacity = capacity.max(1);
-        while cache.map.len() > cache.capacity {
-            let Some(victim) = Self::lru_key(&cache, None) else {
-                break;
-            };
-            cache.map.remove(&victim);
-        }
-    }
-
-    /// Number of cached subsequence ST-indexes (bounded by the capacity).
+    /// Number of subsequence ST-index windows the relations hold.
     pub fn subseq_cache_len(&self) -> usize {
-        self.cache_read().map.len()
+        self.subseq_cache_keys().len()
     }
 
-    /// Cached `(relation, window)` keys, least recently used first —
+    /// The `(relation, window)` pairs ST-indexes are held for: relations
+    /// in name order, each relation's windows least recently used first —
     /// the order snapshots persist them in and evictions consume them in.
     pub fn subseq_cache_keys(&self) -> Vec<(String, usize)> {
-        let cache = self.cache_read();
-        let mut keys: Vec<(u64, (String, usize))> = cache
-            .map
-            .iter()
-            .map(|(k, slot)| (slot.last_used.load(Ordering::Relaxed), k.clone()))
-            .collect();
-        keys.sort();
-        keys.into_iter().map(|(_, k)| k).collect()
-    }
-
-    /// The least-recently-used cache key, skipping `keep` (the entry a
-    /// caller just touched must never be its own eviction victim).
-    pub(crate) fn lru_key(
-        cache: &SubseqCache,
-        keep: Option<&(String, usize)>,
-    ) -> Option<(String, usize)> {
-        cache
-            .map
-            .iter()
-            .filter(|(k, _)| Some(*k) != keep)
-            .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
-            .map(|(k, _)| k.clone())
+        let mut keys = Vec::new();
+        for name in self.relation_names() {
+            for (window, _) in self.relations[&name].index.subseq_entries() {
+                keys.push((name.clone(), window));
+            }
+        }
+        keys
     }
 
     /// Looks up a relation.
     pub fn relation(&self, name: &str) -> Option<&SeriesRelation> {
-        self.relations.get(name)
+        self.relations.get(name).map(|rel| &rel.labels)
     }
 
     /// Names of all registered relations, sorted.
@@ -220,11 +142,10 @@ impl Catalog {
         names
     }
 
-    fn resolve_relation(&self, name: &str) -> Result<(&SeriesRelation, &ShardedIndex), LangError> {
-        match (self.relations.get(name), self.indexes.get(name)) {
-            (Some(r), Some(i)) => Ok((r, i)),
-            _ => Err(LangError::Resolve(format!("unknown relation {name:?}"))),
-        }
+    fn resolve_relation(&self, name: &str) -> Result<&Relation, LangError> {
+        self.relations
+            .get(name)
+            .ok_or_else(|| LangError::Resolve(format!("unknown relation {name:?}")))
     }
 
     fn resolve_source(&self, source: &Source) -> Result<TimeSeries, LangError> {
@@ -236,66 +157,13 @@ impl Catalog {
             Source::Literal(values) => {
                 TimeSeries::try_new(values.clone()).map_err(|e| LangError::Engine(e.into()))
             }
-            Source::Ref { relation, label } => {
-                let rel = self
-                    .relations
-                    .get(relation)
-                    .ok_or_else(|| LangError::Resolve(format!("unknown relation {relation:?}")))?;
-                rel.get_by_label(label)
-                    .cloned()
-                    .ok_or_else(|| LangError::Resolve(format!("unknown series {relation}.{label}")))
-            }
+            Source::Ref { relation, label } => self
+                .resolve_relation(relation)?
+                .labels
+                .get_by_label(label)
+                .cloned()
+                .ok_or_else(|| LangError::Resolve(format!("unknown series {relation}.{label}"))),
         }
-    }
-
-    /// Returns the per-shard ST-indexes over a relation for `window`,
-    /// building and caching them on first use. The (potentially
-    /// expensive) build happens outside any lock — cache hits are never
-    /// blocked behind it — and uses the parallel build path. If two
-    /// threads race on the same miss, the first finished build wins and
-    /// the other is dropped; both are equivalent. Insertion beyond the
-    /// capacity evicts the least-recently-used entry.
-    fn subseq_index(
-        &self,
-        rel_name: &str,
-        index: &ShardedIndex,
-        window: usize,
-    ) -> Result<Vec<Arc<SubseqIndex>>, LangError> {
-        let key = (rel_name.to_string(), window);
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(slot) = self.cache_read().map.get(&key) {
-            slot.last_used.store(stamp, Ordering::Relaxed);
-            return Ok(slot.parts.clone());
-        }
-        let mut built = Vec::with_capacity(index.shard_count());
-        for part in index.parts() {
-            let series: Vec<TimeSeries> = part.entries().iter().map(|e| e.series.clone()).collect();
-            built.push(Arc::new(SubseqIndex::build_parallel(
-                SubseqConfig::new(window),
-                series,
-                executor::default_threads(),
-            )?));
-        }
-        // Re-stamp *after* the build: concurrent hits advanced the clock
-        // while we built, and inserting with the pre-build stamp would
-        // make this freshest, most expensive entry the immediate LRU
-        // victim. The same store refreshes the winner if another thread
-        // won the build race.
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut cache = self.cache_write();
-        let slot = cache.map.entry(key.clone()).or_insert_with(|| CacheSlot {
-            parts: built,
-            last_used: AtomicU64::new(stamp),
-        });
-        slot.last_used.store(stamp, Ordering::Relaxed);
-        let parts = slot.parts.clone();
-        while cache.map.len() > cache.capacity {
-            let Some(victim) = Self::lru_key(&cache, Some(&key)) else {
-                break;
-            };
-            cache.map.remove(&victim);
-        }
-        Ok(parts)
     }
 
     /// Parses and executes a query.
@@ -329,8 +197,8 @@ impl Catalog {
     /// current label population) and rebuilds one index per shard.
     /// Queries then execute scatter-gather with answers byte-identical
     /// to a one-shard relation's; `INTO 1` is that one shard again, and
-    /// reports like it. Every cached ST-index over the relation is
-    /// invalidated (its partitioning shape changed).
+    /// reports like it. The relation's ST-indexes go with the index they
+    /// were built over (their partitioning shape changed).
     ///
     /// Returns one row per shard: `a` is `shard<i>`, `distance` the
     /// number of series it holds.
@@ -347,7 +215,7 @@ impl Catalog {
         count: usize,
         by: ShardBy,
     ) -> Result<QueryOutput, LangError> {
-        let (rel, index) = self.resolve_relation(relation)?;
+        let Relation { labels: rel, index } = self.resolve_relation(relation)?;
         if index.is_paged() {
             return Err(LangError::Engine(tsq_core::Error::Unsupported(
                 "SHARD a relation with paged storage attached (the page file is immutable)"
@@ -364,8 +232,6 @@ impl Catalog {
             }
         }?;
         let rebuilt = ShardedIndex::build(self.config, rel, spec)?;
-        // Cached ST-indexes carry the old partitioning shape; drop them.
-        self.cache_write().map.retain(|(r, _), _| r != relation);
         let rows = (0..rebuilt.shard_count())
             .map(|s| Row {
                 a: format!("shard{s}"),
@@ -374,7 +240,10 @@ impl Catalog {
                 distance: rebuilt.map().members(s).len() as f64,
             })
             .collect();
-        self.indexes.insert(relation.to_string(), rebuilt);
+        self.relations
+            .get_mut(relation)
+            .expect("resolved above")
+            .index = rebuilt;
         Ok(QueryOutput {
             rows,
             nodes_visited: 0,
@@ -396,11 +265,11 @@ impl Catalog {
     ///   statement ([`ShardedIndex::extend_series_batch`] /
     ///   [`ShardedIndex::push_series_batch`]), so the result is
     ///   byte-identical to a fresh build over the final data;
-    /// - every cached subsequence ST-index over the relation is extended
-    ///   in place ([`SubseqIndex::extend_series`] resumes the sliding-DFT
-    ///   recurrence at `O(k)` per appended point) under the cache lock,
-    ///   clone-on-write (`Arc::make_mut`) so in-flight readers keep their
-    ///   consistent pre-append snapshot;
+    /// - the same two calls extend every subsequence ST-index the
+    ///   relation holds, next to the shard's features
+    ///   ([`tsq_core::SubseqIndex::extend_series`] resumes the sliding-DFT
+    ///   recurrence at `O(k)` per appended point), clone-on-write so
+    ///   in-flight readers keep their consistent pre-append snapshot;
     /// - the touched shards' planner statistics are refreshed so later
     ///   plans see the new shape.
     ///
@@ -423,7 +292,7 @@ impl Catalog {
     pub fn append(&mut self, relation: &str, rows: &[AppendRow]) -> Result<QueryOutput, LangError> {
         // Validation phase: nothing is mutated until every row has been
         // checked against the final state it would produce.
-        let (rel, index) = self.resolve_relation(relation)?;
+        let Relation { labels: rel, index } = self.resolve_relation(relation)?;
         if index.is_paged() {
             return Err(LangError::Engine(tsq_core::Error::Unsupported(
                 "APPEND to a relation with paged storage attached (the page file is immutable)"
@@ -469,19 +338,21 @@ impl Catalog {
         for len in final_len.values() {
             schema.validate(*len).map_err(LangError::Engine)?;
         }
-        let new_labels: Vec<String> = new_series.iter().map(|(l, _)| l.to_string()).collect();
-        let new_values: Vec<Vec<f64>> = new_series.into_iter().map(|(_, v)| v).collect();
+        let pushed: Vec<(&str, TimeSeries)> = new_series
+            .into_iter()
+            .map(|(label, values)| (label, TimeSeries::try_new(values).expect("checked finite")))
+            .collect();
         // Apply phase: validated above, so no step below can fail.
         // Pre-existing labels are extended in row order (their lengths
         // only grow, and a schema that fits a length fits every longer
         // one); new series are pushed complete, in first-occurrence order.
-        let rel = self.relations.get_mut(relation).expect("resolved above");
-        let index = self.indexes.get_mut(relation).expect("resolved above");
+        let Relation { labels: rel, index } =
+            self.relations.get_mut(relation).expect("resolved above");
         // The index absorbs the statement as one batch (one canonical
         // repack per touched shard), not row by row.
         let mut edits: Vec<(usize, &[f64])> = Vec::with_capacity(rows.len());
         for row in rows {
-            if new_labels.contains(&row.label) {
+            if pushed.iter().any(|(label, _)| *label == row.label) {
                 continue;
             }
             let id = rel
@@ -489,56 +360,20 @@ impl Catalog {
                 .expect("validated upfront");
             edits.push((id, row.values.as_slice()));
         }
-        let pushed: Vec<TimeSeries> = new_values
-            .iter()
-            .map(|values| TimeSeries::try_new(values.clone()).expect("validated upfront"))
-            .collect();
-        for (label, series) in new_labels.iter().zip(&pushed) {
-            rel.push(label.clone(), series.clone())
+        for (label, series) in &pushed {
+            rel.push(label.to_string(), series.clone())
                 .expect("label is new");
         }
         // Each edit and each new series routes to its owning shard, which
-        // refreshes its planner statistics itself.
+        // refreshes its planner statistics and extends its ST-indexes
+        // itself.
         if !edits.is_empty() {
             index
                 .extend_series_batch(&edits)
                 .expect("validated upfront");
         }
         if !pushed.is_empty() {
-            let labeled = new_labels.iter().map(String::as_str).zip(pushed).collect();
-            index.push_series_batch(labeled).expect("validated upfront");
-        }
-        // Maintain every cached ST-index over this relation in place —
-        // never `retain`-drop it: the next subsequence query must hit the
-        // incrementally-extended cache, not pay a full rebuild.
-        // `Arc::make_mut` is clone-on-write, so a reader still traversing
-        // the pre-append index keeps its consistent snapshot. Per-shard
-        // ST-indexes speak shard-local ids: every edit and every new
-        // series routes through the owner map.
-        {
-            let map = index.map();
-            let mut cache = self.subseq.write().unwrap_or_else(PoisonError::into_inner);
-            for ((rel_name, _), slot) in cache.map.iter_mut() {
-                if rel_name != relation {
-                    continue;
-                }
-                for row in rows {
-                    if new_labels.contains(&row.label) {
-                        continue;
-                    }
-                    let id = rel.id_of(&row.label).expect("applied above");
-                    let (shard, local) = map.owner(id).expect("applied above");
-                    Arc::make_mut(&mut slot.parts[shard])
-                        .extend_series(local, &row.values)
-                        .expect("validated upfront");
-                }
-                for (label, values) in new_labels.iter().zip(&new_values) {
-                    let id = rel.id_of(label).expect("applied above");
-                    let (shard, _) = map.owner(id).expect("applied above");
-                    Arc::make_mut(&mut slot.parts[shard])
-                        .insert(TimeSeries::try_new(values.clone()).expect("validated upfront"));
-                }
-            }
+            index.push_series_batch(pushed).expect("validated upfront");
         }
         // One answer row per distinct label, in first-touch order.
         let mut order: Vec<&str> = Vec::new();
@@ -615,31 +450,13 @@ impl Catalog {
         }
         let options = query.options().merged(overrides);
         let logical = self.lower(query)?;
-        let (rel, index) = self.resolve_relation(logical.relation())?;
-        let outcome = self.scatter(index, &logical, &options)?;
+        let Relation { labels, index } = self.resolve_relation(logical.relation())?;
+        let width = scatter_width(index.shard_count(), &options);
+        let outcome = index.execute(&logical, options.force, width)?;
         let plan = sharded_plan_name(&outcome.plans);
-        let mut out = label_output(rel, outcome.rows, outcome.merged, plan);
+        let mut out = label_output(labels, outcome.rows, outcome.merged, plan);
         out.shard_stats = outcome.per_shard;
         Ok(out)
-    }
-
-    /// Fetches (or builds) the ST-indexes a subsequence form needs and
-    /// runs the query scatter-gather over the relation's shards.
-    fn scatter(
-        &self,
-        index: &ShardedIndex,
-        logical: &LogicalPlan,
-        options: &QueryOptions,
-    ) -> Result<ShardedOutcome, LangError> {
-        // A force the form cannot carry is refused before an ST-index is
-        // built for the statement.
-        logical.check_force(options.force)?;
-        let subseq = match logical.subseq_window() {
-            Some(w) => Some(self.subseq_index(logical.relation(), index, w)?),
-            None => None,
-        };
-        let width = scatter_width(index.shard_count(), options);
-        Ok(index.execute(logical, options.force, width, subseq.as_deref())?)
     }
 
     /// Plans a query and renders the plan tree without executing it
@@ -664,20 +481,16 @@ impl Catalog {
         }
         let options = query.options().merged(overrides);
         let logical = self.lower(query)?;
-        let (_, index) = self.resolve_relation(logical.relation())?;
-        // Planning must not execute anything, so only *cached* ST-indexes
-        // inform the estimate — peeked without building or LRU-touching
-        // anything; a cold probe is planned as such.
-        let cached = logical.subseq_window().and_then(|w| {
-            let key = (logical.relation().to_string(), w);
-            self.cache_read().map.get(&key).map(|s| s.parts.clone())
-        });
-        let plans = index.plan_shards(&logical, options.force, cached.as_deref())?;
+        let index = &self.resolve_relation(logical.relation())?.index;
+        // Planning executes nothing: a subsequence probe whose ST-index
+        // is not built yet is planned, and rendered, as cold.
+        let plans = index.plan_shards(&logical, options.force)?;
         let mut text = render_sharded_plan(&logical, index, &plans);
         let mut exec = ExecStats::default();
         let mut shard_stats = Vec::new();
         if analyze {
-            let outcome = self.scatter(index, &logical, &options)?;
+            let width = scatter_width(index.shard_count(), &options);
+            let outcome = index.execute(&logical, options.force, width)?;
             render_sharded_analyze(&mut text, outcome.rows.len(), &outcome);
             exec = outcome.merged;
             shard_stats = outcome.per_shard;
@@ -704,7 +517,7 @@ impl Catalog {
                 window,
                 ..
             } => {
-                let (_, index) = self.resolve_relation(relation)?;
+                let index = &self.resolve_relation(relation)?.index;
                 Ok(LogicalPlan::Range {
                     relation: relation.clone(),
                     query: self.resolve_source(source)?,
@@ -720,7 +533,7 @@ impl Catalog {
                 transforms,
                 ..
             } => {
-                let (_, index) = self.resolve_relation(relation)?;
+                let index = &self.resolve_relation(relation)?.index;
                 Ok(LogicalPlan::Knn {
                     relation: relation.clone(),
                     query: self.resolve_source(source)?,
@@ -734,7 +547,7 @@ impl Catalog {
                 transforms,
                 ..
             } => {
-                let (_, index) = self.resolve_relation(relation)?;
+                let index = &self.resolve_relation(relation)?.index;
                 Ok(LogicalPlan::Join {
                     relation: relation.clone(),
                     eps: *eps,
@@ -840,13 +653,13 @@ impl BatchSummary {
 /// many-clients-one-catalog topology of the ROADMAP's north star.
 ///
 /// Queries take the outer read lock, so any number of clients execute
-/// concurrently (including concurrent ST-index cache hits, which take
-/// only the catalog's *inner* read lock); [`SharedCatalog::register`]
-/// takes the write lock and so waits for in-flight queries to drain.
-/// Both locks recover from poisoning: registration's mutation order
-/// guarantees the worst an interrupted write can leave behind is a
-/// relation whose index is missing, which every query reports as a
-/// resolution error rather than a panic.
+/// concurrently (including concurrent ST-index hits, which share the read
+/// lock inside the relation's [`ShardedIndex`]);
+/// [`SharedCatalog::register`] takes the write lock and so waits for
+/// in-flight queries to drain. The lock recovers from poisoning: a
+/// relation and its index enter the catalog in one map insertion, so an
+/// interrupted write leaves either the old relation or the new one, never
+/// half of either.
 #[derive(Debug, Clone, Default)]
 pub struct SharedCatalog {
     inner: Arc<RwLock<Catalog>>,
@@ -874,11 +687,6 @@ impl SharedCatalog {
     /// Propagates index-construction failures.
     pub fn register(&self, relation: SeriesRelation) -> Result<(), LangError> {
         self.write().register(relation)
-    }
-
-    /// Caps the shared catalog's ST-index cache.
-    pub fn set_subseq_cache_capacity(&self, capacity: usize) {
-        self.write().set_subseq_cache_capacity(capacity);
     }
 
     /// Parses and executes one statement: queries run under the read
@@ -1180,6 +988,7 @@ fn resolve_one(spec: &TransformSpec, n: usize) -> Result<LinearTransform, LangEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsq_core::shard::MAX_SUBSEQ_WINDOWS;
     use tsq_series::generate::RandomWalkGenerator;
 
     fn catalog() -> Catalog {
@@ -1315,9 +1124,7 @@ mod tests {
         let a = cat.run(q).unwrap();
         let b = cat.run(q).unwrap();
         assert_eq!(a, b);
-        let cache = cat.cache_read();
-        assert_eq!(cache.map.len(), 1);
-        assert!(cache.map.contains_key(&("walks".to_string(), 32)));
+        assert_eq!(cat.subseq_cache_keys(), vec![("walks".to_string(), 32)]);
     }
 
     #[test]
@@ -1360,133 +1167,76 @@ mod tests {
         assert!(cat.run(&q).unwrap().rows.is_empty());
     }
 
+    /// A literal probe sized to the window, so every query is valid.
+    fn window_probe(rel: &str, w: usize) -> String {
+        let vals: Vec<String> = (0..w).map(|i| format!("{i}")).collect();
+        format!(
+            "FIND SUBSEQUENCE OF [{}] IN {rel} WITHIN 100 WINDOW {w}",
+            vals.join(", ")
+        )
+    }
+
+    fn keys(rel: &str, windows: &[usize]) -> Vec<(String, usize)> {
+        windows.iter().map(|&w| (rel.to_string(), w)).collect()
+    }
+
     #[test]
     fn subseq_cache_is_lru_bounded() {
-        // A literal probe sized to the window, so every query is valid.
-        fn probe(w: usize) -> String {
-            let vals: Vec<String> = (0..w).map(|i| format!("{i}")).collect();
-            format!(
-                "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 100 WINDOW {w}",
-                vals.join(", ")
-            )
+        let cat = catalog();
+        let full: Vec<usize> = (4..4 + MAX_SUBSEQ_WINDOWS).collect();
+        for &w in &full {
+            cat.run(&window_probe("walks", w)).unwrap();
         }
-        let mut cat = catalog();
-        cat.set_subseq_cache_capacity(3);
-        for w in [4usize, 5, 6] {
-            cat.run(&probe(w)).unwrap();
-        }
-        assert_eq!(cat.subseq_cache_len(), 3);
-        // Touch window 4 so window 5 becomes the LRU victim.
-        cat.run(&probe(4)).unwrap();
-        cat.run(&probe(7)).unwrap();
-        {
-            let cache = cat.cache_read();
-            assert_eq!(cache.map.len(), 3);
-            assert!(cache.map.contains_key(&("walks".to_string(), 4)));
-            assert!(!cache.map.contains_key(&("walks".to_string(), 5)));
-            assert!(cache.map.contains_key(&("walks".to_string(), 7)));
-        }
-        // Shrinking the capacity evicts immediately.
-        cat.set_subseq_cache_capacity(1);
-        assert_eq!(cat.subseq_cache_len(), 1);
+        assert_eq!(cat.subseq_cache_keys(), keys("walks", &full));
+        // Touch window 4 so window 5 becomes the LRU victim of the next
+        // further window.
+        cat.run(&window_probe("walks", 4)).unwrap();
+        cat.run(&window_probe("walks", 20)).unwrap();
+        let mut want = full[2..].to_vec();
+        want.extend([4, 20]);
+        assert_eq!(cat.subseq_cache_keys(), keys("walks", &want));
         // Evicted windows still answer correctly (rebuilt on demand).
-        assert!(cat.run(&probe(5)).is_ok());
+        assert!(cat.run(&window_probe("walks", 5)).is_ok());
+        assert_eq!(cat.subseq_cache_len(), MAX_SUBSEQ_WINDOWS);
     }
 
     #[test]
     fn reregister_interleaved_with_cache_fills_keeps_lru_consistent() {
-        // `register` invalidates by `retain` on the map. Recency lives in
-        // atomic stamps *inside* the retained slots (there is no separate
-        // recency list to fall out of step), so interleaving re-registers
-        // with cache-filling queries must leave no dangling keys, stay
-        // within capacity, and keep evicting the true LRU survivor.
-        fn probe(rel: &str, w: usize) -> String {
-            let vals: Vec<String> = (0..w).map(|i| format!("{i}")).collect();
-            format!(
-                "FIND SUBSEQUENCE OF [{}] IN {rel} WITHIN 100 WINDOW {w}",
-                vals.join(", ")
-            )
-        }
+        // A relation's windows live and die with its index, so
+        // interleaving re-registers with filling queries must drop exactly
+        // the replaced relation's windows, keep every other relation's
+        // recency order, and keep evicting each relation's own LRU window.
         let mut cat = catalog();
         cat.register(
             SeriesRelation::from_series("other", RandomWalkGenerator::new(8).relation(12, 32))
                 .unwrap(),
         )
         .unwrap();
-        cat.set_subseq_cache_capacity(3);
-        // Fill to capacity across both relations.
-        cat.run(&probe("walks", 4)).unwrap();
-        cat.run(&probe("other", 5)).unwrap();
-        cat.run(&probe("walks", 6)).unwrap();
-        assert_eq!(cat.subseq_cache_len(), 3);
-        // Re-register `walks` mid-stream: only its entries vanish.
+        cat.run(&window_probe("walks", 4)).unwrap();
+        cat.run(&window_probe("other", 5)).unwrap();
+        cat.run(&window_probe("other", 9)).unwrap();
+        cat.run(&window_probe("walks", 6)).unwrap();
+        assert_eq!(cat.subseq_cache_len(), 4);
+        // Re-register `walks` mid-stream: only its windows vanish.
         let replacement =
             SeriesRelation::from_series("walks", RandomWalkGenerator::new(91).relation(20, 32))
                 .unwrap();
         cat.register(replacement).unwrap();
-        {
-            let cache = cat.cache_read();
-            assert_eq!(cache.map.len(), 1, "only the survivor remains");
-            assert!(cache.map.contains_key(&("other".to_string(), 5)));
-            assert!(cache.map.keys().all(|(rel, _)| rel != "walks"));
+        assert_eq!(cat.subseq_cache_keys(), keys("other", &[5, 9]));
+        // Keep filling `walks` to its bound and one past it, with a hit on
+        // the survivor in between: `walks` evicts its own oldest window,
+        // `other` only records the hit.
+        let full: Vec<usize> = (4..4 + MAX_SUBSEQ_WINDOWS).collect();
+        for &w in &full {
+            cat.run(&window_probe("walks", w)).unwrap();
         }
-        // Keep filling: the survivor's stamp is still honored, so after
-        // refilling past capacity the eviction victim is the *oldest
-        // surviving* entry, not a phantom of the retained map.
-        cat.run(&probe("walks", 4)).unwrap();
-        cat.run(&probe("walks", 6)).unwrap();
-        assert_eq!(cat.subseq_cache_len(), 3);
-        // Touch the survivor so ("walks", 4) becomes the LRU, then evict.
-        cat.run(&probe("other", 5)).unwrap();
-        cat.run(&probe("walks", 7)).unwrap();
-        {
-            let cache = cat.cache_read();
-            assert_eq!(cache.map.len(), 3);
-            assert!(cache.map.contains_key(&("other".to_string(), 5)));
-            assert!(cache.map.contains_key(&("walks".to_string(), 6)));
-            assert!(cache.map.contains_key(&("walks".to_string(), 7)));
-            assert!(!cache.map.contains_key(&("walks".to_string(), 4)));
-        }
-        // Recency keys reported by the public API match the map exactly —
-        // no dangling keys either way.
-        let keys = cat.subseq_cache_keys();
-        assert_eq!(keys.len(), cat.subseq_cache_len());
-        let cache = cat.cache_read();
-        for key in &keys {
-            assert!(cache.map.contains_key(key), "dangling recency key {key:?}");
-        }
-    }
-
-    #[test]
-    fn poisoned_cache_lock_recovers_instead_of_panicking() {
-        let mut cat = catalog();
-        cat.run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 100 WINDOW 32")
-            .unwrap();
-        // Poison the cache lock: a thread panics while holding the write
-        // guard. Before the RwLock rewrite this made every later
-        // subsequence query (and every registration) panic permanently.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = cat.subseq.write().unwrap();
-            panic!("query thread dies mid-flight");
-        }));
-        assert!(result.is_err());
-        assert!(cat.subseq.is_poisoned());
-        // Cache hit, cache miss, and invalidation all still work.
-        assert!(cat
-            .run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 100 WINDOW 32")
-            .is_ok());
-        let vals: Vec<String> = (0..16).map(|i| format!("{i}")).collect();
-        assert!(cat
-            .run(&format!(
-                "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 100 WINDOW 16",
-                vals.join(", ")
-            ))
-            .is_ok());
-        let replacement =
-            SeriesRelation::from_series("walks", RandomWalkGenerator::new(5).relation(8, 32))
-                .unwrap();
-        cat.register(replacement).unwrap();
-        assert_eq!(cat.subseq_cache_len(), 0);
+        cat.run(&window_probe("other", 5)).unwrap();
+        cat.run(&window_probe("walks", 20)).unwrap();
+        let mut want = keys("other", &[9, 5]);
+        want.extend(keys("walks", &full[1..]));
+        want.extend(keys("walks", &[20]));
+        assert_eq!(cat.subseq_cache_keys(), want);
+        assert_eq!(cat.subseq_cache_len(), 2 + MAX_SUBSEQ_WINDOWS);
     }
 
     #[test]
@@ -1896,30 +1646,29 @@ mod tests {
 
     #[test]
     fn append_updates_cached_st_index_in_place() {
-        let key = ("walks".to_string(), 8usize);
+        /// The window-8 ST-index of the one shard of `walks`.
+        fn st_index(cat: &Catalog) -> Arc<tsq_core::SubseqIndex> {
+            let entries = cat.relations["walks"].index.subseq_entries();
+            assert_eq!(entries.len(), 1);
+            assert_eq!(entries[0].0, 8);
+            Arc::clone(&entries[0].1[0])
+        }
         let mut cat = catalog();
         cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 10 WINDOW 8")
             .unwrap();
-        let ptr_before = Arc::as_ptr(&cat.cache_read().map[&key].parts[0]);
+        let ptr_before = Arc::as_ptr(&st_index(&cat));
         cat.run_mut("APPEND walks s0 VALUES (1, 2, 3)").unwrap();
-        // Still cached (never retain-dropped), updated in place (sole
-        // owner ⇒ Arc::make_mut did not clone).
-        assert_eq!(cat.subseq_cache_len(), 1);
-        {
-            let cache = cat.cache_read();
-            let index = &cache.map[&key].parts[0];
-            assert_eq!(Arc::as_ptr(index), ptr_before);
-            assert_eq!(index.series(0).unwrap().len(), 35);
-        }
+        // Still held (never dropped), updated in place (sole owner ⇒
+        // Arc::make_mut did not clone).
+        let index = st_index(&cat);
+        assert_eq!(Arc::as_ptr(&index), ptr_before);
+        assert_eq!(index.series(0).unwrap().len(), 35);
         // An in-flight reader holding the Arc keeps its consistent
-        // pre-append snapshot while the cache moves on (clone-on-write).
-        let held = Arc::clone(&cat.cache_read().map[&key].parts[0]);
+        // pre-append snapshot while the relation moves on (clone-on-write).
+        let held = index;
         cat.run_mut("APPEND walks s0 VALUES (4)").unwrap();
         assert_eq!(held.series(0).unwrap().len(), 35);
-        assert_eq!(
-            cat.cache_read().map[&key].parts[0].series(0).unwrap().len(),
-            36
-        );
+        assert_eq!(st_index(&cat).series(0).unwrap().len(), 36);
     }
 
     #[test]

@@ -39,12 +39,12 @@
 //! Relations are live: the `APPEND` verb ([`Catalog::append`], routed
 //! automatically by [`Catalog::run_mut`] and [`SharedCatalog::run`])
 //! grows stored series point by point, maintaining the whole-series
-//! index and every cached subsequence ST-index *incrementally* — answers
+//! index and every subsequence ST-index it holds *incrementally* — answers
 //! afterwards are identical to a catalog rebuilt from the final data.
 //!
 //! Catalogs are durable: [`Catalog::save`] snapshots every relation,
 //! whole-match index (R\*-tree structure preserved byte-identically) and
-//! cached subsequence ST-index to one checksummed binary file, and
+//! subsequence ST-index to one checksummed binary file, and
 //! [`Catalog::open`] / [`Catalog::load`] restore it with query results —
 //! and traversal statistics — guaranteed identical to the saved catalog.
 //! The shell exposes this as `.save <path>` / `.open <path>` and a

@@ -1,29 +1,30 @@
 //! Catalog persistence: [`Catalog::save`] / [`Catalog::open`] /
 //! [`Catalog::load`] snapshot an entire catalog — every relation with its
 //! labels and its [`ShardedIndex`] (R\*-tree node structure preserved
-//! byte-identically, never rebuilt), and the LRU cache of subsequence
-//! ST-indexes in recency order — to a single `tsq-store` file.
+//! byte-identically, never rebuilt), the subsequence ST-indexes the index
+//! holds included — to a single `tsq-store` file.
 //!
-//! There is one relation-section layout and one cache-section layout, at
-//! every shard count (format version 4):
+//! There is one section layout, at every shard count (format version 5):
 //!
 //! ```text
-//! relation section            cache section
-//! ----------------            -------------
-//! name                        relation name
-//! label count, labels         window
-//! shard rule (0 hash,         one ST-index per shard of the
-//!   1 range), shard count       relation, shard order, trails only
+//! relation section
+//! ----------------
+//! name
+//! label count, labels
+//! shard rule (0 hash, 1 range), shard count
 //! boundary count, boundaries
-//! one whole-match index per
-//!   shard, shard order
+//! one whole-match index per shard, shard order
+//! ST-index window count, then per window, least recently used first:
+//!   window, one ST-index per shard, shard order, trails only
 //! ```
 //!
 //! A restored catalog scatter-gathers over exactly the trees that were
-//! saved. Two things are derived instead of stored: shard membership (the
-//! rule is a pure function of the label, so [`ShardMap::build`] over the
-//! labels reproduces it) and the planner statistics (they depend only on
-//! the tree structure, so [`ShardedIndex::from_parts`] recomputes them).
+//! saved. Three things are derived instead of stored: shard membership
+//! (the rule is a pure function of the label, so [`ShardMap::build`] over
+//! the labels reproduces it), the planner statistics (they depend only on
+//! the tree structure, so [`ShardedIndex::from_parts`] recomputes them)
+//! and an ST-index's series (they are its shard's, so only the trails
+//! travel and the section's own shards are handed over as the store).
 //!
 //! ## Guarantees
 //!
@@ -35,56 +36,38 @@
 //! - **Atomic, collision-checked restore.** [`Catalog::open`] decodes the
 //!   whole snapshot *before* touching the catalog; a relation name that is
 //!   already registered aborts the restore with a typed
-//!   [`StoreError::DuplicateRelation`] and leaves the catalog — including
-//!   its subsequence-cache invalidation state — completely unchanged.
+//!   [`StoreError::DuplicateRelation`] and leaves the catalog — its
+//!   relations and their ST-indexes — completely unchanged.
 //! - **Typed failure.** Corrupt, truncated, wrong-version or wrong-endian
 //!   files surface as [`LangError`]-wrapped [`StoreError`]s; no input can
 //!   panic the shell.
-//! - **Canonical bytes.** Relations are written in name order and cache
-//!   entries in recency order, so `save → open → save` reproduces the
-//!   original file byte for byte.
+//! - **Canonical bytes.** Relations are written in name order and each
+//!   relation's windows in recency order, so `save → open → save`
+//!   reproduces the original file byte for byte.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use tsq_core::shard::{ShardBy, ShardMap, ShardSpec, ShardedIndex};
 use tsq_core::{executor, store as core_store, SeriesRelation, SimilarityIndex, SubseqIndex};
 use tsq_store::{read_payload, seal, unseal, write_file, Decoder, Encoder, StoreError};
 
 use crate::error::LangError;
-use crate::exec::{CacheSlot, Catalog};
-
-/// Everything one snapshot contains, decoded but not yet merged. The
-/// catalog-level index configuration is decoded (and validated) too, but
-/// only [`Catalog::load`] applies it — merging into an existing catalog
-/// keeps that catalog's configuration.
-struct DecodedSnapshot {
-    /// `(name, relation, index)` in the file's (sorted) order.
-    relations: Vec<DecodedRelation>,
-    /// `(name, window, per-shard ST-indexes)` in LRU order (least recent
-    /// first).
-    cache: Vec<(String, usize, Vec<SubseqIndex>)>,
-}
-
-type DecodedRelation = (String, SeriesRelation, ShardedIndex);
+use crate::exec::{Catalog, Relation};
 
 impl Catalog {
     /// The unsealed snapshot payload (no header/checksum frame yet).
     ///
-    /// Every relation and cache entry is framed as a length-prefixed
-    /// *section*, so restores can slice the payload cheaply and decode
-    /// sections on the worker pool ([`executor::parallel_map`]) — the
-    /// restart-latency path scales with the machine, like everything else
-    /// in the engine.
+    /// Every relation is framed as a length-prefixed *section*, so
+    /// restores can slice the payload cheaply and decode sections on the
+    /// worker pool ([`executor::parallel_map`]) — the restart-latency path
+    /// scales with the machine, like everything else in the engine.
     fn snapshot_payload(&self) -> Result<Vec<u8>, LangError> {
         let mut enc = Encoder::new();
         core_store::write_index_config(&mut enc, &self.config);
         let names = self.relation_names();
         enc.usize(names.len());
         for name in &names {
-            let rel = &self.relations[name];
-            let index = &self.indexes[name];
+            let Relation { labels: rel, index } = &self.relations[name];
             let mut section = Encoder::new();
             section.str(name);
             section.usize(rel.len());
@@ -108,25 +91,17 @@ impl Catalog {
             for part in index.parts() {
                 part.write_to(&mut section)?;
             }
-            enc.usize(section.len());
-            enc.raw(&section.into_bytes());
-        }
-        // Cache entries in recency order (least recently used first), so
-        // restoring replays them into an identical LRU ordering. The
-        // series data is *not* repeated per cached index — a cached
-        // ST-index's store always equals its relation's series, so only
-        // the trails travel (SubseqIndex::write_trails_to), one run per
-        // shard.
-        let cache = self.cache_read();
-        let mut entries: Vec<(&(String, usize), &CacheSlot)> = cache.map.iter().collect();
-        entries.sort_by_key(|(key, slot)| (slot.last_used.load(Ordering::Relaxed), (*key).clone()));
-        enc.usize(entries.len());
-        for ((name, window), slot) in entries {
-            let mut section = Encoder::new();
-            section.str(name);
-            section.usize(*window);
-            for part in &slot.parts {
-                part.write_trails_to(&mut section);
+            // The relation's ST-indexes, least recently used first, so a
+            // restore adopts them into an identical eviction order. Their
+            // series are the shards' just written: only the trails travel
+            // (SubseqIndex::write_trails_to), one run per shard.
+            let windows = index.subseq_entries();
+            section.usize(windows.len());
+            for (window, parts) in windows {
+                section.usize(window);
+                for part in parts {
+                    part.write_trails_to(&mut section);
+                }
             }
             enc.usize(section.len());
             enc.raw(&section.into_bytes());
@@ -177,46 +152,17 @@ impl Catalog {
     /// Restores an already-unsealed payload (the frame — magic, version,
     /// endianness, checksum — has been validated by the caller).
     fn restore_payload(&mut self, payload: &[u8]) -> Result<Vec<String>, LangError> {
-        let snapshot = decode_snapshot(payload).map_err(store_err)?;
-        for (name, _, _) in &snapshot.relations {
+        let relations = decode_snapshot(payload).map_err(store_err)?;
+        for (name, _) in &relations {
             if self.relations.contains_key(name) {
                 return Err(store_err(StoreError::DuplicateRelation {
                     name: name.clone(),
                 }));
             }
         }
-        let mut restored = Vec::with_capacity(snapshot.relations.len());
-        for (name, relation, index) in snapshot.relations {
-            // Fresh names cannot have stale cache entries, but re-assert
-            // the PR-3 invalidation invariant anyway: nothing keyed by a
-            // name being (re-)introduced survives the registration.
-            self.cache_write().map.retain(|(rel, _), _| rel != &name);
-            self.relations.insert(name.clone(), relation);
-            self.indexes.insert(name.clone(), index);
-            restored.push(name);
-        }
-        // Replay the cached ST-indexes least-recent-first with fresh
-        // stamps: relative recency survives the round trip, and the
-        // capacity bound applies exactly as if the entries had been built.
-        for (name, window, parts) in snapshot.cache {
-            let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-            let key = (name, window);
-            let mut cache = self.cache_write();
-            cache.map.insert(
-                key.clone(),
-                CacheSlot {
-                    parts: parts.into_iter().map(Arc::new).collect(),
-                    last_used: AtomicU64::new(stamp),
-                },
-            );
-            while cache.map.len() > cache.capacity {
-                let Some(victim) = Catalog::lru_key(&cache, Some(&key)) else {
-                    break;
-                };
-                cache.map.remove(&victim);
-            }
-        }
+        let mut restored: Vec<String> = relations.iter().map(|(name, _)| name.clone()).collect();
         restored.sort();
+        self.relations.extend(relations);
         Ok(restored)
     }
 
@@ -267,7 +213,7 @@ impl Catalog {
             sidecar
         };
         for name in &restored {
-            let index = self.indexes.get_mut(name).expect("restored relation");
+            let index = &mut self.relations.get_mut(name).expect("restored").index;
             let per_shard = (per_relation / index.shard_count() as u64).max(1);
             for (shard, part) in index.parts_mut().iter_mut().enumerate() {
                 let sidecar = claim(&format!("{name}.s{shard}"));
@@ -331,62 +277,41 @@ fn unwrap_core(e: tsq_core::Error) -> StoreError {
     }
 }
 
-/// Unwraps an order-preserving [`executor::parallel_map`] result set,
-/// returning the first error in section order.
-fn collect_sections<T>(results: Vec<Result<T, StoreError>>) -> Result<Vec<T>, StoreError> {
-    results.into_iter().collect()
-}
-
-fn decode_snapshot(payload: &[u8]) -> Result<DecodedSnapshot, StoreError> {
+/// Decodes every relation of a snapshot, in the file's order, without
+/// touching any catalog. The catalog-level index configuration is decoded
+/// (and validated) too, but only [`Catalog::load`] applies it — merging
+/// into an existing catalog keeps that catalog's configuration.
+fn decode_snapshot(payload: &[u8]) -> Result<Vec<(String, Relation)>, StoreError> {
     // Phase 1 (sequential, cheap): slice the payload into its
     // length-prefixed sections.
     let mut dec = Decoder::new(payload);
     let _config = core_store::read_index_config(&mut dec)?;
     let relation_count = dec.seq(8, "relation count")?;
-    let mut rel_sections = Vec::with_capacity(relation_count);
+    let mut sections = Vec::with_capacity(relation_count);
     for _ in 0..relation_count {
         let len = dec.seq(1, "relation section length")?;
-        rel_sections.push(dec.bytes(len, "relation section")?);
-    }
-    let cache_count = dec.seq(8, "subseq cache count")?;
-    let mut cache_sections = Vec::with_capacity(cache_count);
-    for _ in 0..cache_count {
-        let len = dec.seq(1, "cache section length")?;
-        cache_sections.push(dec.bytes(len, "cache section")?);
+        sections.push(dec.bytes(len, "relation section")?);
     }
     dec.finish()?;
 
-    // Phase 2 (parallel): decode relation sections on the worker pool.
+    // Phase 2 (parallel): decode the sections on the worker pool; the
+    // first error in section order wins.
     let threads = executor::default_threads();
-    let relations = collect_sections(executor::parallel_map(
-        threads,
-        rel_sections,
-        decode_relation_section,
-    ))?;
-    for (i, (name, _, _)) in relations.iter().enumerate() {
-        if relations[..i].iter().any(|(n, _, _)| n == name) {
+    let relations: Vec<(String, Relation)> =
+        executor::parallel_map(threads, sections, decode_relation_section)
+            .into_iter()
+            .collect::<Result<_, _>>()?;
+    for (i, (name, _)) in relations.iter().enumerate() {
+        if relations[..i].iter().any(|(n, _)| n == name) {
             return Err(StoreError::corrupt(format!(
                 "relation {name:?} appears twice in the snapshot"
             )));
         }
     }
-
-    // Phase 3 (parallel): decode cached ST-indexes, which borrow their
-    // stored series from the relations decoded in phase 2.
-    let cache = collect_sections(executor::parallel_map(threads, cache_sections, |bytes| {
-        decode_cache_section(bytes, &relations)
-    }))?;
-    for (i, (name, window, _)) in cache.iter().enumerate() {
-        if cache[..i].iter().any(|(n, w, _)| n == name && w == window) {
-            return Err(StoreError::corrupt(format!(
-                "cache entry ({name:?}, {window}) appears twice in the snapshot"
-            )));
-        }
-    }
-    Ok(DecodedSnapshot { relations, cache })
+    Ok(relations)
 }
 
-fn decode_relation_section(bytes: &[u8]) -> Result<DecodedRelation, StoreError> {
+fn decode_relation_section(bytes: &[u8]) -> Result<(String, Relation), StoreError> {
     let mut dec = Decoder::new(bytes);
     let name = dec.str("relation name")?;
     let label_count = dec.seq(8, "label count")?;
@@ -414,51 +339,35 @@ fn decode_relation_section(bytes: &[u8]) -> Result<DecodedRelation, StoreError> 
     for _ in 0..count {
         parts.push(SimilarityIndex::read_from(&mut dec).map_err(unwrap_core)?);
     }
-    dec.finish()?;
     // Membership is the rule applied to the labels; from_parts checks it
     // against the part sizes (so a label count that disagrees with the
     // stored series is caught here) and recomputes the per-shard planner
     // statistics from the restored trees.
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     let map = ShardMap::build(spec, &label_refs);
-    let index = ShardedIndex::from_parts(map, parts).map_err(unwrap_core)?;
+    let mut index = ShardedIndex::from_parts(map, parts).map_err(unwrap_core)?;
+    // The ST-indexes travel without their stored series (the trails-only
+    // form): the owning shard's series *are* the store, so hand them over
+    // instead of re-parsing a copy. `restore_subseq` refuses what the
+    // relation could not have held (a fifth window, a window twice, trails
+    // built for another window).
+    let windows = dec.seq(8, "ST-index window count")?;
+    for _ in 0..windows {
+        let window = dec.usize("ST-index window")?;
+        let mut trails = Vec::with_capacity(count);
+        for shard in index.parts() {
+            let series = shard.entries().iter().map(|e| e.series.clone()).collect();
+            trails.push(SubseqIndex::read_trails_from(&mut dec, series).map_err(unwrap_core)?);
+        }
+        index.restore_subseq(window, trails).map_err(unwrap_core)?;
+    }
+    dec.finish()?;
     let items = labels
         .into_iter()
         .enumerate()
         .map(|(id, label)| (label, index.series(id).expect("id < len").clone()))
         .collect();
-    let relation = SeriesRelation::from_labeled(&name, items)
+    let labels = SeriesRelation::from_labeled(&name, items)
         .map_err(|e| StoreError::corrupt(format!("relation {name:?} cannot be rebuilt: {e}")))?;
-    Ok((name, relation, index))
-}
-
-fn decode_cache_section(
-    bytes: &[u8],
-    relations: &[DecodedRelation],
-) -> Result<(String, usize, Vec<SubseqIndex>), StoreError> {
-    let mut dec = Decoder::new(bytes);
-    let name = dec.str("cached relation name")?;
-    let window = dec.usize("cached window")?;
-    let Some((_, _, index)) = relations.iter().find(|(n, _, _)| n == &name) else {
-        return Err(StoreError::corrupt(format!(
-            "cached ST-index references unknown relation {name:?}"
-        )));
-    };
-    // Cached ST-indexes travel without their stored series (the
-    // trails-only form): the owning shard's series *are* the store, so
-    // hand them over instead of re-parsing a copy.
-    let mut parts = Vec::with_capacity(index.shard_count());
-    for shard in index.parts() {
-        let series = shard.entries().iter().map(|e| e.series.clone()).collect();
-        let part = SubseqIndex::read_trails_from(&mut dec, series).map_err(unwrap_core)?;
-        if part.config().window != window {
-            return Err(StoreError::corrupt(format!(
-                "cached ST-index for window {window} was built for window {}",
-                part.config().window
-            )));
-        }
-        parts.push(part);
-    }
-    dec.finish()?;
-    Ok((name, window, parts))
+    Ok((name, Relation { labels, index }))
 }

@@ -184,3 +184,80 @@ fn whole_sequence_negative_eps_reported_with_position() {
         other => panic!("expected parse error, got {other:?}"),
     }
 }
+
+#[test]
+fn a_rejected_subsequence_statement_builds_no_st_index() {
+    use tsq_core::{Error, ForceOp, QueryOptions};
+    use tsq_lang::{Query, Source};
+    let wrong_length = parse("FIND SUBSEQUENCE OF [1, 2, 3] IN walks WITHIN 1 WINDOW 8").unwrap();
+    let valid = parse("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 1 WINDOW 32").unwrap();
+    let scanfull = QueryOptions {
+        force: Some(ForceOp::ScanFull),
+        ..QueryOptions::default()
+    };
+    let too_short: fn(&Error) -> bool = |e| {
+        let want = Error::LengthMismatch {
+            expected: 8,
+            got: 3,
+        };
+        *e == want
+    };
+    // Each case on a fresh catalog: the statement, its overrides, and the
+    // typed error it answers.
+    type Case = (&'static str, Query, QueryOptions, fn(&Error) -> bool);
+    let cases: [Case; 4] = [
+        (
+            "(a) a query of the wrong length for its WINDOW",
+            wrong_length.clone(),
+            QueryOptions::default(),
+            too_short,
+        ),
+        (
+            "(b) the same under EXPLAIN ANALYZE",
+            Query::Explain {
+                analyze: true,
+                query: Box::new(wrong_length),
+            },
+            QueryOptions::default(),
+            too_short,
+        ),
+        (
+            // The parser refuses a negative threshold, the AST does not.
+            "(c) a hand-built negative eps",
+            Query::SubseqSimilar {
+                source: Source::Literal(vec![0.0; 8]),
+                relation: "walks".into(),
+                eps: -1.0,
+                window: 8,
+                options: QueryOptions::default(),
+            },
+            QueryOptions::default(),
+            |e| matches!(e, Error::NegativeThreshold { .. }),
+        ),
+        (
+            "(d) a join-only force on a subsequence form",
+            valid.clone(),
+            scanfull,
+            |e| matches!(e, Error::Unsupported(_)),
+        ),
+    ];
+    let mut built = Vec::new();
+    for (name, query, overrides, is_expected) in &cases {
+        let cat = catalog();
+        match cat.execute_with(query, overrides) {
+            Err(LangError::Engine(e)) if is_expected(&e) => {}
+            other => panic!("{name}: unexpected answer {other:?}"),
+        }
+        if cat.subseq_cache_len() != 0 {
+            built.push(*name);
+        }
+    }
+    assert!(
+        built.is_empty(),
+        "an ST-index was built for a statement that answered an error: {built:?}"
+    );
+    // The valid statement, unforced, is what builds.
+    let cat = catalog();
+    cat.execute(&valid).unwrap();
+    assert_eq!(cat.subseq_cache_len(), 1);
+}

@@ -1,14 +1,17 @@
 //! Catalog snapshot semantics: round-trip fidelity, atomic
-//! collision-checked restore (the PR-4 bugfix), LRU cache persistence,
-//! and typed rejection of corrupt / truncated / wrong-version /
-//! wrong-endian / bit-flipped snapshots — never a panic.
+//! collision-checked restore (the PR-4 bugfix), each relation's ST-indexes
+//! persisted in recency order, and typed rejection of corrupt / truncated
+//! / wrong-version / wrong-endian / bit-flipped snapshots and hostile
+//! relation sections — never a panic.
 
 use std::path::PathBuf;
 
-use tsq_core::{Error, SeriesRelation};
+use tsq_core::shard::{ShardSpec, MAX_SUBSEQ_WINDOWS};
+use tsq_core::{Error, SeriesRelation, SubseqConfig, SubseqIndex};
 use tsq_lang::{Catalog, LangError};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
-use tsq_store::StoreError;
+use tsq_series::TimeSeries;
+use tsq_store::{Encoder, StoreError};
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tsq-snapshot-tests-{}", std::process::id()));
@@ -67,19 +70,36 @@ fn save_open_round_trip_preserves_every_query_form() {
     }
 }
 
+/// `save → open → save` reproduces the file byte for byte, with and
+/// without ST-indexes, at one shard and at four.
 #[test]
 fn save_open_save_is_byte_identical() {
-    let cat = catalog();
-    cat.run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 10 WINDOW 32")
-        .unwrap();
-    let first = cat.snapshot_bytes().unwrap();
-    let mut fresh = Catalog::new();
-    fresh.restore_bytes(&first).unwrap();
-    let second = fresh.snapshot_bytes().unwrap();
-    assert_eq!(
-        first, second,
-        "canonical encoding must survive a round trip"
-    );
+    for shards in [1usize, 4] {
+        for primed in [false, true] {
+            let mut cat = catalog();
+            cat.run_mut(&format!("SHARD walks INTO {shards} BY HASH"))
+                .unwrap();
+            if primed {
+                for q in [
+                    "FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 10 WINDOW 32",
+                    "FIND 2 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WINDOW 8",
+                    "FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32",
+                ] {
+                    cat.run(q).unwrap();
+                }
+            }
+            assert_eq!(cat.subseq_cache_len(), if primed { 3 } else { 0 });
+            let first = cat.snapshot_bytes().unwrap();
+            let mut fresh = Catalog::new();
+            fresh.restore_bytes(&first).unwrap();
+            assert_eq!(fresh.subseq_cache_keys(), cat.subseq_cache_keys());
+            assert_eq!(
+                fresh.snapshot_bytes().unwrap(),
+                first,
+                "{shards} shard(s), primed = {primed}: canonical encoding must survive a round trip"
+            );
+        }
+    }
 }
 
 /// Restart at every shard count: the per-shard ST-indexes of a primed
@@ -180,7 +200,7 @@ fn name_collision_is_a_typed_error_and_restore_is_atomic() {
     );
 
     // Atomicity: nothing was merged — not even the non-colliding
-    // "stocks" relation — and the cache is untouched.
+    // "stocks" relation — and the ST-indexes are untouched.
     assert_eq!(target.relation_names(), vec!["other", "walks"]);
     assert!(target.run("FIND 1 NEAREST TO stocks.s0 IN stocks").is_err());
     assert_eq!(target.subseq_cache_keys(), cache_before);
@@ -195,9 +215,9 @@ fn name_collision_is_a_typed_error_and_restore_is_atomic() {
 
 #[test]
 fn collision_failure_does_not_clobber_cache_invalidation() {
-    // Regression: a failed open must leave the PR-3 invalidation logic
-    // fully working — re-registering a relation afterwards still evicts
-    // its cached ST-indexes.
+    // Regression: a failed open must leave the relation's ST-indexes
+    // where they were — and re-registering the relation afterwards still
+    // drops them with the index it replaces.
     let cat = catalog();
     let path = temp_path("collision-invalidate.tsq");
     cat.save(&path).unwrap();
@@ -217,9 +237,9 @@ fn collision_failure_does_not_clobber_cache_invalidation() {
     assert_eq!(
         target.subseq_cache_len(),
         1,
-        "failed open must not touch the cache"
+        "failed open must not touch the ST-indexes"
     );
-    // Re-registration still invalidates.
+    // Re-registration still drops them.
     target
         .register(
             SeriesRelation::from_series("walks", RandomWalkGenerator::new(8).relation(6, 16))
@@ -238,59 +258,199 @@ fn lru_order_survives_the_round_trip() {
             vals.join(", ")
         )
     }
-    let mut cat = catalog();
-    cat.set_subseq_cache_capacity(3);
-    for w in [4usize, 5, 6] {
+    let cat = catalog();
+    let full: Vec<usize> = (4..4 + MAX_SUBSEQ_WINDOWS).collect();
+    for &w in &full {
         cat.run(&probe(w)).unwrap();
     }
-    // Touch 4 so the recency order is 5 < 6 < 4.
+    // Touch 4 so it becomes the most recent: 5 < ... < 4.
     cat.run(&probe(4)).unwrap();
-    let want: Vec<(String, usize)> = [5usize, 6, 4]
-        .iter()
-        .map(|&w| ("walks".to_string(), w))
-        .collect();
+    let mut order = full[1..].to_vec();
+    order.push(4);
+    let want: Vec<(String, usize)> = order.iter().map(|&w| ("walks".to_string(), w)).collect();
     assert_eq!(cat.subseq_cache_keys(), want);
 
     let bytes = cat.snapshot_bytes().unwrap();
     let mut fresh = Catalog::new();
-    fresh.set_subseq_cache_capacity(3);
     fresh.restore_bytes(&bytes).unwrap();
     assert_eq!(
         fresh.subseq_cache_keys(),
         want,
         "recency order must survive"
     );
-    // The restored LRU keeps evicting in the same order: a new window
-    // evicts 5 (the least recent), not 4.
-    fresh.run(&probe(7)).unwrap();
+    // The restored relation keeps evicting in the same order: a further
+    // window evicts 5 (the least recent), not 4.
+    fresh.run(&probe(20)).unwrap();
     let keys = fresh.subseq_cache_keys();
-    assert_eq!(keys.len(), 3);
+    assert_eq!(keys.len(), MAX_SUBSEQ_WINDOWS);
     assert!(!keys.contains(&("walks".to_string(), 5)), "{keys:?}");
     assert!(keys.contains(&("walks".to_string(), 4)));
-    assert!(keys.contains(&("walks".to_string(), 7)));
+    assert!(keys.contains(&("walks".to_string(), 20)));
+}
+
+/// A hand-assembled snapshot of one two-shard relation `w`: the catalog's
+/// own bytes up to the relation's last whole-match index, then whatever
+/// ST-index tail a case wants. `trails(window, shard)` are the bytes a
+/// shard's ST-index for `window` travels as.
+struct Forged {
+    /// Index configuration + relation count (1).
+    head: Vec<u8>,
+    /// The relation section up to, not including, its window count.
+    prefix: Vec<u8>,
+    /// Series of each shard, shard order.
+    shards: Vec<Vec<TimeSeries>>,
+}
+
+impl Forged {
+    fn new() -> (Catalog, Forged) {
+        let mut cat = Catalog::new();
+        cat.register(
+            SeriesRelation::from_series("w", RandomWalkGenerator::new(3).relation(9, 24)).unwrap(),
+        )
+        .unwrap();
+        cat.run_mut("SHARD w INTO 2 BY HASH").unwrap();
+        let unsealed = |cat: &Catalog| -> Vec<u8> {
+            let sealed = cat.snapshot_bytes().unwrap();
+            tsq_store::unseal(&sealed).unwrap().to_vec()
+        };
+        // An empty catalog's payload is the configuration and a zero
+        // relation count; a window-less relation section ends with a zero
+        // window count.
+        let config_len = unsealed(&Catalog::new()).len() - 8;
+        let payload = unsealed(&cat);
+        let head = payload[..config_len + 8].to_vec();
+        let prefix = payload[config_len + 16..payload.len() - 8].to_vec();
+        let spec = ShardSpec::hash(2).unwrap();
+        let rel = cat.relation("w").unwrap();
+        let mut shards = vec![Vec::new(), Vec::new()];
+        for id in 0..rel.len() {
+            shards[spec.assign(rel.label(id).unwrap())].push(rel.get(id).unwrap().clone());
+        }
+        assert_ne!(shards[0].len(), shards[1].len(), "pick another seed");
+        let forged = Forged {
+            head,
+            prefix,
+            shards,
+        };
+        (cat, forged)
+    }
+
+    fn trails(&self, window: usize, shard: usize) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        SubseqIndex::build(SubseqConfig::new(window), self.shards[shard].clone())
+            .unwrap()
+            .write_trails_to(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// The well-formed entry of one window: the window, then one run of
+    /// trails per shard.
+    fn entry(&self, window: usize) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.usize(window);
+        enc.raw(&self.trails(window, 0));
+        enc.raw(&self.trails(window, 1));
+        enc.into_bytes()
+    }
+
+    /// A sealed snapshot whose relation section declares `count` windows
+    /// and carries `tail` after the count.
+    fn sealed(&self, count: usize, tail: &[u8]) -> Vec<u8> {
+        let mut section = Encoder::new();
+        section.raw(&self.prefix);
+        section.usize(count);
+        section.raw(tail);
+        let mut payload = Encoder::new();
+        payload.raw(&self.head);
+        payload.usize(section.len());
+        payload.raw(&section.into_bytes());
+        tsq_store::seal(&payload.into_bytes())
+    }
 }
 
 #[test]
-fn restore_respects_a_smaller_capacity() {
-    let cat = catalog();
-    for w in [4usize, 5, 6, 7] {
-        let vals: Vec<String> = (0..w).map(|i| format!("{i}")).collect();
-        cat.run(&format!(
-            "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 100 WINDOW {w}",
-            vals.join(", ")
-        ))
+fn hostile_relation_sections_are_typed_errors() {
+    let (cat, forged) = Forged::new();
+    // The forgery is faithful: a well-formed two-window tail is exactly
+    // what the catalog itself writes after building those windows.
+    cat.run("FIND 1 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN w WINDOW 8")
         .unwrap();
+    cat.run(
+        "FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25, 1, 2, 3, 4] IN w WITHIN 1 WINDOW 12",
+    )
+    .unwrap();
+    let good = [forged.entry(8), forged.entry(12)].concat();
+    assert_eq!(forged.sealed(2, &good), cat.snapshot_bytes().unwrap());
+
+    let window = |w: usize| (w as u64).to_le_bytes().to_vec();
+    let too_many: Vec<u8> = (0..=MAX_SUBSEQ_WINDOWS)
+        .flat_map(|i| forged.entry(8 + i))
+        .collect();
+    let cases: Vec<(&str, usize, Vec<u8>)> = vec![
+        (
+            "more windows than a relation holds",
+            MAX_SUBSEQ_WINDOWS + 1,
+            too_many,
+        ),
+        (
+            "the same window twice",
+            2,
+            [forged.entry(8), forged.entry(8)].concat(),
+        ),
+        (
+            "trails built for another window",
+            1,
+            [window(12), forged.trails(8, 0), forged.trails(8, 1)].concat(),
+        ),
+        (
+            "fewer per-shard indexes than shards",
+            2,
+            [window(8), forged.trails(8, 0), forged.entry(12)].concat(),
+        ),
+        (
+            "more per-shard indexes than shards",
+            2,
+            [forged.entry(8), forged.trails(8, 0), forged.entry(12)].concat(),
+        ),
+        (
+            "per-shard indexes in the wrong shard order",
+            1,
+            [window(8), forged.trails(8, 1), forged.trails(8, 0)].concat(),
+        ),
+        ("trailing bytes", 2, [good.clone(), vec![0]].concat()),
+    ];
+    // The target holds a relation with an ST-index of its own; a refused
+    // restore must leave both exactly as they were.
+    let mut target = Catalog::new();
+    target
+        .register(
+            SeriesRelation::from_series("other", RandomWalkGenerator::new(98).relation(4, 16))
+                .unwrap(),
+        )
+        .unwrap();
+    target
+        .run("FIND SUBSEQUENCE OF other.s0 IN other WITHIN 100 WINDOW 16")
+        .unwrap();
+    let before = target.snapshot_bytes().unwrap();
+    for (what, count, tail) in &cases {
+        let err = target
+            .restore_bytes(&forged.sealed(*count, tail))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LangError::Engine(Error::Store(StoreError::Corrupt { .. }))
+            ),
+            "{what}: {err:?}"
+        );
+        assert_eq!(target.relation_names(), vec!["other"], "{what}");
+        assert_eq!(target.snapshot_bytes().unwrap(), before, "{what}");
     }
-    assert_eq!(cat.subseq_cache_len(), 4);
-    let bytes = cat.snapshot_bytes().unwrap();
-    let mut small = Catalog::new();
-    small.set_subseq_cache_capacity(2);
-    small.restore_bytes(&bytes).unwrap();
-    // Only the two most recent entries survive the replay.
-    assert_eq!(
-        small.subseq_cache_keys(),
-        vec![("walks".to_string(), 6), ("walks".to_string(), 7)]
-    );
+    // The well-formed tail restores, next to what was there.
+    target.restore_bytes(&forged.sealed(2, &good)).unwrap();
+    let keys = target.subseq_cache_keys();
+    let want = [("other", 16), ("w", 8), ("w", 12)].map(|(r, w)| (r.to_string(), w));
+    assert_eq!(keys, want);
 }
 
 #[test]
@@ -328,8 +488,9 @@ fn corrupt_inputs_are_typed_errors() {
         }))
     ));
 
-    // The previous format version: no reader for its layout exists, so
-    // it is refused on the version field, not decoded as the current one.
+    // The previous format version (4, which kept ST-indexes in cache
+    // sections of their own): no reader for its layout exists, so it is
+    // refused on the version field, not decoded as the current one.
     let mut bad = good.clone();
     bad[8..12].copy_from_slice(&(tsq_store::FORMAT_VERSION - 1).to_le_bytes());
     assert!(matches!(
@@ -414,8 +575,9 @@ fn empty_catalog_round_trips() {
 
 #[test]
 fn restored_catalog_keeps_serving_after_mutation() {
-    // A restored catalog is a first-class catalog: registration,
-    // invalidation and further snapshots all keep working.
+    // A restored catalog is a first-class catalog: registration (which
+    // drops the replaced relation's ST-indexes) and further snapshots all
+    // keep working.
     let cat = catalog();
     cat.run("FIND SUBSEQUENCE OF walks.s1 IN walks WITHIN 10 WINDOW 32")
         .unwrap();
@@ -423,7 +585,7 @@ fn restored_catalog_keeps_serving_after_mutation() {
     cat.save(&path).unwrap();
     let mut restored = Catalog::load(&path).unwrap();
     assert_eq!(restored.subseq_cache_len(), 1);
-    // Replacing walks invalidates its restored cache entry.
+    // Replacing walks drops its restored ST-index with it.
     restored
         .register(
             SeriesRelation::from_series("walks", RandomWalkGenerator::new(77).relation(8, 32))

@@ -4,7 +4,7 @@
 //! offset  size  field
 //! ------  ----  ------------------------------------------------------
 //!      0     8  magic  "TSQSNAP\0"
-//!      8     4  format version (u32, little-endian) — currently 4
+//!      8     4  format version (u32, little-endian) — currently 5
 //!     12     4  endianness marker 0x01020304 (little-endian on disk:
 //!               bytes 04 03 02 01; a byte-swapped marker means the
 //!               writer used the wrong byte order)
@@ -33,10 +33,11 @@ use crate::error::{StoreError, StoreResult};
 pub const MAGIC: &[u8; 8] = b"TSQSNAP\0";
 
 /// The one format version this build writes and reads: no reader for an
-/// older layout exists, so every other version is refused. Version 4
-/// gave catalog snapshots one relation-section layout (every relation is
-/// sharded, n >= 1) and per-shard ST-index cache sections.
-pub const FORMAT_VERSION: u32 = 4;
+/// older layout exists, so every other version is refused. Version 5
+/// gave catalog snapshots one section type: a relation section ends with
+/// the ST-indexes its relation holds (version 4 kept them in separate
+/// cache sections).
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Endianness sentinel; on disk as little-endian bytes `04 03 02 01`.
 const ENDIAN_MARKER: u32 = 0x0102_0304;
@@ -222,14 +223,14 @@ mod tests {
     #[test]
     fn older_version_rejected() {
         // A well-formed frame (checksum recomputed) that claims the
-        // previous version: no v3 reader exists, so the version field
+        // previous version: no reader for it exists, so the version field
         // alone must refuse it — for files and wire frames alike.
-        let mut framed = seal(b"a v3 payload");
-        framed[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let mut framed = seal(b"an old payload");
+        framed[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
         let at = framed.len() - TRAILER_LEN;
-        framed[at..].copy_from_slice(&chunked_crc32(b"a v3 payload").to_le_bytes());
+        framed[at..].copy_from_slice(&chunked_crc32(b"an old payload").to_le_bytes());
         let want = StoreError::UnsupportedVersion {
-            got: 3,
+            got: FORMAT_VERSION - 1,
             supported: FORMAT_VERSION,
         };
         assert_eq!(unseal(&framed).unwrap_err(), want);

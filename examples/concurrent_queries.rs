@@ -21,9 +21,10 @@ const CLIENTS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 40;
 
 fn main() {
-    // 1. One catalog, shared. Reads take a shared lock; the ST-index
-    //    cache underneath has its own reader lock, so clients touching
-    //    different relations (or the same one) proceed concurrently.
+    // 1. One catalog, shared. Reads take a shared lock; the ST-indexes
+    //    each relation keeps sit behind that relation's own reader lock,
+    //    so clients touching different relations (or the same one)
+    //    proceed concurrently.
     let mut cat = Catalog::new();
     cat.register(
         SeriesRelation::from_series(

@@ -34,8 +34,8 @@ fn main() {
         .register(SeriesRelation::from_series("stocks", stocks).expect("stocks relation"))
         .expect("register stocks");
 
-    // Typical mixed workload; the subsequence queries build (and cache)
-    // ST-indexes for two window sizes.
+    // Typical mixed workload; the subsequence queries make `walks` build
+    // (and keep) ST-indexes for two window sizes.
     let subseq_probe: Vec<String> = walks[3].values()[10..42]
         .iter()
         .map(|v| format!("{v}"))
@@ -56,7 +56,7 @@ fn main() {
         .collect();
     let build_elapsed = build_started.elapsed();
     println!(
-        "built catalog: {} relations, {} cached ST-index(es) in {:.1} ms",
+        "built catalog: {} relations, {} ST-index window(s) in {:.1} ms",
         catalog.relation_names().len(),
         catalog.subseq_cache_len(),
         build_elapsed.as_secs_f64() * 1e3
@@ -78,7 +78,7 @@ fn main() {
     let restored = Catalog::load(&path).expect("restore snapshot");
     let open_elapsed = open_started.elapsed();
     println!(
-        "restored {} relations, {} cached ST-index(es) in {:.1} ms ({:.1}x faster than building)",
+        "restored {} relations, {} ST-index window(s) in {:.1} ms ({:.1}x faster than building)",
         restored.relation_names().len(),
         restored.subseq_cache_len(),
         open_elapsed.as_secs_f64() * 1e3,

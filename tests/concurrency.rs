@@ -239,26 +239,41 @@ fn bad_nearest_counts_rejected() {
 
 #[test]
 fn subseq_cache_bounded_and_invalidated_through_shared_handle() {
-    let mut cat = Catalog::new();
-    cat.set_subseq_cache_capacity(2);
-    cat.register(
-        SeriesRelation::from_series("walks", RandomWalkGenerator::new(35).relation(12, 64))
-            .unwrap(),
-    )
-    .unwrap();
-    let shared = SharedCatalog::new(cat);
-    for w in [8usize, 12, 16, 24] {
+    fn probe(w: usize) -> String {
         let vals: Vec<String> = (0..w).map(|i| format!("{i}")).collect();
-        shared
-            .run(&format!(
-                "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 100 WINDOW {w}",
-                vals.join(", ")
-            ))
-            .unwrap();
+        format!(
+            "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 100 WINDOW {w}",
+            vals.join(", ")
+        )
     }
-    // Capacity 2 held despite 4 distinct windows; answers stayed correct
-    // (each run above succeeded against a freshly built or cached index).
-    shared.with_relation("walks", |rel| assert!(rel.is_some()));
+    let walks = |seed: u64| {
+        SeriesRelation::from_series("walks", RandomWalkGenerator::new(seed).relation(12, 64))
+            .unwrap()
+    };
+    let mut cat = Catalog::new();
+    cat.register(walks(35)).unwrap();
+    let shared = SharedCatalog::new(cat);
+    let windows = [8usize, 12, 16, 24, 32, 48];
+    assert!(windows.len() > tsq::core::MAX_SUBSEQ_WINDOWS);
+    for w in windows {
+        shared.run(&probe(w)).unwrap();
+    }
+    // The relation kept its bound despite six distinct windows — the most
+    // recent ones — and every answer above came from a freshly built or
+    // kept index.
+    let cat = shared.into_inner().unwrap();
+    let kept: Vec<(String, usize)> = windows[windows.len() - tsq::core::MAX_SUBSEQ_WINDOWS..]
+        .iter()
+        .map(|&w| ("walks".to_string(), w))
+        .collect();
+    assert_eq!(cat.subseq_cache_keys(), kept);
+    // Re-registering through the handle replaces the relation and what
+    // indexed it.
+    let shared = SharedCatalog::new(cat);
+    shared.register(walks(36)).unwrap();
+    shared.run(&probe(16)).unwrap();
+    let cat = shared.into_inner().unwrap();
+    assert_eq!(cat.subseq_cache_keys(), vec![("walks".to_string(), 16)]);
 }
 
 #[test]

@@ -283,11 +283,11 @@ fn layers(
         for force in [None, Some(ForceOp::Scan)] {
             push(
                 &format!("{name} plan_shards {force:?}"),
-                outcome(|| sharded.plan_shards(&logical, force, None)),
+                outcome(|| sharded.plan_shards(&logical, force)),
             );
             push(
                 &format!("{name} execute {force:?}"),
-                outcome(|| sharded.execute(&logical, force, 2, None)),
+                outcome(|| sharded.execute(&logical, force, 2)),
             );
         }
     }
@@ -296,7 +296,7 @@ fn layers(
         for force in [ForceOp::Index, ForceOp::Tree] {
             push(
                 &format!("4-shard execute {force:?}"),
-                outcome(|| w.four.execute(&logical, Some(force), 2, None)),
+                outcome(|| w.four.execute(&logical, Some(force), 2)),
             );
         }
     }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use tsq::core::SeriesRelation;
 use tsq::lang::QueryOutput;
 use tsq::series::generate::RandomWalkGenerator;
-use tsq::service::{Client, ServiceConfig};
+use tsq::service::{Client, ClientError, ErrorCode, ServiceConfig};
 use tsq::{Catalog, SharedCatalog};
 
 fn shared_catalog() -> SharedCatalog {
@@ -90,6 +90,48 @@ fn wire_answers_match_in_process_execution() {
     assert_eq!(snap.queries_ok, 8);
     assert_eq!(snap.queries_err, 0);
     assert_eq!(snap.in_flight, 0);
+}
+
+#[test]
+fn a_rejected_subsequence_statement_builds_nothing_through_the_wire() {
+    let shared = shared_catalog();
+    let handle = tsq::lang::serve("127.0.0.1:0", shared.clone(), config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+
+    // A query of the wrong length for its WINDOW answers its typed error…
+    match client.query("FIND SUBSEQUENCE OF [1, 2, 3] IN walks WITHIN 1 WINDOW 16") {
+        Err(ClientError::Remote(e)) => {
+            assert_eq!(e.code, ErrorCode::Engine, "{e}");
+            assert!(e.message.contains("expected 16, got 3"), "{e}");
+        }
+        other => panic!("expected a remote engine error, got {other:?}"),
+    }
+    // …and built nothing on the way: a valid statement at that window
+    // still plans cold, through the wire (the plan, no rows) and in
+    // process (the rendered text, which the wire does not carry).
+    let literal: Vec<String> = (0..16).map(|i| format!("{i}")).collect();
+    let valid = format!(
+        "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 40 WINDOW 16",
+        literal.join(", ")
+    );
+    let explain = format!("EXPLAIN {valid}");
+    let plan_text = || shared.run(&explain).unwrap().explain.unwrap();
+    let reply = client.query(&explain).unwrap();
+    assert_eq!(reply.plan, "SubseqIndexProbe");
+    assert!(reply.rows.is_empty());
+    assert!(
+        plan_text().contains("[cold: builds ST-index]"),
+        "{}",
+        plan_text()
+    );
+    // Running the valid statement is what builds.
+    let oracle = shared.run(&valid).unwrap();
+    assert_reply_matches(&client.query(&valid).unwrap(), &oracle, &valid);
+    assert!(!plan_text().contains("[cold"), "{}", plan_text());
+
+    let snap = handle.shutdown();
+    assert_eq!(snap.queries_err, 1);
 }
 
 #[test]

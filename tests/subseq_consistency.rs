@@ -9,7 +9,16 @@
 //! - `subseq_knn` vs. a brute-force scan over every window (distances must
 //!   agree to 1e-9; ids may differ only under exact ties).
 
-use tsq_core::{ScanMode, SubseqConfig, SubseqIndex, SubseqMatch};
+//!
+//! A third block pins the ST-indexes' lifecycle inside a catalog: they
+//! follow their relation through `APPEND`, `SHARD`, `save` / `open` and
+//! `register`, and each relation keeps at most `MAX_SUBSEQ_WINDOWS` of
+//! them.
+
+use tsq_core::{
+    ScanMode, SeriesRelation, SubseqConfig, SubseqIndex, SubseqMatch, MAX_SUBSEQ_WINDOWS,
+};
+use tsq_lang::{parse, Catalog, Query, Row, Source};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
 
@@ -225,5 +234,251 @@ fn index_beats_scan_candidate_counts_on_selective_queries() {
         "index examined {} of {} windows",
         stats.candidates,
         idx.windows_total()
+    );
+}
+
+// ---------------------------------------------------------------------
+// Lifecycle: the ST-indexes of a catalog relation follow that relation.
+// ---------------------------------------------------------------------
+
+const RANGE_WINDOW: usize = 16;
+const KNN_WINDOW: usize = 24;
+
+/// The two statements of the lifecycle test: a range probe and a kNN
+/// probe at different windows, both literals cut from the initial data so
+/// the same text is valid at every step.
+fn lifecycle_statements(rel: &[TimeSeries]) -> [String; 2] {
+    let literal = |q: &TimeSeries| {
+        let vals: Vec<String> = q.values().iter().map(|v| format!("{v}")).collect();
+        vals.join(", ")
+    };
+    [
+        format!(
+            "FIND SUBSEQUENCE OF [{}] IN r WITHIN 3 WINDOW {RANGE_WINDOW}",
+            literal(&probe(&rel[3], 20, RANGE_WINDOW, 0.4))
+        ),
+        format!(
+            "FIND 7 NEAREST SUBSEQUENCE OF [{}] IN r WINDOW {KNN_WINDOW}",
+            literal(&probe(&rel[8], 5, KNN_WINDOW, 0.2))
+        ),
+    ]
+}
+
+fn labeled(cat: &Catalog) -> Vec<(String, TimeSeries)> {
+    let rel = cat.relation("r").unwrap();
+    (0..rel.len())
+        .map(|id| {
+            (
+                rel.label(id).unwrap().to_string(),
+                rel.get(id).unwrap().clone(),
+            )
+        })
+        .collect()
+}
+
+fn plan_is_cold(cat: &Catalog, statement: &str) -> bool {
+    let out = cat.run(&format!("EXPLAIN {statement}")).unwrap();
+    out.explain.unwrap().contains("[cold")
+}
+
+/// Runs both statements on `cat` and demands rows, order, offsets and
+/// distance bits equal to a catalog freshly built over `cat`'s current
+/// data, and equal to the sliding scans of a [`SubseqIndex`] over the same
+/// series (range: bit-exact; kNN: rank order, distances within 1e-9 — the
+/// brute force sums in a different order).
+fn assert_answers_follow_the_data(cat: &Catalog, statements: &[String; 2], step: &str) {
+    let items = labeled(cat);
+    let mut fresh = Catalog::new();
+    fresh
+        .register(SeriesRelation::from_labeled("r", items.clone()).unwrap())
+        .unwrap();
+    let series: Vec<TimeSeries> = items.iter().map(|(_, s)| s.clone()).collect();
+    let bits = |rows: &[Row]| -> Vec<(String, Option<usize>, u64)> {
+        rows.iter()
+            .map(|r| (r.a.clone(), r.offset, r.distance.to_bits()))
+            .collect()
+    };
+    let pattern = |statement: &str| match parse(statement).unwrap() {
+        Query::SubseqSimilar {
+            source: Source::Literal(values),
+            ..
+        }
+        | Query::SubseqNearest {
+            source: Source::Literal(values),
+            ..
+        } => TimeSeries::new(values),
+        other => panic!("subsequence statement over a literal expected, got {other:?}"),
+    };
+
+    let got = cat.run(&statements[0]).unwrap();
+    assert!(!got.rows.is_empty(), "{step}: the range probe must hit");
+    let want = fresh.run(&statements[0]).unwrap();
+    assert_eq!(bits(&got.rows), bits(&want.rows), "{step}: range vs fresh");
+    let q = pattern(&statements[0]);
+    let scan = SubseqIndex::build(SubseqConfig::new(RANGE_WINDOW), series.clone()).unwrap();
+    let (truth, _) = scan.scan_subseq_range(&q, 3.0, ScanMode::Naive).unwrap();
+    let truth: Vec<(String, Option<usize>, u64)> = truth
+        .iter()
+        .map(|m| {
+            (
+                items[m.series].0.clone(),
+                Some(m.offset),
+                m.distance.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(bits(&got.rows), truth, "{step}: range vs sliding scan");
+
+    let got = cat.run(&statements[1]).unwrap();
+    let want = fresh.run(&statements[1]).unwrap();
+    assert_eq!(got.rows.len(), 7, "{step}");
+    assert_eq!(bits(&got.rows), bits(&want.rows), "{step}: kNN vs fresh");
+    let q = pattern(&statements[1]);
+    let scan = SubseqIndex::build(SubseqConfig::new(KNN_WINDOW), series).unwrap();
+    let truth = scan.scan_subseq_knn(&q, 7).unwrap();
+    for (rank, (row, m)) in got.rows.iter().zip(&truth).enumerate() {
+        assert_eq!(
+            (row.a.as_str(), row.offset),
+            (items[m.series].0.as_str(), Some(m.offset)),
+            "{step}: kNN rank {rank}"
+        );
+        assert!(
+            (row.distance - m.distance).abs() < 1e-9,
+            "{step}: kNN rank {rank}"
+        );
+    }
+}
+
+fn lifecycle(shards: usize) {
+    let dir = std::env::temp_dir().join(format!(
+        "tsq-subseq-lifecycle-{}-{shards}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let rel = RandomWalkGenerator::new(2718).relation(14, 80);
+    let statements = lifecycle_statements(&rel);
+    let keys = |windows: &[usize]| -> Vec<(String, usize)> {
+        windows.iter().map(|&w| ("r".to_string(), w)).collect()
+    };
+    let both = keys(&[RANGE_WINDOW, KNN_WINDOW]);
+    let warm = |cat: &Catalog, step: &str| {
+        for s in &statements {
+            assert!(!plan_is_cold(cat, s), "{step} ({shards} shard(s)): {s}");
+        }
+        // An EXPLAIN neither builds nor touches recency.
+        assert_eq!(cat.subseq_cache_keys(), both, "{step} ({shards} shard(s))");
+    };
+    let cold = |cat: &Catalog, step: &str| {
+        for s in &statements {
+            assert!(plan_is_cold(cat, s), "{step} ({shards} shard(s)): {s}");
+        }
+        assert!(cat.subseq_cache_keys().is_empty(), "{step}: EXPLAIN built");
+    };
+
+    let mut cat = Catalog::new();
+    cat.register(SeriesRelation::from_series("r", rel).unwrap())
+        .unwrap();
+    cat.run_mut(&format!("SHARD r INTO {shards} BY HASH"))
+        .unwrap();
+    cold(&cat, "fresh");
+    assert_answers_follow_the_data(&cat, &statements, "first run");
+    warm(&cat, "first run");
+
+    // APPEND to an existing label and start a brand-new one (long enough
+    // to contribute windows at both lengths): the ST-indexes are extended
+    // where they are, not dropped.
+    let fresh_values: Vec<String> = (0..40)
+        .map(|i| format!("{}", (i as f64 * 0.3).sin()))
+        .collect();
+    cat.run_mut(&format!(
+        "APPEND r CSV (s3, 0.5, -1.25, 2, 0.75) (newcomer, {})",
+        fresh_values.join(", ")
+    ))
+    .unwrap();
+    warm(&cat, "after APPEND");
+    assert_answers_follow_the_data(&cat, &statements, "after APPEND");
+    warm(&cat, "after APPEND + run");
+
+    // Re-sharding replaces the relation's index; its ST-indexes go with it.
+    cat.run_mut("SHARD r INTO 3 BY RANGE").unwrap();
+    cold(&cat, "after SHARD");
+    assert_answers_follow_the_data(&cat, &statements, "after SHARD");
+    warm(&cat, "after SHARD + run");
+
+    // The ST-indexes cross a save / open and a save / open_paged.
+    let path = dir.join("cat.tsq");
+    cat.save(&path).unwrap();
+    let mut opened = Catalog::new();
+    opened.open(&path).unwrap();
+    warm(&opened, "after open");
+    assert_answers_follow_the_data(&opened, &statements, "after open");
+    let mut paged = Catalog::new();
+    paged.open_paged(&path, 1).unwrap();
+    warm(&paged, "after open_paged");
+    assert_answers_follow_the_data(&paged, &statements, "after open_paged");
+    drop(paged);
+
+    // Re-registering replaces the relation — and what indexed the old one.
+    let again = SeriesRelation::from_labeled("r", labeled(&cat)).unwrap();
+    cat.register(again).unwrap();
+    cold(&cat, "after register");
+    assert_answers_follow_the_data(&cat, &statements, "after register");
+    warm(&cat, "after register + run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn st_indexes_follow_their_relation() {
+    for shards in [1usize, 3] {
+        lifecycle(shards);
+    }
+}
+
+/// The bound is per relation: a further window evicts that relation's
+/// least recently used window and none of any other relation's, and a hit
+/// refreshes recency.
+#[test]
+fn each_relation_evicts_only_its_own_least_recent_window() {
+    fn statement(rel: &str, w: usize) -> String {
+        let vals: Vec<String> = (0..w).map(|i| format!("{i}")).collect();
+        format!(
+            "FIND SUBSEQUENCE OF [{}] IN {rel} WITHIN 100 WINDOW {w}",
+            vals.join(", ")
+        )
+    }
+    let keys = |rel: &str, windows: &[usize]| -> Vec<(String, usize)> {
+        windows.iter().map(|&w| (rel.to_string(), w)).collect()
+    };
+    let mut cat = Catalog::new();
+    for (name, seed) in [("a", 5u64), ("b", 6)] {
+        let series = RandomWalkGenerator::new(seed).relation(8, 40);
+        cat.register(SeriesRelation::from_series(name, series).unwrap())
+            .unwrap();
+    }
+    let full: Vec<usize> = (4..4 + MAX_SUBSEQ_WINDOWS).collect();
+    for &w in &full {
+        cat.run(&statement("a", w)).unwrap();
+        cat.run(&statement("b", w)).unwrap();
+    }
+    let both = [keys("a", &full), keys("b", &full)].concat();
+    assert_eq!(cat.subseq_cache_keys(), both);
+    // A hit on a's oldest window refreshes it, so the further window
+    // evicts a's second oldest — and nothing of b's, however often a's
+    // windows turn over.
+    cat.run(&statement("a", full[0])).unwrap();
+    cat.run(&statement("a", 30)).unwrap();
+    let mut a = full[2..].to_vec();
+    a.extend([full[0], 30]);
+    assert_eq!(
+        cat.subseq_cache_keys(),
+        [keys("a", &a), keys("b", &full)].concat()
+    );
+    let last: Vec<usize> = (36 - MAX_SUBSEQ_WINDOWS..36).collect();
+    for w in 31..36 {
+        cat.run(&statement("a", w)).unwrap();
+    }
+    assert_eq!(
+        cat.subseq_cache_keys(),
+        [keys("a", &last), keys("b", &full)].concat()
     );
 }
