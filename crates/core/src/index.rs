@@ -7,26 +7,35 @@
 //! transformation `T` never materialize the transformed index `I' = T(I)`:
 //! the traversal applies `T` to every node MBR on the fly (Algorithm 1) and
 //! tests the result against the search rectangle (Algorithm 2), then
-//! post-processes candidates against full records. Lemma 1 guarantees no
-//! false dismissals; tests assert exact agreement with linear scans.
+//! post-processes candidates against full records ([`Refine`], the one
+//! exact check every operator shares). Lemma 1 guarantees no false
+//! dismissals; tests assert exact agreement with linear scans.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use tsq_dft::energy::{euclidean_complex, euclidean_complex_early_abandon};
+use tsq_dft::complex::{Complex64, ONE, ZERO};
 use tsq_dft::FftPlanner;
 use tsq_rtree::knn::nearest_with_tie;
 use tsq_rtree::search::search_with;
 use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, SearchStats};
+use tsq_series::distance::{limit_sq, sum_sq_within};
 use tsq_series::{NormalForm, TimeSeries};
 use tsq_store::{Decoder, Encoder, StoreError};
 
 use crate::error::{Error, Result};
 use crate::features::{FeatureSchema, Features};
+use crate::scan::ScanMode;
 use crate::space::{QueryWindow, SpaceKind};
 use crate::transform::LinearTransform;
 
 /// Configuration of a [`SimilarityIndex`].
+///
+/// No statement, CLI flag or wire message sets any of this.
+/// [`FeatureSchema::Raw`], [`SpaceKind::Rectangular`] and
+/// `bulk_load: false` are **ablation-only**: reachable through
+/// `Catalog::with_config` alone, kept for `reproduce ablations` (`S_rect`
+/// vs `S_pol`, insert vs bulk load) and the Theorem-2 / AFS93 tests.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexConfig {
     /// Feature schema (default: the paper's NormalForm layout with `k = 2`,
@@ -82,6 +91,111 @@ pub struct QueryStats {
     pub false_hits: usize,
     /// Exact distance computations performed.
     pub exact_checks: usize,
+}
+
+/// The complex instantiation of the shared loop: `Σ_f |a_f·x_f + b_f − q_f|²`
+/// for `t = (a, b)`, or `None` once a partial sum exceeds `limit`. `t = None`
+/// is the identity, summing `|x_f − q_f|²`: `(1 + 0i)·x + 0` differs from `x`
+/// at most in the sign of a zero, which the norm of the difference cannot
+/// see, so the fast path returns the same bits.
+pub(crate) fn spectrum_sq_within(
+    t: Option<&LinearTransform>,
+    x: &[Complex64],
+    q: &[Complex64],
+    limit: f64,
+) -> Option<f64> {
+    let n = x.len();
+    assert_eq!(n, q.len(), "distance requires equal lengths");
+    match t {
+        None => sum_sq_within(n, |f| (x[f] - q[f]).norm_sqr(), limit),
+        Some(t) => {
+            let (a, b) = (&t.a()[..n], &t.b()[..n]);
+            sum_sq_within(n, |f| (a[f] * x[f] + b[f] - q[f]).norm_sqr(), limit)
+        }
+    }
+}
+
+/// The exact check of one bound statement: `D(T(o), q)` for a stored
+/// record `o`, decided against the statement's threshold.
+#[derive(Debug, Clone)]
+pub struct Refine<'a> {
+    pub(crate) transform: &'a LinearTransform,
+    /// `a = 1`, `b = 0` exactly: spectra are compared as stored.
+    identity: bool,
+    pub(crate) query: Features,
+    /// `limit_sq(eps)`; infinite for a statement without a threshold.
+    limit: f64,
+    /// Time warp (Appendix A) is checked in the time domain: the query's
+    /// representation, inverted once, against the stretched stored one.
+    warp_query: Vec<f64>,
+    schema: FeatureSchema,
+}
+
+impl<'a> Refine<'a> {
+    /// The refine of a statement validated against a relation indexed
+    /// under `schema`: `query` under `t`, accepted up to a sum of `limit`.
+    pub(crate) fn new(
+        schema: FeatureSchema,
+        t: &'a LinearTransform,
+        query: Features,
+        limit: f64,
+    ) -> Self {
+        let warp_query = match t.warp() {
+            1 => Vec::new(),
+            _ => FftPlanner::new().idft_real(&query.spectrum),
+        };
+        Refine {
+            transform: t,
+            identity: t.a().iter().all(|a| *a == ONE) && t.b().iter().all(|b| *b == ZERO),
+            query,
+            limit,
+            warp_query,
+            schema,
+        }
+    }
+
+    /// Squared distance to a stored record, `None` once it exceeds `limit`.
+    fn sum_sq(&self, stored: &StoredSeries, limit: f64) -> Option<f64> {
+        let m = self.transform.warp();
+        if m == 1 {
+            let t = (!self.identity).then_some(self.transform);
+            let x = &stored.features.spectrum;
+            return spectrum_sq_within(t, x, &self.query.spectrum, limit);
+        }
+        // Stretching commutes with normalization.
+        let normal;
+        let repr = match self.schema {
+            FeatureSchema::NormalForm { .. } => {
+                normal = NormalForm::of(&stored.series).series;
+                normal.values()
+            }
+            FeatureSchema::Raw { .. } => stored.series.values(),
+        };
+        let q = &self.warp_query[..];
+        assert_eq!(repr.len() * m, q.len(), "distance requires equal lengths");
+        let term = |i: usize| {
+            let d = repr[i / m] - q[i];
+            d * d
+        };
+        sum_sq_within(q.len(), term, limit)
+    }
+
+    /// The membership test every operator shares: the distance `stored`
+    /// is reported with, if that is within the statement's threshold.
+    /// [`ScanMode::EarlyAbandon`] stops summing once the answer is "no",
+    /// [`ScanMode::Naive`] tests after the full sum: same loop, same limit.
+    pub fn within(&self, stored: &StoredSeries, mode: ScanMode) -> Option<f64> {
+        self.sum_sq(stored, mode.abandon_at(self.limit))
+            .filter(|sum| *sum <= self.limit)
+            .map(f64::sqrt)
+    }
+
+    /// The exact distance `D(T(stored), q)`, whatever the threshold.
+    pub fn distance(&self, stored: &StoredSeries) -> f64 {
+        self.sum_sq(stored, f64::INFINITY)
+            .expect("no sum exceeds an infinite limit")
+            .sqrt()
+    }
 }
 
 /// A tree payload read as the series id it stores: the in-memory tree
@@ -603,35 +717,42 @@ impl SimilarityIndex {
     }
 
     /// Binds a query series: [`SimilarityIndex::validate`], then the
-    /// query's features (its one FFT).
-    pub(crate) fn bind_query(
+    /// query's features (its one FFT), bound as [`SimilarityIndex::refine`]
+    /// binds them.
+    pub(crate) fn bind_query<'a>(
         &self,
         q: &TimeSeries,
         eps: Option<f64>,
-        t: &LinearTransform,
-    ) -> Result<Features> {
+        t: &'a LinearTransform,
+    ) -> Result<Refine<'a>> {
         self.validate(eps, t, Some(q.len()))?;
-        Features::extract(q, self.config.schema, &mut FftPlanner::new())
+        let qf = Features::extract(q, self.config.schema, &mut FftPlanner::new())?;
+        let limit = eps.map_or(f64::INFINITY, limit_sq);
+        Ok(Refine::new(self.config.schema, t, qf, limit))
     }
 
-    /// Binds a range query: the query's features and the Figure-7 search
-    /// rectangle around them.
-    pub(crate) fn bind_range(
+    /// Binds query features posed under `t` (precomputed: the figure
+    /// runners time queries without their FFT) into the statement's
+    /// refine, with its one `limit_sq(eps)`; `eps = None`, a k-NN form,
+    /// accepts every distance.
+    ///
+    /// # Errors
+    /// Everything [`SimilarityIndex::range_query`] rejects.
+    pub fn refine<'a>(
         &self,
-        q: &TimeSeries,
-        eps: f64,
-        t: &LinearTransform,
-        window: &QueryWindow,
-    ) -> Result<(Features, Rect)> {
-        let qf = self.bind_query(q, Some(eps), t)?;
-        let qrect = self.probe_rect(&qf, eps, window);
-        Ok((qf, qrect))
+        qf: Features,
+        eps: Option<f64>,
+        t: &'a LinearTransform,
+    ) -> Result<Refine<'a>> {
+        self.validate(eps, t, Some(qf.spectrum.len()))?;
+        let limit = eps.map_or(f64::INFINITY, limit_sq);
+        Ok(Refine::new(self.config.schema, t, qf, limit))
     }
 
     /// The search rectangle around a feature point for a checked
     /// threshold — built here and nowhere else, for a bound range query
     /// and for every per-series probe of an index join.
-    fn probe_rect(&self, qf: &Features, eps: f64, window: &QueryWindow) -> Rect {
+    pub(crate) fn probe_rect(&self, qf: &Features, eps: f64, window: &QueryWindow) -> Rect {
         self.config
             .space
             .search_rect(qf, self.config.schema, eps, window)
@@ -644,7 +765,8 @@ impl SimilarityIndex {
     /// Everything [`SimilarityIndex::range_query`] rejects short of the
     /// threshold.
     pub fn query_features(&self, q: &TimeSeries, t: &LinearTransform) -> Result<Features> {
-        self.bind_query(q, None, t)
+        self.validate(None, t, Some(q.len()))?;
+        Features::extract(q, self.config.schema, &mut FftPlanner::new())
     }
 
     /// **Algorithm 2** — range query with a transformation: find all stored
@@ -666,8 +788,9 @@ impl SimilarityIndex {
         t: &LinearTransform,
         window: &QueryWindow,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let (qf, qrect) = self.bind_range(q, eps, t, window)?;
-        self.range_bound(&qf, &qrect, eps, t, false)
+        let refine = self.bind_query(q, Some(eps), t)?;
+        let qrect = self.probe_rect(&refine.query, eps, window);
+        self.range_bound(&refine, &qrect, false)
     }
 
     /// Range query against precomputed query features (the figure
@@ -682,8 +805,8 @@ impl SimilarityIndex {
         t: &LinearTransform,
         window: &QueryWindow,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        self.validate(Some(eps), t, Some(qf.spectrum.len()))?;
-        self.range_bound(qf, &self.probe_rect(qf, eps, window), eps, t, false)
+        let refine = self.refine(qf.clone(), Some(eps), t)?;
+        self.range_bound(&refine, &self.probe_rect(qf, eps, window), false)
     }
 
     /// Range query that *always* exercises the transformed traversal, even
@@ -698,8 +821,9 @@ impl SimilarityIndex {
         t: &LinearTransform,
         window: &QueryWindow,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let (qf, qrect) = self.bind_range(q, eps, t, window)?;
-        self.range_bound(&qf, &qrect, eps, t, true)
+        let refine = self.bind_query(q, Some(eps), t)?;
+        let qrect = self.probe_rect(&refine.query, eps, window);
+        self.range_bound(&refine, &qrect, true)
     }
 
     /// Algorithm 2, steps 2–3, for a bound range query: filter (the
@@ -707,13 +831,11 @@ impl SimilarityIndex {
     /// (exact distances on full records).
     pub(crate) fn range_bound(
         &self,
-        qf: &Features,
+        refine: &Refine<'_>,
         qrect: &Rect,
-        eps: f64,
-        t: &LinearTransform,
         force_transform: bool,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let (ids, index) = self.filter_rect(qrect, t, force_transform)?;
+        let (ids, index) = self.filter_rect(qrect, refine.transform, force_transform)?;
         let mut stats = QueryStats {
             index,
             candidates: ids.len(),
@@ -723,7 +845,8 @@ impl SimilarityIndex {
         let mut matches: Vec<Match> = ids
             .into_iter()
             .filter_map(|id| {
-                self.exact_distance_bounded(id, t, qf, eps)
+                refine
+                    .within(&self.store[id], ScanMode::EarlyAbandon)
                     .map(|distance| Match { id, distance })
             })
             .collect();
@@ -732,28 +855,14 @@ impl SimilarityIndex {
         Ok((matches, stats))
     }
 
-    /// The index-level *filter* step of Algorithm 2 on its own: candidate
-    /// ids (in traversal order) for a range probe around precomputed
-    /// features, without the refine phase. The join strategies run one
-    /// per series and batch the exact checks per probe
-    /// ([`crate::queries`]); the caller has validated `eps` and `t`.
-    pub(crate) fn filter_candidates(
-        &self,
-        qf: &Features,
-        eps: f64,
-        t: &LinearTransform,
-        window: &QueryWindow,
-    ) -> Result<(Vec<usize>, SearchStats)> {
-        self.filter_rect(&self.probe_rect(qf, eps, window), t, false)
-    }
-
     /// Candidate traversal against a prebuilt search rectangle — the
     /// single filter implementation behind every range form and the join
-    /// probes. `force_transform` exercises the transformed traversal even
+    /// probes (candidate ids in traversal order, no refine).
+    /// `force_transform` exercises the transformed traversal even
     /// for the identity (the Figure-8/9 overhead experiment). In paged
     /// mode the traversal pins pages in the buffer pool and can fail on
     /// I/O; in-memory traversal is infallible.
-    fn filter_rect(
+    pub(crate) fn filter_rect(
         &self,
         qrect: &Rect,
         t: &LinearTransform,
@@ -809,32 +918,24 @@ impl SimilarityIndex {
         k: usize,
         t: &LinearTransform,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let qf = self.bind_query(q, None, t)?;
-        self.knn_bound(&qf, k, t)
+        self.knn_bound(&self.bind_query(q, None, t)?, k)
     }
 
     /// Best-first search for a bound k-NN query.
     pub(crate) fn knn_bound(
         &self,
-        qf: &Features,
+        refine: &Refine<'_>,
         k: usize,
-        t: &LinearTransform,
     ) -> Result<(Vec<Match>, QueryStats)> {
         match &self.paged {
-            Some(paged) => self.knn_in(&**paged, k, t, qf),
-            None => self.knn_in(&self.tree, k, t, qf),
+            Some(paged) => self.knn_in(&**paged, k, refine),
+            None => self.knn_in(&self.tree, k, refine),
         }
     }
 
     /// [`SimilarityIndex::knn_bound`] over whichever node store holds the
     /// relation's tree.
-    fn knn_in<S>(
-        &self,
-        store: S,
-        k: usize,
-        t: &LinearTransform,
-        qf: &Features,
-    ) -> Result<(Vec<Match>, QueryStats)>
+    fn knn_in<S>(&self, store: S, k: usize, refine: &Refine<'_>) -> Result<(Vec<Match>, QueryStats)>
     where
         S: NodeStore,
         S::Item: SeriesId,
@@ -842,6 +943,7 @@ impl SimilarityIndex {
     {
         let schema = self.config.schema;
         let space = self.config.space;
+        let (t, qf) = (refine.transform, &refine.query);
         let mut exact_checks = 0usize;
         let (neighbors, index) = nearest_with_tie(
             store,
@@ -849,7 +951,7 @@ impl SimilarityIndex {
             |rect| space.transformed_lower_bound(rect, t, schema, qf),
             |_, item| {
                 exact_checks += 1;
-                self.exact_distance(item.series_id(), t, qf)
+                refine.distance(&self.store[item.series_id()])
             },
             // Break exact-distance ties by series id: the answer set is
             // then a pure function of the data, independent of tree shape
@@ -871,75 +973,12 @@ impl SimilarityIndex {
         };
         Ok((matches, stats))
     }
-
-    /// Exact distance `D(T(o_id), q)`, or `None` if it exceeds `eps`
-    /// (early abandoning, as in the paper's optimized sequential scan).
-    pub fn exact_distance_bounded(
-        &self,
-        id: usize,
-        t: &LinearTransform,
-        qf: &Features,
-        eps: f64,
-    ) -> Option<f64> {
-        if t.warp() > 1 {
-            let d = self.warp_distance(id, t, qf);
-            if d <= eps {
-                return Some(d);
-            }
-            return None;
-        }
-        let x = &self.store[id].features.spectrum;
-        let transformed = t.apply_spectrum(x);
-        euclidean_complex_early_abandon(&transformed, &qf.spectrum, eps)
-    }
-
-    /// Exact distance `D(T(o_id), q)` without a bound.
-    pub fn exact_distance(&self, id: usize, t: &LinearTransform, qf: &Features) -> f64 {
-        if t.warp() > 1 {
-            return self.warp_distance(id, t, qf);
-        }
-        let x = &self.store[id].features.spectrum;
-        let transformed = t.apply_spectrum(x);
-        euclidean_complex(&transformed, &qf.spectrum)
-    }
-
-    /// Warp distances are computed in the time domain: the stored
-    /// representation is stretched by the warp factor and compared against
-    /// the query's representation (both normal forms under the default
-    /// schema — stretching commutes with normalization).
-    fn warp_distance(&self, id: usize, t: &LinearTransform, qf: &Features) -> f64 {
-        let m = t.warp();
-        let repr = self.representation(id);
-        let q_repr = self.query_representation(qf);
-        debug_assert_eq!(repr.len() * m, q_repr.len());
-        let mut acc = 0.0;
-        for (i, &qv) in q_repr.iter().enumerate() {
-            let d = repr[i / m] - qv;
-            acc += d * d;
-        }
-        acc.sqrt()
-    }
-
-    /// Time-domain values of the indexed representation of a stored series.
-    fn representation(&self, id: usize) -> Vec<f64> {
-        let s = &self.store[id].series;
-        match self.config.schema {
-            FeatureSchema::NormalForm { .. } => NormalForm::of(s).series.into_values(),
-            FeatureSchema::Raw { .. } => s.values().to_vec(),
-        }
-    }
-
-    /// Time-domain values of the query's representation, reconstructed from
-    /// its spectrum (exact up to FFT rounding).
-    fn query_representation(&self, qf: &Features) -> Vec<f64> {
-        let mut planner = FftPlanner::new();
-        planner.idft_real(&qf.spectrum)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsq_dft::energy::euclidean_complex;
     use tsq_series::generate::RandomWalkGenerator;
 
     fn small_relation(count: usize, len: usize, seed: u64) -> Vec<TimeSeries> {
@@ -1439,5 +1478,159 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(a, b);
+    }
+
+    /// The reference the kernel replaces: transform, then a per-coefficient
+    /// abandon test.
+    fn per_coefficient(
+        t: &LinearTransform,
+        x: &[Complex64],
+        q: &[Complex64],
+        limit: f64,
+    ) -> Option<f64> {
+        let mut acc = 0.0;
+        for (a, b) in t.apply_spectrum(x).iter().zip(q) {
+            acc += (*a - *b).norm_sqr();
+            if acc > limit {
+                return None;
+            }
+        }
+        Some(acc)
+    }
+
+    /// Every transformation the language offers, and compositions.
+    fn language(n: usize) -> Vec<LinearTransform> {
+        let m = (n / 2).clamp(1, 8);
+        let mavg = LinearTransform::moving_average(n, m);
+        let weights: Vec<f64> = (1..=m)
+            .map(|w| w as f64 / (m * (m + 1) / 2) as f64)
+            .collect();
+        let scale_shift = LinearTransform::scale(n, -2.5)
+            .then(&LinearTransform::shift(n, 3.0))
+            .unwrap();
+        vec![
+            LinearTransform::identity(n),
+            LinearTransform::weighted_moving_average(n, &weights),
+            LinearTransform::reverse(n),
+            LinearTransform::shift(n, 4.0),
+            LinearTransform::scale(n, 3.0),
+            LinearTransform::scale(n, -0.5),
+            mavg.then(&LinearTransform::reverse(n)).unwrap(),
+            mavg.then(&scale_shift).unwrap(),
+            scale_shift,
+            mavg,
+        ]
+    }
+
+    fn neighbours(v: f64) -> [f64; 3] {
+        let bits = v.to_bits();
+        [
+            f64::from_bits(bits.saturating_sub(1)),
+            v,
+            f64::from_bits(bits + 1),
+        ]
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_references() {
+        let schema = FeatureSchema::NormalForm { k: 1 };
+        // Around the 8-wide block boundary, long, and a Bluestein length.
+        for n in [1usize, 7, 8, 9, 127, 128, 513] {
+            let mut walks = RandomWalkGenerator::new(21 + n as u64);
+            let mut planner = FftPlanner::new();
+            let stored = walks.series(n);
+            let x = planner.dft_real(stored.values());
+            let query = Features {
+                mean: 0.0,
+                std: 1.0,
+                spectrum: planner.dft_real(walks.series(n).values()),
+            };
+            let q = &query.spectrum;
+            let stored = StoredSeries {
+                series: stored,
+                features: Features {
+                    mean: 0.0,
+                    std: 1.0,
+                    spectrum: x.clone(),
+                },
+            };
+            for t in language(n) {
+                let what = format!("n = {n}, {}", t.name());
+                let full = per_coefficient(&t, &x, q, f64::INFINITY).unwrap();
+                let reference = euclidean_complex(&t.apply_spectrum(&x), q);
+                assert_eq!(full.sqrt().to_bits(), reference.to_bits(), "{what}");
+                // The kernel proper, and the statement's refine (which
+                // takes the identity fast path where `t` allows it).
+                let sum = spectrum_sq_within(Some(&t), &x, q, f64::INFINITY);
+                assert_eq!(sum.map(f64::to_bits), Some(full.to_bits()), "{what}");
+                let unbounded = Refine::new(schema, &t, query.clone(), f64::INFINITY);
+                assert_eq!(
+                    unbounded.distance(&stored).to_bits(),
+                    reference.to_bits(),
+                    "{what}"
+                );
+                // At, one ulp below and one ulp above the exact sum.
+                for limit in neighbours(full) {
+                    let want = per_coefficient(&t, &x, q, limit).map(f64::to_bits);
+                    let got = spectrum_sq_within(Some(&t), &x, q, limit);
+                    assert_eq!(got.map(f64::to_bits), want, "{what}, limit {limit:e}");
+                    let bounded = Refine::new(schema, &t, query.clone(), limit);
+                    for mode in [ScanMode::Naive, ScanMode::EarlyAbandon] {
+                        assert_eq!(
+                            bounded.within(&stored, mode).map(f64::to_bits),
+                            want.map(|_| reference.to_bits()),
+                            "{what}, limit {limit:e}, {mode:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_abandon_agrees_with_full() {
+        let x: Vec<Complex64> = (0..20).map(|i| Complex64::new(i as f64, 0.0)).collect();
+        let y: Vec<Complex64> = (0..20)
+            .map(|i| Complex64::new(i as f64 + 1.0, 0.0))
+            .collect();
+        let d = euclidean_complex(&x, &y);
+        // Generous threshold: the full distance, bit for bit.
+        let got = spectrum_sq_within(None, &x, &y, limit_sq(d + 1.0));
+        assert_eq!(got.map(f64::sqrt), Some(d));
+        // Tight threshold: abandoned.
+        assert_eq!(spectrum_sq_within(None, &x, &y, limit_sq(d - 0.5)), None);
+    }
+
+    #[test]
+    fn early_abandon_boundary() {
+        let x = [Complex64::new(0.0, 0.0)];
+        let y = [Complex64::new(3.0, 4.0)];
+        // Exactly at the threshold: a distance is within itself.
+        let got = spectrum_sq_within(None, &x, &y, limit_sq(5.0));
+        assert_eq!(got.map(f64::sqrt), Some(5.0));
+        let below = f64::from_bits(5.0f64.to_bits() - 1);
+        assert_eq!(spectrum_sq_within(None, &x, &y, limit_sq(below)), None);
+    }
+
+    #[test]
+    fn refine_takes_the_fast_path_only_for_the_exact_identity() {
+        let schema = FeatureSchema::NormalForm { k: 1 };
+        let qf = Features::extract(
+            &TimeSeries::from([1.0, 4.0, 2.0, 8.0]),
+            schema,
+            &mut FftPlanner::new(),
+        )
+        .unwrap();
+        let fast = |t: &LinearTransform| Refine::new(schema, t, qf.clone(), 0.0).identity;
+        assert!(fast(&LinearTransform::identity(4)));
+        // Shifts and positive scales act on mean/std only.
+        assert!(fast(&LinearTransform::shift(4, 2.0)));
+        assert!(fast(&LinearTransform::scale(4, 3.0)));
+        assert!(!fast(&LinearTransform::reverse(4)));
+        assert!(!fast(&LinearTransform::moving_average(4, 2)));
+        // Within `is_identity`'s tolerance is not the identity.
+        let a = vec![Complex64::new(1.0 + 1e-13, 0.0); 4];
+        let near = LinearTransform::from_parts(a, vec![ZERO; 4], "near").unwrap();
+        assert!(near.is_identity(1e-12) && !fast(&near));
     }
 }

@@ -94,7 +94,7 @@ pub mod transform;
 pub use error::{Error, Result};
 pub use executor::CancelToken;
 pub use features::{FeatureSchema, Features};
-pub use index::{IndexConfig, Match, QueryStats, SimilarityIndex, StoredSeries};
+pub use index::{IndexConfig, Match, QueryStats, Refine, SimilarityIndex, StoredSeries};
 pub use plan::{
     execute_plan, CostEstimate, ExecStats, ForceOp, LogicalPlan, PhysicalOp, PhysicalPlan,
     PlanChoice, PlanRows, Planner, QueryOptions, RelationStats, SpaceProfile,

@@ -50,6 +50,20 @@
 //! stage of a sharded join ([`crate::shard`]) runs the same rows over
 //! pairs of shards.
 //!
+//! ### Membership
+//!
+//! On every row of the table, a row is in the answer of a `WITHIN eps`
+//! statement exactly when **the distance it is reported with is
+//! `<= eps`**. Each exact check is one run of the blocked loop
+//! [`tsq_series::distance::sum_sq_within`] — through the statement's one
+//! [`Refine`] (`|a_f·x_f + b_f − q_f|²` per coefficient) or, for windows,
+//! `distance_sq_within` — whose sum is tested `acc <= limit_sq(eps)`:
+//! [`tsq_series::distance::limit_sq`], computed once where the statement
+//! is bound, is the largest `f64` whose (monotone) `sqrt` is `<= eps`, so
+//! that *is* the sentence above with no `sqrt` per candidate. `SeqScan`
+//! and `JoinScan(full)` differ from their abandoning twins only in *when*
+//! the test runs: after the full sum instead of after every block.
+//!
 //! ## The cost model
 //!
 //! Statistics come from the R\*-tree itself ([`tsq_rtree::LevelStats`]):
@@ -84,9 +98,8 @@ use tsq_rtree::{LevelStats, RStarTree, Rect, SearchStats};
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
-use crate::features::Features;
-use crate::index::{Match, SimilarityIndex};
-use crate::queries::{probe_pairs, scan_pairs, JoinPair};
+use crate::index::{Match, Refine, SimilarityIndex};
+use crate::queries::{probe_pairs, scan_pairs, JoinBound, JoinPair};
 use crate::scan::ScanMode;
 use crate::space::{QueryWindow, SpaceKind};
 use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
@@ -206,9 +219,10 @@ impl LogicalPlan {
 }
 
 /// A statement bound to a relation — the output of Algorithm 2's
-/// preprocessing step: the checked threshold or `k`, the checked
-/// transformation, and for forms with a query series its features and
-/// search rectangle. Binding is the one place a statement is validated
+/// preprocessing step: the checked threshold (as the squared limit every
+/// exact check is compared against) or `k`, the checked transformation,
+/// and for forms with a query series its refine — features included —
+/// and search rectangle. Binding is the one place a statement is validated
 /// ([`SimilarityIndex::validate`] fixes the order) and the one place its
 /// query is transformed to the frequency domain; the planner and the plan
 /// executor only consume the result, so a sharded relation binds once and
@@ -217,26 +231,20 @@ impl LogicalPlan {
 pub(crate) enum Bound<'a> {
     /// A bound range query.
     Range {
-        /// The query's features.
-        query: Features,
-        /// The Figure-7 search rectangle around them.
+        /// The query's features, transformation and limit.
+        refine: Refine<'a>,
+        /// The Figure-7 search rectangle around the features.
         rect: Rect,
-        eps: f64,
-        transform: &'a LinearTransform,
         window: &'a QueryWindow,
     },
     /// A bound k-NN query.
     Knn {
-        /// The query's features.
-        query: Features,
+        /// The query's features and transformation (no limit).
+        refine: Refine<'a>,
         k: usize,
-        transform: &'a LinearTransform,
     },
     /// A bound self-join.
-    Join {
-        eps: f64,
-        transform: &'a LinearTransform,
-    },
+    Join(JoinBound<'a>),
     /// A bound subsequence range query.
     SubseqRange {
         query: &'a TimeSeries,
@@ -268,12 +276,11 @@ impl<'a> Bound<'a> {
                 window,
                 ..
             } => {
-                let (query, rect) = index.bind_range(query, *eps, transform, window)?;
+                let refine = index.bind_query(query, Some(*eps), transform)?;
+                let rect = index.probe_rect(&refine.query, *eps, window);
                 Ok(Bound::Range {
-                    query,
+                    refine,
                     rect,
-                    eps: *eps,
-                    transform,
                     window,
                 })
             }
@@ -283,16 +290,11 @@ impl<'a> Bound<'a> {
                 transform,
                 ..
             } => Ok(Bound::Knn {
-                query: index.bind_query(query, None, transform)?,
+                refine: index.bind_query(query, None, transform)?,
                 k: *k,
-                transform,
             }),
             LogicalPlan::Join { eps, transform, .. } => {
-                index.validate(Some(*eps), transform, None)?;
-                Ok(Bound::Join {
-                    eps: *eps,
-                    transform,
-                })
+                Ok(Bound::Join(index.bind_join(*eps, transform)?))
             }
             LogicalPlan::SubseqRange {
                 query, eps, window, ..
@@ -322,7 +324,7 @@ impl<'a> Bound<'a> {
         match self {
             Bound::Range { .. } => "Range",
             Bound::Knn { .. } => "Knn",
-            Bound::Join { .. } => "Join",
+            Bound::Join(_) => "Join",
             Bound::SubseqRange { .. } => "SubseqRange",
             Bound::SubseqKnn { .. } => "SubseqKnn",
         }
@@ -722,12 +724,12 @@ impl<'a> Planner<'a> {
     ) -> PlanChoice {
         let costed = match *bound {
             Bound::Range {
+                ref refine,
                 ref rect,
-                transform,
                 ..
-            } => self.plan_range(rect, transform),
-            Bound::Knn { k, transform, .. } => self.plan_knn(k, transform),
-            Bound::Join { eps, transform } => self.plan_join(eps, transform),
+            } => self.plan_range(rect, refine.transform),
+            Bound::Knn { ref refine, k } => self.plan_knn(k, refine.transform),
+            Bound::Join(join) => self.plan_join(join.eps, join.transform),
             Bound::SubseqRange { eps, window, .. } => {
                 self.plan_subseq(Some(eps), None, window, subseq)
             }
@@ -1145,17 +1147,8 @@ pub(crate) fn execute_bound(
         })
     };
     Ok(match (bound, plan.op) {
-        (
-            Bound::Range {
-                query,
-                rect,
-                eps,
-                transform,
-                ..
-            },
-            PhysicalOp::IndexRange,
-        ) => {
-            let (matches, stats) = index.range_bound(query, rect, *eps, transform, false)?;
+        (Bound::Range { refine, rect, .. }, PhysicalOp::IndexRange) => {
+            let (matches, stats) = index.range_bound(refine, rect, false)?;
             let exec = ExecStats::index(
                 &stats.index,
                 stats.candidates,
@@ -1165,54 +1158,34 @@ pub(crate) fn execute_bound(
             (PlanRows::Whole(matches), exec)
         }
         (
-            Bound::Range {
-                query,
-                eps,
-                transform,
-                window,
-                ..
-            },
+            Bound::Range { refine, window, .. },
             PhysicalOp::SeqScan | PhysicalOp::EarlyAbandonScan,
         ) => {
             let mode = match plan.op {
                 PhysicalOp::SeqScan => ScanMode::Naive,
                 _ => ScanMode::EarlyAbandon,
             };
-            let (matches, stats) = index.scan_range_features(query, *eps, transform, window, mode);
+            let (matches, stats) = index.scan_range_features(refine, window, mode);
             let exec = ExecStats::scan(n, stats.scanned, matches.len());
             (PlanRows::Whole(matches), exec)
         }
-        (
-            Bound::Knn {
-                query,
-                k,
-                transform,
-            },
-            PhysicalOp::IndexKnn,
-        ) => {
-            let (matches, stats) = index.knn_bound(query, *k, transform)?;
+        (Bound::Knn { refine, k }, PhysicalOp::IndexKnn) => {
+            let (matches, stats) = index.knn_bound(refine, *k)?;
             let exec = ExecStats::index(&stats.index, stats.candidates, stats.exact_checks, 0);
             (PlanRows::Whole(matches), exec)
         }
-        (
-            Bound::Knn {
-                query,
-                k,
-                transform,
-            },
-            PhysicalOp::SeqScan,
-        ) => {
-            let matches = index.scan_knn_features(query, *k, transform);
+        (Bound::Knn { refine, k }, PhysicalOp::SeqScan) => {
+            let matches = index.scan_knn_features(refine, *k);
             let exec = ExecStats::scan(n, n, matches.len());
             (PlanRows::Whole(matches), exec)
         }
         (
-            Bound::Join { eps, transform },
+            Bound::Join(join),
             PhysicalOp::JoinScan { .. }
             | PhysicalOp::JoinIndex { .. }
             | PhysicalOp::JoinTree { .. },
         ) => {
-            let (mut pairs, exec) = run_join(plan.op, index, index, *eps, transform)?;
+            let (mut pairs, exec) = run_join(plan.op, index, index, *join)?;
             if let PhysicalOp::JoinIndex { dedup: true } | PhysicalOp::JoinTree { dedup: true } =
                 plan.op
             {
@@ -1247,27 +1220,25 @@ pub(crate) fn execute_bound(
 /// The join rows of the operator table, over a probe side and a partner
 /// side: a self-join when both are the same index, one ordered pair of
 /// shards in a sharded relation's cross stage otherwise. Pairs are
-/// `(probe id, partner id)` in the method's own multiplicity and order;
-/// the caller has validated `eps` and `t`.
+/// `(probe id, partner id)` in the method's own multiplicity and order.
 pub(crate) fn run_join(
     op: PhysicalOp,
     probe: &SimilarityIndex,
     partner: &SimilarityIndex,
-    eps: f64,
-    t: &LinearTransform,
+    join: JoinBound<'_>,
 ) -> Result<(Vec<JoinPair>, ExecStats)> {
     let own = std::ptr::eq(probe, partner);
     let outcome = match op {
         PhysicalOp::JoinScan { mode } => {
-            let outcome = scan_pairs(probe, partner, eps, t, mode);
+            let outcome = scan_pairs(probe, partner, join, mode);
             // A self-join reads its relation once; the records a cross
             // stage compares were charged by their shards' self-joins.
             let stored = if own { probe.len() } else { 0 };
             let exec = ExecStats::scan(stored, outcome.stats.exact_checks, outcome.pairs.len());
             return Ok((outcome.pairs, exec));
         }
-        PhysicalOp::JoinIndex { .. } => probe_pairs(probe, partner, eps, t)?,
-        PhysicalOp::JoinTree { .. } if own => probe.join_tree(eps, t)?,
+        PhysicalOp::JoinIndex { .. } => probe_pairs(probe, partner, join)?,
+        PhysicalOp::JoinTree { .. } if own => probe.join_tree(join.eps, join.transform)?,
         _ => {
             return Err(Error::Unsupported(format!(
                 "physical operator {} does not join two relations",

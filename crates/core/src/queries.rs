@@ -22,14 +22,14 @@
 
 use std::collections::HashMap;
 
-use tsq_dft::energy::{euclidean_complex, euclidean_complex_early_abandon};
 use tsq_dft::Complex64;
 use tsq_rtree::join::join_with;
 use tsq_rtree::{EntryId, NodeStore, Rect, SearchStats};
+use tsq_series::distance::limit_sq;
 
 use crate::error::{Error, Result};
 use crate::features::Features;
-use crate::index::{SeriesId, SimilarityIndex};
+use crate::index::{spectrum_sq_within, Refine, SeriesId, SimilarityIndex};
 use crate::scan::ScanMode;
 use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
@@ -67,17 +67,27 @@ pub struct JoinOutcome {
     pub stats: JoinStats,
 }
 
+/// A bound join predicate, `D(T(x), T(y)) <= eps` ([`SimilarityIndex::bind_join`]):
+/// `eps` sizes the search rectangles and node-pair bounds, `limit = limit_sq(eps)`
+/// is what every exact check of the statement is compared against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JoinBound<'a> {
+    pub eps: f64,
+    pub limit: f64,
+    pub transform: &'a LinearTransform,
+}
+
 /// The scan-join kernel (Table 1 methods (a)/(b)) over a probe side and
 /// a partner side: every probe series is compared with every partner
-/// series under `t`, and pairs within `eps` are reported as
-/// `(probe id, partner id)`. A self-join is the case where both sides
-/// are the same index: each unordered pair is then met once, `a < b`.
-/// The caller has validated `eps` and `t` against both sides.
+/// series under the transformation, and pairs within the threshold are
+/// reported as `(probe id, partner id)`. A self-join is the case where
+/// both sides are the same index: each unordered pair is then met once,
+/// `a < b`. The two modes run the same loop against the same limit;
+/// [`ScanMode::Naive`] only tests membership after the full sum.
 pub(crate) fn scan_pairs(
     probe: &SimilarityIndex,
     partner: &SimilarityIndex,
-    eps: f64,
-    t: &LinearTransform,
+    join: JoinBound<'_>,
     mode: ScanMode,
 ) -> JoinOutcome {
     let own = std::ptr::eq(probe, partner);
@@ -85,30 +95,25 @@ pub(crate) fn scan_pairs(
     let spectra = |side: &SimilarityIndex| -> Vec<Vec<Complex64>> {
         side.entries()
             .iter()
-            .map(|s| t.apply_spectrum(&s.features.spectrum))
+            .map(|s| join.transform.apply_spectrum(&s.features.spectrum))
             .collect()
     };
     let left = spectra(probe);
     let other = (!own).then(|| spectra(partner));
     let right = other.as_ref().unwrap_or(&left);
+    let abandon_at = mode.abandon_at(join.limit);
     let mut out = JoinOutcome::default();
     for (i, x) in left.iter().enumerate() {
         let first = if own { i + 1 } else { 0 };
         for (j, y) in right.iter().enumerate().skip(first) {
             out.stats.exact_checks += 1;
-            let hit = match mode {
-                ScanMode::Naive => Some(euclidean_complex(x, y)).filter(|d| *d <= eps),
-                ScanMode::EarlyAbandon => {
-                    let hit = euclidean_complex_early_abandon(x, y, eps);
-                    out.stats.abandoned += usize::from(hit.is_none());
-                    hit
-                }
-            };
-            if let Some(distance) = hit {
+            let sum = spectrum_sq_within(None, x, y, abandon_at);
+            out.stats.abandoned += usize::from(sum.is_none());
+            if let Some(sum) = sum.filter(|sum| *sum <= join.limit) {
                 out.pairs.push(JoinPair {
                     a: i,
                     b: j,
-                    distance,
+                    distance: sum.sqrt(),
                 });
             }
         }
@@ -123,23 +128,22 @@ pub(crate) fn scan_pairs(
 /// the candidates are refined. Pairs are `(probe id, partner id)`, in
 /// probe order. A self-join is the case where both sides are the same
 /// index: each unordered pair then appears twice (once per direction),
-/// and a series is never paired with itself. The caller has validated
-/// `eps` and `t` against both sides.
+/// and a series is never paired with itself.
 pub(crate) fn probe_pairs(
     probe: &SimilarityIndex,
     partner: &SimilarityIndex,
-    eps: f64,
-    t: &LinearTransform,
+    join: JoinBound<'_>,
 ) -> Result<JoinOutcome> {
     let mut out = JoinOutcome::default();
     let window = QueryWindow::default();
     for i in 0..probe.len() {
-        let qf = probe.transformed_features(i, t)?;
-        let (mut ids, fstats) = partner.filter_candidates(&qf, eps, t, &window)?;
+        let refine = probe.probe_refine(i, join)?;
+        let qrect = partner.probe_rect(&refine.query, join.eps, &window);
+        let (mut ids, fstats) = partner.filter_rect(&qrect, join.transform, false)?;
         ids.sort_unstable();
         out.stats.index.absorb(&fstats);
         out.stats.candidates += ids.len();
-        refine_group(partner, eps, t, i, &qf, &ids, &mut out);
+        refine_group(partner, &refine, i, &ids, &mut out);
     }
     if std::ptr::eq(probe, partner) {
         out.pairs.retain(|p| p.a != p.b);
@@ -149,24 +153,22 @@ pub(crate) fn probe_pairs(
 
 /// The single refine step shared by the index-nested-loop and
 /// synchronized tree joins: every partner of one probe (whose
-/// transformed features are `qf`) has its exact distance checked with
-/// early abandoning at `eps`. Every check counts toward `exact_checks`,
-/// abandoned checks toward `abandoned`. Under a self-join the probe is
-/// its own candidate and passes the check; the caller drops that pair.
-/// Callers invoke it per probe, so candidate memory stays bounded by one
-/// probe's answer.
+/// transformed features `refine` is bound to) has its exact distance
+/// checked with early abandoning. Every check counts toward
+/// `exact_checks`, abandoned checks toward `abandoned`. Under a
+/// self-join the probe is its own candidate and passes the check; the
+/// caller drops that pair. Callers invoke it per probe, so candidate
+/// memory stays bounded by one probe's answer.
 fn refine_group(
     partner: &SimilarityIndex,
-    eps: f64,
-    t: &LinearTransform,
+    refine: &Refine<'_>,
     probe: usize,
-    qf: &Features,
     partners: &[usize],
     out: &mut JoinOutcome,
 ) {
     for &j in partners {
         out.stats.exact_checks += 1;
-        match partner.exact_distance_bounded(j, t, qf, eps) {
+        match refine.within(&partner.entries()[j], ScanMode::EarlyAbandon) {
             Some(distance) => out.pairs.push(JoinPair {
                 a: probe,
                 b: j,
@@ -192,6 +194,25 @@ impl SimilarityIndex {
         })
     }
 
+    /// The refine of join probe `id`: its transformed features are the
+    /// query, the join's limit the threshold.
+    fn probe_refine<'a>(&self, id: usize, join: JoinBound<'a>) -> Result<Refine<'a>> {
+        let qf = self.transformed_features(id, join.transform)?;
+        let schema = self.config().schema;
+        Ok(Refine::new(schema, join.transform, qf, join.limit))
+    }
+
+    /// Binds a self-join: [`SimilarityIndex::validate`] (no query
+    /// series), then the statement's one `limit_sq(eps)`.
+    pub(crate) fn bind_join<'a>(&self, eps: f64, t: &'a LinearTransform) -> Result<JoinBound<'a>> {
+        self.validate(Some(eps), t, None)?;
+        Ok(JoinBound {
+            eps,
+            limit: limit_sq(eps),
+            transform: t,
+        })
+    }
+
     /// Table 1 methods (a)/(b): sequential-scan self-join. Every unordered
     /// pair `{i, j}` with `D(T(x_i), T(x_j)) <= eps` is reported once, with
     /// `a < b`.
@@ -202,8 +223,7 @@ impl SimilarityIndex {
     /// and one of the wrong arity or unsafe for the space are rejected,
     /// in that order — as by every join strategy.
     pub fn join_scan(&self, eps: f64, t: &LinearTransform, mode: ScanMode) -> Result<JoinOutcome> {
-        self.validate(Some(eps), t, None)?;
-        Ok(scan_pairs(self, self, eps, t, mode))
+        Ok(scan_pairs(self, self, self.bind_join(eps, t)?, mode))
     }
 
     /// Table 1 methods (c)/(d): index-nested-loop self-join. For every
@@ -217,8 +237,7 @@ impl SimilarityIndex {
     /// # Errors
     /// Same failure modes as [`SimilarityIndex::join_scan`].
     pub fn join_index(&self, eps: f64, t: &LinearTransform) -> Result<JoinOutcome> {
-        self.validate(Some(eps), t, None)?;
-        probe_pairs(self, self, eps, t)
+        probe_pairs(self, self, self.bind_join(eps, t)?)
     }
 
     /// Synchronized tree↔tree self-join (extension beyond the paper's
@@ -229,16 +248,16 @@ impl SimilarityIndex {
     /// # Errors
     /// Same failure modes as [`SimilarityIndex::join_scan`].
     pub fn join_tree(&self, eps: f64, t: &LinearTransform) -> Result<JoinOutcome> {
-        self.validate(Some(eps), t, None)?;
+        let join = self.bind_join(eps, t)?;
         match self.paged() {
-            Some(paged) => self.join_tree_in(paged, eps, t),
-            None => self.join_tree_in(self.tree(), eps, t),
+            Some(paged) => self.join_tree_in(paged, join),
+            None => self.join_tree_in(self.tree(), join),
         }
     }
 
     /// [`SimilarityIndex::join_tree`] over whichever node store holds the
     /// relation's tree.
-    fn join_tree_in<S>(&self, store: S, eps: f64, t: &LinearTransform) -> Result<JoinOutcome>
+    fn join_tree_in<S>(&self, store: S, join: JoinBound<'_>) -> Result<JoinOutcome>
     where
         S: NodeStore,
         S::Item: SeriesId,
@@ -246,6 +265,7 @@ impl SimilarityIndex {
     {
         let schema = self.config().schema;
         let space = self.config().space;
+        let (eps, t) = (join.eps, join.transform);
         let mut out = JoinOutcome::default();
         let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
         // The synchronized join revisits the same node MBRs many times
@@ -281,8 +301,8 @@ impl SimilarityIndex {
             let probe = candidate_pairs[at].0;
             let end = at + candidate_pairs[at..].partition_point(|&(i, _)| i == probe);
             let partners: Vec<usize> = candidate_pairs[at..end].iter().map(|&(_, j)| j).collect();
-            let qf = self.transformed_features(probe, t)?;
-            refine_group(self, eps, t, probe, &qf, &partners, &mut out);
+            let refine = self.probe_refine(probe, join)?;
+            refine_group(self, &refine, probe, &partners, &mut out);
             at = end;
         }
         out.pairs.retain(|p| p.a != p.b);

@@ -12,8 +12,7 @@
 //! index path but validation.
 
 use crate::error::Result;
-use crate::features::Features;
-use crate::index::{Match, SimilarityIndex};
+use crate::index::{Match, Refine, SimilarityIndex};
 use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
 
@@ -26,6 +25,18 @@ pub enum ScanMode {
     /// Stop a distance computation as soon as it exceeds `eps`
     /// (Table 1, method (b); ~10x faster in the paper).
     EarlyAbandon,
+}
+
+impl ScanMode {
+    /// The partial sum at which a distance computation may stop: the
+    /// membership `limit`, or never — the modes differ in nothing else,
+    /// the membership test against `limit` is the same.
+    pub(crate) fn abandon_at(self, limit: f64) -> f64 {
+        match self {
+            ScanMode::Naive => f64::INFINITY,
+            ScanMode::EarlyAbandon => limit,
+        }
+    }
 }
 
 /// Counters from a sequential scan.
@@ -53,21 +64,19 @@ impl SimilarityIndex {
         t: &LinearTransform,
         mode: ScanMode,
     ) -> Result<(Vec<Match>, ScanStats)> {
-        let qf = self.bind_query(q, Some(eps), t)?;
-        Ok(self.scan_range_features(&qf, eps, t, &QueryWindow::default(), mode))
+        let refine = self.bind_query(q, Some(eps), t)?;
+        Ok(self.scan_range_features(&refine, &QueryWindow::default(), mode))
     }
 
-    /// The range-scan kernel, taking precomputed query features (the
-    /// figure runners time the scan without the query's FFT): every
+    /// The range-scan kernel for a bound query (the figure runners bind
+    /// precomputed features with [`SimilarityIndex::refine`]): every
     /// stored series the mean/std filter `window` admits — the scan-side
     /// equivalent of the search rectangle's bounds on the two auxiliary
-    /// dimensions — is transformed and compared against `qf`. Validates
-    /// nothing: `qf` and `t` must fit the relation.
+    /// dimensions — is checked with the statement's refine, in either
+    /// mode ([`Refine::within`]).
     pub fn scan_range_features(
         &self,
-        qf: &Features,
-        eps: f64,
-        t: &LinearTransform,
+        refine: &Refine<'_>,
         window: &QueryWindow,
         mode: ScanMode,
     ) -> (Vec<Match>, ScanStats) {
@@ -78,17 +87,10 @@ impl SimilarityIndex {
                 continue;
             }
             stats.scanned += 1;
-            match mode {
-                ScanMode::Naive => {
-                    let d = self.exact_distance(id, t, qf);
-                    if d <= eps {
-                        matches.push(Match { id, distance: d });
-                    }
-                }
-                ScanMode::EarlyAbandon => match self.exact_distance_bounded(id, t, qf, eps) {
-                    Some(d) => matches.push(Match { id, distance: d }),
-                    None => stats.abandoned += 1,
-                },
+            match refine.within(stored, mode) {
+                Some(distance) => matches.push(Match { id, distance }),
+                None if mode == ScanMode::EarlyAbandon => stats.abandoned += 1,
+                None => {}
             }
         }
         (matches, stats)
@@ -105,21 +107,18 @@ impl SimilarityIndex {
         k: usize,
         t: &LinearTransform,
     ) -> Result<Vec<Match>> {
-        let qf = self.bind_query(q, None, t)?;
-        Ok(self.scan_knn_features(&qf, k, t))
+        Ok(self.scan_knn_features(&self.bind_query(q, None, t)?, k))
     }
 
     /// [`SimilarityIndex::scan_knn`] for a bound query.
-    pub(crate) fn scan_knn_features(
-        &self,
-        qf: &Features,
-        k: usize,
-        t: &LinearTransform,
-    ) -> Vec<Match> {
-        let mut all: Vec<Match> = (0..self.len())
-            .map(|id| Match {
+    pub(crate) fn scan_knn_features(&self, refine: &Refine<'_>, k: usize) -> Vec<Match> {
+        let mut all: Vec<Match> = self
+            .entries()
+            .iter()
+            .enumerate()
+            .map(|(id, stored)| Match {
                 id,
-                distance: self.exact_distance(id, t, qf),
+                distance: refine.distance(stored),
             })
             .collect();
         all.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));

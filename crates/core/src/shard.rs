@@ -73,11 +73,10 @@ use crate::plan::{
     execute_bound, render_analyze, render_plan, run_join, Bound, ExecStats, ForceOp, LogicalPlan,
     PhysicalOp, PlanChoice, PlanRows, Planner, RelationStats,
 };
-use crate::queries::JoinPair;
+use crate::queries::{JoinBound, JoinPair};
 use crate::relation::SeriesRelation;
 use crate::scan::ScanMode;
 use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
-use crate::transform::LinearTransform;
 
 /// How many `WINDOW` lengths one relation keeps ST-indexes for. A
 /// constant, not a setting: an ST-index is about as large as the shard
@@ -747,14 +746,10 @@ impl ShardedIndex {
         });
         let outcome = self.collect(ran)?;
         // Gather: the form's typed merge.
-        match logical {
-            LogicalPlan::Range { .. } | LogicalPlan::Knn { .. } => {
-                self.merge_whole(logical, outcome)
-            }
-            LogicalPlan::Join { eps, transform, .. } => {
-                self.merge_join(outcome, *eps, transform, forced)
-            }
-            LogicalPlan::SubseqRange { .. } | LogicalPlan::SubseqKnn { .. } => {
+        match bound {
+            Bound::Range { .. } | Bound::Knn { .. } => self.merge_whole(logical, outcome),
+            Bound::Join(join) => self.merge_join(outcome, join, forced),
+            Bound::SubseqRange { .. } | Bound::SubseqKnn { .. } => {
                 self.merge_subseq(logical, outcome)
             }
         }
@@ -878,12 +873,11 @@ impl ShardedIndex {
     /// comes from the statement's force, not from a cost comparison: the
     /// scan join a scan force names, else the index-nested-loop probe.
     /// The bind has already rejected what no join accepts (a time warp, a
-    /// bad threshold), so the stage only ever sees a valid `(eps, t)`.
+    /// bad threshold), so the stage only ever sees a valid bound join.
     fn merge_join(
         &self,
         mut outcome: PartialOutcome,
-        eps: f64,
-        t: &LinearTransform,
+        join: JoinBound<'_>,
         forced: Option<ForceOp>,
     ) -> Result<ShardedOutcome> {
         // Local pairs, remapped to global ids. The order-preserving
@@ -920,7 +914,7 @@ impl ShardedIndex {
                 let orders = if directed { 2 } else { 1 };
                 for (probe, partner) in [(sa, sb), (sb, sa)].into_iter().take(orders) {
                     let (found, exec) =
-                        run_join(op, &self.parts[probe], &self.parts[partner], eps, t)?;
+                        run_join(op, &self.parts[probe], &self.parts[partner], join)?;
                     outcome.per_shard[probe].absorb(&exec);
                     pairs.extend(found.into_iter().map(|p| {
                         let a = self.map.to_global(probe, p.a);
@@ -1106,6 +1100,7 @@ mod tests {
     use super::*;
     use crate::plan::execute_plan;
     use crate::space::QueryWindow;
+    use crate::transform::LinearTransform;
     use tsq_series::generate::RandomWalkGenerator;
 
     fn relation(count: usize, len: usize, seed: u64) -> SeriesRelation {

@@ -35,10 +35,10 @@
 use std::sync::OnceLock;
 
 use tsq_dft::dft::dft_prefix;
-use tsq_dft::energy::euclidean_real;
 use tsq_dft::sliding::SlidingCursor;
 use tsq_dft::Complex64;
 use tsq_rtree::{RStarTree, RTreeConfig, Rect, SearchStats};
+use tsq_series::distance::{distance_sq_within, limit_sq};
 use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
@@ -523,15 +523,15 @@ impl SubseqIndex {
         eps: f64,
     ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
         self.check_query(q, eps)?;
-        Ok(self.range_inner(q, eps, eps * eps))
+        Ok(self.range_inner(q, eps))
     }
 
-    /// Shared range kernel: `eps` sizes the search box, `limit` is the
-    /// squared-distance acceptance threshold for the exact check. Keeping
-    /// the two separate lets the KNN refinement pass the *exact* squared
-    /// distance of its k-th candidate — squaring `sqrt(d2)` back can round
-    /// below `d2` and silently drop the boundary window.
-    fn range_inner(&self, q: &TimeSeries, eps: f64, limit: f64) -> (Vec<SubseqMatch>, SubseqStats) {
+    /// The range kernel, run once per statement (by `subseq_range`, and
+    /// by `subseq_knn`'s refine phase): `eps` sizes the search box, and a
+    /// candidate window is an answer when its squared distance is within
+    /// `limit_sq(eps)` — when the distance it is reported with is `<= eps`.
+    fn range_inner(&self, q: &TimeSeries, eps: f64) -> (Vec<SubseqMatch>, SubseqStats) {
+        let limit = limit_sq(eps);
         let qcoords = coeff_coords(&dft_prefix(q.values(), self.config.k));
         let qrect = query_rect(&qcoords, eps);
         let mut trails: Vec<TrailEntry> = Vec::new();
@@ -549,7 +549,7 @@ impl SubseqIndex {
             for offset in trail.start..trail.start + trail.len {
                 stats.candidates += 1;
                 let window = &values[offset..offset + self.config.window];
-                match distance_sq_bounded(window, q.values(), limit) {
+                match distance_sq_within(window, q.values(), limit) {
                     Some(d2) => matches.push(SubseqMatch {
                         series: trail.series,
                         offset,
@@ -594,7 +594,7 @@ impl SubseqIndex {
                 for offset in trail.start..trail.start + trail.len {
                     candidates += 1;
                     let window = &values[offset..offset + self.config.window];
-                    let d2 = distance_sq(window, q.values());
+                    let d2 = full_distance_sq(window, q.values());
                     best = best.min(d2);
                     seen.push((d2, trail.series, offset));
                 }
@@ -626,11 +626,9 @@ impl SubseqIndex {
         }
         // Phase 2: refine. `seen` holds at least k true window distances
         // (each of the k trails contributes at least one), so its k-th
-        // smallest is a valid search radius for the exact answer set. The
-        // box is sized by the (rounded) root, but the acceptance limit is
-        // the *exact* squared distance, so the boundary window survives.
-        let limit = seen[k - 1].0;
-        let (mut matches, range_stats) = self.range_inner(q, limit.sqrt(), limit);
+        // smallest is a valid search radius for the exact answer set —
+        // and a distance is within itself, so the boundary window survives.
+        let (mut matches, range_stats) = self.range_inner(q, seen[k - 1].0.sqrt());
         sort_matches(&mut matches);
         matches.truncate(k);
         index_stats.absorb(&range_stats.index);
@@ -646,7 +644,7 @@ impl SubseqIndex {
     /// Ground-truth baseline: a sliding scan over every window of every
     /// stored series (Table-1-style methods (a)/(b) restated for
     /// subsequences). Naive mode computes every distance in full; early
-    /// abandoning stops a window as soon as it exceeds `eps`.
+    /// abandoning stops a window as soon as it exceeds `limit_sq(eps)`.
     ///
     /// # Errors
     /// Same validation as [`SubseqIndex::subseq_range`].
@@ -658,7 +656,8 @@ impl SubseqIndex {
     ) -> Result<(Vec<SubseqMatch>, SubseqScanStats)> {
         self.check_query(q, eps)?;
         let w = self.config.window;
-        let limit = eps * eps;
+        let limit = limit_sq(eps);
+        let abandon_at = mode.abandon_at(limit);
         let mut stats = SubseqScanStats::default();
         let mut matches = Vec::new();
         for (id, series) in self.store.iter().enumerate() {
@@ -669,24 +668,14 @@ impl SubseqIndex {
             for offset in 0..=values.len() - w {
                 stats.windows += 1;
                 let window = &values[offset..offset + w];
-                let d2 = match mode {
-                    ScanMode::Naive => {
-                        let d2 = distance_sq(window, q.values());
-                        (d2 <= limit).then_some(d2)
-                    }
-                    ScanMode::EarlyAbandon => distance_sq_bounded(window, q.values(), limit),
-                };
-                match d2 {
-                    Some(d2) => matches.push(SubseqMatch {
+                let d2 = distance_sq_within(window, q.values(), abandon_at);
+                stats.abandoned += usize::from(d2.is_none());
+                if let Some(d2) = d2.filter(|d2| *d2 <= limit) {
+                    matches.push(SubseqMatch {
                         series: id,
                         offset,
                         distance: d2.sqrt(),
-                    }),
-                    None => {
-                        if mode == ScanMode::EarlyAbandon {
-                            stats.abandoned += 1;
-                        }
-                    }
+                    });
                 }
             }
         }
@@ -710,7 +699,7 @@ impl SubseqIndex {
                 all.push(SubseqMatch {
                     series: id,
                     offset,
-                    distance: euclidean_real(&values[offset..offset + w], q.values()),
+                    distance: full_distance_sq(&values[offset..offset + w], q.values()).sqrt(),
                 });
             }
         }
@@ -831,25 +820,9 @@ fn sort_matches(matches: &mut [SubseqMatch]) {
     });
 }
 
-#[inline]
-fn distance_sq(x: &[f64], y: &[f64]) -> f64 {
-    x.iter()
-        .zip(y)
-        .map(|(&a, &b)| {
-            let d = a - b;
-            d * d
-        })
-        .sum()
-}
-
-/// Squared distance with early abandoning: `None` as soon as the partial
-/// sum exceeds `limit`. Delegates to the shared blocked kernel
-/// ([`tsq_series::distance::distance_sq_within`]), which keeps the same
-/// `<=` boundary predicate as the naive scan — and strict left-to-right
-/// accumulation — so both paths agree bit-for-bit on threshold ties.
-#[inline]
-fn distance_sq_bounded(x: &[f64], y: &[f64], limit: f64) -> Option<f64> {
-    tsq_series::distance::distance_sq_within(x, y, limit)
+/// The shared kernel run to the end: a window's full squared distance.
+fn full_distance_sq(x: &[f64], y: &[f64]) -> f64 {
+    distance_sq_within(x, y, f64::INFINITY).expect("no sum exceeds an infinite limit")
 }
 
 #[cfg(test)]

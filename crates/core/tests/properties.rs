@@ -168,10 +168,10 @@ proptest! {
         let idx = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
         let t = LinearTransform::moving_average(n, 1 + param % (n / 2).max(1));
         let q = rel[qid].clone();
-        let qf = idx.query_features(&q, &t).unwrap();
+        let refine = idx.refine(idx.query_features(&q, &t).unwrap(), None, &t).unwrap();
         let mut planner = tsq_dft::FftPlanner::new();
         for id in 0..idx.len().min(5) {
-            let engine = idx.exact_distance(id, &t, &qf);
+            let engine = refine.distance(&idx.entries()[id]);
             // Definition: circular moving average of the normal form of x,
             // compared to the normal form of q, in the time domain.
             let nf_x = tsq_series::normal::normal_form(idx.series(id).unwrap());
@@ -184,6 +184,67 @@ proptest! {
                 .sum::<f64>()
                 .sqrt();
             prop_assert!((engine - d).abs() < 1e-6, "id {id}: {engine} vs {d}");
+        }
+    }
+
+    /// Time warp (Appendix A) is refined in the time domain: the stored
+    /// normal form, stretched, against the query's representation
+    /// recovered from its spectrum. Range and k-NN answers — ids and
+    /// distance bits — equal that oracle's, on the index path and the
+    /// scans alike.
+    #[test]
+    fn warp_answers_match_time_domain_oracle((rel, qid) in relation_strategy(),
+                                             m in 2usize..4,
+                                             k in 1usize..6,
+                                             nudge in -2.0f64..2.0) {
+        let n = rel[0].len();
+        let idx = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
+        let t = LinearTransform::time_warp(n, m);
+        let stretched = tsq_series::warp::stretch(&rel[qid], m);
+        let q = TimeSeries::new(
+            stretched
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(i, v)| v + nudge * (i % 5) as f64)
+                .collect(),
+        );
+        let qf = idx.query_features(&q, &t).unwrap();
+        let q_repr = tsq_dft::FftPlanner::new().idft_real(&qf.spectrum);
+        let mut oracle: Vec<(f64, usize)> = rel
+            .iter()
+            .enumerate()
+            .map(|(id, s)| {
+                let repr = tsq_series::normal::normal_form(s);
+                let mut acc = 0.0;
+                for (i, qv) in q_repr.iter().enumerate() {
+                    let d = repr.values()[i / m] - qv;
+                    acc += d * d;
+                }
+                (acc.sqrt(), id)
+            })
+            .collect();
+        oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let bits = |ms: &[tsq_core::Match]| -> Vec<(usize, u64)> {
+            ms.iter().map(|m| (m.id, m.distance.to_bits())).collect()
+        };
+        let want_knn: Vec<(usize, u64)> =
+            oracle.iter().take(k).map(|(d, id)| (*id, d.to_bits())).collect();
+        prop_assert_eq!(bits(&idx.knn_query(&q, k, &t).unwrap().0), want_knn.clone());
+        prop_assert_eq!(bits(&idx.scan_knn(&q, k, &t).unwrap()), want_knn);
+        // A threshold halfway between two neighbours' distances.
+        let cut = k.min(oracle.len() - 1);
+        let eps = 0.5 * (oracle[cut - 1].0 + oracle[cut].0);
+        let mut want_range: Vec<(usize, u64)> = oracle
+            .iter()
+            .filter(|(d, _)| *d <= eps)
+            .map(|(d, id)| (*id, d.to_bits()))
+            .collect();
+        want_range.sort_unstable();
+        let indexed = idx.range_query(&q, eps, &t, &QueryWindow::default()).unwrap().0;
+        prop_assert_eq!(bits(&indexed), want_range.clone());
+        for mode in [ScanMode::Naive, ScanMode::EarlyAbandon] {
+            prop_assert_eq!(bits(&idx.scan_range(&q, eps, &t, mode).unwrap().0), want_range.clone());
         }
     }
 

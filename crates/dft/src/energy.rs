@@ -1,5 +1,11 @@
 //! Signal energy, Parseval's relation and frequency-domain distances
 //! (Equations 3, 7, 8 of the paper).
+//!
+//! [`euclidean_real`] and [`euclidean_complex`] are *references*:
+//! Equation 8 as the paper writes it, for tests and examples to compare
+//! against. No statement reaches them — every exact check a query runs is
+//! the blocked loop `tsq_series::distance::sum_sq_within`, which sums the
+//! same terms in the same order (so the two agree bit for bit).
 
 use crate::complex::Complex64;
 
@@ -49,31 +55,6 @@ pub fn euclidean_complex(x: &[Complex64], y: &[Complex64]) -> f64 {
         .map(|(&a, &b)| (a - b).norm_sqr())
         .sum::<f64>()
         .sqrt()
-}
-
-/// Squared-distance prefix scan with early abandoning: accumulates
-/// `|x_f - y_f|^2` and returns `None` as soon as the partial sum exceeds
-/// `threshold^2`; otherwise returns the full distance.
-///
-/// Because DFT coefficients of smooth sequences carry most energy up front,
-/// scanning spectra in order abandons quickly — this is the "good
-/// implementation" of sequential scanning the paper compares against
-/// (Section 5).
-pub fn euclidean_complex_early_abandon(
-    x: &[Complex64],
-    y: &[Complex64],
-    threshold: f64,
-) -> Option<f64> {
-    assert_eq!(x.len(), y.len(), "distance requires equal lengths");
-    let limit = threshold * threshold;
-    let mut acc = 0.0;
-    for (&a, &b) in x.iter().zip(y) {
-        acc += (a - b).norm_sqr();
-        if acc > limit {
-            return None;
-        }
-    }
-    Some(acc.sqrt())
 }
 
 /// Fraction of total signal energy captured by the first `k` DFT
@@ -136,28 +117,6 @@ mod tests {
             let partial = euclidean_complex(&fx[..k], &fy[..k]);
             assert!(partial <= full + 1e-9, "k={k}: {partial} > {full}");
         }
-    }
-
-    #[test]
-    fn early_abandon_agrees_with_full() {
-        let x: Vec<Complex64> = (0..20).map(|i| Complex64::new(i as f64, 0.0)).collect();
-        let y: Vec<Complex64> = (0..20)
-            .map(|i| Complex64::new(i as f64 + 1.0, 0.0))
-            .collect();
-        let d = euclidean_complex(&x, &y);
-        // Generous threshold: full distance returned.
-        let got = euclidean_complex_early_abandon(&x, &y, d + 1.0).unwrap();
-        assert!((got - d).abs() < 1e-12);
-        // Tight threshold: abandoned.
-        assert!(euclidean_complex_early_abandon(&x, &y, d - 0.5).is_none());
-    }
-
-    #[test]
-    fn early_abandon_boundary() {
-        let x = [Complex64::new(0.0, 0.0)];
-        let y = [Complex64::new(3.0, 4.0)];
-        // Exactly at the threshold: not abandoned (strict inequality).
-        assert_eq!(euclidean_complex_early_abandon(&x, &y, 5.0), Some(5.0));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   multiplication property (Equations 4 and 6), including the `sqrt(n)`
 //!   factor the paper elides;
 //! - [`energy`] — energy, Parseval's relation and Euclidean distances in
-//!   either domain (Equations 3, 7, 8), plus the early-abandoning distance
-//!   used by the sequential-scan baseline;
+//!   either domain (Equations 3, 7, 8) — the reference definitions the
+//!   engine's one distance loop is tested against;
 //! - [`sliding`] — the incremental sliding-window DFT that updates the
 //!   first `k` coefficients in `O(k)` per window step, powering the
 //!   subsequence ST-index in `tsq-core`.

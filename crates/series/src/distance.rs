@@ -1,4 +1,9 @@
-//! Distances between equal-length time series.
+//! Distances between equal-length time series. [`sum_sq_within`] is the
+//! one accumulate-and-abandon loop every exact check in the workspace
+//! runs, [`limit_sq`] the threshold it is compared against; statements
+//! reach no other sum of squares. [`euclidean`], [`city_block`] and
+//! [`chebyshev`] are the paper's Section-1 definitions, the references
+//! tests and examples compare against.
 
 use crate::series::TimeSeries;
 
@@ -16,40 +21,32 @@ pub fn euclidean(x: &TimeSeries, y: &TimeSeries) -> f64 {
         .sqrt()
 }
 
-/// Width of the blocked early-abandon kernel: the abandon check runs
-/// once per this many elements, so the inner loop is branch-free and
-/// auto-vectorizable.
+/// Width of the blocked kernel: the abandon check runs once per this
+/// many terms, so the inner loop is branch-free and auto-vectorizable.
 const ABANDON_BLOCK: usize = 8;
 
-/// Blocked early-abandoning **squared**-distance kernel: accumulates
-/// `sum (x_i - y_i)^2` and returns `None` as soon as the partial sum
-/// exceeds `limit`, checking once per 8-element block instead of once
-/// per element.
+/// **The** accumulate-and-abandon loop — the one place in the workspace
+/// that compares a partial sum of squares with a limit. Adds
+/// `term(0) + … + term(n - 1)` (squared differences, hence non-negative)
+/// and returns `None` as soon as the partial sum exceeds `limit`,
+/// checking once per 8-term block: [`distance_sq_within`] over real
+/// samples, `tsq-core`'s whole-match refine over `|a_f·x_f + b_f − q_f|²`.
+/// Pass [`limit_sq`]`(eps)` to decide "within `eps`", `f64::INFINITY`
+/// for the full sum.
 ///
-/// This is the one shared kernel behind [`euclidean_early_abandon`] and
-/// the subsequence engine's bounded scans. Checking per block is exact,
-/// not approximate: squared terms are non-negative, so partial sums are
-/// monotone non-decreasing — once a prefix exceeds `limit` every later
-/// prefix does too, and the block-boundary check reaches the identical
-/// `Some`/`None` decision as the per-element check, with the same
-/// `<=`-stays `>`-abandons tie boundary. Accumulation order is strictly
-/// left to right in a single accumulator, so a returned sum is
-/// bit-identical to the naive loop's.
-///
-/// Slices of unequal length are compared over the shorter prefix; the
-/// callers that require equal lengths assert it themselves.
-pub fn distance_sq_within(x: &[f64], y: &[f64], limit: f64) -> Option<f64> {
-    let n = x.len().min(y.len());
+/// Checking per block is exact: partial sums of non-negative terms are
+/// monotone, so the block-boundary check reaches the same `Some`/`None`
+/// decision as a per-term check, with the same `<=`-stays `>`-abandons
+/// tie boundary. Accumulation is strictly left to right in a single
+/// accumulator, so a returned sum is bit-identical to the naive loop's.
+#[inline]
+pub fn sum_sq_within(n: usize, term: impl Fn(usize) -> f64, limit: f64) -> Option<f64> {
     let mut acc = 0.0;
     let mut i = 0;
     while i + ABANDON_BLOCK <= n {
-        // Squaring is element-independent and free to vectorize; the
-        // adds stay ordered through one accumulator for bit-identity.
-        let mut sq = [0.0; ABANDON_BLOCK];
-        for j in 0..ABANDON_BLOCK {
-            let d = x[i + j] - y[i + j];
-            sq[j] = d * d;
-        }
+        // The terms are independent and free to vectorize; the adds stay
+        // ordered through one accumulator for bit-identity.
+        let sq: [f64; ABANDON_BLOCK] = std::array::from_fn(|j| term(i + j));
         for s in sq {
             acc += s;
         }
@@ -58,13 +55,11 @@ pub fn distance_sq_within(x: &[f64], y: &[f64], limit: f64) -> Option<f64> {
         }
         i += ABANDON_BLOCK;
     }
-    // Per-element checks in the (at most 7-element) tail: the abandon
-    // test only ever runs *after* an addition, exactly like the
-    // pre-blocking kernel — so an empty input is `Some(0.0)` no matter
-    // the limit.
+    // Per-term checks in the (at most 7-term) tail: the abandon test only
+    // ever runs *after* an addition — so an empty input is `Some(0.0)` no
+    // matter the limit.
     while i < n {
-        let d = x[i] - y[i];
-        acc += d * d;
+        acc += term(i);
         if acc > limit {
             return None;
         }
@@ -73,15 +68,37 @@ pub fn distance_sq_within(x: &[f64], y: &[f64], limit: f64) -> Option<f64> {
     Some(acc)
 }
 
-/// Early-abandoning Euclidean distance: returns `None` as soon as the
-/// accumulated squared distance exceeds `threshold^2`. This is the
-/// optimization the paper applies to make sequential scanning competitive
-/// (Table 1, method (b): "stop the distance computation as soon as the
-/// distance exceeds eps" — 10x faster than method (a)). Runs on the
-/// blocked [`distance_sq_within`] kernel.
-pub fn euclidean_early_abandon(x: &TimeSeries, y: &TimeSeries, threshold: f64) -> Option<f64> {
-    assert_eq!(x.len(), y.len(), "distance requires equal lengths");
-    distance_sq_within(x.values(), y.values(), threshold * threshold).map(f64::sqrt)
+/// The squared-distance limit that **is** "within `eps`": the largest
+/// `f64` whose square root is `<= eps`. IEEE `sqrt` is correctly rounded,
+/// hence monotone, so `acc <= limit_sq(eps)` exactly when
+/// `acc.sqrt()` — the distance a row is reported with — is `<= eps`. One
+/// call per statement replaces a `sqrt` per candidate; the rounded
+/// square of `eps` would not do, as it can fall below the sum whose root
+/// *is* `eps`. Anything that is not a positive number (`eps` is a checked
+/// threshold) gives `0.0`, a square that overflows `f64::MAX`.
+pub fn limit_sq(eps: f64) -> f64 {
+    if eps.is_nan() || eps <= 0.0 {
+        return 0.0;
+    }
+    // The rounded square is within two ulps of the answer; walk there
+    // (`f64::next_up` is past the MSRV; a positive finite value's
+    // neighbours are its bit pattern's).
+    let mut limit = eps.powi(2).min(f64::MAX);
+    while limit.sqrt() > eps {
+        limit = f64::from_bits(limit.to_bits() - 1);
+    }
+    while limit < f64::MAX && f64::from_bits(limit.to_bits() + 1).sqrt() <= eps {
+        limit = f64::from_bits(limit.to_bits() + 1);
+    }
+    limit
+}
+
+/// The real-valued instantiation of [`sum_sq_within`], `sum (x_i - y_i)^2`
+/// — what every subsequence window check runs. Slices of unequal length
+/// are compared over the shorter prefix.
+pub fn distance_sq_within(x: &[f64], y: &[f64], limit: f64) -> Option<f64> {
+    let n = x.len().min(y.len());
+    sum_sq_within(n, |i| (x[i] - y[i]) * (x[i] - y[i]), limit)
 }
 
 /// City-block (L1) distance, mentioned in Section 1 as an alternative
@@ -125,8 +142,46 @@ mod tests {
         let x = TimeSeries::from([1.0, 2.0, 3.0, 4.0]);
         let y = TimeSeries::from([2.0, 4.0, 1.0, 0.0]);
         let d = euclidean(&x, &y);
-        assert_eq!(euclidean_early_abandon(&x, &y, d + 0.1), Some(d));
-        assert_eq!(euclidean_early_abandon(&x, &y, d - 0.1), None);
+        let within = |eps| distance_sq_within(x.values(), y.values(), limit_sq(eps));
+        assert_eq!(within(d + 0.1).map(f64::sqrt), Some(d));
+        assert_eq!(within(d), Some(d * d), "a distance is within itself");
+        assert_eq!(within(d - 0.1), None);
+    }
+
+    /// The neighbouring `f64` above a non-negative finite value.
+    fn next_up(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() + 1)
+    }
+
+    #[test]
+    fn limit_sq_is_the_largest_square_whose_root_is_within_eps() {
+        // Seeded thresholds log-uniform over 1e-300…1e150, plus the
+        // edges: zero, a subnormal, the largest eps whose square is
+        // finite, and one whose square overflows.
+        let mut seed = 0x2545_F491_4F6C_DD1D_u64;
+        let mut unit = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut cases: Vec<f64> = (0..4000)
+            .map(|_| 10f64.powf(-300.0 + 450.0 * unit()) * (1.0 + unit()))
+            .collect();
+        cases.extend([0.0, 5e-324, 1e-310, 1.0, 3.0, f64::MAX.sqrt(), 1e200]);
+        for eps in cases {
+            let limit = limit_sq(eps);
+            assert!(limit.sqrt() <= eps, "eps {eps:e}: sqrt({limit:e}) > eps");
+            if limit < f64::MAX {
+                let up = next_up(limit);
+                assert!(up.sqrt() > eps, "eps {eps:e}: {up:e} also qualifies");
+            }
+        }
+        assert_eq!(limit_sq(0.0), 0.0);
+        assert_eq!(limit_sq(1e200), f64::MAX);
+        // sqrt(1 + ulp) = 1 + ulp/2 - ... rounds down to 1: `eps * eps`
+        // is not the limit.
+        assert_eq!(limit_sq(1.0), next_up(1.0));
     }
 
     /// Per-element early-abandon oracle: the pre-blocking implementation.

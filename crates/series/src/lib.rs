@@ -10,9 +10,10 @@
 //!   circular convolution, hence expressible as a frequency-domain
 //!   transformation), the classical windowed variant, and weighted kernels;
 //! - [`warp`] — integer time stretching (Example 1.2 / Appendix A);
-//! - [`distance`] — Euclidean (with early abandoning, the optimization
-//!   behind the paper's fast sequential-scan baseline), city-block and
-//!   Chebyshev distances;
+//! - [`distance`] — the one accumulate-and-abandon sum-of-squares loop
+//!   every exact check runs (the optimization behind the paper's fast
+//!   sequential-scan baseline) and its threshold, plus the reference
+//!   Euclidean, city-block and Chebyshev distances;
 //! - [`generate`] — the paper's random-walk workload and a synthetic
 //!   stock-market generator substituting for the defunct MIT stock archive;
 //! - [`io`] — one-series-per-line CSV persistence.

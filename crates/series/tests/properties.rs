@@ -3,7 +3,7 @@
 //! round-trips.
 
 use proptest::prelude::*;
-use tsq_series::distance::{chebyshev, city_block, euclidean, euclidean_early_abandon};
+use tsq_series::distance::{chebyshev, city_block, distance_sq_within, euclidean, limit_sq};
 use tsq_series::moving_average::{
     circular_moving_average, moving_average, weighted_circular_moving_average,
 };
@@ -89,17 +89,17 @@ proptest! {
         prop_assert!(chebyshev(&x, &z) <= chebyshev(&x, &y) + chebyshev(&y, &z) + slack);
     }
 
-    /// Early abandoning is sound: above-threshold distances return the true
-    /// distance, below-threshold computations abandon.
+    /// Early abandoning is sound: the kernel returns the reference
+    /// distance (bit for bit) for every threshold from the distance itself
+    /// up, and abandons below it.
     #[test]
     fn early_abandon_consistent((x, y) in series_pair(64)) {
         let d = euclidean(&x, &y);
-        match euclidean_early_abandon(&x, &y, d + 1.0) {
-            Some(got) => prop_assert!((got - d).abs() < 1e-9),
-            None => prop_assert!(false, "abandoned below threshold"),
-        }
+        let within = |eps| distance_sq_within(x.values(), y.values(), limit_sq(eps));
+        prop_assert_eq!(within(d + 1.0).map(f64::sqrt), Some(d));
+        prop_assert_eq!(within(d).map(f64::sqrt), Some(d));
         if d > 1e-6 {
-            prop_assert_eq!(euclidean_early_abandon(&x, &y, d * 0.5), None);
+            prop_assert_eq!(within(d * 0.5), None);
         }
     }
 

@@ -1,6 +1,7 @@
 //! The paper's worked examples, reproduced exactly where the paper prints
 //! the data, and shape-wise where it relies on unavailable stock data.
 
+use tsq_core::cost::{transformation_distance, CostBudget};
 use tsq_core::geometry::AnnularSector;
 use tsq_core::{
     FeatureSchema, IndexConfig, LinearTransform, QueryWindow, SimilarityIndex, SpaceKind,
@@ -47,6 +48,32 @@ fn example_1_1_in_frequency_domain() {
     let f2 = t.apply_spectrum(&planner.dft_real(s2().values()));
     let d = tsq_dft::energy::euclidean_complex(&f1, &f2);
     assert!((d - 0.4714).abs() < 0.001, "got {d}");
+}
+
+#[test]
+fn equation_10_cost_bounded_dissimilarity() {
+    // Section 2's relation to Jagadish, Mendelzon & Milo: the distance is
+    // minimized over transformations applied to either side, each at a
+    // cost, under a bound on the total cost. Example 1.1 is the paper's
+    // instance: smoothing *both* series with the three-day moving average
+    // (one unit of cost each) brings them from 11.92 to 2 + 0.47.
+    let mavg3 = [LinearTransform::moving_average(15, 3).with_cost(1.0)];
+    let allowed = CostBudget {
+        max_cost: 2.0,
+        max_depth: 2,
+    };
+    let d = transformation_distance(&s1(), &s2(), &mavg3, allowed).unwrap();
+    assert!((d.value - 2.4714).abs() < 0.001, "got {}", d.value);
+    assert_eq!(d.applied_x, ["mavg(3)"]);
+    assert_eq!(d.applied_y, ["mavg(3)"]);
+    // A budget below one application forbids it: the plain D0 answers.
+    let forbidden = CostBudget {
+        max_cost: 0.5,
+        max_depth: 2,
+    };
+    let d = transformation_distance(&s1(), &s2(), &mavg3, forbidden).unwrap();
+    assert!((d.value - euclidean(&s1(), &s2())).abs() < 1e-9);
+    assert!(d.applied_x.is_empty() && d.applied_y.is_empty());
 }
 
 #[test]

@@ -565,3 +565,160 @@ fn one_shard_catalog_equals_the_bare_engine() {
     }
     assert!(cat.shard_layout("walks").is_none());
 }
+
+/// **A reported distance is within itself.** Whatever distance a k-NN or
+/// join row is reported with, re-asking `WITHIN` exactly that distance
+/// returns that row — under every operator a `force` can name, at 1 and
+/// 4 shards, in memory and after `save` / `open_paged` at the catalog's
+/// smallest pool — and every such run returns the same rows, in the same
+/// order, with the same distance bits. Constructive: every threshold is
+/// a distance the engine itself printed, so every statement sits exactly
+/// on the membership boundary; a failure names the relation seed, the
+/// query and the threshold's bits.
+#[test]
+fn reported_distance_is_within_itself() {
+    const SEED: u64 = 21_210_021;
+    const COUNT: usize = 40;
+    const LEN: usize = 64;
+    const WINDOW: usize = 16;
+    let series = RandomWalkGenerator::new(SEED).relation(COUNT, LEN);
+    let dir = std::env::temp_dir().join(format!("tsq-boundary-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut configs: Vec<(String, Catalog)> = Vec::new();
+    for shards in [1usize, 4] {
+        let mut cat = Catalog::new();
+        cat.register(SeriesRelation::from_series("w", series.clone()).unwrap())
+            .unwrap();
+        cat.run_mut(&format!("SHARD w INTO {shards} BY HASH"))
+            .unwrap();
+        let path = dir.join(format!("cat{shards}.tsq"));
+        cat.save(&path).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        configs.push((format!("{shards} shard(s), in memory"), cat));
+        configs.push((format!("{shards} shard(s), paged"), paged));
+    }
+
+    type Key = (String, Option<String>, Option<usize>, u64);
+    let key = |r: &Row| -> Key { (r.a.clone(), r.b.clone(), r.offset, r.distance.to_bits()) };
+    let id = |label: &str| -> usize { label[1..].parse().unwrap() };
+    let mut asked = 0usize;
+    let mut failures: Vec<String> = Vec::new();
+    // Re-asks `within` (a statement whose threshold is `witness`'s
+    // reported distance) on every configuration under every force.
+    let mut check = |what: String, witness: &Row, within: &str, forces: &[&str]| {
+        asked += 1;
+        let eps = witness.distance;
+        let mut first: Option<Vec<Key>> = None;
+        for (config, cat) in &configs {
+            for force in forces {
+                let with = match *force {
+                    "" => String::new(),
+                    f => format!(" WITH (force = {f})"),
+                };
+                let mut rows = cat.run(&format!("{within}{with}")).unwrap().rows;
+                // A forced index / tree join reports each pair in both
+                // directions; the others once, `a < b`.
+                rows.retain(|r| r.b.as_deref().map_or(true, |b| id(&r.a) < id(b)));
+                let rows: Vec<Key> = rows.iter().map(key).collect();
+                let context = format!(
+                    "{what}: relation seed {SEED}, eps = {eps} (bits {:#018x}), {config}, \
+                     force = {force:?}",
+                    eps.to_bits()
+                );
+                if !rows.contains(&key(witness)) {
+                    failures.push(format!("{context}: {witness:?} is not in the answer"));
+                    return;
+                }
+                match &first {
+                    None => first = Some(rows),
+                    Some(want) if *want != rows => {
+                        failures.push(format!("{context}: rows differ from the first run's"));
+                        return;
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+    };
+
+    let reference = &configs[0].1;
+    let whole = ["", "scan", "index"];
+    for apply in [
+        "",
+        " APPLY reverse",
+        " APPLY mavg(8)",
+        " APPLY scale(-2), shift(3)",
+    ] {
+        for q in 0..COUNT {
+            let knn = reference
+                .run(&format!("FIND 3 NEAREST TO w.s{q} IN w{apply}"))
+                .unwrap();
+            let witness = &knn.rows[2];
+            let within = format!(
+                "FIND SIMILAR TO w.s{q} IN w WITHIN {}{apply}",
+                witness.distance
+            );
+            check(
+                format!("range, query s{q}{apply}"),
+                witness,
+                &within,
+                &whole,
+            );
+        }
+    }
+    for apply in ["", " APPLY mavg(8)"] {
+        // A threshold that certainly yields pairs: s0's third neighbour.
+        let seed_eps = reference
+            .run(&format!("FIND 3 NEAREST TO w.s0 IN w{apply}"))
+            .unwrap()
+            .rows[2]
+            .distance;
+        let pairs = reference
+            .run(&format!("JOIN w WITHIN {seed_eps}{apply}"))
+            .unwrap()
+            .rows;
+        assert!(!pairs.is_empty(), "JOIN w WITHIN {seed_eps}{apply}");
+        for witness in pairs.iter().take(20) {
+            let within = format!("JOIN w WITHIN {}{apply}", witness.distance);
+            check(
+                format!("join{apply}, pair {witness:?}"),
+                witness,
+                &within,
+                &["", "scan", "scanfull", "index", "tree"],
+            );
+        }
+    }
+    for (q, source) in series.iter().enumerate() {
+        // A window of s{q}, nudged so that no stored window is at 0.
+        let values: Vec<String> = source.values()[5..5 + WINDOW]
+            .iter()
+            .enumerate()
+            .map(|(i, v)| format!("{}", v + 0.25 * ((i * 7 % 5) as f64 - 2.0)))
+            .collect();
+        let pattern = values.join(", ");
+        let knn = reference
+            .run(&format!(
+                "FIND 3 NEAREST SUBSEQUENCE OF [{pattern}] IN w WINDOW {WINDOW}"
+            ))
+            .unwrap();
+        let witness = &knn.rows[2];
+        let within = format!(
+            "FIND SUBSEQUENCE OF [{pattern}] IN w WITHIN {} WINDOW {WINDOW}",
+            witness.distance
+        );
+        check(
+            format!("subsequence, window of s{q}"),
+            witness,
+            &within,
+            &whole,
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        failures.is_empty(),
+        "{} of {asked} statements at a reported distance lost or changed rows; the first:\n{}",
+        failures.len(),
+        failures[..failures.len().min(8)].join("\n")
+    );
+}
