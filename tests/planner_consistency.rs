@@ -566,6 +566,34 @@ fn one_shard_catalog_equals_the_bare_engine() {
     assert!(cat.shard_layout("walks").is_none());
 }
 
+/// Relation `w` over `series` in the four configurations the boundary
+/// suites compare: 1 and 4 hash shards, each in memory and after `save` /
+/// `open_paged` at the catalog's smallest pool. Returns the directory
+/// holding the snapshots (the caller removes it) and the catalogs, the
+/// one-shard in-memory reference first.
+fn boundary_configs(
+    tag: &str,
+    series: &[TimeSeries],
+) -> (std::path::PathBuf, Vec<(String, Catalog)>) {
+    let dir = std::env::temp_dir().join(format!("tsq-boundary-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut configs: Vec<(String, Catalog)> = Vec::new();
+    for shards in [1usize, 4] {
+        let mut cat = Catalog::new();
+        cat.register(SeriesRelation::from_series("w", series.to_vec()).unwrap())
+            .unwrap();
+        cat.run_mut(&format!("SHARD w INTO {shards} BY HASH"))
+            .unwrap();
+        let path = dir.join(format!("cat{shards}.tsq"));
+        cat.save(&path).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        configs.push((format!("{shards} shard(s), in memory"), cat));
+        configs.push((format!("{shards} shard(s), paged"), paged));
+    }
+    (dir, configs)
+}
+
 /// **A reported distance is within itself.** Whatever distance a k-NN or
 /// join row is reported with, re-asking `WITHIN` exactly that distance
 /// returns that row — under every operator a `force` can name, at 1 and
@@ -582,22 +610,7 @@ fn reported_distance_is_within_itself() {
     const LEN: usize = 64;
     const WINDOW: usize = 16;
     let series = RandomWalkGenerator::new(SEED).relation(COUNT, LEN);
-    let dir = std::env::temp_dir().join(format!("tsq-boundary-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut configs: Vec<(String, Catalog)> = Vec::new();
-    for shards in [1usize, 4] {
-        let mut cat = Catalog::new();
-        cat.register(SeriesRelation::from_series("w", series.clone()).unwrap())
-            .unwrap();
-        cat.run_mut(&format!("SHARD w INTO {shards} BY HASH"))
-            .unwrap();
-        let path = dir.join(format!("cat{shards}.tsq"));
-        cat.save(&path).unwrap();
-        let mut paged = Catalog::new();
-        paged.open_paged(&path, 1).unwrap();
-        configs.push((format!("{shards} shard(s), in memory"), cat));
-        configs.push((format!("{shards} shard(s), paged"), paged));
-    }
+    let (dir, configs) = boundary_configs("at", &series);
 
     type Key = (String, Option<String>, Option<usize>, u64);
     let key = |r: &Row| -> Key { (r.a.clone(), r.b.clone(), r.offset, r.distance.to_bits()) };
@@ -718,6 +731,259 @@ fn reported_distance_is_within_itself() {
     assert!(
         failures.is_empty(),
         "{} of {asked} statements at a reported distance lost or changed rows; the first:\n{}",
+        failures.len(),
+        failures[..failures.len().min(8)].join("\n")
+    );
+}
+
+/// `v` moved by `j` units in the last place (`v` positive and finite).
+fn ulps(v: f64, j: i64) -> f64 {
+    f64::from_bits((v.to_bits() as i64 + j) as u64)
+}
+
+/// **Lemma 1 around the boundary.** Where `reported_distance_is_within_itself`
+/// sits *on* the membership boundary, this suite walks ±4 ulps *around* it,
+/// on statements built to strain the filter rather than sampled: the query
+/// is `T(x) + s·u` for a stored `x` and a unit direction `u`, and every
+/// threshold is within four ulps of a distance the scan reports for it —
+/// so the true distance sits within ±4 ulps of `eps` on every statement.
+///
+/// The stored anchors (each next to its own `x + s·u`, so joins have a
+/// boundary pair too) put the search rectangle where `S_pol` is delicate:
+///
+/// - `tone`, one sinusoid at `f = 1` moved along another: the whole
+///   distance lies in one indexed coefficient (and its mirror), the
+///   tightest the lower bound can be;
+/// - `low`, `f = 1` plus `f = 2`, moved along `f = 2`;
+/// - `seam`, whose `X_1` has angle `π − δ` while the query's has `−π + δ`:
+///   the angular interval wraps the ±π seam (`seam reversed` is the series
+///   that `reverse` maps there);
+/// - `high`, a sinusoid at `f = 5`: its feature point is the polar origin
+///   (magnitude ≈ 1e-15, angle noise) and the query's indexed magnitudes
+///   are below the threshold (`eps ≥ m`), so the rectangle covers every
+///   angle;
+/// - a random walk.
+///
+/// Under identity, `reverse`, `mavg(8)`, `scale`/`shift`, `mavg ∘ reverse`
+/// and `warp(2)` (the time-domain refine), at 1 and 4 shards, in memory
+/// and paged, for every whole-match row of `plan.rs`'s operator table:
+/// the index answer ⊇ the scan answer (no false dismissal) and equals it
+/// (one refine), the witness is in the scan answer exactly when
+/// `eps >= d`, k-NN rows (hence the k-th distance) agree to the bit, and
+/// every join strategy returns the scan's pairs. A failure names the
+/// seed, the stored series and the query.
+#[test]
+fn lemma_1_holds_within_four_ulps_of_the_threshold() {
+    use tsq_series::moving_average::circular_moving_average;
+    use tsq_series::warp::stretch;
+
+    const SEED: u64 = 22_100_497;
+    const WALKS: usize = 24;
+    const LEN: usize = 64;
+    const DELTA: f64 = 1e-3;
+    let cosine = |len: usize, f: usize, phase: f64| -> Vec<f64> {
+        (0..len)
+            .map(|t| (std::f64::consts::TAU * (f * t) as f64 / len as f64 + phase).cos())
+            .collect()
+    };
+    // `base + Σ amp·cos(f, phase)`.
+    let mix = |len: usize, base: f64, parts: &[(f64, usize, f64)]| -> Vec<f64> {
+        let mut v = vec![base; len];
+        for &(amp, f, phase) in parts {
+            for (x, c) in v.iter_mut().zip(cosine(len, f, phase)) {
+                *x += amp * c;
+            }
+        }
+        v
+    };
+    let sine = -std::f64::consts::FRAC_PI_2; // cos(θ − π/2) = sin θ
+                                             // The step along the unit sine that takes `−cos − δ·sin` to `−cos + δ·sin`.
+    let across = 2.0 * DELTA * (LEN as f64 / 2.0).sqrt();
+    // (name, stored x, step s, direction u as (f, phase)).
+    let mut anchors: Vec<(&str, Vec<f64>, f64, (usize, f64))> = vec![
+        ("tone", mix(LEN, 20.0, &[(3.0, 1, 0.7)]), 0.25, (1, 2.0)),
+        (
+            "low",
+            mix(LEN, 15.0, &[(2.0, 1, 0.3), (1.5, 2, 1.1)]),
+            0.25,
+            (2, 0.4),
+        ),
+        (
+            "seam",
+            mix(LEN, 5.0, &[(-1.0, 1, 0.0), (-DELTA, 1, sine)]),
+            across,
+            (1, sine),
+        ),
+        // The same crossing under `reverse`, whose image of this is `seam`.
+        (
+            "seam reversed",
+            mix(LEN, 5.0, &[(1.0, 1, 0.0), (DELTA, 1, sine)]),
+            across,
+            (1, sine),
+        ),
+        ("high", mix(LEN, 8.0, &[(2.0, 5, 0.9)]), 0.25, (1, 1.3)),
+    ];
+    let mut series = RandomWalkGenerator::new(SEED).relation(WALKS, LEN);
+    anchors.push(("walk", series[3].values().to_vec(), 0.5, (1, 0.5)));
+    // `y + s·u` for a unit-norm `u` of `y`'s length.
+    let moved = |y: &[f64], s: f64, (f, phase): (usize, f64)| -> Vec<f64> {
+        let unit = (2.0 / y.len() as f64).sqrt();
+        y.iter()
+            .zip(cosine(y.len(), f, phase))
+            .map(|(v, c)| v + s * unit * c)
+            .collect()
+    };
+    // Anchor `i` is stored as `s{WALKS + 2i}`, its moved twin right after.
+    for (_, x, s, u) in &anchors {
+        series.push(TimeSeries::new(x.clone()));
+        series.push(TimeSeries::new(moved(x, *s, *u)));
+    }
+    let total = series.len();
+    let (dir, configs) = boundary_configs("around", &series);
+    let reference = &configs[0].1;
+
+    type Key = (String, Option<String>, u64);
+    let key = |r: &Row| -> Key { (r.a.clone(), r.b.clone(), r.distance.to_bits()) };
+    let id = |label: &str| -> usize { label[1..].parse().unwrap() };
+    let literal = |values: &[f64]| -> String {
+        let values: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
+        format!("[{}]", values.join(", "))
+    };
+    let mut asked = 0usize;
+    let mut failures: Vec<String> = Vec::new();
+    // Runs `statement` under every force on every configuration and
+    // compares each answer with the first force's on the reference (the
+    // scan); `expect` says whether the witness must be in it.
+    let mut check = |what: &str, statement: &str, forces: &[&str], witness: &Key, expect: bool| {
+        asked += 1;
+        let mut scan: Option<Vec<Key>> = None;
+        for (config, cat) in &configs {
+            for force in forces {
+                let with = match *force {
+                    "" => String::new(),
+                    f => format!(" WITH (force = {f})"),
+                };
+                let mut rows = cat.run(&format!("{statement}{with}")).unwrap().rows;
+                rows.retain(|r| r.b.as_deref().map_or(true, |b| id(&r.a) < id(b)));
+                let rows: Vec<Key> = rows.iter().map(key).collect();
+                let context = format!("{what}, {config}, force = {force:?}");
+                let Some(scan) = &scan else {
+                    if rows.contains(witness) != expect {
+                        failures.push(format!(
+                            "{context}: witness {witness:?} in the scan answer: {}, expected {expect}",
+                            !expect
+                        ));
+                        return;
+                    }
+                    scan = Some(rows);
+                    continue;
+                };
+                if let Some(lost) = scan.iter().find(|r| !rows.contains(r)) {
+                    failures.push(format!("{context}: false dismissal of {lost:?}"));
+                    return;
+                }
+                if rows != *scan {
+                    failures.push(format!("{context}: rows differ from the scan's"));
+                    return;
+                }
+            }
+        }
+    };
+
+    let whole = ["scan", "index", ""];
+    type InTime = fn(&TimeSeries) -> TimeSeries;
+    let transforms: [(&str, InTime); 6] = [
+        ("", |x| x.clone()),
+        (" APPLY reverse", |x| x.negate()),
+        (" APPLY mavg(8)", |x| circular_moving_average(x, 8)),
+        (" APPLY scale(-2), shift(3)", |x| x.scale(-2.0).shift(3.0)),
+        (" APPLY mavg(8), reverse", |x| {
+            circular_moving_average(x, 8).negate()
+        }),
+        (" APPLY warp(2)", |x| stretch(x, 2)),
+    ];
+    for (apply, in_time) in transforms {
+        for (i, (name, x, s, u)) in anchors.iter().enumerate() {
+            let target = format!("s{}", WALKS + 2 * i);
+            let stored = TimeSeries::new(x.clone());
+            let query = literal(&moved(in_time(&stored).values(), *s, *u));
+            let what = format!(
+                "{name}{apply}: relation seed {SEED}, target {target} = {}, query {query}",
+                literal(x)
+            );
+            // Every stored series' distance, as the scan reports it.
+            let all = reference
+                .run(&format!(
+                    "FIND {total} NEAREST TO {query} IN w{apply} WITH (force = scan)"
+                ))
+                .unwrap()
+                .rows;
+            assert_eq!(all.len(), total, "{what}");
+            let nearest = &all[..3];
+            check(
+                &format!("{what}, 3-NN"),
+                &format!("FIND 3 NEAREST TO {query} IN w{apply}"),
+                &whole,
+                &key(&nearest[2]),
+                true,
+            );
+            let of_target = all.iter().find(|r| r.a == target).expect("target row");
+            for witness in [of_target, &nearest[2]] {
+                let d = witness.distance;
+                if d < 1e-300 {
+                    continue;
+                }
+                for j in -4i64..=4 {
+                    let eps = ulps(d, j);
+                    check(
+                        &format!("{what}, witness {witness:?}, eps = d{j:+} ulps = {eps:e}"),
+                        &format!("FIND SIMILAR TO {query} IN w WITHIN {eps}{apply}"),
+                        &whole,
+                        &key(witness),
+                        j >= 0,
+                    );
+                }
+            }
+        }
+        if apply.contains("warp") {
+            // A self-join between different-length representations is
+            // undefined; the language rejects it.
+            continue;
+        }
+        // Anchor pairs are a few tenths apart, walks several units.
+        let pairs = reference
+            .run(&format!("JOIN w WITHIN 1{apply} WITH (force = scan)"))
+            .unwrap()
+            .rows;
+        for (i, (name, x, _, _)) in anchors.iter().enumerate() {
+            let (a, b) = (
+                format!("s{}", WALKS + 2 * i),
+                format!("s{}", WALKS + 2 * i + 1),
+            );
+            let what = format!(
+                "{name} join{apply}: relation seed {SEED}, pair ({a}, {b}), {a} = {}",
+                literal(x)
+            );
+            let witness = pairs
+                .iter()
+                .find(|r| r.a == a && r.b.as_deref() == Some(b.as_str()))
+                .unwrap_or_else(|| panic!("{what}: the pair is not within 1"));
+            for j in -4i64..=4 {
+                let eps = ulps(witness.distance, j);
+                check(
+                    &format!("{what}, eps = d{j:+} ulps = {eps:e}"),
+                    &format!("JOIN w WITHIN {eps}{apply}"),
+                    &["scan", "scanfull", "index", "tree", ""],
+                    &key(witness),
+                    j >= 0,
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        failures.is_empty(),
+        "{} of {asked} statements within 4 ulps of a reported distance broke Lemma 1; the first:\n{}",
         failures.len(),
         failures[..failures.len().min(8)].join("\n")
     );
