@@ -134,13 +134,26 @@ pub fn transformation_distance(
             });
         }
     }
+    // Both series are real, so their spectra are conjugate-symmetric, and
+    // transformations that are so too keep every state of the search so:
+    // coefficients `0..=n/2` then carry it (the symmetry lemma in
+    // `crate::features`). One transformation that is not needs all `n`.
+    let n = x.len();
+    let symmetric = transforms
+        .iter()
+        .all(LinearTransform::is_conjugate_symmetric);
+    let kept = if symmetric { n / 2 + 1 } else { n };
     let mut planner = FftPlanner::new();
-    let sx = planner.dft_real(x.values());
-    let sy = planner.dft_real(y.values());
+    let mut spectrum = |s: &TimeSeries| {
+        let mut full = planner.dft_real(s.values());
+        full.truncate(kept);
+        full
+    };
+    let (sx, sy) = (spectrum(x), spectrum(y));
 
     // The residual `D0`, summed by the engine's one loop.
     let d0 = |x: &[Complex64], y: &[Complex64]| {
-        let sum = spectrum_sq_within(None, x, y, f64::INFINITY);
+        let sum = spectrum_sq_within(None, n, x, y, f64::INFINITY);
         sum.expect("no sum exceeds an infinite limit").sqrt()
     };
     let mut best = CostedDistance {
@@ -182,7 +195,7 @@ pub fn transformation_distance(
                 heap.push(State {
                     priority: next_cost,
                     cost: next_cost,
-                    x: t.apply_spectrum(&state.x),
+                    x: t.apply_prefix(&state.x),
                     y: state.y.clone(),
                     applied_x: ax,
                     applied_y: state.applied_y.clone(),
@@ -195,7 +208,7 @@ pub fn transformation_distance(
                     priority: next_cost,
                     cost: next_cost,
                     x: state.x.clone(),
-                    y: t.apply_spectrum(&state.y),
+                    y: t.apply_prefix(&state.y),
                     applied_x: state.applied_x.clone(),
                     applied_y: ay,
                 });

@@ -10,12 +10,18 @@
 //! post-processes candidates against full records ([`Refine`], the one
 //! exact check every operator shares). Lemma 1 guarantees no false
 //! dismissals; tests assert exact agreement with linear scans.
+//!
+//! A record keeps the lower half of its spectrum, and the exact check
+//! sums over that half: by the symmetry lemma ([`crate::features`], with
+//! the per-transformation half in [`crate::transform`]) `D²` is
+//! `|Δ_0|² + 2·Σ_{0<f<n/2} |Δ_f|² (+ |Δ_{n/2}|²` for even `n)`, so the
+//! distance a row is reported with — the one the filter's lower bound
+//! must stay under — counts every indexed interior coefficient twice.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use tsq_dft::complex::{Complex64, ONE, ZERO};
-use tsq_dft::FftPlanner;
+use tsq_dft::{Complex64, FftPlanner};
 use tsq_rtree::knn::nearest_with_tie;
 use tsq_rtree::search::search_with;
 use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, SearchStats};
@@ -66,7 +72,7 @@ impl Default for IndexConfig {
 pub struct StoredSeries {
     /// The original series.
     pub series: TimeSeries,
-    /// Extracted features (full spectrum of the indexed representation).
+    /// Extracted features (half spectrum of the indexed representation).
     pub features: Features,
 }
 
@@ -93,26 +99,66 @@ pub struct QueryStats {
     pub exact_checks: usize,
 }
 
-/// The complex instantiation of the shared loop: `Σ_f |a_f·x_f + b_f − q_f|²`
-/// for `t = (a, b)`, or `None` once a partial sum exceeds `limit`. `t = None`
-/// is the identity, summing `|x_f − q_f|²`: `(1 + 0i)·x + 0` differs from `x`
+/// The complex instantiation of the shared loop:
+/// `Σ_{f<n} |a_f·x_f + b_f − q_f|²` for `t = (a, b)` over length-`n`
+/// spectra, or `None` once a partial sum exceeds `limit`. `t = None` is
+/// the identity, summing `|x_f − q_f|²`: `(1 + 0i)·x + 0` differs from `x`
 /// at most in the sign of a zero, which the norm of the difference cannot
 /// see, so the fast path returns the same bits.
+///
+/// `x` and `q` hold the leading coefficients of their spectra, at least
+/// `0..=n/2`; one shorter than `n` is conjugate-symmetric, its missing
+/// coefficients being `conj` of the mirrored ones ([`Features`]). When both
+/// are and `t` is too, the terms mirror (the symmetry lemma in
+/// [`crate::features`]): the loop runs over the coefficients that have a
+/// mirror, `0 < f < n/2`, each counted twice, and the two that have none —
+/// DC and, for even `n`, Nyquist — are added to a sum it did not abandon.
+/// Half the terms, the same sum up to rounding; the sum returned may
+/// exceed `limit` by those two, and every caller compares what it gets
+/// with its limit. Otherwise — a transformation built from parts with,
+/// say, a complex scale — the loop runs over all `n`, reading mirrored
+/// coefficients off the stored half.
 pub(crate) fn spectrum_sq_within(
     t: Option<&LinearTransform>,
+    n: usize,
     x: &[Complex64],
     q: &[Complex64],
     limit: f64,
 ) -> Option<f64> {
-    let n = x.len();
-    assert_eq!(n, q.len(), "distance requires equal lengths");
-    match t {
-        None => sum_sq_within(n, |f| (x[f] - q[f]).norm_sqr(), limit),
-        Some(t) => {
-            let (a, b) = (&t.a()[..n], &t.b()[..n]);
-            sum_sq_within(n, |f| (a[f] * x[f] + b[f] - q[f]).norm_sqr(), limit)
-        }
+    let stored = (n / 2 + 1).min(n)..=n;
+    assert!(
+        stored.contains(&x.len()) && stored.contains(&q.len()),
+        "distance requires spectra of equal lengths"
+    );
+    let symmetric = t.map_or(true, LinearTransform::is_conjugate_symmetric);
+    if symmetric && x.len() < n && q.len() < n {
+        // Sliced to one length up front, so the loop indexes unchecked.
+        let m = (n - 1) / 2;
+        let (xm, qm) = (&x[1..][..m], &q[1..][..m]);
+        let twice = match t {
+            None => sum_sq_within(m, |i| 2.0 * (xm[i] - qm[i]).norm_sqr(), limit),
+            Some(t) => {
+                let (a, b) = (&t.a()[1..][..m], &t.b()[1..][..m]);
+                let term = |i: usize| 2.0 * (a[i] * xm[i] + b[i] - qm[i]).norm_sqr();
+                sum_sq_within(m, term, limit)
+            }
+        }?;
+        let alone = |f: usize| match t {
+            None => (x[f] - q[f]).norm_sqr(),
+            Some(t) => (t.apply_coeff(f, x[f]) - q[f]).norm_sqr(),
+        };
+        let nyquist = if n % 2 == 0 { alone(n / 2) } else { 0.0 };
+        return Some(alone(0) + twice + nyquist);
     }
+    let at = |s: &[Complex64], f: usize| match s.get(f) {
+        Some(c) => *c,
+        None => s[n - f].conj(),
+    };
+    let term = |f: usize| match t {
+        None => (at(x, f) - at(q, f)).norm_sqr(),
+        Some(t) => (t.apply_coeff(f, at(x, f)) - at(q, f)).norm_sqr(),
+    };
+    sum_sq_within(n, term, limit)
 }
 
 /// The exact check of one bound statement: `D(T(o), q)` for a stored
@@ -120,7 +166,8 @@ pub(crate) fn spectrum_sq_within(
 #[derive(Debug, Clone)]
 pub struct Refine<'a> {
     pub(crate) transform: &'a LinearTransform,
-    /// `a = 1`, `b = 0` exactly: spectra are compared as stored.
+    /// [`LinearTransform::leaves_spectra_unchanged`]: spectra are compared
+    /// as stored.
     identity: bool,
     pub(crate) query: Features,
     /// `limit_sq(eps)`; infinite for a statement without a threshold.
@@ -142,11 +189,11 @@ impl<'a> Refine<'a> {
     ) -> Self {
         let warp_query = match t.warp() {
             1 => Vec::new(),
-            _ => FftPlanner::new().idft_real(&query.spectrum),
+            _ => FftPlanner::new().idft_real(&query.full_spectrum()),
         };
         Refine {
             transform: t,
-            identity: t.a().iter().all(|a| *a == ONE) && t.b().iter().all(|b| *b == ZERO),
+            identity: t.leaves_spectra_unchanged(),
             query,
             limit,
             warp_query,
@@ -159,8 +206,9 @@ impl<'a> Refine<'a> {
         let m = self.transform.warp();
         if m == 1 {
             let t = (!self.identity).then_some(self.transform);
-            let x = &stored.features.spectrum;
-            return spectrum_sq_within(t, x, &self.query.spectrum, limit);
+            let (x, q) = (&stored.features, &self.query);
+            assert_eq!(x.n(), q.n(), "distance requires equal lengths");
+            return spectrum_sq_within(t, x.n(), &x.spectrum, &q.spectrum, limit);
         }
         // Stretching commutes with normalization.
         let normal;
@@ -595,10 +643,10 @@ impl SimilarityIndex {
             // mid-ingest is ragged), but each series' spectrum and the
             // schema must fit *that* series.
             let features = crate::store::read_features(dec)?;
-            if features.spectrum.len() != series.len() {
+            if features.n() != series.len() {
                 return Err(StoreError::corrupt(format!(
-                    "feature spectrum of length {} for series of length {}",
-                    features.spectrum.len(),
+                    "features of a length-{} series for a series of length {}",
+                    features.n(),
                     series.len()
                 ))
                 .into());
@@ -606,6 +654,16 @@ impl SimilarityIndex {
             config.schema.validate(series.len()).map_err(|e| {
                 StoreError::corrupt(format!("index schema does not fit a stored series: {e}"))
             })?;
+            // What extraction keeps: the indexed coefficients must be there.
+            let kept = Features::kept_coefficients(series.len(), config.schema);
+            if features.spectrum.len() != kept {
+                return Err(StoreError::corrupt(format!(
+                    "{} spectrum coefficient(s) stored for a series of length {}, expected {kept}",
+                    features.spectrum.len(),
+                    series.len()
+                ))
+                .into());
+            }
             store.push(StoredSeries { series, features });
         }
         let (min_len, max_len) = len_bounds(&store);
@@ -744,7 +802,7 @@ impl SimilarityIndex {
         eps: Option<f64>,
         t: &'a LinearTransform,
     ) -> Result<Refine<'a>> {
-        self.validate(eps, t, Some(qf.spectrum.len()))?;
+        self.validate(eps, t, Some(qf.n()))?;
         let limit = eps.map_or(f64::INFINITY, limit_sq);
         Ok(Refine::new(self.config.schema, t, qf, limit))
     }
@@ -978,6 +1036,7 @@ impl SimilarityIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsq_dft::complex::{ONE, ZERO};
     use tsq_dft::energy::euclidean_complex;
     use tsq_series::generate::RandomWalkGenerator;
 
@@ -1054,7 +1113,7 @@ mod tests {
         let mut want = Vec::new();
         for (id, s) in rel.iter().enumerate() {
             let f = Features::extract(s, FeatureSchema::NormalForm { k: 2 }, &mut planner).unwrap();
-            let d = euclidean_complex(&f.spectrum, &qf.spectrum);
+            let d = euclidean_complex(&f.full_spectrum(), &qf.full_spectrum());
             if d <= eps {
                 want.push(id);
             }
@@ -1081,7 +1140,7 @@ mod tests {
         let mut want = Vec::new();
         for (id, s) in rel.iter().enumerate() {
             let f = Features::extract(s, schema, &mut planner).unwrap();
-            let d = euclidean_complex(&t.apply_spectrum(&f.spectrum), &qf.spectrum);
+            let d = euclidean_complex(&t.apply_spectrum(&f.full_spectrum()), &qf.full_spectrum());
             if d <= eps {
                 want.push(id);
             }
@@ -1123,7 +1182,7 @@ mod tests {
             .map(|(id, s)| {
                 let f = Features::extract(s, schema, &mut planner).unwrap();
                 (
-                    euclidean_complex(&t.apply_spectrum(&f.spectrum), &qf.spectrum),
+                    euclidean_complex(&t.apply_spectrum(&f.full_spectrum()), &qf.full_spectrum()),
                     id,
                 )
             })
@@ -1245,7 +1304,7 @@ mod tests {
         let mut want = Vec::new();
         for (id, s) in rel.iter().enumerate() {
             let f = Features::extract(s, schema, &mut planner).unwrap();
-            let d = euclidean_complex(&t.apply_spectrum(&f.spectrum), &qf.spectrum);
+            let d = euclidean_complex(&t.apply_spectrum(&f.full_spectrum()), &qf.full_spectrum());
             if d <= eps {
                 want.push(id);
             }
@@ -1480,8 +1539,9 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The reference the kernel replaces: transform, then a per-coefficient
-    /// abandon test.
+    /// The reference for *what* is summed, the definition: transform the
+    /// full spectrum, then all `n` terms with a per-coefficient abandon
+    /// test.
     fn per_coefficient(
         t: &LinearTransform,
         x: &[Complex64],
@@ -1496,6 +1556,35 @@ mod tests {
             }
         }
         Some(acc)
+    }
+
+    /// The reference for *how* the half is summed: the coefficients with a
+    /// mirror in order, counted twice, abandon test per coefficient; then
+    /// DC and Nyquist, which have none.
+    fn per_half_coefficient(
+        t: &LinearTransform,
+        n: usize,
+        x: &[Complex64],
+        q: &[Complex64],
+        limit: f64,
+    ) -> Option<f64> {
+        let term = |f: usize| (t.apply_coeff(f, x[f]) - q[f]).norm_sqr();
+        let mut twice = 0.0;
+        for f in 1..n.div_ceil(2) {
+            twice += 2.0 * term(f);
+            if twice > limit {
+                return None;
+            }
+        }
+        let nyquist = if n % 2 == 0 { term(n / 2) } else { 0.0 };
+        Some(term(0) + twice + nyquist)
+    }
+
+    /// A walk's full spectrum and its features as stored (the half).
+    fn full_and_stored(walks: &mut RandomWalkGenerator, n: usize) -> (Vec<Complex64>, Features) {
+        let full = FftPlanner::new().dft_real(walks.series(n).values());
+        let half = full[..n / 2 + 1].to_vec();
+        (full, Features::from_spectrum(0.0, 1.0, n, half).unwrap())
     }
 
     /// Every transformation the language offers, and compositions.
@@ -1534,51 +1623,46 @@ mod tests {
     #[test]
     fn kernel_is_bit_identical_to_the_references() {
         let schema = FeatureSchema::NormalForm { k: 1 };
-        // Around the 8-wide block boundary, long, and a Bluestein length.
-        for n in [1usize, 7, 8, 9, 127, 128, 513] {
+        // Around the 8-wide block boundary of the half (15, 16, 17 keep 8,
+        // 9, 9 coefficients), even and odd, long, and a Bluestein length.
+        for n in [3usize, 7, 8, 9, 15, 16, 17, 127, 128, 513] {
             let mut walks = RandomWalkGenerator::new(21 + n as u64);
-            let mut planner = FftPlanner::new();
-            let stored = walks.series(n);
-            let x = planner.dft_real(stored.values());
-            let query = Features {
-                mean: 0.0,
-                std: 1.0,
-                spectrum: planner.dft_real(walks.series(n).values()),
-            };
-            let q = &query.spectrum;
+            let (x_full, x) = full_and_stored(&mut walks, n);
+            let (q_full, query) = full_and_stored(&mut walks, n);
             let stored = StoredSeries {
-                series: stored,
-                features: Features {
-                    mean: 0.0,
-                    std: 1.0,
-                    spectrum: x.clone(),
-                },
+                series: TimeSeries::new(vec![0.0; n]),
+                features: x,
             };
+            let (x, q) = (&stored.features.spectrum, &query.spectrum);
             for t in language(n) {
                 let what = format!("n = {n}, {}", t.name());
-                let full = per_coefficient(&t, &x, q, f64::INFINITY).unwrap();
-                let reference = euclidean_complex(&t.apply_spectrum(&x), q);
-                assert_eq!(full.sqrt().to_bits(), reference.to_bits(), "{what}");
+                assert!(t.is_conjugate_symmetric(), "{what}");
+                let full = per_half_coefficient(&t, n, x, q, f64::INFINITY).unwrap();
+                // The same D² as the n-term sum, up to rounding.
+                let definition = per_coefficient(&t, &x_full, &q_full, f64::INFINITY).unwrap();
+                assert!((full - definition).abs() <= 1e-12 * definition, "{what}");
                 // The kernel proper, and the statement's refine (which
                 // takes the identity fast path where `t` allows it).
-                let sum = spectrum_sq_within(Some(&t), &x, q, f64::INFINITY);
+                let sum = spectrum_sq_within(Some(&t), n, x, q, f64::INFINITY);
                 assert_eq!(sum.map(f64::to_bits), Some(full.to_bits()), "{what}");
                 let unbounded = Refine::new(schema, &t, query.clone(), f64::INFINITY);
                 assert_eq!(
                     unbounded.distance(&stored).to_bits(),
-                    reference.to_bits(),
+                    full.sqrt().to_bits(),
                     "{what}"
                 );
                 // At, one ulp below and one ulp above the exact sum.
                 for limit in neighbours(full) {
-                    let want = per_coefficient(&t, &x, q, limit).map(f64::to_bits);
-                    let got = spectrum_sq_within(Some(&t), &x, q, limit);
+                    let want = per_half_coefficient(&t, n, x, q, limit).map(f64::to_bits);
+                    let got = spectrum_sq_within(Some(&t), n, x, q, limit);
                     assert_eq!(got.map(f64::to_bits), want, "{what}, limit {limit:e}");
+                    // A row is in exactly when its whole sum is within
+                    // the limit, whenever the loop gave up.
                     let bounded = Refine::new(schema, &t, query.clone(), limit);
                     for mode in [ScanMode::Naive, ScanMode::EarlyAbandon] {
                         assert_eq!(
                             bounded.within(&stored, mode).map(f64::to_bits),
-                            want.map(|_| reference.to_bits()),
+                            (full <= limit).then_some(full.sqrt().to_bits()),
                             "{what}, limit {limit:e}, {mode:?}"
                         );
                     }
@@ -1588,17 +1672,77 @@ mod tests {
     }
 
     #[test]
+    fn a_transformation_without_symmetry_sums_all_n_terms_off_the_half() {
+        // What only `from_parts` can build: a complex scale, and a
+        // translation of coefficient 1 without its mirror. Neither maps
+        // real series to real series, so the upper half of the sum does not
+        // repeat the lower — the kernel must give the sum
+        // over full spectra.
+        for n in [3usize, 8, 9, 64, 127] {
+            let mut walks = RandomWalkGenerator::new(77 + n as u64);
+            let (x_full, x) = full_and_stored(&mut walks, n);
+            let (q_full, q) = full_and_stored(&mut walks, n);
+            let mut one_sided = vec![ZERO; n];
+            one_sided[1] = ONE;
+            for t in [
+                LinearTransform::from_parts(
+                    vec![Complex64::new(0.6, 0.8); n],
+                    vec![ZERO; n],
+                    "rot",
+                ),
+                LinearTransform::from_parts(vec![ONE; n], one_sided, "b1"),
+            ] {
+                let t = t.unwrap();
+                let what = format!("n = {n}, {}", t.name());
+                assert!(!t.is_conjugate_symmetric(), "{what}");
+                let definition = per_coefficient(&t, &x_full, &q_full, f64::INFINITY).unwrap();
+                let half = per_half_coefficient(&t, n, &x.spectrum, &q.spectrum, f64::INFINITY);
+                assert!(
+                    (half.unwrap() - definition).abs() > 1e-6 * definition,
+                    "{what}: the half sum must not be able to stand in"
+                );
+                let kernel =
+                    |limit| spectrum_sq_within(Some(&t), n, &x.spectrum, &q.spectrum, limit);
+                let got = kernel(f64::INFINITY).unwrap();
+                assert!(
+                    (got - definition).abs() <= 1e-12 * definition,
+                    "{what}: {got} vs {definition}"
+                );
+                assert_eq!(kernel(definition * (1.0 + 1e-9)), Some(got), "{what}");
+                assert_eq!(kernel(definition * (1.0 - 1e-9)), None, "{what}");
+                // A join transforms both sides: the images need all n
+                // coefficients, and are compared as such.
+                let (tx, tq) = (t.apply_stored(&x), t.apply_stored(&q));
+                assert_eq!((tx.len(), tq.len()), (n, n), "{what}");
+                let both = spectrum_sq_within(None, n, &tx, &tq, f64::INFINITY).unwrap();
+                let want =
+                    euclidean_complex(&t.apply_spectrum(&x_full), &t.apply_spectrum(&q_full));
+                assert!((both.sqrt() - want).abs() <= 1e-12 * want, "{what}");
+                // The index join's refine: a stored half against the full
+                // image of the probe.
+                let probe = spectrum_sq_within(Some(&t), n, &x.spectrum, &tq, f64::INFINITY);
+                assert!(
+                    (probe.unwrap().sqrt() - want).abs() <= 1e-12 * want,
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn early_abandon_agrees_with_full() {
+        // Full-length spectra: every coefficient is read as given.
         let x: Vec<Complex64> = (0..20).map(|i| Complex64::new(i as f64, 0.0)).collect();
         let y: Vec<Complex64> = (0..20)
             .map(|i| Complex64::new(i as f64 + 1.0, 0.0))
             .collect();
         let d = euclidean_complex(&x, &y);
         // Generous threshold: the full distance, bit for bit.
-        let got = spectrum_sq_within(None, &x, &y, limit_sq(d + 1.0));
+        let got = spectrum_sq_within(None, 20, &x, &y, limit_sq(d + 1.0));
         assert_eq!(got.map(f64::sqrt), Some(d));
         // Tight threshold: abandoned.
-        assert_eq!(spectrum_sq_within(None, &x, &y, limit_sq(d - 0.5)), None);
+        let tight = limit_sq(d - 0.5);
+        assert_eq!(spectrum_sq_within(None, 20, &x, &y, tight), None);
     }
 
     #[test]
@@ -1606,10 +1750,22 @@ mod tests {
         let x = [Complex64::new(0.0, 0.0)];
         let y = [Complex64::new(3.0, 4.0)];
         // Exactly at the threshold: a distance is within itself.
-        let got = spectrum_sq_within(None, &x, &y, limit_sq(5.0));
+        let got = spectrum_sq_within(None, 1, &x, &y, limit_sq(5.0));
         assert_eq!(got.map(f64::sqrt), Some(5.0));
         let below = f64::from_bits(5.0f64.to_bits() - 1);
-        assert_eq!(spectrum_sq_within(None, &x, &y, limit_sq(below)), None);
+        assert_eq!(spectrum_sq_within(None, 1, &x, &y, limit_sq(below)), None);
+        // Halves of length-4 spectra: DC and Nyquist count once, the
+        // coefficient between them twice — and alone decides an abandon.
+        let x = [Complex64::new(0.0, 0.0); 3];
+        let y = [
+            Complex64::new(1.0, 0.0),
+            Complex64::new(3.0, 4.0),
+            Complex64::new(0.0, 2.0),
+        ];
+        let within = |limit| spectrum_sq_within(None, 4, &x, &y, limit);
+        assert_eq!(within(f64::INFINITY), Some(1.0 + 2.0 * 25.0 + 4.0));
+        assert_eq!(within(50.0), Some(55.0));
+        assert_eq!(within(49.0), None);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! case where both sides are the same index — what the methods above
 //! pass — and the cross-shard stage of a sharded join passes two shards.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use tsq_dft::Complex64;
@@ -84,18 +85,27 @@ pub(crate) struct JoinBound<'a> {
 /// both sides are the same index: each unordered pair is then met once,
 /// `a < b`. The two modes run the same loop against the same limit;
 /// [`ScanMode::Naive`] only tests membership after the full sum.
-pub(crate) fn scan_pairs(
-    probe: &SimilarityIndex,
-    partner: &SimilarityIndex,
+pub(crate) fn scan_pairs<'a>(
+    probe: &'a SimilarityIndex,
+    partner: &'a SimilarityIndex,
     join: JoinBound<'_>,
     mode: ScanMode,
 ) -> JoinOutcome {
     let own = std::ptr::eq(probe, partner);
-    // Transform every spectrum once; the quadratic pair loop dominates.
-    let spectra = |side: &SimilarityIndex| -> Vec<Vec<Complex64>> {
+    let n = probe.series_len();
+    // Transform every spectrum once (the quadratic pair loop dominates),
+    // or borrow it where the transformation leaves spectra as stored.
+    let unchanged = join.transform.leaves_spectra_unchanged();
+    let spectra = |side: &'a SimilarityIndex| -> Vec<Cow<'a, [Complex64]>> {
         side.entries()
             .iter()
-            .map(|s| join.transform.apply_spectrum(&s.features.spectrum))
+            .map(|s| {
+                if unchanged {
+                    Cow::Borrowed(&s.features.spectrum[..])
+                } else {
+                    Cow::Owned(join.transform.apply_stored(&s.features))
+                }
+            })
             .collect()
     };
     let left = spectra(probe);
@@ -107,7 +117,7 @@ pub(crate) fn scan_pairs(
         let first = if own { i + 1 } else { 0 };
         for (j, y) in right.iter().enumerate().skip(first) {
             out.stats.exact_checks += 1;
-            let sum = spectrum_sq_within(None, x, y, abandon_at);
+            let sum = spectrum_sq_within(None, n, x, y, abandon_at);
             out.stats.abandoned += usize::from(sum.is_none());
             if let Some(sum) = sum.filter(|sum| *sum <= join.limit) {
                 out.pairs.push(JoinPair {
@@ -187,11 +197,9 @@ impl SimilarityIndex {
         let f = self.features(id).ok_or(Error::UnknownSeries(id))?;
         let (ma, mb) = t.mean_map();
         let (sa, sb) = t.std_map();
-        Ok(Features {
-            mean: ma * f.mean + mb,
-            std: sa * f.std + sb,
-            spectrum: t.apply_spectrum(&f.spectrum),
-        })
+        let image =
+            Features::from_spectrum(ma * f.mean + mb, sa * f.std + sb, f.n(), t.apply_stored(f));
+        Ok(image.expect("a transformed spectrum keeps its length or runs to n"))
     }
 
     /// The refine of join probe `id`: its transformed features are the

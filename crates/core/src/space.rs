@@ -618,11 +618,8 @@ mod tests {
         mbr.union_assign(&Rect::from_point(&p2));
         let tmbr = space.transform_mbr(&mbr, &t, NF2);
         for f in [&f1, &f2] {
-            let transformed = Features {
-                mean: f.mean,
-                std: f.std,
-                spectrum: t.apply_spectrum(&f.spectrum),
-            };
+            let transformed =
+                Features::from_spectrum(f.mean, f.std, f.n(), t.apply_stored(f)).unwrap();
             let tp = space.point(&transformed, NF2);
             assert!(
                 tmbr.contains_point(&tp),

@@ -20,6 +20,25 @@
 //! A transformation also carries affine actions on the two auxiliary index
 //! dimensions of the paper's Section-5 layout (mean and standard deviation
 //! of the original series) and a cost for the Eq. 10 dissimilarity.
+//!
+//! ## Conjugate symmetry
+//!
+//! A transformation that maps real series to real series has
+//! `a_{n−f} = conj(a_f)` and `b_{n−f} = conj(b_f)` (indices mod `n`), and
+//! maps conjugate-symmetric spectra to conjugate-symmetric spectra — the
+//! premise of the symmetry lemma in [`crate::features`]. Every
+//! transformation records at construction whether it is so *exactly*
+//! ([`LinearTransform::is_conjugate_symmetric`]), and the same-length
+//! constructors all are: real constant multipliers (`identity`, `reverse`,
+//! `shift`, `scale`, `scale_raw`) and a translation of the real DC term
+//! alone (`shift_raw`) trivially; the circular convolutions
+//! (`moving_average`, `weighted_moving_average`, `difference`) because the
+//! multiplier of a real kernel is its DFT, computed here for `f <= n/2`
+//! and mirrored above; a composition because the conjugate of a product
+//! (and of a sum) is the product (sum) of the conjugates, in floating
+//! point too. [`LinearTransform::time_warp`] relates spectra of different
+//! lengths and is checked in the time domain. What
+//! [`LinearTransform::from_parts`] is given is simply compared.
 
 use std::fmt;
 
@@ -27,6 +46,7 @@ use tsq_dft::complex::{Complex64, ONE, ZERO};
 use tsq_dft::FftPlanner;
 
 use crate::error::{Error, Result};
+use crate::features::Features;
 
 /// A linear transformation `(a, b)` on length-`n` spectra, together with
 /// affine maps for the mean/std index dimensions, an optional time-warp
@@ -40,6 +60,9 @@ pub struct LinearTransform {
     /// removes a hypot+atan2 pair from the hottest loop of Algorithm 2.
     a_polar: Vec<(f64, f64)>,
     b: Vec<Complex64>,
+    /// `a_{n−f} == conj(a_f)` and `b_{n−f} == conj(b_f)` for every `f`,
+    /// exactly (see the module docs).
+    conjugate_symmetric: bool,
     mean_map: (f64, f64),
     std_map: (f64, f64),
     warp: usize,
@@ -58,7 +81,10 @@ impl LinearTransform {
         name: String,
     ) -> Self {
         let a_polar = a.iter().map(|c| (c.abs(), c.angle())).collect();
+        let n = a.len();
+        let mirrors = |v: &[Complex64]| (0..n).all(|f| v[(n - f) % n] == v[f].conj());
         LinearTransform {
+            conjugate_symmetric: mirrors(&a) && mirrors(&b),
             a,
             a_polar,
             b,
@@ -68,6 +94,23 @@ impl LinearTransform {
             cost,
             name,
         }
+    }
+
+    /// Multipliers of a circular convolution with a real kernel, whose DFT
+    /// at `f` is `lower(f)`: evaluated for `f <= n/2` and mirrored above, so
+    /// that `a_{n−f} = conj(a_f)` holds exactly rather than to rounding (the
+    /// Nyquist multiplier, its own mirror, is real).
+    fn kernel_multipliers(n: usize, lower: impl Fn(usize) -> Complex64) -> Vec<Complex64> {
+        let mut a: Vec<Complex64> = (0..=n / 2).take(n).map(lower).collect();
+        if n % 2 == 0 {
+            if let Some(nyquist) = a.last_mut() {
+                nyquist.im = 0.0;
+            }
+        }
+        for f in a.len()..n {
+            a.push(a[n - f].conj());
+        }
+        a
     }
 
     /// Builds a transformation from raw coefficient vectors.
@@ -128,15 +171,13 @@ impl LinearTransform {
     pub fn weighted_moving_average(n: usize, weights: &[f64]) -> Self {
         assert!(!weights.is_empty() && weights.len() <= n, "invalid kernel");
         let step = -std::f64::consts::TAU / n as f64;
-        let a: Vec<Complex64> = (0..n)
-            .map(|f| {
-                let mut acc = ZERO;
-                for (t, &w) in weights.iter().enumerate() {
-                    acc += Complex64::cis(step * ((t * f) % n) as f64).scale(w);
-                }
-                acc
-            })
-            .collect();
+        let a = Self::kernel_multipliers(n, |f| {
+            let mut acc = ZERO;
+            for (t, &w) in weights.iter().enumerate() {
+                acc += Complex64::cis(step * ((t * f) % n) as f64).scale(w);
+            }
+            acc
+        });
         // Smoothing shrinks dispersion by a data-dependent factor; the
         // std dimension is left unchanged (it describes the *original*
         // series, as in the paper's Section-5 index layout).
@@ -239,9 +280,7 @@ impl LinearTransform {
     pub fn difference(n: usize) -> Self {
         assert!(n >= 2, "difference needs at least two points");
         let step = -std::f64::consts::TAU / n as f64;
-        let a: Vec<Complex64> = (0..n)
-            .map(|f| ONE - Complex64::cis(step * f as f64))
-            .collect();
+        let a = Self::kernel_multipliers(n, |f| ONE - Complex64::cis(step * f as f64));
         Self::assemble(
             a,
             vec![ZERO; n],
@@ -351,17 +390,59 @@ impl LinearTransform {
             && self.std_map.1.abs() <= tol
     }
 
+    /// True when `a_{n−f} == conj(a_f)` and `b_{n−f} == conj(b_f)` hold
+    /// exactly for every `f` (indices mod `n`): the transformation maps
+    /// real series to real series, and conjugate-symmetric spectra to
+    /// conjugate-symmetric spectra (see the module docs).
+    pub fn is_conjugate_symmetric(&self) -> bool {
+        self.conjugate_symmetric
+    }
+
+    /// `a = 1` and `b = 0` exactly: spectra pass through as stored
+    /// (shifts and positive scales, which act on mean and std only,
+    /// included). Stricter than [`LinearTransform::is_identity`], which
+    /// tolerates rounding.
+    pub(crate) fn leaves_spectra_unchanged(&self) -> bool {
+        self.a.iter().all(|a| *a == ONE) && self.b.iter().all(|b| *b == ZERO)
+    }
+
     /// Applies the transformation to a full spectrum.
     ///
     /// # Panics
     /// Panics if the spectrum length differs from `n`.
     pub fn apply_spectrum(&self, spectrum: &[Complex64]) -> Vec<Complex64> {
         assert_eq!(spectrum.len(), self.a.len(), "spectrum length mismatch");
-        spectrum
+        self.apply_prefix(spectrum)
+    }
+
+    /// Applies the transformation to the leading coefficients of a
+    /// spectrum — to the stored half of a conjugate-symmetric one, giving
+    /// the stored half of its (conjugate-symmetric) image when the
+    /// transformation is [conjugate-symmetric] itself.
+    ///
+    /// [conjugate-symmetric]: LinearTransform::is_conjugate_symmetric
+    pub(crate) fn apply_prefix(&self, prefix: &[Complex64]) -> Vec<Complex64> {
+        assert!(prefix.len() <= self.a.len(), "spectrum length mismatch");
+        prefix
             .iter()
             .zip(self.a.iter().zip(&self.b))
             .map(|(&x, (&a, &b))| a * x + b)
             .collect()
+    }
+
+    /// The image of a stored (conjugate-symmetric, half-kept) spectrum:
+    /// its stored coefficients transformed when the transformation is
+    /// [conjugate-symmetric] — the image then mirrors the same way — and
+    /// all `n` coefficients of the image otherwise, which nothing shorter
+    /// determines.
+    ///
+    /// [conjugate-symmetric]: LinearTransform::is_conjugate_symmetric
+    pub(crate) fn apply_stored(&self, stored: &Features) -> Vec<Complex64> {
+        if self.conjugate_symmetric {
+            self.apply_prefix(&stored.spectrum)
+        } else {
+            self.apply_spectrum(&stored.full_spectrum())
+        }
     }
 
     /// Applies the transformation to a single coefficient by index.
@@ -627,6 +708,35 @@ mod tests {
         let t1 = LinearTransform::identity(4).with_cost(2.0);
         let t2 = LinearTransform::reverse(4).with_cost(3.5);
         assert_eq!(t1.then(&t2).unwrap().cost(), 5.5);
+    }
+
+    #[test]
+    fn conjugate_symmetry_is_recorded_exactly() {
+        for n in [1usize, 2, 7, 8, 33] {
+            let mavg = LinearTransform::moving_average(n, n.min(3));
+            assert!(mavg.is_conjugate_symmetric(), "n = {n}");
+            for f in 1..n {
+                assert_eq!(mavg.a()[n - f], mavg.a()[f].conj(), "n = {n}, f = {f}");
+            }
+            // What `from_parts` is handed is compared, not trusted.
+            let copy = LinearTransform::from_parts(mavg.a().to_vec(), mavg.b().to_vec(), "copy");
+            assert!(copy.unwrap().is_conjugate_symmetric(), "n = {n}");
+        }
+        let parts = |a: Vec<Complex64>, b: Vec<Complex64>| {
+            LinearTransform::from_parts(a, b, "parts").unwrap()
+        };
+        // A complex scale rotates every coefficient the same way; a real
+        // series' spectrum needs the mirrored ones rotated back.
+        let rotation = parts(vec![Complex64::new(0.0, 1.0); 4], vec![ZERO; 4]);
+        assert!(!rotation.is_conjugate_symmetric());
+        // A translation of coefficient 1 alone, and with its mirror.
+        let mut b = vec![ZERO; 4];
+        b[1] = Complex64::new(1.0, 2.0);
+        assert!(!parts(vec![ONE; 4], b.clone()).is_conjugate_symmetric());
+        b[3] = Complex64::new(1.0, -2.0);
+        assert!(parts(vec![ONE; 4], b).is_conjugate_symmetric());
+        // Warping relates spectra of different lengths.
+        assert!(!LinearTransform::time_warp(8, 2).is_conjugate_symmetric());
     }
 
     #[test]

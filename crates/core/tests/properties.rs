@@ -158,6 +158,66 @@ proptest! {
         }
     }
 
+    /// Every same-length constructor, and every composition of them,
+    /// reports itself conjugate-symmetric, and the engine's distance under
+    /// it — the weighted sum over the stored half spectrum — is the
+    /// definition's sum over all `n` coefficients within 1e-12 relative.
+    #[test]
+    fn half_sum_equals_full_sum_for_every_constructor(
+        (xs, ys) in (8usize..40).prop_flat_map(|n| (
+            prop::collection::vec(-50.0f64..50.0, n..=n),
+            prop::collection::vec(-50.0f64..50.0, n..=n),
+        )),
+        w in 1usize..8,
+        c in 0.25f64..4.0,
+    ) {
+        let n = xs.len();
+        let weights: Vec<f64> = (1..=w).map(|i| i as f64 / (w * (w + 1) / 2) as f64).collect();
+        let mavg = LinearTransform::moving_average(n, w);
+        let wmavg = LinearTransform::weighted_moving_average(n, &weights);
+        let diff = LinearTransform::difference(n);
+        let reverse = LinearTransform::reverse(n);
+        let transforms = vec![
+            LinearTransform::identity(n),
+            LinearTransform::time_warp(n, 1),
+            LinearTransform::shift(n, c),
+            LinearTransform::scale(n, c),
+            LinearTransform::scale(n, -c),
+            LinearTransform::shift_raw(n, c),
+            LinearTransform::scale_raw(n, -c),
+            mavg.then(&reverse).unwrap(),
+            diff.then(&LinearTransform::scale_raw(n, c)).unwrap(),
+            wmavg.then(&mavg).unwrap().then(&LinearTransform::shift(n, -c)).unwrap(),
+            diff.then(&wmavg).unwrap().then(&diff).unwrap(),
+            reverse.then(&LinearTransform::shift_raw(n, c)).unwrap(),
+            mavg,
+            wmavg,
+            diff,
+            reverse,
+        ];
+        let (x, y) = (TimeSeries::new(xs), TimeSeries::new(ys));
+        let mut planner = tsq_dft::FftPlanner::new();
+        let full = |s: &TimeSeries, planner: &mut tsq_dft::FftPlanner| {
+            planner.dft_real(tsq_series::normal::normal_form(s).values())
+        };
+        let (sx, sy) = (full(&x, &mut planner), full(&y, &mut planner));
+        for t in transforms {
+            prop_assert!(t.is_conjugate_symmetric(), "{}", t.name());
+            // Multipliers off the real axis are safe in S_pol only,
+            // translations in S_rect only.
+            let space = if t.is_safe_polar(0.0) { SpaceKind::Polar } else { SpaceKind::Rectangular };
+            let config = IndexConfig { space, ..IndexConfig::default() };
+            let idx = SimilarityIndex::build(config, vec![x.clone(), y.clone()]).unwrap();
+            let refine = idx.refine(idx.query_features(&y, &t).unwrap(), None, &t).unwrap();
+            let engine = refine.distance(&idx.entries()[0]);
+            let definition = tsq_dft::energy::euclidean_complex(&t.apply_spectrum(&sx), &sy);
+            prop_assert!(
+                (engine - definition).abs() <= 1e-12 * definition,
+                "{}: {engine} vs {definition}", t.name()
+            );
+        }
+    }
+
     /// The exact engine distance under a transformation agrees with the
     /// literal definition: transform in the frequency domain, invert,
     /// measure in the time domain.
@@ -210,7 +270,7 @@ proptest! {
                 .collect(),
         );
         let qf = idx.query_features(&q, &t).unwrap();
-        let q_repr = tsq_dft::FftPlanner::new().idft_real(&qf.spectrum);
+        let q_repr = tsq_dft::FftPlanner::new().idft_real(&qf.full_spectrum());
         let mut oracle: Vec<(f64, usize)> = rel
             .iter()
             .enumerate()

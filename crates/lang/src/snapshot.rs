@@ -4,7 +4,7 @@
 //! byte-identically, never rebuilt), the subsequence ST-indexes the index
 //! holds included — to a single `tsq-store` file.
 //!
-//! There is one section layout, at every shard count (format version 5):
+//! There is one section layout, at every shard count (format version 6):
 //!
 //! ```text
 //! relation section
@@ -17,6 +17,12 @@
 //! ST-index window count, then per window, least recently used first:
 //!   window, one ST-index per shard, shard order, trails only
 //! ```
+//!
+//! A whole-match index stores each series with its features: mean, std,
+//! the series length `n` and coefficients `0..=n/2` of the spectrum (8
+//! bytes per point; the upper half is the conjugate mirror, see
+//! `tsq_core::features`). Version 5 stored all `n` coefficients; it has
+//! no reader and is refused by [`StoreError::UnsupportedVersion`].
 //!
 //! A restored catalog scatter-gathers over exactly the trees that were
 //! saved. Three things are derived instead of stored: shard membership

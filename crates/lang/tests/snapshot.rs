@@ -488,17 +488,17 @@ fn corrupt_inputs_are_typed_errors() {
         }))
     ));
 
-    // The previous format version (4, which kept ST-indexes in cache
-    // sections of their own): no reader for its layout exists, so it is
-    // refused on the version field, not decoded as the current one.
+    // The previous format version (5, which stored every series' full
+    // spectrum): no reader for its layout exists, so it is refused on the
+    // version field, not decoded as the current one.
     let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&(tsq_store::FORMAT_VERSION - 1).to_le_bytes());
+    bad[8..12].copy_from_slice(&5u32.to_le_bytes());
     assert!(matches!(
         Catalog::new().restore_bytes(&bad).unwrap_err(),
         LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got,
-            supported: tsq_store::FORMAT_VERSION
-        })) if got == tsq_store::FORMAT_VERSION - 1
+            got: 5,
+            supported: 6
+        }))
     ));
 
     // Byte-swapped endianness marker.
@@ -525,6 +525,52 @@ fn corrupt_inputs_are_typed_errors() {
             .unwrap_err(),
         LangError::Engine(Error::Store(StoreError::Io(_)))
     ));
+}
+
+/// A features record states its series length `n` and how many spectrum
+/// coefficients follow: a resealed (checksum-valid) file in which the two
+/// disagree — with each other, with the series, or with what extraction
+/// keeps — is `Corrupt`, never half a spectrum read as a whole one.
+#[test]
+fn features_length_and_coefficient_count_must_agree() {
+    let series = RandomWalkGenerator::new(5).relation(6, 16);
+    let mut cat = Catalog::new();
+    cat.register(SeriesRelation::from_series("w", series.clone()).unwrap())
+        .unwrap();
+    let sealed = cat.snapshot_bytes().unwrap();
+    let payload = tsq_store::unseal(&sealed).unwrap().to_vec();
+    // The first record's features open with its mean and std; `n` and the
+    // coefficient count are the two words after.
+    let mut opening = series[0].mean().to_le_bytes().to_vec();
+    opening.extend(series[0].std().to_le_bytes());
+    let at = payload
+        .windows(16)
+        .position(|w| w == &opening[..])
+        .expect("the first features record")
+        + 16;
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    assert_eq!((word(at), word(at + 8)), (16, 9), "n, then n/2 + 1 pairs");
+    // (n, count): a v5-style full count under the right n, an n no count
+    // of 9 belongs to, and a consistent pair that is not this series'.
+    for (n, count) in [(16u64, 16u64), (32, 9), (8, 9), (17, 9)] {
+        let mut bad = payload.clone();
+        bad[at..at + 8].copy_from_slice(&n.to_le_bytes());
+        bad[at + 8..at + 16].copy_from_slice(&count.to_le_bytes());
+        let err = Catalog::new()
+            .restore_bytes(&tsq_store::seal(&bad))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LangError::Engine(Error::Store(StoreError::Corrupt { .. }))
+            ),
+            "n = {n}, count = {count}: {err:?}"
+        );
+    }
+    // Untouched, the payload restores.
+    Catalog::new()
+        .restore_bytes(&tsq_store::seal(&payload))
+        .unwrap();
 }
 
 #[test]

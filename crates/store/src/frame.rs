@@ -33,11 +33,11 @@ use crate::error::{StoreError, StoreResult};
 pub const MAGIC: &[u8; 8] = b"TSQSNAP\0";
 
 /// The one format version this build writes and reads: no reader for an
-/// older layout exists, so every other version is refused. Version 5
-/// gave catalog snapshots one section type: a relation section ends with
-/// the ST-indexes its relation holds (version 4 kept them in separate
-/// cache sections).
-pub const FORMAT_VERSION: u32 = 5;
+/// older layout exists, so every other version is refused. Version 6
+/// halved the stored features: a record carries its series length `n` and
+/// coefficients `0..=n/2` of the spectrum, the rest being their conjugate
+/// mirror (version 5 stored all `n`).
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Endianness sentinel; on disk as little-endian bytes `04 03 02 01`.
 const ENDIAN_MARKER: u32 = 0x0102_0304;

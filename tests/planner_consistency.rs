@@ -800,7 +800,8 @@ fn lemma_1_holds_within_four_ulps_of_the_threshold() {
                                              // The step along the unit sine that takes `−cos − δ·sin` to `−cos + δ·sin`.
     let across = 2.0 * DELTA * (LEN as f64 / 2.0).sqrt();
     // (name, stored x, step s, direction u as (f, phase)).
-    let mut anchors: Vec<(&str, Vec<f64>, f64, (usize, f64))> = vec![
+    type Anchor = (&'static str, Vec<f64>, f64, (usize, f64));
+    let mut anchors: Vec<Anchor> = vec![
         ("tone", mix(LEN, 20.0, &[(3.0, 1, 0.7)]), 0.25, (1, 2.0)),
         (
             "low",
