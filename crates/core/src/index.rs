@@ -70,7 +70,8 @@ impl Default for IndexConfig {
 /// A stored series with its extracted features.
 #[derive(Debug, Clone)]
 pub struct StoredSeries {
-    /// The original series.
+    /// The original series: the relation's own value, one buffer shared
+    /// with the catalog and every ST-index that holds it.
     pub series: TimeSeries,
     /// Extracted features (half spectrum of the indexed representation).
     pub features: Features,
@@ -296,6 +297,23 @@ pub struct SimilarityIndex {
     paged: Option<Arc<PagedTree>>,
 }
 
+/// An append hands an index the relation's extended value to hold in
+/// place of `old`: one that is shorter is refused, and the old samples are
+/// its prefix.
+pub(crate) fn check_extends(old: &TimeSeries, extended: &TimeSeries) -> Result<()> {
+    if extended.len() < old.len() {
+        return Err(Error::LengthMismatch {
+            expected: old.len(),
+            got: extended.len(),
+        });
+    }
+    debug_assert!(
+        extended.values().starts_with(old.values()),
+        "an extension keeps the old samples as its prefix"
+    );
+    Ok(())
+}
+
 /// `(shortest, longest)` series length of a store; `(0, 0)` when empty.
 fn len_bounds(store: &[StoredSeries]) -> (usize, usize) {
     let lens = store.iter().map(|s| s.series.len());
@@ -367,67 +385,40 @@ impl SimilarityIndex {
         self.tree = Self::pack_tree(&self.config, points);
     }
 
-    /// Appends values to the end of one stored series, re-extracting that
-    /// series' features (the others are untouched) and repacking the
-    /// feature tree canonically, so the result is indistinguishable —
-    /// snapshot bytes, query answers, traversal statistics — from an index
-    /// freshly built over the final data.
+    /// Swaps in a statement's extended series — `(id, value)`, each id at
+    /// most once: the catalog folds a statement's rows into one value per
+    /// label — re-extracting the touched series' features (the others are
+    /// untouched) and repacking the feature tree canonically **once**, so
+    /// the result is indistinguishable — snapshot bytes, query answers,
+    /// traversal statistics — from an index freshly built over the final
+    /// data. The values are the relation's own ([`TimeSeries`] clones
+    /// share one buffer); the old samples are each one's prefix.
     ///
-    /// Validation is atomic: on any error the index is exactly as it was.
+    /// Validation is atomic across the batch: every feature is extracted
+    /// before anything is committed, so on any error the index is exactly
+    /// as it was.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when paged storage is attached,
-    /// [`Error::UnknownSeries`] for a bad id, [`Error::InvalidCutoff`] if
-    /// the extended length no longer fits the schema, [`Error::NonFinite`]
-    /// when the appended values contain NaN/±∞.
-    pub fn extend_series(&mut self, id: usize, appended: &[f64]) -> Result<()> {
-        self.extend_series_batch(&[(id, appended)])
-    }
-
-    /// Applies a whole statement's worth of extensions with **one**
-    /// canonical repack at the end — the per-row work is the feature
-    /// re-extraction of the touched series only, so a 500-row `APPEND`
-    /// pays 500 feature updates and a single `O(len())` repack instead
-    /// of 500 repacks. Several edits may target the same id; they
-    /// accumulate in order, exactly as separate [`extend_series`] calls
-    /// would.
-    ///
-    /// Validation is atomic across the batch: every edit is staged
-    /// against a copy before anything is committed, so on any error the
-    /// index is exactly as it was.
-    ///
-    /// # Errors
-    /// Same failure modes as [`extend_series`], checked for every edit.
-    ///
-    /// [`extend_series`]: SimilarityIndex::extend_series
-    pub fn extend_series_batch(&mut self, edits: &[(usize, &[f64])]) -> Result<()> {
+    /// [`Error::UnknownSeries`] for a bad id, [`Error::LengthMismatch`]
+    /// for a value shorter than the stored one, [`Error::InvalidCutoff`]
+    /// if a length does not fit the schema.
+    pub fn extend_series_batch(&mut self, edits: &[(usize, TimeSeries)]) -> Result<()> {
         if self.paged.is_some() {
             return Err(Error::Unsupported(
                 "append to a relation with paged storage attached".to_string(),
             ));
         }
-        // Stage phase: build every touched series' final state off to
-        // the side (first-touch order), so a failing edit anywhere in
-        // the batch leaves the store untouched.
-        let mut staged: Vec<(usize, TimeSeries)> = Vec::new();
-        for (id, appended) in edits {
-            match staged.iter_mut().find(|(sid, _)| sid == id) {
-                Some((_, series)) => series.try_extend(appended)?,
-                None => {
-                    let Some(stored) = self.store.get(*id) else {
-                        return Err(Error::UnknownSeries(*id));
-                    };
-                    let mut extended = stored.series.clone();
-                    extended.try_extend(appended)?;
-                    staged.push((*id, extended));
-                }
-            }
-        }
         let mut planner = FftPlanner::new();
-        let mut ready = Vec::with_capacity(staged.len());
-        for (id, series) in staged {
-            let features = Features::extract(&series, self.config.schema, &mut planner)?;
-            ready.push((id, StoredSeries { series, features }));
+        let mut ready = Vec::with_capacity(edits.len());
+        for (id, series) in edits {
+            let Some(stored) = self.store.get(*id) else {
+                return Err(Error::UnknownSeries(*id));
+            };
+            check_extends(&stored.series, series)?;
+            let features = Features::extract(series, self.config.schema, &mut planner)?;
+            let series = series.clone();
+            ready.push((*id, StoredSeries { series, features }));
         }
         // Commit phase: infallible.
         for (id, stored) in ready {
@@ -438,28 +429,17 @@ impl SimilarityIndex {
         Ok(())
     }
 
-    /// Appends one new series through the canonical repack path: the
-    /// result is byte-identical to a fresh build over the final data. The
-    /// new series may differ in length from the others (the relation is
-    /// then ragged and whole-series queries are gated until appends even
-    /// the lengths out).
+    /// Appends new series through the canonical repack path — one repack
+    /// for the batch — returning their ids in order: the result is
+    /// byte-identical to a fresh build over the final data. A new series
+    /// may differ in length from the others (the relation is then ragged
+    /// and whole-series queries are gated until appends even the lengths
+    /// out). Feature extraction for every series happens before anything
+    /// is committed, so a failure leaves the index exactly as it was.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when paged storage is attached,
-    /// [`Error::InvalidCutoff`] if the schema does not fit the new series.
-    pub fn push_series(&mut self, series: TimeSeries) -> Result<usize> {
-        self.push_series_batch(vec![series]).map(|ids| ids[0])
-    }
-
-    /// Appends several new series with one canonical repack at the end
-    /// (the batched form of [`SimilarityIndex::push_series`]), returning
-    /// their ids in order. Feature extraction for every series happens
-    /// before anything is committed, so a failure leaves the index
-    /// exactly as it was.
-    ///
-    /// # Errors
-    /// Same failure modes as [`SimilarityIndex::push_series`], checked
-    /// for every series.
+    /// [`Error::InvalidCutoff`] if the schema does not fit a new series.
     pub fn push_series_batch(&mut self, series: Vec<TimeSeries>) -> Result<Vec<usize>> {
         if self.paged.is_some() {
             return Err(Error::Unsupported(
@@ -561,10 +541,11 @@ impl SimilarityIndex {
     /// Every subsequent traversal fetches nodes through the pool, so
     /// query statistics carry measured `pool_hits`/`pool_misses`.
     ///
-    /// The relation becomes append-proof ([`SimilarityIndex::push_series`]
-    /// is rejected); snapshots still work — [`SimilarityIndex::write_to`]
-    /// reconstructs the node structure from the page file byte-identically
-    /// to the in-memory form.
+    /// The relation becomes append-proof
+    /// ([`SimilarityIndex::push_series_batch`] is rejected); snapshots
+    /// still work — [`SimilarityIndex::write_to`] reconstructs the node
+    /// structure from the page file byte-identically to the in-memory
+    /// form.
     ///
     /// # Errors
     /// [`Error::Unsupported`] if paged storage is already attached;
@@ -1048,6 +1029,11 @@ mod tests {
         SimilarityIndex::build(IndexConfig::default(), rel).unwrap()
     }
 
+    /// What the relation hands down after appending `tail` to `held`.
+    fn extended(held: &TimeSeries, tail: &[f64]) -> TimeSeries {
+        TimeSeries::new([held.values(), tail].concat())
+    }
+
     #[test]
     fn build_and_lookup() {
         let rel = small_relation(50, 64, 1);
@@ -1090,7 +1076,8 @@ mod tests {
         // Appending the short series up to length 32 heals the relation.
         let mut idx = idx;
         let tail: Vec<f64> = RandomWalkGenerator::new(78).series(16).into_values();
-        idx.extend_series(3, &tail).unwrap();
+        idx.extend_series_batch(&[(3, extended(&rel[3], &tail))])
+            .unwrap();
         idx.check_uniform().unwrap();
         assert!(idx
             .range_query(&rel[0], 1.0, &t, &QueryWindow::default())
@@ -1240,7 +1227,7 @@ mod tests {
         let rel = small_relation(20, 32, 9);
         let mut idx = build_default(rel.clone());
         let extra = RandomWalkGenerator::new(99).series(32);
-        let id = idx.push_series(extra.clone()).unwrap();
+        let id = idx.push_series_batch(vec![extra.clone()]).unwrap()[0];
         assert_eq!(id, 20);
         let t = LinearTransform::identity(32);
         let (matches, _) = idx
@@ -1251,11 +1238,11 @@ mod tests {
         // still rejected; a merely different length is now allowed (the
         // relation becomes ragged until appends even it out).
         assert!(matches!(
-            idx.push_series(TimeSeries::new(vec![0.0, 1.0])),
+            idx.push_series_batch(vec![TimeSeries::new(vec![0.0, 1.0])]),
             Err(Error::InvalidCutoff { .. })
         ));
         let short = RandomWalkGenerator::new(100).series(16);
-        idx.push_series(short).unwrap();
+        idx.push_series_batch(vec![short]).unwrap();
         assert!(matches!(idx.check_uniform(), Err(Error::Ragged { .. })));
     }
 
@@ -1367,7 +1354,7 @@ mod tests {
         let bytes = enc.into_bytes();
         let mut restored = SimilarityIndex::read_from(&mut Decoder::new(&bytes)).unwrap();
         let extra = RandomWalkGenerator::new(123).series(32);
-        let id = restored.push_series(extra.clone()).unwrap();
+        let id = restored.push_series_batch(vec![extra.clone()]).unwrap()[0];
         assert_eq!(id, 30);
         let t = LinearTransform::identity(32);
         let (m, _) = restored
@@ -1400,7 +1387,7 @@ mod tests {
     #[test]
     fn extend_series_is_byte_identical_to_fresh_build() {
         // The oracle invariant at the index level: appending through
-        // extend_series / push_series is indistinguishable — snapshot
+        // extend_series_batch / push_series_batch is indistinguishable — snapshot
         // bytes, answers, traversal statistics — from rebuilding over the
         // final data.
         for bulk_load in [true, false] {
@@ -1415,14 +1402,18 @@ mod tests {
                 .collect();
             // Append in two uneven waves so the relation goes ragged and
             // heals, plus one brand-new series via the canonical push.
-            for (id, tail) in tails.iter().enumerate() {
-                idx.extend_series(id, &tail[..3]).unwrap();
-            }
-            for (id, tail) in tails.iter().enumerate() {
-                idx.extend_series(id, &tail[3..]).unwrap();
+            for wave in [0..3, 3..8] {
+                let edits: Vec<(usize, TimeSeries)> = tails
+                    .iter()
+                    .enumerate()
+                    .map(|(id, tail)| (id, extended(idx.series(id).unwrap(), &tail[wave.clone()])))
+                    .collect();
+                // One statement per series, then the rest as one batch.
+                idx.extend_series_batch(&edits[..1]).unwrap();
+                idx.extend_series_batch(&edits[1..]).unwrap();
             }
             let newcomer = RandomWalkGenerator::new(999).series(40);
-            idx.push_series(newcomer.clone()).unwrap();
+            idx.push_series_batch(vec![newcomer.clone()]).unwrap();
             // Fresh build over the final data.
             let mut final_rel: Vec<TimeSeries> = rel
                 .iter()
@@ -1465,14 +1456,22 @@ mod tests {
         let mut before = Encoder::new();
         idx.write_to(&mut before).unwrap();
         let before = before.into_bytes();
-        // Non-finite values reject without touching series or tree.
-        let err = idx.extend_series(3, &[1.0, f64::NAN]).unwrap_err();
-        assert!(matches!(err, Error::NonFinite { .. }));
-        // Unknown id.
-        assert!(matches!(
-            idx.extend_series(10, &[1.0]),
+        // A failing edit anywhere in the batch — a value shorter than the
+        // stored one, an unknown id — rejects without touching series or
+        // tree, the good edit before it included.
+        let good = (0, extended(idx.series(0).unwrap(), &[1.0, 2.0]));
+        let short = TimeSeries::new(idx.series(3).unwrap().values()[..20].to_vec());
+        assert_eq!(
+            idx.extend_series_batch(&[good.clone(), (3, short)]),
+            Err(Error::LengthMismatch {
+                expected: 32,
+                got: 20
+            })
+        );
+        assert_eq!(
+            idx.extend_series_batch(&[good.clone(), (10, good.1)]),
             Err(Error::UnknownSeries(10))
-        ));
+        );
         let mut after = Encoder::new();
         idx.write_to(&mut after).unwrap();
         assert_eq!(before, after.into_bytes(), "failed appends must be no-ops");
@@ -1487,11 +1486,11 @@ mod tests {
         let path = dir.join("idx.pages");
         idx.attach_paged(&path, 8).unwrap();
         assert!(matches!(
-            idx.extend_series(0, &[1.0]),
+            idx.extend_series_batch(&[(0, TimeSeries::new(vec![0.0; 33]))]),
             Err(Error::Unsupported(_))
         ));
         assert!(matches!(
-            idx.push_series(TimeSeries::new(vec![0.0; 32])),
+            idx.push_series_batch(vec![TimeSeries::new(vec![0.0; 32])]),
             Err(Error::Unsupported(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);

@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn ragged_join_rejected() {
         let mut idx = index(10, 32, 37);
-        idx.push_series(RandomWalkGenerator::new(38).series(16))
+        idx.push_series_batch(vec![RandomWalkGenerator::new(38).series(16)])
             .unwrap();
         let t = LinearTransform::identity(32);
         for result in [

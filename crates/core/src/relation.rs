@@ -3,16 +3,14 @@
 //! The paper treats relations as "simply sets of sequences; in practice of
 //! course they may have other attributes, such as source of the data, time
 //! period covered, etc." (Section 3). [`SeriesRelation`] carries per-series
-//! names (ticker symbols in the stock examples) and builds
-//! [`SimilarityIndex`]es; the query language resolves identifiers against
-//! it.
+//! names (ticker symbols in the stock examples); the query language
+//! resolves identifiers against it.
 
 use std::collections::HashMap;
 
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
-use crate::index::{IndexConfig, SimilarityIndex};
 
 /// A named collection of time series.
 ///
@@ -77,9 +75,11 @@ impl SeriesRelation {
     }
 
     /// Appends values to the end of one stored series (the `APPEND` verb's
-    /// storage-level operation), returning its id. Validation is atomic:
-    /// on any error the series — and therefore the relation — is exactly
-    /// as it was.
+    /// storage-level operation), returning its id. This is the one place a
+    /// served series is extended: the indexes are handed the resulting
+    /// value ([`crate::ShardedIndex::extend_series_batch`]) and share its
+    /// buffer. Validation is atomic: on any error the series — and
+    /// therefore the relation — is exactly as it was.
     ///
     /// # Errors
     /// [`Error::UnknownSeries`] for an unknown label (mapped by callers
@@ -133,11 +133,6 @@ impl SeriesRelation {
         self.by_label.get(label).map(|&i| &self.series[i])
     }
 
-    /// Id of a label.
-    pub fn id_of(&self, label: &str) -> Option<usize> {
-        self.by_label.get(label).copied()
-    }
-
     /// Label of an id.
     pub fn label(&self, id: usize) -> Option<&str> {
         self.labels.get(id).map(String::as_str)
@@ -147,16 +142,12 @@ impl SeriesRelation {
     pub fn series(&self) -> &[TimeSeries] {
         &self.series
     }
-
-    /// Builds a [`SimilarityIndex`] over this relation.
-    pub fn index(&self, config: IndexConfig) -> Result<SimilarityIndex> {
-        SimilarityIndex::build(config, self.series.clone())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{IndexConfig, SimilarityIndex};
 
     #[test]
     fn labels_roundtrip() {
@@ -165,7 +156,6 @@ mod tests {
         let b = rel.push("ZTR", TimeSeries::from([3.0, 4.0])).unwrap();
         assert_eq!((a, b), (0, 1));
         assert_eq!(rel.label(1), Some("ZTR"));
-        assert_eq!(rel.id_of("BBA"), Some(0));
         assert_eq!(rel.get_by_label("ZTR").unwrap().values(), &[3.0, 4.0]);
         assert_eq!(rel.name(), "stocks");
         assert_eq!(rel.len(), 2);
@@ -231,7 +221,7 @@ mod tests {
             })
             .collect();
         let rel = SeriesRelation::from_series("r", series).unwrap();
-        let idx = rel.index(IndexConfig::default()).unwrap();
+        let idx = SimilarityIndex::build(IndexConfig::default(), rel.series().to_vec()).unwrap();
         assert_eq!(idx.len(), 20);
     }
 }

@@ -618,31 +618,32 @@ impl ShardedIndex {
         }
     }
 
-    /// Routes a batch of appends-to-existing-series (global ids) to their
-    /// owning shards and refreshes the touched shards' statistics; every
-    /// window's ST-index of an owning shard is extended in place, in edit
-    /// order ([`SubseqIndex::extend_series`] resumes the sliding-DFT
-    /// recurrence at `O(k)` per appended point). Callers (the catalog)
-    /// validate the batch up front; per-shard application reuses the
-    /// index's atomic batch append.
+    /// Routes a statement's extended series (global id, the relation's
+    /// extended value) to their owning shards and refreshes the touched
+    /// shards' statistics; every window's ST-index of an owning shard then
+    /// takes the same values ([`SubseqIndex::extend_series`] resumes the
+    /// sliding-DFT recurrence at `O(k)` per appended point), so every
+    /// holder of a series shares the relation's buffer. Callers (the
+    /// catalog) validate the batch up front; per-shard application reuses
+    /// the index's atomic batch append.
     ///
     /// # Errors
     /// The same failures [`SimilarityIndex::extend_series_batch`] reports.
-    pub fn extend_series_batch(&mut self, edits: &[(usize, &[f64])]) -> Result<()> {
-        let mut per_shard: Vec<Vec<(usize, &[f64])>> = vec![Vec::new(); self.parts.len()];
-        for &(global, values) in edits {
+    pub fn extend_series_batch(&mut self, edits: Vec<(usize, TimeSeries)>) -> Result<()> {
+        let mut per_shard: Vec<Vec<(usize, TimeSeries)>> = vec![Vec::new(); self.parts.len()];
+        for (global, series) in edits {
             let (shard, local) = self.map.owner(global).ok_or(Error::UnknownSeries(global))?;
-            per_shard[shard].push((local, values));
+            per_shard[shard].push((local, series));
         }
-        for (shard, batch) in per_shard.iter().enumerate() {
+        for (shard, batch) in per_shard.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }
-            self.parts[shard].extend_series_batch(batch)?;
+            self.parts[shard].extend_series_batch(&batch)?;
             self.stats[shard] = RelationStats::from_index(&self.parts[shard]);
             for st in self.subseq.of_shard(shard) {
-                for &(local, values) in batch {
-                    st.extend_series(local, values)?;
+                for (local, series) in &batch {
+                    st.extend_series(*local, series.clone())?;
                 }
             }
         }
@@ -1109,7 +1110,7 @@ mod tests {
     }
 
     fn whole_index(rel: &SeriesRelation) -> SimilarityIndex {
-        rel.index(IndexConfig::default()).unwrap()
+        SimilarityIndex::build(IndexConfig::default(), rel.series().to_vec()).unwrap()
     }
 
     fn range_logical(rel: &SeriesRelation, qid: usize, eps: f64) -> LogicalPlan {
@@ -1304,7 +1305,8 @@ mod tests {
         // Extend an existing series through its global id.
         let (shard, local) = sharded.map().owner(5).unwrap();
         let old_len = sharded.parts()[shard].series(local).unwrap().len();
-        sharded.extend_series_batch(&[(5, &[1.0, 2.0])]).unwrap();
+        let grown = TimeSeries::new([rel.get(5).unwrap().values(), &[1.0, 2.0]].concat());
+        sharded.extend_series_batch(vec![(5, grown)]).unwrap();
         assert_eq!(
             sharded.parts()[shard].series(local).unwrap().len(),
             old_len + 2
@@ -1444,7 +1446,8 @@ mod tests {
         sharded.execute(&subseq_logical(8), None, 2).unwrap();
         sharded.plan_shards(&subseq_logical(8), None).unwrap();
         assert_eq!(windows_of(&sharded), [16, 8]);
-        sharded.extend_series_batch(&[(0, &[1.0, 2.0])]).unwrap();
+        let grown = TimeSeries::new([sharded.series(0).unwrap().values(), &[1.0, 2.0]].concat());
+        sharded.extend_series_batch(vec![(0, grown)]).unwrap();
         assert_eq!(windows_of(&sharded.clone()), [16, 8]);
     }
 

@@ -43,6 +43,7 @@ use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
 use crate::error::{Error, Result};
+use crate::index::check_extends;
 use crate::plan::SpaceProfile;
 use crate::scan::ScanMode;
 
@@ -247,13 +248,14 @@ impl SubseqIndex {
         id
     }
 
-    /// Appends values to the end of one stored series, extending its
-    /// feature trail *incrementally*: the sliding-DFT recurrence is resumed
-    /// from the last indexed window (no prefix recomputation — `O(k)` per
-    /// appended point), the final trail MBR — if it was partial — is
-    /// closed out (removed and re-emitted with its new windows), and the
-    /// MBRs of the new chunks enter the tree through the STR-sorted batch
-    /// path ([`RStarTree::bulk_extend`]).
+    /// Takes one stored series' extended value — the relation's own, whose
+    /// buffer the index then shares; the value it held is its prefix — and
+    /// extends the feature trail *incrementally*: the sliding-DFT
+    /// recurrence is resumed from the last indexed window (no prefix
+    /// recomputation — `O(k)` per appended point), the final trail MBR —
+    /// if it was partial — is closed out (removed and re-emitted with its
+    /// new windows), and the MBRs of the new chunks enter the tree through
+    /// the STR-sorted batch path ([`RStarTree::bulk_extend`]).
     ///
     /// Trail chunk boundaries are fixed absolute offsets
     /// (`start = chunk * trail`) and the sliding DFT re-anchors on absolute
@@ -266,20 +268,19 @@ impl SubseqIndex {
     /// Validation is atomic: on any error the index is exactly as it was.
     ///
     /// # Errors
-    /// [`Error::UnknownSeries`] for a bad id, [`Error::NonFinite`] when the
-    /// appended values contain NaN/±∞.
-    pub fn extend_series(&mut self, id: usize, appended: &[f64]) -> Result<()> {
-        if id >= self.store.len() {
+    /// [`Error::UnknownSeries`] for a bad id, [`Error::LengthMismatch`] for
+    /// a value shorter than the stored one.
+    pub fn extend_series(&mut self, id: usize, series: TimeSeries) -> Result<()> {
+        let Some(held) = self.store.get_mut(id) else {
             return Err(Error::UnknownSeries(id));
-        }
+        };
+        check_extends(held, &series)?;
         let w = self.config.window;
         let trail = self.config.trail;
-        let old_len = self.store[id].len();
-        let old_windows = old_len.saturating_sub(w - 1);
-        self.store[id].try_extend(appended)?;
+        let old_windows = held.len().saturating_sub(w - 1);
+        let new_windows = series.len().saturating_sub(w - 1);
+        *held = series;
         // Nothing can fail past this point — the mutation is committed.
-        let new_len = self.store[id].len();
-        let new_windows = new_len.saturating_sub(w - 1);
         if new_windows == old_windows {
             return Ok(());
         }
@@ -1025,9 +1026,9 @@ mod tests {
         for (round, step) in [3usize, 8, 1, 13, 24].into_iter().enumerate() {
             for (id, series) in data.iter_mut().enumerate() {
                 if (id + round) % 2 == 0 {
-                    let tail = g.series(step).into_values();
-                    idx.extend_series(id, &tail).unwrap();
-                    series.extend_from_slice(&tail);
+                    series.extend(g.series(step).into_values());
+                    idx.extend_series(id, TimeSeries::new(series.clone()))
+                        .unwrap();
                 }
             }
         }
@@ -1082,19 +1083,23 @@ mod tests {
         let mut idx = build(16, 41);
         let before_windows = idx.windows_total();
         let before_series = idx.series(2).unwrap().clone();
-        assert!(matches!(
-            idx.extend_series(2, &[1.0, f64::NAN]),
-            Err(Error::NonFinite { .. })
-        ));
-        assert!(matches!(
-            idx.extend_series(99, &[1.0]),
+        let short = TimeSeries::new(before_series.values()[1..].to_vec());
+        assert_eq!(
+            idx.extend_series(2, short),
+            Err(Error::LengthMismatch {
+                expected: before_series.len(),
+                got: before_series.len() - 1
+            })
+        );
+        assert_eq!(
+            idx.extend_series(99, before_series.clone()),
             Err(Error::UnknownSeries(99))
-        ));
+        );
         assert_eq!(idx.windows_total(), before_windows);
         assert_eq!(idx.series(2).unwrap(), &before_series);
         idx.tree().validate();
-        // Empty appends are no-ops.
-        idx.extend_series(2, &[]).unwrap();
+        // A value of the same length is a no-op.
+        idx.extend_series(2, before_series).unwrap();
         assert_eq!(idx.windows_total(), before_windows);
     }
 

@@ -135,7 +135,7 @@ fn paged_relation_rejects_inserts_but_scans_fine() {
     let mut paged = paged_copy(&mem, "readonly", 4);
     let extra = RandomWalkGenerator::new(99).series(32);
     assert!(matches!(
-        paged.push_series(extra),
+        paged.push_series_batch(vec![extra]),
         Err(tsq_core::Error::Unsupported(_))
     ));
     let t = LinearTransform::identity(32);

@@ -257,16 +257,18 @@ impl Catalog {
     /// Applies an `APPEND` statement, maintaining every index
     /// *incrementally* — no index is dropped or rebuilt from scratch:
     ///
-    /// - the relation's series grow in place ([`SeriesRelation`]); an
-    ///   unknown label starts a new series (the relation is then ragged
-    ///   until appends even the lengths out);
-    /// - each owning shard's whole-series index re-extracts features for
-    ///   its touched series only and repacks canonically, once per
-    ///   statement ([`ShardedIndex::extend_series_batch`] /
+    /// - the relation extends each touched series once, at its
+    ///   statement-end length ([`SeriesRelation::extend_series`], the one
+    ///   place samples are appended); an unknown label starts a new series
+    ///   (the relation is then ragged until appends even the lengths out);
+    /// - each owning shard's whole-series index is handed the extended
+    ///   values — it shares their buffers — re-extracts features for those
+    ///   series only and repacks canonically, once per statement
+    ///   ([`ShardedIndex::extend_series_batch`] /
     ///   [`ShardedIndex::push_series_batch`]), so the result is
     ///   byte-identical to a fresh build over the final data;
-    /// - the same two calls extend every subsequence ST-index the
-    ///   relation holds, next to the shard's features
+    /// - the same two calls hand the values to every subsequence ST-index
+    ///   the relation holds, next to the shard's features
     ///   ([`tsq_core::SubseqIndex::extend_series`] resumes the sliding-DFT
     ///   recurrence at `O(k)` per appended point), clone-on-write so
     ///   in-flight readers keep their consistent pre-append snapshot;
@@ -303,12 +305,12 @@ impl Catalog {
             return Err(LangError::Resolve("APPEND carries no rows".to_string()));
         }
         let schema = index.config().schema;
-        let mut final_len: HashMap<&str, usize> = HashMap::new();
-        // Rows for labels the relation does not know yet assemble into
-        // whole new series (first-occurrence order), pushed once complete:
-        // the whole-series index extracts features per stored series, so a
-        // new series enters it only at its final statement-end length.
-        let mut new_series: Vec<(&str, Vec<f64>)> = Vec::new();
+        // A statement's rows fold into one tail per label (first-touch
+        // order): a label is extended — or, unknown so far, enters the
+        // relation — once, at its statement-end length, however many rows
+        // name it.
+        let mut slot: HashMap<&str, usize> = HashMap::new();
+        let mut tails: Vec<(&str, Vec<f64>)> = Vec::new();
         for row in rows {
             if row.values.is_empty() {
                 return Err(LangError::Resolve(format!(
@@ -324,75 +326,54 @@ impl Catalog {
                     ),
                 }));
             }
-            let len = final_len
-                .entry(row.label.as_str())
-                .or_insert_with(|| rel.get_by_label(&row.label).map_or(0, |s| s.len()));
-            *len += row.values.len();
-            if rel.get_by_label(&row.label).is_none() {
-                match new_series.iter_mut().find(|(l, _)| *l == row.label) {
-                    Some((_, values)) => values.extend_from_slice(&row.values),
-                    None => new_series.push((row.label.as_str(), row.values.clone())),
-                }
+            let at = *slot.entry(row.label.as_str()).or_insert(tails.len());
+            match tails.get_mut(at) {
+                Some((_, tail)) => tail.extend_from_slice(&row.values),
+                None => tails.push((row.label.as_str(), row.values.clone())),
             }
         }
-        for len in final_len.values() {
-            schema.validate(*len).map_err(LangError::Engine)?;
+        for (label, tail) in &tails {
+            let held = rel.get_by_label(label).map_or(0, TimeSeries::len);
+            schema
+                .validate(held + tail.len())
+                .map_err(LangError::Engine)?;
         }
-        let pushed: Vec<(&str, TimeSeries)> = new_series
-            .into_iter()
-            .map(|(label, values)| (label, TimeSeries::try_new(values).expect("checked finite")))
-            .collect();
-        // Apply phase: validated above, so no step below can fail.
-        // Pre-existing labels are extended in row order (their lengths
-        // only grow, and a schema that fits a length fits every longer
-        // one); new series are pushed complete, in first-occurrence order.
+        // Apply phase: validated above, so no step below can fail. The
+        // relation extends (or gains) each series; the index is handed the
+        // resulting values and shares their buffers.
         let Relation { labels: rel, index } =
             self.relations.get_mut(relation).expect("resolved above");
-        // The index absorbs the statement as one batch (one canonical
-        // repack per touched shard), not row by row.
-        let mut edits: Vec<(usize, &[f64])> = Vec::with_capacity(rows.len());
-        for row in rows {
-            if pushed.iter().any(|(label, _)| *label == row.label) {
-                continue;
+        let mut edits: Vec<(usize, TimeSeries)> = Vec::new();
+        let mut pushed: Vec<(&str, TimeSeries)> = Vec::new();
+        // One answer row per distinct label, in first-touch order.
+        let mut out_rows = Vec::with_capacity(tails.len());
+        for (label, tail) in tails {
+            let appended = tail.len();
+            if rel.get_by_label(label).is_some() {
+                let id = rel.extend_series(label, &tail).expect("validated upfront");
+                edits.push((id, rel.get(id).expect("just extended").clone()));
+            } else {
+                let series = TimeSeries::try_new(tail).expect("checked finite");
+                rel.push(label, series.clone()).expect("label is new");
+                pushed.push((label, series));
             }
-            let id = rel
-                .extend_series(&row.label, &row.values)
-                .expect("validated upfront");
-            edits.push((id, row.values.as_slice()));
+            out_rows.push(Row {
+                a: label.to_string(),
+                b: None,
+                offset: rel.get_by_label(label).map(TimeSeries::len),
+                distance: appended as f64,
+            });
         }
-        for (label, series) in &pushed {
-            rel.push(label.to_string(), series.clone())
-                .expect("label is new");
-        }
-        // Each edit and each new series routes to its owning shard, which
+        // Each extended and each new series routes to its owning shard —
+        // one batch (one canonical repack) per touched shard — which
         // refreshes its planner statistics and extends its ST-indexes
         // itself.
         if !edits.is_empty() {
-            index
-                .extend_series_batch(&edits)
-                .expect("validated upfront");
+            index.extend_series_batch(edits).expect("validated upfront");
         }
         if !pushed.is_empty() {
             index.push_series_batch(pushed).expect("validated upfront");
         }
-        // One answer row per distinct label, in first-touch order.
-        let mut order: Vec<&str> = Vec::new();
-        let mut appended: HashMap<&str, usize> = HashMap::new();
-        for row in rows {
-            if !appended.contains_key(row.label.as_str()) {
-                order.push(&row.label);
-            }
-            *appended.entry(row.label.as_str()).or_insert(0) += row.values.len();
-        }
-        let out_rows = order
-            .into_iter()
-            .map(|label| Row {
-                a: label.to_string(),
-                b: None,
-                offset: Some(rel.get_by_label(label).expect("applied above").len()),
-                distance: appended[label] as f64,
-            })
-            .collect();
         Ok(QueryOutput {
             rows: out_rows,
             nodes_visited: 0,
@@ -1546,6 +1527,70 @@ mod tests {
     }
 
     #[test]
+    fn many_rows_for_one_label_extend_it_once() {
+        // An extension allocates a new buffer, so a statement must extend
+        // a label once however many rows name it. 2 000 one-value rows
+        // for one label answer exactly like 2 000 statements and like one
+        // row carrying all the values.
+        const ROWS: usize = 2000;
+        let values: Vec<f64> = (0..ROWS).map(|i| (i as f64 * 0.37).sin() * 4.0).collect();
+        let csv = |v: &[f64]| v.iter().map(f64::to_string).collect::<Vec<_>>().join(", ");
+        // A window of the appended tail: it must be found where it lands.
+        let window = csv(&values[100..108]);
+        let probe = &format!("FIND SUBSEQUENCE OF [{window}] IN walks WITHIN 0.5 WINDOW 8");
+        let knn = &format!("FIND 5 NEAREST SUBSEQUENCE OF [{window}] IN walks WINDOW 8");
+        // `held`: the ST-index exists before the appends and is extended
+        // by them; otherwise the first probe after them builds it.
+        let run = |statements: &[String], held: bool| {
+            let mut cat = Catalog::new();
+            let series = RandomWalkGenerator::new(77).relation(6, 32);
+            cat.register(SeriesRelation::from_series("walks", series).unwrap())
+                .unwrap();
+            if held {
+                cat.run(probe).unwrap();
+            }
+            let mut appended = 0.0;
+            let mut last = None;
+            for statement in statements {
+                let out = cat.run_mut(statement).unwrap();
+                assert_eq!(out.rows.len(), 1);
+                appended += out.rows[0].distance;
+                last = Some((out.rows[0].a.clone(), out.rows[0].offset));
+            }
+            let len = cat.relation("walks").unwrap().get(2).unwrap().len();
+            let answers = [probe, knn].map(|q| cat.run(q).unwrap().rows);
+            assert_eq!(cat.subseq_cache_len(), 1);
+            let scanned = cat.run(&format!("{probe} WITH (force = scan)")).unwrap();
+            assert_eq!(canonical(answers[0].clone()), canonical(scanned.rows));
+            (appended, last, len, answers, cat.snapshot_bytes().unwrap())
+        };
+        let rows: Vec<String> = values.iter().map(|v| format!("(s2, {v})")).collect();
+        let one_statement = [format!("APPEND walks CSV {}", rows.join(" "))];
+        let one_row = [format!("APPEND walks s2 VALUES ({})", csv(&values))];
+        let statements: Vec<String> = values
+            .iter()
+            .map(|v| format!("APPEND walks s2 VALUES ({v})"))
+            .collect();
+
+        let want = run(&one_row, true);
+        assert_eq!(want.0, ROWS as f64);
+        assert_eq!(want.1, Some(("s2".to_string(), Some(32 + ROWS))));
+        assert_eq!(want.2, 32 + ROWS);
+        let found = |r: &Row| r.a == "s2" && r.offset == Some(132) && r.distance < 1e-9;
+        assert!(want.3[0].iter().any(found));
+        assert_eq!(run(&one_statement, true), want);
+        // Which nodes of a held ST-index's tree the trails sit in depends
+        // on the append schedule (`SubseqIndex::extend_series`); nothing
+        // else does, so the snapshots agree once the tree is built after.
+        let (appended, last, len, answers, _) = run(&statements, true);
+        assert_eq!(
+            (appended, &last, len, &answers),
+            (want.0, &want.1, want.2, &want.3)
+        );
+        assert_eq!(run(&statements, false), run(&one_statement, false));
+    }
+
+    #[test]
     fn ragged_relation_gates_whole_series_queries_until_healed() {
         let mut cat = catalog();
         cat.run_mut("APPEND walks s0 VALUES (7, 8)").unwrap();
@@ -1990,6 +2035,78 @@ mod tests {
             let got = paged.run(q).unwrap();
             assert_eq!(got.rows, want.rows, "{q}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The sharing oracle: for every label of every relation, the
+    /// catalog's series, its owning shard's stored record and every held
+    /// window's ST-index hand out one and the same buffer.
+    fn assert_one_buffer_per_series(cat: &Catalog, step: &str) {
+        for (name, Relation { labels, index }) in &cat.relations {
+            let windows = index.subseq_entries();
+            for id in 0..labels.len() {
+                let held = labels.get(id).unwrap();
+                let (shard, local) = index.map().owner(id).unwrap();
+                let in_windows = windows
+                    .iter()
+                    .map(|(_, parts)| parts[shard].series(local).unwrap());
+                let stored = &index.parts()[shard].entries()[local].series;
+                for (holder, other) in std::iter::once(stored).chain(in_windows).enumerate() {
+                    let at = format!(
+                        "{step}: {name}.{}, holder {holder}",
+                        labels.label(id).unwrap()
+                    );
+                    assert_eq!(other.len(), held.len(), "{at}");
+                    assert_eq!(other.values().as_ptr(), held.values().as_ptr(), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_holder_of_a_series_shares_one_buffer() {
+        const PROBES: [&str; 2] = [
+            "FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 6 WINDOW 8",
+            "FIND 3 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25, 1, 2, 0, 1, 3, 2, 1, 0] \
+             IN walks WINDOW 16",
+        ];
+        let probe = |cat: &Catalog, step: &str| {
+            for q in PROBES {
+                cat.run(q).unwrap();
+            }
+            assert_eq!(cat.subseq_cache_len(), 2, "{step}");
+            assert_one_buffer_per_series(cat, step);
+        };
+        let mut cat = catalog();
+        assert_one_buffer_per_series(&cat, "register");
+        probe(&cat, "two windows built");
+        // A rebuilt index drops its ST-indexes; probe again after each.
+        cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
+        assert_one_buffer_per_series(&cat, "4 range shards");
+        probe(&cat, "4 range shards, two windows");
+        cat.run_mut("SHARD walks INTO 1 BY RANGE").unwrap();
+        probe(&cat, "back to 1 shard, two windows");
+        cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
+        probe(&cat, "4 range shards again");
+        cat.run_mut("APPEND walks CSV (s7, 1.5, 2.5) (fresh, 1, 2, 3, 4, 5, 6, 7, 8, 9) (s7, -1)")
+            .unwrap();
+        assert_eq!(cat.relation("walks").unwrap().get(7).unwrap().len(), 35);
+        assert_eq!(cat.relation("walks").unwrap().len(), 61);
+        assert_eq!(cat.subseq_cache_len(), 2);
+        assert_one_buffer_per_series(&cat, "append to a known and a new label");
+
+        let dir = std::env::temp_dir().join(format!("tsq-one-buffer-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cat.tsq");
+        cat.save(&path).unwrap();
+        let mut opened = Catalog::new();
+        opened.open(&path).unwrap();
+        assert_eq!(opened.subseq_cache_len(), 2);
+        assert_one_buffer_per_series(&opened, "save -> open");
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        assert_eq!(paged.subseq_cache_len(), 2);
+        assert_one_buffer_per_series(&paged, "open_paged");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

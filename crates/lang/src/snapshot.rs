@@ -354,7 +354,9 @@ fn decode_relation_section(bytes: &[u8]) -> Result<(String, Relation), StoreErro
     let mut index = ShardedIndex::from_parts(map, parts).map_err(unwrap_core)?;
     // The ST-indexes travel without their stored series (the trails-only
     // form): the owning shard's series *are* the store, so hand them over
-    // instead of re-parsing a copy. `restore_subseq` refuses what the
+    // instead of re-parsing a copy — a `TimeSeries` clone shares its
+    // buffer, here and for the labelled relation below: each series is
+    // decoded once and held once. `restore_subseq` refuses what the
     // relation could not have held (a fifth window, a window twice, trails
     // built for another window).
     let windows = dec.seq(8, "ST-index window count")?;

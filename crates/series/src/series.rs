@@ -3,16 +3,23 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
+use std::sync::Arc;
 
 /// A time series: "a sequence of real numbers, each number representing a
 /// value at a time point" (Section 1 of the paper).
 ///
-/// The type is a thin, immutable-by-convention wrapper over `Vec<f64>` with
-/// the statistics and transformations the query engine needs. Values must be
-/// finite; constructors enforce this so downstream geometry never sees NaN.
+/// A shared immutable value: one `Arc<[f64]>` buffer, with the statistics
+/// and transformations the query engine needs. `clone()` hands over the
+/// same buffer, so the catalog, a shard and every ST-index hold a served
+/// series once between them; nothing can change a buffer someone holds.
+/// [`TimeSeries::try_extend`], the one mutator, rebinds `self` to a new
+/// buffer and leaves every earlier clone as it was. That costs `O(len)`
+/// per extension, which the whole-match FFT of the same `APPEND` statement
+/// already dominates. Values must be finite; constructors enforce this so
+/// downstream geometry never sees NaN.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
-    values: Vec<f64>,
+    values: Arc<[f64]>,
 }
 
 /// A non-finite (NaN or infinite) value was found where a time-series
@@ -67,12 +74,16 @@ impl TimeSeries {
                 return Err(NonFiniteValue { index, value });
             }
         }
-        Ok(TimeSeries { values })
+        Ok(TimeSeries {
+            values: values.into(),
+        })
     }
 
     /// Appends values to the end of the series, rejecting NaN and ±∞
-    /// *before* mutating: on error the series is exactly as it was, so
-    /// streaming ingest can treat a failed extend as a no-op.
+    /// *before* rebinding: on error the series — value, length and buffer
+    /// — is exactly as it was, so streaming ingest can treat a failed
+    /// extend as a no-op. On success `self` holds a new buffer; clones
+    /// taken earlier keep the old one.
     ///
     /// # Errors
     /// [`NonFiniteValue`] naming the first offending position — reported
@@ -86,7 +97,7 @@ impl TimeSeries {
                 });
             }
         }
-        self.values.extend_from_slice(appended);
+        self.values = self.values.iter().chain(appended).copied().collect();
         Ok(())
     }
 
@@ -110,7 +121,7 @@ impl TimeSeries {
 
     /// Consumes the series, returning its values.
     pub fn into_values(self) -> Vec<f64> {
-        self.values
+        self.values.to_vec()
     }
 
     /// Iterator over values.

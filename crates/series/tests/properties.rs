@@ -1,9 +1,10 @@
 //! Property-based tests for the series substrate: metric axioms of the
-//! distances, conservation laws of the moving averages, and time-warp
-//! round-trips.
+//! distances, conservation laws of the moving averages, time-warp
+//! round-trips, and the value semantics of [`TimeSeries`].
 
 use proptest::prelude::*;
 use tsq_series::distance::{chebyshev, city_block, distance_sq_within, euclidean, limit_sq};
+use tsq_series::generate::RandomWalkGenerator;
 use tsq_series::moving_average::{
     circular_moving_average, moving_average, weighted_circular_moving_average,
 };
@@ -179,5 +180,58 @@ proptest! {
         let tampered = TimeSeries::new(vals);
         prop_assert_eq!(compress_exact(&tampered, m), None);
         prop_assert_eq!(downsample(&tampered, m).len(), s.len());
+    }
+
+    // ---- value semantics: a shared immutable buffer -------------------------
+    // Cases are built from a seed, which every failure message carries.
+
+    /// `clone()` hands over the same buffer, and extending a value leaves
+    /// every earlier clone bit-identical, at its old length, where it was.
+    #[test]
+    fn extension_never_touches_an_earlier_clone(seed in 0u64..1 << 32, len in 0usize..64) {
+        let mut g = RandomWalkGenerator::new(seed);
+        let mut live = g.series(len);
+        let mut history: Vec<(TimeSeries, Vec<u64>, *const f64)> = Vec::new();
+        for step in 0..5 {
+            let at = format!("seed {seed}, length {len}, step {step}");
+            let clone = live.clone();
+            prop_assert_eq!(clone.values().as_ptr(), live.values().as_ptr(), "{}", at);
+            let bits = live.iter().map(|v| v.to_bits()).collect();
+            history.push((clone, bits, live.values().as_ptr()));
+            let tail = g.series(1 + 3 * step).into_values();
+            live.try_extend(&tail).unwrap();
+            let (last, ..) = history.last().unwrap();
+            prop_assert_eq!(&live.values()[..last.len()], last.values(), "{}", at);
+            prop_assert_eq!(&live.values()[last.len()..], &tail[..], "{}", at);
+            for (earlier, bits, ptr) in &history {
+                prop_assert_eq!(earlier.values().as_ptr(), *ptr, "{}", at);
+                let now: Vec<u64> = earlier.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&now, bits, "{}", at);
+            }
+        }
+    }
+
+    /// A tail with NaN or ±∞ anywhere in it is rejected at its absolute
+    /// position, and the value, its length and its buffer stay put.
+    #[test]
+    fn rejected_extension_leaves_value_length_and_buffer(
+        seed in 0u64..1 << 32,
+        len in 0usize..64,
+        tail_len in 1usize..16,
+        pick in 0usize..48,
+    ) {
+        let at = format!("seed {seed}, length {len}, tail {tail_len}, pick {pick}");
+        let mut g = RandomWalkGenerator::new(seed);
+        let mut series = g.series(len);
+        let (before, ptr) = (series.clone(), series.values().as_ptr());
+        let mut tail = g.series(tail_len).into_values();
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][pick % 3];
+        tail[pick % tail_len] = bad;
+        let err = series.try_extend(&tail).unwrap_err();
+        prop_assert_eq!(err.index, len + pick % tail_len, "{}", at);
+        prop_assert_eq!(err.value.to_bits(), bad.to_bits(), "{}", at);
+        prop_assert_eq!(series.len(), len, "{}", at);
+        prop_assert_eq!(series.values().as_ptr(), ptr, "{}", at);
+        prop_assert_eq!(&series, &before, "{}", at);
     }
 }
