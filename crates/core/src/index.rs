@@ -19,7 +19,7 @@
 //! must stay under — counts every indexed interior coefficient twice.
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tsq_dft::{Complex64, FftPlanner};
 use tsq_rtree::knn::nearest_with_tie;
@@ -31,6 +31,7 @@ use tsq_store::{Decoder, Encoder, StoreError};
 
 use crate::error::{Error, Result};
 use crate::features::{FeatureSchema, Features};
+use crate::plan::{RelationStats, SpaceProfile};
 use crate::scan::ScanMode;
 use crate::space::{QueryWindow, SpaceKind};
 use crate::transform::LinearTransform;
@@ -275,6 +276,15 @@ impl SeriesId for u64 {
 /// feature space — but whole-series Euclidean distance is undefined across
 /// lengths, so queries are gated on uniformity ([`Error::Ragged`]).
 ///
+/// The R\*-tree and the planner's profile of it are *derived*: one
+/// function of the configuration and the stored features (`pack`), kept in
+/// one cell that [`SimilarityIndex::build`] and
+/// [`SimilarityIndex::read_from`] fill before they return, an append
+/// empties, and the next reader — a whole-match statement's plan, an
+/// `EXPLAIN`, [`SimilarityIndex::tree`], [`SimilarityIndex::attach_paged`]
+/// — refills. Nothing else constructs either, so an appended, a restored
+/// and a freshly built index over the same series hold the same tree.
+///
 /// Node storage comes in two modes. By default the R\*-tree lives in
 /// memory. [`SimilarityIndex::attach_paged`] moves the nodes into a page
 /// file behind a pin-counted LRU buffer pool; every traversal then
@@ -289,12 +299,60 @@ pub struct SimilarityIndex {
     /// kept next to `series_len` so the uniformity gate is two loads, not
     /// a walk over the store on every plan and every execute.
     min_len: usize,
-    tree: RStarTree<usize>,
     store: Vec<StoredSeries>,
-    /// Paged node storage; when set, `tree` is empty and every traversal
-    /// goes through the page file's buffer pool. Shared so clones reuse
-    /// one pool (and its cumulative counters).
+    /// `pack(&config, &store)`, empty between an append and the next read
+    /// of it ([`SimilarityIndex::packed`] is the one accessor).
+    packed: OnceLock<Packed>,
+    /// Paged node storage; when set, the packed tree is empty and every
+    /// traversal goes through the page file's buffer pool. Shared so
+    /// clones reuse one pool (and its cumulative counters).
     paged: Option<Arc<PagedTree>>,
+}
+
+/// What is derived from a relation as a whole.
+#[derive(Debug, Clone)]
+struct Packed {
+    tree: RStarTree<usize>,
+    stats: RelationStats,
+}
+
+/// The one construction of a whole-match tree and its profile: a feature
+/// point per stored series, in id order, bulk-loaded (or inserted one by
+/// one, per the configuration). Identical features produce an identical
+/// tree, which is what lets an appended or restored index match one built
+/// from scratch in answers and traversal statistics.
+fn pack(config: &IndexConfig, store: &[StoredSeries]) -> Packed {
+    let points = store.iter().enumerate().map(|(id, s)| {
+        let coords = config.space.point(&s.features, config.schema);
+        (Rect::from_point(&coords), id)
+    });
+    let tree = if config.bulk_load {
+        RStarTree::bulk_load(config.rtree, points.collect())
+    } else {
+        let mut t = RStarTree::new(config.rtree);
+        for (rect, id) in points {
+            t.insert(rect, id);
+        }
+        t
+    };
+    let stats = RelationStats {
+        cardinality: store.len(),
+        series_len: len_bounds(store).1,
+        dims: config.schema.dims(),
+        profile: SpaceProfile::of_tree(&tree, store.len() as u64),
+    };
+    Packed { tree, stats }
+}
+
+/// Extracts the features of `series`, in order; nothing is kept on error.
+fn extract_all(config: &IndexConfig, series: Vec<TimeSeries>) -> Result<Vec<StoredSeries>> {
+    let mut planner = FftPlanner::new();
+    let mut stored = Vec::with_capacity(series.len());
+    for series in series {
+        let features = Features::extract(&series, config.schema, &mut planner)?;
+        stored.push(StoredSeries { series, features });
+    }
+    Ok(stored)
 }
 
 /// An append hands an index the relation's extended value to hold in
@@ -325,74 +383,58 @@ impl SimilarityIndex {
     /// mid-ingest is ragged); whole-series queries are then gated until
     /// appends even the lengths out.
     ///
+    /// Every feature is extracted before the first point is made: a
+    /// point's two small vectors allocated between the permanent half
+    /// spectra would be holes no `malloc_trim` returns once the tree moves
+    /// to a page file.
+    ///
     /// # Errors
     /// [`Error::InvalidCutoff`] if the schema's `k` does not fit some
     /// series.
     pub fn build(config: IndexConfig, relation: Vec<TimeSeries>) -> Result<Self> {
-        let mut planner = FftPlanner::new();
-        let mut store = Vec::with_capacity(relation.len());
-        let mut points = Vec::with_capacity(relation.len());
-        for (id, series) in relation.into_iter().enumerate() {
-            let features = Features::extract(&series, config.schema, &mut planner)?;
-            let coords = config.space.point(&features, config.schema);
-            points.push((Rect::from_point(&coords), id));
-            store.push(StoredSeries { series, features });
-        }
-        let tree = Self::pack_tree(&config, points);
+        let store = extract_all(&config, relation)?;
         let (min_len, series_len) = len_bounds(&store);
-        Ok(SimilarityIndex {
+        let index = SimilarityIndex {
             config,
             series_len,
             min_len,
-            tree,
             store,
+            packed: OnceLock::new(),
             paged: None,
-        })
+        };
+        // Set-up pays for the tree, not the first query.
+        index.packed();
+        Ok(index)
     }
 
-    /// The canonical tree construction shared by [`SimilarityIndex::build`]
-    /// and the incremental-maintenance repack: identical inputs produce a
-    /// byte-identical tree either way, which is what lets an appended index
-    /// snapshot- and stats-match one rebuilt from scratch.
-    fn pack_tree(config: &IndexConfig, points: Vec<(Rect, usize)>) -> RStarTree<usize> {
-        if config.bulk_load {
-            RStarTree::bulk_load(config.rtree, points)
-        } else {
-            let mut t = RStarTree::new(config.rtree);
-            for (rect, id) in points {
-                t.insert(rect, id);
-            }
-            t
-        }
+    /// The derived state, packed now if an append emptied the cell.
+    fn packed(&self) -> &Packed {
+        self.packed.get_or_init(|| pack(&self.config, &self.store))
     }
 
-    /// Rebuilds the (small, `len()`-point) feature tree exactly as
-    /// [`SimilarityIndex::build`] would, from the already-extracted
-    /// features. The expensive per-series work — the FFT behind
-    /// [`Features::extract`] — is *not* redone; only the affected series'
-    /// features change before a repack, so maintenance cost is `O(k)` per
-    /// appended point plus a repack linear in the number of series.
-    fn repack_tree(&mut self) {
-        let points = self
-            .store
-            .iter()
-            .enumerate()
-            .map(|(id, s)| {
-                let coords = self.config.space.point(&s.features, self.config.schema);
-                (Rect::from_point(&coords), id)
-            })
-            .collect();
-        self.tree = Self::pack_tree(&self.config, points);
+    /// True while the derived state is held (an append empties it).
+    #[cfg(test)]
+    pub(crate) fn is_packed(&self) -> bool {
+        self.packed.get().is_some()
+    }
+
+    /// The planner's statistics of this relation, profiled from the tree
+    /// [`SimilarityIndex::tree`] returns (and kept when the nodes move to
+    /// a page file).
+    pub(crate) fn stats(&self) -> &RelationStats {
+        &self.packed().stats
     }
 
     /// Swaps in a statement's extended series — `(id, value)`, each id at
     /// most once: the catalog folds a statement's rows into one value per
     /// label — re-extracting the touched series' features (the others are
-    /// untouched) and repacking the feature tree canonically **once**, so
-    /// the result is indistinguishable — snapshot bytes, query answers,
-    /// traversal statistics — from an index freshly built over the final
-    /// data. The values are the relation's own ([`TimeSeries`] clones
-    /// share one buffer); the old samples are each one's prefix.
+    /// untouched) and emptying the derived cell: nothing is packed here,
+    /// and while the relation is ragged nothing can read a tree anyway.
+    /// The next reader packs once, so the result is indistinguishable —
+    /// features, tree, query answers, traversal statistics — from an index
+    /// freshly built over the final data. The values are the relation's
+    /// own ([`TimeSeries`] clones share one buffer); the old samples are
+    /// each one's prefix.
     ///
     /// Validation is atomic across the batch: every feature is extracted
     /// before anything is committed, so on any error the index is exactly
@@ -404,11 +446,7 @@ impl SimilarityIndex {
     /// for a value shorter than the stored one, [`Error::InvalidCutoff`]
     /// if a length does not fit the schema.
     pub fn extend_series_batch(&mut self, edits: &[(usize, TimeSeries)]) -> Result<()> {
-        if self.paged.is_some() {
-            return Err(Error::Unsupported(
-                "append to a relation with paged storage attached".to_string(),
-            ));
-        }
+        self.check_appendable()?;
         let mut planner = FftPlanner::new();
         let mut ready = Vec::with_capacity(edits.len());
         for (id, series) in edits {
@@ -424,43 +462,44 @@ impl SimilarityIndex {
         for (id, stored) in ready {
             self.store[id] = stored;
         }
-        (self.min_len, self.series_len) = len_bounds(&self.store);
-        self.repack_tree();
+        self.store_changed();
         Ok(())
     }
 
-    /// Appends new series through the canonical repack path — one repack
-    /// for the batch — returning their ids in order: the result is
-    /// byte-identical to a fresh build over the final data. A new series
-    /// may differ in length from the others (the relation is then ragged
-    /// and whole-series queries are gated until appends even the lengths
-    /// out). Feature extraction for every series happens before anything
-    /// is committed, so a failure leaves the index exactly as it was.
+    /// Appends new series, returning their ids in order, and empties the
+    /// derived cell as [`SimilarityIndex::extend_series_batch`] does. A
+    /// new series may differ in length from the others (the relation is
+    /// then ragged and whole-series queries are gated until appends even
+    /// the lengths out). Feature extraction for every series happens
+    /// before anything is committed, so a failure leaves the index exactly
+    /// as it was.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when paged storage is attached,
     /// [`Error::InvalidCutoff`] if the schema does not fit a new series.
     pub fn push_series_batch(&mut self, series: Vec<TimeSeries>) -> Result<Vec<usize>> {
-        if self.paged.is_some() {
-            return Err(Error::Unsupported(
-                "append to a relation with paged storage attached".to_string(),
-            ));
-        }
-        let mut planner = FftPlanner::new();
-        let mut staged = Vec::with_capacity(series.len());
-        for s in series {
-            let features = Features::extract(&s, self.config.schema, &mut planner)?;
-            staged.push(StoredSeries {
-                series: s,
-                features,
-            });
-        }
+        self.check_appendable()?;
+        let staged = extract_all(&self.config, series)?;
         let first = self.store.len();
-        let ids = (first..first + staged.len()).collect();
         self.store.extend(staged);
+        self.store_changed();
+        Ok((first..self.store.len()).collect())
+    }
+
+    fn check_appendable(&self) -> Result<()> {
+        match self.paged {
+            Some(_) => Err(Error::Unsupported(
+                "append to a relation with paged storage attached".to_string(),
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// After every committed append: the length bounds follow the store,
+    /// and what was packed from the old store is dropped unread.
+    fn store_changed(&mut self) {
         (self.min_len, self.series_len) = len_bounds(&self.store);
-        self.repack_tree();
-        Ok(ids)
+        self.packed.take();
     }
 
     /// Number of stored series.
@@ -517,11 +556,11 @@ impl SimilarityIndex {
         &self.store
     }
 
-    /// Access to the underlying R\*-tree (read-only). Empty when paged
-    /// storage is attached — the nodes then live in the page file (see
-    /// [`SimilarityIndex::paged`]).
+    /// Access to the underlying R\*-tree (read-only), packed first if an
+    /// append emptied the cell. Empty when paged storage is attached — the
+    /// nodes then live in the page file (see [`SimilarityIndex::paged`]).
     pub fn tree(&self) -> &RStarTree<usize> {
-        &self.tree
+        &self.packed().tree
     }
 
     /// The paged node storage, when attached.
@@ -537,15 +576,15 @@ impl SimilarityIndex {
     /// Switches the relation to paged node storage: writes a page file at
     /// `path` holding the R\*-tree's nodes one per fixed-size page, opens
     /// it behind a pin-counted LRU buffer pool caching up to
-    /// `capacity_pages` decoded pages, and drops the in-memory nodes.
-    /// Every subsequent traversal fetches nodes through the pool, so
-    /// query statistics carry measured `pool_hits`/`pool_misses`.
+    /// `capacity_pages` decoded pages, and drops the in-memory nodes; the
+    /// planner's profile of them stays. Every subsequent traversal fetches
+    /// nodes through the pool, so query statistics carry measured
+    /// `pool_hits`/`pool_misses`.
     ///
     /// The relation becomes append-proof
     /// ([`SimilarityIndex::push_series_batch`] is rejected); snapshots
-    /// still work — [`SimilarityIndex::write_to`] reconstructs the node
-    /// structure from the page file byte-identically to the in-memory
-    /// form.
+    /// still work — [`SimilarityIndex::write_to`] writes the series, which
+    /// never left memory, and reads no page.
     ///
     /// # Errors
     /// [`Error::Unsupported`] if paged storage is already attached;
@@ -557,9 +596,10 @@ impl SimilarityIndex {
                 "paged storage is already attached".to_string(),
             ));
         }
-        self.tree.write_paged(path, |&id| id as u64)?;
+        self.tree().write_paged(path, |&id| id as u64)?;
         let paged = PagedTree::open(path, capacity_pages)?;
-        self.tree = RStarTree::new(self.config.rtree);
+        let packed = self.packed.get_mut().expect("packed to write the pages");
+        packed.tree = RStarTree::new(self.config.rtree);
         self.paged = Some(Arc::new(paged));
         Ok(())
     }
@@ -572,140 +612,49 @@ impl SimilarityIndex {
     /// # Errors
     /// Same failure modes as [`SimilarityIndex::attach_paged`].
     pub fn attach_paged_budget(&mut self, path: &Path, budget_bytes: u64) -> Result<()> {
-        let page_size = self.tree.paged_page_size()? as u64;
+        let page_size = self.tree().paged_page_size()? as u64;
         let capacity = usize::try_from(budget_bytes / page_size).unwrap_or(usize::MAX);
         self.attach_paged(path, capacity.max(1))
     }
 
-    /// Serializes the index — configuration, stored series with their
-    /// features, and the R\*-tree's node structure byte-identically — into
-    /// `enc` (see [`crate::store`] for the encodings). In paged mode the
-    /// node structure is read back from the page file, so the snapshot is
-    /// identical to the one the in-memory form would write.
+    /// Serializes what the index cannot derive — its configuration and
+    /// the stored series, in id order — into `enc` (see [`crate::store`]
+    /// for the encodings). Features, tree and planner statistics are
+    /// functions of these and are not written; neither is anything read
+    /// to write them, so a paged index pins no page here.
     ///
     /// # Errors
-    /// [`Error::Store`] if reading the page file fails (in-memory mode
-    /// cannot fail).
+    /// None: the `Result` is what callers written against the formats
+    /// that stored a tree still unwrap.
     pub fn write_to(&self, enc: &mut Encoder) -> Result<()> {
         crate::store::write_index_config(enc, &self.config);
-        enc.usize(self.series_len);
         enc.usize(self.store.len());
         for stored in &self.store {
             crate::store::write_series(enc, &stored.series);
-            crate::store::write_features(enc, &stored.features);
-        }
-        match &self.paged {
-            Some(paged) => {
-                let tree = paged.materialize(|id| id as usize)?;
-                tree.write_to(enc, &mut |e, &id| e.usize(id));
-            }
-            None => self.tree.write_to(enc, &mut |e, &id| e.usize(id)),
         }
         Ok(())
     }
 
-    /// Restores an index written by [`SimilarityIndex::write_to`]. The
-    /// R\*-tree is *not* rebuilt: its nodes are reconstructed exactly as
-    /// stored, so every query on the restored index returns the same
-    /// answers with the same traversal statistics as the original.
+    /// Restores an index written by [`SimilarityIndex::write_to`]: decodes
+    /// the series and calls [`SimilarityIndex::build`]. The tree is a pure
+    /// function of the series, so it is rebuilt identically — every query
+    /// on the restored index returns the same answers with the same
+    /// traversal statistics as the original.
     ///
     /// # Errors
-    /// [`Error::Store`] for truncated, corrupt or inconsistent bytes
-    /// (length mismatches, dangling or duplicate series ids, tree/store
-    /// disagreements) — never a panic.
+    /// [`Error::Store`] for truncated or corrupt bytes, a series the
+    /// schema does not fit included — never a panic.
     pub fn read_from(dec: &mut Decoder<'_>) -> Result<Self> {
         let config = crate::store::read_index_config(dec)?;
-        let series_len = dec.usize("index series_len")?;
-        let count = dec.seq(48, "stored series count")?;
-        let mut store = Vec::with_capacity(count);
+        let count = dec.seq(8, "stored series count")?;
+        let mut relation = Vec::with_capacity(count);
         for _ in 0..count {
-            let series = crate::store::read_series(dec)?;
-            // Lengths may differ per series (a relation snapshotted
-            // mid-ingest is ragged), but each series' spectrum and the
-            // schema must fit *that* series.
-            let features = crate::store::read_features(dec)?;
-            if features.n() != series.len() {
-                return Err(StoreError::corrupt(format!(
-                    "features of a length-{} series for a series of length {}",
-                    features.n(),
-                    series.len()
-                ))
-                .into());
-            }
-            config.schema.validate(series.len()).map_err(|e| {
-                StoreError::corrupt(format!("index schema does not fit a stored series: {e}"))
-            })?;
-            // What extraction keeps: the indexed coefficients must be there.
-            let kept = Features::kept_coefficients(series.len(), config.schema);
-            if features.spectrum.len() != kept {
-                return Err(StoreError::corrupt(format!(
-                    "{} spectrum coefficient(s) stored for a series of length {}, expected {kept}",
-                    features.spectrum.len(),
-                    series.len()
-                ))
-                .into());
-            }
-            store.push(StoredSeries { series, features });
+            // Lengths may differ per series: a relation snapshotted
+            // mid-ingest is ragged.
+            relation.push(crate::store::read_series(dec)?);
         }
-        let (min_len, max_len) = len_bounds(&store);
-        if series_len != max_len {
-            return Err(StoreError::corrupt(format!(
-                "index series_len {series_len} but longest stored series has length {max_len}"
-            ))
-            .into());
-        }
-        let tree = RStarTree::read_from(dec, &mut |d| {
-            let id = d.usize("feature point series id")?;
-            if id >= count {
-                return Err(StoreError::corrupt(format!(
-                    "feature point references series {id} of {count}"
-                )));
-            }
-            Ok(id)
-        })?;
-        if tree.len() != count {
-            return Err(StoreError::corrupt(format!(
-                "index tree holds {} point(s) for {count} series",
-                tree.len()
-            ))
-            .into());
-        }
-        // The snapshot stores the R*-tree config twice — once in the
-        // index configuration, once in the (self-contained) tree header —
-        // and the copies must agree or later inserts would follow
-        // different tuning than the tree was built with.
-        if *tree.config() != config.rtree {
-            return Err(StoreError::corrupt(format!(
-                "index config {:?} disagrees with its tree's config {:?}",
-                config.rtree,
-                tree.config()
-            ))
-            .into());
-        }
-        if count > 0 {
-            let expected_dims = config.schema.dims();
-            if tree.dims() != Some(expected_dims) {
-                return Err(StoreError::corrupt(format!(
-                    "index tree dimensionality {:?} does not match the schema's {expected_dims}",
-                    tree.dims()
-                ))
-                .into());
-            }
-            let mut seen = vec![false; count];
-            for (_, &id) in tree.iter() {
-                if seen[id] {
-                    return Err(StoreError::corrupt(format!("series {id} indexed twice")).into());
-                }
-                seen[id] = true;
-            }
-        }
-        Ok(SimilarityIndex {
-            config,
-            series_len,
-            min_len,
-            tree,
-            store,
-            paged: None,
+        Self::build(config, relation).map_err(|e| {
+            StoreError::corrupt(format!("index schema does not fit a stored series: {e}")).into()
         })
     }
 
@@ -909,7 +858,7 @@ impl SimilarityIndex {
     ) -> Result<(Vec<usize>, SearchStats)> {
         match &self.paged {
             Some(paged) => self.filter_in(&**paged, qrect, t, force_transform),
-            None => self.filter_in(&self.tree, qrect, t, force_transform),
+            None => self.filter_in(self.tree(), qrect, t, force_transform),
         }
     }
 
@@ -968,7 +917,7 @@ impl SimilarityIndex {
     ) -> Result<(Vec<Match>, QueryStats)> {
         match &self.paged {
             Some(paged) => self.knn_in(&**paged, k, refine),
-            None => self.knn_in(&self.tree, k, refine),
+            None => self.knn_in(self.tree(), k, refine),
         }
     }
 
@@ -1012,6 +961,28 @@ impl SimilarityIndex {
         };
         Ok((matches, stats))
     }
+}
+
+/// Everything an index derives from its series, as bytes: each record's
+/// features bit for bit, then the packed tree. Snapshots carry neither, so
+/// the oracles that hold an appended or restored index to a fresh build
+/// compare this.
+#[cfg(test)]
+pub(crate) fn derived_bytes(index: &SimilarityIndex) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    for stored in index.entries() {
+        let f = &stored.features;
+        enc.f64(f.mean);
+        enc.f64(f.std);
+        enc.usize(f.n());
+        enc.usize(f.spectrum.len());
+        for c in &f.spectrum {
+            enc.f64(c.re);
+            enc.f64(c.im);
+        }
+    }
+    index.tree().write_to(&mut enc, &mut |e, &id| e.usize(id));
+    enc.into_bytes()
 }
 
 #[cfg(test)]
@@ -1311,10 +1282,13 @@ mod tests {
         let restored = SimilarityIndex::read_from(&mut dec).unwrap();
         dec.finish().unwrap();
         restored.tree().validate();
-        // Re-serialization is byte-identical (canonical encoding).
+        // Re-serialization is byte-identical (canonical encoding), and what
+        // the bytes do not carry is derived identically.
         let mut enc2 = Encoder::new();
         restored.write_to(&mut enc2).unwrap();
         assert_eq!(bytes, enc2.into_bytes());
+        assert!(restored.is_packed(), "a restore returns with its tree");
+        assert_eq!(derived_bytes(&restored), derived_bytes(&idx));
         // Identical answers *and* identical traversal statistics.
         for t in [
             LinearTransform::identity(64),
@@ -1378,18 +1352,29 @@ mod tests {
                 "cut at {cut} still decoded"
             );
         }
-        // A dangling series id inside the tree payload.
         let mut dec = Decoder::new(&bytes);
         let err = SimilarityIndex::read_from(&mut dec);
         assert!(err.is_ok(), "pristine bytes must decode");
+        // A stored series the schema does not fit (k = 2 needs length 3):
+        // what `build` rejects, a restore reports as corrupt bytes.
+        let mut enc = Encoder::new();
+        crate::store::write_index_config(&mut enc, idx.config());
+        enc.usize(2);
+        crate::store::write_series(&mut enc, idx.series(0).unwrap());
+        crate::store::write_series(&mut enc, &TimeSeries::new(vec![0.0, 1.0]));
+        let forged = enc.into_bytes();
+        assert!(matches!(
+            SimilarityIndex::read_from(&mut Decoder::new(&forged)),
+            Err(Error::Store(StoreError::Corrupt { .. }))
+        ));
     }
 
     #[test]
     fn extend_series_is_byte_identical_to_fresh_build() {
         // The oracle invariant at the index level: appending through
-        // extend_series_batch / push_series_batch is indistinguishable — snapshot
-        // bytes, answers, traversal statistics — from rebuilding over the
-        // final data.
+        // extend_series_batch / push_series_batch is indistinguishable —
+        // snapshot bytes, features, tree, answers, traversal statistics —
+        // from rebuilding over the final data.
         for bulk_load in [true, false] {
             let cfg = IndexConfig {
                 bulk_load,
@@ -1435,6 +1420,14 @@ mod tests {
                 enc_b.into_bytes(),
                 "bulk_load={bulk_load}"
             );
+            // The snapshot carries the series alone: hold the features and
+            // the tree the appended index packs to the fresh build's too.
+            assert_eq!(
+                derived_bytes(&idx),
+                derived_bytes(&fresh),
+                "bulk_load={bulk_load}"
+            );
+            assert_eq!(idx.stats(), fresh.stats(), "bulk_load={bulk_load}");
             let t = LinearTransform::moving_average(40, 4);
             let (ma, sa) = idx
                 .range_query(&final_rel[7], 2.0, &t, &QueryWindow::default())
@@ -1455,7 +1448,7 @@ mod tests {
         let mut idx = build_default(rel);
         let mut before = Encoder::new();
         idx.write_to(&mut before).unwrap();
-        let before = before.into_bytes();
+        let before = (before.into_bytes(), derived_bytes(&idx));
         // A failing edit anywhere in the batch — a value shorter than the
         // stored one, an unknown id — rejects without touching series or
         // tree, the good edit before it included.
@@ -1472,9 +1465,84 @@ mod tests {
             idx.extend_series_batch(&[good.clone(), (10, good.1)]),
             Err(Error::UnknownSeries(10))
         );
+        assert!(idx.is_packed(), "a refused append drops nothing");
         let mut after = Encoder::new();
         idx.write_to(&mut after).unwrap();
-        assert_eq!(before, after.into_bytes(), "failed appends must be no-ops");
+        let after = (after.into_bytes(), derived_bytes(&idx));
+        assert!(before == after, "failed appends must be no-ops");
+    }
+
+    #[test]
+    fn an_append_drops_the_tree_and_the_next_reader_packs_it_once() {
+        let rel = small_relation(30, 32, 25);
+        let mut idx = build_default(rel.clone());
+        assert!(idx.is_packed(), "a build returns with its tree");
+        // One series grows: ragged, nothing packed, nothing to read.
+        let tails: Vec<Vec<f64>> = (0..30)
+            .map(|i| RandomWalkGenerator::new(700 + i).series(2).into_values())
+            .collect();
+        let grown = |id: usize| extended(&rel[id], &tails[id]);
+        idx.extend_series_batch(&[(0, grown(0))]).unwrap();
+        assert!(!idx.is_packed());
+        let t = LinearTransform::identity(34);
+        let window = QueryWindow::default();
+        assert!(matches!(
+            idx.range_query(&grown(0), 1.0, &t, &window),
+            Err(Error::Ragged { min: 32, max: 34 })
+        ));
+        // Neither a refused statement nor a snapshot packs.
+        idx.write_to(&mut Encoder::new()).unwrap();
+        assert!(!idx.is_packed());
+        // The rest catch up, a newcomer joins: still nothing packed, until
+        // the first whole-match statement — and the second reads the same
+        // tree.
+        let rest: Vec<(usize, TimeSeries)> = (1..30).map(|id| (id, grown(id))).collect();
+        idx.extend_series_batch(&rest).unwrap();
+        let newcomer = RandomWalkGenerator::new(26).series(34);
+        idx.push_series_batch(vec![newcomer.clone()]).unwrap();
+        assert!(!idx.is_packed());
+        let (first, _) = idx.range_query(&newcomer, 3.0, &t, &window).unwrap();
+        assert!(idx.is_packed());
+        let packed: *const RStarTree<usize> = idx.tree();
+        let (second, _) = idx.range_query(&newcomer, 3.0, &t, &window).unwrap();
+        assert_eq!(first, second);
+        assert!(std::ptr::eq(packed, idx.tree()), "packed exactly once");
+        let mut final_rel: Vec<TimeSeries> = (0..30).map(grown).collect();
+        final_rel.push(newcomer);
+        assert_eq!(
+            derived_bytes(&idx),
+            derived_bytes(&build_default(final_rel))
+        );
+    }
+
+    #[test]
+    fn attach_paged_packs_an_emptied_cell_and_keeps_the_profile() {
+        let rel = small_relation(60, 32, 27);
+        let mut idx = build_default(rel[..59].to_vec());
+        idx.push_series_batch(vec![rel[59].clone()]).unwrap();
+        assert!(!idx.is_packed());
+        let fresh = build_default(rel.clone());
+        let dir = std::env::temp_dir().join(format!("tsq-attach-lazy-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        idx.attach_paged(&dir.join("idx.pages"), 4).unwrap();
+        // The nodes moved out, the profile of them stayed.
+        assert!(idx.is_packed() && idx.tree().is_empty());
+        assert_eq!(idx.stats(), fresh.stats());
+        assert_eq!(idx.paged().unwrap().len(), 60);
+        let t = LinearTransform::moving_average(32, 4);
+        let (got, got_stats) = idx
+            .range_query(&rel[3], 2.0, &t, &QueryWindow::default())
+            .unwrap();
+        let (want, want_stats) = fresh
+            .range_query(&rel[3], 2.0, &t, &QueryWindow::default())
+            .unwrap();
+        assert_eq!(got, want);
+        assert_eq!(
+            got_stats.index.nodes_visited,
+            want_stats.index.nodes_visited
+        );
+        assert!(got_stats.index.pool_misses > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

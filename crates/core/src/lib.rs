@@ -66,11 +66,14 @@
 //! The [`store`] module plus [`SimilarityIndex::write_to`] /
 //! [`SimilarityIndex::read_from`] and [`SubseqIndex::write_trails_to`] /
 //! [`SubseqIndex::read_trails_from`] snapshot built indexes to the
-//! `tsq-store` binary format — R\*-tree node structure included, byte-identically, so
-//! a restored index answers every query with the same results *and the
-//! same traversal statistics* without rebuilding anything. Malformed
-//! snapshot bytes are rejected with typed [`Error::Store`] values at
-//! every boundary.
+//! `tsq-store` binary format. A whole-match index travels as its
+//! configuration and series: its features, its R\*-tree and its planner
+//! statistics are a pure function of those, so `read_from` calls `build`
+//! and they are rebuilt identically — a restored index answers every query
+//! with the same results *and the same traversal statistics*. (An ST-index
+//! travels as its trails, which an append maintains incrementally and a
+//! rebuild would pack differently.) Malformed snapshot bytes are rejected
+//! with typed [`Error::Store`] values at every boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -604,10 +604,11 @@ impl SpaceProfile {
     }
 }
 
-/// Per-shard statistics the planner consumes — derived from the shard's
-/// index whenever it is built, appended to or restored. They depend only
-/// on the tree structure, which snapshots preserve exactly, so a restored
-/// catalog plans byte-for-byte identically without persisting them.
+/// Per-shard statistics the planner consumes — derived with the shard's
+/// whole-match tree, by the one function that packs it, whenever the index
+/// is built, restored or first read after an append. They depend only on
+/// the tree, which is a pure function of the series, so a restored catalog
+/// plans byte-for-byte identically without persisting them.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RelationStats {
     /// Stored series.
@@ -621,14 +622,10 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Derives statistics from a built whole-match index.
+    /// The statistics of a whole-match index: a copy of the ones it holds
+    /// next to its tree (packing both first if an append emptied them).
     pub fn from_index(index: &SimilarityIndex) -> Self {
-        RelationStats {
-            cardinality: index.len(),
-            series_len: index.series_len(),
-            dims: index.config().schema.dims(),
-            profile: SpaceProfile::of_tree(index.tree(), index.len() as u64),
-        }
+        index.stats().clone()
     }
 
     /// Height of the profiled tree.
@@ -685,13 +682,25 @@ fn choose(costed: Vec<Costed>, forced: Option<ForceOp>) -> PlanChoice {
 #[derive(Debug, Clone, Copy)]
 pub struct Planner<'a> {
     index: &'a SimilarityIndex,
-    stats: &'a RelationStats,
+    /// `None`: the index's own, read when an operator is first costed
+    /// from them — which a subsequence form never does.
+    stats: Option<&'a RelationStats>,
 }
 
 impl<'a> Planner<'a> {
     /// A planner over one relation's index and statistics.
     pub fn new(index: &'a SimilarityIndex, stats: &'a RelationStats) -> Self {
+        let stats = Some(stats);
         Planner { index, stats }
+    }
+
+    /// A planner over an index and the statistics it holds itself.
+    pub(crate) fn of(index: &'a SimilarityIndex) -> Self {
+        Planner { index, stats: None }
+    }
+
+    fn stats(&self) -> &'a RelationStats {
+        self.stats.unwrap_or_else(|| self.index.stats())
     }
 
     /// Picks the physical plan for `logical`: the operator `forced` names,
@@ -740,7 +749,7 @@ impl<'a> Planner<'a> {
 
     /// CPU cost (in page units) of `checks` exact distance computations.
     fn refine_cpu(&self, checks: f64, transformed: bool) -> f64 {
-        let ops_per_check = self.stats.series_len as f64 * if transformed { 2.0 } else { 1.0 };
+        let ops_per_check = self.stats().series_len as f64 * if transformed { 2.0 } else { 1.0 };
         checks * ops_per_check / POINT_OPS_PER_PAGE
     }
 
@@ -750,7 +759,7 @@ impl<'a> Planner<'a> {
         if t.is_identity(1e-12) {
             return 0.0;
         }
-        nodes * (self.stats.dims as f64 * 8.0) / POINT_OPS_PER_PAGE + t.cost()
+        nodes * (self.stats().dims as f64 * 8.0) / POINT_OPS_PER_PAGE + t.cost()
     }
 
     /// A scan reads every stored record once and runs `checks` exact
@@ -765,20 +774,20 @@ impl<'a> Planner<'a> {
             nodes: 0.0,
             candidates: checks,
             refines: checks,
-            disk: self.stats.cardinality as f64,
+            disk: self.stats().cardinality as f64,
             cpu: self.refine_cpu(checks, transformed) * factor,
         }
     }
 
     fn index_range_estimate(&self, sides: &[f64], t: &LinearTransform) -> CostEstimate {
-        let (nodes, frac) = self.stats.profile.visit_estimate(sides);
-        let candidates = self.stats.cardinality as f64 * frac;
+        let (nodes, frac) = self.stats().profile.visit_estimate(sides);
+        let candidates = self.stats().cardinality as f64 * frac;
         let cpu = self.refine_cpu(candidates, !t.is_identity(1e-12)) + self.traversal_cpu(nodes, t);
         CostEstimate::filter_refine(nodes, candidates, cpu)
     }
 
     fn plan_range(&self, qrect: &Rect, t: &LinearTransform) -> Vec<Costed> {
-        let n = self.stats.cardinality as f64;
+        let n = self.stats().cardinality as f64;
         let scan = |mode| self.scan_estimate(mode, n, !t.is_identity(1e-12));
         vec![
             (
@@ -796,21 +805,21 @@ impl<'a> Planner<'a> {
     }
 
     fn plan_knn(&self, k: usize, t: &LinearTransform) -> Vec<Costed> {
-        let n = self.stats.cardinality;
+        let n = self.stats().cardinality;
         let transformed = !t.is_identity(1e-12);
         // Equivalent-radius heuristic: the rectangle enclosing the k
         // nearest points covers about a k/n volume fraction of the data
         // bounds, so each side scales by (k/n)^(1/dims).
         let sides: Vec<f64> = if n == 0 {
-            vec![0.0; self.stats.dims]
+            vec![0.0; self.stats().dims]
         } else {
             let frac = (k as f64 / n as f64).min(1.0);
-            let scale = frac.powf(1.0 / self.stats.dims.max(1) as f64);
-            (0..self.stats.dims)
-                .map(|d| self.stats.profile.extent(d) * scale)
+            let scale = frac.powf(1.0 / self.stats().dims.max(1) as f64);
+            (0..self.stats().dims)
+                .map(|d| self.stats().profile.extent(d) * scale)
                 .collect()
         };
-        let (nodes, frac) = self.stats.profile.visit_estimate(&sides);
+        let (nodes, frac) = self.stats().profile.visit_estimate(&sides);
         // Best-first search refines a small multiple of the answer set.
         let refines = (2.0 * (k as f64).max(n as f64 * frac)).min(n as f64);
         let cpu = self.refine_cpu(refines, transformed) + self.traversal_cpu(nodes, t);
@@ -826,7 +835,7 @@ impl<'a> Planner<'a> {
     }
 
     fn plan_join(&self, eps: f64, t: &LinearTransform) -> Vec<Costed> {
-        let n = self.stats.cardinality as f64;
+        let n = self.stats().cardinality as f64;
         let pairs = n * (n - 1.0).max(0.0) / 2.0;
         let transformed = !t.is_identity(1e-12);
         // An average probe: the eps-ball search rectangle around a typical
@@ -844,7 +853,7 @@ impl<'a> Planner<'a> {
         // The synchronized join prunes both sides at once: at each level,
         // node pairs survive with the Minkowski probability of their two
         // average extents, and each surviving pair costs two node reads.
-        let profile = &self.stats.profile;
+        let profile = &self.stats().profile;
         let mut tree_nodes = 0.0;
         if let Some((_root, below)) = profile.levels.split_last() {
             for level in below {
@@ -893,7 +902,7 @@ impl<'a> Planner<'a> {
         let aux = config.schema.aux_dims();
         let mut sides = vec![f64::INFINITY; aux];
         let mut d = aux;
-        while d < self.stats.dims {
+        while d < self.stats().dims {
             match config.space {
                 SpaceKind::Rectangular => {
                     sides.push(2.0 * eps);
@@ -902,12 +911,12 @@ impl<'a> Planner<'a> {
                 SpaceKind::Polar => {
                     // Magnitude dimension, then angle dimension.
                     sides.push(2.0 * eps);
-                    let lo = if d < self.stats.profile.bounds_lo.len() {
-                        self.stats.profile.bounds_lo[d]
+                    let lo = if d < self.stats().profile.bounds_lo.len() {
+                        self.stats().profile.bounds_lo[d]
                     } else {
                         0.0
                     };
-                    let mag_center = (lo + self.stats.profile.extent(d) / 2.0).max(1e-9);
+                    let mag_center = (lo + self.stats().profile.extent(d) / 2.0).max(1e-9);
                     let angle_side = if eps >= mag_center {
                         2.0 * std::f64::consts::PI
                     } else {
@@ -921,6 +930,10 @@ impl<'a> Planner<'a> {
         sides
     }
 
+    /// Costs the one subsequence operator from the ST-index's own profile
+    /// (or, cold, from the relation's size): the whole-match tree and its
+    /// statistics are not read, so an executed subsequence statement never
+    /// packs them.
     fn plan_subseq(
         &self,
         eps: Option<f64>,
@@ -933,10 +946,10 @@ impl<'a> Planner<'a> {
             None => SubseqConfig::new(window),
         };
         let dims = 2 * config.k.min(window);
-        let windows_per_series = (self.stats.series_len + 1).saturating_sub(window);
+        let windows_per_series = (self.index.series_len() + 1).saturating_sub(window);
         let windows_total = match subseq {
             Some(idx) => idx.windows_total() as f64,
-            None => (self.stats.cardinality * windows_per_series) as f64,
+            None => (self.index.len() * windows_per_series) as f64,
         };
         let refine_cpu = |candidates: f64| candidates * window as f64 / POINT_OPS_PER_PAGE;
         let estimate = match subseq {

@@ -8,8 +8,9 @@
 //! scatter-gather style: the statement is bound once (validated, its
 //! query transformed and its search rectangle built — shards share one
 //! configuration and series length),
-//! the [`Planner`] produces one physical plan *per shard* (each shard has
-//! its own [`RelationStats`]), the shard plans run concurrently on the
+//! the [`Planner`] produces one physical plan *per shard* (each shard's
+//! index holds its own `RelationStats` next to its tree), the shard plans
+//! run concurrently on the
 //! worker pool ([`crate::executor::parallel_map`]), and a typed merge
 //! step reassembles the global answer:
 //!
@@ -71,7 +72,7 @@ use crate::executor::{default_threads, parallel_map};
 use crate::index::{IndexConfig, Match, SimilarityIndex};
 use crate::plan::{
     execute_bound, render_analyze, render_plan, run_join, Bound, ExecStats, ForceOp, LogicalPlan,
-    PhysicalOp, PlanChoice, PlanRows, Planner, RelationStats,
+    PhysicalOp, PlanChoice, PlanRows, Planner,
 };
 use crate::queries::{JoinBound, JoinPair};
 use crate::relation::SeriesRelation;
@@ -283,13 +284,12 @@ impl ShardMap {
     }
 }
 
-/// One relation partitioned into per-shard [`SimilarityIndex`]es, with
-/// per-shard planner statistics kept current across appends.
+/// One relation partitioned into per-shard [`SimilarityIndex`]es, each
+/// holding its own tree and planner statistics.
 #[derive(Debug, Clone)]
 pub struct ShardedIndex {
     map: ShardMap,
     parts: Vec<SimilarityIndex>,
-    stats: Vec<RelationStats>,
     subseq: SubseqSet,
 }
 
@@ -417,9 +417,8 @@ impl ShardedIndex {
     }
 
     /// Assembles a sharded index from its parts — freshly built, or
-    /// restored (snapshot open) — deriving the per-shard planner statistics
-    /// from the trees: they depend only on the tree structure, which
-    /// snapshots preserve exactly.
+    /// restored (snapshot open), either way holding their trees and planner
+    /// statistics already.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when part count or membership disagrees
@@ -441,11 +440,9 @@ impl ShardedIndex {
                 )));
             }
         }
-        let stats = parts.iter().map(RelationStats::from_index).collect();
         Ok(ShardedIndex {
             map,
             parts,
-            stats,
             subseq: SubseqSet::default(),
         })
     }
@@ -512,11 +509,6 @@ impl ShardedIndex {
     /// The per-shard indexes, shard order.
     pub fn parts(&self) -> &[SimilarityIndex] {
         &self.parts
-    }
-
-    /// The per-shard planner statistics, shard order.
-    pub fn shard_stats(&self) -> &[RelationStats] {
-        &self.stats
     }
 
     /// Number of shards.
@@ -619,13 +611,14 @@ impl ShardedIndex {
     }
 
     /// Routes a statement's extended series (global id, the relation's
-    /// extended value) to their owning shards and refreshes the touched
-    /// shards' statistics; every window's ST-index of an owning shard then
-    /// takes the same values ([`SubseqIndex::extend_series`] resumes the
-    /// sliding-DFT recurrence at `O(k)` per appended point), so every
-    /// holder of a series shares the relation's buffer. Callers (the
-    /// catalog) validate the batch up front; per-shard application reuses
-    /// the index's atomic batch append.
+    /// extended value) to their owning shards, whose trees and statistics
+    /// are dropped for the next whole-match reader to pack; every window's
+    /// ST-index of an owning shard then takes the same values
+    /// ([`SubseqIndex::extend_series`] resumes the sliding-DFT recurrence
+    /// at `O(k)` per appended point), so every holder of a series shares
+    /// the relation's buffer. Callers (the catalog) validate the batch up
+    /// front; per-shard application reuses the index's atomic batch
+    /// append.
     ///
     /// # Errors
     /// The same failures [`SimilarityIndex::extend_series_batch`] reports.
@@ -640,7 +633,6 @@ impl ShardedIndex {
                 continue;
             }
             self.parts[shard].extend_series_batch(&batch)?;
-            self.stats[shard] = RelationStats::from_index(&self.parts[shard]);
             for st in self.subseq.of_shard(shard) {
                 for (local, series) in &batch {
                     st.extend_series(*local, series.clone())?;
@@ -651,11 +643,11 @@ impl ShardedIndex {
     }
 
     /// Registers and stores a statement's brand-new labeled series: each
-    /// owning shard receives its share as one batch — one canonical
-    /// repack per touched shard, so the result is byte-identical to
-    /// building the shards over the final data — and the series take the
-    /// next global ids in the order given. Callers (the catalog) validate
-    /// the batch up front, as for [`ShardedIndex::extend_series_batch`].
+    /// owning shard receives its share as one batch — its next reader
+    /// packs it as a build over the final data would — and the series
+    /// take the next global ids in the order given. Callers (the catalog)
+    /// validate the batch up front, as for
+    /// [`ShardedIndex::extend_series_batch`].
     ///
     /// # Errors
     /// The same failures [`SimilarityIndex::push_series_batch`] reports.
@@ -672,7 +664,6 @@ impl ShardedIndex {
             }
             let first = self.parts[shard].len();
             self.parts[shard].push_series_batch(batch)?;
-            self.stats[shard] = RelationStats::from_index(&self.parts[shard]);
             for st in self.subseq.of_shard(shard) {
                 for pushed in &self.parts[shard].entries()[first..] {
                     st.insert(pushed.series.clone());
@@ -705,7 +696,7 @@ impl ShardedIndex {
         let subseq = window.and_then(|w| self.subseq.get(w, false));
         let plan = |s: usize| {
             let st = subseq.as_ref().map(|list| &*list[s]);
-            Planner::new(&self.parts[s], &self.stats[s]).plan_bound(&bound, forced, st)
+            Planner::of(&self.parts[s]).plan_bound(&bound, forced, st)
         };
         let active = self.active_shards(logical).into_iter();
         Ok(active.map(|slot| slot.map(plan)).collect())
@@ -739,8 +730,7 @@ impl ShardedIndex {
         let ran = parallel_map(scatter.max(1), self.active_shards(logical), |slot| {
             slot.map(|s| {
                 let st = subseq.as_ref().map(|list| &*list[s]);
-                let planner = Planner::new(&self.parts[s], &self.stats[s]);
-                let choice = planner.plan_bound(&bound, forced, st);
+                let choice = Planner::of(&self.parts[s]).plan_bound(&bound, forced, st);
                 let (rows, exec) = execute_bound(&bound, &choice.plan, &self.parts[s], st)?;
                 Ok((choice, rows, exec))
             })
@@ -1021,7 +1011,7 @@ pub fn render_sharded_plan(
     plans: &[Option<PlanChoice>],
 ) -> String {
     if let [Some(only)] = plans {
-        return render_plan(logical, only, &sharded.shard_stats()[0]);
+        return render_plan(logical, only, sharded.parts[0].stats());
     }
     let mut out = String::new();
     let mut header_done = false;
@@ -1029,7 +1019,7 @@ pub fn render_sharded_plan(
         let Some(choice) = slot else {
             continue;
         };
-        let body = render_plan(logical, choice, &sharded.shard_stats()[s]);
+        let body = render_plan(logical, choice, sharded.parts[s].stats());
         let mut lines = body.splitn(2, '\n');
         let header = lines.next().unwrap_or("");
         let rest = lines.next().unwrap_or("");
@@ -1099,7 +1089,8 @@ pub fn render_sharded_analyze(rendered: &mut String, rows: usize, outcome: &Shar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::execute_plan;
+    use crate::index::derived_bytes;
+    use crate::plan::{execute_plan, RelationStats};
     use crate::space::QueryWindow;
     use crate::transform::LinearTransform;
     use tsq_series::generate::RandomWalkGenerator;
@@ -1342,12 +1333,142 @@ mod tests {
             let want =
                 ShardedIndex::build(config, &grown, ShardSpec::hash(count).unwrap()).unwrap();
             assert_eq!(live.map(), want.map());
-            assert_eq!(live.shard_stats(), want.shard_stats());
             for (got, want) in live.parts().iter().zip(want.parts()) {
                 let (mut a, mut b) = (tsq_store::Encoder::new(), tsq_store::Encoder::new());
                 got.write_to(&mut a).unwrap();
                 want.write_to(&mut b).unwrap();
                 assert_eq!(a.into_bytes(), b.into_bytes(), "count={count}");
+                // What the snapshot leaves out: features, tree, profile.
+                assert_eq!(derived_bytes(got), derived_bytes(want), "count={count}");
+                assert_eq!(got.stats(), want.stats(), "count={count}");
+            }
+        }
+    }
+
+    /// Which shards hold their tree and statistics.
+    fn packed(sharded: &ShardedIndex) -> Vec<bool> {
+        let parts = sharded.parts().iter();
+        parts.map(SimilarityIndex::is_packed).collect()
+    }
+
+    /// `rel` with `tail` appended to every series in `ids`, and the edits
+    /// that take an index over `rel` there.
+    fn grow(
+        rel: &mut SeriesRelation,
+        ids: std::ops::Range<usize>,
+        tail: &[f64],
+    ) -> Vec<(usize, TimeSeries)> {
+        ids.map(|id| {
+            let label = rel.label(id).unwrap().to_string();
+            rel.extend_series(&label, tail).unwrap();
+            (id, rel.get(id).unwrap().clone())
+        })
+        .collect()
+    }
+
+    #[test]
+    fn appends_and_subsequence_statements_never_pack_and_explain_does() {
+        let mut rel = relation(24, 32, 41);
+        let spec = || ShardSpec::hash(3).unwrap();
+        let mut sharded = ShardedIndex::build(IndexConfig::default(), &rel, spec()).unwrap();
+        assert_eq!(packed(&sharded), [true; 3], "a build returns packed");
+        // One label grows: its shard drops its tree, the others keep theirs,
+        // and the ragged relation refuses whole-match statements unpacked.
+        let (owner, _) = sharded.map().owner(5).unwrap();
+        let mut dropped = [true; 3];
+        dropped[owner] = false;
+        sharded
+            .extend_series_batch(grow(&mut rel, 5..6, &[0.5, -0.5]))
+            .unwrap();
+        assert_eq!(packed(&sharded), dropped);
+        let whole = range_logical(&rel, 5, 2.0);
+        assert!(matches!(
+            sharded.execute(&whole, None, 2),
+            Err(Error::Ragged { min: 32, max: 34 })
+        ));
+        assert!(matches!(
+            sharded.plan_shards(&whole, None),
+            Err(Error::Ragged { min: 32, max: 34 })
+        ));
+        assert_eq!(packed(&sharded), dropped);
+        // Executed subsequence statements, cold and warm, range and k-NN,
+        // and a snapshot of every shard: still nothing packed.
+        let knn = LogicalPlan::SubseqKnn {
+            relation: "r".into(),
+            query: TimeSeries::from(vec![0.5; 8]),
+            k: 3,
+            window: 8,
+        };
+        for logical in [
+            subseq_logical(8),
+            knn.clone(),
+            subseq_logical(8),
+            knn.clone(),
+        ] {
+            sharded.execute(&logical, None, 2).unwrap();
+        }
+        for part in sharded.parts() {
+            part.write_to(&mut tsq_store::Encoder::new()).unwrap();
+        }
+        assert_eq!(packed(&sharded), dropped);
+        // EXPLAIN's relation line prints the tree's height and node count:
+        // it packs, and prints what a build over the final data prints.
+        let fresh = ShardedIndex::build(IndexConfig::default(), &rel, spec()).unwrap();
+        fresh.execute(&knn, None, 2).unwrap();
+        for logical in [subseq_logical(8), knn] {
+            sharded
+                .extend_series_batch(grow(&mut rel, 5..6, &[]))
+                .unwrap();
+            assert_eq!(packed(&sharded), dropped);
+            let plans = sharded.plan_shards(&logical, None).unwrap();
+            let text = render_sharded_plan(&logical, &sharded, &plans);
+            assert_eq!(packed(&sharded), [true; 3]);
+            let want = fresh.plan_shards(&logical, None).unwrap();
+            assert_eq!(text, render_sharded_plan(&logical, &fresh, &want));
+        }
+    }
+
+    #[test]
+    fn racing_first_readers_after_an_append_see_one_tree() {
+        let mut rel = relation(90, 32, 43);
+        for count in [1usize, 4] {
+            let spec = || ShardSpec::hash(count).unwrap();
+            let mut sharded = ShardedIndex::build(IndexConfig::default(), &rel, spec()).unwrap();
+            // A round that leaves the relation uniform again, and unpacked.
+            let len = rel.get(0).unwrap().len();
+            sharded
+                .extend_series_batch(grow(&mut rel, 0..90, &[0.25, -1.0]))
+                .unwrap();
+            assert_eq!(packed(&sharded), vec![false; count]);
+            let fresh = ShardedIndex::build(IndexConfig::default(), &rel, spec()).unwrap();
+            let logical = LogicalPlan::Range {
+                relation: "r".into(),
+                query: rel.get(7).unwrap().clone(),
+                eps: 3.0,
+                transform: LinearTransform::moving_average(len + 2, 4),
+                window: QueryWindow::default(),
+            };
+            let want = fresh.execute(&logical, None, 1).unwrap();
+            let readers = std::sync::Barrier::new(8);
+            let got: Vec<ShardedOutcome> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..8)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            readers.wait();
+                            sharded.execute(&logical, None, 1).unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for outcome in &got {
+                assert_eq!(outcome.rows, want.rows, "count={count}");
+                assert_eq!(outcome.merged, want.merged, "count={count}");
+                assert_eq!(outcome.per_shard, want.per_shard, "count={count}");
+            }
+            assert_eq!(packed(&sharded), vec![true; count]);
+            for (got, want) in sharded.parts().iter().zip(fresh.parts()) {
+                assert_eq!(derived_bytes(got), derived_bytes(want), "count={count}");
             }
         }
     }

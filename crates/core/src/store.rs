@@ -2,21 +2,20 @@
 //!
 //! The byte-level primitives (framing, checksums, allocation-guarded
 //! reads) live in `tsq-store`; this module contributes the encodings of
-//! `tsq-core`'s own vocabulary — [`TimeSeries`], [`Features`],
-//! [`FeatureSchema`], [`SpaceKind`], [`IndexConfig`] and
-//! [`SubseqConfig`] — shared by [`crate::SimilarityIndex::write_to`],
+//! `tsq-core`'s own vocabulary — [`TimeSeries`], [`FeatureSchema`],
+//! [`SpaceKind`], [`IndexConfig`] and [`SubseqConfig`] — shared by
+//! [`crate::SimilarityIndex::write_to`],
 //! [`crate::SubseqIndex::write_trails_to`] and the catalog snapshots in
 //! `tsq-lang`. Every reader validates what it decodes (finite samples,
 //! in-range enum tags, coherent configurations) and reports violations as
 //! typed [`StoreError`]s, so corrupt bytes that survive the frame
 //! checksum still cannot panic the engine.
 
-use tsq_dft::Complex64;
 use tsq_rtree::RTreeConfig;
 use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
-use crate::features::{FeatureSchema, Features};
+use crate::features::FeatureSchema;
 use crate::index::IndexConfig;
 use crate::space::SpaceKind;
 use crate::subseq::SubseqConfig;
@@ -36,56 +35,6 @@ pub fn read_series(dec: &mut Decoder<'_>) -> StoreResult<TimeSeries> {
     let values = dec.f64_vec(len, "series values")?;
     TimeSeries::try_new(values).map_err(|e| {
         StoreError::corrupt(format!("series sample {} at position {}", e.value, e.index))
-    })
-}
-
-/// Writes extracted features: mean, std, the series length `n`, then the
-/// stored coefficients — `0..=n/2` of the spectrum, 16 bytes each (8 per
-/// point of the series), preceded by their count.
-pub fn write_features(enc: &mut Encoder, features: &Features) {
-    enc.f64(features.mean);
-    enc.f64(features.std);
-    enc.usize(features.n());
-    enc.usize(features.spectrum.len());
-    for c in &features.spectrum {
-        enc.f64(c.re);
-        enc.f64(c.im);
-    }
-}
-
-/// Reads extracted features, rejecting non-finite components and a
-/// coefficient count that does not belong to the series length.
-///
-/// # Errors
-/// [`StoreError::Truncated`] / [`StoreError::Corrupt`].
-pub fn read_features(dec: &mut Decoder<'_>) -> StoreResult<Features> {
-    let mean = dec.f64_finite("feature mean")?;
-    let std = dec.f64_finite("feature std")?;
-    let n = dec.usize("feature series length")?;
-    let count = dec.seq(16, "spectrum length")?;
-    // Hot path (one call per stored series): decode the interleaved
-    // re/im pairs straight into complex values — no intermediate buffer —
-    // then validate with a plain loop.
-    let bytes = dec.bytes(count * 16, "spectrum coefficients")?;
-    let spectrum: Vec<Complex64> = bytes
-        .chunks_exact(16)
-        .map(|pair| Complex64 {
-            re: f64::from_le_bytes(pair[..8].try_into().expect("8 bytes")),
-            im: f64::from_le_bytes(pair[8..].try_into().expect("8 bytes")),
-        })
-        .collect();
-    for (i, c) in spectrum.iter().enumerate() {
-        if !c.re.is_finite() || !c.im.is_finite() {
-            return Err(StoreError::corrupt(format!(
-                "non-finite spectrum coefficient {i}: ({}, {})",
-                c.re, c.im
-            )));
-        }
-    }
-    Features::from_spectrum(mean, std, n, spectrum).ok_or_else(|| {
-        StoreError::corrupt(format!(
-            "{count} spectrum coefficient(s) for a series of length {n}"
-        ))
     })
 }
 
@@ -230,48 +179,6 @@ mod tests {
             read_series(&mut dec),
             Err(StoreError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn features_round_trip() {
-        let spectrum = vec![
-            Complex64 { re: 1.0, im: -2.0 },
-            Complex64 { re: 0.0, im: 0.25 },
-        ];
-        let f = Features::from_spectrum(3.25, 0.5, 3, spectrum).unwrap();
-        let mut enc = Encoder::new();
-        write_features(&mut enc, &f);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        assert_eq!(read_features(&mut dec).unwrap(), f);
-        dec.finish().unwrap();
-    }
-
-    #[test]
-    fn coefficient_count_must_belong_to_the_series_length() {
-        // A length-8 series stores coefficients 0..=4, at most all 8.
-        let section = |n: usize, count: usize| {
-            let mut enc = Encoder::new();
-            enc.f64(0.0);
-            enc.f64(1.0);
-            enc.usize(n);
-            enc.usize(count);
-            for _ in 0..2 * count {
-                enc.f64(0.5);
-            }
-            enc.into_bytes()
-        };
-        for (n, count, ok) in [(8, 5, true), (8, 8, true), (8, 4, false), (8, 9, false)] {
-            let bytes = section(n, count);
-            let got = read_features(&mut Decoder::new(&bytes));
-            match got {
-                Ok(f) => assert!(ok && f.n() == n && f.spectrum.len() == count),
-                Err(e) => assert!(
-                    !ok && matches!(e, StoreError::Corrupt { .. }),
-                    "n {n}, count {count}: {e}"
-                ),
-            }
-        }
     }
 
     #[test]

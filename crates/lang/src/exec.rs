@@ -254,8 +254,9 @@ impl Catalog {
         })
     }
 
-    /// Applies an `APPEND` statement, maintaining every index
-    /// *incrementally* — no index is dropped or rebuilt from scratch:
+    /// Applies an `APPEND` statement, maintaining per-series state
+    /// *incrementally* and dropping what is derived from the relation as a
+    /// whole, which nothing can read while the lengths are uneven:
     ///
     /// - the relation extends each touched series once, at its
     ///   statement-end length ([`SeriesRelation::extend_series`], the one
@@ -263,17 +264,17 @@ impl Catalog {
     ///   (the relation is then ragged until appends even the lengths out);
     /// - each owning shard's whole-series index is handed the extended
     ///   values — it shares their buffers — re-extracts features for those
-    ///   series only and repacks canonically, once per statement
+    ///   series only and drops its R\*-tree and planner statistics
     ///   ([`ShardedIndex::extend_series_batch`] /
-    ///   [`ShardedIndex::push_series_batch`]), so the result is
-    ///   byte-identical to a fresh build over the final data;
+    ///   [`ShardedIndex::push_series_batch`]); the next whole-match
+    ///   statement or `EXPLAIN` packs them once, as a fresh build over the
+    ///   final data would — an `APPEND`, a `save` and an executed
+    ///   subsequence statement never do;
     /// - the same two calls hand the values to every subsequence ST-index
     ///   the relation holds, next to the shard's features
     ///   ([`tsq_core::SubseqIndex::extend_series`] resumes the sliding-DFT
     ///   recurrence at `O(k)` per appended point), clone-on-write so
-    ///   in-flight readers keep their consistent pre-append snapshot;
-    /// - the touched shards' planner statistics are refreshed so later
-    ///   plans see the new shape.
+    ///   in-flight readers keep their consistent pre-append snapshot.
     ///
     /// The statement is **atomic**: everything is validated up front
     /// (unknown relation, paged storage, non-finite values, a schema that
@@ -365,9 +366,8 @@ impl Catalog {
             });
         }
         // Each extended and each new series routes to its owning shard —
-        // one batch (one canonical repack) per touched shard — which
-        // refreshes its planner statistics and extends its ST-indexes
-        // itself.
+        // one batch per touched shard — which drops its tree and planner
+        // statistics and extends its ST-indexes itself.
         if !edits.is_empty() {
             index.extend_series_batch(edits).expect("validated upfront");
         }
@@ -1476,7 +1476,7 @@ mod tests {
         let fresh = rebuilt(&cat, "walks");
         // Whole-series forms are *byte-identical* to the fresh build —
         // rows, every counter, and the rendered EXPLAIN ANALYZE plan —
-        // because the incremental path repacks canonically.
+        // because the first read packs the tree a fresh build packs.
         for q in [
             "FIND SIMILAR TO walks.s0 IN walks WITHIN 2",
             "FIND SIMILAR TO walks.s0 IN walks WITHIN 0.5",
@@ -2035,6 +2035,54 @@ mod tests {
             let got = paged.run(q).unwrap();
             assert_eq!(got.rows, want.rows, "{q}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_paged_save_writes_the_in_memory_bytes_and_pins_no_page() {
+        let dir = std::env::temp_dir().join(format!("tsq-paged-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cat.tsq");
+        let mut cat = catalog();
+        cat.run_mut("SHARD walks INTO 3 BY HASH").unwrap();
+        cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 6 WINDOW 8")
+            .unwrap();
+        // A second relation, left ragged by an append to a known and a new
+        // label, with a held window of its own.
+        let ragged = RandomWalkGenerator::new(52).relation(20, 32);
+        cat.register(SeriesRelation::from_series("ragged", ragged).unwrap())
+            .unwrap();
+        cat.run("FIND 2 NEAREST SUBSEQUENCE OF ragged.s1 IN ragged WINDOW 32")
+            .unwrap();
+        cat.run_mut("APPEND ragged CSV (s7, 1.5, 2.5) (fresh, 1, 2, 3, 4, 5, 6, 7, 8, 9)")
+            .unwrap();
+        let bytes = cat.snapshot_bytes().unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        // (hits, misses) of every shard's pool (an unchanged map iterates in
+        // one order).
+        let pins = |cat: &Catalog| -> Vec<(u64, u64)> {
+            let parts = cat.relations.values().flat_map(|rel| rel.index.parts());
+            parts
+                .map(|part| {
+                    let pool = part.paged().expect("open_paged pages every shard").pool();
+                    (pool.hits(), pool.misses())
+                })
+                .collect()
+        };
+        let before = pins(&paged);
+        assert_eq!(paged.snapshot_bytes().unwrap(), bytes);
+        assert_eq!(
+            paged.save(&dir.join("again.tsq")).unwrap(),
+            bytes.len() as u64
+        );
+        assert_eq!(pins(&paged), before, "a save reads series, not pages");
+        // The pools do count: an index read moves them.
+        paged
+            .run("FIND SIMILAR TO walks.s0 IN walks WITHIN 8 WITH (force = index)")
+            .unwrap();
+        assert_ne!(pins(&paged), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

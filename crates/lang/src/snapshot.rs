@@ -1,10 +1,9 @@
 //! Catalog persistence: [`Catalog::save`] / [`Catalog::open`] /
 //! [`Catalog::load`] snapshot an entire catalog — every relation with its
-//! labels and its [`ShardedIndex`] (R\*-tree node structure preserved
-//! byte-identically, never rebuilt), the subsequence ST-indexes the index
-//! holds included — to a single `tsq-store` file.
+//! labels, its shard rule, each shard's series and the subsequence
+//! ST-indexes the relation holds — to a single `tsq-store` file.
 //!
-//! There is one section layout, at every shard count (format version 6):
+//! There is one section layout, at every shard count (format version 7):
 //!
 //! ```text
 //! relation section
@@ -13,24 +12,25 @@
 //! label count, labels
 //! shard rule (0 hash, 1 range), shard count
 //! boundary count, boundaries
-//! one whole-match index per shard, shard order
+//! per shard, shard order: index configuration, series count, series
 //! ST-index window count, then per window, least recently used first:
 //!   window, one ST-index per shard, shard order, trails only
 //! ```
 //!
-//! A whole-match index stores each series with its features: mean, std,
-//! the series length `n` and coefficients `0..=n/2` of the spectrum (8
-//! bytes per point; the upper half is the conjugate mirror, see
-//! `tsq_core::features`). Version 5 stored all `n` coefficients; it has
-//! no reader and is refused by [`StoreError::UnsupportedVersion`].
-//!
-//! A restored catalog scatter-gathers over exactly the trees that were
-//! saved. Three things are derived instead of stored: shard membership
-//! (the rule is a pure function of the label, so [`ShardMap::build`] over
-//! the labels reproduces it), the planner statistics (they depend only on
-//! the tree structure, so [`ShardedIndex::from_parts`] recomputes them)
-//! and an ST-index's series (they are its shard's, so only the trails
-//! travel and the section's own shards are handed over as the store).
+//! A snapshot stores what cannot be derived and nothing else. Derived, and
+//! so rebuilt on restore by the one function that builds them anywhere
+//! ([`SimilarityIndex::read_from`] is "decode the series, call `build`"):
+//! each series' features (mean, std, half spectrum — one FFT), each
+//! shard's whole-match R\*-tree (a pure function of the features, packed
+//! identically) and the planner statistics profiled from it. They join
+//! shard membership (the rule is a pure function of the label, so
+//! [`ShardMap::build`] over the labels reproduces it) and an ST-index's
+//! series (they are its shard's, so only the trails travel and the
+//! section's own shards are handed over as the store). Version 6 stored
+//! the half spectra and the tree's nodes next to the series — 2.6 bytes
+//! per data byte where this layout writes 1.5, slower to save and no
+//! faster to open than re-deriving is; it has no reader and is refused by
+//! [`StoreError::UnsupportedVersion`].
 //!
 //! ## Guarantees
 //!
@@ -90,10 +90,8 @@ impl Catalog {
             for boundary in spec.boundaries() {
                 section.str(boundary);
             }
-            // Per-shard R*-trees travel whole (structure preserved
-            // byte-identically). Paged shards reconstruct their node
-            // structure from the page file here, byte-identically to the
-            // in-memory form — the only fallible step of a snapshot.
+            // Each shard travels as its configuration and series; a paged
+            // shard's series never left memory, so no page is read.
             for part in index.parts() {
                 part.write_to(&mut section)?;
             }
@@ -119,9 +117,8 @@ impl Catalog {
     /// payload, checksum) — the bytes [`Catalog::save`] writes to disk.
     ///
     /// # Errors
-    /// [`LangError::Engine`] wrapping [`tsq_core::Error::Store`] when a
-    /// paged relation's page file cannot be read back (in-memory catalogs
-    /// cannot fail).
+    /// None since format version 7, which reads no page file; the `Result`
+    /// is what callers written against the earlier formats still unwrap.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, LangError> {
         Ok(seal(&self.snapshot_payload()?))
     }
@@ -192,11 +189,11 @@ impl Catalog {
     /// minimum 1) is split evenly across the restored relations, and a
     /// relation's slice evenly across its shards.
     ///
-    /// Planner statistics were derived from the restored trees before the
+    /// Planner statistics were profiled from the rebuilt trees before the
     /// nodes moved out, so plan choices are identical to the in-memory
-    /// catalog's. Paged relations are
-    /// read-only until re-registered; [`Catalog::save`] still works (the
-    /// node structure is read back from the page files).
+    /// catalog's. Paged relations are read-only until re-registered;
+    /// [`Catalog::save`] still works, and reads no page (a snapshot holds
+    /// series, which stay in memory).
     ///
     /// # Errors
     /// Same as [`Catalog::open`], plus I/O failures while writing or
@@ -346,9 +343,8 @@ fn decode_relation_section(bytes: &[u8]) -> Result<(String, Relation), StoreErro
         parts.push(SimilarityIndex::read_from(&mut dec).map_err(unwrap_core)?);
     }
     // Membership is the rule applied to the labels; from_parts checks it
-    // against the part sizes (so a label count that disagrees with the
-    // stored series is caught here) and recomputes the per-shard planner
-    // statistics from the restored trees.
+    // against the part sizes, so a label count that disagrees with the
+    // stored series is caught here.
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     let map = ShardMap::build(spec, &label_refs);
     let mut index = ShardedIndex::from_parts(map, parts).map_err(unwrap_core)?;

@@ -479,25 +479,26 @@ fn corrupt_inputs_are_typed_errors() {
 
     // Future format version.
     let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&7u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&8u32.to_le_bytes());
     assert!(matches!(
         Catalog::new().restore_bytes(&bad).unwrap_err(),
         LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got: 7,
+            got: 8,
             supported: tsq_store::FORMAT_VERSION
         }))
     ));
 
-    // The previous format version (5, which stored every series' full
-    // spectrum): no reader for its layout exists, so it is refused on the
-    // version field, not decoded as the current one.
+    // The previous format version (6, which stored every series' half
+    // spectrum and every tree's nodes): no reader for its layout exists,
+    // so a sealed v6 file is refused on the version field, not decoded as
+    // the current one.
     let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&5u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&6u32.to_le_bytes());
     assert!(matches!(
         Catalog::new().restore_bytes(&bad).unwrap_err(),
         LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got: 5,
-            supported: 6
+            got: 6,
+            supported: 7
         }))
     ));
 
@@ -527,50 +528,73 @@ fn corrupt_inputs_are_typed_errors() {
     ));
 }
 
-/// A features record states its series length `n` and how many spectrum
-/// coefficients follow: a resealed (checksum-valid) file in which the two
-/// disagree — with each other, with the series, or with what extraction
-/// keeps — is `Corrupt`, never half a spectrum read as a whole one.
+/// A relation section carries labels and, per shard, a configuration and
+/// series; everything else is derived. A resealed (checksum-valid) file
+/// whose series the schema does not fit, or whose label count disagrees
+/// with the series it stores, is `Corrupt` — the build a restore runs
+/// reports through the store's error type, and nothing panics.
 #[test]
-fn features_length_and_coefficient_count_must_agree() {
+fn hostile_index_sections_are_typed_errors() {
     let series = RandomWalkGenerator::new(5).relation(6, 16);
+    let config = tsq_core::IndexConfig::default();
+    // One hash shard of `series` under `labels`.
+    let sealed = |labels: &[&str], series: &[TimeSeries]| {
+        let mut section = Encoder::new();
+        section.str("w");
+        section.usize(labels.len());
+        for label in labels {
+            section.str(label);
+        }
+        section.u8(0);
+        section.usize(1);
+        section.usize(0);
+        tsq_core::store::write_index_config(&mut section, &config);
+        section.usize(series.len());
+        for s in series {
+            tsq_core::store::write_series(&mut section, s);
+        }
+        section.usize(0);
+        let mut payload = Encoder::new();
+        tsq_core::store::write_index_config(&mut payload, &config);
+        payload.usize(1);
+        payload.usize(section.len());
+        payload.raw(&section.into_bytes());
+        tsq_store::seal(&payload.into_bytes())
+    };
+    let labels = ["s0", "s1", "s2", "s3", "s4", "s5"];
+    // The forgery is faithful: these are the catalog's own bytes.
     let mut cat = Catalog::new();
     cat.register(SeriesRelation::from_series("w", series.clone()).unwrap())
         .unwrap();
-    let sealed = cat.snapshot_bytes().unwrap();
-    let payload = tsq_store::unseal(&sealed).unwrap().to_vec();
-    // The first record's features open with its mean and std; `n` and the
-    // coefficient count are the two words after.
-    let mut opening = series[0].mean().to_le_bytes().to_vec();
-    opening.extend(series[0].std().to_le_bytes());
-    let at = payload
-        .windows(16)
-        .position(|w| w == &opening[..])
-        .expect("the first features record")
-        + 16;
-    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-    assert_eq!((word(at), word(at + 8)), (16, 9), "n, then n/2 + 1 pairs");
-    // (n, count): a v5-style full count under the right n, an n no count
-    // of 9 belongs to, and a consistent pair that is not this series'.
-    for (n, count) in [(16u64, 16u64), (32, 9), (8, 9), (17, 9)] {
-        let mut bad = payload.clone();
-        bad[at..at + 8].copy_from_slice(&n.to_le_bytes());
-        bad[at + 8..at + 16].copy_from_slice(&count.to_le_bytes());
-        let err = Catalog::new()
-            .restore_bytes(&tsq_store::seal(&bad))
-            .unwrap_err();
+    assert_eq!(sealed(&labels, &series), cat.snapshot_bytes().unwrap());
+
+    // `series` with its fourth replaced.
+    let with = |fourth: Vec<f64>| {
+        let mut series = series.clone();
+        series[3] = TimeSeries::new(fourth);
+        sealed(&labels, &series)
+    };
+    let cases = [
+        ("a series too short for k = 2", with(vec![1.0, 2.0])),
+        ("an empty series", with(Vec::new())),
+        ("fewer labels than series", sealed(&labels[..5], &series)),
+        ("more labels than series", sealed(&labels, &series[..5])),
+        ("labels of an empty shard", sealed(&labels, &[])),
+        (
+            "a label twice",
+            sealed(&["s0", "s1", "s2", "s3", "s4", "s0"], &series),
+        ),
+    ];
+    for (what, bytes) in &cases {
+        let err = Catalog::new().restore_bytes(bytes).unwrap_err();
         assert!(
             matches!(
                 err,
                 LangError::Engine(Error::Store(StoreError::Corrupt { .. }))
             ),
-            "n = {n}, count = {count}: {err:?}"
+            "{what}: {err:?}"
         );
     }
-    // Untouched, the payload restores.
-    Catalog::new()
-        .restore_bytes(&tsq_store::seal(&payload))
-        .unwrap();
 }
 
 #[test]

@@ -18,8 +18,8 @@
 //! is pinned, so a capacity-1 pool still answers.
 //!
 //! Payloads are fixed to `u64` (the id-shaped types every index in this
-//! workspace stores); `create_from`/`materialize` bridge to the generic
-//! item type with caller-supplied conversions.
+//! workspace stores); `create_from` bridges from the generic item type
+//! with a caller-supplied conversion.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -284,75 +284,6 @@ impl PagedTree {
             )));
         }
         Ok(pin)
-    }
-
-    /// Rebuilds the full in-memory tree from the pages, converting stored
-    /// `u64` payloads back with `from_u64`. Validation mirrors the
-    /// snapshot restore: stored MBRs must equal recomputed child MBRs
-    /// bitwise, and the leaf count must match the recorded length.
-    ///
-    /// # Errors
-    /// Typed [`StoreError`]s for I/O failures or structural corruption.
-    pub fn materialize<T, F: FnMut(u64) -> T>(&self, mut from_u64: F) -> StoreResult<RStarTree<T>> {
-        let mut tree = RStarTree::new(self.config);
-        if self.len == 0 {
-            return Ok(tree);
-        }
-        let mut stats = SearchStats::default();
-        let mut leaves = 0usize;
-        let root = self.materialize_node(
-            self.root,
-            self.root_level,
-            &mut from_u64,
-            &mut leaves,
-            &mut stats,
-        )?;
-        if leaves != self.len {
-            return Err(StoreError::corrupt(format!(
-                "page file claims {} item(s) but stores {leaves}",
-                self.len
-            )));
-        }
-        tree.root = root;
-        if let Some(d) = self.dims {
-            tree.force_size(self.len, d);
-        }
-        Ok(tree)
-    }
-
-    fn materialize_node<T, F: FnMut(u64) -> T>(
-        &self,
-        id: PageId,
-        level: u32,
-        from_u64: &mut F,
-        leaves: &mut usize,
-        stats: &mut SearchStats,
-    ) -> StoreResult<Node<T>> {
-        let page = self.fetch(id, level, stats)?;
-        let mut entries = Vec::with_capacity(page.entries.len());
-        for PagedEntry { rect, word } in &page.entries {
-            if level == 0 {
-                *leaves += 1;
-                entries.push(Entry::Leaf {
-                    rect: rect.clone(),
-                    item: from_u64(*word),
-                });
-            } else {
-                let child =
-                    self.materialize_node(PageId(*word), level - 1, from_u64, leaves, stats)?;
-                let computed = child.mbr();
-                if *rect != computed {
-                    return Err(StoreError::corrupt(format!(
-                        "stored MBR {rect} differs from recomputed child MBR {computed}"
-                    )));
-                }
-                entries.push(Entry::Node {
-                    rect: rect.clone(),
-                    child: Box::new(child),
-                });
-            }
-        }
-        Ok(Node::new(level, entries))
     }
 }
 
@@ -671,41 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_through_materialize_byte_identically() {
-        for n in [0usize, 1, 7, 40, 400] {
-            let t = sample_tree(n, 8);
-            let path = temp_path(&format!("round-{n}.pages"));
-            PagedTree::create_from(&path, &t, |&i| i as u64).unwrap();
-            let paged = PagedTree::open(&path, usize::MAX).unwrap();
-            assert_eq!(paged.len(), t.len());
-            assert_eq!(paged.dims(), t.dims());
-            assert_eq!(paged.config(), t.config());
-            if n > 0 {
-                assert_eq!(paged.height(), t.height());
-            }
-            let back: RStarTree<usize> = paged.materialize(|w| w as usize).unwrap();
-            let mut ea = Encoder::new();
-            t.write_to(&mut ea, &mut |e, &id| e.usize(id));
-            let mut eb = Encoder::new();
-            back.write_to(&mut eb, &mut |e, &id| e.usize(id));
-            assert_eq!(ea.into_bytes(), eb.into_bytes(), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn materialize_works_at_capacity_one() {
-        let t = sample_tree(200, 6);
-        let path = temp_path("cap1.pages");
-        PagedTree::create_from(&path, &t, |&i| i as u64).unwrap();
-        let paged = PagedTree::open(&path, 1).unwrap();
-        let back: RStarTree<usize> = paged.materialize(|w| w as usize).unwrap();
-        assert_eq!(back.len(), 200);
-        back.validate();
-        // Capacity 1 means effectively every fetch faulted.
-        assert!(paged.pool().misses() >= paged.page_count());
-    }
-
-    #[test]
     fn header_corruption_is_typed() {
         let t = sample_tree(50, 8);
         let path = temp_path("hdr.pages");
@@ -762,9 +658,8 @@ mod tests {
         bytes[off] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         let paged = PagedTree::open(&path, 8).unwrap();
-        let err = paged
-            .materialize::<usize, _>(|w| w as usize)
-            .expect_err("corrupt page must not materialize");
+        let err = crate::search::search_with(&paged, |_| true, |_, _| {})
+            .expect_err("a traversal must not read past a corrupt page");
         assert!(matches!(
             err,
             StoreError::ChecksumMismatch { .. } | StoreError::Corrupt { .. }

@@ -4,7 +4,7 @@
 //! offset  size  field
 //! ------  ----  ------------------------------------------------------
 //!      0     8  magic  "TSQSNAP\0"
-//!      8     4  format version (u32, little-endian) — currently 5
+//!      8     4  format version (u32, little-endian) — [`FORMAT_VERSION`]
 //!     12     4  endianness marker 0x01020304 (little-endian on disk:
 //!               bytes 04 03 02 01; a byte-swapped marker means the
 //!               writer used the wrong byte order)
@@ -33,11 +33,12 @@ use crate::error::{StoreError, StoreResult};
 pub const MAGIC: &[u8; 8] = b"TSQSNAP\0";
 
 /// The one format version this build writes and reads: no reader for an
-/// older layout exists, so every other version is refused. Version 6
-/// halved the stored features: a record carries its series length `n` and
-/// coefficients `0..=n/2` of the spectrum, the rest being their conjugate
-/// mirror (version 5 stored all `n`).
-pub const FORMAT_VERSION: u32 = 6;
+/// older layout exists, so every other version is refused. Version 7
+/// stores no derived state: a whole-match index travels as its
+/// configuration and series, and its features, tree and planner
+/// statistics are rebuilt from them (version 6 stored each record's half
+/// spectrum and the tree's nodes, version 5 all `n` coefficients).
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Endianness sentinel; on disk as little-endian bytes `04 03 02 01`.
 const ENDIAN_MARKER: u32 = 0x0102_0304;

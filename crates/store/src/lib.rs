@@ -1,9 +1,10 @@
 //! # tsq-store — durable snapshots for similarity-query catalogs
 //!
 //! A small, std-only binary format used to persist everything the engine
-//! builds at registration time: relations (`TimeSeries` data), whole-match
-//! R\*-trees (node structure preserved byte-identically, never rebuilt on
-//! restore), and subsequence ST-index caches. Higher layers (`tsq-rtree`,
+//! cannot re-derive from what it stores: relations (`TimeSeries` data —
+//! the whole-match features, R\*-trees and planner statistics are pure
+//! functions of them, rebuilt identically on restore) and subsequence
+//! ST-index caches. Higher layers (`tsq-rtree`,
 //! `tsq-core`, `tsq-lang`) encode their own types with the primitives here;
 //! this crate owns only the three things every layer must agree on:
 //!

@@ -17,7 +17,7 @@
 //!    invalidated on relation mutation and LRU-bounded.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tsq::core::{
     executor, IndexConfig, LinearTransform, QueryWindow, SeriesRelation, SimilarityIndex,
@@ -115,7 +115,9 @@ fn register_completes_while_long_batch_in_flight() {
             )
         })
         .collect();
+    let sequential = Instant::now();
     let oracle: Vec<_> = queries.iter().map(|q| shared.run(q)).collect();
+    let sequential = sequential.elapsed();
     let batch_thread = {
         let shared = shared.clone();
         let queries = queries.clone();
@@ -124,8 +126,10 @@ fn register_completes_while_long_batch_in_flight() {
             (out, Instant::now())
         })
     };
-    // Give the batch a head start, then register mid-flight.
-    std::thread::sleep(Duration::from_millis(30));
+    // Give the batch a head start, then register mid-flight: a tenth of
+    // the sequential pass, which two threads need at least half of — under
+    // any optimizer, since both times are this build's.
+    std::thread::sleep(sequential / 10);
     shared
         .register(
             SeriesRelation::from_series("late", RandomWalkGenerator::new(77).relation(10, 32))

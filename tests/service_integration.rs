@@ -230,6 +230,14 @@ fn register_completes_while_server_chews_a_long_batch() {
             )
         })
         .collect();
+    // The head start the served batch gets is a tenth of a sequential
+    // pass over it, which two server threads need at least half of: the
+    // register lands mid-batch under any optimizer.
+    let sequential = Instant::now();
+    for q in &batch {
+        shared.run(q).unwrap();
+    }
+    let sequential = sequential.elapsed();
     let batch_thread = {
         let batch = batch.clone();
         std::thread::spawn(move || {
@@ -239,7 +247,7 @@ fn register_completes_while_server_chews_a_long_batch() {
             (slots, Instant::now())
         })
     };
-    std::thread::sleep(Duration::from_millis(30));
+    std::thread::sleep(sequential / 10);
     shared
         .register(
             SeriesRelation::from_series("fresh", RandomWalkGenerator::new(43).relation(12, 32))
