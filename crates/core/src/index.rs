@@ -964,8 +964,9 @@ impl SimilarityIndex {
 }
 
 /// Everything an index derives from its series, as bytes: each record's
-/// features bit for bit, then the packed tree. Snapshots carry neither, so
-/// the oracles that hold an appended or restored index to a fresh build
+/// features bit for bit, then the packed tree as `{:?}` prints it (every
+/// node, entry and bound, in order). Snapshots carry neither, so the
+/// oracles that hold an appended or restored index to a fresh build
 /// compare this.
 #[cfg(test)]
 pub(crate) fn derived_bytes(index: &SimilarityIndex) -> Vec<u8> {
@@ -981,7 +982,7 @@ pub(crate) fn derived_bytes(index: &SimilarityIndex) -> Vec<u8> {
             enc.f64(c.im);
         }
     }
-    index.tree().write_to(&mut enc, &mut |e, &id| e.usize(id));
+    enc.raw(format!("{:?}", index.tree()).as_bytes());
     enc.into_bytes()
 }
 

@@ -64,16 +64,18 @@
 //! ## Persistence
 //!
 //! The [`store`] module plus [`SimilarityIndex::write_to`] /
-//! [`SimilarityIndex::read_from`] and [`SubseqIndex::write_trails_to`] /
-//! [`SubseqIndex::read_trails_from`] snapshot built indexes to the
-//! `tsq-store` binary format. A whole-match index travels as its
-//! configuration and series: its features, its R\*-tree and its planner
-//! statistics are a pure function of those, so `read_from` calls `build`
-//! and they are rebuilt identically — a restored index answers every query
-//! with the same results *and the same traversal statistics*. (An ST-index
-//! travels as its trails, which an append maintains incrementally and a
-//! rebuild would pack differently.) Malformed snapshot bytes are rejected
-//! with typed [`Error::Store`] values at every boundary.
+//! [`SimilarityIndex::read_from`] snapshot indexes to the `tsq-store`
+//! binary format. An index is derived data: a whole-match index travels
+//! as its configuration and series — its features, its R\*-tree and its
+//! planner statistics are a pure function of those, so `read_from` calls
+//! `build` and they are rebuilt identically, and a restored index answers
+//! every query with the same results *and the same traversal statistics*.
+//! An ST-index travels as nothing but its window: a restored relation
+//! holds the window ([`ShardedIndex::hold_window`]) and its first reader
+//! builds it over the restored series. No tree is serialized whole; the
+//! one file a tree's nodes are written to is `tsq-rtree`'s page file.
+//! Malformed snapshot bytes are rejected with typed [`Error::Store`]
+//! values at every boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,24 +46,31 @@
 //! [`ShardedIndex::layout`] is `None`.
 //!
 //! **A relation owns its ST-indexes.** Subsequence forms probe one
-//! [`SubseqIndex`] per shard, built for the statement's `WINDOW` on first
-//! use and kept by the [`ShardedIndex`] — at most [`MAX_SUBSEQ_WINDOWS`]
-//! windows. *Who owns:* the `ShardedIndex`, so whatever replaces it
+//! [`SubseqIndex`] per shard for the statement's `WINDOW`, and the
+//! [`ShardedIndex`] holds at most [`MAX_SUBSEQ_WINDOWS`] windows. A held
+//! window is a cell that starts empty — a new window's first statement
+//! holds it, a restore re-creates the saved ones — and is filled once, by
+//! the first subsequence statement or `EXPLAIN` that needs it, with a
+//! build over the shards' series; racing first readers wait for that one
+//! build (a batch's statement on a pool worker builds a copy of its own
+//! instead of waiting on a build that may be waiting for the pool). *Who
+//! owns:* the `ShardedIndex`, so whatever replaces it
 //! (`register`, `SHARD`, a restore) drops them with it and nothing is ever
-//! invalidated; a clone shares them by `Arc`. *Who locks:*
+//! invalidated; a clone shares the cells by `Arc`. *Who locks:*
 //! [`ShardedIndex::execute`] stays `&self` — a hit takes the set's read
-//! lock and stamps recency atomically; a miss builds outside any lock,
-//! after the bind (a rejected statement builds nothing), and takes the
-//! write lock only to insert, first finished build wins;
-//! [`ShardedIndex::plan_shards`] only peeks; appends hold `&mut self` and
-//! extend every window's index clone-on-write, so a reader keeps its
-//! pre-append snapshot. The lock recovers from poisoning: it guards `Arc`s
-//! and integer stamps, and no user code runs under it. *Who evicts:* only
-//! the insert of a further window into a full set, and only this
-//! relation's least recently used window.
+//! lock and stamps recency atomically; a new window is held under the
+//! write lock, after the bind (a rejected statement holds and builds
+//! nothing); the build runs outside the lock; [`ShardedIndex::plan_shards`]
+//! stamps nothing; appends hold `&mut self` and extend every filled cell
+//! clone-on-write, so a reader keeps its pre-append snapshot, and give an
+//! empty cell shared with a clone a fresh one, so each builds over its own
+//! series. The lock recovers from poisoning: it guards `Arc`s and integer
+//! stamps, and no user code runs under it. *Who evicts:* only the hold of
+//! a further window in a full set, and only this relation's least
+//! recently used window.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 
 use tsq_series::TimeSeries;
 
@@ -293,18 +300,36 @@ pub struct ShardedIndex {
     subseq: SubseqSet,
 }
 
-/// One window's ST-indexes — one per shard, shard order, over shard-local
-/// series ids — with its last-hit stamp. The stamp is atomic so a hit,
-/// which holds only the read lock, still records recency.
+/// One held window's ST-indexes — one per shard, shard order, over
+/// shard-local series ids — empty until a reader builds them.
+#[derive(Debug, Default)]
+struct WindowCell {
+    built: OnceLock<Vec<Arc<SubseqIndex>>>,
+    /// Held by the one reader building `built`.
+    building: Mutex<()>,
+}
+
+impl Clone for WindowCell {
+    /// What is built, or nothing: a build in flight stays its reader's.
+    fn clone(&self) -> Self {
+        WindowCell {
+            built: self.built.clone(),
+            building: Mutex::default(),
+        }
+    }
+}
+
+/// One held window: its cell and its last-hit stamp. The stamp is atomic
+/// so a hit, which holds only the read lock, still records recency.
 #[derive(Debug)]
 struct WindowSlot {
     window: usize,
-    parts: Vec<Arc<SubseqIndex>>,
+    cell: Arc<WindowCell>,
     last_used: AtomicU64,
 }
 
-/// A relation's ST-indexes by window (see the module docs for who owns,
-/// locks and evicts).
+/// A relation's held windows (see the module docs for who owns, locks and
+/// evicts).
 #[derive(Debug, Default)]
 struct SubseqSet(RwLock<Vec<WindowSlot>>);
 
@@ -313,7 +338,7 @@ impl Clone for SubseqSet {
         let slots = self.read();
         let slots = slots.iter().map(|slot| WindowSlot {
             window: slot.window,
-            parts: slot.parts.clone(),
+            cell: Arc::clone(&slot.cell),
             last_used: AtomicU64::new(slot.last_used.load(Ordering::Relaxed)),
         });
         SubseqSet(RwLock::new(slots.collect()))
@@ -333,48 +358,49 @@ impl SubseqSet {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The indexes kept for `window`, if any; `touch` records the hit.
-    fn get(&self, window: usize, touch: bool) -> Option<Vec<Arc<SubseqIndex>>> {
+    /// The cell held for `window`, if any; `touch` records the hit.
+    fn get(&self, window: usize, touch: bool) -> Option<Arc<WindowCell>> {
         let slots = self.read();
         let slot = slots.iter().find(|slot| slot.window == window)?;
         if touch {
             slot.last_used.store(newest(&slots), Ordering::Relaxed);
         }
-        Some(slot.parts.clone())
+        Some(Arc::clone(&slot.cell))
     }
 
-    /// Every window's ST-index of one shard, for an append to maintain in
-    /// place. `Arc::make_mut` is clone-on-write: a query still traversing
-    /// the pre-append index keeps its consistent snapshot.
+    /// Every built window's ST-index of one shard, for an append to
+    /// maintain in place. `Arc::make_mut` is clone-on-write: a query still
+    /// traversing the pre-append index keeps its consistent snapshot. An
+    /// empty cell shared with a clone is replaced by an empty one of its
+    /// own, so neither side ever builds over the other's series.
     fn of_shard(&mut self, shard: usize) -> impl Iterator<Item = &mut SubseqIndex> {
         let slots = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
-        slots
-            .iter_mut()
-            .map(move |slot| Arc::make_mut(&mut slot.parts[shard]))
+        slots.iter_mut().filter_map(move |slot| {
+            let parts = Arc::make_mut(&mut slot.cell).built.get_mut()?;
+            Some(Arc::make_mut(&mut parts[shard]))
+        })
     }
 
-    /// Keeps `built` for `window` unless another thread's build got there
-    /// first (both are equivalent), evicting the least recently used
-    /// window of a full set. Returns the indexes now kept. Either way the
-    /// window is stamped now, after the build — the hits that passed
-    /// meanwhile must not make this dearest entry the next victim.
-    fn insert(&self, window: usize, built: Vec<Arc<SubseqIndex>>) -> Vec<Arc<SubseqIndex>> {
+    /// Holds `window` (stamped now) unless it is held already, evicting
+    /// the least recently used window of a full set. Returns its cell.
+    fn hold(&self, window: usize) -> Arc<WindowCell> {
         let mut slots = self.0.write().unwrap_or_else(PoisonError::into_inner);
         let stamp = newest(&slots);
         if let Some(slot) = slots.iter().find(|slot| slot.window == window) {
             slot.last_used.store(stamp, Ordering::Relaxed);
-            return slot.parts.clone();
+            return Arc::clone(&slot.cell);
         }
         if slots.len() == MAX_SUBSEQ_WINDOWS {
             let lru = (0..slots.len()).min_by_key(|&i| slots[i].last_used.load(Ordering::Relaxed));
             slots.swap_remove(lru.expect("a full set is not empty"));
         }
+        let cell = Arc::default();
         slots.push(WindowSlot {
             window,
-            parts: built.clone(),
+            cell: Arc::clone(&cell),
             last_used: AtomicU64::new(stamp),
         });
-        built
+        cell
     }
 }
 
@@ -447,58 +473,85 @@ impl ShardedIndex {
         })
     }
 
-    /// Adopts restored per-shard ST-indexes for `window` (snapshot open;
-    /// call in the saved, least-recently-used-first order to keep it).
+    /// Holds `window` without building it (snapshot open; call in the
+    /// saved, least-recently-used-first order to keep it): its first
+    /// subsequence statement or `EXPLAIN` builds it.
     ///
     /// # Errors
-    /// [`Error::Unsupported`] unless there is exactly one index per shard,
-    /// each built for `window` over as many series as its shard holds, the
-    /// window is not held yet and the set is not full.
-    pub fn restore_subseq(&mut self, window: usize, parts: Vec<SubseqIndex>) -> Result<()> {
-        let fits = parts.len() == self.parts.len()
-            && parts
-                .iter()
-                .zip(&self.parts)
-                .all(|(st, shard)| st.config().window == window && st.len() == shard.len());
-        let full = self.subseq.read().len() == MAX_SUBSEQ_WINDOWS;
-        if !fits || full || self.subseq.get(window, false).is_some() {
+    /// [`Error::InvalidWindow`] for a window below 2; [`Error::Unsupported`]
+    /// when the window is held already or the set is full.
+    pub fn hold_window(&mut self, window: usize) -> Result<()> {
+        SubseqConfig::new(window).validate()?;
+        let held = self
+            .subseq
+            .0
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        if held.len() == MAX_SUBSEQ_WINDOWS || held.iter().any(|slot| slot.window == window) {
             return Err(Error::Unsupported(format!(
-                "restored ST-indexes do not fit window {window} of this relation"
+                "window {window} does not fit the {} window(s) this relation holds",
+                held.len()
             )));
         }
-        self.subseq
-            .insert(window, parts.into_iter().map(Arc::new).collect());
+        self.subseq.hold(window);
         Ok(())
     }
 
-    /// The windows this relation keeps ST-indexes for, least recently
-    /// used first, each with its per-shard indexes in shard order.
-    pub fn subseq_entries(&self) -> Vec<(usize, Vec<Arc<SubseqIndex>>)> {
+    /// The windows this relation holds, least recently used first, each
+    /// with its per-shard ST-indexes in shard order once built.
+    pub fn subseq_entries(&self) -> Vec<(usize, Option<Vec<Arc<SubseqIndex>>>)> {
         let slots = self.subseq.read();
         let mut order: Vec<&WindowSlot> = slots.iter().collect();
         order.sort_by_key(|slot| slot.last_used.load(Ordering::Relaxed));
         order
             .into_iter()
-            .map(|slot| (slot.window, slot.parts.clone()))
+            .map(|slot| (slot.window, slot.cell.built.get().cloned()))
             .collect()
     }
 
-    /// The per-shard ST-indexes for `window`, built and kept on first use
-    /// (see the module docs for the locking).
+    /// The per-shard ST-indexes for `window`, held on first use and built
+    /// by the first reader of the held cell (see the module docs for the
+    /// locking).
     fn subseq_indexes(&self, window: usize) -> Result<Vec<Arc<SubseqIndex>>> {
-        if let Some(parts) = self.subseq.get(window, true) {
-            return Ok(parts);
+        let cell = match self.subseq.get(window, true) {
+            Some(cell) => cell,
+            None => {
+                SubseqConfig::new(window).validate()?;
+                self.subseq.hold(window)
+            }
+        };
+        Ok(self.fill(window, &cell))
+    }
+
+    /// A held window's indexes, built now if nobody has yet: by one
+    /// reader, fanned out over the worker pool, while later first readers
+    /// wait for it. A reader that is itself pool work (a batch's
+    /// statement) never waits on another's build, which may be waiting for
+    /// its worker: it builds a copy of its own (nested fan-outs run inline,
+    /// so that build waits on nothing) and leaves the cell to the builder.
+    fn fill(&self, window: usize, cell: &WindowCell) -> Vec<Arc<SubseqIndex>> {
+        if let Some(built) = cell.built.get() {
+            return built.clone();
         }
-        let mut built = Vec::with_capacity(self.parts.len());
-        for part in &self.parts {
-            let series = part.entries().iter().map(|e| e.series.clone()).collect();
-            built.push(Arc::new(SubseqIndex::build_parallel(
-                SubseqConfig::new(window),
-                series,
-                default_threads(),
-            )?));
-        }
-        Ok(self.subseq.insert(window, built))
+        let build = || {
+            let shards = self.parts.iter().map(|part| {
+                let series = part.entries().iter().map(|e| e.series.clone()).collect();
+                let config = SubseqConfig::new(window);
+                let built = SubseqIndex::build_parallel(config, series, default_threads());
+                Arc::new(built.expect("a held window is a valid window"))
+            });
+            shards.collect()
+        };
+        let _building = match cell.building.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) if tsq_pool::in_pool_work() => return build(),
+            Err(TryLockError::WouldBlock) => {
+                let guard = cell.building.lock();
+                guard.unwrap_or_else(PoisonError::into_inner)
+            }
+        };
+        cell.built.get_or_init(build).clone()
     }
 
     /// The assignment map.
@@ -612,8 +665,9 @@ impl ShardedIndex {
 
     /// Routes a statement's extended series (global id, the relation's
     /// extended value) to their owning shards, whose trees and statistics
-    /// are dropped for the next whole-match reader to pack; every window's
-    /// ST-index of an owning shard then takes the same values
+    /// are dropped for the next whole-match reader to pack; every built
+    /// window's ST-index of an owning shard then takes the same values
+    /// (a window not built yet is built over them by its first reader)
     /// ([`SubseqIndex::extend_series`] resumes the sliding-DFT recurrence
     /// at `O(k)` per appended point), so every holder of a series shares
     /// the relation's buffer. Callers (the catalog) validate the batch up
@@ -678,8 +732,9 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Plans every shard without executing anything (the `EXPLAIN` path).
-    /// Empty shards of a non-empty relation are skipped (`None`).
+    /// Plans every shard without executing the statement (the `EXPLAIN`
+    /// path); a held window not built yet is built first. Empty shards of
+    /// a non-empty relation are skipped (`None`).
     ///
     /// # Errors
     /// The same validation failures execution would report.
@@ -689,11 +744,12 @@ impl ShardedIndex {
         forced: Option<ForceOp>,
     ) -> Result<Vec<Option<PlanChoice>>> {
         let bound = self.bind(logical, forced)?;
-        // Planning must not execute anything: only ST-indexes already
-        // kept inform the estimate, peeked without building or touching
-        // recency; a cold probe is planned as such.
-        let window = logical.subseq_window();
-        let subseq = window.and_then(|w| self.subseq.get(w, false));
+        // Planning stamps no recency: a held window is built if it is not
+        // yet (as its first statement would, so the plan reads as the
+        // saved catalog's did); a window not held is planned cold, and
+        // holds and builds nothing.
+        let held = |w| self.subseq.get(w, false).map(|cell| self.fill(w, &cell));
+        let subseq = logical.subseq_window().and_then(held);
         let plan = |s: usize| {
             let st = subseq.as_ref().map(|list| &*list[s]);
             Planner::of(&self.parts[s]).plan_bound(&bound, forced, st)
@@ -1527,7 +1583,7 @@ mod tests {
             PhysicalOp::SubseqIndexProbe { cached: true, .. }
         ));
         assert_eq!(windows_of(&sharded), full, "a plan is not a hit");
-        let held = sharded.subseq_entries().remove(1).1;
+        let held = sharded.subseq_entries().remove(1).1.unwrap();
         sharded.execute(&subseq_logical(8), None, 2).unwrap();
         sharded.execute(&subseq_logical(20), None, 2).unwrap();
         let mut want = full[2..].to_vec();
@@ -1540,10 +1596,132 @@ mod tests {
         let copy = sharded.clone();
         assert_eq!(windows_of(&copy), want);
         for ((_, a), (_, b)) in copy.subseq_entries().iter().zip(sharded.subseq_entries()) {
+            let (a, b) = (a.as_ref().unwrap(), b.unwrap());
             assert!(a.iter().zip(&b).all(|(a, b)| Arc::ptr_eq(a, b)));
         }
         copy.execute(&subseq_logical(24), None, 2).unwrap();
         assert_eq!(windows_of(&sharded), want);
+    }
+
+    /// `(window, built)` of every held window, least recently used first.
+    fn held(sharded: &ShardedIndex) -> Vec<(usize, bool)> {
+        let entries = sharded.subseq_entries().into_iter();
+        entries.map(|(w, parts)| (w, parts.is_some())).collect()
+    }
+
+    #[test]
+    fn held_windows_are_built_by_their_first_statement_or_explain() {
+        let rel = relation(12, 32, 33);
+        let build = || {
+            ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(3).unwrap()).unwrap()
+        };
+        // The saved side built two windows; the restored side holds them.
+        let saved = build();
+        for w in [8, 16] {
+            saved.execute(&subseq_logical(w), None, 2).unwrap();
+        }
+        let mut restored = build();
+        for w in [8, 16] {
+            restored.hold_window(w).unwrap();
+        }
+        assert_eq!(held(&restored), [(8, false), (16, false)]);
+        // What the relation could not have held is refused.
+        assert!(matches!(
+            restored.hold_window(1),
+            Err(Error::InvalidWindow { window: 1 })
+        ));
+        assert!(matches!(
+            restored.hold_window(8),
+            Err(Error::Unsupported(_))
+        ));
+        // An EXPLAIN of a window not held builds and holds nothing.
+        let cold = subseq_logical(12);
+        let plans = restored.plan_shards(&cold, None).unwrap();
+        let text = render_sharded_plan(&cold, &restored, &plans);
+        assert!(text.contains("[cold"), "{text}");
+        assert_eq!(held(&restored), [(8, false), (16, false)]);
+        // A statement builds its window, and only that one.
+        let want = saved.execute(&subseq_logical(16), None, 2).unwrap();
+        let got = restored.execute(&subseq_logical(16), None, 2).unwrap();
+        assert_eq!(got.rows, want.rows);
+        assert_eq!(got.merged, want.merged);
+        assert_eq!(got.per_shard, want.per_shard);
+        assert_eq!(held(&restored), [(8, false), (16, true)]);
+        // An EXPLAIN of a held window builds it, stamps nothing, and
+        // prints what the saved side prints.
+        let logical = subseq_logical(8);
+        let plans = restored.plan_shards(&logical, None).unwrap();
+        assert_eq!(held(&restored), [(8, true), (16, true)]);
+        let text = render_sharded_plan(&logical, &restored, &plans);
+        let want = saved.plan_shards(&logical, None).unwrap();
+        assert_eq!(text, render_sharded_plan(&logical, &saved, &want));
+        assert!(!text.contains("[cold"), "{text}");
+    }
+
+    #[test]
+    fn racing_first_readers_of_a_held_window_share_one_build() {
+        let rel = relation(40, 64, 37);
+        let mut sharded =
+            ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(2).unwrap()).unwrap();
+        sharded.hold_window(16).unwrap();
+        let readers = std::sync::Barrier::new(8);
+        let got: Vec<Vec<Arc<SubseqIndex>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        readers.wait();
+                        sharded.subseq_indexes(16).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for parts in &got {
+            assert!(parts.iter().zip(&got[0]).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+    }
+
+    #[test]
+    fn a_clone_never_builds_over_the_other_sides_series() {
+        let rel = relation(12, 32, 35);
+        // The series lengths a side's built window-8 indexes hold.
+        let lens = |sharded: &ShardedIndex| -> Vec<usize> {
+            let parts = sharded.subseq_entries().remove(0).1.expect("built");
+            let shards = parts.iter();
+            shards
+                .flat_map(|st| (0..st.len()).map(|i| st.series(i).unwrap().len()))
+                .collect()
+        };
+        // Either side appended, either side built first: the empty cell
+        // they shared at the clone is built over each side's own series.
+        for (append_to_copy, copy_first) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
+            let mut original =
+                ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(3).unwrap())
+                    .unwrap();
+            original.hold_window(8).unwrap();
+            let mut copy = original.clone();
+            let edits = grow(&mut rel.clone(), 0..12, &[0.5, -0.5]);
+            let (grown, other) = if append_to_copy {
+                (&mut copy, &original)
+            } else {
+                (&mut original, &copy)
+            };
+            grown.extend_series_batch(edits).unwrap();
+            let grown = &*grown;
+            let order = if copy_first == append_to_copy {
+                [grown, other]
+            } else {
+                [other, grown]
+            };
+            for sharded in order {
+                sharded.execute(&subseq_logical(8), None, 2).unwrap();
+            }
+            let at = format!("append_to_copy={append_to_copy}, copy_first={copy_first}");
+            assert_eq!(lens(grown), vec![34; 12], "{at}");
+            assert_eq!(lens(other), vec![32; 12], "{at}");
+        }
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The byte-level primitives (framing, checksums, allocation-guarded
 //! reads) live in `tsq-store`; this module contributes the encodings of
 //! `tsq-core`'s own vocabulary — [`TimeSeries`], [`FeatureSchema`],
-//! [`SpaceKind`], [`IndexConfig`] and [`SubseqConfig`] — shared by
-//! [`crate::SimilarityIndex::write_to`],
-//! [`crate::SubseqIndex::write_trails_to`] and the catalog snapshots in
+//! [`SpaceKind`] and [`IndexConfig`] — shared by
+//! [`crate::SimilarityIndex::write_to`] and the catalog snapshots in
 //! `tsq-lang`. Every reader validates what it decodes (finite samples,
 //! in-range enum tags, coherent configurations) and reports violations as
 //! typed [`StoreError`]s, so corrupt bytes that survive the frame
@@ -18,7 +17,6 @@ use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 use crate::features::FeatureSchema;
 use crate::index::IndexConfig;
 use crate::space::SpaceKind;
-use crate::subseq::SubseqConfig;
 
 /// Writes a series as a length-prefixed run of `f64` bit patterns.
 pub fn write_series(enc: &mut Encoder, series: &TimeSeries) {
@@ -87,7 +85,7 @@ pub fn read_space(dec: &mut Decoder<'_>) -> StoreResult<SpaceKind> {
 }
 
 /// Writes R\*-tree tuning parameters (delegates to the single codec in
-/// [`tsq_rtree::persist`], which tree snapshots use too).
+/// [`tsq_rtree::persist`], which page files use too).
 pub fn write_rtree_config(enc: &mut Encoder, cfg: &RTreeConfig) {
     tsq_rtree::persist::write_config(enc, cfg);
 }
@@ -120,33 +118,6 @@ pub fn read_index_config(dec: &mut Decoder<'_>) -> StoreResult<IndexConfig> {
         rtree: read_rtree_config(dec)?,
         bulk_load: dec.bool("index bulk_load")?,
     })
-}
-
-/// Writes an ST-index configuration.
-pub fn write_subseq_config(enc: &mut Encoder, cfg: &SubseqConfig) {
-    enc.usize(cfg.window);
-    enc.usize(cfg.k);
-    enc.usize(cfg.trail);
-    write_rtree_config(enc, &cfg.rtree);
-    enc.bool(cfg.bulk_load);
-}
-
-/// Reads an ST-index configuration, enforcing `SubseqConfig::validate`'s
-/// bounds as typed store errors.
-///
-/// # Errors
-/// [`StoreError::Truncated`] / [`StoreError::Corrupt`].
-pub fn read_subseq_config(dec: &mut Decoder<'_>) -> StoreResult<SubseqConfig> {
-    let cfg = SubseqConfig {
-        window: dec.usize("subseq window")?,
-        k: dec.usize("subseq k")?,
-        trail: dec.usize("subseq trail")?,
-        rtree: read_rtree_config(dec)?,
-        bulk_load: dec.bool("subseq bulk_load")?,
-    };
-    cfg.validate()
-        .map_err(|e| StoreError::corrupt(format!("subseq configuration: {e}")))?;
-    Ok(cfg)
 }
 
 #[cfg(test)]
@@ -207,14 +178,6 @@ mod tests {
         assert_eq!(got.space, icfg.space);
         assert_eq!(got.rtree, icfg.rtree);
         assert_eq!(got.bulk_load, icfg.bulk_load);
-        let scfg = SubseqConfig::new(24);
-        let mut enc = Encoder::new();
-        write_subseq_config(&mut enc, &scfg);
-        let bytes = enc.into_bytes();
-        let got = read_subseq_config(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(got.window, 24);
-        assert_eq!(got.k, scfg.k);
-        assert_eq!(got.trail, scfg.trail);
     }
 
     #[test]
@@ -237,18 +200,6 @@ mod tests {
         let bytes = enc.into_bytes();
         assert!(matches!(
             read_rtree_config(&mut Decoder::new(&bytes)),
-            Err(StoreError::Corrupt { .. })
-        ));
-        // Window of 1 violates SubseqConfig::validate.
-        let mut enc = Encoder::new();
-        let bad = SubseqConfig {
-            window: 1,
-            ..SubseqConfig::default()
-        };
-        write_subseq_config(&mut enc, &bad);
-        let bytes = enc.into_bytes();
-        assert!(matches!(
-            read_subseq_config(&mut Decoder::new(&bytes)),
             Err(StoreError::Corrupt { .. })
         ));
     }

@@ -40,7 +40,6 @@ use tsq_dft::Complex64;
 use tsq_rtree::{RStarTree, RTreeConfig, Rect, SearchStats};
 use tsq_series::distance::{distance_sq_within, limit_sq};
 use tsq_series::TimeSeries;
-use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
 use crate::error::{Error, Result};
 use crate::index::check_extends;
@@ -61,8 +60,6 @@ pub struct SubseqConfig {
     pub trail: usize,
     /// R\*-tree tuning.
     pub rtree: RTreeConfig,
-    /// Build the tree with STR bulk loading instead of repeated insertion.
-    pub bulk_load: bool,
 }
 
 impl SubseqConfig {
@@ -111,7 +108,6 @@ impl Default for SubseqConfig {
             k: 3,
             trail: 8,
             rtree: RTreeConfig::default(),
-            bulk_load: true,
         }
     }
 }
@@ -191,10 +187,10 @@ impl SubseqIndex {
 
     /// [`SubseqIndex::build`] with the two heavy phases partitioned across
     /// up to `threads` worker threads: sliding-DFT trail extraction fans
-    /// out per stored series, and the STR bulk load packs levels in
-    /// parallel ([`RStarTree::bulk_load_parallel`]). The index is
-    /// *identical* to a sequential build for every thread count — trail
-    /// order is preserved by the fan-out and STR packing is
+    /// out over runs of consecutive stored series, and the STR bulk load
+    /// packs levels in parallel ([`RStarTree::bulk_load_parallel`]). The
+    /// index is *identical* to a sequential build for every thread count —
+    /// trail order is preserved by the fan-out and STR packing is
     /// position-deterministic — so queries cannot tell how it was built.
     ///
     /// # Errors
@@ -206,29 +202,27 @@ impl SubseqIndex {
     ) -> Result<Self> {
         config.validate()?;
         let threads = threads.max(1);
+        // One vector of trails per run, not per series: a vector per
+        // series, kept until all are flattened, leaves a hole between each
+        // series' rectangles that `malloc_trim` cannot return.
+        let run = relation.len().div_ceil(threads).max(1);
+        let runs: Vec<(usize, &[TimeSeries])> = relation.chunks(run).enumerate().collect();
+        let per_run = crate::executor::parallel_map(threads, runs, |(i, series)| {
+            let mut trails = Vec::new();
+            for (offset, s) in series.iter().enumerate() {
+                trails.extend(trails_of(&config, i * run + offset, s.values()));
+            }
+            trails
+        });
+        let items: Vec<(Rect, TrailEntry)> = per_run.into_iter().flatten().collect();
         let mut index = SubseqIndex {
             config,
-            tree: RStarTree::new(config.rtree),
+            tree: RStarTree::bulk_load_parallel(config.rtree, items, threads),
             store: Vec::new(),
             windows_total: 0,
             trails_total: 0,
             profile: OnceLock::new(),
         };
-        if config.bulk_load {
-            let per_series = crate::executor::parallel_map(
-                threads,
-                relation.iter().enumerate().collect(),
-                |(id, series)| trails_of(&config, id, series.values()),
-            );
-            let items: Vec<(Rect, TrailEntry)> = per_series.into_iter().flatten().collect();
-            index.tree = RStarTree::bulk_load_parallel(config.rtree, items, threads);
-        } else {
-            for (id, series) in relation.iter().enumerate() {
-                for (rect, entry) in trails_of(&config, id, series.values()) {
-                    index.tree.insert(rect, entry);
-                }
-            }
-        }
         for series in relation {
             index.count_windows(&series);
             index.store.push(series);
@@ -386,116 +380,6 @@ impl SubseqIndex {
     pub fn profile(&self) -> &SpaceProfile {
         self.profile
             .get_or_init(|| SpaceProfile::of_tree(&self.tree, self.windows_total as u64))
-    }
-
-    /// Serializes the ST-index minus its stored series: configuration,
-    /// window and trail counters, and the R\*-tree's node structure
-    /// byte-identically. A catalog's ST-index always stores exactly the
-    /// owning relation's series, which the snapshot already holds —
-    /// writing (and re-parsing) a second copy of the raw data would
-    /// double both snapshot size and restore time for nothing.
-    pub fn write_trails_to(&self, enc: &mut Encoder) {
-        crate::store::write_subseq_config(enc, &self.config);
-        enc.usize(self.windows_total);
-        enc.usize(self.trails_total);
-        self.tree.write_to(enc, &mut |e, trail: &TrailEntry| {
-            e.usize(trail.series);
-            e.usize(trail.start);
-            e.usize(trail.len);
-        });
-    }
-
-    /// Restores an ST-index written by [`SubseqIndex::write_trails_to`]
-    /// without re-extracting any trail, adopting `store` (the owning
-    /// relation's series) as the stored data: queries on the restored
-    /// index return the same answers with the same traversal statistics
-    /// as the original.
-    ///
-    /// # Errors
-    /// [`Error::Store`] for truncated, corrupt or inconsistent bytes —
-    /// never a panic. The counters and trail bounds are validated against
-    /// the supplied store, so a store that does not match the trails is
-    /// rejected as corrupt.
-    pub fn read_trails_from(dec: &mut Decoder<'_>, store: Vec<TimeSeries>) -> Result<Self> {
-        let config = crate::store::read_subseq_config(dec)?;
-        let count = store.len();
-        let windows_total = dec.usize("subseq windows_total")?;
-        let trails_total = dec.usize("subseq trails_total")?;
-        // Recompute both counters from the stored series: the snapshot's
-        // values must agree or the trail entries cannot be trusted.
-        let mut index = SubseqIndex {
-            config,
-            tree: RStarTree::new(config.rtree),
-            store: Vec::new(),
-            windows_total: 0,
-            trails_total: 0,
-            profile: OnceLock::new(),
-        };
-        for series in &store {
-            index.count_windows(series);
-        }
-        if index.windows_total != windows_total || index.trails_total != trails_total {
-            return Err(StoreError::corrupt(format!(
-                "subseq counters disagree with stored series: \
-                 file says {windows_total} window(s) / {trails_total} trail(s), \
-                 series imply {} / {}",
-                index.windows_total, index.trails_total
-            ))
-            .into());
-        }
-        let window = config.window;
-        let tree = RStarTree::read_from(dec, &mut |d| {
-            // Hot path (one call per trail): one block read, three fields.
-            let bytes = d.bytes(24, "trail entry")?;
-            let field = |i: usize| -> StoreResult<usize> {
-                let v = u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
-                usize::try_from(v)
-                    .map_err(|_| StoreError::corrupt(format!("trail field {v} exceeds usize")))
-            };
-            let series = field(0)?;
-            let start = field(1)?;
-            let len = field(2)?;
-            let stored = store.get(series).ok_or_else(|| {
-                StoreError::corrupt(format!("trail references series {series} of {count}"))
-            })?;
-            let available = stored.len().saturating_sub(window - 1);
-            let end = start.checked_add(len);
-            if len == 0 || end.is_none() || end.unwrap() > available {
-                return Err(StoreError::corrupt(format!(
-                    "trail [{start}, {start}+{len}) outside the {available} window(s) \
-                     of series {series}"
-                )));
-            }
-            Ok(TrailEntry { series, start, len })
-        })?;
-        if tree.len() != trails_total {
-            return Err(StoreError::corrupt(format!(
-                "subseq tree holds {} trail(s), counters say {trails_total}",
-                tree.len()
-            ))
-            .into());
-        }
-        // The two stored copies of the R*-tree config (ST-index
-        // configuration and tree header) must agree.
-        if *tree.config() != config.rtree {
-            return Err(StoreError::corrupt(format!(
-                "subseq config {:?} disagrees with its tree's config {:?}",
-                config.rtree,
-                tree.config()
-            ))
-            .into());
-        }
-        if trails_total > 0 && tree.dims() != Some(2 * config.k) {
-            return Err(StoreError::corrupt(format!(
-                "subseq tree dimensionality {:?} does not match 2k = {}",
-                tree.dims(),
-                2 * config.k
-            ))
-            .into());
-        }
-        index.tree = tree;
-        index.store = store;
-        Ok(index)
     }
 
     fn check_query(&self, q: &TimeSeries, eps: f64) -> Result<()> {
@@ -1105,16 +989,17 @@ mod tests {
 
     #[test]
     fn bulk_and_incremental_builds_agree() {
+        // A build over every series, and one over the first that takes the
+        // rest one `insert` (an appended label) at a time.
         let rel = relation(9);
         let bulk = SubseqIndex::build(SubseqConfig::new(16), rel.clone()).unwrap();
-        let incr = SubseqIndex::build(
-            SubseqConfig {
-                bulk_load: false,
-                ..SubseqConfig::new(16)
-            },
-            rel.clone(),
-        )
-        .unwrap();
+        let mut incr = SubseqIndex::build(SubseqConfig::new(16), rel[..1].to_vec()).unwrap();
+        for series in &rel[1..] {
+            incr.insert(series.clone());
+        }
+        incr.tree().validate();
+        assert_eq!(incr.windows_total(), bulk.windows_total());
+        assert_eq!(incr.trails_total(), bulk.trails_total());
         let q = TimeSeries::new(rel[2].values()[7..23].to_vec());
         let a = bulk.subseq_range(&q, 3.0).unwrap().0;
         let b = incr.subseq_range(&q, 3.0).unwrap().0;
@@ -1134,151 +1019,17 @@ mod tests {
             par.tree().validate();
             assert_eq!(par.windows_total(), seq.windows_total());
             assert_eq!(par.trails_total(), seq.trails_total());
-            assert_eq!(par.tree().height(), seq.tree().height());
+            assert_eq!(
+                format!("{:?}", par.tree()),
+                format!("{:?}", seq.tree()),
+                "threads = {threads}: the same nodes, entries and bounds"
+            );
             let (got, stats) = par.subseq_range(&q, 3.0).unwrap();
             assert_eq!(got, want_range, "threads = {threads}");
             // Identical trees ⇒ identical traversal effort, not just answers.
             assert_eq!(stats.index, want_stats.index, "threads = {threads}");
             assert_eq!(par.subseq_knn(&q, 7).unwrap().0, want_knn);
         }
-    }
-
-    fn store_of(idx: &SubseqIndex) -> Vec<TimeSeries> {
-        (0..idx.len())
-            .map(|i| idx.series(i).unwrap().clone())
-            .collect()
-    }
-
-    fn trail_bytes(idx: &SubseqIndex) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        idx.write_trails_to(&mut enc);
-        enc.into_bytes()
-    }
-
-    fn restore(bytes: &[u8], store: Vec<TimeSeries>) -> Result<SubseqIndex> {
-        let mut dec = Decoder::new(bytes);
-        let restored = SubseqIndex::read_trails_from(&mut dec, store)?;
-        dec.finish()?;
-        Ok(restored)
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_answers_and_stats() {
-        let idx = build(16, 11);
-        let bytes = trail_bytes(&idx);
-        let restored = restore(&bytes, store_of(&idx)).unwrap();
-        restored.tree().validate();
-        assert_eq!(restored.windows_total(), idx.windows_total());
-        assert_eq!(restored.trails_total(), idx.trails_total());
-        assert_eq!(restored.profile(), idx.profile());
-        // Canonical bytes on re-serialization.
-        assert_eq!(bytes, trail_bytes(&restored));
-        let q = TimeSeries::new(idx.series(3).unwrap().values()[4..20].to_vec());
-        for eps in [0.0, 1.0, 5.0] {
-            let (a, sa) = idx.subseq_range(&q, eps).unwrap();
-            let (b, sb) = restored.subseq_range(&q, eps).unwrap();
-            assert_eq!(a, b, "eps {eps}");
-            assert_eq!(sa.index, sb.index, "eps {eps}: identical traversal");
-            assert_eq!(sa.candidates, sb.candidates);
-        }
-        let (ka, _) = idx.subseq_knn(&q, 9).unwrap();
-        let (kb, _) = restored.subseq_knn(&q, 9).unwrap();
-        assert_eq!(ka, kb);
-    }
-
-    #[test]
-    fn trails_only_round_trip_with_shared_store() {
-        // The bytes hold no series: the same trails restore over the
-        // owning relation's store, and over no other.
-        let idx = build(16, 14);
-        let bytes = trail_bytes(&idx);
-        let restored = restore(&bytes, store_of(&idx)).unwrap();
-        assert_eq!(store_of(&restored), store_of(&idx));
-        let err = restore(&bytes, Vec::new()).unwrap_err();
-        assert!(
-            matches!(err, Error::Store(StoreError::Corrupt { .. })),
-            "{err:?}"
-        );
-    }
-
-    #[test]
-    fn empty_subseq_index_round_trips() {
-        let idx = SubseqIndex::build(SubseqConfig::new(8), Vec::new()).unwrap();
-        let restored = restore(&trail_bytes(&idx), Vec::new()).unwrap();
-        assert!(restored.is_empty());
-        let q = TimeSeries::new(vec![0.0; 8]);
-        assert!(restored.subseq_range(&q, 1.0).unwrap().0.is_empty());
-    }
-
-    #[test]
-    fn restored_subseq_index_accepts_inserts() {
-        let idx = build(16, 12);
-        let mut restored = restore(&trail_bytes(&idx), store_of(&idx)).unwrap();
-        let extra = RandomWalkGenerator::new(7).series(48);
-        let id = restored.insert(extra.clone());
-        assert_eq!(id, 12);
-        restored.tree().validate();
-        let q = TimeSeries::new(extra.values()[8..24].to_vec());
-        let (m, _) = restored.subseq_range(&q, 1e-9).unwrap();
-        assert!(m.iter().any(|x| x.series == id && x.offset == 8));
-    }
-
-    #[test]
-    fn corrupt_subseq_bytes_are_typed_errors() {
-        let idx = build(16, 13);
-        let bytes = trail_bytes(&idx);
-        let corrupt = |result: Result<SubseqIndex>, what: &str| {
-            let err = result.expect_err(what);
-            assert!(
-                matches!(err, Error::Store(StoreError::Corrupt { .. })),
-                "{what}: {err:?}"
-            );
-        };
-        // Truncation anywhere.
-        for cut in (0..bytes.len()).step_by(5) {
-            assert!(
-                restore(&bytes[..cut], store_of(&idx)).is_err(),
-                "cut at {cut} still decoded"
-            );
-        }
-        // A counter that does not match the stored series. The counters
-        // follow the configuration block.
-        let config_len = {
-            let mut enc = Encoder::new();
-            crate::store::write_subseq_config(&mut enc, idx.config());
-            enc.len()
-        };
-        let mut bad = bytes.clone();
-        let old = u64::from_le_bytes(bad[config_len..config_len + 8].try_into().unwrap());
-        assert_eq!(
-            old as usize,
-            idx.windows_total(),
-            "offset arithmetic drifted"
-        );
-        bad[config_len..config_len + 8].copy_from_slice(&(old + 1).to_le_bytes());
-        corrupt(restore(&bad, store_of(&idx)), "tampered windows_total");
-        // A trail outside its series: two series of different lengths
-        // trade places, so both counters still add up but the longer
-        // one's last trails now point past the shorter one's windows.
-        let mut swapped = store_of(&idx);
-        assert_ne!(swapped[0].len(), swapped[1].len());
-        swapped.swap(0, 1);
-        corrupt(restore(&bytes, swapped), "out-of-range trail");
-        // A configuration block whose R*-tree tuning is not the tree's.
-        let other = SubseqIndex::build(
-            SubseqConfig {
-                rtree: RTreeConfig::with_max_entries(8),
-                ..SubseqConfig::new(16)
-            },
-            store_of(&idx),
-        )
-        .unwrap();
-        let mut spliced = trail_bytes(&other)[..config_len].to_vec();
-        spliced.extend_from_slice(&bytes[config_len..]);
-        corrupt(
-            restore(&spliced, store_of(&idx)),
-            "config/tree disagreement",
-        );
     }
 
     #[test]

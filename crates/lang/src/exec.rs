@@ -463,8 +463,9 @@ impl Catalog {
         let options = query.options().merged(overrides);
         let logical = self.lower(query)?;
         let index = &self.resolve_relation(logical.relation())?.index;
-        // Planning executes nothing: a subsequence probe whose ST-index
-        // is not built yet is planned, and rendered, as cold.
+        // Planning executes no statement: a held window not built yet is
+        // built (as its first statement would build it), and a window the
+        // relation does not hold is planned, and rendered, as cold.
         let plans = index.plan_shards(&logical, options.force)?;
         let mut text = render_sharded_plan(&logical, index, &plans);
         let mut exec = ExecStats::default();
@@ -1580,14 +1581,44 @@ mod tests {
         assert!(want.3[0].iter().any(found));
         assert_eq!(run(&one_statement, true), want);
         // Which nodes of a held ST-index's tree the trails sit in depends
-        // on the append schedule (`SubseqIndex::extend_series`); nothing
-        // else does, so the snapshots agree once the tree is built after.
-        let (appended, last, len, answers, _) = run(&statements, true);
-        assert_eq!(
-            (appended, &last, len, &answers),
-            (want.0, &want.1, want.2, &want.3)
-        );
+        // on the append schedule (`SubseqIndex::extend_series`), but a
+        // snapshot stores the held window, not its tree: the snapshots
+        // agree too.
+        assert_eq!(run(&statements, true), want);
         assert_eq!(run(&statements, false), run(&one_statement, false));
+    }
+
+    #[test]
+    fn restored_held_window_is_the_fresh_build() {
+        let probe =
+            "FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 3 WINDOW 8";
+        let knn =
+            "FIND 5 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WINDOW 8";
+        let explain = format!("EXPLAIN ANALYZE {probe}");
+        let mut cat = catalog();
+        cat.run(probe).unwrap();
+        // One point per series per statement: the held index grows its
+        // trails in place, into a node layout no build produces.
+        for round in 0..24 {
+            let rows: Vec<String> = (0..60)
+                .map(|i| format!("(s{i}, {})", ((i * 7 + round) as f64 * 0.37).sin()))
+                .collect();
+            cat.run_mut(&format!("APPEND walks CSV {}", rows.join(" ")))
+                .unwrap();
+        }
+        let fresh = rebuilt(&cat, "walks");
+        let (live, built) = (cat.run(probe).unwrap(), fresh.run(probe).unwrap());
+        assert_eq!(canonical(live.rows), canonical(built.rows.clone()));
+        assert_ne!(live.stats.nodes_visited, built.stats.nodes_visited);
+        // The snapshot holds the window, not the layout: the restored
+        // catalog builds what a fresh build builds, and answers as it does.
+        let mut restored = Catalog::new();
+        restored
+            .restore_bytes(&cat.snapshot_bytes().unwrap())
+            .unwrap();
+        for q in [probe, knn, &explain] {
+            assert_eq!(restored.run(q).unwrap(), fresh.run(q).unwrap(), "{q}");
+        }
     }
 
     #[test]
@@ -1696,7 +1727,7 @@ mod tests {
             let entries = cat.relations["walks"].index.subseq_entries();
             assert_eq!(entries.len(), 1);
             assert_eq!(entries[0].0, 8);
-            Arc::clone(&entries[0].1[0])
+            Arc::clone(&entries[0].1.as_ref().unwrap()[0])
         }
         let mut cat = catalog();
         cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 10 WINDOW 8")
@@ -2087,7 +2118,7 @@ mod tests {
     }
 
     /// The sharing oracle: for every label of every relation, the
-    /// catalog's series, its owning shard's stored record and every held
+    /// catalog's series, its owning shard's stored record and every built
     /// window's ST-index hand out one and the same buffer.
     fn assert_one_buffer_per_series(cat: &Catalog, step: &str) {
         for (name, Relation { labels, index }) in &cat.relations {
@@ -2097,7 +2128,8 @@ mod tests {
                 let (shard, local) = index.map().owner(id).unwrap();
                 let in_windows = windows
                     .iter()
-                    .map(|(_, parts)| parts[shard].series(local).unwrap());
+                    .filter_map(|(_, parts)| parts.as_ref())
+                    .map(|parts| parts[shard].series(local).unwrap());
                 let stored = &index.parts()[shard].entries()[local].series;
                 for (holder, other) in std::iter::once(stored).chain(in_windows).enumerate() {
                     let at = format!(
@@ -2122,7 +2154,9 @@ mod tests {
             for q in PROBES {
                 cat.run(q).unwrap();
             }
-            assert_eq!(cat.subseq_cache_len(), 2, "{step}");
+            let windows = cat.relations["walks"].index.subseq_entries();
+            assert_eq!(windows.len(), 2, "{step}");
+            assert!(windows.iter().all(|(_, parts)| parts.is_some()), "{step}");
             assert_one_buffer_per_series(cat, step);
         };
         let mut cat = catalog();
@@ -2147,14 +2181,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cat.tsq");
         cat.save(&path).unwrap();
+        // A restore holds both windows unbuilt; their first statements
+        // build them over the restored series.
         let mut opened = Catalog::new();
         opened.open(&path).unwrap();
         assert_eq!(opened.subseq_cache_len(), 2);
         assert_one_buffer_per_series(&opened, "save -> open");
+        probe(&opened, "save -> open, windows built");
         let mut paged = Catalog::new();
         paged.open_paged(&path, 1).unwrap();
         assert_eq!(paged.subseq_cache_len(), 2);
-        assert_one_buffer_per_series(&paged, "open_paged");
+        probe(&paged, "open_paged, windows built");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,9 +1,9 @@
 //! Catalog persistence: [`Catalog::save`] / [`Catalog::open`] /
 //! [`Catalog::load`] snapshot an entire catalog — every relation with its
-//! labels, its shard rule, each shard's series and the subsequence
-//! ST-indexes the relation holds — to a single `tsq-store` file.
+//! labels, its shard rule, each shard's series and the windows it holds
+//! ST-indexes for — to a single `tsq-store` file.
 //!
-//! There is one section layout, at every shard count (format version 7):
+//! There is one section layout, at every shard count (format version 8):
 //!
 //! ```text
 //! relation section
@@ -13,37 +13,40 @@
 //! shard rule (0 hash, 1 range), shard count
 //! boundary count, boundaries
 //! per shard, shard order: index configuration, series count, series
-//! ST-index window count, then per window, least recently used first:
-//!   window, one ST-index per shard, shard order, trails only
+//! held window count, windows (least recently used first)
 //! ```
 //!
-//! A snapshot stores what cannot be derived and nothing else. Derived, and
-//! so rebuilt on restore by the one function that builds them anywhere
+//! A snapshot stores what cannot be derived and nothing else, so it is a
+//! pure function of the labels, the shard rule, each shard's series and
+//! the relation's window list. Derived, and so rebuilt on restore by the
+//! one function that builds them anywhere
 //! ([`SimilarityIndex::read_from`] is "decode the series, call `build`"):
 //! each series' features (mean, std, half spectrum — one FFT), each
 //! shard's whole-match R\*-tree (a pure function of the features, packed
-//! identically) and the planner statistics profiled from it. They join
-//! shard membership (the rule is a pure function of the label, so
-//! [`ShardMap::build`] over the labels reproduces it) and an ST-index's
-//! series (they are its shard's, so only the trails travel and the
-//! section's own shards are handed over as the store). Version 6 stored
-//! the half spectra and the tree's nodes next to the series — 2.6 bytes
-//! per data byte where this layout writes 1.5, slower to save and no
-//! faster to open than re-deriving is; it has no reader and is refused by
-//! [`StoreError::UnsupportedVersion`].
+//! identically) and the planner statistics profiled from it. Shard
+//! membership is derived too (the rule is a pure function of the label,
+//! so [`ShardMap::build`] over the labels reproduces it), and so is every
+//! ST-index: a restored relation holds its saved windows in their saved
+//! recency order, unbuilt ([`ShardedIndex::hold_window`]), and a window's
+//! first subsequence statement or `EXPLAIN` builds it over the restored
+//! series — a window that saw appends before the save comes back as the
+//! fresh build over the appended series. Version 7 stored each window's
+//! trail trees, whose node layout depended on the append schedule; it has
+//! no reader and is refused by [`StoreError::UnsupportedVersion`].
 //!
 //! ## Guarantees
 //!
 //! - **Round-trip fidelity.** Every query form (range, k-NN, join,
 //!   subsequence) on a restored catalog returns exactly the answers — and
-//!   the same traversal statistics — as the catalog that was saved. The
-//!   proptest suite in `tests/store_consistency.rs` asserts this across
-//!   randomized catalogs.
+//!   the same traversal statistics — as the catalog that was saved; a
+//!   held window that saw appends answers with the same rows as the saved
+//!   catalog and the counters of a fresh build. The proptest suite in
+//!   `tests/store_consistency.rs` asserts this across randomized catalogs.
 //! - **Atomic, collision-checked restore.** [`Catalog::open`] decodes the
 //!   whole snapshot *before* touching the catalog; a relation name that is
 //!   already registered aborts the restore with a typed
 //!   [`StoreError::DuplicateRelation`] and leaves the catalog — its
-//!   relations and their ST-indexes — completely unchanged.
+//!   relations and their held windows — completely unchanged.
 //! - **Typed failure.** Corrupt, truncated, wrong-version or wrong-endian
 //!   files surface as [`LangError`]-wrapped [`StoreError`]s; no input can
 //!   panic the shell.
@@ -54,7 +57,7 @@
 use std::path::Path;
 
 use tsq_core::shard::{ShardBy, ShardMap, ShardSpec, ShardedIndex};
-use tsq_core::{executor, store as core_store, SeriesRelation, SimilarityIndex, SubseqIndex};
+use tsq_core::{executor, store as core_store, SeriesRelation, SimilarityIndex};
 use tsq_store::{read_payload, seal, unseal, write_file, Decoder, Encoder, StoreError};
 
 use crate::error::LangError;
@@ -95,17 +98,13 @@ impl Catalog {
             for part in index.parts() {
                 part.write_to(&mut section)?;
             }
-            // The relation's ST-indexes, least recently used first, so a
-            // restore adopts them into an identical eviction order. Their
-            // series are the shards' just written: only the trails travel
-            // (SubseqIndex::write_trails_to), one run per shard.
+            // The windows the relation holds, least recently used first, so
+            // a restore holds them in an identical eviction order. Their
+            // ST-indexes are the series' just written, built on first use.
             let windows = index.subseq_entries();
             section.usize(windows.len());
-            for (window, parts) in windows {
+            for (window, _) in windows {
                 section.usize(window);
-                for part in parts {
-                    part.write_trails_to(&mut section);
-                }
             }
             enc.usize(section.len());
             enc.raw(&section.into_bytes());
@@ -348,24 +347,17 @@ fn decode_relation_section(bytes: &[u8]) -> Result<(String, Relation), StoreErro
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     let map = ShardMap::build(spec, &label_refs);
     let mut index = ShardedIndex::from_parts(map, parts).map_err(unwrap_core)?;
-    // The ST-indexes travel without their stored series (the trails-only
-    // form): the owning shard's series *are* the store, so hand them over
-    // instead of re-parsing a copy — a `TimeSeries` clone shares its
-    // buffer, here and for the labelled relation below: each series is
-    // decoded once and held once. `restore_subseq` refuses what the
-    // relation could not have held (a fifth window, a window twice, trails
-    // built for another window).
-    let windows = dec.seq(8, "ST-index window count")?;
+    // Held windows come back unbuilt; `hold_window` refuses what the
+    // relation could not have held (a window below 2, a fifth window, a
+    // window twice).
+    let windows = dec.seq(8, "held window count")?;
     for _ in 0..windows {
-        let window = dec.usize("ST-index window")?;
-        let mut trails = Vec::with_capacity(count);
-        for shard in index.parts() {
-            let series = shard.entries().iter().map(|e| e.series.clone()).collect();
-            trails.push(SubseqIndex::read_trails_from(&mut dec, series).map_err(unwrap_core)?);
-        }
-        index.restore_subseq(window, trails).map_err(unwrap_core)?;
+        let window = dec.usize("held window")?;
+        index.hold_window(window).map_err(unwrap_core)?;
     }
     dec.finish()?;
+    // A `TimeSeries` clone shares its buffer: each series is decoded once
+    // and held once, by its shard and by the labelled relation.
     let items = labels
         .into_iter()
         .enumerate()

@@ -1,13 +1,13 @@
 //! Catalog snapshot semantics: round-trip fidelity, atomic
-//! collision-checked restore (the PR-4 bugfix), each relation's ST-indexes
-//! persisted in recency order, and typed rejection of corrupt / truncated
-//! / wrong-version / wrong-endian / bit-flipped snapshots and hostile
-//! relation sections — never a panic.
+//! collision-checked restore (the PR-4 bugfix), each relation's held
+//! windows persisted in recency order and built on first use, and typed
+//! rejection of corrupt / truncated / wrong-version / wrong-endian /
+//! bit-flipped snapshots and hostile relation sections — never a panic.
 
 use std::path::PathBuf;
 
-use tsq_core::shard::{ShardSpec, MAX_SUBSEQ_WINDOWS};
-use tsq_core::{Error, SeriesRelation, SubseqConfig, SubseqIndex};
+use tsq_core::shard::MAX_SUBSEQ_WINDOWS;
+use tsq_core::{Error, SeriesRelation};
 use tsq_lang::{Catalog, LangError};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
@@ -50,7 +50,7 @@ fn workload() -> Vec<String> {
 #[test]
 fn save_open_round_trip_preserves_every_query_form() {
     let cat = catalog();
-    // Prime the subsequence cache so the snapshot carries ST-indexes.
+    // Prime the subsequence cache so the snapshot holds windows.
     for q in workload() {
         cat.run(&q).unwrap();
     }
@@ -62,7 +62,7 @@ fn save_open_round_trip_preserves_every_query_form() {
     let mut fresh = Catalog::new();
     let restored = fresh.open(&path).unwrap();
     assert_eq!(restored, vec!["stocks".to_string(), "walks".to_string()]);
-    // The cached ST-indexes came along, no rebuild needed.
+    // The held windows came along; their first statements build them.
     assert_eq!(fresh.subseq_cache_len(), cat.subseq_cache_len());
     for (q, want) in workload().iter().zip(&want) {
         let got = fresh.run(q).unwrap();
@@ -102,10 +102,10 @@ fn save_open_save_is_byte_identical() {
     }
 }
 
-/// Restart at every shard count: the per-shard ST-indexes of a primed
-/// window travel with the snapshot (same cache keys, no rebuild on the
-/// other side, same answers), and `save → open → save` reproduces the
-/// file byte for byte for a one-shard and a three-shard catalog alike.
+/// Restart at every shard count: a primed window travels with the
+/// snapshot (same cache keys, built on the other side by its first reader,
+/// same answers), and `save → open → save` reproduces the file byte for
+/// byte for a one-shard and a three-shard catalog alike.
 #[test]
 fn primed_windows_survive_a_restart_at_every_shard_count() {
     for shards in [1usize, 3] {
@@ -129,8 +129,8 @@ fn primed_windows_survive_a_restart_at_every_shard_count() {
             cat.subseq_cache_keys(),
             "{shards} shard(s)"
         );
-        // An EXPLAIN never builds: a cached plan proves the restored
-        // entry is what answers.
+        // EXPLAIN of a held window builds it: a cached plan proves the
+        // restored window is what answers.
         let explain = reopened
             .run(&format!("EXPLAIN {}", probes[0]))
             .unwrap()
@@ -290,15 +290,12 @@ fn lru_order_survives_the_round_trip() {
 
 /// A hand-assembled snapshot of one two-shard relation `w`: the catalog's
 /// own bytes up to the relation's last whole-match index, then whatever
-/// ST-index tail a case wants. `trails(window, shard)` are the bytes a
-/// shard's ST-index for `window` travels as.
+/// window list a case wants.
 struct Forged {
     /// Index configuration + relation count (1).
     head: Vec<u8>,
     /// The relation section up to, not including, its window count.
     prefix: Vec<u8>,
-    /// Series of each shard, shard order.
-    shards: Vec<Vec<TimeSeries>>,
 }
 
 impl Forged {
@@ -320,37 +317,7 @@ impl Forged {
         let payload = unsealed(&cat);
         let head = payload[..config_len + 8].to_vec();
         let prefix = payload[config_len + 16..payload.len() - 8].to_vec();
-        let spec = ShardSpec::hash(2).unwrap();
-        let rel = cat.relation("w").unwrap();
-        let mut shards = vec![Vec::new(), Vec::new()];
-        for id in 0..rel.len() {
-            shards[spec.assign(rel.label(id).unwrap())].push(rel.get(id).unwrap().clone());
-        }
-        assert_ne!(shards[0].len(), shards[1].len(), "pick another seed");
-        let forged = Forged {
-            head,
-            prefix,
-            shards,
-        };
-        (cat, forged)
-    }
-
-    fn trails(&self, window: usize, shard: usize) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        SubseqIndex::build(SubseqConfig::new(window), self.shards[shard].clone())
-            .unwrap()
-            .write_trails_to(&mut enc);
-        enc.into_bytes()
-    }
-
-    /// The well-formed entry of one window: the window, then one run of
-    /// trails per shard.
-    fn entry(&self, window: usize) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.usize(window);
-        enc.raw(&self.trails(window, 0));
-        enc.raw(&self.trails(window, 1));
-        enc.into_bytes()
+        (cat, Forged { head, prefix })
     }
 
     /// A sealed snapshot whose relation section declares `count` windows
@@ -368,10 +335,19 @@ impl Forged {
     }
 }
 
+/// A window list as a relation section stores it.
+fn windows(list: &[usize]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    for &window in list {
+        enc.usize(window);
+    }
+    enc.into_bytes()
+}
+
 #[test]
 fn hostile_relation_sections_are_typed_errors() {
     let (cat, forged) = Forged::new();
-    // The forgery is faithful: a well-formed two-window tail is exactly
+    // The forgery is faithful: a well-formed two-window list is exactly
     // what the catalog itself writes after building those windows.
     cat.run("FIND 1 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN w WINDOW 8")
         .unwrap();
@@ -379,44 +355,19 @@ fn hostile_relation_sections_are_typed_errors() {
         "FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25, 1, 2, 3, 4] IN w WITHIN 1 WINDOW 12",
     )
     .unwrap();
-    let good = [forged.entry(8), forged.entry(12)].concat();
+    let good = windows(&[8, 12]);
     assert_eq!(forged.sealed(2, &good), cat.snapshot_bytes().unwrap());
 
-    let window = |w: usize| (w as u64).to_le_bytes().to_vec();
-    let too_many: Vec<u8> = (0..=MAX_SUBSEQ_WINDOWS)
-        .flat_map(|i| forged.entry(8 + i))
-        .collect();
+    let too_many: Vec<usize> = (8..=8 + MAX_SUBSEQ_WINDOWS).collect();
     let cases: Vec<(&str, usize, Vec<u8>)> = vec![
         (
             "more windows than a relation holds",
             MAX_SUBSEQ_WINDOWS + 1,
-            too_many,
+            windows(&too_many),
         ),
-        (
-            "the same window twice",
-            2,
-            [forged.entry(8), forged.entry(8)].concat(),
-        ),
-        (
-            "trails built for another window",
-            1,
-            [window(12), forged.trails(8, 0), forged.trails(8, 1)].concat(),
-        ),
-        (
-            "fewer per-shard indexes than shards",
-            2,
-            [window(8), forged.trails(8, 0), forged.entry(12)].concat(),
-        ),
-        (
-            "more per-shard indexes than shards",
-            2,
-            [forged.entry(8), forged.trails(8, 0), forged.entry(12)].concat(),
-        ),
-        (
-            "per-shard indexes in the wrong shard order",
-            1,
-            [window(8), forged.trails(8, 1), forged.trails(8, 0)].concat(),
-        ),
+        ("the same window twice", 2, windows(&[8, 8])),
+        ("window 0", 2, windows(&[8, 0])),
+        ("window 1", 1, windows(&[1])),
         ("trailing bytes", 2, [good.clone(), vec![0]].concat()),
     ];
     // The target holds a relation with an ST-index of its own; a refused
@@ -446,7 +397,7 @@ fn hostile_relation_sections_are_typed_errors() {
         assert_eq!(target.relation_names(), vec!["other"], "{what}");
         assert_eq!(target.snapshot_bytes().unwrap(), before, "{what}");
     }
-    // The well-formed tail restores, next to what was there.
+    // The well-formed list restores, next to what was there.
     target.restore_bytes(&forged.sealed(2, &good)).unwrap();
     let keys = target.subseq_cache_keys();
     let want = [("other", 16), ("w", 8), ("w", 12)].map(|(r, w)| (r.to_string(), w));
@@ -479,28 +430,31 @@ fn corrupt_inputs_are_typed_errors() {
 
     // Future format version.
     let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&8u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&9u32.to_le_bytes());
     assert!(matches!(
         Catalog::new().restore_bytes(&bad).unwrap_err(),
         LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got: 8,
+            got: 9,
             supported: tsq_store::FORMAT_VERSION
         }))
     ));
 
-    // The previous format version (6, which stored every series' half
-    // spectrum and every tree's nodes): no reader for its layout exists,
-    // so a sealed v6 file is refused on the version field, not decoded as
-    // the current one.
-    let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&6u32.to_le_bytes());
+    // The previous format version (7, which stored every held window's
+    // trail trees): no reader for its layout exists, so a sealed v7 file
+    // is refused on the version field, not decoded as the current one —
+    // and the target catalog is left as it was.
+    let mut target = catalog();
+    let before = target.snapshot_bytes().unwrap();
+    let mut bad = Catalog::new().snapshot_bytes().unwrap();
+    bad[8..12].copy_from_slice(&7u32.to_le_bytes());
     assert!(matches!(
-        Catalog::new().restore_bytes(&bad).unwrap_err(),
+        target.restore_bytes(&bad).unwrap_err(),
         LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got: 6,
-            supported: 7
+            got: 7,
+            supported: 8
         }))
     ));
+    assert_eq!(target.snapshot_bytes().unwrap(), before);
 
     // Byte-swapped endianness marker.
     let mut bad = good.clone();

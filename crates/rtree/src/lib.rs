@@ -38,6 +38,11 @@
 //! The tree types' own query methods (`RStarTree::search_with`,
 //! `PagedTree::nearest_with_tie`, [`spatial_join_with`], …) are thin
 //! callers of the three generic functions.
+//!
+//! The page file is the only form a tree is persisted in: snapshots store
+//! series, from which `tsq-core` rebuilds every tree, so there is no
+//! whole-tree codec — [`persist`] holds the configuration and rectangle
+//! codecs the page file is written with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,5 @@
-//! A file-backed R\*-tree: the persist node encoding split into one page
-//! per node, fetched through a [`BufferPool`].
+//! A file-backed R\*-tree: one node per page, fetched through a
+//! [`BufferPool`] — the only form a tree is persisted in.
 //!
 //! A [`PagedTree`] is created *from* an in-memory [`RStarTree`] (its
 //! structure is copied node-for-node, child pointers becoming
@@ -30,7 +30,7 @@ use tsq_store::{crc32, Decoder, Encoder, StoreError, StoreResult};
 use crate::config::{RTreeConfig, MAX_PAGE_BYTES, PAGE_ALIGN, PAGE_HEADER_BYTES};
 use crate::node::{Entry, EntryId, Node, NodeStore, Slot};
 use crate::page::{seal_page, BufferPool, PageId, PagePin};
-use crate::persist::{read_rect, write_rect, MAX_LEVEL};
+use crate::persist::{read_rect, write_rect};
 use crate::rect::Rect;
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
@@ -40,6 +40,10 @@ const MAGIC: &[u8; 8] = b"TSQPAGE\0";
 
 /// Page-file format version.
 const VERSION: u32 = 1;
+
+/// Levels are bounded to keep recursion depth trivially safe: a tree of
+/// height 64 with fan-out ≥ 2 would hold more items than a `u64` counts.
+const MAX_LEVEL: u32 = 64;
 
 /// Fixed header length: magic 8 · version 4 · page_size 4 · page_count 8
 /// · root 8 · config 12 · len 8 · root_level 4 · dims flag 1 · dims 8 ·

@@ -1,128 +1,27 @@
-//! Snapshot persistence: writing an R\*-tree's node structure to the
-//! `tsq-store` binary format and restoring it **byte-identically** — the
-//! restored tree has the same nodes, the same MBRs, the same entry order,
-//! and therefore answers every query with the same results *and the same
-//! traversal statistics* as the original. Nothing is rebuilt.
-//!
-//! ## Layout
+//! The R\*-tree's byte codecs: tuning parameters and rectangles, in the
+//! `tsq-store` binary format. Their one client is the page file
+//! ([`crate::paged`]), the only form a tree is persisted in — snapshots
+//! store series and rebuild every tree from them, so no node structure is
+//! ever serialized whole.
 //!
 //! ```text
 //! config     max_entries u32 · min_entries u32 · reinsert_count u32
-//! len        u64
-//! dims       present u8 · dims u64 (when present)
-//! root       node
-//! node       level u32 (root only) · entry-count u32 · entries
-//! entry      rect (lo f64×dims, hi f64×dims) · payload | child node
+//! rect       lo f64×dims · hi f64×dims
 //! ```
 //!
-//! A node's entry kind is implied by its level (leaves hold payloads,
-//! internal nodes hold children), and a child's level is implied by its
-//! parent's, so neither is stored per entry. Payload encoding is delegated
-//! to the caller via closures — the tree is generic over its item type.
-//!
-//! ## Restore-time validation
-//!
-//! Reading re-establishes every structural invariant `RStarTree::validate`
-//! asserts, but with typed [`StoreError`]s instead of panics: fan-out
-//! bounds, level continuity, leaf/internal entry homogeneity, stored MBRs
-//! equal to recomputed MBRs (bitwise — `f64` encoding is exact), finite
-//! non-inverted rectangle bounds, and a leaf count matching the recorded
-//! length. Corrupt input past the frame checksum therefore still cannot
-//! panic, allocate absurdly, or produce a tree that later misbehaves.
+//! Readers enforce what `RTreeConfig::validate` and `Rect::new` assert —
+//! fan-out bounds, finite non-inverted bounds — with typed
+//! [`StoreError`]s instead of panics, so corrupt input past a checksum
+//! still cannot panic or allocate absurdly.
 
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
 use crate::config::{RTreeConfig, MAX_FANOUT};
-use crate::node::{Entry, Node};
 use crate::rect::Rect;
-use crate::tree::RStarTree;
-
-/// Levels are bounded to keep recursion depth trivially safe: a tree of
-/// height 64 with fan-out ≥ 2 would hold more items than a `u64` counts.
-pub(crate) const MAX_LEVEL: u32 = 64;
-
-impl<T> RStarTree<T> {
-    /// Serializes the tree into `enc`, delegating payload encoding to
-    /// `write_item`. The byte stream is canonical: equal trees (same
-    /// structure, same payload encoding) produce equal bytes.
-    pub fn write_to<F: FnMut(&mut Encoder, &T)>(&self, enc: &mut Encoder, write_item: &mut F) {
-        write_config(enc, &self.config);
-        enc.usize(self.len());
-        match self.dims() {
-            Some(d) => {
-                enc.u8(1);
-                enc.usize(d);
-            }
-            None => enc.u8(0),
-        }
-        enc.u32(self.root.level);
-        write_node(enc, &self.root, write_item);
-    }
-
-    /// Restores a tree previously written by [`RStarTree::write_to`],
-    /// delegating payload decoding to `read_item`.
-    ///
-    /// # Errors
-    /// [`StoreError::Truncated`] when bytes run out and
-    /// [`StoreError::Corrupt`] for any structural violation; payload
-    /// decoding errors propagate unchanged.
-    pub fn read_from<F: FnMut(&mut Decoder<'_>) -> StoreResult<T>>(
-        dec: &mut Decoder<'_>,
-        read_item: &mut F,
-    ) -> StoreResult<Self> {
-        let config = read_config(dec)?;
-        let len = dec.usize("tree length")?;
-        let dims = match dec.u8("tree dims flag")? {
-            0 => None,
-            1 => Some(dec.usize("tree dims")?),
-            other => {
-                return Err(StoreError::corrupt(format!("tree dims flag byte {other}")));
-            }
-        };
-        let root_level = dec.u32("root level")?;
-        if root_level >= MAX_LEVEL {
-            return Err(StoreError::corrupt(format!(
-                "root level {root_level} exceeds the maximum tree height {MAX_LEVEL}"
-            )));
-        }
-        if len == 0 && (root_level != 0 || dims.is_some()) {
-            return Err(StoreError::corrupt(
-                "empty tree must have a level-0 root and no dimensionality",
-            ));
-        }
-        if len > 0 && dims.is_none() {
-            return Err(StoreError::corrupt("non-empty tree without dimensionality"));
-        }
-        let mut leaves = 0usize;
-        let root = read_node(
-            dec,
-            root_level,
-            true,
-            &config,
-            dims.unwrap_or(0),
-            read_item,
-            &mut leaves,
-        )?;
-        if len == 0 && !root.entries.is_empty() {
-            return Err(StoreError::corrupt("empty tree with a populated root"));
-        }
-        if leaves != len {
-            return Err(StoreError::corrupt(format!(
-                "tree claims {len} item(s) but stores {leaves}"
-            )));
-        }
-        let mut tree = RStarTree::new(config);
-        tree.root = root;
-        if let Some(d) = dims {
-            tree.force_size(len, d);
-        }
-        Ok(tree)
-    }
-}
 
 /// Writes R\*-tree tuning parameters (three `u32`s). The single config
-/// codec shared by tree snapshots and the higher-level index
-/// configurations in `tsq-core`.
+/// codec shared by page files and the higher-level index configurations
+/// in `tsq-core`.
 pub fn write_config(enc: &mut Encoder, cfg: &RTreeConfig) {
     enc.u32(cfg.max_entries as u32);
     enc.u32(cfg.min_entries as u32);
@@ -159,73 +58,6 @@ pub fn read_config(dec: &mut Decoder<'_>) -> StoreResult<RTreeConfig> {
         min_entries,
         reinsert_count,
     })
-}
-
-fn write_node<T, F: FnMut(&mut Encoder, &T)>(
-    enc: &mut Encoder,
-    node: &Node<T>,
-    write_item: &mut F,
-) {
-    enc.u32(node.entries.len() as u32);
-    for entry in &node.entries {
-        write_rect(enc, entry.rect());
-        match entry {
-            Entry::Leaf { item, .. } => write_item(enc, item),
-            Entry::Node { child, .. } => write_node(enc, child, write_item),
-        }
-    }
-}
-
-fn read_node<T, F: FnMut(&mut Decoder<'_>) -> StoreResult<T>>(
-    dec: &mut Decoder<'_>,
-    level: u32,
-    is_root: bool,
-    config: &RTreeConfig,
-    dims: usize,
-    read_item: &mut F,
-    leaves: &mut usize,
-) -> StoreResult<Node<T>> {
-    let count = dec.u32("node entry count")? as usize;
-    if count > config.max_entries {
-        return Err(StoreError::corrupt(format!(
-            "node with {count} entries exceeds max_entries {}",
-            config.max_entries
-        )));
-    }
-    if is_root {
-        if level > 0 && count < 2 {
-            return Err(StoreError::corrupt(
-                "internal root with fewer than 2 entries",
-            ));
-        }
-    } else if count < config.min_entries {
-        return Err(StoreError::corrupt(format!(
-            "non-root node with {count} entries below min_entries {}",
-            config.min_entries
-        )));
-    }
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        let rect = read_rect(dec, dims)?;
-        if level == 0 {
-            let item = read_item(dec)?;
-            *leaves += 1;
-            entries.push(Entry::Leaf { rect, item });
-        } else {
-            let child = read_node(dec, level - 1, false, config, dims, read_item, leaves)?;
-            let computed = child.mbr();
-            if rect != computed {
-                return Err(StoreError::corrupt(format!(
-                    "stored MBR {rect} differs from recomputed child MBR {computed}"
-                )));
-            }
-            entries.push(Entry::Node {
-                rect,
-                child: Box::new(child),
-            });
-        }
-    }
-    Ok(Node::new(level, entries))
 }
 
 pub(crate) fn write_rect(enc: &mut Encoder, rect: &Rect) {
@@ -267,155 +99,58 @@ pub(crate) fn read_rect(dec: &mut Decoder<'_>, dims: usize) -> StoreResult<Rect>
 mod tests {
     use super::*;
 
-    fn encode_usize(enc: &mut Encoder, v: &usize) {
-        enc.usize(*v);
-    }
-
-    fn decode_usize(dec: &mut Decoder<'_>) -> StoreResult<usize> {
-        dec.usize("item")
-    }
-
-    fn sample_tree(n: usize, fanout: usize) -> RStarTree<usize> {
-        let mut t = RStarTree::new(RTreeConfig::with_max_entries(fanout));
-        for i in 0..n {
-            let x = (i % 17) as f64;
-            let y = (i / 17) as f64;
-            t.insert_point(&[x, y, (i % 5) as f64], i);
-        }
-        t
-    }
-
-    fn round_trip(tree: &RStarTree<usize>) -> RStarTree<usize> {
+    fn rect_bytes(rect: &Rect) -> Vec<u8> {
         let mut enc = Encoder::new();
-        tree.write_to(&mut enc, &mut encode_usize);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let restored = RStarTree::read_from(&mut dec, &mut decode_usize).unwrap();
-        dec.finish().unwrap();
-        restored
-    }
-
-    fn assert_same_structure(a: &RStarTree<usize>, b: &RStarTree<usize>) {
-        // Identical bytes on re-serialization ⇒ identical node structure,
-        // entry order, MBR bits and payloads.
-        let mut ea = Encoder::new();
-        a.write_to(&mut ea, &mut encode_usize);
-        let mut eb = Encoder::new();
-        b.write_to(&mut eb, &mut encode_usize);
-        assert_eq!(ea.into_bytes(), eb.into_bytes());
-    }
-
-    #[test]
-    fn empty_tree_round_trips() {
-        let t: RStarTree<usize> = RStarTree::default();
-        let r = round_trip(&t);
-        assert_eq!(r.len(), 0);
-        assert_eq!(r.dims(), None);
-        r.validate();
-        assert_same_structure(&t, &r);
-    }
-
-    #[test]
-    fn populated_tree_round_trips_byte_identically() {
-        for n in [1usize, 7, 40, 400] {
-            let t = sample_tree(n, 8);
-            let r = round_trip(&t);
-            assert_eq!(r.len(), t.len());
-            assert_eq!(r.dims(), t.dims());
-            assert_eq!(r.height(), t.height());
-            assert_eq!(r.config(), t.config());
-            r.validate();
-            assert_same_structure(&t, &r);
-            // Search behaves identically, stats included.
-            let q = Rect::new(vec![2.0, 1.0, 0.0], vec![9.0, 4.0, 4.0]);
-            let mut got_a = Vec::new();
-            let sa = t.search(&q, |_, &i| got_a.push(i));
-            let mut got_b = Vec::new();
-            let sb = r.search(&q, |_, &i| got_b.push(i));
-            assert_eq!(got_a, got_b, "n = {n}");
-            assert_eq!(sa, sb, "n = {n}: traversal stats must match");
-        }
-    }
-
-    #[test]
-    fn bulk_loaded_tree_round_trips() {
-        let items: Vec<(Rect, usize)> = (0..300)
-            .map(|i| {
-                let p = [(i % 20) as f64, (i / 20) as f64];
-                (Rect::from_point(&p), i)
-            })
-            .collect();
-        let t = RStarTree::bulk_load(RTreeConfig::default(), items);
-        let r = round_trip(&t);
-        r.validate();
-        assert_same_structure(&t, &r);
-    }
-
-    #[test]
-    fn restored_tree_accepts_further_inserts() {
-        let t = sample_tree(60, 6);
-        let mut r = round_trip(&t);
-        for i in 60..120 {
-            r.insert_point(&[(i % 17) as f64, (i / 17) as f64, (i % 5) as f64], i);
-        }
-        assert_eq!(r.len(), 120);
-        r.validate();
+        write_rect(&mut enc, rect);
+        enc.into_bytes()
     }
 
     #[test]
     fn truncated_stream_is_typed_not_a_panic() {
-        let t = sample_tree(120, 8);
         let mut enc = Encoder::new();
-        t.write_to(&mut enc, &mut encode_usize);
-        let bytes = enc.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut dec = Decoder::new(&bytes[..cut]);
-            let err = RStarTree::<usize>::read_from(&mut dec, &mut decode_usize)
-                .err()
-                .unwrap_or_else(|| panic!("cut at {cut} still decoded"));
-            assert!(
-                matches!(
-                    err,
-                    StoreError::Truncated { .. } | StoreError::Corrupt { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
+        write_config(&mut enc, &RTreeConfig::with_max_entries(8));
+        let config = enc.into_bytes();
+        for cut in 0..config.len() {
+            let err = read_config(&mut Decoder::new(&config[..cut])).unwrap_err();
+            assert!(matches!(err, StoreError::Truncated { .. }), "cut at {cut}");
+        }
+        let rect = rect_bytes(&Rect::new(vec![0.0, -1.5], vec![2.0, 3.0]));
+        for cut in 0..rect.len() {
+            let err = read_rect(&mut Decoder::new(&rect[..cut]), 2).unwrap_err();
+            assert!(matches!(err, StoreError::Truncated { .. }), "cut at {cut}");
         }
     }
 
     #[test]
     fn structural_corruption_is_typed() {
-        let t = sample_tree(80, 8);
+        let rect = Rect::new(vec![0.0, -1.5], vec![2.0, 3.0]);
+        let good = rect_bytes(&rect);
+        let mut dec = Decoder::new(&good);
+        assert_eq!(read_rect(&mut dec, 2).unwrap(), rect);
+        dec.finish().unwrap();
+        let corrupt = |bytes: &[u8], what: &str| {
+            let err = read_rect(&mut Decoder::new(bytes), 2).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { .. }), "{what}: {err:?}");
+        };
+        // Non-finite bound (lo of dimension 0).
+        let mut bad = good.clone();
+        bad[0..8].copy_from_slice(&f64::NAN.to_le_bytes());
+        corrupt(&bad, "NaN bound");
+        // Inverted bounds (lo of dimension 1 above its hi).
+        let mut bad = good.clone();
+        bad[8..16].copy_from_slice(&4.0f64.to_le_bytes());
+        corrupt(&bad, "inverted bounds");
+        // A dimensionality whose byte count overflows.
+        let err = read_rect(&mut Decoder::new(&good), usize::MAX).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+        // Absurd fan-out in a config.
         let mut enc = Encoder::new();
-        t.write_to(&mut enc, &mut encode_usize);
-        let good = enc.into_bytes();
-
-        // Absurd fan-out in the config header.
-        let mut bad = good.clone();
-        bad[0..4].copy_from_slice(&(u32::MAX).to_le_bytes());
-        let mut dec = Decoder::new(&bad);
+        enc.u32(u32::MAX);
+        enc.u32(2);
+        enc.u32(0);
+        let bytes = enc.into_bytes();
         assert!(matches!(
-            RStarTree::<usize>::read_from(&mut dec, &mut decode_usize),
-            Err(StoreError::Corrupt { .. })
-        ));
-
-        // Absurd root level (would otherwise recurse unboundedly).
-        let mut bad = good.clone();
-        // config (12) + len (8) + dims flag (1) + dims (8) = offset 29.
-        bad[29..33].copy_from_slice(&(1000u32).to_le_bytes());
-        let mut dec = Decoder::new(&bad);
-        assert!(matches!(
-            RStarTree::<usize>::read_from(&mut dec, &mut decode_usize),
-            Err(StoreError::Corrupt { .. })
-        ));
-
-        // Non-finite rectangle bound.
-        let mut bad = good.clone();
-        // First rect starts right after the root entry count (offset 37).
-        bad[37..45].copy_from_slice(&f64::NAN.to_le_bytes());
-        let mut dec = Decoder::new(&bad);
-        assert!(matches!(
-            RStarTree::<usize>::read_from(&mut dec, &mut decode_usize),
+            read_config(&mut Decoder::new(&bytes)),
             Err(StoreError::Corrupt { .. })
         ));
     }
@@ -423,20 +158,14 @@ mod tests {
     #[test]
     fn large_configured_fanout_accepted_up_to_page_geometry() {
         // A fan-out above the old hard-coded `1 << 16` cap but within the
-        // derived page-geometry cap decodes fine (empty tree, so there is
-        // nothing else to validate).
+        // derived page-geometry cap decodes fine.
         let mut enc = Encoder::new();
         enc.u32(100_000);
         enc.u32(2);
         enc.u32(0);
-        enc.usize(0); // len
-        enc.u8(0); // dims flag
-        enc.u32(0); // root level
-        enc.u32(0); // root entry count
         let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let t = RStarTree::<usize>::read_from(&mut dec, &mut decode_usize).unwrap();
-        assert_eq!(t.config().max_entries, 100_000);
+        let config = read_config(&mut Decoder::new(&bytes)).unwrap();
+        assert_eq!(config.max_entries, 100_000);
 
         // Just above the derived cap is still a typed error, not a panic
         // or an allocation.
@@ -450,34 +179,5 @@ mod tests {
             read_config(&mut dec),
             Err(StoreError::Corrupt { .. })
         ));
-    }
-
-    #[test]
-    fn length_mismatch_detected() {
-        let t = sample_tree(10, 8);
-        let mut enc = Encoder::new();
-        t.write_to(&mut enc, &mut encode_usize);
-        let mut bytes = enc.into_bytes();
-        // Claim 11 items while storing 10 (len lives after the 12-byte config).
-        bytes[12..20].copy_from_slice(&11u64.to_le_bytes());
-        let mut dec = Decoder::new(&bytes);
-        assert!(matches!(
-            RStarTree::<usize>::read_from(&mut dec, &mut decode_usize),
-            Err(StoreError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn item_decoder_errors_propagate() {
-        let t = sample_tree(10, 8);
-        let mut enc = Encoder::new();
-        t.write_to(&mut enc, &mut encode_usize);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        let err = RStarTree::<usize>::read_from(&mut dec, &mut |_d| {
-            Err::<usize, _>(StoreError::corrupt("payload rejected"))
-        })
-        .unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { context } if context.contains("payload")));
     }
 }

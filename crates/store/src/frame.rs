@@ -33,12 +33,15 @@ use crate::error::{StoreError, StoreResult};
 pub const MAGIC: &[u8; 8] = b"TSQSNAP\0";
 
 /// The one format version this build writes and reads: no reader for an
-/// older layout exists, so every other version is refused. Version 7
+/// older layout exists, so every other version is refused. Version 8
 /// stores no derived state: a whole-match index travels as its
 /// configuration and series, and its features, tree and planner
-/// statistics are rebuilt from them (version 6 stored each record's half
-/// spectrum and the tree's nodes, version 5 all `n` coefficients).
-pub const FORMAT_VERSION: u32 = 7;
+/// statistics are rebuilt from them; a relation's ST-indexes travel as
+/// the list of windows it holds, each built over the series on first use
+/// (version 7 stored each window's trail trees, version 6 also each
+/// record's half spectrum and each whole-match tree's nodes, version 5
+/// all `n` coefficients).
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Endianness sentinel; on disk as little-endian bytes `04 03 02 01`.
 const ENDIAN_MARKER: u32 = 0x0102_0304;

@@ -279,8 +279,9 @@ fn snapshot_round_trip_preserves_plan_choices() {
     let bytes = cat.snapshot_bytes().unwrap();
     let mut restored = Catalog::new();
     restored.restore_bytes(&bytes).unwrap();
-    // The primed cache entry travels with the snapshot, so the subseq
-    // EXPLAIN still sees a cached index.
+    // The primed window travels with the snapshot, and an EXPLAIN of a
+    // held window builds it, so the subseq EXPLAIN still sees a cached
+    // index.
     assert_eq!(restored.subseq_cache_len(), 1);
     let after: Vec<String> = queries
         .iter()
