@@ -13,7 +13,9 @@
 //!
 //! where `D0` is the Euclidean distance. The recursion is a shortest-path
 //! problem over states `(x', y')` reachable by applying transformations to
-//! either side; [`transformation_distance`] solves it with uniform-cost
+//! either side — in the time domain, by each transformation's action
+//! ([`LinearTransform::apply_time_domain`]); [`transformation_distance`]
+//! solves it with uniform-cost
 //! search, bounded by a cost budget and a depth limit (the paper bounds the
 //! total cost, e.g. "proportional to the Euclidean distance between the two
 //! original series", to keep repeated smoothing from equating everything).
@@ -21,11 +23,10 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use tsq_dft::{Complex64, FftPlanner};
+use tsq_series::distance::distance_sq_within;
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
-use crate::index::spectrum_sq_within;
 use crate::transform::LinearTransform;
 
 /// Search limits for [`transformation_distance`].
@@ -64,8 +65,8 @@ pub struct CostedDistance {
 struct State {
     priority: f64, // cost so far (admissible lower bound of final value)
     cost: f64,
-    x: Vec<Complex64>,
-    y: Vec<Complex64>,
+    x: Vec<f64>,
+    y: Vec<f64>,
     applied_x: Vec<usize>,
     applied_y: Vec<usize>,
 }
@@ -94,7 +95,8 @@ impl Ord for State {
 /// # Errors
 /// - [`Error::LengthMismatch`] when the series lengths differ;
 /// - [`Error::TransformArity`] when a transformation's length differs;
-/// - [`Error::Unsupported`] for warping transformations (length-changing).
+/// - [`Error::Unsupported`] for warping transformations (length-changing)
+///   and for ones that map real series to complex ones.
 pub fn transformation_distance(
     x: &TimeSeries,
     y: &TimeSeries,
@@ -122,6 +124,12 @@ pub fn transformation_distance(
                 "time warps in Equation-10 search".to_string(),
             ));
         }
+        if !t.maps_real_series() {
+            return Err(Error::Unsupported(format!(
+                "transformation {} maps real series to complex ones",
+                t.name()
+            )));
+        }
         if t.n() != x.len() {
             return Err(Error::TransformArity {
                 expected: x.len(),
@@ -134,26 +142,15 @@ pub fn transformation_distance(
             });
         }
     }
-    // Both series are real, so their spectra are conjugate-symmetric, and
-    // transformations that are so too keep every state of the search so:
-    // coefficients `0..=n/2` then carry it (the symmetry lemma in
-    // `crate::features`). One transformation that is not needs all `n`.
-    let n = x.len();
-    let symmetric = transforms
-        .iter()
-        .all(LinearTransform::is_conjugate_symmetric);
-    let kept = if symmetric { n / 2 + 1 } else { n };
-    let mut planner = FftPlanner::new();
-    let mut spectrum = |s: &TimeSeries| {
-        let mut full = planner.dft_real(s.values());
-        full.truncate(kept);
-        full
+    let (sx, sy) = (x.values().to_vec(), y.values().to_vec());
+    let apply = |t: &LinearTransform, v: &[f64]| {
+        t.apply_time_domain(v)
+            .expect("checked: maps real series to real series")
     };
-    let (sx, sy) = (spectrum(x), spectrum(y));
 
     // The residual `D0`, summed by the engine's one loop.
-    let d0 = |x: &[Complex64], y: &[Complex64]| {
-        let sum = spectrum_sq_within(None, n, x, y, f64::INFINITY);
+    let d0 = |x: &[f64], y: &[f64]| {
+        let sum = distance_sq_within(x, y, f64::INFINITY);
         sum.expect("no sum exceeds an infinite limit").sqrt()
     };
     let mut best = CostedDistance {
@@ -195,7 +192,7 @@ pub fn transformation_distance(
                 heap.push(State {
                     priority: next_cost,
                     cost: next_cost,
-                    x: t.apply_prefix(&state.x),
+                    x: apply(t, &state.x),
                     y: state.y.clone(),
                     applied_x: ax,
                     applied_y: state.applied_y.clone(),
@@ -208,7 +205,7 @@ pub fn transformation_distance(
                     priority: next_cost,
                     cost: next_cost,
                     x: state.x.clone(),
-                    y: t.apply_prefix(&state.y),
+                    y: apply(t, &state.y),
                     applied_x: state.applied_x.clone(),
                     applied_y: ay,
                 });
@@ -350,6 +347,22 @@ mod tests {
         let w = LinearTransform::time_warp(4, 2);
         assert!(matches!(
             transformation_distance(&x, &x, &[w], CostBudget::default()),
+            Err(Error::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn a_transformation_to_complex_series_is_rejected() {
+        // A complex scale has no real time-domain action to search with.
+        let x = TimeSeries::from([1.0, 2.0, 3.0, 4.0]);
+        let rotation = LinearTransform::from_parts(
+            vec![tsq_dft::Complex64::new(0.6, 0.8); 4],
+            vec![tsq_dft::complex::ZERO; 4],
+            "rot",
+        )
+        .unwrap();
+        assert!(matches!(
+            transformation_distance(&x, &x, &[rotation], CostBudget::default()),
             Err(Error::Unsupported(_))
         ));
     }

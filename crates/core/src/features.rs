@@ -11,30 +11,40 @@
 //! - [`FeatureSchema::Raw`] — the original AFS93 layout: the first `k` DFT
 //!   coefficients of the raw series.
 //!
+//! ## What a record keeps
+//!
+//! A stored record is its samples. Next to them it keeps the mean, the
+//! standard deviation and the indexed coefficients `0..coeff_indices().end`
+//! — what the filter reads, and nothing else: the exact check
+//! ([`crate::index::Refine`]) runs over the samples, normalized on the fly
+//! (`(x_t − mean)·(1/std)`), and by Parseval the time-domain sum is `D²`.
+//! A query's features ([`Features::extract`]) and what
+//! [`crate::SimilarityIndex::features`] derives keep the half `0..=n/2`.
+//!
 //! ## The symmetry lemma
 //!
-//! A stored series is real, so its unitary spectrum is
-//! conjugate-symmetric, `X_{n−f} = conj(X_f)`, and [`Features`] keeps
-//! coefficients `0..=n/2` only. A transformation `T = (a, b)` that maps
-//! real series to real series is itself conjugate-symmetric
-//! (`a_{n−f} = conj(a_f)`, `b_{n−f} = conj(b_f)`; per constructor in
-//! [`crate::transform`]), and so is every `a .* X + b` it produces. For
-//! two such spectra the differences mirror too, `Δ_{n−f} = conj(Δ_f)`,
-//! hence
+//! A real series' unitary spectrum is conjugate-symmetric,
+//! `X_{n−f} = conj(X_f)`, so the half determines it. A transformation
+//! `T = (a, b)` that maps real series to real series is itself
+//! conjugate-symmetric (`a_{n−f} = conj(a_f)`, `b_{n−f} = conj(b_f)`; per
+//! constructor in [`crate::transform`]), and so is every `a .* X + b` it
+//! produces. For two such spectra the differences mirror too,
+//! `Δ_{n−f} = conj(Δ_f)`, hence
 //!
 //! ```text
 //! D² = Σ_{f<n} |Δ_f|² = |Δ_0|² + 2·Σ_{0<f<n/2} |Δ_f|²  (+ |Δ_{n/2}|², n even)
 //! ```
 //!
-//! — the sum the refine runs ([`crate::index::Refine`]). The same
-//! identity bounds any subset of the interior coefficients:
-//! `D² ≥ 2·Σ_{f∈S} |Δ_f|²` for `S ⊆ {1, …, ⌈n/2⌉ − 1}`, which is what a
-//! filter over indexed coefficients may rely on.
+//! and any subset of the interior coefficients bounds it:
+//! `D² ≥ 2·Σ_{f∈S} |Δ_f|²` for `S ⊆ {1, …, ⌈n/2⌉ − 1}`. The lemma now
+//! justifies the filter only — what a rectangle over indexed coefficients
+//! may rely on ([`crate::space`] states the floating-point inequality).
 
 use tsq_dft::{Complex64, FftPlanner};
 use tsq_series::{NormalForm, TimeSeries};
 
 use crate::error::{Error, Result};
+use crate::transform::LinearTransform;
 
 /// Which representation the index stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,9 +111,9 @@ impl FeatureSchema {
 }
 
 /// The extracted features of one series: summary statistics plus the
-/// lower half of the spectrum of the indexed representation. The index
-/// uses only the first `k` coefficients; post-processing (Algorithm 2,
-/// step 3) uses the rest to compute exact distances.
+/// leading coefficients of the spectrum of the indexed representation.
+/// The index reads the indexed ones; the exact check (Algorithm 2, step 3)
+/// reads the samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Features {
     /// Mean of the original series.
@@ -112,34 +122,60 @@ pub struct Features {
     pub std: f64,
     /// Series length the spectrum belongs to.
     n: usize,
-    /// Unitary DFT of the indexed representation (normal form or raw):
-    /// coefficients `0..len` with `n/2 + 1 <= len <= n`, every later one
-    /// being the conjugate mirror `X_f = conj(X_{n−f})` (the module docs'
-    /// symmetry lemma). Extraction keeps `0..=n/2`, or through the last
-    /// indexed coefficient where the schema's `k` reaches past `n/2`; only
-    /// the image of a series under a transformation that is not
-    /// conjugate-symmetric needs, and holds, all `n`.
+    /// Unitary DFT of the indexed representation (normal form or raw),
+    /// coefficients `0..len`. A stored record keeps the indexed ones,
+    /// `len = coeff_indices().end`; a query's run
+    /// through `n/2` — every later coefficient being the conjugate mirror
+    /// `X_f = conj(X_{n−f})` (the module docs' symmetry lemma) — or
+    /// through the last indexed one where the schema's `k` reaches past
+    /// `n/2` ([`Features::extract`]).
     pub spectrum: Vec<Complex64>,
 }
 
-impl Features {
-    /// Features of a length-`n` series from the leading coefficients of
-    /// its spectrum, or `None` unless `n/2 + 1 <= spectrum.len() <= n`.
-    pub fn from_spectrum(
-        mean: f64,
-        std: f64,
-        n: usize,
-        spectrum: Vec<Complex64>,
-    ) -> Option<Features> {
-        (n / 2 < spectrum.len() && spectrum.len() <= n).then_some(Features {
-            mean,
-            std,
-            n,
-            spectrum,
-        })
+/// The affine map `v ↦ (v − mean)·(1/std)` taking a series' samples to its
+/// indexed representation, one multiply per sample: the normal form under
+/// [`FeatureSchema::NormalForm`] (all zeros for a constant series, whose
+/// `std` is 0), the samples themselves (`(v − 0)·1`, exactly) under
+/// [`FeatureSchema::Raw`]. Both sides of every exact check normalize
+/// through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Normalize {
+    mean: f64,
+    inv_std: f64,
+}
+
+impl Normalize {
+    /// The normalization of a series whose features are `features`.
+    pub(crate) fn of(features: &Features, schema: FeatureSchema) -> Normalize {
+        match schema {
+            FeatureSchema::NormalForm { .. } => Normalize {
+                mean: features.mean,
+                inv_std: if features.std == 0.0 {
+                    0.0
+                } else {
+                    1.0 / features.std
+                },
+            },
+            FeatureSchema::Raw { .. } => Normalize::NONE,
+        }
     }
 
-    /// Extracts features according to `schema`.
+    /// The identity: samples as they are.
+    pub(crate) const NONE: Normalize = Normalize {
+        mean: 0.0,
+        inv_std: 1.0,
+    };
+
+    /// One normalized sample.
+    #[inline]
+    pub(crate) fn at(self, v: f64) -> f64 {
+        (v - self.mean) * self.inv_std
+    }
+}
+
+impl Features {
+    /// Extracts a query's features according to `schema`: coefficients
+    /// `0..=n/2`, or through the last indexed one where that lies beyond.
     ///
     /// # Errors
     /// Returns [`Error::InvalidCutoff`] when the schema's `k` does not fit
@@ -148,6 +184,31 @@ impl Features {
         series: &TimeSeries,
         schema: FeatureSchema,
         planner: &mut FftPlanner,
+    ) -> Result<Features> {
+        let kept = (series.len() / 2 + 1).max(schema.coeff_indices().end);
+        Self::leading(series, schema, planner, kept)
+    }
+
+    /// What a stored record keeps: the indexed coefficients
+    /// `0..coeff_indices().end` alone, bit for bit the ones
+    /// [`Features::extract`] gives.
+    ///
+    /// # Errors
+    /// As [`Features::extract`].
+    pub(crate) fn indexed(
+        series: &TimeSeries,
+        schema: FeatureSchema,
+        planner: &mut FftPlanner,
+    ) -> Result<Features> {
+        Self::leading(series, schema, planner, schema.coeff_indices().end)
+    }
+
+    /// Features keeping the spectrum's first `kept` coefficients.
+    fn leading(
+        series: &TimeSeries,
+        schema: FeatureSchema,
+        planner: &mut FftPlanner,
+        kept: usize,
     ) -> Result<Features> {
         let n = series.len();
         schema.validate(n)?;
@@ -164,20 +225,13 @@ impl Features {
         };
         // A copy at exactly the kept length: truncating `full` would keep
         // all `n` coefficients allocated behind every stored record.
-        let spectrum = full[..Self::kept_coefficients(n, schema)].to_vec();
+        let spectrum = full[..kept].to_vec();
         Ok(Features {
             mean,
             std,
             n,
             spectrum,
         })
-    }
-
-    /// How many leading coefficients extraction keeps of a length-`n`
-    /// series' spectrum under a fitting `schema`: `0..=n/2`, or through the
-    /// last indexed one where that lies beyond.
-    pub(crate) fn kept_coefficients(n: usize, schema: FeatureSchema) -> usize {
-        (n / 2 + 1).max(schema.coeff_indices().end)
     }
 
     /// The indexed coefficients (a slice of the spectrum).
@@ -191,11 +245,31 @@ impl Features {
         self.n
     }
 
-    /// All `n` coefficients: the stored ones, then the conjugate mirror of
-    /// the lower half.
-    pub fn full_spectrum(&self) -> Vec<Complex64> {
-        let mirrored = (self.spectrum.len()..self.n).map(|f| self.spectrum[self.n - f].conj());
-        self.spectrum.iter().copied().chain(mirrored).collect()
+    /// The features of `T(x)` for the series `x` these belong to: mean and
+    /// std through `t`'s affine maps, every kept coefficient transformed.
+    pub(crate) fn image(&self, t: &LinearTransform) -> Features {
+        let (ma, mb) = t.mean_map();
+        let (sa, sb) = t.std_map();
+        Features {
+            mean: ma * self.mean + mb,
+            std: sa * self.std + sb,
+            n: self.n,
+            spectrum: t.apply_prefix(&self.spectrum),
+        }
+    }
+
+    /// The indexed representation's samples, inverted from the half
+    /// spectrum (its conjugate mirror supplying the rest) by one inverse
+    /// FFT; `None` for features that keep less than the half, a stored
+    /// record's.
+    pub(crate) fn samples(&self) -> Option<Vec<f64>> {
+        let (n, kept) = (self.n, self.spectrum.len());
+        if kept <= n / 2 {
+            return None;
+        }
+        let mirrored = (kept..n).map(|f| self.spectrum[n - f].conj());
+        let whole: Vec<Complex64> = self.spectrum.iter().copied().chain(mirrored).collect();
+        Some(FftPlanner::new().idft_real(&whole))
     }
 }
 
@@ -253,7 +327,6 @@ mod tests {
             let f = Features::extract(&s, FeatureSchema::Raw { k: 2 }, &mut planner).unwrap();
             assert_eq!(f.n(), n);
             assert_eq!(f.spectrum.len(), n / 2 + 1);
-            // Not a truncated view of all n: the record owns no more.
             assert_eq!(f.spectrum.capacity(), n / 2 + 1);
             let direct = planner.dft_real(s.values());
             assert_eq!(
@@ -261,10 +334,47 @@ mod tests {
                 direct[..n / 2 + 1],
                 "kept bits are the FFT's"
             );
-            let full = f.full_spectrum();
-            assert_eq!(full.len(), n);
-            for (got, want) in full.iter().zip(&direct) {
-                assert!((*got - *want).abs() < 1e-9, "n = {n}: {got} vs {want}");
+            // The half determines the samples.
+            let back = f.samples().unwrap();
+            assert_eq!(back.len(), n);
+            for (got, want) in back.iter().zip(s.values()) {
+                assert!((got - want).abs() < 1e-9, "n = {n}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stored_record_keeps_the_indexed_coefficients_alone() {
+        let mut planner = FftPlanner::new();
+        for (schema, n) in [
+            (FeatureSchema::NormalForm { k: 2 }, 128usize),
+            (FeatureSchema::NormalForm { k: 2 }, 513),
+            (FeatureSchema::NormalForm { k: 6 }, 8),
+            (FeatureSchema::Raw { k: 3 }, 64),
+        ] {
+            let s = TimeSeries::new((0..n).map(|i| ((i * i) % 13) as f64).collect());
+            let record = Features::indexed(&s, schema, &mut planner).unwrap();
+            let query = Features::extract(&s, schema, &mut planner).unwrap();
+            // Not a truncated view of a longer spectrum: the record owns
+            // the indexed coefficients and no more.
+            assert_eq!(record.spectrum.len(), schema.coeff_indices().end);
+            assert_eq!(record.spectrum.capacity(), schema.coeff_indices().end);
+            assert_eq!(record.indexed_coeffs(schema), query.indexed_coeffs(schema));
+            assert_eq!((record.mean, record.std), (query.mean, query.std));
+            if schema.coeff_indices().end <= n / 2 {
+                assert!(record.samples().is_none(), "{schema:?}, n = {n}");
+            }
+            // What an index stores, built or appended.
+            let config = crate::IndexConfig {
+                schema,
+                ..crate::IndexConfig::default()
+            };
+            let mut index = crate::SimilarityIndex::build(config, vec![s.clone()]).unwrap();
+            index.push_series_batch(vec![s.clone()]).unwrap();
+            for stored in index.entries() {
+                assert_eq!(stored.features, record, "{schema:?}, n = {n}");
+                let capacity = stored.features.spectrum.capacity();
+                assert_eq!(capacity, schema.coeff_indices().end, "{schema:?}, n = {n}");
             }
         }
     }
@@ -278,13 +388,10 @@ mod tests {
         let f = Features::extract(&s, schema, &mut planner).unwrap();
         assert_eq!(f.spectrum.len(), 7);
         assert_eq!(f.indexed_coeffs(schema).len(), 6);
-        assert_eq!(f.full_spectrum().len(), 8);
-        assert_eq!(f.full_spectrum()[7], f.spectrum[1].conj());
-        // The stated bounds of a stored prefix.
-        let half = f.spectrum[..5].to_vec();
-        assert!(Features::from_spectrum(0.0, 1.0, 8, half.clone()).is_some());
-        assert!(Features::from_spectrum(0.0, 1.0, 8, half[..4].to_vec()).is_none());
-        assert!(Features::from_spectrum(0.0, 1.0, 4, half).is_none());
+        let normal = NormalForm::of(&s).series;
+        for (got, want) in f.samples().unwrap().iter().zip(normal.values()) {
+            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
     }
 
     #[test]

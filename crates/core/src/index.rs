@@ -11,26 +11,28 @@
 //! exact check every operator shares). Lemma 1 guarantees no false
 //! dismissals; tests assert exact agreement with linear scans.
 //!
-//! A record keeps the lower half of its spectrum, and the exact check
-//! sums over that half: by the symmetry lemma ([`crate::features`], with
-//! the per-transformation half in [`crate::transform`]) `D²` is
-//! `|Δ_0|² + 2·Σ_{0<f<n/2} |Δ_f|² (+ |Δ_{n/2}|²` for even `n)`, so the
-//! distance a row is reported with — the one the filter's lower bound
-//! must stay under — counts every indexed interior coefficient twice.
+//! A record is its samples: next to the series it keeps the mean, the
+//! std and the indexed coefficients ([`crate::features`]), which is all
+//! the filter reads. The exact check sums `(T(x̂)_t − q̂_t)²` over time —
+//! `x̂` the stored series normalized on the fly, `T(x̂)` the
+//! transformation's time-domain action ([`crate::transform`]), `q̂` the
+//! query's normal form, or in a join the probe's own `T(x̂_i)` — which by
+//! Parseval is the `D²` the filter's lower bound must stay under
+//! ([`crate::space`] states that inequality in floating point).
 
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-use tsq_dft::{Complex64, FftPlanner};
+use tsq_dft::FftPlanner;
 use tsq_rtree::knn::nearest_with_tie;
 use tsq_rtree::search::search_with;
 use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, SearchStats};
-use tsq_series::distance::{limit_sq, sum_sq_within};
-use tsq_series::{NormalForm, TimeSeries};
+use tsq_series::distance::{limit_sq, sum_sq_blocks, sum_sq_within, ABANDON_BLOCK};
+use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError};
 
 use crate::error::{Error, Result};
-use crate::features::{FeatureSchema, Features};
+use crate::features::{FeatureSchema, Features, Normalize};
 use crate::plan::{RelationStats, SpaceProfile};
 use crate::scan::ScanMode;
 use crate::space::{QueryWindow, SpaceKind};
@@ -74,7 +76,8 @@ pub struct StoredSeries {
     /// The original series: the relation's own value, one buffer shared
     /// with the catalog and every ST-index that holds it.
     pub series: TimeSeries,
-    /// Extracted features (half spectrum of the indexed representation).
+    /// What the filter reads: mean, std and the indexed coefficients of
+    /// the indexed representation (coefficients `0..coeff_indices().end`).
     pub features: Features,
 }
 
@@ -101,133 +104,66 @@ pub struct QueryStats {
     pub exact_checks: usize,
 }
 
-/// The complex instantiation of the shared loop:
-/// `Σ_{f<n} |a_f·x_f + b_f − q_f|²` for `t = (a, b)` over length-`n`
-/// spectra, or `None` once a partial sum exceeds `limit`. `t = None` is
-/// the identity, summing `|x_f − q_f|²`: `(1 + 0i)·x + 0` differs from `x`
-/// at most in the sign of a zero, which the norm of the difference cannot
-/// see, so the fast path returns the same bits.
-///
-/// `x` and `q` hold the leading coefficients of their spectra, at least
-/// `0..=n/2`; one shorter than `n` is conjugate-symmetric, its missing
-/// coefficients being `conj` of the mirrored ones ([`Features`]). When both
-/// are and `t` is too, the terms mirror (the symmetry lemma in
-/// [`crate::features`]): the loop runs over the coefficients that have a
-/// mirror, `0 < f < n/2`, each counted twice, and the two that have none —
-/// DC and, for even `n`, Nyquist — are added to a sum it did not abandon.
-/// Half the terms, the same sum up to rounding; the sum returned may
-/// exceed `limit` by those two, and every caller compares what it gets
-/// with its limit. Otherwise — a transformation built from parts with,
-/// say, a complex scale — the loop runs over all `n`, reading mirrored
-/// coefficients off the stored half.
-pub(crate) fn spectrum_sq_within(
-    t: Option<&LinearTransform>,
-    n: usize,
-    x: &[Complex64],
-    q: &[Complex64],
-    limit: f64,
-) -> Option<f64> {
-    let stored = (n / 2 + 1).min(n)..=n;
-    assert!(
-        stored.contains(&x.len()) && stored.contains(&q.len()),
-        "distance requires spectra of equal lengths"
-    );
-    let symmetric = t.map_or(true, LinearTransform::is_conjugate_symmetric);
-    if symmetric && x.len() < n && q.len() < n {
-        // Sliced to one length up front, so the loop indexes unchecked.
-        let m = (n - 1) / 2;
-        let (xm, qm) = (&x[1..][..m], &q[1..][..m]);
-        let twice = match t {
-            None => sum_sq_within(m, |i| 2.0 * (xm[i] - qm[i]).norm_sqr(), limit),
-            Some(t) => {
-                let (a, b) = (&t.a()[1..][..m], &t.b()[1..][..m]);
-                let term = |i: usize| 2.0 * (a[i] * xm[i] + b[i] - qm[i]).norm_sqr();
-                sum_sq_within(m, term, limit)
-            }
-        }?;
-        let alone = |f: usize| match t {
-            None => (x[f] - q[f]).norm_sqr(),
-            Some(t) => (t.apply_coeff(f, x[f]) - q[f]).norm_sqr(),
-        };
-        let nyquist = if n % 2 == 0 { alone(n / 2) } else { 0.0 };
-        return Some(alone(0) + twice + nyquist);
-    }
-    let at = |s: &[Complex64], f: usize| match s.get(f) {
-        Some(c) => *c,
-        None => s[n - f].conj(),
-    };
-    let term = |f: usize| match t {
-        None => (at(x, f) - at(q, f)).norm_sqr(),
-        Some(t) => (t.apply_coeff(f, at(x, f)) - at(q, f)).norm_sqr(),
-    };
-    sum_sq_within(n, term, limit)
-}
-
 /// The exact check of one bound statement: `D(T(o), q)` for a stored
 /// record `o`, decided against the statement's threshold.
 #[derive(Debug, Clone)]
 pub struct Refine<'a> {
     pub(crate) transform: &'a LinearTransform,
-    /// [`LinearTransform::leaves_spectra_unchanged`]: spectra are compared
-    /// as stored.
+    /// [`LinearTransform::leaves_samples_unchanged`]: the sum reads the
+    /// normalized samples in place.
     identity: bool,
+    /// What the filter reads: the query's indexed coefficients.
     pub(crate) query: Features,
+    /// What the exact check reads: the query's representation in time —
+    /// its normal form, or a join probe's own `T(x̂)`.
+    target: Vec<f64>,
     /// `limit_sq(eps)`; infinite for a statement without a threshold.
     limit: f64,
-    /// Time warp (Appendix A) is checked in the time domain: the query's
-    /// representation, inverted once, against the stretched stored one.
-    warp_query: Vec<f64>,
     schema: FeatureSchema,
 }
 
 impl<'a> Refine<'a> {
     /// The refine of a statement validated against a relation indexed
-    /// under `schema`: `query` under `t`, accepted up to a sum of `limit`.
+    /// under `schema`: `target` under `t`, accepted up to a sum of `limit`.
     pub(crate) fn new(
         schema: FeatureSchema,
         t: &'a LinearTransform,
         query: Features,
+        target: Vec<f64>,
         limit: f64,
     ) -> Self {
-        let warp_query = match t.warp() {
-            1 => Vec::new(),
-            _ => FftPlanner::new().idft_real(&query.full_spectrum()),
-        };
         Refine {
             transform: t,
-            identity: t.leaves_spectra_unchanged(),
+            identity: t.leaves_samples_unchanged(),
             query,
+            target,
             limit,
-            warp_query,
             schema,
         }
     }
 
-    /// Squared distance to a stored record, `None` once it exceeds `limit`.
+    /// `Σ_t (T(x̂)_t − q̂_t)²` for a stored record, `None` once a partial
+    /// sum exceeds `limit`: the shared loop over `T(x̂)` as
+    /// [`LinearTransform::with_image`] defines it, eight outputs at a time,
+    /// so a record given up on is not transformed past that block — and
+    /// over the normalized samples in place under the identity (`1·v` is
+    /// `v`, so the bits are the same).
     fn sum_sq(&self, stored: &StoredSeries, limit: f64) -> Option<f64> {
-        let m = self.transform.warp();
-        if m == 1 {
-            let t = (!self.identity).then_some(self.transform);
-            let (x, q) = (&stored.features, &self.query);
-            assert_eq!(x.n(), q.n(), "distance requires equal lengths");
-            return spectrum_sq_within(t, x.n(), &x.spectrum, &q.spectrum, limit);
+        let norm = Normalize::of(&stored.features, self.schema);
+        let (x, q) = (stored.series.values(), &self.target[..]);
+        let sq = |d: f64| d * d;
+        if self.identity {
+            assert_eq!(x.len(), q.len(), "distance requires equal lengths");
+            return sum_sq_within(q.len(), |t| sq(norm.at(x[t]) - q[t]), limit);
         }
-        // Stretching commutes with normalization.
-        let normal;
-        let repr = match self.schema {
-            FeatureSchema::NormalForm { .. } => {
-                normal = NormalForm::of(&stored.series).series;
-                normal.values()
-            }
-            FeatureSchema::Raw { .. } => stored.series.values(),
-        };
-        let q = &self.warp_query[..];
-        assert_eq!(repr.len() * m, q.len(), "distance requires equal lengths");
-        let term = |i: usize| {
-            let d = repr[i / m] - q[i];
-            d * d
-        };
-        sum_sq_within(q.len(), term, limit)
+        self.transform.with_image(x, norm, |image| {
+            assert_eq!(image.len(), q.len(), "distance requires equal lengths");
+            let block = |t: usize| {
+                let (y, q) = (image.block(t), &q[t..][..ABANDON_BLOCK]);
+                std::array::from_fn(|j| sq(y[j] - q[j]))
+            };
+            sum_sq_blocks(q.len(), block, |t| sq(image.at(t) - q[t]), limit)
+        })
     }
 
     /// The membership test every operator shares: the distance `stored`
@@ -238,6 +174,19 @@ impl<'a> Refine<'a> {
         self.sum_sq(stored, mode.abandon_at(self.limit))
             .filter(|sum| *sum <= self.limit)
             .map(f64::sqrt)
+    }
+
+    /// The exact distance `D(T(stored), q)`, or `None` when it is strictly
+    /// greater than `bound` — what a k-NN search asks of a record once it
+    /// holds `k` distances, `bound` being the largest of them. The loop
+    /// gives up at `limit_sq(bound)`, so a distance it returns is the full
+    /// sum's, bit for bit.
+    pub(crate) fn distance_within(&self, stored: &StoredSeries, bound: f64) -> Option<f64> {
+        let limit = match bound.is_finite() {
+            true => limit_sq(bound),
+            false => f64::INFINITY,
+        };
+        self.sum_sq(stored, limit).map(f64::sqrt)
     }
 
     /// The exact distance `D(T(stored), q)`, whatever the threshold.
@@ -349,7 +298,7 @@ fn extract_all(config: &IndexConfig, series: Vec<TimeSeries>) -> Result<Vec<Stor
     let mut planner = FftPlanner::new();
     let mut stored = Vec::with_capacity(series.len());
     for series in series {
-        let features = Features::extract(&series, config.schema, &mut planner)?;
+        let features = Features::indexed(&series, config.schema, &mut planner)?;
         stored.push(StoredSeries { series, features });
     }
     Ok(stored)
@@ -384,9 +333,9 @@ impl SimilarityIndex {
     /// appends even the lengths out.
     ///
     /// Every feature is extracted before the first point is made: a
-    /// point's two small vectors allocated between the permanent half
-    /// spectra would be holes no `malloc_trim` returns once the tree moves
-    /// to a page file.
+    /// point's two small vectors allocated between the permanent records'
+    /// coefficients would be holes no `malloc_trim` returns once the tree
+    /// moves to a page file.
     ///
     /// # Errors
     /// [`Error::InvalidCutoff`] if the schema's `k` does not fit some
@@ -454,7 +403,7 @@ impl SimilarityIndex {
                 return Err(Error::UnknownSeries(*id));
             };
             check_extends(&stored.series, series)?;
-            let features = Features::extract(series, self.config.schema, &mut planner)?;
+            let features = Features::indexed(series, self.config.schema, &mut planner)?;
             let series = series.clone();
             ready.push((*id, StoredSeries { series, features }));
         }
@@ -546,9 +495,14 @@ impl SimilarityIndex {
         self.store.get(id).map(|s| &s.series)
     }
 
-    /// Stored features by id.
-    pub fn features(&self, id: usize) -> Option<&Features> {
-        self.store.get(id).map(|s| &s.features)
+    /// Features of a stored series by id, with the half spectrum a query's
+    /// carry: derived from its samples by one FFT — a record keeps the
+    /// indexed coefficients alone.
+    pub fn features(&self, id: usize) -> Option<Features> {
+        let stored = self.store.get(id)?;
+        let features =
+            Features::extract(&stored.series, self.config.schema, &mut FftPlanner::new());
+        Some(features.expect("a stored series fits the schema"))
     }
 
     /// All stored entries.
@@ -662,7 +616,10 @@ impl SimilarityIndex {
     /// point reports (direct calls, the planner, the plan executor, a
     /// sharded relation, the catalog): a ragged relation, then the
     /// threshold, then the transformation (a time warp under a self-join,
-    /// arity, safety for the coordinate space), then the query length. A
+    /// arity, safety for the coordinate space), then the query length,
+    /// then whether the transformation maps real series to real series at
+    /// all ([`LinearTransform::maps_real_series`]: parts that are not
+    /// conjugate-symmetric have no time-domain action to refine with). A
     /// warp-by-`m` query must be `m` times as long as the indexed series
     /// (Example 1.2: daily query series vs. every-other-day data).
     ///
@@ -696,17 +653,27 @@ impl SimilarityIndex {
             self.config.space.check_safety(t, self.config.schema)?;
         }
         match query_len {
-            Some(got) if got != self.series_len * t.warp() => Err(Error::LengthMismatch {
-                expected: self.series_len * t.warp(),
-                got,
-            }),
-            _ => Ok(()),
+            Some(got) if got != self.series_len * t.warp() => {
+                return Err(Error::LengthMismatch {
+                    expected: self.series_len * t.warp(),
+                    got,
+                })
+            }
+            _ => {}
         }
+        if !t.maps_real_series() {
+            return Err(Error::Unsupported(format!(
+                "transformation {} maps real series to complex ones (its parts are not \
+                 conjugate-symmetric)",
+                t.name()
+            )));
+        }
+        Ok(())
     }
 
     /// Binds a query series: [`SimilarityIndex::validate`], then the
-    /// query's features (its one FFT), bound as [`SimilarityIndex::refine`]
-    /// binds them.
+    /// query's features (its one FFT) for the filter and its normal form —
+    /// normalized as a stored record is — for the exact check.
     pub(crate) fn bind_query<'a>(
         &self,
         q: &TimeSeries,
@@ -714,18 +681,24 @@ impl SimilarityIndex {
         t: &'a LinearTransform,
     ) -> Result<Refine<'a>> {
         self.validate(eps, t, Some(q.len()))?;
-        let qf = Features::extract(q, self.config.schema, &mut FftPlanner::new())?;
+        let schema = self.config.schema;
+        let qf = Features::extract(q, schema, &mut FftPlanner::new())?;
+        let norm = Normalize::of(&qf, schema);
+        let target = q.values().iter().map(|&v| norm.at(v)).collect();
         let limit = eps.map_or(f64::INFINITY, limit_sq);
-        Ok(Refine::new(self.config.schema, t, qf, limit))
+        Ok(Refine::new(schema, t, qf, target, limit))
     }
 
     /// Binds query features posed under `t` (precomputed: the figure
     /// runners time queries without their FFT) into the statement's
     /// refine, with its one `limit_sq(eps)`; `eps = None`, a k-NN form,
-    /// accepts every distance.
+    /// accepts every distance. The exact check reads the query's
+    /// representation inverted from its half spectrum, once.
     ///
     /// # Errors
-    /// Everything [`SimilarityIndex::range_query`] rejects.
+    /// Everything [`SimilarityIndex::range_query`] rejects, and
+    /// [`Error::Unsupported`] for features without their half spectrum (a
+    /// stored record's).
     pub fn refine<'a>(
         &self,
         qf: Features,
@@ -733,8 +706,11 @@ impl SimilarityIndex {
         t: &'a LinearTransform,
     ) -> Result<Refine<'a>> {
         self.validate(eps, t, Some(qf.n()))?;
+        let target = qf.samples().ok_or_else(|| {
+            Error::Unsupported("query features without their half spectrum".to_string())
+        })?;
         let limit = eps.map_or(f64::INFINITY, limit_sq);
-        Ok(Refine::new(self.config.schema, t, qf, limit))
+        Ok(Refine::new(self.config.schema, t, qf, target, limit))
     }
 
     /// The search rectangle around a feature point for a checked
@@ -823,14 +799,18 @@ impl SimilarityIndex {
         qrect: &Rect,
         force_transform: bool,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let (ids, index) = self.filter_rect(qrect, refine.transform, force_transform)?;
+        let (mut ids, index) = self.filter_rect(qrect, refine.transform, force_transform)?;
         let mut stats = QueryStats {
             index,
             candidates: ids.len(),
             exact_checks: ids.len(),
             ..QueryStats::default()
         };
-        let mut matches: Vec<Match> = ids
+        // Refined in id order, the order a built or restored relation's
+        // samples are allocated in: the refine reads every sample of a
+        // candidate it keeps, and tree order would read them at random.
+        ids.sort_unstable();
+        let matches: Vec<Match> = ids
             .into_iter()
             .filter_map(|id| {
                 refine
@@ -839,7 +819,6 @@ impl SimilarityIndex {
             })
             .collect();
         stats.false_hits = stats.exact_checks - matches.len();
-        matches.sort_by_key(|m| m.id);
         Ok((matches, stats))
     }
 
@@ -937,9 +916,9 @@ impl SimilarityIndex {
             store,
             k,
             |rect| space.transformed_lower_bound(rect, t, schema, qf),
-            |_, item| {
+            |_, item, kth| {
                 exact_checks += 1;
-                refine.distance(&self.store[item.series_id()])
+                refine.distance_within(&self.store[item.series_id()], kth)
             },
             // Break exact-distance ties by series id: the answer set is
             // then a pure function of the data, independent of tree shape
@@ -991,7 +970,9 @@ mod tests {
     use super::*;
     use tsq_dft::complex::{ONE, ZERO};
     use tsq_dft::energy::euclidean_complex;
+    use tsq_dft::Complex64;
     use tsq_series::generate::RandomWalkGenerator;
+    use tsq_series::normal::normal_form;
 
     fn small_relation(count: usize, len: usize, seed: u64) -> Vec<TimeSeries> {
         RandomWalkGenerator::new(seed).relation(count, len)
@@ -999,6 +980,12 @@ mod tests {
 
     fn build_default(rel: Vec<TimeSeries>) -> SimilarityIndex {
         SimilarityIndex::build(IndexConfig::default(), rel).unwrap()
+    }
+
+    /// The unitary spectrum of `s`'s normal form: the references below
+    /// take the spectrum route, `T` as `a .* X + b`.
+    fn spectrum(s: &TimeSeries) -> Vec<Complex64> {
+        FftPlanner::new().dft_real(normal_form(s).values())
     }
 
     /// What the relation hands down after appending `tail` to `held`.
@@ -1067,12 +1054,9 @@ mod tests {
             .range_query(q, eps, &t, &QueryWindow::default())
             .unwrap();
         // Brute force over normal forms.
-        let mut planner = FftPlanner::new();
-        let qf = Features::extract(q, FeatureSchema::NormalForm { k: 2 }, &mut planner).unwrap();
         let mut want = Vec::new();
         for (id, s) in rel.iter().enumerate() {
-            let f = Features::extract(s, FeatureSchema::NormalForm { k: 2 }, &mut planner).unwrap();
-            let d = euclidean_complex(&f.full_spectrum(), &qf.full_spectrum());
+            let d = euclidean_complex(&spectrum(s), &spectrum(q));
             if d <= eps {
                 want.push(id);
             }
@@ -1093,13 +1077,9 @@ mod tests {
         let (matches, _) = idx
             .range_query(q, eps, &t, &QueryWindow::default())
             .unwrap();
-        let mut planner = FftPlanner::new();
-        let schema = FeatureSchema::NormalForm { k: 2 };
-        let qf = Features::extract(q, schema, &mut planner).unwrap();
         let mut want = Vec::new();
         for (id, s) in rel.iter().enumerate() {
-            let f = Features::extract(s, schema, &mut planner).unwrap();
-            let d = euclidean_complex(&t.apply_spectrum(&f.full_spectrum()), &qf.full_spectrum());
+            let d = euclidean_complex(&t.apply_spectrum(&spectrum(s)), &spectrum(q));
             if d <= eps {
                 want.push(id);
             }
@@ -1132,18 +1112,12 @@ mod tests {
         let (got, _) = idx.knn_query(q, 5, &t).unwrap();
         assert_eq!(got.len(), 5);
         // Brute force.
-        let mut planner = FftPlanner::new();
-        let schema = FeatureSchema::NormalForm { k: 2 };
-        let qf = Features::extract(q, schema, &mut planner).unwrap();
         let mut dists: Vec<(f64, usize)> = rel
             .iter()
             .enumerate()
             .map(|(id, s)| {
-                let f = Features::extract(s, schema, &mut planner).unwrap();
-                (
-                    euclidean_complex(&t.apply_spectrum(&f.full_spectrum()), &qf.full_spectrum()),
-                    id,
-                )
+                let d = euclidean_complex(&t.apply_spectrum(&spectrum(s)), &spectrum(q));
+                (d, id)
             })
             .collect();
         dists.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -1257,13 +1231,9 @@ mod tests {
         let (matches, _) = idx
             .range_query(q, eps, &t, &QueryWindow::default())
             .unwrap();
-        let mut planner = FftPlanner::new();
-        let schema = FeatureSchema::NormalForm { k: 2 };
-        let qf = Features::extract(q, schema, &mut planner).unwrap();
         let mut want = Vec::new();
         for (id, s) in rel.iter().enumerate() {
-            let f = Features::extract(s, schema, &mut planner).unwrap();
-            let d = euclidean_complex(&t.apply_spectrum(&f.full_spectrum()), &qf.full_spectrum());
+            let d = euclidean_complex(&t.apply_spectrum(&spectrum(s)), &spectrum(q));
             if d <= eps {
                 want.push(id);
             }
@@ -1607,18 +1577,19 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The reference for *what* is summed, the definition: transform the
-    /// full spectrum, then all `n` terms with a per-coefficient abandon
-    /// test.
-    fn per_coefficient(
+    /// The reference for *how* the refine sums: `T(x̂)` as the one function
+    /// computes it, then one term at a time, abandon test per term.
+    fn per_term(
         t: &LinearTransform,
-        x: &[Complex64],
-        q: &[Complex64],
+        stored: &StoredSeries,
+        norm: Normalize,
+        q: &[f64],
         limit: f64,
     ) -> Option<f64> {
+        let image = t.act(stored.series.values(), norm);
         let mut acc = 0.0;
-        for (a, b) in t.apply_spectrum(x).iter().zip(q) {
-            acc += (*a - *b).norm_sqr();
+        for (a, b) in image.iter().zip(q) {
+            acc += (a - b) * (a - b);
             if acc > limit {
                 return None;
             }
@@ -1626,33 +1597,11 @@ mod tests {
         Some(acc)
     }
 
-    /// The reference for *how* the half is summed: the coefficients with a
-    /// mirror in order, counted twice, abandon test per coefficient; then
-    /// DC and Nyquist, which have none.
-    fn per_half_coefficient(
-        t: &LinearTransform,
-        n: usize,
-        x: &[Complex64],
-        q: &[Complex64],
-        limit: f64,
-    ) -> Option<f64> {
-        let term = |f: usize| (t.apply_coeff(f, x[f]) - q[f]).norm_sqr();
-        let mut twice = 0.0;
-        for f in 1..n.div_ceil(2) {
-            twice += 2.0 * term(f);
-            if twice > limit {
-                return None;
-            }
-        }
-        let nyquist = if n % 2 == 0 { term(n / 2) } else { 0.0 };
-        Some(term(0) + twice + nyquist)
-    }
-
-    /// A walk's full spectrum and its features as stored (the half).
-    fn full_and_stored(walks: &mut RandomWalkGenerator, n: usize) -> (Vec<Complex64>, Features) {
-        let full = FftPlanner::new().dft_real(walks.series(n).values());
-        let half = full[..n / 2 + 1].to_vec();
-        (full, Features::from_spectrum(0.0, 1.0, n, half).unwrap())
+    /// A walk as a stored record, and its normal form.
+    fn record(walks: &mut RandomWalkGenerator, n: usize, schema: FeatureSchema) -> StoredSeries {
+        let series = walks.series(n);
+        let features = Features::indexed(&series, schema, &mut FftPlanner::new()).unwrap();
+        StoredSeries { series, features }
     }
 
     /// Every transformation the language offers, and compositions.
@@ -1691,29 +1640,25 @@ mod tests {
     #[test]
     fn kernel_is_bit_identical_to_the_references() {
         let schema = FeatureSchema::NormalForm { k: 1 };
-        // Around the 8-wide block boundary of the half (15, 16, 17 keep 8,
-        // 9, 9 coefficients), even and odd, long, and a Bluestein length.
+        // Around the 8-wide block boundary (15, 16, 17), even and odd,
+        // long, and a Bluestein length.
         for n in [3usize, 7, 8, 9, 15, 16, 17, 127, 128, 513] {
             let mut walks = RandomWalkGenerator::new(21 + n as u64);
-            let (x_full, x) = full_and_stored(&mut walks, n);
-            let (q_full, query) = full_and_stored(&mut walks, n);
-            let stored = StoredSeries {
-                series: TimeSeries::new(vec![0.0; n]),
-                features: x,
-            };
-            let (x, q) = (&stored.features.spectrum, &query.spectrum);
+            let stored = record(&mut walks, n, schema);
+            let q = walks.series(n);
+            let norm = Normalize::of(&stored.features, schema);
+            let qf = Features::extract(&q, schema, &mut FftPlanner::new()).unwrap();
+            let target = normal_form(&q).into_values();
             for t in language(n) {
                 let what = format!("n = {n}, {}", t.name());
-                assert!(t.is_conjugate_symmetric(), "{what}");
-                let full = per_half_coefficient(&t, n, x, q, f64::INFINITY).unwrap();
-                // The same D² as the n-term sum, up to rounding.
-                let definition = per_coefficient(&t, &x_full, &q_full, f64::INFINITY).unwrap();
+                let full = per_term(&t, &stored, norm, &target, f64::INFINITY).unwrap();
+                // The definition's D², by the spectrum route, up to rounding.
+                let definition =
+                    euclidean_complex(&t.apply_spectrum(&spectrum(&stored.series)), &spectrum(&q))
+                        .powi(2);
                 assert!((full - definition).abs() <= 1e-12 * definition, "{what}");
-                // The kernel proper, and the statement's refine (which
-                // takes the identity fast path where `t` allows it).
-                let sum = spectrum_sq_within(Some(&t), n, x, q, f64::INFINITY);
-                assert_eq!(sum.map(f64::to_bits), Some(full.to_bits()), "{what}");
-                let unbounded = Refine::new(schema, &t, query.clone(), f64::INFINITY);
+                let refine = |limit| Refine::new(schema, &t, qf.clone(), target.clone(), limit);
+                let unbounded = refine(f64::INFINITY);
                 assert_eq!(
                     unbounded.distance(&stored).to_bits(),
                     full.sqrt().to_bits(),
@@ -1721,15 +1666,14 @@ mod tests {
                 );
                 // At, one ulp below and one ulp above the exact sum.
                 for limit in neighbours(full) {
-                    let want = per_half_coefficient(&t, n, x, q, limit).map(f64::to_bits);
-                    let got = spectrum_sq_within(Some(&t), n, x, q, limit);
+                    let want = per_term(&t, &stored, norm, &target, limit).map(f64::to_bits);
+                    let got = unbounded.sum_sq(&stored, limit);
                     assert_eq!(got.map(f64::to_bits), want, "{what}, limit {limit:e}");
                     // A row is in exactly when its whole sum is within
                     // the limit, whenever the loop gave up.
-                    let bounded = Refine::new(schema, &t, query.clone(), limit);
                     for mode in [ScanMode::Naive, ScanMode::EarlyAbandon] {
                         assert_eq!(
-                            bounded.within(&stored, mode).map(f64::to_bits),
+                            refine(limit).within(&stored, mode).map(f64::to_bits),
                             (full <= limit).then_some(full.sqrt().to_bits()),
                             "{what}, limit {limit:e}, {mode:?}"
                         );
@@ -1740,100 +1684,193 @@ mod tests {
     }
 
     #[test]
-    fn a_transformation_without_symmetry_sums_all_n_terms_off_the_half() {
+    fn a_transformation_that_maps_real_series_to_complex_ones_is_refused() {
         // What only `from_parts` can build: a complex scale, and a
-        // translation of coefficient 1 without its mirror. Neither maps
-        // real series to real series, so the upper half of the sum does not
-        // repeat the lower — the kernel must give the sum
-        // over full spectra.
-        for n in [3usize, 8, 9, 64, 127] {
-            let mut walks = RandomWalkGenerator::new(77 + n as u64);
-            let (x_full, x) = full_and_stored(&mut walks, n);
-            let (q_full, q) = full_and_stored(&mut walks, n);
-            let mut one_sided = vec![ZERO; n];
-            one_sided[1] = ONE;
-            for t in [
-                LinearTransform::from_parts(
-                    vec![Complex64::new(0.6, 0.8); n],
-                    vec![ZERO; n],
-                    "rot",
-                ),
-                LinearTransform::from_parts(vec![ONE; n], one_sided, "b1"),
-            ] {
-                let t = t.unwrap();
-                let what = format!("n = {n}, {}", t.name());
-                assert!(!t.is_conjugate_symmetric(), "{what}");
-                let definition = per_coefficient(&t, &x_full, &q_full, f64::INFINITY).unwrap();
-                let half = per_half_coefficient(&t, n, &x.spectrum, &q.spectrum, f64::INFINITY);
-                assert!(
-                    (half.unwrap() - definition).abs() > 1e-6 * definition,
-                    "{what}: the half sum must not be able to stand in"
-                );
-                let kernel =
-                    |limit| spectrum_sq_within(Some(&t), n, &x.spectrum, &q.spectrum, limit);
-                let got = kernel(f64::INFINITY).unwrap();
-                assert!(
-                    (got - definition).abs() <= 1e-12 * definition,
-                    "{what}: {got} vs {definition}"
-                );
-                assert_eq!(kernel(definition * (1.0 + 1e-9)), Some(got), "{what}");
-                assert_eq!(kernel(definition * (1.0 - 1e-9)), None, "{what}");
-                // A join transforms both sides: the images need all n
-                // coefficients, and are compared as such.
-                let (tx, tq) = (t.apply_stored(&x), t.apply_stored(&q));
-                assert_eq!((tx.len(), tq.len()), (n, n), "{what}");
-                let both = spectrum_sq_within(None, n, &tx, &tq, f64::INFINITY).unwrap();
-                let want =
-                    euclidean_complex(&t.apply_spectrum(&x_full), &t.apply_spectrum(&q_full));
-                assert!((both.sqrt() - want).abs() <= 1e-12 * want, "{what}");
-                // The index join's refine: a stored half against the full
-                // image of the probe.
-                let probe = spectrum_sq_within(Some(&t), n, &x.spectrum, &tq, f64::INFINITY);
-                assert!(
-                    (probe.unwrap().sqrt() - want).abs() <= 1e-12 * want,
-                    "{what}"
-                );
+        // translation of coefficient 1 without its mirror. Neither has a
+        // time-domain action, so every form refuses it — after the checks
+        // that come first (safety included: Theorem 3 speaks of the
+        // complex scale in `S_pol`).
+        let n = 32;
+        let rel = small_relation(20, n, 77);
+        let idx = build_default(rel.clone());
+        let mut one_sided = vec![ZERO; n];
+        one_sided[1] = ONE;
+        let rotation =
+            LinearTransform::from_parts(vec![Complex64::new(0.6, 0.8); n], vec![ZERO; n], "rot")
+                .unwrap();
+        let refused =
+            |r: Result<()>| matches!(r, Err(Error::Unsupported(m)) if m.contains("complex"));
+        let window = QueryWindow::default();
+        assert!(refused(
+            idx.range_query(&rel[0], 1.0, &rotation, &window)
+                .map(|_| ())
+        ));
+        assert!(refused(idx.knn_query(&rel[0], 3, &rotation).map(|_| ())));
+        assert!(refused(idx.join_index(1.0, &rotation).map(|_| ())));
+        assert!(refused(
+            idx.join_scan(1.0, &rotation, ScanMode::Naive).map(|_| ())
+        ));
+        // A bad length is reported first.
+        let short = TimeSeries::new(vec![1.0; n - 1]);
+        assert!(matches!(
+            idx.range_query(&short, 1.0, &rotation, &window),
+            Err(Error::LengthMismatch { .. })
+        ));
+        // The one-sided translation is unsafe in `S_pol` before it is
+        // anything else.
+        let translated = LinearTransform::from_parts(vec![ONE; n], one_sided, "b1").unwrap();
+        assert!(matches!(
+            idx.range_query(&rel[0], 1.0, &translated, &window),
+            Err(Error::UnsafeTransform { .. })
+        ));
+    }
+
+    /// One best-first search of `index` for `refine`'s k nearest, as
+    /// `knn_bound` runs it, with the exact check summing in full or giving
+    /// up past the k-th distance so far: `(rows, traversal stats, exact
+    /// checks, checks that gave up)`. A paged index starts from an empty
+    /// pool.
+    fn knn_with(
+        index: &SimilarityIndex,
+        refine: &Refine<'_>,
+        k: usize,
+        bounded: bool,
+    ) -> (Vec<(usize, u64)>, SearchStats, usize, usize) {
+        let (schema, space) = (index.config.schema, index.config.space);
+        let (mut checks, mut gave_up) = (0, 0);
+        let bound =
+            |r: &Rect| space.transformed_lower_bound(r, refine.transform, schema, &refine.query);
+        let mut exact = |id: usize, kth: f64| {
+            checks += 1;
+            let stored = &index.store[id];
+            if !bounded {
+                return Some(refine.distance(stored));
+            }
+            let d = refine.distance_within(stored, kth);
+            gave_up += usize::from(d.is_none());
+            d
+        };
+        let (rows, stats) = match index.paged() {
+            Some(p) => {
+                p.pool().flush();
+                let exact = |_: &Rect, id: u64, kth| exact(id as usize, kth);
+                let (found, stats) = nearest_with_tie(p, k, bound, exact, |id| id).unwrap();
+                let rows = found
+                    .iter()
+                    .map(|nb| (nb.item as usize, nb.distance.to_bits()));
+                (rows.collect(), stats)
+            }
+            None => {
+                let exact = |_: &Rect, id: &usize, kth| exact(*id, kth);
+                let key = |id: &usize| *id as u64;
+                let (found, stats) = nearest_with_tie(index.tree(), k, bound, exact, key)
+                    .unwrap_or_else(|never| match never {});
+                let rows = found.iter().map(|nb| (*nb.item, nb.distance.to_bits()));
+                (rows.collect(), stats)
+            }
+        };
+        (rows, stats, checks, gave_up)
+    }
+
+    #[test]
+    fn knn_gives_up_at_the_kth_distance_without_moving_a_row_or_a_counter() {
+        // Walks under identity and mavg(8), in memory and paged: the k-NN
+        // search whose exact check gives up past the k-th distance found
+        // so far returns the rows, distance bits and counters of the one
+        // that sums every candidate in full — and does give up.
+        let n = 128;
+        let rel = small_relation(1500, n, 41);
+        let idx = build_default(rel.clone());
+        let mut paged = idx.clone();
+        let dir = std::env::temp_dir().join(format!("tsq-knn-bound-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        paged.attach_paged(&dir.join("idx.pages"), 8).unwrap();
+        let mut queries: Vec<TimeSeries> = (0..4)
+            .map(|i| RandomWalkGenerator::new(900 + i).series(n))
+            .collect();
+        queries.push(rel[17].clone());
+        let mut gave_up = 0;
+        for t in [
+            LinearTransform::identity(n),
+            LinearTransform::moving_average(n, 8),
+        ] {
+            for index in [&idx, &paged] {
+                for q in &queries {
+                    for k in [1usize, 5, 20] {
+                        let what = format!("{}, k = {k}, paged = {}", t.name(), index.is_paged());
+                        let refine = index.bind_query(q, None, &t).unwrap();
+                        if let Some(p) = index.paged() {
+                            p.pool().flush();
+                        }
+                        let (got, stats) = index.knn_bound(&refine, k).unwrap();
+                        let rows: Vec<(usize, u64)> =
+                            got.iter().map(|m| (m.id, m.distance.to_bits())).collect();
+                        let (full, full_stats, full_checks, _) = knn_with(index, &refine, k, false);
+                        let (bounded, bounded_stats, bounded_checks, quit) =
+                            knn_with(index, &refine, k, true);
+                        // From an empty pool each time, pool hits and
+                        // misses included.
+                        assert_eq!(rows, full, "{what}");
+                        assert_eq!(bounded, full, "{what}");
+                        assert_eq!(stats.index, full_stats, "{what}");
+                        assert_eq!(bounded_stats, full_stats, "{what}");
+                        assert_eq!(stats.exact_checks, full_checks, "{what}");
+                        assert_eq!(bounded_checks, full_checks, "{what}");
+                        gave_up += quit;
+                    }
+                }
             }
         }
+        assert!(gave_up > 0, "no exact check gave up");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn early_abandon_agrees_with_full() {
-        // Full-length spectra: every coefficient is read as given.
-        let x: Vec<Complex64> = (0..20).map(|i| Complex64::new(i as f64, 0.0)).collect();
-        let y: Vec<Complex64> = (0..20)
-            .map(|i| Complex64::new(i as f64 + 1.0, 0.0))
-            .collect();
-        let d = euclidean_complex(&x, &y);
+        let schema = FeatureSchema::NormalForm { k: 2 };
+        let mut walks = RandomWalkGenerator::new(20);
+        let stored = record(&mut walks, 20, schema);
+        let q = walks.series(20);
+        let t = LinearTransform::identity(20);
+        let idx = build_default(vec![stored.series.clone()]);
+        let d = idx.bind_query(&q, None, &t).unwrap().distance(&stored);
+        let bound = |eps: f64| idx.bind_query(&q, Some(eps), &t).unwrap();
         // Generous threshold: the full distance, bit for bit.
-        let got = spectrum_sq_within(None, 20, &x, &y, limit_sq(d + 1.0));
-        assert_eq!(got.map(f64::sqrt), Some(d));
-        // Tight threshold: abandoned.
-        let tight = limit_sq(d - 0.5);
-        assert_eq!(spectrum_sq_within(None, 20, &x, &y, tight), None);
+        let got = bound(d + 1.0).within(&stored, ScanMode::EarlyAbandon);
+        assert_eq!(got.map(f64::to_bits), Some(d.to_bits()));
+        // Tight threshold: abandoned, and the full sum is not within it.
+        let tight = bound(d - 0.5);
+        assert_eq!(tight.sum_sq(&stored, tight.limit), None);
+        assert_eq!(tight.within(&stored, ScanMode::Naive), None);
     }
 
     #[test]
     fn early_abandon_boundary() {
-        let x = [Complex64::new(0.0, 0.0)];
-        let y = [Complex64::new(3.0, 4.0)];
+        // Raw samples, so the sum is the plain one: 3² + 4² = 5².
+        let config = IndexConfig {
+            schema: FeatureSchema::Raw { k: 1 },
+            ..IndexConfig::default()
+        };
+        let idx = SimilarityIndex::build(config, vec![TimeSeries::from([0.0, 0.0])]).unwrap();
+        let (t, q) = (LinearTransform::identity(2), TimeSeries::from([3.0, 4.0]));
+        let stored = &idx.entries()[0];
         // Exactly at the threshold: a distance is within itself.
-        let got = spectrum_sq_within(None, 1, &x, &y, limit_sq(5.0));
-        assert_eq!(got.map(f64::sqrt), Some(5.0));
+        let at = idx.bind_query(&q, Some(5.0), &t).unwrap();
+        assert_eq!(at.within(stored, ScanMode::EarlyAbandon), Some(5.0));
         let below = f64::from_bits(5.0f64.to_bits() - 1);
-        assert_eq!(spectrum_sq_within(None, 1, &x, &y, limit_sq(below)), None);
-        // Halves of length-4 spectra: DC and Nyquist count once, the
-        // coefficient between them twice — and alone decides an abandon.
-        let x = [Complex64::new(0.0, 0.0); 3];
-        let y = [
-            Complex64::new(1.0, 0.0),
-            Complex64::new(3.0, 4.0),
-            Complex64::new(0.0, 2.0),
-        ];
-        let within = |limit| spectrum_sq_within(None, 4, &x, &y, limit);
-        assert_eq!(within(f64::INFINITY), Some(1.0 + 2.0 * 25.0 + 4.0));
-        assert_eq!(within(50.0), Some(55.0));
-        assert_eq!(within(49.0), None);
+        let below = idx.bind_query(&q, Some(below), &t).unwrap();
+        assert_eq!(below.within(stored, ScanMode::EarlyAbandon), None);
+        // Nine samples: a block of eight, then a one-term tail whose
+        // check alone decides an abandon.
+        let idx = SimilarityIndex::build(config, vec![TimeSeries::new(vec![0.0; 9])]).unwrap();
+        let q = TimeSeries::from([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 1.0]);
+        let t = LinearTransform::identity(9);
+        let refine = idx.bind_query(&q, None, &t).unwrap();
+        let within = |limit| refine.sum_sq(&idx.entries()[0], limit);
+        assert_eq!(within(f64::INFINITY), Some(5.0));
+        assert_eq!(within(5.0), Some(5.0));
+        assert_eq!(within(4.5), None);
+        assert_eq!(within(3.9), None, "the block's sum alone is over");
     }
 
     #[test]
@@ -1845,7 +1882,8 @@ mod tests {
             &mut FftPlanner::new(),
         )
         .unwrap();
-        let fast = |t: &LinearTransform| Refine::new(schema, t, qf.clone(), 0.0).identity;
+        let fast =
+            |t: &LinearTransform| Refine::new(schema, t, qf.clone(), Vec::new(), 0.0).identity;
         assert!(fast(&LinearTransform::identity(4)));
         // Shifts and positive scales act on mean/std only.
         assert!(fast(&LinearTransform::shift(4, 2.0)));

@@ -56,7 +56,7 @@
 //! statement exactly when **the distance it is reported with is
 //! `<= eps`**. Each exact check is one run of the blocked loop
 //! [`tsq_series::distance::sum_sq_within`] — through the statement's one
-//! [`Refine`] (`|a_f·x_f + b_f − q_f|²` per coefficient) or, for windows,
+//! [`Refine`] (`(T(x̂)_t − q̂_t)²` per sample) or, for windows,
 //! `distance_sq_within` — whose sum is tested `acc <= limit_sq(eps)`:
 //! [`tsq_series::distance::limit_sq`], computed once where the statement
 //! is bound, is the largest `f64` whose (monotone) `sqrt` is `<= eps`, so

@@ -20,17 +20,15 @@
 //! case where both sides are the same index — what the methods above
 //! pass — and the cross-shard stage of a sharded join passes two shards.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
-use tsq_dft::Complex64;
 use tsq_rtree::join::join_with;
 use tsq_rtree::{EntryId, NodeStore, Rect, SearchStats};
-use tsq_series::distance::limit_sq;
+use tsq_series::distance::{distance_sq_within, limit_sq};
 
 use crate::error::{Error, Result};
-use crate::features::Features;
-use crate::index::{spectrum_sq_within, Refine, SeriesId, SimilarityIndex};
+use crate::features::{Features, Normalize};
+use crate::index::{Refine, SeriesId, SimilarityIndex, StoredSeries};
 use crate::scan::ScanMode;
 use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
@@ -92,24 +90,16 @@ pub(crate) fn scan_pairs<'a>(
     mode: ScanMode,
 ) -> JoinOutcome {
     let own = std::ptr::eq(probe, partner);
-    let n = probe.series_len();
-    // Transform every spectrum once (the quadratic pair loop dominates),
-    // or borrow it where the transformation leaves spectra as stored.
-    let unchanged = join.transform.leaves_spectra_unchanged();
-    let spectra = |side: &'a SimilarityIndex| -> Vec<Cow<'a, [Complex64]>> {
+    // Transform every record once (the quadratic pair loop dominates).
+    let images = |side: &'a SimilarityIndex| -> Vec<Vec<f64>> {
+        let schema = side.config().schema;
         side.entries()
             .iter()
-            .map(|s| {
-                if unchanged {
-                    Cow::Borrowed(&s.features.spectrum[..])
-                } else {
-                    Cow::Owned(join.transform.apply_stored(&s.features))
-                }
-            })
+            .map(|s| image(join.transform, s, schema))
             .collect()
     };
-    let left = spectra(probe);
-    let other = (!own).then(|| spectra(partner));
+    let left = images(probe);
+    let other = (!own).then(|| images(partner));
     let right = other.as_ref().unwrap_or(&left);
     let abandon_at = mode.abandon_at(join.limit);
     let mut out = JoinOutcome::default();
@@ -117,7 +107,7 @@ pub(crate) fn scan_pairs<'a>(
         let first = if own { i + 1 } else { 0 };
         for (j, y) in right.iter().enumerate().skip(first) {
             out.stats.exact_checks += 1;
-            let sum = spectrum_sq_within(None, n, x, y, abandon_at);
+            let sum = distance_sq_within(x, y, abandon_at);
             out.stats.abandoned += usize::from(sum.is_none());
             if let Some(sum) = sum.filter(|sum| *sum <= join.limit) {
                 out.pairs.push(JoinPair {
@@ -129,6 +119,14 @@ pub(crate) fn scan_pairs<'a>(
         }
     }
     out
+}
+
+/// `T(x̂)` of a stored record: its samples normalized as indexed, under
+/// the time-domain action every exact check uses, so a pair sums the same
+/// terms in every join strategy and in both directions.
+fn image(t: &LinearTransform, stored: &StoredSeries, schema: crate::FeatureSchema) -> Vec<f64> {
+    let norm = Normalize::of(&stored.features, schema);
+    t.act(stored.series.values(), norm)
 }
 
 /// The index-nested-loop join kernel (Table 1 methods (c)/(d)) over a
@@ -192,22 +190,23 @@ fn refine_group(
 impl SimilarityIndex {
     /// Transformed feature point of a stored series (query side of join
     /// method (d): both the index *and* the search rectangle are
-    /// transformed).
+    /// transformed), with the half spectrum a query carries: the series'
+    /// own derived by one FFT ([`SimilarityIndex::features`]), then
+    /// transformed.
     pub fn transformed_features(&self, id: usize, t: &LinearTransform) -> Result<Features> {
         let f = self.features(id).ok_or(Error::UnknownSeries(id))?;
-        let (ma, mb) = t.mean_map();
-        let (sa, sb) = t.std_map();
-        let image =
-            Features::from_spectrum(ma * f.mean + mb, sa * f.std + sb, f.n(), t.apply_stored(f));
-        Ok(image.expect("a transformed spectrum keeps its length or runs to n"))
+        Ok(f.image(t))
     }
 
-    /// The refine of join probe `id`: its transformed features are the
-    /// query, the join's limit the threshold.
+    /// The refine of join probe `id`: its transformed indexed coefficients
+    /// for the filter, its `T(x̂)` for the exact check, the join's limit
+    /// the threshold.
     fn probe_refine<'a>(&self, id: usize, join: JoinBound<'a>) -> Result<Refine<'a>> {
-        let qf = self.transformed_features(id, join.transform)?;
+        let stored = self.entries().get(id).ok_or(Error::UnknownSeries(id))?;
         let schema = self.config().schema;
-        Ok(Refine::new(schema, join.transform, qf, join.limit))
+        let qf = stored.features.image(join.transform);
+        let target = image(join.transform, stored, schema);
+        Ok(Refine::new(schema, join.transform, qf, target, join.limit))
     }
 
     /// Binds a self-join: [`SimilarityIndex::validate`] (no query
@@ -411,6 +410,38 @@ mod tests {
             d.pairs.len(),
             c.pairs.len()
         );
+    }
+
+    #[test]
+    fn a_pair_has_one_distance_in_every_strategy_and_direction() {
+        // One function computes `T(x̂)` on the stored and the probe side,
+        // and `(a − b)²` is `(b − a)²` bit for bit.
+        let idx = index(60, 32, 39);
+        for t in [
+            LinearTransform::identity(32),
+            LinearTransform::moving_average(32, 4),
+            LinearTransform::moving_average(32, 3)
+                .then(&LinearTransform::reverse(32))
+                .unwrap(),
+        ] {
+            let eps = 2.5;
+            let bits = |pairs: &[JoinPair]| -> HashMap<(usize, usize), u64> {
+                pairs
+                    .iter()
+                    .map(|p| ((p.a, p.b), p.distance.to_bits()))
+                    .collect()
+            };
+            let scan = bits(&idx.join_scan(eps, &t, ScanMode::Naive).unwrap().pairs);
+            let index = bits(&idx.join_index(eps, &t).unwrap().pairs);
+            let tree = bits(&idx.join_tree(eps, &t).unwrap().pairs);
+            assert!(!scan.is_empty(), "{}", t.name());
+            assert_eq!(index, tree, "{}", t.name());
+            assert_eq!(index.len(), 2 * scan.len(), "{}", t.name());
+            for (&(a, b), d) in &scan {
+                assert_eq!(index.get(&(a, b)), Some(d), "{}: ({a}, {b})", t.name());
+                assert_eq!(index.get(&(b, a)), Some(d), "{}: ({b}, {a})", t.name());
+            }
+        }
     }
 
     #[test]

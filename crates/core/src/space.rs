@@ -1,6 +1,50 @@
 //! Coordinate spaces over the feature vector: `S_rect` and `S_pol`
 //! (Section 3.1), search-rectangle construction (Figure 7), and the action
 //! of a safe transformation on minimum bounding rectangles (Algorithm 1).
+//!
+//! ## Lemma 1 in floating point
+//!
+//! The filter's bound and the refine's sum come from two computations: the
+//! bound from the FFT's coefficients of the indexed representation (in
+//! polar coordinates under `S_pol`), the sum from the samples in time
+//! ([`crate::index::Refine`]). No false dismissal needs, for every record
+//! the refine admits,
+//!
+//! ```text
+//! computed bound  ≤  computed time-domain sum
+//! |T(c_f) − q_f|  ≤  √S                       (each indexed f; kNN: the
+//!                                               root of Σ_f |T(c_f) − q_f|²)
+//! ```
+//!
+//! with `c_f`, `q_f` the stored and the query's computed coefficients and
+//! `S` the refine's computed sum (the row is in iff `S <= limit_sq(eps)`).
+//! With `X_f`, `Q_f`, `D` their exact counterparts, `|T(X_f) − Q_f| ≤ D/√w_f`
+//! by the symmetry lemma ([`crate::features`]; `w_f = 2` for a coefficient
+//! with a mirror, `1` for DC and Nyquist), so the inequality holds when
+//!
+//! ```text
+//! e_fft + e_polar  ≤  (1 − 1/√w_f)·√S − e_sum/√w_f
+//! ```
+//!
+//! - `e_fft ≤ |a_f|·(ε_x + ε_q)`: the coefficients' error, `ε ≈ 5·log2(n)·u·‖x̂‖`
+//!   for the radix-2 FFT (a few times that for Bluestein lengths), `u = 2^−53`;
+//! - `e_sum ≈ (n + w)·u·√S + w·u·‖x̂‖`: the time-domain sum's rounding,
+//!   `w` the kernel's taps, `‖x̂‖ = √n` for a normal form;
+//! - `e_polar`: the block's own arithmetic — `m ± eps`, `α ± asin(eps/m)`
+//!   and the stored point's `abs`/`atan2` — which [`SpaceKind::ball_block`]
+//!   rounds outward: each magnitude bound one ulp, the angle half-width by
+//!   [`ANGLE_PAD`] and each angle bound one more ulp. The kNN bound
+//!   ([`SpaceKind::transformed_lower_bound`]) moves one ulp down.
+//!
+//! Under the default schema every indexed coefficient has a mirror, so the
+//! right-hand side is `(1 − 1/√2)·√S − e_sum/√2`: the inequality holds for
+//! every record at a distance above ~`1e-12·√n` — and at distance 0 too,
+//! where a bitwise-equal series gives bitwise-equal coefficients and sum.
+//! DC (indexed only by [`FeatureSchema::Raw`]) and Nyquist (`k ≥ n/2`)
+//! have no mirror: there the outward rounding covers `e_polar` alone, and
+//! `e_fft + e_sum` is what
+//! `tests/planner_consistency.rs::lemma_1_holds_within_four_ulps_of_the_threshold`
+//! walks.
 
 use std::f64::consts::PI;
 
@@ -15,6 +59,32 @@ use crate::transform::LinearTransform;
 /// Stand-in for an unbounded coordinate in search rectangles (the mean/std
 /// filter dimensions are unconstrained unless the query says otherwise).
 pub const UNBOUNDED: f64 = 1e300;
+
+/// Relative widening of a polar block's angle half-width `asin(eps/m)`: it
+/// covers the rounding of `eps/m` (half an ulp), of `asin` (within an ulp
+/// in the platform's libm) and their product's, with room to spare.
+pub const ANGLE_PAD: f64 = 8.0 * f64::EPSILON;
+
+/// The neighbouring `f64` toward `+∞` of a finite `v`, and a non-finite
+/// `v` itself (`f64::next_up` is past the MSRV; a finite value's
+/// neighbours are its bit pattern's).
+fn ulp_up(v: f64) -> f64 {
+    if !v.is_finite() {
+        v
+    } else if v == 0.0 {
+        f64::from_bits(1)
+    } else if v > 0.0 {
+        f64::from_bits(v.to_bits() + 1)
+    } else {
+        f64::from_bits(v.to_bits() - 1)
+    }
+}
+
+/// The neighbouring `f64` toward `−∞` of a finite `v`, and a non-finite
+/// `v` itself.
+fn ulp_down(v: f64) -> f64 {
+    -ulp_up(-v)
+}
 
 /// How complex coefficients are laid out as real index dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,23 +206,29 @@ impl SpaceKind {
     /// widened to the full circle (stored angle coordinates are normalized,
     /// so the widened rectangle still contains every qualifying point —
     /// conservative, never lossy).
+    ///
+    /// Every bound is rounded outward (the module docs' `e_polar`): each
+    /// `± eps` one ulp, the angle half-width by [`ANGLE_PAD`] and each
+    /// angle bound one more ulp.
     pub fn ball_block(&self, c: Complex64, eps: f64) -> ([f64; 2], [f64; 2]) {
+        let below = |v: f64| ulp_down(v - eps);
+        let above = |v: f64| ulp_up(v + eps);
         match self {
-            SpaceKind::Rectangular => ([c.re - eps, c.im - eps], [c.re + eps, c.im + eps]),
+            SpaceKind::Rectangular => ([below(c.re), below(c.im)], [above(c.re), above(c.im)]),
             SpaceKind::Polar => {
                 let m = c.abs();
                 if eps >= m {
-                    ([0.0, -PI], [m + eps, PI])
+                    ([0.0, -PI], [above(m), PI])
                 } else {
                     let alpha = c.angle();
-                    let da = (eps / m).asin();
-                    let lo = alpha - da;
-                    let hi = alpha + da;
+                    let da = (eps / m).asin() * (1.0 + ANGLE_PAD);
+                    let lo = ulp_down(alpha - da);
+                    let hi = ulp_up(alpha + da);
                     if lo < -PI || hi > PI {
                         // Crosses the angular cut: widen.
-                        ([m - eps, -PI], [m + eps, PI])
+                        ([below(m), -PI], [above(m), PI])
                     } else {
-                        ([m - eps, lo], [m + eps, hi])
+                        ([below(m), lo], [above(m), hi])
                     }
                 }
             }
@@ -240,7 +316,8 @@ impl SpaceKind {
     /// a stored MBR and a query point, measured over the indexed
     /// coefficients only. Admissible for KNN: it never exceeds the true
     /// spectral distance (and hence, by Parseval, the true series
-    /// distance for untransformed NormalForm/Raw queries).
+    /// distance), and the computed root moves one ulp down (the module
+    /// docs' inequality).
     pub fn transformed_lower_bound(
         &self,
         rect: &Rect,
@@ -272,7 +349,10 @@ impl SpaceKind {
             acc += dist * dist;
             d += 2;
         }
-        acc.sqrt()
+        match acc > 0.0 {
+            true => ulp_down(acc.sqrt()),
+            false => 0.0,
+        }
     }
 }
 
@@ -520,10 +600,32 @@ mod tests {
     }
 
     #[test]
+    fn outward_rounding_moves_one_ulp() {
+        for v in [1.0, -1.0, 0.3, -2.5e-300, 1e300, f64::MIN_POSITIVE] {
+            assert!(ulp_down(v) < v && v < ulp_up(v), "{v:e}");
+            assert_eq!(ulp_down(ulp_up(v)), v, "{v:e}");
+        }
+        assert_eq!(ulp_up(0.0), f64::from_bits(1));
+        assert_eq!(ulp_down(0.0), -f64::from_bits(1));
+        assert_eq!(ulp_up(f64::MAX), f64::INFINITY);
+        assert_eq!(ulp_up(f64::INFINITY), f64::INFINITY);
+        assert_eq!(ulp_down(f64::NEG_INFINITY), f64::NEG_INFINITY);
+        assert!(ulp_up(f64::NAN).is_nan());
+        // A polar block's bounds sit strictly outside the rounded ones.
+        let c = Complex64::from_polar(2.0, 0.5);
+        let (lo, hi) = SpaceKind::Polar.ball_block(c, 0.6);
+        let da = (0.6f64 / c.abs()).asin();
+        assert!(lo[0] < c.abs() - 0.6 && hi[0] > c.abs() + 0.6);
+        assert!(lo[1] < c.angle() - da && hi[1] > c.angle() + da);
+    }
+
+    #[test]
     fn rect_ball_block() {
         let (lo, hi) = SpaceKind::Rectangular.ball_block(Complex64::new(1.0, -2.0), 0.5);
-        assert_eq!(lo, [0.5, -2.5]);
-        assert_eq!(hi, [1.5, -1.5]);
+        // `± eps`, then one ulp outward.
+        assert_eq!(lo, [ulp_down(0.5), ulp_down(-2.5)]);
+        assert_eq!(hi, [ulp_up(1.5), ulp_up(-1.5)]);
+        assert!(lo[0] < 0.5 && lo[1] < -2.5 && hi[0] > 1.5 && hi[1] > -1.5);
     }
 
     #[test]
@@ -618,9 +720,7 @@ mod tests {
         mbr.union_assign(&Rect::from_point(&p2));
         let tmbr = space.transform_mbr(&mbr, &t, NF2);
         for f in [&f1, &f2] {
-            let transformed =
-                Features::from_spectrum(f.mean, f.std, f.n(), t.apply_stored(f)).unwrap();
-            let tp = space.point(&transformed, NF2);
+            let tp = space.point(&f.image(&t), NF2);
             assert!(
                 tmbr.contains_point(&tp),
                 "transformed point {tp:?} escaped transformed MBR {tmbr}"

@@ -26,10 +26,9 @@
 //! A transformation that maps real series to real series has
 //! `a_{n−f} = conj(a_f)` and `b_{n−f} = conj(b_f)` (indices mod `n`), and
 //! maps conjugate-symmetric spectra to conjugate-symmetric spectra — the
-//! premise of the symmetry lemma in [`crate::features`]. Every
-//! transformation records at construction whether it is so *exactly*
-//! ([`LinearTransform::is_conjugate_symmetric`]), and the same-length
-//! constructors all are: real constant multipliers (`identity`, `reverse`,
+//! premise of the symmetry lemma in [`crate::features`]. The same-length
+//! constructors all are so *exactly*
+//! ([`LinearTransform::is_conjugate_symmetric`]): real constant multipliers (`identity`, `reverse`,
 //! `shift`, `scale`, `scale_raw`) and a translation of the real DC term
 //! alone (`shift_raw`) trivially; the circular convolutions
 //! (`moving_average`, `weighted_moving_average`, `difference`) because the
@@ -38,19 +37,174 @@
 //! (and of a sum) is the product (sum) of the conjugates, in floating
 //! point too. [`LinearTransform::time_warp`] relates spectra of different
 //! lengths and is checked in the time domain. What
-//! [`LinearTransform::from_parts`] is given is simply compared.
+//! [`LinearTransform::from_parts`] is given is compared, once: parts that
+//! mirror get a time-domain action, others none.
+//!
+//! ## The time-domain action
+//!
+//! The exact check runs over samples, so every transformation carries,
+//! from construction, what it does to a real series `x` sample by sample
+//! ([`LinearTransform::apply_time_domain`]): `y = h ⊛ x + o`, a circular
+//! convolution with a real kernel `h` (taps `h_0..h_{w−1}`,
+//! `y_t = Σ_s h_s·x_{(t−s) mod n}`) plus an offset `o`, or, for a warp,
+//! `y_i = x_{⌊i/m⌋}`. Its spectrum is `a .* X + b` for
+//! `a_f = Σ_s h_s·e^{−j2πsf/n}` and `b = DFT(o)`. Per constructor:
+//!
+//! | constructor | kernel `h` | offset `o` |
+//! |---|---|---|
+//! | `identity`, `shift` (moves the mean only) | `[1]` | — |
+//! | `reverse`, `scale(c)` | `[sign c]` | — |
+//! | `scale_raw(c)` | `[c]` | — |
+//! | `shift_raw(c)` | `[1]` | `c` at every sample |
+//! | `moving_average(w)` | `w` taps of `1/w` | — |
+//! | `weighted_moving_average(w_1..w_m)` | `[w_1, …, w_m]` | — |
+//! | `difference` | `[1, −1]` | — |
+//! | `time_warp(m)` | `y_i = x_{⌊i/m⌋}` (`[1]` for `m = 1`) | — |
+//! | `t1.then(t2)` | `h2 ⊛ h1` | `h2 ⊛ o1 + o2` |
+//! | `from_parts(a, b)`, conjugate-symmetric | `IDFT(a)/√n` | `IDFT(b)` |
+//!
+//! A moving average is `w` equal taps, summed and then scaled once, rather
+//! than a running sum: each tap is one pass over the samples that
+//! vectorizes, where a running sum is one serial chain of adds (slower at
+//! `w = 8`, `n = 128`). `from_parts` gets kernel and offset from one
+//! inverse FFT of
+//! `a/√n + j·b` (both inverses are real, so the kernel is the real part and
+//! the offset the imaginary one). Parts that are not conjugate-symmetric
+//! map a real series to a complex one and have no such action; an index
+//! refuses them ([`crate::SimilarityIndex`]'s validation).
 
+use std::cell::RefCell;
 use std::fmt;
 
 use tsq_dft::complex::{Complex64, ONE, ZERO};
 use tsq_dft::FftPlanner;
+use tsq_series::distance::ABANDON_BLOCK;
 
 use crate::error::{Error, Result};
-use crate::features::Features;
+use crate::features::Normalize;
+
+/// What a transformation does to a real series in the time domain (the
+/// module docs' table).
+#[derive(Debug, Clone, PartialEq)]
+enum TimeAction {
+    /// `y = h ⊛ x + o`: the taps of `h` (at most `n`), and `o` — empty
+    /// for none, else one value per sample.
+    Convolve { taps: Vec<f64>, offset: Vec<f64> },
+    /// `y_i = x_{⌊i/m⌋}` for a warp by `m > 1`.
+    Stretch(usize),
+}
+
+impl TimeAction {
+    /// Convolution with `taps` and no offset.
+    fn kernel(taps: Vec<f64>) -> TimeAction {
+        TimeAction::Convolve {
+            taps,
+            offset: Vec::new(),
+        }
+    }
+}
+
+/// `h ⊛ v` for a kernel `h` and `v` of at most `n` values, wrapped at `n`:
+/// `min(|h| + |v| − 1, n)` values, each summed in `(i, j)` order.
+fn circular(h: &[f64], v: &[f64], n: usize) -> Vec<f64> {
+    let mut out = vec![0.0; (h.len() + v.len()).saturating_sub(1).min(n)];
+    for (i, &hi) in h.iter().enumerate() {
+        for (j, &vj) in v.iter().enumerate() {
+            out[(i + j) % n] += hi * vj;
+        }
+    }
+    out
+}
+
+thread_local! {
+    /// `x̂` of the series an [`Image`] is read from: one buffer per thread,
+    /// reused, so a candidate costs no allocation.
+    static NORMAL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `T(x̂)` of one series, read one output or [`ABANDON_BLOCK`] outputs at a
+/// time — the two agree to the bit: every output sums its taps in order
+/// (equal taps with weight 1, then scaled once), then adds the offset.
+pub(crate) struct Image<'a> {
+    action: &'a TimeAction,
+    /// `x̂`, for a kernel of `w` taps preceded by its last `w − 1` values
+    /// (the wrap): output `t` reads `normal[t + w − 1 − s]` for tap `s`.
+    normal: &'a [f64],
+    /// Equal taps: each weighs 1, and the sum is scaled by the tap.
+    equal: bool,
+    len: usize,
+}
+
+impl Image<'_> {
+    /// Number of outputs.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Output `t`.
+    #[inline]
+    pub(crate) fn at(&self, t: usize) -> f64 {
+        let (taps, offset) = match self.action {
+            TimeAction::Stretch(m) => return self.normal[t / m],
+            TimeAction::Convolve { taps, offset } => (taps, offset),
+        };
+        let top = t + taps.len() - 1;
+        let mut y = self.weight(taps[0]) * self.normal[top];
+        for (s, &h) in taps.iter().enumerate().skip(1) {
+            y += self.weight(h) * self.normal[top - s];
+        }
+        if self.equal {
+            y *= taps[0];
+        }
+        offset.get(t).map_or(y, |o| y + o)
+    }
+
+    /// Outputs `t..t + ABANDON_BLOCK`, bit for bit [`Image::at`]'s: the
+    /// taps run outermost over the block, which vectorizes.
+    #[inline]
+    pub(crate) fn block(&self, t: usize) -> [f64; ABANDON_BLOCK] {
+        let (taps, offset) = match self.action {
+            TimeAction::Stretch(_) => return std::array::from_fn(|j| self.at(t + j)),
+            TimeAction::Convolve { taps, offset } => (taps, offset),
+        };
+        let top = t + taps.len() - 1;
+        let tap = |s: usize| -> &[f64; ABANDON_BLOCK] {
+            let from = &self.normal[top - s..][..ABANDON_BLOCK];
+            from.try_into().expect("a whole block")
+        };
+        let (h0, x) = (self.weight(taps[0]), tap(0));
+        let mut y: [f64; ABANDON_BLOCK] = std::array::from_fn(|j| h0 * x[j]);
+        for (s, &h) in taps.iter().enumerate().skip(1) {
+            let (h, x) = (self.weight(h), tap(s));
+            for (y, x) in y.iter_mut().zip(x) {
+                *y += h * x;
+            }
+        }
+        if self.equal {
+            y = y.map(|y| y * taps[0]);
+        }
+        if let Some(offset) = offset.get(t..t + ABANDON_BLOCK) {
+            for (y, o) in y.iter_mut().zip(offset) {
+                *y += o;
+            }
+        }
+        y
+    }
+
+    /// A tap's weight: 1 for equal taps, whose sum is scaled once.
+    #[inline]
+    fn weight(&self, h: f64) -> f64 {
+        if self.equal {
+            1.0
+        } else {
+            h
+        }
+    }
+}
 
 /// A linear transformation `(a, b)` on length-`n` spectra, together with
-/// affine maps for the mean/std index dimensions, an optional time-warp
-/// factor, and a cost.
+/// its time-domain action, affine maps for the mean/std index dimensions,
+/// an optional time-warp factor, and a cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearTransform {
     a: Vec<Complex64>,
@@ -60,37 +214,39 @@ pub struct LinearTransform {
     /// removes a hypot+atan2 pair from the hottest loop of Algorithm 2.
     a_polar: Vec<(f64, f64)>,
     b: Vec<Complex64>,
-    /// `a_{n−f} == conj(a_f)` and `b_{n−f} == conj(b_f)` for every `f`,
-    /// exactly (see the module docs).
-    conjugate_symmetric: bool,
+    /// The time-domain action — a warp's included; `None` for parts that
+    /// map real series to complex ones.
+    action: Option<TimeAction>,
     mean_map: (f64, f64),
     std_map: (f64, f64),
-    warp: usize,
     cost: f64,
     name: String,
+}
+
+/// `v_{n−f} == conj(v_f)` for every `f` (indices mod `n`), exactly.
+fn mirrors(v: &[Complex64]) -> bool {
+    let n = v.len();
+    (0..n).all(|f| v[(n - f) % n] == v[f].conj())
 }
 
 impl LinearTransform {
     fn assemble(
         a: Vec<Complex64>,
         b: Vec<Complex64>,
+        action: Option<TimeAction>,
         mean_map: (f64, f64),
         std_map: (f64, f64),
-        warp: usize,
         cost: f64,
         name: String,
     ) -> Self {
         let a_polar = a.iter().map(|c| (c.abs(), c.angle())).collect();
-        let n = a.len();
-        let mirrors = |v: &[Complex64]| (0..n).all(|f| v[(n - f) % n] == v[f].conj());
         LinearTransform {
-            conjugate_symmetric: mirrors(&a) && mirrors(&b),
             a,
             a_polar,
             b,
+            action,
             mean_map,
             std_map,
-            warp,
             cost,
             name,
         }
@@ -113,7 +269,11 @@ impl LinearTransform {
         a
     }
 
-    /// Builds a transformation from raw coefficient vectors.
+    /// Builds a transformation from raw coefficient vectors. Parts that are
+    /// conjugate-symmetric get their real kernel and offset from one
+    /// inverse FFT (module docs); others map real series to complex ones,
+    /// have no time-domain action, and are refused by an index's
+    /// validation — what the safety predicates say of them still holds.
     ///
     /// # Errors
     /// Returns [`Error::TransformArity`] if `a` and `b` differ in length.
@@ -128,12 +288,29 @@ impl LinearTransform {
                 got: b.len(),
             });
         }
+        let action = (mirrors(&a) && mirrors(&b)).then(|| {
+            let root = (a.len() as f64).sqrt();
+            let both: Vec<Complex64> = a
+                .iter()
+                .zip(&b)
+                .map(|(a, b)| Complex64::new(a.re / root - b.im, a.im / root + b.re))
+                .collect();
+            let inverse = FftPlanner::new().idft(&both);
+            let offset = match b.iter().all(|b| *b == ZERO) {
+                true => Vec::new(),
+                false => inverse.iter().map(|c| c.im).collect(),
+            };
+            TimeAction::Convolve {
+                taps: inverse.iter().map(|c| c.re).collect(),
+                offset,
+            }
+        });
         Ok(Self::assemble(
             a,
             b,
+            action,
             (1.0, 0.0),
             (1.0, 0.0),
-            1,
             0.0,
             name.into(),
         ))
@@ -144,9 +321,9 @@ impl LinearTransform {
         Self::assemble(
             vec![ONE; n],
             vec![ZERO; n],
+            Some(TimeAction::kernel(vec![1.0])),
             (1.0, 0.0),
             (1.0, 0.0),
-            1,
             0.0,
             "identity".to_string(),
         )
@@ -184,9 +361,9 @@ impl LinearTransform {
         Self::assemble(
             a,
             vec![ZERO; n],
+            Some(TimeAction::kernel(weights.to_vec())),
             (1.0, 0.0),
             (1.0, 0.0),
-            1,
             0.0,
             format!("mavg({})", weights.len()),
         )
@@ -199,9 +376,9 @@ impl LinearTransform {
         Self::assemble(
             vec![-ONE; n],
             vec![ZERO; n],
+            Some(TimeAction::kernel(vec![-1.0])),
             (-1.0, 0.0),
             (1.0, 0.0),
-            1,
             0.0,
             "reverse".to_string(),
         )
@@ -217,9 +394,9 @@ impl LinearTransform {
         Self::assemble(
             vec![ONE; n],
             vec![ZERO; n],
+            Some(TimeAction::kernel(vec![1.0])),
             (1.0, c),
             (1.0, 0.0),
-            1,
             0.0,
             format!("shift({c})"),
         )
@@ -233,9 +410,9 @@ impl LinearTransform {
         Self::assemble(
             vec![sign; n],
             vec![ZERO; n],
+            Some(TimeAction::kernel(vec![sign.re])),
             (c, 0.0),
             (c.abs(), 0.0),
-            1,
             0.0,
             format!("scale({c})"),
         )
@@ -248,12 +425,16 @@ impl LinearTransform {
         if n > 0 {
             b[0] = Complex64::from_real(c * (n as f64).sqrt());
         }
+        let action = TimeAction::Convolve {
+            taps: vec![1.0],
+            offset: vec![c; n],
+        };
         Self::assemble(
             vec![ONE; n],
             b,
+            Some(action),
             (1.0, c),
             (1.0, 0.0),
-            1,
             0.0,
             format!("shift_raw({c})"),
         )
@@ -264,9 +445,9 @@ impl LinearTransform {
         Self::assemble(
             vec![Complex64::from_real(c); n],
             vec![ZERO; n],
+            Some(TimeAction::kernel(vec![c])),
             (c, 0.0),
             (c.abs(), 0.0),
-            1,
             0.0,
             format!("scale_raw({c})"),
         )
@@ -284,9 +465,9 @@ impl LinearTransform {
         Self::assemble(
             a,
             vec![ZERO; n],
+            Some(TimeAction::kernel(vec![1.0, -1.0])),
             (0.0, 0.0), // differencing removes the level entirely
             (1.0, 0.0),
-            1,
             0.0,
             "diff".to_string(),
         )
@@ -314,12 +495,16 @@ impl LinearTransform {
             })
             .collect();
         // Stretching repeats values, so the std dimension is unchanged.
+        let action = match m {
+            1 => TimeAction::kernel(vec![1.0]),
+            m => TimeAction::Stretch(m),
+        };
         Self::assemble(
             a,
             vec![ZERO; n],
+            Some(action),
             (1.0, 0.0),
             (1.0, 0.0),
-            m,
             0.0,
             format!("warp({m})"),
         )
@@ -366,7 +551,10 @@ impl LinearTransform {
 
     /// Time-warp factor (1 = none).
     pub fn warp(&self) -> usize {
-        self.warp
+        match self.action {
+            Some(TimeAction::Stretch(m)) => m,
+            _ => 1,
+        }
     }
 
     /// Cost for the Eq. 10 dissimilarity.
@@ -381,7 +569,7 @@ impl LinearTransform {
 
     /// True when this is (numerically) the identity.
     pub fn is_identity(&self, tol: f64) -> bool {
-        self.warp == 1
+        self.warp() == 1
             && self.a.iter().all(|c| (*c - ONE).abs() <= tol)
             && self.b.iter().all(|c| c.abs() <= tol)
             && (self.mean_map.0 - 1.0).abs() <= tol
@@ -392,18 +580,31 @@ impl LinearTransform {
 
     /// True when `a_{n−f} == conj(a_f)` and `b_{n−f} == conj(b_f)` hold
     /// exactly for every `f` (indices mod `n`): the transformation maps
-    /// real series to real series, and conjugate-symmetric spectra to
-    /// conjugate-symmetric spectra (see the module docs).
+    /// real series to real series of the same length, and
+    /// conjugate-symmetric spectra to conjugate-symmetric spectra. Every
+    /// same-length constructor and composition is so by construction,
+    /// parts are compared ([`LinearTransform::from_parts`]), a warp is not
+    /// (see the module docs).
     pub fn is_conjugate_symmetric(&self) -> bool {
-        self.conjugate_symmetric
+        self.warp() == 1 && self.maps_real_series()
     }
 
-    /// `a = 1` and `b = 0` exactly: spectra pass through as stored
-    /// (shifts and positive scales, which act on mean and std only,
+    /// True when the transformation maps real series to real series, i.e.
+    /// has a time-domain action: every constructor does, and parts given
+    /// to [`LinearTransform::from_parts`] that are conjugate-symmetric.
+    pub fn maps_real_series(&self) -> bool {
+        self.action.is_some()
+    }
+
+    /// The kernel `[1]` without an offset: samples pass through as they
+    /// are (shifts and positive scales, which act on mean and std only,
     /// included). Stricter than [`LinearTransform::is_identity`], which
     /// tolerates rounding.
-    pub(crate) fn leaves_spectra_unchanged(&self) -> bool {
-        self.a.iter().all(|a| *a == ONE) && self.b.iter().all(|b| *b == ZERO)
+    pub(crate) fn leaves_samples_unchanged(&self) -> bool {
+        matches!(
+            &self.action,
+            Some(TimeAction::Convolve { taps, offset }) if taps[..] == [1.0] && offset.is_empty()
+        )
     }
 
     /// Applies the transformation to a full spectrum.
@@ -416,8 +617,8 @@ impl LinearTransform {
     }
 
     /// Applies the transformation to the leading coefficients of a
-    /// spectrum — to the stored half of a conjugate-symmetric one, giving
-    /// the stored half of its (conjugate-symmetric) image when the
+    /// spectrum — to the kept coefficients of a conjugate-symmetric one,
+    /// giving those of its (conjugate-symmetric) image when the
     /// transformation is [conjugate-symmetric] itself.
     ///
     /// [conjugate-symmetric]: LinearTransform::is_conjugate_symmetric
@@ -430,44 +631,69 @@ impl LinearTransform {
             .collect()
     }
 
-    /// The image of a stored (conjugate-symmetric, half-kept) spectrum:
-    /// its stored coefficients transformed when the transformation is
-    /// [conjugate-symmetric] — the image then mirrors the same way — and
-    /// all `n` coefficients of the image otherwise, which nothing shorter
-    /// determines.
-    ///
-    /// [conjugate-symmetric]: LinearTransform::is_conjugate_symmetric
-    pub(crate) fn apply_stored(&self, stored: &Features) -> Vec<Complex64> {
-        if self.conjugate_symmetric {
-            self.apply_prefix(&stored.spectrum)
-        } else {
-            self.apply_spectrum(&stored.full_spectrum())
-        }
-    }
-
     /// Applies the transformation to a single coefficient by index.
     #[inline]
     pub fn apply_coeff(&self, f: usize, x: Complex64) -> Complex64 {
         self.a[f] * x + self.b[f]
     }
 
-    /// Applies the transformation in the *time domain*: transforms the
-    /// spectrum of `x` and inverts. For warping transformations this is the
-    /// literal stretch (each value repeated `m` times).
-    pub fn apply_time_domain(&self, planner: &mut FftPlanner, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n(), "series length mismatch");
-        if self.warp > 1 {
-            let mut out = Vec::with_capacity(x.len() * self.warp);
-            for &v in x {
-                for _ in 0..self.warp {
-                    out.push(v);
-                }
+    /// Applies the transformation in the *time domain*, by its action
+    /// (module docs): for a warp the literal stretch (each value repeated
+    /// `m` times). `None` for parts that map real series to complex ones.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `n` samples long.
+    pub fn apply_time_domain(&self, x: &[f64]) -> Option<Vec<f64>> {
+        self.maps_real_series()
+            .then(|| self.act(x, Normalize::NONE))
+    }
+
+    /// Runs `read` on `T(x̂)` for `x̂` the samples `x` through `norm` (one
+    /// multiply per sample, into a buffer the thread reuses): the one
+    /// definition of a transformed series every exact check reads, so the
+    /// stored and the probe side of a join agree to the bit.
+    ///
+    /// # Panics
+    /// Panics if `x` is not `n` samples long, or the transformation has no
+    /// time-domain action (an index refuses it first).
+    pub(crate) fn with_image<R>(
+        &self,
+        x: &[f64],
+        norm: Normalize,
+        read: impl FnOnce(&Image<'_>) -> R,
+    ) -> R {
+        let n = x.len();
+        assert_eq!(n, self.n(), "series length mismatch");
+        let action = self
+            .action
+            .as_ref()
+            .expect("maps real series to real series");
+        let (wrap, equal, len) = match action {
+            TimeAction::Stretch(m) => (0, false, n * m),
+            TimeAction::Convolve { taps, .. } => {
+                let equal = taps.iter().all(|&h| h == taps[0]);
+                (taps.len().saturating_sub(1), equal, n)
             }
-            return out;
-        }
-        let spec = planner.dft_real(x);
-        let transformed = self.apply_spectrum(&spec);
-        planner.idft_real(&transformed)
+        };
+        NORMAL.with(|normal| {
+            let normal = &mut *normal.borrow_mut();
+            normal.clear();
+            normal.extend(x[n - wrap..].iter().map(|&v| norm.at(v)));
+            normal.extend(x.iter().map(|&v| norm.at(v)));
+            read(&Image {
+                action,
+                normal,
+                equal,
+                len,
+            })
+        })
+    }
+
+    /// `T(x̂)` written out ([`LinearTransform::with_image`]).
+    pub(crate) fn act(&self, x: &[f64], norm: Normalize) -> Vec<f64> {
+        self.with_image(x, norm, |image| {
+            (0..image.len()).map(|t| image.at(t)).collect()
+        })
     }
 
     /// Functional composition `other ∘ self` (apply `self` first):
@@ -478,7 +704,7 @@ impl LinearTransform {
     /// change the series length and do not compose with same-length
     /// transformations), and [`Error::TransformArity`] on length mismatch.
     pub fn then(&self, other: &LinearTransform) -> Result<LinearTransform> {
-        if self.warp != 1 || other.warp != 1 {
+        if self.warp() != 1 || other.warp() != 1 {
             return Err(Error::Unsupported(
                 "composition involving time warps".to_string(),
             ));
@@ -501,9 +727,40 @@ impl LinearTransform {
             .zip(other.a.iter().zip(&other.b))
             .map(|(&b1, (&a2, &b2))| a2 * b1 + b2)
             .collect();
+        // `other ∘ self` in time: `h2 ⊛ (h1 ⊛ x + o1) + o2`.
+        let action = match (&self.action, &other.action) {
+            (
+                Some(TimeAction::Convolve {
+                    taps: h1,
+                    offset: o1,
+                }),
+                Some(TimeAction::Convolve {
+                    taps: h2,
+                    offset: o2,
+                }),
+            ) => {
+                let mut offset = match o1.is_empty() {
+                    true => Vec::new(),
+                    false => circular(h2, o1, self.n()),
+                };
+                if offset.is_empty() {
+                    offset.clone_from(o2);
+                } else {
+                    for (o, add) in offset.iter_mut().zip(o2) {
+                        *o += add;
+                    }
+                }
+                Some(TimeAction::Convolve {
+                    taps: circular(h2, h1, self.n()),
+                    offset,
+                })
+            }
+            _ => None,
+        };
         Ok(Self::assemble(
             a,
             b,
+            action,
             (
                 other.mean_map.0 * self.mean_map.0,
                 other.mean_map.0 * self.mean_map.1 + other.mean_map.1,
@@ -512,7 +769,6 @@ impl LinearTransform {
                 other.std_map.0 * self.std_map.0,
                 other.std_map.0 * self.std_map.1 + other.std_map.1,
             ),
-            1,
             self.cost + other.cost,
             format!("{} . {}", other.name, self.name),
         ))
@@ -555,9 +811,8 @@ mod tests {
     fn identity_is_identity() {
         let t = LinearTransform::identity(8);
         assert!(t.is_identity(1e-12));
-        let mut planner = FftPlanner::new();
         let x: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        close(&t.apply_time_domain(&mut planner, &x), &x, 1e-9);
+        close(&t.apply_time_domain(&x).unwrap(), &x, 1e-9);
     }
 
     #[test]
@@ -570,9 +825,13 @@ mod tests {
         ]);
         let t = LinearTransform::moving_average(15, 3);
         let mut planner = FftPlanner::new();
-        let freq_way = t.apply_time_domain(&mut planner, s.values());
+        let spec = t.apply_spectrum(&planner.dft_real(s.values()));
+        let freq_way = planner.idft_real(&spec);
         let time_way = circular_moving_average(&s, 3);
         close(&freq_way, time_way.values(), 1e-9);
+        // The action the refine runs is the same circular average.
+        let action = t.apply_time_domain(s.values()).unwrap();
+        close(&action, time_way.values(), 1e-9);
     }
 
     #[test]
@@ -580,8 +839,7 @@ mod tests {
         let s = TimeSeries::from([1.0, 5.0, 2.0, 8.0, 3.0, 9.0, 4.0, 7.0]);
         let w = [0.5, 0.3, 0.2];
         let t = LinearTransform::weighted_moving_average(8, &w);
-        let mut planner = FftPlanner::new();
-        let freq_way = t.apply_time_domain(&mut planner, s.values());
+        let freq_way = t.apply_time_domain(s.values()).unwrap();
         let time_way = tsq_series::moving_average::weighted_circular_moving_average(&s, &w);
         close(&freq_way, time_way.values(), 1e-9);
     }
@@ -589,9 +847,8 @@ mod tests {
     #[test]
     fn reverse_negates() {
         let t = LinearTransform::reverse(6);
-        let mut planner = FftPlanner::new();
         let x = [1.0, -2.0, 3.0, 0.0, 5.0, -1.0];
-        let y = t.apply_time_domain(&mut planner, &x);
+        let y = t.apply_time_domain(&x).unwrap();
         close(&y, &[-1.0, 2.0, -3.0, 0.0, -5.0, 1.0], 1e-9);
         assert_eq!(t.mean_map(), (-1.0, 0.0));
     }
@@ -599,17 +856,15 @@ mod tests {
     #[test]
     fn shift_raw_adds_constant() {
         let t = LinearTransform::shift_raw(5, 2.5);
-        let mut planner = FftPlanner::new();
         let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y = t.apply_time_domain(&mut planner, &x);
+        let y = t.apply_time_domain(&x).unwrap();
         close(&y, &[3.5, 4.5, 5.5, 6.5, 7.5], 1e-9);
     }
 
     #[test]
     fn scale_raw_multiplies() {
         let t = LinearTransform::scale_raw(4, -3.0);
-        let mut planner = FftPlanner::new();
-        let y = t.apply_time_domain(&mut planner, &[1.0, 2.0, 0.0, -1.0]);
+        let y = t.apply_time_domain(&[1.0, 2.0, 0.0, -1.0]).unwrap();
         close(&y, &[-3.0, -6.0, 0.0, 3.0], 1e-9);
         assert_eq!(t.std_map(), (3.0, 0.0));
     }
@@ -617,9 +872,8 @@ mod tests {
     #[test]
     fn difference_matches_time_domain() {
         let t = LinearTransform::difference(6);
-        let mut planner = FftPlanner::new();
         let x = [5.0, 7.0, 4.0, 4.0, 9.0, 1.0];
-        let y = t.apply_time_domain(&mut planner, &x);
+        let y = t.apply_time_domain(&x).unwrap();
         // Circular first difference: y_0 = x_0 - x_5.
         let want = [4.0, 2.0, -3.0, 0.0, 5.0, -8.0];
         close(&y, &want, 1e-9);
@@ -737,6 +991,41 @@ mod tests {
         assert!(parts(vec![ONE; 4], b).is_conjugate_symmetric());
         // Warping relates spectra of different lengths.
         assert!(!LinearTransform::time_warp(8, 2).is_conjugate_symmetric());
+    }
+
+    #[test]
+    fn parts_get_a_real_kernel_or_no_action() {
+        let mut planner = FftPlanner::new();
+        let x = [3.0, -1.0, 4.0, 1.0, -5.0, 9.0, 2.0, -6.0, 5.0];
+        let n = x.len();
+        // A mirrored translation of coefficient 2 on top of a moving
+        // average: kernel and offset from the one inverse FFT.
+        let mavg = LinearTransform::moving_average(n, 3);
+        let mut b = vec![ZERO; n];
+        b[2] = Complex64::new(0.5, -1.5);
+        b[n - 2] = b[2].conj();
+        let parts = LinearTransform::from_parts(mavg.a().to_vec(), b, "parts").unwrap();
+        assert!(parts.maps_real_series());
+        let spectrum = parts.apply_spectrum(&planner.dft_real(&x));
+        let spectrum_route = planner.idft_real(&spectrum);
+        close(
+            &parts.apply_time_domain(&x).unwrap(),
+            &spectrum_route,
+            1e-12,
+        );
+        // Not mirrored: a real series has a complex image, no action.
+        let mut one_sided = vec![ZERO; n];
+        one_sided[1] = ONE;
+        for t in [
+            LinearTransform::from_parts(vec![Complex64::new(0.6, 0.8); n], vec![ZERO; n], "rot"),
+            LinearTransform::from_parts(vec![ONE; n], one_sided, "b1"),
+        ] {
+            let t = t.unwrap();
+            assert!(!t.maps_real_series(), "{}", t.name());
+            assert_eq!(t.apply_time_domain(&x), None, "{}", t.name());
+            assert!(!t.then(&mavg).unwrap().maps_real_series(), "{}", t.name());
+        }
+        assert!(LinearTransform::time_warp(n, 2).maps_real_series());
     }
 
     #[test]

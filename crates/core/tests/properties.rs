@@ -158,16 +158,20 @@ proptest! {
         }
     }
 
-    /// Every same-length constructor, and every composition of them,
-    /// reports itself conjugate-symmetric, and the engine's distance under
-    /// it — the weighted sum over the stored half spectrum — is the
-    /// definition's sum over all `n` coefficients within 1e-12 relative.
+    /// Every constructor's time-domain action, and every composition's, is
+    /// the spectrum route — transform the spectrum, invert — at
+    /// power-of-two and Bluestein lengths; and under both schemas the
+    /// engine's distance, summed over time, is the definition's sum over
+    /// all `n` coefficients within 1e-12 relative.
     #[test]
-    fn half_sum_equals_full_sum_for_every_constructor(
-        (xs, ys) in (8usize..40).prop_flat_map(|n| (
-            prop::collection::vec(-50.0f64..50.0, n..=n),
-            prop::collection::vec(-50.0f64..50.0, n..=n),
-        )),
+    fn time_domain_action_equals_the_spectrum_route(
+        (xs, ys) in (0usize..10).prop_flat_map(|pick| {
+            let n = [8usize, 16, 32, 64, 9, 15, 17, 31, 40, 100][pick];
+            (
+                prop::collection::vec(-50.0f64..50.0, n..=n),
+                prop::collection::vec(-50.0f64..50.0, n..=n),
+            )
+        }),
         w in 1usize..8,
         c in 0.25f64..4.0,
     ) {
@@ -177,6 +181,12 @@ proptest! {
         let wmavg = LinearTransform::weighted_moving_average(n, &weights);
         let diff = LinearTransform::difference(n);
         let reverse = LinearTransform::reverse(n);
+        // Parts: mavg's multipliers and a mirrored translation of a
+        // coefficient neither schema indexes at k = 2.
+        let mut b = vec![tsq_dft::Complex64::new(0.0, 0.0); n];
+        b[3] = tsq_dft::Complex64::new(c, -0.5);
+        b[n - 3] = b[3].conj();
+        let parts = LinearTransform::from_parts(mavg.a().to_vec(), b, "parts").unwrap();
         let transforms = vec![
             LinearTransform::identity(n),
             LinearTransform::time_warp(n, 1),
@@ -190,6 +200,8 @@ proptest! {
             wmavg.then(&mavg).unwrap().then(&LinearTransform::shift(n, -c)).unwrap(),
             diff.then(&wmavg).unwrap().then(&diff).unwrap(),
             reverse.then(&LinearTransform::shift_raw(n, c)).unwrap(),
+            parts.then(&diff).unwrap(),
+            parts,
             mavg,
             wmavg,
             diff,
@@ -197,25 +209,45 @@ proptest! {
         ];
         let (x, y) = (TimeSeries::new(xs), TimeSeries::new(ys));
         let mut planner = tsq_dft::FftPlanner::new();
-        let full = |s: &TimeSeries, planner: &mut tsq_dft::FftPlanner| {
-            planner.dft_real(tsq_series::normal::normal_form(s).values())
-        };
-        let (sx, sy) = (full(&x, &mut planner), full(&y, &mut planner));
-        for t in transforms {
-            prop_assert!(t.is_conjugate_symmetric(), "{}", t.name());
-            // Multipliers off the real axis are safe in S_pol only,
-            // translations in S_rect only.
-            let space = if t.is_safe_polar(0.0) { SpaceKind::Polar } else { SpaceKind::Rectangular };
-            let config = IndexConfig { space, ..IndexConfig::default() };
-            let idx = SimilarityIndex::build(config, vec![x.clone(), y.clone()]).unwrap();
-            let refine = idx.refine(idx.query_features(&y, &t).unwrap(), None, &t).unwrap();
-            let engine = refine.distance(&idx.entries()[0]);
-            let definition = tsq_dft::energy::euclidean_complex(&t.apply_spectrum(&sx), &sy);
-            prop_assert!(
-                (engine - definition).abs() <= 1e-12 * definition,
-                "{}: {engine} vs {definition}", t.name()
-            );
+        for schema in [FeatureSchema::NormalForm { k: 2 }, FeatureSchema::Raw { k: 2 }] {
+            let repr = |s: &TimeSeries| match schema {
+                FeatureSchema::NormalForm { .. } => tsq_series::normal::normal_form(s),
+                FeatureSchema::Raw { .. } => s.clone(),
+            };
+            let (rx, ry) = (repr(&x), repr(&y));
+            let (sx, sy) = (planner.dft_real(rx.values()), planner.dft_real(ry.values()));
+            for t in &transforms {
+                let what = format!("{}, {schema:?}, n = {n}", t.name());
+                prop_assert!(t.is_conjugate_symmetric(), "{}", what);
+                let route = planner.idft_real(&t.apply_spectrum(&sx));
+                let action = t.apply_time_domain(rx.values()).unwrap();
+                let scale = 1.0 + route.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+                for (a, r) in action.iter().zip(&route) {
+                    prop_assert!((a - r).abs() <= 1e-12 * scale, "{}: {} vs {}", what, a, r);
+                }
+                // Multipliers off the real axis are safe in S_pol only,
+                // translations of indexed coefficients in S_rect only.
+                let polar = SpaceKind::Polar.check_safety(t, schema).is_ok();
+                let space = if polar { SpaceKind::Polar } else { SpaceKind::Rectangular };
+                let config = IndexConfig { schema, space, ..IndexConfig::default() };
+                let idx = SimilarityIndex::build(config, vec![x.clone()]).unwrap();
+                let definition = tsq_dft::energy::euclidean_complex(&t.apply_spectrum(&sx), &sy);
+                // The query bound from its series, and from its features.
+                let bound = idx.knn_query(&y, 1, t).unwrap().0[0].distance;
+                let refine = idx.refine(idx.query_features(&y, t).unwrap(), None, t).unwrap();
+                let inverted = refine.distance(&idx.entries()[0]);
+                for engine in [bound, inverted] {
+                    prop_assert!(
+                        (engine - definition).abs() <= 1e-12 * definition,
+                        "{}: {} vs {}", what, engine, definition
+                    );
+                }
+            }
         }
+        // A warp's action is the literal stretch.
+        let warp = LinearTransform::time_warp(n, 3);
+        let stretched = tsq_series::warp::stretch(&x, 3);
+        prop_assert_eq!(warp.apply_time_domain(x.values()).unwrap(), stretched.values().to_vec());
     }
 
     /// The exact engine distance under a transformation agrees with the
@@ -236,7 +268,8 @@ proptest! {
             // compared to the normal form of q, in the time domain.
             let nf_x = tsq_series::normal::normal_form(idx.series(id).unwrap());
             let nf_q = tsq_series::normal::normal_form(&q);
-            let smoothed = t.apply_time_domain(&mut planner, nf_x.values());
+            let spectrum = t.apply_spectrum(&planner.dft_real(nf_x.values()));
+            let smoothed = planner.idft_real(&spectrum);
             let d: f64 = smoothed
                 .iter()
                 .zip(nf_q.values())
@@ -248,10 +281,9 @@ proptest! {
     }
 
     /// Time warp (Appendix A) is refined in the time domain: the stored
-    /// normal form, stretched, against the query's representation
-    /// recovered from its spectrum. Range and k-NN answers — ids and
-    /// distance bits — equal that oracle's, on the index path and the
-    /// scans alike.
+    /// normal form, stretched, against the query's, both normalized as
+    /// `(v − mean)·(1/std)`. Range and k-NN answers — ids and distance
+    /// bits — equal that oracle's, on the index path and the scans alike.
     #[test]
     fn warp_answers_match_time_domain_oracle((rel, qid) in relation_strategy(),
                                              m in 2usize..4,
@@ -269,16 +301,19 @@ proptest! {
                 .map(|(i, v)| v + nudge * (i % 5) as f64)
                 .collect(),
         );
-        let qf = idx.query_features(&q, &t).unwrap();
-        let q_repr = tsq_dft::FftPlanner::new().idft_real(&qf.full_spectrum());
+        let normal = |s: &TimeSeries| -> Vec<f64> {
+            let (mean, inv_std) = (s.mean(), 1.0 / s.std());
+            s.values().iter().map(|v| (v - mean) * inv_std).collect()
+        };
+        let q_repr = normal(&q);
         let mut oracle: Vec<(f64, usize)> = rel
             .iter()
             .enumerate()
             .map(|(id, s)| {
-                let repr = tsq_series::normal::normal_form(s);
+                let repr = normal(s);
                 let mut acc = 0.0;
                 for (i, qv) in q_repr.iter().enumerate() {
-                    let d = repr.values()[i / m] - qv;
+                    let d = repr[i / m] - qv;
                     acc += d * d;
                 }
                 (acc.sqrt(), id)

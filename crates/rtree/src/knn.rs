@@ -43,12 +43,14 @@ enum Pending<S: NodeStore> {
 
 struct HeapEntry<S: NodeStore> {
     dist: f64,
+    /// Push order: among equal distances the first pushed pops first.
+    seq: u64,
     pending: Pending<S>,
 }
 
 impl<S: NodeStore> PartialEq for HeapEntry<S> {
     fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist
+        self.cmp(other).is_eq()
     }
 }
 impl<S: NodeStore> Eq for HeapEntry<S> {}
@@ -60,7 +62,10 @@ impl<S: NodeStore> PartialOrd for HeapEntry<S> {
 impl<S: NodeStore> Ord for HeapEntry<S> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we need smallest distance first.
-        other.dist.total_cmp(&self.dist)
+        other
+            .dist
+            .total_cmp(&self.dist)
+            .then(other.seq.cmp(&self.seq))
     }
 }
 
@@ -79,6 +84,21 @@ impl<S: NodeStore> Ord for HeapEntry<S> {
 /// examined — keying the insertion is enough to make the retained set
 /// exactly the `k` smallest by `(distance, key)`.
 ///
+/// `exact_dist(rect, item, bound)` may give up on an item: `bound` is the
+/// largest of the `k` smallest exact distances computed so far (`+∞`
+/// until `k` have been), and `None` says the item's distance is
+/// *strictly* greater. Such an item is strictly farther than the final
+/// `k`-th distance (which can only be smaller than `bound`), so it would
+/// never have been popped: leaving it off the heap changes neither the
+/// answer nor a counter.
+///
+/// Entries at equal distance leave the heap in the order they entered it
+/// (nodes whose bounds tie — those containing the query, at 0 — are
+/// visited breadth first): the visiting order, and so which pages a
+/// bounded pool misses, is a function of the bounds and the tree, not of
+/// the heap's layout, and an item left off the heap cannot reorder what
+/// is popped before it.
+///
 /// A node is released before the next heap pop, so a paged search holds
 /// one page at a time.
 ///
@@ -95,7 +115,7 @@ pub fn nearest_with_tie<S, B, E, K>(
 where
     S: NodeStore,
     B: FnMut(&Rect) -> f64,
-    E: FnMut(&Rect, S::Item) -> f64,
+    E: FnMut(&Rect, S::Item, f64) -> Option<f64>,
     K: FnMut(S::Item) -> u64,
 {
     let mut stats = SearchStats::default();
@@ -103,12 +123,16 @@ where
         return Ok((Vec::new(), stats));
     }
     let mut results: Vec<(u64, Neighbor<S::Item>)> = Vec::with_capacity(k.min(store.len()));
+    // The `k` smallest exact distances computed so far, ascending.
+    let mut computed: Vec<f64> = Vec::with_capacity(k.min(store.len()) + 1);
     let mut heap: BinaryHeap<HeapEntry<S>> = BinaryHeap::new();
+    let mut seq = 0u64;
     heap.push(HeapEntry {
         dist: 0.0,
+        seq,
         pending: Pending::Node(store.root()),
     });
-    while let Some(HeapEntry { dist, pending }) = heap.pop() {
+    while let Some(HeapEntry { dist, pending, .. }) = heap.pop() {
         if results.len() == k && dist > results[k - 1].1.distance {
             break; // nothing on the heap can beat the current k-th
         }
@@ -123,8 +147,17 @@ where
                     for entry in S::entries(&node) {
                         stats.entries_tested += 1;
                         if let Slot::Item(rect, item) = entry {
+                            let bound = computed.get(k - 1).copied().unwrap_or(f64::INFINITY);
+                            let Some(dist) = exact_dist(rect, item, bound) else {
+                                continue;
+                            };
+                            let at = computed.partition_point(|d| d.total_cmp(&dist).is_le());
+                            computed.insert(at, dist);
+                            computed.truncate(k);
+                            seq += 1;
                             heap.push(HeapEntry {
-                                dist: exact_dist(rect, item),
+                                dist,
+                                seq,
                                 pending: Pending::Item(item),
                             });
                         }
@@ -133,8 +166,10 @@ where
                     for entry in S::entries(&node) {
                         stats.entries_tested += 1;
                         if let Slot::Child(rect, child) = entry {
+                            seq += 1;
                             heap.push(HeapEntry {
                                 dist: bound_dist(rect),
+                                seq,
                                 pending: Pending::Node(child),
                             });
                         }
@@ -186,12 +221,13 @@ impl<T> RStarTree<T> {
         self.nearest_with_tie(k, bound_dist, exact_dist, |_| 0)
     }
 
-    /// [`nearest_with_tie`] over the in-memory nodes, which cannot fail.
+    /// [`nearest_with_tie`] over the in-memory nodes, which cannot fail,
+    /// with every exact distance computed in full.
     pub fn nearest_with_tie<'a, B, E, K>(
         &'a self,
         k: usize,
         bound_dist: B,
-        exact_dist: E,
+        mut exact_dist: E,
         tie_key: K,
     ) -> (Vec<Neighbor<&'a T>>, SearchStats)
     where
@@ -199,7 +235,8 @@ impl<T> RStarTree<T> {
         E: FnMut(&Rect, &'a T) -> f64,
         K: FnMut(&'a T) -> u64,
     {
-        infallible(nearest_with_tie(self, k, bound_dist, exact_dist, tie_key))
+        let exact = |rect: &Rect, item, _| Some(exact_dist(rect, item));
+        infallible(nearest_with_tie(self, k, bound_dist, exact, tie_key))
     }
 
     /// Euclidean k-nearest-neighbors of a query point, using `MINDIST`
@@ -215,7 +252,7 @@ impl<T> RStarTree<T> {
 
 impl PagedTree {
     /// [`nearest_with_tie`] with node fetches going through the buffer
-    /// pool.
+    /// pool, with every exact distance computed in full.
     ///
     /// # Errors
     /// Typed [`tsq_store::StoreError`]s when a page cannot be read or
@@ -224,7 +261,7 @@ impl PagedTree {
         &self,
         k: usize,
         bound_dist: B,
-        exact_dist: E,
+        mut exact_dist: E,
         tie_key: K,
     ) -> StoreResult<(Vec<Neighbor<u64>>, SearchStats)>
     where
@@ -232,7 +269,8 @@ impl PagedTree {
         E: FnMut(&Rect, u64) -> f64,
         K: FnMut(u64) -> u64,
     {
-        nearest_with_tie(self, k, bound_dist, exact_dist, tie_key)
+        let exact = |rect: &Rect, item, _| Some(exact_dist(rect, item));
+        nearest_with_tie(self, k, bound_dist, exact, tie_key)
     }
 
     /// Euclidean k-nearest-neighbors of a query point (no tie key).
@@ -318,6 +356,7 @@ mod tests {
         let t = grid_tree(3);
         let (got, _) = t.nearest_to_point(100, &[0.0, 0.0]);
         assert_eq!(got.len(), 9);
+        assert_eq!(t.nearest_to_point(usize::MAX, &[0.0, 0.0]).0, got);
         // Sorted ascending.
         for w in got.windows(2) {
             assert!(w[0].distance <= w[1].distance);
@@ -372,6 +411,42 @@ mod tests {
             );
             let ids: Vec<u64> = got.iter().map(|n| *n.item).collect();
             assert_eq!(ids, vec![0, 1, 2], "perm {perm}");
+        }
+    }
+
+    #[test]
+    fn giving_up_past_the_kth_distance_changes_nothing() {
+        // An exact closure that declines every item farther than the bound
+        // it is handed: same neighbours, same distances, same counters as
+        // the full computation, and it does decline some.
+        let t = grid_tree(20);
+        for q in [[3.2, 4.9], [10.0, 10.0], [25.0, -2.0]] {
+            for k in [1usize, 4, 9] {
+                let dist = |rect: &Rect| rect.min_dist2(&q).sqrt();
+                let full = nearest_with_tie(
+                    &t,
+                    k,
+                    dist,
+                    |r, _, _| Some(dist(r)),
+                    |&(i, j)| (i * 100 + j) as u64,
+                );
+                let mut declined = 0;
+                let bounded = nearest_with_tie(
+                    &t,
+                    k,
+                    dist,
+                    |r, _, bound| {
+                        let d = dist(r);
+                        declined += usize::from(d > bound);
+                        (d <= bound).then_some(d)
+                    },
+                    |&(i, j)| (i * 100 + j) as u64,
+                );
+                let (full, bounded) = (infallible(full), infallible(bounded));
+                assert_eq!(full.0, bounded.0, "q={q:?} k={k}");
+                assert_eq!(full.1, bounded.1, "q={q:?} k={k}");
+                assert!(declined > 0, "q={q:?} k={k}");
+            }
         }
     }
 

@@ -1,6 +1,7 @@
-//! Distances between equal-length time series. [`sum_sq_within`] is the
-//! one accumulate-and-abandon loop every exact check in the workspace
-//! runs, [`limit_sq`] the threshold it is compared against; statements
+//! Distances between equal-length time series. [`sum_sq_within`] (with
+//! [`sum_sq_blocks`], the same loop fed eight terms at a time) is the one
+//! accumulate-and-abandon loop every exact check in the workspace runs,
+//! [`limit_sq`] the threshold it is compared against; statements
 //! reach no other sum of squares. [`euclidean`], [`city_block`] and
 //! [`chebyshev`] are the paper's Section-1 definitions, the references
 //! tests and examples compare against.
@@ -23,14 +24,15 @@ pub fn euclidean(x: &TimeSeries, y: &TimeSeries) -> f64 {
 
 /// Width of the blocked kernel: the abandon check runs once per this
 /// many terms, so the inner loop is branch-free and auto-vectorizable.
-const ABANDON_BLOCK: usize = 8;
+pub const ABANDON_BLOCK: usize = 8;
 
 /// **The** accumulate-and-abandon loop — the one place in the workspace
 /// that compares a partial sum of squares with a limit. Adds
 /// `term(0) + … + term(n - 1)` (squared differences, hence non-negative)
 /// and returns `None` as soon as the partial sum exceeds `limit`,
 /// checking once per 8-term block: [`distance_sq_within`] over real
-/// samples, `tsq-core`'s whole-match refine over `|a_f·x_f + b_f − q_f|²`.
+/// samples, `tsq-core`'s whole-match refine over `(T(x̂)_t − q̂_t)²`
+/// (through [`sum_sq_blocks`], the same loop fed eight terms at a time).
 /// Pass [`limit_sq`]`(eps)` to decide "within `eps`", `f64::INFINITY`
 /// for the full sum.
 ///
@@ -41,13 +43,27 @@ const ABANDON_BLOCK: usize = 8;
 /// accumulator, so a returned sum is bit-identical to the naive loop's.
 #[inline]
 pub fn sum_sq_within(n: usize, term: impl Fn(usize) -> f64, limit: f64) -> Option<f64> {
+    sum_sq_blocks(n, |i| std::array::from_fn(|j| term(i + j)), &term, limit)
+}
+
+/// [`sum_sq_within`] with its terms produced a block at a time:
+/// `block(i)` gives terms `i..i + ABANDON_BLOCK` of every whole block,
+/// `term(i)` each term of the (at most 7-term) tail — for terms that are
+/// cheaper eight at a time than one by one, such as a convolution's
+/// outputs. The same loop: the same order of adds, the same checks.
+#[inline]
+pub fn sum_sq_blocks(
+    n: usize,
+    block: impl Fn(usize) -> [f64; ABANDON_BLOCK],
+    term: impl Fn(usize) -> f64,
+    limit: f64,
+) -> Option<f64> {
     let mut acc = 0.0;
     let mut i = 0;
     while i + ABANDON_BLOCK <= n {
         // The terms are independent and free to vectorize; the adds stay
         // ordered through one accumulator for bit-identity.
-        let sq: [f64; ABANDON_BLOCK] = std::array::from_fn(|j| term(i + j));
-        for s in sq {
+        for s in block(i) {
             acc += s;
         }
         if acc > limit {

@@ -46,11 +46,12 @@ struct Tx {
 }
 
 /// Real multipliers with a non-zero translation on the first indexed
-/// coefficient: safe in `S_rect` (Theorem 2), unsafe in `S_pol`
-/// (Theorem 3).
+/// coefficient and its mirror (so it maps real series to real series):
+/// safe in `S_rect` (Theorem 2), unsafe in `S_pol` (Theorem 3).
 fn translated(n: usize) -> LinearTransform {
     let mut b = vec![Complex64::new(0.0, 0.0); n];
     b[1] = Complex64::new(1.0, 0.0);
+    b[n - 1] = b[1].conj();
     LinearTransform::from_parts(vec![Complex64::new(1.0, 0.0); n], b, "translated").unwrap()
 }
 

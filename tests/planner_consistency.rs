@@ -763,6 +763,9 @@ fn ulps(v: f64, j: i64) -> f64 {
 ///   (magnitude ≈ 1e-15, angle noise) and the query's indexed magnitudes
 ///   are below the threshold (`eps ≥ m`), so the rectangle covers every
 ///   angle;
+/// - `radial` and `tangent`, `f = 1` plus `f = 2`, moved along `X_1`'s own
+///   phase (the magnitude bound is the tight one) and perpendicular to it
+///   (the angle bound is);
 /// - a random walk.
 ///
 /// Under identity, `reverse`, `mavg(8)`, `scale`/`shift`, `mavg ∘ reverse`
@@ -824,6 +827,21 @@ fn lemma_1_holds_within_four_ulps_of_the_threshold() {
             (1, sine),
         ),
         ("high", mix(LEN, 8.0, &[(2.0, 5, 0.9)]), 0.25, (1, 1.3)),
+        // Moved along `X_1`'s own phase: the magnitude bound is the tight
+        // one.
+        (
+            "radial",
+            mix(LEN, 12.0, &[(3.0, 1, 0.7), (1.0, 2, 2.1)]),
+            0.25,
+            (1, 0.7),
+        ),
+        // Moved perpendicular to it: the angle bound is the tight one.
+        (
+            "tangent",
+            mix(LEN, 12.0, &[(3.0, 1, 0.7), (1.0, 2, 2.1)]),
+            0.25,
+            (1, 0.7 + std::f64::consts::FRAC_PI_2),
+        ),
     ];
     let mut series = RandomWalkGenerator::new(SEED).relation(WALKS, LEN);
     anchors.push(("walk", series[3].values().to_vec(), 0.5, (1, 0.5)));
