@@ -619,6 +619,14 @@ fn trails_of(config: &SubseqConfig, id: usize, values: &[f64]) -> Vec<(Rect, Tra
 /// coordinates — a pad derived from the query's magnitude alone would
 /// not cover large-valued data. Same recipe as the anti-rounding pad in
 /// [`crate::space::SpaceKind::transform_mbr`].
+///
+/// A trail is folded without a rectangle per window: each window's
+/// coordinates go straight from the cursor into one `lo`/`hi` pair of
+/// buffers, reused across trails, under `Rect::union_assign`'s strict
+/// `<`/`>` tests, so the bounds are the per-window union's bit for bit. The
+/// padded rectangle is then built from two fresh bound buffers, the lower
+/// one sized for both halves so `Rect::new` joins them without
+/// reallocating.
 fn chunks_of(
     config: &SubseqConfig,
     id: usize,
@@ -632,16 +640,36 @@ fn chunks_of(
         return Vec::new();
     }
     let mut cursor = SlidingCursor::resume(values, config.window, config.k, offset);
+    let dims = 2 * config.k;
+    let (mut lo, mut hi) = (Vec::with_capacity(dims), Vec::with_capacity(dims));
     let mut out = Vec::with_capacity((windows - offset).div_ceil(trail));
     while offset < windows {
         let len = trail.min(windows - offset);
-        let mut mbr = Rect::from_point(&coeff_coords(cursor.coeffs()));
+        lo.clear();
+        lo.extend(coords(cursor.coeffs()));
+        hi.clear();
+        hi.extend_from_slice(&lo);
         for _ in 1..len {
             cursor.advance(values);
-            mbr.union_assign(&Rect::from_point(&coeff_coords(cursor.coeffs())));
+            for ((l, h), x) in lo.iter_mut().zip(&mut hi).zip(coords(cursor.coeffs())) {
+                if x < *l {
+                    *l = x;
+                }
+                if x > *h {
+                    *h = x;
+                }
+            }
+        }
+        // The anti-drift padding.
+        let mut padded_lo = Vec::with_capacity(2 * dims);
+        let mut padded_hi = Vec::with_capacity(dims);
+        for (&l, &h) in lo.iter().zip(&hi) {
+            let pad = 1e-9 * (1.0 + l.abs().max(h.abs()));
+            padded_lo.push(l - pad);
+            padded_hi.push(h + pad);
         }
         out.push((
-            pad_trail_mbr(&mbr),
+            Rect::new(padded_lo, padded_hi),
             TrailEntry {
                 series: id,
                 start: offset,
@@ -656,29 +684,17 @@ fn chunks_of(
     out
 }
 
-/// The anti-drift padding applied to every trail MBR.
-fn pad_trail_mbr(mbr: &Rect) -> Rect {
-    let mut lo = mbr.lo().to_vec();
-    let mut hi = mbr.hi().to_vec();
-    for i in 0..lo.len() {
-        let pad = 1e-9 * (1.0 + lo[i].abs().max(hi[i].abs()));
-        lo[i] -= pad;
-        hi[i] += pad;
-    }
-    Rect::new(lo, hi)
-}
-
 /// Real index coordinates of a coefficient prefix: `[re_0, im_0, re_1, ...]`
 /// (the rectangular space — an `eps`-ball maps to a box, and no
 /// transformation acts on subsequence queries, so `S_rect` safety concerns
 /// do not arise).
+fn coords(coeffs: &[Complex64]) -> impl Iterator<Item = f64> + '_ {
+    coeffs.iter().flat_map(|c| [c.re, c.im])
+}
+
+/// [`coords`] collected: a query's feature point.
 fn coeff_coords(coeffs: &[Complex64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(2 * coeffs.len());
-    for c in coeffs {
-        out.push(c.re);
-        out.push(c.im);
-    }
-    out
+    coords(coeffs).collect()
 }
 
 /// The search box `[c_i - eps - pad, c_i + eps + pad]` around a query
@@ -1029,6 +1045,103 @@ mod tests {
             // Identical trees ⇒ identical traversal effort, not just answers.
             assert_eq!(stats.index, want_stats.index, "threads = {threads}");
             assert_eq!(par.subseq_knn(&q, 7).unwrap().0, want_knn);
+        }
+    }
+
+    /// Trail rectangles as a per-window fold computed them: a point
+    /// rectangle per window, unioned into the trail's, then padded.
+    fn chunks_by_point_rects(
+        config: &SubseqConfig,
+        id: usize,
+        values: &[f64],
+        first_chunk: usize,
+        windows: usize,
+    ) -> Vec<(Rect, TrailEntry)> {
+        let trail = config.trail;
+        let mut offset = first_chunk * trail;
+        if offset >= windows {
+            return Vec::new();
+        }
+        let mut cursor = SlidingCursor::resume(values, config.window, config.k, offset);
+        let mut out = Vec::new();
+        while offset < windows {
+            let len = trail.min(windows - offset);
+            let mut mbr = Rect::from_point(&coeff_coords(cursor.coeffs()));
+            for _ in 1..len {
+                cursor.advance(values);
+                mbr.union_assign(&Rect::from_point(&coeff_coords(cursor.coeffs())));
+            }
+            let mut lo = mbr.lo().to_vec();
+            let mut hi = mbr.hi().to_vec();
+            for i in 0..lo.len() {
+                let pad = 1e-9 * (1.0 + lo[i].abs().max(hi[i].abs()));
+                lo[i] -= pad;
+                hi[i] += pad;
+            }
+            out.push((
+                Rect::new(lo, hi),
+                TrailEntry {
+                    series: id,
+                    start: offset,
+                    len,
+                },
+            ));
+            offset += len;
+            if offset < windows {
+                cursor.advance(values);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn trail_rects_are_the_per_window_fold_bit_for_bit() {
+        let bits = |chunks: &[(Rect, TrailEntry)]| -> Vec<(Vec<u64>, TrailEntry)> {
+            chunks
+                .iter()
+                .map(|(r, e)| {
+                    let b = r.lo().iter().chain(r.hi()).map(|x| x.to_bits()).collect();
+                    (b, *e)
+                })
+                .collect()
+        };
+        // 16 + 600 samples: 601 windows, past the re-anchors at 256 and
+        // 512, with a partial last chunk at every trail size below. A
+        // constant stretch ties its windows' coordinates, and a zero stretch
+        // across the re-anchor at 256 zeroes them.
+        let mut walk = RandomWalkGenerator::new(28).series(616).into_values();
+        walk[240..300].fill(0.0);
+        walk[400..440].fill(-3.5);
+        let series = [
+            walk.clone(),
+            walk.iter().map(|v| 1e5 * v).collect::<Vec<f64>>(),
+        ];
+        for values in &series {
+            for trail in [1usize, 3, 8] {
+                for k in [1usize, 3] {
+                    let config = SubseqConfig {
+                        k,
+                        trail,
+                        ..SubseqConfig::new(16)
+                    };
+                    let all = values.len() - 15;
+                    // Every chunk from the first, and resumed from chunks
+                    // before, at and past the re-anchors; `windows` short
+                    // of the series as an append's old windows are.
+                    for windows in [all, all - 100, 257] {
+                        for first_chunk in [0, 1, 255 / trail, 256 / trail, 513 / trail] {
+                            let what = format!(
+                                "trail {trail}, k {k}, windows {windows}, first chunk {first_chunk}"
+                            );
+                            let got = chunks_of(&config, 7, values, first_chunk, windows);
+                            let want =
+                                chunks_by_point_rects(&config, 7, values, first_chunk, windows);
+                            assert_eq!(got.len(), want.len(), "{what}");
+                            assert!(bits(&got) == bits(&want), "{what}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -21,7 +21,8 @@
 //! the relation's window list. Derived, and so rebuilt on restore by the
 //! one function that builds them anywhere
 //! ([`SimilarityIndex::read_from`] is "decode the series, call `build`"):
-//! each series' features (mean, std, half spectrum — one FFT), each
+//! each series' features (mean, std and the indexed coefficients — one
+//! FFT, of which a record keeps only what the filter reads), each
 //! shard's whole-match R\*-tree (a pure function of the features, packed
 //! identically) and the planner statistics profiled from it. Shard
 //! membership is derived too (the rule is a pure function of the label,

@@ -6,6 +6,12 @@
 //! produces well-clustered leaves. Used by the benchmark harness; repeated
 //! insertion remains available for incremental workloads, and an ablation
 //! benchmark compares the two.
+//!
+//! Every sort pass computes each entry's centre coordinate once and sorts
+//! on that cached key: no comparison touches a rectangle on the heap, and
+//! the stable sort gives the comparator sort's order bit for bit.
+
+use std::cmp::Ordering;
 
 use crate::config::RTreeConfig;
 use crate::node::{Entry, Node};
@@ -35,8 +41,8 @@ impl<T: Send> RStarTree<T> {
     /// (`bulk_build`); only the sort and pack steps differ.
     ///
     /// The parallel build produces a tree *identical* to the sequential
-    /// one: the top-level sort is shared, every slab is sorted by the same
-    /// comparator independently of the others, and chunk boundaries are
+    /// one: the top-level sort is shared, every slab is sorted on the same
+    /// key independently of the others, and chunk boundaries are
     /// position-based, so thread count never changes entry placement.
     /// `threads <= 1` falls back to the sequential path exactly.
     ///
@@ -189,9 +195,37 @@ fn str_sort<T>(entries: &mut [Entry<T>], dim: usize, dims: usize, cap: usize) {
     }
 }
 
+/// Stable sort by the centre coordinate along `dim`. The key is computed
+/// once per entry per pass, so a comparison reads two cached `f64`s
+/// instead of dereferencing two heap rectangles; ties keep their input
+/// order, so the order is the comparator sort's exactly.
 fn sort_by_center<T>(entries: &mut [Entry<T>], dim: usize) {
-    entries.sort_by(|a, b| center_coord(a.rect(), dim).total_cmp(&center_coord(b.rect(), dim)));
+    entries.sort_by_cached_key(|e| Center(center_coord(e.rect(), dim)));
 }
+
+/// A centre coordinate under `f64::total_cmp`'s total order.
+#[derive(Clone, Copy)]
+struct Center(f64);
+
+impl Ord for Center {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Center {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Center {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Center {}
 
 /// Length of one vertical slab: `n` entries split into
 /// `ceil(pages^(1/dims_remaining))` slabs (Leutenegger et al.). Shared by
@@ -356,6 +390,114 @@ mod tests {
         // Empty batch is a no-op.
         t.bulk_extend(Vec::new());
         assert_eq!(t.len(), 300);
+    }
+
+    /// The STR order as a comparator sort computed it, reading both
+    /// rectangles on every comparison: the reference the keyed sort must
+    /// reproduce.
+    fn str_sort_by_comparator<T>(entries: &mut [Entry<T>], dim: usize, dims: usize, cap: usize) {
+        let n = entries.len();
+        if n <= cap || dim >= dims {
+            return;
+        }
+        entries.sort_by(|a, b| center_coord(a.rect(), dim).total_cmp(&center_coord(b.rect(), dim)));
+        if dim + 1 == dims {
+            return;
+        }
+        for chunk in entries.chunks_mut(slab_len(n, cap, dims - dim)) {
+            str_sort_by_comparator(chunk, dim + 1, dims, cap);
+        }
+    }
+
+    /// Rectangles whose centres tie often: coordinates from a short list
+    /// with `-0.0` beside `+0.0` and negatives, and half-widths that give
+    /// equal centres to different rectangles — `-0.0 ± w` (centre `+0.0`)
+    /// beside the point `-0.0` (centre `-0.0`) among them.
+    fn tied(n: usize, dims: usize, seed: u64) -> Vec<(Rect, usize)> {
+        const CENTERS: [f64; 6] = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.5];
+        const HALF_WIDTHS: [f64; 3] = [0.0, 0.5, 1.0];
+        let mut state = seed;
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % m
+        };
+        (0..n)
+            .map(|i| {
+                let (mut lo, mut hi) = (Vec::new(), Vec::new());
+                for _ in 0..dims {
+                    let c = CENTERS[next(CENTERS.len())];
+                    let w = HALF_WIDTHS[next(HALF_WIDTHS.len())];
+                    // `-0.0 + 0.0` is `+0.0`: a point keeps its sign.
+                    let (l, h) = if w == 0.0 { (c, c) } else { (c - w, c + w) };
+                    lo.push(l);
+                    hi.push(h);
+                }
+                (Rect::new(lo, hi), i)
+            })
+            .collect()
+    }
+
+    /// Leaf order with every bound's bits, and the node layout.
+    fn layout(tree: &RStarTree<usize>) -> (Vec<(Vec<u64>, usize)>, String) {
+        let leaves = tree
+            .iter()
+            .map(|(r, &i)| {
+                let bits = r.lo().iter().chain(r.hi()).map(|x| x.to_bits()).collect();
+                (bits, i)
+            })
+            .collect();
+        (leaves, format!("{tree:?}"))
+    }
+
+    #[test]
+    fn keyed_str_order_is_the_comparator_order() {
+        let config = RTreeConfig::with_max_entries(4);
+        for dims in 1..=6 {
+            for (n, seed) in [(3usize, 1u64), (9, 2), (64, 3), (300, 4), (1000, 5)] {
+                let items = tied(n, dims, seed);
+                let what = format!("dims {dims}, n {n}, seed {seed}");
+                let want = layout(&bulk_build(
+                    config,
+                    items.clone(),
+                    |entries, dims, cap| str_sort_by_comparator(entries, 0, dims, cap),
+                    |groups, level| groups.into_iter().map(|g| pack_node(g, level)).collect(),
+                ));
+                let got = RStarTree::bulk_load(config, items.clone());
+                got.validate();
+                assert!(layout(&got) == want, "bulk_load, {what}");
+                for threads in [1usize, 2, 4] {
+                    let got = RStarTree::bulk_load_parallel(config, items.clone(), threads);
+                    assert!(
+                        layout(&got) == want,
+                        "bulk_load_parallel({threads}), {what}"
+                    );
+                }
+
+                // A batch into a non-empty tree is inserted in STR order.
+                let base = tied(40, dims, seed + 100);
+                let mut want = RStarTree::bulk_load(config, base.clone());
+                let mut entries: Vec<Entry<usize>> = items
+                    .iter()
+                    .map(|(rect, item)| Entry::Leaf {
+                        rect: rect.clone(),
+                        item: *item,
+                    })
+                    .collect();
+                str_sort_by_comparator(&mut entries, 0, dims, config.max_entries);
+                for entry in entries {
+                    let Entry::Leaf { rect, item } = entry else {
+                        unreachable!("leaf entries only")
+                    };
+                    want.insert(rect, item);
+                }
+                let mut got = RStarTree::bulk_load(config, base);
+                got.bulk_extend(items);
+                got.validate();
+                assert!(layout(&got) == layout(&want), "bulk_extend, {what}");
+            }
+        }
     }
 
     #[test]

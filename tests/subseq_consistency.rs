@@ -14,6 +14,10 @@
 //! follow their relation through `APPEND`, `SHARD`, `save` / `open` and
 //! `register`, and each relation keeps at most `MAX_SUBSEQ_WINDOWS` of
 //! them.
+//!
+//! A fourth walks ±4 ulps around reported distances after `APPEND` chains
+//! that cross the sliding DFT's re-anchors: Lemma 1 for subsequences at the
+//! boundary, through a catalog at 1 and 4 shards.
 
 use tsq_core::{
     ScanMode, SeriesRelation, SubseqConfig, SubseqIndex, SubseqMatch, MAX_SUBSEQ_WINDOWS,
@@ -480,5 +484,205 @@ fn each_relation_evicts_only_its_own_least_recent_window() {
     assert_eq!(
         cat.subseq_cache_keys(),
         [keys("a", &last), keys("b", &full)].concat()
+    );
+}
+
+// ---------------------------------------------------------------------
+// Lemma 1 for subsequences, within four ulps of the threshold.
+// ---------------------------------------------------------------------
+
+/// `v` moved by `j` units in the last place (`v` positive and finite).
+fn ulps(v: f64, j: i64) -> f64 {
+    f64::from_bits((v.to_bits() as i64 + j) as u64)
+}
+
+/// **Lemma 1 around the subsequence boundary.** The indexed feature of a
+/// window is the sliding DFT's incrementally updated value, which drifts
+/// from the window's own transform until the next re-anchor
+/// (`REFRESH_INTERVAL` = 256 offsets) — and an `APPEND` resumes that walk
+/// rather than restarting it. So the stored series here grow from below
+/// one window to past offset 512 through a chain of `APPEND`s, with the
+/// ST-index built before the first and extended by every one, at 1 and 4
+/// shards.
+///
+/// Each query is a stored window `x` moved by `s·u` (a unit cosine or a
+/// constant), at offsets before, on and after the re-anchors, and every
+/// threshold is within four ulps of a distance the sliding scan reports
+/// for it: the witness `x` itself, and the k-th nearest window. On each
+/// statement the catalog's `FIND SUBSEQUENCE … WITHIN eps` rows equal the
+/// scan's (labels, offsets and distance bits), the witness is among them
+/// exactly when `eps >= d`, and `FIND k NEAREST SUBSEQUENCE` rows equal
+/// the scan's to the bit. A failure names the seed, the witness window and
+/// the query.
+#[test]
+fn subsequence_lemma_1_holds_within_four_ulps_across_appends() {
+    const SEED: u64 = 28_000_256;
+    const COUNT: usize = 8;
+    const W: usize = 16;
+    const K: usize = 5;
+    const STEP: f64 = 0.25;
+    // Appended to every series in turn: 10 + 640 samples, so the last
+    // window offset is 634.
+    const SCHEDULE: [usize; 8] = [3, 37, 1, 120, 64, 200, 5, 210];
+    let literal = |values: &[f64]| -> String {
+        let values: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
+        values.join(", ")
+    };
+    // Walks around a level: the sliding DFT's drift grows with `X_0`'s
+    // magnitude, so the trail and query pads have something to absorb.
+    const LEVEL: f64 = 5_000.0;
+    let initial: Vec<TimeSeries> = RandomWalkGenerator::new(SEED)
+        .relation(COUNT, 10)
+        .iter()
+        .map(|s| s.shift(LEVEL))
+        .collect();
+    let mut tails = RandomWalkGenerator::new(SEED + 1);
+    let tails: Vec<Vec<f64>> = (0..COUNT)
+        .map(|_| {
+            tails
+                .series(SCHEDULE.iter().sum())
+                .shift(LEVEL)
+                .into_values()
+        })
+        .collect();
+    let mut appends: Vec<String> = Vec::new();
+    let mut from = 0;
+    for step in SCHEDULE {
+        let groups: Vec<String> = tails
+            .iter()
+            .enumerate()
+            .map(|(i, tail)| format!("(s{i}, {})", literal(&tail[from..from + step])))
+            .collect();
+        appends.push(format!("APPEND w CSV {}", groups.join(" ")));
+        from += step;
+    }
+    let expected: Vec<TimeSeries> = initial
+        .iter()
+        .zip(&tails)
+        .map(|(s, tail)| TimeSeries::new([s.values(), tail].concat()))
+        .collect();
+    let scan = SubseqIndex::build(SubseqConfig::new(W), expected.clone()).unwrap();
+    let label = |m: &SubseqMatch| {
+        (
+            format!("s{}", m.series),
+            Some(m.offset),
+            m.distance.to_bits(),
+        )
+    };
+    let rows = |rows: &[Row]| -> Vec<(String, Option<usize>, u64)> {
+        rows.iter()
+            .map(|r| (r.a.clone(), r.offset, r.distance.to_bits()))
+            .collect()
+    };
+
+    let mut asked = 0usize;
+    let mut failures: Vec<String> = Vec::new();
+    for shards in [1usize, 4] {
+        let mut cat = Catalog::new();
+        cat.register(SeriesRelation::from_series("w", initial.clone()).unwrap())
+            .unwrap();
+        cat.run_mut(&format!("SHARD w INTO {shards} BY HASH"))
+            .unwrap();
+        // Build the window's ST-index while no series has a window yet.
+        let zero = literal(&[0.0; W]);
+        let warm = format!("FIND SUBSEQUENCE OF [{zero}] IN w WITHIN 1 WINDOW {W}");
+        assert!(cat.run(&warm).unwrap().rows.is_empty());
+        for append in &appends {
+            cat.run_mut(append).unwrap();
+        }
+        assert!(
+            !plan_is_cold(&cat, &warm),
+            "{shards} shard(s): the APPENDs must extend the ST-index, not drop it"
+        );
+        let rel = cat.relation("w").unwrap();
+        for (id, want) in expected.iter().enumerate() {
+            let got = rel.get_by_label(&format!("s{id}")).unwrap();
+            assert_eq!(got, want, "{shards} shard(s): s{id} after the APPENDs");
+        }
+
+        // (series, offset, f, phase) of the witness and the direction; at
+        // `f = 0` the whole distance is in `X_0`'s real part, so the search
+        // box's edge is the witness's own coordinate.
+        for (series, offset, f, phase) in [
+            (2usize, 3usize, 1usize, 0.4),
+            (5, 255, 0, 0.0),
+            (0, 256, 0, 0.0),
+            (7, 300, 3, 0.0),
+            (3, 383, 0, 0.0),
+            (3, 511, 1, 0.7),
+            (6, 511, 0, 0.0),
+            (6, 512, 2, 2.9),
+            (4, 513, 0, 0.0),
+            (1, 634, 0, 0.0),
+            (1, 634, 1, 1.6),
+        ] {
+            let x = &expected[series].values()[offset..offset + W];
+            let unit = |t: usize| -> f64 {
+                if f == 0 {
+                    return 1.0 / (W as f64).sqrt();
+                }
+                let angle = std::f64::consts::TAU * (f * t) as f64 / W as f64 + phase;
+                (2.0 / W as f64).sqrt() * angle.cos()
+            };
+            let q: Vec<f64> = x
+                .iter()
+                .enumerate()
+                .map(|(t, v)| v + STEP * unit(t))
+                .collect();
+            let query = TimeSeries::new(q.clone());
+            let what = format!(
+                "{shards} shard(s), seed {SEED}, witness s{series}@{offset} = [{}], query [{}]",
+                literal(x),
+                literal(&q)
+            );
+            let pattern = literal(&q);
+
+            let knn = format!("FIND {K} NEAREST SUBSEQUENCE OF [{pattern}] IN w WINDOW {W}");
+            let nearest = scan.scan_subseq_knn(&query, K).unwrap();
+            let truth: Vec<_> = nearest.iter().map(label).collect();
+            asked += 1;
+            if rows(&cat.run(&knn).unwrap().rows) != truth {
+                failures.push(format!("{what}: {K}-NN rows differ from the scan's"));
+            }
+
+            let (near, _) = scan
+                .scan_subseq_range(&query, 2.0 * STEP, ScanMode::Naive)
+                .unwrap();
+            let witness = near
+                .iter()
+                .find(|m| (m.series, m.offset) == (series, offset))
+                .expect("the witness window is within 2·STEP");
+            for boundary in [witness, &nearest[K - 1]] {
+                let d = boundary.distance;
+                for j in -4i64..=4 {
+                    let eps = ulps(d, j);
+                    let within =
+                        format!("FIND SUBSEQUENCE OF [{pattern}] IN w WITHIN {eps} WINDOW {W}");
+                    let (truth, _) = scan
+                        .scan_subseq_range(&query, eps, ScanMode::Naive)
+                        .unwrap();
+                    let truth: Vec<_> = truth.iter().map(label).collect();
+                    let got = rows(&cat.run(&within).unwrap().rows);
+                    let context = format!("{what}, boundary {boundary:?}, eps = d{j:+} ulps");
+                    asked += 1;
+                    if truth.contains(&label(boundary)) != (j >= 0) {
+                        failures.push(format!("{context}: the scan misplaces the boundary"));
+                    } else if let Some(lost) = truth.iter().find(|r| !got.contains(r)) {
+                        failures.push(format!("{context}: false dismissal of {lost:?}"));
+                    } else if got != truth {
+                        failures.push(format!("{context}: rows differ from the scan's"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {asked} subsequence statements within 4 ulps of a reported distance broke Lemma 1 \
+         (appends {SCHEDULE:?} to {COUNT} walks of 10 from seed {SEED}, tails from seed {}); \
+         the first:\n{}",
+        failures.len(),
+        SEED + 1,
+        failures[..failures.len().min(8)].join("\n")
     );
 }
