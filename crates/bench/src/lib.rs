@@ -248,7 +248,7 @@ pub fn fig12_curve(targets: &[usize]) -> Vec<Point> {
 /// Table 1 rows.
 #[derive(Debug, Clone)]
 pub struct Table1Row {
-    /// Method label (a, b, c, d, e*).
+    /// Method label (a, b, c, d).
     pub method: &'static str,
     /// Description.
     pub description: &'static str,
@@ -306,10 +306,6 @@ pub fn table1(eps: f64) -> Vec<Table1Row> {
     let d = idx.join_index(eps, &t).unwrap();
     let d_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    let start = Instant::now();
-    let e = idx.join_tree(eps, &t).unwrap();
-    let e_ms = start.elapsed().as_secs_f64() * 1e3;
-
     vec![
         Table1Row {
             method: "a",
@@ -338,13 +334,6 @@ pub fn table1(eps: f64) -> Vec<Table1Row> {
             time_ms: d_ms,
             answers: d.pairs.len(),
             simulated_io: d.stats.index.nodes_visited + d.stats.candidates as u64,
-        },
-        Table1Row {
-            method: "e*",
-            description: "tree-to-tree spatial join with T_mavg20 (extension)",
-            time_ms: e_ms,
-            answers: e.pairs.len(),
-            simulated_io: e.stats.index.nodes_visited + e.stats.candidates as u64,
         },
     ]
 }

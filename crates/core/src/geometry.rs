@@ -123,48 +123,6 @@ impl AnnularSector {
     }
 }
 
-impl AnnularSector {
-    /// Exact minimum Euclidean distance between two annular sectors
-    /// (0 when they intersect). Needed by the tree↔tree spatial join in
-    /// `S_pol`, where the coordinate-space rectangle distance is *not* a
-    /// valid lower bound of the complex-plane distance.
-    ///
-    /// When the angular ranges meet (or either side covers all angles) the
-    /// minimum is purely radial. Otherwise the minimizing pair lies on the
-    /// facing radial edges: moving along an arc toward the other sector's
-    /// angular range always decreases the distance, so arc-interior points
-    /// are never strict minimizers.
-    pub fn min_dist_to_sector(&self, other: &AnnularSector) -> f64 {
-        let angular_overlap = self.full_angle
-            || other.full_angle
-            || self.contains_angle(other.a_lo)
-            || self.contains_angle(other.a_hi)
-            || other.contains_angle(self.a_lo)
-            || other.contains_angle(self.a_hi);
-        if angular_overlap {
-            // Radial gap only.
-            return if self.m_hi < other.m_lo {
-                other.m_lo - self.m_hi
-            } else if other.m_hi < self.m_lo {
-                self.m_lo - other.m_hi
-            } else {
-                0.0
-            };
-        }
-        let mut best = f64::INFINITY;
-        for &ang_a in &[self.a_lo, self.a_hi] {
-            let a0 = Complex64::cis(ang_a).scale(self.m_lo);
-            let a1 = Complex64::cis(ang_a).scale(self.m_hi);
-            for &ang_b in &[other.a_lo, other.a_hi] {
-                let b0 = Complex64::cis(ang_b).scale(other.m_lo);
-                let b1 = Complex64::cis(ang_b).scale(other.m_hi);
-                best = best.min(segment_segment_min_dist(a0, a1, b0, b1));
-            }
-        }
-        best
-    }
-}
-
 /// Distance from `p` to the segment {t * e^{j*angle} : t in [m_lo, m_hi]}.
 fn dist_to_radial_segment(p: Complex64, angle: f64, m_lo: f64, m_hi: f64) -> f64 {
     let dir = Complex64::cis(angle);
@@ -173,55 +131,6 @@ fn dist_to_radial_segment(p: Complex64, angle: f64, m_lo: f64, m_hi: f64) -> f64
     let t_clamped = t.clamp(m_lo, m_hi);
     let closest = dir.scale(t_clamped);
     (p - closest).abs()
-}
-
-/// Minimum distance between the 2-D segments `a0a1` and `b0b1`.
-///
-/// Standard clamped closest-point computation (Ericson, *Real-Time
-/// Collision Detection*, §5.1.9), specialized to complex-plane points.
-pub fn segment_segment_min_dist(a0: Complex64, a1: Complex64, b0: Complex64, b1: Complex64) -> f64 {
-    let d1 = a1 - a0;
-    let d2 = b1 - b0;
-    let r = a0 - b0;
-    let aa = d1.norm_sqr();
-    let ee = d2.norm_sqr();
-    let ff = d2.re * r.re + d2.im * r.im;
-    let (s, t);
-    if aa <= f64::EPSILON && ee <= f64::EPSILON {
-        return r.abs(); // both degenerate
-    }
-    if aa <= f64::EPSILON {
-        s = 0.0;
-        t = (ff / ee).clamp(0.0, 1.0);
-    } else {
-        let cc = d1.re * r.re + d1.im * r.im;
-        if ee <= f64::EPSILON {
-            t = 0.0;
-            s = (-cc / aa).clamp(0.0, 1.0);
-        } else {
-            let bb = d1.re * d2.re + d1.im * d2.im;
-            let denom = aa * ee - bb * bb;
-            let s0 = if denom != 0.0 {
-                ((bb * ff - cc * ee) / denom).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let t0 = (bb * s0 + ff) / ee;
-            if t0 < 0.0 {
-                t = 0.0;
-                s = (-cc / aa).clamp(0.0, 1.0);
-            } else if t0 > 1.0 {
-                t = 1.0;
-                s = ((bb - cc) / aa).clamp(0.0, 1.0);
-            } else {
-                s = s0;
-                t = t0;
-            }
-        }
-    }
-    let cp_a = a0 + d1.scale(s);
-    let cp_b = b0 + d2.scale(t);
-    (cp_a - cp_b).abs()
 }
 
 #[cfg(test)]
@@ -307,86 +216,6 @@ mod tests {
         for a in [0.0, 1.0, -2.0, PI] {
             assert!((s.min_dist(cp(0.25, a)) - 0.75).abs() < 1e-12);
             assert_eq!(s.min_dist(cp(1.5, a)), 0.0);
-        }
-    }
-
-    #[test]
-    fn segment_segment_cases() {
-        let o = Complex64::new(0.0, 0.0);
-        let e1 = Complex64::new(1.0, 0.0);
-        let p = |x: f64, y: f64| Complex64::new(x, y);
-        // Parallel horizontal segments one unit apart.
-        assert!((segment_segment_min_dist(o, e1, p(0.0, 1.0), p(1.0, 1.0)) - 1.0).abs() < 1e-12);
-        // Crossing segments: distance zero.
-        assert!(
-            segment_segment_min_dist(p(-1.0, -1.0), p(1.0, 1.0), p(-1.0, 1.0), p(1.0, -1.0))
-                < 1e-12
-        );
-        // Endpoint to endpoint.
-        assert!((segment_segment_min_dist(o, e1, p(3.0, 0.0), p(4.0, 0.0)) - 2.0).abs() < 1e-12);
-        // Degenerate (point) segments.
-        assert!((segment_segment_min_dist(o, o, p(0.0, 2.0), p(0.0, 2.0)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sector_sector_radial_when_angles_overlap() {
-        let a = AnnularSector::new(1.0, 2.0, 0.0, 1.0);
-        let b = AnnularSector::new(3.0, 4.0, 0.5, 1.5);
-        assert!((a.min_dist_to_sector(&b) - 1.0).abs() < 1e-12);
-        assert!((b.min_dist_to_sector(&a) - 1.0).abs() < 1e-12);
-        let c = AnnularSector::new(1.5, 3.5, 0.9, 1.1);
-        assert_eq!(a.min_dist_to_sector(&c), 0.0);
-    }
-
-    #[test]
-    fn sector_sector_edge_case_matches_sampling() {
-        let pairs = [
-            (
-                AnnularSector::new(1.0, 2.0, 0.0, 0.2),
-                AnnularSector::new(1.0, 2.0, 1.0, 1.2),
-            ),
-            (
-                AnnularSector::new(0.5, 1.0, -0.3, 0.0),
-                AnnularSector::new(2.0, 3.0, 2.8, 3.1),
-            ),
-            (
-                AnnularSector::annulus(5.0, 6.0),
-                AnnularSector::new(1.0, 2.0, 0.0, 0.5),
-            ),
-        ];
-        for (a, b) in &pairs {
-            let d = a.min_dist_to_sector(b);
-            // Sample both sectors; the sampled minimum must straddle d.
-            let mut best = f64::INFINITY;
-            let steps = 120;
-            let sample = |s: &AnnularSector, i: usize, j: usize| {
-                let m = s.m_lo + (s.m_hi - s.m_lo) * i as f64 / steps as f64;
-                let (alo, span) = if s.full_angle {
-                    (-PI, 2.0 * PI)
-                } else {
-                    let mut sp = normalize_angle(s.a_hi - s.a_lo).rem_euclid(2.0 * PI);
-                    if sp == 0.0 && s.a_lo != s.a_hi {
-                        sp = 2.0 * PI;
-                    }
-                    (s.a_lo, sp)
-                };
-                let ang = alo + span * j as f64 / steps as f64;
-                cp(m, ang)
-            };
-            for i in 0..=steps {
-                for j in 0..=steps {
-                    let pa = sample(a, i, j);
-                    for i2 in 0..=steps {
-                        // Sample only the boundary magnitudes of b for speed.
-                        for &jb in &[0usize, steps / 2, steps] {
-                            let pb = sample(b, i2, jb);
-                            best = best.min((pa - pb).abs());
-                        }
-                    }
-                }
-            }
-            assert!(d <= best + 1e-9, "reported {d} exceeds sampled {best}");
-            assert!(best <= d + 0.1, "sampled {best} way below reported {d}");
         }
     }
 

@@ -40,7 +40,6 @@
 //! | `IndexKnn` | k-NN | `index` | [`SimilarityIndex::knn_query`]'s best-first search | `plan_knn` | `ExecStats::index` |
 //! | `SeqScan` | k-NN | `scan` | [`SimilarityIndex::scan_knn`]'s sort | `scan_estimate` | `ExecStats::scan` |
 //! | `JoinIndex` | join | `index` | [`crate::queries`]' `probe_pairs` | `plan_join` | `ExecStats::index` |
-//! | `JoinTree` | join | `tree` | [`SimilarityIndex::join_tree`] | `plan_join` | `ExecStats::index` |
 //! | `JoinScan` | join | `scan` | [`crate::queries`]' `scan_pairs`, early abandoning | `scan_estimate` (per pair) | `ExecStats::scan` |
 //! | `JoinScan(full)` | join | `scanfull` | [`crate::queries`]' `scan_pairs`, full distances | `scan_estimate` (per pair) | `ExecStats::scan` |
 //! | `SubseqIndexProbe` | subsequence | — | [`SubseqIndex::subseq_range`] / [`SubseqIndex::subseq_knn`] | `plan_subseq` | `ExecStats::index` |
@@ -198,16 +197,14 @@ impl LogicalPlan {
         }
     }
 
-    /// Whether the statement may carry `forced`: `scanfull` and `tree`
-    /// are join methods (Table 1) and name no operator of any other form.
+    /// Whether the statement may carry `forced`: `scanfull` is a join
+    /// method (Table 1) and names no operator of any other form.
     ///
     /// # Errors
     /// [`Error::Unsupported`] for a join-only force on a non-join form.
     pub fn check_force(&self, forced: Option<ForceOp>) -> Result<()> {
         match forced {
-            Some(force @ (ForceOp::ScanFull | ForceOp::Tree))
-                if !matches!(self, LogicalPlan::Join { .. }) =>
-            {
+            Some(force @ ForceOp::ScanFull) if !matches!(self, LogicalPlan::Join { .. }) => {
                 Err(Error::Unsupported(format!(
                     "force = {} applies only to JOIN queries",
                     force.name()
@@ -365,11 +362,6 @@ pub enum PhysicalOp {
         /// `WITH (force = index)`).
         dedup: bool,
     },
-    /// Synchronized tree↔tree join.
-    JoinTree {
-        /// Canonicalize to one row per unordered pair (see `JoinIndex`).
-        dedup: bool,
-    },
     /// ST-index trail probe (range or k-NN over sliding windows).
     SubseqIndexProbe {
         /// K-nearest form (`false` = range form).
@@ -395,7 +387,6 @@ impl PhysicalOp {
                 mode: ScanMode::EarlyAbandon,
             } => "JoinScan",
             PhysicalOp::JoinIndex { .. } => "JoinIndex",
-            PhysicalOp::JoinTree { .. } => "JoinTree",
             PhysicalOp::SubseqIndexProbe { .. } => "SubseqIndexProbe",
         }
     }
@@ -459,8 +450,8 @@ pub struct PlanChoice {
 }
 
 /// An access path a query's `WITH (force = ...)` clause may pin. `Scan`
-/// and `Index` apply to every query form; `ScanFull` and `Tree` are the
-/// join-only methods of Table 1.
+/// and `Index` apply to every query form; `ScanFull` is Table 1's
+/// join-only method (a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForceOp {
     /// Sequential-scan family (early-abandoning where possible).
@@ -469,8 +460,6 @@ pub enum ForceOp {
     ScanFull,
     /// Index family.
     Index,
-    /// Synchronized tree↔tree join (joins only).
-    Tree,
 }
 
 impl ForceOp {
@@ -480,7 +469,6 @@ impl ForceOp {
             ForceOp::Scan => "scan",
             ForceOp::ScanFull => "scanfull",
             ForceOp::Index => "index",
-            ForceOp::Tree => "tree",
         }
     }
 }
@@ -659,12 +647,11 @@ fn choose(costed: Vec<Costed>, forced: Option<ForceOp>) -> PlanChoice {
     });
     let forced = pinned.is_some();
     // A forced join keeps its method's historical answer multiplicity
-    // (index/tree joins report each pair twice, scans once); a planned
+    // (the index join reports each pair twice, scans once); a planned
     // one is canonicalized to one row per unordered pair, so the
     // planner's choice can never change the answer.
     let op = match op {
         PhysicalOp::JoinIndex { .. } => PhysicalOp::JoinIndex { dedup: !forced },
-        PhysicalOp::JoinTree { .. } => PhysicalOp::JoinTree { dedup: !forced },
         other => other,
     };
     PlanChoice {
@@ -850,30 +837,6 @@ impl<'a> Planner<'a> {
             disk: n * per_probe.disk,
             cpu: n * per_probe.cpu,
         };
-        // The synchronized join prunes both sides at once: at each level,
-        // node pairs survive with the Minkowski probability of their two
-        // average extents, and each surviving pair costs two node reads.
-        let profile = &self.stats().profile;
-        let mut tree_nodes = 0.0;
-        if let Some((_root, below)) = profile.levels.split_last() {
-            for level in below {
-                let p = profile.overlap(&sides, |d| {
-                    2.0 * level.avg_extent.get(d).copied().unwrap_or(0.0)
-                });
-                let nodes_l = level.nodes as f64;
-                tree_nodes += (nodes_l * (1.0 + nodes_l * p)).min(nodes_l * nodes_l).min(
-                    // Never model the synchronized join as costlier than
-                    // probing every node once per series.
-                    n * nodes_l,
-                );
-            }
-            tree_nodes += 1.0;
-        }
-        let join_tree = CostEstimate::filter_refine(
-            tree_nodes,
-            join_index.candidates,
-            self.refine_cpu(join_index.refines, transformed) + self.traversal_cpu(tree_nodes, t),
-        );
         let scan = |mode, force| {
             let estimate = self.scan_estimate(mode, pairs, transformed);
             (PhysicalOp::JoinScan { mode }, estimate, Some(force))
@@ -883,11 +846,6 @@ impl<'a> Planner<'a> {
                 PhysicalOp::JoinIndex { dedup: true },
                 join_index,
                 Some(ForceOp::Index),
-            ),
-            (
-                PhysicalOp::JoinTree { dedup: true },
-                join_tree,
-                Some(ForceOp::Tree),
             ),
             scan(ScanMode::EarlyAbandon, ForceOp::Scan),
             scan(ScanMode::Naive, ForceOp::ScanFull),
@@ -1192,16 +1150,9 @@ pub(crate) fn execute_bound(
             let exec = ExecStats::scan(n, n, matches.len());
             (PlanRows::Whole(matches), exec)
         }
-        (
-            Bound::Join(join),
-            PhysicalOp::JoinScan { .. }
-            | PhysicalOp::JoinIndex { .. }
-            | PhysicalOp::JoinTree { .. },
-        ) => {
+        (Bound::Join(join), PhysicalOp::JoinScan { .. } | PhysicalOp::JoinIndex { .. }) => {
             let (mut pairs, exec) = run_join(plan.op, index, index, *join)?;
-            if let PhysicalOp::JoinIndex { dedup: true } | PhysicalOp::JoinTree { dedup: true } =
-                plan.op
-            {
+            if let PhysicalOp::JoinIndex { dedup: true } = plan.op {
                 // Canonical answer: one row per unordered pair, `a < b`,
                 // sorted — identical to the scan strategies' output keys.
                 pairs.retain(|p| p.a < p.b);
@@ -1251,7 +1202,6 @@ pub(crate) fn run_join(
             return Ok((outcome.pairs, exec));
         }
         PhysicalOp::JoinIndex { .. } => probe_pairs(probe, partner, join)?,
-        PhysicalOp::JoinTree { .. } if own => probe.join_tree(join.eps, join.transform)?,
         _ => {
             return Err(Error::Unsupported(format!(
                 "physical operator {} does not join two relations",
@@ -1342,7 +1292,6 @@ pub fn render_plan(logical: &LogicalPlan, choice: &PlanChoice, stats: &RelationS
                 } => ", using SCANFULL",
                 PhysicalOp::JoinScan { .. } => ", using SCAN",
                 PhysicalOp::JoinIndex { .. } => ", using INDEX",
-                PhysicalOp::JoinTree { .. } => ", using TREE",
                 _ => "",
             };
             format!(
@@ -1517,17 +1466,11 @@ mod tests {
             },
         ];
         for logical in &others {
-            for (force, text) in [
-                (
-                    ForceOp::ScanFull,
-                    "force = scanfull applies only to JOIN queries",
-                ),
-                (ForceOp::Tree, "force = tree applies only to JOIN queries"),
-            ] {
-                match planner.plan(logical, Some(force), None) {
-                    Err(Error::Unsupported(msg)) => assert_eq!(msg, text),
-                    other => panic!("{force:?} on {logical:?}: {other:?}"),
+            match planner.plan(logical, Some(ForceOp::ScanFull), None) {
+                Err(Error::Unsupported(msg)) => {
+                    assert_eq!(msg, "force = scanfull applies only to JOIN queries")
                 }
+                other => panic!("scanfull on {logical:?}: {other:?}"),
             }
             // The family forces apply everywhere; a subsequence form has
             // one operator, so there they pin nothing.
@@ -1545,12 +1488,7 @@ mod tests {
             eps: 1.0,
             transform: LinearTransform::identity(32),
         };
-        for force in [
-            ForceOp::Scan,
-            ForceOp::ScanFull,
-            ForceOp::Index,
-            ForceOp::Tree,
-        ] {
+        for force in [ForceOp::Scan, ForceOp::ScanFull, ForceOp::Index] {
             assert!(planner.plan(&join, Some(force), None).unwrap().plan.forced);
         }
     }
@@ -1610,7 +1548,6 @@ mod tests {
         let operators: Vec<PhysicalOp> = vec![
             auto.plan.op,
             PhysicalOp::JoinIndex { dedup: true },
-            PhysicalOp::JoinTree { dedup: true },
             PhysicalOp::JoinScan {
                 mode: ScanMode::EarlyAbandon,
             },
@@ -1767,7 +1704,7 @@ mod tests {
         // the forms (by index into `forms`) it implements.
         let scan = |mode| PhysicalOp::JoinScan { mode };
         let probe = |knn| PhysicalOp::SubseqIndexProbe { knn, cached: true };
-        let table: [(PhysicalOp, &[usize]); 12] = [
+        let table: [(PhysicalOp, &[usize]); 10] = [
             (PhysicalOp::SeqScan, &[0, 1]),
             (PhysicalOp::EarlyAbandonScan, &[0]),
             (PhysicalOp::IndexRange, &[0]),
@@ -1776,8 +1713,6 @@ mod tests {
             (scan(ScanMode::EarlyAbandon), &[2]),
             (PhysicalOp::JoinIndex { dedup: true }, &[2]),
             (PhysicalOp::JoinIndex { dedup: false }, &[2]),
-            (PhysicalOp::JoinTree { dedup: true }, &[2]),
-            (PhysicalOp::JoinTree { dedup: false }, &[2]),
             (probe(false), &[3]),
             (probe(true), &[4]),
         ];

@@ -1,7 +1,6 @@
 //! All-pairs (spatial join) queries — the paper's Table 1 experiment.
 //!
-//! Four strategies, mirroring methods (a)–(d) of Section 5, plus a
-//! synchronized tree↔tree join as an extension:
+//! Four strategies, methods (a)–(d) of Section 5:
 //!
 //! | method | strategy |
 //! |--------|----------|
@@ -9,7 +8,6 @@
 //! | (b) | [`SimilarityIndex::join_scan`] with [`ScanMode::EarlyAbandon`] |
 //! | (c) | [`SimilarityIndex::join_index`] with the identity transformation |
 //! | (d) | [`SimilarityIndex::join_index`] with the transformation — a range query per sequence against the on-the-fly transformed index |
-//! | (e) | [`SimilarityIndex::join_tree`] — synchronized R-tree join (extension) |
 //!
 //! Scan joins report each unordered pair **once**; index joins report each
 //! pair **twice** (once per direction), exactly as the paper tabulates
@@ -20,15 +18,12 @@
 //! case where both sides are the same index — what the methods above
 //! pass — and the cross-shard stage of a sharded join passes two shards.
 
-use std::collections::HashMap;
-
-use tsq_rtree::join::join_with;
-use tsq_rtree::{EntryId, NodeStore, Rect, SearchStats};
+use tsq_rtree::SearchStats;
 use tsq_series::distance::{distance_sq_within, limit_sq};
 
 use crate::error::{Error, Result};
 use crate::features::{Features, Normalize};
-use crate::index::{Refine, SeriesId, SimilarityIndex, StoredSeries};
+use crate::index::{Refine, SimilarityIndex, StoredSeries};
 use crate::scan::ScanMode;
 use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
@@ -159,10 +154,9 @@ pub(crate) fn probe_pairs(
     Ok(out)
 }
 
-/// The single refine step shared by the index-nested-loop and
-/// synchronized tree joins: every partner of one probe (whose
-/// transformed features `refine` is bound to) has its exact distance
-/// checked with early abandoning. Every check counts toward
+/// The refine step of the index-nested-loop join: every partner of one
+/// probe (whose transformed features `refine` is bound to) has its exact
+/// distance checked with early abandoning. Every check counts toward
 /// `exact_checks`, abandoned checks toward `abandoned`. Under a
 /// self-join the probe is its own candidate and passes the check; the
 /// caller drops that pair. Callers invoke it per probe, so candidate
@@ -246,81 +240,13 @@ impl SimilarityIndex {
     pub fn join_index(&self, eps: f64, t: &LinearTransform) -> Result<JoinOutcome> {
         probe_pairs(self, self, self.bind_join(eps, t)?)
     }
-
-    /// Synchronized tree↔tree self-join (extension beyond the paper's
-    /// index-nested-loop): both subtrees are pruned simultaneously using
-    /// transformed-MBR distance bounds (annular-sector geometry in
-    /// `S_pol`). Answer semantics match [`SimilarityIndex::join_index`].
-    ///
-    /// # Errors
-    /// Same failure modes as [`SimilarityIndex::join_scan`].
-    pub fn join_tree(&self, eps: f64, t: &LinearTransform) -> Result<JoinOutcome> {
-        let join = self.bind_join(eps, t)?;
-        match self.paged() {
-            Some(paged) => self.join_tree_in(paged, join),
-            None => self.join_tree_in(self.tree(), join),
-        }
-    }
-
-    /// [`SimilarityIndex::join_tree`] over whichever node store holds the
-    /// relation's tree.
-    fn join_tree_in<S>(&self, store: S, join: JoinBound<'_>) -> Result<JoinOutcome>
-    where
-        S: NodeStore,
-        S::Item: SeriesId,
-        Error: From<S::Error>,
-    {
-        let schema = self.config().schema;
-        let space = self.config().space;
-        let (eps, t) = (join.eps, join.transform);
-        let mut out = JoinOutcome::default();
-        let mut candidate_pairs: Vec<(usize, usize)> = Vec::new();
-        // The synchronized join revisits the same node MBRs many times
-        // (once per pairing); memoize their transformed images by the
-        // store's entry identity. Both sides are the same store, so one
-        // memo serves both.
-        let mut memo: HashMap<EntryId, Rect> = HashMap::new();
-        let mut transformed = |id: EntryId, r: &Rect| -> Rect {
-            memo.entry(id)
-                .or_insert_with(|| space.transform_mbr(r, t, schema))
-                .clone()
-        };
-        let stats = join_with(
-            store,
-            store,
-            |ida, ra, idb, rb| {
-                space.pair_lower_bound_pretransformed(
-                    &transformed(ida, ra),
-                    &transformed(idb, rb),
-                    schema,
-                )
-            },
-            eps,
-            |_, ia, _, ib| candidate_pairs.push((ia.series_id(), ib.series_id())),
-        )?;
-        out.stats.index = stats;
-        out.stats.candidates = candidate_pairs.len();
-        // Feed runs of same-probe candidates to the shared refine step
-        // (one transformed-feature computation per probe).
-        candidate_pairs.sort_unstable();
-        let mut at = 0;
-        while at < candidate_pairs.len() {
-            let probe = candidate_pairs[at].0;
-            let end = at + candidate_pairs[at..].partition_point(|&(i, _)| i == probe);
-            let partners: Vec<usize> = candidate_pairs[at..end].iter().map(|&(_, j)| j).collect();
-            let refine = self.probe_refine(probe, join)?;
-            refine_group(self, &refine, probe, &partners, &mut out);
-            at = end;
-        }
-        out.pairs.retain(|p| p.a != p.b);
-        out.pairs.sort_by_key(|p| (p.a, p.b));
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use crate::index::IndexConfig;
     use crate::space::SpaceKind;
     use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
@@ -367,17 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn tree_join_matches_index_join() {
-        let idx = index(70, 32, 33);
-        let t = LinearTransform::moving_average(32, 5);
-        let eps = 1.6;
-        let a = idx.join_index(eps, &t).unwrap();
-        let b = idx.join_tree(eps, &t).unwrap();
-        assert_eq!(key_once(&a.pairs), key_once(&b.pairs));
-    }
-
-    #[test]
-    fn tree_join_rectangular_space() {
+    fn index_join_rectangular_space() {
         let rel = RandomWalkGenerator::new(34).relation(50, 32);
         let cfg = IndexConfig {
             space: SpaceKind::Rectangular,
@@ -387,9 +303,9 @@ mod tests {
         let t = LinearTransform::reverse(32);
         let eps = 2.5;
         let a = idx.join_index(eps, &t).unwrap();
-        let b = idx.join_tree(eps, &t).unwrap();
-        assert_eq!(key_once(&a.pairs), key_once(&b.pairs));
         let scan = idx.join_scan(eps, &t, ScanMode::EarlyAbandon).unwrap();
+        assert!(!scan.pairs.is_empty());
+        assert_eq!(a.pairs.len(), 2 * scan.pairs.len());
         assert_eq!(key_undirected(&a.pairs), key_once(&scan.pairs));
     }
 
@@ -433,9 +349,7 @@ mod tests {
             };
             let scan = bits(&idx.join_scan(eps, &t, ScanMode::Naive).unwrap().pairs);
             let index = bits(&idx.join_index(eps, &t).unwrap().pairs);
-            let tree = bits(&idx.join_tree(eps, &t).unwrap().pairs);
             assert!(!scan.is_empty(), "{}", t.name());
-            assert_eq!(index, tree, "{}", t.name());
             assert_eq!(index.len(), 2 * scan.len(), "{}", t.name());
             for (&(a, b), d) in &scan {
                 assert_eq!(index.get(&(a, b)), Some(d), "{}: ({a}, {b})", t.name());
@@ -456,7 +370,6 @@ mod tests {
             idx.join_index(1.0, &t),
             Err(Error::Unsupported(_))
         ));
-        assert!(matches!(idx.join_tree(1.0, &t), Err(Error::Unsupported(_))));
     }
 
     #[test]
@@ -468,7 +381,6 @@ mod tests {
         for result in [
             idx.join_scan(1.0, &t, ScanMode::Naive).map(|_| ()),
             idx.join_index(1.0, &t).map(|_| ()),
-            idx.join_tree(1.0, &t).map(|_| ()),
         ] {
             assert!(matches!(result, Err(Error::Ragged { min: 16, max: 32 })));
         }

@@ -948,11 +948,11 @@ impl ShardedIndex {
             },
             _ => PhysicalOp::JoinIndex { dedup: false },
         };
-        // Directed forces (index / tree) keep the paper's twice-per-pair
-        // accounting by probing every ordered shard pair and reporting
+        // A forced index join keeps the paper's twice-per-pair accounting
+        // by probing every ordered shard pair and reporting
         // `(probe, partner)`; every other answer meets each unordered
         // shard pair once and orients its pairs `a < b`.
-        let directed = matches!(forced, Some(ForceOp::Index | ForceOp::Tree));
+        let directed = forced == Some(ForceOp::Index);
         let active: Vec<usize> = (0..self.parts.len())
             .filter(|&s| !self.parts[s].is_empty())
             .collect();

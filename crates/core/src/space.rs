@@ -449,80 +449,6 @@ impl SpaceKind {
         }
         true
     }
-
-    /// Lower bound on the distance between any two objects drawn from a
-    /// pair of stored MBRs that are *already* transformed (the tree join
-    /// memoizes transformed MBRs) — the pruning predicate of the tree↔tree
-    /// spatial join. Rectangular blocks use axis-gap distance; polar blocks
-    /// use exact annular-sector-to-sector distance (the coordinate-space
-    /// gap would be invalid because angles wrap).
-    pub fn pair_lower_bound_pretransformed(
-        &self,
-        ta: &Rect,
-        tb: &Rect,
-        schema: FeatureSchema,
-    ) -> f64 {
-        let mut acc = 0.0;
-        let mut d = schema.aux_dims();
-        for _ in schema.coeff_indices() {
-            let dist = match self {
-                SpaceKind::Rectangular => {
-                    let dx = gap(ta.lo()[d], ta.hi()[d], tb.lo()[d], tb.hi()[d]);
-                    let dy = gap(
-                        ta.lo()[d + 1],
-                        ta.hi()[d + 1],
-                        tb.lo()[d + 1],
-                        tb.hi()[d + 1],
-                    );
-                    (dx * dx + dy * dy).sqrt()
-                }
-                SpaceKind::Polar => {
-                    // Leaf entries are points (up to the anti-rounding
-                    // padding); their "sectors" degenerate and the exact
-                    // complex distance minus a slack covering the padding
-                    // is a much cheaper valid lower bound.
-                    const POINTISH: f64 = 1e-6;
-                    let a_point = ta.hi()[d] - ta.lo()[d] < POINTISH
-                        && ta.hi()[d + 1] - ta.lo()[d + 1] < POINTISH;
-                    let b_point = tb.hi()[d] - tb.lo()[d] < POINTISH
-                        && tb.hi()[d + 1] - tb.lo()[d + 1] < POINTISH;
-                    if a_point && b_point {
-                        let pa = Complex64::from_polar(ta.lo()[d], ta.lo()[d + 1]);
-                        let pb = Complex64::from_polar(tb.lo()[d], tb.lo()[d + 1]);
-                        ((pa - pb).abs() - 4.0 * POINTISH).max(0.0)
-                    } else {
-                        let sa = sector_of(ta, d);
-                        let sb = sector_of(tb, d);
-                        sa.min_dist_to_sector(&sb)
-                    }
-                }
-            };
-            acc += dist * dist;
-            d += 2;
-        }
-        acc.sqrt()
-    }
-}
-
-fn sector_of(r: &Rect, d: usize) -> AnnularSector {
-    let (mlo, mhi) = (r.lo()[d].max(0.0), r.hi()[d].max(0.0));
-    let (alo, ahi) = (r.lo()[d + 1], r.hi()[d + 1]);
-    if ahi - alo >= 2.0 * PI - 1e-12 {
-        AnnularSector::annulus(mlo, mhi)
-    } else {
-        AnnularSector::new(mlo, mhi, alo, ahi)
-    }
-}
-
-#[inline]
-fn gap(alo: f64, ahi: f64, blo: f64, bhi: f64) -> f64 {
-    if ahi < blo {
-        blo - ahi
-    } else if bhi < alo {
-        alo - bhi
-    } else {
-        0.0
-    }
 }
 
 /// Optional constraints on the mean/std filter dimensions of a query

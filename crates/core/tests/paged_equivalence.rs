@@ -24,7 +24,7 @@ fn paged_copy(mem: &SimilarityIndex, tag: &str, capacity: usize) -> SimilarityIn
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Range, kNN and tree-join answers (and their traversal counters)
+    /// Range, kNN and index-join answers (and their traversal counters)
     /// are identical between memory and paged storage.
     #[test]
     fn queries_are_identical_across_storage_modes(
@@ -45,7 +45,7 @@ proptest! {
         {
             let (mem_range, mem_rs) = mem.range_query(&rel[0], eps, t, &window).unwrap();
             let (mem_knn, mem_ks) = mem.knn_query(&rel[1], k, t).unwrap();
-            let mem_join = mem.join_tree(eps, t).unwrap();
+            let mem_join = mem.join_index(eps, t).unwrap();
             for capacity in [1usize, usize::MAX] {
                 let paged = paged_copy(&mem, &format!("pq-{seed}-{ti}-{capacity}"), capacity);
                 let (range, rs) = paged.range_query(&rel[0], eps, t, &window).unwrap();
@@ -57,7 +57,7 @@ proptest! {
                 prop_assert_eq!(&knn, &mem_knn, "knn capacity {}", capacity);
                 prop_assert_eq!(ks.index.nodes_visited, mem_ks.index.nodes_visited);
                 prop_assert_eq!(ks.exact_checks, mem_ks.exact_checks);
-                let join = paged.join_tree(eps, t).unwrap();
+                let join = paged.join_index(eps, t).unwrap();
                 prop_assert_eq!(&join.pairs, &mem_join.pairs, "join capacity {}", capacity);
                 prop_assert_eq!(
                     join.stats.index.nodes_visited,

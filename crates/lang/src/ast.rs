@@ -48,7 +48,7 @@ pub enum Query {
     },
     /// `JOIN <relation> WITHIN <eps> [APPLY ...] [WITH (...)]`. A forced
     /// method (`WITH (force = <m>)`) keeps its historical Table-1
-    /// accounting (index and tree joins report each pair twice).
+    /// accounting (the index join reports each pair twice).
     Join {
         /// Relation self-joined.
         relation: String,

@@ -53,7 +53,8 @@ queries:
   FIND <k> NEAREST SUBSEQUENCE OF [v1, ..., vw] IN <rel> WINDOW <w>
   JOIN <rel> WITHIN <eps> [APPLY ...]
   every query form accepts a trailing WITH (opt = val, ...) options clause:
-    WITH (force = scan|index)   pin the access path (joins also: scanfull|tree)
+    WITH (force = m)            pin the access path; m is scan, scanfull or index
+                                (scanfull: joins only)
     WITH (threads = n)          cap scatter/batch parallelism
     WITH (shards = n)           cap how many shards are probed in parallel
 sharding:

@@ -16,7 +16,7 @@
 //!               | APPEND ident CSV row+ ; row := '(' ident (, number)* ')'
 //! shard_query  := SHARD ident INTO number BY (HASH | RANGE)
 //! with         := WITH '(' opt (',' opt)* ')'
-//! opt          := FORCE '=' (SCAN | SCANFULL | INDEX | TREE)
+//! opt          := FORCE '=' (SCAN | SCANFULL | INDEX)
 //!               | THREADS '=' number | SHARDS '=' number
 //! source       := ident . ident | '[' number (, number)* ']'
 //! tlist        := t (',' t)* ; t := ident [ '(' number (, number)* ')' ]
@@ -31,6 +31,9 @@
 //! The `WITH (...)` clause is the unified override surface
 //! ([`QueryOptions`]): `force` pins the access path, `threads` sizes the
 //! worker pool, `shards` caps the scatter width on sharded relations.
+//! `force` names one of Table 1's methods — `scan` (early abandoning),
+//! `scanfull` (full distances, joins only) or `index` — and nothing else
+//! is an alias for one of them.
 //! Validation the parser performs (so nonsense fails before execution):
 //! every `WITHIN` threshold must be non-negative, every `WINDOW` length
 //! must be an integer of at least 2, every `APPEND` row must carry at
@@ -46,6 +49,9 @@ use crate::ast::{AppendRow, Query, Source, TransformSpec, WindowSpec};
 use crate::error::LangError;
 use crate::lexer::tokenize;
 use crate::token::{Token, TokenKind};
+
+/// What a `WITH (force = ...)` option may name, as error messages spell it.
+const FORCE_VALUES: &str = "scan, scanfull or index";
 
 /// Parses a query string.
 ///
@@ -242,7 +248,7 @@ impl Parser {
     }
 
     /// The unified override clause:
-    /// `WITH (force = scan|scanfull|index|tree, threads = n, shards = n)`.
+    /// `WITH (force = scan|scanfull|index, threads = n, shards = n)`.
     /// Absent clause ⇒ all-default [`QueryOptions`]. Duplicate or unknown
     /// keys are parse errors.
     fn with_clause(&mut self) -> Result<QueryOptions, LangError> {
@@ -263,11 +269,8 @@ impl Parser {
                         "scan" => ForceOp::Scan,
                         "scanfull" => ForceOp::ScanFull,
                         "index" => ForceOp::Index,
-                        "tree" => ForceOp::Tree,
                         other => {
-                            return self.error(format!(
-                                "force must be scan, scanfull, index or tree, got {other}"
-                            ))
+                            return self.error(format!("force must be {FORCE_VALUES}, got {other}"))
                         }
                     });
                     was
@@ -444,8 +447,9 @@ impl Parser {
         // The pre-`WITH` spelling of the join method: name its
         // replacement instead of a bare "unexpected trailing input".
         if self.at_kw("USING") {
-            return self
-                .error("USING was removed; write WITH (force = scan|scanfull|index|tree) instead");
+            return self.error(format!(
+                "USING was removed; write WITH (force = ...) instead, where force is {FORCE_VALUES}"
+            ));
         }
         let options = self.with_clause()?;
         Ok(Query::Join {
@@ -597,7 +601,7 @@ mod tests {
 
     #[test]
     fn parse_join_with_method() {
-        match parse("JOIN stocks WITHIN 1.5 APPLY mavg(20) WITH (force = tree)").unwrap() {
+        match parse("JOIN stocks WITHIN 1.5 APPLY mavg(20) WITH (force = scanfull)").unwrap() {
             Query::Join {
                 relation,
                 eps,
@@ -607,7 +611,7 @@ mod tests {
                 assert_eq!(relation, "stocks");
                 assert_eq!(eps, 1.5);
                 assert_eq!(transforms.len(), 1);
-                assert_eq!(options.force, Some(ForceOp::Tree));
+                assert_eq!(options.force, Some(ForceOp::ScanFull));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -857,11 +861,11 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match parse("explain analyze JOIN r WITHIN 1 WITH (force = tree)").unwrap() {
+        match parse("explain analyze JOIN r WITHIN 1 WITH (force = index)").unwrap() {
             Query::Explain { analyze, query } => {
                 assert!(analyze);
                 assert!(matches!(*query, Query::Join { .. }));
-                assert_eq!(query.options().force, Some(ForceOp::Tree));
+                assert_eq!(query.options().force, Some(ForceOp::Index));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -80,18 +80,18 @@ fn golden_join_auto_and_forced() {
 Join on \"walks\": eps=1.5, transform=mavg(4)
   relation: 60 series x 32 points; index: 6-d R*-tree, height 2, 3 node(s)
   => JoinScan  (cost 66.9: disk 60.0, cpu 6.9; nodes 0.0, candidates 1770.0, refines 1770.0)
-     considered: JoinIndex 575.6 | JoinTree 398.5 | JoinScan 66.9 | JoinScan(full) 87.7
+     considered: JoinIndex 575.6 | JoinScan 66.9 | JoinScan(full) 87.7
 "
     );
     // A forced method is an override hint: it runs even though the
     // estimate says it is costlier, and the plan is marked [forced].
     assert_eq!(
-        explain(&cat, "EXPLAIN JOIN walks WITHIN 1.5 APPLY mavg(4) WITH (force = tree)"),
+        explain(&cat, "EXPLAIN JOIN walks WITHIN 1.5 APPLY mavg(4) WITH (force = index)"),
         "\
-Join on \"walks\": eps=1.5, transform=mavg(4), using TREE
+Join on \"walks\": eps=1.5, transform=mavg(4), using INDEX
   relation: 60 series x 32 points; index: 6-d R*-tree, height 2, 3 node(s)
-  => JoinTree [forced]  (cost 398.5: disk 392.4, cpu 6.1; nodes 5.0, candidates 387.4, refines 387.4)
-     considered: JoinIndex 575.6 | JoinTree 398.5 | JoinScan 66.9 | JoinScan(full) 87.7
+  => JoinIndex [forced]  (cost 575.6: disk 567.4, cpu 8.2; nodes 180.0, candidates 387.4, refines 387.4)
+     considered: JoinIndex 575.6 | JoinScan 66.9 | JoinScan(full) 87.7
 "
     );
 }

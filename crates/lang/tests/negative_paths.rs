@@ -44,6 +44,10 @@ fn using_is_a_parse_error_that_names_its_replacement() {
         match parse(src) {
             Err(LangError::Parse { pos, message }) => {
                 assert!(message.contains("WITH (force = "), "{src}: {message}");
+                assert!(
+                    message.contains("scan, scanfull or index"),
+                    "{src}: {message}"
+                );
                 assert_eq!(
                     pos,
                     src.to_ascii_uppercase().find("USING").unwrap(),
@@ -55,6 +59,35 @@ fn using_is_a_parse_error_that_names_its_replacement() {
     }
     // Only the clause position is reserved: a relation may be named so.
     assert!(parse("JOIN using WITHIN 2").is_ok());
+}
+
+/// A `force` value names one of the three remaining methods or nothing:
+/// `tree` (the deleted synchronized join) is refused in every form, by the
+/// parser and through `Catalog::run`, with a message naming the others.
+#[test]
+fn force_tree_is_a_parse_error_that_names_the_methods() {
+    let cat = catalog();
+    for src in [
+        "JOIN walks WITHIN 2 WITH (force = tree)",
+        "JOIN walks WITHIN 2 APPLY mavg(4) WITH (threads = 2, force = TREE)",
+        "EXPLAIN ANALYZE JOIN walks WITHIN 2 WITH (force = tree)",
+        "FIND SIMILAR TO walks.s0 IN walks WITHIN 1 WITH (force = tree)",
+        "FIND 3 NEAREST TO walks.s0 IN walks WITH (force = tree)",
+        "FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 1 WINDOW 32 WITH (force = tree)",
+    ] {
+        for (entry, got) in [
+            ("parse", parse(src).map(|_| ())),
+            ("run", cat.run(src).map(|_| ())),
+        ] {
+            match got {
+                Err(LangError::Parse { message, .. }) => assert_eq!(
+                    message, "force must be scan, scanfull or index, got tree",
+                    "{entry}: {src}"
+                ),
+                other => panic!("{entry}: {src}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
 }
 
 #[test]

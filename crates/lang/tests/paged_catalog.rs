@@ -42,7 +42,7 @@ fn workload() -> Vec<String> {
         "FIND 6 NEAREST TO stocks.s3 IN stocks".into(),
         "FIND 4 NEAREST TO walks.s2 IN walks APPLY reverse".into(),
         "JOIN stocks WITHIN 1.5 APPLY mavg(4) WITH (force = index)".into(),
-        "JOIN walks WITHIN 1.0 WITH (force = tree)".into(),
+        "JOIN walks WITHIN 1.0".into(),
         "FIND SUBSEQUENCE OF walks.s5 IN walks WITHIN 40 WINDOW 32".into(),
         "FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32".into(),
     ]

@@ -8,12 +8,11 @@
 //! - [`search::search_with`] exposes every stored MBR to a caller-supplied
 //!   acceptance test, so a safe transformation can be applied to the index
 //!   *on the fly* during traversal (Algorithm 1's `I' = T(I)` without
-//!   materializing `I'`);
+//!   materializing `I'`); an all-pairs query is one such search per probe
+//!   (the paper's Table 1 methods (c) and (d));
 //! - [`knn::nearest_with_tie`] runs best-first nearest-neighbor search
 //!   with pluggable lower-bound metrics (MINDIST et al., Roussopoulos 1995),
 //!   again allowing transformed metrics;
-//! - [`join::join_with`] prunes all-pairs queries through both trees with
-//!   a pluggable pair bound;
 //! - [`RStarTree::bulk_load`] packs a whole relation with STR;
 //! - every query returns [`stats::SearchStats`], whose node-visit counter
 //!   stands in for the paper's disk-access measurements.
@@ -22,7 +21,7 @@
 //! ([`rect::Rect`]); leaf entries may be points (degenerate rectangles),
 //! which is how feature vectors are stored by `tsq-core`.
 //!
-//! Each of those three traversals exists once, written against a
+//! The range visitor and the kNN loop each exist once, written against a
 //! [`NodeStore`]: "fetch a node by reference, get a guard exposing its
 //! level and its `(rect, item | child ref)` entries". Two stores
 //! implement it. `&RStarTree<T>` keeps every node in memory, its guard is
@@ -36,8 +35,7 @@
 //! the node-visit count. Because one piece of code counts for both, node
 //! visits, pruning and page accesses are comparable across storage modes.
 //! The tree types' own query methods (`RStarTree::search_with`,
-//! `PagedTree::nearest_with_tie`, [`spatial_join_with`], …) are thin
-//! callers of the three generic functions.
+//! `PagedTree::nearest_with_tie`, …) are thin callers of those two.
 //!
 //! The page file is the only form a tree is persisted in: snapshots store
 //! series, from which `tsq-core` rebuilds every tree, so there is no
@@ -49,7 +47,6 @@
 
 pub mod bulk;
 pub mod config;
-pub mod join;
 pub mod knn;
 pub mod page;
 pub mod paged;
@@ -65,9 +62,8 @@ mod node;
 mod split;
 
 pub use config::RTreeConfig;
-pub use join::{spatial_join, spatial_join_with};
 pub use knn::Neighbor;
-pub use node::{EntryId, NodeStore, Slot};
+pub use node::{NodeStore, Slot};
 pub use page::{BufferPool, PageId};
 pub use paged::PagedTree;
 pub use rect::Rect;

@@ -8,9 +8,9 @@
 //! in the buffer pool, counting the hit or miss, and fails with a typed
 //! [`tsq_store::StoreError`] on a page that cannot be read or decodes as
 //! corrupt. The guard *is* the pin: a traversal that keeps it alive while
-//! descending (range search, join) keeps the parent page resident, and
-//! one that drops it before the next fetch (best-first kNN) holds a
-//! single page at a time.
+//! descending (range search) keeps the parent page resident, and one that
+//! drops it before the next fetch (best-first kNN) holds a single page at
+//! a time.
 
 use std::convert::Infallible;
 
@@ -37,16 +37,8 @@ impl<'g, I, R> Slot<'g, I, R> {
     }
 }
 
-/// Identity of one rectangle of a store — an entry's, or a node's own
-/// recomputed bounds. Stable for as long as the store is borrowed and
-/// unique within it, so a caller can memoize work per rectangle without
-/// relying on rectangle addresses (a paged node's memory is recycled by
-/// the pool). One word, because a join memo hashes two per pair test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EntryId(pub(crate) u64);
-
-/// A source of R\*-tree nodes: the one interface the range visitor, the
-/// best-first kNN loop and the synchronized join are written against.
+/// A source of R\*-tree nodes: the one interface the range visitor and
+/// the best-first kNN loop are written against.
 ///
 /// Implemented by shared references (`&RStarTree<T>`, `&PagedTree`), so a
 /// store is `Copy` and its associated types may borrow from the tree.
@@ -70,16 +62,6 @@ pub trait NodeStore: Copy {
 
     /// The root node.
     fn root(self) -> Self::Ref;
-
-    /// Distinguishes this store from every other one alive (the join's
-    /// "same entry on both sides" test compares it).
-    fn store_id(self) -> usize;
-
-    /// Identifies `node`'s own bounding rectangle within this store.
-    fn node_id(node: Self::Ref) -> EntryId;
-
-    /// Identifies the rectangle in slot `slot` of `node` within this store.
-    fn entry_id(node: Self::Ref, slot: usize) -> EntryId;
 
     /// Fetches one node. A store that measures its fetches records them
     /// in `stats`.
@@ -109,23 +91,6 @@ impl<'a, T> NodeStore for &'a RStarTree<T> {
     #[inline]
     fn root(self) -> Self::Ref {
         &self.root
-    }
-
-    #[inline]
-    fn store_id(self) -> usize {
-        self as *const RStarTree<T> as usize
-    }
-
-    // A node and the entries in its vector are distinct places in memory:
-    // their addresses are the identities.
-    #[inline]
-    fn node_id(node: Self::Ref) -> EntryId {
-        EntryId(node as *const Node<T> as usize as u64)
-    }
-
-    #[inline]
-    fn entry_id(node: Self::Ref, slot: usize) -> EntryId {
-        EntryId(node.entries.as_ptr().wrapping_add(slot) as usize as u64)
     }
 
     #[inline]

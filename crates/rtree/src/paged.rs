@@ -5,17 +5,17 @@
 //! structure is copied node-for-node, child pointers becoming
 //! [`PageId`]s) and answers the same queries byte-identically, including
 //! every traversal counter, because it *is* the same code: `&PagedTree`
-//! is a [`NodeStore`], and the range visitor, kNN loop and join in
-//! `search`/`knn`/`join` are written once over that trait. What this
-//! store adds are the *measured* `pool_hits`/`pool_misses` counters and
-//! typed errors for pages that cannot be read.
+//! is a [`NodeStore`], and the range visitor and kNN loop in
+//! `search`/`knn` are written once over that trait. What this store adds
+//! are the *measured* `pool_hits`/`pool_misses` counters and typed errors
+//! for pages that cannot be read.
 //!
-//! Pins follow the traversal's guards: the range visitor and the join
-//! hold a node's pin while they descend below it (an ancestor chain of
-//! at most tree-height pages, twice that for a join), the best-first kNN
-//! loop drops each pin before it pops the next heap entry (one page at a
-//! time). The pool soft-overflows rather than deadlocks when every frame
-//! is pinned, so a capacity-1 pool still answers.
+//! Pins follow the traversal's guards: the range visitor holds a node's
+//! pin while it descends below it (an ancestor chain of at most
+//! tree-height pages), the best-first kNN loop drops each pin before it
+//! pops the next heap entry (one page at a time). The pool soft-overflows
+//! rather than deadlocks when every frame is pinned, so a capacity-1 pool
+//! still answers.
 //!
 //! Payloads are fixed to `u64` (the id-shaped types every index in this
 //! workspace stores); `create_from` bridges from the generic item type
@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use tsq_store::{crc32, Decoder, Encoder, StoreError, StoreResult};
 
 use crate::config::{RTreeConfig, MAX_PAGE_BYTES, PAGE_ALIGN, PAGE_HEADER_BYTES};
-use crate::node::{Entry, EntryId, Node, NodeStore, Slot};
+use crate::node::{Entry, Node, NodeStore, Slot};
 use crate::page::{seal_page, BufferPool, PageId, PagePin};
 use crate::persist::{read_rect, write_rect};
 use crate::rect::Rect;
@@ -50,10 +50,10 @@ const MAX_LEVEL: u32 = 64;
 /// CRC-32 4.
 const HEADER_BYTES: usize = 69;
 
-/// Bits of an [`EntryId`] that hold the slot of a paged entry.
-const SLOT_BITS: u32 = 18;
-const SLOT_MASK: usize = (1 << SLOT_BITS) - 1;
-const _: () = assert!(crate::config::MAX_FANOUT < SLOT_MASK);
+/// Most pages a page file may declare: the header check refuses more, so
+/// the file size a header implies is computed without overflow.
+const MAX_PAGE_COUNT: u64 = 1 << 40;
+const _: () = assert!(MAX_PAGE_COUNT * (MAX_PAGE_BYTES as u64) < u64::MAX - PAGE_ALIGN as u64);
 
 /// One decoded page: a node whose children are page references.
 #[derive(Debug)]
@@ -309,21 +309,6 @@ impl<'a> NodeStore for &'a PagedTree {
         (self.root, self.root_level)
     }
 
-    fn store_id(self) -> usize {
-        self as *const PagedTree as usize
-    }
-
-    // Page id above the slot bits; the all-ones slot names the node's own
-    // bounds. A node holds at most `MAX_FANOUT` entries and `open` refuses
-    // a page count that needs the slot bits, so the fields never overlap.
-    fn node_id(node: Self::Ref) -> EntryId {
-        Self::entry_id(node, SLOT_MASK)
-    }
-
-    fn entry_id((page, _): Self::Ref, slot: usize) -> EntryId {
-        EntryId(page.0 << SLOT_BITS | slot as u64)
-    }
-
     fn fetch(self, (page, level): Self::Ref, stats: &mut SearchStats) -> StoreResult<Self::Guard> {
         PagedTree::fetch(self, page, level, stats)
     }
@@ -500,8 +485,7 @@ fn decode_header(h: &[u8; HEADER_BYTES]) -> StoreResult<ParsedHeader> {
     if page_count == 0 {
         return Err(StoreError::corrupt("page file with zero pages"));
     }
-    // Page ids share a word with a slot number in an `EntryId`.
-    if page_count >> (u64::BITS - SLOT_BITS) != 0 {
+    if page_count > MAX_PAGE_COUNT {
         return Err(StoreError::corrupt(format!(
             "page count {page_count} exceeds what a page file can address"
         )));
@@ -649,6 +633,28 @@ mod tests {
             PagedTree::open(&p, 4),
             Err(StoreError::Corrupt { .. })
         ));
+
+        // A well-sealed header declaring more pages of the largest size
+        // than a file can hold: refused, the implied size never overflows.
+        for pages in [MAX_PAGE_COUNT, MAX_PAGE_COUNT + 1, 1 << 45, u64::MAX] {
+            let mut bad = good.clone();
+            let header = encode_header(
+                MAX_PAGE_BYTES,
+                pages,
+                PageId(0),
+                t.config(),
+                t.len(),
+                t.height() - 1,
+                t.dims(),
+            );
+            bad[..HEADER_BYTES].copy_from_slice(&header);
+            let p = temp_path("hdr-pages.pages");
+            std::fs::write(&p, &bad).unwrap();
+            assert!(
+                matches!(PagedTree::open(&p, 4), Err(StoreError::Corrupt { .. })),
+                "{pages} pages"
+            );
+        }
     }
 
     #[test]

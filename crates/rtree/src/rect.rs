@@ -255,26 +255,6 @@ impl Rect {
         best
     }
 
-    /// Squared minimum distance between two rectangles (zero if they
-    /// intersect). Used by spatial joins for distance predicates.
-    pub fn rect_min_dist2(&self, other: &Rect) -> f64 {
-        debug_assert_eq!(self.dims(), other.dims());
-        let (slo, shi) = (self.lo(), self.hi());
-        let (olo, ohi) = (other.lo(), other.hi());
-        let mut acc = 0.0;
-        for i in 0..self.dims() {
-            let d = if shi[i] < olo[i] {
-                olo[i] - shi[i]
-            } else if ohi[i] < slo[i] {
-                slo[i] - ohi[i]
-            } else {
-                0.0
-            };
-            acc += d * d;
-        }
-        acc
-    }
-
     /// Returns a copy grown by `pad >= 0` in every direction.
     pub fn expanded(&self, pad: f64) -> Rect {
         assert!(pad >= 0.0, "padding must be non-negative");
@@ -418,14 +398,6 @@ mod tests {
         let p = [4.0, 6.0];
         assert!((r.min_max_dist2(&p) - 25.0).abs() < 1e-12);
         assert!((r.min_dist2(&p) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rect_to_rect_distance() {
-        let a = r2([0.0, 0.0], [1.0, 1.0]);
-        let b = r2([3.0, 1.0], [4.0, 2.0]);
-        assert_eq!(a.rect_min_dist2(&b), 4.0);
-        assert_eq!(a.rect_min_dist2(&a), 0.0);
     }
 
     #[test]

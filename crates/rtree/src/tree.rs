@@ -1,5 +1,5 @@
 //! The R\*-tree proper: insertion (ChooseSubtree + forced reinsert +
-//! topological split), deletion with tree condensation, and structural
+//! topological split), in-place growth of an entry, and structural
 //! invariant checking.
 
 use crate::config::RTreeConfig;
@@ -182,48 +182,6 @@ impl<T> RStarTree<T> {
         self.root = Node::new(level, vec![old_entry, sibling]);
     }
 
-    /// Removes one item whose stored rectangle equals `rect` and whose
-    /// payload satisfies `pred`. Returns the removed item, or `None` if no
-    /// match exists.
-    pub fn remove<F: Fn(&T) -> bool>(&mut self, rect: &Rect, pred: F) -> Option<T> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut orphans: Vec<Entry<T>> = Vec::new();
-        let removed = delete_rec(&mut self.root, rect, &pred, &self.config, &mut orphans);
-        if removed.is_none() {
-            debug_assert!(orphans.is_empty());
-            return None;
-        }
-        self.len -= 1;
-        // Shrink the root while it is an internal node with a single child.
-        while !self.root.is_leaf() && self.root.entries.len() == 1 {
-            let only = self.root.entries.pop().expect("one entry");
-            match only {
-                Entry::Node { child, .. } => self.root = *child,
-                Entry::Leaf { .. } => unreachable!("leaf entry in internal root"),
-            }
-        }
-        if self.root.entries.is_empty() {
-            self.root = Node::new_leaf();
-        }
-        if !orphans.is_empty() {
-            let pending: Vec<(Entry<T>, u32)> = orphans
-                .into_iter()
-                .map(|e| {
-                    let lvl = e.target_level();
-                    (e, lvl)
-                })
-                .collect();
-            self.insert_entries(pending);
-        }
-        if self.len == 0 {
-            self.dims = None;
-            self.root = Node::new_leaf();
-        }
-        Some(removed.expect("checked above"))
-    }
-
     /// Replaces one entry in place with a **grown** version of itself:
     /// finds the leaf entry whose stored rectangle equals `old` and whose
     /// payload satisfies `pred`, swaps in `grown` and `item`, and unions
@@ -231,9 +189,8 @@ impl<T> RStarTree<T> {
     ///
     /// Because `grown` must contain `old`, bounds only loosen: no split,
     /// reinsertion or condensation can be needed, so the whole update is
-    /// `O(height)`. This is the fast path streaming appends use to widen
-    /// a partial trail chunk, where a `remove` + insert pair would pay
-    /// the R\*-tree's forced-reinsertion constants for nothing.
+    /// `O(height)`. This is how streaming appends widen a partial trail
+    /// chunk without paying the R\*-tree's insertion constants.
     ///
     /// Returns `true` when an entry was updated, `false` when no entry
     /// matched (the tree is unchanged).
@@ -493,8 +450,9 @@ fn overflow<T>(node: &mut Node<T>, ctx: &mut InsertCtx, cfg: &RTreeConfig) -> Ac
     })
 }
 
-/// Recursive worker for [`RStarTree::grow_entry`]: descend like a
-/// deletion, but on success only widen the path MBRs — never restructure.
+/// Recursive worker for [`RStarTree::grow_entry`]: descend into every
+/// child whose MBR meets `old`, and on success only widen the path MBRs —
+/// never restructure.
 fn grow_rec<T, F: Fn(&T) -> bool>(
     node: &mut Node<T>,
     old: &Rect,
@@ -530,62 +488,6 @@ fn grow_rec<T, F: Fn(&T) -> bool>(
         }
     }
     false
-}
-
-fn delete_rec<T, F: Fn(&T) -> bool>(
-    node: &mut Node<T>,
-    rect: &Rect,
-    pred: &F,
-    cfg: &RTreeConfig,
-    orphans: &mut Vec<Entry<T>>,
-) -> Option<T> {
-    if node.is_leaf() {
-        let pos = node.entries.iter().position(|e| match e {
-            Entry::Leaf { rect: r, item } => r == rect && pred(item),
-            Entry::Node { .. } => false,
-        })?;
-        match node.entries.swap_remove(pos) {
-            Entry::Leaf { item, .. } => return Some(item),
-            Entry::Node { .. } => unreachable!(),
-        }
-    }
-    let mut found: Option<T> = None;
-    let mut child_idx = None;
-    for i in 0..node.entries.len() {
-        let intersects = node.entries[i].rect().intersects(rect);
-        if !intersects {
-            continue;
-        }
-        let result = {
-            let child = match &mut node.entries[i] {
-                Entry::Node { child, .. } => child,
-                Entry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-            };
-            delete_rec(child, rect, pred, cfg, orphans)
-        };
-        if let Some(item) = result {
-            found = Some(item);
-            child_idx = Some(i);
-            break;
-        }
-    }
-    let item = found?;
-    let i = child_idx.expect("index recorded with item");
-    let underfull = match &node.entries[i] {
-        Entry::Node { child, .. } => child.entries.len() < cfg.min_entries,
-        Entry::Leaf { .. } => unreachable!(),
-    };
-    if underfull {
-        // Condense: remove the child node and queue its entries for
-        // reinsertion at their own levels.
-        match node.entries.swap_remove(i) {
-            Entry::Node { child, .. } => orphans.extend(child.entries),
-            Entry::Leaf { .. } => unreachable!(),
-        }
-    } else {
-        refresh_child_rect(node, i);
-    }
-    Some(item)
 }
 
 #[cfg(test)]
@@ -695,43 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_existing_item() {
-        let pts = grid(10);
-        let mut t = point_tree(&pts, RTreeConfig::with_max_entries(5));
-        let target = Rect::from_point(&[3.0, 4.0]);
-        let got = t.remove(&target, |&i| i == 34);
-        assert_eq!(got, Some(34));
-        assert_eq!(t.len(), 99);
-        t.validate();
-        // A second removal of the same item fails.
-        assert_eq!(t.remove(&target, |&i| i == 34), None);
-    }
-
-    #[test]
-    fn remove_all_items_in_random_order() {
-        let pts = grid(8);
-        let mut t = point_tree(&pts, RTreeConfig::with_max_entries(4));
-        // Pseudo-shuffle of removal order.
-        let mut order: Vec<usize> = (0..64).collect();
-        order.sort_by_key(|&i| (i * 37) % 64);
-        for idx in order {
-            let p = pts[idx];
-            let r = Rect::from_point(&p);
-            assert_eq!(t.remove(&r, |&it| it == idx), Some(idx), "missing {idx}");
-            t.validate();
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 0);
-    }
-
-    #[test]
-    fn remove_nonexistent_returns_none() {
-        let mut t = point_tree(&grid(4), RTreeConfig::with_max_entries(4));
-        assert_eq!(t.remove(&Rect::from_point(&[99.0, 99.0]), |_| true), None);
-        assert_eq!(t.len(), 16);
-    }
-
-    #[test]
     fn reinsert_disabled_still_correct() {
         let pts = grid(12);
         let t = point_tree(&pts, RTreeConfig::with_max_entries(6).without_reinsert());
@@ -755,8 +620,15 @@ mod tests {
     fn clone_is_deep() {
         let mut a = point_tree(&grid(5), RTreeConfig::with_max_entries(4));
         let b = a.clone();
-        a.remove(&Rect::from_point(&[0.0, 0.0]), |_| true);
-        assert_eq!(a.len() + 1, b.len());
+        let old = Rect::from_point(&[0.0, 0.0]);
+        assert!(a.grow_entry(
+            &old,
+            |_| true,
+            Rect::new(vec![0.0, 0.0], vec![9.0, 9.0]),
+            99
+        ));
+        assert_eq!(a.len(), b.len());
+        assert_eq!(b.search_collect(&old).0, vec![&0]);
         b.validate();
     }
 }

@@ -1,13 +1,12 @@
-//! The paged-store contract: the one range visitor, kNN loop and join
-//! recursion answer byte-identically over a [`PagedTree`] and over the
-//! in-memory tree it was created from — same results in the same order,
+//! The paged-store contract: the one range visitor and kNN loop answer
+//! byte-identically over a [`PagedTree`] and over the in-memory tree it
+//! was created from — same results in the same order,
 //! same traversal counters — at every pool capacity, including a single
 //! page and an unbounded pool. On a fully warm pool, `pool_misses` must be
 //! exactly zero, and a hostile page is a typed error from every traversal.
 
 use proptest::prelude::*;
 use tsq_rtree::config::PAGE_ALIGN;
-use tsq_rtree::join::join_with;
 use tsq_rtree::stats::SearchStats;
 use tsq_rtree::{PagedTree, RStarTree, RTreeConfig, Rect};
 use tsq_store::{crc32, StoreError};
@@ -140,32 +139,6 @@ proptest! {
         }
     }
 
-    /// The self-join agrees pair for pair, in emission order.
-    #[test]
-    fn self_join_mirrors_memory(points in points_strategy(120), eps in 0.0f64..200.0) {
-        let tree = build(&points, 5);
-        let mut mem_pairs = Vec::new();
-        let mem_stats = tsq_rtree::spatial_join_with(
-            &tree,
-            &tree,
-            |ra, rb| ra.rect_min_dist2(rb).sqrt(),
-            eps,
-            |_, &a, _, &b| mem_pairs.push((a, b)),
-        );
-        for capacity in [1usize, usize::MAX] {
-            let paged = paged_copy(&tree, &format!("join-{capacity}"), capacity);
-            let mut pairs = Vec::new();
-            let stats = paged
-                .self_join_with(
-                    |ra, rb| ra.rect_min_dist2(rb).sqrt(),
-                    eps,
-                    |_, a, _, b| pairs.push((a as usize, b as usize)),
-                )
-                .unwrap();
-            prop_assert_eq!(&pairs, &mem_pairs, "capacity {}", capacity);
-            assert_counters_match(&mem_stats, &stats, "join");
-        }
-    }
 }
 
 #[test]
@@ -216,74 +189,6 @@ fn capacity_one_pool_thrashes_but_stays_correct() {
         paged.pool().hits() + paged.pool().misses(),
         first.pool_hits + first.pool_misses + second.pool_hits + second.pool_misses
     );
-}
-
-/// Two deterministic clouds whose trees differ in height, so a join of
-/// them runs the mixed-level arms (one side already at its leaves).
-fn tall_and_short() -> (RStarTree<usize>, RStarTree<usize>) {
-    let tall: Vec<(f64, f64)> = (0..260)
-        .map(|i| (((i * 37) % 101) as f64, ((i * 53) % 97) as f64))
-        .collect();
-    let short: Vec<(f64, f64)> = (0..9)
-        .map(|i| (((i * 71) % 103) as f64, ((i * 29) % 89) as f64))
-        .collect();
-    let (tall, short) = (build(&tall, 4), build(&short, 4));
-    assert!(tall.height() > short.height() + 1);
-    (tall, short)
-}
-
-#[test]
-fn two_tree_join_mirrors_memory() {
-    let (tall, short) = tall_and_short();
-    let eps = 9.0;
-    let bound = |ra: &Rect, rb: &Rect| ra.rect_min_dist2(rb).sqrt();
-    for (a, b, tag, want_stats) in [
-        // Counters of `spatial_join_with` before the traversals were
-        // unified over a node store; they must never move.
-        (&tall, &short, "tall-short", (63, 36, 429, 60)),
-        (&short, &tall, "short-tall", (63, 36, 429, 60)),
-    ] {
-        let mut mem_pairs = Vec::new();
-        let mem_stats =
-            tsq_rtree::spatial_join_with(a, b, bound, eps, |_, &x, _, &y| mem_pairs.push((x, y)));
-        assert_eq!(
-            (
-                mem_stats.nodes_visited,
-                mem_stats.leaves_visited,
-                mem_stats.entries_tested,
-                mem_stats.candidates
-            ),
-            want_stats,
-            "{tag}"
-        );
-        let mut brute = Vec::new();
-        for (ra, &x) in a.iter() {
-            for (rb, &y) in b.iter() {
-                if bound(ra, rb) <= eps {
-                    brute.push((x, y));
-                }
-            }
-        }
-        brute.sort_unstable();
-        let mut sorted = mem_pairs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, brute, "{tag}");
-        for capacity in [1usize, 3, usize::MAX] {
-            let pa = paged_copy(a, &format!("{tag}-a-{capacity}"), capacity);
-            let pb = paged_copy(b, &format!("{tag}-b-{capacity}"), capacity);
-            let mut pairs = Vec::new();
-            let stats = join_with(
-                &pa,
-                &pb,
-                |_, ra, _, rb| bound(ra, rb),
-                eps,
-                |_, x, _, y| pairs.push((x as usize, y as usize)),
-            )
-            .unwrap();
-            assert_eq!(pairs, mem_pairs, "{tag} capacity {capacity}");
-            assert_counters_match(&mem_stats, &stats, tag);
-        }
-    }
 }
 
 /// Rewrites the payload of one page in place and reseals its checksum.
@@ -347,12 +252,6 @@ fn hostile_pages_are_typed_errors_from_every_traversal() {
                     "knn",
                     paged
                         .nearest_with_tie(points.len(), |_| 0.0, |_, _| 0.0, |i| i)
-                        .unwrap_err(),
-                ),
-                (
-                    "join",
-                    paged
-                        .self_join_with(|_, _| 0.0, 1.0, |_, _, _, _| {})
                         .unwrap_err(),
                 ),
             ];

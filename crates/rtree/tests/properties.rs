@@ -1,5 +1,5 @@
 //! Property-based tests for the R*-tree: structural invariants hold and
-//! queries agree with brute force under arbitrary insert/remove workloads.
+//! queries agree with brute force under arbitrary insert workloads.
 
 use proptest::prelude::*;
 use tsq_rtree::{RStarTree, RTreeConfig, Rect};
@@ -62,31 +62,6 @@ proptest! {
         }
     }
 
-    /// Removing a random subset leaves exactly the complement, with
-    /// invariants intact throughout.
-    #[test]
-    fn insert_remove_mix(points in points_strategy(150), seed in 0u64..1000) {
-        let mut tree = RStarTree::new(RTreeConfig::with_max_entries(6));
-        for (i, &p) in points.iter().enumerate() {
-            tree.insert_point(&pt(p), i);
-        }
-        let mut removed = Vec::new();
-        for (i, &p) in points.iter().enumerate() {
-            if (i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 3 == 0 {
-                let r = Rect::from_point(&pt(p));
-                prop_assert_eq!(tree.remove(&r, |&it| it == i), Some(i));
-                removed.push(i);
-            }
-        }
-        tree.validate();
-        prop_assert_eq!(tree.len(), points.len() - removed.len());
-        let mut remaining: Vec<usize> = tree.iter().map(|(_, &i)| i).collect();
-        remaining.sort_unstable();
-        let mut want: Vec<usize> = (0..points.len()).filter(|i| !removed.contains(i)).collect();
-        want.sort_unstable();
-        prop_assert_eq!(remaining, want);
-    }
-
     /// Bulk load produces a valid tree answering queries identically to
     /// incremental insertion.
     #[test]
@@ -109,35 +84,5 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
-    }
-
-    /// The self-join at distance eps finds exactly the pairs a brute-force
-    /// double loop finds (each unordered pair twice).
-    #[test]
-    fn self_join_matches_brute(points in points_strategy(60), eps in 0.0f64..200.0) {
-        let mut tree = RStarTree::new(RTreeConfig::with_max_entries(5));
-        for (i, &p) in points.iter().enumerate() {
-            tree.insert_point(&pt(p), i);
-        }
-        let mut got: Vec<(usize, usize)> = Vec::new();
-        tsq_rtree::spatial_join(
-            &tree,
-            &tree,
-            |r| r.clone(),
-            |r| r.clone(),
-            eps,
-            |_, &a, _, &b| got.push((a, b)),
-        );
-        got.sort_unstable();
-        let mut want = Vec::new();
-        for (i, &(xi, yi)) in points.iter().enumerate() {
-            for (j, &(xj, yj)) in points.iter().enumerate() {
-                if i != j && ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt() <= eps {
-                    want.push((i, j));
-                }
-            }
-        }
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 }

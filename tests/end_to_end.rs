@@ -163,7 +163,7 @@ fn candidate_counts_shrink_with_k() {
 }
 
 #[test]
-fn parallel_scan_and_tree_join_cross_check() {
+fn parallel_scan_and_index_join_cross_check() {
     let rel = StockGenerator::new(1006).relation(150, 64);
     let idx = SimilarityIndex::build(IndexConfig::default(), rel).unwrap();
     let t = LinearTransform::moving_average(64, 10);
@@ -175,10 +175,15 @@ fn parallel_scan_and_tree_join_cross_check() {
     assert_eq!(scan, indexed);
 
     let a = idx.join_index(1.0, &t).unwrap();
-    let b = idx.join_tree(1.0, &t).unwrap();
-    let mut ka: Vec<_> = a.pairs.iter().map(|p| (p.a, p.b)).collect();
-    let mut kb: Vec<_> = b.pairs.iter().map(|p| (p.a, p.b)).collect();
+    let b = idx.join_scan(1.0, &t, ScanMode::EarlyAbandon).unwrap();
+    let mut ka: Vec<_> = a
+        .pairs
+        .iter()
+        .filter(|p| p.a < p.b)
+        .map(|p| (p.a, p.b))
+        .collect();
+    let kb: Vec<_> = b.pairs.iter().map(|p| (p.a, p.b)).collect();
     ka.sort_unstable();
-    kb.sort_unstable();
+    assert_eq!(a.pairs.len(), 2 * kb.len());
     assert_eq!(ka, kb);
 }

@@ -253,7 +253,6 @@ fn layers(
                 outcome(|| idx.join_scan(eps, t, ScanMode::EarlyAbandon)),
             );
             push("join_index", outcome(|| idx.join_index(eps, t)));
-            push("join_tree", outcome(|| idx.join_tree(eps, t)));
             (
                 LogicalPlan::Join {
                     relation: "r".into(),
@@ -265,7 +264,6 @@ fn layers(
                         mode: ScanMode::EarlyAbandon,
                     },
                     PhysicalOp::JoinIndex { dedup: true },
-                    PhysicalOp::JoinTree { dedup: true },
                 ],
             )
         }
@@ -294,7 +292,7 @@ fn layers(
     }
     if form == Form::Join {
         // A forced join pins the operator before costing anything.
-        for force in [ForceOp::Index, ForceOp::Tree] {
+        for force in [ForceOp::ScanFull, ForceOp::Index] {
             push(
                 &format!("4-shard execute {force:?}"),
                 outcome(|| w.four.execute(&logical, Some(force), 2)),
@@ -317,7 +315,7 @@ fn through_catalog(
     let literal: Vec<String> = q.values().iter().map(|v| format!("{v}")).collect();
     let literal = literal.join(", ");
     let forces: &[&str] = match form {
-        Form::Join => &["", "scan", "scanfull", "index", "tree"],
+        Form::Join => &["", "scan", "scanfull", "index"],
         _ => &["", "scan", "index"],
     };
     let mut out = Vec::new();

@@ -336,7 +336,7 @@ fn concurrent_appends_through_a_live_server_match_a_sequential_oracle() {
         "FIND 5 NEAREST TO walks.s7 IN walks APPLY mavg(8)",
         "JOIN walks WITHIN 1.5 APPLY mavg(6) WITH (force = index)",
         "EXPLAIN ANALYZE FIND SIMILAR TO walks.s3 IN walks WITHIN 2",
-        "EXPLAIN ANALYZE JOIN walks WITHIN 1.5 WITH (force = tree)",
+        "EXPLAIN ANALYZE JOIN walks WITHIN 1.5 WITH (force = index)",
     ] {
         assert_eq!(shared.run(q).unwrap(), oracle.run(q).unwrap(), "{q}");
     }

@@ -115,8 +115,8 @@ proptest! {
     }
 
     /// Joins: the planner's own pick and both scan forces return the
-    /// scan oracle's unordered pair set, once per pair; the index and
-    /// tree forces keep the paper's twice-per-pair accounting.
+    /// scan oracle's unordered pair set, once per pair; the index force
+    /// keeps the paper's twice-per-pair accounting.
     #[test]
     fn join_plans_agree_with_scan_oracle(rel in relation(16, 24), eps in 0.0f64..20.0) {
         let len = rel[0].len();
@@ -139,12 +139,10 @@ proptest! {
         for force in [None, Some(ForceOp::Scan), Some(ForceOp::ScanFull)] {
             prop_assert_eq!(&run(force), &want, "{:?}", force);
         }
-        for force in [ForceOp::Index, ForceOp::Tree] {
-            let mut twice = run(Some(force));
-            prop_assert_eq!(twice.len(), 2 * want.len(), "{:?}", force);
-            twice.retain(|(a, b)| a < b);
-            prop_assert_eq!(&twice, &want, "{:?}", force);
-        }
+        let mut twice = run(Some(ForceOp::Index));
+        prop_assert_eq!(twice.len(), 2 * want.len());
+        twice.retain(|(a, b)| a < b);
+        prop_assert_eq!(&twice, &want);
     }
 }
 
@@ -247,6 +245,61 @@ fn planner_never_costs_more_than_the_better_forced_plan() {
     }
 }
 
+/// The benchmark's sharded join, as a gate on the planner's join choice:
+/// Table 1's query under `mavg(8)` on 300 stock-like series of 128
+/// points (the `pairs` relation of `bench/src/data.rs` at run seeds
+/// 19970513–15), at thresholds admitting 20, 30, 40 and 58 pairs,
+/// calibrated on a forced scan as `bench/src/workload.rs` calibrates
+/// them. At 1 and 4 hash shards every shard plans the early-abandoning
+/// scan join, the fastest method on this shape, and the planned answer
+/// is the forced scan's, row for row and bit for bit.
+#[test]
+fn sharded_stock_joins_plan_the_scan_join() {
+    const TARGETS: [usize; 4] = [20, 30, 40, 58];
+    let bits = |rows: &[Row]| -> Vec<(String, Option<String>, u64)> {
+        rows.iter()
+            .map(|r| (r.a.clone(), r.b.clone(), r.distance.to_bits()))
+            .collect()
+    };
+    for seed in 19_970_513u64..=19_970_515 {
+        let series = StockGenerator::new(seed + 3).relation(300, 128);
+        let mut cat = Catalog::new();
+        cat.register(SeriesRelation::from_series("pairs", series).unwrap())
+            .unwrap();
+        // Every pair within a threshold wide enough for the largest
+        // target, nearest first.
+        let mut eps = 0.25;
+        let distances = loop {
+            let text = format!("JOIN pairs WITHIN {eps} APPLY mavg(8) WITH (force = scan)");
+            let rows = cat.run(&text).unwrap().rows;
+            if rows.len() > TARGETS[3] {
+                let mut d: Vec<f64> = rows.iter().map(|r| r.distance).collect();
+                d.sort_by(f64::total_cmp);
+                break d;
+            }
+            eps *= 1.5;
+        };
+        for shards in [1usize, 4] {
+            cat.run_mut(&format!("SHARD pairs INTO {shards} BY HASH"))
+                .unwrap();
+            let scan_plan = match shards {
+                1 => "JoinScan".to_string(),
+                n => format!("Sharded({n}):JoinScan"),
+            };
+            for target in TARGETS {
+                let eps = (distances[target - 1] + distances[target]) / 2.0;
+                let text = format!("JOIN pairs WITHIN {eps} APPLY mavg(8)");
+                let what = format!("seed {seed}, {shards} shard(s), {target} pairs: {text}");
+                let planned = cat.run(&text).unwrap();
+                let forced = cat.run(&format!("{text} WITH (force = scan)")).unwrap();
+                assert_eq!(planned.plan, scan_plan, "{what}");
+                assert_eq!(planned.rows.len(), target, "{what}");
+                assert_eq!(bits(&planned.rows), bits(&forced.rows), "{what}");
+            }
+        }
+    }
+}
+
 /// Snapshot round trip: the restored catalog plans byte-for-byte
 /// identically — same EXPLAIN text (estimates included) and same chosen
 /// plans, for every query form.
@@ -268,7 +321,7 @@ fn snapshot_round_trip_preserves_plan_choices() {
         "EXPLAIN FIND SIMILAR TO small.s2 IN small WITHIN 3 APPLY mavg(4)",
         "EXPLAIN FIND 5 NEAREST TO walks.s3 IN walks",
         "EXPLAIN JOIN small WITHIN 1.5 APPLY mavg(4)",
-        "EXPLAIN JOIN small WITHIN 1.5 WITH (force = tree)",
+        "EXPLAIN JOIN small WITHIN 1.5 WITH (force = index)",
         "EXPLAIN FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 5 WINDOW 64",
     ];
     let before: Vec<String> = queries
@@ -462,11 +515,6 @@ fn one_shard_catalog_equals_the_bare_engine() {
             Some(ForceOp::Index),
         ),
         (
-            "JOIN walks WITHIN 1.2 APPLY mavg(4) WITH (force = tree)".into(),
-            join(),
-            Some(ForceOp::Tree),
-        ),
-        (
             format!("FIND SUBSEQUENCE OF [{probe_text}] IN walks WITHIN 4 WINDOW 8"),
             LogicalPlan::SubseqRange {
                 relation: "walks".into(),
@@ -631,7 +679,7 @@ fn reported_distance_is_within_itself() {
                     f => format!(" WITH (force = {f})"),
                 };
                 let mut rows = cat.run(&format!("{within}{with}")).unwrap().rows;
-                // A forced index / tree join reports each pair in both
+                // A forced index join reports each pair in both
                 // directions; the others once, `a < b`.
                 rows.retain(|r| r.b.as_deref().map_or(true, |b| id(&r.a) < id(b)));
                 let rows: Vec<Key> = rows.iter().map(key).collect();
@@ -699,7 +747,7 @@ fn reported_distance_is_within_itself() {
                 format!("join{apply}, pair {witness:?}"),
                 witness,
                 &within,
-                &["", "scan", "scanfull", "index", "tree"],
+                &["", "scan", "scanfull", "index"],
             );
         }
     }
@@ -993,7 +1041,7 @@ fn lemma_1_holds_within_four_ulps_of_the_threshold() {
                 check(
                     &format!("{what}, eps = d{j:+} ulps = {eps:e}"),
                     &format!("JOIN w WITHIN {eps}{apply}"),
-                    &["scan", "scanfull", "index", "tree", ""],
+                    &["scan", "scanfull", "index", ""],
                     &key(witness),
                     j >= 0,
                 );

@@ -172,25 +172,46 @@ fn http_facade_matches_in_process_execution() {
         "{answer}"
     );
 
-    // Unknown relation → 400 with the typed code.
-    let bad = "FIND 1 NEAREST TO ghosts.s0 IN ghosts";
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    stream
-        .write_all(
-            format!(
-                "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{bad}",
-                bad.len()
+    // An unknown relation, and a force naming no method (the deleted
+    // synchronized join's `tree`): 400 with the typed code over HTTP,
+    // `BadQuery` citing the cause over the wire.
+    let mut client = Client::connect(addr).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    for (bad, cause) in [
+        ("FIND 1 NEAREST TO ghosts.s0 IN ghosts", "ghosts"),
+        (
+            "JOIN walks WITHIN 1.5 WITH (force = tree)",
+            "scan, scanfull or index",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+            .write_all(
+                format!(
+                    "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{bad}",
+                    bad.len()
+                )
+                .as_bytes(),
             )
-            .as_bytes(),
-        )
-        .unwrap();
-    let mut answer = String::new();
-    stream.read_to_string(&mut answer).unwrap();
-    assert!(answer.starts_with("HTTP/1.1 400"), "{answer}");
-    assert!(answer.contains("\"error\":\"bad-query\""), "{answer}");
+            .unwrap();
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 400"), "{bad}: {answer}");
+        assert!(
+            answer.contains("\"error\":\"bad-query\""),
+            "{bad}: {answer}"
+        );
+        match client.query(bad) {
+            Err(ClientError::Remote(e)) => {
+                assert_eq!(e.code, ErrorCode::BadQuery, "{bad}: {e}");
+                assert!(e.message.contains(cause), "{bad}: {e}");
+            }
+            other => panic!("{bad}: expected a remote BadQuery, got {other:?}"),
+        }
+    }
 
     // /metrics sees both outcomes; a scraper's query string does not
     // change the route.
@@ -205,7 +226,7 @@ fn http_facade_matches_in_process_execution() {
     stream.read_to_string(&mut metrics).unwrap();
     assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
     assert!(metrics.contains("\"queries_ok\":1"), "{metrics}");
-    assert!(metrics.contains("\"queries_err\":1"), "{metrics}");
+    assert!(metrics.contains("\"queries_err\":4"), "{metrics}");
 
     let snap = handle.shutdown();
     assert!(snap.http_requests >= 3);

@@ -289,7 +289,7 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
             let (_, _, sizes) = sharded.shard_layout("w").unwrap();
             assert!(sizes.contains(&0), "the layout must hold an empty shard");
         }
-        for force in ["", "scan", "scanfull", "index", "tree"] {
+        for force in ["", "scan", "scanfull", "index"] {
             let with = if force.is_empty() {
                 String::new()
             } else {

@@ -137,7 +137,7 @@ proptest! {
             "FIND SIMILAR TO alpha.s0 IN alpha WITHIN 10".to_string(),
             "FIND 3 NEAREST TO beta.s1 IN beta".to_string(),
             "JOIN alpha WITHIN 2 WITH (force = index)".to_string(),
-            "JOIN beta WITHIN 2 APPLY mavg(3) WITH (force = tree)".to_string(),
+            "JOIN beta WITHIN 2 APPLY mavg(3)".to_string(),
             format!("FIND SUBSEQUENCE OF alpha.s1 IN alpha WITHIN 20 WINDOW {len_a}"),
             format!("FIND 2 NEAREST SUBSEQUENCE OF beta.s0 IN beta WINDOW {len_b}"),
         ];
