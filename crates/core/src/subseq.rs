@@ -32,6 +32,7 @@
 //! rounding (same trick as the transformed-MBR padding in
 //! [`crate::space`]).
 
+use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 use tsq_dft::dft::dft_prefix;
@@ -466,9 +467,12 @@ impl SubseqIndex {
             return Ok((Vec::new(), SubseqStats::default()));
         }
         let qcoords = coeff_coords(&dft_prefix(q.values(), self.config.k));
-        // Phase 1: best-first over trails, collecting every examined
-        // window's exact squared distance.
-        let mut seen: Vec<(f64, usize, usize)> = Vec::new(); // (d2, series, offset)
+        // Phase 1: best-first over trails, keeping the `k` smallest
+        // examined windows by `(d2, series, offset)` in a bounded heap — a
+        // squared distance is never negative, so its bits order as its
+        // value. Memory stays `O(k)` however many windows the pass visits.
+        let mut kept: BinaryHeap<(u64, usize, usize)> =
+            BinaryHeap::with_capacity(k.min(self.windows_total));
         let mut candidates = 0usize;
         let (trail_hits, mut index_stats) = self.tree.nearest_with(
             k,
@@ -481,22 +485,29 @@ impl SubseqIndex {
                     let window = &values[offset..offset + self.config.window];
                     let d2 = full_distance_sq(window, q.values());
                     best = best.min(d2);
-                    seen.push((d2, trail.series, offset));
+                    let entry = (d2.to_bits(), trail.series, offset);
+                    if kept.len() < k {
+                        kept.push(entry);
+                    } else if let Some(mut worst) = kept.peek_mut() {
+                        if entry < *worst {
+                            *worst = entry;
+                        }
+                    }
                 }
                 best.sqrt()
             },
         );
-        seen.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+        // Ascending: the `k` smallest of every examined window, in order.
+        let seen = kept.into_sorted_vec();
         if trail_hits.len() < k || self.trails_total <= k {
             // Fewer trails than neighbors requested: the best-first pass
             // visited every window, so `seen` already is the exact answer.
-            seen.truncate(k);
             let matches: Vec<SubseqMatch> = seen
                 .into_iter()
                 .map(|(d2, series, offset)| SubseqMatch {
                     series,
                     offset,
-                    distance: d2.sqrt(),
+                    distance: f64::from_bits(d2).sqrt(),
                 })
                 .collect();
             let stats = SubseqStats {
@@ -509,11 +520,12 @@ impl SubseqIndex {
             };
             return Ok((matches, stats));
         }
-        // Phase 2: refine. `seen` holds at least k true window distances
-        // (each of the k trails contributes at least one), so its k-th
+        // Phase 2: refine. `seen` holds k true window distances (each of
+        // the k trails contributes at least one window), so its k-th
         // smallest is a valid search radius for the exact answer set —
         // and a distance is within itself, so the boundary window survives.
-        let (mut matches, range_stats) = self.range_inner(q, seen[k - 1].0.sqrt());
+        let radius = f64::from_bits(seen[k - 1].0).sqrt();
+        let (mut matches, range_stats) = self.range_inner(q, radius);
         sort_matches(&mut matches);
         matches.truncate(k);
         index_stats.absorb(&range_stats.index);
@@ -860,6 +872,25 @@ mod tests {
         assert_eq!(got.len(), idx.windows_total());
         assert_eq!(got[0].offset, 0);
         assert!(got[0].distance < 1e-12);
+    }
+
+    #[test]
+    fn knn_ties_break_by_series_then_offset() {
+        // Every window of a constant relation is the same distance from
+        // the query: the answer is the first `k` windows in `(series,
+        // offset)` order, both when the best-first pass visits every
+        // trail and when the refine phase runs.
+        let rel: Vec<TimeSeries> = (0..3).map(|_| TimeSeries::new(vec![2.5; 40])).collect();
+        let idx = SubseqIndex::build(SubseqConfig::new(8), rel).unwrap();
+        let q = TimeSeries::new(vec![1.0; 8]);
+        for k in [1usize, 2, 5, 33, 34, 99, 200] {
+            let (got, _) = idx.subseq_knn(&q, k).unwrap();
+            let want = idx.scan_subseq_knn(&q, k).unwrap();
+            let key = |m: &[SubseqMatch]| -> Vec<(usize, usize)> {
+                m.iter().map(|m| (m.series, m.offset)).collect()
+            };
+            assert_eq!(key(&got), key(&want), "k {k}");
+        }
     }
 
     #[test]
