@@ -114,3 +114,6 @@ pub use shard::{
 pub use space::{QueryWindow, SpaceKind};
 pub use subseq::{SubseqConfig, SubseqIndex, SubseqMatch, SubseqScanStats, SubseqStats};
 pub use transform::LinearTransform;
+/// The series crate, for dependents that reach it through the engine: the
+/// network service reads append rows with [`series::io::parse_rows`].
+pub use tsq_series as series;

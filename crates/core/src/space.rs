@@ -2,6 +2,19 @@
 //! (Section 3.1), search-rectangle construction (Figure 7), and the action
 //! of a safe transformation on minimum bounding rectangles (Algorithm 1).
 //!
+//! ## Algorithm 1, once
+//!
+//! One private kernel, `SpaceKind::transformed_dims`, is Algorithm 1's
+//! implementation: it applies `T` to a stored rectangle dimension by
+//! dimension, in index order, and hands each transformed, padded bound
+//! pair to its caller, which may stop early. The range filter
+//! ([`SpaceKind::transformed_intersects`]) stops at the first disjoint
+//! dimension; kNN's MINDIST ([`SpaceKind::transformed_lower_bound`]) sums
+//! per-coefficient distances from the pairs. Neither builds `T(rect)` nor
+//! allocates. The anti-rounding pad `1e-9·(1 + max(|lo|, |hi|))` lives in
+//! one helper, `padded`, which the ST-index's trail rectangles
+//! ([`crate::subseq`]) call too.
+//!
 //! ## Lemma 1 in floating point
 //!
 //! The filter's bound and the refine's sum come from two computations: the
@@ -47,6 +60,7 @@
 //! walks.
 
 use std::f64::consts::PI;
+use std::ops::ControlFlow;
 
 use tsq_dft::Complex64;
 use tsq_rtree::Rect;
@@ -235,83 +249,6 @@ impl SpaceKind {
         }
     }
 
-    /// Applies a safe transformation to a stored MBR (Algorithm 1: the
-    /// node-wise construction of the transformed index `I' = T(I)`).
-    ///
-    /// The caller must have verified safety via
-    /// [`SpaceKind::check_safety`]; debug assertions re-check.
-    pub fn transform_mbr(&self, rect: &Rect, t: &LinearTransform, schema: FeatureSchema) -> Rect {
-        let dims = schema.dims();
-        debug_assert_eq!(rect.dims(), dims);
-        let mut lo = Vec::with_capacity(dims);
-        let mut hi = Vec::with_capacity(dims);
-        let mut d = 0;
-        if schema.aux_dims() == 2 {
-            let (ma, mb) = t.mean_map();
-            push_affine(&mut lo, &mut hi, rect.lo()[0], rect.hi()[0], ma, mb);
-            let (sa, sb) = t.std_map();
-            push_affine(&mut lo, &mut hi, rect.lo()[1], rect.hi()[1], sa, sb);
-            d = 2;
-        }
-        for f in schema.coeff_indices() {
-            let (alo, ahi) = (rect.lo()[d], rect.hi()[d]);
-            let (blo, bhi) = (rect.lo()[d + 1], rect.hi()[d + 1]);
-            match self {
-                SpaceKind::Rectangular => {
-                    let a = t.a()[f];
-                    debug_assert!(a.is_real(1e-6), "unsafe multiplier in S_rect");
-                    let b = t.b()[f];
-                    push_affine(&mut lo, &mut hi, alo, ahi, a.re, b.re);
-                    push_affine(&mut lo, &mut hi, blo, bhi, a.re, b.im);
-                }
-                SpaceKind::Polar => {
-                    debug_assert!(t.b()[f].abs() <= 1e-6, "unsafe translation in S_pol");
-                    let (scale, delta) = t.a_polar()[f];
-                    lo.push(alo * scale);
-                    hi.push(ahi * scale);
-                    if scale == 0.0 {
-                        // Everything collapses to the origin: angle is
-                        // meaningless, keep the full range.
-                        lo.push(-PI);
-                        hi.push(PI);
-                    } else {
-                        let span = bhi - blo;
-                        if span >= 2.0 * PI - 1e-12 {
-                            lo.push(-PI);
-                            hi.push(PI);
-                        } else {
-                            let nl = normalize_angle(blo + delta);
-                            let nh = normalize_angle(bhi + delta);
-                            if nl <= nh && (nh - nl) - span <= 1e-9 {
-                                lo.push(nl);
-                                hi.push(nh);
-                            } else {
-                                // The shifted interval crosses ±π: widen to
-                                // the full circle (conservative; preserves
-                                // the no-false-dismissal guarantee).
-                                lo.push(-PI);
-                                hi.push(PI);
-                            }
-                        }
-                    }
-                }
-            }
-            d += 2;
-        }
-        // Conservative padding: the point-wise transformation (complex
-        // multiply, atan2) and the rectangle-wise transformation (affine on
-        // bounds, angle shift) round differently in the last ulps. Widening
-        // every dimension by a relative 1e-9 keeps the transformed MBR a
-        // strict superset of every transformed member point, preserving the
-        // Lemma-1 guarantee without affecting pruning power measurably.
-        for i in 0..lo.len() {
-            let pad = 1e-9 * (1.0 + lo[i].abs().max(hi[i].abs()));
-            lo[i] -= pad;
-            hi[i] += pad;
-        }
-        Rect::new(lo, hi)
-    }
-
     /// Lower bound on the distance between the (transformed) objects inside
     /// a stored MBR and a query point, measured over the indexed
     /// coefficients only. Admissible for KNN: it never exceeds the true
@@ -325,12 +262,20 @@ impl SpaceKind {
         schema: FeatureSchema,
         query: &Features,
     ) -> f64 {
-        let trect = self.transform_mbr(rect, t, schema);
+        let aux = schema.aux_dims();
+        let coeffs = query.indexed_coeffs(schema);
+        let mut first = (0.0, 0.0);
         let mut acc = 0.0;
-        let mut d = schema.aux_dims();
-        for &q in query.indexed_coeffs(schema) {
-            let (alo, ahi) = (trect.lo()[d], trect.hi()[d]);
-            let (blo, bhi) = (trect.lo()[d + 1], trect.hi()[d + 1]);
+        let _ = self.transformed_dims(rect, t, schema, |d, lo, hi| {
+            if d < aux {
+                return ControlFlow::Continue(());
+            }
+            if (d - aux) % 2 == 0 {
+                first = (lo, hi);
+                return ControlFlow::Continue(());
+            }
+            let ((alo, ahi), (blo, bhi)) = (first, (lo, hi));
+            let q = coeffs[(d - aux) / 2];
             let dist = match self {
                 SpaceKind::Rectangular => {
                     let dx = axis_dist(q.re, alo, ahi);
@@ -347,23 +292,17 @@ impl SpaceKind {
                 }
             };
             acc += dist * dist;
-            d += 2;
-        }
+            ControlFlow::Continue(())
+        });
         match acc > 0.0 {
             true => ulp_down(acc.sqrt()),
             false => 0.0,
         }
     }
-}
 
-impl SpaceKind {
-    /// Allocation-free variant of "transform the MBR, test overlap": the
-    /// transformed bounds of each dimension are computed in turn and tested
-    /// against the query rectangle immediately, so a disjoint dimension
-    /// aborts the remaining work. Semantically identical to
-    /// `transform_mbr(rect, t, schema).intersects(query)` (including the
-    /// conservative anti-rounding padding); this is the hot path of
-    /// Algorithm 2.
+    /// Whether the transformed stored rectangle `T(rect)` meets the query
+    /// rectangle: the filter of Algorithm 2, deciding at the first
+    /// disjoint dimension without building `T(rect)`.
     pub fn transformed_intersects(
         &self,
         rect: &Rect,
@@ -371,83 +310,115 @@ impl SpaceKind {
         schema: FeatureSchema,
         query: &Rect,
     ) -> bool {
-        #[inline]
-        fn overlap(lo: f64, hi: f64, qlo: f64, qhi: f64) -> bool {
-            let pad = 1e-9 * (1.0 + lo.abs().max(hi.abs()));
-            lo - pad <= qhi && qlo <= hi + pad
-        }
-        #[inline]
-        fn affine_overlap(l: f64, h: f64, a: f64, b: f64, qlo: f64, qhi: f64) -> bool {
-            let x = a * l + b;
-            let y = a * h + b;
-            let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-            overlap(lo, hi, qlo, qhi)
-        }
+        let (qlo, qhi) = (query.lo(), query.hi());
+        self.transformed_dims(rect, t, schema, |d, lo, hi| {
+            match lo <= qhi[d] && qlo[d] <= hi {
+                true => ControlFlow::Continue(()),
+                false => ControlFlow::Break(()),
+            }
+        })
+        .is_continue()
+    }
+
+    /// Algorithm 1 on one stored rectangle: the node-wise construction of
+    /// the transformed index `I' = T(I)`. Hands `visit` each dimension `d`
+    /// of `T(rect)` in index order as its bounds `(lo, hi)`, each widened
+    /// by [`padded`], and stops at the first dimension `visit` breaks on.
+    ///
+    /// Mean and std go through `T`'s affine maps; each indexed coefficient's
+    /// two coordinates through the real affine map `a_f·x + b_f` in `S_rect`
+    /// (Theorem 2), or through the magnitude scale `|a_f|` and the angle
+    /// shift `arg a_f` in `S_pol` (Theorem 3). A shifted angle interval
+    /// that wraps past ±π, or one under a zero scale (everything collapses
+    /// to the origin), is the full circle — conservative, never lossy,
+    /// since stored angles are normalized.
+    ///
+    /// The caller must have verified safety via
+    /// [`SpaceKind::check_safety`]; debug assertions re-check.
+    #[inline]
+    fn transformed_dims(
+        &self,
+        rect: &Rect,
+        t: &LinearTransform,
+        schema: FeatureSchema,
+        mut visit: impl FnMut(usize, f64, f64) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        debug_assert_eq!(rect.dims(), schema.dims());
+        let (lo, hi) = (rect.lo(), rect.hi());
+        let mut emit = |d: usize, (l, h): (f64, f64)| {
+            let (l, h) = padded(l, h);
+            visit(d, l, h)
+        };
         let mut d = 0;
         if schema.aux_dims() == 2 {
-            let (ma, mb) = t.mean_map();
-            if !affine_overlap(
-                rect.lo()[0],
-                rect.hi()[0],
-                ma,
-                mb,
-                query.lo()[0],
-                query.hi()[0],
-            ) {
-                return false;
-            }
-            let (sa, sb) = t.std_map();
-            if !affine_overlap(
-                rect.lo()[1],
-                rect.hi()[1],
-                sa,
-                sb,
-                query.lo()[1],
-                query.hi()[1],
-            ) {
-                return false;
-            }
+            emit(0, affine(lo[0], hi[0], t.mean_map()))?;
+            emit(1, affine(lo[1], hi[1], t.std_map()))?;
             d = 2;
         }
         for f in schema.coeff_indices() {
-            let (alo, ahi) = (rect.lo()[d], rect.hi()[d]);
-            let (blo, bhi) = (rect.lo()[d + 1], rect.hi()[d + 1]);
             match self {
                 SpaceKind::Rectangular => {
-                    let a = t.a()[f];
-                    let b = t.b()[f];
-                    if !affine_overlap(alo, ahi, a.re, b.re, query.lo()[d], query.hi()[d]) {
-                        return false;
-                    }
-                    if !affine_overlap(blo, bhi, a.re, b.im, query.lo()[d + 1], query.hi()[d + 1]) {
-                        return false;
-                    }
+                    let (a, b) = (t.a()[f], t.b()[f]);
+                    debug_assert!(a.is_real(1e-6), "unsafe multiplier in S_rect");
+                    emit(d, affine(lo[d], hi[d], (a.re, b.re)))?;
+                    emit(d + 1, affine(lo[d + 1], hi[d + 1], (a.re, b.im)))?;
                 }
                 SpaceKind::Polar => {
+                    debug_assert!(t.b()[f].abs() <= 1e-6, "unsafe translation in S_pol");
                     let (scale, delta) = t.a_polar()[f];
-                    if !overlap(alo * scale, ahi * scale, query.lo()[d], query.hi()[d]) {
-                        return false;
-                    }
-                    if scale != 0.0 {
-                        let span = bhi - blo;
-                        if span < 2.0 * PI - 1e-12 {
-                            let nl = normalize_angle(blo + delta);
-                            let nh = normalize_angle(bhi + delta);
-                            // A wrapped interval (nl > nh) widens to the full
-                            // circle, which overlaps every query interval.
-                            if nl <= nh
-                                && (nh - nl) - span <= 1e-9
-                                && !overlap(nl, nh, query.lo()[d + 1], query.hi()[d + 1])
-                            {
-                                return false;
-                            }
-                        }
-                    }
+                    emit(d, (lo[d] * scale, hi[d] * scale))?;
+                    emit(d + 1, shifted_angle(lo[d + 1], hi[d + 1], scale, delta))?;
                 }
             }
             d += 2;
         }
-        true
+        ControlFlow::Continue(())
+    }
+}
+
+/// The anti-rounding pad of a transformed or trail bound: `[lo, hi]`
+/// widened by `1e-9·(1 + max(|lo|, |hi|))` on each side. The point-wise
+/// transformation (complex multiply, `atan2`) and the rectangle-wise one
+/// (affine on bounds, angle shift) round differently in the last ulps, and
+/// the sliding DFT drifts in proportion to the stored coefficients; the
+/// relative pad keeps every transformed member point, and every window of
+/// a trail, inside its rectangle without affecting pruning power
+/// measurably.
+#[inline]
+pub(crate) fn padded(lo: f64, hi: f64) -> (f64, f64) {
+    let pad = 1e-9 * (1.0 + lo.abs().max(hi.abs()));
+    (lo - pad, hi + pad)
+}
+
+/// The image of `[l, h]` under `x -> a·x + b`, ordered.
+#[inline]
+fn affine(l: f64, h: f64, (a, b): (f64, f64)) -> (f64, f64) {
+    let x = a * l + b;
+    let y = a * h + b;
+    if x <= y {
+        (x, y)
+    } else {
+        (y, x)
+    }
+}
+
+/// The angle interval `[blo, bhi]` under a multiplier of magnitude `scale`
+/// and angle `delta`: shifted by `delta` and normalized, or the full circle
+/// `[−π, π]` when the scale is zero, the interval already spans the circle,
+/// or the shifted interval wraps past ±π.
+#[inline]
+fn shifted_angle(blo: f64, bhi: f64, scale: f64, delta: f64) -> (f64, f64) {
+    const FULL: (f64, f64) = (-PI, PI);
+    let span = bhi - blo;
+    if scale == 0.0 || span >= 2.0 * PI - 1e-12 {
+        return FULL;
+    }
+    let nl = normalize_angle(blo + delta);
+    let nh = normalize_angle(bhi + delta);
+    if nl <= nh && (nh - nl) - span <= 1e-9 {
+        (nl, nh)
+    } else {
+        FULL
     }
 }
 
@@ -470,19 +441,6 @@ impl QueryWindow {
             None => true,
         };
         inside(self.mean, features.mean) && inside(self.std, features.std)
-    }
-}
-
-#[inline]
-fn push_affine(lo: &mut Vec<f64>, hi: &mut Vec<f64>, l: f64, h: f64, a: f64, b: f64) {
-    let x = a * l + b;
-    let y = a * h + b;
-    if x <= y {
-        lo.push(x);
-        hi.push(y);
-    } else {
-        lo.push(y);
-        hi.push(x);
     }
 }
 
@@ -616,6 +574,64 @@ mod tests {
         assert!(SpaceKind::Polar.check_safety(&shift, NF2).is_ok());
     }
 
+    /// `T(rect)` as the kernel hands it over, collected (Algorithm 1's
+    /// transformed rectangle).
+    fn transform_mbr(space: SpaceKind, rect: &Rect, t: &LinearTransform) -> Rect {
+        let (mut lo, mut hi) = (Vec::new(), Vec::new());
+        let _ = space.transformed_dims(rect, t, NF2, |_, l, h| {
+            lo.push(l);
+            hi.push(h);
+            ControlFlow::Continue(())
+        });
+        Rect::new(lo, hi)
+    }
+
+    /// Length of the series behind the kernel's edge cases.
+    const N: usize = 16;
+
+    /// The kernel's edge cases: an all-zero multiplier above DC (exactly,
+    /// and as `mavg(n)` computes it), an angle shift of π that wraps a
+    /// stored interval straddling 0 past ±π (`reverse`), a negative mean
+    /// scale, a translated mean, a warp and a composition.
+    fn edge_cases() -> Vec<LinearTransform> {
+        let mut zero = vec![tsq_dft::complex::ZERO; N];
+        zero[0] = tsq_dft::complex::ONE;
+        vec![
+            LinearTransform::identity(N),
+            LinearTransform::moving_average(N, N),
+            LinearTransform::from_parts(zero, vec![tsq_dft::complex::ZERO; N], "zero").unwrap(),
+            LinearTransform::reverse(N),
+            LinearTransform::scale(N, -2.0),
+            LinearTransform::shift(N, 3.5),
+            LinearTransform::time_warp(N, 2),
+            LinearTransform::moving_average(N, 3)
+                .then(&LinearTransform::reverse(N))
+                .unwrap(),
+        ]
+    }
+
+    /// Seeded members, a query and query boxes for one edge case: the
+    /// `(space, transformation)` pairs the theorems allow, each with an
+    /// MBR of three random walks, their features, and a fourth walk's.
+    fn edge_case_fixtures(seed: u64) -> Vec<(SpaceKind, LinearTransform, Rect, Vec<Features>)> {
+        let mut gen = tsq_series::generate::RandomWalkGenerator::new(seed);
+        let walks: Vec<Features> = (0..4).map(|_| feats(gen.series(N).values(), NF2)).collect();
+        let mut out = Vec::new();
+        for space in [SpaceKind::Polar, SpaceKind::Rectangular] {
+            for t in edge_cases() {
+                if space.check_safety(&t, NF2).is_err() {
+                    continue;
+                }
+                let mut mbr = Rect::from_point(&space.point(&walks[0], NF2));
+                for w in &walks[1..3] {
+                    mbr.union_assign(&Rect::from_point(&space.point(w, NF2)));
+                }
+                out.push((space, t, mbr, walks.clone()));
+            }
+        }
+        out
+    }
+
     #[test]
     fn transform_mbr_identity_is_noop() {
         let f = feats(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], NF2);
@@ -623,7 +639,7 @@ mod tests {
             let p = space.point(&f, NF2);
             let r = Rect::from_point(&p);
             let t = LinearTransform::identity(8);
-            let tr = space.transform_mbr(&r, &t, NF2);
+            let tr = transform_mbr(space, &r, &t);
             for i in 0..6 {
                 // Within the conservative anti-rounding padding.
                 assert!((tr.lo()[i] - p[i]).abs() < 1e-6);
@@ -634,57 +650,114 @@ mod tests {
 
     #[test]
     fn transform_mbr_contains_transformed_points() {
-        // Safety in action: take an MBR of two feature points, transform
-        // MBR and points, check containment (Definition 1).
-        let f1 = feats(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], NF2);
-        let f2 = feats(&[7.0, 2.0, 8.0, 1.0, 0.0, 4.0, 3.0, 5.0], NF2);
-        let t = LinearTransform::moving_average(8, 3);
-        let space = SpaceKind::Polar;
-        let p1 = space.point(&f1, NF2);
-        let p2 = space.point(&f2, NF2);
-        let mut mbr = Rect::from_point(&p1);
-        mbr.union_assign(&Rect::from_point(&p2));
-        let tmbr = space.transform_mbr(&mbr, &t, NF2);
-        for f in [&f1, &f2] {
-            let tp = space.point(&f.image(&t), NF2);
-            assert!(
-                tmbr.contains_point(&tp),
-                "transformed point {tp:?} escaped transformed MBR {tmbr}"
-            );
+        // Definition 1: every member point of a stored MBR, transformed,
+        // lies inside the transformed MBR — on every edge case, in both
+        // spaces.
+        for seed in 0..40 {
+            for (space, t, mbr, walks) in edge_case_fixtures(seed) {
+                let tmbr = transform_mbr(space, &mbr, &t);
+                for f in &walks[..3] {
+                    let tp = space.point(&f.image(&t), NF2);
+                    assert!(
+                        tmbr.contains_point(&tp),
+                        "seed {seed}, {space:?}, {}: transformed point {tp:?} escaped {tmbr}",
+                        t.name()
+                    );
+                }
+            }
         }
+        // A polar angle interval straddling 0, shifted by π, wraps past ±π:
+        // the full circle, padded.
+        let f = feats(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], NF2);
+        let p = SpaceKind::Polar.point(&f, NF2);
+        let (mut lo, mut hi) = (p.clone(), p.clone());
+        (lo[3], hi[3]) = (-0.1, 0.1);
+        let tmbr = transform_mbr(
+            SpaceKind::Polar,
+            &Rect::new(lo, hi),
+            &LinearTransform::reverse(8),
+        );
+        assert_eq!((tmbr.lo()[3], tmbr.hi()[3]), padded(-PI, PI));
+        assert!(tmbr
+            .contains_point(&SpaceKind::Polar.point(&f.image(&LinearTransform::reverse(8)), NF2)));
+        // A zero multiplier collapses magnitudes to 0 and the angle to the
+        // full circle.
+        let zero = &edge_cases()[2];
+        let tmbr = transform_mbr(SpaceKind::Polar, &Rect::from_point(&p), zero);
+        assert_eq!((tmbr.lo()[2], tmbr.hi()[2]), padded(0.0, 0.0));
+        assert_eq!((tmbr.lo()[3], tmbr.hi()[3]), padded(-PI, PI));
+    }
+
+    #[test]
+    fn transformed_intersects_agrees_with_the_collected_rect() {
+        // Query boxes around the transformed MBR (inside, straddling and
+        // outside each dimension), and Figure-7 search rectangles around
+        // the fourth walk's transformed point.
+        let (mut meets, mut misses) = (0, 0);
+        for seed in 0..40u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut unit = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            for (space, t, mbr, walks) in edge_case_fixtures(seed) {
+                let tmbr = transform_mbr(space, &mbr, &t);
+                let mut boxes = Vec::new();
+                for _ in 0..8 {
+                    let (mut lo, mut hi) = (Vec::new(), Vec::new());
+                    for d in 0..tmbr.dims() {
+                        let (l, h) = (tmbr.lo()[d], tmbr.hi()[d]);
+                        let c = l + (3.0 * unit() - 1.0) * (h - l + 1.0);
+                        let r = 0.5 * unit() * (h - l + 1.0);
+                        lo.push(c - r);
+                        hi.push(c + r);
+                    }
+                    boxes.push(Rect::new(lo, hi));
+                }
+                let q = walks[3].image(&t);
+                for eps in [0.1, 1.0, 4.0] {
+                    boxes.push(space.search_rect(&q, NF2, eps, &QueryWindow::default()));
+                }
+                for b in &boxes {
+                    let want = tmbr.intersects(b);
+                    assert_eq!(
+                        space.transformed_intersects(&mbr, &t, NF2, b),
+                        want,
+                        "seed {seed}, {space:?}, {}: query box {b} against {tmbr}",
+                        t.name()
+                    );
+                    (meets, misses) = (meets + usize::from(want), misses + usize::from(!want));
+                }
+            }
+        }
+        assert!(meets > 100 && misses > 100, "{meets} meet, {misses} miss");
     }
 
     #[test]
     fn lower_bound_is_admissible() {
-        // The reported bound never exceeds the true distance between the
-        // transformed stored point and the query, measured on indexed
-        // coefficients.
-        let stored = feats(&[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], NF2);
-        let query = feats(&[2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0, 8.0], NF2);
-        for t in [
-            LinearTransform::identity(8),
-            LinearTransform::moving_average(8, 3),
-            LinearTransform::reverse(8),
-        ] {
-            for space in [SpaceKind::Polar, SpaceKind::Rectangular] {
-                if space.check_safety(&t, NF2).is_err() {
-                    continue;
+        // The reported bound never exceeds the distance between any
+        // transformed member of the stored MBR and the query, measured on
+        // indexed coefficients.
+        for seed in 0..40 {
+            for (space, t, mbr, walks) in edge_case_fixtures(seed) {
+                let query = &walks[3];
+                let bound = space.transformed_lower_bound(&mbr, &t, NF2, query);
+                for stored in &walks[..3] {
+                    let true_d2: f64 = NF2
+                        .coeff_indices()
+                        .map(|f| {
+                            (t.apply_coeff(f, stored.spectrum[f]) - query.spectrum[f]).norm_sqr()
+                        })
+                        .sum();
+                    let true_d = true_d2.sqrt();
+                    assert!(
+                        bound <= true_d,
+                        "seed {seed}, {space:?}, {}: bound {bound} > true {true_d}",
+                        t.name()
+                    );
                 }
-                let p = space.point(&stored, NF2);
-                let rect = Rect::from_point(&p);
-                let bound = space.transformed_lower_bound(&rect, &t, NF2, &query);
-                // True distance over indexed coefficients.
-                let mut true_d2 = 0.0;
-                for f in NF2.coeff_indices() {
-                    let tx = t.apply_coeff(f, stored.spectrum[f]);
-                    true_d2 += (tx - query.spectrum[f]).norm_sqr();
-                }
-                let true_d = true_d2.sqrt();
-                assert!(
-                    bound <= true_d + 1e-9,
-                    "space {space:?}, t {}: bound {bound} > true {true_d}",
-                    t.name()
-                );
             }
         }
     }
@@ -714,7 +787,7 @@ mod tests {
         hi_p[0] += 1.0; // widen the mean dimension
         rect.union_assign(&Rect::from_point(&hi_p));
         let t = LinearTransform::scale(8, -2.0);
-        let tr = space.transform_mbr(&rect, &t, NF2);
+        let tr = transform_mbr(space, &rect, &t);
         assert!(tr.lo()[0] <= tr.hi()[0]);
         assert!((tr.lo()[0] - (-2.0 * (p[0] + 1.0))).abs() < 1e-6);
     }

@@ -27,10 +27,11 @@
 //! (`tests/subseq_consistency.rs`) asserts this equality on randomized
 //! relations.
 //!
-//! The query rectangle is widened by a tiny pad covering the sliding DFT's
-//! re-anchored numerical drift, so the guarantee survives floating-point
-//! rounding (same trick as the transformed-MBR padding in
-//! [`crate::space`]).
+//! Trail rectangles are widened by the anti-rounding pad that
+//! [`crate::space`] applies to every transformed bound (one helper for
+//! both), covering the sliding DFT's re-anchored numerical drift, and the
+//! query rectangle by a pad of its own, so the guarantee survives
+//! floating-point rounding.
 
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;
@@ -46,6 +47,7 @@ use crate::error::{Error, Result};
 use crate::index::check_extends;
 use crate::plan::SpaceProfile;
 use crate::scan::ScanMode;
+use crate::space::padded;
 
 /// Configuration of a [`SubseqIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -629,8 +631,8 @@ fn trails_of(config: &SubseqConfig, id: usize, values: &[f64]) -> Vec<(Rect, Tra
 /// each `O(k)` step is rotated, not damped, until the next re-anchor),
 /// so the padding absorbing it must scale with the trail's own
 /// coordinates — a pad derived from the query's magnitude alone would
-/// not cover large-valued data. Same recipe as the anti-rounding pad in
-/// [`crate::space::SpaceKind::transform_mbr`].
+/// not cover large-valued data. It is the anti-rounding pad of Algorithm
+/// 1's transformed bounds ([`crate::space`]), from the same helper.
 ///
 /// A trail is folded without a rectangle per window: each window's
 /// coordinates go straight from the cursor into one `lo`/`hi` pair of
@@ -676,9 +678,9 @@ fn chunks_of(
         let mut padded_lo = Vec::with_capacity(2 * dims);
         let mut padded_hi = Vec::with_capacity(dims);
         for (&l, &h) in lo.iter().zip(&hi) {
-            let pad = 1e-9 * (1.0 + l.abs().max(h.abs()));
-            padded_lo.push(l - pad);
-            padded_hi.push(h + pad);
+            let (l, h) = padded(l, h);
+            padded_lo.push(l);
+            padded_hi.push(h);
         }
         out.push((
             Rect::new(padded_lo, padded_hi),
@@ -1102,13 +1104,12 @@ mod tests {
                 cursor.advance(values);
                 mbr.union_assign(&Rect::from_point(&coeff_coords(cursor.coeffs())));
             }
-            let mut lo = mbr.lo().to_vec();
-            let mut hi = mbr.hi().to_vec();
-            for i in 0..lo.len() {
-                let pad = 1e-9 * (1.0 + lo[i].abs().max(hi[i].abs()));
-                lo[i] -= pad;
-                hi[i] += pad;
-            }
+            let (lo, hi) = mbr
+                .lo()
+                .iter()
+                .zip(mbr.hi())
+                .map(|(&l, &h)| padded(l, h))
+                .unzip();
             out.push((
                 Rect::new(lo, hi),
                 TrailEntry {

@@ -273,7 +273,8 @@ impl LinearTransform {
     /// conjugate-symmetric get their real kernel and offset from one
     /// inverse FFT (module docs); others map real series to complex ones,
     /// have no time-domain action, and are refused by an index's
-    /// validation — what the safety predicates say of them still holds.
+    /// validation — what [`crate::space::SpaceKind::check_safety`] says of
+    /// them still holds.
     ///
     /// # Errors
     /// Returns [`Error::TransformArity`] if `a` and `b` differ in length.
@@ -773,18 +774,6 @@ impl LinearTransform {
             format!("{} . {}", other.name, self.name),
         ))
     }
-
-    /// True when every multiplier is (numerically) real — the Theorem 2
-    /// precondition for safety in `S_rect`.
-    pub fn is_safe_rect(&self, tol: f64) -> bool {
-        self.a.iter().all(|c| c.is_real(tol))
-    }
-
-    /// True when every translation is (numerically) zero — the Theorem 3
-    /// precondition for safety in `S_pol`.
-    pub fn is_safe_polar(&self, tol: f64) -> bool {
-        self.b.iter().all(|c| c.abs() <= tol)
-    }
 }
 
 impl fmt::Display for LinearTransform {
@@ -796,6 +785,8 @@ impl fmt::Display for LinearTransform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::FeatureSchema;
+    use crate::space::SpaceKind;
     use tsq_series::moving_average::circular_moving_average;
     use tsq_series::warp::stretch;
     use tsq_series::TimeSeries;
@@ -879,11 +870,22 @@ mod tests {
         close(&y, &want, 1e-9);
     }
 
+    /// Which spaces Theorems 2–3 ([`SpaceKind::check_safety`]) allow `t`
+    /// in, over a raw schema indexing DC and the first coefficient:
+    /// `[S_rect, S_pol]`.
+    fn safe_in(t: &LinearTransform) -> [bool; 2] {
+        let raw2 = FeatureSchema::Raw { k: 2 };
+        [SpaceKind::Rectangular, SpaceKind::Polar].map(|s| s.check_safety(t, raw2).is_ok())
+    }
+
     #[test]
     fn difference_is_polar_safe_only() {
         let t = LinearTransform::difference(8);
-        assert!(t.is_safe_polar(1e-9));
-        assert!(!t.is_safe_rect(1e-9), "difference multipliers are complex");
+        assert_eq!(
+            safe_in(&t),
+            [false, true],
+            "difference multipliers are complex"
+        );
     }
 
     #[test]
@@ -948,13 +950,12 @@ mod tests {
     #[test]
     fn safety_predicates() {
         let mavg = LinearTransform::moving_average(16, 4);
-        assert!(!mavg.is_safe_rect(1e-9), "MA multipliers are complex");
-        assert!(mavg.is_safe_polar(1e-9), "MA has zero translation");
+        assert_eq!(safe_in(&mavg), [false, true], "MA multipliers are complex");
         let shift = LinearTransform::shift_raw(16, 1.0);
-        assert!(shift.is_safe_rect(1e-9));
-        assert!(!shift.is_safe_polar(1e-9));
-        let rev = LinearTransform::reverse(16);
-        assert!(rev.is_safe_rect(1e-9) && rev.is_safe_polar(1e-9));
+        assert_eq!(safe_in(&shift), [true, false], "a raw shift translates DC");
+        assert_eq!(safe_in(&LinearTransform::reverse(16)), [true, true]);
+        assert_eq!(safe_in(&LinearTransform::scale(16, -2.0)), [true, true]);
+        assert_eq!(safe_in(&LinearTransform::time_warp(16, 2)), [false, true]);
     }
 
     #[test]

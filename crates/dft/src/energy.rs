@@ -57,28 +57,6 @@ pub fn euclidean_complex(x: &[Complex64], y: &[Complex64]) -> f64 {
         .sqrt()
 }
 
-/// Fraction of total signal energy captured by the first `k` DFT
-/// coefficients (and, by conjugate symmetry of real signals, their mirror
-/// images). Used to choose the index cut-off `k` and reported by the
-/// ablation benchmarks.
-pub fn prefix_energy_ratio(spectrum: &[Complex64], k: usize) -> f64 {
-    let total = energy_complex(spectrum);
-    if total == 0.0 {
-        return 1.0;
-    }
-    let n = spectrum.len();
-    let k = k.min(n);
-    let mut captured = energy_complex(&spectrum[..k]);
-    // Mirror coefficients X_{n-f} = conj(X_f) for real signals carry the
-    // same energy as X_f (f = 1..k-1).
-    for f in 1..k {
-        if n - f >= k {
-            captured += spectrum[n - f].norm_sqr();
-        }
-    }
-    (captured / total).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,15 +116,9 @@ mod tests {
         let mean = x.iter().sum::<f64>() / x.len() as f64;
         let centered: Vec<f64> = x.iter().map(|&a| a - mean).collect();
         let spec = dft_real(&centered);
-        let ratio = prefix_energy_ratio(&spec, 4);
+        // The first 4 coefficients and their mirrors X_{n-f} = conj(X_f).
+        let captured = energy_complex(&spec[..4]) + energy_complex(&spec[128 - 3..]);
+        let ratio = captured / energy_complex(&spec);
         assert!(ratio > 0.8, "expected energy concentration, got {ratio}");
-    }
-
-    #[test]
-    fn prefix_ratio_bounds() {
-        let spec = dft_real(&[1.0, 2.0, 3.0, 4.0]);
-        assert!(prefix_energy_ratio(&spec, 0) >= 0.0);
-        assert!((prefix_energy_ratio(&spec, 4) - 1.0).abs() < 1e-12);
-        assert_eq!(prefix_energy_ratio(&[], 3), 1.0);
     }
 }

@@ -17,8 +17,9 @@ use std::io::{self, BufRead, Write};
 use std::path::Path;
 
 use tsq_core::SeriesRelation;
-use tsq_lang::{Catalog, SharedCatalog};
+use tsq_lang::{AppendRow, Catalog, SharedCatalog};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
+use tsq_series::io::{content_lines, parse_rows};
 use tsq_service::ServiceConfig;
 
 const HELP: &str = "\
@@ -350,22 +351,28 @@ fn meta(
             }
         }
         ["ingest", name, path] => match std::fs::read_to_string(path) {
-            Ok(text) => match parse_ingest_rows(&text) {
+            Ok(text) => match parse_rows(content_lines(&text)) {
                 Ok(rows) if rows.is_empty() => println!("  no rows in {path}"),
                 // One atomic APPEND statement: on any error (unknown
-                // relation, paged storage, non-finite values) nothing is
-                // applied and the shell keeps running.
-                Ok(rows) => match catalog.append(name, &rows) {
-                    Ok(out) => {
-                        let points: f64 = out.rows.iter().map(|r| r.distance).sum();
-                        println!(
-                            "  appended {points} point(s) across {} series to {name}",
-                            out.rows.len()
-                        );
+                // relation, paged storage) nothing is applied and the
+                // shell keeps running.
+                Ok(rows) => {
+                    let rows: Vec<AppendRow> = rows
+                        .into_iter()
+                        .map(|(label, values)| AppendRow { label, values })
+                        .collect();
+                    match catalog.append(name, &rows) {
+                        Ok(out) => {
+                            let points: f64 = out.rows.iter().map(|r| r.distance).sum();
+                            println!(
+                                "  appended {points} point(s) across {} series to {name}",
+                                out.rows.len()
+                            );
+                        }
+                        Err(e) => println!("  error: {e}"),
                     }
-                    Err(e) => println!("  error: {e}"),
-                },
-                Err(e) => println!("  error: {e}"),
+                }
+                Err(e) => println!("  error: {path}: {e}"),
             },
             Err(e) => println!("  error: {e}"),
         },
@@ -455,35 +462,6 @@ fn meta(
         _ => println!("  unknown meta-command; try .help"),
     }
     true
-}
-
-/// Parses `.ingest` CSV text (`label, v1, v2, ...` per line; blank lines
-/// and `#` comments skipped) into APPEND rows, with line-numbered errors.
-fn parse_ingest_rows(text: &str) -> Result<Vec<tsq_lang::AppendRow>, String> {
-    let mut rows = Vec::new();
-    for (at, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split(',').map(str::trim);
-        let label = fields.next().unwrap_or("").to_string();
-        if label.is_empty() {
-            return Err(format!("line {}: missing series label", at + 1));
-        }
-        let mut values = Vec::new();
-        for field in fields {
-            match field.parse::<f64>() {
-                Ok(v) => values.push(v),
-                Err(_) => return Err(format!("line {}: bad number {field:?}", at + 1)),
-            }
-        }
-        if values.is_empty() {
-            return Err(format!("line {}: no values for {label:?}", at + 1));
-        }
-        rows.push(tsq_lang::AppendRow { label, values });
-    }
-    Ok(rows)
 }
 
 fn register(

@@ -282,6 +282,9 @@ fn append_and_ingest_keep_the_session_alive() {
         "s1, 1.0, 2.0\ns2, 0.5, -0.5\n# comment\ns3, 3.25, 4\n",
     )
     .unwrap();
+    // A non-finite value on line 4 refuses the whole file.
+    let bad = dir.join("nan.csv");
+    std::fs::write(&bad, "# header\n\ns1, 1.0\ns2, 1, nan\n").unwrap();
 
     let mut child = Command::new(BIN)
         .stdin(Stdio::piped())
@@ -299,12 +302,14 @@ fn append_and_ingest_keep_the_session_alive() {
                  APPEND w s0 VALUES (1.5, 2.5)\n\
                  .rel\n\
                  .ingest w {}\n\
+                 .ingest w {}\n\
                  .rel\n\
                  FIND 2 NEAREST TO w.s0 IN w\n\
                  APPEND w s0 VALUES ()\n\
                  APPEND nowhere s0 VALUES (1)\n\
                  FIND 2 NEAREST TO w.s1 IN w\n\
                  .quit\n",
+                bad.to_str().unwrap(),
                 csv.to_str().unwrap()
             )
             .as_bytes(),
@@ -321,7 +326,15 @@ fn append_and_ingest_keep_the_session_alive() {
         stdout.contains("w: 4 series of lengths 16..18 (ragged mid-ingest)"),
         "{stdout}"
     );
-    // ... and uniform again once `.ingest` catches the others up.
+    // A refused file names the line and the value, and applies nothing ...
+    assert!(
+        stdout.contains(&format!(
+            "error: {}: line 4: \"nan\" is not a finite number",
+            bad.display()
+        )),
+        "{stdout}"
+    );
+    // ... and `.ingest` catches the others up: uniform again.
     assert!(
         stdout.contains("appended 6 point(s) across 3 series to w"),
         "{stdout}"

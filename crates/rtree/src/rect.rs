@@ -70,18 +70,6 @@ impl Rect {
         }
     }
 
-    /// Creates the rectangle `[center_i - r, center_i + r]` in every
-    /// dimension (the rectangular-space search rectangle of Section 3.1).
-    pub fn ball_mbr(center: &[f64], r: f64) -> Self {
-        assert!(r >= 0.0, "radius must be non-negative");
-        let mut bounds = Vec::with_capacity(2 * center.len());
-        bounds.extend(center.iter().map(|&c| c - r));
-        bounds.extend(center.iter().map(|&c| c + r));
-        Self {
-            bounds: bounds.into_boxed_slice(),
-        }
-    }
-
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {
@@ -98,11 +86,6 @@ impl Rect {
     #[inline]
     pub fn hi(&self) -> &[f64] {
         &self.bounds[self.bounds.len() / 2..]
-    }
-
-    /// True when the rectangle is a point.
-    pub fn is_point(&self) -> bool {
-        self.lo().iter().zip(self.hi()).all(|(l, h)| l == h)
     }
 
     /// The center point.
@@ -219,42 +202,6 @@ impl Rect {
         acc
     }
 
-    /// Squared `MINMAXDIST` (Roussopoulos et al. 1995): the smallest upper
-    /// bound on the distance from `p` to the nearest object *guaranteed* to
-    /// lie inside this MBR. Every face of an MBR touches at least one object,
-    /// so for each axis `i` we can clamp to the nearer face along `i` and the
-    /// farther corner everywhere else; the minimum over axes is MINMAXDIST.
-    ///
-    /// Returns `f64::INFINITY` for zero-dimensional rectangles.
-    pub fn min_max_dist2(&self, p: &[f64]) -> f64 {
-        debug_assert_eq!(self.dims(), p.len());
-        let d = self.dims();
-        if d == 0 {
-            return f64::INFINITY;
-        }
-        // rm_i: nearer face coordinate; rM_i: farther face coordinate.
-        let (lo, hi) = (self.lo(), self.hi());
-        let mut far_total = 0.0;
-        let mut near_sq = vec![0.0; d];
-        let mut far_sq = vec![0.0; d];
-        for i in 0..d {
-            let mid = 0.5 * (lo[i] + hi[i]);
-            let rm = if p[i] <= mid { lo[i] } else { hi[i] };
-            let rmx = if p[i] >= mid { lo[i] } else { hi[i] };
-            near_sq[i] = (p[i] - rm) * (p[i] - rm);
-            far_sq[i] = (p[i] - rmx) * (p[i] - rmx);
-            far_total += far_sq[i];
-        }
-        let mut best = f64::INFINITY;
-        for i in 0..d {
-            let cand = far_total - far_sq[i] + near_sq[i];
-            if cand < best {
-                best = cand;
-            }
-        }
-        best
-    }
-
     /// Returns a copy grown by `pad >= 0` in every direction.
     pub fn expanded(&self, pad: f64) -> Rect {
         assert!(pad >= 0.0, "padding must be non-negative");
@@ -270,8 +217,8 @@ impl Rect {
     /// Applies a per-dimension affine map `x -> a_i * x + b_i`, swapping
     /// bounds where `a_i < 0` so the result is a valid rectangle. This is
     /// precisely how a *safe* transformation (Definition 1 / Theorem 1 of the
-    /// paper) acts on an MBR, and the primitive behind Algorithm 1's
-    /// on-the-fly index transformation.
+    /// paper) acts on an MBR; Algorithm 1's on-the-fly index transformation
+    /// applies the same map bound by bound, without building the rectangle.
     ///
     /// # Panics
     /// Panics if `a`/`b` lengths differ from the dimensionality.
@@ -322,8 +269,6 @@ mod tests {
         assert_eq!(r.area(), 6.0);
         assert_eq!(r.margin(), 5.0);
         assert_eq!(r.center(), vec![1.0, 1.5]);
-        assert!(!r.is_point());
-        assert!(Rect::from_point(&[1.0, 1.0]).is_point());
     }
 
     #[test]
@@ -380,33 +325,6 @@ mod tests {
         assert_eq!(r.min_dist2(&[0.0, 2.0]), 1.0); // left of
         assert_eq!(r.min_dist2(&[0.0, 0.0]), 2.0); // corner
         assert_eq!(r.min_dist2(&[4.0, 5.0]), 1.0 + 4.0);
-    }
-
-    #[test]
-    fn minmaxdist_upper_bounds_some_object() {
-        // MINDIST <= MINMAXDIST always.
-        let r = r2([1.0, 1.0], [3.0, 5.0]);
-        for p in [[0.0, 0.0], [2.0, 2.0], [10.0, -3.0], [1.5, 6.0]] {
-            assert!(r.min_dist2(&p) <= r.min_max_dist2(&p) + 1e-12);
-        }
-    }
-
-    #[test]
-    fn minmaxdist_point_rect() {
-        // For a degenerate (point) MBR, MINMAXDIST == MINDIST == distance.
-        let r = Rect::from_point(&[1.0, 2.0]);
-        let p = [4.0, 6.0];
-        assert!((r.min_max_dist2(&p) - 25.0).abs() < 1e-12);
-        assert!((r.min_dist2(&p) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ball_mbr_contains_ball_boundary() {
-        let q = [1.0, -2.0, 0.5];
-        let r = Rect::ball_mbr(&q, 2.0);
-        assert!(r.contains_point(&[3.0, -2.0, 0.5]));
-        assert!(r.contains_point(&[1.0, 0.0, 0.5]));
-        assert!(!r.contains_point(&[3.1, -2.0, 0.5]));
     }
 
     #[test]

@@ -23,15 +23,6 @@ pub fn std_population(values: &[f64]) -> f64 {
     variance_population(values).sqrt()
 }
 
-/// Sample variance (divides by `n - 1`); 0 for slices shorter than 2.
-pub fn variance_sample(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / (values.len() - 1) as f64
-}
-
 /// Pearson correlation of two equal-length slices; 0 when either side is
 /// constant. Used by the synthetic stock generator's tests to verify that
 /// planted co-movers / opposite movers really correlate.
@@ -74,13 +65,13 @@ mod tests {
     fn variance_population_vs_sample() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance_population(&xs) - 4.0).abs() < 1e-12);
-        assert!((variance_sample(&xs) - 32.0 / 7.0).abs() < 1e-12);
+        // The sample variance, 32/7, is n/(n-1) times the population one.
+        assert!((variance_population(&xs) * 8.0 / 7.0 - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_variances() {
         assert_eq!(variance_population(&[5.0]), 0.0);
-        assert_eq!(variance_sample(&[5.0]), 0.0);
         assert_eq!(std_population(&[]), 0.0);
     }
 

@@ -19,6 +19,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use tsq_core::series::io::{content_lines, parse_rows};
 use tsq_service::{Client, IngestRow, QueryReply};
 
 const USAGE: &str = "usage: tsq-client <addr> <ping|query <text...>|batch <file> [threads]|\
@@ -65,35 +66,6 @@ fn print_append(reply: &QueryReply) {
         "# appended {points} point(s) across {} series",
         reply.rows.len()
     );
-}
-
-/// Parses `label, v1, v2, ...` lines; blank lines and `#` comments skip.
-fn parse_append_rows(text: &str) -> Result<Vec<IngestRow>, String> {
-    let mut rows = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut fields = line.split(',').map(str::trim);
-        let label = fields.next().unwrap_or("").to_string();
-        if label.is_empty() {
-            return Err(format!("line {}: missing label", no + 1));
-        }
-        let mut values = Vec::new();
-        for field in fields {
-            values.push(
-                field
-                    .parse()
-                    .map_err(|_| format!("line {}: bad value {field:?}", no + 1))?,
-            );
-        }
-        if values.is_empty() {
-            return Err(format!("line {}: no values for {label:?}", no + 1));
-        }
-        rows.push(IngestRow { label, values });
-    }
-    Ok(rows)
 }
 
 fn run() -> Result<(), String> {
@@ -178,7 +150,11 @@ fn run() -> Result<(), String> {
                 return Err(USAGE.to_string());
             };
             let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
-            let rows = parse_append_rows(&text)?;
+            let rows: Vec<IngestRow> = parse_rows(content_lines(&text))
+                .map_err(|e| format!("{file}: {e}"))?
+                .into_iter()
+                .map(|(label, values)| IngestRow { label, values })
+                .collect();
             if rows.is_empty() {
                 return Err(format!("{file}: no rows"));
             }

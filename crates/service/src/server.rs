@@ -37,6 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tsq_core::executor::{clamp_threads, CancelToken};
+use tsq_core::series::io::{content_lines, parse_rows};
 
 use crate::engine::{Engine, EngineError, IngestRow, QueryReply};
 use crate::http::{self, HttpError, HttpRequest};
@@ -722,45 +723,23 @@ fn http_dispatch(shared: &Shared, req: &HttpRequest) -> Vec<u8> {
 
 /// Parses a `POST /append` body: the first non-blank line names the
 /// relation, every following line is `label, v1, v2, ...` (blank lines
-/// and `#` comments skipped). Values must be finite — the engine's
-/// atomicity guarantee starts at "no row is half-parsed".
+/// and `#` comments skipped), read by the one row parser. Values must be
+/// finite — the engine's atomicity guarantee starts at "no row is
+/// half-parsed".
 fn parse_append_body(body: &str) -> Result<(String, Vec<IngestRow>), String> {
-    let mut lines = body
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'));
-    let relation = lines
+    let mut lines = content_lines(body);
+    let (_, relation) = lines
         .next()
-        .ok_or_else(|| "empty append body (want: relation, then label,v1,... lines)".to_string())?
-        .to_string();
-    let mut rows = Vec::new();
-    for line in lines {
-        let mut fields = line.split(',').map(str::trim);
-        let label = fields.next().unwrap_or("").to_string();
-        if label.is_empty() {
-            return Err(format!("append line {:?} has no label", line));
-        }
-        let mut values = Vec::new();
-        for field in fields {
-            let v: f64 = field
-                .parse()
-                .map_err(|_| format!("append value {field:?} for {label:?} is not a number"))?;
-            if !v.is_finite() {
-                return Err(format!(
-                    "append value {field:?} for {label:?} is not finite"
-                ));
-            }
-            values.push(v);
-        }
-        if values.is_empty() {
-            return Err(format!("append row for {label:?} carries no values"));
-        }
-        rows.push(IngestRow { label, values });
-    }
+        .ok_or_else(|| "empty append body (want: relation, then label,v1,... lines)".to_string())?;
+    let rows = parse_rows(lines).map_err(|e| format!("append body {e}"))?;
     if rows.is_empty() {
         return Err(format!("append body for {relation:?} carries no rows"));
     }
-    Ok((relation, rows))
+    let rows = rows
+        .into_iter()
+        .map(|(label, values)| IngestRow { label, values })
+        .collect();
+    Ok((relation.to_string(), rows))
 }
 
 /// The HTTP answer to a query or an append: the reply as JSON, or the

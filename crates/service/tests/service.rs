@@ -591,12 +591,49 @@ fn http_append_endpoint_is_typed_across_every_failure() {
         assert!(bad.starts_with("HTTP/1.1 400"), "{body:?}: {bad}");
         assert!(bad.contains("\"error\":\"bad-query\""), "{body:?}: {bad}");
     }
+    // The row parser names the line and the value, counting the relation
+    // line, blank lines and comments.
+    let body = "walks\n\n# rows\ns0, 1, nan\n";
+    let bad = http_round_trip(
+        addr,
+        &format!(
+            "POST /append HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(
+        bad.contains("line 4: \\\"nan\\\" is not a finite number"),
+        "{bad}"
+    );
     let health = http_round_trip(addr, "GET /health HTTP/1.1\r\nHost: t\r\n\r\n");
     assert!(health.contains("\"status\":\"ok\""), "{health}");
 
     let snap = handle.shutdown();
     assert_eq!(snap.unsupported, 1);
     assert_eq!(snap.queries_ok, 1);
+}
+
+#[test]
+fn append_file_refuses_a_non_finite_value_with_its_line() {
+    let handle = Server::start("127.0.0.1:0", LedgerEngine::new(), quick_config()).unwrap();
+    let path = std::env::temp_dir().join(format!("tsq-client-nan-{}.csv", std::process::id()));
+    std::fs::write(&path, "# rows\n\ns0, 1, nan\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tsq-client"))
+        .arg(handle.addr().to_string())
+        .args(["append-file", "walks"])
+        .arg(&path)
+        .output()
+        .expect("run tsq-client");
+    std::fs::remove_file(&path).ok();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 3: \"nan\" is not a finite number"),
+        "{stderr}"
+    );
+    // Refused before anything was sent.
+    let snap = handle.shutdown();
+    assert_eq!((snap.queries_ok, snap.queries_err), (0, 0));
 }
 
 #[test]
