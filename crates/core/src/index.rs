@@ -26,7 +26,7 @@ use std::sync::{Arc, OnceLock};
 use tsq_dft::FftPlanner;
 use tsq_rtree::knn::nearest_with_tie;
 use tsq_rtree::search::search_with;
-use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, SearchStats};
+use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, RectView, SearchStats};
 use tsq_series::distance::{limit_sq, sum_sq_blocks, sum_sq_within, ABANDON_BLOCK};
 use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError};
@@ -271,16 +271,22 @@ struct Packed {
 /// tree, which is what lets an appended or restored index match one built
 /// from scratch in answers and traversal statistics.
 fn pack(config: &IndexConfig, store: &[StoredSeries]) -> Packed {
-    let points = store.iter().enumerate().map(|(id, s)| {
-        let coords = config.space.point(&s.features, config.schema);
-        (Rect::from_point(&coords), id)
-    });
+    let (space, schema) = (config.space, config.schema);
+    let dims = schema.dims();
     let tree = if config.bulk_load {
-        RStarTree::bulk_load(config.rtree, points.collect())
+        // Each point goes straight into its leaf slot, as a degenerate
+        // rectangle: `lo` and `hi` both the point.
+        RStarTree::bulk_load_flat(config.rtree, dims, store.len(), 1, |slots| {
+            for (slot, s) in slots.zip(store) {
+                space.point_into(&s.features, schema, &mut slot[..dims]);
+                slot.copy_within(..dims, dims);
+            }
+            (0..store.len()).collect()
+        })
     } else {
         let mut t = RStarTree::new(config.rtree);
-        for (rect, id) in points {
-            t.insert(rect, id);
+        for (id, s) in store.iter().enumerate() {
+            t.insert_point(&space.point(&s.features, schema), id);
         }
         t
     };
@@ -341,7 +347,15 @@ impl SimilarityIndex {
     /// [`Error::InvalidCutoff`] if the schema's `k` does not fit some
     /// series.
     pub fn build(config: IndexConfig, relation: Vec<TimeSeries>) -> Result<Self> {
-        let store = extract_all(&config, relation)?;
+        Ok(Self::from_records(config, extract_all(&config, relation)?))
+    }
+
+    /// An index over records whose features are extracted already, in id
+    /// order — [`SimilarityIndex::build`] without its FFTs, for records
+    /// moved out of another index under the same configuration
+    /// ([`SimilarityIndex::into_records`]). Features depend on the series
+    /// alone, so the index is the one a build over the series would be.
+    pub(crate) fn from_records(config: IndexConfig, store: Vec<StoredSeries>) -> Self {
         let (min_len, series_len) = len_bounds(&store);
         let index = SimilarityIndex {
             config,
@@ -353,7 +367,12 @@ impl SimilarityIndex {
         };
         // Set-up pays for the tree, not the first query.
         index.packed();
-        Ok(index)
+        index
+    }
+
+    /// The stored records, in id order; the tree and any paged storage go.
+    pub(crate) fn into_records(self) -> Vec<StoredSeries> {
+        self.store
     }
 
     /// The derived state, packed now if an append emptied the cell.
@@ -858,10 +877,10 @@ impl SimilarityIndex {
         let schema = self.config.schema;
         let space = self.config.space;
         let mut ids = Vec::new();
-        let collect = |_: &Rect, item: S::Item| ids.push(item.series_id());
+        let collect = |_: RectView<'_>, item: S::Item| ids.push(item.series_id());
         // The identity fast path skips the per-rectangle transformation.
         let stats = if !force_transform && t.is_identity(1e-12) {
-            search_with(store, |r| r.intersects(qrect), collect)?
+            search_with(store, |r| r.intersects(qrect.view()), collect)?
         } else {
             search_with(
                 store,
@@ -1738,8 +1757,9 @@ mod tests {
     ) -> (Vec<(usize, u64)>, SearchStats, usize, usize) {
         let (schema, space) = (index.config.schema, index.config.space);
         let (mut checks, mut gave_up) = (0, 0);
-        let bound =
-            |r: &Rect| space.transformed_lower_bound(r, refine.transform, schema, &refine.query);
+        let bound = |r: RectView<'_>| {
+            space.transformed_lower_bound(r, refine.transform, schema, &refine.query)
+        };
         let mut exact = |id: usize, kth: f64| {
             checks += 1;
             let stored = &index.store[id];
@@ -1753,7 +1773,7 @@ mod tests {
         let (rows, stats) = match index.paged() {
             Some(p) => {
                 p.pool().flush();
-                let exact = |_: &Rect, id: u64, kth| exact(id as usize, kth);
+                let exact = |_: RectView<'_>, id: u64, kth| exact(id as usize, kth);
                 let (found, stats) = nearest_with_tie(p, k, bound, exact, |id| id).unwrap();
                 let rows = found
                     .iter()
@@ -1761,7 +1781,7 @@ mod tests {
                 (rows.collect(), stats)
             }
             None => {
-                let exact = |_: &Rect, id: &usize, kth| exact(*id, kth);
+                let exact = |_: RectView<'_>, id: &usize, kth| exact(*id, kth);
                 let key = |id: &usize| *id as u64;
                 let (found, stats) = nearest_with_tie(index.tree(), k, bound, exact, key)
                     .unwrap_or_else(|never| match never {});

@@ -56,10 +56,12 @@
 //! ([`executor::parallel_map`], over the persistent work-stealing pool):
 //! a sharded relation scatters one statement over its shards
 //! ([`ShardedIndex::execute`]), batches of statements fan out one layer
-//! up, and the heavy build paths — STR bulk loading and sliding-DFT
-//! trail extraction ([`SubseqIndex::build_parallel`]) — partition their
-//! input across threads. Every parallel path returns results
-//! byte-identical to its sequential oracle regardless of thread count.
+//! up, and one build path partitions its input across threads: the
+//! ST-index build ([`SubseqIndex::build_parallel`]) extracts sliding-DFT
+//! trails per run of series and sorts the STR levels in parallel. A
+//! whole-match tree is packed on the calling thread (`pack`, in
+//! [`index`]). Every parallel path returns results byte-identical to its
+//! sequential oracle regardless of thread count.
 //!
 //! ## Persistence
 //!

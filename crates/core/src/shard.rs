@@ -76,7 +76,7 @@ use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
 use crate::executor::{default_threads, parallel_map};
-use crate::index::{IndexConfig, Match, SimilarityIndex};
+use crate::index::{IndexConfig, Match, SimilarityIndex, StoredSeries};
 use crate::plan::{
     execute_bound, render_analyze, render_plan, run_join, Bound, ExecStats, ForceOp, LogicalPlan,
     PhysicalOp, PlanChoice, PlanRows, Planner,
@@ -440,6 +440,50 @@ impl ShardedIndex {
             parts.push(SimilarityIndex::build(config, series)?);
         }
         Self::from_parts(map, parts)
+    }
+
+    /// Re-partitions the series this index holds under `spec`, given the
+    /// relation's labels in global-id order: each record — series and
+    /// features — moves into its new part, and each part packs its tree.
+    /// Features depend on the series alone, so every part is bit for bit
+    /// the one [`ShardedIndex::build`] would extract, without one FFT. The
+    /// relation keeps its own configuration; its ST-indexes go, as they do
+    /// after a build.
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] when `labels` does not name every series
+    /// held; the index is then unchanged.
+    pub fn reshard(&mut self, spec: ShardSpec, labels: &[&str]) -> Result<()> {
+        if labels.len() != self.len() {
+            return Err(Error::Unsupported(format!(
+                "{} label(s) for {} series",
+                labels.len(),
+                self.len()
+            )));
+        }
+        let config = *self.config();
+        let map = ShardMap::build(spec, labels);
+        let mut stores: Vec<Vec<StoredSeries>> = (0..map.spec().count())
+            .map(|shard| Vec::with_capacity(map.members(shard).len()))
+            .collect();
+        // A part holds its members in ascending global order, so walking
+        // the global ids takes each part's next record.
+        let mut held: Vec<_> = std::mem::take(&mut self.parts)
+            .into_iter()
+            .map(|part| part.into_records().into_iter())
+            .collect();
+        for global in 0..map.total() {
+            let (from, _) = self.map.owner(global).expect("a held id");
+            let (to, _) = map.owner(global).expect("a mapped id");
+            stores[to].push(held[from].next().expect("a part holds its members"));
+        }
+        self.parts = stores
+            .into_iter()
+            .map(|store| SimilarityIndex::from_records(config, store))
+            .collect();
+        self.map = map;
+        self.subseq = SubseqSet::default();
+        Ok(())
     }
 
     /// Assembles a sharded index from its parts — freshly built, or

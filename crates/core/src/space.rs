@@ -63,7 +63,7 @@ use std::f64::consts::PI;
 use std::ops::ControlFlow;
 
 use tsq_dft::Complex64;
-use tsq_rtree::Rect;
+use tsq_rtree::{Rect, RectView};
 
 use crate::error::{Error, Result};
 use crate::features::{FeatureSchema, Features};
@@ -126,17 +126,24 @@ impl SpaceKind {
 
     /// Full coordinate vector of a feature point under `schema`.
     pub fn point(&self, features: &Features, schema: FeatureSchema) -> Vec<f64> {
-        let mut coords = Vec::with_capacity(schema.dims());
+        let mut coords = vec![0.0; schema.dims()];
+        self.point_into(features, schema, &mut coords);
+        coords
+    }
+
+    /// [`SpaceKind::point`], written into `out` (`schema.dims()` long).
+    pub(crate) fn point_into(&self, features: &Features, schema: FeatureSchema, out: &mut [f64]) {
+        let mut slots = out.iter_mut();
+        let mut put = |x: f64| *slots.next().expect("room for the point") = x;
         if schema.aux_dims() == 2 {
-            coords.push(features.mean);
-            coords.push(features.std);
+            put(features.mean);
+            put(features.std);
         }
         for &c in features.indexed_coeffs(schema) {
             let [a, b] = self.coeff_coords(c);
-            coords.push(a);
-            coords.push(b);
+            put(a);
+            put(b);
         }
-        coords
     }
 
     /// Verifies that `t` satisfies the safety condition (Definition 1) for
@@ -257,7 +264,7 @@ impl SpaceKind {
     /// docs' inequality).
     pub fn transformed_lower_bound(
         &self,
-        rect: &Rect,
+        rect: RectView<'_>,
         t: &LinearTransform,
         schema: FeatureSchema,
         query: &Features,
@@ -305,7 +312,7 @@ impl SpaceKind {
     /// disjoint dimension without building `T(rect)`.
     pub fn transformed_intersects(
         &self,
-        rect: &Rect,
+        rect: RectView<'_>,
         t: &LinearTransform,
         schema: FeatureSchema,
         query: &Rect,
@@ -338,7 +345,7 @@ impl SpaceKind {
     #[inline]
     fn transformed_dims(
         &self,
-        rect: &Rect,
+        rect: RectView<'_>,
         t: &LinearTransform,
         schema: FeatureSchema,
         mut visit: impl FnMut(usize, f64, f64) -> ControlFlow<()>,
@@ -578,7 +585,7 @@ mod tests {
     /// transformed rectangle).
     fn transform_mbr(space: SpaceKind, rect: &Rect, t: &LinearTransform) -> Rect {
         let (mut lo, mut hi) = (Vec::new(), Vec::new());
-        let _ = space.transformed_dims(rect, t, NF2, |_, l, h| {
+        let _ = space.transformed_dims(rect.view(), t, NF2, |_, l, h| {
             lo.push(l);
             hi.push(h);
             ControlFlow::Continue(())
@@ -624,7 +631,7 @@ mod tests {
                 }
                 let mut mbr = Rect::from_point(&space.point(&walks[0], NF2));
                 for w in &walks[1..3] {
-                    mbr.union_assign(&Rect::from_point(&space.point(w, NF2)));
+                    mbr.union_assign(Rect::from_point(&space.point(w, NF2)).view());
                 }
                 out.push((space, t, mbr, walks.clone()));
             }
@@ -643,7 +650,7 @@ mod tests {
             for i in 0..6 {
                 // Within the conservative anti-rounding padding.
                 assert!((tr.lo()[i] - p[i]).abs() < 1e-6);
-                assert!(tr.contains_point(&p));
+                assert!(tr.view().contains_point(&p));
             }
         }
     }
@@ -659,7 +666,7 @@ mod tests {
                 for f in &walks[..3] {
                     let tp = space.point(&f.image(&t), NF2);
                     assert!(
-                        tmbr.contains_point(&tp),
+                        tmbr.view().contains_point(&tp),
                         "seed {seed}, {space:?}, {}: transformed point {tp:?} escaped {tmbr}",
                         t.name()
                     );
@@ -678,8 +685,8 @@ mod tests {
             &LinearTransform::reverse(8),
         );
         assert_eq!((tmbr.lo()[3], tmbr.hi()[3]), padded(-PI, PI));
-        assert!(tmbr
-            .contains_point(&SpaceKind::Polar.point(&f.image(&LinearTransform::reverse(8)), NF2)));
+        let reversed = SpaceKind::Polar.point(&f.image(&LinearTransform::reverse(8)), NF2);
+        assert!(tmbr.view().contains_point(&reversed));
         // A zero multiplier collapses magnitudes to 0 and the angle to the
         // full circle.
         let zero = &edge_cases()[2];
@@ -721,9 +728,9 @@ mod tests {
                     boxes.push(space.search_rect(&q, NF2, eps, &QueryWindow::default()));
                 }
                 for b in &boxes {
-                    let want = tmbr.intersects(b);
+                    let want = tmbr.view().intersects(b.view());
                     assert_eq!(
-                        space.transformed_intersects(&mbr, &t, NF2, b),
+                        space.transformed_intersects(mbr.view(), &t, NF2, b),
                         want,
                         "seed {seed}, {space:?}, {}: query box {b} against {tmbr}",
                         t.name()
@@ -743,7 +750,7 @@ mod tests {
         for seed in 0..40 {
             for (space, t, mbr, walks) in edge_case_fixtures(seed) {
                 let query = &walks[3];
-                let bound = space.transformed_lower_bound(&mbr, &t, NF2, query);
+                let bound = space.transformed_lower_bound(mbr.view(), &t, NF2, query);
                 for stored in &walks[..3] {
                     let true_d2: f64 = NF2
                         .coeff_indices()
@@ -785,7 +792,7 @@ mod tests {
         let mut rect = Rect::from_point(&p);
         let mut hi_p = p.clone();
         hi_p[0] += 1.0; // widen the mean dimension
-        rect.union_assign(&Rect::from_point(&hi_p));
+        rect.union_assign(Rect::from_point(&hi_p).view());
         let t = LinearTransform::scale(8, -2.0);
         let tr = transform_mbr(space, &rect, &t);
         assert!(tr.lo()[0] <= tr.hi()[0]);

@@ -39,7 +39,7 @@ use std::sync::OnceLock;
 use tsq_dft::dft::dft_prefix;
 use tsq_dft::sliding::SlidingCursor;
 use tsq_dft::Complex64;
-use tsq_rtree::{RStarTree, RTreeConfig, Rect, SearchStats};
+use tsq_rtree::{RStarTree, RTreeConfig, Rect, RectView, SearchStats};
 use tsq_series::distance::{distance_sq_within, limit_sq};
 use tsq_series::TimeSeries;
 
@@ -191,10 +191,14 @@ impl SubseqIndex {
     /// [`SubseqIndex::build`] with the two heavy phases partitioned across
     /// up to `threads` worker threads: sliding-DFT trail extraction fans
     /// out over runs of consecutive stored series, and the STR bulk load
-    /// packs levels in parallel ([`RStarTree::bulk_load_parallel`]). The
-    /// index is *identical* to a sequential build for every thread count —
-    /// trail order is preserved by the fan-out and STR packing is
+    /// sorts levels in parallel ([`RStarTree::bulk_load_flat`]). The index
+    /// is *identical* to a sequential build for every thread count — trail
+    /// order is fixed before the fan-out and STR packing is
     /// position-deterministic — so queries cannot tell how it was built.
+    ///
+    /// Each run writes its trails' rectangles straight into the slots the
+    /// loader hands out, which are the leaf slabs they end up in: no
+    /// rectangle is allocated per trail, and no buffer holds all of them.
     ///
     /// # Errors
     /// Propagates [`SubseqConfig::validate`] failures.
@@ -205,22 +209,40 @@ impl SubseqIndex {
     ) -> Result<Self> {
         config.validate()?;
         let threads = threads.max(1);
-        // One vector of trails per run, not per series: a vector per
-        // series, kept until all are flattened, leaves a hole between each
-        // series' rectangles that `malloc_trim` cannot return.
+        let windows = |s: &TimeSeries| s.len().saturating_sub(config.window - 1);
+        let trails = |s: &TimeSeries| windows(s).div_ceil(config.trail);
+        let total: usize = relation.iter().map(trails).sum();
+        let mut entries = Vec::with_capacity(total);
+        for (id, s) in relation.iter().enumerate() {
+            entries.extend(trail_entries(&config, id, 0, windows(s)));
+        }
         let run = relation.len().div_ceil(threads).max(1);
-        let runs: Vec<(usize, &[TimeSeries])> = relation.chunks(run).enumerate().collect();
-        let per_run = crate::executor::parallel_map(threads, runs, |(i, series)| {
-            let mut trails = Vec::new();
-            for (offset, s) in series.iter().enumerate() {
-                trails.extend(trails_of(&config, i * run + offset, s.values()));
-            }
-            trails
+        let tree = RStarTree::bulk_load_flat(config.rtree, 2 * config.k, total, threads, |slots| {
+            let runs: Vec<(&[TimeSeries], Vec<&mut [f64]>)> = relation
+                .chunks(run)
+                .map(|series| {
+                    let count = series.iter().map(trails).sum();
+                    let mut part = Vec::with_capacity(count);
+                    part.extend((&mut *slots).take(count));
+                    (series, part)
+                })
+                .collect();
+            crate::executor::parallel_map(threads, runs, |(series, slots)| {
+                let mut slots = slots.into_iter();
+                for s in series {
+                    chunks_of(&config, s.values(), 0, windows(s), |bounds| {
+                        slots
+                            .next()
+                            .expect("a slot per trail")
+                            .copy_from_slice(bounds)
+                    });
+                }
+            });
+            entries
         });
-        let items: Vec<(Rect, TrailEntry)> = per_run.into_iter().flatten().collect();
         let mut index = SubseqIndex {
             config,
-            tree: RStarTree::bulk_load_parallel(config.rtree, items, threads),
+            tree,
             store: Vec::new(),
             windows_total: 0,
             trails_total: 0,
@@ -237,8 +259,9 @@ impl SubseqIndex {
     /// through the STR-sorted batch path ([`RStarTree::bulk_extend`]).
     pub fn insert(&mut self, series: TimeSeries) -> usize {
         let id = self.store.len();
-        let items = trails_of(&self.config, id, series.values());
-        self.tree.bulk_extend(items);
+        let windows = series.len().saturating_sub(self.config.window - 1);
+        let (bounds, entries) = trails(&self.config, id, series.values(), 0, windows);
+        self.tree.bulk_extend(&bounds, entries);
         self.profile.take();
         self.count_windows(&series);
         self.store.push(series);
@@ -286,13 +309,9 @@ impl SubseqIndex {
         // windows); when it was full — or there were no windows at all —
         // it is the next, brand-new chunk.
         let first_chunk = old_windows / trail;
-        let mut items = chunks_of(
-            &self.config,
-            id,
-            self.store[id].values(),
-            first_chunk,
-            new_windows,
-        );
+        let values = self.store[id].values();
+        let (bounds, mut entries) = trails(&self.config, id, values, first_chunk, new_windows);
+        let mut grown = 0;
         if old_windows % trail != 0 {
             // Recompute the partial chunk's rectangle exactly as it was
             // emitted (the old windows read only pre-append samples, and
@@ -301,28 +320,21 @@ impl SubseqIndex {
             // it *contains* the old one — the tree widens the stored
             // entry in place (`O(height)`, no structural churn) instead
             // of paying a remove + reinsert pair.
-            let old_rect = chunks_of(
-                &self.config,
-                id,
-                self.store[id].values(),
-                first_chunk,
-                old_windows,
-            )
-            .pop()
-            .expect("partial chunk implies at least one window")
-            .0;
+            let (old, _) = trails(&self.config, id, values, first_chunk, old_windows);
             let start = first_chunk * trail;
-            let (grown, entry) = items.remove(0);
+            let entry = entries[0];
             debug_assert_eq!(entry.start, start);
+            grown = old.len();
             let updated = self.tree.grow_entry(
-                &old_rect,
+                RectView::new(&old),
                 |t| t.series == id && t.start == start,
-                grown,
+                RectView::new(&bounds[..grown]),
                 entry,
             );
             assert!(updated, "indexed partial trail must be present");
         }
-        self.tree.bulk_extend(items);
+        let entries = entries.split_off(usize::from(grown > 0));
+        self.tree.bulk_extend(&bounds[grown..], entries);
         self.profile.take();
         self.windows_total += new_windows - old_windows;
         self.trails_total += new_windows.div_ceil(trail) - old_windows.div_ceil(trail);
@@ -425,7 +437,7 @@ impl SubseqIndex {
         let mut trails: Vec<TrailEntry> = Vec::new();
         let index_stats = self
             .tree
-            .search_with(|r| r.intersects(&qrect), |_, &t| trails.push(t));
+            .search_with(|r| r.intersects(qrect.view()), |_, &t| trails.push(t));
         let mut stats = SubseqStats {
             index: index_stats,
             trails: trails.len(),
@@ -608,23 +620,52 @@ impl SubseqIndex {
     }
 }
 
-/// Sliding-DFT feature trail of one series, grouped into MBRs: every
-/// chunk from the first. A free function (not a method) so trail
-/// extraction can fan out across worker threads while the index is still
-/// being assembled.
-fn trails_of(config: &SubseqConfig, id: usize, values: &[f64]) -> Vec<(Rect, TrailEntry)> {
-    let windows = values.len().saturating_sub(config.window - 1);
-    chunks_of(config, id, values, 0, windows)
+/// The trails of one series from `first_chunk` onward, over its first
+/// `windows` windows: their rectangles flat, `lo` then `hi` each (see
+/// [`chunks_of`]), and their entries. What an insert or an append hands the
+/// tree.
+fn trails(
+    config: &SubseqConfig,
+    id: usize,
+    values: &[f64],
+    first_chunk: usize,
+    windows: usize,
+) -> (Vec<f64>, Vec<TrailEntry>) {
+    let entries: Vec<TrailEntry> = trail_entries(config, id, first_chunk, windows).collect();
+    let mut bounds = Vec::with_capacity(entries.len() * 4 * config.k);
+    chunks_of(config, values, first_chunk, windows, |b| {
+        bounds.extend_from_slice(b)
+    });
+    (bounds, entries)
 }
 
-/// Trail MBRs of one series from `first_chunk` onward, computed by
-/// *resuming* the sliding-DFT recurrence at that chunk's first window
-/// instead of recomputing the prefix — the `O(k)`-per-point incremental
-/// path behind [`SubseqIndex::extend_series`], and with `first_chunk = 0`
-/// the build's. The cursor re-anchors on absolute offsets
-/// ([`SlidingCursor::resume`] is bit-identical to a from-zero walk) and
-/// chunk boundaries are absolute too, so a chunk's rectangle does not
-/// depend on where the walk started.
+/// The entries of one series' trails from `first_chunk` onward, over its
+/// first `windows` windows: chunk `c` starts at window `c·trail` (an
+/// absolute offset) and holds up to `trail` of them.
+fn trail_entries(
+    config: &SubseqConfig,
+    id: usize,
+    first_chunk: usize,
+    windows: usize,
+) -> impl Iterator<Item = TrailEntry> {
+    let trail = config.trail;
+    let starts = (first_chunk * trail..windows).step_by(trail);
+    starts.map(move |start| TrailEntry {
+        series: id,
+        start,
+        len: trail.min(windows - start),
+    })
+}
+
+/// The rectangles of one series' trails from `first_chunk` onward — those
+/// of [`trail_entries`], in order — handed to `emit` one at a time as
+/// `2·dims` bounds (`lo`, then `hi`), computed by *resuming* the sliding-DFT
+/// recurrence at that chunk's first window instead of recomputing the
+/// prefix: the `O(k)`-per-point incremental path behind
+/// [`SubseqIndex::extend_series`], and with `first_chunk = 0` the build's.
+/// The cursor re-anchors on absolute offsets ([`SlidingCursor::resume`] is
+/// bit-identical to a from-zero walk) and chunk boundaries are absolute
+/// too, so a chunk's rectangle does not depend on where the walk started.
 ///
 /// Each MBR is widened by a relative `1e-9` per dimension: sliding-DFT
 /// drift scales with the *stored* coefficients' magnitude (the error of
@@ -635,37 +676,42 @@ fn trails_of(config: &SubseqConfig, id: usize, values: &[f64]) -> Vec<(Rect, Tra
 /// 1's transformed bounds ([`crate::space`]), from the same helper.
 ///
 /// A trail is folded without a rectangle per window: each window's
-/// coordinates go straight from the cursor into one `lo`/`hi` pair of
-/// buffers, reused across trails, under `Rect::union_assign`'s strict
-/// `<`/`>` tests, so the bounds are the per-window union's bit for bit. The
-/// padded rectangle is then built from two fresh bound buffers, the lower
-/// one sized for both halves so `Rect::new` joins them without
-/// reallocating.
+/// coordinates go straight from the cursor into one bounds buffer, reused
+/// across trails, under `Rect::union_assign`'s strict `<`/`>` tests, so the
+/// bounds are the per-window union's bit for bit; the buffer is then
+/// padded in place and emitted.
 fn chunks_of(
     config: &SubseqConfig,
-    id: usize,
     values: &[f64],
     first_chunk: usize,
     windows: usize,
-) -> Vec<(Rect, TrailEntry)> {
+    mut emit: impl FnMut(&[f64]),
+) {
     let trail = config.trail;
     let mut offset = first_chunk * trail;
     if offset >= windows {
-        return Vec::new();
+        return;
     }
     let mut cursor = SlidingCursor::resume(values, config.window, config.k, offset);
     let dims = 2 * config.k;
-    let (mut lo, mut hi) = (Vec::with_capacity(dims), Vec::with_capacity(dims));
-    let mut out = Vec::with_capacity((windows - offset).div_ceil(trail));
+    let mut bounds = vec![0.0; 2 * dims];
     while offset < windows {
         let len = trail.min(windows - offset);
-        lo.clear();
-        lo.extend(coords(cursor.coeffs()));
-        hi.clear();
-        hi.extend_from_slice(&lo);
+        let (lo, hi) = bounds.split_at_mut(dims);
+        for ((l, h), x) in lo
+            .iter_mut()
+            .zip(hi.iter_mut())
+            .zip(coords(cursor.coeffs()))
+        {
+            (*l, *h) = (x, x);
+        }
         for _ in 1..len {
             cursor.advance(values);
-            for ((l, h), x) in lo.iter_mut().zip(&mut hi).zip(coords(cursor.coeffs())) {
+            for ((l, h), x) in lo
+                .iter_mut()
+                .zip(hi.iter_mut())
+                .zip(coords(cursor.coeffs()))
+            {
                 if x < *l {
                     *l = x;
                 }
@@ -675,27 +721,20 @@ fn chunks_of(
             }
         }
         // The anti-drift padding.
-        let mut padded_lo = Vec::with_capacity(2 * dims);
-        let mut padded_hi = Vec::with_capacity(dims);
-        for (&l, &h) in lo.iter().zip(&hi) {
-            let (l, h) = padded(l, h);
-            padded_lo.push(l);
-            padded_hi.push(h);
+        for (l, h) in lo.iter_mut().zip(hi) {
+            (*l, *h) = padded(*l, *h);
         }
-        out.push((
-            Rect::new(padded_lo, padded_hi),
-            TrailEntry {
-                series: id,
-                start: offset,
-                len,
-            },
-        ));
+        // As `Rect::new` asserts of every rectangle it makes.
+        assert!(
+            bounds.iter().all(|b| b.is_finite()),
+            "non-finite trail bound"
+        );
+        emit(&bounds);
         offset += len;
         if offset < windows {
             cursor.advance(values);
         }
     }
-    out
 }
 
 /// Real index coordinates of a coefficient prefix: `[re_0, im_0, re_1, ...]`
@@ -1102,7 +1141,7 @@ mod tests {
             let mut mbr = Rect::from_point(&coeff_coords(cursor.coeffs()));
             for _ in 1..len {
                 cursor.advance(values);
-                mbr.union_assign(&Rect::from_point(&coeff_coords(cursor.coeffs())));
+                mbr.union_assign(Rect::from_point(&coeff_coords(cursor.coeffs())).view());
             }
             let (lo, hi) = mbr
                 .lo()
@@ -1165,7 +1204,11 @@ mod tests {
                             let what = format!(
                                 "trail {trail}, k {k}, windows {windows}, first chunk {first_chunk}"
                             );
-                            let got = chunks_of(&config, 7, values, first_chunk, windows);
+                            let (bounds, entries) =
+                                trails(&config, 7, values, first_chunk, windows);
+                            let rects = bounds.chunks_exact(4 * k).map(RectView::new);
+                            let got: Vec<(Rect, TrailEntry)> =
+                                rects.map(RectView::to_rect).zip(entries).collect();
                             let want =
                                 chunks_by_point_rects(&config, 7, values, first_chunk, windows);
                             assert_eq!(got.len(), want.len(), "{what}");

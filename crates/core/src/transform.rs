@@ -679,6 +679,7 @@ impl LinearTransform {
         NORMAL.with(|normal| {
             let normal = &mut *normal.borrow_mut();
             normal.clear();
+            normal.reserve(wrap + n);
             normal.extend(x[n - wrap..].iter().map(|&v| norm.at(v)));
             normal.extend(x.iter().map(|&v| norm.at(v)));
             read(&Image {

@@ -194,7 +194,9 @@ impl Catalog {
     /// Applies a `SHARD <rel> INTO <n> BY HASH|RANGE` statement:
     /// partitions the relation's series over `n` shards (FNV-1a label
     /// hash, or lexicographic label ranges with boundaries cut from the
-    /// current label population) and rebuilds one index per shard.
+    /// current label population) and rebuilds one index per shard from the
+    /// records the relation holds — their features move with them, under
+    /// the relation's own configuration ([`ShardedIndex::reshard`]).
     /// Queries then execute scatter-gather with answers byte-identical
     /// to a one-shard relation's; `INTO 1` is that one shard again, and
     /// reports like it. The relation's ST-indexes go with the index they
@@ -215,35 +217,31 @@ impl Catalog {
         count: usize,
         by: ShardBy,
     ) -> Result<QueryOutput, LangError> {
-        let Relation { labels: rel, index } = self.resolve_relation(relation)?;
+        self.resolve_relation(relation)?;
+        let Relation { labels: rel, index } =
+            self.relations.get_mut(relation).expect("resolved above");
         if index.is_paged() {
             return Err(LangError::Engine(tsq_core::Error::Unsupported(
                 "SHARD a relation with paged storage attached (the page file is immutable)"
                     .to_string(),
             )));
         }
+        let labels: Vec<&str> = (0..rel.len())
+            .map(|id| rel.label(id).expect("id < len"))
+            .collect();
         let spec = match by {
             ShardBy::Hash => ShardSpec::hash(count),
-            ShardBy::Range => {
-                let labels: Vec<&str> = (0..rel.len())
-                    .map(|id| rel.label(id).expect("id < len"))
-                    .collect();
-                ShardSpec::range(count, &labels)
-            }
+            ShardBy::Range => ShardSpec::range(count, &labels),
         }?;
-        let rebuilt = ShardedIndex::build(self.config, rel, spec)?;
-        let rows = (0..rebuilt.shard_count())
+        index.reshard(spec, &labels)?;
+        let rows = (0..index.shard_count())
             .map(|s| Row {
                 a: format!("shard{s}"),
                 b: None,
                 offset: None,
-                distance: rebuilt.map().members(s).len() as f64,
+                distance: index.map().members(s).len() as f64,
             })
             .collect();
-        self.relations
-            .get_mut(relation)
-            .expect("resolved above")
-            .index = rebuilt;
         Ok(QueryOutput {
             rows,
             nodes_visited: 0,
@@ -1890,6 +1888,87 @@ mod tests {
             let got = cat.run(q).unwrap();
             assert_eq!(got.rows, want.rows, "{q}");
             assert_eq!(got.stats, want.stats, "{q}");
+        }
+    }
+
+    /// Each part's features, bit for bit, and its tree as `{:?}` prints
+    /// it (every node, entry and bound, in order).
+    fn derived(index: &ShardedIndex) -> Vec<(Vec<u64>, String)> {
+        let part = |part: &tsq_core::SimilarityIndex| {
+            let bits = part.entries().iter().flat_map(|e| {
+                let f = &e.features;
+                let spectrum = f.spectrum.iter().flat_map(|c| [c.re, c.im]);
+                [f.mean, f.std]
+                    .into_iter()
+                    .chain(spectrum)
+                    .map(f64::to_bits)
+            });
+            (bits.collect(), format!("{:?}", part.tree()))
+        };
+        index.parts().iter().map(part).collect()
+    }
+
+    #[test]
+    fn shard_moves_the_records_it_holds_onto_a_fresh_build() {
+        for appended in [false, true] {
+            for by in ["HASH", "RANGE"] {
+                for count in 1..=6 {
+                    let what = format!("{by} into {count}, appended {appended}");
+                    let mut cat = catalog();
+                    if appended {
+                        cat.run_mut(
+                            "APPEND walks CSV (s0, 1.5, 2.5) (brand_new, 9, 8, 7) (s11, -1)",
+                        )
+                        .unwrap();
+                    }
+                    // From a sharded layout, so records change parts.
+                    cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
+                    cat.run_mut(&format!("SHARD walks INTO {count} BY {by}"))
+                        .unwrap();
+                    let Relation { labels: rel, index } = &cat.relations["walks"];
+                    let labels: Vec<&str> =
+                        (0..rel.len()).map(|id| rel.label(id).unwrap()).collect();
+                    let spec = match by {
+                        "HASH" => ShardSpec::hash(count),
+                        _ => ShardSpec::range(count, &labels),
+                    };
+                    let fresh = ShardedIndex::build(*index.config(), rel, spec.unwrap()).unwrap();
+                    assert_eq!(index.map(), fresh.map(), "{what}");
+                    assert!(derived(index) == derived(&fresh), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_keeps_the_relations_own_config() {
+        // A relation restored into a catalog of another configuration keeps
+        // its own, and so does every part SHARD makes of it.
+        let mut own = IndexConfig {
+            bulk_load: false,
+            ..IndexConfig::default()
+        };
+        own.rtree.max_entries = 8;
+        own.rtree.min_entries = 3;
+        own.rtree.reinsert_count = 2;
+        let mut saved = Catalog::with_config(own);
+        let rel =
+            SeriesRelation::from_series("walks", RandomWalkGenerator::new(51).relation(60, 32));
+        saved.register(rel.unwrap()).unwrap();
+        let dir = std::env::temp_dir().join(format!("tsq-shard-config-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("catalog.tsq");
+        saved.save(&path).unwrap();
+        let mut cat = Catalog::new();
+        cat.open(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        cat.run_mut("SHARD walks INTO 3 BY HASH").unwrap();
+        let index = &cat.relations["walks"].index;
+        assert_eq!(index.shard_count(), 3);
+        for part in index.parts() {
+            assert_eq!(part.config().rtree, own.rtree);
+            assert!(!part.config().bulk_load);
+            part.tree().validate();
         }
     }
 

@@ -1,142 +1,100 @@
-//! Sort-Tile-Recursive (STR) bulk loading.
+//! Sort-Tile-Recursive (STR) bulk loading, straight into flat nodes.
 //!
 //! Building the index over a whole relation at once (the common case in the
 //! paper's experiments, where the data set is loaded and then queried) is
 //! much faster with bottom-up packing than with repeated insertion, and
-//! produces well-clustered leaves. Used by the benchmark harness; repeated
-//! insertion remains available for incremental workloads, and an ablation
-//! benchmark compares the two.
+//! produces well-clustered leaves. Repeated insertion remains available for
+//! incremental workloads, and an ablation benchmark compares the two.
 //!
-//! Every sort pass computes each entry's centre coordinate once and sorts
-//! on that cached key: no comparison touches a rectangle on the heap, and
-//! the stable sort gives the comparator sort's order bit for bit.
+//! One loader serves every caller ([`RStarTree::bulk_load_flat`];
+//! [`RStarTree::bulk_load`] adapts owned rectangles to it). The number of
+//! entries fixes the node layout of every level before anything is sorted
+//! — chunk sizes depend on the count alone — so each level's rectangles are
+//! written straight into the coordinate slabs of the nodes that will hold
+//! them, in input order, and the STR order is then applied in place by
+//! swapping entries between slabs. No per-entry allocation and no copy of a
+//! whole level's coordinates is ever made, and every slab has exactly its
+//! node's capacity.
+//!
+//! Every sort pass sorts entry indices on each entry's centre coordinate,
+//! computed once per pass (a cached key); the stable sort gives the
+//! comparator sort's order bit for bit.
 
 use std::cmp::Ordering;
 
 use crate::config::RTreeConfig;
-use crate::node::{Entry, Node};
-use crate::par::{par_for_each_slice, parallel_map};
+use crate::node::{Kids, Node};
+use crate::par::par_for_each_slice;
 use crate::rect::Rect;
 use crate::tree::RStarTree;
 
+/// A level's centre coordinates: `center(i, dim)` of entry `i`.
+type Centers<'a> = dyn Fn(usize, usize) -> f64 + Sync + 'a;
+
 impl<T> RStarTree<T> {
-    /// Builds a tree from `(rect, item)` pairs using STR packing.
+    /// Builds a tree from `(rect, item)` pairs using STR packing: the
+    /// owned-rectangle form of [`RStarTree::bulk_load_flat`], on the
+    /// calling thread.
     ///
     /// # Panics
     /// Panics if rectangles disagree in dimensionality.
     pub fn bulk_load(config: RTreeConfig, items: Vec<(Rect, T)>) -> Self {
-        bulk_build(
-            config,
-            items,
-            |entries, dims, cap| str_sort(entries, 0, dims, cap),
-            |groups, level| groups.into_iter().map(|g| pack_node(g, level)).collect(),
-        )
+        let Some((first, _)) = items.first() else {
+            return RStarTree::new(config);
+        };
+        let dims = first.dims();
+        for (r, _) in &items {
+            assert_eq!(r.dims(), dims, "dimensionality mismatch in bulk load");
+        }
+        let len = items.len();
+        Self::bulk_load_flat(config, dims, len, 1, |slots| {
+            let mut payloads = Vec::with_capacity(len);
+            for ((rect, item), slot) in items.into_iter().zip(slots) {
+                slot.copy_from_slice(rect.view().bounds());
+                payloads.push(item);
+            }
+            payloads
+        })
     }
-}
 
-impl<T: Send> RStarTree<T> {
-    /// [`RStarTree::bulk_load`] with the heavy per-level work — slab
-    /// sorting and node packing — partitioned across up to `threads`
-    /// worker threads. Both entry points share the one packing skeleton
-    /// (`bulk_build`); only the sort and pack steps differ.
+    /// Builds a tree of `len` entries of `dims` dimensions by STR packing,
+    /// from rectangles written in place: `fill` receives one slot of
+    /// `2·dims` bounds per entry, in entry order, writes each entry's
+    /// rectangle into its slot (`lo`, then `hi`) and returns the entries'
+    /// payloads in the same order. The slots are the coordinate slabs of
+    /// the leaves the entries will be packed into, so no rectangle is
+    /// allocated or copied on its own.
     ///
-    /// The parallel build produces a tree *identical* to the sequential
-    /// one: the top-level sort is shared, every slab is sorted on the same
-    /// key independently of the others, and chunk boundaries are
-    /// position-based, so thread count never changes entry placement.
-    /// `threads <= 1` falls back to the sequential path exactly.
+    /// Sorting a level fans out over up to `threads` worker threads. The
+    /// tree is *identical* at every thread count: the top-level sort is
+    /// shared, every slab is sorted on the same key independently of the
+    /// others, and chunk boundaries are position-based, so thread count
+    /// never changes entry placement.
+    ///
+    /// The bounds are stored as written: like [`Rect::from_point`]'s, they
+    /// are not validated.
     ///
     /// # Panics
-    /// Panics if rectangles disagree in dimensionality.
-    pub fn bulk_load_parallel(config: RTreeConfig, items: Vec<(Rect, T)>, threads: usize) -> Self {
-        if threads <= 1 {
-            return Self::bulk_load(config, items);
-        }
-        bulk_build(
-            config,
-            items,
-            |entries, dims, cap| str_sort_parallel(entries, dims, cap, threads),
-            // Node packing computes every node's MBR — O(n·d) per level —
-            // so it parallelizes as well as the sort does.
-            |groups, level| parallel_map(threads, groups, |g| pack_node(g, level)),
-        )
+    /// Panics if `fill` returns other than `len` payloads, or if `dims` is
+    /// zero for a non-empty load.
+    pub fn bulk_load_flat<F>(
+        config: RTreeConfig,
+        dims: usize,
+        len: usize,
+        threads: usize,
+        fill: F,
+    ) -> Self
+    where
+        F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>) -> Vec<T>,
+    {
+        str_load(config, dims, len, fill, |order, centers, dims, cap| {
+            str_sort_parallel(order, centers, dims, cap, threads)
+        })
     }
-}
 
-/// The bottom-up STR packing loop shared by the sequential and parallel
-/// bulk loaders: validate, wrap leaves, then per level sort (via `sort`)
-/// and pack fixed-size chunks into nodes (via `pack`) until everything
-/// fits in the root.
-fn bulk_build<T>(
-    config: RTreeConfig,
-    items: Vec<(Rect, T)>,
-    sort: impl Fn(&mut [Entry<T>], usize, usize),
-    pack: impl Fn(Vec<Vec<Entry<T>>>, u32) -> Vec<Entry<T>>,
-) -> RStarTree<T> {
-    config.validate();
-    let mut tree = RStarTree::new(config);
-    if items.is_empty() {
-        return tree;
-    }
-    let dims = items[0].0.dims();
-    for (r, _) in &items {
-        assert_eq!(r.dims(), dims, "dimensionality mismatch in bulk load");
-    }
-    let n = items.len();
-    // Pack leaf level.
-    let mut entries: Vec<Entry<T>> = items
-        .into_iter()
-        .map(|(rect, item)| Entry::Leaf { rect, item })
-        .collect();
-    let cap = config.max_entries;
-    let mut level = 0u32;
-    loop {
-        if entries.len() <= cap {
-            tree.set_root_from_entries(level, entries, dims, n);
-            return tree;
-        }
-        sort(&mut entries, dims, cap);
-        let chunks = chunk_sizes(entries.len(), cap);
-        let mut groups: Vec<Vec<Entry<T>>> = Vec::with_capacity(chunks.len());
-        let mut drain = entries.into_iter();
-        for size in chunks {
-            groups.push(drain.by_ref().take(size).collect());
-        }
-        entries = pack(groups, level);
-        level += 1;
-    }
-}
-
-/// Packs one chunk of entries into a node entry for the next level up.
-fn pack_node<T>(group: Vec<Entry<T>>, level: u32) -> Entry<T> {
-    let node = Node::new(level, group);
-    Entry::Node {
-        rect: node.mbr(),
-        child: Box::new(node),
-    }
-}
-
-/// The parallel counterpart of [`str_sort`] for the top recursion level:
-/// the dimension-0 sort stays sequential (one global ordering), then the
-/// per-slab recursions — independent by construction — fan out across
-/// workers. Slab boundaries come from the same [`slab_len`] as the
-/// sequential path and each slab runs the identical sequential
-/// `str_sort`, so the resulting ordering matches it exactly.
-fn str_sort_parallel<T: Send>(entries: &mut [Entry<T>], dims: usize, cap: usize, threads: usize) {
-    let n = entries.len();
-    if n <= cap || dims == 0 {
-        return;
-    }
-    sort_by_center(entries, 0);
-    if dims == 1 {
-        return;
-    }
-    let slices: Vec<&mut [Entry<T>]> = entries.chunks_mut(slab_len(n, cap, dims)).collect();
-    par_for_each_slice(threads, slices, |slab| str_sort(slab, 1, dims, cap));
-}
-
-impl<T> RStarTree<T> {
-    /// Inserts a batch of `(rect, item)` pairs.
+    /// Inserts a batch of entries: entry `i`'s rectangle is
+    /// `bounds[i·w..(i + 1)·w]` (`lo`, then `hi`), `w = bounds.len() /
+    /// items.len()`, and its payload `items[i]`.
     ///
     /// Into an empty tree this is a full STR bulk load. Into a non-empty
     /// tree the batch is STR-sorted first and then inserted in that order,
@@ -145,62 +103,251 @@ impl<T> RStarTree<T> {
     /// node splits versus insertion in arrival order.
     ///
     /// # Panics
-    /// Panics if rectangle dimensionalities disagree with each other or
-    /// with the tree's existing entries.
-    pub fn bulk_extend(&mut self, items: Vec<(Rect, T)>) {
+    /// Panics if the bounds do not split evenly into one rectangle per
+    /// item, or if the rectangles' dimensionality differs from the tree's.
+    pub fn bulk_extend(&mut self, bounds: &[f64], mut items: Vec<T>) {
         if items.is_empty() {
+            assert!(bounds.is_empty(), "bounds for no items");
             return;
         }
+        let n = items.len();
+        let w = bounds.len() / n;
+        assert!(
+            w * n == bounds.len() && w % 2 == 0,
+            "{} bounds do not make {n} rectangles",
+            bounds.len()
+        );
+        let rects = || bounds.chunks_exact(w);
         if self.is_empty() {
-            *self = RStarTree::bulk_load(*self.config(), items);
+            *self = RStarTree::bulk_load_flat(self.config, w / 2, n, 1, |slots| {
+                for (slot, rect) in slots.zip(rects()) {
+                    slot.copy_from_slice(rect);
+                }
+                items
+            });
             return;
         }
         let dims = self.dims().expect("non-empty tree has dimensionality");
-        for (r, _) in &items {
-            assert_eq!(r.dims(), dims, "dimensionality mismatch in bulk extend");
+        assert_eq!(w / 2, dims, "dimensionality mismatch in bulk extend");
+        let mut order: Vec<usize> = (0..n).collect();
+        let centers = |i: usize, dim: usize| center(&bounds[i * w..(i + 1) * w], dim);
+        str_sort(&mut order, &centers, 0, dims, self.config.max_entries);
+        permute(&order, |a, b| items.swap(a, b));
+        for (&i, item) in order.iter().zip(items) {
+            self.insert(Rect::from_bounds(bounds[i * w..(i + 1) * w].to_vec()), item);
         }
-        let mut entries: Vec<Entry<T>> = items
-            .into_iter()
-            .map(|(rect, item)| Entry::Leaf { rect, item })
-            .collect();
-        str_sort(&mut entries, 0, dims, self.config().max_entries);
-        for entry in entries {
-            match entry {
-                Entry::Leaf { rect, item } => self.insert(rect, item),
-                Entry::Node { .. } => unreachable!("batch holds leaf entries only"),
-            }
+    }
+}
+
+/// The one STR loader: allocate the leaf slabs for `len` entries, let
+/// `fill` write the rectangles and hand over the payloads, then pack level
+/// by level — ordering each level with `sort` — until one node remains.
+fn str_load<T, F, S>(config: RTreeConfig, dims: usize, len: usize, fill: F, sort: S) -> RStarTree<T>
+where
+    F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>) -> Vec<T>,
+    S: Fn(&mut [usize], &Centers<'_>, usize, usize),
+{
+    config.validate();
+    let mut tree = RStarTree::new(config);
+    if len == 0 {
+        let none = fill(&mut std::iter::empty::<&mut [f64]>());
+        assert!(none.is_empty(), "payloads for no entries");
+        return tree;
+    }
+    assert!(dims > 0, "a rectangle needs at least one dimension");
+    let cap = config.max_entries;
+    let mut slabs = Slabs::new(len, cap, 2 * dims);
+    let items = fill(&mut slabs.slots_mut());
+    assert_eq!(items.len(), len, "one payload per rectangle");
+    let mut nodes = pack(0, dims, slabs, items, Kids::Items, &sort);
+    let mut level = 1;
+    while nodes.len() > 1 {
+        let mut slabs = Slabs::new(nodes.len(), cap, 2 * dims);
+        for (slot, node) in slabs.slots_mut().zip(&nodes) {
+            node.mbr_into(slot);
+        }
+        nodes = pack(level, dims, slabs, nodes, Kids::Nodes, &sort);
+        level += 1;
+    }
+    tree.set_root(nodes.pop().expect("one root"), len);
+    tree
+}
+
+/// Packs one level: puts its entries in STR order — unless they all fit
+/// one node, which then keeps them in input order — and carves the slabs
+/// and payloads into nodes at `level`.
+fn pack<P, T, S>(
+    level: u32,
+    dims: usize,
+    mut slabs: Slabs,
+    mut payloads: Vec<P>,
+    kids: fn(Vec<P>) -> Kids<T>,
+    sort: &S,
+) -> Vec<Node<T>>
+where
+    S: Fn(&mut [usize], &Centers<'_>, usize, usize),
+{
+    if slabs.slabs.len() > 1 {
+        let mut order: Vec<usize> = (0..payloads.len()).collect();
+        let centers = |i: usize, dim: usize| center(slabs.get(i), dim);
+        sort(&mut order, &centers, dims, slabs.cap);
+        permute(&order, |a, b| {
+            slabs.swap(a, b);
+            payloads.swap(a, b);
+        });
+    }
+    let w = slabs.width;
+    let mut payloads = payloads.into_iter();
+    let nodes = slabs.slabs.into_iter().map(|coords| {
+        let count = coords.len() / w;
+        Node {
+            level,
+            dims: dims as u32,
+            coords,
+            kids: kids(payloads.by_ref().take(count).collect()),
+        }
+    });
+    nodes.collect()
+}
+
+/// One level's rectangles, `width` bounds each, held in the coordinate
+/// slabs of the nodes the level packs into: slab `j` has room for chunk
+/// `j` of [`chunk_sizes`] (one slab when everything fits one node). Entry
+/// `i` is the `i`-th slot across the slabs in order.
+struct Slabs {
+    slabs: Vec<Vec<f64>>,
+    width: usize,
+    cap: usize,
+    /// Entries in each of the last slabs; the first `extra` hold one more.
+    base: usize,
+    extra: usize,
+}
+
+impl Slabs {
+    fn new(n: usize, cap: usize, width: usize) -> Self {
+        let sizes = if n <= cap {
+            vec![n]
+        } else {
+            chunk_sizes(n, cap)
+        };
+        let base = n / sizes.len();
+        Slabs {
+            slabs: sizes.iter().map(|&size| vec![0.0; size * width]).collect(),
+            width,
+            cap,
+            base,
+            extra: n % sizes.len(),
         }
     }
 
-    fn set_root_from_entries(&mut self, level: u32, entries: Vec<Entry<T>>, dims: usize, n: usize) {
-        self.root = Node::new(level, entries);
-        self.force_size(n, dims);
+    /// Entry `i`'s slab and its slot there.
+    fn locate(&self, i: usize) -> (usize, usize) {
+        let big = self.base + 1;
+        match i.checked_sub(self.extra * big) {
+            None => (i / big, i % big),
+            Some(rest) => (self.extra + rest / self.base, rest % self.base),
+        }
     }
+
+    fn get(&self, i: usize) -> &[f64] {
+        let (slab, slot) = self.locate(i);
+        &self.slabs[slab][slot * self.width..(slot + 1) * self.width]
+    }
+
+    fn slots_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
+        let w = self.width;
+        self.slabs
+            .iter_mut()
+            .flat_map(move |s| s.chunks_exact_mut(w))
+    }
+
+    /// Swaps entries `a` and `b`'s rectangles.
+    fn swap(&mut self, a: usize, b: usize) {
+        let w = self.width;
+        let ((sa, oa), (sb, ob)) = (self.locate(a), self.locate(b));
+        if sa == sb {
+            let slab = &mut self.slabs[sa];
+            let (lo, hi) = (oa.min(ob), oa.max(ob));
+            let (head, tail) = slab.split_at_mut(hi * w);
+            head[lo * w..(lo + 1) * w].swap_with_slice(&mut tail[..w]);
+        } else {
+            let (lo, hi) = if sa < sb {
+                ((sa, oa), (sb, ob))
+            } else {
+                ((sb, ob), (sa, oa))
+            };
+            let (head, tail) = self.slabs.split_at_mut(hi.0);
+            head[lo.0][lo.1 * w..(lo.1 + 1) * w]
+                .swap_with_slice(&mut tail[0][hi.1 * w..(hi.1 + 1) * w]);
+        }
+    }
+}
+
+/// Rearranges a sequence in place so that position `p` holds what was at
+/// `order[p]`, by swapping along each cycle of the permutation.
+fn permute(order: &[usize], mut swap: impl FnMut(usize, usize)) {
+    let mut done = vec![false; order.len()];
+    for start in 0..order.len() {
+        let mut j = start;
+        while !done[j] {
+            done[j] = true;
+            let k = order[j];
+            if k == start {
+                break;
+            }
+            swap(j, k);
+            j = k;
+        }
+    }
+}
+
+/// The parallel form of [`str_sort`] at the top recursion level: the
+/// dimension-0 sort stays sequential (one global ordering), then the
+/// per-slab recursions — independent by construction — fan out across
+/// workers. Slab boundaries come from the same [`slab_len`] as the
+/// sequential path and each slab runs the identical sequential `str_sort`,
+/// so the resulting ordering matches it exactly. `threads <= 1` is the
+/// sequential sort.
+fn str_sort_parallel(
+    order: &mut [usize],
+    centers: &Centers<'_>,
+    dims: usize,
+    cap: usize,
+    threads: usize,
+) {
+    let n = order.len();
+    if threads <= 1 || n <= cap || dims == 1 {
+        return str_sort(order, centers, 0, dims, cap);
+    }
+    sort_by_center(order, centers, 0);
+    let slices: Vec<&mut [usize]> = order.chunks_mut(slab_len(n, cap, dims)).collect();
+    par_for_each_slice(threads, slices, |slab| {
+        str_sort(slab, centers, 1, dims, cap)
+    });
 }
 
 /// Recursively orders entries in STR fashion: sort the current dimension,
 /// slice into vertical slabs sized so each slab packs into roughly equal
 /// tiles, recurse on the next dimension within each slab.
-fn str_sort<T>(entries: &mut [Entry<T>], dim: usize, dims: usize, cap: usize) {
-    let n = entries.len();
+fn str_sort(order: &mut [usize], centers: &Centers<'_>, dim: usize, dims: usize, cap: usize) {
+    let n = order.len();
     if n <= cap || dim >= dims {
         return;
     }
-    sort_by_center(entries, dim);
+    sort_by_center(order, centers, dim);
     if dim + 1 == dims {
         return;
     }
-    for chunk in entries.chunks_mut(slab_len(n, cap, dims - dim)) {
-        str_sort(chunk, dim + 1, dims, cap);
+    for chunk in order.chunks_mut(slab_len(n, cap, dims - dim)) {
+        str_sort(chunk, centers, dim + 1, dims, cap);
     }
 }
 
 /// Stable sort by the centre coordinate along `dim`. The key is computed
-/// once per entry per pass, so a comparison reads two cached `f64`s
-/// instead of dereferencing two heap rectangles; ties keep their input
-/// order, so the order is the comparator sort's exactly.
-fn sort_by_center<T>(entries: &mut [Entry<T>], dim: usize) {
-    entries.sort_by_cached_key(|e| Center(center_coord(e.rect(), dim)));
+/// once per entry per pass, so a comparison reads two cached `f64`s; ties
+/// keep their input order, so the order is the comparator sort's exactly.
+fn sort_by_center(order: &mut [usize], centers: &Centers<'_>, dim: usize) {
+    order.sort_by_cached_key(|&i| Center(centers(i, dim)));
 }
 
 /// A centre coordinate under `f64::total_cmp`'s total order.
@@ -240,9 +387,10 @@ fn slab_len(n: usize, cap: usize, dims_remaining: usize) -> usize {
     n.div_ceil(slabs)
 }
 
+/// The centre coordinate along `dim` of a rectangle's bounds.
 #[inline]
-fn center_coord(r: &Rect, dim: usize) -> f64 {
-    0.5 * (r.lo()[dim] + r.hi()[dim])
+fn center(bounds: &[f64], dim: usize) -> f64 {
+    0.5 * (bounds[dim] + bounds[bounds.len() / 2 + dim])
 }
 
 /// Splits `n` entries into chunks of at most `cap`, sized as evenly as
@@ -264,6 +412,7 @@ fn chunk_sizes(n: usize, cap: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rect::RectView;
 
     fn points(n: usize) -> Vec<(Rect, usize)> {
         (0..n)
@@ -273,6 +422,23 @@ mod tests {
                 (Rect::from_point(&[x, y]), i)
             })
             .collect()
+    }
+
+    /// `items` as flat bounds and payloads.
+    fn flat(items: &[(Rect, usize)]) -> (Vec<f64>, Vec<usize>) {
+        let bounds = items.iter().flat_map(|(r, _)| r.view().bounds().to_vec());
+        (bounds.collect(), items.iter().map(|&(_, i)| i).collect())
+    }
+
+    /// [`RStarTree::bulk_load_flat`] over `items`.
+    fn load_flat(config: RTreeConfig, items: &[(Rect, usize)], threads: usize) -> RStarTree<usize> {
+        let dims = items.first().map_or(1, |(r, _)| r.dims());
+        RStarTree::bulk_load_flat(config, dims, items.len(), threads, |slots| {
+            for (slot, (rect, _)) in slots.zip(items) {
+                slot.copy_from_slice(rect.view().bounds());
+            }
+            flat(items).1
+        })
     }
 
     #[test]
@@ -334,16 +500,12 @@ mod tests {
         for n in [40usize, 500, 1500] {
             let seq = RStarTree::bulk_load(RTreeConfig::with_max_entries(8), points(n));
             for threads in [1usize, 2, 3, 8] {
-                let par = RStarTree::bulk_load_parallel(
-                    RTreeConfig::with_max_entries(8),
-                    points(n),
-                    threads,
-                );
+                let par = load_flat(RTreeConfig::with_max_entries(8), &points(n), threads);
                 par.validate();
                 assert_eq!(par.len(), seq.len());
                 assert_eq!(par.height(), seq.height(), "n = {n}, threads = {threads}");
-                let a: Vec<(&Rect, &usize)> = seq.iter().collect();
-                let b: Vec<(&Rect, &usize)> = par.iter().collect();
+                let a: Vec<(RectView, &usize)> = seq.iter().collect();
+                let b: Vec<(RectView, &usize)> = par.iter().collect();
                 assert_eq!(a, b, "n = {n}, threads = {threads}: leaf layout differs");
             }
         }
@@ -351,10 +513,9 @@ mod tests {
 
     #[test]
     fn parallel_bulk_load_empty_and_tiny() {
-        let t: RStarTree<usize> =
-            RStarTree::bulk_load_parallel(RTreeConfig::default(), Vec::new(), 4);
+        let t = load_flat(RTreeConfig::default(), &[], 4);
         assert!(t.is_empty());
-        let t = RStarTree::bulk_load_parallel(RTreeConfig::with_max_entries(8), points(3), 4);
+        let t = load_flat(RTreeConfig::with_max_entries(8), &points(3), 4);
         assert_eq!(t.len(), 3);
         t.validate();
     }
@@ -362,7 +523,8 @@ mod tests {
     #[test]
     fn bulk_extend_empty_tree_is_bulk_load() {
         let mut t: RStarTree<usize> = RStarTree::new(RTreeConfig::with_max_entries(8));
-        t.bulk_extend(points(300));
+        let (bounds, items) = flat(&points(300));
+        t.bulk_extend(&bounds, items);
         assert_eq!(t.len(), 300);
         t.validate();
         // Packing quality: same height as a direct bulk load.
@@ -380,7 +542,8 @@ mod tests {
                 (Rect::from_point(&[x, y]), 1000 + i)
             })
             .collect();
-        t.bulk_extend(extra.clone());
+        let (bounds, items) = flat(&extra);
+        t.bulk_extend(&bounds, items);
         assert_eq!(t.len(), 300);
         t.validate();
         // Every batch item is findable.
@@ -388,24 +551,30 @@ mod tests {
         let (found, _) = t.search_collect(&q);
         assert_eq!(found.len(), 180);
         // Empty batch is a no-op.
-        t.bulk_extend(Vec::new());
+        t.bulk_extend(&[], Vec::new());
         assert_eq!(t.len(), 300);
     }
 
     /// The STR order as a comparator sort computed it, reading both
     /// rectangles on every comparison: the reference the keyed sort must
     /// reproduce.
-    fn str_sort_by_comparator<T>(entries: &mut [Entry<T>], dim: usize, dims: usize, cap: usize) {
-        let n = entries.len();
+    fn str_sort_by_comparator(
+        order: &mut [usize],
+        centers: &Centers<'_>,
+        dim: usize,
+        dims: usize,
+        cap: usize,
+    ) {
+        let n = order.len();
         if n <= cap || dim >= dims {
             return;
         }
-        entries.sort_by(|a, b| center_coord(a.rect(), dim).total_cmp(&center_coord(b.rect(), dim)));
+        order.sort_by(|&a, &b| centers(a, dim).total_cmp(&centers(b, dim)));
         if dim + 1 == dims {
             return;
         }
-        for chunk in entries.chunks_mut(slab_len(n, cap, dims - dim)) {
-            str_sort_by_comparator(chunk, dim + 1, dims, cap);
+        for chunk in order.chunks_mut(slab_len(n, cap, dims - dim)) {
+            str_sort_by_comparator(chunk, centers, dim + 1, dims, cap);
         }
     }
 
@@ -444,7 +613,7 @@ mod tests {
         let leaves = tree
             .iter()
             .map(|(r, &i)| {
-                let bits = r.lo().iter().chain(r.hi()).map(|x| x.to_bits()).collect();
+                let bits = r.bounds().iter().map(|x| x.to_bits()).collect();
                 (bits, i)
             })
             .collect();
@@ -458,42 +627,41 @@ mod tests {
             for (n, seed) in [(3usize, 1u64), (9, 2), (64, 3), (300, 4), (1000, 5)] {
                 let items = tied(n, dims, seed);
                 let what = format!("dims {dims}, n {n}, seed {seed}");
-                let want = layout(&bulk_build(
+                let fill = |slots: &mut dyn Iterator<Item = &mut [f64]>| {
+                    for (slot, (rect, _)) in slots.zip(&items) {
+                        slot.copy_from_slice(rect.view().bounds());
+                    }
+                    flat(&items).1
+                };
+                let want = layout(&str_load(
                     config,
-                    items.clone(),
-                    |entries, dims, cap| str_sort_by_comparator(entries, 0, dims, cap),
-                    |groups, level| groups.into_iter().map(|g| pack_node(g, level)).collect(),
+                    dims,
+                    n,
+                    fill,
+                    |order, centers, dims, cap| {
+                        str_sort_by_comparator(order, centers, 0, dims, cap)
+                    },
                 ));
                 let got = RStarTree::bulk_load(config, items.clone());
                 got.validate();
                 assert!(layout(&got) == want, "bulk_load, {what}");
                 for threads in [1usize, 2, 4] {
-                    let got = RStarTree::bulk_load_parallel(config, items.clone(), threads);
-                    assert!(
-                        layout(&got) == want,
-                        "bulk_load_parallel({threads}), {what}"
-                    );
+                    let got = load_flat(config, &items, threads);
+                    assert!(layout(&got) == want, "bulk_load_flat({threads}), {what}");
                 }
 
                 // A batch into a non-empty tree is inserted in STR order.
                 let base = tied(40, dims, seed + 100);
                 let mut want = RStarTree::bulk_load(config, base.clone());
-                let mut entries: Vec<Entry<usize>> = items
-                    .iter()
-                    .map(|(rect, item)| Entry::Leaf {
-                        rect: rect.clone(),
-                        item: *item,
-                    })
-                    .collect();
-                str_sort_by_comparator(&mut entries, 0, dims, config.max_entries);
-                for entry in entries {
-                    let Entry::Leaf { rect, item } = entry else {
-                        unreachable!("leaf entries only")
-                    };
-                    want.insert(rect, item);
+                let mut order: Vec<usize> = (0..n).collect();
+                let centers = |i: usize, dim: usize| center(items[i].0.view().bounds(), dim);
+                str_sort_by_comparator(&mut order, &centers, 0, dims, config.max_entries);
+                for i in order {
+                    want.insert(items[i].0.clone(), items[i].1);
                 }
                 let mut got = RStarTree::bulk_load(config, base);
-                got.bulk_extend(items);
+                let (bounds, payloads) = flat(&items);
+                got.bulk_extend(&bounds, payloads);
                 got.validate();
                 assert!(layout(&got) == layout(&want), "bulk_extend, {what}");
             }
@@ -512,6 +680,15 @@ mod tests {
                 for &s in &sizes {
                     assert!(s <= cap);
                     assert!(s >= cap / 2, "chunk {s} below half fill (cap {cap}, n {n})");
+                }
+                // Every entry has a slot, in order, across the slabs.
+                let slabs = Slabs::new(n, cap, 2);
+                let mut at = 0;
+                for (j, &size) in sizes.iter().enumerate() {
+                    for slot in 0..size {
+                        assert_eq!(slabs.locate(at), (j, slot), "n {n}, cap {cap}");
+                        at += 1;
+                    }
                 }
             }
         }

@@ -13,17 +13,24 @@
 //! - [`knn::nearest_with_tie`] runs best-first nearest-neighbor search
 //!   with pluggable lower-bound metrics (MINDIST et al., Roussopoulos 1995),
 //!   again allowing transformed metrics;
-//! - [`RStarTree::bulk_load`] packs a whole relation with STR;
+//! - [`RStarTree::bulk_load_flat`] packs a whole relation with STR
+//!   ([`RStarTree::bulk_load`] from owned rectangles);
 //! - every query returns [`stats::SearchStats`], whose node-visit counter
 //!   stands in for the paper's disk-access measurements.
 //!
-//! The tree stores arbitrary payloads under dynamic-dimensional rectangles
-//! ([`rect::Rect`]); leaf entries may be points (degenerate rectangles),
-//! which is how feature vectors are stored by `tsq-core`.
+//! The tree stores arbitrary payloads under dynamic-dimensional rectangles;
+//! leaf entries may be points (degenerate rectangles), which is how feature
+//! vectors are stored by `tsq-core`. A node holds its entries' rectangles
+//! flat: one coordinate slab of `2·dims` `f64`s per entry, back to back,
+//! beside one array of payloads or child nodes — no rectangle is boxed on
+//! its own. Traversals hand callers each stored rectangle as a borrowed
+//! [`RectView`] into that slab; an owned [`Rect`] (a query rectangle, say)
+//! lends one through [`Rect::view`]. [`RStarTree::bulk_load_flat`] writes
+//! rectangles straight into the slabs of the leaves STR packs them into.
 //!
 //! The range visitor and the kNN loop each exist once, written against a
 //! [`NodeStore`]: "fetch a node by reference, get a guard exposing its
-//! level and its `(rect, item | child ref)` entries". Two stores
+//! level and its `(rect view, item | child ref)` entries". Two stores
 //! implement it. `&RStarTree<T>` keeps every node in memory, its guard is
 //! a plain borrow and its fetch cannot fail, so the generic code compiles
 //! to the direct pointer walk. `&PagedTree` ([`paged::PagedTree`]) stores
@@ -66,6 +73,6 @@ pub use knn::Neighbor;
 pub use node::{NodeStore, Slot};
 pub use page::{BufferPool, PageId};
 pub use paged::PagedTree;
-pub use rect::Rect;
+pub use rect::{Rect, RectView};
 pub use stats::{LevelStats, SearchStats};
 pub use tree::RStarTree;

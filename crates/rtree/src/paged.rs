@@ -28,10 +28,10 @@ use std::path::{Path, PathBuf};
 use tsq_store::{crc32, Decoder, Encoder, StoreError, StoreResult};
 
 use crate::config::{RTreeConfig, MAX_PAGE_BYTES, PAGE_ALIGN, PAGE_HEADER_BYTES};
-use crate::node::{Entry, Node, NodeStore, Slot};
+use crate::node::{Kids, Node, NodeStore, Slot};
 use crate::page::{seal_page, BufferPool, PageId, PagePin};
-use crate::persist::{read_rect, write_rect};
-use crate::rect::Rect;
+use crate::persist::read_bounds;
+use crate::rect::RectView;
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
@@ -55,21 +55,18 @@ const HEADER_BYTES: usize = 69;
 const MAX_PAGE_COUNT: u64 = 1 << 40;
 const _: () = assert!(MAX_PAGE_COUNT * (MAX_PAGE_BYTES as u64) < u64::MAX - PAGE_ALIGN as u64);
 
-/// One decoded page: a node whose children are page references.
+/// One decoded page: a node whose children are page references, in the
+/// in-memory node's layout — one coordinate slab of `2·dims` bounds per
+/// entry, in entry order, beside the words under them.
 #[derive(Debug)]
 pub struct PagedNode {
     /// Distance from the leaves (0 = leaf).
     level: u32,
-    /// Entries in stored order.
-    entries: Vec<PagedEntry>,
-}
-
-/// One entry of a paged node: the stored rectangle and the word under it
-/// — the payload at level 0, the child's page id above.
-#[derive(Debug)]
-struct PagedEntry {
-    rect: Rect,
-    word: u64,
+    /// Every entry's rectangle, `lo` then `hi`, back to back.
+    coords: Vec<f64>,
+    /// Under each rectangle: the payload at level 0, the child's page id
+    /// above.
+    words: Vec<u64>,
 }
 
 /// A read-only R\*-tree stored one-node-per-page in a file, fetched
@@ -282,7 +279,7 @@ impl PagedTree {
                 pin.level
             )));
         }
-        if pin.entries.is_empty() {
+        if pin.words.is_empty() {
             return Err(StoreError::corrupt(format!(
                 "{id} holds an empty node in a populated page file"
             )));
@@ -317,26 +314,34 @@ impl<'a> NodeStore for &'a PagedTree {
         node.level
     }
 
+    fn max_entries(self) -> usize {
+        self.config.max_entries
+    }
+
+    fn height(self) -> u32 {
+        PagedTree::height(self)
+    }
+
     fn entries(node: &Self::Guard) -> impl Iterator<Item = Slot<'_, Self::Item, Self::Ref>> {
         let level = node.level;
-        node.entries.iter().map(move |PagedEntry { rect, word }| {
+        // A fetched node is never empty, so the width divides out.
+        let width = node.coords.len() / node.words.len();
+        let rects = node.coords.chunks_exact(width).map(RectView::new);
+        rects.zip(&node.words).map(move |(rect, &word)| {
             if level == 0 {
-                Slot::Item(rect, *word)
+                Slot::Item(rect, word)
             } else {
-                Slot::Child(rect, (PageId(*word), level - 1))
+                Slot::Child(rect, (PageId(word), level - 1))
             }
         })
     }
 }
 
 fn count_nodes<T>(node: &Node<T>) -> u64 {
-    let mut n = 1;
-    for entry in &node.entries {
-        if let Entry::Node { child, .. } = entry {
-            n += count_nodes(child);
-        }
+    match &node.kids {
+        Kids::Items(_) => 1,
+        Kids::Nodes(children) => 1 + children.iter().map(count_nodes).sum::<u64>(),
     }
-    n
 }
 
 /// Writes `node`'s subtree post-order (children first), assigning page
@@ -350,25 +355,19 @@ fn write_subtree<T, F: FnMut(&T) -> u64>(
     next: &mut u64,
     page_size: usize,
 ) -> StoreResult<PageId> {
-    let mut child_ids = Vec::new();
-    for entry in &node.entries {
-        if let Entry::Node { child, .. } = entry {
-            child_ids.push(write_subtree(w, child, to_u64, next, page_size)?);
-        }
-    }
+    let words: Vec<u64> = match &node.kids {
+        Kids::Items(items) => items.iter().map(&mut *to_u64).collect(),
+        Kids::Nodes(children) => children
+            .iter()
+            .map(|child| write_subtree(w, child, to_u64, next, page_size).map(|id| id.0))
+            .collect::<StoreResult<_>>()?,
+    };
     let mut enc = Encoder::new();
     enc.u32(node.level);
-    enc.u32(node.entries.len() as u32);
-    let mut ci = 0;
-    for entry in &node.entries {
-        write_rect(&mut enc, entry.rect());
-        match entry {
-            Entry::Leaf { item, .. } => enc.u64(to_u64(item)),
-            Entry::Node { .. } => {
-                enc.u64(child_ids[ci].0);
-                ci += 1;
-            }
-        }
+    enc.u32(words.len() as u32);
+    for (rect, word) in node.rects().zip(words) {
+        enc.f64_slice(rect.bounds());
+        enc.u64(word);
     }
     let payload = enc.into_bytes();
     w.write_all(&seal_page(&payload, page_size)?)?;
@@ -404,19 +403,24 @@ fn decode_node(
             "populated node in a zero-dimensional page file",
         ));
     }
-    let mut entries = Vec::with_capacity(count);
+    let mut coords = Vec::with_capacity(count * 2 * dims);
+    let mut words = Vec::with_capacity(count);
     for _ in 0..count {
-        let rect = read_rect(&mut dec, dims)?;
+        read_bounds(&mut dec, dims, &mut coords)?;
         let word = dec.u64("entry payload")?;
         if level > 0 && word >= page_count {
             return Err(StoreError::corrupt(format!(
                 "child reference to page {word} of {page_count}"
             )));
         }
-        entries.push(PagedEntry { rect, word });
+        words.push(word);
     }
     dec.finish()?;
-    Ok(PagedNode { level, entries })
+    Ok(PagedNode {
+        level,
+        coords,
+        words,
+    })
 }
 
 struct ParsedHeader {

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! config     max_entries u32 · min_entries u32 · reinsert_count u32
-//! rect       lo f64×dims · hi f64×dims
+//! rect       lo f64×dims · hi f64×dims     (a node slab's layout)
 //! ```
 //!
 //! Readers enforce what `RTreeConfig::validate` and `Rect::new` assert —
@@ -17,7 +17,6 @@
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
 use crate::config::{RTreeConfig, MAX_FANOUT};
-use crate::rect::Rect;
 
 /// Writes R\*-tree tuning parameters (three `u32`s). The single config
 /// codec shared by page files and the higher-level index configurations
@@ -60,49 +59,58 @@ pub fn read_config(dec: &mut Decoder<'_>) -> StoreResult<RTreeConfig> {
     })
 }
 
-pub(crate) fn write_rect(enc: &mut Encoder, rect: &Rect) {
-    enc.f64_slice(rect.lo());
-    enc.f64_slice(rect.hi());
-}
-
-pub(crate) fn read_rect(dec: &mut Decoder<'_>, dims: usize) -> StoreResult<Rect> {
-    // Hot path (one call per tree entry): the wire layout (`lo` array
-    // then `hi` array) is exactly `Rect`'s internal bounds buffer, so one
-    // block read + one decode pass + one validation loop produce the
-    // rectangle with a single allocation and no re-validation.
+/// Reads one rectangle of `dims` dimensions and appends its bounds to
+/// `slab`: the wire layout (`lo` array then `hi` array) is a node slab's,
+/// so a page decodes straight into its node's slab in one block read, one
+/// decode pass and one validation loop. On error `slab` is left as it was.
+pub(crate) fn read_bounds(
+    dec: &mut Decoder<'_>,
+    dims: usize,
+    slab: &mut Vec<f64>,
+) -> StoreResult<()> {
     let bytes = dec.bytes(
         dims.checked_mul(16)
             .ok_or_else(|| StoreError::corrupt("rect dimensionality overflows"))?,
         "rect bounds",
     )?;
-    let bounds: Vec<f64> = bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8")))
-        .collect();
+    let start = slab.len();
+    slab.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8"))),
+    );
+    let bounds = &slab[start..];
     for i in 0..dims {
         let (l, h) = (bounds[i], bounds[dims + i]);
-        if !l.is_finite() || !h.is_finite() {
-            return Err(StoreError::corrupt(format!(
-                "non-finite rect bound in dim {i}: [{l}, {h}]"
-            )));
-        }
-        if l > h {
-            return Err(StoreError::corrupt(format!(
-                "inverted rect bounds in dim {i}: {l} > {h}"
-            )));
-        }
+        let error = if !l.is_finite() || !h.is_finite() {
+            format!("non-finite rect bound in dim {i}: [{l}, {h}]")
+        } else if l > h {
+            format!("inverted rect bounds in dim {i}: {l} > {h}")
+        } else {
+            continue;
+        };
+        slab.truncate(start);
+        return Err(StoreError::corrupt(error));
     }
-    Ok(Rect::from_validated_bounds(bounds))
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rect::Rect;
 
     fn rect_bytes(rect: &Rect) -> Vec<u8> {
         let mut enc = Encoder::new();
-        write_rect(&mut enc, rect);
+        enc.f64_slice(rect.view().bounds());
         enc.into_bytes()
+    }
+
+    fn read_rect(dec: &mut Decoder<'_>, dims: usize) -> StoreResult<Vec<f64>> {
+        let mut slab = vec![7.0];
+        read_bounds(dec, dims, &mut slab)?;
+        assert_eq!(slab[0], 7.0, "appended after what the slab held");
+        Ok(slab.split_off(1))
     }
 
     #[test]
@@ -126,11 +134,13 @@ mod tests {
         let rect = Rect::new(vec![0.0, -1.5], vec![2.0, 3.0]);
         let good = rect_bytes(&rect);
         let mut dec = Decoder::new(&good);
-        assert_eq!(read_rect(&mut dec, 2).unwrap(), rect);
+        assert_eq!(read_rect(&mut dec, 2).unwrap(), rect.view().bounds());
         dec.finish().unwrap();
         let corrupt = |bytes: &[u8], what: &str| {
-            let err = read_rect(&mut Decoder::new(bytes), 2).unwrap_err();
+            let mut slab = vec![1.0, 2.0];
+            let err = read_bounds(&mut Decoder::new(bytes), 2, &mut slab).unwrap_err();
             assert!(matches!(err, StoreError::Corrupt { .. }), "{what}: {err:?}");
+            assert_eq!(slab, [1.0, 2.0], "{what}: the slab is left as it was");
         };
         // Non-finite bound (lo of dimension 0).
         let mut bad = good.clone();

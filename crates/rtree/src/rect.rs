@@ -1,26 +1,34 @@
-//! Axis-aligned rectangles of dynamic dimensionality.
+//! Axis-aligned rectangles of dynamic dimensionality, owned ([`Rect`]) and
+//! borrowed ([`RectView`]).
 //!
 //! The index stores feature points in a `2k+2`-dimensional space whose
 //! dimensionality is chosen at runtime (it depends on the number of Fourier
-//! coefficients kept), so rectangles carry their bounds in boxed slices
-//! rather than const-generic arrays.
+//! coefficients kept), so a rectangle is a run of `2·dims` `f64` bounds
+//! rather than a const-generic array: `lo` in the first half, `hi` in the
+//! second. A tree node keeps its entries' runs back to back in one
+//! coordinate slab and hands traversals a [`RectView`] into it; a [`Rect`]
+//! owns its run in one allocation, for query rectangles and for what is
+//! built one rectangle at a time. Every geometric test lives on the view;
+//! [`Rect::view`] borrows an owned rectangle as one.
 
 use std::fmt;
 
-/// An axis-aligned (hyper-)rectangle: per-dimension closed intervals
-/// `[lo_i, hi_i]`.
+/// An axis-aligned (hyper-)rectangle that owns its bounds: per-dimension
+/// closed intervals `[lo_i, hi_i]`.
 ///
 /// Degenerate rectangles (points, `lo == hi`) are fully supported — leaf
 /// entries of the similarity index are points.
-///
-/// Both bound arrays live in **one** contiguous allocation (`lo` in the
-/// first half, `hi` in the second): rectangles are constructed in bulk on
-/// every hot path — trail extraction, on-the-fly transformed traversals,
-/// snapshot restores — and one allocation per rectangle instead of two
-/// measurably cuts both build and restore latency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rect {
     bounds: Box<[f64]>,
+}
+
+/// A borrowed rectangle: `2·dims` bounds stored elsewhere — in a tree
+/// node's coordinate slab, or in a [`Rect`] — `lo` then `hi`. What every
+/// traversal hands its callbacks; `Copy`, so it is passed by value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RectView<'a> {
+    bounds: &'a [f64],
 }
 
 impl Rect {
@@ -45,21 +53,6 @@ impl Rect {
         }
     }
 
-    /// Crate-internal constructor from an already-validated contiguous
-    /// bounds buffer (`lo` in the first half, `hi` in the second) — the
-    /// snapshot decoder's hot path, which validates while parsing and
-    /// must not pay for a second validation pass or extra copies.
-    pub(crate) fn from_validated_bounds(bounds: Vec<f64>) -> Self {
-        debug_assert!(bounds.len() % 2 == 0);
-        debug_assert!({
-            let d = bounds.len() / 2;
-            (0..d).all(|i| bounds[i].is_finite() && bounds[i] <= bounds[d + i])
-        });
-        Self {
-            bounds: bounds.into_boxed_slice(),
-        }
-    }
-
     /// Creates a degenerate rectangle containing a single point.
     pub fn from_point(p: &[f64]) -> Self {
         let mut bounds = Vec::with_capacity(2 * p.len());
@@ -70,26 +63,106 @@ impl Rect {
         }
     }
 
+    /// A rectangle over already-validated bounds (`lo` then `hi`).
+    pub(crate) fn from_bounds(bounds: Vec<f64>) -> Self {
+        debug_assert!(bounds.len() % 2 == 0);
+        Self {
+            bounds: bounds.into_boxed_slice(),
+        }
+    }
+
+    /// This rectangle as a borrowed view.
+    #[inline]
+    pub fn view(&self) -> RectView<'_> {
+        RectView {
+            bounds: &self.bounds,
+        }
+    }
+
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.bounds.len() / 2
+        self.view().dims()
     }
 
     /// Lower bounds.
     #[inline]
     pub fn lo(&self) -> &[f64] {
-        &self.bounds[..self.bounds.len() / 2]
+        self.view().lo()
     }
 
     /// Upper bounds.
     #[inline]
     pub fn hi(&self) -> &[f64] {
-        &self.bounds[self.bounds.len() / 2..]
+        self.view().hi()
+    }
+
+    /// [`RectView::min_dist2`].
+    pub fn min_dist2(&self, p: &[f64]) -> f64 {
+        self.view().min_dist2(p)
+    }
+
+    /// Grows `self` in place to cover `other`.
+    pub fn union_assign(&mut self, other: RectView<'_>) {
+        union_into(&mut self.bounds, other.bounds);
+    }
+
+    /// Returns a copy grown by `pad >= 0` in every direction.
+    pub fn expanded(&self, pad: f64) -> Rect {
+        assert!(pad >= 0.0, "padding must be non-negative");
+        let d = self.dims();
+        let mut bounds = self.bounds.clone();
+        for i in 0..d {
+            bounds[i] -= pad;
+            bounds[d + i] += pad;
+        }
+        Rect { bounds }
+    }
+}
+
+impl<'a> RectView<'a> {
+    /// A view of `2·dims` bounds, `lo` then `hi` (not validated: a view
+    /// reads bounds, it does not vouch for them).
+    ///
+    /// # Panics
+    /// Panics on an odd number of bounds.
+    #[inline]
+    pub fn new(bounds: &'a [f64]) -> Self {
+        assert!(bounds.len() % 2 == 0, "a rectangle's bounds come in pairs");
+        RectView { bounds }
+    }
+
+    /// The bounds as stored: `lo` then `hi`.
+    #[inline]
+    pub fn bounds(self) -> &'a [f64] {
+        self.bounds
+    }
+
+    /// Number of dimensions.
+    #[inline]
+    pub fn dims(self) -> usize {
+        self.bounds.len() / 2
+    }
+
+    /// Lower bounds.
+    #[inline]
+    pub fn lo(self) -> &'a [f64] {
+        &self.bounds[..self.dims()]
+    }
+
+    /// Upper bounds.
+    #[inline]
+    pub fn hi(self) -> &'a [f64] {
+        &self.bounds[self.dims()..]
+    }
+
+    /// An owned copy.
+    pub fn to_rect(self) -> Rect {
+        Rect::from_bounds(self.bounds.to_vec())
     }
 
     /// The center point.
-    pub fn center(&self) -> Vec<f64> {
+    pub fn center(self) -> Vec<f64> {
         self.lo()
             .iter()
             .zip(self.hi())
@@ -98,7 +171,7 @@ impl Rect {
     }
 
     /// Volume (product of extents). Zero for degenerate rectangles.
-    pub fn area(&self) -> f64 {
+    pub fn area(self) -> f64 {
         self.lo()
             .iter()
             .zip(self.hi())
@@ -108,7 +181,7 @@ impl Rect {
 
     /// Margin (sum of extents) — the R\*-tree split heuristic minimizes the
     /// sum of margins over candidate distributions.
-    pub fn margin(&self) -> f64 {
+    pub fn margin(self) -> f64 {
         self.lo().iter().zip(self.hi()).map(|(&l, &h)| h - l).sum()
     }
 
@@ -118,28 +191,28 @@ impl Rect {
     /// # Panics
     /// Debug-asserts equal dimensionality.
     #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
+    pub fn intersects(self, other: RectView<'_>) -> bool {
         debug_assert_eq!(self.dims(), other.dims());
         self.lo().iter().zip(other.hi()).all(|(&l, &h)| l <= h)
             && other.lo().iter().zip(self.hi()).all(|(&l, &h)| l <= h)
     }
 
     /// True when `other` lies entirely inside `self`.
-    pub fn contains_rect(&self, other: &Rect) -> bool {
+    pub fn contains_rect(self, other: RectView<'_>) -> bool {
         debug_assert_eq!(self.dims(), other.dims());
         self.lo().iter().zip(other.lo()).all(|(&a, &b)| a <= b)
             && self.hi().iter().zip(other.hi()).all(|(&a, &b)| a >= b)
     }
 
     /// True when the point lies inside `self` (boundary included).
-    pub fn contains_point(&self, p: &[f64]) -> bool {
+    pub fn contains_point(self, p: &[f64]) -> bool {
         debug_assert_eq!(self.dims(), p.len());
         self.lo().iter().zip(p).all(|(&l, &v)| l <= v)
             && self.hi().iter().zip(p).all(|(&h, &v)| v <= h)
     }
 
     /// Volume of the intersection; zero when disjoint.
-    pub fn intersection_area(&self, other: &Rect) -> f64 {
+    pub fn intersection_area(self, other: RectView<'_>) -> f64 {
         debug_assert_eq!(self.dims(), other.dims());
         let (slo, shi) = (self.lo(), self.hi());
         let (olo, ohi) = (other.lo(), other.hi());
@@ -156,36 +229,22 @@ impl Rect {
     }
 
     /// Smallest rectangle containing both.
-    pub fn union(&self, other: &Rect) -> Rect {
+    pub fn union(self, other: RectView<'_>) -> Rect {
         debug_assert_eq!(self.dims(), other.dims());
-        let mut out = self.clone();
+        let mut out = self.to_rect();
         out.union_assign(other);
         out
     }
 
-    /// Grows `self` in place to cover `other`.
-    pub fn union_assign(&mut self, other: &Rect) {
-        debug_assert_eq!(self.dims(), other.dims());
-        let d = self.dims();
-        for i in 0..d {
-            if other.bounds[i] < self.bounds[i] {
-                self.bounds[i] = other.bounds[i];
-            }
-            if other.bounds[d + i] > self.bounds[d + i] {
-                self.bounds[d + i] = other.bounds[d + i];
-            }
-        }
-    }
-
     /// Area increase required for `self` to cover `other`.
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
+    pub fn enlargement(self, other: RectView<'_>) -> f64 {
+        self.union(other).view().area() - self.area()
     }
 
     /// Squared minimum Euclidean distance from a point to this rectangle
     /// (`MINDIST` of Roussopoulos et al. 1995). Zero when the point is
     /// inside.
-    pub fn min_dist2(&self, p: &[f64]) -> f64 {
+    pub fn min_dist2(self, p: &[f64]) -> f64 {
         debug_assert_eq!(self.dims(), p.len());
         let (lo, hi) = (self.lo(), self.hi());
         let mut acc = 0.0;
@@ -202,18 +261,6 @@ impl Rect {
         acc
     }
 
-    /// Returns a copy grown by `pad >= 0` in every direction.
-    pub fn expanded(&self, pad: f64) -> Rect {
-        assert!(pad >= 0.0, "padding must be non-negative");
-        let d = self.dims();
-        let mut bounds = self.bounds.clone();
-        for i in 0..d {
-            bounds[i] -= pad;
-            bounds[d + i] += pad;
-        }
-        Rect { bounds }
-    }
-
     /// Applies a per-dimension affine map `x -> a_i * x + b_i`, swapping
     /// bounds where `a_i < 0` so the result is a valid rectangle. This is
     /// precisely how a *safe* transformation (Definition 1 / Theorem 1 of the
@@ -222,7 +269,7 @@ impl Rect {
     ///
     /// # Panics
     /// Panics if `a`/`b` lengths differ from the dimensionality.
-    pub fn affine(&self, a: &[f64], b: &[f64]) -> Rect {
+    pub fn affine(self, a: &[f64], b: &[f64]) -> Rect {
         let d = self.dims();
         assert_eq!(a.len(), d, "affine scale length mismatch");
         assert_eq!(b.len(), d, "affine shift length mismatch");
@@ -236,6 +283,23 @@ impl Rect {
         }
         Rect {
             bounds: bounds.into_boxed_slice(),
+        }
+    }
+}
+
+/// Grows the run `acc` to cover the run `other` (both `lo` then `hi`). A
+/// bound moves only when the other's is strictly beyond it, so of two
+/// equal bounds (`-0.0` and `+0.0` included) the one already held stays.
+#[inline]
+pub(crate) fn union_into(acc: &mut [f64], other: &[f64]) {
+    debug_assert_eq!(acc.len(), other.len());
+    let d = acc.len() / 2;
+    for i in 0..d {
+        if other[i] < acc[i] {
+            acc[i] = other[i];
+        }
+        if other[d + i] > acc[d + i] {
+            acc[d + i] = other[d + i];
         }
     }
 }
@@ -266,9 +330,11 @@ mod tests {
     fn basics() {
         let r = r2([0.0, 0.0], [2.0, 3.0]);
         assert_eq!(r.dims(), 2);
-        assert_eq!(r.area(), 6.0);
-        assert_eq!(r.margin(), 5.0);
-        assert_eq!(r.center(), vec![1.0, 1.5]);
+        assert_eq!(r.view().area(), 6.0);
+        assert_eq!(r.view().margin(), 5.0);
+        assert_eq!(r.view().center(), vec![1.0, 1.5]);
+        assert_eq!(r.view().bounds(), &[0.0, 0.0, 2.0, 3.0]);
+        assert_eq!(r.view().to_rect(), r);
     }
 
     #[test]
@@ -289,22 +355,25 @@ mod tests {
         let b = r2([1.0, 1.0], [3.0, 3.0]);
         let c = r2([2.0, 2.0], [4.0, 4.0]); // touches a at a corner
         let d = r2([5.0, 5.0], [6.0, 6.0]);
-        assert!(a.intersects(&b));
-        assert!(a.intersects(&c), "touching rectangles intersect");
-        assert!(!a.intersects(&d));
-        assert_eq!(a.intersection_area(&b), 1.0);
-        assert_eq!(a.intersection_area(&c), 0.0);
+        assert!(a.view().intersects(b.view()));
+        assert!(
+            a.view().intersects(c.view()),
+            "touching rectangles intersect"
+        );
+        assert!(!a.view().intersects(d.view()));
+        assert_eq!(a.view().intersection_area(b.view()), 1.0);
+        assert_eq!(a.view().intersection_area(c.view()), 0.0);
     }
 
     #[test]
     fn union_and_enlargement() {
         let a = r2([0.0, 0.0], [1.0, 1.0]);
         let b = r2([2.0, 2.0], [3.0, 3.0]);
-        let u = a.union(&b);
+        let u = a.view().union(b.view());
         assert_eq!(u, r2([0.0, 0.0], [3.0, 3.0]));
-        assert_eq!(a.enlargement(&b), 9.0 - 1.0);
+        assert_eq!(a.view().enlargement(b.view()), 9.0 - 1.0);
         let mut c = a.clone();
-        c.union_assign(&b);
+        c.union_assign(b.view());
         assert_eq!(c, u);
     }
 
@@ -312,10 +381,10 @@ mod tests {
     fn containment() {
         let a = r2([0.0, 0.0], [4.0, 4.0]);
         let b = r2([1.0, 1.0], [2.0, 2.0]);
-        assert!(a.contains_rect(&b));
-        assert!(!b.contains_rect(&a));
-        assert!(a.contains_point(&[0.0, 4.0]));
-        assert!(!a.contains_point(&[-0.1, 2.0]));
+        assert!(a.view().contains_rect(b.view()));
+        assert!(!b.view().contains_rect(a.view()));
+        assert!(a.view().contains_point(&[0.0, 4.0]));
+        assert!(!a.view().contains_point(&[-0.1, 2.0]));
     }
 
     #[test]
@@ -324,7 +393,7 @@ mod tests {
         assert_eq!(r.min_dist2(&[2.0, 2.0]), 0.0); // inside
         assert_eq!(r.min_dist2(&[0.0, 2.0]), 1.0); // left of
         assert_eq!(r.min_dist2(&[0.0, 0.0]), 2.0); // corner
-        assert_eq!(r.min_dist2(&[4.0, 5.0]), 1.0 + 4.0);
+        assert_eq!(r.view().min_dist2(&[4.0, 5.0]), 1.0 + 4.0);
     }
 
     #[test]
@@ -332,14 +401,14 @@ mod tests {
         // The paper drops GK95's positive-scale restriction; reversing a
         // series multiplies by -1, which must still yield a rectangle.
         let r = r2([1.0, 2.0], [3.0, 5.0]);
-        let t = r.affine(&[-1.0, 2.0], &[0.0, 1.0]);
+        let t = r.view().affine(&[-1.0, 2.0], &[0.0, 1.0]);
         assert_eq!(t, r2([-3.0, 5.0], [-1.0, 11.0]));
     }
 
     #[test]
     fn affine_identity() {
         let r = r2([1.0, 2.0], [3.0, 5.0]);
-        assert_eq!(r.affine(&[1.0, 1.0], &[0.0, 0.0]), r);
+        assert_eq!(r.view().affine(&[1.0, 1.0], &[0.0, 0.0]), r);
     }
 
     #[test]
@@ -350,10 +419,10 @@ mod tests {
         let outside = [7.0, 0.0];
         let a = [2.0, -3.0];
         let b = [1.0, 4.0];
-        let t = r.affine(&a, &b);
+        let t = r.view().affine(&a, &b);
         let map = |p: &[f64; 2]| [a[0] * p[0] + b[0], a[1] * p[1] + b[1]];
-        assert!(t.contains_point(&map(&inside)));
-        assert!(!t.contains_point(&map(&outside)));
+        assert!(t.view().contains_point(&map(&inside)));
+        assert!(!t.view().contains_point(&map(&outside)));
     }
 
     #[test]

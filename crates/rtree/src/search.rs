@@ -17,7 +17,7 @@ use tsq_store::StoreResult;
 
 use crate::node::{infallible, NodeStore, Slot};
 use crate::paged::PagedTree;
-use crate::rect::Rect;
+use crate::rect::{Rect, RectView};
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
@@ -26,9 +26,10 @@ use crate::tree::RStarTree;
 ///
 /// `accept` is called on the bounding rectangle of every entry reached
 /// (internal MBRs *and* leaf rectangles); subtrees whose MBR is rejected
-/// are pruned. Accepted leaf entries are passed to `on_candidate`; the
-/// rectangle it receives is only readable during the call (a paged node
-/// is released once its subtree is done).
+/// are pruned. Accepted leaf entries are passed to `on_candidate`. Both
+/// receive the stored rectangle as a [`RectView`] into the node, readable
+/// only during the call (a paged node is released once its subtree is
+/// done).
 ///
 /// Returns per-query access statistics; one visited node models one disk
 /// access, and a store that measures its fetches adds the pool counters.
@@ -42,8 +43,8 @@ pub fn search_with<S, A, C>(
 ) -> Result<SearchStats, S::Error>
 where
     S: NodeStore,
-    A: FnMut(&Rect) -> bool,
-    C: FnMut(&Rect, S::Item),
+    A: FnMut(RectView<'_>) -> bool,
+    C: FnMut(RectView<'_>, S::Item),
 {
     let mut stats = SearchStats::default();
     if !store.is_empty() {
@@ -67,8 +68,8 @@ fn visit<S, A, C>(
 ) -> Result<(), S::Error>
 where
     S: NodeStore,
-    A: FnMut(&Rect) -> bool,
-    C: FnMut(&Rect, S::Item),
+    A: FnMut(RectView<'_>) -> bool,
+    C: FnMut(RectView<'_>, S::Item),
 {
     // The guard stays alive while children are visited: a paged parent
     // cannot be evicted mid-recursion.
@@ -105,8 +106,8 @@ impl<T> RStarTree<T> {
     /// [`search_with`] over the in-memory nodes, which cannot fail.
     pub fn search_with<'a, A, C>(&'a self, accept: A, on_candidate: C) -> SearchStats
     where
-        A: FnMut(&Rect) -> bool,
-        C: FnMut(&Rect, &'a T),
+        A: FnMut(RectView<'_>) -> bool,
+        C: FnMut(RectView<'_>, &'a T),
     {
         infallible(search_with(self, accept, on_candidate))
     }
@@ -115,9 +116,9 @@ impl<T> RStarTree<T> {
     /// `query`.
     pub fn search<'a, C>(&'a self, query: &Rect, on_candidate: C) -> SearchStats
     where
-        C: FnMut(&Rect, &'a T),
+        C: FnMut(RectView<'_>, &'a T),
     {
-        self.search_with(|r| r.intersects(query), on_candidate)
+        self.search_with(|r| r.intersects(query.view()), on_candidate)
     }
 
     /// Window query collecting matches into a vector.
@@ -138,8 +139,8 @@ impl PagedTree {
     /// decodes as corrupt.
     pub fn search_with<A, C>(&self, accept: A, on_candidate: C) -> StoreResult<SearchStats>
     where
-        A: FnMut(&Rect) -> bool,
-        C: FnMut(&Rect, u64),
+        A: FnMut(RectView<'_>) -> bool,
+        C: FnMut(RectView<'_>, u64),
     {
         search_with(self, accept, on_candidate)
     }
@@ -150,9 +151,9 @@ impl PagedTree {
     /// Same as [`PagedTree::search_with`].
     pub fn search<C>(&self, query: &Rect, on_candidate: C) -> StoreResult<SearchStats>
     where
-        C: FnMut(&Rect, u64),
+        C: FnMut(RectView<'_>, u64),
     {
-        self.search_with(|r| r.intersects(query), on_candidate)
+        self.search_with(|r| r.intersects(query.view()), on_candidate)
     }
 }
 
@@ -229,7 +230,7 @@ mod tests {
         let q = Rect::new(vec![4.5, 4.5], vec![9.5, 9.5]);
         let mut got: Vec<(usize, usize)> = Vec::new();
         t.search_with(
-            |r| r.affine(&a, &b).intersects(&q),
+            |r| r.affine(&a, &b).view().intersects(q.view()),
             |_, &item| got.push(item),
         );
         got.sort_unstable();
@@ -251,7 +252,11 @@ mod tests {
         let q = Rect::new(vec![2.2, 2.2], vec![8.8, 8.8]);
         let plain = t.search(&q, |_, _| {});
         let identity = t.search_with(
-            |r| r.affine(&[1.0, 1.0], &[0.0, 0.0]).intersects(&q),
+            |r| {
+                r.affine(&[1.0, 1.0], &[0.0, 0.0])
+                    .view()
+                    .intersects(q.view())
+            },
             |_, _| {},
         );
         assert_eq!(plain.nodes_visited, identity.nodes_visited);

@@ -4,71 +4,66 @@
 //! candidate distributions; `ChooseSplitIndex` picks the distribution on
 //! that axis minimizing overlap (ties broken by combined area).
 
-use crate::node::Entry;
-use crate::rect::Rect;
+use crate::node::Node;
+use crate::rect::{union_into, RectView};
 
-/// Splits an overflowing entry list (length `max + 1`) into two groups, each
-/// holding at least `min` entries.
-pub(crate) fn rstar_split<T>(
-    entries: Vec<Entry<T>>,
-    min: usize,
-    _max: usize,
-) -> (Vec<Entry<T>>, Vec<Entry<T>>) {
-    let total = entries.len();
+/// Chooses how to split an overflowing node (`max + 1` entries) into two
+/// groups of at least `min` entries each: `true` marks the entries of the
+/// first group, which stay in the node; the others move to its sibling.
+pub(crate) fn rstar_split<T>(node: &Node<T>, min: usize) -> Vec<bool> {
+    let total = node.len();
     debug_assert!(
         total >= 2 * min,
         "cannot split {total} entries with min {min}"
     );
-    let dims = entries[0].rect().dims();
+    let dims = node.dims as usize;
+    let rect = |i: usize| node.rect(i);
     // Number of candidate distributions per sorted order.
     let k_count = total - 2 * min + 1;
 
     // For each axis and each of the two sort keys (by lower, by upper
     // bound), evaluate margin sums; remember the best (axis, order) and then
     // the best distribution on it.
-    let mut best_axis = 0usize;
     let mut best_axis_margin = f64::INFINITY;
     let mut best_axis_orders: Vec<Vec<usize>> = Vec::new();
 
     for axis in 0..dims {
         let mut by_lo: Vec<usize> = (0..total).collect();
         by_lo.sort_by(|&a, &b| {
-            entries[a].rect().lo()[axis]
-                .total_cmp(&entries[b].rect().lo()[axis])
-                .then(entries[a].rect().hi()[axis].total_cmp(&entries[b].rect().hi()[axis]))
+            rect(a).lo()[axis]
+                .total_cmp(&rect(b).lo()[axis])
+                .then(rect(a).hi()[axis].total_cmp(&rect(b).hi()[axis]))
         });
         let mut by_hi: Vec<usize> = (0..total).collect();
         by_hi.sort_by(|&a, &b| {
-            entries[a].rect().hi()[axis]
-                .total_cmp(&entries[b].rect().hi()[axis])
-                .then(entries[a].rect().lo()[axis].total_cmp(&entries[b].rect().lo()[axis]))
+            rect(a).hi()[axis]
+                .total_cmp(&rect(b).hi()[axis])
+                .then(rect(a).lo()[axis].total_cmp(&rect(b).lo()[axis]))
         });
 
         let mut margin_sum = 0.0;
         for order in [&by_lo, &by_hi] {
-            let (prefix, suffix) = prefix_suffix_mbrs(&entries, order);
+            let (prefix, suffix) = prefix_suffix_mbrs(node, order);
             for k in 0..k_count {
                 let split_at = min + k;
-                margin_sum += prefix[split_at - 1].margin() + suffix[split_at].margin();
+                margin_sum += prefix.rect(split_at - 1).margin() + suffix.rect(split_at).margin();
             }
         }
         if margin_sum < best_axis_margin {
             best_axis_margin = margin_sum;
-            best_axis = axis;
             best_axis_orders = vec![by_lo, by_hi];
         }
     }
     debug_assert!(!best_axis_orders.is_empty());
-    let _ = best_axis; // retained for clarity/debugging
 
     // ChooseSplitIndex on the winning axis: minimal overlap, ties by area.
     let mut best: Option<(f64, f64, usize, usize)> = None; // (overlap, area, order_idx, split_at)
     for (oi, order) in best_axis_orders.iter().enumerate() {
-        let (prefix, suffix) = prefix_suffix_mbrs(&entries, order);
+        let (prefix, suffix) = prefix_suffix_mbrs(node, order);
         for k in 0..k_count {
             let split_at = min + k;
-            let r1 = &prefix[split_at - 1];
-            let r2 = &suffix[split_at];
+            let r1 = prefix.rect(split_at - 1);
+            let r2 = suffix.rect(split_at);
             let overlap = r1.intersection_area(r2);
             let area = r1.area() + r2.area();
             let better = match &best {
@@ -81,109 +76,99 @@ pub(crate) fn rstar_split<T>(
         }
     }
     let (_, _, order_idx, split_at) = best.expect("at least one distribution");
-    let order = &best_axis_orders[order_idx];
-
-    // Partition the original entries according to the chosen distribution.
-    let mut take_first = vec![false; total];
-    for &idx in &order[..split_at] {
-        take_first[idx] = true;
+    let mut first = vec![false; total];
+    for &idx in &best_axis_orders[order_idx][..split_at] {
+        first[idx] = true;
     }
-    let mut group1 = Vec::with_capacity(split_at);
-    let mut group2 = Vec::with_capacity(total - split_at);
-    for (idx, entry) in entries.into_iter().enumerate() {
-        if take_first[idx] {
-            group1.push(entry);
-        } else {
-            group2.push(entry);
-        }
-    }
-    (group1, group2)
+    first
 }
 
-/// For a given ordering of entry indices, returns `(prefix, suffix)` where
-/// `prefix[i]` is the MBR of `order[0..=i]` and `suffix[i]` the MBR of
-/// `order[i..]`.
-fn prefix_suffix_mbrs<T>(entries: &[Entry<T>], order: &[usize]) -> (Vec<Rect>, Vec<Rect>) {
+/// `count` rectangles of `2·dims` bounds each, back to back.
+struct Mbrs {
+    bounds: Vec<f64>,
+    width: usize,
+}
+
+impl Mbrs {
+    fn rect(&self, i: usize) -> RectView<'_> {
+        RectView::new(&self.bounds[i * self.width..(i + 1) * self.width])
+    }
+}
+
+/// For a given ordering of a node's entries, returns `(prefix, suffix)`
+/// where `prefix[i]` is the MBR of `order[0..=i]` and `suffix[i]` the MBR
+/// of `order[i..]`.
+fn prefix_suffix_mbrs<T>(node: &Node<T>, order: &[usize]) -> (Mbrs, Mbrs) {
     let n = order.len();
-    let mut prefix = Vec::with_capacity(n);
-    let mut acc = entries[order[0]].rect().clone();
-    prefix.push(acc.clone());
-    for &idx in &order[1..] {
-        acc.union_assign(entries[idx].rect());
-        prefix.push(acc.clone());
+    let w = node.width();
+    let bounds = |i: usize| node.rect(order[i]).bounds();
+    let mut prefix = Vec::with_capacity(n * w);
+    prefix.extend_from_slice(bounds(0));
+    for i in 1..n {
+        prefix.extend_from_within((i - 1) * w..i * w);
+        union_into(&mut prefix[i * w..], bounds(i));
     }
-    let mut suffix = vec![entries[order[n - 1]].rect().clone(); n];
+    let mut suffix = vec![0.0; n * w];
+    suffix[(n - 1) * w..].copy_from_slice(bounds(n - 1));
     for i in (0..n - 1).rev() {
-        let mut r = suffix[i + 1].clone();
-        r.union_assign(entries[order[i]].rect());
-        suffix[i] = r;
+        let (head, tail) = suffix.split_at_mut((i + 1) * w);
+        let acc = &mut head[i * w..];
+        acc.copy_from_slice(&tail[..w]);
+        union_into(acc, bounds(i));
     }
-    (prefix, suffix)
+    let mbrs = |bounds| Mbrs { bounds, width: w };
+    (mbrs(prefix), mbrs(suffix))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Kid;
 
-    fn leaf_entry(lo: [f64; 2], hi: [f64; 2], id: usize) -> Entry<usize> {
-        Entry::Leaf {
-            rect: Rect::new(lo.to_vec(), hi.to_vec()),
-            item: id,
+    /// A leaf holding one 2-d rectangle per `(lo, hi)`, its index the item.
+    fn leaf(rects: &[([f64; 2], [f64; 2])]) -> Node<usize> {
+        let mut node = Node::empty(0, 2);
+        for (id, (lo, hi)) in rects.iter().enumerate() {
+            node.push(&[lo[0], lo[1], hi[0], hi[1]], Kid::Item(id));
         }
+        node
     }
 
     #[test]
     fn split_respects_min_fill() {
-        let entries: Vec<Entry<usize>> = (0..9)
-            .map(|i| leaf_entry([i as f64, 0.0], [i as f64 + 0.5, 1.0], i))
+        let rects: Vec<_> = (0..9)
+            .map(|i| ([i as f64, 0.0], [i as f64 + 0.5, 1.0]))
             .collect();
-        let (g1, g2) = rstar_split(entries, 3, 8);
-        assert!(g1.len() >= 3 && g2.len() >= 3);
-        assert_eq!(g1.len() + g2.len(), 9);
+        let first = rstar_split(&leaf(&rects), 3);
+        let n1 = first.iter().filter(|&&f| f).count();
+        assert!(n1 >= 3 && 9 - n1 >= 3);
     }
 
     #[test]
     fn split_separates_two_clusters() {
         // Two well-separated clusters along x should split cleanly.
-        let mut entries: Vec<Entry<usize>> = Vec::new();
+        let mut rects = Vec::new();
         for i in 0..5 {
-            entries.push(leaf_entry(
-                [i as f64 * 0.1, 0.0],
-                [i as f64 * 0.1 + 0.05, 1.0],
-                i,
-            ));
+            rects.push(([i as f64 * 0.1, 0.0], [i as f64 * 0.1 + 0.05, 1.0]));
         }
         for i in 0..4 {
-            entries.push(leaf_entry(
+            rects.push((
                 [100.0 + i as f64 * 0.1, 0.0],
                 [100.0 + i as f64 * 0.1 + 0.05, 1.0],
-                5 + i,
             ));
         }
-        let (g1, g2) = rstar_split(entries, 3, 8);
-        let ids = |g: &[Entry<usize>]| {
-            let mut v: Vec<usize> = g
-                .iter()
-                .map(|e| match e {
-                    Entry::Leaf { item, .. } => *item,
-                    _ => unreachable!(),
-                })
-                .collect();
-            v.sort_unstable();
-            v
+        let mut node = leaf(&rects);
+        let first = rstar_split(&node, 3);
+        let sibling = node.split_off(&first);
+        let ids = |n: &Node<usize>| match &n.kids {
+            crate::node::Kids::Items(items) => items.clone(),
+            crate::node::Kids::Nodes(_) => unreachable!(),
         };
-        let (a, b) = (ids(&g1), ids(&g2));
+        let (a, b) = (ids(&node), ids(&sibling));
         // One group holds the low cluster (plus possibly a boundary member),
         // the other the high cluster; overlap between group MBRs is zero.
-        let mbr = |g: &[Entry<usize>]| {
-            let mut r = g[0].rect().clone();
-            for e in &g[1..] {
-                r.union_assign(e.rect());
-            }
-            r
-        };
         assert_eq!(
-            mbr(&g1).intersection_area(&mbr(&g2)),
+            node.mbr().view().intersection_area(sibling.mbr().view()),
             0.0,
             "groups {a:?} / {b:?}"
         );
@@ -191,15 +176,17 @@ mod tests {
 
     #[test]
     fn prefix_suffix_consistency() {
-        let entries: Vec<Entry<usize>> = (0..4)
-            .map(|i| leaf_entry([i as f64, -(i as f64)], [i as f64 + 1.0, i as f64], i))
+        let rects: Vec<_> = (0..4)
+            .map(|i| ([i as f64, -(i as f64)], [i as f64 + 1.0, i as f64]))
             .collect();
+        let node = leaf(&rects);
         let order: Vec<usize> = vec![2, 0, 3, 1];
-        let (prefix, suffix) = prefix_suffix_mbrs(&entries, &order);
+        let (prefix, suffix) = prefix_suffix_mbrs(&node, &order);
         // prefix of everything == suffix of everything == total MBR
-        assert_eq!(prefix[3], suffix[0]);
+        assert_eq!(prefix.rect(3), suffix.rect(0));
+        assert_eq!(node.mbr().view(), prefix.rect(3));
         // prefix[0] is just the first entry's rect
-        assert_eq!(&prefix[0], entries[2].rect());
-        assert_eq!(&suffix[3], entries[1].rect());
+        assert_eq!(prefix.rect(0), node.rect(2));
+        assert_eq!(suffix.rect(3), node.rect(1));
     }
 }

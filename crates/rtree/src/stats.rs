@@ -6,7 +6,7 @@
 //! "the number of disk accesses is the same with and without
 //! transformations" (Section 5, Figure 8 discussion).
 
-use crate::node::{Entry, Node};
+use crate::node::{Kids, Node};
 use crate::tree::RStarTree;
 
 /// Counters collected during a single query.
@@ -97,13 +97,13 @@ impl<T> RStarTree<T> {
 fn profile_node<T>(node: &Node<T>, profile: &mut [LevelStats]) {
     let slot = &mut profile[node.level as usize];
     slot.nodes += 1;
-    slot.entries += node.entries.len() as u64;
+    slot.entries += node.len() as u64;
     let mbr = node.mbr();
     for (d, e) in slot.avg_extent.iter_mut().enumerate() {
         *e += mbr.hi()[d] - mbr.lo()[d];
     }
-    for entry in &node.entries {
-        if let Entry::Node { child, .. } = entry {
+    if let Kids::Nodes(children) = &node.kids {
+        for child in children {
             profile_node(child, profile);
         }
     }

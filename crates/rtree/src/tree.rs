@@ -3,8 +3,8 @@
 //! invariant checking.
 
 use crate::config::RTreeConfig;
-use crate::node::{Entry, Node};
-use crate::rect::Rect;
+use crate::node::{Entry, Kid, Kids, Node};
+use crate::rect::{union_into, Rect, RectView};
 use crate::split::rstar_split;
 
 /// An in-memory R\*-tree (Beckmann, Kriegel, Schneider, Seeger 1990) over
@@ -17,7 +17,9 @@ use crate::split::rstar_split;
 /// overflow per level, and the margin-driven topological split.
 ///
 /// Dimensionality is dynamic: it is fixed by the first rectangle inserted
-/// and enforced afterwards.
+/// and enforced afterwards. Each node stores its rectangles flat, in one
+/// coordinate slab (see the crate docs); traversals read them as
+/// [`RectView`]s.
 #[derive(Debug, Clone)]
 pub struct RStarTree<T> {
     pub(crate) config: RTreeConfig,
@@ -72,7 +74,7 @@ impl<T> RStarTree<T> {
         config.validate();
         RStarTree {
             config,
-            root: Node::new_leaf(),
+            root: Node::empty(0, 0),
             len: 0,
             dims: None,
         }
@@ -122,11 +124,15 @@ impl<T> RStarTree<T> {
     ///
     /// # Panics
     /// Panics if the rectangle's dimensionality differs from previously
-    /// inserted data.
+    /// inserted data, or is zero.
     pub fn insert(&mut self, rect: Rect, item: T) {
         self.check_dims(rect.dims());
         self.len += 1;
-        self.insert_entries(vec![(Entry::Leaf { rect, item }, 0)]);
+        let entry = Entry {
+            rect,
+            kid: Kid::Item(item),
+        };
+        self.insert_entries(vec![(entry, 0)]);
     }
 
     /// Inserts an item stored at a point.
@@ -134,15 +140,20 @@ impl<T> RStarTree<T> {
         self.insert(Rect::from_point(point), item);
     }
 
-    /// Sets cached size metadata after a bulk build (crate-internal).
-    pub(crate) fn force_size(&mut self, len: usize, dims: usize) {
+    /// Installs a bulk-built root holding `len` items (crate-internal).
+    pub(crate) fn set_root(&mut self, root: Node<T>, len: usize) {
+        self.dims = Some(root.dims as usize);
+        self.root = root;
         self.len = len;
-        self.dims = Some(dims);
     }
 
     fn check_dims(&mut self, d: usize) {
         match self.dims {
-            None => self.dims = Some(d),
+            None => {
+                assert!(d > 0, "a rectangle needs at least one dimension");
+                self.dims = Some(d);
+                self.root.dims = d as u32;
+            }
             Some(existing) => assert_eq!(
                 existing, d,
                 "dimensionality mismatch: tree holds {existing}-d data, got {d}-d"
@@ -173,13 +184,12 @@ impl<T> RStarTree<T> {
     }
 
     fn grow_root(&mut self, sibling: Entry<T>) {
-        let old_root = std::mem::replace(&mut self.root, Node::new_leaf());
-        let level = old_root.level + 1;
-        let old_entry = Entry::Node {
-            rect: old_root.mbr(),
-            child: Box::new(old_root),
-        };
-        self.root = Node::new(level, vec![old_entry, sibling]);
+        let dims = self.root.dims as usize;
+        let old_root = std::mem::replace(&mut self.root, Node::empty(0, dims));
+        let mut root = Node::empty(old_root.level + 1, dims);
+        root.push(old_root.mbr().view().bounds(), Kid::Node(old_root));
+        root.push(sibling.rect.view().bounds(), sibling.kid);
+        self.root = root;
     }
 
     /// Replaces one entry in place with a **grown** version of itself:
@@ -200,9 +210,9 @@ impl<T> RStarTree<T> {
     /// mismatch.
     pub fn grow_entry<F: Fn(&T) -> bool>(
         &mut self,
-        old: &Rect,
+        old: RectView<'_>,
         pred: F,
-        grown: Rect,
+        grown: RectView<'_>,
         item: T,
     ) -> bool {
         assert!(
@@ -215,8 +225,8 @@ impl<T> RStarTree<T> {
         if self.len == 0 {
             return false;
         }
-        let mut replacement = Some((grown, item));
-        grow_rec(&mut self.root, old, &pred, &mut replacement)
+        let mut item = Some(item);
+        grow_rec(&mut self.root, old, &pred, grown, &mut item)
     }
 
     /// Iterates over all `(rect, item)` pairs in unspecified order.
@@ -233,7 +243,7 @@ impl<T> RStarTree<T> {
     #[doc(hidden)]
     pub fn validate(&self) {
         if self.len == 0 {
-            assert!(self.root.is_leaf() && self.root.entries.is_empty());
+            assert!(self.root.is_leaf() && self.root.len() == 0);
             return;
         }
         let counted = validate_node(&self.root, &self.config, true);
@@ -247,17 +257,17 @@ pub struct Iter<'a, T> {
 }
 
 impl<'a, T> Iterator for Iter<'a, T> {
-    type Item = (&'a Rect, &'a T);
+    type Item = (RectView<'a>, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
         while let Some((node, idx)) = self.stack.pop() {
-            if idx >= node.entries.len() {
+            if idx >= node.len() {
                 continue;
             }
             self.stack.push((node, idx + 1));
-            match &node.entries[idx] {
-                Entry::Leaf { rect, item } => return Some((rect, item)),
-                Entry::Node { child, .. } => self.stack.push((child, 0)),
+            match &node.kids {
+                Kids::Items(items) => return Some((node.rect(idx), &items[idx])),
+                Kids::Nodes(children) => self.stack.push((&children[idx], 0)),
             }
         }
         None
@@ -265,42 +275,39 @@ impl<'a, T> Iterator for Iter<'a, T> {
 }
 
 fn validate_node<T>(node: &Node<T>, cfg: &RTreeConfig, is_root: bool) -> usize {
-    assert!(
-        node.entries.len() <= cfg.max_entries,
-        "node exceeds max_entries"
-    );
+    let len = node.len();
+    assert!(len <= cfg.max_entries, "node exceeds max_entries");
     if !is_root {
         assert!(
-            node.entries.len() >= cfg.min_entries,
+            len >= cfg.min_entries,
             "non-root node below min_entries: {} < {}",
-            node.entries.len(),
+            len,
             cfg.min_entries
         );
     } else if !node.is_leaf() {
-        assert!(
-            node.entries.len() >= 2,
-            "internal root must have >= 2 entries"
-        );
+        assert!(len >= 2, "internal root must have >= 2 entries");
     }
-    if node.is_leaf() {
-        for e in &node.entries {
-            assert!(matches!(e, Entry::Leaf { .. }), "non-leaf entry in leaf");
+    assert_eq!(node.coords.len(), len * node.width(), "slab length");
+    match &node.kids {
+        Kids::Items(_) => {
+            assert!(node.is_leaf(), "leaf entry in internal node");
+            len
         }
-        node.entries.len()
-    } else {
-        let mut count = 0;
-        for e in &node.entries {
-            match e {
-                Entry::Node { rect, child } => {
-                    assert_eq!(child.level + 1, node.level, "level discontinuity");
-                    let computed = child.mbr();
-                    assert_eq!(rect, &computed, "stored MBR differs from computed MBR");
-                    count += validate_node(child, cfg, false);
-                }
-                Entry::Leaf { .. } => panic!("leaf entry in internal node"),
+        Kids::Nodes(children) => {
+            assert!(!node.is_leaf(), "non-leaf entry in leaf");
+            let mut count = 0;
+            for (i, child) in children.iter().enumerate() {
+                assert_eq!(child.level + 1, node.level, "level discontinuity");
+                assert_eq!(child.dims, node.dims, "dimensionality discontinuity");
+                assert_eq!(
+                    child.mbr().view(),
+                    node.rect(i),
+                    "stored MBR differs from computed MBR"
+                );
+                count += validate_node(child, cfg, false);
             }
+            count
         }
-        count
     }
 }
 
@@ -312,28 +319,25 @@ fn insert_rec<T>(
     cfg: &RTreeConfig,
 ) -> Action<T> {
     if node.level == target_level {
-        node.entries.push(entry);
-        if node.entries.len() > cfg.max_entries {
+        node.push(entry.rect.view().bounds(), entry.kid);
+        if node.len() > cfg.max_entries {
             return overflow(node, ctx, cfg);
         }
         return Action::None;
     }
     debug_assert!(node.level > target_level, "descended past target level");
-    let idx = choose_subtree(node, entry.rect());
-    let action = {
-        let child = match &mut node.entries[idx] {
-            Entry::Node { child, .. } => child,
-            Entry::Leaf { .. } => unreachable!("leaf entry in internal node"),
-        };
-        insert_rec(child, entry, target_level, ctx, cfg)
+    let idx = choose_subtree(node, entry.rect.view());
+    let Kids::Nodes(children) = &mut node.kids else {
+        unreachable!("leaf entry in internal node")
     };
+    let action = insert_rec(&mut children[idx], entry, target_level, ctx, cfg);
     refresh_child_rect(node, idx);
     match action {
         Action::None => Action::None,
         Action::Reinsert(es) => Action::Reinsert(es),
         Action::Split(sibling) => {
-            node.entries.push(sibling);
-            if node.entries.len() > cfg.max_entries {
+            node.push(sibling.rect.view().bounds(), sibling.kid);
+            if node.len() > cfg.max_entries {
                 overflow(node, ctx, cfg)
             } else {
                 Action::None
@@ -342,37 +346,33 @@ fn insert_rec<T>(
     }
 }
 
+/// Stores child `idx`'s recomputed MBR as its entry's rectangle.
 fn refresh_child_rect<T>(node: &mut Node<T>, idx: usize) {
-    let computed = match &node.entries[idx] {
-        Entry::Node { child, .. } => child.mbr(),
-        Entry::Leaf { .. } => return,
-    };
-    if let Entry::Node { rect, .. } = &mut node.entries[idx] {
-        *rect = computed;
+    let w = node.width();
+    if let Kids::Nodes(children) = &node.kids {
+        children[idx].mbr_into(&mut node.coords[idx * w..(idx + 1) * w]);
     }
 }
 
 /// R\*-tree ChooseSubtree: at the level just above the leaves, minimize
 /// overlap enlargement (ties: area enlargement, then area); higher up,
 /// minimize area enlargement (ties: area).
-fn choose_subtree<T>(node: &Node<T>, rect: &Rect) -> usize {
+fn choose_subtree<T>(node: &Node<T>, rect: RectView<'_>) -> usize {
     debug_assert!(!node.is_leaf());
-    let n = node.entries.len();
+    let n = node.len();
     debug_assert!(n > 0);
     if node.level == 1 {
         // Children are leaves: overlap-enlargement criterion.
         let mut best = 0usize;
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for i in 0..n {
-            let ri = node.entries[i].rect();
+        for (i, ri) in node.rects().enumerate() {
             let enlarged = ri.union(rect);
             let mut overlap_delta = 0.0;
-            for (j, ej) in node.entries.iter().enumerate() {
+            for (j, rj) in node.rects().enumerate() {
                 if j == i {
                     continue;
                 }
-                let rj = ej.rect();
-                overlap_delta += enlarged.intersection_area(rj) - ri.intersection_area(rj);
+                overlap_delta += enlarged.view().intersection_area(rj) - ri.intersection_area(rj);
             }
             let key = (overlap_delta, ri.enlargement(rect), ri.area());
             if key < best_key {
@@ -384,8 +384,7 @@ fn choose_subtree<T>(node: &Node<T>, rect: &Rect) -> usize {
     } else {
         let mut best = 0usize;
         let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for (i, e) in node.entries.iter().enumerate() {
-            let ri = e.rect();
+        for (i, ri) in node.rects().enumerate() {
             let key = (ri.enlargement(rect), ri.area());
             if key < best_key {
                 best_key = key;
@@ -397,56 +396,43 @@ fn choose_subtree<T>(node: &Node<T>, rect: &Rect) -> usize {
 }
 
 fn overflow<T>(node: &mut Node<T>, ctx: &mut InsertCtx, cfg: &RTreeConfig) -> Action<T> {
+    let len = node.len();
     if cfg.reinsert_count > 0 && ctx.may_reinsert(node.level) {
         // Forced reinsert: remove the `p` entries whose centers lie farthest
         // from the node center, re-inserting the closer ones first
         // ("close reinsert" of the R* paper).
-        let center = node.mbr().center();
-        let p = cfg.reinsert_count.min(node.entries.len() - cfg.min_entries);
+        let center = node.mbr().view().center();
+        let p = cfg.reinsert_count.min(len - cfg.min_entries);
         if p > 0 {
-            let mut order: Vec<usize> = (0..node.entries.len()).collect();
-            let dist2 = |r: &Rect| -> f64 {
+            let dist2 = |r: RectView<'_>| -> f64 {
                 r.center()
                     .iter()
                     .zip(&center)
                     .map(|(a, b)| (a - b) * (a - b))
                     .sum()
             };
-            order.sort_by(|&a, &b| {
-                dist2(node.entries[a].rect()).total_cmp(&dist2(node.entries[b].rect()))
-            });
-            // Farthest p indices, marked for removal.
-            let mut take = vec![false; node.entries.len()];
-            for &i in &order[node.entries.len() - p..] {
-                take[i] = true;
+            let mut order: Vec<usize> = (0..len).collect();
+            order.sort_by(|&a, &b| dist2(node.rect(a)).total_cmp(&dist2(node.rect(b))));
+            // Farthest p entries leave the node; the rest keep their order.
+            let mut keep = vec![true; len];
+            for &i in &order[len - p..] {
+                keep[i] = false;
             }
-            let mut kept = Vec::with_capacity(node.entries.len() - p);
-            let mut removed = Vec::with_capacity(p);
-            for (i, e) in std::mem::take(&mut node.entries).into_iter().enumerate() {
-                if take[i] {
-                    removed.push(e);
-                } else {
-                    kept.push(e);
-                }
-            }
-            node.entries = kept;
+            let mut removed = node.split_off(&keep).into_entries();
             // Close reinsert: nearest first. `removed` currently holds
             // entries in original order; sort by distance ascending.
-            removed.sort_by(|a, b| dist2(a.rect()).total_cmp(&dist2(b.rect())));
+            removed.sort_by(|a, b| dist2(a.rect.view()).total_cmp(&dist2(b.rect.view())));
             // The work list is a stack (LIFO), so push farthest-first to
             // process nearest-first.
             removed.reverse();
             return Action::Reinsert(removed);
         }
     }
-    let level = node.level;
-    let entries = std::mem::take(&mut node.entries);
-    let (g1, g2) = rstar_split(entries, cfg.min_entries, cfg.max_entries);
-    node.entries = g1;
-    let sibling = Node::new(level, g2);
-    Action::Split(Entry::Node {
+    let keep = rstar_split(node, cfg.min_entries);
+    let sibling = node.split_off(&keep);
+    Action::Split(Entry {
         rect: sibling.mbr(),
-        child: Box::new(sibling),
+        kid: Kid::Node(sibling),
     })
 }
 
@@ -455,39 +441,38 @@ fn overflow<T>(node: &mut Node<T>, ctx: &mut InsertCtx, cfg: &RTreeConfig) -> Ac
 /// never restructure.
 fn grow_rec<T, F: Fn(&T) -> bool>(
     node: &mut Node<T>,
-    old: &Rect,
+    old: RectView<'_>,
     pred: &F,
-    replacement: &mut Option<(Rect, T)>,
+    grown: RectView<'_>,
+    item: &mut Option<T>,
 ) -> bool {
-    if node.is_leaf() {
-        for entry in node.entries.iter_mut() {
-            if let Entry::Leaf { rect, item } = entry {
-                if rect == old && pred(item) {
-                    let (grown, new_item) = replacement.take().expect("replacement used once");
-                    *rect = grown;
-                    *item = new_item;
+    let w = node.width();
+    match &mut node.kids {
+        Kids::Items(items) => {
+            for (i, bounds) in node.coords.chunks_exact_mut(w).enumerate() {
+                if &*bounds == old.bounds() && pred(&items[i]) {
+                    bounds.copy_from_slice(grown.bounds());
+                    items[i] = item.take().expect("replacement used once");
                     return true;
                 }
             }
+            false
         }
-        return false;
+        Kids::Nodes(children) => {
+            for (child, bounds) in children.iter_mut().zip(node.coords.chunks_exact_mut(w)) {
+                if !RectView::new(bounds).intersects(old) {
+                    continue;
+                }
+                if grow_rec(child, old, pred, grown, item) {
+                    // Growth can only widen, so the union with the child's
+                    // recomputed MBR is exact.
+                    union_into(bounds, child.mbr().view().bounds());
+                    return true;
+                }
+            }
+            false
+        }
     }
-    for entry in node.entries.iter_mut() {
-        let Entry::Node { rect, child } = entry else {
-            unreachable!("leaf entry in internal node")
-        };
-        if !rect.intersects(old) {
-            continue;
-        }
-        if grow_rec(child, old, pred, replacement) {
-            // The grown rectangle is known (it was moved into the leaf);
-            // recompute the child's MBR contribution cheaply by union —
-            // growth can only widen, so union with the child MBR is exact.
-            rect.union_assign(&child.mbr());
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -574,7 +559,7 @@ mod tests {
         // the original grid: same entry count, wider bounds, invariants
         // intact, and the widened region finds the (replaced) payload.
         let grown = Rect::new(vec![3.0, 4.0], vec![25.0, 25.0]);
-        assert!(t.grow_entry(&old, |&i| i == 34, grown.clone(), 734));
+        assert!(t.grow_entry(old.view(), |&i| i == 34, grown.view(), 734));
         assert_eq!(t.len(), 100);
         t.validate();
         let probe = Rect::from_point(&[25.0, 25.0]);
@@ -582,8 +567,8 @@ mod tests {
         assert_eq!(hits, vec![&734]);
         // The old rectangle no longer identifies the entry, and a grow
         // with no match leaves the tree untouched.
-        assert!(!t.grow_entry(&old, |&i| i == 34, grown.clone(), 0));
-        assert!(!t.grow_entry(&grown, |&i| i == 999, grown.clone(), 0));
+        assert!(!t.grow_entry(old.view(), |&i| i == 34, grown.view(), 0));
+        assert!(!t.grow_entry(grown.view(), |&i| i == 999, grown.view(), 0));
         assert_eq!(t.len(), 100);
         t.validate();
     }
@@ -593,7 +578,8 @@ mod tests {
     fn grow_entry_rejects_a_shrinking_rectangle() {
         let mut t = point_tree(&grid(4), RTreeConfig::with_max_entries(4));
         let old = Rect::new(vec![0.0, 0.0], vec![3.0, 3.0]);
-        t.grow_entry(&old, |_| true, Rect::from_point(&[1.0, 1.0]), 0);
+        let shrunk = Rect::from_point(&[1.0, 1.0]);
+        t.grow_entry(old.view(), |_| true, shrunk.view(), 0);
     }
 
     #[test]
@@ -621,12 +607,8 @@ mod tests {
         let mut a = point_tree(&grid(5), RTreeConfig::with_max_entries(4));
         let b = a.clone();
         let old = Rect::from_point(&[0.0, 0.0]);
-        assert!(a.grow_entry(
-            &old,
-            |_| true,
-            Rect::new(vec![0.0, 0.0], vec![9.0, 9.0]),
-            99
-        ));
+        let grown = Rect::new(vec![0.0, 0.0], vec![9.0, 9.0]);
+        assert!(a.grow_entry(old.view(), |_| true, grown.view(), 99));
         assert_eq!(a.len(), b.len());
         assert_eq!(b.search_collect(&old).0, vec![&0]);
         b.validate();

@@ -33,7 +33,7 @@ proptest! {
         let mut want: Vec<usize> = points
             .iter()
             .enumerate()
-            .filter(|(_, &(x, y))| q.contains_point(&[x, y]))
+            .filter(|(_, &(x, y))| q.view().contains_point(&[x, y]))
             .map(|(i, _)| i)
             .collect();
         want.sort_unstable();
