@@ -167,7 +167,9 @@ pub fn fig10_point(count: usize, len: usize, seed: u64) -> Point {
     let mut scanned = 0u64;
     let scan_ms = time_ms(1, || {
         for refine in &bound {
-            let (_, s) = idx.scan_range_features(refine, &window, ScanMode::EarlyAbandon);
+            let (_, s) = idx
+                .scan_range_features(refine, &window, ScanMode::EarlyAbandon)
+                .unwrap();
             scanned += s.scanned as u64;
         }
     }) / QUERY_REPEATS as f64;
@@ -205,7 +207,7 @@ pub fn fig12_curve(targets: &[usize]) -> Vec<Point> {
     let mut dists: Vec<f64> = idx
         .entries()
         .iter()
-        .map(|stored| unbounded.distance(stored))
+        .map(|stored| unbounded.distance(&stored.into()))
         .collect();
     dists.sort_by(f64::total_cmp);
     let thresholds: Vec<f64> = targets
@@ -231,7 +233,9 @@ pub fn fig12_curve(targets: &[usize]) -> Vec<Point> {
         });
         let refine = idx.refine(qf.clone(), Some(eps), &t).expect("features fit");
         let scan_ms = time_ms(5, || {
-            let _ = idx.scan_range_features(&refine, &window, ScanMode::EarlyAbandon);
+            let _ = idx
+                .scan_range_features(&refine, &window, ScanMode::EarlyAbandon)
+                .unwrap();
         });
         out.push(Point {
             x: answers as f64,

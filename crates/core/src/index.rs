@@ -20,11 +20,13 @@
 //! Parseval is the `D²` the filter's lower bound must stay under
 //! ([`crate::space`] states that inequality in floating point).
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use tsq_dft::FftPlanner;
 use tsq_rtree::knn::nearest_with_tie;
+use tsq_rtree::page::PagePin;
 use tsq_rtree::search::search_with;
 use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, RectView, SearchStats};
 use tsq_series::distance::{limit_sq, sum_sq_blocks, sum_sq_within, ABANDON_BLOCK};
@@ -34,6 +36,7 @@ use tsq_store::{Decoder, Encoder, StoreError};
 use crate::error::{Error, Result};
 use crate::features::{FeatureSchema, Features, Normalize};
 use crate::plan::{RelationStats, SpaceProfile};
+use crate::records::{RecordFile, RecordFrame, RecordIo};
 use crate::scan::ScanMode;
 use crate::space::{QueryWindow, SpaceKind};
 use crate::transform::LinearTransform;
@@ -74,11 +77,50 @@ impl Default for IndexConfig {
 #[derive(Debug, Clone)]
 pub struct StoredSeries {
     /// The original series: the relation's own value, one buffer shared
-    /// with the catalog and every ST-index that holds it.
+    /// with the catalog and every ST-index that holds it. Empty once the
+    /// index is paged: the samples then live in its record file, and
+    /// [`SimilarityIndex::record`] reads them.
     pub series: TimeSeries,
     /// What the filter reads: mean, std and the indexed coefficients of
     /// the indexed representation (coefficients `0..coeff_indices().end`).
     pub features: Features,
+}
+
+/// One record as the exact check reads it: its features, and its samples
+/// — borrowed from the index in memory, or from the pinned record frame
+/// holding them when the index is paged (the frame stays resident while
+/// the record is held).
+#[derive(Debug)]
+pub struct Record<'a> {
+    /// What the filter reads.
+    pub features: &'a Features,
+    samples: Samples<'a>,
+}
+
+#[derive(Debug)]
+enum Samples<'a> {
+    Held(&'a [f64]),
+    Pinned(PagePin<'a, RecordFrame>, Range<usize>),
+}
+
+impl Record<'_> {
+    /// The record's samples, in time order.
+    pub fn samples(&self) -> &[f64] {
+        match &self.samples {
+            Samples::Held(values) => values,
+            Samples::Pinned(frame, at) => &frame[at.clone()],
+        }
+    }
+}
+
+impl<'a> From<&'a StoredSeries> for Record<'a> {
+    /// A record held in memory.
+    fn from(stored: &'a StoredSeries) -> Self {
+        Record {
+            features: &stored.features,
+            samples: Samples::Held(stored.series.values()),
+        }
+    }
 }
 
 /// One query answer: a series id and its exact distance.
@@ -102,6 +144,8 @@ pub struct QueryStats {
     pub false_hits: usize,
     /// Exact distance computations performed.
     pub exact_checks: usize,
+    /// Record-pool traffic of the exact checks (paged storage only).
+    pub records: RecordIo,
 }
 
 /// The exact check of one bound statement: `D(T(o), q)` for a stored
@@ -148,9 +192,9 @@ impl<'a> Refine<'a> {
     /// so a record given up on is not transformed past that block — and
     /// over the normalized samples in place under the identity (`1·v` is
     /// `v`, so the bits are the same).
-    fn sum_sq(&self, stored: &StoredSeries, limit: f64) -> Option<f64> {
-        let norm = Normalize::of(&stored.features, self.schema);
-        let (x, q) = (stored.series.values(), &self.target[..]);
+    fn sum_sq(&self, record: &Record<'_>, limit: f64) -> Option<f64> {
+        let norm = Normalize::of(record.features, self.schema);
+        let (x, q) = (record.samples(), &self.target[..]);
         let sq = |d: f64| d * d;
         if self.identity {
             assert_eq!(x.len(), q.len(), "distance requires equal lengths");
@@ -166,32 +210,32 @@ impl<'a> Refine<'a> {
         })
     }
 
-    /// The membership test every operator shares: the distance `stored`
+    /// The membership test every operator shares: the distance `record`
     /// is reported with, if that is within the statement's threshold.
     /// [`ScanMode::EarlyAbandon`] stops summing once the answer is "no",
     /// [`ScanMode::Naive`] tests after the full sum: same loop, same limit.
-    pub fn within(&self, stored: &StoredSeries, mode: ScanMode) -> Option<f64> {
-        self.sum_sq(stored, mode.abandon_at(self.limit))
+    pub fn within(&self, record: &Record<'_>, mode: ScanMode) -> Option<f64> {
+        self.sum_sq(record, mode.abandon_at(self.limit))
             .filter(|sum| *sum <= self.limit)
             .map(f64::sqrt)
     }
 
-    /// The exact distance `D(T(stored), q)`, or `None` when it is strictly
+    /// The exact distance `D(T(record), q)`, or `None` when it is strictly
     /// greater than `bound` — what a k-NN search asks of a record once it
     /// holds `k` distances, `bound` being the largest of them. The loop
     /// gives up at `limit_sq(bound)`, so a distance it returns is the full
     /// sum's, bit for bit.
-    pub(crate) fn distance_within(&self, stored: &StoredSeries, bound: f64) -> Option<f64> {
+    pub(crate) fn distance_within(&self, record: &Record<'_>, bound: f64) -> Option<f64> {
         let limit = match bound.is_finite() {
             true => limit_sq(bound),
             false => f64::INFINITY,
         };
-        self.sum_sq(stored, limit).map(f64::sqrt)
+        self.sum_sq(record, limit).map(f64::sqrt)
     }
 
-    /// The exact distance `D(T(stored), q)`, whatever the threshold.
-    pub fn distance(&self, stored: &StoredSeries) -> f64 {
-        self.sum_sq(stored, f64::INFINITY)
+    /// The exact distance `D(T(record), q)`, whatever the threshold.
+    pub fn distance(&self, record: &Record<'_>) -> f64 {
+        self.sum_sq(record, f64::INFINITY)
             .expect("no sum exceeds an infinite limit")
             .sqrt()
     }
@@ -234,11 +278,13 @@ impl SeriesId for u64 {
 /// — refills. Nothing else constructs either, so an appended, a restored
 /// and a freshly built index over the same series hold the same tree.
 ///
-/// Node storage comes in two modes. By default the R\*-tree lives in
-/// memory. [`SimilarityIndex::attach_paged`] moves the nodes into a page
-/// file behind a pin-counted LRU buffer pool; every traversal then
-/// fetches nodes through the pool, and query statistics carry *measured*
-/// `pool_hits`/`pool_misses` next to the simulated node-visit counters.
+/// Storage comes in two modes. By default the R\*-tree and the samples
+/// live in memory. [`SimilarityIndex::attach_paged`] moves the nodes into
+/// a page file and the samples into a record file, each behind a
+/// pin-counted LRU buffer pool; every traversal then fetches nodes, and
+/// every exact check its record, through a pool, and query statistics
+/// carry *measured* pool hits and misses next to the simulated
+/// node-visit counters.
 #[derive(Debug, Clone)]
 pub struct SimilarityIndex {
     config: IndexConfig,
@@ -252,10 +298,18 @@ pub struct SimilarityIndex {
     /// `pack(&config, &store)`, empty between an append and the next read
     /// of it ([`SimilarityIndex::packed`] is the one accessor).
     packed: OnceLock<Packed>,
-    /// Paged node storage; when set, the packed tree is empty and every
-    /// traversal goes through the page file's buffer pool. Shared so
-    /// clones reuse one pool (and its cumulative counters).
-    paged: Option<Arc<PagedTree>>,
+    /// Paged storage; when set, the packed tree is empty, every record's
+    /// series is empty, and traversals and exact checks go through the
+    /// page and record files' buffer pools. Shared so clones reuse the
+    /// pools (and their cumulative counters).
+    paged: Option<Arc<Paged>>,
+}
+
+/// A paged index's files: its nodes and its records.
+#[derive(Debug)]
+struct Paged {
+    tree: PagedTree,
+    records: RecordFile,
 }
 
 /// What is derived from a relation as a whole.
@@ -509,22 +563,67 @@ impl SimilarityIndex {
         &self.config
     }
 
-    /// Stored series by id.
-    pub fn series(&self, id: usize) -> Option<&TimeSeries> {
-        self.store.get(id).map(|s| &s.series)
+    /// Record `id` as the exact check reads it: a borrow of the held
+    /// record in memory; when paged, a pin of the record frame holding
+    /// it, counted in `io`. Every operator reads records through here.
+    ///
+    /// # Errors
+    /// [`Error::UnknownSeries`] for an id past the end; typed
+    /// [`Error::Store`] failures when the record file cannot be read or
+    /// disagrees with the index.
+    pub fn record(&self, id: usize, io: &mut RecordIo) -> Result<Record<'_>> {
+        let stored = self.store.get(id).ok_or(Error::UnknownSeries(id))?;
+        let samples = match &self.paged {
+            None => Samples::Held(stored.series.values()),
+            Some(paged) => {
+                let (frame, at) = paged.records.pin(id, &self.store, io)?;
+                Samples::Pinned(frame, at)
+            }
+        };
+        Ok(Record {
+            features: &stored.features,
+            samples,
+        })
+    }
+
+    /// Stored series by id: the held value in memory (a clone shares its
+    /// buffer), a copy of the record read from the record file when
+    /// paged.
+    ///
+    /// # Errors
+    /// Same as [`SimilarityIndex::record`].
+    pub fn series(&self, id: usize) -> Result<TimeSeries> {
+        if self.paged.is_none() {
+            let stored = self.store.get(id).ok_or(Error::UnknownSeries(id))?;
+            return Ok(stored.series.clone());
+        }
+        let record = self.record(id, &mut RecordIo::default())?;
+        Ok(TimeSeries::new(record.samples().to_vec()))
+    }
+
+    /// Every stored series, in id order, read as
+    /// [`SimilarityIndex::series`] reads one.
+    pub(crate) fn all_series(&self) -> Result<Vec<TimeSeries>> {
+        let mut all = Vec::with_capacity(self.len());
+        for id in 0..self.len() {
+            all.push(self.series(id)?);
+        }
+        Ok(all)
     }
 
     /// Features of a stored series by id, with the half spectrum a query's
     /// carry: derived from its samples by one FFT — a record keeps the
-    /// indexed coefficients alone.
+    /// indexed coefficients alone. `None` for an unknown id, or a record
+    /// the record file cannot give.
     pub fn features(&self, id: usize) -> Option<Features> {
-        let stored = self.store.get(id)?;
-        let features =
-            Features::extract(&stored.series, self.config.schema, &mut FftPlanner::new());
+        let series = self.series(id).ok()?;
+        let features = Features::extract(&series, self.config.schema, &mut FftPlanner::new());
         Some(features.expect("a stored series fits the schema"))
     }
 
-    /// All stored entries.
+    /// All stored entries, in id order. A paged index's entries keep their
+    /// features, and an empty series: [`SimilarityIndex::record`] reads
+    /// the samples.
     pub fn entries(&self) -> &[StoredSeries] {
         &self.store
     }
@@ -538,72 +637,100 @@ impl SimilarityIndex {
 
     /// The paged node storage, when attached.
     pub fn paged(&self) -> Option<&PagedTree> {
-        self.paged.as_deref()
+        self.paged.as_deref().map(|paged| &paged.tree)
     }
 
-    /// True when the relation's nodes live in a page file.
+    /// The record file, when paged storage is attached.
+    pub fn records(&self) -> Option<&RecordFile> {
+        self.paged.as_deref().map(|paged| &paged.records)
+    }
+
+    /// True when the relation's nodes and records live in files.
     pub fn is_paged(&self) -> bool {
         self.paged.is_some()
     }
 
-    /// Switches the relation to paged node storage: writes a page file at
-    /// `path` holding the R\*-tree's nodes one per fixed-size page, opens
-    /// it behind a pin-counted LRU buffer pool caching up to
-    /// `capacity_pages` decoded pages, and drops the in-memory nodes; the
-    /// planner's profile of them stays. Every subsequent traversal fetches
-    /// nodes through the pool, so query statistics carry measured
-    /// `pool_hits`/`pool_misses`.
+    /// Switches the relation to paged storage. Writes a page file at
+    /// `path` holding the R\*-tree's nodes one per fixed-size page, and a
+    /// record file beside it (`path` with the extension `records`) holding
+    /// the samples, in id order, whole records per frame ([`crate::records`]
+    /// has the layout). Each file sits behind a pin-counted LRU buffer pool
+    /// of `capacity_pages` frames; the in-memory nodes and every sample
+    /// buffer the index held are dropped, the planner's profile and each
+    /// record's features stay. Every subsequent traversal fetches nodes,
+    /// and every exact check its record, through a pool, so query
+    /// statistics carry measured `pool_hits`/`pool_misses` and record
+    /// hits and misses. Answers and the other counters are the in-memory
+    /// index's: the refine reads the same values in the same order.
     ///
     /// The relation becomes append-proof
     /// ([`SimilarityIndex::push_series_batch`] is rejected); snapshots
-    /// still work — [`SimilarityIndex::write_to`] writes the series, which
-    /// never left memory, and reads no page.
+    /// still work — [`SimilarityIndex::write_to`] reads every record
+    /// through the record pool.
     ///
     /// # Errors
     /// [`Error::Unsupported`] if paged storage is already attached;
     /// [`Error::Store`] on I/O failure or when the configured fan-out
     /// exceeds the maximum page size.
     pub fn attach_paged(&mut self, path: &Path, capacity_pages: usize) -> Result<()> {
+        self.attach(path, capacity_pages, capacity_pages)
+    }
+
+    /// [`SimilarityIndex::attach_paged`] with each pool sized by a byte
+    /// budget instead of a page count: the node pool caches as many whole
+    /// pages, and the record pool as many whole frames, as fit into
+    /// `budget_bytes` (always at least one — a pool must be able to hold
+    /// the page it is decoding).
+    ///
+    /// # Errors
+    /// Same failure modes as [`SimilarityIndex::attach_paged`].
+    pub fn attach_paged_budget(&mut self, path: &Path, budget_bytes: u64) -> Result<()> {
+        let page_size = self.tree().paged_page_size()?;
+        let capacity = usize::try_from(budget_bytes / page_size as u64).unwrap_or(usize::MAX);
+        let frames = RecordFile::frames_within(&self.store, page_size, budget_bytes);
+        self.attach(path, capacity.max(1), frames)
+    }
+
+    fn attach(&mut self, path: &Path, node_pages: usize, record_frames: usize) -> Result<()> {
         if self.paged.is_some() {
             return Err(Error::Unsupported(
                 "paged storage is already attached".to_string(),
             ));
         }
         self.tree().write_paged(path, |&id| id as u64)?;
-        let paged = PagedTree::open(path, capacity_pages)?;
+        let tree = PagedTree::open(path, node_pages)?;
+        let records_path = path.with_extension("records");
+        let records =
+            RecordFile::create(&records_path, &self.store, tree.page_size(), record_frames)?;
         let packed = self.packed.get_mut().expect("packed to write the pages");
         packed.tree = RStarTree::new(self.config.rtree);
-        self.paged = Some(Arc::new(paged));
+        // One empty buffer shared by every record: the samples are in the
+        // record file now.
+        let none = TimeSeries::new(Vec::new());
+        for stored in &mut self.store {
+            stored.series = none.clone();
+        }
+        self.paged = Some(Arc::new(Paged { tree, records }));
         Ok(())
-    }
-
-    /// [`SimilarityIndex::attach_paged`] with the pool sized by a byte
-    /// budget instead of a page count: the pool caches as many whole
-    /// pages as fit into `budget_bytes` (always at least one — the pool
-    /// must be able to hold the page it is decoding).
-    ///
-    /// # Errors
-    /// Same failure modes as [`SimilarityIndex::attach_paged`].
-    pub fn attach_paged_budget(&mut self, path: &Path, budget_bytes: u64) -> Result<()> {
-        let page_size = self.tree().paged_page_size()? as u64;
-        let capacity = usize::try_from(budget_bytes / page_size).unwrap_or(usize::MAX);
-        self.attach_paged(path, capacity.max(1))
     }
 
     /// Serializes what the index cannot derive — its configuration and
     /// the stored series, in id order — into `enc` (see [`crate::store`]
     /// for the encodings). Features, tree and planner statistics are
-    /// functions of these and are not written; neither is anything read
-    /// to write them, so a paged index pins no page here.
+    /// functions of these and are not written. A paged index reads every
+    /// record through its record pool (in id order, so the file is read
+    /// front to back) and writes the bytes the in-memory index writes; no
+    /// node page is read.
     ///
     /// # Errors
-    /// None: the `Result` is what callers written against the formats
-    /// that stored a tree still unwrap.
+    /// Typed [`Error::Store`] failures when a paged index's record file
+    /// cannot be read.
     pub fn write_to(&self, enc: &mut Encoder) -> Result<()> {
         crate::store::write_index_config(enc, &self.config);
         enc.usize(self.store.len());
-        for stored in &self.store {
-            crate::store::write_series(enc, &stored.series);
+        let mut io = RecordIo::default();
+        for id in 0..self.store.len() {
+            crate::store::write_samples(enc, self.record(id, &mut io)?.samples());
         }
         Ok(())
     }
@@ -826,17 +953,17 @@ impl SimilarityIndex {
             ..QueryStats::default()
         };
         // Refined in id order, the order a built or restored relation's
-        // samples are allocated in: the refine reads every sample of a
-        // candidate it keeps, and tree order would read them at random.
+        // samples are allocated in, and a paged one's record file written
+        // in: the refine reads every sample of a candidate it keeps, and
+        // tree order would read them at random.
         ids.sort_unstable();
-        let matches: Vec<Match> = ids
-            .into_iter()
-            .filter_map(|id| {
-                refine
-                    .within(&self.store[id], ScanMode::EarlyAbandon)
-                    .map(|distance| Match { id, distance })
-            })
-            .collect();
+        let mut matches = Vec::new();
+        for id in ids {
+            let record = self.record(id, &mut stats.records)?;
+            if let Some(distance) = refine.within(&record, ScanMode::EarlyAbandon) {
+                matches.push(Match { id, distance });
+            }
+        }
         stats.false_hits = stats.exact_checks - matches.len();
         Ok((matches, stats))
     }
@@ -855,7 +982,7 @@ impl SimilarityIndex {
         force_transform: bool,
     ) -> Result<(Vec<usize>, SearchStats)> {
         match &self.paged {
-            Some(paged) => self.filter_in(&**paged, qrect, t, force_transform),
+            Some(paged) => self.filter_in(&paged.tree, qrect, t, force_transform),
             None => self.filter_in(self.tree(), qrect, t, force_transform),
         }
     }
@@ -914,7 +1041,7 @@ impl SimilarityIndex {
         k: usize,
     ) -> Result<(Vec<Match>, QueryStats)> {
         match &self.paged {
-            Some(paged) => self.knn_in(&**paged, k, refine),
+            Some(paged) => self.knn_in(&paged.tree, k, refine),
             None => self.knn_in(self.tree(), k, refine),
         }
     }
@@ -931,19 +1058,35 @@ impl SimilarityIndex {
         let space = self.config.space;
         let (t, qf) = (refine.transform, &refine.query);
         let mut exact_checks = 0usize;
+        let mut records = RecordIo::default();
+        // A record the record file cannot give ends the search: the rest
+        // of the traversal computes nothing, and the error is returned.
+        let mut failed = None;
         let (neighbors, index) = nearest_with_tie(
             store,
             k,
             |rect| space.transformed_lower_bound(rect, t, schema, qf),
             |_, item, kth| {
+                if failed.is_some() {
+                    return None;
+                }
                 exact_checks += 1;
-                refine.distance_within(&self.store[item.series_id()], kth)
+                match self.record(item.series_id(), &mut records) {
+                    Ok(record) => refine.distance_within(&record, kth),
+                    Err(e) => {
+                        failed = Some(e);
+                        None
+                    }
+                }
             },
             // Break exact-distance ties by series id: the answer set is
             // then a pure function of the data, independent of tree shape
             // — what sharded k-way merges rely on.
             |item| item.series_id() as u64,
         )?;
+        if let Some(e) = failed {
+            return Err(e);
+        }
         let matches: Vec<Match> = neighbors
             .into_iter()
             .map(|n| Match {
@@ -956,6 +1099,7 @@ impl SimilarityIndex {
             candidates: matches.len(),
             false_hits: 0,
             exact_checks,
+            records,
         };
         Ok((matches, stats))
     }
@@ -1018,8 +1162,8 @@ mod tests {
         let idx = build_default(rel.clone());
         assert_eq!(idx.len(), 50);
         assert_eq!(idx.series_len(), 64);
-        assert_eq!(idx.series(7), Some(&rel[7]));
-        assert!(idx.series(50).is_none());
+        assert_eq!(idx.series(7), Ok(rel[7].clone()));
+        assert_eq!(idx.series(50), Err(Error::UnknownSeries(50)));
         idx.tree().validate();
     }
 
@@ -1350,7 +1494,7 @@ mod tests {
         let mut enc = Encoder::new();
         crate::store::write_index_config(&mut enc, idx.config());
         enc.usize(2);
-        crate::store::write_series(&mut enc, idx.series(0).unwrap());
+        crate::store::write_series(&mut enc, &idx.series(0).unwrap());
         crate::store::write_series(&mut enc, &TimeSeries::new(vec![0.0, 1.0]));
         let forged = enc.into_bytes();
         assert!(matches!(
@@ -1381,7 +1525,7 @@ mod tests {
                 let edits: Vec<(usize, TimeSeries)> = tails
                     .iter()
                     .enumerate()
-                    .map(|(id, tail)| (id, extended(idx.series(id).unwrap(), &tail[wave.clone()])))
+                    .map(|(id, tail)| (id, extended(&idx.series(id).unwrap(), &tail[wave.clone()])))
                     .collect();
                 // One statement per series, then the rest as one batch.
                 idx.extend_series_batch(&edits[..1]).unwrap();
@@ -1442,7 +1586,7 @@ mod tests {
         // A failing edit anywhere in the batch — a value shorter than the
         // stored one, an unknown id — rejects without touching series or
         // tree, the good edit before it included.
-        let good = (0, extended(idx.series(0).unwrap(), &[1.0, 2.0]));
+        let good = (0, extended(&idx.series(0).unwrap(), &[1.0, 2.0]));
         let short = TimeSeries::new(idx.series(3).unwrap().values()[..20].to_vec());
         assert_eq!(
             idx.extend_series_batch(&[good.clone(), (3, short)]),
@@ -1664,6 +1808,7 @@ mod tests {
         for n in [3usize, 7, 8, 9, 15, 16, 17, 127, 128, 513] {
             let mut walks = RandomWalkGenerator::new(21 + n as u64);
             let stored = record(&mut walks, n, schema);
+            let held = Record::from(&stored);
             let q = walks.series(n);
             let norm = Normalize::of(&stored.features, schema);
             let qf = Features::extract(&q, schema, &mut FftPlanner::new()).unwrap();
@@ -1679,20 +1824,20 @@ mod tests {
                 let refine = |limit| Refine::new(schema, &t, qf.clone(), target.clone(), limit);
                 let unbounded = refine(f64::INFINITY);
                 assert_eq!(
-                    unbounded.distance(&stored).to_bits(),
+                    unbounded.distance(&held).to_bits(),
                     full.sqrt().to_bits(),
                     "{what}"
                 );
                 // At, one ulp below and one ulp above the exact sum.
                 for limit in neighbours(full) {
                     let want = per_term(&t, &stored, norm, &target, limit).map(f64::to_bits);
-                    let got = unbounded.sum_sq(&stored, limit);
+                    let got = unbounded.sum_sq(&held, limit);
                     assert_eq!(got.map(f64::to_bits), want, "{what}, limit {limit:e}");
                     // A row is in exactly when its whole sum is within
                     // the limit, whenever the loop gave up.
                     for mode in [ScanMode::Naive, ScanMode::EarlyAbandon] {
                         assert_eq!(
-                            refine(limit).within(&stored, mode).map(f64::to_bits),
+                            refine(limit).within(&held, mode).map(f64::to_bits),
                             (full <= limit).then_some(full.sqrt().to_bits()),
                             "{what}, limit {limit:e}, {mode:?}"
                         );
@@ -1762,11 +1907,11 @@ mod tests {
         };
         let mut exact = |id: usize, kth: f64| {
             checks += 1;
-            let stored = &index.store[id];
+            let record = index.record(id, &mut RecordIo::default()).unwrap();
             if !bounded {
-                return Some(refine.distance(stored));
+                return Some(refine.distance(&record));
             }
-            let d = refine.distance_within(stored, kth);
+            let d = refine.distance_within(&record, kth);
             gave_up += usize::from(d.is_none());
             d
         };
@@ -1853,6 +1998,7 @@ mod tests {
         let q = walks.series(20);
         let t = LinearTransform::identity(20);
         let idx = build_default(vec![stored.series.clone()]);
+        let stored = Record::from(&stored);
         let d = idx.bind_query(&q, None, &t).unwrap().distance(&stored);
         let bound = |eps: f64| idx.bind_query(&q, Some(eps), &t).unwrap();
         // Generous threshold: the full distance, bit for bit.
@@ -1873,20 +2019,20 @@ mod tests {
         };
         let idx = SimilarityIndex::build(config, vec![TimeSeries::from([0.0, 0.0])]).unwrap();
         let (t, q) = (LinearTransform::identity(2), TimeSeries::from([3.0, 4.0]));
-        let stored = &idx.entries()[0];
+        let stored = Record::from(&idx.entries()[0]);
         // Exactly at the threshold: a distance is within itself.
         let at = idx.bind_query(&q, Some(5.0), &t).unwrap();
-        assert_eq!(at.within(stored, ScanMode::EarlyAbandon), Some(5.0));
+        assert_eq!(at.within(&stored, ScanMode::EarlyAbandon), Some(5.0));
         let below = f64::from_bits(5.0f64.to_bits() - 1);
         let below = idx.bind_query(&q, Some(below), &t).unwrap();
-        assert_eq!(below.within(stored, ScanMode::EarlyAbandon), None);
+        assert_eq!(below.within(&stored, ScanMode::EarlyAbandon), None);
         // Nine samples: a block of eight, then a one-term tail whose
         // check alone decides an abandon.
         let idx = SimilarityIndex::build(config, vec![TimeSeries::new(vec![0.0; 9])]).unwrap();
         let q = TimeSeries::from([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 1.0]);
         let t = LinearTransform::identity(9);
         let refine = idx.bind_query(&q, None, &t).unwrap();
-        let within = |limit| refine.sum_sq(&idx.entries()[0], limit);
+        let within = |limit| refine.sum_sq(&Record::from(&idx.entries()[0]), limit);
         assert_eq!(within(f64::INFINITY), Some(5.0));
         assert_eq!(within(5.0), Some(5.0));
         assert_eq!(within(4.5), None);

@@ -75,7 +75,9 @@
 //! An ST-index travels as nothing but its window: a restored relation
 //! holds the window ([`ShardedIndex::hold_window`]) and its first reader
 //! builds it over the restored series. No tree is serialized whole; the
-//! one file a tree's nodes are written to is `tsq-rtree`'s page file.
+//! one file a tree's nodes are written to is `tsq-rtree`'s page file, and
+//! the one file a paged index's samples are written to is its record file
+//! ([`records`]).
 //! Malformed snapshot bytes are rejected with typed [`Error::Store`]
 //! values at every boundary.
 
@@ -90,6 +92,7 @@ pub mod geometry;
 pub mod index;
 pub mod plan;
 pub mod queries;
+pub mod records;
 pub mod relation;
 pub mod scan;
 pub mod shard;
@@ -101,13 +104,14 @@ pub mod transform;
 pub use error::{Error, Result};
 pub use executor::CancelToken;
 pub use features::{FeatureSchema, Features};
-pub use index::{IndexConfig, Match, QueryStats, Refine, SimilarityIndex, StoredSeries};
+pub use index::{IndexConfig, Match, QueryStats, Record, Refine, SimilarityIndex, StoredSeries};
 pub use plan::{
     execute_plan, CostEstimate, ExecStats, ForceOp, LogicalPlan, PhysicalOp, PhysicalPlan,
     PlanChoice, PlanRows, Planner, QueryOptions, RelationStats, SpaceProfile,
 };
 pub use queries::{JoinOutcome, JoinPair, JoinStats};
-pub use relation::SeriesRelation;
+pub use records::RecordIo;
+pub use relation::{Labels, SeriesRelation};
 pub use scan::{ScanMode, ScanStats};
 pub use shard::{
     render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardMap, ShardSpec,

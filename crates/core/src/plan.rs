@@ -99,6 +99,7 @@ use tsq_series::TimeSeries;
 use crate::error::{Error, Result};
 use crate::index::{Match, Refine, SimilarityIndex};
 use crate::queries::{probe_pairs, scan_pairs, JoinBound, JoinPair};
+use crate::records::RecordIo;
 use crate::scan::ScanMode;
 use crate::space::{QueryWindow, SpaceKind};
 use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
@@ -976,9 +977,10 @@ fn rect_sides(rect: &Rect) -> Vec<f64> {
 /// Counters actually observed while running a plan. `disk_accesses`
 /// follows the bench accounting: scans charge one access per stored
 /// record, index plans one per visited node plus one per candidate fetch.
-/// `pool_hits`/`pool_misses` are *measured* buffer-pool counters — real
-/// page fetches, not arithmetic — and stay zero unless the relation has
-/// paged storage attached.
+/// `pool_hits`/`pool_misses` (node pages) and the `record_*` counters
+/// (record frames) are *measured* buffer-pool counters — real fetches,
+/// not arithmetic — and stay zero unless the relation has paged storage
+/// attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Index-level candidates produced (scans: records compared).
@@ -996,6 +998,15 @@ pub struct ExecStats {
     /// Measured buffer-pool misses, i.e. actual page reads (paged
     /// storage only; 0 in memory).
     pub pool_misses: u64,
+    /// Measured record-pool hits: exact checks whose record frame was
+    /// resident (paged storage only; 0 in memory).
+    pub record_hits: u64,
+    /// Measured record-pool misses, i.e. record frames read from the
+    /// file (paged storage only; 0 in memory).
+    pub record_misses: u64,
+    /// The record misses that read the frame after the previous miss's:
+    /// sequential reads. The rest are random.
+    pub record_seq_misses: u64,
 }
 
 impl ExecStats {
@@ -1015,6 +1026,7 @@ impl ExecStats {
             disk_accesses: search.nodes_visited + refined as u64,
             pool_hits: search.pool_hits,
             pool_misses: search.pool_misses,
+            ..ExecStats::default()
         }
     }
 
@@ -1031,6 +1043,32 @@ impl ExecStats {
         }
     }
 
+    /// These counters with the record-pool traffic `io` the plan caused.
+    pub(crate) fn with_records(mut self, io: &RecordIo) -> Self {
+        self.record_hits = io.hits;
+        self.record_misses = io.misses;
+        self.record_seq_misses = io.sequential;
+        self
+    }
+
+    /// True when a buffer pool served the plan: the relation is paged.
+    pub fn measured(&self) -> bool {
+        self.pool_hits + self.pool_misses + self.record_hits + self.record_misses > 0
+    }
+
+    /// The `measured:` counters of `EXPLAIN ANALYZE`, after its label.
+    pub fn render_measured(&self) -> String {
+        format!(
+            "pool_hits={}, pool_misses={}, record_hits={}, record_misses={} (sequential={}, random={})",
+            self.pool_hits,
+            self.pool_misses,
+            self.record_hits,
+            self.record_misses,
+            self.record_seq_misses,
+            self.record_misses - self.record_seq_misses,
+        )
+    }
+
     /// Adds every counter of `other` into `self` — the scatter-gather
     /// merge rule: the merged stats of a sharded execution are the exact
     /// sum of the per-shard counters, buffer-pool traffic included.
@@ -1042,6 +1080,9 @@ impl ExecStats {
         self.disk_accesses += other.disk_accesses;
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
+        self.record_hits += other.record_hits;
+        self.record_misses += other.record_misses;
+        self.record_seq_misses += other.record_seq_misses;
     }
 
     /// Exact sum of a slice of per-shard stats.
@@ -1126,7 +1167,7 @@ pub(crate) fn execute_bound(
                 stats.exact_checks,
                 stats.false_hits,
             );
-            (PlanRows::Whole(matches), exec)
+            (PlanRows::Whole(matches), exec.with_records(&stats.records))
         }
         (
             Bound::Range { refine, window, .. },
@@ -1136,19 +1177,19 @@ pub(crate) fn execute_bound(
                 PhysicalOp::SeqScan => ScanMode::Naive,
                 _ => ScanMode::EarlyAbandon,
             };
-            let (matches, stats) = index.scan_range_features(refine, window, mode);
+            let (matches, stats) = index.scan_range_features(refine, window, mode)?;
             let exec = ExecStats::scan(n, stats.scanned, matches.len());
-            (PlanRows::Whole(matches), exec)
+            (PlanRows::Whole(matches), exec.with_records(&stats.records))
         }
         (Bound::Knn { refine, k }, PhysicalOp::IndexKnn) => {
             let (matches, stats) = index.knn_bound(refine, *k)?;
             let exec = ExecStats::index(&stats.index, stats.candidates, stats.exact_checks, 0);
-            (PlanRows::Whole(matches), exec)
+            (PlanRows::Whole(matches), exec.with_records(&stats.records))
         }
         (Bound::Knn { refine, k }, PhysicalOp::SeqScan) => {
-            let matches = index.scan_knn_features(refine, *k);
+            let (matches, records) = index.scan_knn_features(refine, *k)?;
             let exec = ExecStats::scan(n, n, matches.len());
-            (PlanRows::Whole(matches), exec)
+            (PlanRows::Whole(matches), exec.with_records(&records))
         }
         (Bound::Join(join), PhysicalOp::JoinScan { .. } | PhysicalOp::JoinIndex { .. }) => {
             let (mut pairs, exec) = run_join(plan.op, index, index, *join)?;
@@ -1194,12 +1235,12 @@ pub(crate) fn run_join(
     let own = std::ptr::eq(probe, partner);
     let outcome = match op {
         PhysicalOp::JoinScan { mode } => {
-            let outcome = scan_pairs(probe, partner, join, mode);
+            let outcome = scan_pairs(probe, partner, join, mode)?;
             // A self-join reads its relation once; the records a cross
             // stage compares were charged by their shards' self-joins.
             let stored = if own { probe.len() } else { 0 };
             let exec = ExecStats::scan(stored, outcome.stats.exact_checks, outcome.pairs.len());
-            return Ok((outcome.pairs, exec));
+            return Ok((outcome.pairs, exec.with_records(&outcome.stats.records)));
         }
         PhysicalOp::JoinIndex { .. } => probe_pairs(probe, partner, join)?,
         _ => {
@@ -1218,7 +1259,7 @@ pub(crate) fn run_join(
         outcome.stats.exact_checks,
         outcome.stats.abandoned,
     );
-    Ok((outcome.pairs, exec))
+    Ok((outcome.pairs, exec.with_records(&outcome.stats.records)))
 }
 
 fn subseq_exec(stats: &crate::subseq::SubseqStats) -> ExecStats {
@@ -1350,18 +1391,17 @@ pub fn render_plan(logical: &LogicalPlan, choice: &PlanChoice, stats: &RelationS
 /// Appends the `EXPLAIN ANALYZE` actual-counter line to a rendered plan.
 /// The counters are exactly the [`ExecStats`] the execution returned.
 /// When the relation runs on paged storage a second line reports the
-/// *measured* buffer-pool traffic next to the `disk` paper-accounting
-/// estimate; in-memory plans render byte-identically to before.
+/// *measured* buffer-pool traffic — node pages, then record frames with
+/// their misses split into sequential and random reads — next to the
+/// `disk` paper-accounting estimate; in-memory plans render
+/// byte-identically to before.
 pub fn render_analyze(rendered: &mut String, rows: usize, stats: &ExecStats) {
     rendered.push_str(&format!(
         "     actual: rows={rows}, nodes={}, candidates={}, refined={}, false_hits={}, disk={}\n",
         stats.nodes_visited, stats.candidates, stats.refined, stats.false_hits, stats.disk_accesses,
     ));
-    if stats.pool_hits + stats.pool_misses > 0 {
-        rendered.push_str(&format!(
-            "     measured: pool_hits={}, pool_misses={}\n",
-            stats.pool_hits, stats.pool_misses,
-        ));
+    if stats.measured() {
+        rendered.push_str(&format!("     measured: {}\n", stats.render_measured()));
     }
 }
 
@@ -1818,8 +1858,7 @@ mod tests {
             false_hits: 1,
             nodes_visited: 7,
             disk_accesses: 10,
-            pool_hits: 0,
-            pool_misses: 0,
+            ..ExecStats::default()
         };
         render_analyze(&mut analyzed, 2, &exec);
         assert!(analyzed.contains("actual: rows=2, nodes=7, candidates=3"));
@@ -1832,6 +1871,20 @@ mod tests {
             ..exec
         };
         render_analyze(&mut analyzed, 2, &paged_exec);
-        assert!(analyzed.contains("measured: pool_hits=4, pool_misses=3"));
+        assert!(analyzed.contains("measured: pool_hits=4, pool_misses=3, record_hits=0"));
+        // Record traffic alone (a paged scan) reports too, its misses split
+        // into sequential and random reads.
+        let scan_exec = ExecStats {
+            record_hits: 5,
+            record_misses: 9,
+            record_seq_misses: 7,
+            ..exec
+        };
+        let mut scanned = a.clone();
+        render_analyze(&mut scanned, 2, &scan_exec);
+        assert!(scanned.contains(
+            "measured: pool_hits=0, pool_misses=0, record_hits=5, record_misses=9 \
+             (sequential=7, random=2)"
+        ));
     }
 }

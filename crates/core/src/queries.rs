@@ -23,7 +23,8 @@ use tsq_series::distance::{distance_sq_within, limit_sq};
 
 use crate::error::{Error, Result};
 use crate::features::{Features, Normalize};
-use crate::index::{Refine, SimilarityIndex, StoredSeries};
+use crate::index::{Record, Refine, SimilarityIndex};
+use crate::records::RecordIo;
 use crate::scan::ScanMode;
 use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
@@ -50,6 +51,8 @@ pub struct JoinStats {
     pub index: SearchStats,
     /// Index-level candidates before exact checking.
     pub candidates: usize,
+    /// Record-pool traffic (paged storage only).
+    pub records: RecordIo,
 }
 
 /// Join answer set plus statistics.
@@ -78,26 +81,29 @@ pub(crate) struct JoinBound<'a> {
 /// both sides are the same index: each unordered pair is then met once,
 /// `a < b`. The two modes run the same loop against the same limit;
 /// [`ScanMode::Naive`] only tests membership after the full sum.
-pub(crate) fn scan_pairs<'a>(
-    probe: &'a SimilarityIndex,
-    partner: &'a SimilarityIndex,
+pub(crate) fn scan_pairs(
+    probe: &SimilarityIndex,
+    partner: &SimilarityIndex,
     join: JoinBound<'_>,
     mode: ScanMode,
-) -> JoinOutcome {
+) -> Result<JoinOutcome> {
     let own = std::ptr::eq(probe, partner);
-    // Transform every record once (the quadratic pair loop dominates).
-    let images = |side: &'a SimilarityIndex| -> Vec<Vec<f64>> {
+    let mut out = JoinOutcome::default();
+    // Transform every record once (the quadratic pair loop dominates),
+    // reading each side's records in id order.
+    let mut images = |side: &SimilarityIndex| -> Result<Vec<Vec<f64>>> {
         let schema = side.config().schema;
-        side.entries()
-            .iter()
-            .map(|s| image(join.transform, s, schema))
-            .collect()
+        let mut images = Vec::with_capacity(side.len());
+        for id in 0..side.len() {
+            let record = side.record(id, &mut out.stats.records)?;
+            images.push(image(join.transform, &record, schema));
+        }
+        Ok(images)
     };
-    let left = images(probe);
-    let other = (!own).then(|| images(partner));
+    let left = images(probe)?;
+    let other = if own { None } else { Some(images(partner)?) };
     let right = other.as_ref().unwrap_or(&left);
     let abandon_at = mode.abandon_at(join.limit);
-    let mut out = JoinOutcome::default();
     for (i, x) in left.iter().enumerate() {
         let first = if own { i + 1 } else { 0 };
         for (j, y) in right.iter().enumerate().skip(first) {
@@ -113,15 +119,15 @@ pub(crate) fn scan_pairs<'a>(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// `T(x̂)` of a stored record: its samples normalized as indexed, under
 /// the time-domain action every exact check uses, so a pair sums the same
 /// terms in every join strategy and in both directions.
-fn image(t: &LinearTransform, stored: &StoredSeries, schema: crate::FeatureSchema) -> Vec<f64> {
-    let norm = Normalize::of(&stored.features, schema);
-    t.act(stored.series.values(), norm)
+fn image(t: &LinearTransform, record: &Record<'_>, schema: crate::FeatureSchema) -> Vec<f64> {
+    let norm = Normalize::of(record.features, schema);
+    t.act(record.samples(), norm)
 }
 
 /// The index-nested-loop join kernel (Table 1 methods (c)/(d)) over a
@@ -140,13 +146,13 @@ pub(crate) fn probe_pairs(
     let mut out = JoinOutcome::default();
     let window = QueryWindow::default();
     for i in 0..probe.len() {
-        let refine = probe.probe_refine(i, join)?;
+        let refine = probe.probe_refine(i, join, &mut out.stats.records)?;
         let qrect = partner.probe_rect(&refine.query, join.eps, &window);
         let (mut ids, fstats) = partner.filter_rect(&qrect, join.transform, false)?;
         ids.sort_unstable();
         out.stats.index.absorb(&fstats);
         out.stats.candidates += ids.len();
-        refine_group(partner, &refine, i, &ids, &mut out);
+        refine_group(partner, &refine, i, &ids, &mut out)?;
     }
     if std::ptr::eq(probe, partner) {
         out.pairs.retain(|p| p.a != p.b);
@@ -167,10 +173,11 @@ fn refine_group(
     probe: usize,
     partners: &[usize],
     out: &mut JoinOutcome,
-) {
+) -> Result<()> {
     for &j in partners {
         out.stats.exact_checks += 1;
-        match refine.within(&partner.entries()[j], ScanMode::EarlyAbandon) {
+        let record = partner.record(j, &mut out.stats.records)?;
+        match refine.within(&record, ScanMode::EarlyAbandon) {
             Some(distance) => out.pairs.push(JoinPair {
                 a: probe,
                 b: j,
@@ -179,6 +186,7 @@ fn refine_group(
             None => out.stats.abandoned += 1,
         }
     }
+    Ok(())
 }
 
 impl SimilarityIndex {
@@ -195,11 +203,16 @@ impl SimilarityIndex {
     /// The refine of join probe `id`: its transformed indexed coefficients
     /// for the filter, its `T(x̂)` for the exact check, the join's limit
     /// the threshold.
-    fn probe_refine<'a>(&self, id: usize, join: JoinBound<'a>) -> Result<Refine<'a>> {
-        let stored = self.entries().get(id).ok_or(Error::UnknownSeries(id))?;
+    fn probe_refine<'a>(
+        &self,
+        id: usize,
+        join: JoinBound<'a>,
+        io: &mut RecordIo,
+    ) -> Result<Refine<'a>> {
+        let record = self.record(id, io)?;
         let schema = self.config().schema;
-        let qf = stored.features.image(join.transform);
-        let target = image(join.transform, stored, schema);
+        let qf = record.features.image(join.transform);
+        let target = image(join.transform, &record, schema);
         Ok(Refine::new(schema, join.transform, qf, target, join.limit))
     }
 
@@ -224,7 +237,7 @@ impl SimilarityIndex {
     /// and one of the wrong arity or unsafe for the space are rejected,
     /// in that order — as by every join strategy.
     pub fn join_scan(&self, eps: f64, t: &LinearTransform, mode: ScanMode) -> Result<JoinOutcome> {
-        Ok(scan_pairs(self, self, self.bind_join(eps, t)?, mode))
+        scan_pairs(self, self, self.bind_join(eps, t)?, mode)
     }
 
     /// Table 1 methods (c)/(d): index-nested-loop self-join. For every

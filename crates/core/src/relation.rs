@@ -21,18 +21,56 @@ use crate::error::{Error, Result};
 /// queries work either way.
 #[derive(Debug, Clone, Default)]
 pub struct SeriesRelation {
-    name: String,
+    labels: Labels,
     series: Vec<TimeSeries>,
+}
+
+/// A relation's names without its samples: the relation name, each
+/// series' label in id order, and the label → id map. A relation whose
+/// samples live in record files keeps only this.
+#[derive(Debug, Clone, Default)]
+pub struct Labels {
+    name: String,
     labels: Vec<String>,
     by_label: HashMap<String, usize>,
+}
+
+impl Labels {
+    /// Relation name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Number of labelled series.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// True when no series is labelled.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Label of an id.
+    pub fn label(&self, id: usize) -> Option<&str> {
+        self.labels.get(id).map(String::as_str)
+    }
+
+    /// Id of a label.
+    pub fn id(&self, label: &str) -> Option<usize> {
+        self.by_label.get(label).copied()
+    }
 }
 
 impl SeriesRelation {
     /// Creates an empty relation.
     pub fn new(name: impl Into<String>) -> Self {
         SeriesRelation {
-            name: name.into(),
-            ..SeriesRelation::default()
+            labels: Labels {
+                name: name.into(),
+                ..Labels::default()
+            },
+            series: Vec::new(),
         }
     }
 
@@ -64,12 +102,13 @@ impl SeriesRelation {
     /// the lengths out.
     pub fn push(&mut self, label: impl Into<String>, series: TimeSeries) -> Result<usize> {
         let label = label.into();
-        if self.by_label.contains_key(&label) {
+        let names = &mut self.labels;
+        if names.by_label.contains_key(&label) {
             return Err(Error::Unsupported(format!("duplicate label {label:?}")));
         }
         let id = self.series.len();
-        self.by_label.insert(label.clone(), id);
-        self.labels.push(label);
+        names.by_label.insert(label.clone(), id);
+        names.labels.push(label);
         self.series.push(series);
         Ok(id)
     }
@@ -86,7 +125,7 @@ impl SeriesRelation {
     /// that know the label), [`Error::NonFinite`] when the appended values
     /// contain NaN/±∞.
     pub fn extend_series(&mut self, label: &str, appended: &[f64]) -> Result<usize> {
-        let Some(&id) = self.by_label.get(label) else {
+        let Some(id) = self.labels.id(label) else {
             return Err(Error::UnknownSeries(usize::MAX));
         };
         self.series[id].try_extend(appended)?;
@@ -110,7 +149,7 @@ impl SeriesRelation {
 
     /// Relation name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.labels.name()
     }
 
     /// Number of series.
@@ -130,17 +169,42 @@ impl SeriesRelation {
 
     /// Series by label.
     pub fn get_by_label(&self, label: &str) -> Option<&TimeSeries> {
-        self.by_label.get(label).map(|&i| &self.series[i])
+        self.labels.id(label).map(|i| &self.series[i])
     }
 
     /// Label of an id.
     pub fn label(&self, id: usize) -> Option<&str> {
-        self.labels.get(id).map(String::as_str)
+        self.labels.label(id)
     }
 
     /// All series, in id order.
     pub fn series(&self) -> &[TimeSeries] {
         &self.series
+    }
+
+    /// The relation's names.
+    pub fn labels(&self) -> &Labels {
+        &self.labels
+    }
+
+    /// The relation's names, its samples dropped.
+    pub fn into_labels(self) -> Labels {
+        self.labels
+    }
+
+    /// A relation of `series`, in id order, under `labels`.
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] when the counts differ.
+    pub fn from_labels(labels: Labels, series: Vec<TimeSeries>) -> Result<Self> {
+        if labels.len() != series.len() {
+            return Err(Error::Unsupported(format!(
+                "{} label(s) for {} series",
+                labels.len(),
+                series.len()
+            )));
+        }
+        Ok(SeriesRelation { labels, series })
     }
 }
 

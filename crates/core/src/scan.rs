@@ -19,6 +19,7 @@ use std::collections::BinaryHeap;
 
 use crate::error::Result;
 use crate::index::{Match, Refine, SimilarityIndex};
+use crate::records::RecordIo;
 use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
 
@@ -53,6 +54,8 @@ pub struct ScanStats {
     pub scanned: usize,
     /// Distance computations abandoned early.
     pub abandoned: usize,
+    /// Record-pool traffic (paged storage only).
+    pub records: RecordIo,
 }
 
 impl SimilarityIndex {
@@ -71,7 +74,7 @@ impl SimilarityIndex {
         mode: ScanMode,
     ) -> Result<(Vec<Match>, ScanStats)> {
         let refine = self.bind_query(q, Some(eps), t)?;
-        Ok(self.scan_range_features(&refine, &QueryWindow::default(), mode))
+        self.scan_range_features(&refine, &QueryWindow::default(), mode)
     }
 
     /// The range-scan kernel for a bound query (the figure runners bind
@@ -79,13 +82,18 @@ impl SimilarityIndex {
     /// stored series the mean/std filter `window` admits — the scan-side
     /// equivalent of the search rectangle's bounds on the two auxiliary
     /// dimensions — is checked with the statement's refine, in either
-    /// mode ([`Refine::within`]).
+    /// mode ([`Refine::within`]). Records are read in id order: a paged
+    /// index's record file front to back.
+    ///
+    /// # Errors
+    /// Typed [`crate::Error::Store`] failures when a paged index's record
+    /// file cannot be read.
     pub fn scan_range_features(
         &self,
         refine: &Refine<'_>,
         window: &QueryWindow,
         mode: ScanMode,
-    ) -> (Vec<Match>, ScanStats) {
+    ) -> Result<(Vec<Match>, ScanStats)> {
         let mut stats = ScanStats::default();
         let mut matches = Vec::new();
         for (id, stored) in self.entries().iter().enumerate() {
@@ -93,13 +101,13 @@ impl SimilarityIndex {
                 continue;
             }
             stats.scanned += 1;
-            match refine.within(stored, mode) {
+            match refine.within(&self.record(id, &mut stats.records)?, mode) {
                 Some(distance) => matches.push(Match { id, distance }),
                 None if mode == ScanMode::EarlyAbandon => stats.abandoned += 1,
                 None => {}
             }
         }
-        (matches, stats)
+        Ok((matches, stats))
     }
 
     /// K-nearest-neighbor query by sequential scan (ground truth for KNN
@@ -113,7 +121,7 @@ impl SimilarityIndex {
         k: usize,
         t: &LinearTransform,
     ) -> Result<Vec<Match>> {
-        Ok(self.scan_knn_features(&self.bind_query(q, None, t)?, k))
+        Ok(self.scan_knn_features(&self.bind_query(q, None, t)?, k)?.0)
     }
 
     /// [`SimilarityIndex::scan_knn`] for a bound query: the `k` smallest
@@ -121,15 +129,21 @@ impl SimilarityIndex {
     /// root, never negative, so its bits order as its value. Once the heap
     /// holds `k`, a record's exact check gives up past the largest of them
     /// ([`Refine::distance_within`]): such a record is strictly farther
-    /// than the `k`-th, so the answer is the full sort's.
-    pub(crate) fn scan_knn_features(&self, refine: &Refine<'_>, k: usize) -> Vec<Match> {
+    /// than the `k`-th, so the answer is the full sort's. Returns the
+    /// answer and the record-pool traffic.
+    pub(crate) fn scan_knn_features(
+        &self,
+        refine: &Refine<'_>,
+        k: usize,
+    ) -> Result<(Vec<Match>, RecordIo)> {
         let mut best: BinaryHeap<(u64, usize)> = BinaryHeap::with_capacity(k.min(self.len()) + 1);
-        for (id, stored) in self.entries().iter().enumerate() {
+        let mut io = RecordIo::default();
+        for id in 0..self.len() {
             let bound = match best.peek() {
                 Some(&(kth, _)) if best.len() == k => f64::from_bits(kth),
                 _ => f64::INFINITY,
             };
-            if let Some(distance) = refine.distance_within(stored, bound) {
+            if let Some(distance) = refine.distance_within(&self.record(id, &mut io)?, bound) {
                 best.push((distance.to_bits(), id));
                 if best.len() > k {
                     best.pop();
@@ -137,12 +151,11 @@ impl SimilarityIndex {
             }
         }
         let sorted = best.into_sorted_vec().into_iter();
-        sorted
-            .map(|(bits, id)| Match {
-                id,
-                distance: f64::from_bits(bits),
-            })
-            .collect()
+        let matches = sorted.map(|(bits, id)| Match {
+            id,
+            distance: f64::from_bits(bits),
+        });
+        Ok((matches.collect(), io))
     }
 }
 
@@ -247,7 +260,7 @@ mod tests {
                 .entries()
                 .iter()
                 .enumerate()
-                .map(|(id, s)| (refine.distance(s).to_bits(), id))
+                .map(|(id, s)| (refine.distance(&s.into()).to_bits(), id))
                 .collect();
             all.sort_unstable();
             for k in [0usize, 1, 3, 5, 8, 40, 400, usize::MAX] {

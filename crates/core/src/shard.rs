@@ -564,7 +564,7 @@ impl ShardedIndex {
                 self.subseq.hold(window)
             }
         };
-        Ok(self.fill(window, &cell))
+        self.fill(window, &cell)
     }
 
     /// A held window's indexes, built now if nobody has yet: by one
@@ -573,13 +573,23 @@ impl ShardedIndex {
     /// statement) never waits on another's build, which may be waiting for
     /// its worker: it builds a copy of its own (nested fan-outs run inline,
     /// so that build waits on nothing) and leaves the cell to the builder.
-    fn fill(&self, window: usize, cell: &WindowCell) -> Vec<Arc<SubseqIndex>> {
+    ///
+    /// # Errors
+    /// What [`SimilarityIndex::series`] reports for a paged shard whose
+    /// record file cannot be read; nothing is built then.
+    fn fill(&self, window: usize, cell: &WindowCell) -> Result<Vec<Arc<SubseqIndex>>> {
         if let Some(built) = cell.built.get() {
-            return built.clone();
+            return Ok(built.clone());
         }
-        let build = || {
-            let shards = self.parts.iter().map(|part| {
-                let series = part.entries().iter().map(|e| e.series.clone()).collect();
+        // What each shard's ST-index slides over: the shard's own buffers
+        // in memory, copies read from its record file when paged, which
+        // the ST-index then keeps.
+        let mut sources = Vec::with_capacity(self.parts.len());
+        for part in &self.parts {
+            sources.push(part.all_series()?);
+        }
+        let build = move || {
+            let shards = sources.into_iter().map(|series| {
                 let config = SubseqConfig::new(window);
                 let built = SubseqIndex::build_parallel(config, series, default_threads());
                 Arc::new(built.expect("a held window is a valid window"))
@@ -589,13 +599,13 @@ impl ShardedIndex {
         let _building = match cell.building.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) if tsq_pool::in_pool_work() => return build(),
+            Err(TryLockError::WouldBlock) if tsq_pool::in_pool_work() => return Ok(build()),
             Err(TryLockError::WouldBlock) => {
                 let guard = cell.building.lock();
                 guard.unwrap_or_else(PoisonError::into_inner)
             }
         };
-        cell.built.get_or_init(build).clone()
+        Ok(cell.built.get_or_init(build).clone())
     }
 
     /// The assignment map.
@@ -684,9 +694,15 @@ impl ShardedIndex {
         &mut self.parts
     }
 
-    /// Stored series by global id.
-    pub fn series(&self, global: usize) -> Option<&TimeSeries> {
-        let (shard, local) = self.map.owner(global)?;
+    /// Stored series by global id, read as
+    /// [`SimilarityIndex::series`] reads it: a shared buffer in memory, a
+    /// copy from the owning shard's record file when paged.
+    ///
+    /// # Errors
+    /// [`Error::UnknownSeries`] for an id past the end, and what
+    /// [`SimilarityIndex::series`] reports.
+    pub fn series(&self, global: usize) -> Result<TimeSeries> {
+        let (shard, local) = self.map.owner(global).ok_or(Error::UnknownSeries(global))?;
         self.parts[shard].series(local)
     }
 
@@ -793,7 +809,7 @@ impl ShardedIndex {
         // saved catalog's did); a window not held is planned cold, and
         // holds and builds nothing.
         let held = |w| self.subseq.get(w, false).map(|cell| self.fill(w, &cell));
-        let subseq = logical.subseq_window().and_then(held);
+        let subseq = logical.subseq_window().and_then(held).transpose()?;
         let plan = |s: usize| {
             let st = subseq.as_ref().map(|list| &*list[s]);
             Planner::of(&self.parts[s]).plan_bound(&bound, forced, st)
@@ -1166,10 +1182,10 @@ pub fn render_sharded_analyze(rendered: &mut String, rows: usize, outcome: &Shar
             exec.false_hits,
             exec.disk_accesses,
         ));
-        if exec.pool_hits + exec.pool_misses > 0 {
+        if exec.measured() {
             rendered.push_str(&format!(
-                "     shard {s} measured: pool_hits={}, pool_misses={}\n",
-                exec.pool_hits, exec.pool_misses,
+                "     shard {s} measured: {}\n",
+                exec.render_measured()
             ));
         }
     }
@@ -1178,10 +1194,10 @@ pub fn render_sharded_analyze(rendered: &mut String, rows: usize, outcome: &Shar
         "     total actual: rows={rows}, nodes={}, candidates={}, refined={}, false_hits={}, disk={}\n",
         total.nodes_visited, total.candidates, total.refined, total.false_hits, total.disk_accesses,
     ));
-    if total.pool_hits + total.pool_misses > 0 {
+    if total.measured() {
         rendered.push_str(&format!(
-            "     total measured: pool_hits={}, pool_misses={}\n",
-            total.pool_hits, total.pool_misses,
+            "     total measured: {}\n",
+            total.render_measured()
         ));
     }
 }

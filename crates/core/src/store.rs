@@ -20,8 +20,14 @@ use crate::space::SpaceKind;
 
 /// Writes a series as a length-prefixed run of `f64` bit patterns.
 pub fn write_series(enc: &mut Encoder, series: &TimeSeries) {
-    enc.usize(series.len());
-    enc.f64_slice(series.values());
+    write_samples(enc, series.values());
+}
+
+/// Writes a series given as its samples: the bytes [`write_series`]
+/// writes for a series of these values.
+pub fn write_samples(enc: &mut Encoder, values: &[f64]) {
+    enc.usize(values.len());
+    enc.f64_slice(values);
 }
 
 /// Reads a series, rejecting non-finite samples.

@@ -1,12 +1,15 @@
 //! Paged storage is an execution detail, never a semantic one: every
 //! query on a paged [`SimilarityIndex`] answers byte-identically to the
 //! in-memory index it was attached from — at a 1-page pool and an
-//! unbounded pool — and the pool counters reported per query are exactly
-//! the buffer pool's own.
+//! unbounded pool, for the node pool and the record pool alike — and the
+//! pool counters reported per query are exactly the buffer pools' own.
 
 use proptest::prelude::*;
 use tsq_core::plan::{execute_plan, LogicalPlan, Planner, RelationStats};
-use tsq_core::{IndexConfig, LinearTransform, QueryWindow, ScanMode, SimilarityIndex};
+use tsq_core::{
+    ExecStats, IndexConfig, LinearTransform, PhysicalOp, PlanRows, QueryWindow, RecordIo, ScanMode,
+    SimilarityIndex,
+};
 use tsq_series::generate::RandomWalkGenerator;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -112,8 +115,159 @@ fn plan_pool_counters_equal_the_pools_own_exactly() {
     assert_eq!(warm.pool_hits, warm.nodes_visited);
 }
 
-/// Paged mode round-trips through snapshots: `write_to` reconstructs the
-/// node structure from the page file byte-identically.
+/// Rows with their distances as bits: what "byte-identical" compares.
+fn row_bits(rows: &PlanRows) -> Vec<(usize, Option<usize>, u64)> {
+    match rows {
+        PlanRows::Whole(v) => v
+            .iter()
+            .map(|m| (m.id, None, m.distance.to_bits()))
+            .collect(),
+        PlanRows::Pairs(v) => v
+            .iter()
+            .map(|p| (p.a, Some(p.b), p.distance.to_bits()))
+            .collect(),
+        PlanRows::Windows(v) => v
+            .iter()
+            .map(|m| (m.series, Some(m.offset), m.distance.to_bits()))
+            .collect(),
+    }
+}
+
+/// The counters a paged run shares with the in-memory one: everything but
+/// the measured pool traffic.
+fn unmeasured(exec: &ExecStats) -> ExecStats {
+    ExecStats {
+        pool_hits: 0,
+        pool_misses: 0,
+        record_hits: 0,
+        record_misses: 0,
+        record_seq_misses: 0,
+        ..*exec
+    }
+}
+
+/// The acceptance test of records behind the buffer pool: every
+/// whole-match operator — index range and kNN, the forced early-abandon
+/// and full range scans, the scan kNN, both index joins and both scan
+/// joins — reads its records through the record pool of a paged copy, at
+/// a one-frame pool and an unbounded one, and returns the in-memory
+/// index's rows, distance bits and `ExecStats`. The record hits and misses
+/// a plan reports are exactly the record pool's own, and every record a
+/// plan refines is one pin.
+#[test]
+fn every_operator_reads_records_through_the_pool_identically() {
+    let rel = RandomWalkGenerator::new(11).relation(150, 32);
+    let mem = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
+    let stats = RelationStats::from_index(&mem);
+    let window = QueryWindow::default();
+    let ops = |logical: &LogicalPlan| -> Vec<PhysicalOp> {
+        match logical {
+            LogicalPlan::Range { .. } => vec![
+                PhysicalOp::IndexRange,
+                PhysicalOp::EarlyAbandonScan,
+                PhysicalOp::SeqScan,
+            ],
+            LogicalPlan::Knn { .. } => vec![PhysicalOp::IndexKnn, PhysicalOp::SeqScan],
+            _ => vec![
+                PhysicalOp::JoinIndex { dedup: false },
+                PhysicalOp::JoinIndex { dedup: true },
+                PhysicalOp::JoinScan {
+                    mode: ScanMode::EarlyAbandon,
+                },
+                PhysicalOp::JoinScan {
+                    mode: ScanMode::Naive,
+                },
+            ],
+        }
+    };
+    let mut checked = 0;
+    for (ti, t) in [
+        LinearTransform::identity(32),
+        LinearTransform::moving_average(32, 4),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let statements = [
+            LogicalPlan::Range {
+                relation: "r".into(),
+                query: rel[0].clone(),
+                eps: 2.5,
+                transform: t.clone(),
+                window,
+            },
+            LogicalPlan::Knn {
+                relation: "r".into(),
+                query: rel[1].clone(),
+                k: 5,
+                transform: t.clone(),
+            },
+            LogicalPlan::Join {
+                relation: "r".into(),
+                eps: 1.5,
+                transform: t.clone(),
+            },
+        ];
+        for capacity in [1usize, usize::MAX] {
+            let paged = paged_copy(&mem, &format!("ops-{ti}-{capacity}"), capacity);
+            let records = paged.records().expect("paged");
+            let pool = records.pool().unwrap();
+            for logical in &statements {
+                let chosen = Planner::new(&paged, &stats)
+                    .plan(logical, None, None)
+                    .unwrap();
+                for op in ops(logical) {
+                    let what = format!("{} {op:?}, capacity {capacity}", t.name());
+                    let plan = tsq_core::PhysicalPlan { op, ..chosen.plan };
+                    let (want, want_exec) = execute_plan(logical, &plan, &mem, None).unwrap();
+                    let (h, m) = (pool.hits(), pool.misses());
+                    let (got, exec) = execute_plan(logical, &plan, &paged, None).unwrap();
+                    assert_eq!(row_bits(&got), row_bits(&want), "{what}");
+                    assert_eq!(unmeasured(&exec), want_exec, "{what}");
+                    assert_eq!(exec.record_hits, pool.hits() - h, "{what}");
+                    assert_eq!(exec.record_misses, pool.misses() - m, "{what}");
+                    assert!(exec.record_seq_misses <= exec.record_misses, "{what}");
+                    assert!(exec.record_misses > 0 || capacity > 1, "{what}");
+                    if !matches!(logical, LogicalPlan::Join { .. }) {
+                        let pins = exec.record_hits + exec.record_misses;
+                        assert_eq!(pins, exec.refined as u64, "{what}");
+                    }
+                    checked += 1;
+                }
+            }
+            // Both scan kNNs: the planned one above, and the oracle.
+            let q = &rel[2];
+            assert_eq!(
+                paged.scan_knn(q, 7, &t).unwrap(),
+                mem.scan_knn(q, 7, &t).unwrap()
+            );
+            // A scan from a cold one-frame pool reads the file front to
+            // back: one miss per frame, all but the first sequential.
+            if capacity == 1 {
+                pool.flush();
+                let refine = paged.refine(mem.query_features(q, &t).unwrap(), Some(2.0), &t);
+                let (_, scan) = paged
+                    .scan_range_features(&refine.unwrap(), &window, ScanMode::EarlyAbandon)
+                    .unwrap();
+                let frames = records.frame_count() as u64;
+                let want = RecordIo {
+                    hits: rel.len() as u64 - frames,
+                    misses: frames,
+                    sequential: frames - 1,
+                };
+                assert_eq!(scan.records, want, "{}", t.name());
+            }
+            // Every record reads back as the series it was.
+            for (id, series) in rel.iter().enumerate() {
+                assert_eq!(&paged.series(id).unwrap(), series);
+            }
+        }
+    }
+    assert_eq!(checked, 2 * 2 * 9);
+}
+
+/// Paged mode round-trips through snapshots: `write_to` reads every
+/// record back from the record file and writes the in-memory bytes.
 #[test]
 fn paged_snapshot_is_byte_identical_to_memory_snapshot() {
     let rel = RandomWalkGenerator::new(21).relation(120, 32);
@@ -127,7 +281,8 @@ fn paged_snapshot_is_byte_identical_to_memory_snapshot() {
 }
 
 /// A paged relation is immutable: inserts are rejected with a typed
-/// error, and scan strategies still work (they never touch the tree).
+/// error, and scan strategies still work (they never touch the tree, and
+/// read their records through the record pool).
 #[test]
 fn paged_relation_rejects_inserts_but_scans_fine() {
     let rel = RandomWalkGenerator::new(3).relation(40, 32);
@@ -163,6 +318,15 @@ fn budget_is_divided_by_the_files_page_size() {
         assert_eq!(
             paged.pool().capacity_pages() as u64,
             budget / paged.page_size() as u64,
+            "{tag}"
+        );
+        // The record pool takes the same budget in frames, which are at
+        // least a node page each.
+        let records = index.records().unwrap();
+        assert_eq!(records.frame_size(), paged.page_size(), "{tag}");
+        assert_eq!(
+            records.pool().unwrap().capacity_pages() as u64,
+            (budget / records.frame_size() as u64).max(1),
             "{tag}"
         );
     }

@@ -235,7 +235,7 @@ proptest! {
                 // The query bound from its series, and from its features.
                 let bound = idx.knn_query(&y, 1, t).unwrap().0[0].distance;
                 let refine = idx.refine(idx.query_features(&y, t).unwrap(), None, t).unwrap();
-                let inverted = refine.distance(&idx.entries()[0]);
+                let inverted = refine.distance(&idx.record(0, &mut Default::default()).unwrap());
                 for engine in [bound, inverted] {
                     prop_assert!(
                         (engine - definition).abs() <= 1e-12 * definition,
@@ -263,10 +263,10 @@ proptest! {
         let refine = idx.refine(idx.query_features(&q, &t).unwrap(), None, &t).unwrap();
         let mut planner = tsq_dft::FftPlanner::new();
         for id in 0..idx.len().min(5) {
-            let engine = refine.distance(&idx.entries()[id]);
+            let engine = refine.distance(&idx.record(id, &mut Default::default()).unwrap());
             // Definition: circular moving average of the normal form of x,
             // compared to the normal form of q, in the time domain.
-            let nf_x = tsq_series::normal::normal_form(idx.series(id).unwrap());
+            let nf_x = tsq_series::normal::normal_form(&idx.series(id).unwrap());
             let nf_q = tsq_series::normal::normal_form(&q);
             let spectrum = t.apply_spectrum(&planner.dft_real(nf_x.values()));
             let smoothed = planner.idft_real(&spectrum);

@@ -17,7 +17,7 @@ use std::io::{self, BufRead, Write};
 use std::path::Path;
 
 use tsq_core::SeriesRelation;
-use tsq_lang::{AppendRow, Catalog, SharedCatalog};
+use tsq_lang::{AppendRow, Catalog, LangError, SharedCatalog};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::io::{content_lines, parse_rows};
 use tsq_service::ServiceConfig;
@@ -35,9 +35,10 @@ meta-commands:
   .load <name> <path>                       load a CSV relation (one series per line)
   .save <path>                              snapshot the whole catalog (relations + indexes)
   .open <path>                              restore a snapshot into this catalog
-  .open <path> --paged <MiB>                restore with R*-trees behind a paged buffer
-                                            pool (<MiB> split evenly across relations);
-                                            EXPLAIN ANALYZE then reports measured I/O
+  .open <path> --paged <MiB>                restore with R*-trees and records behind paged
+                                            buffer pools (<MiB> split evenly across
+                                            relations); EXPLAIN ANALYZE then reports
+                                            measured I/O
   .save <name> <path>                       write one relation back to CSV
   .batch <path> [threads]                   run a file of queries (one per line) on a worker pool
                                             (thread counts are clamped to the machine)
@@ -452,12 +453,13 @@ fn meta(
                 }
             }
         }
-        ["save", name, path] => match catalog.relation(name) {
-            Some(rel) => match tsq_series::io::save_csv(Path::new(path), rel.series()) {
-                Ok(()) => println!("  wrote {} series to {path}", rel.len()),
+        ["save", name, path] => match catalog.export(name) {
+            Ok(series) => match tsq_series::io::save_csv(Path::new(path), &series) {
+                Ok(()) => println!("  wrote {} series to {path}", series.len()),
                 Err(e) => println!("  error: {e}"),
             },
-            None => println!("  unknown relation {name:?}"),
+            Err(LangError::Resolve(_)) => println!("  unknown relation {name:?}"),
+            Err(e) => println!("  error: {e}"),
         },
         _ => println!("  unknown meta-command; try .help"),
     }

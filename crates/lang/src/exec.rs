@@ -41,7 +41,7 @@
 //! panics mid-flight must not take the whole catalog down with it.
 
 use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use tsq_core::plan::{ExecStats, LogicalPlan, PlanRows, QueryOptions};
@@ -49,19 +49,109 @@ use tsq_core::shard::{
     render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardSpec,
     ShardedIndex,
 };
-use tsq_core::{executor, IndexConfig, LinearTransform, QueryWindow, SeriesRelation};
+use tsq_core::{executor, IndexConfig, Labels, LinearTransform, QueryWindow, SeriesRelation};
 use tsq_series::TimeSeries;
 
 use crate::ast::{AppendRow, Query, Source, TransformSpec, WindowSpec};
 use crate::error::LangError;
 
-/// One registered relation: its labelled series (name resolution, answer
-/// labelling) and its index — n >= 1 shards, each with its whole-match
-/// R\*-tree and planner statistics, and the ST-indexes built so far.
+/// One registered relation: its labels and, in memory, its series (name
+/// resolution, answer labelling), and its index — n >= 1 shards, each
+/// with its whole-match R\*-tree and planner statistics, and the
+/// ST-indexes built so far.
 #[derive(Debug)]
 pub(crate) struct Relation {
-    pub(crate) labels: SeriesRelation,
+    pub(crate) labelled: Labelled,
     pub(crate) index: ShardedIndex,
+}
+
+/// What a relation holds beside its index.
+#[derive(Debug)]
+pub(crate) enum Labelled {
+    /// In memory: the labelled series, every buffer shared with the index.
+    Held(SeriesRelation),
+    /// Paged ([`Catalog::open_paged`]): the labels alone; the samples are
+    /// in the shards' record files, and every engine path reads them
+    /// through the index. `materialized` is the labelled relation
+    /// [`Catalog::relation`] reads back from the record files on its first
+    /// call, for callers that want one — nothing else fills it.
+    Paged {
+        labels: Labels,
+        materialized: OnceLock<SeriesRelation>,
+    },
+}
+
+impl Labelled {
+    /// The relation's names.
+    fn labels(&self) -> &Labels {
+        match self {
+            Labelled::Held(rel) => rel.labels(),
+            Labelled::Paged { labels, .. } => labels,
+        }
+    }
+}
+
+impl Relation {
+    /// The relation's names.
+    pub(crate) fn labels(&self) -> &Labels {
+        self.labelled.labels()
+    }
+
+    /// The series labelled `label`: the held value (a clone shares its
+    /// buffer), or a copy read through the index when paged.
+    fn series_by_label(&self, label: &str) -> Result<Option<TimeSeries>, LangError> {
+        match &self.labelled {
+            Labelled::Held(rel) => Ok(rel.get_by_label(label).cloned()),
+            Labelled::Paged { labels, .. } => match labels.id(label) {
+                Some(id) => Ok(Some(self.index.series(id)?)),
+                None => Ok(None),
+            },
+        }
+    }
+
+    /// Every series in id order, read through the index when paged.
+    pub(crate) fn all_series(&self) -> Result<Vec<TimeSeries>, LangError> {
+        match &self.labelled {
+            Labelled::Held(rel) => Ok(rel.series().to_vec()),
+            Labelled::Paged { labels, .. } => (0..labels.len())
+                .map(|id| self.index.series(id).map_err(LangError::Engine))
+                .collect(),
+        }
+    }
+
+    /// The labelled relation: the held one, or one read back from the
+    /// record files by the first call (`None` while they cannot be read).
+    fn materialized(&self) -> Option<&SeriesRelation> {
+        match &self.labelled {
+            Labelled::Held(rel) => Some(rel),
+            Labelled::Paged {
+                labels,
+                materialized,
+            } => {
+                if let Some(rel) = materialized.get() {
+                    return Some(rel);
+                }
+                let series = self.all_series().ok()?;
+                let rel = SeriesRelation::from_labels(labels.clone(), series).ok()?;
+                Some(materialized.get_or_init(|| rel))
+            }
+        }
+    }
+
+    /// Drops the held samples once every shard of the index is paged:
+    /// the record files hold them now.
+    pub(crate) fn page_out(&mut self) {
+        let paged = Labelled::Paged {
+            labels: Labels::default(),
+            materialized: OnceLock::new(),
+        };
+        if let Labelled::Held(rel) = std::mem::replace(&mut self.labelled, paged) {
+            self.labelled = Labelled::Paged {
+                labels: rel.into_labels(),
+                materialized: OnceLock::new(),
+            };
+        }
+    }
 }
 
 /// A catalog of named relations with their similarity indexes.
@@ -100,8 +190,8 @@ impl Catalog {
     pub fn register(&mut self, relation: SeriesRelation) -> Result<(), LangError> {
         let name = relation.name().to_string();
         let index = ShardedIndex::build(self.config, &relation, ShardSpec::hash(1)?)?;
-        let labels = relation;
-        self.relations.insert(name, Relation { labels, index });
+        let labelled = Labelled::Held(relation);
+        self.relations.insert(name, Relation { labelled, index });
         Ok(())
     }
 
@@ -130,9 +220,25 @@ impl Catalog {
         keys
     }
 
-    /// Looks up a relation.
+    /// Looks up a relation. A relation restored by
+    /// [`Catalog::open_paged`] keeps its labels alone: its first call here
+    /// materializes the labelled relation from the record files (a copy of
+    /// every sample, kept from then on; `None` while they cannot be read).
+    /// No statement, `EXPLAIN`, save or export does — they read samples
+    /// through the index.
     pub fn relation(&self, name: &str) -> Option<&SeriesRelation> {
-        self.relations.get(name).map(|rel| &rel.labels)
+        self.relations.get(name)?.materialized()
+    }
+
+    /// Every series of a relation, in id order — what the shell's CSV
+    /// `save` writes. A paged relation's are read through its index.
+    ///
+    /// # Errors
+    /// [`LangError::Resolve`] for an unknown relation; typed
+    /// [`tsq_core::Error::Store`] failures when a record file cannot be
+    /// read.
+    pub fn export(&self, name: &str) -> Result<Vec<TimeSeries>, LangError> {
+        self.resolve_relation(name)?.all_series()
     }
 
     /// Names of all registered relations, sorted.
@@ -159,9 +265,7 @@ impl Catalog {
             }
             Source::Ref { relation, label } => self
                 .resolve_relation(relation)?
-                .labels
-                .get_by_label(label)
-                .cloned()
+                .series_by_label(label)?
                 .ok_or_else(|| LangError::Resolve(format!("unknown series {relation}.{label}"))),
         }
     }
@@ -218,7 +322,7 @@ impl Catalog {
         by: ShardBy,
     ) -> Result<QueryOutput, LangError> {
         self.resolve_relation(relation)?;
-        let Relation { labels: rel, index } =
+        let Relation { labelled, index } =
             self.relations.get_mut(relation).expect("resolved above");
         if index.is_paged() {
             return Err(LangError::Engine(tsq_core::Error::Unsupported(
@@ -226,8 +330,9 @@ impl Catalog {
                     .to_string(),
             )));
         }
-        let labels: Vec<&str> = (0..rel.len())
-            .map(|id| rel.label(id).expect("id < len"))
+        let names = labelled.labels();
+        let labels: Vec<&str> = (0..names.len())
+            .map(|id| names.label(id).expect("id < len"))
             .collect();
         let spec = match by {
             ShardBy::Hash => ShardSpec::hash(count),
@@ -293,13 +398,16 @@ impl Catalog {
     pub fn append(&mut self, relation: &str, rows: &[AppendRow]) -> Result<QueryOutput, LangError> {
         // Validation phase: nothing is mutated until every row has been
         // checked against the final state it would produce.
-        let Relation { labels: rel, index } = self.resolve_relation(relation)?;
-        if index.is_paged() {
+        let Relation {
+            labelled: Labelled::Held(rel),
+            index,
+        } = self.resolve_relation(relation)?
+        else {
             return Err(LangError::Engine(tsq_core::Error::Unsupported(
                 "APPEND to a relation with paged storage attached (the page file is immutable)"
                     .to_string(),
             )));
-        }
+        };
         if rows.is_empty() {
             return Err(LangError::Resolve("APPEND carries no rows".to_string()));
         }
@@ -340,8 +448,13 @@ impl Catalog {
         // Apply phase: validated above, so no step below can fail. The
         // relation extends (or gains) each series; the index is handed the
         // resulting values and shares their buffers.
-        let Relation { labels: rel, index } =
-            self.relations.get_mut(relation).expect("resolved above");
+        let Some(Relation {
+            labelled: Labelled::Held(rel),
+            index,
+        }) = self.relations.get_mut(relation)
+        else {
+            unreachable!("resolved and held above")
+        };
         let mut edits: Vec<(usize, TimeSeries)> = Vec::new();
         let mut pushed: Vec<(&str, TimeSeries)> = Vec::new();
         // One answer row per distinct label, in first-touch order.
@@ -429,7 +542,8 @@ impl Catalog {
         }
         let options = query.options().merged(overrides);
         let logical = self.lower(query)?;
-        let Relation { labels, index } = self.resolve_relation(logical.relation())?;
+        let relation = self.resolve_relation(logical.relation())?;
+        let (labels, index) = (relation.labels(), &relation.index);
         let width = scatter_width(index.shard_count(), &options);
         let outcome = index.execute(&logical, options.force, width)?;
         let plan = sharded_plan_name(&outcome.plans);
@@ -791,12 +905,7 @@ fn run_batch(
 
 /// Attaches labels to typed plan rows, producing the language-level
 /// answer.
-fn label_output(
-    rel: &SeriesRelation,
-    rows: PlanRows,
-    stats: ExecStats,
-    plan: String,
-) -> QueryOutput {
+fn label_output(rel: &Labels, rows: PlanRows, stats: ExecStats, plan: String) -> QueryOutput {
     let label = |id: usize| rel.label(id).unwrap_or("?").to_string();
     let rows = match rows {
         PlanRows::Whole(matches) => matches
@@ -1925,7 +2034,13 @@ mod tests {
                     cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
                     cat.run_mut(&format!("SHARD walks INTO {count} BY {by}"))
                         .unwrap();
-                    let Relation { labels: rel, index } = &cat.relations["walks"];
+                    let Relation {
+                        labelled: Labelled::Held(rel),
+                        index,
+                    } = &cat.relations["walks"]
+                    else {
+                        unreachable!("in memory")
+                    };
                     let labels: Vec<&str> =
                         (0..rel.len()).map(|id| rel.label(id).unwrap()).collect();
                     let spec = match by {
@@ -2196,11 +2311,70 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The sharing oracle: for every label of every relation, the
-    /// catalog's series, its owning shard's stored record and every built
-    /// window's ST-index hand out one and the same buffer.
+    #[test]
+    fn no_engine_path_materializes_a_paged_relation() {
+        let dir = std::env::temp_dir().join(format!("tsq-paged-labels-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cat.tsq");
+        let mut cat = catalog();
+        cat.run_mut("SHARD walks INTO 3 BY HASH").unwrap();
+        cat.save(&path).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        let materialized = |cat: &Catalog| -> Vec<bool> {
+            let labelled = cat.relations.values().map(|rel| &rel.labelled);
+            labelled
+                .map(|held| match held {
+                    Labelled::Held(_) => panic!("open_paged keeps labels alone"),
+                    Labelled::Paged { materialized, .. } => materialized.get().is_some(),
+                })
+                .collect()
+        };
+        let statements = [
+            "FIND SIMILAR TO walks.s1 IN walks WITHIN 2.5",
+            "FIND 3 NEAREST TO walks.s2 IN walks APPLY mavg(4) WITH (force = scan)",
+            "JOIN walks WITHIN 1.0 WITH (force = scan)",
+            "FIND SUBSEQUENCE OF walks.s5 IN walks WITHIN 4 WINDOW 32",
+            "EXPLAIN ANALYZE FIND 4 NEAREST TO walks.s3 IN walks",
+            "EXPLAIN FIND SIMILAR TO walks.s0 IN walks WITHIN 1",
+        ];
+        for q in statements {
+            let (want, got) = (cat.run(q).unwrap(), paged.run(q).unwrap());
+            assert_eq!((got.rows, got.plan), (want.rows, want.plan), "{q}");
+        }
+        assert_eq!(
+            paged.snapshot_bytes().unwrap(),
+            cat.snapshot_bytes().unwrap()
+        );
+        paged.save(&dir.join("again.tsq")).unwrap();
+        let exported = paged.export("walks").unwrap();
+        assert_eq!(exported, cat.export("walks").unwrap());
+        assert_eq!(materialized(&paged), vec![false]);
+        // The one path that does: `relation`, on its first call, and only
+        // for the relation it names.
+        let rel = paged.relation("walks").unwrap();
+        assert_eq!(rel.series(), cat.relation("walks").unwrap().series());
+        assert_eq!(
+            rel.get_by_label("s7"),
+            cat.relation("walks").unwrap().get_by_label("s7")
+        );
+        assert_eq!(materialized(&paged), vec![true]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The sharing oracle: for every label of every in-memory relation,
+    /// the catalog's series, its owning shard's stored record and every
+    /// built window's ST-index hand out one and the same buffer. (A paged
+    /// relation holds no samples; its ST-indexes keep copies of records.)
     fn assert_one_buffer_per_series(cat: &Catalog, step: &str) {
-        for (name, Relation { labels, index }) in &cat.relations {
+        for (name, relation) in &cat.relations {
+            let Relation {
+                labelled: Labelled::Held(labels),
+                index,
+            } = relation
+            else {
+                continue;
+            };
             let windows = index.subseq_entries();
             for id in 0..labels.len() {
                 let held = labels.get(id).unwrap();

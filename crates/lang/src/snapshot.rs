@@ -62,7 +62,7 @@ use tsq_core::{executor, store as core_store, SeriesRelation, SimilarityIndex};
 use tsq_store::{read_payload, seal, unseal, write_file, Decoder, Encoder, StoreError};
 
 use crate::error::LangError;
-use crate::exec::{Catalog, Relation};
+use crate::exec::{Catalog, Labelled, Relation};
 
 impl Catalog {
     /// The unsealed snapshot payload (no header/checksum frame yet).
@@ -77,7 +77,8 @@ impl Catalog {
         let names = self.relation_names();
         enc.usize(names.len());
         for name in &names {
-            let Relation { labels: rel, index } = &self.relations[name];
+            let relation = &self.relations[name];
+            let (rel, index) = (relation.labels(), &relation.index);
             let mut section = Encoder::new();
             section.str(name);
             section.usize(rel.len());
@@ -95,7 +96,8 @@ impl Catalog {
                 section.str(boundary);
             }
             // Each shard travels as its configuration and series; a paged
-            // shard's series never left memory, so no page is read.
+            // shard reads its series through its record pool (no node
+            // page is read) and writes the bytes it wrote in memory.
             for part in index.parts() {
                 part.write_to(&mut section)?;
             }
@@ -114,11 +116,14 @@ impl Catalog {
     }
 
     /// Serializes the whole catalog into a sealed snapshot (header,
-    /// payload, checksum) — the bytes [`Catalog::save`] writes to disk.
+    /// payload, checksum) — the bytes [`Catalog::save`] writes to disk. A
+    /// catalog restored by [`Catalog::open_paged`] writes the bytes of the
+    /// catalog it was restored from: its samples are read back from the
+    /// record files.
     ///
     /// # Errors
-    /// None since format version 7, which reads no page file; the `Result`
-    /// is what callers written against the earlier formats still unwrap.
+    /// Typed [`StoreError`]s (wrapped in [`LangError::Engine`]) when a
+    /// paged relation's record file cannot be read.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, LangError> {
         Ok(seal(&self.snapshot_payload()?))
     }
@@ -179,25 +184,32 @@ impl Catalog {
         self.restore_payload(&payload)
     }
 
-    /// [`Catalog::open`] followed by attaching paged node storage to every
-    /// restored relation: each shard's whole-match R\*-tree is written to
-    /// a sidecar page file next to the snapshot
-    /// (`<path>.<relation>.s<shard>.pages`, at every shard count) and its
-    /// in-memory nodes are dropped; queries then fetch nodes through a
-    /// pin-counted LRU buffer pool, and their statistics carry *measured*
-    /// `pool_hits`/`pool_misses`. The `budget_mib` pool budget (MiB,
+    /// [`Catalog::open`] followed by attaching paged storage to every
+    /// restored relation ([`SimilarityIndex::attach_paged_budget`]): each
+    /// shard's whole-match R\*-tree is written to a sidecar page file next
+    /// to the snapshot (`<path>.<relation>_s<shard>.pages`, at every shard
+    /// count) and its samples to a record file beside it
+    /// (`<path>.<relation>_s<shard>.records`, whole records in id order).
+    /// The in-memory nodes and every decoded sample buffer are then
+    /// dropped — the relation keeps its labels, each record its features —
+    /// and queries fetch nodes and records through pin-counted LRU buffer
+    /// pools; their statistics carry *measured* `pool_hits`/`pool_misses`
+    /// and record hits and misses. The `budget_mib` pool budget (MiB,
     /// minimum 1) is split evenly across the restored relations, and a
-    /// relation's slice evenly across its shards.
+    /// relation's slice evenly across its shards; a shard's node pool and
+    /// its record pool are each bounded by the shard's slice.
     ///
     /// Planner statistics were profiled from the rebuilt trees before the
     /// nodes moved out, so plan choices are identical to the in-memory
-    /// catalog's. Paged relations are read-only until re-registered;
-    /// [`Catalog::save`] still works, and reads no page (a snapshot holds
-    /// series, which stay in memory).
+    /// catalog's, and so are answers and counters. Paged relations are
+    /// read-only until re-registered; [`Catalog::save`] still works, and
+    /// reads every record back to write the bytes the in-memory catalog
+    /// writes. A relation's held subsequence ST-index is built from copies
+    /// of its records, which it keeps.
     ///
     /// # Errors
     /// Same as [`Catalog::open`], plus I/O failures while writing or
-    /// reopening the sidecar page files.
+    /// reopening the sidecar files.
     pub fn open_paged(&mut self, path: &Path, budget_mib: usize) -> Result<Vec<String>, LangError> {
         let restored = self.open(path)?;
         let budget_bytes = (budget_mib.max(1) as u64) << 20;
@@ -216,12 +228,14 @@ impl Catalog {
             sidecar
         };
         for name in &restored {
-            let index = &mut self.relations.get_mut(name).expect("restored").index;
+            let relation = self.relations.get_mut(name).expect("restored");
+            let index = &mut relation.index;
             let per_shard = (per_relation / index.shard_count() as u64).max(1);
             for (shard, part) in index.parts_mut().iter_mut().enumerate() {
                 let sidecar = claim(&format!("{name}.s{shard}"));
                 part.attach_paged_budget(&sidecar, per_shard)?;
             }
+            relation.page_out();
         }
         Ok(restored)
     }
@@ -359,12 +373,12 @@ fn decode_relation_section(bytes: &[u8]) -> Result<(String, Relation), StoreErro
     dec.finish()?;
     // A `TimeSeries` clone shares its buffer: each series is decoded once
     // and held once, by its shard and by the labelled relation.
-    let items = labels
-        .into_iter()
-        .enumerate()
-        .map(|(id, label)| (label, index.series(id).expect("id < len").clone()))
-        .collect();
-    let labels = SeriesRelation::from_labeled(&name, items)
+    let mut items = Vec::with_capacity(labels.len());
+    for (id, label) in labels.into_iter().enumerate() {
+        items.push((label, index.series(id).map_err(unwrap_core)?));
+    }
+    let rel = SeriesRelation::from_labeled(&name, items)
         .map_err(|e| StoreError::corrupt(format!("relation {name:?} cannot be rebuilt: {e}")))?;
-    Ok((name, Relation { labels, index }))
+    let labelled = Labelled::Held(rel);
+    Ok((name, Relation { labelled, index }))
 }

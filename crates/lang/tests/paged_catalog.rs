@@ -1,17 +1,21 @@
 //! Paged catalogs answer byte-identically to in-memory catalogs.
 //!
 //! `Catalog::open_paged` restores a snapshot and then moves every
-//! relation's R\*-tree behind a pin-counted buffer pool. Storage mode is
-//! an execution detail: every query form — range, k-NN, both joins, and
-//! subsequence search — returns the same rows, plans, and traversal
-//! counters; only the measured `pool_hits`/`pool_misses` differ (zero in
-//! memory, real page traffic when paged).
+//! relation's R\*-tree and samples behind pin-counted buffer pools. Storage
+//! mode is an execution detail: every query form — range, k-NN, both
+//! joins, and subsequence search — returns the same rows, plans, and
+//! traversal counters; only the measured pool counters differ (zero in
+//! memory, real page and record-frame traffic when paged). A paged
+//! catalog saves the bytes it was restored from, and a damaged record file
+//! is a typed error, never a panic.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tsq_core::SeriesRelation;
-use tsq_lang::Catalog;
+use tsq_lang::{Catalog, LangError, SharedCatalog};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
+use tsq_service::{ClientError, ErrorCode, ServiceConfig};
+use tsq_store::StoreError;
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tsq-paged-catalog-{}", std::process::id()));
@@ -33,8 +37,8 @@ fn catalog() -> Catalog {
     cat
 }
 
-/// Every query form, including the subsequence paths (which stay
-/// unpaged: ST-indexes are built on demand from the in-memory series).
+/// Every query form, including the subsequence paths (whose ST-indexes
+/// are built on demand from copies of the paged records).
 fn workload() -> Vec<String> {
     vec![
         "FIND SIMILAR TO walks.s1 IN walks WITHIN 2.5".into(),
@@ -169,4 +173,175 @@ fn open_paged_rejects_double_attach_and_missing_snapshot() {
         .open_paged(&temp_path("does-not-exist.tsq"), 8)
         .is_err());
     assert!(fresh.relation_names().is_empty());
+}
+
+#[test]
+fn a_paged_catalog_saves_the_bytes_it_was_restored_from() {
+    for shards in [1usize, 3] {
+        let mut cat = catalog();
+        if shards > 1 {
+            cat.run_mut(&format!("SHARD walks INTO {shards} BY HASH"))
+                .unwrap();
+            cat.run_mut(&format!("SHARD stocks INTO {shards} BY RANGE"))
+                .unwrap();
+        }
+        // A held window travels too.
+        cat.run("FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32")
+            .unwrap();
+        let path = temp_path(&format!("save-{shards}.tsq"));
+        cat.save(&path).unwrap();
+        let bytes = cat.snapshot_bytes().unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        assert_eq!(paged.snapshot_bytes().unwrap(), bytes, "{shards} shard(s)");
+        // save -> open_paged -> save reproduces the file byte for byte.
+        let again = temp_path(&format!("save-again-{shards}.tsq"));
+        paged.save(&again).unwrap();
+        assert_eq!(
+            std::fs::read(&again).unwrap(),
+            std::fs::read(&path).unwrap()
+        );
+        let mut reopened = Catalog::new();
+        reopened.open_paged(&again, 1).unwrap();
+        assert_eq!(
+            reopened.snapshot_bytes().unwrap(),
+            bytes,
+            "{shards} shard(s)"
+        );
+        // After every query form has moved the pools (and held a window),
+        // still the in-memory catalog's bytes.
+        for q in workload() {
+            cat.run(&q).unwrap();
+            paged.run(&q).unwrap();
+        }
+        let bytes = cat.snapshot_bytes().unwrap();
+        assert_eq!(paged.snapshot_bytes().unwrap(), bytes, "{shards} shard(s)");
+    }
+}
+
+/// Where `open_paged` of `snapshot` put the one-shard relation `name`'s
+/// record file.
+fn record_file(snapshot: &Path, name: &str) -> PathBuf {
+    PathBuf::from(format!("{}.{name}_s0.records", snapshot.display()))
+}
+
+/// The record file's layout, as `tsq_core::records` documents it: a
+/// 4096-byte header block, then frames; a frame is `payload_len u32 ·
+/// crc32 u32 · payload`, its payload `first id u64 · count u32 · count ×
+/// length u32 · samples`.
+const FRAMES_AT: usize = 4096;
+
+/// Rewrites the header's frame or record count (at byte 16 or 24) by
+/// `delta`, re-sealing the header's CRC so the count itself is what is
+/// wrong.
+fn bump_header_count(bytes: &mut [u8], at: usize, delta: u64) {
+    let count = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    bytes[at..at + 8].copy_from_slice(&(count + delta).to_le_bytes());
+    let crc = tsq_store::crc32(&bytes[..32]);
+    bytes[32..36].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Sets frame 0's first record length to `len`, re-sealing the frame's
+/// CRC so the length itself is what is wrong.
+fn forge_first_length(bytes: &mut [u8], len: u32) {
+    let payload_len = u32::from_le_bytes(bytes[FRAMES_AT..FRAMES_AT + 4].try_into().unwrap());
+    let payload = FRAMES_AT + 8..FRAMES_AT + 8 + payload_len as usize;
+    bytes[payload.start + 12..payload.start + 16].copy_from_slice(&len.to_le_bytes());
+    let crc = tsq_store::crc32(&bytes[payload]);
+    bytes[FRAMES_AT + 4..FRAMES_AT + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+type Damage = fn(&mut Vec<u8>);
+type Expect = fn(&StoreError) -> bool;
+
+#[test]
+fn hostile_record_files_are_typed_errors_at_the_first_pin() {
+    let cat = catalog();
+    let path = temp_path("hostile.tsq");
+    cat.save(&path).unwrap();
+    let cases: [(&str, Damage, Expect); 6] = [
+        (
+            "truncated",
+            |b| b.truncate(b.len() - 100),
+            |e| matches!(e, StoreError::Truncated { .. }),
+        ),
+        (
+            "a flipped bit in frame 0",
+            |b| b[FRAMES_AT + 8 + 40] ^= 0x10,
+            |e| matches!(e, StoreError::ChecksumMismatch { .. }),
+        ),
+        (
+            "a header declaring one frame more",
+            |b| bump_header_count(b, 16, 1),
+            |e| matches!(e, StoreError::Corrupt { .. }),
+        ),
+        (
+            "a header declaring 2^60 records more",
+            |b| bump_header_count(b, 24, 1 << 60),
+            |e| matches!(e, StoreError::Corrupt { .. }),
+        ),
+        (
+            "a record length the snapshot disagrees with",
+            |b| forge_first_length(b, 31),
+            |e| matches!(e, StoreError::Corrupt { context } if context.contains("in the snapshot")),
+        ),
+        (
+            "a record length past the frame",
+            |b| forge_first_length(b, u32::MAX),
+            |e| matches!(e, StoreError::Corrupt { .. }),
+        ),
+    ];
+    // A literal query forced to scan reads every record; the labelled one
+    // reads `walks.s1` first.
+    let literal: Vec<String> = (0..32).map(|i| format!("{}.5", i % 7)).collect();
+    let statements = [
+        "FIND SIMILAR TO walks.s1 IN walks WITHIN 2.5".to_string(),
+        format!(
+            "FIND 3 NEAREST TO [{}] IN walks WITH (force = scan)",
+            literal.join(", ")
+        ),
+    ];
+    for (what, damage, expect) in cases {
+        let snapshot = temp_path(&format!("hostile-{}.tsq", what.replace(' ', "-")));
+        std::fs::copy(&path, &snapshot).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&snapshot, 1).unwrap();
+        let records = record_file(&snapshot, "walks");
+        let mut bytes = std::fs::read(&records).unwrap();
+        damage(&mut bytes);
+        std::fs::write(&records, &bytes).unwrap();
+        for q in &statements {
+            match paged.run(q) {
+                Err(LangError::Engine(tsq_core::Error::Store(e))) => {
+                    assert!(expect(&e), "{what}: {q}: {e:?}")
+                }
+                other => panic!("{what}: {q}: expected a typed store error, got {other:?}"),
+            }
+        }
+        // The other relation's files are whole: it still answers.
+        assert_eq!(
+            paged
+                .run("FIND 3 NEAREST TO stocks.s1 IN stocks")
+                .unwrap()
+                .rows
+                .len(),
+            3
+        );
+        // Over the wire: a typed `engine` error frame, and the server
+        // keeps serving.
+        let shared = SharedCatalog::new(paged);
+        let handle = tsq_lang::serve("127.0.0.1:0", shared, ServiceConfig::default()).unwrap();
+        let mut client = tsq_service::Client::connect(handle.addr()).unwrap();
+        for q in &statements {
+            match client.query(q) {
+                Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Engine, "{what}: {q}"),
+                other => panic!("{what}: {q}: expected an engine error frame, got {other:?}"),
+            }
+        }
+        assert!(client
+            .query("FIND 3 NEAREST TO stocks.s1 IN stocks")
+            .is_ok());
+        drop(client);
+        handle.shutdown();
+    }
 }

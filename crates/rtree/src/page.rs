@@ -2,7 +2,9 @@
 //!
 //! A page file stores one R\*-tree node per fixed-size page, so a node
 //! fetch is one positioned read — a *real* disk access, counted by the
-//! pool rather than simulated by traversal arithmetic. The pool caches
+//! pool rather than simulated by traversal arithmetic. The same page
+//! slots, and the same pool over them, hold a paged index's records
+//! (`tsq_core::records`: whole records per frame, in id order). The pool caches
 //! *decoded* nodes: a pin hands out a shared handle to the decoded value
 //! and keeps the frame resident until the pin is dropped, which lets a
 //! traversal hold its current node while recursing into children.
@@ -66,7 +68,7 @@ impl std::fmt::Display for PageId {
 }
 
 /// Fixed per-page prefix: payload length `u32` + CRC-32 `u32`.
-pub(crate) const PAGE_PREFIX_BYTES: usize = 8;
+pub const PAGE_PREFIX_BYTES: usize = 8;
 
 /// One resident frame: the decoded node, its pin count, an LRU stamp,
 /// and which SLRU segment it sits in.
@@ -99,7 +101,8 @@ struct PoolInner<N> {
 /// A pin-counted LRU cache of decoded pages over one read-only page file.
 ///
 /// Generic over the decoded value `N` so the pool itself stays a pure
-/// caching layer; the tree supplies the node decoder at pin time.
+/// caching layer; the caller supplies the decoder at pin time (the tree
+/// its node decoder, a record file its frame decoder).
 #[derive(Debug)]
 pub struct BufferPool<N> {
     inner: Mutex<PoolInner<N>>,
@@ -328,7 +331,12 @@ impl<N> PoolInner<N> {
         let offset = crate::config::PAGE_ALIGN as u64 + id.0 * self.page_size as u64;
         self.buf.resize(self.page_size, 0);
         self.file.seek(SeekFrom::Start(offset))?;
-        self.file.read_exact(&mut self.buf)?;
+        self.file
+            .read_exact(&mut self.buf)
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => StoreError::truncated(format!("{id}")),
+                _ => e.into(),
+            })?;
         let payload_len = u32::from_le_bytes(self.buf[0..4].try_into().expect("4 bytes")) as usize;
         if payload_len > self.page_size - PAGE_PREFIX_BYTES {
             return Err(StoreError::corrupt(format!(
@@ -373,7 +381,7 @@ impl<N> Drop for PagePin<'_, N> {
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] when the payload cannot fit the page.
-pub(crate) fn seal_page(payload: &[u8], page_size: usize) -> StoreResult<Vec<u8>> {
+pub fn seal_page(payload: &[u8], page_size: usize) -> StoreResult<Vec<u8>> {
     if payload.len() > page_size - PAGE_PREFIX_BYTES {
         return Err(StoreError::corrupt(format!(
             "node payload of {} byte(s) exceeds the {page_size}-byte page",
@@ -381,10 +389,21 @@ pub(crate) fn seal_page(payload: &[u8], page_size: usize) -> StoreResult<Vec<u8>
         )));
     }
     let mut page = vec![0u8; page_size];
-    page[0..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    page[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
     page[PAGE_PREFIX_BYTES..PAGE_PREFIX_BYTES + payload.len()].copy_from_slice(payload);
+    seal_in_place(&mut page, payload.len());
     Ok(page)
+}
+
+/// Seals a page slot whose `payload_len`-byte payload already sits after
+/// the prefix (and whose tail is zero): writes the length and the CRC
+/// into the prefix — [`seal_page`] without a buffer of its own.
+///
+/// # Panics
+/// When the payload does not fit `page`.
+pub fn seal_in_place(page: &mut [u8], payload_len: usize) {
+    let crc = crc32(&page[PAGE_PREFIX_BYTES..PAGE_PREFIX_BYTES + payload_len]);
+    page[0..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    page[4..8].copy_from_slice(&crc.to_le_bytes());
 }
 
 #[cfg(test)]

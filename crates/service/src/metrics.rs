@@ -37,6 +37,9 @@ pub struct Metrics {
     disk_accesses: AtomicU64,
     pool_hits: AtomicU64,
     pool_misses: AtomicU64,
+    record_hits: AtomicU64,
+    record_misses: AtomicU64,
+    record_seq_misses: AtomicU64,
     sharded_queries: AtomicU64,
     shards_probed: AtomicU64,
     /// Successful queries per physical operator the planner chose.
@@ -65,6 +68,9 @@ impl Default for Metrics {
             disk_accesses: AtomicU64::new(0),
             pool_hits: AtomicU64::new(0),
             pool_misses: AtomicU64::new(0),
+            record_hits: AtomicU64::new(0),
+            record_misses: AtomicU64::new(0),
+            record_seq_misses: AtomicU64::new(0),
             sharded_queries: AtomicU64::new(0),
             shards_probed: AtomicU64::new(0),
             plans: Mutex::new(BTreeMap::new()),
@@ -120,6 +126,12 @@ impl Metrics {
             .fetch_add(reply.stats.pool_hits, Ordering::Relaxed);
         self.pool_misses
             .fetch_add(reply.stats.pool_misses, Ordering::Relaxed);
+        self.record_hits
+            .fetch_add(reply.stats.record_hits, Ordering::Relaxed);
+        self.record_misses
+            .fetch_add(reply.stats.record_misses, Ordering::Relaxed);
+        self.record_seq_misses
+            .fetch_add(reply.stats.record_seq_misses, Ordering::Relaxed);
         if !reply.shard_stats.is_empty() {
             self.sharded_queries.fetch_add(1, Ordering::Relaxed);
             self.shards_probed
@@ -176,6 +188,9 @@ impl Metrics {
             disk_accesses: self.disk_accesses.load(Ordering::Relaxed),
             pool_hits: self.pool_hits.load(Ordering::Relaxed),
             pool_misses: self.pool_misses.load(Ordering::Relaxed),
+            record_hits: self.record_hits.load(Ordering::Relaxed),
+            record_misses: self.record_misses.load(Ordering::Relaxed),
+            record_seq_misses: self.record_seq_misses.load(Ordering::Relaxed),
             sharded_queries: self.sharded_queries.load(Ordering::Relaxed),
             shards_probed: self.shards_probed.load(Ordering::Relaxed),
             pool_tasks: pool.tasks,
@@ -234,6 +249,13 @@ pub struct MetricsSnapshot {
     pub pool_hits: u64,
     /// Summed measured buffer-pool misses — actual page reads.
     pub pool_misses: u64,
+    /// Summed measured record-pool hits (paged relations only).
+    pub record_hits: u64,
+    /// Summed measured record-pool misses — record frames read.
+    pub record_misses: u64,
+    /// The record misses that read the frame after the previous miss's
+    /// (sequential reads; the rest are random).
+    pub record_seq_misses: u64,
     /// Successful queries answered by scatter-gather over a sharded
     /// relation.
     pub sharded_queries: u64,
@@ -269,6 +291,7 @@ impl MetricsSnapshot {
                 "\"rows\":{},\"candidates\":{},\"refined\":{},\"false_hits\":{},",
                 "\"nodes_visited\":{},\"disk_accesses\":{},",
                 "\"pool_hits\":{},\"pool_misses\":{},",
+                "\"record_hits\":{},\"record_misses\":{},\"record_seq_misses\":{},",
                 "\"sharded_queries\":{},\"shards_probed\":{},",
                 "\"pool_tasks\":{},\"pool_steals\":{},",
                 "\"plans\":{}}}"
@@ -292,6 +315,9 @@ impl MetricsSnapshot {
             self.disk_accesses,
             self.pool_hits,
             self.pool_misses,
+            self.record_hits,
+            self.record_misses,
+            self.record_seq_misses,
             self.sharded_queries,
             self.shards_probed,
             self.pool_tasks,
@@ -324,6 +350,9 @@ mod tests {
                 disk_accesses: 10,
                 pool_hits: 7,
                 pool_misses: 4,
+                record_hits: 6,
+                record_misses: 5,
+                record_seq_misses: 3,
             },
             shard_stats: Vec::new(),
         });
@@ -348,6 +377,7 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"queries_ok\":1"));
         assert!(json.contains("\"pool_hits\":7,\"pool_misses\":4"));
+        assert!(json.contains("\"record_hits\":6,\"record_misses\":5,\"record_seq_misses\":3"));
         assert!(json.contains("\"pool_tasks\":"));
         assert!(json.contains("\"pool_steals\":"));
         assert!(json.contains("\"plans\":{\"SeqScan\":1}"));

@@ -34,6 +34,10 @@
 //!               u64(pool_hits) u64(pool_misses)
 //! ```
 //!
+//! The counters carry no record-pool traffic: a decoded reply's
+//! `record_*` counters read zero (`EXPLAIN ANALYZE` text and `/metrics`
+//! report them).
+//!
 //! A reader never trusts a declared length: the frame header's payload
 //! length is capped by the caller's `max_frame_len` *before* any
 //! allocation, and every in-payload sequence count goes through the
@@ -419,6 +423,8 @@ fn decode_counters(dec: &mut Decoder<'_>) -> Result<ExecStats, StoreError> {
         disk_accesses: dec.u64("disk accesses")?,
         pool_hits: dec.u64("pool hits")?,
         pool_misses: dec.u64("pool misses")?,
+        // The block predates the record counters and does not carry them.
+        ..ExecStats::default()
     })
 }
 
@@ -615,6 +621,7 @@ mod tests {
                 disk_accesses: 13,
                 pool_hits: 3,
                 pool_misses: 1,
+                ..ExecStats::default()
             },
             shard_stats: Vec::new(),
         }
@@ -632,6 +639,7 @@ mod tests {
                 disk_accesses: 7,
                 pool_hits: 3,
                 pool_misses: 0,
+                ..ExecStats::default()
             },
             ExecStats {
                 candidates: 5,
@@ -641,6 +649,7 @@ mod tests {
                 disk_accesses: 6,
                 pool_hits: 0,
                 pool_misses: 1,
+                ..ExecStats::default()
             },
         ];
         reply

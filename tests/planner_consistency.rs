@@ -169,7 +169,7 @@ fn language_level_answers_are_plan_independent() {
             .unwrap();
         let (oracle, _) = idx
             .scan_range(
-                idx.series(7).unwrap(),
+                &idx.series(7).unwrap(),
                 eps,
                 &LinearTransform::identity(48),
                 ScanMode::Naive,
