@@ -46,7 +46,10 @@
 //! distance lower-bounds the true window distance, so the very same
 //! Lemma-1 argument applies: the trail-level traversal can produce false
 //! hits (discarded by an exact early-abandoning check on raw samples) but
-//! never false dismissals. [`SubseqIndex::subseq_range`] and
+//! never false dismissals. One index at window `w` answers every query
+//! length `L >= w` by PrefixSearch (its first `w` samples probe the tree, all
+//! `L` are refined), so a relation holds one ST-index set
+//! ([`ShardedIndex`]). [`SubseqIndex::subseq_range`] and
 //! [`SubseqIndex::subseq_knn`] are oracle-tested against naive sliding
 //! scans in `tests/subseq_consistency.rs`.
 //!
@@ -72,9 +75,9 @@
 //! planner statistics are a pure function of those, so `read_from` calls
 //! `build` and they are rebuilt identically, and a restored index answers
 //! every query with the same results *and the same traversal statistics*.
-//! An ST-index travels as nothing but its window: a restored relation
-//! holds the window ([`ShardedIndex::hold_window`]) and its first reader
-//! builds it over the restored series. No tree is serialized whole; the
+//! A relation's ST-index travels as nothing but its base window: a
+//! restored relation holds the window ([`ShardedIndex::hold_window`]) and
+//! its first reader builds it over the restored series. No tree is serialized whole; the
 //! one file a tree's nodes are written to is `tsq-rtree`'s page file, and
 //! the one file a paged index's samples are written to is its record file
 //! ([`records`]).
@@ -115,7 +118,7 @@ pub use relation::{Labels, SeriesRelation};
 pub use scan::{ScanMode, ScanStats};
 pub use shard::{
     render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardMap, ShardSpec,
-    ShardedIndex, ShardedOutcome, MAX_SUBSEQ_WINDOWS,
+    ShardedIndex, ShardedOutcome,
 };
 pub use space::{QueryWindow, SpaceKind};
 pub use subseq::{SubseqConfig, SubseqIndex, SubseqMatch, SubseqScanStats, SubseqStats};

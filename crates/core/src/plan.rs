@@ -367,9 +367,11 @@ pub enum PhysicalOp {
     SubseqIndexProbe {
         /// K-nearest form (`false` = range form).
         knn: bool,
-        /// Whether the relation held the window's ST-index at planning
-        /// time (a cold probe pays the trail-extraction build first).
-        cached: bool,
+        /// The window of the ST-index the relation held at planning time,
+        /// at most the statement's (a longer statement probes it with its
+        /// prefix); `None` for a cold probe, which pays the
+        /// trail-extraction build at the statement's window first.
+        base: Option<usize>,
     },
 }
 
@@ -952,7 +954,7 @@ impl<'a> Planner<'a> {
         };
         let op = PhysicalOp::SubseqIndexProbe {
             knn: k.is_some(),
-            cached: subseq.is_some(),
+            base: subseq.map(|idx| idx.config().window),
         };
         vec![(op, estimate, None)]
     }
@@ -1365,9 +1367,14 @@ pub fn render_plan(logical: &LogicalPlan, choice: &PlanChoice, stats: &RelationS
     ));
     let plan = &choice.plan;
     let mode = if plan.forced { " [forced]" } else { "" };
-    let extra = match plan.op {
-        PhysicalOp::SubseqIndexProbe { cached, .. } if !cached => " [cold: builds ST-index]",
-        _ => "",
+    let extra = match (plan.op, logical.subseq_window()) {
+        (PhysicalOp::SubseqIndexProbe { base: None, .. }, _) => {
+            " [cold: builds ST-index]".to_string()
+        }
+        (PhysicalOp::SubseqIndexProbe { base: Some(w), .. }, Some(len)) if w < len => {
+            format!(" [prefix of window {w}]")
+        }
+        _ => String::new(),
     };
     out.push_str(&format!(
         "  => {}{mode}{extra}  (cost {}: disk {}, cpu {}; nodes {}, candidates {}, refines {})\n",
@@ -1743,7 +1750,7 @@ mod tests {
         // Every operator, in every variant that changes what it runs, and
         // the forms (by index into `forms`) it implements.
         let scan = |mode| PhysicalOp::JoinScan { mode };
-        let probe = |knn| PhysicalOp::SubseqIndexProbe { knn, cached: true };
+        let probe = |knn| PhysicalOp::SubseqIndexProbe { knn, base: Some(8) };
         let table: [(PhysicalOp, &[usize]); 10] = [
             (PhysicalOp::SeqScan, &[0, 1]),
             (PhysicalOp::EarlyAbandonScan, &[0]),
@@ -1810,7 +1817,7 @@ mod tests {
             choice.plan.op,
             PhysicalOp::SubseqIndexProbe {
                 knn: false,
-                cached: false
+                base: None
             }
         );
         // ...but execution needs the index.
@@ -1826,15 +1833,42 @@ mod tests {
             cached_choice.plan.op,
             PhysicalOp::SubseqIndexProbe {
                 knn: false,
-                cached: true
+                base: Some(8)
             }
         );
+        let text = render_plan(&logical, &cached_choice, &stats);
+        assert!(text.contains("=> SubseqIndexProbe  (cost"), "{text}");
         let (rows, exec) = execute_plan(&logical, &cached_choice.plan, &idx, Some(&st)).unwrap();
         assert!(matches!(rows, PlanRows::Windows(_)));
         assert_eq!(
             exec.disk_accesses,
             exec.nodes_visited + exec.candidates as u64
         );
+        // A longer statement probes the same index by its prefix: the plan
+        // says so and charges each candidate all of its samples.
+        let longer = LogicalPlan::SubseqRange {
+            relation: "r".into(),
+            query: TimeSeries::new(idx.series(0).unwrap().values()[..16].to_vec()),
+            eps: 1.0,
+            window: 16,
+        };
+        let prefix = Planner::new(&idx, &stats)
+            .plan(&longer, None, Some(&st))
+            .unwrap();
+        assert_eq!(prefix.plan.op, cached_choice.plan.op);
+        let text = render_plan(&longer, &prefix, &stats);
+        assert!(
+            text.contains("=> SubseqIndexProbe [prefix of window 8]  (cost"),
+            "{text}"
+        );
+        let (short, long) = (cached_choice.plan.estimate, prefix.plan.estimate);
+        assert_eq!(long.candidates, short.candidates);
+        assert_eq!(long.cpu, 2.0 * short.cpu);
+        let (rows, _) = execute_plan(&longer, &prefix.plan, &idx, Some(&st)).unwrap();
+        let PlanRows::Windows(rows) = rows else {
+            panic!("subsequence rows expected")
+        };
+        assert!(rows.iter().any(|m| (m.series, m.offset) == (0, 0)));
     }
 
     #[test]

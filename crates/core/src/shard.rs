@@ -45,32 +45,31 @@
 //! `EXPLAIN [ANALYZE]` tree, [`ShardedOutcome::per_shard`] is empty and
 //! [`ShardedIndex::layout`] is `None`.
 //!
-//! **A relation owns its ST-indexes.** Subsequence forms probe one
-//! [`SubseqIndex`] per shard for the statement's `WINDOW`, and the
-//! [`ShardedIndex`] holds at most [`MAX_SUBSEQ_WINDOWS`] windows. A held
-//! window is a cell that starts empty — a new window's first statement
-//! holds it, a restore re-creates the saved ones — and is filled once, by
-//! the first subsequence statement or `EXPLAIN` that needs it, with a
-//! build over the shards' series; racing first readers wait for that one
-//! build (a batch's statement on a pool worker builds a copy of its own
-//! instead of waiting on a build that may be waiting for the pool). *Who
-//! owns:* the `ShardedIndex`, so whatever replaces it
-//! (`register`, `SHARD`, a restore) drops them with it and nothing is ever
-//! invalidated; a clone shares the cells by `Arc`. *Who locks:*
-//! [`ShardedIndex::execute`] stays `&self` — a hit takes the set's read
-//! lock and stamps recency atomically; a new window is held under the
-//! write lock, after the bind (a rejected statement holds and builds
-//! nothing); the build runs outside the lock; [`ShardedIndex::plan_shards`]
-//! stamps nothing; appends hold `&mut self` and extend every filled cell
-//! clone-on-write, so a reader keeps its pre-append snapshot, and give an
-//! empty cell shared with a clone a fresh one, so each builds over its own
-//! series. The lock recovers from poisoning: it guards `Arc`s and integer
-//! stamps, and no user code runs under it. *Who evicts:* only the hold of
-//! a further window in a full set, and only this relation's least
-//! recently used window.
+//! **A relation owns its ST-index.** The [`ShardedIndex`] holds at most
+//! one set of ST-indexes — one [`SubseqIndex`] per shard — at one base
+//! window `w`: the window of the relation's first subsequence statement,
+//! or the one a restore brings back. A statement of length `L >= w` probes
+//! that set by PrefixSearch ([`SubseqIndex::subseq_range`]); a statement
+//! shorter than `w` replaces it with a set at `L`, so `w` only ever
+//! shrinks and alternating lengths cannot rebuild back and forth. The held
+//! set is a cell that starts empty and is filled once, by the first
+//! subsequence statement or `EXPLAIN` that needs it, with a build over the
+//! shards' series; racing first readers wait for that one build (a batch's
+//! statement on a pool worker builds a copy of its own instead of waiting
+//! on a build that may be waiting for the pool). *Who owns:* the
+//! `ShardedIndex`, so whatever replaces it (`register`, `SHARD`, a
+//! restore) drops the cell with it and nothing is ever invalidated; a
+//! clone shares the cell by `Arc`. *Who locks:* [`ShardedIndex::execute`]
+//! stays `&self` — a statement the held cell serves takes the read lock;
+//! a new cell is held under the write lock, after the bind (a rejected
+//! statement holds and builds nothing); the build runs outside the lock;
+//! [`ShardedIndex::plan_shards`] holds nothing; appends hold `&mut self`
+//! and extend a filled cell clone-on-write, so a reader keeps its
+//! pre-append snapshot, and give an empty cell shared with a clone a fresh
+//! one, so each builds over its own series. The lock recovers from
+//! poisoning: it guards an `Arc`, and no user code runs under it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, TryLockError};
 
 use tsq_series::TimeSeries;
 
@@ -85,12 +84,6 @@ use crate::queries::{JoinBound, JoinPair};
 use crate::relation::SeriesRelation;
 use crate::scan::ScanMode;
 use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
-
-/// How many `WINDOW` lengths one relation keeps ST-indexes for. A
-/// constant, not a setting: an ST-index is about as large as the shard
-/// data it indexes, so a relation's subsequence memory is bounded by a
-/// fixed multiple of its own size.
-pub const MAX_SUBSEQ_WINDOWS: usize = 4;
 
 /// How series labels are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -297,110 +290,85 @@ impl ShardMap {
 pub struct ShardedIndex {
     map: ShardMap,
     parts: Vec<SimilarityIndex>,
-    subseq: SubseqSet,
+    subseq: SubseqSlot,
 }
 
-/// One held window's ST-indexes — one per shard, shard order, over
-/// shard-local series ids — empty until a reader builds them.
-#[derive(Debug, Default)]
+/// The relation's ST-indexes at its base window — one per shard, shard
+/// order, over shard-local series ids — empty until a reader builds them.
+#[derive(Debug)]
 struct WindowCell {
+    window: usize,
     built: OnceLock<Vec<Arc<SubseqIndex>>>,
     /// Held by the one reader building `built`.
     building: Mutex<()>,
+}
+
+impl WindowCell {
+    fn new(window: usize) -> Self {
+        WindowCell {
+            window,
+            built: OnceLock::new(),
+            building: Mutex::default(),
+        }
+    }
 }
 
 impl Clone for WindowCell {
     /// What is built, or nothing: a build in flight stays its reader's.
     fn clone(&self) -> Self {
         WindowCell {
+            window: self.window,
             built: self.built.clone(),
             building: Mutex::default(),
         }
     }
 }
 
-/// One held window: its cell and its last-hit stamp. The stamp is atomic
-/// so a hit, which holds only the read lock, still records recency.
-#[derive(Debug)]
-struct WindowSlot {
-    window: usize,
-    cell: Arc<WindowCell>,
-    last_used: AtomicU64,
-}
-
-/// A relation's held windows (see the module docs for who owns, locks and
-/// evicts).
+/// A relation's one held window, if any (see the module docs for who
+/// owns, locks and replaces it). A clone shares the cell.
 #[derive(Debug, Default)]
-struct SubseqSet(RwLock<Vec<WindowSlot>>);
+struct SubseqSlot(RwLock<Option<Arc<WindowCell>>>);
 
-impl Clone for SubseqSet {
+impl Clone for SubseqSlot {
     fn clone(&self) -> Self {
-        let slots = self.read();
-        let slots = slots.iter().map(|slot| WindowSlot {
-            window: slot.window,
-            cell: Arc::clone(&slot.cell),
-            last_used: AtomicU64::new(slot.last_used.load(Ordering::Relaxed)),
-        });
-        SubseqSet(RwLock::new(slots.collect()))
+        SubseqSlot(RwLock::new(self.get()))
     }
 }
 
-/// A stamp newer than every slot's.
-fn newest(slots: &[WindowSlot]) -> u64 {
-    let stamps = slots
-        .iter()
-        .map(|slot| slot.last_used.load(Ordering::Relaxed));
-    stamps.max().map_or(0, |newest| newest + 1)
-}
-
-impl SubseqSet {
-    fn read(&self) -> RwLockReadGuard<'_, Vec<WindowSlot>> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
+impl SubseqSlot {
+    /// The held cell, if any.
+    fn get(&self) -> Option<Arc<WindowCell>> {
+        self.0
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
-    /// The cell held for `window`, if any; `touch` records the hit.
-    fn get(&self, window: usize, touch: bool) -> Option<Arc<WindowCell>> {
-        let slots = self.read();
-        let slot = slots.iter().find(|slot| slot.window == window)?;
-        if touch {
-            slot.last_used.store(newest(&slots), Ordering::Relaxed);
-        }
-        Some(Arc::clone(&slot.cell))
+    /// The held cell when its window is at most `window`, so that it can
+    /// answer a statement of that length.
+    fn serving(&self, window: usize) -> Option<Arc<WindowCell>> {
+        self.get().filter(|cell| cell.window <= window)
     }
 
-    /// Every built window's ST-index of one shard, for an append to
-    /// maintain in place. `Arc::make_mut` is clone-on-write: a query still
-    /// traversing the pre-append index keeps its consistent snapshot. An
-    /// empty cell shared with a clone is replaced by an empty one of its
-    /// own, so neither side ever builds over the other's series.
-    fn of_shard(&mut self, shard: usize) -> impl Iterator<Item = &mut SubseqIndex> {
-        let slots = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
-        slots.iter_mut().filter_map(move |slot| {
-            let parts = Arc::make_mut(&mut slot.cell).built.get_mut()?;
-            Some(Arc::make_mut(&mut parts[shard]))
-        })
-    }
-
-    /// Holds `window` (stamped now) unless it is held already, evicting
-    /// the least recently used window of a full set. Returns its cell.
+    /// The cell a statement of length `window` probes: the held one when
+    /// it serves, else a fresh cell at `window` that replaces it.
     fn hold(&self, window: usize) -> Arc<WindowCell> {
-        let mut slots = self.0.write().unwrap_or_else(PoisonError::into_inner);
-        let stamp = newest(&slots);
-        if let Some(slot) = slots.iter().find(|slot| slot.window == window) {
-            slot.last_used.store(stamp, Ordering::Relaxed);
-            return Arc::clone(&slot.cell);
+        let mut held = self.0.write().unwrap_or_else(PoisonError::into_inner);
+        match &*held {
+            Some(cell) if cell.window <= window => Arc::clone(cell),
+            _ => Arc::clone(held.insert(Arc::new(WindowCell::new(window)))),
         }
-        if slots.len() == MAX_SUBSEQ_WINDOWS {
-            let lru = (0..slots.len()).min_by_key(|&i| slots[i].last_used.load(Ordering::Relaxed));
-            slots.swap_remove(lru.expect("a full set is not empty"));
-        }
-        let cell = Arc::default();
-        slots.push(WindowSlot {
-            window,
-            cell: Arc::clone(&cell),
-            last_used: AtomicU64::new(stamp),
-        });
-        cell
+    }
+
+    /// The built ST-index of one shard, for an append to maintain in
+    /// place. `Arc::make_mut` is clone-on-write: a query still traversing
+    /// the pre-append index keeps its consistent snapshot. An empty cell
+    /// shared with a clone is replaced by an empty one of its own, so
+    /// neither side ever builds over the other's series.
+    fn of_shard(&mut self, shard: usize) -> Option<&mut SubseqIndex> {
+        let held = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let parts = Arc::make_mut(held.as_mut()?).built.get_mut()?;
+        Some(Arc::make_mut(&mut parts[shard]))
     }
 }
 
@@ -482,7 +450,7 @@ impl ShardedIndex {
             .map(|store| SimilarityIndex::from_records(config, store))
             .collect();
         self.map = map;
-        self.subseq = SubseqSet::default();
+        self.subseq = SubseqSlot::default();
         Ok(())
     }
 
@@ -513,61 +481,45 @@ impl ShardedIndex {
         Ok(ShardedIndex {
             map,
             parts,
-            subseq: SubseqSet::default(),
+            subseq: SubseqSlot::default(),
         })
     }
 
-    /// Holds `window` without building it (snapshot open; call in the
-    /// saved, least-recently-used-first order to keep it): its first
-    /// subsequence statement or `EXPLAIN` builds it.
+    /// Holds `window` without building it (snapshot open): its first
+    /// subsequence statement or `EXPLAIN` of at least that length builds
+    /// it. It replaces the window held so far, if any.
     ///
     /// # Errors
-    /// [`Error::InvalidWindow`] for a window below 2; [`Error::Unsupported`]
-    /// when the window is held already or the set is full.
+    /// [`Error::InvalidWindow`] for a window below 2.
     pub fn hold_window(&mut self, window: usize) -> Result<()> {
         SubseqConfig::new(window).validate()?;
-        let held = self
-            .subseq
-            .0
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        if held.len() == MAX_SUBSEQ_WINDOWS || held.iter().any(|slot| slot.window == window) {
-            return Err(Error::Unsupported(format!(
-                "window {window} does not fit the {} window(s) this relation holds",
-                held.len()
-            )));
-        }
-        self.subseq.hold(window);
+        self.subseq = SubseqSlot(RwLock::new(Some(Arc::new(WindowCell::new(window)))));
         Ok(())
     }
 
-    /// The windows this relation holds, least recently used first, each
-    /// with its per-shard ST-indexes in shard order once built.
-    pub fn subseq_entries(&self) -> Vec<(usize, Option<Vec<Arc<SubseqIndex>>>)> {
-        let slots = self.subseq.read();
-        let mut order: Vec<&WindowSlot> = slots.iter().collect();
-        order.sort_by_key(|slot| slot.last_used.load(Ordering::Relaxed));
-        order
-            .into_iter()
-            .map(|slot| (slot.window, slot.cell.built.get().cloned()))
-            .collect()
+    /// The base window this relation holds ST-indexes at, if any, with its
+    /// per-shard ST-indexes in shard order once built.
+    pub fn subseq_held(&self) -> Option<(usize, Option<Vec<Arc<SubseqIndex>>>)> {
+        let cell = self.subseq.get()?;
+        Some((cell.window, cell.built.get().cloned()))
     }
 
-    /// The per-shard ST-indexes for `window`, held on first use and built
-    /// by the first reader of the held cell (see the module docs for the
-    /// locking).
+    /// The per-shard ST-indexes a statement of length `window` probes: the
+    /// held ones when their window is at most `window`, else a fresh set
+    /// at `window`, held in their place; either is built by the first
+    /// reader of its cell (see the module docs for the locking).
     fn subseq_indexes(&self, window: usize) -> Result<Vec<Arc<SubseqIndex>>> {
-        let cell = match self.subseq.get(window, true) {
+        let cell = match self.subseq.serving(window) {
             Some(cell) => cell,
             None => {
                 SubseqConfig::new(window).validate()?;
                 self.subseq.hold(window)
             }
         };
-        self.fill(window, &cell)
+        self.fill(&cell)
     }
 
-    /// A held window's indexes, built now if nobody has yet: by one
+    /// A held cell's indexes, built now if nobody has yet: by one
     /// reader, fanned out over the worker pool, while later first readers
     /// wait for it. A reader that is itself pool work (a batch's
     /// statement) never waits on another's build, which may be waiting for
@@ -577,7 +529,7 @@ impl ShardedIndex {
     /// # Errors
     /// What [`SimilarityIndex::series`] reports for a paged shard whose
     /// record file cannot be read; nothing is built then.
-    fn fill(&self, window: usize, cell: &WindowCell) -> Result<Vec<Arc<SubseqIndex>>> {
+    fn fill(&self, cell: &WindowCell) -> Result<Vec<Arc<SubseqIndex>>> {
         if let Some(built) = cell.built.get() {
             return Ok(built.clone());
         }
@@ -588,6 +540,7 @@ impl ShardedIndex {
         for part in &self.parts {
             sources.push(part.all_series()?);
         }
+        let window = cell.window;
         let build = move || {
             let shards = sources.into_iter().map(|series| {
                 let config = SubseqConfig::new(window);
@@ -725,9 +678,9 @@ impl ShardedIndex {
 
     /// Routes a statement's extended series (global id, the relation's
     /// extended value) to their owning shards, whose trees and statistics
-    /// are dropped for the next whole-match reader to pack; every built
-    /// window's ST-index of an owning shard then takes the same values
-    /// (a window not built yet is built over them by its first reader)
+    /// are dropped for the next whole-match reader to pack; the built
+    /// ST-index of an owning shard then takes the same values (a held
+    /// window not built yet is built over them by its first reader)
     /// ([`SubseqIndex::extend_series`] resumes the sliding-DFT recurrence
     /// at `O(k)` per appended point), so every holder of a series shares
     /// the relation's buffer. Callers (the catalog) validate the batch up
@@ -747,7 +700,7 @@ impl ShardedIndex {
                 continue;
             }
             self.parts[shard].extend_series_batch(&batch)?;
-            for st in self.subseq.of_shard(shard) {
+            if let Some(st) = self.subseq.of_shard(shard) {
                 for (local, series) in &batch {
                     st.extend_series(*local, series.clone())?;
                 }
@@ -778,7 +731,7 @@ impl ShardedIndex {
             }
             let first = self.parts[shard].len();
             self.parts[shard].push_series_batch(batch)?;
-            for st in self.subseq.of_shard(shard) {
+            if let Some(st) = self.subseq.of_shard(shard) {
                 for pushed in &self.parts[shard].entries()[first..] {
                     st.insert(pushed.series.clone());
                 }
@@ -804,11 +757,11 @@ impl ShardedIndex {
         forced: Option<ForceOp>,
     ) -> Result<Vec<Option<PlanChoice>>> {
         let bound = self.bind(logical, forced)?;
-        // Planning stamps no recency: a held window is built if it is not
-        // yet (as its first statement would, so the plan reads as the
-        // saved catalog's did); a window not held is planned cold, and
+        // A held window that can answer the statement is built if it is
+        // not yet (as its first statement would, so the plan reads as the
+        // saved catalog's did); otherwise the probe is planned cold, and
         // holds and builds nothing.
-        let held = |w| self.subseq.get(w, false).map(|cell| self.fill(w, &cell));
+        let held = |w| self.subseq.serving(w).map(|cell| self.fill(&cell));
         let subseq = logical.subseq_window().and_then(held).transpose()?;
         let plan = |s: usize| {
             let st = subseq.as_ref().map(|list| &*list[s]);
@@ -1598,13 +1551,23 @@ mod tests {
         }
     }
 
-    fn windows_of(sharded: &ShardedIndex) -> Vec<usize> {
-        let entries = sharded.subseq_entries();
-        entries.into_iter().map(|(window, _)| window).collect()
+    /// `(window, built)` of the held window.
+    fn held(sharded: &ShardedIndex) -> Option<(usize, bool)> {
+        let (window, parts) = sharded.subseq_held()?;
+        Some((window, parts.is_some()))
+    }
+
+    /// The held window's built indexes.
+    fn built(sharded: &ShardedIndex) -> Vec<Arc<SubseqIndex>> {
+        sharded.subseq_held().unwrap().1.expect("built")
+    }
+
+    fn same(a: &[Arc<SubseqIndex>], b: &[Arc<SubseqIndex>]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     #[test]
-    fn st_indexes_are_built_after_the_bind_kept_lru_and_shared_by_clones() {
+    fn st_indexes_are_built_after_the_bind_and_shared_by_clones() {
         let rel = relation(12, 32, 29);
         let sharded =
             ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(3).unwrap()).unwrap();
@@ -1624,49 +1587,37 @@ mod tests {
             })
         ));
         let cold = sharded.plan_shards(&subseq_logical(8), None).unwrap();
-        assert!(windows_of(&sharded).is_empty());
+        assert_eq!(held(&sharded), None);
         let probe = |plans: &[Option<PlanChoice>]| plans[0].as_ref().unwrap().plan.op;
         assert!(matches!(
             probe(&cold),
-            PhysicalOp::SubseqIndexProbe { cached: false, .. }
+            PhysicalOp::SubseqIndexProbe { base: None, .. }
         ));
-        // Fill to the bound, hit the oldest, add one more: the least
-        // recently used window goes, a peek touches nothing.
-        let full: Vec<usize> = (8..8 + MAX_SUBSEQ_WINDOWS).collect();
-        for &w in &full {
+        // The first statement builds its window; longer ones, planned or
+        // run, probe that one build by its prefix.
+        sharded.execute(&subseq_logical(9), None, 2).unwrap();
+        let first = built(&sharded);
+        for w in [12, 9, 20] {
+            let warm = sharded.plan_shards(&subseq_logical(w), None).unwrap();
+            assert!(matches!(
+                probe(&warm),
+                PhysicalOp::SubseqIndexProbe { base: Some(9), .. }
+            ));
             sharded.execute(&subseq_logical(w), None, 2).unwrap();
+            assert!(same(&built(&sharded), &first), "window {w}");
         }
-        assert_eq!(windows_of(&sharded), full);
-        let warm = sharded.plan_shards(&subseq_logical(9), None).unwrap();
-        assert!(matches!(
-            probe(&warm),
-            PhysicalOp::SubseqIndexProbe { cached: true, .. }
-        ));
-        assert_eq!(windows_of(&sharded), full, "a plan is not a hit");
-        let held = sharded.subseq_entries().remove(1).1.unwrap();
+        // A shorter statement replaces the set with one at its window; a
+        // reader's reference outlives the replacement.
         sharded.execute(&subseq_logical(8), None, 2).unwrap();
-        sharded.execute(&subseq_logical(20), None, 2).unwrap();
-        let mut want = full[2..].to_vec();
-        want.extend([8, 20]);
-        assert_eq!(windows_of(&sharded), want);
-        // Eviction dropped the set's reference, not the reader's.
-        assert_eq!(held.len(), 3);
-        assert!(held.iter().all(|st| st.config().window == 9));
-        // A clone shares the indexes, not the set.
+        assert_eq!(held(&sharded), Some((8, true)));
+        assert_eq!(first.len(), 3);
+        assert!(first.iter().all(|st| st.config().window == 9));
+        // A clone shares the indexes, not the slot.
         let copy = sharded.clone();
-        assert_eq!(windows_of(&copy), want);
-        for ((_, a), (_, b)) in copy.subseq_entries().iter().zip(sharded.subseq_entries()) {
-            let (a, b) = (a.as_ref().unwrap(), b.unwrap());
-            assert!(a.iter().zip(&b).all(|(a, b)| Arc::ptr_eq(a, b)));
-        }
-        copy.execute(&subseq_logical(24), None, 2).unwrap();
-        assert_eq!(windows_of(&sharded), want);
-    }
-
-    /// `(window, built)` of every held window, least recently used first.
-    fn held(sharded: &ShardedIndex) -> Vec<(usize, bool)> {
-        let entries = sharded.subseq_entries().into_iter();
-        entries.map(|(w, parts)| (w, parts.is_some())).collect()
+        assert!(same(&built(&copy), &built(&sharded)));
+        copy.execute(&subseq_logical(6), None, 2).unwrap();
+        assert_eq!(held(&copy), Some((6, true)));
+        assert_eq!(held(&sharded), Some((8, true)));
     }
 
     #[test]
@@ -1675,47 +1626,52 @@ mod tests {
         let build = || {
             ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(3).unwrap()).unwrap()
         };
-        // The saved side built two windows; the restored side holds them.
+        // The saved side built window 8 and probed it at 16 too; the
+        // restored sides hold it.
         let saved = build();
         for w in [8, 16] {
             saved.execute(&subseq_logical(w), None, 2).unwrap();
         }
+        assert_eq!(held(&saved), Some((8, true)));
         let mut restored = build();
-        for w in [8, 16] {
-            restored.hold_window(w).unwrap();
-        }
-        assert_eq!(held(&restored), [(8, false), (16, false)]);
+        restored.hold_window(8).unwrap();
+        assert_eq!(held(&restored), Some((8, false)));
         // What the relation could not have held is refused.
         assert!(matches!(
             restored.hold_window(1),
             Err(Error::InvalidWindow { window: 1 })
         ));
-        assert!(matches!(
-            restored.hold_window(8),
-            Err(Error::Unsupported(_))
-        ));
-        // An EXPLAIN of a window not held builds and holds nothing.
-        let cold = subseq_logical(12);
+        assert_eq!(held(&restored), Some((8, false)));
+        // An EXPLAIN shorter than the held window builds and holds nothing.
+        let cold = subseq_logical(6);
         let plans = restored.plan_shards(&cold, None).unwrap();
         let text = render_sharded_plan(&cold, &restored, &plans);
         assert!(text.contains("[cold"), "{text}");
-        assert_eq!(held(&restored), [(8, false), (16, false)]);
-        // A statement builds its window, and only that one.
-        let want = saved.execute(&subseq_logical(16), None, 2).unwrap();
-        let got = restored.execute(&subseq_logical(16), None, 2).unwrap();
-        assert_eq!(got.rows, want.rows);
-        assert_eq!(got.merged, want.merged);
-        assert_eq!(got.per_shard, want.per_shard);
-        assert_eq!(held(&restored), [(8, false), (16, true)]);
-        // An EXPLAIN of a held window builds it, stamps nothing, and
-        // prints what the saved side prints.
-        let logical = subseq_logical(8);
-        let plans = restored.plan_shards(&logical, None).unwrap();
-        assert_eq!(held(&restored), [(8, true), (16, true)]);
-        let text = render_sharded_plan(&logical, &restored, &plans);
-        let want = saved.plan_shards(&logical, None).unwrap();
-        assert_eq!(text, render_sharded_plan(&logical, &saved, &want));
-        assert!(!text.contains("[cold"), "{text}");
+        assert_eq!(held(&restored), Some((8, false)));
+        // An EXPLAIN past the held window builds it, and so does one at
+        // it: each prints what the saved side prints.
+        for w in [16, 8] {
+            let logical = subseq_logical(w);
+            let plans = restored.plan_shards(&logical, None).unwrap();
+            assert_eq!(held(&restored), Some((8, true)));
+            let text = render_sharded_plan(&logical, &restored, &plans);
+            let want = saved.plan_shards(&logical, None).unwrap();
+            assert_eq!(text, render_sharded_plan(&logical, &saved, &want));
+            assert!(!text.contains("[cold"), "{text}");
+            assert_eq!(text.contains("[prefix of window 8]"), w > 8, "{text}");
+        }
+        // A statement past the held window builds it too, and answers as
+        // the saved side does.
+        let mut restored = build();
+        restored.hold_window(8).unwrap();
+        for w in [16, 8] {
+            let want = saved.execute(&subseq_logical(w), None, 2).unwrap();
+            let got = restored.execute(&subseq_logical(w), None, 2).unwrap();
+            assert_eq!(got.rows, want.rows);
+            assert_eq!(got.merged, want.merged);
+            assert_eq!(got.per_shard, want.per_shard);
+            assert_eq!(held(&restored), Some((8, true)));
+        }
     }
 
     #[test]
@@ -1725,19 +1681,21 @@ mod tests {
             ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(2).unwrap()).unwrap();
         sharded.hold_window(16).unwrap();
         let readers = std::sync::Barrier::new(8);
+        // Readers at the held window and past it.
         let got: Vec<Vec<Arc<SubseqIndex>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
+                .map(|i| {
+                    let (readers, sharded) = (&readers, &sharded);
+                    scope.spawn(move || {
                         readers.wait();
-                        sharded.subseq_indexes(16).unwrap()
+                        sharded.subseq_indexes(16 + 8 * (i % 2)).unwrap()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for parts in &got {
-            assert!(parts.iter().zip(&got[0]).all(|(a, b)| Arc::ptr_eq(a, b)));
+            assert!(same(parts, &got[0]));
         }
     }
 
@@ -1746,7 +1704,7 @@ mod tests {
         let rel = relation(12, 32, 35);
         // The series lengths a side's built window-8 indexes hold.
         let lens = |sharded: &ShardedIndex| -> Vec<usize> {
-            let parts = sharded.subseq_entries().remove(0).1.expect("built");
+            let parts = built(sharded);
             let shards = parts.iter();
             shards
                 .flat_map(|st| (0..st.len()).map(|i| st.series(i).unwrap().len()))
@@ -1799,15 +1757,16 @@ mod tests {
         }));
         assert!(result.is_err());
         assert!(sharded.subseq.0.is_poisoned());
-        // A hit, a miss, a peek, the listing, an append and a clone all
-        // still work.
+        // A hit, a prefix probe, a replacement, a plan, the listing, an
+        // append and a clone all still work.
         sharded.execute(&subseq_logical(16), None, 2).unwrap();
+        sharded.execute(&subseq_logical(24), None, 2).unwrap();
         sharded.execute(&subseq_logical(8), None, 2).unwrap();
         sharded.plan_shards(&subseq_logical(8), None).unwrap();
-        assert_eq!(windows_of(&sharded), [16, 8]);
+        assert_eq!(held(&sharded), Some((8, true)));
         let grown = TimeSeries::new([sharded.series(0).unwrap().values(), &[1.0, 2.0]].concat());
         sharded.extend_series_batch(vec![(0, grown)]).unwrap();
-        assert_eq!(windows_of(&sharded.clone()), [16, 8]);
+        assert_eq!(held(&sharded.clone()), Some((8, true)));
     }
 
     #[test]

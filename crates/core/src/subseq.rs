@@ -13,19 +13,26 @@
 //! [`SubseqConfig::trail`] windows instead of one per window) at the cost
 //! of slightly looser rectangles.
 //!
+//! One index at window `w` answers every query length `L >= w` by FRM's
+//! **PrefixSearch**: the tree is probed with the query's first `w` samples
+//! at the query's own `eps`, and each candidate offset whose length-`L`
+//! subsequence fits in its series is verified over all `L` samples.
+//!
 //! ## Why there are no false dismissals
 //!
 //! The unitary DFT preserves Euclidean distance (Parseval, Equation 8), so
 //! the distance restricted to the first `k` coefficients is a *lower bound*
-//! of the true window↔query distance. A window within `eps` of the query
-//! therefore has its feature point inside the `eps`-ball around the query's
-//! feature point, which is contained in the box `[c_i ± eps]` the range
-//! query searches — and the trail MBR containing that point must intersect
-//! the box. Candidates are verified against the raw samples (exact,
-//! early-abandoning), so false hits are discarded and the final match set
-//! equals the naive sliding scan's exactly. The oracle suite
-//! (`tests/subseq_consistency.rs`) asserts this equality on randomized
-//! relations.
+//! of the true window↔query distance — and a window's distance to the
+//! query's first `w` samples is in turn at most the distance of the whole
+//! length-`L` subsequence starting there. A subsequence within `eps` of the
+//! query therefore has its first window's feature point inside the
+//! `eps`-ball around the query prefix's feature point, which is contained
+//! in the box `[c_i ± eps]` the range query searches — and the trail MBR
+//! containing that point must intersect the box. Candidates are verified
+//! against the raw samples (exact, early-abandoning), so false hits are
+//! discarded and the final match set equals the naive sliding scan's
+//! exactly. The oracle suite (`tests/subseq_consistency.rs`) asserts this
+//! equality on randomized relations, at `L = w` and past it.
 //!
 //! Trail rectangles are widened by the anti-rounding pad that
 //! [`crate::space`] applies to every transformed bound (one helper for
@@ -52,8 +59,9 @@ use crate::space::padded;
 /// Configuration of a [`SubseqIndex`].
 #[derive(Debug, Clone, Copy)]
 pub struct SubseqConfig {
-    /// Sliding-window length `w` (the length of every query). Must be at
-    /// least 2.
+    /// Sliding-window length `w`: the shortest query length the index
+    /// answers (a longer query probes it with its first `w` samples). Must
+    /// be at least 2.
     pub window: usize,
     /// Number of leading DFT coefficients indexed per window (`2k` real
     /// dimensions). Must satisfy `1 <= k <= window`.
@@ -397,9 +405,10 @@ impl SubseqIndex {
             .get_or_init(|| SpaceProfile::of_tree(&self.tree, self.windows_total as u64))
     }
 
+    /// A query is at least one window long.
     fn check_query(&self, q: &TimeSeries, eps: f64) -> Result<()> {
         Error::check_threshold(eps)?;
-        if q.len() != self.config.window {
+        if q.len() < self.config.window {
             return Err(Error::LengthMismatch {
                 expected: self.config.window,
                 got: q.len(),
@@ -408,15 +417,31 @@ impl SubseqIndex {
         Ok(())
     }
 
-    /// Range query: every `(series, offset)` whose length-`w` window lies
-    /// within `eps` of `q` in Euclidean distance. The traversal prunes on
-    /// trail MBRs (no false dismissals — see the module docs); candidates
-    /// are verified against raw samples with early abandoning. Results are
-    /// sorted by `(series, offset)`.
+    /// The feature point of a query's first window: what PrefixSearch
+    /// probes the tree with, whatever the query's length.
+    fn query_coords(&self, q: &TimeSeries) -> Vec<f64> {
+        let prefix = &q.values()[..self.config.window];
+        coeff_coords(&dft_prefix(prefix, self.config.k))
+    }
+
+    /// The offsets of `trail` at which a subsequence of `len` samples fits
+    /// in its series: every one when `len` is the window.
+    fn fitting(&self, trail: &TrailEntry, len: usize) -> std::ops::Range<usize> {
+        let end = (self.store[trail.series].len() + 1).saturating_sub(len);
+        trail.start..end.min(trail.start + trail.len)
+    }
+
+    /// Range query: every `(series, offset)` whose subsequence of
+    /// `L = q.len()` samples (at least the window) lies within `eps` of `q`
+    /// in Euclidean distance. This is FRM's PrefixSearch: the traversal
+    /// prunes trail MBRs with the query's first window, whose distance is
+    /// at most the whole subsequence's, so nothing is dismissed (see the
+    /// module docs); candidates are verified over all `L` samples with
+    /// early abandoning. Results are sorted by `(series, offset)`.
     ///
     /// # Errors
     /// [`Error::NegativeThreshold`] and [`Error::LengthMismatch`] (the
-    /// query must be exactly one window long).
+    /// query must be at least one window long).
     pub fn subseq_range(
         &self,
         q: &TimeSeries,
@@ -431,13 +456,21 @@ impl SubseqIndex {
     /// candidate window is an answer when its squared distance is within
     /// `limit_sq(eps)` — when the distance it is reported with is `<= eps`.
     fn range_inner(&self, q: &TimeSeries, eps: f64) -> (Vec<SubseqMatch>, SubseqStats) {
-        let limit = limit_sq(eps);
-        let qcoords = coeff_coords(&dft_prefix(q.values(), self.config.k));
-        let qrect = query_rect(&qcoords, eps);
+        let qrect = query_rect(&self.query_coords(q), eps);
+        self.refine(q, |r| r.intersects(qrect.view()), limit_sq(eps))
+    }
+
+    /// Every subsequence of the trails whose MBR passes `filter` that lies
+    /// within `limit` of `q` in squared distance, sorted by
+    /// `(series, offset)`.
+    fn refine(
+        &self,
+        q: &TimeSeries,
+        filter: impl FnMut(RectView<'_>) -> bool,
+        limit: f64,
+    ) -> (Vec<SubseqMatch>, SubseqStats) {
         let mut trails: Vec<TrailEntry> = Vec::new();
-        let index_stats = self
-            .tree
-            .search_with(|r| r.intersects(qrect.view()), |_, &t| trails.push(t));
+        let index_stats = self.tree.search_with(filter, |_, &t| trails.push(t));
         let mut stats = SubseqStats {
             index: index_stats,
             trails: trails.len(),
@@ -446,9 +479,9 @@ impl SubseqIndex {
         let mut matches = Vec::new();
         for trail in trails {
             let values = self.store[trail.series].values();
-            for offset in trail.start..trail.start + trail.len {
+            for offset in self.fitting(&trail, q.len()) {
                 stats.candidates += 1;
-                let window = &values[offset..offset + self.config.window];
+                let window = &values[offset..offset + q.len()];
                 match distance_sq_within(window, q.values(), limit) {
                     Some(d2) => matches.push(SubseqMatch {
                         series: trail.series,
@@ -463,24 +496,26 @@ impl SubseqIndex {
         (matches, stats)
     }
 
-    /// K-nearest-subsequence query: the `k` windows (over all stored
-    /// series and offsets) minimizing the Euclidean distance to `q`,
-    /// sorted by ascending distance (ties broken by `(series, offset)`).
+    /// K-nearest-subsequence query: the `k` subsequences of `q.len()`
+    /// samples (over all stored series and offsets) minimizing the
+    /// Euclidean distance to `q`, sorted by ascending distance (ties broken
+    /// by `(series, offset)`).
     ///
-    /// Filter-and-refine: a best-first trail search produces `k` candidate
-    /// window distances, whose k-th smallest upper-bounds the true k-th
-    /// neighbor distance; a range query at that radius then retrieves the
-    /// exact answer (Lemma 1 again: the range step cannot dismiss a true
-    /// neighbor).
+    /// Filter-and-refine: a best-first trail search, ordered by the
+    /// MINDIST of the query's first window (PrefixSearch, as for
+    /// [`SubseqIndex::subseq_range`]), produces `k` candidate distances,
+    /// whose k-th smallest upper-bounds the true k-th neighbor distance; a
+    /// range query at that radius then retrieves the exact answer (Lemma 1
+    /// again: the range step cannot dismiss a true neighbor).
     ///
     /// # Errors
-    /// [`Error::LengthMismatch`] when the query is not one window long.
+    /// [`Error::LengthMismatch`] when the query is shorter than a window.
     pub fn subseq_knn(&self, q: &TimeSeries, k: usize) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
         self.check_query(q, 0.0)?;
         if k == 0 || self.windows_total == 0 {
             return Ok((Vec::new(), SubseqStats::default()));
         }
-        let qcoords = coeff_coords(&dft_prefix(q.values(), self.config.k));
+        let qcoords = self.query_coords(q);
         // Phase 1: best-first over trails, keeping the `k` smallest
         // examined windows by `(d2, series, offset)` in a bounded heap — a
         // squared distance is never negative, so its bits order as its
@@ -494,9 +529,9 @@ impl SubseqIndex {
             |_, trail| {
                 let values = self.store[trail.series].values();
                 let mut best = f64::INFINITY;
-                for offset in trail.start..trail.start + trail.len {
+                for offset in self.fitting(trail, q.len()) {
                     candidates += 1;
-                    let window = &values[offset..offset + self.config.window];
+                    let window = &values[offset..offset + q.len()];
                     let d2 = full_distance_sq(window, q.values());
                     best = best.min(d2);
                     let entry = (d2.to_bits(), trail.series, offset);
@@ -534,12 +569,16 @@ impl SubseqIndex {
             };
             return Ok((matches, stats));
         }
-        // Phase 2: refine. `seen` holds k true window distances (each of
-        // the k trails contributes at least one window), so its k-th
-        // smallest is a valid search radius for the exact answer set —
-        // and a distance is within itself, so the boundary window survives.
-        let radius = f64::from_bits(seen[k - 1].0).sqrt();
-        let (mut matches, range_stats) = self.range_inner(q, radius);
+        // Phase 2: refine. When `seen` holds k true distances, its k-th
+        // smallest is a valid search radius for the exact answer set — and
+        // a distance is within itself, so the boundary window survives. A
+        // query longer than the window may leave it short: a trail near
+        // its series' end can have no offset the query fits at. Then every
+        // subsequence is refined, which is the exhaustive answer.
+        let (mut matches, range_stats) = match seen.get(k - 1) {
+            Some(&(d2, ..)) => self.range_inner(q, f64::from_bits(d2).sqrt()),
+            None => self.refine(q, |_| true, f64::INFINITY),
+        };
         sort_matches(&mut matches);
         matches.truncate(k);
         index_stats.absorb(&range_stats.index);
@@ -552,10 +591,11 @@ impl SubseqIndex {
         Ok((matches, stats))
     }
 
-    /// Ground-truth baseline: a sliding scan over every window of every
-    /// stored series (Table-1-style methods (a)/(b) restated for
-    /// subsequences). Naive mode computes every distance in full; early
-    /// abandoning stops a window as soon as it exceeds `limit_sq(eps)`.
+    /// Ground-truth baseline: a sliding scan over every subsequence of
+    /// `q.len()` samples of every stored series (Table-1-style methods
+    /// (a)/(b) restated for subsequences). Naive mode computes every
+    /// distance in full; early abandoning stops a subsequence as soon as it
+    /// exceeds `limit_sq(eps)`.
     ///
     /// # Errors
     /// Same validation as [`SubseqIndex::subseq_range`].
@@ -566,57 +606,64 @@ impl SubseqIndex {
         mode: ScanMode,
     ) -> Result<(Vec<SubseqMatch>, SubseqScanStats)> {
         self.check_query(q, eps)?;
-        let w = self.config.window;
         let limit = limit_sq(eps);
         let abandon_at = mode.abandon_at(limit);
         let mut stats = SubseqScanStats::default();
         let mut matches = Vec::new();
-        for (id, series) in self.store.iter().enumerate() {
-            let values = series.values();
-            if values.len() < w {
-                continue;
-            }
-            for offset in 0..=values.len() - w {
-                stats.windows += 1;
-                let window = &values[offset..offset + w];
-                let d2 = distance_sq_within(window, q.values(), abandon_at);
-                stats.abandoned += usize::from(d2.is_none());
-                if let Some(d2) = d2.filter(|d2| *d2 <= limit) {
-                    matches.push(SubseqMatch {
-                        series: id,
-                        offset,
-                        distance: d2.sqrt(),
-                    });
-                }
+        for (series, offset, window) in self.slide(q.len()) {
+            stats.windows += 1;
+            let d2 = distance_sq_within(window, q.values(), abandon_at);
+            stats.abandoned += usize::from(d2.is_none());
+            if let Some(d2) = d2.filter(|d2| *d2 <= limit) {
+                matches.push(SubseqMatch {
+                    series,
+                    offset,
+                    distance: d2.sqrt(),
+                });
             }
         }
         Ok((matches, stats))
     }
 
-    /// Ground-truth k-nearest-subsequence by brute force.
+    /// Ground-truth k-nearest-subsequence by brute force, keeping the `k`
+    /// best in a bounded heap ordered `(distance, series, offset)`: its
+    /// memory is `O(k)` however many subsequences it slides over.
     ///
     /// # Errors
-    /// [`Error::LengthMismatch`] when the query is not one window long.
+    /// [`Error::LengthMismatch`] when the query is shorter than a window.
     pub fn scan_subseq_knn(&self, q: &TimeSeries, k: usize) -> Result<Vec<SubseqMatch>> {
         self.check_query(q, 0.0)?;
-        let w = self.config.window;
-        let mut all = Vec::with_capacity(self.windows_total);
-        for (id, series) in self.store.iter().enumerate() {
-            let values = series.values();
-            if values.len() < w {
-                continue;
-            }
-            for offset in 0..=values.len() - w {
-                all.push(SubseqMatch {
-                    series: id,
-                    offset,
-                    distance: full_distance_sq(&values[offset..offset + w], q.values()).sqrt(),
-                });
+        // A distance is never negative, so its bits order as its value.
+        let mut kept: BinaryHeap<(u64, usize, usize)> =
+            BinaryHeap::with_capacity(k.min(self.windows_total));
+        for (series, offset, window) in self.slide(q.len()) {
+            let d = full_distance_sq(window, q.values()).sqrt();
+            let entry = (d.to_bits(), series, offset);
+            if kept.len() < k {
+                kept.push(entry);
+            } else if let Some(mut worst) = kept.peek_mut() {
+                if entry < *worst {
+                    *worst = entry;
+                }
             }
         }
-        sort_matches(&mut all);
-        all.truncate(k);
-        Ok(all)
+        let best = kept.into_sorted_vec().into_iter();
+        let best = best.map(|(d, series, offset)| SubseqMatch {
+            series,
+            offset,
+            distance: f64::from_bits(d),
+        });
+        Ok(best.collect())
+    }
+
+    /// Every subsequence of `len` samples of every stored series, as
+    /// `(series, offset, samples)` in `(series, offset)` order.
+    fn slide(&self, len: usize) -> impl Iterator<Item = (usize, usize, &[f64])> {
+        self.store.iter().enumerate().flat_map(move |(id, series)| {
+            let values = series.values();
+            let offsets = 0..(values.len() + 1).saturating_sub(len);
+            offsets.map(move |offset| (id, offset, &values[offset..offset + len]))
+        })
     }
 }
 
@@ -931,6 +978,31 @@ mod tests {
                 m.iter().map(|m| (m.series, m.offset)).collect()
             };
             assert_eq!(key(&got), key(&want), "k {k}");
+        }
+    }
+
+    #[test]
+    fn knn_past_the_window_survives_trails_with_no_fitting_offset() {
+        // One window per trail over series of 10: a query of 10 fits at
+        // one offset of each, one of 11 at none. The best-first pass ends
+        // on k trails, most or all of which hold no offset the query fits
+        // at, so fewer than k distances are seen: the answer is the
+        // exhaustive one.
+        let config = SubseqConfig {
+            trail: 1,
+            ..SubseqConfig::new(8)
+        };
+        let mut g = RandomWalkGenerator::new(12);
+        let idx = SubseqIndex::build(config, (0..5).map(|_| g.series(10)).collect()).unwrap();
+        assert_eq!(idx.trails_total(), 15);
+        for len in [10usize, 11] {
+            let q = g.series(len);
+            for k in [7usize, 14] {
+                let (got, stats) = idx.subseq_knn(&q, k).unwrap();
+                assert_eq!(got, idx.scan_subseq_knn(&q, k).unwrap(), "L {len}, k {k}");
+                assert_eq!(got.len(), if len == 10 { 5 } else { 0 });
+                assert!(stats.trails >= k, "L {len}, k {k}: {} trails", stats.trails);
+            }
         }
     }
 

@@ -2,7 +2,8 @@
 //! walks Algorithm 1's transformed rectangle without building it, so a
 //! kNN statement allocates less often than it visits tree nodes. Its
 //! best-first queue is reserved once, from the tree's shape: a statement
-//! grows it at most once.
+//! grows it at most once. The subsequence kNN scan keeps its `k` best in a
+//! bounded heap: its largest block does not grow with the relation.
 //!
 //! A binary of its own, because it installs a counting global allocator.
 //! The allocator counts per thread, so tests running in parallel do not
@@ -13,45 +14,52 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use tsq_core::{FeatureSchema, Features, IndexConfig, LinearTransform, SimilarityIndex, SpaceKind};
+use tsq_core::{
+    FeatureSchema, Features, IndexConfig, LinearTransform, SimilarityIndex, SpaceKind,
+    SubseqConfig, SubseqIndex,
+};
 use tsq_dft::FftPlanner;
 use tsq_rtree::Rect;
 use tsq_series::generate::RandomWalkGenerator;
+use tsq_series::TimeSeries;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static REALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting allocations and reallocations apart,
-/// each against the thread that asked for it.
+/// each against the thread that asked for it, and keeping the largest
+/// block either asked for.
 struct Counting;
 
-fn count(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+fn count(counter: &'static std::thread::LocalKey<Cell<u64>>, size: usize) {
     // `try_with`: a thread being torn down may still free and allocate
     // after its counter is gone.
     let _ = counter.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are this allocator's; the counter is
-// a const-initialized thread-local `Cell`, which neither allocates nor
-// re-enters the allocator.
+// unchanged, so `System`'s guarantees are this allocator's; the counters
+// are const-initialized thread-local `Cell`s, which neither allocate nor
+// re-enter the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCATIONS);
+        count(&ALLOCATIONS, layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(&ALLOCATIONS);
+        count(&ALLOCATIONS, layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(&REALLOCATIONS);
+        count(&REALLOCATIONS, new_size);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
         // `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -94,6 +102,14 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, Counts) {
         reallocations: after.reallocations - before.reallocations,
     };
     (out, counts)
+}
+
+/// `f`'s result and the largest block this thread asked for while
+/// running it.
+fn largest_allocation_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
 }
 
 const N: usize = 128;
@@ -180,4 +196,26 @@ fn a_knn_statement_allocates_less_often_than_it_visits_nodes() {
             t.name()
         );
     }
+}
+
+#[test]
+fn the_subsequence_knn_scan_keeps_k_windows_not_all_of_them() {
+    // Relations of 2 000 and 20 000 windows of 64: the scan's largest block
+    // is the same for both, at the window and past it.
+    let mut gen = RandomWalkGenerator::new(9);
+    let relation: Vec<_> = (0..100).map(|_| gen.series(263)).collect();
+    let query = gen.series(96);
+    let mut largest = Vec::new();
+    for count in [10, 100] {
+        let index = SubseqIndex::build(SubseqConfig::new(64), relation[..count].to_vec()).unwrap();
+        for len in [64, 96] {
+            let pattern = TimeSeries::new(query.values()[..len].to_vec());
+            let (rows, bytes) =
+                largest_allocation_during(|| index.scan_subseq_knn(&pattern, 5).unwrap());
+            assert_eq!(rows.len(), 5);
+            eprintln!("scan kNN-5 of {len} over {count} series: largest block {bytes} B");
+            largest.push(bytes);
+        }
+    }
+    assert_eq!(largest[..2], largest[2..], "largest block per (count, len)");
 }

@@ -28,8 +28,8 @@
 //! - [`Catalog`] executes queries through `&self`, so any number of reader
 //!   threads can share one catalog. It holds no lock of its own: the only
 //!   interior mutability a query meets is inside the relation's
-//!   [`ShardedIndex`], which owns the subsequence ST-indexes it builds on
-//!   first use (who locks and who evicts: `tsq_core::shard`). Replacing a
+//!   [`ShardedIndex`], which owns the subsequence ST-index it builds on
+//!   first use (who locks and who replaces it: `tsq_core::shard`). Replacing a
 //!   relation's index — `register`, `SHARD`, a restore — drops them with
 //!   it, so nothing is ever invalidated and nothing stale is ever served.
 //! - [`SharedCatalog`] wraps a catalog in `Arc<RwLock<..>>` for the
@@ -157,9 +157,9 @@ impl Relation {
 /// A catalog of named relations with their similarity indexes.
 ///
 /// Whole-sequence indexes are built eagerly at registration (every query
-/// form needs one); subsequence ST-indexes depend on the query's `WINDOW`
-/// length, so the relation's [`ShardedIndex`] builds and keeps them on
-/// first use — `execute` stays `&self`.
+/// form needs one); a subsequence ST-index depends on a `WINDOW` length,
+/// so the relation's [`ShardedIndex`] builds and keeps one on first use —
+/// `execute` stays `&self`.
 #[derive(Debug, Default)]
 pub struct Catalog {
     pub(crate) relations: HashMap<String, Relation>,
@@ -202,22 +202,11 @@ impl Catalog {
         self.relations.get(name)?.index.layout()
     }
 
-    /// Number of subsequence ST-index windows the relations hold.
-    pub fn subseq_cache_len(&self) -> usize {
-        self.subseq_cache_keys().len()
-    }
-
-    /// The `(relation, window)` pairs ST-indexes are held for: relations
-    /// in name order, each relation's windows least recently used first —
-    /// the order snapshots persist them in and evictions consume them in.
-    pub fn subseq_cache_keys(&self) -> Vec<(String, usize)> {
-        let mut keys = Vec::new();
-        for name in self.relation_names() {
-            for (window, _) in self.relations[&name].index.subseq_entries() {
-                keys.push((name.clone(), window));
-            }
-        }
-        keys
+    /// The base window a relation holds its subsequence ST-index at, if it
+    /// holds one (`None` too for an unknown relation).
+    pub fn subseq_window(&self, name: &str) -> Option<usize> {
+        let (window, _) = self.relations.get(name)?.index.subseq_held()?;
+        Some(window)
     }
 
     /// Looks up a relation. A relation restored by
@@ -373,7 +362,7 @@ impl Catalog {
     ///   statement or `EXPLAIN` packs them once, as a fresh build over the
     ///   final data would — an `APPEND`, a `save` and an executed
     ///   subsequence statement never do;
-    /// - the same two calls hand the values to every subsequence ST-index
+    /// - the same two calls hand the values to the subsequence ST-index
     ///   the relation holds, next to the shard's features
     ///   ([`tsq_core::SubseqIndex::extend_series`] resumes the sliding-DFT
     ///   recurrence at `O(k)` per appended point), clone-on-write so
@@ -575,9 +564,10 @@ impl Catalog {
         let options = query.options().merged(overrides);
         let logical = self.lower(query)?;
         let index = &self.resolve_relation(logical.relation())?.index;
-        // Planning executes no statement: a held window not built yet is
-        // built (as its first statement would build it), and a window the
-        // relation does not hold is planned, and rendered, as cold.
+        // Planning executes no statement: a held window that can answer
+        // the statement is built if it is not yet (as its first statement
+        // would build it); otherwise the probe is planned, and rendered,
+        // as cold.
         let plans = index.plan_shards(&logical, options.force)?;
         let mut text = render_sharded_plan(&logical, index, &plans);
         let mut exec = ExecStats::default();
@@ -1077,7 +1067,6 @@ fn resolve_one(spec: &TransformSpec, n: usize) -> Result<LinearTransform, LangEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsq_core::shard::MAX_SUBSEQ_WINDOWS;
     use tsq_series::generate::RandomWalkGenerator;
 
     fn catalog() -> Catalog {
@@ -1213,7 +1202,8 @@ mod tests {
         let a = cat.run(q).unwrap();
         let b = cat.run(q).unwrap();
         assert_eq!(a, b);
-        assert_eq!(cat.subseq_cache_keys(), vec![("walks".to_string(), 32)]);
+        assert_eq!(cat.subseq_window("walks"), Some(32));
+        assert_eq!(cat.subseq_window("nope"), None);
     }
 
     #[test]
@@ -1221,12 +1211,12 @@ mod tests {
         let mut cat = catalog();
         cat.run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 1 WINDOW 32")
             .unwrap();
-        assert_eq!(cat.subseq_cache_len(), 1);
+        assert_eq!(cat.subseq_window("walks"), Some(32));
         let replacement =
             SeriesRelation::from_series("walks", RandomWalkGenerator::new(77).relation(10, 32))
                 .unwrap();
         cat.register(replacement).unwrap();
-        assert_eq!(cat.subseq_cache_len(), 0);
+        assert_eq!(cat.subseq_window("walks"), None);
     }
 
     #[test]
@@ -1265,67 +1255,69 @@ mod tests {
         )
     }
 
-    fn keys(rel: &str, windows: &[usize]) -> Vec<(String, usize)> {
-        windows.iter().map(|&w| (rel.to_string(), w)).collect()
+    /// The per-shard ST-indexes `rel` holds, built.
+    fn st_indexes(cat: &Catalog, rel: &str) -> Vec<Arc<tsq_core::SubseqIndex>> {
+        let (_, built) = cat.relations[rel].index.subseq_held().expect("held");
+        built.expect("built")
     }
 
     #[test]
-    fn subseq_cache_is_lru_bounded() {
-        let cat = catalog();
-        let full: Vec<usize> = (4..4 + MAX_SUBSEQ_WINDOWS).collect();
-        for &w in &full {
-            cat.run(&window_probe("walks", w)).unwrap();
+    fn one_st_index_serves_every_longer_window_and_a_shorter_one_replaces_it() {
+        let mut cat = Catalog::new();
+        let long = RandomWalkGenerator::new(52).relation(12, 160);
+        cat.register(SeriesRelation::from_series("long", long).unwrap())
+            .unwrap();
+        let same = |a: &[Arc<tsq_core::SubseqIndex>], b: &[Arc<tsq_core::SubseqIndex>]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
+        };
+        // Window 64 builds; 96 and 128 probe that one build by prefix.
+        cat.run(&window_probe("long", 64)).unwrap();
+        let first = st_indexes(&cat, "long");
+        for w in [96, 128] {
+            cat.run(&window_probe("long", w)).unwrap();
+            assert_eq!(cat.subseq_window("long"), Some(64), "window {w}");
+            assert!(same(&st_indexes(&cat, "long"), &first), "window {w}");
         }
-        assert_eq!(cat.subseq_cache_keys(), keys("walks", &full));
-        // Touch window 4 so window 5 becomes the LRU victim of the next
-        // further window.
-        cat.run(&window_probe("walks", 4)).unwrap();
-        cat.run(&window_probe("walks", 20)).unwrap();
-        let mut want = full[2..].to_vec();
-        want.extend([4, 20]);
-        assert_eq!(cat.subseq_cache_keys(), keys("walks", &want));
-        // Evicted windows still answer correctly (rebuilt on demand).
-        assert!(cat.run(&window_probe("walks", 5)).is_ok());
-        assert_eq!(cat.subseq_cache_len(), MAX_SUBSEQ_WINDOWS);
+        // Window 32 is the second build, and the last: 64 is now served by
+        // prefix too.
+        cat.run(&window_probe("long", 32)).unwrap();
+        let second = st_indexes(&cat, "long");
+        assert!(!same(&second, &first));
+        assert!(second.iter().all(|st| st.config().window == 32));
+        assert_eq!(cat.subseq_window("long"), Some(32));
+        cat.run(&window_probe("long", 64)).unwrap();
+        assert!(same(&st_indexes(&cat, "long"), &second));
+        assert_eq!(cat.subseq_window("long"), Some(32));
     }
 
     #[test]
-    fn reregister_interleaved_with_cache_fills_keeps_lru_consistent() {
-        // A relation's windows live and die with its index, so
+    fn reregister_interleaved_with_cache_fills_keeps_each_relation_its_own_window() {
+        // A relation's ST-index lives and dies with its index, so
         // interleaving re-registers with filling queries must drop exactly
-        // the replaced relation's windows, keep every other relation's
-        // recency order, and keep evicting each relation's own LRU window.
+        // the replaced relation's, and a shorter window replaces only its
+        // own relation's.
         let mut cat = catalog();
         cat.register(
             SeriesRelation::from_series("other", RandomWalkGenerator::new(8).relation(12, 32))
                 .unwrap(),
         )
         .unwrap();
-        cat.run(&window_probe("walks", 4)).unwrap();
-        cat.run(&window_probe("other", 5)).unwrap();
-        cat.run(&window_probe("other", 9)).unwrap();
+        let windows = |cat: &Catalog| (cat.subseq_window("walks"), cat.subseq_window("other"));
         cat.run(&window_probe("walks", 6)).unwrap();
-        assert_eq!(cat.subseq_cache_len(), 4);
-        // Re-register `walks` mid-stream: only its windows vanish.
+        cat.run(&window_probe("other", 9)).unwrap();
+        cat.run(&window_probe("other", 5)).unwrap();
+        cat.run(&window_probe("walks", 7)).unwrap();
+        assert_eq!(windows(&cat), (Some(6), Some(5)));
+        // Re-register `walks` mid-stream: only its window vanishes.
         let replacement =
             SeriesRelation::from_series("walks", RandomWalkGenerator::new(91).relation(20, 32))
                 .unwrap();
         cat.register(replacement).unwrap();
-        assert_eq!(cat.subseq_cache_keys(), keys("other", &[5, 9]));
-        // Keep filling `walks` to its bound and one past it, with a hit on
-        // the survivor in between: `walks` evicts its own oldest window,
-        // `other` only records the hit.
-        let full: Vec<usize> = (4..4 + MAX_SUBSEQ_WINDOWS).collect();
-        for &w in &full {
-            cat.run(&window_probe("walks", w)).unwrap();
-        }
-        cat.run(&window_probe("other", 5)).unwrap();
+        assert_eq!(windows(&cat), (None, Some(5)));
         cat.run(&window_probe("walks", 20)).unwrap();
-        let mut want = keys("other", &[9, 5]);
-        want.extend(keys("walks", &full[1..]));
-        want.extend(keys("walks", &[20]));
-        assert_eq!(cat.subseq_cache_keys(), want);
-        assert_eq!(cat.subseq_cache_len(), 2 + MAX_SUBSEQ_WINDOWS);
+        cat.run(&window_probe("other", 20)).unwrap();
+        cat.run(&window_probe("walks", 4)).unwrap();
+        assert_eq!(windows(&cat), (Some(4), Some(5)));
     }
 
     #[test]
@@ -1667,7 +1659,7 @@ mod tests {
             }
             let len = cat.relation("walks").unwrap().get(2).unwrap().len();
             let answers = [probe, knn].map(|q| cat.run(q).unwrap().rows);
-            assert_eq!(cat.subseq_cache_len(), 1);
+            assert_eq!(cat.subseq_window("walks"), Some(8));
             let scanned = cat.run(&format!("{probe} WITH (force = scan)")).unwrap();
             assert_eq!(canonical(answers[0].clone()), canonical(scanned.rows));
             (appended, last, len, answers, cat.snapshot_bytes().unwrap())
@@ -1831,10 +1823,8 @@ mod tests {
     fn append_updates_cached_st_index_in_place() {
         /// The window-8 ST-index of the one shard of `walks`.
         fn st_index(cat: &Catalog) -> Arc<tsq_core::SubseqIndex> {
-            let entries = cat.relations["walks"].index.subseq_entries();
-            assert_eq!(entries.len(), 1);
-            assert_eq!(entries[0].0, 8);
-            Arc::clone(&entries[0].1.as_ref().unwrap()[0])
+            assert_eq!(cat.subseq_window("walks"), Some(8));
+            Arc::clone(&st_indexes(cat, "walks")[0])
         }
         let mut cat = catalog();
         cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 10 WINDOW 8")
@@ -2240,7 +2230,7 @@ mod tests {
             let got = restored.run(q).unwrap();
             assert_eq!(got, want, "{q}");
         }
-        assert_eq!(restored.subseq_cache_keys(), cat.subseq_cache_keys());
+        assert_eq!(restored.subseq_window("walks"), Some(8));
         // save → open → save reproduces the file byte for byte.
         assert_eq!(restored.snapshot_bytes().unwrap(), bytes);
     }
@@ -2363,9 +2353,9 @@ mod tests {
     }
 
     /// The sharing oracle: for every label of every in-memory relation,
-    /// the catalog's series, its owning shard's stored record and every
-    /// built window's ST-index hand out one and the same buffer. (A paged
-    /// relation holds no samples; its ST-indexes keep copies of records.)
+    /// the catalog's series, its owning shard's stored record and the
+    /// built ST-index hand out one and the same buffer. (A paged relation
+    /// holds no samples; its ST-index keeps copies of records.)
     fn assert_one_buffer_per_series(cat: &Catalog, step: &str) {
         for (name, relation) in &cat.relations {
             let Relation {
@@ -2375,13 +2365,12 @@ mod tests {
             else {
                 continue;
             };
-            let windows = index.subseq_entries();
+            let built = index.subseq_held().and_then(|(_, parts)| parts);
             for id in 0..labels.len() {
                 let held = labels.get(id).unwrap();
                 let (shard, local) = index.map().owner(id).unwrap();
-                let in_windows = windows
+                let in_windows = built
                     .iter()
-                    .filter_map(|(_, parts)| parts.as_ref())
                     .map(|parts| parts[shard].series(local).unwrap());
                 let stored = &index.parts()[shard].entries()[local].series;
                 for (holder, other) in std::iter::once(stored).chain(in_windows).enumerate() {
@@ -2407,44 +2396,45 @@ mod tests {
             for q in PROBES {
                 cat.run(q).unwrap();
             }
-            let windows = cat.relations["walks"].index.subseq_entries();
-            assert_eq!(windows.len(), 2, "{step}");
-            assert!(windows.iter().all(|(_, parts)| parts.is_some()), "{step}");
+            let held = cat.relations["walks"].index.subseq_held();
+            let (window, parts) = held.expect(step);
+            assert_eq!(window, 8, "{step}");
+            assert!(parts.is_some(), "{step}");
             assert_one_buffer_per_series(cat, step);
         };
         let mut cat = catalog();
         assert_one_buffer_per_series(&cat, "register");
-        probe(&cat, "two windows built");
-        // A rebuilt index drops its ST-indexes; probe again after each.
+        probe(&cat, "window built");
+        // A rebuilt index drops its ST-index; probe again after each.
         cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
         assert_one_buffer_per_series(&cat, "4 range shards");
-        probe(&cat, "4 range shards, two windows");
+        probe(&cat, "4 range shards, window built");
         cat.run_mut("SHARD walks INTO 1 BY RANGE").unwrap();
-        probe(&cat, "back to 1 shard, two windows");
+        probe(&cat, "back to 1 shard, window built");
         cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
         probe(&cat, "4 range shards again");
         cat.run_mut("APPEND walks CSV (s7, 1.5, 2.5) (fresh, 1, 2, 3, 4, 5, 6, 7, 8, 9) (s7, -1)")
             .unwrap();
         assert_eq!(cat.relation("walks").unwrap().get(7).unwrap().len(), 35);
         assert_eq!(cat.relation("walks").unwrap().len(), 61);
-        assert_eq!(cat.subseq_cache_len(), 2);
+        assert_eq!(cat.subseq_window("walks"), Some(8));
         assert_one_buffer_per_series(&cat, "append to a known and a new label");
 
         let dir = std::env::temp_dir().join(format!("tsq-one-buffer-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cat.tsq");
         cat.save(&path).unwrap();
-        // A restore holds both windows unbuilt; their first statements
-        // build them over the restored series.
+        // A restore holds the window unbuilt; its first statement builds
+        // it over the restored series.
         let mut opened = Catalog::new();
         opened.open(&path).unwrap();
-        assert_eq!(opened.subseq_cache_len(), 2);
+        assert_eq!(opened.subseq_window("walks"), Some(8));
         assert_one_buffer_per_series(&opened, "save -> open");
-        probe(&opened, "save -> open, windows built");
+        probe(&opened, "save -> open, window built");
         let mut paged = Catalog::new();
         paged.open_paged(&path, 1).unwrap();
-        assert_eq!(paged.subseq_cache_len(), 2);
-        probe(&paged, "open_paged, windows built");
+        assert_eq!(paged.subseq_window("walks"), Some(8));
+        probe(&paged, "open_paged, window built");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -39,14 +39,14 @@
 //! Relations are live: the `APPEND` verb ([`Catalog::append`], routed
 //! automatically by [`Catalog::run_mut`] and [`SharedCatalog::run`])
 //! grows stored series point by point, maintaining the touched series'
-//! features and every subsequence ST-index it holds *incrementally* (the
+//! features and the subsequence ST-index it holds *incrementally* (the
 //! whole-match tree is dropped, and packed again by the next statement
 //! that reads it) — answers afterwards are identical to a catalog rebuilt
 //! from the final data.
 //!
 //! Catalogs are durable: [`Catalog::save`] snapshots every relation's
 //! series (its whole-match index is a pure function of them, rebuilt
-//! identically on restore) and subsequence ST-indexes to one checksummed
+//! identically on restore) and held ST-index windows to one checksummed
 //! binary file, and
 //! [`Catalog::open`] / [`Catalog::load`] restore it with query results —
 //! and traversal statistics — guaranteed identical to the saved catalog.

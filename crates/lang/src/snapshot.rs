@@ -1,9 +1,9 @@
 //! Catalog persistence: [`Catalog::save`] / [`Catalog::open`] /
 //! [`Catalog::load`] snapshot an entire catalog — every relation with its
-//! labels, its shard rule, each shard's series and the windows it holds
-//! ST-indexes for — to a single `tsq-store` file.
+//! labels, its shard rule, each shard's series and the base window it
+//! holds its ST-index at — to a single `tsq-store` file.
 //!
-//! There is one section layout, at every shard count (format version 8):
+//! There is one section layout, at every shard count (format version 9):
 //!
 //! ```text
 //! relation section
@@ -13,12 +13,12 @@
 //! shard rule (0 hash, 1 range), shard count
 //! boundary count, boundaries
 //! per shard, shard order: index configuration, series count, series
-//! held window count, windows (least recently used first)
+//! held window (0: none)
 //! ```
 //!
 //! A snapshot stores what cannot be derived and nothing else, so it is a
 //! pure function of the labels, the shard rule, each shard's series and
-//! the relation's window list. Derived, and so rebuilt on restore by the
+//! the relation's held window. Derived, and so rebuilt on restore by the
 //! one function that builds them anywhere
 //! ([`SimilarityIndex::read_from`] is "decode the series, call `build`"):
 //! each series' features (mean, std and the indexed coefficients — one
@@ -26,14 +26,15 @@
 //! shard's whole-match R\*-tree (a pure function of the features, packed
 //! identically) and the planner statistics profiled from it. Shard
 //! membership is derived too (the rule is a pure function of the label,
-//! so [`ShardMap::build`] over the labels reproduces it), and so is every
-//! ST-index: a restored relation holds its saved windows in their saved
-//! recency order, unbuilt ([`ShardedIndex::hold_window`]), and a window's
-//! first subsequence statement or `EXPLAIN` builds it over the restored
-//! series — a window that saw appends before the save comes back as the
-//! fresh build over the appended series. Version 7 stored each window's
-//! trail trees, whose node layout depended on the append schedule; it has
-//! no reader and is refused by [`StoreError::UnsupportedVersion`].
+//! so [`ShardMap::build`] over the labels reproduces it), and so is the
+//! ST-index: a restored relation holds its saved window, unbuilt
+//! ([`ShardedIndex::hold_window`]), and the first subsequence statement or
+//! `EXPLAIN` of at least that length builds it over the restored series —
+//! a window that saw appends before the save comes back as the fresh build
+//! over the appended series. Version 8 stored a list of up to four windows
+//! in recency order, and version 7 each window's trail trees, whose node
+//! layout depended on the append schedule; neither has a reader, and both
+//! are refused by [`StoreError::UnsupportedVersion`].
 //!
 //! ## Guarantees
 //!
@@ -47,13 +48,12 @@
 //!   whole snapshot *before* touching the catalog; a relation name that is
 //!   already registered aborts the restore with a typed
 //!   [`StoreError::DuplicateRelation`] and leaves the catalog — its
-//!   relations and their held windows — completely unchanged.
+//!   relations and their held ST-indexes — completely unchanged.
 //! - **Typed failure.** Corrupt, truncated, wrong-version or wrong-endian
 //!   files surface as [`LangError`]-wrapped [`StoreError`]s; no input can
 //!   panic the shell.
-//! - **Canonical bytes.** Relations are written in name order and each
-//!   relation's windows in recency order, so `save → open → save`
-//!   reproduces the original file byte for byte.
+//! - **Canonical bytes.** Relations are written in name order, so
+//!   `save → open → save` reproduces the original file byte for byte.
 
 use std::path::Path;
 
@@ -101,14 +101,11 @@ impl Catalog {
             for part in index.parts() {
                 part.write_to(&mut section)?;
             }
-            // The windows the relation holds, least recently used first, so
-            // a restore holds them in an identical eviction order. Their
-            // ST-indexes are the series' just written, built on first use.
-            let windows = index.subseq_entries();
-            section.usize(windows.len());
-            for (window, _) in windows {
-                section.usize(window);
-            }
+            // The base window the relation holds, 0 for none (a window is
+            // at least 2). Its ST-index is the series' just written, built
+            // on first use.
+            let window = index.subseq_held().map(|(window, _)| window);
+            section.usize(window.unwrap_or(0));
             enc.usize(section.len());
             enc.raw(&section.into_bytes());
         }
@@ -362,12 +359,10 @@ fn decode_relation_section(bytes: &[u8]) -> Result<(String, Relation), StoreErro
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();
     let map = ShardMap::build(spec, &label_refs);
     let mut index = ShardedIndex::from_parts(map, parts).map_err(unwrap_core)?;
-    // Held windows come back unbuilt; `hold_window` refuses what the
-    // relation could not have held (a window below 2, a fifth window, a
-    // window twice).
-    let windows = dec.seq(8, "held window count")?;
-    for _ in 0..windows {
-        let window = dec.usize("held window")?;
+    // The held window comes back unbuilt; `hold_window` refuses a window
+    // the relation could not have held (1: 0 is none).
+    let window = dec.usize("held window")?;
+    if window != 0 {
         index.hold_window(window).map_err(unwrap_core)?;
     }
     dec.finish()?;

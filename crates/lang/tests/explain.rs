@@ -113,12 +113,12 @@ SubseqRange on \"walks\": eps=2, window=32
 "
     );
     // EXPLAIN never executes: the cache is still cold.
-    assert_eq!(cat.subseq_cache_len(), 0);
+    assert_eq!(cat.subseq_window("walks"), None);
     // Run the query (builds + caches), then the plan reflects the real
     // trail tree.
     cat.run("FIND SUBSEQUENCE OF walks.s2 IN walks WITHIN 2 WINDOW 32")
         .unwrap();
-    assert_eq!(cat.subseq_cache_len(), 1);
+    assert_eq!(cat.subseq_window("walks"), Some(32));
     assert_eq!(
         explain(
             &cat,
@@ -131,6 +131,29 @@ SubseqRange on \"walks\": eps=2, window=32
      considered: SubseqIndexProbe 1.9
 "
     );
+}
+
+#[test]
+fn a_longer_statement_plans_a_prefix_probe_and_a_shorter_one_cold() {
+    let cat = catalog();
+    let statement = |w: usize| {
+        let values: Vec<String> = (0..w).map(|i| format!("{}", i % 5)).collect();
+        format!(
+            "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 2 WINDOW {w}",
+            values.join(", ")
+        )
+    };
+    cat.run(&statement(16)).unwrap();
+    let probe = |w: usize| {
+        let text = explain(&cat, &format!("EXPLAIN {}", statement(w)));
+        let chosen = text.lines().find(|l| l.starts_with("  => ")).unwrap();
+        chosen.split("  (cost").next().unwrap().to_string()
+    };
+    assert_eq!(probe(24), "  => SubseqIndexProbe [prefix of window 16]");
+    assert_eq!(probe(16), "  => SubseqIndexProbe");
+    assert_eq!(probe(8), "  => SubseqIndexProbe [cold: builds ST-index]");
+    // Planning builds and replaces nothing.
+    assert_eq!(cat.subseq_window("walks"), Some(16));
 }
 
 #[test]

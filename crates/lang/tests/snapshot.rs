@@ -1,12 +1,11 @@
 //! Catalog snapshot semantics: round-trip fidelity, atomic
-//! collision-checked restore (the PR-4 bugfix), each relation's held
-//! windows persisted in recency order and built on first use, and typed
-//! rejection of corrupt / truncated / wrong-version / wrong-endian /
-//! bit-flipped snapshots and hostile relation sections — never a panic.
+//! collision-checked restore, each relation's held window persisted and
+//! built on first use, and typed rejection of corrupt / truncated /
+//! wrong-version / wrong-endian / bit-flipped snapshots and hostile
+//! relation sections — never a panic.
 
 use std::path::PathBuf;
 
-use tsq_core::shard::MAX_SUBSEQ_WINDOWS;
 use tsq_core::{Error, SeriesRelation};
 use tsq_lang::{Catalog, LangError};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
@@ -31,6 +30,11 @@ fn catalog() -> Catalog {
     )
     .unwrap();
     cat
+}
+
+/// The windows `walks` and `stocks` hold their ST-indexes at.
+fn windows(cat: &Catalog) -> [Option<usize>; 2] {
+    ["walks", "stocks"].map(|rel| cat.subseq_window(rel))
 }
 
 /// The whole language surface, exercised against one catalog.
@@ -63,7 +67,7 @@ fn save_open_round_trip_preserves_every_query_form() {
     let restored = fresh.open(&path).unwrap();
     assert_eq!(restored, vec!["stocks".to_string(), "walks".to_string()]);
     // The held windows came along; their first statements build them.
-    assert_eq!(fresh.subseq_cache_len(), cat.subseq_cache_len());
+    assert_eq!(windows(&fresh), [Some(32), Some(32)]);
     for (q, want) in workload().iter().zip(&want) {
         let got = fresh.run(q).unwrap();
         assert_eq!(&got, want, "{q}: restored catalog must answer identically");
@@ -88,11 +92,17 @@ fn save_open_save_is_byte_identical() {
                     cat.run(q).unwrap();
                 }
             }
-            assert_eq!(cat.subseq_cache_len(), if primed { 3 } else { 0 });
+            // `walks` built window 32, then window 8 replaced it.
+            let held = if primed {
+                [Some(8), Some(32)]
+            } else {
+                [None, None]
+            };
+            assert_eq!(windows(&cat), held);
             let first = cat.snapshot_bytes().unwrap();
             let mut fresh = Catalog::new();
             fresh.restore_bytes(&first).unwrap();
-            assert_eq!(fresh.subseq_cache_keys(), cat.subseq_cache_keys());
+            assert_eq!(windows(&fresh), held);
             assert_eq!(
                 fresh.snapshot_bytes().unwrap(),
                 first,
@@ -103,7 +113,7 @@ fn save_open_save_is_byte_identical() {
 }
 
 /// Restart at every shard count: a primed window travels with the
-/// snapshot (same cache keys, built on the other side by its first reader,
+/// snapshot (same window, built on the other side by its first reader,
 /// same answers), and `save → open → save` reproduces the file byte for
 /// byte for a one-shard and a three-shard catalog alike.
 #[test]
@@ -117,19 +127,20 @@ fn primed_windows_survive_a_restart_at_every_shard_count() {
             "FIND 3 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WINDOW 8",
             "FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32",
         ];
+        // The first pass holds the windows (window 8 replaces `walks`'
+        // 32); the second answers from them, window 32 by prefix.
+        for q in probes {
+            cat.run(q).unwrap();
+        }
         let want: Vec<_> = probes.iter().map(|q| cat.run(q).unwrap()).collect();
-        assert_eq!(cat.subseq_cache_len(), 3);
+        assert_eq!(windows(&cat), [Some(8), Some(32)]);
 
         let path = temp_path(&format!("restart-{shards}.tsq"));
         cat.save(&path).unwrap();
         let mut reopened = Catalog::new();
         reopened.open(&path).unwrap();
-        assert_eq!(
-            reopened.subseq_cache_keys(),
-            cat.subseq_cache_keys(),
-            "{shards} shard(s)"
-        );
-        // EXPLAIN of a held window builds it: a cached plan proves the
+        assert_eq!(windows(&reopened), windows(&cat), "{shards} shard(s)");
+        // EXPLAIN past a held window builds it: a warm plan proves the
         // restored window is what answers.
         let explain = reopened
             .run(&format!("EXPLAIN {}", probes[0]))
@@ -137,6 +148,7 @@ fn primed_windows_survive_a_restart_at_every_shard_count() {
             .explain
             .unwrap();
         assert!(!explain.contains("cold"), "{explain}");
+        assert!(explain.contains("[prefix of window 8]"), "{explain}");
         for (q, want) in probes.iter().zip(&want) {
             assert_eq!(&reopened.run(q).unwrap(), want, "{shards} shard(s): {q}");
         }
@@ -184,7 +196,8 @@ fn name_collision_is_a_typed_error_and_restore_is_atomic() {
     target
         .run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 100 WINDOW 16")
         .unwrap();
-    let cache_before = target.subseq_cache_keys();
+    let cache_before = target.subseq_window("walks");
+    assert_eq!(cache_before, Some(16));
     let walks_before = target
         .run("FIND SIMILAR TO walks.s0 IN walks WITHIN 100")
         .unwrap();
@@ -203,7 +216,7 @@ fn name_collision_is_a_typed_error_and_restore_is_atomic() {
     // "stocks" relation — and the ST-indexes are untouched.
     assert_eq!(target.relation_names(), vec!["other", "walks"]);
     assert!(target.run("FIND 1 NEAREST TO stocks.s0 IN stocks").is_err());
-    assert_eq!(target.subseq_cache_keys(), cache_before);
+    assert_eq!(target.subseq_window("walks"), cache_before);
     assert_eq!(
         target
             .run("FIND SIMILAR TO walks.s0 IN walks WITHIN 100")
@@ -232,11 +245,11 @@ fn collision_failure_does_not_clobber_cache_invalidation() {
     target
         .run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 100 WINDOW 16")
         .unwrap();
-    assert_eq!(target.subseq_cache_len(), 1);
+    assert_eq!(target.subseq_window("walks"), Some(16));
     assert!(target.open(&path).is_err());
     assert_eq!(
-        target.subseq_cache_len(),
-        1,
+        target.subseq_window("walks"),
+        Some(16),
         "failed open must not touch the ST-indexes"
     );
     // Re-registration still drops them.
@@ -246,55 +259,16 @@ fn collision_failure_does_not_clobber_cache_invalidation() {
                 .unwrap(),
         )
         .unwrap();
-    assert_eq!(target.subseq_cache_len(), 0);
-}
-
-#[test]
-fn lru_order_survives_the_round_trip() {
-    fn probe(w: usize) -> String {
-        let vals: Vec<String> = (0..w).map(|i| format!("{i}")).collect();
-        format!(
-            "FIND SUBSEQUENCE OF [{}] IN walks WITHIN 100 WINDOW {w}",
-            vals.join(", ")
-        )
-    }
-    let cat = catalog();
-    let full: Vec<usize> = (4..4 + MAX_SUBSEQ_WINDOWS).collect();
-    for &w in &full {
-        cat.run(&probe(w)).unwrap();
-    }
-    // Touch 4 so it becomes the most recent: 5 < ... < 4.
-    cat.run(&probe(4)).unwrap();
-    let mut order = full[1..].to_vec();
-    order.push(4);
-    let want: Vec<(String, usize)> = order.iter().map(|&w| ("walks".to_string(), w)).collect();
-    assert_eq!(cat.subseq_cache_keys(), want);
-
-    let bytes = cat.snapshot_bytes().unwrap();
-    let mut fresh = Catalog::new();
-    fresh.restore_bytes(&bytes).unwrap();
-    assert_eq!(
-        fresh.subseq_cache_keys(),
-        want,
-        "recency order must survive"
-    );
-    // The restored relation keeps evicting in the same order: a further
-    // window evicts 5 (the least recent), not 4.
-    fresh.run(&probe(20)).unwrap();
-    let keys = fresh.subseq_cache_keys();
-    assert_eq!(keys.len(), MAX_SUBSEQ_WINDOWS);
-    assert!(!keys.contains(&("walks".to_string(), 5)), "{keys:?}");
-    assert!(keys.contains(&("walks".to_string(), 4)));
-    assert!(keys.contains(&("walks".to_string(), 20)));
+    assert_eq!(target.subseq_window("walks"), None);
 }
 
 /// A hand-assembled snapshot of one two-shard relation `w`: the catalog's
 /// own bytes up to the relation's last whole-match index, then whatever
-/// window list a case wants.
+/// held window a case wants.
 struct Forged {
     /// Index configuration + relation count (1).
     head: Vec<u8>,
-    /// The relation section up to, not including, its window count.
+    /// The relation section up to, not including, its held window.
     prefix: Vec<u8>,
 }
 
@@ -312,7 +286,7 @@ impl Forged {
         };
         // An empty catalog's payload is the configuration and a zero
         // relation count; a window-less relation section ends with a zero
-        // window count.
+        // window.
         let config_len = unsealed(&Catalog::new()).len() - 8;
         let payload = unsealed(&cat);
         let head = payload[..config_len + 8].to_vec();
@@ -320,12 +294,12 @@ impl Forged {
         (cat, Forged { head, prefix })
     }
 
-    /// A sealed snapshot whose relation section declares `count` windows
-    /// and carries `tail` after the count.
-    fn sealed(&self, count: usize, tail: &[u8]) -> Vec<u8> {
+    /// A sealed snapshot whose relation section holds `window` and
+    /// carries `tail` after it.
+    fn sealed(&self, window: usize, tail: &[u8]) -> Vec<u8> {
         let mut section = Encoder::new();
         section.raw(&self.prefix);
-        section.usize(count);
+        section.usize(window);
         section.raw(tail);
         let mut payload = Encoder::new();
         payload.raw(&self.head);
@@ -335,40 +309,25 @@ impl Forged {
     }
 }
 
-/// A window list as a relation section stores it.
-fn windows(list: &[usize]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    for &window in list {
-        enc.usize(window);
-    }
-    enc.into_bytes()
-}
-
 #[test]
 fn hostile_relation_sections_are_typed_errors() {
     let (cat, forged) = Forged::new();
-    // The forgery is faithful: a well-formed two-window list is exactly
-    // what the catalog itself writes after building those windows.
+    // The forgery is faithful: a window-less section and one holding
+    // window 8 are exactly what the catalog itself writes, before and
+    // after a statement at 8 (a later one at 12 probes it by prefix).
+    assert_eq!(forged.sealed(0, &[]), cat.snapshot_bytes().unwrap());
     cat.run("FIND 1 NEAREST SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN w WINDOW 8")
         .unwrap();
     cat.run(
         "FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25, 1, 2, 3, 4] IN w WITHIN 1 WINDOW 12",
     )
     .unwrap();
-    let good = windows(&[8, 12]);
-    assert_eq!(forged.sealed(2, &good), cat.snapshot_bytes().unwrap());
+    assert_eq!(forged.sealed(8, &[]), cat.snapshot_bytes().unwrap());
 
-    let too_many: Vec<usize> = (8..=8 + MAX_SUBSEQ_WINDOWS).collect();
     let cases: Vec<(&str, usize, Vec<u8>)> = vec![
-        (
-            "more windows than a relation holds",
-            MAX_SUBSEQ_WINDOWS + 1,
-            windows(&too_many),
-        ),
-        ("the same window twice", 2, windows(&[8, 8])),
-        ("window 0", 2, windows(&[8, 0])),
-        ("window 1", 1, windows(&[1])),
-        ("trailing bytes", 2, [good.clone(), vec![0]].concat()),
+        ("window 1", 1, Vec::new()),
+        ("trailing bytes", 8, vec![0]),
+        ("a second window", 8, 12u64.to_le_bytes().to_vec()),
     ];
     // The target holds a relation with an ST-index of its own; a refused
     // restore must leave both exactly as they were.
@@ -383,9 +342,9 @@ fn hostile_relation_sections_are_typed_errors() {
         .run("FIND SUBSEQUENCE OF other.s0 IN other WITHIN 100 WINDOW 16")
         .unwrap();
     let before = target.snapshot_bytes().unwrap();
-    for (what, count, tail) in &cases {
+    for (what, window, tail) in &cases {
         let err = target
-            .restore_bytes(&forged.sealed(*count, tail))
+            .restore_bytes(&forged.sealed(*window, tail))
             .unwrap_err();
         assert!(
             matches!(
@@ -397,11 +356,10 @@ fn hostile_relation_sections_are_typed_errors() {
         assert_eq!(target.relation_names(), vec!["other"], "{what}");
         assert_eq!(target.snapshot_bytes().unwrap(), before, "{what}");
     }
-    // The well-formed list restores, next to what was there.
-    target.restore_bytes(&forged.sealed(2, &good)).unwrap();
-    let keys = target.subseq_cache_keys();
-    let want = [("other", 16), ("w", 8), ("w", 12)].map(|(r, w)| (r.to_string(), w));
-    assert_eq!(keys, want);
+    // The well-formed section restores, next to what was there.
+    target.restore_bytes(&forged.sealed(8, &[])).unwrap();
+    let held = ["other", "w"].map(|rel| target.subseq_window(rel));
+    assert_eq!(held, [Some(16), Some(8)]);
 }
 
 #[test]
@@ -430,31 +388,37 @@ fn corrupt_inputs_are_typed_errors() {
 
     // Future format version.
     let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&9u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&10u32.to_le_bytes());
     assert!(matches!(
         Catalog::new().restore_bytes(&bad).unwrap_err(),
         LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got: 9,
+            got: 10,
             supported: tsq_store::FORMAT_VERSION
         }))
     ));
 
-    // The previous format version (7, which stored every held window's
-    // trail trees): no reader for its layout exists, so a sealed v7 file
-    // is refused on the version field, not decoded as the current one —
-    // and the target catalog is left as it was.
+    // The previous format versions (8, which stored a list of held
+    // windows, and 7, which stored every held window's trail trees): no
+    // reader for their layouts exists, so a sealed v8 or v7 file is
+    // refused on the version field, not decoded as the current one — and
+    // the target catalog is left as it was.
     let mut target = catalog();
+    target
+        .run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 10 WINDOW 32")
+        .unwrap();
     let before = target.snapshot_bytes().unwrap();
-    let mut bad = Catalog::new().snapshot_bytes().unwrap();
-    bad[8..12].copy_from_slice(&7u32.to_le_bytes());
-    assert!(matches!(
-        target.restore_bytes(&bad).unwrap_err(),
-        LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got: 7,
-            supported: 8
-        }))
-    ));
-    assert_eq!(target.snapshot_bytes().unwrap(), before);
+    for old in [8u32, 7] {
+        let mut bad = Catalog::new().snapshot_bytes().unwrap();
+        bad[8..12].copy_from_slice(&old.to_le_bytes());
+        assert!(matches!(
+            target.restore_bytes(&bad).unwrap_err(),
+            LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
+                got,
+                supported: 9
+            })) if got == old
+        ));
+        assert_eq!(target.snapshot_bytes().unwrap(), before);
+    }
 
     // Byte-swapped endianness marker.
     let mut bad = good.clone();
@@ -608,7 +572,7 @@ fn restored_catalog_keeps_serving_after_mutation() {
     let path = temp_path("mutate-after.tsq");
     cat.save(&path).unwrap();
     let mut restored = Catalog::load(&path).unwrap();
-    assert_eq!(restored.subseq_cache_len(), 1);
+    assert_eq!(restored.subseq_window("walks"), Some(32));
     // Replacing walks drops its restored ST-index with it.
     restored
         .register(
@@ -616,7 +580,7 @@ fn restored_catalog_keeps_serving_after_mutation() {
                 .unwrap(),
         )
         .unwrap();
-    assert_eq!(restored.subseq_cache_len(), 0);
+    assert_eq!(restored.subseq_window("walks"), None);
     assert!(restored
         .run("FIND SUBSEQUENCE OF walks.s1 IN walks WITHIN 10 WINDOW 32")
         .is_ok());

@@ -2,10 +2,10 @@
 //! restore it — with every query answering identically.
 //!
 //! A snapshot stores what cannot be derived: labels, shard rules, each
-//! shard's series and the windows each relation holds ST-indexes for.
-//! Every index is a function of those, so a restore re-derives the
-//! whole-match R\*-trees from the series, and holds each window for its
-//! first subsequence statement to build — the same indexes the saved
+//! shard's series and the base window each relation holds its ST-index
+//! at. Every index is a function of those, so a restore re-derives the
+//! whole-match R\*-trees from the series, and holds the window for its
+//! first subsequence statement to build — the same index the saved
 //! catalog answered from.
 //!
 //! Run with: `cargo run --release --example snapshot_restart`
@@ -34,7 +34,8 @@ fn main() {
         .expect("register stocks");
 
     // Typical mixed workload; the subsequence queries make `walks` build
-    // (and keep) ST-indexes for two window sizes.
+    // (and keep) one ST-index at window 32, which the window-128 query
+    // probes by its first 32 samples.
     let subseq_probe: Vec<String> = walks[3].values()[10..42]
         .iter()
         .map(|v| format!("{v}"))
@@ -55,9 +56,9 @@ fn main() {
         .collect();
     let build_elapsed = build_started.elapsed();
     println!(
-        "built catalog: {} relations, {} ST-index window(s) in {:.1} ms",
+        "built catalog: {} relations, walks' ST-index at window {:?} in {:.1} ms",
         catalog.relation_names().len(),
-        catalog.subseq_cache_len(),
+        catalog.subseq_window("walks"),
         build_elapsed.as_secs_f64() * 1e3
     );
 
@@ -77,9 +78,9 @@ fn main() {
     let restored = Catalog::load(&path).expect("restore snapshot");
     let open_elapsed = open_started.elapsed();
     println!(
-        "restored {} relations, {} held ST-index window(s) in {:.1} ms",
+        "restored {} relations, walks' ST-index held at window {:?} in {:.1} ms",
         restored.relation_names().len(),
-        restored.subseq_cache_len(),
+        restored.subseq_window("walks"),
         open_elapsed.as_secs_f64() * 1e3
     );
 

@@ -257,27 +257,22 @@ fn subseq_cache_bounded_and_invalidated_through_shared_handle() {
     let mut cat = Catalog::new();
     cat.register(walks(35)).unwrap();
     let shared = SharedCatalog::new(cat);
-    let windows = [8usize, 12, 16, 24, 32, 48];
-    assert!(windows.len() > tsq::core::MAX_SUBSEQ_WINDOWS);
-    for w in windows {
+    // Six distinct windows, in an order that both probes the held one by
+    // prefix and replaces it with a shorter one.
+    for w in [24usize, 32, 16, 48, 8, 12] {
         shared.run(&probe(w)).unwrap();
     }
-    // The relation kept its bound despite six distinct windows — the most
-    // recent ones — and every answer above came from a freshly built or
-    // kept index.
+    // The relation holds one ST-index whatever it was asked: the
+    // shortest window.
     let cat = shared.into_inner().unwrap();
-    let kept: Vec<(String, usize)> = windows[windows.len() - tsq::core::MAX_SUBSEQ_WINDOWS..]
-        .iter()
-        .map(|&w| ("walks".to_string(), w))
-        .collect();
-    assert_eq!(cat.subseq_cache_keys(), kept);
+    assert_eq!(cat.subseq_window("walks"), Some(8));
     // Re-registering through the handle replaces the relation and what
     // indexed it.
     let shared = SharedCatalog::new(cat);
     shared.register(walks(36)).unwrap();
     shared.run(&probe(16)).unwrap();
     let cat = shared.into_inner().unwrap();
-    assert_eq!(cat.subseq_cache_keys(), vec![("walks".to_string(), 16)]);
+    assert_eq!(cat.subseq_window("walks"), Some(16));
 }
 
 #[test]

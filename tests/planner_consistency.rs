@@ -335,7 +335,7 @@ fn snapshot_round_trip_preserves_plan_choices() {
     // The primed window travels with the snapshot, and an EXPLAIN of a
     // held window builds it, so the subseq EXPLAIN still sees a cached
     // index.
-    assert_eq!(restored.subseq_cache_len(), 1);
+    assert_eq!(restored.subseq_window("walks"), Some(64));
     let after: Vec<String> = queries
         .iter()
         .map(|q| restored.run(q).unwrap().explain.expect("explain text"))
@@ -573,11 +573,11 @@ fn one_shard_catalog_equals_the_bare_engine() {
         let planner = Planner::new(&idx, &stats);
         // A cold subsequence EXPLAIN plans without an ST-index, on both
         // sides; everything after the first run sees the cached one.
-        if logical.subseq_window().is_some() && cat.subseq_cache_len() == 0 {
+        if logical.subseq_window().is_some() && cat.subseq_window("walks").is_none() {
             let cold = planner.plan(logical, *force, None).unwrap();
             let got = cat.run(&format!("EXPLAIN {text}")).unwrap();
             assert_eq!(got.explain.unwrap(), render_plan(logical, &cold, &stats));
-            assert_eq!(cat.subseq_cache_len(), 0, "EXPLAIN must not build");
+            assert_eq!(cat.subseq_window("walks"), None, "EXPLAIN must not build");
         }
         let subseq = logical.subseq_window().map(|_| &st);
         let choice = planner.plan(logical, *force, subseq).unwrap();

@@ -110,7 +110,7 @@ proptest! {
         cat.register(tsq_core::SeriesRelation::from_series("v", rel).unwrap()).unwrap();
         let want: Vec<_> = queries.iter().map(|q| cat.run(q).unwrap()).collect();
         let fresh = round_trip_catalog(&cat);
-        prop_assert_eq!(fresh.subseq_cache_keys(), cat.subseq_cache_keys());
+        prop_assert_eq!(fresh.subseq_window("v"), cat.subseq_window("v"));
         for (q, want) in queries.iter().zip(&want) {
             prop_assert_eq!(&fresh.run(q).unwrap(), want, "{}", q);
         }
@@ -144,7 +144,9 @@ proptest! {
         // Prime the subsequence cache so the snapshot carries ST-indexes.
         let want: Vec<_> = queries.iter().map(|q| cat.run(q).unwrap()).collect();
         let fresh = round_trip_catalog(&cat);
-        prop_assert_eq!(fresh.subseq_cache_len(), cat.subseq_cache_len());
+        for rel in ["alpha", "beta"] {
+            prop_assert_eq!(fresh.subseq_window(rel), cat.subseq_window(rel));
+        }
         for (q, want) in queries.iter().zip(&want) {
             let got = fresh.run(q).unwrap();
             prop_assert_eq!(&got, want, "{}", q);

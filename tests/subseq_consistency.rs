@@ -10,18 +10,17 @@
 //!   agree to 1e-9; ids may differ only under exact ties).
 
 //!
-//! A third block pins the ST-indexes' lifecycle inside a catalog: they
-//! follow their relation through `APPEND`, `SHARD`, `save` / `open` and
-//! `register`, and each relation keeps at most `MAX_SUBSEQ_WINDOWS` of
-//! them.
+//! A third block pins the ST-index's lifecycle inside a catalog: it
+//! follows its relation through `APPEND`, `SHARD`, `save` / `open` and
+//! `register`, and one index at the relation's base window answers every
+//! longer statement by PrefixSearch, with the sliding scan's rows.
 //!
 //! A fourth walks ±4 ulps around reported distances after `APPEND` chains
 //! that cross the sliding DFT's re-anchors: Lemma 1 for subsequences at the
-//! boundary, through a catalog at 1 and 4 shards.
+//! boundary, through a catalog at 1 and 4 shards, at the base window and
+//! past it.
 
-use tsq_core::{
-    ScanMode, SeriesRelation, SubseqConfig, SubseqIndex, SubseqMatch, MAX_SUBSEQ_WINDOWS,
-};
+use tsq_core::{ScanMode, SeriesRelation, SubseqConfig, SubseqIndex, SubseqMatch};
 use tsq_lang::{parse, Catalog, Query, Row, Source};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
@@ -361,22 +360,23 @@ fn lifecycle(shards: usize) {
     std::fs::create_dir_all(&dir).unwrap();
     let rel = RandomWalkGenerator::new(2718).relation(14, 80);
     let statements = lifecycle_statements(&rel);
-    let keys = |windows: &[usize]| -> Vec<(String, usize)> {
-        windows.iter().map(|&w| ("r".to_string(), w)).collect()
-    };
-    let both = keys(&[RANGE_WINDOW, KNN_WINDOW]);
+    // The range statement, run first, holds the relation's window; the
+    // longer kNN statement probes it by prefix.
     let warm = |cat: &Catalog, step: &str| {
         for s in &statements {
             assert!(!plan_is_cold(cat, s), "{step} ({shards} shard(s)): {s}");
         }
-        // An EXPLAIN neither builds nor touches recency.
-        assert_eq!(cat.subseq_cache_keys(), both, "{step} ({shards} shard(s))");
+        assert_eq!(
+            cat.subseq_window("r"),
+            Some(RANGE_WINDOW),
+            "{step} ({shards} shard(s))"
+        );
     };
     let cold = |cat: &Catalog, step: &str| {
         for s in &statements {
             assert!(plan_is_cold(cat, s), "{step} ({shards} shard(s)): {s}");
         }
-        assert!(cat.subseq_cache_keys().is_empty(), "{step}: EXPLAIN built");
+        assert_eq!(cat.subseq_window("r"), None, "{step}: EXPLAIN built");
     };
 
     let mut cat = Catalog::new();
@@ -438,53 +438,109 @@ fn st_indexes_follow_their_relation() {
     }
 }
 
-/// The bound is per relation: a further window evicts that relation's
-/// least recently used window and none of any other relation's, and a hit
-/// refreshes recency.
+/// Catalog rows as `(label, offset, distance bits)`.
+fn row_bits(rows: &[Row]) -> Vec<(String, Option<usize>, u64)> {
+    rows.iter()
+        .map(|r| (r.a.clone(), r.offset, r.distance.to_bits()))
+        .collect()
+}
+
+fn literal(values: &[f64]) -> String {
+    let values: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
+    values.join(", ")
+}
+
+/// **PrefixSearch through a catalog.** The relation holds its ST-index at
+/// window `W`; range and kNN statements of `L` ∈ {W, W+1, 2W, 3W+5}
+/// samples probe it with their first `W` and refine all `L`. The relation
+/// is ragged — some series are shorter than `L`, some than `W` — and grows
+/// by an `APPEND` chain between rounds. At 1 and 4 shards, rows, offsets
+/// and distance bits equal the sliding scan of length `L` over the
+/// relation's current series, and the window held stays `W`.
 #[test]
-fn each_relation_evicts_only_its_own_least_recent_window() {
-    fn statement(rel: &str, w: usize) -> String {
-        let vals: Vec<String> = (0..w).map(|i| format!("{i}")).collect();
-        format!(
-            "FIND SUBSEQUENCE OF [{}] IN {rel} WITHIN 100 WINDOW {w}",
-            vals.join(", ")
-        )
-    }
-    let keys = |rel: &str, windows: &[usize]| -> Vec<(String, usize)> {
-        windows.iter().map(|&w| (rel.to_string(), w)).collect()
+fn prefix_search_answers_every_longer_statement_like_the_sliding_scan() {
+    const W: usize = 8;
+    let initial: Vec<TimeSeries> = {
+        let mut g = RandomWalkGenerator::new(4242);
+        (0..12).map(|i| g.series(5 + 5 * i)).collect()
     };
-    let mut cat = Catalog::new();
-    for (name, seed) in [("a", 5u64), ("b", 6)] {
-        let series = RandomWalkGenerator::new(seed).relation(8, 40);
-        cat.register(SeriesRelation::from_series(name, series).unwrap())
+    let mut tails = RandomWalkGenerator::new(4243);
+    let mut tail = |n: usize| literal(tails.series(n).values());
+    // s0 grows past W and W+1, s3 past 2W and 3W+5; a new label arrives.
+    let appends = [
+        format!("APPEND r CSV (s0, {}) (s3, {})", tail(7), tail(20)),
+        format!(
+            "APPEND r CSV (fresh, {}) (s7, {}) (s1, {})",
+            tail(33),
+            tail(3),
+            tail(26)
+        ),
+    ];
+    let mut asked = 0usize;
+    for shards in [1usize, 4] {
+        let mut cat = Catalog::new();
+        cat.register(SeriesRelation::from_series("r", initial.clone()).unwrap())
             .unwrap();
+        cat.run_mut(&format!("SHARD r INTO {shards} BY HASH"))
+            .unwrap();
+        let hold = format!(
+            "FIND SUBSEQUENCE OF [{}] IN r WITHIN 1 WINDOW {W}",
+            literal(&[0.0; W])
+        );
+        cat.run(&hold).unwrap();
+        for round in 0..=appends.len() {
+            if round > 0 {
+                cat.run_mut(&appends[round - 1]).unwrap();
+            }
+            let items = labeled(&cat);
+            let series: Vec<TimeSeries> = items.iter().map(|(_, s)| s.clone()).collect();
+            let scan = SubseqIndex::build(SubseqConfig::new(W), series.clone()).unwrap();
+            let truth = |want: &[SubseqMatch]| -> Vec<(String, Option<usize>, u64)> {
+                let rows = want.iter().map(|m| {
+                    let label = items[m.series].0.clone();
+                    (label, Some(m.offset), m.distance.to_bits())
+                });
+                rows.collect()
+            };
+            let longest = series.iter().max_by_key(|s| s.len()).unwrap();
+            for len in [W, W + 1, 2 * W, 3 * W + 5] {
+                for (start, jitter) in [(0usize, 0.0), (7, 0.3), (longest.len() - len, 1.1)] {
+                    let q = probe(longest, start, len, jitter);
+                    let pattern = literal(q.values());
+                    let at = format!(
+                        "{shards} shard(s), round {round}, L {len}, start {start}, jitter {jitter}"
+                    );
+                    for eps in [0.0, 0.5, 2.0, 6.0] {
+                        let statement = format!(
+                            "FIND SUBSEQUENCE OF [{pattern}] IN r WITHIN {eps} WINDOW {len}"
+                        );
+                        let got = cat.run(&statement).unwrap();
+                        let (want, _) = scan.scan_subseq_range(&q, eps, ScanMode::Naive).unwrap();
+                        assert_eq!(row_bits(&got.rows), truth(&want), "{at}, eps {eps}");
+                        asked += 1;
+                    }
+                    for k in [1usize, 5, 40] {
+                        let statement = format!(
+                            "FIND {k} NEAREST SUBSEQUENCE OF [{pattern}] IN r WINDOW {len}"
+                        );
+                        let got = cat.run(&statement).unwrap();
+                        let want = scan.scan_subseq_knn(&q, k).unwrap();
+                        assert_eq!(row_bits(&got.rows), truth(&want), "{at}, k {k}");
+                        asked += 1;
+                    }
+                }
+                let explain = format!(
+                    "EXPLAIN FIND 5 NEAREST SUBSEQUENCE OF [{}] IN r WINDOW {len}",
+                    literal(&longest.values()[..len])
+                );
+                let plan = cat.run(&explain).unwrap().explain.unwrap();
+                assert!(!plan.contains("[cold"), "{plan}");
+                assert_eq!(plan.contains("[prefix of window 8]"), len > W, "{plan}");
+            }
+            assert_eq!(cat.subseq_window("r"), Some(W), "{shards} shard(s)");
+        }
     }
-    let full: Vec<usize> = (4..4 + MAX_SUBSEQ_WINDOWS).collect();
-    for &w in &full {
-        cat.run(&statement("a", w)).unwrap();
-        cat.run(&statement("b", w)).unwrap();
-    }
-    let both = [keys("a", &full), keys("b", &full)].concat();
-    assert_eq!(cat.subseq_cache_keys(), both);
-    // A hit on a's oldest window refreshes it, so the further window
-    // evicts a's second oldest — and nothing of b's, however often a's
-    // windows turn over.
-    cat.run(&statement("a", full[0])).unwrap();
-    cat.run(&statement("a", 30)).unwrap();
-    let mut a = full[2..].to_vec();
-    a.extend([full[0], 30]);
-    assert_eq!(
-        cat.subseq_cache_keys(),
-        [keys("a", &a), keys("b", &full)].concat()
-    );
-    let last: Vec<usize> = (36 - MAX_SUBSEQ_WINDOWS..36).collect();
-    for w in 31..36 {
-        cat.run(&statement("a", w)).unwrap();
-    }
-    assert_eq!(
-        cat.subseq_cache_keys(),
-        [keys("a", &last), keys("b", &full)].concat()
-    );
+    assert_eq!(asked, 2 * 3 * 4 * 3 * 7);
 }
 
 // ---------------------------------------------------------------------
@@ -508,9 +564,11 @@ fn ulps(v: f64, j: i64) -> f64 {
 /// Each query is a stored window `x` moved by `s·u` (a unit cosine or a
 /// constant), at offsets before, on and after the re-anchors, and every
 /// threshold is within four ulps of a distance the sliding scan reports
-/// for it: the witness `x` itself, and the k-th nearest window. On each
-/// statement the catalog's `FIND SUBSEQUENCE … WITHIN eps` rows equal the
-/// scan's (labels, offsets and distance bits), the witness is among them
+/// for it: the witness `x` itself, and the k-th nearest window. Each walk
+/// runs at the window `W` the relation holds, and again at `2W + 5`
+/// (PrefixSearch), with `x` that long and `u` on its first `W` samples. On
+/// each statement the catalog's `FIND SUBSEQUENCE … WITHIN eps` rows equal
+/// the scan's (labels, offsets and distance bits), the witness is among them
 /// exactly when `eps >= d`, and `FIND k NEAREST SUBSEQUENCE` rows equal
 /// the scan's to the bit. A failure names the seed, the witness window and
 /// the query.
@@ -524,10 +582,6 @@ fn subsequence_lemma_1_holds_within_four_ulps_across_appends() {
     // Appended to every series in turn: 10 + 640 samples, so the last
     // window offset is 634.
     const SCHEDULE: [usize; 8] = [3, 37, 1, 120, 64, 200, 5, 210];
-    let literal = |values: &[f64]| -> String {
-        let values: Vec<String> = values.iter().map(|v| format!("{v}")).collect();
-        values.join(", ")
-    };
     // Walks around a level: the sliding DFT's drift grows with `X_0`'s
     // magnitude, so the trail and query pads have something to absorb.
     const LEVEL: f64 = 5_000.0;
@@ -569,11 +623,7 @@ fn subsequence_lemma_1_holds_within_four_ulps_across_appends() {
             m.distance.to_bits(),
         )
     };
-    let rows = |rows: &[Row]| -> Vec<(String, Option<usize>, u64)> {
-        rows.iter()
-            .map(|r| (r.a.clone(), r.offset, r.distance.to_bits()))
-            .collect()
-    };
+    let rows = row_bits;
 
     let mut asked = 0usize;
     let mut failures: Vec<String> = Vec::new();
@@ -602,22 +652,31 @@ fn subsequence_lemma_1_holds_within_four_ulps_across_appends() {
 
         // (series, offset, f, phase) of the witness and the direction; at
         // `f = 0` the whole distance is in `X_0`'s real part, so the search
-        // box's edge is the witness's own coordinate.
-        for (series, offset, f, phase) in [
-            (2usize, 3usize, 1usize, 0.4),
-            (5, 255, 0, 0.0),
-            (0, 256, 0, 0.0),
-            (7, 300, 3, 0.0),
-            (3, 383, 0, 0.0),
-            (3, 511, 1, 0.7),
-            (6, 511, 0, 0.0),
-            (6, 512, 2, 2.9),
-            (4, 513, 0, 0.0),
-            (1, 634, 0, 0.0),
-            (1, 634, 1, 1.6),
-        ] {
-            let x = &expected[series].values()[offset..offset + W];
+        // box's edge is the witness's own coordinate. A statement longer
+        // than the window moves only its first `W` samples, so PrefixSearch
+        // probes a box whose edge is the witness's coordinate too.
+        for (len, (series, offset, f, phase)) in [W, 2 * W + 5].into_iter().flat_map(|len| {
+            [
+                (2usize, 3usize, 1usize, 0.4),
+                (5, 255, 0, 0.0),
+                (0, 256, 0, 0.0),
+                (7, 300, 3, 0.0),
+                (3, 383, 0, 0.0),
+                (3, 511, 1, 0.7),
+                (6, 511, 0, 0.0),
+                (6, 512, 2, 2.9),
+                (4, 513, 0, 0.0),
+                (1, 634, 0, 0.0),
+                (1, 634, 1, 1.6),
+            ]
+            .map(|witness| (len, witness))
+        }) {
+            let offset = offset.min(expected[series].len() - len);
+            let x = &expected[series].values()[offset..offset + len];
             let unit = |t: usize| -> f64 {
+                if t >= W {
+                    return 0.0;
+                }
                 if f == 0 {
                     return 1.0 / (W as f64).sqrt();
                 }
@@ -631,13 +690,14 @@ fn subsequence_lemma_1_holds_within_four_ulps_across_appends() {
                 .collect();
             let query = TimeSeries::new(q.clone());
             let what = format!(
-                "{shards} shard(s), seed {SEED}, witness s{series}@{offset} = [{}], query [{}]",
+                "{shards} shard(s), L {len}, seed {SEED}, witness s{series}@{offset} = [{}], \
+                 query [{}]",
                 literal(x),
                 literal(&q)
             );
             let pattern = literal(&q);
 
-            let knn = format!("FIND {K} NEAREST SUBSEQUENCE OF [{pattern}] IN w WINDOW {W}");
+            let knn = format!("FIND {K} NEAREST SUBSEQUENCE OF [{pattern}] IN w WINDOW {len}");
             let nearest = scan.scan_subseq_knn(&query, K).unwrap();
             let truth: Vec<_> = nearest.iter().map(label).collect();
             asked += 1;
@@ -657,7 +717,7 @@ fn subsequence_lemma_1_holds_within_four_ulps_across_appends() {
                 for j in -4i64..=4 {
                     let eps = ulps(d, j);
                     let within =
-                        format!("FIND SUBSEQUENCE OF [{pattern}] IN w WITHIN {eps} WINDOW {W}");
+                        format!("FIND SUBSEQUENCE OF [{pattern}] IN w WITHIN {eps} WINDOW {len}");
                     let (truth, _) = scan
                         .scan_subseq_range(&query, eps, ScanMode::Naive)
                         .unwrap();
