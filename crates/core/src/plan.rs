@@ -694,9 +694,10 @@ impl<'a> Planner<'a> {
     }
 
     /// Picks the physical plan for `logical`: the operator `forced` names,
-    /// else the cheapest. `subseq` is the window's ST-index for
-    /// subsequence forms, if the relation holds one — planning never
-    /// builds one (EXPLAIN must not execute anything).
+    /// else the cheapest. `subseq` is the ST-index a subsequence form
+    /// probes, if the relation holds one at a window no longer than the
+    /// statement's — planning never builds one (EXPLAIN must not execute
+    /// anything).
     ///
     /// # Errors
     /// A join-only force on another form, then the same validation

@@ -746,8 +746,9 @@ impl ShardedIndex {
     }
 
     /// Plans every shard without executing the statement (the `EXPLAIN`
-    /// path); a held window not built yet is built first. Empty shards of
-    /// a non-empty relation are skipped (`None`).
+    /// path); a held window no longer than the statement, not built yet,
+    /// is built first. Empty shards of a non-empty relation are skipped
+    /// (`None`).
     ///
     /// # Errors
     /// The same validation failures execution would report.
