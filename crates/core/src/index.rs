@@ -601,16 +601,6 @@ impl SimilarityIndex {
         Ok(TimeSeries::new(record.samples().to_vec()))
     }
 
-    /// Every stored series, in id order, read as
-    /// [`SimilarityIndex::series`] reads one.
-    pub(crate) fn all_series(&self) -> Result<Vec<TimeSeries>> {
-        let mut all = Vec::with_capacity(self.len());
-        for id in 0..self.len() {
-            all.push(self.series(id)?);
-        }
-        Ok(all)
-    }
-
     /// Features of a stored series by id, with the half spectrum a query's
     /// carry: derived from its samples by one FFT — a record keeps the
     /// indexed coefficients alone. `None` for an unknown id, or a record

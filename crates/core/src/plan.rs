@@ -489,11 +489,14 @@ pub struct QueryOptions {
     /// Pin the access path instead of costing alternatives.
     pub force: Option<ForceOp>,
     /// Worker threads: how many statements of a batch, and how many
-    /// shards of one statement (the scatter width), run at once
-    /// (`0`/`None` = the executor's hardware default).
+    /// shards of one whole-match statement or join (the scatter width),
+    /// run at once (`0`/`None` = the executor's hardware default). A
+    /// subsequence statement is not scattered.
     pub threads: Option<usize>,
-    /// Cap on concurrently probed shards of a sharded relation (ignored
-    /// on unsharded relations; `None` = probe all shards concurrently).
+    /// Cap on concurrently probed shards of a whole-match statement or a
+    /// join on a sharded relation (ignored on unsharded relations and by
+    /// subsequence statements, which probe the relation's one ST-index;
+    /// `None` = probe all shards concurrently).
     pub shards: Option<usize>,
 }
 
@@ -730,10 +733,10 @@ impl<'a> Planner<'a> {
             } => self.plan_range(rect, refine.transform),
             Bound::Knn { ref refine, k } => self.plan_knn(k, refine.transform),
             Bound::Join(join) => self.plan_join(join.eps, join.transform),
-            Bound::SubseqRange { eps, window, .. } => {
-                self.plan_subseq(Some(eps), None, window, subseq)
+            Bound::SubseqRange { .. } | Bound::SubseqKnn { .. } => {
+                let (len, series_len) = (self.index.len(), self.index.series_len());
+                return plan_subseq(bound, forced, subseq, len, series_len);
             }
-            Bound::SubseqKnn { k, window, .. } => self.plan_subseq(None, Some(k), window, subseq),
         };
         choose(costed, forced)
     }
@@ -891,74 +894,79 @@ impl<'a> Planner<'a> {
         }
         sides
     }
+}
 
-    /// Costs the one subsequence operator from the ST-index's own profile
-    /// (or, cold, from the relation's size): the whole-match tree and its
-    /// statistics are not read, so an executed subsequence statement never
-    /// packs them.
-    fn plan_subseq(
-        &self,
-        eps: Option<f64>,
-        k: Option<usize>,
-        window: usize,
-        subseq: Option<&SubseqIndex>,
-    ) -> Vec<Costed> {
-        let config = match subseq {
-            Some(idx) => *idx.config(),
-            None => SubseqConfig::new(window),
-        };
-        let dims = 2 * config.k.min(window);
-        let windows_per_series = (self.index.series_len() + 1).saturating_sub(window);
-        let windows_total = match subseq {
-            Some(idx) => idx.windows_total() as f64,
-            None => (self.index.len() * windows_per_series) as f64,
-        };
-        let refine_cpu = |candidates: f64| candidates * window as f64 / POINT_OPS_PER_PAGE;
-        let estimate = match subseq {
-            Some(idx) => {
-                let profile = idx.profile();
-                // The ST-index query rectangle is a cube of side 2 eps in
-                // the window-feature space; k-NN uses the
-                // equivalent-radius heuristic.
-                let sides: Vec<f64> = match (eps, k) {
-                    (Some(eps), _) => vec![2.0 * eps; dims],
-                    (None, k) => {
-                        let frac = if windows_total > 0.0 {
-                            (k.unwrap_or(0) as f64 / windows_total).min(1.0)
-                        } else {
-                            0.0
-                        };
-                        let scale = frac.powf(1.0 / dims.max(1) as f64);
-                        (0..dims).map(|d| profile.extent(d) * scale).collect()
-                    }
-                };
-                let (nodes, frac) = profile.visit_estimate(&sides);
-                let candidates = windows_total * frac;
-                CostEstimate::filter_refine(nodes, candidates, refine_cpu(candidates))
-            }
-            None => {
-                // Cold probe: coarse estimate (no tree to profile yet) plus
-                // the sliding-DFT build the executor will run first.
-                let trails = (windows_total / config.trail as f64).ceil();
-                let fanout = config.rtree.max_entries.max(2) as f64;
-                let mut level_nodes = (trails / fanout).ceil().max(1.0);
-                let mut nodes = 0.0;
-                while level_nodes > 1.0 {
-                    nodes += level_nodes;
-                    level_nodes = (level_nodes / fanout).ceil();
+/// Plans a bound subsequence statement over a relation of `len` series,
+/// the longest `series_len` points long: its one operator, costed from the
+/// ST-index's own profile (or, cold, from the relation's size). No
+/// whole-match tree or statistics are read, so none is packed.
+pub(crate) fn plan_subseq(
+    bound: &Bound<'_>,
+    forced: Option<ForceOp>,
+    subseq: Option<&SubseqIndex>,
+    len: usize,
+    series_len: usize,
+) -> PlanChoice {
+    let (eps, k, window) = match *bound {
+        Bound::SubseqRange { eps, window, .. } => (Some(eps), None, window),
+        Bound::SubseqKnn { k, window, .. } => (None, Some(k), window),
+        _ => unreachable!("plan_subseq plans subsequence forms only"),
+    };
+    let config = match subseq {
+        Some(idx) => *idx.config(),
+        None => SubseqConfig::new(window),
+    };
+    let dims = 2 * config.k.min(window);
+    let windows_per_series = (series_len + 1).saturating_sub(window);
+    let windows_total = match subseq {
+        Some(idx) => idx.windows_total() as f64,
+        None => (len * windows_per_series) as f64,
+    };
+    let refine_cpu = |candidates: f64| candidates * window as f64 / POINT_OPS_PER_PAGE;
+    let estimate = match subseq {
+        Some(idx) => {
+            let profile = idx.profile();
+            // The ST-index query rectangle is a cube of side 2 eps in
+            // the window-feature space; k-NN uses the
+            // equivalent-radius heuristic.
+            let sides: Vec<f64> = match (eps, k) {
+                (Some(eps), _) => vec![2.0 * eps; dims],
+                (None, k) => {
+                    let frac = if windows_total > 0.0 {
+                        (k.unwrap_or(0) as f64 / windows_total).min(1.0)
+                    } else {
+                        0.0
+                    };
+                    let scale = frac.powf(1.0 / dims.max(1) as f64);
+                    (0..dims).map(|d| profile.extent(d) * scale).collect()
                 }
-                nodes += 1.0;
-                let candidates = (windows_total * 0.05).max(1.0).min(windows_total);
-                let build_cpu = windows_total * window as f64 / POINT_OPS_PER_PAGE;
-                CostEstimate::filter_refine(nodes, candidates, refine_cpu(candidates) + build_cpu)
+            };
+            let (nodes, frac) = profile.visit_estimate(&sides);
+            let candidates = windows_total * frac;
+            CostEstimate::filter_refine(nodes, candidates, refine_cpu(candidates))
+        }
+        None => {
+            // Cold probe: coarse estimate (no tree to profile yet) plus
+            // the sliding-DFT build the executor will run first.
+            let trails = (windows_total / config.trail as f64).ceil();
+            let fanout = config.rtree.max_entries.max(2) as f64;
+            let mut level_nodes = (trails / fanout).ceil().max(1.0);
+            let mut nodes = 0.0;
+            while level_nodes > 1.0 {
+                nodes += level_nodes;
+                level_nodes = (level_nodes / fanout).ceil();
             }
-        };
-        let op = PhysicalOp::SubseqIndexProbe {
-            knn: k.is_some(),
-            base: subseq.map(|idx| idx.config().window),
-        };
-        vec![(op, estimate, None)]
-    }
+            nodes += 1.0;
+            let candidates = (windows_total * 0.05).max(1.0).min(windows_total);
+            let build_cpu = windows_total * window as f64 / POINT_OPS_PER_PAGE;
+            CostEstimate::filter_refine(nodes, candidates, refine_cpu(candidates) + build_cpu)
+        }
+    };
+    let op = PhysicalOp::SubseqIndexProbe {
+        knn: k.is_some(),
+        base: subseq.map(|idx| idx.config().window),
+    };
+    choose(vec![(op, estimate, None)], forced)
 }
 
 /// Side lengths of a search rectangle, with the unbounded filter
@@ -1156,11 +1164,6 @@ pub(crate) fn execute_bound(
     subseq: Option<&SubseqIndex>,
 ) -> Result<(PlanRows, ExecStats)> {
     let n = index.len();
-    let st_index = || {
-        subseq.ok_or_else(|| {
-            Error::Unsupported("subsequence plan executed without an ST-index".to_string())
-        })
-    };
     Ok(match (bound, plan.op) {
         (Bound::Range { refine, rect, .. }, PhysicalOp::IndexRange) => {
             let (matches, stats) = index.range_bound(refine, rect, false)?;
@@ -1204,16 +1207,30 @@ pub(crate) fn execute_bound(
             }
             (PlanRows::Pairs(pairs), exec)
         }
+        _ => return execute_subseq(bound, plan, subseq),
+    })
+}
+
+/// The subsequence rows of the operator table: a bound subsequence
+/// statement against the ST-index of its relation — of the whole relation,
+/// however many shards it has. Every other pairing is a typed mismatch.
+pub(crate) fn execute_subseq(
+    bound: &Bound<'_>,
+    plan: &PhysicalPlan,
+    subseq: Option<&SubseqIndex>,
+) -> Result<(PlanRows, ExecStats)> {
+    let st_index = || {
+        subseq.ok_or_else(|| {
+            Error::Unsupported("subsequence plan executed without an ST-index".to_string())
+        })
+    };
+    let (matches, stats) = match (bound, plan.op) {
         (
             Bound::SubseqRange { query, eps, .. },
             PhysicalOp::SubseqIndexProbe { knn: false, .. },
-        ) => {
-            let (matches, stats) = st_index()?.subseq_range(query, *eps)?;
-            (PlanRows::Windows(matches), subseq_exec(&stats))
-        }
+        ) => st_index()?.subseq_range(query, *eps)?,
         (Bound::SubseqKnn { query, k, .. }, PhysicalOp::SubseqIndexProbe { knn: true, .. }) => {
-            let (matches, stats) = st_index()?.subseq_knn(query, *k)?;
-            (PlanRows::Windows(matches), subseq_exec(&stats))
+            st_index()?.subseq_knn(query, *k)?
         }
         _ => {
             return Err(Error::Unsupported(format!(
@@ -1222,7 +1239,14 @@ pub(crate) fn execute_bound(
                 bound.label()
             )))
         }
-    })
+    };
+    let exec = ExecStats::index(
+        &stats.index,
+        stats.candidates,
+        stats.candidates,
+        stats.false_hits,
+    );
+    Ok((PlanRows::Windows(matches), exec))
 }
 
 /// The join rows of the operator table, over a probe side and a partner
@@ -1265,15 +1289,6 @@ pub(crate) fn run_join(
     Ok((outcome.pairs, exec.with_records(&outcome.stats.records)))
 }
 
-fn subseq_exec(stats: &crate::subseq::SubseqStats) -> ExecStats {
-    ExecStats::index(
-        &stats.index,
-        stats.candidates,
-        stats.candidates,
-        stats.false_hits,
-    )
-}
-
 fn fmt_est(v: f64) -> String {
     if v.is_infinite() {
         "inf".to_string()
@@ -1287,6 +1302,23 @@ fn fmt_est(v: f64) -> String {
 /// and every alternative considered. Append actual counters (the
 /// `EXPLAIN ANALYZE` form) via [`render_analyze`].
 pub fn render_plan(logical: &LogicalPlan, choice: &PlanChoice, stats: &RelationStats) -> String {
+    let relation = format!(
+        "{} series x {} points; index: {}-d R*-tree, height {}, {} node(s)",
+        stats.cardinality,
+        stats.series_len,
+        stats.dims,
+        stats.height(),
+        stats.profile.nodes_total(),
+    );
+    render_plan_over(logical, choice, &relation)
+}
+
+/// [`render_plan`] with the relation line's text given.
+pub(crate) fn render_plan_over(
+    logical: &LogicalPlan,
+    choice: &PlanChoice,
+    relation: &str,
+) -> String {
     let mut out = String::new();
     let header = match logical {
         LogicalPlan::Range {
@@ -1358,14 +1390,7 @@ pub fn render_plan(logical: &LogicalPlan, choice: &PlanChoice, stats: &RelationS
     };
     out.push_str(&header);
     out.push('\n');
-    out.push_str(&format!(
-        "  relation: {} series x {} points; index: {}-d R*-tree, height {}, {} node(s)\n",
-        stats.cardinality,
-        stats.series_len,
-        stats.dims,
-        stats.height(),
-        stats.profile.nodes_total(),
-    ));
+    out.push_str(&format!("  relation: {relation}\n"));
     let plan = &choice.plan;
     let mode = if plan.forced { " [forced]" } else { "" };
     let extra = match (plan.op, logical.subseq_window()) {

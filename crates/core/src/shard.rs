@@ -4,10 +4,10 @@
 //! A relation is partitioned into `N >= 1` shards — by a hash of each
 //! series label or by contiguous label ranges — and every shard gets its
 //! own [`SimilarityIndex`]. This is the only shape a catalog relation has:
-//! a freshly registered one is a single hash shard. A query is executed
-//! scatter-gather style: the statement is bound once (validated, its
-//! query transformed and its search rectangle built — shards share one
-//! configuration and series length),
+//! a freshly registered one is a single hash shard. A whole-match query
+//! or join is executed scatter-gather style: the statement is bound once
+//! (validated, its query transformed and its search rectangle built —
+//! shards share one configuration and series length),
 //! the [`Planner`] produces one physical plan *per shard* (each shard's
 //! index holds its own `RelationStats` next to its tree), the shard plans
 //! run concurrently on the
@@ -19,8 +19,6 @@
 //! | range | threshold-union: concatenate, remap to global ids, sort by id |
 //! | k-NN | bounded k-way merge by `(distance, id)` — deterministic ties |
 //! | join | per-shard self-joins plus the same join kernels over pairs of shards, sorted `(a, b)` |
-//! | subseq range | union sorted by `(series, offset)` |
-//! | subseq k-NN | k-way merge by `(distance, series, offset)` |
 //!
 //! **Correctness bar.** Merged rows — values *and* order — are
 //! byte-identical to the unsharded engine for every query form. Merged
@@ -45,29 +43,33 @@
 //! `EXPLAIN [ANALYZE]` tree, [`ShardedOutcome::per_shard`] is empty and
 //! [`ShardedIndex::layout`] is `None`.
 //!
-//! **A relation owns its ST-index.** The [`ShardedIndex`] holds at most
-//! one set of ST-indexes — one [`SubseqIndex`] per shard — at one base
+//! **A relation owns one ST-index.** The [`ShardedIndex`] holds at most
+//! one [`SubseqIndex`] — FRM's one trail tree over the relation's windows,
+//! above the shards, over global series ids in id order — at one base
 //! window `w`: the window of the relation's first subsequence statement,
-//! or the one a restore brings back. A statement of length `L >= w` probes
-//! that set by PrefixSearch ([`SubseqIndex::subseq_range`]); a statement
-//! shorter than `w` replaces it with a set at `L`, so `w` only ever
+//! or the one a restore brings back. A subsequence statement is not
+//! scattered: it is planned and run once, and reports as on one shard,
+//! counters included. A statement of length `L >= w` probes
+//! it by PrefixSearch ([`SubseqIndex::subseq_range`]); a statement
+//! shorter than `w` replaces it with one at `L`, so `w` only ever
 //! shrinks and alternating lengths cannot rebuild back and forth. The held
-//! set is a cell that starts empty and is filled once, by the first
+//! index is a cell that starts empty and is filled once, by the first
 //! subsequence statement or `EXPLAIN` that needs it, with a build over the
-//! shards' series; racing first readers wait for that one build (a batch's
-//! statement on a pool worker builds a copy of its own instead of waiting
-//! on a build that may be waiting for the pool). *Who owns:* the
-//! `ShardedIndex`, so whatever replaces it (`register`, `SHARD`, a
-//! restore) drops the cell with it and nothing is ever invalidated; a
-//! clone shares the cell by `Arc`. *Who locks:* [`ShardedIndex::execute`]
-//! stays `&self` — a statement the held cell serves takes the read lock;
-//! a new cell is held under the write lock, after the bind (a rejected
-//! statement holds and builds nothing); the build runs outside the lock;
-//! [`ShardedIndex::plan_shards`] holds nothing; appends hold `&mut self`
-//! and extend a filled cell clone-on-write, so a reader keeps its
-//! pre-append snapshot, and give an empty cell shared with a clone a fresh
-//! one, so each builds over its own series. The lock recovers from
-//! poisoning: it guards an `Arc`, and no user code runs under it.
+//! relation's series; racing first readers wait for that one build (a
+//! batch's statement on a pool worker builds a copy of its own instead of
+//! waiting on a build that may be waiting for the pool). *Who owns:* the
+//! `ShardedIndex`, so whatever replaces it (`register`, a restore) drops
+//! the cell with it and nothing is ever invalidated; `SHARD` keeps it, as
+//! resharding keeps every global id; a clone shares the cell by `Arc`.
+//! *Who locks:* [`ShardedIndex::execute`] stays `&self` — a statement the
+//! held cell serves takes the read lock; a new cell is held under the
+//! write lock, after the bind (a rejected statement holds and builds
+//! nothing); the build runs outside the lock; [`ShardedIndex::plan_shards`]
+//! holds nothing; appends hold `&mut self` and extend a filled cell
+//! clone-on-write, so a reader keeps its pre-append snapshot, and give an
+//! empty cell shared with a clone a fresh one, so each builds over its own
+//! series. The lock recovers from poisoning: it guards an `Arc`, and no
+//! user code runs under it.
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, TryLockError};
 
@@ -77,13 +79,13 @@ use crate::error::{Error, Result};
 use crate::executor::{default_threads, parallel_map};
 use crate::index::{IndexConfig, Match, SimilarityIndex, StoredSeries};
 use crate::plan::{
-    execute_bound, render_analyze, render_plan, run_join, Bound, ExecStats, ForceOp, LogicalPlan,
-    PhysicalOp, PlanChoice, PlanRows, Planner,
+    execute_bound, execute_subseq, plan_subseq, render_analyze, render_plan, render_plan_over,
+    run_join, Bound, ExecStats, ForceOp, LogicalPlan, PhysicalOp, PlanChoice, PlanRows, Planner,
 };
 use crate::queries::{JoinBound, JoinPair};
 use crate::relation::SeriesRelation;
 use crate::scan::ScanMode;
-use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
+use crate::subseq::{SubseqConfig, SubseqIndex};
 
 /// How series labels are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -285,7 +287,8 @@ impl ShardMap {
 }
 
 /// One relation partitioned into per-shard [`SimilarityIndex`]es, each
-/// holding its own tree and planner statistics.
+/// holding its own tree and planner statistics, and the relation's one
+/// ST-index above them.
 #[derive(Debug, Clone)]
 pub struct ShardedIndex {
     map: ShardMap,
@@ -293,12 +296,12 @@ pub struct ShardedIndex {
     subseq: SubseqSlot,
 }
 
-/// The relation's ST-indexes at its base window — one per shard, shard
-/// order, over shard-local series ids — empty until a reader builds them.
+/// The relation's ST-index at its base window, over global series ids —
+/// empty until a reader builds it.
 #[derive(Debug)]
 struct WindowCell {
     window: usize,
-    built: OnceLock<Vec<Arc<SubseqIndex>>>,
+    built: OnceLock<Arc<SubseqIndex>>,
     /// Held by the one reader building `built`.
     building: Mutex<()>,
 }
@@ -360,15 +363,15 @@ impl SubseqSlot {
         }
     }
 
-    /// The built ST-index of one shard, for an append to maintain in
-    /// place. `Arc::make_mut` is clone-on-write: a query still traversing
-    /// the pre-append index keeps its consistent snapshot. An empty cell
-    /// shared with a clone is replaced by an empty one of its own, so
-    /// neither side ever builds over the other's series.
-    fn of_shard(&mut self, shard: usize) -> Option<&mut SubseqIndex> {
+    /// The built ST-index, for an append to maintain in place.
+    /// `Arc::make_mut` is clone-on-write: a query still traversing the
+    /// pre-append index keeps its consistent snapshot. An empty cell shared
+    /// with a clone is replaced by an empty one of its own, so neither side
+    /// ever builds over the other's series.
+    fn built_mut(&mut self) -> Option<&mut SubseqIndex> {
         let held = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
-        let parts = Arc::make_mut(held.as_mut()?).built.get_mut()?;
-        Some(Arc::make_mut(&mut parts[shard]))
+        let built = Arc::make_mut(held.as_mut()?).built.get_mut()?;
+        Some(Arc::make_mut(built))
     }
 }
 
@@ -377,14 +380,17 @@ impl SubseqSlot {
 pub struct ShardedOutcome {
     /// Global answer rows, byte-identical to the unsharded engine.
     pub rows: PlanRows,
-    /// Exact sum of the per-shard counters.
+    /// Exact sum of the per-shard counters; a subsequence statement's own.
     pub merged: ExecStats,
     /// Per-shard counters (zeros for shards skipped as empty). Empty for
-    /// a one-shard relation: its breakdown would only repeat `merged`.
+    /// a one-shard relation and for a subsequence statement, which ran
+    /// once: a breakdown would only repeat `merged`.
     pub per_shard: Vec<ExecStats>,
-    /// Pre-merge row count each shard contributed.
+    /// Pre-merge row count each shard contributed (none for a
+    /// subsequence statement).
     pub per_shard_rows: Vec<usize>,
-    /// Per-shard plan choices (`None` for shards skipped as empty).
+    /// Per-shard plan choices (`None` for shards skipped as empty); the
+    /// one plan of a subsequence statement.
     pub plans: Vec<Option<PlanChoice>>,
 }
 
@@ -415,8 +421,8 @@ impl ShardedIndex {
     /// features — moves into its new part, and each part packs its tree.
     /// Features depend on the series alone, so every part is bit for bit
     /// the one [`ShardedIndex::build`] would extract, without one FFT. The
-    /// relation keeps its own configuration; its ST-indexes go, as they do
-    /// after a build.
+    /// relation keeps its own configuration, and its ST-index: global ids
+    /// do not change, so neither does the index over them.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when `labels` does not name every series
@@ -450,7 +456,6 @@ impl ShardedIndex {
             .map(|store| SimilarityIndex::from_records(config, store))
             .collect();
         self.map = map;
-        self.subseq = SubseqSlot::default();
         Ok(())
     }
 
@@ -497,18 +502,18 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// The base window this relation holds ST-indexes at, if any, with its
-    /// per-shard ST-indexes in shard order once built.
-    pub fn subseq_held(&self) -> Option<(usize, Option<Vec<Arc<SubseqIndex>>>)> {
+    /// The base window this relation holds its ST-index at, if any, with
+    /// the ST-index once built.
+    pub fn subseq_held(&self) -> Option<(usize, Option<Arc<SubseqIndex>>)> {
         let cell = self.subseq.get()?;
         Some((cell.window, cell.built.get().cloned()))
     }
 
-    /// The per-shard ST-indexes a statement of length `window` probes: the
-    /// held ones when their window is at most `window`, else a fresh set
-    /// at `window`, held in their place; either is built by the first
-    /// reader of its cell (see the module docs for the locking).
-    fn subseq_indexes(&self, window: usize) -> Result<Vec<Arc<SubseqIndex>>> {
+    /// The ST-index a statement of length `window` probes: the held one
+    /// when its window is at most `window`, else a fresh one at `window`,
+    /// held in its place; either is built by the first reader of its cell
+    /// (see the module docs for the locking).
+    fn subseq_index(&self, window: usize) -> Result<Arc<SubseqIndex>> {
         let cell = match self.subseq.serving(window) {
             Some(cell) => cell,
             None => {
@@ -519,35 +524,29 @@ impl ShardedIndex {
         self.fill(&cell)
     }
 
-    /// A held cell's indexes, built now if nobody has yet: by one
-    /// reader, fanned out over the worker pool, while later first readers
-    /// wait for it. A reader that is itself pool work (a batch's
-    /// statement) never waits on another's build, which may be waiting for
-    /// its worker: it builds a copy of its own (nested fan-outs run inline,
-    /// so that build waits on nothing) and leaves the cell to the builder.
+    /// A held cell's index, built now if nobody has yet: by one reader,
+    /// fanned out over the worker pool, while later first readers wait for
+    /// it. A reader that is itself pool work (a batch's statement) never
+    /// waits on another's build, which may be waiting for its worker: it
+    /// builds a copy of its own (nested fan-outs run inline, so that build
+    /// waits on nothing) and leaves the cell to the builder.
     ///
     /// # Errors
     /// What [`SimilarityIndex::series`] reports for a paged shard whose
     /// record file cannot be read; nothing is built then.
-    fn fill(&self, cell: &WindowCell) -> Result<Vec<Arc<SubseqIndex>>> {
+    fn fill(&self, cell: &WindowCell) -> Result<Arc<SubseqIndex>> {
         if let Some(built) = cell.built.get() {
-            return Ok(built.clone());
+            return Ok(Arc::clone(built));
         }
-        // What each shard's ST-index slides over: the shard's own buffers
-        // in memory, copies read from its record file when paged, which
-        // the ST-index then keeps.
-        let mut sources = Vec::with_capacity(self.parts.len());
-        for part in &self.parts {
-            sources.push(part.all_series()?);
-        }
-        let window = cell.window;
+        // What the ST-index slides over, in global-id order: the shards'
+        // own buffers in memory, copies read from their record files when
+        // paged, which the ST-index then keeps.
+        let series = (0..self.len()).map(|global| self.series(global));
+        let series = series.collect::<Result<Vec<_>>>()?;
+        let config = SubseqConfig::new(cell.window);
         let build = move || {
-            let shards = sources.into_iter().map(|series| {
-                let config = SubseqConfig::new(window);
-                let built = SubseqIndex::build_parallel(config, series, default_threads());
-                Arc::new(built.expect("a held window is a valid window"))
-            });
-            shards.collect()
+            let built = SubseqIndex::build_parallel(config, series, default_threads());
+            Arc::new(built.expect("a held window is a valid window"))
         };
         let _building = match cell.building.try_lock() {
             Ok(guard) => guard,
@@ -558,7 +557,7 @@ impl ShardedIndex {
                 guard.unwrap_or_else(PoisonError::into_inner)
             }
         };
-        Ok(cell.built.get_or_init(build).clone())
+        Ok(Arc::clone(cell.built.get_or_init(build)))
     }
 
     /// The assignment map.
@@ -603,11 +602,12 @@ impl ShardedIndex {
         self.parts[0].config()
     }
 
-    /// Series length of the relation — the first non-empty shard's
-    /// (shards of a uniform relation agree; use
+    /// Series length of the relation — its longest series', as for one
+    /// [`SimilarityIndex`] (shards of a uniform relation agree; use
     /// [`ShardedIndex::check_uniform`] to gate whole-series forms).
     pub fn series_len(&self) -> usize {
-        self.representative().series_len()
+        let lens = self.parts.iter().map(SimilarityIndex::series_len);
+        lens.max().unwrap_or(0)
     }
 
     /// The shard a statement is bound against: shards share one
@@ -678,32 +678,34 @@ impl ShardedIndex {
 
     /// Routes a statement's extended series (global id, the relation's
     /// extended value) to their owning shards, whose trees and statistics
-    /// are dropped for the next whole-match reader to pack; the built
-    /// ST-index of an owning shard then takes the same values (a held
-    /// window not built yet is built over them by its first reader)
-    /// ([`SubseqIndex::extend_series`] resumes the sliding-DFT recurrence
-    /// at `O(k)` per appended point), so every holder of a series shares
-    /// the relation's buffer. Callers (the catalog) validate the batch up
-    /// front; per-shard application reuses the index's atomic batch
-    /// append.
+    /// are dropped for the next whole-match reader to pack; the relation's
+    /// built ST-index then takes the same values by global id, in
+    /// statement order (a held window not built yet is built over them by
+    /// its first reader) ([`SubseqIndex::extend_series`] resumes the
+    /// sliding-DFT recurrence at `O(k)` per appended point), so every
+    /// holder of a series shares the relation's buffer. Callers (the
+    /// catalog) validate the batch up front; per-shard application reuses
+    /// the index's atomic batch append.
     ///
     /// # Errors
     /// The same failures [`SimilarityIndex::extend_series_batch`] reports.
     pub fn extend_series_batch(&mut self, edits: Vec<(usize, TimeSeries)>) -> Result<()> {
         let mut per_shard: Vec<Vec<(usize, TimeSeries)>> = vec![Vec::new(); self.parts.len()];
-        for (global, series) in edits {
-            let (shard, local) = self.map.owner(global).ok_or(Error::UnknownSeries(global))?;
-            per_shard[shard].push((local, series));
+        for (global, series) in &edits {
+            let (shard, local) = self
+                .map
+                .owner(*global)
+                .ok_or(Error::UnknownSeries(*global))?;
+            per_shard[shard].push((local, series.clone()));
         }
         for (shard, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
+            if !batch.is_empty() {
+                self.parts[shard].extend_series_batch(&batch)?;
             }
-            self.parts[shard].extend_series_batch(&batch)?;
-            if let Some(st) = self.subseq.of_shard(shard) {
-                for (local, series) in &batch {
-                    st.extend_series(*local, series.clone())?;
-                }
+        }
+        if let Some(st) = self.subseq.built_mut() {
+            for (global, series) in edits {
+                st.extend_series(global, series)?;
             }
         }
         Ok(())
@@ -712,43 +714,39 @@ impl ShardedIndex {
     /// Registers and stores a statement's brand-new labeled series: each
     /// owning shard receives its share as one batch — its next reader
     /// packs it as a build over the final data would — and the series
-    /// take the next global ids in the order given. Callers (the catalog)
-    /// validate the batch up front, as for
-    /// [`ShardedIndex::extend_series_batch`].
+    /// take the next global ids in the order given, in the shard map and
+    /// in the relation's built ST-index. Callers (the catalog) validate the
+    /// batch up front, as for [`ShardedIndex::extend_series_batch`].
     ///
     /// # Errors
     /// The same failures [`SimilarityIndex::push_series_batch`] reports.
     pub fn push_series_batch(&mut self, series: Vec<(&str, TimeSeries)>) -> Result<()> {
         let mut per_shard: Vec<Vec<TimeSeries>> = vec![Vec::new(); self.parts.len()];
-        let mut labels = Vec::with_capacity(series.len());
-        for (label, series) in series {
-            per_shard[self.map.spec().assign(label)].push(series);
-            labels.push(label);
+        for (label, series) in &series {
+            per_shard[self.map.spec().assign(label)].push(series.clone());
         }
         for (shard, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let first = self.parts[shard].len();
-            self.parts[shard].push_series_batch(batch)?;
-            if let Some(st) = self.subseq.of_shard(shard) {
-                for pushed in &self.parts[shard].entries()[first..] {
-                    st.insert(pushed.series.clone());
-                }
+            if !batch.is_empty() {
+                self.parts[shard].push_series_batch(batch)?;
             }
         }
-        // The map learns the labels only once every shard has accepted
-        // its share.
-        for label in labels {
+        // The map and the ST-index learn the series only once every shard
+        // has accepted its share.
+        let mut st = self.subseq.built_mut();
+        for (label, series) in series {
             self.map.push_label(label);
+            if let Some(st) = st.as_deref_mut() {
+                st.insert(series);
+            }
         }
         Ok(())
     }
 
-    /// Plans every shard without executing the statement (the `EXPLAIN`
-    /// path); a held window no longer than the statement, not built yet,
-    /// is built first. Empty shards of a non-empty relation are skipped
-    /// (`None`).
+    /// Plans the statement without executing it (the `EXPLAIN` path):
+    /// every shard for a whole-match form or a join, with empty shards of a
+    /// non-empty relation skipped (`None`); the relation once for a
+    /// subsequence statement, whose held window, if no longer than the
+    /// statement and not built yet, is built first.
     ///
     /// # Errors
     /// The same validation failures execution would report.
@@ -758,25 +756,28 @@ impl ShardedIndex {
         forced: Option<ForceOp>,
     ) -> Result<Vec<Option<PlanChoice>>> {
         let bound = self.bind(logical, forced)?;
-        // A held window that can answer the statement is built if it is
-        // not yet (as its first statement would, so the plan reads as the
-        // saved catalog's did); otherwise the probe is planned cold, and
-        // holds and builds nothing.
-        let held = |w| self.subseq.serving(w).map(|cell| self.fill(&cell));
-        let subseq = logical.subseq_window().and_then(held).transpose()?;
-        let plan = |s: usize| {
-            let st = subseq.as_ref().map(|list| &*list[s]);
-            Planner::of(&self.parts[s]).plan_bound(&bound, forced, st)
-        };
-        let active = self.active_shards(logical).into_iter();
+        if let Some(window) = logical.subseq_window() {
+            // A held window that can answer the statement is built if it is
+            // not yet (as its first statement would, so the plan reads as
+            // the saved catalog's did); otherwise the probe is planned cold,
+            // and holds and builds nothing.
+            let held = self.subseq.serving(window).map(|cell| self.fill(&cell));
+            let st = held.transpose()?;
+            let choice = plan_subseq(&bound, forced, st.as_deref(), self.len(), self.series_len());
+            return Ok(vec![Some(choice)]);
+        }
+        let plan = |s: usize| Planner::of(&self.parts[s]).plan_bound(&bound, forced, None);
+        let active = self.active_shards().into_iter();
         Ok(active.map(|slot| slot.map(plan)).collect())
     }
 
-    /// Scatter-gather execution: per-shard plans (the operator `forced`
-    /// names, else each shard's cheapest) run concurrently, up to
-    /// `scatter` at once, then the form's typed merge reassembles the
-    /// global answer. See the module docs for the exact merge rules and
-    /// the stats contract.
+    /// Executes a statement. A whole-match form or a join runs
+    /// scatter-gather: per-shard plans (the operator `forced` names, else
+    /// each shard's cheapest) run concurrently, up to `scatter` at once,
+    /// then the form's typed merge reassembles the global answer (see the
+    /// module docs for the exact merge rules and the stats contract). A
+    /// subsequence statement is planned and run once, against the
+    /// relation's ST-index, as on an unsharded relation.
     ///
     /// # Errors
     /// The same validation failures the unsharded engine reports (a
@@ -790,41 +791,43 @@ impl ShardedIndex {
     ) -> Result<ShardedOutcome> {
         // Bind first: a statement that fails validation builds nothing.
         let bound = self.bind(logical, forced)?;
-        let subseq = match logical.subseq_window() {
-            Some(w) => Some(self.subseq_indexes(w)?),
-            None => None,
-        };
+        if let Some(window) = logical.subseq_window() {
+            let st = self.subseq_index(window)?;
+            let choice = plan_subseq(&bound, forced, Some(&st), self.len(), self.series_len());
+            let (rows, merged) = execute_subseq(&bound, &choice.plan, Some(&st))?;
+            return Ok(ShardedOutcome {
+                rows,
+                merged,
+                per_shard: Vec::new(),
+                per_shard_rows: Vec::new(),
+                plans: vec![Some(choice)],
+            });
+        }
         // Scatter: every active shard plans and runs its own physical
         // plan for the one bound statement (one item runs inline; more
         // fan over the worker pool).
-        let ran = parallel_map(scatter.max(1), self.active_shards(logical), |slot| {
+        let ran = parallel_map(scatter.max(1), self.active_shards(), |slot| {
             slot.map(|s| {
-                let st = subseq.as_ref().map(|list| &*list[s]);
-                let choice = Planner::of(&self.parts[s]).plan_bound(&bound, forced, st);
-                let (rows, exec) = execute_bound(&bound, &choice.plan, &self.parts[s], st)?;
+                let choice = Planner::of(&self.parts[s]).plan_bound(&bound, forced, None);
+                let (rows, exec) = execute_bound(&bound, &choice.plan, &self.parts[s], None)?;
                 Ok((choice, rows, exec))
             })
         });
         let outcome = self.collect(ran)?;
         // Gather: the form's typed merge.
         match bound {
-            Bound::Range { .. } | Bound::Knn { .. } => self.merge_whole(logical, outcome),
             Bound::Join(join) => self.merge_join(outcome, join, forced),
-            Bound::SubseqRange { .. } | Bound::SubseqKnn { .. } => {
-                self.merge_subseq(logical, outcome)
-            }
+            _ => self.merge_whole(logical, outcome),
         }
     }
 
-    /// Shard worklist: `Some(s)` runs, `None` is skipped. Empty shards of
-    /// a non-empty relation are skipped for whole-series forms (their
-    /// zero series length would reject the query the unsharded engine
-    /// accepts); an entirely empty relation keeps shard 0 so validation
-    /// and empty-answer behavior match the unsharded engine exactly.
-    fn active_shards(&self, logical: &LogicalPlan) -> Vec<Option<usize>> {
-        if logical.subseq_window().is_some() {
-            return (0..self.parts.len()).map(Some).collect();
-        }
+    /// Shard worklist of a whole-match form or a join: `Some(s)` runs,
+    /// `None` is skipped. Empty shards of a non-empty relation are skipped
+    /// (their zero series length would reject the query the unsharded
+    /// engine accepts); an entirely empty relation keeps shard 0 so
+    /// validation and empty-answer behavior match the unsharded engine
+    /// exactly.
+    fn active_shards(&self) -> Vec<Option<usize>> {
         if self.is_empty() {
             let mut v = vec![None; self.parts.len()];
             v[0] = Some(0);
@@ -895,38 +898,6 @@ impl ShardedIndex {
             }
             _ => unreachable!("merge_whole handles range and knn only"),
         }
-    }
-
-    fn merge_subseq(
-        &self,
-        logical: &LogicalPlan,
-        mut outcome: PartialOutcome,
-    ) -> Result<ShardedOutcome> {
-        let mut all: Vec<SubseqMatch> = Vec::new();
-        for (s, rows) in outcome.shard_rows.drain(..).enumerate() {
-            if let Some(PlanRows::Windows(matches)) = rows {
-                all.extend(matches.into_iter().map(|m| SubseqMatch {
-                    series: self.map.to_global(s, m.series),
-                    offset: m.offset,
-                    distance: m.distance,
-                }));
-            }
-        }
-        match logical {
-            LogicalPlan::SubseqRange { .. } => {
-                all.sort_by_key(|m| (m.series, m.offset));
-            }
-            LogicalPlan::SubseqKnn { k, .. } => {
-                all.sort_by(|a, b| {
-                    a.distance
-                        .total_cmp(&b.distance)
-                        .then((a.series, a.offset).cmp(&(b.series, b.offset)))
-                });
-                all.truncate(*k);
-            }
-            _ => unreachable!("merge_subseq handles subsequence forms only"),
-        }
-        outcome.finish(PlanRows::Windows(all))
     }
 
     /// Local pairs plus the cross-shard stage, which runs a join operator
@@ -1073,15 +1044,29 @@ pub fn sharded_plan_name(plans: &[Option<PlanChoice>]) -> String {
 
 /// Renders a sharded `EXPLAIN` tree: the logical header, the sharding
 /// layout, then each shard's relation line, chosen operator, and
-/// considered alternatives (skipped empty shards are marked). A one-shard
-/// relation renders as the plain [`render_plan`] tree.
+/// considered alternatives (skipped empty shards are marked). One plan — a
+/// one-shard relation's, or a subsequence statement's — renders as the
+/// plain [`render_plan`] tree, whose relation line over several shards
+/// counts the whole relation and all of its whole-match trees.
 pub fn render_sharded_plan(
     logical: &LogicalPlan,
     sharded: &ShardedIndex,
     plans: &[Option<PlanChoice>],
 ) -> String {
     if let [Some(only)] = plans {
-        return render_plan(logical, only, sharded.parts[0].stats());
+        let [part] = &sharded.parts[..] else {
+            let trees = sharded.parts.iter().map(SimilarityIndex::stats);
+            let nodes: u64 = trees.map(|stats| stats.profile.nodes_total()).sum();
+            let relation = format!(
+                "{} series x {} points; index: {} {}-d R*-trees, {nodes} node(s)",
+                sharded.len(),
+                sharded.series_len(),
+                sharded.parts.len(),
+                sharded.config().schema.dims(),
+            );
+            return render_plan_over(logical, only, &relation);
+        };
+        return render_plan(logical, only, part.stats());
     }
     let mut out = String::new();
     let mut header_done = false;
@@ -1554,17 +1539,13 @@ mod tests {
 
     /// `(window, built)` of the held window.
     fn held(sharded: &ShardedIndex) -> Option<(usize, bool)> {
-        let (window, parts) = sharded.subseq_held()?;
-        Some((window, parts.is_some()))
+        let (window, built) = sharded.subseq_held()?;
+        Some((window, built.is_some()))
     }
 
-    /// The held window's built indexes.
-    fn built(sharded: &ShardedIndex) -> Vec<Arc<SubseqIndex>> {
+    /// The held window's built index.
+    fn built(sharded: &ShardedIndex) -> Arc<SubseqIndex> {
         sharded.subseq_held().unwrap().1.expect("built")
-    }
-
-    fn same(a: &[Arc<SubseqIndex>], b: &[Arc<SubseqIndex>]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
     }
 
     #[test]
@@ -1605,17 +1586,17 @@ mod tests {
                 PhysicalOp::SubseqIndexProbe { base: Some(9), .. }
             ));
             sharded.execute(&subseq_logical(w), None, 2).unwrap();
-            assert!(same(&built(&sharded), &first), "window {w}");
+            assert!(Arc::ptr_eq(&built(&sharded), &first), "window {w}");
         }
-        // A shorter statement replaces the set with one at its window; a
+        // A shorter statement replaces the index with one at its window; a
         // reader's reference outlives the replacement.
         sharded.execute(&subseq_logical(8), None, 2).unwrap();
         assert_eq!(held(&sharded), Some((8, true)));
-        assert_eq!(first.len(), 3);
-        assert!(first.iter().all(|st| st.config().window == 9));
-        // A clone shares the indexes, not the slot.
+        assert_eq!(first.config().window, 9);
+        assert_eq!(first.len(), 12, "one index over the relation's series");
+        // A clone shares the index, not the slot.
         let copy = sharded.clone();
-        assert!(same(&built(&copy), &built(&sharded)));
+        assert!(Arc::ptr_eq(&built(&copy), &built(&sharded)));
         copy.execute(&subseq_logical(6), None, 2).unwrap();
         assert_eq!(held(&copy), Some((6, true)));
         assert_eq!(held(&sharded), Some((8, true)));
@@ -1683,33 +1664,30 @@ mod tests {
         sharded.hold_window(16).unwrap();
         let readers = std::sync::Barrier::new(8);
         // Readers at the held window and past it.
-        let got: Vec<Vec<Arc<SubseqIndex>>> = std::thread::scope(|scope| {
+        let got: Vec<Arc<SubseqIndex>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|i| {
                     let (readers, sharded) = (&readers, &sharded);
                     scope.spawn(move || {
                         readers.wait();
-                        sharded.subseq_indexes(16 + 8 * (i % 2)).unwrap()
+                        sharded.subseq_index(16 + 8 * (i % 2)).unwrap()
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        for parts in &got {
-            assert!(same(parts, &got[0]));
+        for st in &got {
+            assert!(Arc::ptr_eq(st, &got[0]));
         }
     }
 
     #[test]
     fn a_clone_never_builds_over_the_other_sides_series() {
         let rel = relation(12, 32, 35);
-        // The series lengths a side's built window-8 indexes hold.
+        // The series lengths a side's built window-8 index holds.
         let lens = |sharded: &ShardedIndex| -> Vec<usize> {
-            let parts = built(sharded);
-            let shards = parts.iter();
-            shards
-                .flat_map(|st| (0..st.len()).map(|i| st.series(i).unwrap().len()))
-                .collect()
+            let st = built(sharded);
+            (0..st.len()).map(|i| st.series(i).unwrap().len()).collect()
         };
         // Either side appended, either side built first: the empty cell
         // they shared at the clone is built over each side's own series.

@@ -3,7 +3,10 @@
 //! kNN statement allocates less often than it visits tree nodes. Its
 //! best-first queue is reserved once, from the tree's shape: a statement
 //! grows it at most once. The subsequence kNN scan keeps its `k` best in a
-//! bounded heap: its largest block does not grow with the relation.
+//! bounded heap: its largest block does not grow with the relation. A warm
+//! subsequence statement on a sharded relation allocates what it does on
+//! one shard: it probes the relation's one ST-index, with no per-shard
+//! rows to merge.
 //!
 //! A binary of its own, because it installs a counting global allocator.
 //! The allocator counts per thread, so tests running in parallel do not
@@ -15,8 +18,8 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use tsq_core::{
-    FeatureSchema, Features, IndexConfig, LinearTransform, SimilarityIndex, SpaceKind,
-    SubseqConfig, SubseqIndex,
+    FeatureSchema, Features, IndexConfig, LinearTransform, LogicalPlan, SeriesRelation, ShardSpec,
+    ShardedIndex, SimilarityIndex, SpaceKind, SubseqConfig, SubseqIndex,
 };
 use tsq_dft::FftPlanner;
 use tsq_rtree::Rect;
@@ -218,4 +221,48 @@ fn the_subsequence_knn_scan_keeps_k_windows_not_all_of_them() {
         }
     }
     assert_eq!(largest[..2], largest[2..], "largest block per (count, len)");
+}
+
+#[test]
+fn a_warm_subsequence_statement_allocates_alike_at_one_and_four_shards() {
+    const WINDOW: usize = 32;
+    let walks = RandomWalkGenerator::new(11).relation(40, 96);
+    let relation = SeriesRelation::from_series("r", walks).unwrap();
+    let query = TimeSeries::new(relation.get(3).unwrap().values()[10..10 + WINDOW].to_vec());
+    let statements = [
+        LogicalPlan::SubseqRange {
+            relation: "r".into(),
+            query: query.clone(),
+            eps: 4.0,
+            window: WINDOW,
+        },
+        LogicalPlan::SubseqKnn {
+            relation: "r".into(),
+            query,
+            k: 5,
+            window: WINDOW,
+        },
+    ];
+    let mut counted = Vec::new();
+    for shards in [1, 4] {
+        let spec = ShardSpec::hash(shards).unwrap();
+        let sharded = ShardedIndex::build(IndexConfig::default(), &relation, spec).unwrap();
+        for logical in &statements {
+            // The first statement builds the ST-index; the second is warm.
+            sharded.execute(logical, None, 1).unwrap();
+            let (outcome, counts) =
+                allocations_during(|| sharded.execute(logical, None, 1).unwrap());
+            assert!(!outcome.rows.is_empty());
+            eprintln!(
+                "warm {} at {shards} shard(s): {counts:?}",
+                outcome.plans[0].as_ref().unwrap().plan.op.name()
+            );
+            counted.push(counts);
+        }
+    }
+    assert_eq!(
+        counted[..2],
+        counted[2..],
+        "(range, kNN) at 1 and at 4 shards"
+    );
 }

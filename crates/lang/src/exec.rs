@@ -57,8 +57,8 @@ use crate::error::LangError;
 
 /// One registered relation: its labels and, in memory, its series (name
 /// resolution, answer labelling), and its index — n >= 1 shards, each
-/// with its whole-match R\*-tree and planner statistics, and the
-/// ST-indexes built so far.
+/// with its whole-match R\*-tree and planner statistics, and the one
+/// ST-index it holds, if any.
 #[derive(Debug)]
 pub(crate) struct Relation {
     pub(crate) labelled: Labelled,
@@ -290,10 +290,12 @@ impl Catalog {
     /// current label population) and rebuilds one index per shard from the
     /// records the relation holds — their features move with them, under
     /// the relation's own configuration ([`ShardedIndex::reshard`]).
-    /// Queries then execute scatter-gather with answers byte-identical
-    /// to a one-shard relation's; `INTO 1` is that one shard again, and
-    /// reports like it. The relation's ST-indexes go with the index they
-    /// were built over (their partitioning shape changed).
+    /// Whole-match queries and joins then execute scatter-gather with
+    /// answers byte-identical to a one-shard relation's; `INTO 1` is that
+    /// one shard again, and reports like it. The relation's ST-index and
+    /// its window survive: resharding keeps every global id, so the index
+    /// over them stays valid (and built, if it was), and a save writes the
+    /// window as before.
     ///
     /// Returns one row per shard: `a` is `shard<i>`, `distance` the
     /// number of series it holds.
@@ -467,7 +469,7 @@ impl Catalog {
         }
         // Each extended and each new series routes to its owning shard —
         // one batch per touched shard — which drops its tree and planner
-        // statistics and extends its ST-indexes itself.
+        // statistics; the relation's built ST-index takes them by global id.
         if !edits.is_empty() {
             index.extend_series_batch(edits).expect("validated upfront");
         }
@@ -687,9 +689,10 @@ impl Catalog {
     }
 }
 
-/// How many shards to probe concurrently: the smaller of the clamped
-/// thread override and the `shards` override, never exceeding the shard
-/// count and never zero.
+/// How many shards of a whole-match statement or join to probe
+/// concurrently (a subsequence statement is not scattered): the smaller of
+/// the clamped thread override and the `shards` override, never exceeding
+/// the shard count and never zero.
 fn scatter_width(shards: usize, options: &QueryOptions) -> usize {
     executor::clamp_threads(options.threads.unwrap_or(0))
         .min(options.shards.unwrap_or(usize::MAX).max(1))
@@ -963,7 +966,8 @@ pub struct QueryOutput {
     /// [`Self::shard_stats`].
     pub stats: ExecStats,
     /// Per-shard execution counters of a scatter-gather run, in shard
-    /// order — empty for one-shard relations and for mutations.
+    /// order — empty for one-shard relations, for subsequence statements
+    /// (which probe the relation's one ST-index) and for mutations.
     pub shard_stats: Vec<ExecStats>,
     /// Name of the physical operator that ran (e.g. `IndexRange`, or
     /// `Sharded(4):IndexRange` for a scatter-gather run).
@@ -1255,8 +1259,8 @@ mod tests {
         )
     }
 
-    /// The per-shard ST-indexes `rel` holds, built.
-    fn st_indexes(cat: &Catalog, rel: &str) -> Vec<Arc<tsq_core::SubseqIndex>> {
+    /// The ST-index `rel` holds, built.
+    fn st_index_of(cat: &Catalog, rel: &str) -> Arc<tsq_core::SubseqIndex> {
         let (_, built) = cat.relations[rel].index.subseq_held().expect("held");
         built.expect("built")
     }
@@ -1267,26 +1271,26 @@ mod tests {
         let long = RandomWalkGenerator::new(52).relation(12, 160);
         cat.register(SeriesRelation::from_series("long", long).unwrap())
             .unwrap();
-        let same = |a: &[Arc<tsq_core::SubseqIndex>], b: &[Arc<tsq_core::SubseqIndex>]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| Arc::ptr_eq(a, b))
-        };
         // Window 64 builds; 96 and 128 probe that one build by prefix.
         cat.run(&window_probe("long", 64)).unwrap();
-        let first = st_indexes(&cat, "long");
+        let first = st_index_of(&cat, "long");
         for w in [96, 128] {
             cat.run(&window_probe("long", w)).unwrap();
             assert_eq!(cat.subseq_window("long"), Some(64), "window {w}");
-            assert!(same(&st_indexes(&cat, "long"), &first), "window {w}");
+            assert!(
+                Arc::ptr_eq(&st_index_of(&cat, "long"), &first),
+                "window {w}"
+            );
         }
         // Window 32 is the second build, and the last: 64 is now served by
         // prefix too.
         cat.run(&window_probe("long", 32)).unwrap();
-        let second = st_indexes(&cat, "long");
-        assert!(!same(&second, &first));
-        assert!(second.iter().all(|st| st.config().window == 32));
+        let second = st_index_of(&cat, "long");
+        assert!(!Arc::ptr_eq(&second, &first));
+        assert_eq!(second.config().window, 32);
         assert_eq!(cat.subseq_window("long"), Some(32));
         cat.run(&window_probe("long", 64)).unwrap();
-        assert!(same(&st_indexes(&cat, "long"), &second));
+        assert!(Arc::ptr_eq(&st_index_of(&cat, "long"), &second));
         assert_eq!(cat.subseq_window("long"), Some(32));
     }
 
@@ -1821,10 +1825,10 @@ mod tests {
 
     #[test]
     fn append_updates_cached_st_index_in_place() {
-        /// The window-8 ST-index of the one shard of `walks`.
+        /// The window-8 ST-index of `walks`.
         fn st_index(cat: &Catalog) -> Arc<tsq_core::SubseqIndex> {
             assert_eq!(cat.subseq_window("walks"), Some(8));
-            Arc::clone(&st_indexes(cat, "walks")[0])
+            st_index_of(cat, "walks")
         }
         let mut cat = catalog();
         cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 10 WINDOW 8")
@@ -1963,6 +1967,11 @@ mod tests {
                     let want = baseline.run(q).unwrap();
                     let got = cat.run(q).unwrap();
                     assert_eq!(got.rows, want.rows, "{by}/{count}: {q}");
+                    if q.contains("SUBSEQUENCE") {
+                        // Not scattered: the relation's one ST-index answers.
+                        assert_eq!(got, want, "{by}/{count}: {q}");
+                        continue;
+                    }
                     // Merged counters are the exact sum of the per-shard
                     // breakdown.
                     assert_eq!(got.shard_stats.len(), count, "{q}");
@@ -2043,6 +2052,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn shard_keeps_the_st_index_and_its_window() {
+        const PROBE: &str =
+            "FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 6 WINDOW 8";
+        let mut cat = catalog();
+        let want = cat.run(PROBE).unwrap();
+        let built = st_index_of(&cat, "walks");
+        let dir = std::env::temp_dir().join(format!("tsq-shard-keeps-st-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cat.tsq");
+        for (count, by) in [(3, "HASH"), (4, "RANGE"), (1, "HASH")] {
+            let at = format!("SHARD INTO {count} BY {by}");
+            cat.run_mut(&format!("SHARD walks INTO {count} BY {by}"))
+                .unwrap();
+            // Global ids survive a reshard, so the built index does too.
+            assert_eq!(cat.subseq_window("walks"), Some(8), "{at}");
+            assert!(Arc::ptr_eq(&st_index_of(&cat, "walks"), &built), "{at}");
+            let explain = cat.run(&format!("EXPLAIN {PROBE}")).unwrap();
+            let text = explain.explain.unwrap();
+            assert!(!text.contains("[cold"), "{at}: {text}");
+            assert_eq!(cat.run(PROBE).unwrap(), want, "{at}");
+            // A save writes the window; an open holds it again.
+            cat.save(&path).unwrap();
+            let mut opened = Catalog::new();
+            opened.open(&path).unwrap();
+            assert_eq!(opened.subseq_window("walks"), Some(8), "{at}");
+            assert_eq!(opened.shard_layout("walks"), cat.shard_layout("walks"));
+            assert_eq!(opened.run(PROBE).unwrap(), want, "{at}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2213,8 +2254,8 @@ mod tests {
     fn sharded_snapshot_round_trips_byte_identically() {
         let mut cat = catalog();
         cat.run_mut("SHARD walks INTO 3 BY RANGE").unwrap();
-        // Populate a per-shard ST cache entry; it travels with the
-        // snapshot like a one-shard relation's.
+        // Hold a window; it travels with the snapshot like a one-shard
+        // relation's.
         cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 6 WINDOW 8")
             .unwrap();
         let bytes = cat.snapshot_bytes().unwrap();
@@ -2365,13 +2406,11 @@ mod tests {
             else {
                 continue;
             };
-            let built = index.subseq_held().and_then(|(_, parts)| parts);
+            let built = index.subseq_held().and_then(|(_, built)| built);
             for id in 0..labels.len() {
                 let held = labels.get(id).unwrap();
                 let (shard, local) = index.map().owner(id).unwrap();
-                let in_windows = built
-                    .iter()
-                    .map(|parts| parts[shard].series(local).unwrap());
+                let in_windows = built.iter().map(|st| st.series(id).unwrap());
                 let stored = &index.parts()[shard].entries()[local].series;
                 for (holder, other) in std::iter::once(stored).chain(in_windows).enumerate() {
                     let at = format!(
@@ -2405,7 +2444,7 @@ mod tests {
         let mut cat = catalog();
         assert_one_buffer_per_series(&cat, "register");
         probe(&cat, "window built");
-        // A rebuilt index drops its ST-index; probe again after each.
+        // SHARD moves the records and keeps the ST-index over them.
         cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
         assert_one_buffer_per_series(&cat, "4 range shards");
         probe(&cat, "4 range shards, window built");

@@ -30,7 +30,8 @@
 //! actual counters.
 //! The `WITH (...)` clause is the unified override surface
 //! ([`QueryOptions`]): `force` pins the access path, `threads` sizes the
-//! worker pool, `shards` caps the scatter width on sharded relations.
+//! worker pool, `shards` caps the scatter width of whole-match statements
+//! and joins on sharded relations.
 //! `force` names one of Table 1's methods — `scan` (early abandoning),
 //! `scanfull` (full distances, joins only) or `index` — and nothing else
 //! is an alias for one of them.

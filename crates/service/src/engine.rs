@@ -49,7 +49,9 @@ pub struct QueryReply {
     /// [`QueryReply::shard_stats`].
     pub stats: ExecStats,
     /// Per-shard execution counters of a scatter-gather run, in shard
-    /// order — empty for one-shard relations and mutations.
+    /// order — empty for one-shard relations, for subsequence statements
+    /// (never scattered: the relation's one ST-index answers them) and for
+    /// mutations.
     pub shard_stats: Vec<ExecStats>,
 }
 

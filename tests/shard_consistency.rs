@@ -56,13 +56,23 @@ fn oracle_queries() -> Vec<String> {
 
 /// Asserts the sharded answer equals the unsharded oracle answer:
 /// byte-identical rows (order included), and merged counters that are
-/// the exact sum of the per-shard counters.
+/// the exact sum of the per-shard counters. A subsequence statement is not
+/// scattered — it probes the relation's one ST-index — so its whole output
+/// is the oracle's: rows, counters, empty per-shard breakdown, plan name.
 fn assert_sharded_matches(sharded: &QueryOutput, oracle: &QueryOutput, q: &str) {
     assert_eq!(sharded.rows, oracle.rows, "{q}");
     assert!(
         oracle.shard_stats.is_empty(),
         "{q}: oracle must be unsharded"
     );
+    if oracle.plan == "SubseqIndexProbe" {
+        assert_eq!(sharded, oracle, "{q}");
+        let bits = |out: &QueryOutput| -> Vec<u64> {
+            out.rows.iter().map(|r| r.distance.to_bits()).collect()
+        };
+        assert_eq!(bits(sharded), bits(oracle), "{q}");
+        return;
+    }
     assert_eq!(
         sharded.stats,
         ExecStats::sum(&sharded.shard_stats),
@@ -505,4 +515,115 @@ fn sharded_answers_match_the_oracle_through_a_live_server() {
     assert_eq!(snap.queries_err, 0, "no query may fail");
     assert!(snap.sharded_queries >= queries.len() as u64);
     assert!(snap.shards_probed >= 3 * queries.len() as u64);
+}
+
+/// Subsequence statements are not scattered: on a relation sharded 2, 3
+/// and 4 ways, by hash and by range, every subsequence statement — range
+/// and kNN, at the held window and past it (PrefixSearch), before and
+/// after an `APPEND` chain that grows known labels and adds new ones —
+/// returns the unsharded relation's output exactly, and its
+/// `EXPLAIN ANALYZE` renders the unsharded plan: one operator line, the
+/// same alternatives and actual counters, and a relation line that counts
+/// the whole relation.
+#[test]
+fn subsequence_statements_answer_and_explain_like_the_unsharded_relation() {
+    const WINDOW: usize = 8;
+    let walks = RandomWalkGenerator::new(71).relation(24, 40);
+    // A stretch of one stored series: every statement has an answer.
+    let literal = |len: usize| -> String {
+        let values: Vec<String> = walks[5].values()[3..3 + len]
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        format!("[{}]", values.join(", "))
+    };
+    // The first statement is at the window, so it builds window 8; the
+    // longer ones probe that build by its prefix.
+    let mut statements = Vec::new();
+    for len in [WINDOW, WINDOW + 5, 2 * WINDOW + 3] {
+        let q = literal(len);
+        statements.push(format!(
+            "FIND SUBSEQUENCE OF {q} IN w WITHIN 6 WINDOW {len}"
+        ));
+        statements.push(format!(
+            "FIND 7 NEAREST SUBSEQUENCE OF {q} IN w WINDOW {len}"
+        ));
+    }
+    // Known labels grow by uneven amounts (the relation goes ragged) and
+    // new labels enter, shorter and longer than the rest.
+    let appends = [
+        "APPEND w CSV (s3, 1, 2, 3) (n0, 0.5, 1.5, 2.5, 1, 0, -1, -2, -1, 0, 1) (s17, -0.5)",
+        "APPEND w CSV (n1, 3, 2, 1, 0, 1, 2, 3, 4, 3, 2, 1, 0, -1, -2) (s0, 0.25, 0.5) (n0, 9)",
+    ];
+    // The lines of an `EXPLAIN ANALYZE` text that begin with `prefix`.
+    let lines = |text: &str, prefix: &str| -> Vec<String> {
+        let found = text.lines().filter(|l| l.trim_start().starts_with(prefix));
+        found.map(str::to_string).collect()
+    };
+    for by in ["HASH", "RANGE"] {
+        for shards in [2usize, 3, 4] {
+            let mut oracle = Catalog::new();
+            let mut sharded = Catalog::new();
+            for cat in [&mut oracle, &mut sharded] {
+                cat.register(SeriesRelation::from_series("w", walks.clone()).unwrap())
+                    .unwrap();
+            }
+            sharded
+                .run_mut(&format!("SHARD w INTO {shards} BY {by}"))
+                .unwrap();
+            for round in 0..=appends.len() {
+                if round > 0 {
+                    oracle.run_mut(appends[round - 1]).unwrap();
+                    sharded.run_mut(appends[round - 1]).unwrap();
+                }
+                let total = oracle.relation("w").unwrap().len();
+                for q in &statements {
+                    let cell = format!("{q} [{shards} by {by}, round {round}]");
+                    let want = oracle.run(q).unwrap();
+                    let got = sharded.run(q).unwrap();
+                    assert_eq!(want.plan, "SubseqIndexProbe", "{cell}");
+                    assert!(!want.rows.is_empty(), "{cell}: the statement must answer");
+                    assert_sharded_matches(&got, &want, &cell);
+
+                    let explain = format!("EXPLAIN ANALYZE {q}");
+                    let want = oracle.run(&explain).unwrap();
+                    let got = sharded.run(&explain).unwrap();
+                    assert_eq!(
+                        got,
+                        QueryOutput {
+                            explain: got.explain.clone(),
+                            ..want.clone()
+                        },
+                        "{cell}"
+                    );
+                    let (got, want) = (got.explain.unwrap(), want.explain.unwrap());
+                    assert!(
+                        !got.contains("shard"),
+                        "{cell}: one plan, not shard blocks\n{got}"
+                    );
+                    for prefix in ["=>", "considered:", "actual:"] {
+                        assert_eq!(lines(&got, prefix), lines(&want, prefix), "{cell}\n{got}");
+                        assert_eq!(lines(&got, prefix).len(), 1, "{cell}\n{got}");
+                    }
+                    // The relation line counts the relation, not shard 0.
+                    let relation = lines(&got, "relation:");
+                    let counted = |line: &String| line.split(';').next().unwrap().to_string();
+                    assert_eq!(relation.len(), 1, "{cell}\n{got}");
+                    assert_eq!(
+                        relation.iter().map(counted).collect::<Vec<_>>(),
+                        lines(&want, "relation:")
+                            .iter()
+                            .map(counted)
+                            .collect::<Vec<_>>(),
+                        "{cell}"
+                    );
+                    assert!(relation[0].contains(&format!(" {total} series ")), "{cell}");
+                    assert!(
+                        relation[0].contains(&format!(" {shards} 6-d R*-trees")),
+                        "{cell}"
+                    );
+                }
+            }
+        }
+    }
 }
