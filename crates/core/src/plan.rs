@@ -22,6 +22,12 @@
 //!    `choose` picks among them: the operator the statement's
 //!    `WITH (force = ...)` names ([`ForceOp`], carried as one
 //!    `Option<ForceOp>` from [`QueryOptions`] to here), else the cheapest.
+//!    One plan per statement; joins are not scattered: over a sharded
+//!    relation each operator is costed once, over all of its active
+//!    shards — a range or k-NN estimate is the sum of the per-shard
+//!    estimates of the scatter that would run it, a join's covers all
+//!    `n(n−1)/2` pairs of the relation (scan) or `n` probes into every
+//!    shard's tree (index) — and the one chosen operator runs.
 //! 4. [`execute_plan`] runs the chosen [`PhysicalPlan`] — a dispatch on
 //!    `(statement form, operator)` into the table below — and reports
 //!    full [`ExecStats`].
@@ -44,10 +50,8 @@
 //! | `JoinScan(full)` | join | `scanfull` | [`crate::queries`]' `scan_pairs`, full distances | `scan_estimate` (per pair) | `ExecStats::scan` |
 //! | `SubseqIndexProbe` | subsequence | — | [`SubseqIndex::subseq_range`] / [`SubseqIndex::subseq_knn`] | `plan_subseq` | `ExecStats::index` |
 //!
-//! The join kernels are written over a probe side and a partner side; a
-//! self-join is the case where both are the same index. The cross-shard
-//! stage of a sharded join ([`crate::shard`]) runs the same rows over
-//! pairs of shards.
+//! The join rows run once over a relation's shards ([`crate::shard`]); a
+//! bare index is a relation of one shard.
 //!
 //! ### Membership
 //!
@@ -101,6 +105,7 @@ use crate::index::{Match, Refine, SimilarityIndex};
 use crate::queries::{probe_pairs, scan_pairs, JoinBound, JoinPair};
 use crate::records::RecordIo;
 use crate::scan::ScanMode;
+use crate::shard::Shards;
 use crate::space::{QueryWindow, SpaceKind};
 use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
 use crate::transform::LinearTransform;
@@ -411,6 +416,16 @@ pub struct CostEstimate {
     pub cpu: f64,
 }
 
+impl std::ops::AddAssign for CostEstimate {
+    fn add_assign(&mut self, other: CostEstimate) {
+        self.nodes += other.nodes;
+        self.candidates += other.candidates;
+        self.refines += other.refines;
+        self.disk += other.disk;
+        self.cpu += other.cpu;
+    }
+}
+
 impl CostEstimate {
     /// Total cost in page-read units — what the planner minimizes.
     pub fn total(&self) -> f64 {
@@ -489,14 +504,14 @@ pub struct QueryOptions {
     /// Pin the access path instead of costing alternatives.
     pub force: Option<ForceOp>,
     /// Worker threads: how many statements of a batch, and how many
-    /// shards of one whole-match statement or join (the scatter width),
-    /// run at once (`0`/`None` = the executor's hardware default). A
-    /// subsequence statement is not scattered.
+    /// shards of one range or k-NN statement (the scatter width), run at
+    /// once (`0`/`None` = the executor's hardware default). One plan per
+    /// statement; joins are not scattered, nor are subsequence statements.
     pub threads: Option<usize>,
-    /// Cap on concurrently probed shards of a whole-match statement or a
-    /// join on a sharded relation (ignored on unsharded relations and by
-    /// subsequence statements, which probe the relation's one ST-index;
-    /// `None` = probe all shards concurrently).
+    /// Cap on concurrently probed shards of a range or k-NN statement on a
+    /// sharded relation (ignored on unsharded relations, and by joins and
+    /// subsequence statements, which run once: one plan per statement;
+    /// joins are not scattered; `None` = probe all shards concurrently).
     pub shards: Option<usize>,
 }
 
@@ -713,32 +728,31 @@ impl<'a> Planner<'a> {
         subseq: Option<&SubseqIndex>,
     ) -> Result<PlanChoice> {
         logical.check_force(forced)?;
-        Ok(self.plan_bound(&Bound::new(logical, self.index)?, forced, subseq))
+        let bound = Bound::new(logical, self.index)?;
+        if logical.subseq_window().is_some() {
+            let (len, series_len) = (self.index.len(), self.index.series_len());
+            return Ok(plan_subseq(&bound, forced, subseq, len, series_len));
+        }
+        let costed = self.costed(&bound, self.stats().cardinality);
+        Ok(choose(costed, forced))
     }
 
-    /// Costs the operators of a bound statement and chooses one.
-    /// Infallible: everything that can be wrong with a statement was
-    /// found when it was bound.
-    pub(crate) fn plan_bound(
-        &self,
-        bound: &Bound<'_>,
-        forced: Option<ForceOp>,
-        subseq: Option<&SubseqIndex>,
-    ) -> PlanChoice {
-        let costed = match *bound {
+    /// This index's share of every operator's estimate for a bound
+    /// whole-match statement or join over a relation of `relation_len`
+    /// series, of which the index holds some (a shard) or all.
+    fn costed(&self, bound: &Bound<'_>, relation_len: usize) -> Vec<Costed> {
+        match *bound {
             Bound::Range {
                 ref refine,
                 ref rect,
                 ..
             } => self.plan_range(rect, refine.transform),
             Bound::Knn { ref refine, k } => self.plan_knn(k, refine.transform),
-            Bound::Join(join) => self.plan_join(join.eps, join.transform),
+            Bound::Join(join) => self.plan_join(join.eps, join.transform, relation_len),
             Bound::SubseqRange { .. } | Bound::SubseqKnn { .. } => {
-                let (len, series_len) = (self.index.len(), self.index.series_len());
-                return plan_subseq(bound, forced, subseq, len, series_len);
+                unreachable!("subsequence forms are planned by plan_subseq")
             }
-        };
-        choose(costed, forced)
+        }
     }
 
     /// CPU cost (in page units) of `checks` exact distance computations.
@@ -828,9 +842,14 @@ impl<'a> Planner<'a> {
         ]
     }
 
-    fn plan_join(&self, eps: f64, t: &LinearTransform) -> Vec<Costed> {
-        let n = self.stats().cardinality as f64;
-        let pairs = n * (n - 1.0).max(0.0) / 2.0;
+    /// The join's operators over a relation of `relation_len` series: each
+    /// series held here is charged half of its `relation_len − 1` pairs,
+    /// so the shares of a relation's shards sum to its `n(n−1)/2` pairs,
+    /// and `relation_len` probes run into this index's tree.
+    fn plan_join(&self, eps: f64, t: &LinearTransform, relation_len: usize) -> Vec<Costed> {
+        let n = relation_len as f64;
+        let held = self.stats().cardinality as f64;
+        let pairs = held * (n - 1.0).max(0.0) / 2.0;
         let transformed = !t.is_identity(1e-12);
         // An average probe: the eps-ball search rectangle around a typical
         // feature point (the center of the data bounds), with the mean/std
@@ -894,6 +913,29 @@ impl<'a> Planner<'a> {
         }
         sides
     }
+}
+
+/// Plans a bound whole-match statement or join once for a relation: each
+/// operator's estimate is the sum of every active shard's share
+/// ([`Planner`] over the statistics the shard holds), and one `choose`
+/// picks among the sums. Over one shard this is that shard's plan, estimate
+/// for estimate.
+pub(crate) fn plan_relation(
+    shards: Shards<'_>,
+    bound: &Bound<'_>,
+    forced: Option<ForceOp>,
+) -> PlanChoice {
+    let len = shards.len();
+    let mut shares = shards
+        .active()
+        .map(|(_, part)| Planner::of(part).costed(bound, len));
+    let mut costed = shares.next().expect("a relation has a shard");
+    for share in shares {
+        for (sum, part) in costed.iter_mut().zip(share) {
+            sum.1 += part.1;
+        }
+    }
+    choose(costed, forced)
 }
 
 /// Plans a bound subsequence statement over a relation of `len` series,
@@ -1197,16 +1239,7 @@ pub(crate) fn execute_bound(
             let exec = ExecStats::scan(n, n, matches.len());
             (PlanRows::Whole(matches), exec.with_records(&records))
         }
-        (Bound::Join(join), PhysicalOp::JoinScan { .. } | PhysicalOp::JoinIndex { .. }) => {
-            let (mut pairs, exec) = run_join(plan.op, index, index, *join)?;
-            if let PhysicalOp::JoinIndex { dedup: true } = plan.op {
-                // Canonical answer: one row per unordered pair, `a < b`,
-                // sorted — identical to the scan strategies' output keys.
-                pairs.retain(|p| p.a < p.b);
-                pairs.sort_by_key(|p| (p.a, p.b));
-            }
-            (PlanRows::Pairs(pairs), exec)
-        }
+        (Bound::Join(join), op) => return run_join(*join, op, Shards::one(index)),
         _ => return execute_subseq(bound, plan, subseq),
     })
 }
@@ -1249,44 +1282,49 @@ pub(crate) fn execute_subseq(
     Ok((PlanRows::Windows(matches), exec))
 }
 
-/// The join rows of the operator table, over a probe side and a partner
-/// side: a self-join when both are the same index, one ordered pair of
-/// shards in a sharded relation's cross stage otherwise. Pairs are
-/// `(probe id, partner id)` in the method's own multiplicity and order.
+/// The join rows of the operator table, run once over a relation's shards
+/// (a bare index is one shard). Every other operator is a typed mismatch.
 pub(crate) fn run_join(
-    op: PhysicalOp,
-    probe: &SimilarityIndex,
-    partner: &SimilarityIndex,
     join: JoinBound<'_>,
-) -> Result<(Vec<JoinPair>, ExecStats)> {
-    let own = std::ptr::eq(probe, partner);
-    let outcome = match op {
+    op: PhysicalOp,
+    shards: Shards<'_>,
+) -> Result<(PlanRows, ExecStats)> {
+    let (out, exec) = match op {
         PhysicalOp::JoinScan { mode } => {
-            let outcome = scan_pairs(probe, partner, join, mode)?;
-            // A self-join reads its relation once; the records a cross
-            // stage compares were charged by their shards' self-joins.
-            let stored = if own { probe.len() } else { 0 };
-            let exec = ExecStats::scan(stored, outcome.stats.exact_checks, outcome.pairs.len());
-            return Ok((outcome.pairs, exec.with_records(&outcome.stats.records)));
+            let out = scan_pairs(shards, join, mode)?;
+            let exec = ExecStats::scan(shards.len(), out.stats.exact_checks, out.pairs.len());
+            (out, exec)
         }
-        PhysicalOp::JoinIndex { .. } => probe_pairs(probe, partner, join)?,
+        PhysicalOp::JoinIndex { dedup } => {
+            let mut out = probe_pairs(shards, join)?;
+            if dedup {
+                // Canonical answer: one row per unordered pair, `a < b`,
+                // sorted — identical to the scan strategies' output keys.
+                out.pairs.retain(|p| p.a < p.b);
+            }
+            // False hits are the refines the exact check rejected — the
+            // abandon counter, not `refined - rows`: a probe's own series is
+            // a candidate that *passes* the check yet is never emitted.
+            let stats = &out.stats;
+            let exec = ExecStats::index(
+                &stats.index,
+                stats.candidates,
+                stats.exact_checks,
+                stats.abandoned,
+            );
+            (out, exec)
+        }
         _ => {
             return Err(Error::Unsupported(format!(
-                "physical operator {} does not join two relations",
+                "physical operator {} does not implement logical form Join",
                 op.name()
             )))
         }
     };
-    // False hits are the refines the exact check rejected — the abandon
-    // counter, not `refined - rows`: a self-join probe's own series is a
-    // candidate that *passes* the check yet is never emitted as a pair.
-    let exec = ExecStats::index(
-        &outcome.stats.index,
-        outcome.stats.candidates,
-        outcome.stats.exact_checks,
-        outcome.stats.abandoned,
-    );
-    Ok((outcome.pairs, exec.with_records(&outcome.stats.records)))
+    Ok((
+        PlanRows::Pairs(out.pairs),
+        exec.with_records(&out.stats.records),
+    ))
 }
 
 fn fmt_est(v: f64) -> String {

@@ -13,10 +13,11 @@
 //! pair **twice** (once per direction), exactly as the paper tabulates
 //! (`12` for methods a/b vs `12 x 2 = 24` for method d).
 //!
-//! The scan and index-nested-loop kernels (`scan_pairs`, `probe_pairs`)
-//! are written over a probe side and a partner side. A self-join is the
-//! case where both sides are the same index — what the methods above
-//! pass — and the cross-shard stage of a sharded join passes two shards.
+//! A join is planned and run once per relation, at any shard count: it is
+//! never scattered. The scan kernel (`scan_pairs`) compares the relation's
+//! records in global-id order; the index kernel (`probe_pairs`) probes
+//! every shard's tree for each series. A bare index is a relation of one
+//! shard, which is what the methods above pass.
 
 use tsq_rtree::SearchStats;
 use tsq_series::distance::{distance_sq_within, limit_sq};
@@ -26,6 +27,7 @@ use crate::features::{Features, Normalize};
 use crate::index::{Record, Refine, SimilarityIndex};
 use crate::records::RecordIo;
 use crate::scan::ScanMode;
+use crate::shard::Shards;
 use crate::space::QueryWindow;
 use crate::transform::LinearTransform;
 
@@ -74,41 +76,42 @@ pub(crate) struct JoinBound<'a> {
     pub transform: &'a LinearTransform,
 }
 
-/// The scan-join kernel (Table 1 methods (a)/(b)) over a probe side and
-/// a partner side: every probe series is compared with every partner
-/// series under the transformation, and pairs within the threshold are
-/// reported as `(probe id, partner id)`. A self-join is the case where
-/// both sides are the same index: each unordered pair is then met once,
-/// `a < b`. The two modes run the same loop against the same limit;
-/// [`ScanMode::Naive`] only tests membership after the full sum.
+/// The scan-join kernel (Table 1 methods (a)/(b)) over a relation's
+/// shards: every record is transformed once, into one flat buffer in
+/// global-id order, and every unordered pair `{i, j}` of the relation is
+/// compared once, `i < j`, in that order; pairs within the threshold are
+/// reported as `(i, j)`. The two modes run the same loop against the same
+/// limit; [`ScanMode::Naive`] only tests membership after the full sum.
 pub(crate) fn scan_pairs(
-    probe: &SimilarityIndex,
-    partner: &SimilarityIndex,
+    shards: Shards<'_>,
     join: JoinBound<'_>,
     mode: ScanMode,
 ) -> Result<JoinOutcome> {
-    let own = std::ptr::eq(probe, partner);
     let mut out = JoinOutcome::default();
-    // Transform every record once (the quadratic pair loop dominates),
-    // reading each side's records in id order.
-    let mut images = |side: &SimilarityIndex| -> Result<Vec<Vec<f64>>> {
-        let schema = side.config().schema;
-        let mut images = Vec::with_capacity(side.len());
-        for id in 0..side.len() {
-            let record = side.record(id, &mut out.stats.records)?;
-            images.push(image(join.transform, &record, schema));
+    // A join's transformation keeps the series length: the bind refuses a
+    // warp. Each shard's records are read in id order.
+    let width = join.transform.n();
+    let mut images = vec![0.0; shards.len() * width];
+    for (s, part) in shards.active() {
+        let schema = part.config().schema;
+        for local in 0..part.len() {
+            let record = part.record(local, &mut out.stats.records)?;
+            let at = shards.global(s, local) * width;
+            let norm = Normalize::of(record.features, schema);
+            join.transform.with_image(record.samples(), norm, |image| {
+                for (t, slot) in images[at..at + width].iter_mut().enumerate() {
+                    *slot = image.at(t);
+                }
+            });
         }
-        Ok(images)
-    };
-    let left = images(probe)?;
-    let other = if own { None } else { Some(images(partner)?) };
-    let right = other.as_ref().unwrap_or(&left);
+    }
     let abandon_at = mode.abandon_at(join.limit);
-    for (i, x) in left.iter().enumerate() {
-        let first = if own { i + 1 } else { 0 };
-        for (j, y) in right.iter().enumerate().skip(first) {
+    let row = |id: usize| &images[id * width..(id + 1) * width];
+    let n = shards.len();
+    for i in 0..n {
+        for j in i + 1..n {
             out.stats.exact_checks += 1;
-            let sum = distance_sq_within(x, y, abandon_at);
+            let sum = distance_sq_within(row(i), row(j), abandon_at);
             out.stats.abandoned += usize::from(sum.is_none());
             if let Some(sum) = sum.filter(|sum| *sum <= join.limit) {
                 out.pairs.push(JoinPair {
@@ -131,62 +134,46 @@ fn image(t: &LinearTransform, record: &Record<'_>, schema: crate::FeatureSchema)
 }
 
 /// The index-nested-loop join kernel (Table 1 methods (c)/(d)) over a
-/// probe side and a partner side: for every probe series a search
-/// rectangle is built around its *transformed* feature point and posed
-/// to the partner's on-the-fly transformed index as a range query, and
-/// the candidates are refined. Pairs are `(probe id, partner id)`, in
-/// probe order. A self-join is the case where both sides are the same
-/// index: each unordered pair then appears twice (once per direction),
-/// and a series is never paired with itself.
-pub(crate) fn probe_pairs(
-    probe: &SimilarityIndex,
-    partner: &SimilarityIndex,
-    join: JoinBound<'_>,
-) -> Result<JoinOutcome> {
+/// relation's shards: for every series a search rectangle is built around
+/// its *transformed* feature point and posed to every shard's on-the-fly
+/// transformed index as a range query, and the candidates are refined.
+/// Each unordered pair appears twice (once per direction), a series is
+/// never paired with itself, and pairs are sorted `(probe, partner)` by
+/// global id.
+pub(crate) fn probe_pairs(shards: Shards<'_>, join: JoinBound<'_>) -> Result<JoinOutcome> {
     let mut out = JoinOutcome::default();
     let window = QueryWindow::default();
-    for i in 0..probe.len() {
-        let refine = probe.probe_refine(i, join, &mut out.stats.records)?;
-        let qrect = partner.probe_rect(&refine.query, join.eps, &window);
-        let (mut ids, fstats) = partner.filter_rect(&qrect, join.transform, false)?;
-        ids.sort_unstable();
-        out.stats.index.absorb(&fstats);
-        out.stats.candidates += ids.len();
-        refine_group(partner, &refine, i, &ids, &mut out)?;
-    }
-    if std::ptr::eq(probe, partner) {
-        out.pairs.retain(|p| p.a != p.b);
-    }
-    Ok(out)
-}
-
-/// The refine step of the index-nested-loop join: every partner of one
-/// probe (whose transformed features `refine` is bound to) has its exact
-/// distance checked with early abandoning. Every check counts toward
-/// `exact_checks`, abandoned checks toward `abandoned`. Under a
-/// self-join the probe is its own candidate and passes the check; the
-/// caller drops that pair. Callers invoke it per probe, so candidate
-/// memory stays bounded by one probe's answer.
-fn refine_group(
-    partner: &SimilarityIndex,
-    refine: &Refine<'_>,
-    probe: usize,
-    partners: &[usize],
-    out: &mut JoinOutcome,
-) -> Result<()> {
-    for &j in partners {
-        out.stats.exact_checks += 1;
-        let record = partner.record(j, &mut out.stats.records)?;
-        match refine.within(&record, ScanMode::EarlyAbandon) {
-            Some(distance) => out.pairs.push(JoinPair {
-                a: probe,
-                b: j,
-                distance,
-            }),
-            None => out.stats.abandoned += 1,
+    for (s, part) in shards.active() {
+        for local in 0..part.len() {
+            let probe = shards.global(s, local);
+            let refine = part.probe_refine(local, join, &mut out.stats.records)?;
+            // Shards share one configuration, so one rectangle probes all.
+            let qrect = part.probe_rect(&refine.query, join.eps, &window);
+            for (t, partner) in shards.active() {
+                let (mut ids, fstats) = partner.filter_rect(&qrect, join.transform, false)?;
+                ids.sort_unstable();
+                out.stats.index.absorb(&fstats);
+                out.stats.candidates += ids.len();
+                for j in ids {
+                    out.stats.exact_checks += 1;
+                    let record = partner.record(j, &mut out.stats.records)?;
+                    // The probe is its own candidate and passes the check;
+                    // that pair is dropped below.
+                    match refine.within(&record, ScanMode::EarlyAbandon) {
+                        Some(distance) => out.pairs.push(JoinPair {
+                            a: probe,
+                            b: shards.global(t, j),
+                            distance,
+                        }),
+                        None => out.stats.abandoned += 1,
+                    }
+                }
+            }
         }
     }
-    Ok(())
+    out.pairs.retain(|p| p.a != p.b);
+    out.pairs.sort_unstable_by_key(|p| (p.a, p.b));
+    Ok(out)
 }
 
 impl SimilarityIndex {
@@ -237,7 +224,7 @@ impl SimilarityIndex {
     /// and one of the wrong arity or unsafe for the space are rejected,
     /// in that order — as by every join strategy.
     pub fn join_scan(&self, eps: f64, t: &LinearTransform, mode: ScanMode) -> Result<JoinOutcome> {
-        scan_pairs(self, self, self.bind_join(eps, t)?, mode)
+        scan_pairs(Shards::one(self), self.bind_join(eps, t)?, mode)
     }
 
     /// Table 1 methods (c)/(d): index-nested-loop self-join. For every
@@ -251,7 +238,7 @@ impl SimilarityIndex {
     /// # Errors
     /// Same failure modes as [`SimilarityIndex::join_scan`].
     pub fn join_index(&self, eps: f64, t: &LinearTransform) -> Result<JoinOutcome> {
-        probe_pairs(self, self, self.bind_join(eps, t)?)
+        probe_pairs(Shards::one(self), self.bind_join(eps, t)?)
     }
 }
 

@@ -1,44 +1,47 @@
-//! Sharded scatter-gather execution: a single-process rehearsal for
-//! distributing the paper's filter-and-refine pipeline.
+//! Sharded execution: a single-process rehearsal for distributing the
+//! paper's filter-and-refine pipeline.
 //!
 //! A relation is partitioned into `N >= 1` shards — by a hash of each
 //! series label or by contiguous label ranges — and every shard gets its
 //! own [`SimilarityIndex`]. This is the only shape a catalog relation has:
-//! a freshly registered one is a single hash shard. A whole-match query
-//! or join is executed scatter-gather style: the statement is bound once
-//! (validated, its query transformed and its search rectangle built —
-//! shards share one configuration and series length),
-//! the [`Planner`] produces one physical plan *per shard* (each shard's
-//! index holds its own `RelationStats` next to its tree), the shard plans
-//! run concurrently on the
-//! worker pool ([`crate::executor::parallel_map`]), and a typed merge
-//! step reassembles the global answer:
+//! a freshly registered one is a single hash shard.
+//!
+//! **One plan per statement; joins are not scattered.** A statement is
+//! bound once (validated, its query transformed and its search rectangle
+//! built — shards share one configuration and series length) and planned
+//! once, for the relation: the [`crate::plan::Planner`] costs each
+//! operator over all of the relation's active shards, and that one
+//! operator runs. A join runs once over the relation's records, in
+//! global-id order ([`crate::queries`]), as does a subsequence statement
+//! (below). Only a range or k-NN statement is scattered: its plan runs on
+//! every active shard concurrently, on the worker pool
+//! ([`crate::executor::parallel_map`]), and a typed merge reassembles the
+//! global answer:
 //!
 //! | form | merge |
 //! |------|-------|
 //! | range | threshold-union: concatenate, remap to global ids, sort by id |
 //! | k-NN | bounded k-way merge by `(distance, id)` — deterministic ties |
-//! | join | per-shard self-joins plus the same join kernels over pairs of shards, sorted `(a, b)` |
 //!
-//! **Correctness bar.** Merged rows — values *and* order — are
-//! byte-identical to the unsharded engine for every query form. Merged
-//! [`ExecStats`] are the exact sum of the per-shard counters (buffer-pool
-//! traffic included); for scan-forced plans those sums also equal the
-//! unsharded counters exactly, while index-plan traversal counters
-//! legitimately differ (N small trees are not one big tree) and are
-//! reported per shard so nothing is hidden.
+//! **Correctness bar.** Rows — values *and* order — are byte-identical to
+//! the unsharded engine for every query form. A scattered statement's
+//! merged [`ExecStats`] are the exact sum of the per-shard counters
+//! (buffer-pool traffic included), which are reported per shard; for
+//! scan-forced plans those sums also equal the unsharded counters
+//! exactly, while index-plan traversal counters legitimately differ (N
+//! small trees are not one big tree). A statement that runs once reports
+//! its own counters and no per-shard breakdown.
 //!
 //! Within a shard, members keep their global-id order, so local ids are
 //! order-isomorphic to global ids — per-shard `(distance, local id)`
 //! tie-breaking therefore agrees with the global `(distance, id)` rule
 //! the k-way merge applies.
 //!
-//! **One shard is the unsharded engine.** With `N = 1` the merges are
-//! identities (local ids *are* global ids, one sorted run, nothing to
-//! sum), and the scatter runs inline on the calling thread. What a client
-//! sees of such a relation is what it always saw of an unsharded one, and
-//! that rule is kept here and nowhere else: [`sharded_plan_name`] names
-//! the plain operator (`IndexRange`, not `Sharded(1):IndexRange`),
+//! **One shard is the unsharded engine.** With `N = 1` nothing is
+//! scattered (local ids *are* global ids). What a client sees of such a
+//! relation is what it always saw of an unsharded one, and that rule is
+//! kept here and nowhere else: [`sharded_plan_name`] names the plain
+//! operator (`IndexRange`, not `Sharded(1):IndexRange`),
 //! [`render_sharded_plan`] / [`render_sharded_analyze`] render the plain
 //! `EXPLAIN [ANALYZE]` tree, [`ShardedOutcome::per_shard`] is empty and
 //! [`ShardedIndex::layout`] is `None`.
@@ -79,12 +82,11 @@ use crate::error::{Error, Result};
 use crate::executor::{default_threads, parallel_map};
 use crate::index::{IndexConfig, Match, SimilarityIndex, StoredSeries};
 use crate::plan::{
-    execute_bound, execute_subseq, plan_subseq, render_analyze, render_plan, render_plan_over,
-    run_join, Bound, ExecStats, ForceOp, LogicalPlan, PhysicalOp, PlanChoice, PlanRows, Planner,
+    execute_bound, execute_subseq, plan_relation, plan_subseq, render_analyze, render_plan,
+    render_plan_over, run_join, Bound, ExecStats, ForceOp, LogicalPlan, PhysicalOp, PlanChoice,
+    PlanRows,
 };
-use crate::queries::{JoinBound, JoinPair};
 use crate::relation::SeriesRelation;
-use crate::scan::ScanMode;
 use crate::subseq::{SubseqConfig, SubseqIndex};
 
 /// How series labels are assigned to shards.
@@ -286,6 +288,46 @@ impl ShardMap {
     }
 }
 
+/// A relation's shards as a statement planned or run once reads them: the
+/// parts, and the map that places their local ids among the relation's
+/// global ids (`None` for one bare index, whose local ids are global).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shards<'a> {
+    parts: &'a [SimilarityIndex],
+    map: Option<&'a ShardMap>,
+}
+
+impl<'a> Shards<'a> {
+    /// One bare index: a relation of one shard.
+    pub(crate) fn one(index: &'a SimilarityIndex) -> Self {
+        Shards {
+            parts: std::slice::from_ref(index),
+            map: None,
+        }
+    }
+
+    /// Series across all shards.
+    pub(crate) fn len(&self) -> usize {
+        self.parts.iter().map(SimilarityIndex::len).sum()
+    }
+
+    /// Global id of `(shard, local)`.
+    pub(crate) fn global(&self, shard: usize, local: usize) -> usize {
+        self.map.map_or(local, |map| map.to_global(shard, local))
+    }
+
+    /// `(shard, index)` of every shard a statement reads, in shard order.
+    /// Empty shards of a non-empty relation are skipped (their zero series
+    /// length would reject the query the unsharded engine accepts); an
+    /// entirely empty relation keeps shard 0, so validation and
+    /// empty-answer behavior match the unsharded engine exactly.
+    pub(crate) fn active(&self) -> impl Iterator<Item = (usize, &'a SimilarityIndex)> {
+        let empty = self.len() == 0;
+        let parts = self.parts.iter().enumerate();
+        parts.filter(move |(s, part)| !part.is_empty() || (empty && *s == 0))
+    }
+}
+
 /// One relation partitioned into per-shard [`SimilarityIndex`]es, each
 /// holding its own tree and planner statistics, and the relation's one
 /// ST-index above them.
@@ -375,23 +417,36 @@ impl SubseqSlot {
     }
 }
 
-/// The merged result of one scatter-gather execution.
+/// The result of one statement on a sharded relation.
 #[derive(Debug, Clone)]
 pub struct ShardedOutcome {
     /// Global answer rows, byte-identical to the unsharded engine.
     pub rows: PlanRows,
-    /// Exact sum of the per-shard counters; a subsequence statement's own.
+    /// The statement's counters: for a scattered statement, the exact sum
+    /// of the per-shard counters.
     pub merged: ExecStats,
-    /// Per-shard counters (zeros for shards skipped as empty). Empty for
-    /// a one-shard relation and for a subsequence statement, which ran
-    /// once: a breakdown would only repeat `merged`.
+    /// Per-shard counters of a scattered statement (zeros for shards
+    /// skipped as empty). Empty for a statement that ran once — a join, a
+    /// subsequence statement, anything on a one-shard relation: a
+    /// breakdown would only repeat `merged`.
     pub per_shard: Vec<ExecStats>,
-    /// Pre-merge row count each shard contributed (none for a
-    /// subsequence statement).
+    /// Pre-merge row count each shard contributed, beside `per_shard`.
     pub per_shard_rows: Vec<usize>,
-    /// Per-shard plan choices (`None` for shards skipped as empty); the
-    /// one plan of a subsequence statement.
-    pub plans: Vec<Option<PlanChoice>>,
+    /// The statement's one plan.
+    pub plan: PlanChoice,
+}
+
+impl ShardedOutcome {
+    /// The outcome of a statement that ran once.
+    fn once((rows, merged): (PlanRows, ExecStats), plan: PlanChoice) -> Self {
+        ShardedOutcome {
+            rows,
+            merged,
+            per_shard: Vec::new(),
+            per_shard_rows: Vec::new(),
+            plan,
+        }
+    }
 }
 
 impl ShardedIndex {
@@ -742,11 +797,27 @@ impl ShardedIndex {
         Ok(())
     }
 
-    /// Plans the statement without executing it (the `EXPLAIN` path):
-    /// every shard for a whole-match form or a join, with empty shards of a
-    /// non-empty relation skipped (`None`); the relation once for a
-    /// subsequence statement, whose held window, if no longer than the
-    /// statement and not built yet, is built first.
+    /// Whether a statement runs scatter-gather: a range or k-NN statement
+    /// on a relation of several shards. A join or a subsequence statement
+    /// runs once, and a one-shard relation has nothing to scatter.
+    pub fn scatters(&self, logical: &LogicalPlan) -> bool {
+        let whole = matches!(logical, LogicalPlan::Range { .. } | LogicalPlan::Knn { .. });
+        whole && self.parts.len() > 1
+    }
+
+    /// The relation's shards as a statement planned or run once reads them.
+    fn shards(&self) -> Shards<'_> {
+        Shards {
+            parts: &self.parts,
+            map: Some(&self.map),
+        }
+    }
+
+    /// Plans the statement without executing it (the `EXPLAIN` path): once,
+    /// for the relation — over its active shards for a whole-match form or
+    /// a join; against its ST-index for a subsequence statement, whose held
+    /// window, if no longer than the statement and not built yet, is built
+    /// first.
     ///
     /// # Errors
     /// The same validation failures execution would report.
@@ -754,7 +825,7 @@ impl ShardedIndex {
         &self,
         logical: &LogicalPlan,
         forced: Option<ForceOp>,
-    ) -> Result<Vec<Option<PlanChoice>>> {
+    ) -> Result<PlanChoice> {
         let bound = self.bind(logical, forced)?;
         if let Some(window) = logical.subseq_window() {
             // A held window that can answer the statement is built if it is
@@ -763,20 +834,24 @@ impl ShardedIndex {
             // and holds and builds nothing.
             let held = self.subseq.serving(window).map(|cell| self.fill(&cell));
             let st = held.transpose()?;
-            let choice = plan_subseq(&bound, forced, st.as_deref(), self.len(), self.series_len());
-            return Ok(vec![Some(choice)]);
+            return Ok(plan_subseq(
+                &bound,
+                forced,
+                st.as_deref(),
+                self.len(),
+                self.series_len(),
+            ));
         }
-        let plan = |s: usize| Planner::of(&self.parts[s]).plan_bound(&bound, forced, None);
-        let active = self.active_shards().into_iter();
-        Ok(active.map(|slot| slot.map(plan)).collect())
+        Ok(plan_relation(self.shards(), &bound, forced))
     }
 
-    /// Executes a statement. A whole-match form or a join runs
-    /// scatter-gather: per-shard plans (the operator `forced` names, else
-    /// each shard's cheapest) run concurrently, up to `scatter` at once,
-    /// then the form's typed merge reassembles the global answer (see the
-    /// module docs for the exact merge rules and the stats contract). A
-    /// subsequence statement is planned and run once, against the
+    /// Executes a statement under its one plan (the operator `forced`
+    /// names, else the cheapest for the relation). A range or k-NN
+    /// statement on several shards runs scatter-gather: the plan runs on
+    /// every active shard, up to `scatter` at once, then the form's typed
+    /// merge reassembles the global answer (see the module docs for the
+    /// merge rules and the stats contract). A join runs once over the
+    /// relation's shards, and a subsequence statement once against the
     /// relation's ST-index, as on an unsharded relation.
     ///
     /// # Errors
@@ -793,322 +868,131 @@ impl ShardedIndex {
         let bound = self.bind(logical, forced)?;
         if let Some(window) = logical.subseq_window() {
             let st = self.subseq_index(window)?;
-            let choice = plan_subseq(&bound, forced, Some(&st), self.len(), self.series_len());
-            let (rows, merged) = execute_subseq(&bound, &choice.plan, Some(&st))?;
-            return Ok(ShardedOutcome {
-                rows,
-                merged,
-                per_shard: Vec::new(),
-                per_shard_rows: Vec::new(),
-                plans: vec![Some(choice)],
-            });
+            let plan = plan_subseq(&bound, forced, Some(&st), self.len(), self.series_len());
+            let ran = execute_subseq(&bound, &plan.plan, Some(&st))?;
+            return Ok(ShardedOutcome::once(ran, plan));
         }
-        // Scatter: every active shard plans and runs its own physical
-        // plan for the one bound statement (one item runs inline; more
-        // fan over the worker pool).
-        let ran = parallel_map(scatter.max(1), self.active_shards(), |slot| {
-            slot.map(|s| {
-                let choice = Planner::of(&self.parts[s]).plan_bound(&bound, forced, None);
-                let (rows, exec) = execute_bound(&bound, &choice.plan, &self.parts[s], None)?;
-                Ok((choice, rows, exec))
-            })
+        let plan = plan_relation(self.shards(), &bound, forced);
+        if self.scatters(logical) {
+            return self.scatter(&bound, plan, scatter);
+        }
+        let ran = match bound {
+            Bound::Join(join) => run_join(join, plan.plan.op, self.shards())?,
+            _ => execute_bound(&bound, &plan.plan, &self.parts[0], None)?,
+        };
+        Ok(ShardedOutcome::once(ran, plan))
+    }
+
+    /// Scatter-gather of a range or k-NN statement: its one plan runs on
+    /// every active shard (one item runs inline; more fan over the worker
+    /// pool), then the form's typed merge.
+    fn scatter(
+        &self,
+        bound: &Bound<'_>,
+        plan: PlanChoice,
+        scatter: usize,
+    ) -> Result<ShardedOutcome> {
+        let active: Vec<usize> = self.shards().active().map(|(s, _)| s).collect();
+        let ran = parallel_map(scatter.max(1), active.clone(), |s| {
+            execute_bound(bound, &plan.plan, &self.parts[s], None)
         });
-        let outcome = self.collect(ran)?;
-        // Gather: the form's typed merge.
-        match bound {
-            Bound::Join(join) => self.merge_join(outcome, join, forced),
-            _ => self.merge_whole(logical, outcome),
-        }
-    }
-
-    /// Shard worklist of a whole-match form or a join: `Some(s)` runs,
-    /// `None` is skipped. Empty shards of a non-empty relation are skipped
-    /// (their zero series length would reject the query the unsharded
-    /// engine accepts); an entirely empty relation keeps shard 0 so
-    /// validation and empty-answer behavior match the unsharded engine
-    /// exactly.
-    fn active_shards(&self) -> Vec<Option<usize>> {
-        if self.is_empty() {
-            let mut v = vec![None; self.parts.len()];
-            v[0] = Some(0);
-            return v;
-        }
-        (0..self.parts.len())
-            .map(|s| (!self.parts[s].is_empty()).then_some(s))
-            .collect()
-    }
-
-    fn merge_whole(
-        &self,
-        logical: &LogicalPlan,
-        mut outcome: PartialOutcome,
-    ) -> Result<ShardedOutcome> {
-        match logical {
-            LogicalPlan::Range { .. } => {
-                let mut all: Vec<Match> = Vec::new();
-                for (s, rows) in outcome.shard_rows.drain(..).enumerate() {
-                    if let Some(PlanRows::Whole(matches)) = rows {
-                        all.extend(matches.into_iter().map(|m| Match {
-                            id: self.map.to_global(s, m.id),
-                            distance: m.distance,
-                        }));
-                    }
-                }
-                all.sort_by_key(|m| m.id);
-                outcome.finish(PlanRows::Whole(all))
-            }
-            LogicalPlan::Knn { k, .. } => {
-                let mut all: Vec<Match> = Vec::new();
-                let mut from_shard: Vec<usize> = Vec::new();
-                for (s, rows) in outcome.shard_rows.drain(..).enumerate() {
-                    if let Some(PlanRows::Whole(matches)) = rows {
-                        for m in matches {
-                            all.push(Match {
-                                id: self.map.to_global(s, m.id),
-                                distance: m.distance,
-                            });
-                            from_shard.push(s);
-                        }
-                    }
-                }
-                let mut order: Vec<usize> = (0..all.len()).collect();
-                order.sort_by(|&x, &y| {
-                    all[x]
-                        .distance
-                        .total_cmp(&all[y].distance)
-                        .then(all[x].id.cmp(&all[y].id))
-                });
-                order.truncate(*k);
-                // Scan-forced shards report false hits against the *final*
-                // answer, so the merged sum equals the unsharded scan's
-                // `n - rows` exactly.
-                let mut survivors = vec![0usize; self.parts.len()];
-                for &x in &order {
-                    survivors[from_shard[x]] += 1;
-                }
-                for (s, exec) in outcome.per_shard.iter_mut().enumerate() {
-                    if let Some(choice) = &outcome.plans[s] {
-                        if matches!(choice.plan.op, PhysicalOp::SeqScan) {
-                            exec.false_hits = self.parts[s].len() - survivors[s];
-                        }
-                    }
-                }
-                let merged: Vec<Match> = order.into_iter().map(|x| all[x]).collect();
-                outcome.finish(PlanRows::Whole(merged))
-            }
-            _ => unreachable!("merge_whole handles range and knn only"),
-        }
-    }
-
-    /// Local pairs plus the cross-shard stage, which runs a join operator
-    /// of the same table ([`run_join`]) over pairs of shards. Its method
-    /// comes from the statement's force, not from a cost comparison: the
-    /// scan join a scan force names, else the index-nested-loop probe.
-    /// The bind has already rejected what no join accepts (a time warp, a
-    /// bad threshold), so the stage only ever sees a valid bound join.
-    fn merge_join(
-        &self,
-        mut outcome: PartialOutcome,
-        join: JoinBound<'_>,
-        forced: Option<ForceOp>,
-    ) -> Result<ShardedOutcome> {
-        // Local pairs, remapped to global ids. The order-preserving
-        // local→global embedding keeps canonical `a < b` orientation.
-        let mut pairs: Vec<JoinPair> = Vec::new();
-        for (s, rows) in outcome.shard_rows.drain(..).enumerate() {
-            if let Some(PlanRows::Pairs(local)) = rows {
-                pairs.extend(local.into_iter().map(|p| JoinPair {
-                    a: self.map.to_global(s, p.a),
-                    b: self.map.to_global(s, p.b),
-                    distance: p.distance,
+        let mut per_shard = vec![ExecStats::default(); self.parts.len()];
+        let mut per_shard_rows = vec![0usize; self.parts.len()];
+        let mut all: Vec<Match> = Vec::new();
+        // The first error, in shard order, wins.
+        for (s, ran) in active.into_iter().zip(ran) {
+            let (rows, exec) = ran?;
+            per_shard[s] = exec;
+            per_shard_rows[s] = rows.len();
+            if let PlanRows::Whole(matches) = rows {
+                all.extend(matches.into_iter().map(|m| Match {
+                    id: self.map.to_global(s, m.id),
+                    distance: m.distance,
                 }));
             }
         }
-        let op = match forced {
-            Some(ForceOp::Scan) => PhysicalOp::JoinScan {
-                mode: ScanMode::EarlyAbandon,
-            },
-            Some(ForceOp::ScanFull) => PhysicalOp::JoinScan {
-                mode: ScanMode::Naive,
-            },
-            _ => PhysicalOp::JoinIndex { dedup: false },
-        };
-        // A forced index join keeps the paper's twice-per-pair accounting
-        // by probing every ordered shard pair and reporting
-        // `(probe, partner)`; every other answer meets each unordered
-        // shard pair once and orients its pairs `a < b`.
-        let directed = forced == Some(ForceOp::Index);
-        let active: Vec<usize> = (0..self.parts.len())
-            .filter(|&s| !self.parts[s].is_empty())
-            .collect();
-        for (ai, &sa) in active.iter().enumerate() {
-            for &sb in &active[ai + 1..] {
-                let orders = if directed { 2 } else { 1 };
-                for (probe, partner) in [(sa, sb), (sb, sa)].into_iter().take(orders) {
-                    let (found, exec) =
-                        run_join(op, &self.parts[probe], &self.parts[partner], join)?;
-                    outcome.per_shard[probe].absorb(&exec);
-                    pairs.extend(found.into_iter().map(|p| {
-                        let a = self.map.to_global(probe, p.a);
-                        let b = self.map.to_global(partner, p.b);
-                        let (a, b) = if directed {
-                            (a, b)
-                        } else {
-                            (a.min(b), a.max(b))
-                        };
-                        JoinPair {
-                            a,
-                            b,
-                            distance: p.distance,
-                        }
-                    }));
+        match *bound {
+            Bound::Knn { k, .. } => {
+                all.sort_by(|x, y| x.distance.total_cmp(&y.distance).then(x.id.cmp(&y.id)));
+                all.truncate(k);
+                // Scan-forced shards report false hits against the *final*
+                // answer, so the merged sum equals the unsharded scan's
+                // `n - rows` exactly.
+                if plan.plan.op == PhysicalOp::SeqScan {
+                    let mut survivors = vec![0usize; self.parts.len()];
+                    for m in &all {
+                        survivors[self.map.owner(m.id).expect("a merged id").0] += 1;
+                    }
+                    for (s, exec) in per_shard.iter_mut().enumerate() {
+                        exec.false_hits = self.parts[s].len() - survivors[s];
+                    }
                 }
             }
-        }
-        pairs.sort_by_key(|p| (p.a, p.b));
-        outcome.finish(PlanRows::Pairs(pairs))
-    }
-
-    /// Folds raw scatter results into a partially-built outcome: first
-    /// error (in shard order) wins, counters and plans line up by shard.
-    fn collect(
-        &self,
-        ran: Vec<Option<Result<(PlanChoice, PlanRows, ExecStats)>>>,
-    ) -> Result<PartialOutcome> {
-        let mut per_shard = vec![ExecStats::default(); self.parts.len()];
-        let mut per_shard_rows = vec![0usize; self.parts.len()];
-        let mut plans: Vec<Option<PlanChoice>> = vec![None; self.parts.len()];
-        let mut shard_rows: Vec<Option<PlanRows>> = Vec::with_capacity(self.parts.len());
-        for (s, slot) in ran.into_iter().enumerate() {
-            match slot {
-                None => shard_rows.push(None),
-                Some(Err(e)) => return Err(e),
-                Some(Ok((choice, rows, exec))) => {
-                    per_shard[s] = exec;
-                    per_shard_rows[s] = rows.len();
-                    plans[s] = Some(choice);
-                    shard_rows.push(Some(rows));
-                }
-            }
-        }
-        Ok(PartialOutcome {
-            per_shard,
-            per_shard_rows,
-            plans,
-            shard_rows,
-        })
-    }
-}
-
-/// Scatter results before the typed merge.
-struct PartialOutcome {
-    per_shard: Vec<ExecStats>,
-    per_shard_rows: Vec<usize>,
-    plans: Vec<Option<PlanChoice>>,
-    shard_rows: Vec<Option<PlanRows>>,
-}
-
-impl PartialOutcome {
-    fn finish(mut self, rows: PlanRows) -> Result<ShardedOutcome> {
-        let merged = ExecStats::sum(&self.per_shard);
-        if self.per_shard.len() == 1 {
-            self.per_shard.clear();
+            _ => all.sort_by_key(|m| m.id),
         }
         Ok(ShardedOutcome {
-            rows,
-            merged,
-            per_shard: self.per_shard,
-            per_shard_rows: self.per_shard_rows,
-            plans: self.plans,
+            rows: PlanRows::Whole(all),
+            merged: ExecStats::sum(&per_shard),
+            per_shard,
+            per_shard_rows,
+            plan,
         })
     }
 }
 
-/// The reported plan name of a scatter-gather run over `plans.len()`
-/// shards: `Sharded(n):<op>` when every active shard chose the same
-/// physical operator, `:mixed` when they diverged, `:empty` when every
-/// shard was skipped — and the bare operator name for a one-shard
-/// relation.
-pub fn sharded_plan_name(plans: &[Option<PlanChoice>]) -> String {
-    if let [Some(only)] = plans {
-        return only.plan.op.name().to_string();
+/// The reported plan name of a statement's one plan: `Sharded(n):<op>`
+/// when it runs scatter-gather over `n` shards
+/// ([`ShardedIndex::scatters`]), else the bare operator name.
+pub fn sharded_plan_name(
+    sharded: &ShardedIndex,
+    logical: &LogicalPlan,
+    plan: &PlanChoice,
+) -> String {
+    let op = plan.plan.op.name();
+    if sharded.scatters(logical) {
+        format!("Sharded({}):{op}", sharded.shard_count())
+    } else {
+        op.to_string()
     }
-    let mut ops = plans.iter().flatten().map(|c| c.plan.op.name());
-    let body = match ops.next() {
-        None => "empty",
-        Some(first) if ops.all(|op| op == first) => first,
-        Some(_) => "mixed",
-    };
-    format!("Sharded({}):{body}", plans.len())
 }
 
-/// Renders a sharded `EXPLAIN` tree: the logical header, the sharding
-/// layout, then each shard's relation line, chosen operator, and
-/// considered alternatives (skipped empty shards are marked). One plan — a
-/// one-shard relation's, or a subsequence statement's — renders as the
-/// plain [`render_plan`] tree, whose relation line over several shards
-/// counts the whole relation and all of its whole-match trees.
+/// Renders a statement's `EXPLAIN` tree: the plain [`render_plan`] tree of
+/// its one plan. Over several shards the relation line counts the whole
+/// relation and all of its whole-match trees, and a scattered statement
+/// adds the sharding layout.
 pub fn render_sharded_plan(
     logical: &LogicalPlan,
     sharded: &ShardedIndex,
-    plans: &[Option<PlanChoice>],
+    plan: &PlanChoice,
 ) -> String {
-    if let [Some(only)] = plans {
-        let [part] = &sharded.parts[..] else {
-            let trees = sharded.parts.iter().map(SimilarityIndex::stats);
-            let nodes: u64 = trees.map(|stats| stats.profile.nodes_total()).sum();
-            let relation = format!(
-                "{} series x {} points; index: {} {}-d R*-trees, {nodes} node(s)",
-                sharded.len(),
-                sharded.series_len(),
-                sharded.parts.len(),
-                sharded.config().schema.dims(),
-            );
-            return render_plan_over(logical, only, &relation);
-        };
-        return render_plan(logical, only, part.stats());
-    }
-    let mut out = String::new();
-    let mut header_done = false;
-    for (s, slot) in plans.iter().enumerate() {
-        let Some(choice) = slot else {
-            continue;
-        };
-        let body = render_plan(logical, choice, sharded.parts[s].stats());
-        let mut lines = body.splitn(2, '\n');
-        let header = lines.next().unwrap_or("");
-        let rest = lines.next().unwrap_or("");
-        if !header_done {
-            out.push_str(header);
-            out.push('\n');
+    let [part] = &sharded.parts[..] else {
+        let trees = sharded.parts.iter().map(SimilarityIndex::stats);
+        let nodes: u64 = trees.map(|stats| stats.profile.nodes_total()).sum();
+        let mut relation = format!(
+            "{} series x {} points; index: {} {}-d R*-trees, {nodes} node(s)",
+            sharded.len(),
+            sharded.series_len(),
+            sharded.parts.len(),
+            sharded.config().schema.dims(),
+        );
+        if sharded.scatters(logical) {
             let spec = sharded.map().spec();
-            out.push_str(&format!(
-                "  sharded: {} shard(s) by {}, scatter-gather merge\n",
+            relation.push_str(&format!(
+                "\n  sharded: {} shard(s) by {}, scatter-gather merge",
                 spec.count(),
                 spec.by().name()
             ));
-            header_done = true;
         }
-        out.push_str(&format!("  shard {s}:\n"));
-        for line in rest.lines() {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    for (s, slot) in plans.iter().enumerate() {
-        if slot.is_none() {
-            out.push_str(&format!("  shard {s}: empty, skipped\n"));
-        }
-    }
-    out
+        return render_plan_over(logical, plan, &relation);
+    };
+    render_plan(logical, plan, part.stats())
 }
 
-/// Appends the sharded `EXPLAIN ANALYZE` counters: one per-shard actual
-/// line each, then the exact-sum total. A one-shard relation gets the
-/// plain [`render_analyze`] lines.
+/// Appends the `EXPLAIN ANALYZE` counters: for a scattered statement one
+/// per-shard actual line each, then the exact-sum total; else the plain
+/// [`render_analyze`] lines.
 pub fn render_sharded_analyze(rendered: &mut String, rows: usize, outcome: &ShardedOutcome) {
-    if outcome.plans.len() == 1 {
+    if outcome.per_shard.is_empty() {
         return render_analyze(rendered, rows, &outcome.merged);
     }
     for (s, exec) in outcome.per_shard.iter().enumerate() {
@@ -1145,7 +1029,7 @@ pub fn render_sharded_analyze(rendered: &mut String, rows: usize, outcome: &Shar
 mod tests {
     use super::*;
     use crate::index::derived_bytes;
-    use crate::plan::{execute_plan, RelationStats};
+    use crate::plan::{execute_plan, Planner, RelationStats};
     use crate::space::QueryWindow;
     use crate::transform::LinearTransform;
     use tsq_series::generate::RandomWalkGenerator;
@@ -1570,7 +1454,7 @@ mod tests {
         ));
         let cold = sharded.plan_shards(&subseq_logical(8), None).unwrap();
         assert_eq!(held(&sharded), None);
-        let probe = |plans: &[Option<PlanChoice>]| plans[0].as_ref().unwrap().plan.op;
+        let probe = |plan: &PlanChoice| plan.plan.op;
         assert!(matches!(
             probe(&cold),
             PhysicalOp::SubseqIndexProbe { base: None, .. }
@@ -1765,7 +1649,10 @@ mod tests {
         render_analyze(&mut want_text, want_rows.len(), &want_exec);
 
         let plans = one.plan_shards(&logical, None).unwrap();
-        assert_eq!(sharded_plan_name(&plans), choice.plan.op.name());
+        assert_eq!(
+            sharded_plan_name(&one, &logical, &plans),
+            choice.plan.op.name()
+        );
         let mut text = render_sharded_plan(&logical, &one, &plans);
         let got = one.execute(&logical, None, 4).unwrap();
         render_sharded_analyze(&mut text, got.rows.len(), &got);
@@ -1781,6 +1668,6 @@ mod tests {
             Some((ShardBy::Hash, 3))
         );
         let plans = three.plan_shards(&logical, None).unwrap();
-        assert!(sharded_plan_name(&plans).starts_with("Sharded(3):"));
+        assert!(sharded_plan_name(&three, &logical, &plans).starts_with("Sharded(3):"));
     }
 }

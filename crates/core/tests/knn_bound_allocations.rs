@@ -6,7 +6,9 @@
 //! bounded heap: its largest block does not grow with the relation. A warm
 //! subsequence statement on a sharded relation allocates what it does on
 //! one shard: it probes the relation's one ST-index, with no per-shard
-//! rows to merge.
+//! rows to merge. A scan join allocates its rows' worth plus a constant,
+//! at one shard and at four: it transforms each record once, into one
+//! flat buffer, and runs once over the relation.
 //!
 //! A binary of its own, because it installs a counting global allocator.
 //! The allocator counts per thread, so tests running in parallel do not
@@ -18,12 +20,12 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use tsq_core::{
-    FeatureSchema, Features, IndexConfig, LinearTransform, LogicalPlan, SeriesRelation, ShardSpec,
-    ShardedIndex, SimilarityIndex, SpaceKind, SubseqConfig, SubseqIndex,
+    FeatureSchema, Features, ForceOp, IndexConfig, LinearTransform, LogicalPlan, SeriesRelation,
+    ShardSpec, ShardedIndex, SimilarityIndex, SpaceKind, SubseqConfig, SubseqIndex,
 };
 use tsq_dft::FftPlanner;
 use tsq_rtree::Rect;
-use tsq_series::generate::RandomWalkGenerator;
+use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
 
 thread_local! {
@@ -255,7 +257,7 @@ fn a_warm_subsequence_statement_allocates_alike_at_one_and_four_shards() {
             assert!(!outcome.rows.is_empty());
             eprintln!(
                 "warm {} at {shards} shard(s): {counts:?}",
-                outcome.plans[0].as_ref().unwrap().plan.op.name()
+                outcome.plan.plan.op.name()
             );
             counted.push(counts);
         }
@@ -265,4 +267,38 @@ fn a_warm_subsequence_statement_allocates_alike_at_one_and_four_shards() {
         counted[2..],
         "(range, kNN) at 1 and at 4 shards"
     );
+}
+
+#[test]
+fn a_scan_join_allocates_its_rows_plus_a_constant_at_one_and_four_shards() {
+    // Allocations a forced scan join may make besides one per row: the
+    // image buffer, the answer, the plan and its alternatives per shard, and
+    // the bind's transform — none of them per record.
+    const BUDGET: u64 = 16;
+    let stocks = StockGenerator::new(19_970_516).relation(300, N);
+    let relation = SeriesRelation::from_series("pairs", stocks).unwrap();
+    let join = LogicalPlan::Join {
+        relation: "pairs".into(),
+        eps: 0.5,
+        transform: LinearTransform::moving_average(N, 8),
+    };
+    let mut answers = Vec::new();
+    for shards in [1, 4] {
+        let spec = ShardSpec::hash(shards).unwrap();
+        let sharded = ShardedIndex::build(IndexConfig::default(), &relation, spec).unwrap();
+        // The first statement warms the thread's transform buffer.
+        sharded.execute(&join, Some(ForceOp::Scan), 1).unwrap();
+        let (outcome, counts) =
+            allocations_during(|| sharded.execute(&join, Some(ForceOp::Scan), 1).unwrap());
+        let rows = outcome.rows.len() as u64;
+        eprintln!("scan join at {shards} shard(s): {rows} rows, {counts:?}");
+        assert!(rows > 0, "the join must answer");
+        assert!(
+            counts.allocations <= rows + BUDGET,
+            "scan join at {shards} shard(s): {} allocations for {rows} rows",
+            counts.allocations
+        );
+        answers.push(outcome.rows);
+    }
+    assert_eq!(answers[0], answers[1], "rows at 1 and at 4 shards");
 }

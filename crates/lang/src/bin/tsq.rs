@@ -59,11 +59,13 @@ queries:
                                 (scanfull: joins only)
     WITH (threads = n)          cap scatter/batch parallelism
     WITH (shards = n)           cap how many shards are probed in parallel
-                                (whole-match forms and joins)
+                                (range and k-NN; one plan per statement,
+                                joins are not scattered)
 sharding:
   SHARD <rel> INTO <n> BY HASH|RANGE    split a relation into n shards with one
-  R*-tree each; whole-match queries and joins scatter to every shard and
-  merge to the same rows, order, and counter totals at every n, and
+  R*-tree each; one plan per statement: range and k-NN queries scatter it to
+  every shard and merge to the same rows, order, and counter totals at
+  every n; joins are not scattered (one run over the relation), and
   subsequence queries probe the relation's one ST-index, which SHARD keeps
   (.rel shows the layout; a relation
   starts as one shard, and INTO 1 is that layout again: plain plan names,

@@ -6,18 +6,19 @@
 //! the statement's own `WITH (...)` clause with caller overrides into a
 //! single [`QueryOptions`], lowers the AST to a resolved logical plan
 //! and hands it to the relation's [`ShardedIndex`], where the planner
-//! (fed by per-shard statistics derived from the trees) picks the
-//! cheapest physical operator per shard and
-//! [`tsq_core::plan::execute_plan`] runs it. [`Catalog::execute`],
+//! (fed by per-shard statistics derived from the trees, summed over the
+//! relation's shards) picks the cheapest physical operator once per
+//! statement, and that one operator runs. [`Catalog::execute`],
 //! [`Catalog::run`] and the batch paths are thin wrappers over it.
 //! `EXPLAIN` / `EXPLAIN ANALYZE` surface the choice.
 //!
 //! Every relation is a [`ShardedIndex`] with n >= 1 shards — there is no
 //! second, unsharded code path. `register` builds one hash shard;
-//! `SHARD <rel> INTO <n> BY HASH|RANGE` rebuilds with n. Queries run
-//! scatter-gather ([`ShardedIndex::execute`]): per-shard plans fan over
-//! the worker pool and a typed merge reassembles the answer. With one
-//! shard the scatter runs inline, the merges are identities, and what a
+//! `SHARD <rel> INTO <n> BY HASH|RANGE` rebuilds with n. Range and k-NN
+//! statements run scatter-gather ([`ShardedIndex::execute`]): the one
+//! plan fans over the worker pool and a typed merge reassembles the
+//! answer; joins and subsequence statements run once. With one shard
+//! nothing is scattered, and what a
 //! client sees (rows, counters, plan name, `EXPLAIN` text) is the plain
 //! single-index answer; how a one-shard relation is *named and rendered*
 //! is decided in `tsq_core::shard`, not here. `APPEND` routes each row to
@@ -514,12 +515,13 @@ impl Catalog {
 
     /// The single execution entry point: merge the statement's
     /// `WITH (...)` clause with `overrides` (overrides win field-wise),
-    /// lower to a [`LogicalPlan`], scatter it over the relation's shards
+    /// lower to a [`LogicalPlan`], run it on the relation
     /// ([`ShardedIndex::execute`]: the cost-based planner picks the
-    /// cheapest [`tsq_core::PhysicalPlan`] per shard, the typed merge
+    /// cheapest [`tsq_core::PhysicalPlan`] once for the relation; a range
+    /// or k-NN statement on several shards scatters it and the typed merge
     /// reassembles the global answer), and attach labels. The output
-    /// carries the exact-sum merged counters and, for a relation of
-    /// several shards, the per-shard breakdown.
+    /// carries the statement's counters and, for a scattered statement,
+    /// the per-shard breakdown they sum.
     ///
     /// # Errors
     /// Resolution, validation, and engine failures of the query.
@@ -537,7 +539,7 @@ impl Catalog {
         let (labels, index) = (relation.labels(), &relation.index);
         let width = scatter_width(index.shard_count(), &options);
         let outcome = index.execute(&logical, options.force, width)?;
-        let plan = sharded_plan_name(&outcome.plans);
+        let plan = sharded_plan_name(index, &logical, &outcome.plan);
         let mut out = label_output(labels, outcome.rows, outcome.merged, plan);
         out.shard_stats = outcome.per_shard;
         Ok(out)
@@ -548,7 +550,7 @@ impl Catalog {
     /// the actual counters (`EXPLAIN ANALYZE`). The rendered text is in
     /// [`QueryOutput::explain`]; `ANALYZE` outputs carry the run's
     /// [`ExecStats`] (rows are never returned — the plan is the answer).
-    /// Relations of several shards render the per-shard plan tree, and
+    /// A statement renders its one plan; on a scattered statement
     /// `ANALYZE` appends one actual-counters line per shard plus the
     /// exact-sum total.
     ///
@@ -570,8 +572,8 @@ impl Catalog {
         // the statement is built if it is not yet (as its first statement
         // would build it); otherwise the probe is planned, and rendered,
         // as cold.
-        let plans = index.plan_shards(&logical, options.force)?;
-        let mut text = render_sharded_plan(&logical, index, &plans);
+        let plan = index.plan_shards(&logical, options.force)?;
+        let mut text = render_sharded_plan(&logical, index, &plan);
         let mut exec = ExecStats::default();
         let mut shard_stats = Vec::new();
         if analyze {
@@ -586,7 +588,7 @@ impl Catalog {
             nodes_visited: exec.nodes_visited,
             stats: exec,
             shard_stats,
-            plan: sharded_plan_name(&plans),
+            plan: sharded_plan_name(index, &logical, &plan),
             explain: Some(text),
         })
     }
@@ -1972,6 +1974,12 @@ mod tests {
                         assert_eq!(got, want, "{by}/{count}: {q}");
                         continue;
                     }
+                    if q.starts_with("JOIN") {
+                        // Not scattered: one plain plan over the relation.
+                        assert!(got.shard_stats.is_empty(), "{by}/{count}: {q}");
+                        assert!(got.plan.starts_with("Join"), "{by}/{count}: {q}");
+                        continue;
+                    }
                     // Merged counters are the exact sum of the per-shard
                     // breakdown.
                     assert_eq!(got.shard_stats.len(), count, "{q}");
@@ -2196,7 +2204,6 @@ mod tests {
             .unwrap();
         let text = out.explain.as_deref().unwrap();
         assert!(text.contains("sharded: 3 shard(s) by hash"), "{text}");
-        assert!(text.contains("shard 0:"), "{text}");
         assert!(out.rows.is_empty());
         assert!(out.plan.starts_with("Sharded(3):"), "{}", out.plan);
 

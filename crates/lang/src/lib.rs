@@ -27,8 +27,10 @@
 //!
 //! Every relation is a [`tsq_core::shard::ShardedIndex`] of n >= 1
 //! shards — one after registration, n after `SHARD <rel> INTO <n> BY
-//! HASH|RANGE`: queries run scatter-gather over the per-shard indexes
-//! with answers byte-identical at every n.
+//! HASH|RANGE`: each statement is planned once per relation, range and
+//! k-NN statements run scatter-gather over the per-shard indexes, joins
+//! and subsequence statements run once, with answers byte-identical at
+//! every n.
 //!
 //! Queries run against a [`Catalog`] of named [`tsq_core::SeriesRelation`]s
 //! whose similarity indexes are built on registration. [`SharedCatalog`]

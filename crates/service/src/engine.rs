@@ -48,10 +48,11 @@ pub struct QueryReply {
     /// For a sharded relation this is the exact sum of
     /// [`QueryReply::shard_stats`].
     pub stats: ExecStats,
-    /// Per-shard execution counters of a scatter-gather run, in shard
-    /// order — empty for one-shard relations, for subsequence statements
-    /// (never scattered: the relation's one ST-index answers them) and for
-    /// mutations.
+    /// Per-shard execution counters of a scatter-gather run (a range or
+    /// k-NN statement on several shards), in shard order. One plan per
+    /// statement; joins are not scattered: empty for joins and subsequence
+    /// statements (each runs once over the relation), for one-shard
+    /// relations and for mutations.
     pub shard_stats: Vec<ExecStats>,
 }
 

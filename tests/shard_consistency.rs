@@ -32,7 +32,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use tsq::core::plan::ExecStats;
-use tsq::core::{IndexConfig, SeriesRelation};
+use tsq::core::{
+    IndexConfig, LinearTransform, LogicalPlan, PlanChoice, Planner, QueryWindow, RelationStats,
+    SeriesRelation, ShardSpec, ShardedIndex,
+};
 use tsq::lang::{AppendRow, Catalog, QueryOutput};
 use tsq::rtree::RTreeConfig;
 use tsq::series::generate::RandomWalkGenerator;
@@ -54,30 +57,50 @@ fn oracle_queries() -> Vec<String> {
     ]
 }
 
-/// Asserts the sharded answer equals the unsharded oracle answer:
-/// byte-identical rows (order included), and merged counters that are
-/// the exact sum of the per-shard counters. A subsequence statement is not
-/// scattered — it probes the relation's one ST-index — so its whole output
-/// is the oracle's: rows, counters, empty per-shard breakdown, plan name.
+/// Asserts the sharded answer equals the unsharded oracle answer: rows
+/// byte-identical, order and distance bits included. A range or k-NN
+/// statement is scattered, and its merged counters must be the exact sum
+/// of the per-shard counters. Every other statement runs once, under one
+/// plainly named plan with no per-shard breakdown: a subsequence statement
+/// or a scan join reads the relation's records in the oracle's order, so
+/// its whole output is the oracle's; an index join probes one tree per
+/// shard for each series, so only its node counts may differ. Only a
+/// planned join may choose another operator than the oracle's.
 fn assert_sharded_matches(sharded: &QueryOutput, oracle: &QueryOutput, q: &str) {
     assert_eq!(sharded.rows, oracle.rows, "{q}");
+    let bits =
+        |out: &QueryOutput| -> Vec<u64> { out.rows.iter().map(|r| r.distance.to_bits()).collect() };
+    assert_eq!(bits(sharded), bits(oracle), "{q}");
     assert!(
         oracle.shard_stats.is_empty(),
         "{q}: oracle must be unsharded"
     );
-    if oracle.plan == "SubseqIndexProbe" {
-        assert_eq!(sharded, oracle, "{q}");
-        let bits = |out: &QueryOutput| -> Vec<u64> {
-            out.rows.iter().map(|r| r.distance.to_bits()).collect()
-        };
-        assert_eq!(bits(sharded), bits(oracle), "{q}");
+    if sharded.plan.starts_with("Sharded(") {
+        assert_eq!(
+            sharded.stats,
+            ExecStats::sum(&sharded.shard_stats),
+            "{q}: merged counters must be the exact sum of the shard counters"
+        );
         return;
     }
-    assert_eq!(
-        sharded.stats,
-        ExecStats::sum(&sharded.shard_stats),
-        "{q}: merged counters must be the exact sum of the shard counters"
+    assert!(
+        sharded.shard_stats.is_empty(),
+        "{q}: one plan, not scattered"
     );
+    match (sharded.plan.as_str(), oracle.plan.as_str()) {
+        ("JoinIndex", "JoinIndex") => {
+            let counted = |out: &QueryOutput| {
+                let s = &out.stats;
+                (s.candidates, s.refined, s.false_hits)
+            };
+            assert_eq!(counted(sharded), counted(oracle), "{q}");
+        }
+        (got, want) if got == want => assert_eq!(sharded, oracle, "{q}"),
+        (got, want) => assert!(
+            got.starts_with("Join") && want.starts_with("Join"),
+            "{q}: plan {got}, the oracle's {want}"
+        ),
+    }
 }
 
 /// Initial uniform data plus append rounds; every round appends the same
@@ -263,13 +286,15 @@ fn knn_tie_order_survives_the_shard_merge() {
     }
 }
 
-/// The join matrix: every `force` a join can carry, at 1, 2 and 4 shards,
-/// hash- and range-partitioned, plus a layout with empty shards. Rows —
-/// multiplicity (once per pair, twice under `index`/`tree`), order and
-/// distance bits — equal the one-shard relation's; the merged counters
-/// equal the per-shard sum everywhere, and the one-shard relation's
-/// exactly under the scan forces, whose local and cross-shard stages
-/// together compare each unordered pair once.
+/// The join matrix: every `force` a join can carry, and none, at 1, 2, 4
+/// and 8 shards, hash- and range-partitioned, plus a layout with empty
+/// shards. A join is not scattered: it runs once under one plainly named
+/// plan, with no per-shard counters. Rows — multiplicity (once per pair,
+/// twice under `index`), order and distance bits — equal the one-shard
+/// relation's; so does the whole output under the scan forces, and the
+/// candidates, refines and false hits under `index`. `EXPLAIN ANALYZE`
+/// renders one plan, whose scan estimates cover every pair of the
+/// relation, and no shard lines.
 #[test]
 fn sharded_join_matrix_matches_the_one_shard_relation() {
     let catalog = |series: Vec<TimeSeries>| {
@@ -283,11 +308,23 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
     // eight hash shards, which leaves at least three shards empty.
     let mut layouts: Vec<(&[TimeSeries], usize, &str)> = Vec::new();
     for by in ["HASH", "RANGE"] {
-        for shards in [1usize, 2, 4] {
+        for shards in [1usize, 2, 4, 8] {
             layouts.push((&walks, shards, by));
         }
     }
     layouts.push((&walks[..5], 8, "HASH"));
+    // The lines of an `EXPLAIN ANALYZE` text that begin with `prefix`.
+    let lines = |text: &str, prefix: &str| -> Vec<String> {
+        let found = text.lines().filter(|l| l.trim_start().starts_with(prefix));
+        found.map(str::to_string).collect()
+    };
+    // The `considered:` alternatives that scan, with their totals.
+    let scans = |text: &str| -> Vec<String> {
+        let considered = lines(text, "considered:").concat();
+        let alternatives = considered.split(':').nth(1).unwrap().split('|');
+        let scans = alternatives.filter(|alt| alt.contains("JoinScan"));
+        scans.map(|alt| alt.trim().to_string()).collect()
+    };
 
     for (series, shards, by) in layouts {
         let one = catalog(series.to_vec());
@@ -295,10 +332,11 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
         sharded
             .run_mut(&format!("SHARD w INTO {shards} BY {by}"))
             .unwrap();
-        if shards == 8 {
+        if series.len() == 5 {
             let (_, _, sizes) = sharded.shard_layout("w").unwrap();
             assert!(sizes.contains(&0), "the layout must hold an empty shard");
         }
+        let pairs = series.len() * (series.len() - 1) / 2;
         for force in ["", "scan", "scanfull", "index"] {
             let with = if force.is_empty() {
                 String::new()
@@ -309,9 +347,8 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
             let cell = format!("{q} [{} series, {shards} by {by}]", series.len());
             let got = sharded.run(&q).unwrap();
             let want = one.run(&q).unwrap();
-            let ordered_pairs = series.len() * (series.len() - 1);
             assert!(
-                !want.rows.is_empty() && want.rows.len() < ordered_pairs,
+                !want.rows.is_empty() && want.rows.len() < 2 * pairs,
                 "{cell}: the join must be selective, found {} rows",
                 want.rows.len()
             );
@@ -322,16 +359,128 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
                     .collect()
             };
             assert_eq!(key(&got), key(&want), "{cell}");
-            if shards == 1 {
-                assert_eq!(got, want, "{cell}");
-            } else {
-                assert_eq!(got.shard_stats.len(), shards, "{cell}");
-                assert_sharded_matches(&got, &want, &cell);
+            assert!(!got.plan.contains("Sharded"), "{cell}: {}", got.plan);
+            assert!(got.shard_stats.is_empty(), "{cell}");
+            if force.is_empty() {
+                assert_eq!(got.plan, want.plan, "{cell}: the planned join");
             }
+            assert_sharded_matches(&got, &want, &cell);
+            if force != "index" {
+                assert_eq!(got, want, "{cell}");
+            }
+
+            let explain = format!("EXPLAIN ANALYZE {q}");
+            let got = sharded.run(&explain).unwrap().explain.unwrap();
+            let want = one.run(&explain).unwrap().explain.unwrap();
+            assert!(!got.contains("shard"), "{cell}: no shard lines\n{got}");
+            for prefix in ["=>", "considered:", "actual:"] {
+                assert_eq!(lines(&got, prefix).len(), 1, "{cell}\n{got}");
+            }
+            assert_eq!(scans(&got), scans(&want), "{cell}\n{got}");
             if force.starts_with("scan") {
-                assert_eq!(got.stats, want.stats, "{cell}");
+                let every_pair = format!("candidates {pairs}.0, refines {pairs}.0)");
+                assert!(lines(&got, "=>")[0].ends_with(&every_pair), "{cell}\n{got}");
+                for prefix in ["=>", "actual:"] {
+                    assert_eq!(lines(&got, prefix), lines(&want, prefix), "{cell}");
+                }
             }
         }
+    }
+}
+
+/// One plan per statement: a range-sharded relation whose shards hold 1,
+/// 1 and 2 001 series, where each shard costed alone would choose its own
+/// operator (the one-series shards a scan, the big shard its index). The
+/// relation's range and k-NN statements run one operator on every shard,
+/// whose `considered:` estimates are the per-shard sums, and answer the
+/// unsharded relation's rows.
+#[test]
+fn a_statement_runs_one_plan_on_every_shard() {
+    let walks = RandomWalkGenerator::new(7).relation(3, 64);
+    let mut gen = RandomWalkGenerator::new(8);
+    let fresh: Vec<AppendRow> = (0..2000)
+        .map(|i| AppendRow {
+            label: format!("t{i}"),
+            values: gen.series(64).values().to_vec(),
+        })
+        .collect();
+    let mut oracle = Catalog::new();
+    let mut sharded = Catalog::new();
+    for cat in [&mut oracle, &mut sharded] {
+        cat.register(SeriesRelation::from_series("w", walks.clone()).unwrap())
+            .unwrap();
+    }
+    sharded.run_mut("SHARD w INTO 3 BY RANGE").unwrap();
+    for cat in [&mut oracle, &mut sharded] {
+        cat.append("w", &fresh).unwrap();
+    }
+    let (_, _, sizes) = sharded.shard_layout("w").unwrap();
+    assert_eq!(sizes, [1, 1, 2001]);
+    for q in [
+        "FIND SIMILAR TO w.t5 IN w WITHIN 1",
+        "FIND 3 NEAREST TO w.t5 IN w",
+    ] {
+        let got = sharded.run(q).unwrap();
+        let want = oracle.run(q).unwrap();
+        assert_eq!(got.plan, format!("Sharded(3):{}", want.plan), "{q}");
+        assert_sharded_matches(&got, &want, q);
+        let text = sharded
+            .run(&format!("EXPLAIN {q}"))
+            .unwrap()
+            .explain
+            .unwrap();
+        assert_eq!(text.matches("=>").count(), 1, "{q}\n{text}");
+        assert!(text.contains("sharded: 3 shard(s) by range"), "{q}\n{text}");
+    }
+
+    // The same relation through the engine: each shard's own plan, next to
+    // the relation's.
+    let rel = oracle.relation("w").unwrap();
+    let labels: Vec<&str> = (0..rel.len()).map(|id| rel.label(id).unwrap()).collect();
+    let spec = ShardSpec::range(3, &labels[..3]).unwrap();
+    let index = ShardedIndex::build(IndexConfig::default(), rel, spec).unwrap();
+    let query = rel.get(8).unwrap().clone();
+    assert_eq!(rel.label(8), Some("t5"));
+    let statements = [
+        LogicalPlan::Range {
+            relation: "w".into(),
+            query: query.clone(),
+            eps: 1.0,
+            transform: LinearTransform::identity(64),
+            window: QueryWindow::default(),
+        },
+        LogicalPlan::Knn {
+            relation: "w".into(),
+            query,
+            k: 3,
+            transform: LinearTransform::identity(64),
+        },
+    ];
+    for logical in &statements {
+        let alone: Vec<PlanChoice> = index
+            .parts()
+            .iter()
+            .map(|part| {
+                let stats = RelationStats::from_index(part);
+                Planner::new(part, &stats)
+                    .plan(logical, None, None)
+                    .unwrap()
+            })
+            .collect();
+        let ops: Vec<&str> = alone.iter().map(|c| c.plan.op.name()).collect();
+        assert_ne!(ops[0], ops[2], "the shards alone disagree: {ops:?}");
+        let mut sums = alone[0].considered.clone();
+        for choice in &alone[1..] {
+            for (sum, (name, estimate)) in sums.iter_mut().zip(&choice.considered) {
+                assert_eq!(sum.0, *name);
+                sum.1 += *estimate;
+            }
+        }
+        let plan = index.plan_shards(logical, None).unwrap();
+        assert_eq!(plan.considered, sums, "{logical:?}");
+        let outcome = index.execute(logical, None, 2).unwrap();
+        assert_eq!(outcome.plan, plan);
+        assert_eq!(outcome.per_shard.len(), 3);
     }
 }
 
@@ -446,6 +595,12 @@ fn sharded_answers_match_the_oracle_through_a_live_server() {
             assert_eq!(w.offset, d.offset.map(|o| o as u64), "{q}");
             assert_eq!(w.distance.to_bits(), d.distance.to_bits(), "{q}");
         }
+        if q.starts_with("JOIN") {
+            // A join is not scattered: one plain plan, no shard blocks.
+            assert_eq!(reply.plan, want.plan, "{q}");
+            assert!(reply.shard_stats.is_empty(), "{q}");
+            continue;
+        }
         assert_eq!(
             reply.shard_stats.len(),
             3,
@@ -513,8 +668,10 @@ fn sharded_answers_match_the_oracle_through_a_live_server() {
     let snap = handle.shutdown();
     assert_eq!(snap.in_flight, 0);
     assert_eq!(snap.queries_err, 0, "no query may fail");
-    assert!(snap.sharded_queries >= queries.len() as u64);
-    assert!(snap.shards_probed >= 3 * queries.len() as u64);
+    // Every statement but the join was scattered.
+    let scattered = queries.len() as u64 - 1;
+    assert!(snap.sharded_queries >= scattered);
+    assert!(snap.shards_probed >= 3 * scattered);
 }
 
 /// Subsequence statements are not scattered: on a relation sharded 2, 3
