@@ -247,7 +247,7 @@ impl Features {
 
     /// The features of `T(x)` for the series `x` these belong to: mean and
     /// std through `t`'s affine maps, every kept coefficient transformed.
-    pub(crate) fn image(&self, t: &LinearTransform) -> Features {
+    pub fn image(&self, t: &LinearTransform) -> Features {
         let (ma, mb) = t.mean_map();
         let (sa, sb) = t.std_map();
         Features {

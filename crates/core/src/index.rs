@@ -45,9 +45,9 @@ use crate::transform::LinearTransform;
 ///
 /// No statement, CLI flag or wire message sets any of this.
 /// [`FeatureSchema::Raw`], [`SpaceKind::Rectangular`] and
-/// `bulk_load: false` are **ablation-only**: reachable through
-/// `Catalog::with_config` alone, kept for `reproduce ablations` (`S_rect`
-/// vs `S_pol`, insert vs bulk load) and the Theorem-2 / AFS93 tests.
+/// `bulk_load: false` are **reference-only**: reachable through
+/// `Catalog::with_config` alone, kept for the tests that compare against
+/// them (`S_rect` vs `S_pol`, insert vs bulk load, Theorem 2, AFS93).
 #[derive(Debug, Clone, Copy)]
 pub struct IndexConfig {
     /// Feature schema (default: the paper's NormalForm layout with `k = 2`,
@@ -890,40 +890,7 @@ impl SimilarityIndex {
     ) -> Result<(Vec<Match>, QueryStats)> {
         let refine = self.bind_query(q, Some(eps), t)?;
         let qrect = self.probe_rect(&refine.query, eps, window);
-        self.range_bound(&refine, &qrect, false)
-    }
-
-    /// Range query against precomputed query features (the figure
-    /// runners time the query without its FFT).
-    ///
-    /// # Errors
-    /// Same failure modes as [`SimilarityIndex::range_query`].
-    pub fn range_query_features(
-        &self,
-        qf: &Features,
-        eps: f64,
-        t: &LinearTransform,
-        window: &QueryWindow,
-    ) -> Result<(Vec<Match>, QueryStats)> {
-        let refine = self.refine(qf.clone(), Some(eps), t)?;
-        self.range_bound(&refine, &self.probe_rect(qf, eps, window), false)
-    }
-
-    /// Range query that *always* exercises the transformed traversal, even
-    /// for the identity transformation. This exists for the Figure-8/9
-    /// experiment, which measures the pure CPU overhead of applying `T_i =
-    /// (I, 0)` to every rectangle against an otherwise identical plain
-    /// query.
-    pub fn range_query_forced(
-        &self,
-        q: &TimeSeries,
-        eps: f64,
-        t: &LinearTransform,
-        window: &QueryWindow,
-    ) -> Result<(Vec<Match>, QueryStats)> {
-        let refine = self.bind_query(q, Some(eps), t)?;
-        let qrect = self.probe_rect(&refine.query, eps, window);
-        self.range_bound(&refine, &qrect, true)
+        self.range_bound(&refine, &qrect)
     }
 
     /// Algorithm 2, steps 2–3, for a bound range query: filter (the
@@ -933,9 +900,8 @@ impl SimilarityIndex {
         &self,
         refine: &Refine<'_>,
         qrect: &Rect,
-        force_transform: bool,
     ) -> Result<(Vec<Match>, QueryStats)> {
-        let (mut ids, index) = self.filter_rect(qrect, refine.transform, force_transform)?;
+        let (mut ids, index) = self.filter_rect(qrect, refine.transform)?;
         let mut stats = QueryStats {
             index,
             candidates: ids.len(),
@@ -960,20 +926,17 @@ impl SimilarityIndex {
 
     /// Candidate traversal against a prebuilt search rectangle — the
     /// single filter implementation behind every range form and the join
-    /// probes (candidate ids in traversal order, no refine).
-    /// `force_transform` exercises the transformed traversal even
-    /// for the identity (the Figure-8/9 overhead experiment). In paged
+    /// probes (candidate ids in traversal order, no refine). In paged
     /// mode the traversal pins pages in the buffer pool and can fail on
     /// I/O; in-memory traversal is infallible.
     pub(crate) fn filter_rect(
         &self,
         qrect: &Rect,
         t: &LinearTransform,
-        force_transform: bool,
     ) -> Result<(Vec<usize>, SearchStats)> {
         match &self.paged {
-            Some(paged) => self.filter_in(&paged.tree, qrect, t, force_transform),
-            None => self.filter_in(self.tree(), qrect, t, force_transform),
+            Some(paged) => self.filter_in(&paged.tree, qrect, t),
+            None => self.filter_in(self.tree(), qrect, t),
         }
     }
 
@@ -984,7 +947,6 @@ impl SimilarityIndex {
         store: S,
         qrect: &Rect,
         t: &LinearTransform,
-        force_transform: bool,
     ) -> Result<(Vec<usize>, SearchStats)>
     where
         S: NodeStore,
@@ -996,7 +958,7 @@ impl SimilarityIndex {
         let mut ids = Vec::new();
         let collect = |_: RectView<'_>, item: S::Item| ids.push(item.series_id());
         // The identity fast path skips the per-rectangle transformation.
-        let stats = if !force_transform && t.is_identity(1e-12) {
+        let stats = if t.is_identity(1e-12) {
             search_with(store, |r| r.intersects(qrect.view()), collect)?
         } else {
             search_with(

@@ -1208,7 +1208,7 @@ pub(crate) fn execute_bound(
     let n = index.len();
     Ok(match (bound, plan.op) {
         (Bound::Range { refine, rect, .. }, PhysicalOp::IndexRange) => {
-            let (matches, stats) = index.range_bound(refine, rect, false)?;
+            let (matches, stats) = index.range_bound(refine, rect)?;
             let exec = ExecStats::index(
                 &stats.index,
                 stats.candidates,

@@ -22,8 +22,8 @@
 use tsq_rtree::SearchStats;
 use tsq_series::distance::{distance_sq_within, limit_sq};
 
-use crate::error::{Error, Result};
-use crate::features::{Features, Normalize};
+use crate::error::Result;
+use crate::features::Normalize;
 use crate::index::{Record, Refine, SimilarityIndex};
 use crate::records::RecordIo;
 use crate::scan::ScanMode;
@@ -150,7 +150,7 @@ pub(crate) fn probe_pairs(shards: Shards<'_>, join: JoinBound<'_>) -> Result<Joi
             // Shards share one configuration, so one rectangle probes all.
             let qrect = part.probe_rect(&refine.query, join.eps, &window);
             for (t, partner) in shards.active() {
-                let (mut ids, fstats) = partner.filter_rect(&qrect, join.transform, false)?;
+                let (mut ids, fstats) = partner.filter_rect(&qrect, join.transform)?;
                 ids.sort_unstable();
                 out.stats.index.absorb(&fstats);
                 out.stats.candidates += ids.len();
@@ -177,16 +177,6 @@ pub(crate) fn probe_pairs(shards: Shards<'_>, join: JoinBound<'_>) -> Result<Joi
 }
 
 impl SimilarityIndex {
-    /// Transformed feature point of a stored series (query side of join
-    /// method (d): both the index *and* the search rectangle are
-    /// transformed), with the half spectrum a query carries: the series'
-    /// own derived by one FFT ([`SimilarityIndex::features`]), then
-    /// transformed.
-    pub fn transformed_features(&self, id: usize, t: &LinearTransform) -> Result<Features> {
-        let f = self.features(id).ok_or(Error::UnknownSeries(id))?;
-        Ok(f.image(t))
-    }
-
     /// The refine of join probe `id`: its transformed indexed coefficients
     /// for the filter, its `T(x̂)` for the exact check, the join's limit
     /// the threshold.
@@ -247,6 +237,7 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
+    use crate::error::Error;
     use crate::index::IndexConfig;
     use crate::space::SpaceKind;
     use tsq_series::generate::{RandomWalkGenerator, StockGenerator};

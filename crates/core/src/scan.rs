@@ -77,8 +77,8 @@ impl SimilarityIndex {
         self.scan_range_features(&refine, &QueryWindow::default(), mode)
     }
 
-    /// The range-scan kernel for a bound query (the figure runners bind
-    /// precomputed features with [`SimilarityIndex::refine`]): every
+    /// The range-scan kernel for a bound query (precomputed features are
+    /// bound with [`SimilarityIndex::refine`]): every
     /// stored series the mean/std filter `window` admits — the scan-side
     /// equivalent of the search rectangle's bounds on the two auxiliary
     /// dimensions — is checked with the statement's refine, in either

@@ -4,7 +4,7 @@
 //! paper's experiments, where the data set is loaded and then queried) is
 //! much faster with bottom-up packing than with repeated insertion, and
 //! produces well-clustered leaves. Repeated insertion remains available for
-//! incremental workloads, and an ablation benchmark compares the two.
+//! incremental workloads.
 //!
 //! One loader serves every caller ([`RStarTree::bulk_load_flat`];
 //! [`RStarTree::bulk_load`] adapts owned rectangles to it). The number of

@@ -40,7 +40,7 @@ pub struct RTreeConfig {
     /// Number of entries removed and re-inserted on the first overflow of
     /// each level per insertion (`p`, the R\*-tree forced reinsert). Zero
     /// disables forced reinsertion (degrading to a quadratic-style split-only
-    /// R-tree) — exposed for the ablation benchmarks.
+    /// R-tree) — exposed for tests that compare against it.
     pub reinsert_count: usize,
 }
 

@@ -114,7 +114,7 @@ pub fn read_request(
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed(format!("bad version {version:?}")));
     }
-    let mut content_length: usize = 0;
+    let mut content_length: Option<u64> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -122,14 +122,20 @@ pub fn read_request(
                     .trim()
                     .parse()
                     .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?;
+                // RFC 9112 §6.3: differing repeated lengths frame no body.
+                if content_length.is_some_and(|prev| prev != len) {
+                    return Err(HttpError::Malformed(format!(
+                        "conflicting content-length {value:?}"
+                    )));
+                }
                 if len > max_body as u64 {
                     return Err(HttpError::TooLarge { len, max: max_body });
                 }
-                content_length = len as usize;
+                content_length = Some(len);
             }
         }
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; content_length.unwrap_or(0) as usize];
     r.read_exact(&mut body)?;
     Ok(HttpRequest {
         method: method.to_ascii_uppercase(),
@@ -217,6 +223,17 @@ mod tests {
             read_request(&mut &raw[..], &[], 1024),
             Err(HttpError::Malformed(_))
         ));
+        // Differing repeated content-lengths; identical repeats are one.
+        let raw = b"POST /q HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 40\r\n\r\nJOIN";
+        assert!(matches!(
+            read_request(&mut &raw[..], &[], 1024),
+            Err(HttpError::Malformed(_))
+        ));
+        let raw = b"POST /q HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nJOIN";
+        assert_eq!(
+            read_request(&mut &raw[..], &[], 1024).unwrap().body,
+            b"JOIN"
+        );
         // EOF before the blank line.
         let raw = b"GET /half HTTP";
         assert!(matches!(

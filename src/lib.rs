@@ -11,7 +11,6 @@
 //! ```text
 //! tsq-pool ──────────────────┐
 //! tsq-series ─→ tsq-dft ─→ tsq-rtree ─→ tsq-core ─→ tsq-service ─→ tsq-lang
-//!                                            └─────→ tsq-bench
 //! ```
 //!
 //! `tsq-pool` is the persistent work-stealing executor every parallel
@@ -21,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use tsq_bench as bench;
 pub use tsq_core as core;
 pub use tsq_dft as dft;
 pub use tsq_lang as lang;

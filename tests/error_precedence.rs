@@ -15,11 +15,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tsq_core::shard::{ShardSpec, ShardedIndex};
 use tsq_core::{
-    execute_plan, CostEstimate, Error, Features, ForceOp, IndexConfig, LinearTransform,
-    LogicalPlan, PhysicalOp, PhysicalPlan, Planner, QueryWindow, RelationStats, ScanMode,
-    SeriesRelation, SimilarityIndex, SpaceKind,
+    execute_plan, CostEstimate, Error, ForceOp, IndexConfig, LinearTransform, LogicalPlan,
+    PhysicalOp, PhysicalPlan, Planner, QueryWindow, RelationStats, ScanMode, SeriesRelation,
+    SimilarityIndex, SpaceKind,
 };
-use tsq_dft::{Complex64, FftPlanner};
+use tsq_dft::Complex64;
 use tsq_lang::{parse, Catalog, LangError, Query};
 use tsq_series::generate::RandomWalkGenerator;
 use tsq_series::TimeSeries;
@@ -202,18 +202,6 @@ fn layers(
             push(
                 "range_query",
                 outcome(|| idx.range_query(q, eps, t, &window)),
-            );
-            push(
-                "range_query_forced",
-                outcome(|| idx.range_query_forced(q, eps, t, &window)),
-            );
-            push(
-                "range_query_features",
-                outcome(|| {
-                    let schema = idx.config().schema;
-                    let qf = Features::extract(q, schema, &mut FftPlanner::new())?;
-                    idx.range_query_features(&qf, eps, t, &window)
-                }),
             );
             push(
                 "scan_range",

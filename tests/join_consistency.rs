@@ -105,7 +105,7 @@ fn join_stats_reflect_strategy() {
 fn table_1_shape_on_stand_in_relation() {
     // The paper's Table 1 relation: 1067 stocks, length 128, T_mavg20.
     // We reproduce the *shape* on the synthetic stand-in with a smaller
-    // population for test speed: see the bench harness for the full-size
+    // population for test speed: `paper_shapes.rs` pins the full-size
     // run. Answer sizes: method d = 2x method a; method c typically
     // smaller than d (3 vs 12 in the paper).
     let mut gen = StockGenerator::new(3005);
