@@ -77,7 +77,7 @@ impl Default for IndexConfig {
 #[derive(Debug, Clone)]
 pub struct StoredSeries {
     /// The original series: the relation's own value, one buffer shared
-    /// with the catalog and every ST-index that holds it. Empty once the
+    /// with the catalog (an ST-index reads it, and keeps none). Empty once the
     /// index is paged: the samples then live in its record file, and
     /// [`SimilarityIndex::record`] reads them.
     pub series: TimeSeries,

@@ -121,7 +121,9 @@ pub use shard::{
     ShardedIndex, ShardedOutcome,
 };
 pub use space::{QueryWindow, SpaceKind};
-pub use subseq::{SubseqConfig, SubseqIndex, SubseqMatch, SubseqScanStats, SubseqStats};
+pub use subseq::{
+    SubseqConfig, SubseqIndex, SubseqMatch, SubseqScanStats, SubseqStats, TrailIndex,
+};
 pub use transform::LinearTransform;
 /// The series crate, for dependents that reach it through the engine: the
 /// network service reads append rows with [`series::io::parse_rows`].

@@ -107,7 +107,7 @@ use crate::records::RecordIo;
 use crate::scan::ScanMode;
 use crate::shard::Shards;
 use crate::space::{QueryWindow, SpaceKind};
-use crate::subseq::{SubseqConfig, SubseqIndex, SubseqMatch};
+use crate::subseq::{SampleSource, SubseqConfig, SubseqIndex, SubseqMatch, TrailIndex};
 use crate::transform::LinearTransform;
 
 /// Floating-point operations assumed equivalent to one simulated page
@@ -731,7 +731,8 @@ impl<'a> Planner<'a> {
         let bound = Bound::new(logical, self.index)?;
         if logical.subseq_window().is_some() {
             let (len, series_len) = (self.index.len(), self.index.series_len());
-            return Ok(plan_subseq(&bound, forced, subseq, len, series_len));
+            let trails = subseq.map(SubseqIndex::trails);
+            return Ok(plan_subseq(&bound, forced, trails, len, series_len));
         }
         let costed = self.costed(&bound, self.stats().cardinality);
         Ok(choose(costed, forced))
@@ -945,7 +946,7 @@ pub(crate) fn plan_relation(
 pub(crate) fn plan_subseq(
     bound: &Bound<'_>,
     forced: Option<ForceOp>,
-    subseq: Option<&SubseqIndex>,
+    subseq: Option<&TrailIndex>,
     len: usize,
     series_len: usize,
 ) -> PlanChoice {
@@ -1240,17 +1241,18 @@ pub(crate) fn execute_bound(
             (PlanRows::Whole(matches), exec.with_records(&records))
         }
         (Bound::Join(join), op) => return run_join(*join, op, Shards::one(index)),
-        _ => return execute_subseq(bound, plan, subseq),
+        _ => return execute_subseq(bound, plan, subseq.map(SubseqIndex::split)),
     })
 }
 
 /// The subsequence rows of the operator table: a bound subsequence
-/// statement against the ST-index of its relation — of the whole relation,
-/// however many shards it has. Every other pairing is a typed mismatch.
-pub(crate) fn execute_subseq(
+/// statement against the trails of its relation's ST-index — of the whole
+/// relation, however many shards it has — and the series they read.
+/// Every other pairing is a typed mismatch.
+pub(crate) fn execute_subseq<S: SampleSource + ?Sized>(
     bound: &Bound<'_>,
     plan: &PhysicalPlan,
-    subseq: Option<&SubseqIndex>,
+    subseq: Option<(&TrailIndex, &S)>,
 ) -> Result<(PlanRows, ExecStats)> {
     let st_index = || {
         subseq.ok_or_else(|| {
@@ -1261,9 +1263,13 @@ pub(crate) fn execute_subseq(
         (
             Bound::SubseqRange { query, eps, .. },
             PhysicalOp::SubseqIndexProbe { knn: false, .. },
-        ) => st_index()?.subseq_range(query, *eps)?,
+        ) => {
+            let (st, source) = st_index()?;
+            st.range(source, query, *eps)?
+        }
         (Bound::SubseqKnn { query, k, .. }, PhysicalOp::SubseqIndexProbe { knn: true, .. }) => {
-            st_index()?.subseq_knn(query, *k)?
+            let (st, source) = st_index()?;
+            st.knn(source, query, *k)?
         }
         _ => {
             return Err(Error::Unsupported(format!(
@@ -1278,7 +1284,8 @@ pub(crate) fn execute_subseq(
         stats.candidates,
         stats.candidates,
         stats.false_hits,
-    );
+    )
+    .with_records(&stats.records);
     Ok((PlanRows::Windows(matches), exec))
 }
 

@@ -47,18 +47,18 @@
 //! [`ShardedIndex::layout`] is `None`.
 //!
 //! **A relation owns one ST-index.** The [`ShardedIndex`] holds at most
-//! one [`SubseqIndex`] — FRM's one trail tree over the relation's windows,
+//! one [`TrailIndex`] — FRM's one trail tree over the relation's windows,
 //! above the shards, over global series ids in id order — at one base
 //! window `w`: the window of the relation's first subsequence statement,
 //! or the one a restore brings back. A subsequence statement is not
 //! scattered: it is planned and run once, and reports as on one shard,
 //! counters included. A statement of length `L >= w` probes
-//! it by PrefixSearch ([`SubseqIndex::subseq_range`]); a statement
+//! it by PrefixSearch ([`crate::SubseqIndex::subseq_range`]); a statement
 //! shorter than `w` replaces it with one at `L`, so `w` only ever
 //! shrinks and alternating lengths cannot rebuild back and forth. The held
 //! index is a cell that starts empty and is filled once, by the first
-//! subsequence statement or `EXPLAIN` that needs it, with a build over the
-//! relation's series; racing first readers wait for that one build (a
+//! subsequence statement or `EXPLAIN` that needs it, with a build that
+//! reads the records and keeps no sample; racing first readers wait (a
 //! batch's statement on a pool worker builds a copy of its own instead of
 //! waiting on a build that may be waiting for the pool). *Who owns:* the
 //! `ShardedIndex`, so whatever replaces it (`register`, a restore) drops
@@ -87,7 +87,7 @@ use crate::plan::{
     PlanRows,
 };
 use crate::relation::SeriesRelation;
-use crate::subseq::{SubseqConfig, SubseqIndex};
+use crate::subseq::{SubseqConfig, TrailIndex};
 
 /// How series labels are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,7 +343,7 @@ pub struct ShardedIndex {
 #[derive(Debug)]
 struct WindowCell {
     window: usize,
-    built: OnceLock<Arc<SubseqIndex>>,
+    built: OnceLock<Arc<TrailIndex>>,
     /// Held by the one reader building `built`.
     building: Mutex<()>,
 }
@@ -410,7 +410,7 @@ impl SubseqSlot {
     /// pre-append index keeps its consistent snapshot. An empty cell shared
     /// with a clone is replaced by an empty one of its own, so neither side
     /// ever builds over the other's series.
-    fn built_mut(&mut self) -> Option<&mut SubseqIndex> {
+    fn built_mut(&mut self) -> Option<&mut TrailIndex> {
         let held = self.0.get_mut().unwrap_or_else(PoisonError::into_inner);
         let built = Arc::make_mut(held.as_mut()?).built.get_mut()?;
         Some(Arc::make_mut(built))
@@ -559,7 +559,7 @@ impl ShardedIndex {
 
     /// The base window this relation holds its ST-index at, if any, with
     /// the ST-index once built.
-    pub fn subseq_held(&self) -> Option<(usize, Option<Arc<SubseqIndex>>)> {
+    pub fn subseq_held(&self) -> Option<(usize, Option<Arc<TrailIndex>>)> {
         let cell = self.subseq.get()?;
         Some((cell.window, cell.built.get().cloned()))
     }
@@ -568,7 +568,7 @@ impl ShardedIndex {
     /// when its window is at most `window`, else a fresh one at `window`,
     /// held in its place; either is built by the first reader of its cell
     /// (see the module docs for the locking).
-    fn subseq_index(&self, window: usize) -> Result<Arc<SubseqIndex>> {
+    fn subseq_index(&self, window: usize) -> Result<Arc<TrailIndex>> {
         let cell = match self.subseq.serving(window) {
             Some(cell) => cell,
             None => {
@@ -587,32 +587,26 @@ impl ShardedIndex {
     /// waits on nothing) and leaves the cell to the builder.
     ///
     /// # Errors
-    /// What [`SimilarityIndex::series`] reports for a paged shard whose
-    /// record file cannot be read; nothing is built then.
-    fn fill(&self, cell: &WindowCell) -> Result<Arc<SubseqIndex>> {
+    /// What [`SimilarityIndex::record`] reports for a paged shard whose
+    /// record file cannot be read; the cell stays empty then.
+    fn fill(&self, cell: &WindowCell) -> Result<Arc<TrailIndex>> {
         if let Some(built) = cell.built.get() {
             return Ok(Arc::clone(built));
         }
-        // What the ST-index slides over, in global-id order: the shards'
-        // own buffers in memory, copies read from their record files when
-        // paged, which the ST-index then keeps.
-        let series = (0..self.len()).map(|global| self.series(global));
-        let series = series.collect::<Result<Vec<_>>>()?;
         let config = SubseqConfig::new(cell.window);
-        let build = move || {
-            let built = SubseqIndex::build_parallel(config, series, default_threads());
-            Arc::new(built.expect("a held window is a valid window"))
-        };
+        let build = || TrailIndex::build(config, self, default_threads()).map(Arc::new);
         let _building = match cell.building.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) if tsq_pool::in_pool_work() => return Ok(build()),
+            Err(TryLockError::WouldBlock) if tsq_pool::in_pool_work() => return build(),
             Err(TryLockError::WouldBlock) => {
                 let guard = cell.building.lock();
                 guard.unwrap_or_else(PoisonError::into_inner)
             }
         };
-        Ok(Arc::clone(cell.built.get_or_init(build)))
+        // A reader that waited finds the cell filled, unless a build failed.
+        let built = cell.built.get().cloned().map_or_else(build, Ok)?;
+        Ok(Arc::clone(cell.built.get_or_init(|| built)))
     }
 
     /// The assignment map.
@@ -736,9 +730,9 @@ impl ShardedIndex {
     /// are dropped for the next whole-match reader to pack; the relation's
     /// built ST-index then takes the same values by global id, in
     /// statement order (a held window not built yet is built over them by
-    /// its first reader) ([`SubseqIndex::extend_series`] resumes the
-    /// sliding-DFT recurrence at `O(k)` per appended point), so every
-    /// holder of a series shares the relation's buffer. Callers (the
+    /// its first reader) ([`crate::SubseqIndex::extend_series`] resumes the
+    /// sliding-DFT recurrence at `O(k)` per appended point, and keeps the
+    /// new length, not the samples). Callers (the
     /// catalog) validate the batch up front; per-shard application reuses
     /// the index's atomic batch append.
     ///
@@ -760,7 +754,7 @@ impl ShardedIndex {
         }
         if let Some(st) = self.subseq.built_mut() {
             for (global, series) in edits {
-                st.extend_series(global, series)?;
+                st.extend_series(global, series.values())?;
             }
         }
         Ok(())
@@ -791,7 +785,7 @@ impl ShardedIndex {
         for (label, series) in series {
             self.map.push_label(label);
             if let Some(st) = st.as_deref_mut() {
-                st.insert(series);
+                st.insert(series.values());
             }
         }
         Ok(())
@@ -869,7 +863,7 @@ impl ShardedIndex {
         if let Some(window) = logical.subseq_window() {
             let st = self.subseq_index(window)?;
             let plan = plan_subseq(&bound, forced, Some(&st), self.len(), self.series_len());
-            let ran = execute_subseq(&bound, &plan.plan, Some(&st))?;
+            let ran = execute_subseq(&bound, &plan.plan, Some((&*st, self)))?;
             return Ok(ShardedOutcome::once(ran, plan));
         }
         let plan = plan_relation(self.shards(), &bound, forced);
@@ -1428,7 +1422,7 @@ mod tests {
     }
 
     /// The held window's built index.
-    fn built(sharded: &ShardedIndex) -> Arc<SubseqIndex> {
+    fn built(sharded: &ShardedIndex) -> Arc<TrailIndex> {
         sharded.subseq_held().unwrap().1.expect("built")
     }
 
@@ -1548,7 +1542,7 @@ mod tests {
         sharded.hold_window(16).unwrap();
         let readers = std::sync::Barrier::new(8);
         // Readers at the held window and past it.
-        let got: Vec<Arc<SubseqIndex>> = std::thread::scope(|scope| {
+        let got: Vec<Arc<TrailIndex>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|i| {
                     let (readers, sharded) = (&readers, &sharded);
@@ -1571,7 +1565,7 @@ mod tests {
         // The series lengths a side's built window-8 index holds.
         let lens = |sharded: &ShardedIndex| -> Vec<usize> {
             let st = built(sharded);
-            (0..st.len()).map(|i| st.series(i).unwrap().len()).collect()
+            (0..st.len()).map(|i| st.length(i).unwrap()).collect()
         };
         // Either side appended, either side built first: the empty cell
         // they shared at the clone is built over each side's own series.

@@ -18,6 +18,18 @@
 //! at the query's own `eps`, and each candidate offset whose length-`L`
 //! subsequence fits in its series is verified over all `L` samples.
 //!
+//! ## One sample store
+//!
+//! The index is its trails, never a copy of the data: a [`TrailIndex`]
+//! holds the trail tree, its counters and one length per series, and its
+//! build and every refine read samples from a source by series id. A
+//! relation's source is its records ([`crate::ShardedIndex`]: a borrow in
+//! memory, a pin of the owning shard's record frame when paged), so a
+//! relation holds each sample once. The standalone [`SubseqIndex`] is a
+//! trail index paired with its own series, and reads those. A range
+//! refine sorts its accepted trails by `(series, start)` and reads each
+//! series once; a k-NN's best-first pass reads once per trail it visits.
+//!
 //! ## Why there are no false dismissals
 //!
 //! The unitary DFT preserves Euclidean distance (Parseval, Equation 8), so
@@ -41,6 +53,7 @@
 //! floating-point rounding.
 
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use tsq_dft::dft::dft_prefix;
@@ -51,9 +64,10 @@ use tsq_series::distance::{distance_sq_within, limit_sq};
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
-use crate::index::check_extends;
 use crate::plan::SpaceProfile;
+use crate::records::RecordIo;
 use crate::scan::ScanMode;
+use crate::shard::ShardedIndex;
 use crate::space::padded;
 
 /// Configuration of a [`SubseqIndex`].
@@ -110,6 +124,11 @@ impl SubseqConfig {
         }
         Ok(())
     }
+
+    /// Windows of a series of `len` samples.
+    fn windows(&self, len: usize) -> usize {
+        len.saturating_sub(self.window - 1)
+    }
 }
 
 impl Default for SubseqConfig {
@@ -159,6 +178,8 @@ pub struct SubseqStats {
     pub candidates: usize,
     /// Candidates rejected by the exact check.
     pub false_hits: usize,
+    /// Record-pool traffic of the refine (a paged relation's only).
+    pub records: RecordIo,
 }
 
 /// Counters from a sliding-scan baseline.
@@ -170,38 +191,72 @@ pub struct SubseqScanStats {
     pub abandoned: usize,
 }
 
-/// The ST-index: subsequence similarity search over a relation of (possibly
-/// different-length) time series.
+/// Where the ST-index kernels read samples from, by series id.
+pub(crate) trait SampleSource: Sync {
+    /// Every series' length, in id order, without reading a sample.
+    fn lengths(&self) -> Vec<usize>;
+
+    /// `f` over series `id`'s samples, counting record-pool traffic in
+    /// `io`.
+    fn read<R>(&self, id: usize, io: &mut RecordIo, f: impl FnOnce(&[f64]) -> R) -> Result<R>;
+}
+
+impl SampleSource for [TimeSeries] {
+    fn lengths(&self) -> Vec<usize> {
+        self.iter().map(TimeSeries::len).collect()
+    }
+
+    fn read<R>(&self, id: usize, _: &mut RecordIo, f: impl FnOnce(&[f64]) -> R) -> Result<R> {
+        let series = self.get(id).ok_or(Error::UnknownSeries(id))?;
+        Ok(f(series.values()))
+    }
+}
+
+/// A relation's records by global id, read as every whole-match operator
+/// reads them ([`crate::SimilarityIndex::record`]).
+impl SampleSource for ShardedIndex {
+    fn lengths(&self) -> Vec<usize> {
+        let mut lengths = vec![0; self.len()];
+        for (shard, part) in self.parts().iter().enumerate() {
+            let members = self.map().members(shard).iter().zip(part.entries());
+            for (&global, stored) in members {
+                lengths[global] = stored.features.n();
+            }
+        }
+        lengths
+    }
+
+    fn read<R>(&self, global: usize, io: &mut RecordIo, f: impl FnOnce(&[f64]) -> R) -> Result<R> {
+        let owner = self.map().owner(global);
+        let (shard, local) = owner.ok_or(Error::UnknownSeries(global))?;
+        Ok(f(self.parts()[shard].record(local, io)?.samples()))
+    }
+}
+
+/// The ST-index's trails over a relation's windows: the trail tree, its
+/// counters and one length per series, and no sample — its build and its
+/// queries read them by series id from a source (see the module docs).
+/// This is what a relation holds.
 #[derive(Debug, Clone)]
-pub struct SubseqIndex {
+pub struct TrailIndex {
     config: SubseqConfig,
     tree: RStarTree<TrailEntry>,
-    store: Vec<TimeSeries>,
+    lengths: Vec<usize>,
     windows_total: usize,
     trails_total: usize,
     /// The trail tree's shape for the planner, kept from the first plan
-    /// that asks until the next append (see [`SubseqIndex::profile`]).
+    /// that asks until the next append (see [`TrailIndex::profile`]).
     profile: OnceLock<SpaceProfile>,
 }
 
-impl SubseqIndex {
-    /// Builds an ST-index over a relation. Unlike the whole-sequence
-    /// [`crate::SimilarityIndex`], stored series may differ in length;
-    /// series shorter than the window contribute no windows (and can never
-    /// match).
-    ///
-    /// # Errors
-    /// Propagates [`SubseqConfig::validate`] failures.
-    pub fn build(config: SubseqConfig, relation: Vec<TimeSeries>) -> Result<Self> {
-        Self::build_parallel(config, relation, 1)
-    }
-
-    /// [`SubseqIndex::build`] with the two heavy phases partitioned across
-    /// up to `threads` worker threads: sliding-DFT trail extraction fans
-    /// out over runs of consecutive stored series, and the STR bulk load
-    /// sorts levels in parallel ([`RStarTree::bulk_load_flat`]). The index
-    /// is *identical* to a sequential build for every thread count — trail
-    /// order is fixed before the fan-out and STR packing is
+impl TrailIndex {
+    /// Builds the trails of every series `source` holds, with the two
+    /// heavy phases partitioned across up to `threads` worker threads:
+    /// sliding-DFT trail extraction fans out over runs of consecutive
+    /// series, each reading its series from `source`, and the STR bulk
+    /// load sorts levels in parallel ([`RStarTree::bulk_load_flat`]). The
+    /// index is *identical* to a sequential build for every thread count —
+    /// trail order is fixed before the fan-out and STR packing is
     /// position-deterministic — so queries cannot tell how it was built.
     ///
     /// Each run writes its trails' rectangles straight into the slots the
@@ -209,81 +264,91 @@ impl SubseqIndex {
     /// rectangle is allocated per trail, and no buffer holds all of them.
     ///
     /// # Errors
-    /// Propagates [`SubseqConfig::validate`] failures.
-    pub fn build_parallel(
+    /// [`SubseqConfig::validate`] failures, and the first read `source`
+    /// fails; nothing is built then.
+    pub(crate) fn build<S: SampleSource + ?Sized>(
         config: SubseqConfig,
-        relation: Vec<TimeSeries>,
+        source: &S,
         threads: usize,
     ) -> Result<Self> {
         config.validate()?;
         let threads = threads.max(1);
-        let windows = |s: &TimeSeries| s.len().saturating_sub(config.window - 1);
-        let trails = |s: &TimeSeries| windows(s).div_ceil(config.trail);
-        let total: usize = relation.iter().map(trails).sum();
+        let lengths = source.lengths();
+        let trail_count = |len: &usize| config.windows(*len).div_ceil(config.trail);
+        let total: usize = lengths.iter().map(trail_count).sum();
         let mut entries = Vec::with_capacity(total);
-        for (id, s) in relation.iter().enumerate() {
-            entries.extend(trail_entries(&config, id, 0, windows(s)));
+        for (id, &len) in lengths.iter().enumerate() {
+            entries.extend(trail_entries(&config, id, 0, config.windows(len)));
         }
-        let run = relation.len().div_ceil(threads).max(1);
+        let run = lengths.len().div_ceil(threads).max(1);
+        let mut read: Result<()> = Ok(());
         let tree = RStarTree::bulk_load_flat(config.rtree, 2 * config.k, total, threads, |slots| {
-            let runs: Vec<(&[TimeSeries], Vec<&mut [f64]>)> = relation
-                .chunks(run)
-                .map(|series| {
-                    let count = series.iter().map(trails).sum();
+            let runs: Vec<(Range<usize>, Vec<&mut [f64]>)> = (0..lengths.len())
+                .step_by(run)
+                .map(|first| {
+                    let ids = first..(first + run).min(lengths.len());
+                    let count = lengths[ids.clone()].iter().map(trail_count).sum();
                     let mut part = Vec::with_capacity(count);
                     part.extend((&mut *slots).take(count));
-                    (series, part)
+                    (ids, part)
                 })
                 .collect();
-            crate::executor::parallel_map(threads, runs, |(series, slots)| {
+            let reads = crate::executor::parallel_map(threads, runs, |(ids, slots)| {
                 let mut slots = slots.into_iter();
-                for s in series {
-                    chunks_of(&config, s.values(), 0, windows(s), |bounds| {
-                        slots
-                            .next()
-                            .expect("a slot per trail")
-                            .copy_from_slice(bounds)
-                    });
+                // A build reads outside any statement: its traffic is
+                // nobody's to report.
+                let mut io = RecordIo::default();
+                for id in ids {
+                    source.read(id, &mut io, |values| {
+                        chunks_of(&config, values, 0, config.windows(lengths[id]), |bounds| {
+                            slots
+                                .next()
+                                .expect("a slot per trail")
+                                .copy_from_slice(bounds)
+                        })
+                    })?;
                 }
+                Ok(())
             });
+            read = reads.into_iter().collect();
             entries
         });
-        let mut index = SubseqIndex {
+        read?;
+        let mut index = TrailIndex {
             config,
             tree,
-            store: Vec::new(),
+            lengths: Vec::with_capacity(lengths.len()),
             windows_total: 0,
             trails_total: 0,
             profile: OnceLock::new(),
         };
-        for series in relation {
-            index.count_windows(&series);
-            index.store.push(series);
+        for len in lengths {
+            index.push_length(len);
         }
         Ok(index)
     }
 
-    /// Appends one series, returning its id. The new trails enter the tree
-    /// through the STR-sorted batch path ([`RStarTree::bulk_extend`]).
-    pub fn insert(&mut self, series: TimeSeries) -> usize {
-        let id = self.store.len();
-        let windows = series.len().saturating_sub(self.config.window - 1);
-        let (bounds, entries) = trails(&self.config, id, series.values(), 0, windows);
+    /// Appends a series of `values`, returning its id. The new trails
+    /// enter the tree through the STR-sorted batch path
+    /// ([`RStarTree::bulk_extend`]).
+    pub(crate) fn insert(&mut self, values: &[f64]) -> usize {
+        let id = self.lengths.len();
+        let windows = self.config.windows(values.len());
+        let (bounds, entries) = trails(&self.config, id, values, 0, windows);
         self.tree.bulk_extend(&bounds, entries);
         self.profile.take();
-        self.count_windows(&series);
-        self.store.push(series);
+        self.push_length(values.len());
         id
     }
 
-    /// Takes one stored series' extended value — the relation's own, whose
-    /// buffer the index then shares; the value it held is its prefix — and
-    /// extends the feature trail *incrementally*: the sliding-DFT
+    /// Extends series `id`'s trail to `values`, its extended samples (the
+    /// old ones are their prefix), *incrementally*: the sliding-DFT
     /// recurrence is resumed from the last indexed window (no prefix
     /// recomputation — `O(k)` per appended point), the final trail MBR —
-    /// if it was partial — is closed out (removed and re-emitted with its
-    /// new windows), and the MBRs of the new chunks enter the tree through
-    /// the STR-sorted batch path ([`RStarTree::bulk_extend`]).
+    /// if it was partial — is closed out (re-emitted with its new
+    /// windows), and the MBRs of the new chunks enter the tree through the
+    /// STR-sorted batch path ([`RStarTree::bulk_extend`]). The series'
+    /// length follows on every extend, one that adds no window included.
     ///
     /// Trail chunk boundaries are fixed absolute offsets
     /// (`start = chunk * trail`) and the sliding DFT re-anchors on absolute
@@ -297,17 +362,21 @@ impl SubseqIndex {
     ///
     /// # Errors
     /// [`Error::UnknownSeries`] for a bad id, [`Error::LengthMismatch`] for
-    /// a value shorter than the stored one.
-    pub fn extend_series(&mut self, id: usize, series: TimeSeries) -> Result<()> {
-        let Some(held) = self.store.get_mut(id) else {
+    /// samples fewer than the series holds.
+    pub(crate) fn extend_series(&mut self, id: usize, values: &[f64]) -> Result<()> {
+        let Some(held) = self.lengths.get_mut(id) else {
             return Err(Error::UnknownSeries(id));
         };
-        check_extends(held, &series)?;
-        let w = self.config.window;
+        if values.len() < *held {
+            return Err(Error::LengthMismatch {
+                expected: *held,
+                got: values.len(),
+            });
+        }
         let trail = self.config.trail;
-        let old_windows = held.len().saturating_sub(w - 1);
-        let new_windows = series.len().saturating_sub(w - 1);
-        *held = series;
+        let old_windows = self.config.windows(*held);
+        let new_windows = self.config.windows(values.len());
+        *held = values.len();
         // Nothing can fail past this point — the mutation is committed.
         if new_windows == old_windows {
             return Ok(());
@@ -317,7 +386,6 @@ impl SubseqIndex {
         // windows); when it was full — or there were no windows at all —
         // it is the next, brand-new chunk.
         let first_chunk = old_windows / trail;
-        let values = self.store[id].values();
         let (bounds, mut entries) = trails(&self.config, id, values, first_chunk, new_windows);
         let mut grown = 0;
         if old_windows % trail != 0 {
@@ -349,23 +417,21 @@ impl SubseqIndex {
         Ok(())
     }
 
-    fn count_windows(&mut self, series: &TimeSeries) {
-        let w = self.config.window;
-        if series.len() >= w {
-            let count = series.len() - w + 1;
-            self.windows_total += count;
-            self.trails_total += count.div_ceil(self.config.trail);
-        }
+    fn push_length(&mut self, len: usize) {
+        let windows = self.config.windows(len);
+        self.windows_total += windows;
+        self.trails_total += windows.div_ceil(self.config.trail);
+        self.lengths.push(len);
     }
 
-    /// Number of stored series.
+    /// Number of series.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.lengths.len()
     }
 
-    /// True when no series are stored.
+    /// True when no series are indexed.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.lengths.is_empty()
     }
 
     /// The configuration.
@@ -373,9 +439,9 @@ impl SubseqIndex {
         &self.config
     }
 
-    /// Stored series by id.
-    pub fn series(&self, id: usize) -> Option<&TimeSeries> {
-        self.store.get(id)
+    /// Length of series `id`, as the index last saw it.
+    pub fn length(&self, id: usize) -> Option<usize> {
+        self.lengths.get(id).copied()
     }
 
     /// Total number of indexed windows across the relation — the effort a
@@ -426,91 +492,89 @@ impl SubseqIndex {
 
     /// The offsets of `trail` at which a subsequence of `len` samples fits
     /// in its series: every one when `len` is the window.
-    fn fitting(&self, trail: &TrailEntry, len: usize) -> std::ops::Range<usize> {
-        let end = (self.store[trail.series].len() + 1).saturating_sub(len);
+    fn fitting(&self, trail: &TrailEntry, len: usize) -> Range<usize> {
+        let end = (self.lengths[trail.series] + 1).saturating_sub(len);
         trail.start..end.min(trail.start + trail.len)
     }
 
-    /// Range query: every `(series, offset)` whose subsequence of
-    /// `L = q.len()` samples (at least the window) lies within `eps` of `q`
-    /// in Euclidean distance. This is FRM's PrefixSearch: the traversal
-    /// prunes trail MBRs with the query's first window, whose distance is
-    /// at most the whole subsequence's, so nothing is dismissed (see the
-    /// module docs); candidates are verified over all `L` samples with
-    /// early abandoning. Results are sorted by `(series, offset)`.
-    ///
-    /// # Errors
-    /// [`Error::NegativeThreshold`] and [`Error::LengthMismatch`] (the
-    /// query must be at least one window long).
-    pub fn subseq_range(
+    /// [`SubseqIndex::subseq_range`] over the series `source` holds.
+    pub(crate) fn range<S: SampleSource + ?Sized>(
         &self,
+        source: &S,
         q: &TimeSeries,
         eps: f64,
     ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
         self.check_query(q, eps)?;
-        Ok(self.range_inner(q, eps))
+        self.range_inner(source, q, eps)
     }
 
-    /// The range kernel, run once per statement (by `subseq_range`, and
-    /// by `subseq_knn`'s refine phase): `eps` sizes the search box, and a
-    /// candidate window is an answer when its squared distance is within
+    /// The range kernel, run once per statement (by `range`, and by
+    /// `knn`'s refine phase): `eps` sizes the search box, and a candidate
+    /// window is an answer when its squared distance is within
     /// `limit_sq(eps)` — when the distance it is reported with is `<= eps`.
-    fn range_inner(&self, q: &TimeSeries, eps: f64) -> (Vec<SubseqMatch>, SubseqStats) {
+    fn range_inner<S: SampleSource + ?Sized>(
+        &self,
+        source: &S,
+        q: &TimeSeries,
+        eps: f64,
+    ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
         let qrect = query_rect(&self.query_coords(q), eps);
-        self.refine(q, |r| r.intersects(qrect.view()), limit_sq(eps))
+        self.refine(source, q, |r| r.intersects(qrect.view()), limit_sq(eps))
     }
 
     /// Every subsequence of the trails whose MBR passes `filter` that lies
     /// within `limit` of `q` in squared distance, sorted by
-    /// `(series, offset)`.
-    fn refine(
+    /// `(series, offset)`. The trails are refined in that order, so each
+    /// series with a candidate window is read once.
+    fn refine<S: SampleSource + ?Sized>(
         &self,
+        source: &S,
         q: &TimeSeries,
         filter: impl FnMut(RectView<'_>) -> bool,
         limit: f64,
-    ) -> (Vec<SubseqMatch>, SubseqStats) {
+    ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
         let mut trails: Vec<TrailEntry> = Vec::new();
         let index_stats = self.tree.search_with(filter, |_, &t| trails.push(t));
+        // A series' trails cover disjoint offset runs, so this order is
+        // the rows' order too.
+        trails.sort_unstable_by_key(|t| (t.series, t.start));
         let mut stats = SubseqStats {
             index: index_stats,
             trails: trails.len(),
             ..SubseqStats::default()
         };
         let mut matches = Vec::new();
-        for trail in trails {
-            let values = self.store[trail.series].values();
-            for offset in self.fitting(&trail, q.len()) {
-                stats.candidates += 1;
-                let window = &values[offset..offset + q.len()];
-                match distance_sq_within(window, q.values(), limit) {
-                    Some(d2) => matches.push(SubseqMatch {
-                        series: trail.series,
-                        offset,
-                        distance: d2.sqrt(),
-                    }),
-                    None => stats.false_hits += 1,
-                }
+        for run in trails.chunk_by(|a, b| a.series == b.series) {
+            if run.iter().all(|t| self.fitting(t, q.len()).is_empty()) {
+                continue;
             }
+            source.read(run[0].series, &mut stats.records, |values| {
+                for trail in run {
+                    for offset in self.fitting(trail, q.len()) {
+                        stats.candidates += 1;
+                        let window = &values[offset..offset + q.len()];
+                        match distance_sq_within(window, q.values(), limit) {
+                            Some(d2) => matches.push(SubseqMatch {
+                                series: trail.series,
+                                offset,
+                                distance: d2.sqrt(),
+                            }),
+                            None => stats.false_hits += 1,
+                        }
+                    }
+                }
+            })?;
         }
-        matches.sort_by_key(|a| (a.series, a.offset));
-        (matches, stats)
+        Ok((matches, stats))
     }
 
-    /// K-nearest-subsequence query: the `k` subsequences of `q.len()`
-    /// samples (over all stored series and offsets) minimizing the
-    /// Euclidean distance to `q`, sorted by ascending distance (ties broken
-    /// by `(series, offset)`).
-    ///
-    /// Filter-and-refine: a best-first trail search, ordered by the
-    /// MINDIST of the query's first window (PrefixSearch, as for
-    /// [`SubseqIndex::subseq_range`]), produces `k` candidate distances,
-    /// whose k-th smallest upper-bounds the true k-th neighbor distance; a
-    /// range query at that radius then retrieves the exact answer (Lemma 1
-    /// again: the range step cannot dismiss a true neighbor).
-    ///
-    /// # Errors
-    /// [`Error::LengthMismatch`] when the query is shorter than a window.
-    pub fn subseq_knn(&self, q: &TimeSeries, k: usize) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
+    /// [`SubseqIndex::subseq_knn`] over the series `source` holds.
+    pub(crate) fn knn<S: SampleSource + ?Sized>(
+        &self,
+        source: &S,
+        q: &TimeSeries,
+        k: usize,
+    ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
         self.check_query(q, 0.0)?;
         if k == 0 || self.windows_total == 0 {
             return Ok((Vec::new(), SubseqStats::default()));
@@ -523,29 +587,43 @@ impl SubseqIndex {
         let mut kept: BinaryHeap<(u64, usize, usize)> =
             BinaryHeap::with_capacity(k.min(self.windows_total));
         let mut candidates = 0usize;
+        let mut records = RecordIo::default();
+        let mut read: Result<()> = Ok(());
         let (trail_hits, mut index_stats) = self.tree.nearest_with(
             k,
             |rect| rect.min_dist2(&qcoords).sqrt(),
             |_, trail| {
-                let values = self.store[trail.series].values();
-                let mut best = f64::INFINITY;
-                for offset in self.fitting(trail, q.len()) {
-                    candidates += 1;
-                    let window = &values[offset..offset + q.len()];
-                    let d2 = full_distance_sq(window, q.values());
-                    best = best.min(d2);
-                    let entry = (d2.to_bits(), trail.series, offset);
-                    if kept.len() < k {
-                        kept.push(entry);
-                    } else if let Some(mut worst) = kept.peek_mut() {
-                        if entry < *worst {
-                            *worst = entry;
+                let offsets = self.fitting(trail, q.len());
+                if offsets.is_empty() || read.is_err() {
+                    return f64::INFINITY;
+                }
+                let best = source.read(trail.series, &mut records, |values| {
+                    let mut best = f64::INFINITY;
+                    for offset in offsets {
+                        candidates += 1;
+                        let window = &values[offset..offset + q.len()];
+                        let d2 = full_distance_sq(window, q.values());
+                        best = best.min(d2);
+                        let entry = (d2.to_bits(), trail.series, offset);
+                        if kept.len() < k {
+                            kept.push(entry);
+                        } else if let Some(mut worst) = kept.peek_mut() {
+                            if entry < *worst {
+                                *worst = entry;
+                            }
                         }
                     }
-                }
-                best.sqrt()
+                    best.sqrt()
+                });
+                // A failed read ends the statement; the search runs out
+                // on infinite distances, reading nothing more.
+                best.unwrap_or_else(|e| {
+                    read = Err(e);
+                    f64::INFINITY
+                })
             },
         );
+        read?;
         // Ascending: the `k` smallest of every examined window, in order.
         let seen = kept.into_sorted_vec();
         if trail_hits.len() < k || self.trails_total <= k {
@@ -566,6 +644,7 @@ impl SubseqIndex {
                 // Every candidate passed an exact distance computation;
                 // windows beyond rank k were truncated, not rejected.
                 false_hits: 0,
+                records,
             };
             return Ok((matches, stats));
         }
@@ -576,19 +655,148 @@ impl SubseqIndex {
         // its series' end can have no offset the query fits at. Then every
         // subsequence is refined, which is the exhaustive answer.
         let (mut matches, range_stats) = match seen.get(k - 1) {
-            Some(&(d2, ..)) => self.range_inner(q, f64::from_bits(d2).sqrt()),
-            None => self.refine(q, |_| true, f64::INFINITY),
+            Some(&(d2, ..)) => self.range_inner(source, q, f64::from_bits(d2).sqrt())?,
+            None => self.refine(source, q, |_| true, f64::INFINITY)?,
         };
         sort_matches(&mut matches);
         matches.truncate(k);
         index_stats.absorb(&range_stats.index);
+        records.absorb(&range_stats.records);
         let stats = SubseqStats {
             index: index_stats,
             trails: trail_hits.len() + range_stats.trails,
             candidates: candidates + range_stats.candidates,
             false_hits: range_stats.false_hits,
+            records,
         };
         Ok((matches, stats))
+    }
+}
+
+/// The standalone ST-index: subsequence similarity search over a relation
+/// of (possibly different-length) time series it holds itself — a
+/// [`TrailIndex`] paired with its series.
+#[derive(Debug, Clone)]
+pub struct SubseqIndex {
+    trails: TrailIndex,
+    store: Vec<TimeSeries>,
+}
+
+impl SubseqIndex {
+    /// Builds an ST-index over a relation. Unlike the whole-sequence
+    /// [`crate::SimilarityIndex`], stored series may differ in length;
+    /// series shorter than the window contribute no windows (and can never
+    /// match).
+    ///
+    /// # Errors
+    /// Propagates [`SubseqConfig::validate`] failures.
+    pub fn build(config: SubseqConfig, relation: Vec<TimeSeries>) -> Result<Self> {
+        Self::build_parallel(config, relation, 1)
+    }
+
+    /// [`SubseqIndex::build`] with trail extraction and the STR bulk load
+    /// partitioned across up to `threads` worker threads; the index is
+    /// identical to a sequential build for every thread count (see
+    /// [`TrailIndex`]'s build).
+    ///
+    /// # Errors
+    /// Propagates [`SubseqConfig::validate`] failures.
+    pub fn build_parallel(
+        config: SubseqConfig,
+        relation: Vec<TimeSeries>,
+        threads: usize,
+    ) -> Result<Self> {
+        let trails = TrailIndex::build(config, &relation[..], threads)?;
+        Ok(SubseqIndex {
+            trails,
+            store: relation,
+        })
+    }
+
+    /// Appends one series, returning its id. The new trails enter the tree
+    /// through the STR-sorted batch path ([`RStarTree::bulk_extend`]).
+    pub fn insert(&mut self, series: TimeSeries) -> usize {
+        let id = self.trails.insert(series.values());
+        self.store.push(series);
+        id
+    }
+
+    /// Takes one stored series' extended value (the value it held is its
+    /// prefix) and extends its feature trail incrementally, bit-identical
+    /// to a rebuild over the final data (see [`TrailIndex`]).
+    ///
+    /// Validation is atomic: on any error the index is exactly as it was.
+    ///
+    /// # Errors
+    /// [`Error::UnknownSeries`] for a bad id, [`Error::LengthMismatch`] for
+    /// a value shorter than the stored one.
+    pub fn extend_series(&mut self, id: usize, series: TimeSeries) -> Result<()> {
+        self.trails.extend_series(id, series.values())?;
+        self.store[id] = series;
+        Ok(())
+    }
+
+    /// The trails, without the series.
+    pub fn trails(&self) -> &TrailIndex {
+        &self.trails
+    }
+
+    /// Stored series by id.
+    pub fn series(&self, id: usize) -> Option<&TimeSeries> {
+        self.store.get(id)
+    }
+
+    /// Total number of indexed windows across the relation — the effort a
+    /// sliding scan must always spend.
+    pub fn windows_total(&self) -> usize {
+        self.trails.windows_total()
+    }
+
+    /// Access to the underlying R\*-tree (read-only).
+    pub fn tree(&self) -> &RStarTree<TrailEntry> {
+        self.trails.tree()
+    }
+
+    /// The trails and the series they read.
+    pub(crate) fn split(&self) -> (&TrailIndex, &[TimeSeries]) {
+        (&self.trails, &self.store)
+    }
+
+    /// Range query: every `(series, offset)` whose subsequence of
+    /// `L = q.len()` samples (at least the window) lies within `eps` of `q`
+    /// in Euclidean distance. This is FRM's PrefixSearch: the traversal
+    /// prunes trail MBRs with the query's first window, whose distance is
+    /// at most the whole subsequence's, so nothing is dismissed (see the
+    /// module docs); candidates are verified over all `L` samples with
+    /// early abandoning. Results are sorted by `(series, offset)`.
+    ///
+    /// # Errors
+    /// [`Error::NegativeThreshold`] and [`Error::LengthMismatch`] (the
+    /// query must be at least one window long).
+    pub fn subseq_range(
+        &self,
+        q: &TimeSeries,
+        eps: f64,
+    ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
+        self.trails.range(&self.store[..], q, eps)
+    }
+
+    /// K-nearest-subsequence query: the `k` subsequences of `q.len()`
+    /// samples (over all stored series and offsets) minimizing the
+    /// Euclidean distance to `q`, sorted by ascending distance (ties broken
+    /// by `(series, offset)`).
+    ///
+    /// Filter-and-refine: a best-first trail search, ordered by the
+    /// MINDIST of the query's first window (PrefixSearch, as for
+    /// [`SubseqIndex::subseq_range`]), produces `k` candidate distances,
+    /// whose k-th smallest upper-bounds the true k-th neighbor distance; a
+    /// range query at that radius then retrieves the exact answer (Lemma 1
+    /// again: the range step cannot dismiss a true neighbor).
+    ///
+    /// # Errors
+    /// [`Error::LengthMismatch`] when the query is shorter than a window.
+    pub fn subseq_knn(&self, q: &TimeSeries, k: usize) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
+        self.trails.knn(&self.store[..], q, k)
     }
 
     /// Ground-truth baseline: a sliding scan over every subsequence of
@@ -605,7 +813,7 @@ impl SubseqIndex {
         eps: f64,
         mode: ScanMode,
     ) -> Result<(Vec<SubseqMatch>, SubseqScanStats)> {
-        self.check_query(q, eps)?;
+        self.trails.check_query(q, eps)?;
         let limit = limit_sq(eps);
         let abandon_at = mode.abandon_at(limit);
         let mut stats = SubseqScanStats::default();
@@ -632,10 +840,10 @@ impl SubseqIndex {
     /// # Errors
     /// [`Error::LengthMismatch`] when the query is shorter than a window.
     pub fn scan_subseq_knn(&self, q: &TimeSeries, k: usize) -> Result<Vec<SubseqMatch>> {
-        self.check_query(q, 0.0)?;
+        self.trails.check_query(q, 0.0)?;
         // A distance is never negative, so its bits order as its value.
         let mut kept: BinaryHeap<(u64, usize, usize)> =
-            BinaryHeap::with_capacity(k.min(self.windows_total));
+            BinaryHeap::with_capacity(k.min(self.windows_total()));
         for (series, offset, window) in self.slide(q.len()) {
             let d = full_distance_sq(window, q.values()).sqrt();
             let entry = (d.to_bits(), series, offset);
@@ -874,7 +1082,7 @@ mod tests {
         let idx = build(16, 1);
         let expected: usize = relation(1).iter().map(|s| s.len().saturating_sub(15)).sum();
         assert_eq!(idx.windows_total(), expected);
-        assert_eq!(idx.tree().len(), idx.trails_total());
+        assert_eq!(idx.tree().len(), idx.trails().trails_total());
         idx.tree().validate();
     }
 
@@ -882,10 +1090,21 @@ mod tests {
     fn short_series_contribute_nothing() {
         let mut series = relation(2);
         series.push(TimeSeries::new(vec![1.0; 5])); // shorter than window
-        let idx = SubseqIndex::build(SubseqConfig::new(16), series).unwrap();
+        let mut idx = SubseqIndex::build(SubseqConfig::new(16), series).unwrap();
         let q = idx.series(0).unwrap().values()[..16].to_vec();
         let (matches, _) = idx.subseq_range(&TimeSeries::new(q), 1e-9).unwrap();
         assert!(matches.iter().all(|m| m.series != 12));
+        // An extend that adds no window still moves the length; the next
+        // one adds the windows past it.
+        let windows = idx.windows_total();
+        idx.extend_series(12, TimeSeries::new(vec![1.0; 10]))
+            .unwrap();
+        assert_eq!(idx.trails().length(12), Some(10));
+        assert_eq!(idx.windows_total(), windows);
+        idx.extend_series(12, TimeSeries::new(vec![1.0; 20]))
+            .unwrap();
+        assert_eq!(idx.trails().length(12), Some(20));
+        assert_eq!(idx.windows_total(), windows + 5);
     }
 
     #[test]
@@ -994,7 +1213,7 @@ mod tests {
         };
         let mut g = RandomWalkGenerator::new(12);
         let idx = SubseqIndex::build(config, (0..5).map(|_| g.series(10)).collect()).unwrap();
-        assert_eq!(idx.trails_total(), 15);
+        assert_eq!(idx.trails().trails_total(), 15);
         for len in [10usize, 11] {
             let q = g.series(len);
             for k in [7usize, 14] {
@@ -1039,7 +1258,7 @@ mod tests {
         let id = idx.insert(extra.clone());
         assert_eq!(id, 12);
         idx.tree().validate();
-        assert_eq!(idx.tree().len(), idx.trails_total());
+        assert_eq!(idx.tree().len(), idx.trails().trails_total());
         let q = TimeSeries::new(extra.values()[10..26].to_vec());
         let (matches, _) = idx.subseq_range(&q, 1e-9).unwrap();
         assert!(matches.iter().any(|m| m.series == id && m.offset == 10));
@@ -1085,7 +1304,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(idx.windows_total(), fresh.windows_total());
-        assert_eq!(idx.trails_total(), fresh.trails_total());
+        assert_eq!(idx.trails().trails_total(), fresh.trails().trails_total());
+        for (id, series) in data.iter().enumerate() {
+            assert_eq!(idx.trails().length(id), Some(series.len()), "series {id}");
+        }
         // Identical (rect, entry) sets.
         let key = |t: &SubseqIndex| {
             let mut v: Vec<(Vec<u64>, TrailEntry)> = t
@@ -1159,7 +1381,7 @@ mod tests {
         }
         incr.tree().validate();
         assert_eq!(incr.windows_total(), bulk.windows_total());
-        assert_eq!(incr.trails_total(), bulk.trails_total());
+        assert_eq!(incr.trails().trails_total(), bulk.trails().trails_total());
         let q = TimeSeries::new(rel[2].values()[7..23].to_vec());
         let a = bulk.subseq_range(&q, 3.0).unwrap().0;
         let b = incr.subseq_range(&q, 3.0).unwrap().0;
@@ -1178,7 +1400,7 @@ mod tests {
                 SubseqIndex::build_parallel(SubseqConfig::new(16), rel.clone(), threads).unwrap();
             par.tree().validate();
             assert_eq!(par.windows_total(), seq.windows_total());
-            assert_eq!(par.trails_total(), seq.trails_total());
+            assert_eq!(par.trails().trails_total(), seq.trails().trails_total());
             assert_eq!(
                 format!("{:?}", par.tree()),
                 format!("{:?}", seq.tree()),

@@ -3,14 +3,21 @@
 //! in-memory index it was attached from — at a 1-page pool and an
 //! unbounded pool, for the node pool and the record pool alike — and the
 //! pool counters reported per query are exactly the buffer pools' own.
+//! A paged relation's subsequence statements read its records through the
+//! same pools, as its ST-index holds no samples of its own.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use tsq_core::plan::{execute_plan, LogicalPlan, Planner, RelationStats};
 use tsq_core::{
     ExecStats, IndexConfig, LinearTransform, PhysicalOp, PlanRows, QueryWindow, RecordIo, ScanMode,
-    SimilarityIndex,
+    SeriesRelation, ShardSpec, ShardedIndex, SimilarityIndex, TrailIndex,
 };
+use tsq_dft::dft::dft_prefix;
+use tsq_rtree::Rect;
 use tsq_series::generate::RandomWalkGenerator;
+use tsq_series::TimeSeries;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tsq-core-paged-{}", std::process::id()));
@@ -330,4 +337,120 @@ fn budget_is_divided_by_the_files_page_size() {
             "{tag}"
         );
     }
+}
+
+/// Hits and misses of every record pool of a paged relation, summed.
+fn record_pool_counters(paged: &ShardedIndex) -> (u64, u64) {
+    paged.parts().iter().fold((0, 0), |(h, m), part| {
+        let pool = part.records().expect("paged").pool().unwrap();
+        (h + pool.hits(), m + pool.misses())
+    })
+}
+
+/// The series owning a candidate window of a range statement of `q` at
+/// `eps` over `st`: a trail whose MBR meets the query box of the ST-index's
+/// PrefixSearch (the first window's coefficients, `± eps` and its
+/// anti-rounding pad), at an offset where all of `q` fits.
+fn candidate_series(st: &TrailIndex, q: &TimeSeries, eps: f64) -> BTreeSet<usize> {
+    let config = st.config();
+    let coeffs = dft_prefix(&q.values()[..config.window], config.k);
+    let coords: Vec<f64> = coeffs.iter().flat_map(|c| [c.re, c.im]).collect();
+    let pad = |c: f64| 1e-7 * (1.0 + c.abs());
+    let lo = coords.iter().map(|&c| c - eps - pad(c)).collect();
+    let hi = coords.iter().map(|&c| c + eps + pad(c)).collect();
+    let qrect = Rect::new(lo, hi);
+    let mut series = BTreeSet::new();
+    st.tree().search_with(
+        |r| r.intersects(qrect.view()),
+        |_, t| {
+            let len = st.length(t.series).unwrap();
+            if t.start + q.len() <= len {
+                series.insert(t.series);
+            }
+        },
+    );
+    series
+}
+
+/// The relation's ST-index reads a paged relation's records through the
+/// record pools: subsequence range and kNN statements at `L = w` and past
+/// it return the in-memory relation's rows, offsets, distance bits and
+/// `ExecStats`, at one shard and three, at a one-frame pool and an
+/// unbounded one. The record traffic a statement reports is exactly the
+/// pools' own, and a range statement pins each series with a candidate
+/// window once.
+#[test]
+fn subsequence_statements_read_records_through_the_pool_identically() {
+    const W: usize = 16;
+    let walks = RandomWalkGenerator::new(13).relation(40, 96);
+    let relation = SeriesRelation::from_series("r", walks.clone()).unwrap();
+    let statements: Vec<LogicalPlan> = [W, W + 9]
+        .into_iter()
+        .flat_map(|len| {
+            // A stretch of one series, a little off every window.
+            let values = walks[2].values()[20..20 + len].iter().enumerate();
+            let query = TimeSeries::new(values.map(|(i, v)| v + 0.3 * (i as f64).sin()).collect());
+            [
+                LogicalPlan::SubseqRange {
+                    relation: "r".into(),
+                    query: query.clone(),
+                    eps: 10.0,
+                    window: len,
+                },
+                LogicalPlan::SubseqKnn {
+                    relation: "r".into(),
+                    query,
+                    k: 7,
+                    window: len,
+                },
+            ]
+        })
+        .collect();
+    let mut checked = 0;
+    for shards in [1usize, 3] {
+        let spec = ShardSpec::hash(shards).unwrap();
+        let mem = ShardedIndex::build(IndexConfig::default(), &relation, spec.clone()).unwrap();
+        for capacity in [1usize, usize::MAX] {
+            let mut paged =
+                ShardedIndex::build(IndexConfig::default(), &relation, spec.clone()).unwrap();
+            for (shard, part) in paged.parts_mut().iter_mut().enumerate() {
+                let tag = format!("subseq-{shards}-{capacity}-{shard}");
+                part.attach_paged(&temp_path(&tag), capacity).unwrap();
+            }
+            // The first statement builds the ST-index at `W`, reading the
+            // records outside any statement's count; every statement then
+            // probes it, `L > W` by prefix.
+            paged.execute(&statements[0], None, 1).unwrap();
+            let mut misses = 0;
+            for (i, logical) in statements.iter().enumerate() {
+                let len = logical.subseq_window().unwrap();
+                let what =
+                    format!("{shards} shard(s), capacity {capacity}, statement {i}, L {len}");
+                let want = mem.execute(logical, None, 1).unwrap();
+                let (h, m) = record_pool_counters(&paged);
+                let got = paged.execute(logical, None, 1).unwrap();
+                let (h2, m2) = record_pool_counters(&paged);
+                assert_eq!(row_bits(&got.rows), row_bits(&want.rows), "{what}");
+                assert_eq!(unmeasured(&got.merged), want.merged, "{what}");
+                assert!(!want.merged.measured(), "{what}: memory reads no pool");
+                let exec = got.merged;
+                assert_eq!(exec.record_hits, h2 - h, "{what}");
+                assert_eq!(exec.record_misses, m2 - m, "{what}");
+                misses += exec.record_misses;
+                if let LogicalPlan::SubseqRange { query, eps, .. } = logical {
+                    let (_, st) = paged.subseq_held().unwrap();
+                    let series = candidate_series(&st.unwrap(), query, *eps);
+                    let pins = exec.record_hits + exec.record_misses;
+                    assert_eq!(pins, series.len() as u64, "{what}");
+                    assert!(pins > 1, "{what}: several series hold candidates");
+                }
+                checked += 1;
+            }
+            assert!(
+                misses > 0 || capacity > 1,
+                "{shards} shard(s): a one-frame pool misses"
+            );
+        }
+    }
+    assert_eq!(checked, 2 * 2 * 4);
 }

@@ -1,0 +1,154 @@
+//! A relation's ST-index keeps no samples: built over a paged relation, it
+//! leaves on the heap what the same relation's in-memory build leaves,
+//! plus at most the frames its record pools may hold. Its build reads each
+//! record through the pool and keeps the trails, the counters and one
+//! length per series, never a copy of the samples.
+//!
+//! A binary of its own, because it installs a global allocator that counts
+//! live bytes across every thread: the build fans out over the worker
+//! pool, and what its workers leave behind counts too. It holds one test,
+//! so nothing else allocates while it measures.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+use tsq_core::{IndexConfig, LogicalPlan, SeriesRelation, ShardSpec, ShardedIndex};
+use tsq_series::generate::RandomWalkGenerator;
+use tsq_series::TimeSeries;
+
+/// Bytes allocated and not yet freed, by every thread.
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+/// The system allocator, keeping [`LIVE`].
+struct Tracking;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's; the counter is
+// an atomic, which neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
+        // `ptr` came from this allocator, i.e. from `System`.
+        let grown = unsafe { System.realloc(ptr, layout, new_size) };
+        if !grown.is_null() {
+            LIVE.fetch_add(
+                new_size as isize - layout.size() as isize,
+                Ordering::Relaxed,
+            );
+        }
+        grown
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract, and
+        // `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Tracking = Tracking;
+
+/// The live bytes `f` leaves behind once its result is dropped.
+fn left_by<R>(f: impl FnOnce() -> R) -> isize {
+    let before = LIVE.load(Ordering::Relaxed);
+    drop(f());
+    LIVE.load(Ordering::Relaxed) - before
+}
+
+const WINDOW: usize = 16;
+
+/// Record pool budget per shard: three 4 KiB frames, each holding one
+/// record of 256 samples.
+const BUDGET: u64 = 3 * 4096;
+
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tsq-core-live-heap-{}", std::process::id()));
+    let _ = std::fs::create_dir_all(&dir);
+    dir.join(format!("{tag}.pages"))
+}
+
+/// `relation` in `shards` hash shards, paged at [`BUDGET`] per shard when
+/// `tag` names the files.
+fn sharded(relation: &SeriesRelation, shards: usize, tag: Option<&str>) -> ShardedIndex {
+    let spec = ShardSpec::hash(shards).unwrap();
+    let mut index = ShardedIndex::build(IndexConfig::default(), relation, spec).unwrap();
+    if let Some(tag) = tag {
+        for (shard, part) in index.parts_mut().iter_mut().enumerate() {
+            let path = temp_path(&format!("{tag}-{shards}-{shard}"));
+            part.attach_paged_budget(&path, BUDGET).unwrap();
+        }
+    }
+    index
+}
+
+/// Bytes of every frame the relation's record pools may hold.
+fn frame_capacity(index: &ShardedIndex) -> usize {
+    let parts = index.parts().iter().map(|part| {
+        let records = part.records().expect("paged");
+        records.pool().unwrap().capacity_pages() * records.frame_size()
+    });
+    parts.sum()
+}
+
+#[test]
+fn a_paged_st_index_build_leaves_no_samples_on_the_heap() {
+    let walks = RandomWalkGenerator::new(23).relation(96, 256);
+    let sample_bytes: usize = walks.iter().map(|s| 8 * s.len()).sum();
+    let relation = SeriesRelation::from_series("r", walks).unwrap();
+    let query = TimeSeries::new(relation.get(3).unwrap().values()[40..40 + WINDOW].to_vec());
+    let statement = LogicalPlan::SubseqRange {
+        relation: "r".into(),
+        query,
+        eps: 1.0,
+        window: WINDOW,
+    };
+    // Start the worker pool and every per-thread cache a build touches,
+    // in memory and paged, before anything is measured.
+    for tag in [None, Some("warm")] {
+        sharded(&relation, 4, tag)
+            .execute(&statement, None, 1)
+            .unwrap();
+    }
+    for shards in [1usize, 4] {
+        let mem = sharded(&relation, shards, None);
+        let paged = sharded(&relation, shards, Some("paged"));
+        let mem_left = left_by(|| mem.execute(&statement, None, 1).unwrap());
+        let paged_left = left_by(|| paged.execute(&statement, None, 1).unwrap());
+        assert!(mem.subseq_held().unwrap().1.is_some());
+        assert!(paged.subseq_held().unwrap().1.is_some());
+        let frames = frame_capacity(&paged);
+        eprintln!(
+            "{shards} shard(s): the in-memory build leaves {mem_left} B, the paged one \
+             {paged_left} B; record frames {frames} B, samples {sample_bytes} B"
+        );
+        assert!(
+            paged_left <= mem_left + frames as isize,
+            "{shards} shard(s): the paged build leaves {paged_left} B, more than the \
+             in-memory build's {mem_left} B and {frames} B of record frames"
+        );
+        assert!(
+            frames < sample_bytes / 2,
+            "the frames cannot hide the samples"
+        );
+    }
+}

@@ -366,9 +366,9 @@ impl Catalog {
     ///   final data would — an `APPEND`, a `save` and an executed
     ///   subsequence statement never do;
     /// - the same two calls hand the values to the subsequence ST-index
-    ///   the relation holds, next to the shard's features
-    ///   ([`tsq_core::SubseqIndex::extend_series`] resumes the sliding-DFT
-    ///   recurrence at `O(k)` per appended point), clone-on-write so
+    ///   the relation holds, next to the shard's features — its trails
+    ///   resume the sliding-DFT recurrence at `O(k)` per appended point
+    ///   and keep the new length, not the samples — clone-on-write so
     ///   in-flight readers keep their consistent pre-append snapshot.
     ///
     /// The statement is **atomic**: everything is validated up front
@@ -1262,7 +1262,7 @@ mod tests {
     }
 
     /// The ST-index `rel` holds, built.
-    fn st_index_of(cat: &Catalog, rel: &str) -> Arc<tsq_core::SubseqIndex> {
+    fn st_index_of(cat: &Catalog, rel: &str) -> Arc<tsq_core::TrailIndex> {
         let (_, built) = cat.relations[rel].index.subseq_held().expect("held");
         built.expect("built")
     }
@@ -1686,7 +1686,7 @@ mod tests {
         assert!(want.3[0].iter().any(found));
         assert_eq!(run(&one_statement, true), want);
         // Which nodes of a held ST-index's tree the trails sit in depends
-        // on the append schedule (`SubseqIndex::extend_series`), but a
+        // on the append schedule (`TrailIndex::extend_series`), but a
         // snapshot stores the held window, not its tree: the snapshots
         // agree too.
         assert_eq!(run(&statements, true), want);
@@ -1828,7 +1828,7 @@ mod tests {
     #[test]
     fn append_updates_cached_st_index_in_place() {
         /// The window-8 ST-index of `walks`.
-        fn st_index(cat: &Catalog) -> Arc<tsq_core::SubseqIndex> {
+        fn st_index(cat: &Catalog) -> Arc<tsq_core::TrailIndex> {
             assert_eq!(cat.subseq_window("walks"), Some(8));
             st_index_of(cat, "walks")
         }
@@ -1841,13 +1841,13 @@ mod tests {
         // Arc::make_mut did not clone).
         let index = st_index(&cat);
         assert_eq!(Arc::as_ptr(&index), ptr_before);
-        assert_eq!(index.series(0).unwrap().len(), 35);
+        assert_eq!(index.length(0), Some(35));
         // An in-flight reader holding the Arc keeps its consistent
         // pre-append snapshot while the relation moves on (clone-on-write).
         let held = index;
         cat.run_mut("APPEND walks s0 VALUES (4)").unwrap();
-        assert_eq!(held.series(0).unwrap().len(), 35);
-        assert_eq!(st_index(&cat).series(0).unwrap().len(), 36);
+        assert_eq!(held.length(0), Some(35));
+        assert_eq!(st_index(&cat).length(0), Some(36));
     }
 
     #[test]
@@ -2401,9 +2401,9 @@ mod tests {
     }
 
     /// The sharing oracle: for every label of every in-memory relation,
-    /// the catalog's series, its owning shard's stored record and the
-    /// built ST-index hand out one and the same buffer. (A paged relation
-    /// holds no samples; its ST-index keeps copies of records.)
+    /// the catalog's series and its owning shard's stored record hand out
+    /// one and the same buffer, and the built ST-index, which holds no
+    /// samples, knows its length. (A paged relation holds no samples.)
     fn assert_one_buffer_per_series(cat: &Catalog, step: &str) {
         for (name, relation) in &cat.relations {
             let Relation {
@@ -2417,15 +2417,12 @@ mod tests {
             for id in 0..labels.len() {
                 let held = labels.get(id).unwrap();
                 let (shard, local) = index.map().owner(id).unwrap();
-                let in_windows = built.iter().map(|st| st.series(id).unwrap());
                 let stored = &index.parts()[shard].entries()[local].series;
-                for (holder, other) in std::iter::once(stored).chain(in_windows).enumerate() {
-                    let at = format!(
-                        "{step}: {name}.{}, holder {holder}",
-                        labels.label(id).unwrap()
-                    );
-                    assert_eq!(other.len(), held.len(), "{at}");
-                    assert_eq!(other.values().as_ptr(), held.values().as_ptr(), "{at}");
+                let at = format!("{step}: {name}.{}", labels.label(id).unwrap());
+                assert_eq!(stored.len(), held.len(), "{at}");
+                assert_eq!(stored.values().as_ptr(), held.values().as_ptr(), "{at}");
+                if let Some(st) = &built {
+                    assert_eq!(st.length(id), Some(held.len()), "{at}: ST-index");
                 }
             }
         }

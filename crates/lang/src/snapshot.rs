@@ -201,8 +201,8 @@ impl Catalog {
     /// catalog's, and so are answers and counters. Paged relations are
     /// read-only until re-registered; [`Catalog::save`] still works, and
     /// reads every record back to write the bytes the in-memory catalog
-    /// writes. A relation's held subsequence ST-index is built from copies
-    /// of its records, which it keeps.
+    /// writes. A relation's held subsequence ST-index reads its records
+    /// through the record pool, to build and to refine, and keeps none.
     ///
     /// # Errors
     /// Same as [`Catalog::open`], plus I/O failures while writing or

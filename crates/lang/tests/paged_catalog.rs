@@ -38,7 +38,7 @@ fn catalog() -> Catalog {
 }
 
 /// Every query form, including the subsequence paths (whose ST-indexes
-/// are built on demand from copies of the paged records).
+/// are built on demand by reading the paged records through the pool).
 fn workload() -> Vec<String> {
     vec![
         "FIND SIMILAR TO walks.s1 IN walks WITHIN 2.5".into(),
@@ -344,4 +344,188 @@ fn hostile_record_files_are_typed_errors_at_the_first_pin() {
         drop(client);
         handle.shutdown();
     }
+}
+
+/// A subsequence statement over a literal pattern: `len` samples of
+/// `stocks`' series `id` from `start`, within `eps`.
+fn subseq_statement(cat: &Catalog, id: usize, start: usize, eps: f64) -> String {
+    const LEN: usize = 16;
+    let label = format!("s{id}");
+    let values = cat
+        .relation("stocks")
+        .unwrap()
+        .get_by_label(&label)
+        .unwrap();
+    let pattern: Vec<String> = values.values()[start..start + LEN]
+        .iter()
+        .map(|v| format!("{v}"))
+        .collect();
+    format!(
+        "FIND SUBSEQUENCE OF [{}] IN stocks WITHIN {eps} WINDOW {LEN}",
+        pattern.join(", ")
+    )
+}
+
+/// `stocks` of four series of 65 536 samples beside a small `walks`: at a
+/// 1 MiB budget each relation has 512 KiB, less than one of `stocks`'
+/// frames, so its record pool holds one frame, of one record.
+fn long_catalog() -> Catalog {
+    let mut cat = Catalog::new();
+    cat.register(
+        SeriesRelation::from_series("walks", RandomWalkGenerator::new(61).relation(20, 32))
+            .unwrap(),
+    )
+    .unwrap();
+    cat.register(
+        SeriesRelation::from_series("stocks", StockGenerator::new(62).relation(4, 1 << 16))
+            .unwrap(),
+    )
+    .unwrap();
+    cat
+}
+
+/// `q` fails with a typed store error through `Catalog::run`.
+fn assert_store_error(cat: &Catalog, q: &str, what: &str) {
+    match cat.run(q) {
+        Err(LangError::Engine(tsq_core::Error::Store(_))) => {}
+        other => panic!("{what}: expected a typed store error, got {other:?}"),
+    }
+}
+
+/// A record file damaged under a paged relation's ST-index is a typed
+/// error on the subsequence path too: at the first statement, whose build
+/// reads every record on the worker pool, and at a warm statement whose
+/// one-frame pool must read the damaged frame again. A failed build leaves
+/// the held window unbuilt: every later statement builds again and fails
+/// again — one that a partial index could answer without the damaged
+/// frame included — locally and over the wire, and the other relation
+/// still answers.
+#[test]
+fn a_damaged_record_file_is_a_typed_error_on_the_subsequence_path() {
+    let cat = long_catalog();
+    let path = temp_path("subseq-damage.tsq");
+    cat.save(&path).unwrap();
+    // Windows of series 0 and 3: each statement refines one series.
+    let (q0, q3) = (
+        subseq_statement(&cat, 0, 1000, 0.5),
+        subseq_statement(&cat, 3, 2000, 0.5),
+    );
+    let frame_bytes = |b: &[u8]| (b.len() - FRAMES_AT) / 4;
+    // (what, damage, warm first, the statements that must fail after it)
+    let cases: [(&str, Damage, bool, [&str; 2]); 4] = [
+        (
+            "first statement, truncated file",
+            |b| b.truncate(b.len() - 100),
+            false,
+            [&q0, &q3],
+        ),
+        (
+            "first statement, a flipped bit in frame 0",
+            |b| b[FRAMES_AT + 8 + 40] ^= 0x10,
+            false,
+            [&q0, &q3],
+        ),
+        (
+            "warm statement, a flipped bit in frame 0",
+            |b| b[FRAMES_AT + 8 + 40] ^= 0x10,
+            true,
+            [&q0, &q0],
+        ),
+        (
+            "warm statement, frames 2 and 3 cut off",
+            |b| {
+                let frame = (b.len() - FRAMES_AT) / 4;
+                b.truncate(FRAMES_AT + 2 * frame)
+            },
+            true,
+            [&q3, &q3],
+        ),
+    ];
+    for (what, damage, warm, failing) in cases {
+        let snapshot = temp_path(&format!("subseq-damage-{}.tsq", what.replace(' ', "-")));
+        std::fs::copy(&path, &snapshot).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&snapshot, 1).unwrap();
+        let records = record_file(&snapshot, "stocks");
+        let mut bytes = std::fs::read(&records).unwrap();
+        assert!(
+            frame_bytes(&bytes) > 512 << 10,
+            "{what}: frames past the budget"
+        );
+        if warm {
+            // Built, and the one resident frame is not the one the
+            // failing statement reads.
+            let (target, other) = if failing[0] == q0 {
+                (&q0, &q3)
+            } else {
+                (&q3, &q0)
+            };
+            assert_eq!(
+                paged.run(target).unwrap().rows,
+                cat.run(target).unwrap().rows
+            );
+            assert_eq!(paged.run(other).unwrap().rows, cat.run(other).unwrap().rows);
+        }
+        damage(&mut bytes);
+        std::fs::write(&records, &bytes).unwrap();
+        for q in failing {
+            assert_store_error(&paged, q, what);
+        }
+        assert_eq!(paged.subseq_window("stocks"), Some(16), "{what}");
+        assert_eq!(
+            paged
+                .run("FIND 3 NEAREST TO walks.s1 IN walks")
+                .unwrap()
+                .rows
+                .len(),
+            3
+        );
+        let shared = SharedCatalog::new(paged);
+        let handle = tsq_lang::serve("127.0.0.1:0", shared, ServiceConfig::default()).unwrap();
+        let mut client = tsq_service::Client::connect(handle.addr()).unwrap();
+        for q in failing {
+            match client.query(q) {
+                Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Engine, "{what}"),
+                other => panic!("{what}: expected an engine error frame, got {other:?}"),
+            }
+        }
+        assert!(client.query("FIND 3 NEAREST TO walks.s1 IN walks").is_ok());
+        drop(client);
+        handle.shutdown();
+    }
+}
+
+/// A paged relation's subsequence statement reads its records through the
+/// record pool, and says so: `EXPLAIN ANALYZE` prints the measured line
+/// with its record hits and misses, as for every whole-match operator.
+#[test]
+fn paged_subsequence_statements_report_record_traffic() {
+    let cat = catalog();
+    let path = temp_path("subseq-analyze.tsq");
+    cat.save(&path).unwrap();
+    let mut paged = Catalog::new();
+    paged.open_paged(&path, 1).unwrap();
+    let literal: Vec<String> = (0..32).map(|i| format!("{}.5", 40 + i % 7)).collect();
+    let q = format!(
+        "EXPLAIN ANALYZE FIND SUBSEQUENCE OF [{}] IN stocks WITHIN 30 WINDOW 32",
+        literal.join(", ")
+    );
+    let plain = cat.run(&q).unwrap();
+    for run in ["cold", "warm"] {
+        let measured = paged.run(&q).unwrap();
+        assert_eq!(measured.rows, plain.rows, "{run}");
+        let pins = measured.stats.record_hits + measured.stats.record_misses;
+        assert!(pins > 0, "{run}: the refine reads records");
+        let text = measured.explain.expect("explain text");
+        let line = format!(
+            "record_hits={}, record_misses={}",
+            measured.stats.record_hits, measured.stats.record_misses
+        );
+        assert!(
+            text.contains("measured: ") && text.contains(&line),
+            "{run}:\n{text}"
+        );
+    }
+    let text = plain.explain.expect("explain text");
+    assert!(!text.contains("measured:"), "in memory:\n{text}");
 }

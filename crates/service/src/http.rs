@@ -117,11 +117,25 @@ pub fn read_request(
     let mut content_length: Option<u64> = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
+            // RFC 9112 §6.1: a body framed by a transfer coding is not
+            // framed by its length, and this reader decodes no coding.
+            if name.trim().eq_ignore_ascii_case("transfer-encoding") {
+                return Err(HttpError::Malformed(format!(
+                    "transfer-encoding {value:?} is not supported"
+                )));
+            }
             if name.trim().eq_ignore_ascii_case("content-length") {
-                let len: u64 = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::Malformed(format!("bad content-length {value:?}")))?;
+                // RFC 9110 §8.6: `1*DIGIT`, which `u64::from_str` widens by
+                // a leading `+`.
+                let digits = value.trim();
+                let len = match digits.parse::<u64>() {
+                    Ok(len) if digits.bytes().all(|b| b.is_ascii_digit()) => len,
+                    _ => {
+                        return Err(HttpError::Malformed(format!(
+                            "bad content-length {value:?}"
+                        )))
+                    }
+                };
                 // RFC 9112 §6.3: differing repeated lengths frame no body.
                 if content_length.is_some_and(|prev| prev != len) {
                     return Err(HttpError::Malformed(format!(
@@ -219,6 +233,18 @@ mod tests {
         ));
         // Bad content-length.
         let raw = b"POST /q HTTP/1.1\r\nContent-Length: banana\r\n\r\n";
+        assert!(matches!(
+            read_request(&mut &raw[..], &[], 1024),
+            Err(HttpError::Malformed(_))
+        ));
+        // A sign is not a digit.
+        let raw = b"POST /q HTTP/1.1\r\nContent-Length: +4\r\n\r\nJOIN";
+        assert!(matches!(
+            read_request(&mut &raw[..], &[], 1024),
+            Err(HttpError::Malformed(_))
+        ));
+        // A chunked body is refused, not read as an empty one.
+        let raw = b"POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nJOIN\r\n0\r\n\r\n";
         assert!(matches!(
             read_request(&mut &raw[..], &[], 1024),
             Err(HttpError::Malformed(_))

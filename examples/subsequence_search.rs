@@ -24,13 +24,14 @@ fn main() {
 
     let window = 48;
     let index = SubseqIndex::build(SubseqConfig::new(window), relation.clone()).expect("build");
+    let trails = index.trails();
     println!(
         "ST-index over {} series: {} windows of length {} in {} trail MBRs (k = {})",
-        index.len(),
-        index.windows_total(),
+        trails.len(),
+        trails.windows_total(),
         window,
-        index.trails_total(),
-        index.config().k,
+        trails.trails_total(),
+        trails.config().k,
     );
 
     // 2. The pattern: a stored window with a little noise on top, so it is
