@@ -1031,10 +1031,11 @@ fn rect_sides(rect: &Rect) -> Vec<f64> {
 /// Counters actually observed while running a plan. `disk_accesses`
 /// follows the bench accounting: scans charge one access per stored
 /// record, index plans one per visited node plus one per candidate fetch.
-/// `pool_hits`/`pool_misses` (node pages) and the `record_*` counters
-/// (record frames) are *measured* buffer-pool counters — real fetches,
-/// not arithmetic — and stay zero unless the relation has paged storage
-/// attached.
+/// `pool_hits`/`pool_misses` (node pages: of the whole-match tree, or of
+/// the ST-index's trail tree for a subsequence plan) and the `record_*`
+/// counters (record frames) are *measured* buffer-pool counters — real
+/// fetches, not arithmetic — and stay zero unless the relation has paged
+/// storage attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Index-level candidates produced (scans: records compared).
@@ -1469,8 +1470,9 @@ pub(crate) fn render_plan_over(
 /// Appends the `EXPLAIN ANALYZE` actual-counter line to a rendered plan.
 /// The counters are exactly the [`ExecStats`] the execution returned.
 /// When the relation runs on paged storage a second line reports the
-/// *measured* buffer-pool traffic — node pages, then record frames with
-/// their misses split into sequential and random reads — next to the
+/// *measured* buffer-pool traffic — node pages (trail pages for a
+/// subsequence plan), then record frames with their misses split into
+/// sequential and random reads — next to the
 /// `disk` paper-accounting estimate; in-memory plans render
 /// byte-identically to before.
 pub fn render_analyze(rendered: &mut String, rows: usize, stats: &ExecStats) {

@@ -785,7 +785,7 @@ impl ShardedIndex {
         for (label, series) in series {
             self.map.push_label(label);
             if let Some(st) = st.as_deref_mut() {
-                st.insert(series.values());
+                st.insert(series.values())?;
             }
         }
         Ok(())

@@ -30,6 +30,17 @@
 //! refine sorts its accepted trails by `(series, start)` and reads each
 //! series once; a k-NN's best-first pass reads once per trail it visits.
 //!
+//! When the source is paged, so is the trail tree: the build packs it in
+//! memory, profiles it for the planner, writes it to a scratch page file
+//! of its own beside the relation's node file and drops the nodes, as
+//! [`crate::SimilarityIndex::attach_paged`] does for the whole-match tree.
+//! A leaf entry is stored as one word, `series << 32 | start`; its window
+//! count is re-derived from the series' length. The file sits behind a
+//! buffer pool of as many bytes as the relation's node pools together,
+//! and goes when the index does. The range and k-NN kernels are written
+//! once over [`NodeStore`], so a paged trail tree answers with the
+//! in-memory one's rows and counters, plus its pool's hits and misses.
+//!
 //! ## Why there are no false dismissals
 //!
 //! The unitary DFT preserves Euclidean distance (Parseval, Equation 8), so
@@ -54,12 +65,16 @@
 
 use std::collections::BinaryHeap;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use tsq_dft::dft::dft_prefix;
 use tsq_dft::sliding::SlidingCursor;
 use tsq_dft::Complex64;
-use tsq_rtree::{RStarTree, RTreeConfig, Rect, RectView, SearchStats};
+use tsq_rtree::knn::nearest_with_tie;
+use tsq_rtree::search::search_with;
+use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, RectView, SearchStats};
 use tsq_series::distance::{distance_sq_within, limit_sq};
 use tsq_series::TimeSeries;
 
@@ -199,6 +214,18 @@ pub(crate) trait SampleSource: Sync {
     /// `f` over series `id`'s samples, counting record-pool traffic in
     /// `io`.
     fn read<R>(&self, id: usize, io: &mut RecordIo, f: impl FnOnce(&[f64]) -> R) -> Result<R>;
+
+    /// Where a trail tree over these series is paged, if they are.
+    fn pages(&self) -> Option<TrailPages<'_>> {
+        None
+    }
+}
+
+/// Where a paged source's trail tree goes: a scratch page file beside
+/// `near`, behind a pool of at most `budget` bytes.
+pub(crate) struct TrailPages<'a> {
+    near: &'a Path,
+    budget: u64,
 }
 
 impl SampleSource for [TimeSeries] {
@@ -231,22 +258,138 @@ impl SampleSource for ShardedIndex {
         let (shard, local) = owner.ok_or(Error::UnknownSeries(global))?;
         Ok(f(self.parts()[shard].record(local, io)?.samples()))
     }
+
+    /// Beside shard 0's node file, when every shard is paged, with the
+    /// bytes the shards' node pools may hold: the relation's budget slice
+    /// ([`crate::SimilarityIndex::attach_paged_budget`]).
+    fn pages(&self) -> Option<TrailPages<'_>> {
+        let mut budget = 0u64;
+        for part in self.parts() {
+            let tree = part.paged()?;
+            let bytes =
+                (tree.pool().capacity_pages() as u64).saturating_mul(tree.page_size() as u64);
+            budget = budget.saturating_add(bytes);
+        }
+        let near = self.parts()[0].paged()?.path();
+        Some(TrailPages { near, budget })
+    }
 }
 
 /// The ST-index's trails over a relation's windows: the trail tree, its
 /// counters and one length per series, and no sample — its build and its
 /// queries read them by series id from a source (see the module docs).
-/// This is what a relation holds.
+/// This is what a relation holds; a paged relation's keeps its trail tree
+/// in a scratch page file (see the module docs).
 #[derive(Debug, Clone)]
 pub struct TrailIndex {
     config: SubseqConfig,
+    /// The trail tree; empty when it is paged.
     tree: RStarTree<TrailEntry>,
+    /// The paged trail tree, shared by clones; when set, `tree` is empty.
+    paged: Option<Arc<TrailFile>>,
     lengths: Vec<usize>,
     windows_total: usize,
     trails_total: usize,
     /// The trail tree's shape for the planner, kept from the first plan
-    /// that asks until the next append (see [`TrailIndex::profile`]).
+    /// that asks until the next append (see [`TrailIndex::profile`]), and
+    /// taken before a paged build drops the nodes.
     profile: OnceLock<SpaceProfile>,
+}
+
+/// A trail tree's scratch page file, open behind its pool, and removed
+/// when the last index sharing it drops.
+#[derive(Debug)]
+struct TrailFile(PagedTree);
+
+/// Trail files created by this process: each build names its own.
+static TRAIL_FILES: AtomicU64 = AtomicU64::new(0);
+
+impl TrailFile {
+    /// Writes `tree` to a fresh scratch file beside `pages.near` and opens
+    /// it behind a pool of as many pages as `pages.budget` holds (at least
+    /// one). A file that cannot be written or opened is removed.
+    fn create(tree: &RStarTree<TrailEntry>, pages: TrailPages<'_>) -> Result<Self> {
+        let build = TRAIL_FILES.fetch_add(1, Ordering::Relaxed);
+        let path = scratch_path(pages.near, build);
+        let page_size = tree.paged_page_size()?;
+        let capacity = usize::try_from(pages.budget / page_size as u64).unwrap_or(usize::MAX);
+        let opened = tree
+            .write_paged(&path, word)
+            .and_then(|()| PagedTree::open(&path, capacity.max(1)));
+        opened.map(TrailFile).map_err(|e| {
+            let _ = std::fs::remove_file(&path);
+            e.into()
+        })
+    }
+}
+
+impl Drop for TrailFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(self.0.path());
+    }
+}
+
+/// The scratch file of trail build `build` beside `near`:
+/// `<near stem>.<pid>-<build>.trails`, distinct for every build of every
+/// process, so two builds racing over one relation never share a file.
+fn scratch_path(near: &Path, build: u64) -> PathBuf {
+    near.with_extension(format!("{}-{build}.trails", std::process::id()))
+}
+
+/// What a trail tree's leaves hand a kernel: an entry in memory, a stored
+/// word when paged.
+trait TrailItem: Copy {
+    /// The entry, checked against `index` when it is read off a page.
+    fn entry(self, index: &TrailIndex) -> Result<TrailEntry>;
+}
+
+impl TrailItem for &TrailEntry {
+    fn entry(self, _: &TrailIndex) -> Result<TrailEntry> {
+        Ok(*self)
+    }
+}
+
+/// A trail as a paged trail tree stores it: `series << 32 | start`, both
+/// fitting 32 bits ([`check_words`]).
+fn word(trail: &TrailEntry) -> u64 {
+    ((trail.series as u64) << 32) | trail.start as u64
+}
+
+/// A stored [`word`], its window count re-derived from the series' length
+/// as the build derived it.
+impl TrailItem for u64 {
+    fn entry(self, index: &TrailIndex) -> Result<TrailEntry> {
+        let (series, start) = ((self >> 32) as usize, (self & u64::from(u32::MAX)) as usize);
+        let windows = index
+            .lengths
+            .get(series)
+            .map(|&len| index.config.windows(len));
+        match windows {
+            Some(windows) if start < windows && start % index.config.trail == 0 => Ok(TrailEntry {
+                series,
+                start,
+                len: index.config.trail.min(windows - start),
+            }),
+            _ => Err(Error::Store(tsq_store::StoreError::corrupt(format!(
+                "trail page word {self:#x} names no trail of the index"
+            )))),
+        }
+    }
+}
+
+/// A paged trail tree stores a trail as `series << 32 | start`: every
+/// series id, and every window offset, must fit 32 bits.
+///
+/// # Errors
+/// [`Error::Unsupported`] for a relation past either.
+fn check_words(series: usize, windows: impl IntoIterator<Item = usize>) -> Result<()> {
+    let fits = |n: usize| n as u64 <= 1 << 32;
+    if fits(series) && windows.into_iter().all(fits) {
+        return Ok(());
+    }
+    Err(Error::Unsupported(
+        "a paged ST-index holds at most 2^32 series of at most 2^32 windows".to_string(),
+    ))
 }
 
 impl TrailIndex {
@@ -263,9 +406,15 @@ impl TrailIndex {
     /// loader hands out, which are the leaf slabs they end up in: no
     /// rectangle is allocated per trail, and no buffer holds all of them.
     ///
+    /// Over a paged source the packed tree is profiled, written to a
+    /// scratch page file of this build's own and dropped: the index then
+    /// reads its nodes through that file's pool (see the module docs).
+    ///
     /// # Errors
     /// [`SubseqConfig::validate`] failures, and the first read `source`
-    /// fails; nothing is built then.
+    /// fails; nothing is built then. Over a paged source, also
+    /// [`Error::Unsupported`] for series or offsets past 32 bits, and
+    /// typed [`Error::Store`] failures to write or open the trail file.
     pub(crate) fn build<S: SampleSource + ?Sized>(
         config: SubseqConfig,
         source: &S,
@@ -317,6 +466,7 @@ impl TrailIndex {
         let mut index = TrailIndex {
             config,
             tree,
+            paged: None,
             lengths: Vec::with_capacity(lengths.len()),
             windows_total: 0,
             trails_total: 0,
@@ -325,20 +475,49 @@ impl TrailIndex {
         for len in lengths {
             index.push_length(len);
         }
+        if let Some(pages) = source.pages() {
+            index.page_out(pages)?;
+        }
         Ok(index)
+    }
+
+    /// Moves the trail tree into a scratch page file, keeping its profile.
+    fn page_out(&mut self, pages: TrailPages<'_>) -> Result<()> {
+        let windows = self.lengths.iter().map(|&len| self.config.windows(len));
+        check_words(self.lengths.len(), windows)?;
+        self.profile();
+        let file = TrailFile::create(&self.tree, pages)?;
+        self.tree = RStarTree::new(self.config.rtree);
+        self.paged = Some(Arc::new(file));
+        Ok(())
+    }
+
+    /// The in-memory trail tree, to append to.
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] when the tree is paged: paged relations are
+    /// read-only.
+    fn held_mut(&mut self) -> Result<&mut RStarTree<TrailEntry>> {
+        match self.paged {
+            None => Ok(&mut self.tree),
+            Some(_) => Err(Error::Unsupported("append to a paged ST-index".to_string())),
+        }
     }
 
     /// Appends a series of `values`, returning its id. The new trails
     /// enter the tree through the STR-sorted batch path
     /// ([`RStarTree::bulk_extend`]).
-    pub(crate) fn insert(&mut self, values: &[f64]) -> usize {
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] when the tree is paged; nothing changes.
+    pub(crate) fn insert(&mut self, values: &[f64]) -> Result<usize> {
         let id = self.lengths.len();
         let windows = self.config.windows(values.len());
         let (bounds, entries) = trails(&self.config, id, values, 0, windows);
-        self.tree.bulk_extend(&bounds, entries);
+        self.held_mut()?.bulk_extend(&bounds, entries);
         self.profile.take();
         self.push_length(values.len());
-        id
+        Ok(id)
     }
 
     /// Extends series `id`'s trail to `values`, its extended samples (the
@@ -362,8 +541,10 @@ impl TrailIndex {
     ///
     /// # Errors
     /// [`Error::UnknownSeries`] for a bad id, [`Error::LengthMismatch`] for
-    /// samples fewer than the series holds.
+    /// samples fewer than the series holds, [`Error::Unsupported`] when
+    /// the tree is paged.
     pub(crate) fn extend_series(&mut self, id: usize, values: &[f64]) -> Result<()> {
+        self.held_mut()?;
         let Some(held) = self.lengths.get_mut(id) else {
             return Err(Error::UnknownSeries(id));
         };
@@ -455,9 +636,16 @@ impl TrailIndex {
         self.trails_total
     }
 
-    /// Access to the underlying R\*-tree (read-only).
+    /// Access to the underlying R\*-tree (read-only). Empty when the tree
+    /// is paged ([`TrailIndex::paged`]).
     pub fn tree(&self) -> &RStarTree<TrailEntry> {
         &self.tree
+    }
+
+    /// The paged trail tree, when the relation it was built over is
+    /// paged: its scratch page file and the pool over it.
+    pub fn paged(&self) -> Option<&PagedTree> {
+        self.paged.as_deref().map(|file| &file.0)
     }
 
     /// Shape of the trail tree over the indexed windows, for the cost
@@ -465,7 +653,8 @@ impl TrailIndex {
     /// computed by the first plan that asks and dropped by the next
     /// append, which is the only thing that can change it. A statement
     /// over a static relation plans without touching the tree, and an
-    /// append does not pay for a walk no statement may ever need.
+    /// append does not pay for a walk no statement may ever need. A paged
+    /// tree is profiled by its build, before its nodes leave memory.
     pub fn profile(&self) -> &SpaceProfile {
         self.profile
             .get_or_init(|| SpaceProfile::of_tree(&self.tree, self.windows_total as u64))
@@ -505,36 +694,65 @@ impl TrailIndex {
         eps: f64,
     ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
         self.check_query(q, eps)?;
-        self.range_inner(source, q, eps)
+        match self.paged() {
+            Some(paged) => self.range_in(paged, source, q, eps),
+            None => self.range_in(&self.tree, source, q, eps),
+        }
     }
 
-    /// The range kernel, run once per statement (by `range`, and by
-    /// `knn`'s refine phase): `eps` sizes the search box, and a candidate
-    /// window is an answer when its squared distance is within
-    /// `limit_sq(eps)` — when the distance it is reported with is `<= eps`.
-    fn range_inner<S: SampleSource + ?Sized>(
+    /// The range kernel over whichever node store holds the trail tree,
+    /// run once per statement (by `range`, and by `knn`'s refine phase):
+    /// `eps` sizes the search box, and a candidate window is an answer
+    /// when its squared distance is within `limit_sq(eps)` — when the
+    /// distance it is reported with is `<= eps`.
+    fn range_in<N, S>(
         &self,
+        store: N,
         source: &S,
         q: &TimeSeries,
         eps: f64,
-    ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
+    ) -> Result<(Vec<SubseqMatch>, SubseqStats)>
+    where
+        N: NodeStore,
+        N::Item: TrailItem,
+        Error: From<N::Error>,
+        S: SampleSource + ?Sized,
+    {
         let qrect = query_rect(&self.query_coords(q), eps);
-        self.refine(source, q, |r| r.intersects(qrect.view()), limit_sq(eps))
+        self.refine(
+            store,
+            source,
+            q,
+            |r| r.intersects(qrect.view()),
+            limit_sq(eps),
+        )
     }
 
     /// Every subsequence of the trails whose MBR passes `filter` that lies
     /// within `limit` of `q` in squared distance, sorted by
     /// `(series, offset)`. The trails are refined in that order, so each
     /// series with a candidate window is read once.
-    fn refine<S: SampleSource + ?Sized>(
+    fn refine<N, S>(
         &self,
+        store: N,
         source: &S,
         q: &TimeSeries,
         filter: impl FnMut(RectView<'_>) -> bool,
         limit: f64,
-    ) -> Result<(Vec<SubseqMatch>, SubseqStats)> {
+    ) -> Result<(Vec<SubseqMatch>, SubseqStats)>
+    where
+        N: NodeStore,
+        N::Item: TrailItem,
+        Error: From<N::Error>,
+        S: SampleSource + ?Sized,
+    {
         let mut trails: Vec<TrailEntry> = Vec::new();
-        let index_stats = self.tree.search_with(filter, |_, &t| trails.push(t));
+        let mut bad = Ok(());
+        let index_stats = search_with(store, filter, |_, item: N::Item| match item.entry(self) {
+            Ok(t) => trails.push(t),
+            Err(e) => bad = Err(e),
+        })?;
+        bad?;
         // A series' trails cover disjoint offset runs, so this order is
         // the rows' order too.
         trails.sort_unstable_by_key(|t| (t.series, t.start));
@@ -579,6 +797,26 @@ impl TrailIndex {
         if k == 0 || self.windows_total == 0 {
             return Ok((Vec::new(), SubseqStats::default()));
         }
+        match self.paged() {
+            Some(paged) => self.knn_in(paged, source, q, k),
+            None => self.knn_in(&self.tree, source, q, k),
+        }
+    }
+
+    /// The k-NN kernel over whichever node store holds the trail tree.
+    fn knn_in<N, S>(
+        &self,
+        store: N,
+        source: &S,
+        q: &TimeSeries,
+        k: usize,
+    ) -> Result<(Vec<SubseqMatch>, SubseqStats)>
+    where
+        N: NodeStore,
+        N::Item: TrailItem,
+        Error: From<N::Error>,
+        S: SampleSource + ?Sized,
+    {
         let qcoords = self.query_coords(q);
         // Phase 1: best-first over trails, keeping the `k` smallest
         // examined windows by `(d2, series, offset)` in a bounded heap — a
@@ -589,40 +827,49 @@ impl TrailIndex {
         let mut candidates = 0usize;
         let mut records = RecordIo::default();
         let mut read: Result<()> = Ok(());
-        let (trail_hits, mut index_stats) = self.tree.nearest_with(
+        let (trail_hits, mut index_stats) = nearest_with_tie(
+            store,
             k,
             |rect| rect.min_dist2(&qcoords).sqrt(),
-            |_, trail| {
-                let offsets = self.fitting(trail, q.len());
-                if offsets.is_empty() || read.is_err() {
-                    return f64::INFINITY;
+            |_, item: N::Item, _| {
+                if read.is_err() {
+                    return Some(f64::INFINITY);
                 }
-                let best = source.read(trail.series, &mut records, |values| {
-                    let mut best = f64::INFINITY;
-                    for offset in offsets {
-                        candidates += 1;
-                        let window = &values[offset..offset + q.len()];
-                        let d2 = full_distance_sq(window, q.values());
-                        best = best.min(d2);
-                        let entry = (d2.to_bits(), trail.series, offset);
-                        if kept.len() < k {
-                            kept.push(entry);
-                        } else if let Some(mut worst) = kept.peek_mut() {
-                            if entry < *worst {
-                                *worst = entry;
+                let best = item.entry(self).and_then(|trail| {
+                    let offsets = self.fitting(&trail, q.len());
+                    if offsets.is_empty() {
+                        return Ok(f64::INFINITY);
+                    }
+                    source.read(trail.series, &mut records, |values| {
+                        let mut best = f64::INFINITY;
+                        for offset in offsets {
+                            candidates += 1;
+                            let window = &values[offset..offset + q.len()];
+                            let d2 = full_distance_sq(window, q.values());
+                            best = best.min(d2);
+                            let entry = (d2.to_bits(), trail.series, offset);
+                            if kept.len() < k {
+                                kept.push(entry);
+                            } else if let Some(mut worst) = kept.peek_mut() {
+                                if entry < *worst {
+                                    *worst = entry;
+                                }
                             }
                         }
-                    }
-                    best.sqrt()
+                        best.sqrt()
+                    })
                 });
                 // A failed read ends the statement; the search runs out
                 // on infinite distances, reading nothing more.
-                best.unwrap_or_else(|e| {
+                Some(best.unwrap_or_else(|e| {
                     read = Err(e);
                     f64::INFINITY
-                })
+                }))
             },
-        );
+            // No tie key: trails tied at the `k`-th boundary are kept in
+            // traversal order.
+            |_| 0,
+        )?;
         read?;
         // Ascending: the `k` smallest of every examined window, in order.
         let seen = kept.into_sorted_vec();
@@ -655,8 +902,8 @@ impl TrailIndex {
         // its series' end can have no offset the query fits at. Then every
         // subsequence is refined, which is the exhaustive answer.
         let (mut matches, range_stats) = match seen.get(k - 1) {
-            Some(&(d2, ..)) => self.range_inner(source, q, f64::from_bits(d2).sqrt())?,
-            None => self.refine(source, q, |_| true, f64::INFINITY)?,
+            Some(&(d2, ..)) => self.range_in(store, source, q, f64::from_bits(d2).sqrt())?,
+            None => self.refine(store, source, q, |_| true, f64::INFINITY)?,
         };
         sort_matches(&mut matches);
         matches.truncate(k);
@@ -718,7 +965,7 @@ impl SubseqIndex {
     pub fn insert(&mut self, series: TimeSeries) -> usize {
         let id = self.trails.insert(series.values());
         self.store.push(series);
-        id
+        id.expect("a standalone index holds its trail tree")
     }
 
     /// Takes one stored series' extended value (the value it held is its
@@ -1037,6 +1284,7 @@ fn full_distance_sq(x: &[f64], y: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IndexConfig, SeriesRelation, ShardSpec};
     use tsq_series::generate::RandomWalkGenerator;
 
     fn relation(seed: u64) -> Vec<TimeSeries> {
@@ -1512,6 +1760,106 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A relation of `count` walks of 64 samples in two hash shards, each
+    /// paged in `dir` at a two-page pool.
+    fn paged_relation(dir: &Path, count: usize) -> ShardedIndex {
+        std::fs::create_dir_all(dir).unwrap();
+        let walks = RandomWalkGenerator::new(17).relation(count, 64);
+        let rel = SeriesRelation::from_series("r", walks).unwrap();
+        let spec = ShardSpec::hash(2).unwrap();
+        let mut paged = ShardedIndex::build(IndexConfig::default(), &rel, spec).unwrap();
+        for (shard, part) in paged.parts_mut().iter_mut().enumerate() {
+            part.attach_paged(&dir.join(format!("r_s{shard}.pages")), 2)
+                .unwrap();
+        }
+        paged
+    }
+
+    /// The trail files in `dir`.
+    fn trail_files(dir: &Path) -> Vec<PathBuf> {
+        let entries = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        entries
+            .filter(|p| p.extension().is_some_and(|e| e == "trails"))
+            .collect()
+    }
+
+    #[test]
+    fn racing_paged_builds_write_files_of_their_own_and_remove_them() {
+        let dir = std::env::temp_dir().join(format!("tsq-trail-files-{}", std::process::id()));
+        let paged = paged_relation(&dir, 30);
+        let config = SubseqConfig::new(16);
+        let start = std::sync::Barrier::new(4);
+        let built: Vec<TrailIndex> = std::thread::scope(|scope| {
+            let builds: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        TrailIndex::build(config, &paged, 2).unwrap()
+                    })
+                })
+                .collect();
+            builds.into_iter().map(|b| b.join().unwrap()).collect()
+        });
+        let mut paths: Vec<PathBuf> = built
+            .iter()
+            .map(|st| st.paged().expect("paged").path().to_path_buf())
+            .collect();
+        paths.sort();
+        paths.dedup();
+        assert_eq!(paths.len(), 4, "a file per build");
+        let mut files = trail_files(&dir);
+        files.sort();
+        assert_eq!(files, paths);
+        let q = TimeSeries::new(paged.series(5).unwrap().values()[7..23].to_vec());
+        let want = built[0].range(&paged, &q, 2.0).unwrap().0;
+        assert!(!want.is_empty());
+        for st in &built[1..] {
+            assert_eq!(st.range(&paged, &q, 2.0).unwrap().0, want);
+        }
+        // A clone shares its file, which goes with the last index over it.
+        let kept = built[0].paged().unwrap().path().to_path_buf();
+        let clone = built[0].clone();
+        drop(built);
+        assert_eq!(trail_files(&dir), vec![kept]);
+        drop(clone);
+        assert!(trail_files(&dir).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn paged_trail_words_are_checked_against_the_index() {
+        let dir = std::env::temp_dir().join(format!("tsq-trail-words-{}", std::process::id()));
+        let paged = paged_relation(&dir, 6);
+        let mut st = TrailIndex::build(SubseqConfig::new(16), &paged, 1).unwrap();
+        // 64 samples: 49 windows, trails at 0, 8, …, 48; the last of one.
+        let last = (5u64 << 32) | 48;
+        let entry = last.entry(&st).unwrap();
+        assert_eq!((entry.series, entry.start, entry.len), (5, 48, 1));
+        for stored in [6u64 << 32, (2 << 32) | 49, (2 << 32) | 3] {
+            assert!(
+                matches!(stored.entry(&st), Err(Error::Store(_))),
+                "{stored:#x}"
+            );
+        }
+        assert!(matches!(st.insert(&[0.0; 64]), Err(Error::Unsupported(_))));
+        assert!(matches!(
+            st.extend_series(0, &[0.0; 80]),
+            Err(Error::Unsupported(_))
+        ));
+        assert_eq!(st.length(0), Some(64));
+        // Series ids and offsets past 32 bits cannot be stored.
+        let words = 1usize << 32;
+        assert!(check_words(words, [words]).is_ok());
+        for (series, windows) in [(words + 1, 1), (1, words + 1)] {
+            assert!(matches!(
+                check_words(series, [windows]),
+                Err(Error::Unsupported(_))
+            ));
+        }
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! unbounded pool, for the node pool and the record pool alike — and the
 //! pool counters reported per query are exactly the buffer pools' own.
 //! A paged relation's subsequence statements read its records through the
-//! same pools, as its ST-index holds no samples of its own.
+//! same pools, as its ST-index holds no samples of its own, and its trail
+//! tree through a pool of its own.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use tsq_core::plan::{execute_plan, LogicalPlan, Planner, RelationStats};
 use tsq_core::{
-    ExecStats, IndexConfig, LinearTransform, PhysicalOp, PlanRows, QueryWindow, RecordIo, ScanMode,
-    SeriesRelation, ShardSpec, ShardedIndex, SimilarityIndex, TrailIndex,
+    render_sharded_plan, ExecStats, IndexConfig, LinearTransform, PhysicalOp, PlanRows,
+    QueryWindow, RecordIo, ScanMode, SeriesRelation, ShardSpec, ShardedIndex, SimilarityIndex,
+    TrailIndex,
 };
 use tsq_dft::dft::dft_prefix;
 use tsq_rtree::Rect;
@@ -350,7 +353,8 @@ fn record_pool_counters(paged: &ShardedIndex) -> (u64, u64) {
 /// The series owning a candidate window of a range statement of `q` at
 /// `eps` over `st`: a trail whose MBR meets the query box of the ST-index's
 /// PrefixSearch (the first window's coefficients, `± eps` and its
-/// anti-rounding pad), at an offset where all of `q` fits.
+/// anti-rounding pad), at an offset where all of `q` fits. `st` holds its
+/// trail tree in memory.
 fn candidate_series(st: &TrailIndex, q: &TimeSeries, eps: f64) -> BTreeSet<usize> {
     let config = st.config();
     let coeffs = dft_prefix(&q.values()[..config.window], config.k);
@@ -372,13 +376,20 @@ fn candidate_series(st: &TrailIndex, q: &TimeSeries, eps: f64) -> BTreeSet<usize
     series
 }
 
+/// The relation's built ST-index.
+fn held(index: &ShardedIndex) -> Arc<TrailIndex> {
+    index.subseq_held().unwrap().1.expect("built")
+}
+
 /// The relation's ST-index reads a paged relation's records through the
-/// record pools: subsequence range and kNN statements at `L = w` and past
-/// it return the in-memory relation's rows, offsets, distance bits and
-/// `ExecStats`, at one shard and three, at a one-frame pool and an
-/// unbounded one. The record traffic a statement reports is exactly the
-/// pools' own, and a range statement pins each series with a candidate
-/// window once.
+/// record pools, and its trail tree through a pool of its own: subsequence
+/// range and kNN statements at `L = w` and past it return the in-memory
+/// relation's rows, offsets, distance bits, `ExecStats` and `EXPLAIN`
+/// text, at one shard and three, at one-frame record pools and a
+/// one-page trail pool, and at unbounded ones. The record and trail
+/// traffic a statement reports is exactly the pools' own, every trail
+/// node it visits is one pin, and a range statement pins each series with
+/// a candidate window once.
 #[test]
 fn subsequence_statements_read_records_through_the_pool_identically() {
     const W: usize = 16;
@@ -406,10 +417,16 @@ fn subsequence_statements_read_records_through_the_pool_identically() {
             ]
         })
         .collect();
+    let explain = |index: &ShardedIndex, logical: &LogicalPlan| {
+        let choice = index.plan_shards(logical, None).unwrap();
+        render_sharded_plan(logical, index, &choice)
+    };
     let mut checked = 0;
     for shards in [1usize, 3] {
         let spec = ShardSpec::hash(shards).unwrap();
         let mem = ShardedIndex::build(IndexConfig::default(), &relation, spec.clone()).unwrap();
+        mem.execute(&statements[0], None, 1).unwrap();
+        assert!(held(&mem).paged().is_none(), "memory holds its trail tree");
         for capacity in [1usize, usize::MAX] {
             let mut paged =
                 ShardedIndex::build(IndexConfig::default(), &relation, spec.clone()).unwrap();
@@ -421,25 +438,47 @@ fn subsequence_statements_read_records_through_the_pool_identically() {
             // records outside any statement's count; every statement then
             // probes it, `L > W` by prefix.
             paged.execute(&statements[0], None, 1).unwrap();
+            let st = held(&paged);
+            let trails = st.paged().expect("a paged relation pages its trail tree");
+            assert!(st.tree().is_empty(), "the nodes left memory");
+            assert_eq!(trails.len(), held(&mem).tree().len());
+            // The relation's node-pool bytes: a page per shard at capacity
+            // 1, which is one trail page at one shard.
+            let trail_pages = trails.pool().capacity_pages();
+            if capacity == 1 {
+                assert_eq!(trail_pages, shards, "{shards} shard(s)");
+            } else {
+                assert!(trail_pages as u64 >= trails.page_count());
+            }
             let mut misses = 0;
+            let mut trail_misses = 0;
             for (i, logical) in statements.iter().enumerate() {
                 let len = logical.subseq_window().unwrap();
                 let what =
                     format!("{shards} shard(s), capacity {capacity}, statement {i}, L {len}");
                 let want = mem.execute(logical, None, 1).unwrap();
                 let (h, m) = record_pool_counters(&paged);
+                let (th, tm) = (trails.pool().hits(), trails.pool().misses());
                 let got = paged.execute(logical, None, 1).unwrap();
                 let (h2, m2) = record_pool_counters(&paged);
                 assert_eq!(row_bits(&got.rows), row_bits(&want.rows), "{what}");
                 assert_eq!(unmeasured(&got.merged), want.merged, "{what}");
                 assert!(!want.merged.measured(), "{what}: memory reads no pool");
+                assert_eq!(explain(&paged, logical), explain(&mem, logical), "{what}");
                 let exec = got.merged;
                 assert_eq!(exec.record_hits, h2 - h, "{what}");
                 assert_eq!(exec.record_misses, m2 - m, "{what}");
+                assert_eq!(exec.pool_hits, trails.pool().hits() - th, "{what}");
+                assert_eq!(exec.pool_misses, trails.pool().misses() - tm, "{what}");
+                assert_eq!(
+                    exec.pool_hits + exec.pool_misses,
+                    exec.nodes_visited,
+                    "{what}"
+                );
                 misses += exec.record_misses;
+                trail_misses += exec.pool_misses;
                 if let LogicalPlan::SubseqRange { query, eps, .. } = logical {
-                    let (_, st) = paged.subseq_held().unwrap();
-                    let series = candidate_series(&st.unwrap(), query, *eps);
+                    let series = candidate_series(&held(&mem), query, *eps);
                     let pins = exec.record_hits + exec.record_misses;
                     assert_eq!(pins, series.len() as u64, "{what}");
                     assert!(pins > 1, "{what}: several series hold candidates");
@@ -449,6 +488,10 @@ fn subsequence_statements_read_records_through_the_pool_identically() {
             assert!(
                 misses > 0 || capacity > 1,
                 "{shards} shard(s): a one-frame pool misses"
+            );
+            assert!(
+                trail_misses > 0 || capacity > 1,
+                "{shards} shard(s): a one-page trail pool misses"
             );
         }
     }

@@ -1,8 +1,9 @@
-//! A relation's ST-index keeps no samples: built over a paged relation, it
-//! leaves on the heap what the same relation's in-memory build leaves,
-//! plus at most the frames its record pools may hold. Its build reads each
-//! record through the pool and keeps the trails, the counters and one
-//! length per series, never a copy of the samples.
+//! A relation's ST-index keeps no samples, and over a paged relation no
+//! trail tree either: built over a paged relation, it leaves on the heap
+//! one length per series, its counters, and at most the pages its trail
+//! pool and the frames its record pools may hold. Its build reads each
+//! record through the pool and writes the trail tree to a page file of its
+//! own, never keeping a copy of the samples or of the nodes.
 //!
 //! A binary of its own, because it installs a global allocator that counts
 //! live bytes across every thread: the build fans out over the worker
@@ -77,6 +78,11 @@ fn left_by<R>(f: impl FnOnce() -> R) -> isize {
 
 const WINDOW: usize = 16;
 
+/// The index's fixed part, past its lengths: its own fields, the trail
+/// file's name and pool bookkeeping, and the planner's profile of the
+/// trail tree.
+const FIXED: usize = 2048;
+
 /// Record pool budget per shard: three 4 KiB frames, each holding one
 /// record of 256 samples.
 const BUDGET: u64 = 3 * 4096;
@@ -145,6 +151,27 @@ fn a_paged_st_index_build_leaves_no_samples_on_the_heap() {
             paged_left <= mem_left + frames as isize,
             "{shards} shard(s): the paged build leaves {paged_left} B, more than the \
              in-memory build's {mem_left} B and {frames} B of record frames"
+        );
+        // The trail tree is paged too: what stays is one length per
+        // series, the fixed part, and what the trail and record pools may
+        // hold — the trail pool's pages and its one read buffer.
+        let st = paged.subseq_held().unwrap().1.unwrap();
+        let trails = st.paged().expect("a paged relation pages its trail tree");
+        let trail_pool = (trails.pool().capacity_pages() + 1) * trails.page_size();
+        let bound = 8 * relation.len() + FIXED + trail_pool + frames;
+        eprintln!(
+            "{shards} shard(s): the paged build leaves {paged_left} B, bound {bound} B \
+             (trail pool {trail_pool} B of a {} B file)",
+            trails.page_count() as usize * trails.page_size()
+        );
+        assert!(
+            paged_left <= bound as isize,
+            "{shards} shard(s): the paged build leaves {paged_left} B, more than \
+             {bound} B: lengths, counters, the trail pool and the record frames"
+        );
+        assert!(
+            trail_pool < trails.page_count() as usize * trails.page_size() / 2,
+            "the trail pool cannot hide the trail tree"
         );
         assert!(
             frames < sample_bytes / 2,

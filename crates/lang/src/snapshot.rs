@@ -194,7 +194,9 @@ impl Catalog {
     /// and record hits and misses. The `budget_mib` pool budget (MiB,
     /// minimum 1) is split evenly across the restored relations, and a
     /// relation's slice evenly across its shards; a shard's node pool and
-    /// its record pool are each bounded by the shard's slice.
+    /// its record pool are each bounded by the shard's slice, and the
+    /// relation's trail pool (below) by the bytes its node pools hold
+    /// together, about the relation's slice.
     ///
     /// Planner statistics were profiled from the rebuilt trees before the
     /// nodes moved out, so plan choices are identical to the in-memory
@@ -202,7 +204,12 @@ impl Catalog {
     /// read-only until re-registered; [`Catalog::save`] still works, and
     /// reads every record back to write the bytes the in-memory catalog
     /// writes. A relation's held subsequence ST-index reads its records
-    /// through the record pool, to build and to refine, and keeps none.
+    /// through the record pool, to build and to refine, and keeps none;
+    /// its build writes the trail tree to a scratch page file of its own
+    /// beside shard 0's node file (`<path>.<relation>_s0.<pid>-<n>.trails`),
+    /// removed when the index drops, and its statements read the trail
+    /// nodes through the trail pool, counted as their
+    /// `pool_hits`/`pool_misses`.
     ///
     /// # Errors
     /// Same as [`Catalog::open`], plus I/O failures while writing or

@@ -7,7 +7,7 @@
 //! traversal counters; only the measured pool counters differ (zero in
 //! memory, real page and record-frame traffic when paged). A paged
 //! catalog saves the bytes it was restored from, and a damaged record file
-//! is a typed error, never a panic.
+//! or trail page file is a typed error, never a panic.
 
 use std::path::{Path, PathBuf};
 
@@ -495,9 +495,33 @@ fn a_damaged_record_file_is_a_typed_error_on_the_subsequence_path() {
     }
 }
 
+/// The trail files of `open_paged` of `snapshot` for the one-shard
+/// relation `name`: scratch page files beside its node file, one per
+/// built ST-index.
+fn trail_files(snapshot: &Path, name: &str) -> Vec<PathBuf> {
+    let stem = format!(
+        "{}.{name}_s0.",
+        snapshot.file_name().unwrap().to_str().unwrap()
+    );
+    let dir = std::fs::read_dir(snapshot.parent().unwrap()).unwrap();
+    let mut files: Vec<PathBuf> = dir
+        .map(|entry| entry.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap();
+            name.starts_with(&stem) && name.ends_with(".trails")
+        })
+        .collect();
+    files.sort();
+    files
+}
+
 /// A paged relation's subsequence statement reads its records through the
-/// record pool, and says so: `EXPLAIN ANALYZE` prints the measured line
-/// with its record hits and misses, as for every whole-match operator.
+/// record pool and its trail tree through the trail pool, and says so:
+/// `EXPLAIN ANALYZE` prints the measured line with the trail pool's hits
+/// and misses next to its record hits and misses — every visited trail
+/// node a miss cold, a hit warm. The trail tree lives in a scratch page
+/// file of the ST-index's own, which goes with the index: when a shorter
+/// statement rebuilds it, and when the catalog drops.
 #[test]
 fn paged_subsequence_statements_report_record_traffic() {
     let cat = catalog();
@@ -505,6 +529,7 @@ fn paged_subsequence_statements_report_record_traffic() {
     cat.save(&path).unwrap();
     let mut paged = Catalog::new();
     paged.open_paged(&path, 1).unwrap();
+    assert!(trail_files(&path, "stocks").is_empty(), "held, not built");
     let literal: Vec<String> = (0..32).map(|i| format!("{}.5", 40 + i % 7)).collect();
     let q = format!(
         "EXPLAIN ANALYZE FIND SUBSEQUENCE OF [{}] IN stocks WITHIN 30 WINDOW 32",
@@ -514,18 +539,111 @@ fn paged_subsequence_statements_report_record_traffic() {
     for run in ["cold", "warm"] {
         let measured = paged.run(&q).unwrap();
         assert_eq!(measured.rows, plain.rows, "{run}");
-        let pins = measured.stats.record_hits + measured.stats.record_misses;
+        assert_eq!(measured.plan, plain.plan, "{run}");
+        let stats = measured.stats;
+        let pins = stats.record_hits + stats.record_misses;
         assert!(pins > 0, "{run}: the refine reads records");
+        let (hits, misses) = if run == "cold" {
+            (0, stats.nodes_visited)
+        } else {
+            (stats.nodes_visited, 0)
+        };
+        assert!(stats.nodes_visited > 0, "{run}");
+        assert_eq!(
+            (stats.pool_hits, stats.pool_misses),
+            (hits, misses),
+            "{run}"
+        );
         let text = measured.explain.expect("explain text");
         let line = format!(
-            "record_hits={}, record_misses={}",
-            measured.stats.record_hits, measured.stats.record_misses
+            "measured: pool_hits={hits}, pool_misses={misses}, record_hits={}, record_misses={}",
+            stats.record_hits, stats.record_misses
         );
-        assert!(
-            text.contains("measured: ") && text.contains(&line),
-            "{run}:\n{text}"
-        );
+        assert!(text.contains(&line), "{run}:\n{text}");
     }
     let text = plain.explain.expect("explain text");
     assert!(!text.contains("measured:"), "in memory:\n{text}");
+    let built = trail_files(&path, "stocks");
+    assert_eq!(built.len(), 1, "one trail file per built index");
+    // A shorter statement rebuilds the index at its window: a file of its
+    // own, and the old index's file is gone.
+    let short: Vec<String> = literal[..8].to_vec();
+    paged
+        .run(&format!(
+            "FIND SUBSEQUENCE OF [{}] IN stocks WITHIN 30 WINDOW 8",
+            short.join(", ")
+        ))
+        .unwrap();
+    let rebuilt = trail_files(&path, "stocks");
+    assert_eq!(rebuilt.len(), 1);
+    assert_ne!(rebuilt, built);
+    drop(paged);
+    assert!(
+        trail_files(&path, "stocks").is_empty(),
+        "no file outlives its index"
+    );
+}
+
+/// A trail page file damaged under a built ST-index is a typed store error
+/// at the next statement that reads the damaged page, locally and over the
+/// wire, and the other relation still answers. `EXPLAIN` builds a held
+/// window's index and reads no trail page, so the damage meets a cold
+/// pool.
+#[test]
+fn a_damaged_trail_file_is_a_typed_error() {
+    let cat = catalog();
+    let range = subseq_statement(&cat, 1, 4, 2.0);
+    let knn = range
+        .replacen("FIND", "FIND 3 NEAREST", 1)
+        .replace(" WITHIN 2 ", " ");
+    let statements = [range, knn];
+    // The snapshot holds window 16, which `EXPLAIN` builds.
+    cat.run(&statements[0]).unwrap();
+    let path = temp_path("trail-damage.tsq");
+    cat.save(&path).unwrap();
+    // The root is the file's last page: every traversal reads it first.
+    let cases: [(&str, Damage); 2] = [
+        ("truncated", |b| b.truncate(b.len() - 100)),
+        ("a flipped bit in the root page", |b| {
+            let at = b.len() - 4096 + 8 + 40;
+            b[at] ^= 0x10
+        }),
+    ];
+    for (what, damage) in cases {
+        let snapshot = temp_path(&format!("trail-damage-{}.tsq", what.replace(' ', "-")));
+        std::fs::copy(&path, &snapshot).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&snapshot, 1).unwrap();
+        paged.run(&format!("EXPLAIN {}", statements[0])).unwrap();
+        let [trails] = &trail_files(&snapshot, "stocks")[..] else {
+            panic!("{what}: one trail file once built");
+        };
+        let mut bytes = std::fs::read(trails).unwrap();
+        assert_eq!((bytes.len() - 4096) % 4096, 0, "{what}: 4 KiB pages");
+        damage(&mut bytes);
+        std::fs::write(trails, &bytes).unwrap();
+        for q in &statements {
+            assert_store_error(&paged, q, what);
+        }
+        assert_eq!(
+            paged
+                .run("FIND 3 NEAREST TO walks.s1 IN walks")
+                .unwrap()
+                .rows
+                .len(),
+            3
+        );
+        let shared = SharedCatalog::new(paged);
+        let handle = tsq_lang::serve("127.0.0.1:0", shared, ServiceConfig::default()).unwrap();
+        let mut client = tsq_service::Client::connect(handle.addr()).unwrap();
+        for q in &statements {
+            match client.query(q) {
+                Err(ClientError::Remote(e)) => assert_eq!(e.code, ErrorCode::Engine, "{what}"),
+                other => panic!("{what}: expected an engine error frame, got {other:?}"),
+            }
+        }
+        assert!(client.query("FIND 3 NEAREST TO walks.s1 IN walks").is_ok());
+        drop(client);
+        handle.shutdown();
+    }
 }
