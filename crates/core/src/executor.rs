@@ -43,9 +43,10 @@ pub use tsq_pool::{Pool, PoolStats};
 /// steals) — the pair `/metrics` surfaces. These are
 /// deliberately *not* part of `ExecStats`: query counters stay
 /// byte-identical between sequential and parallel execution, while
-/// scheduler counters inherently depend on timing.
+/// scheduler counters inherently depend on timing. Zeros until something
+/// fans out: reading the counters never starts the pool.
 pub fn pool_stats() -> PoolStats {
-    Pool::global().stats()
+    Pool::try_global().map(Pool::stats).unwrap_or_default()
 }
 
 /// Number of workers to use when the caller does not care: the machine's

@@ -825,9 +825,9 @@ impl SimilarityIndex {
         Ok(Refine::new(schema, t, qf, target, limit))
     }
 
-    /// Binds query features posed under `t` (precomputed: the figure
-    /// runners time queries without their FFT) into the statement's
-    /// refine, with its one `limit_sq(eps)`; `eps = None`, a k-NN form,
+    /// Binds query features posed under `t` (precomputed, so that one
+    /// query's features serve several thresholds, as in the paper-shape
+    /// suite) into the statement's refine, with its one `limit_sq(eps)`; `eps = None`, a k-NN form,
     /// accepts every distance. The exact check reads the query's
     /// representation inverted from its half spectrum, once.
     ///

@@ -92,8 +92,8 @@
 //!
 //! ## Accounting
 //!
-//! Disk accesses match the reproduction benches, and are computed in two
-//! places only: a scan charges one access per stored record
+//! Disk accesses follow the paper's count (Section 5: nodes plus records
+//! read) and are computed in two places only: a scan charges one access per stored record
 //! (`ExecStats::scan`); an index plan charges one per visited node plus
 //! one per record fetched for an exact check (`ExecStats::index`).
 

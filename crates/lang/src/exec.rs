@@ -341,7 +341,6 @@ impl Catalog {
             .collect();
         Ok(QueryOutput {
             rows,
-            nodes_visited: 0,
             stats: ExecStats::default(),
             shard_stats: Vec::new(),
             plan: "Shard".to_string(),
@@ -479,7 +478,6 @@ impl Catalog {
         }
         Ok(QueryOutput {
             rows: out_rows,
-            nodes_visited: 0,
             stats: ExecStats::default(),
             shard_stats: Vec::new(),
             plan: "Append".to_string(),
@@ -585,7 +583,6 @@ impl Catalog {
         }
         Ok(QueryOutput {
             rows: Vec::new(),
-            nodes_visited: exec.nodes_visited,
             stats: exec,
             shard_stats,
             plan: sharded_plan_name(index, &logical, &plan),
@@ -887,7 +884,7 @@ fn run_batch(
         match r {
             Ok(out) => {
                 summary.rows += out.rows.len();
-                summary.nodes_visited += out.nodes_visited;
+                summary.nodes_visited += out.stats.nodes_visited;
                 summary.candidates += out.stats.candidates;
                 summary.refined += out.stats.refined;
                 summary.disk_accesses += out.stats.disk_accesses;
@@ -933,7 +930,6 @@ fn label_output(rel: &Labels, rows: PlanRows, stats: ExecStats, plan: String) ->
     };
     QueryOutput {
         rows,
-        nodes_visited: stats.nodes_visited,
         stats,
         shard_stats: Vec::new(),
         plan,
@@ -960,9 +956,6 @@ pub struct Row {
 pub struct QueryOutput {
     /// Answer rows (empty for `EXPLAIN` forms).
     pub rows: Vec<Row>,
-    /// R\*-tree nodes visited (0 for scan plans) — kept alongside the full
-    /// [`ExecStats`] for backward compatibility.
-    pub nodes_visited: u64,
     /// Full execution counters (candidates, refines, disk accesses). For
     /// a relation of several shards this is the exact sum of
     /// [`Self::shard_stats`].
@@ -1100,7 +1093,7 @@ mod tests {
             .run("FIND SIMILAR TO walks.s0 IN walks WITHIN 0.5")
             .unwrap();
         assert_eq!(tight.plan, "IndexRange");
-        assert!(tight.nodes_visited > 0);
+        assert!(tight.stats.nodes_visited > 0);
         assert!(tight.rows.iter().any(|r| r.a == "s0" && r.distance < 1e-9));
         // With a data-side transformation the self-distance is
         // D(mavg(nf(s0)), nf(s0)) — nonzero; the query must still run and

@@ -20,24 +20,36 @@
 //!   use; a process that never fans out never starts a thread.
 //! - **Panic isolation.** A panicking closure poisons only its own
 //!   result slot (the first panic is re-raised to the caller of
-//!   [`Pool::map`], preserving `std::thread::scope` semantics); the
-//!   worker survives and the pool keeps serving.
-//! - **Clean shutdown.** Dropping a non-global pool drains its queues
-//!   and joins every worker.
+//!   [`Pool::map`], preserving `std::thread::scope` semantics); a
+//!   panicking [`Pool::spawn`]ed task is dropped. Either way the worker
+//!   survives and the pool keeps serving.
+//! - **Clean shutdown.** Dropping a non-global pool runs every task
+//!   already queued, then joins every worker. No pool is dropped by one
+//!   of its own tasks: a worker cannot join itself.
 //!
 //! [`Pool::map`] is the order-preserving fan-out primitive the rest of
 //! the workspace builds on: workers claim item indices from a shared
 //! atomic counter, so results land in input order and are **byte-
 //! identical to a sequential map regardless of worker count** — the
 //! invariant every consistency suite in the workspace asserts.
+//! [`Pool::spawn`] queues one detached task: the query service runs
+//! each admitted request that way on a pool of its own.
 //!
-//! **Nested fan-outs run inline.** A map issued from inside a pool task
-//! (a sharded query inside a batch, a parallel bulk load inside a
-//! scatter) executes sequentially on the owning worker instead of
-//! re-entering the pool. That rules out both deadlock (no worker ever
-//! blocks waiting on pool work) and oversubscription (concurrency is
-//! bounded by the worker count plus the callers), and costs nothing:
-//! the outer fan-out already saturates the pool.
+//! Two rules keep pools from waiting on each other forever:
+//!
+//! - **Nesting is per pool.** A map issued from inside a task of the
+//!   *same* pool (a sharded query inside a batch, a parallel bulk load
+//!   inside a scatter) executes sequentially on the owning thread
+//!   instead of re-entering the pool. That rules out both deadlock (no
+//!   worker ever blocks waiting on its own pool's work) and
+//!   oversubscription, and costs nothing: the outer fan-out already
+//!   saturates the pool. A map on pool A issued from a task of pool B
+//!   fans out over A as from any other thread.
+//! - **Waits across pools go one way.** A pool's tasks may wait on
+//!   another pool's helpers only if that pool's tasks never wait back.
+//!   The one such edge in the workspace is the service's executor →
+//!   [`Pool::global`]: a served statement fans out over the global
+//!   pool, whose tasks never touch the executor.
 //!
 //! ## Why this crate may use `unsafe` when no other crate does
 //!
@@ -62,31 +74,39 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, JoinHandle};
 
 /// A queued unit of pool work: one erased "runner" of a [`Pool::map`]
-/// call (not one item — a runner claims items until the job is dry).
+/// call (not one item — a runner claims items until the job is dry), or
+/// one [`Pool::spawn`]ed task.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
+/// Source of pool identities; 0 means "no pool".
+static NEXT_ID: AtomicUsize = AtomicUsize::new(1);
+
+/// The process-wide pool behind [`Pool::global`].
+static GLOBAL: OnceLock<Pool> = OnceLock::new();
+
 thread_local! {
-    /// True while this thread is executing pool work (a worker running a
-    /// task, or a `map` caller participating in its own job). Nested
-    /// fan-outs consult it and run inline.
-    static ENGAGED: Cell<bool> = const { Cell::new(false) };
+    /// The pool this thread is executing work for (a worker running a
+    /// task, or a `map` caller participating in its own job), or 0.
+    /// Nested fan-outs over that same pool consult it and run inline.
+    static ENGAGED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// True when the current thread is already executing pool work, in which
-/// case a nested fan-out must (and does) run inline rather than
-/// re-entering the pool.
+/// True when the current thread is already executing work for the
+/// global pool, in which case a nested [`Pool::global`] fan-out runs
+/// inline rather than re-entering the pool. Work for any other pool
+/// does not count.
 pub fn in_pool_work() -> bool {
-    ENGAGED.with(Cell::get)
+    Pool::try_global().is_some_and(Pool::is_engaged)
 }
 
-/// RAII guard marking the current thread as engaged in pool work.
+/// RAII guard marking the current thread as engaged in one pool's work.
 struct EngageGuard {
-    prev: bool,
+    prev: usize,
 }
 
-fn engage() -> EngageGuard {
+fn engage(id: usize) -> EngageGuard {
     EngageGuard {
-        prev: ENGAGED.with(|f| f.replace(true)),
+        prev: ENGAGED.with(|f| f.replace(id)),
     }
 }
 
@@ -160,10 +180,13 @@ struct Queues {
 /// A persistent work-stealing thread pool.
 ///
 /// One process-wide instance ([`Pool::global`]) serves every
-/// `parallel_map` in the workspace; dedicated instances exist only in
-/// tests, where controlled worker counts matter.
+/// `parallel_map` in the workspace. Dedicated instances run the query
+/// service's admitted requests, and in tests give controlled worker
+/// counts.
 pub struct Pool {
     shared: Arc<Shared>,
+    /// This pool's identity in [`ENGAGED`].
+    id: usize,
     workers: usize,
     handles: Vec<JoinHandle<()>>,
 }
@@ -181,6 +204,7 @@ impl Pool {
     /// one).
     pub fn new(workers: usize) -> Pool {
         let workers = workers.max(1);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(Shared {
             queues: Mutex::new(Queues {
                 injector: VecDeque::new(),
@@ -197,12 +221,13 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("tsq-pool-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
+                    .spawn(move || worker_loop(&shared, id, me))
                     .expect("spawn pool worker")
             })
             .collect();
         Pool {
             shared,
+            id,
             workers,
             handles,
         }
@@ -212,8 +237,18 @@ impl Pool {
     /// [`default_workers`]. It lives for the process lifetime; idle
     /// workers are parked, not spinning.
     pub fn global() -> &'static Pool {
-        static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(|| Pool::new(default_workers()))
+    }
+
+    /// The process-wide pool if something has started it, without
+    /// starting it: what reading its counters needs.
+    pub fn try_global() -> Option<&'static Pool> {
+        GLOBAL.get()
+    }
+
+    /// True when the current thread is executing work for this pool.
+    fn is_engaged(&self) -> bool {
+        ENGAGED.with(Cell::get) == self.id
     }
 
     /// Number of worker threads (cached at construction — callers sizing
@@ -246,6 +281,14 @@ impl Pool {
         self.shared.work.notify_one();
     }
 
+    /// Queues `task` to run once on one of this pool's workers and
+    /// returns at once. A task that panics is dropped; its worker goes
+    /// on to the next one. Dropping the pool runs every task queued
+    /// before the drop.
+    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
+        self.submit(Box::new(task));
+    }
+
     /// Maps `f` over `items` with up to `threads`-way concurrency,
     /// preserving input order exactly.
     ///
@@ -254,9 +297,9 @@ impl Pool {
     /// claimed one at a time from a shared counter, so mixed cheap and
     /// expensive items stay balanced and the output is byte-identical
     /// to `items.into_iter().map(f)` at every worker count. With
-    /// `threads <= 1`, a single item, or when called from inside pool
-    /// work (nested fan-out), this is a plain sequential map that
-    /// touches no queues at all.
+    /// `threads <= 1`, a single item, or when called from inside this
+    /// pool's own work (nested fan-out), this is a plain sequential map
+    /// that touches no queues at all.
     ///
     /// # Panics
     /// If one or more closure invocations panic, the panic payload of
@@ -270,7 +313,7 @@ impl Pool {
     {
         let n = items.len();
         let threads = threads.max(1).min(n.max(1));
-        if threads == 1 || in_pool_work() {
+        if threads == 1 || self.is_engaged() {
             return items.into_iter().map(f).collect();
         }
         // Helpers beyond the calling thread; >= 1 because threads >= 2
@@ -307,7 +350,7 @@ impl Pool {
         {
             // The caller participates in its own job; nested fan-outs
             // inside `f` run inline here too.
-            let _engaged = engage();
+            let _engaged = engage(self.id);
             job.claim_loop();
         }
         let mut rem = lock(&job.remaining);
@@ -347,10 +390,10 @@ impl Drop for Pool {
     }
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
-    // Workers are permanently "engaged": any fan-out reached from a task
-    // they run is nested and must inline.
-    ENGAGED.with(|f| f.set(true));
+fn worker_loop(shared: &Shared, id: usize, me: usize) {
+    // Workers are permanently engaged in their own pool: any fan-out over
+    // it reached from a task they run is nested and must inline.
+    ENGAGED.with(|f| f.set(id));
     loop {
         let task = {
             let mut q = lock(&shared.queues);
@@ -374,8 +417,8 @@ fn worker_loop(shared: &Shared, me: usize) {
             }
         };
         shared.tasks.fetch_add(1, Ordering::Relaxed);
-        // Belt and braces: tasks already catch per-item panics; whatever
-        // still unwinds must not take the worker down with it.
+        // Map runners already catch per-item panics; a spawned task may
+        // not, and whatever unwinds must not take the worker down with it.
         let _ = catch_unwind(AssertUnwindSafe(task));
     }
 }
@@ -491,7 +534,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn map_is_order_preserving_at_every_width() {
@@ -606,6 +650,100 @@ mod tests {
             assert_eq!(out.len(), 40);
             drop(pool);
         }
+    }
+
+    /// Two items that each wait, up to `timeout`, until both have
+    /// started: true only when they ran on two threads at once.
+    fn two_items_meet(pool: &Pool, timeout: Duration) -> bool {
+        let arrived = Mutex::new(0usize);
+        let all_here = Condvar::new();
+        pool.map(2, vec![0, 1], |_| {
+            let mut n = lock(&arrived);
+            *n += 1;
+            all_here.notify_all();
+            let (n, _) = all_here
+                .wait_timeout_while(n, timeout, |n| *n < 2)
+                .unwrap_or_else(|e| e.into_inner());
+            *n == 2
+        })
+        .into_iter()
+        .all(|met| met)
+    }
+
+    #[test]
+    fn spawn_runs_a_task_detached() {
+        let pool = Pool::new(1);
+        let (tx, rx) = mpsc::channel();
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        // The task blocks until released, so `spawn` must have returned
+        // without waiting for it.
+        pool.spawn(move || {
+            go_rx.recv().unwrap();
+            tx.send(thread::current().name().map(str::to_owned))
+                .unwrap();
+        });
+        go_tx.send(()).unwrap();
+        let name = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(name.as_deref(), Some("tsq-pool-0"));
+    }
+
+    #[test]
+    fn a_panicking_spawned_task_leaves_its_worker_serving() {
+        let pool = Pool::new(1);
+        pool.spawn(|| panic!("spawned task went boom"));
+        let (tx, rx) = mpsc::channel();
+        pool.spawn(move || tx.send(7).unwrap());
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(7));
+        assert_eq!(pool.stats().tasks, 2);
+    }
+
+    #[test]
+    fn dropping_a_pool_runs_every_queued_task() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let pool = Pool::new(1);
+        // The one worker is busy while the rest queue up behind it.
+        pool.spawn(|| thread::sleep(Duration::from_millis(50)));
+        for _ in 0..100 {
+            let ran = Arc::clone(&ran);
+            pool.spawn(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        drop(pool);
+        assert_eq!(ran.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn a_map_on_another_pool_from_a_task_fans_out() {
+        let a = Arc::new(Pool::new(1));
+        let b = Pool::new(1);
+        let (tx, rx) = mpsc::channel();
+        let on_a = Arc::clone(&a);
+        b.spawn(move || {
+            tx.send(two_items_meet(&on_a, Duration::from_secs(10)))
+                .unwrap();
+        });
+        let met = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert!(met, "a map on pool A from pool B's task ran inline");
+        drop(b);
+    }
+
+    #[test]
+    fn a_map_on_its_own_pool_from_a_task_runs_inline() {
+        let a = Arc::new(Pool::new(2));
+        let (tx, rx) = mpsc::channel();
+        let on_a = Arc::clone(&a);
+        a.spawn(move || {
+            let me = thread::current().id();
+            let threads = on_a.map(2, (0..16).collect::<Vec<usize>>(), |_| {
+                thread::current().id()
+            });
+            tx.send(threads.iter().all(|t| *t == me)).unwrap();
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(30)), Ok(true));
+        // The spawned task alone ran as a pool task: the map queued no
+        // helper.
+        assert_eq!(a.stats().tasks, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::thread;
 use std::time::Duration;
 
@@ -200,5 +200,49 @@ fn pools_dropped_between_concurrent_jobs_join_cleanly() {
                 });
             }
         });
+    });
+}
+
+#[test]
+fn tasks_of_another_pool_get_exact_answers_from_borrowed_jobs() {
+    within_deadline("another pool's tasks", || {
+        let a = Arc::new(Pool::new(2));
+        let b = Pool::new(2);
+        let (answers, answered) = mpsc::channel();
+        for caller in 0..CALLERS {
+            let (a, answers) = (Arc::clone(&a), answers.clone());
+            b.spawn(move || {
+                for round in 0..ROUNDS / 2 {
+                    // As from a plain thread: the closure borrows this
+                    // task's prefix, and the items and results own heap
+                    // buffers; some items fan out again over pool A.
+                    let prefix = format!("{caller}:{round}:");
+                    let items: Vec<Vec<usize>> = (0..ITEMS).map(|i| vec![i; i % 5 + 1]).collect();
+                    let out = a.map(3, items, |v| {
+                        let i = v[0];
+                        let inner = if i % 8 == 0 {
+                            a.map(2, (0..4).collect::<Vec<usize>>(), |j| j * i)
+                                .into_iter()
+                                .sum::<usize>()
+                        } else {
+                            6 * i
+                        };
+                        assert_eq!(inner, 6 * i);
+                        format!("{prefix}{}", i * i)
+                    });
+                    let want: Vec<String> =
+                        (0..ITEMS).map(|i| expected(caller, round, i)).collect();
+                    assert_eq!(out, want, "caller {caller}, round {round}");
+                }
+                answers.send(caller).expect("the test is listening");
+            });
+        }
+        drop(answers);
+        // Dropping B runs every caller task to its end; a task that
+        // panicked sends nothing.
+        drop(b);
+        let mut done: Vec<usize> = answered.iter().collect();
+        done.sort_unstable();
+        assert_eq!(done, (0..CALLERS).collect::<Vec<_>>());
     });
 }

@@ -157,10 +157,10 @@ impl Metrics {
         };
     }
 
-    /// A point-in-time copy of every counter, plus the executor's
-    /// process-wide work-stealing pool counters sampled live (the pool
-    /// is shared by every relation and request, so the numbers are
-    /// service-level by construction).
+    /// A point-in-time copy of every counter, plus the process-wide
+    /// work-stealing pool's counters sampled live (the pool is shared by
+    /// every relation and request, so the numbers are service-level by
+    /// construction; zeros until something fans out).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let pool = tsq_core::executor::pool_stats();
         let plans = self

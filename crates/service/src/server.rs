@@ -1,20 +1,29 @@
 //! The TCP server: protocol sniffing, a connection-per-worker accept
-//! pool, a bounded execution pool with admission control and per-query
-//! timeouts, and graceful drain-then-stop shutdown.
+//! pool, admitted work run on an executor [`Pool`] of its own under
+//! admission control and per-query timeouts, and graceful drain-then-stop
+//! shutdown.
 //!
 //! ```text
 //!        clients                        server
-//!   ┌── binary frames ──┐      ┌─ acceptor workers ─┐     ┌─ exec pool ─┐
-//!   │ tsq-client, bench │ ───► │ sniff first bytes  │ ──► │ engine.run  │
-//!   └── HTTP/1.1 JSON ──┘      │ frame/HTTP session │ ◄── │ (bounded)   │
-//!                              └────────────────────┘     └─────────────┘
+//!   ┌── binary frames ──┐      ┌─ acceptor workers ─┐     ┌─ executor Pool ─┐
+//!   │ tsq-client, bench │ ───► │ sniff first bytes  │ ──► │ spawn: engine.* │
+//!   └── HTTP/1.1 JSON ──┘      │ frame/HTTP session │ ◄── │ (exec_threads)  │
+//!                              └────────────────────┘     └────────┬────────┘
+//!                                                    fan-outs ──►  Pool::global
 //! ```
 //!
-//! **Admission control.** Every query (or batch) becomes a job on a
-//! bounded queue feeding the execution pool. When `max_inflight` jobs
-//! are queued or running, new requests are answered with a typed
-//! `Overloaded` error immediately — the queue never grows without bound
-//! and latency stays measurable instead of collapsing.
+//! **Admission control.** Every query (or batch) becomes one task
+//! spawned on the executor pool. When `max_inflight` jobs are queued or
+//! running, new requests are answered with a typed `Overloaded` error
+//! immediately — the queue never grows without bound and latency stays
+//! measurable instead of collapsing.
+//!
+//! **One executor.** The executor is a [`tsq_core::executor::Pool`] of
+//! `exec_threads` workers, not the global one: a served statement's
+//! fan-outs (a scatter, an ST-index build, a batch's statements) run over
+//! [`Pool::global`] exactly as they would from any other thread, because
+//! nesting is per pool. The global pool's tasks never wait on the
+//! executor, so that one-way edge cannot deadlock.
 //!
 //! **Timeouts.** The connection worker waits `query_timeout` (scaled by
 //! batch size for batches) for its job's answer; past that the client
@@ -24,19 +33,19 @@
 //!
 //! **Graceful shutdown.** A [`tsq_core::executor::CancelToken`] flips
 //! once: acceptors stop admitting work (typed `ShuttingDown` errors),
-//! drain their current connections, and exit; then the job queue is
-//! closed and the exec pool finishes everything already admitted before
-//! joining. In-flight work is never dropped.
+//! drain their current connections, and exit; then dropping the executor
+//! pool runs everything already admitted before joining its workers.
+//! In-flight work is never dropped.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tsq_core::executor::{clamp_threads, CancelToken};
+use tsq_core::executor::{clamp_threads, CancelToken, Pool};
 use tsq_core::series::io::{content_lines, parse_rows};
 
 use crate::engine::{Engine, EngineError, IngestRow, QueryReply};
@@ -53,7 +62,8 @@ pub struct ServiceConfig {
     /// Acceptor/connection worker threads (connection-per-worker).
     /// Clamped by [`clamp_threads`].
     pub workers: usize,
-    /// Query-execution pool threads. Clamped by [`clamp_threads`].
+    /// Workers of the executor [`Pool`] that runs admitted queries.
+    /// Clamped by [`clamp_threads`].
     pub exec_threads: usize,
     /// Most jobs queued + running before admission control answers
     /// `Overloaded` (at least 1).
@@ -84,28 +94,17 @@ impl Default for ServiceConfig {
     }
 }
 
-/// One admitted unit of work: runs on an exec worker against the engine,
-/// releases its admission slot and sends its own typed reply back to the
-/// connection worker that submitted it (see [`submit`]).
-type Job = Box<dyn FnOnce(&dyn Engine, &Metrics) + Send>;
-
 struct Shared {
     engine: Arc<dyn Engine>,
-    metrics: Metrics,
+    metrics: Arc<Metrics>,
     cancel: CancelToken,
     config: ServiceConfig,
     addr: SocketAddr,
-    /// Senders for new jobs; `None` once the queue is closed for drain.
-    job_tx: Mutex<Option<SyncSender<Job>>>,
-}
-
-impl Shared {
-    fn job_sender(&self) -> Option<SyncSender<Job>> {
-        self.job_tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
+    /// Runs admitted jobs. Its tasks hold the engine and the metrics,
+    /// never this struct, so the last `Shared` — and with it the pool —
+    /// is dropped by [`ServerHandle::wait`], never by a worker of the
+    /// pool.
+    exec: Pool,
 }
 
 /// A running server. Obtain with [`Server::start`]; stop with
@@ -136,26 +135,14 @@ impl Server {
             max_inflight,
             ..config
         };
-        let (job_tx, job_rx) = mpsc::sync_channel::<Job>(max_inflight);
         let shared = Arc::new(Shared {
             engine: Arc::new(engine),
-            metrics: Metrics::new(),
+            metrics: Arc::new(Metrics::new()),
             cancel: CancelToken::new(),
             config,
             addr: local,
-            job_tx: Mutex::new(Some(job_tx)),
+            exec: Pool::new(exec_threads),
         });
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let exec_workers: Vec<JoinHandle<()>> = (0..exec_threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&job_rx);
-                std::thread::Builder::new()
-                    .name(format!("tsq-exec-{i}"))
-                    .spawn(move || exec_loop(&shared, &rx))
-                    .expect("spawn exec worker")
-            })
-            .collect();
         let listener = Arc::new(listener);
         let acceptors: Vec<JoinHandle<()>> = (0..workers)
             .map(|i| {
@@ -167,11 +154,7 @@ impl Server {
                     .expect("spawn acceptor")
             })
             .collect();
-        Ok(ServerHandle {
-            shared,
-            acceptors,
-            exec_workers,
-        })
+        Ok(ServerHandle { shared, acceptors })
     }
 }
 
@@ -179,7 +162,6 @@ impl Server {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptors: Vec<JoinHandle<()>>,
-    exec_workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -194,9 +176,8 @@ impl ServerHandle {
     }
 
     /// Initiates graceful shutdown and blocks until the drain completes:
-    /// acceptors finish their current connections, the job queue closes,
-    /// and the exec pool finishes every admitted job. Returns the final
-    /// metrics.
+    /// acceptors finish their current connections, then the executor pool
+    /// finishes every admitted job. Returns the final metrics.
     pub fn shutdown(self) -> MetricsSnapshot {
         initiate_shutdown(&self.shared);
         self.wait()
@@ -205,21 +186,17 @@ impl ServerHandle {
     /// Blocks until the server stops (e.g. a remote `SHUTDOWN` request
     /// or `POST /shutdown`), draining exactly like
     /// [`ServerHandle::shutdown`]. Returns the final metrics.
-    pub fn wait(mut self) -> MetricsSnapshot {
-        for h in self.acceptors.drain(..) {
+    pub fn wait(self) -> MetricsSnapshot {
+        let ServerHandle { shared, acceptors } = self;
+        for h in acceptors {
             let _ = h.join();
         }
-        // No acceptors → no new submissions. Close the queue so the exec
-        // pool drains what was admitted and exits.
-        self.shared
-            .job_tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        for h in self.exec_workers.drain(..) {
-            let _ = h.join();
-        }
-        self.shared.metrics.snapshot()
+        // No acceptors → no new submissions, and this is the last
+        // `Shared`: dropping it drops the executor pool, which runs what
+        // was admitted and joins its workers.
+        let metrics = Arc::clone(&shared.metrics);
+        drop(shared);
+        metrics.snapshot()
     }
 }
 
@@ -236,18 +213,6 @@ fn initiate_shutdown(shared: &Shared) {
         // acceptor that is busy with a real connection re-checks the
         // token before its next accept instead.
         let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_millis(200));
-    }
-}
-
-fn exec_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
-    loop {
-        // Hold the lock only to dequeue — workers run jobs concurrently.
-        let job = {
-            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.recv()
-        };
-        let Ok(job) = job else { break };
-        job(&*shared.engine, &shared.metrics);
     }
 }
 
@@ -513,8 +478,8 @@ fn run_one(
 }
 
 /// Admission control + execution + timeout: the one path every query,
-/// append and batch takes, over either protocol. `job` runs on an exec
-/// worker; whatever it returns is this call's answer.
+/// append and batch takes, over either protocol. `job` runs as a task of
+/// the executor pool; whatever it returns is this call's answer.
 fn submit<R: Send + 'static>(
     shared: &Shared,
     timeout: Duration,
@@ -526,12 +491,6 @@ fn submit<R: Send + 'static>(
             "server is draining; no new queries",
         ));
     }
-    let Some(tx) = shared.job_sender() else {
-        return Err(WireError::new(
-            ErrorCode::ShuttingDown,
-            "server is draining; no new queries",
-        ));
-    };
     // Exact admission: the gauge is bumped optimistically and rolled
     // back, so `max_inflight` genuinely bounds queued + running jobs.
     let prev = shared.metrics.query_started();
@@ -546,11 +505,11 @@ fn submit<R: Send + 'static>(
         ));
     }
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job: Job = Box::new(move |engine, metrics| {
-        // A panicking engine must not unwind out of the exec worker: with
-        // one exec thread the queue would lose its only receiver and
-        // every later query would be refused until a restart.
-        let answer = catch_unwind(AssertUnwindSafe(|| job(engine)));
+    let (engine, metrics) = (Arc::clone(&shared.engine), Arc::clone(&shared.metrics));
+    shared.exec.spawn(move || {
+        // A panicking engine is caught here, not only by the pool's
+        // worker, so that its admission slot still goes back.
+        let answer = catch_unwind(AssertUnwindSafe(|| job(&*engine)));
         // The admission slot claimed above goes back before the waiter
         // can hear the outcome, so its next statement is never refused
         // for a slot this one still holds — and it goes back even when
@@ -562,23 +521,6 @@ fn submit<R: Send + 'static>(
             let _ = reply_tx.try_send(answer);
         }
     });
-    match tx.try_send(job) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_)) => {
-            shared.metrics.query_done();
-            return Err(WireError::new(
-                ErrorCode::Overloaded,
-                "execution queue is full",
-            ));
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.metrics.query_done();
-            return Err(WireError::new(
-                ErrorCode::ShuttingDown,
-                "execution pool has stopped",
-            ));
-        }
-    }
     match reply_rx.recv_timeout(timeout) {
         Ok(reply) => Ok(reply),
         Err(mpsc::RecvTimeoutError::Timeout) => Err(WireError::new(

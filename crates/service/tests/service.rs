@@ -646,3 +646,45 @@ fn http_shutdown_endpoint_drains_the_server() {
     let snap = handle.wait();
     assert_eq!(snap.queries_ok, 0);
 }
+
+/// Fans every query out over the worker pool: two items that each wait,
+/// up to 10 s, for the other to start. They meet only when the fan-out
+/// really runs on two threads.
+struct FanOutEngine;
+
+impl Engine for FanOutEngine {
+    fn execute(&self, query: &str) -> Result<QueryReply, EngineError> {
+        let arrived = std::sync::Mutex::new(0usize);
+        let all_here = std::sync::Condvar::new();
+        let met = tsq_core::executor::parallel_map(2, vec![0, 1], |_| {
+            let mut n = arrived.lock().unwrap();
+            *n += 1;
+            all_here.notify_all();
+            let (n, _) = all_here
+                .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                .unwrap();
+            *n == 2
+        });
+        if !met.into_iter().all(|m| m) {
+            return Err(EngineError::Failed("fan-out ran inline".into()));
+        }
+        EchoEngine.execute(query)
+    }
+}
+
+#[test]
+fn a_served_query_keeps_its_fan_out() {
+    // The executor's one worker runs the query; the query's own fan-out
+    // must still reach the worker pool instead of running inline on it.
+    let config = ServiceConfig {
+        exec_threads: 1,
+        query_timeout: Duration::from_secs(30),
+        ..quick_config()
+    };
+    let handle = Server::start("127.0.0.1:0", FanOutEngine, config).unwrap();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.set_timeout(Some(Duration::from_secs(60))).unwrap();
+    let reply = client.query("spread out");
+    assert_eq!(reply.unwrap().rows[0].a, "spread out");
+    handle.shutdown();
+}

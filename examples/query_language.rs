@@ -39,7 +39,7 @@ fn main() {
                 println!(
                     "  {} row(s), {} node accesses",
                     out.rows.len(),
-                    out.nodes_visited
+                    out.stats.nodes_visited
                 );
                 for row in out.rows.iter().take(6) {
                     match &row.b {

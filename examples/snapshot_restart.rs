@@ -92,9 +92,9 @@ fn main() {
             "{q}: restored catalog must answer identically (rows AND disk accesses)"
         );
         println!(
-            "  identical: {} row(s), {} disk accesses  <-  {}",
+            "  identical: {} row(s), {} node accesses  <-  {}",
             got.rows.len(),
-            got.nodes_visited,
+            got.stats.nodes_visited,
             &q[..q.len().min(60)]
         );
     }

@@ -98,7 +98,7 @@ fn main() {
     let out = catalog.run(&query).expect("language query");
     println!(
         "\nvia the query language ({} node accesses):",
-        out.nodes_visited
+        out.stats.nodes_visited
     );
     for row in &out.rows {
         println!(
