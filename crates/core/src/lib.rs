@@ -117,7 +117,7 @@ pub use records::RecordIo;
 pub use relation::{Labels, SeriesRelation};
 pub use scan::{ScanMode, ScanStats};
 pub use shard::{
-    render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardMap, ShardSpec,
+    render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardMap, ShardSpec,
     ShardedIndex, ShardedOutcome,
 };
 pub use space::{QueryWindow, SpaceKind};

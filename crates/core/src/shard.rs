@@ -1,10 +1,10 @@
 //! Sharded execution: a single-process rehearsal for distributing the
 //! paper's filter-and-refine pipeline.
 //!
-//! A relation is partitioned into `N >= 1` shards — by a hash of each
-//! series label or by contiguous label ranges — and every shard gets its
-//! own [`SimilarityIndex`]. This is the only shape a catalog relation has:
-//! a freshly registered one is a single hash shard.
+//! A relation is partitioned into `N >= 1` shards by a hash of each
+//! series label, and every shard gets its own [`SimilarityIndex`]. This
+//! is the only shape a catalog relation has: a freshly registered one is
+//! a single hash shard.
 //!
 //! **One plan per statement; joins are not scattered.** A statement is
 //! bound once (validated, its query transformed and its search rectangle
@@ -43,8 +43,7 @@
 //! kept here and nowhere else: [`sharded_plan_name`] names the plain
 //! operator (`IndexRange`, not `Sharded(1):IndexRange`),
 //! [`render_sharded_plan`] / [`render_sharded_analyze`] render the plain
-//! `EXPLAIN [ANALYZE]` tree, [`ShardedOutcome::per_shard`] is empty and
-//! [`ShardedIndex::layout`] is `None`.
+//! `EXPLAIN [ANALYZE]` tree and [`ShardedOutcome::per_shard`] is empty.
 //!
 //! **A relation owns one ST-index.** The [`ShardedIndex`] holds at most
 //! one [`TrailIndex`] — FRM's one trail tree over the relation's windows,
@@ -89,28 +88,6 @@ use crate::plan::{
 use crate::relation::SeriesRelation;
 use crate::subseq::{SubseqConfig, TrailIndex};
 
-/// How series labels are assigned to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardBy {
-    /// FNV-1a hash of the label, modulo the shard count.
-    Hash,
-    /// Contiguous lexicographic label ranges (boundaries fixed at `SHARD`
-    /// time; later labels route by binary search, so assignment stays
-    /// deterministic as the relation grows).
-    Range,
-}
-
-impl ShardBy {
-    /// Stable lower-case name (`hash` / `range`), used by `SHARD ... BY`
-    /// and snapshots.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ShardBy::Hash => "hash",
-            ShardBy::Range => "range",
-        }
-    }
-}
-
 /// 64-bit FNV-1a over the label bytes — tiny, dependency-free, and
 /// stable across platforms and sessions (snapshots rely on it).
 pub fn hash_label(label: &str) -> u64 {
@@ -122,15 +99,11 @@ pub fn hash_label(label: &str) -> u64 {
     h
 }
 
-/// A deterministic label → shard assignment rule.
+/// A deterministic label → shard assignment rule: FNV-1a of the label
+/// ([`hash_label`]) modulo the shard count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
-    by: ShardBy,
     count: usize,
-    /// For [`ShardBy::Range`]: shard `i >= 1` starts at `boundaries[i-1]`
-    /// (inclusive); labels below `boundaries[0]` go to shard 0. Empty for
-    /// hash sharding.
-    boundaries: Vec<String>,
 }
 
 impl ShardSpec {
@@ -139,59 +112,12 @@ impl ShardSpec {
     /// # Errors
     /// `count == 0` is rejected as [`Error::Unsupported`].
     pub fn hash(count: usize) -> Result<Self> {
-        Self::check_count(count)?;
-        Ok(ShardSpec {
-            by: ShardBy::Hash,
-            count,
-            boundaries: Vec::new(),
-        })
-    }
-
-    /// Range sharding into `count` shards, with boundaries chosen to
-    /// split the *current* label population into near-equal contiguous
-    /// chunks. Labels appended later route into the fixed boundaries.
-    ///
-    /// # Errors
-    /// `count == 0` is rejected as [`Error::Unsupported`].
-    pub fn range(count: usize, labels: &[&str]) -> Result<Self> {
-        Self::check_count(count)?;
-        let mut sorted: Vec<&str> = labels.to_vec();
-        sorted.sort_unstable();
-        let mut boundaries = Vec::with_capacity(count.saturating_sub(1));
-        if !sorted.is_empty() {
-            for i in 1..count {
-                // First label of chunk i under near-equal ceil division.
-                let at = (i * sorted.len()).div_ceil(count).min(sorted.len() - 1);
-                boundaries.push(sorted[at].to_string());
-            }
-        }
-        Ok(ShardSpec {
-            by: ShardBy::Range,
-            count,
-            boundaries,
-        })
-    }
-
-    /// Rebuilds a spec from snapshot fields.
-    ///
-    /// # Errors
-    /// `count == 0` is rejected as [`Error::Unsupported`].
-    pub fn from_parts(by: ShardBy, count: usize, boundaries: Vec<String>) -> Result<Self> {
-        Self::check_count(count)?;
-        Ok(ShardSpec {
-            by,
-            count,
-            boundaries,
-        })
-    }
-
-    fn check_count(count: usize) -> Result<()> {
         if count == 0 {
             return Err(Error::Unsupported(
                 "SHARD count must be at least 1".to_string(),
             ));
         }
-        Ok(())
+        Ok(ShardSpec { count })
     }
 
     /// Number of shards.
@@ -199,25 +125,9 @@ impl ShardSpec {
         self.count
     }
 
-    /// Assignment rule family.
-    pub fn by(&self) -> ShardBy {
-        self.by
-    }
-
-    /// Range boundaries (empty for hash sharding).
-    pub fn boundaries(&self) -> &[String] {
-        &self.boundaries
-    }
-
     /// The shard a label belongs to.
     pub fn assign(&self, label: &str) -> usize {
-        match self.by {
-            ShardBy::Hash => (hash_label(label) % self.count as u64) as usize,
-            ShardBy::Range => self
-                .boundaries
-                .partition_point(|b| b.as_str() <= label)
-                .min(self.count - 1),
-        }
+        (hash_label(label) % self.count as u64) as usize
     }
 }
 
@@ -624,18 +534,6 @@ impl ShardedIndex {
         self.parts.len()
     }
 
-    /// `(rule, shard count, per-shard series counts)` — `None` for a
-    /// one-shard relation, which has no partitioning to report.
-    pub fn layout(&self) -> Option<(ShardBy, usize, Vec<usize>)> {
-        (self.parts.len() > 1).then(|| {
-            (
-                self.map.spec().by(),
-                self.parts.len(),
-                self.parts.iter().map(SimilarityIndex::len).collect(),
-            )
-        })
-    }
-
     /// Total stored series across shards.
     pub fn len(&self) -> usize {
         self.map.total()
@@ -970,11 +868,9 @@ pub fn render_sharded_plan(
             sharded.config().schema.dims(),
         );
         if sharded.scatters(logical) {
-            let spec = sharded.map().spec();
             relation.push_str(&format!(
-                "\n  sharded: {} shard(s) by {}, scatter-gather merge",
-                spec.count(),
-                spec.by().name()
+                "\n  sharded: {} shard(s) by hash, scatter-gather merge",
+                sharded.parts.len()
             ));
         }
         return render_plan_over(logical, plan, &relation);
@@ -1055,22 +951,6 @@ mod tests {
             assert!(spec.assign(label) < 4);
         }
         assert!(ShardSpec::hash(0).is_err());
-    }
-
-    #[test]
-    fn range_boundaries_partition_lexicographically() {
-        let labels = ["a", "b", "c", "d", "e", "f"];
-        let spec = ShardSpec::range(3, &labels).unwrap();
-        let shards: Vec<usize> = labels.iter().map(|l| spec.assign(l)).collect();
-        // Contiguous, non-decreasing assignment over sorted labels.
-        for w in shards.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        assert_eq!(shards[0], 0);
-        assert_eq!(*shards.last().unwrap(), 2);
-        // New labels route deterministically into the fixed boundaries.
-        assert_eq!(spec.assign("aa"), 0);
-        assert_eq!(spec.assign("zz"), 2);
     }
 
     #[test]
@@ -1203,7 +1083,7 @@ mod tests {
             ("a1".to_string(), TimeSeries::from(vec![1.0; 32])),
         ];
         let rel = SeriesRelation::from_labeled("r", items).unwrap();
-        let spec = ShardSpec::range(2, &["a0", "a1"]).unwrap();
+        let spec = ShardSpec::hash(2).unwrap();
         let sharded = ShardedIndex::build(IndexConfig::default(), &rel, spec).unwrap();
         assert_eq!(sharded.parts()[0].len(), 1);
         assert_eq!(sharded.parts()[1].len(), 1);
@@ -1633,7 +1513,7 @@ mod tests {
         let stats = RelationStats::from_index(&whole);
         let one =
             ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(1).unwrap()).unwrap();
-        assert_eq!(one.layout(), None);
+        assert_eq!(one.shard_count(), 1);
         let logical = range_logical(&rel, 4, 1.5);
         let choice = Planner::new(&whole, &stats)
             .plan(&logical, None, None)
@@ -1657,10 +1537,7 @@ mod tests {
 
         let three =
             ShardedIndex::build(IndexConfig::default(), &rel, ShardSpec::hash(3).unwrap()).unwrap();
-        assert_eq!(
-            three.layout().map(|(by, n, _)| (by, n)),
-            Some((ShardBy::Hash, 3))
-        );
+        assert_eq!(three.shard_count(), 3);
         let plans = three.plan_shards(&logical, None).unwrap();
         assert!(sharded_plan_name(&three, &logical, &plans).starts_with("Sharded(3):"));
     }

@@ -11,7 +11,6 @@
 //! override surface for access-path forcing, worker-thread counts, and
 //! scatter width.
 
-use tsq_core::shard::ShardBy;
 use tsq_core::QueryOptions;
 
 /// A parsed query.
@@ -109,17 +108,15 @@ pub enum Query {
         /// more than once; its rows apply sequentially.
         rows: Vec<AppendRow>,
     },
-    /// `SHARD <relation> INTO <n> BY HASH|RANGE` — repartition a relation
-    /// into `n` per-shard indexes for scatter-gather execution. Every
-    /// relation has at least one shard (registration builds one), so
+    /// `SHARD <relation> INTO <n> BY HASH` — repartition a relation into
+    /// `n` per-shard indexes, by label hash, for scatter-gather execution.
+    /// Every relation has at least one shard (registration builds one), so
     /// `INTO 1` is the layout a relation starts with.
     Shard {
         /// Relation repartitioned.
         relation: String,
         /// Number of shards.
         count: usize,
-        /// Label-assignment rule.
-        by: ShardBy,
     },
 }
 

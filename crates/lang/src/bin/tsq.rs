@@ -62,8 +62,8 @@ queries:
                                 (range and k-NN; one plan per statement,
                                 joins are not scattered)
 sharding:
-  SHARD <rel> INTO <n> BY HASH|RANGE    split a relation into n shards with one
-  R*-tree each; one plan per statement: range and k-NN queries scatter it to
+  SHARD <rel> INTO <n> BY HASH    split a relation into n shards by label hash,
+  one R*-tree each; one plan per statement: range and k-NN queries scatter it to
   every shard and merge to the same rows, order, and counter totals at
   every n; joins are not scattered (one run over the relation), and
   subsequence queries probe the relation's one ST-index, which SHARD keeps
@@ -251,29 +251,26 @@ fn meta(
                 println!("  (no relations registered)");
             }
             for n in names.iter() {
-                if let Some(rel) = catalog.relation(n) {
-                    let layout = match catalog.shard_layout(n) {
-                        Some((by, count, sizes)) => {
-                            let by = match by {
-                                tsq_core::shard::ShardBy::Hash => "hash",
-                                tsq_core::shard::ShardBy::Range => "range",
-                            };
-                            let sizes: Vec<String> =
-                                sizes.iter().map(ToString::to_string).collect();
-                            format!(", {count} shard(s) by {by} [{}]", sizes.join("/"))
-                        }
-                        None => String::new(),
-                    };
-                    match rel.length_range() {
-                        Some((lo, hi)) if lo != hi => println!(
-                            "  {n}: {} series of lengths {lo}..{hi} (ragged mid-ingest){layout}",
-                            rel.len()
-                        ),
-                        Some((len, _)) => {
-                            println!("  {n}: {} series of length {len}{layout}", rel.len())
-                        }
-                        None => println!("  {n}: 0 series{layout}"),
-                    }
+                // The layout is read off the index: no sample is read, so a
+                // paged relation lists even when its record file cannot be.
+                let Some(((lo, hi), count, sizes)) = catalog.shard_layout(n) else {
+                    continue;
+                };
+                let series: usize = sizes.iter().sum();
+                let layout = if count > 1 {
+                    let sizes: Vec<String> = sizes.iter().map(ToString::to_string).collect();
+                    format!(", {count} shard(s) by hash [{}]", sizes.join("/"))
+                } else {
+                    String::new()
+                };
+                if series == 0 {
+                    println!("  {n}: 0 series{layout}");
+                } else if lo != hi {
+                    println!(
+                        "  {n}: {series} series of lengths {lo}..{hi} (ragged mid-ingest){layout}"
+                    );
+                } else {
+                    println!("  {n}: {series} series of length {lo}{layout}");
                 }
             }
         }

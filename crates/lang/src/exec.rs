@@ -14,7 +14,7 @@
 //!
 //! Every relation is a [`ShardedIndex`] with n >= 1 shards — there is no
 //! second, unsharded code path. `register` builds one hash shard;
-//! `SHARD <rel> INTO <n> BY HASH|RANGE` rebuilds with n. Range and k-NN
+//! `SHARD <rel> INTO <n> BY HASH` rebuilds with n. Range and k-NN
 //! statements run scatter-gather ([`ShardedIndex::execute`]): the one
 //! plan fans over the worker pool and a typed merge reassembles the
 //! answer; joins and subsequence statements run once. With one shard
@@ -47,8 +47,7 @@ use std::time::{Duration, Instant};
 
 use tsq_core::plan::{ExecStats, LogicalPlan, PlanRows, QueryOptions};
 use tsq_core::shard::{
-    render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardBy, ShardSpec,
-    ShardedIndex,
+    render_sharded_analyze, render_sharded_plan, sharded_plan_name, ShardSpec, ShardedIndex,
 };
 use tsq_core::{executor, IndexConfig, Labels, LinearTransform, QueryWindow, SeriesRelation};
 use tsq_series::TimeSeries;
@@ -196,11 +195,18 @@ impl Catalog {
         Ok(())
     }
 
-    /// Shard layout of a relation: `Some((by, count, per-shard series
-    /// counts))` when it is split over several shards, `None` for a
-    /// one-shard (or unknown) relation.
-    pub fn shard_layout(&self, name: &str) -> Option<(ShardBy, usize, Vec<usize>)> {
-        self.relations.get(name)?.index.layout()
+    /// Shard layout of a relation: `((shortest, longest) series length,
+    /// shard count, per-shard series counts)`, read off its index alone —
+    /// no sample of a paged relation is read. The lengths are `(0, 0)` for
+    /// an empty relation; `None` for an unknown one.
+    pub fn shard_layout(&self, name: &str) -> Option<((usize, usize), usize, Vec<usize>)> {
+        let parts = self.relations.get(name)?.index.parts();
+        let held = parts.iter().filter(|part| !part.is_empty());
+        let lens = held
+            .map(|part| part.len_bounds())
+            .reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)));
+        let sizes = parts.iter().map(|part| part.len()).collect();
+        Some((lens.unwrap_or((0, 0)), parts.len(), sizes))
     }
 
     /// The base window a relation holds its subsequence ST-index at, if it
@@ -276,24 +282,20 @@ impl Catalog {
         let query = crate::parser::parse(src)?;
         match &query {
             Query::Append { relation, rows } => self.append(relation, rows),
-            Query::Shard {
-                relation,
-                count,
-                by,
-            } => self.shard(relation, *count, *by),
+            Query::Shard { relation, count } => self.shard(relation, *count),
             _ => self.execute(&query),
         }
     }
 
-    /// Applies a `SHARD <rel> INTO <n> BY HASH|RANGE` statement:
-    /// partitions the relation's series over `n` shards (FNV-1a label
-    /// hash, or lexicographic label ranges with boundaries cut from the
-    /// current label population) and rebuilds one index per shard from the
+    /// Applies a `SHARD <rel> INTO <n> BY HASH` statement: partitions the
+    /// relation's series over `n` shards by FNV-1a label hash
+    /// ([`ShardSpec::hash`]) and rebuilds one index per shard from the
     /// records the relation holds — their features move with them, under
     /// the relation's own configuration ([`ShardedIndex::reshard`]).
-    /// Whole-match queries and joins then execute scatter-gather with
-    /// answers byte-identical to a one-shard relation's; `INTO 1` is that
-    /// one shard again, and reports like it. The relation's ST-index and
+    /// Range and k-NN statements then execute scatter-gather with answers
+    /// byte-identical to a one-shard relation's; joins and subsequence
+    /// statements run once, over the whole relation. `INTO 1` is that one
+    /// shard again, and reports like it. The relation's ST-index and
     /// its window survive: resharding keeps every global id, so the index
     /// over them stays valid (and built, if it was), and a save writes the
     /// window as before.
@@ -307,12 +309,7 @@ impl Catalog {
     /// paged storage is attached (page files are immutable — shard
     /// before `open_paged`, or re-register first) or `count` is zero;
     /// index-build failures of any shard.
-    pub fn shard(
-        &mut self,
-        relation: &str,
-        count: usize,
-        by: ShardBy,
-    ) -> Result<QueryOutput, LangError> {
+    pub fn shard(&mut self, relation: &str, count: usize) -> Result<QueryOutput, LangError> {
         self.resolve_relation(relation)?;
         let Relation { labelled, index } =
             self.relations.get_mut(relation).expect("resolved above");
@@ -326,11 +323,7 @@ impl Catalog {
         let labels: Vec<&str> = (0..names.len())
             .map(|id| names.label(id).expect("id < len"))
             .collect();
-        let spec = match by {
-            ShardBy::Hash => ShardSpec::hash(count),
-            ShardBy::Range => ShardSpec::range(count, &labels),
-        }?;
-        index.reshard(spec, &labels)?;
+        index.reshard(ShardSpec::hash(count)?, &labels)?;
         let rows = (0..index.shard_count())
             .map(|s| Row {
                 a: format!("shard{s}"),
@@ -688,8 +681,8 @@ impl Catalog {
     }
 }
 
-/// How many shards of a whole-match statement or join to probe
-/// concurrently (a subsequence statement is not scattered): the smaller of
+/// How many shards of a range or k-NN statement to probe concurrently
+/// (joins and subsequence statements are not scattered): the smaller of
 /// the clamped thread override and the `shards` override, never exceeding
 /// the shard count and never zero.
 fn scatter_width(shards: usize, options: &QueryOptions) -> usize {
@@ -811,11 +804,7 @@ impl SharedCatalog {
     ) -> Result<QueryOutput, LangError> {
         match query {
             Query::Append { relation, rows } => self.write().append(relation, rows),
-            Query::Shard {
-                relation,
-                count,
-                by,
-            } => self.write().shard(relation, *count, *by),
+            Query::Shard { relation, count } => self.write().shard(relation, *count),
             _ => self.read().execute_with(query, overrides),
         }
     }
@@ -1950,34 +1939,32 @@ mod tests {
     #[test]
     fn sharded_answers_match_unsharded_for_every_form() {
         let baseline = catalog();
-        for by in ["HASH", "RANGE"] {
-            for count in [2usize, 3, 8] {
-                let mut cat = catalog();
-                let out = cat
-                    .run_mut(&format!("SHARD walks INTO {count} BY {by}"))
-                    .unwrap();
-                assert_eq!(out.rows.len(), count);
-                assert_eq!(out.plan, "Shard");
-                for q in SHARD_QUERIES {
-                    let want = baseline.run(q).unwrap();
-                    let got = cat.run(q).unwrap();
-                    assert_eq!(got.rows, want.rows, "{by}/{count}: {q}");
-                    if q.contains("SUBSEQUENCE") {
-                        // Not scattered: the relation's one ST-index answers.
-                        assert_eq!(got, want, "{by}/{count}: {q}");
-                        continue;
-                    }
-                    if q.starts_with("JOIN") {
-                        // Not scattered: one plain plan over the relation.
-                        assert!(got.shard_stats.is_empty(), "{by}/{count}: {q}");
-                        assert!(got.plan.starts_with("Join"), "{by}/{count}: {q}");
-                        continue;
-                    }
-                    // Merged counters are the exact sum of the per-shard
-                    // breakdown.
-                    assert_eq!(got.shard_stats.len(), count, "{q}");
-                    assert_eq!(got.stats, ExecStats::sum(&got.shard_stats), "{q}");
+        for count in [2usize, 3, 8] {
+            let mut cat = catalog();
+            let out = cat
+                .run_mut(&format!("SHARD walks INTO {count} BY HASH"))
+                .unwrap();
+            assert_eq!(out.rows.len(), count);
+            assert_eq!(out.plan, "Shard");
+            for q in SHARD_QUERIES {
+                let want = baseline.run(q).unwrap();
+                let got = cat.run(q).unwrap();
+                assert_eq!(got.rows, want.rows, "{count}: {q}");
+                if q.contains("SUBSEQUENCE") {
+                    // Not scattered: the relation's one ST-index answers.
+                    assert_eq!(got, want, "{count}: {q}");
+                    continue;
                 }
+                if q.starts_with("JOIN") {
+                    // Not scattered: one plain plan over the relation.
+                    assert!(got.shard_stats.is_empty(), "{count}: {q}");
+                    assert!(got.plan.starts_with("Join"), "{count}: {q}");
+                    continue;
+                }
+                // Merged counters are the exact sum of the per-shard
+                // breakdown.
+                assert_eq!(got.shard_stats.len(), count, "{q}");
+                assert_eq!(got.stats, ExecStats::sum(&got.shard_stats), "{q}");
             }
         }
     }
@@ -2020,37 +2007,28 @@ mod tests {
     #[test]
     fn shard_moves_the_records_it_holds_onto_a_fresh_build() {
         for appended in [false, true] {
-            for by in ["HASH", "RANGE"] {
-                for count in 1..=6 {
-                    let what = format!("{by} into {count}, appended {appended}");
-                    let mut cat = catalog();
-                    if appended {
-                        cat.run_mut(
-                            "APPEND walks CSV (s0, 1.5, 2.5) (brand_new, 9, 8, 7) (s11, -1)",
-                        )
+            for count in 1..=6 {
+                let what = format!("into {count}, appended {appended}");
+                let mut cat = catalog();
+                if appended {
+                    cat.run_mut("APPEND walks CSV (s0, 1.5, 2.5) (brand_new, 9, 8, 7) (s11, -1)")
                         .unwrap();
-                    }
-                    // From a sharded layout, so records change parts.
-                    cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
-                    cat.run_mut(&format!("SHARD walks INTO {count} BY {by}"))
-                        .unwrap();
-                    let Relation {
-                        labelled: Labelled::Held(rel),
-                        index,
-                    } = &cat.relations["walks"]
-                    else {
-                        unreachable!("in memory")
-                    };
-                    let labels: Vec<&str> =
-                        (0..rel.len()).map(|id| rel.label(id).unwrap()).collect();
-                    let spec = match by {
-                        "HASH" => ShardSpec::hash(count),
-                        _ => ShardSpec::range(count, &labels),
-                    };
-                    let fresh = ShardedIndex::build(*index.config(), rel, spec.unwrap()).unwrap();
-                    assert_eq!(index.map(), fresh.map(), "{what}");
-                    assert!(derived(index) == derived(&fresh), "{what}");
                 }
+                // From a sharded layout, so records change parts.
+                cat.run_mut("SHARD walks INTO 4 BY HASH").unwrap();
+                cat.run_mut(&format!("SHARD walks INTO {count} BY HASH"))
+                    .unwrap();
+                let Relation {
+                    labelled: Labelled::Held(rel),
+                    index,
+                } = &cat.relations["walks"]
+                else {
+                    unreachable!("in memory")
+                };
+                let spec = ShardSpec::hash(count).unwrap();
+                let fresh = ShardedIndex::build(*index.config(), rel, spec).unwrap();
+                assert_eq!(index.map(), fresh.map(), "{what}");
+                assert!(derived(index) == derived(&fresh), "{what}");
             }
         }
     }
@@ -2065,9 +2043,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tsq-shard-keeps-st-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cat.tsq");
-        for (count, by) in [(3, "HASH"), (4, "RANGE"), (1, "HASH")] {
-            let at = format!("SHARD INTO {count} BY {by}");
-            cat.run_mut(&format!("SHARD walks INTO {count} BY {by}"))
+        for count in [3, 4, 1] {
+            let at = format!("SHARD INTO {count}");
+            cat.run_mut(&format!("SHARD walks INTO {count} BY HASH"))
                 .unwrap();
             // Global ids survive a reshard, so the built index does too.
             assert_eq!(cat.subseq_window("walks"), Some(8), "{at}");
@@ -2123,7 +2101,7 @@ mod tests {
     fn shard_into_one_restores_unsharded_execution() {
         let baseline = catalog();
         let mut cat = catalog();
-        cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
+        cat.run_mut("SHARD walks INTO 4 BY HASH").unwrap();
         cat.run_mut("SHARD walks INTO 1 BY HASH").unwrap();
         for q in SHARD_QUERIES {
             let want = baseline.run(q).unwrap();
@@ -2253,7 +2231,7 @@ mod tests {
     #[test]
     fn sharded_snapshot_round_trips_byte_identically() {
         let mut cat = catalog();
-        cat.run_mut("SHARD walks INTO 3 BY RANGE").unwrap();
+        cat.run_mut("SHARD walks INTO 3 BY HASH").unwrap();
         // Hold a window; it travels with the snapshot like a one-shard
         // relation's.
         cat.run("FIND SUBSEQUENCE OF [1, 2, 1.5, -0.5, 0, 2, 1, 0.25] IN walks WITHIN 6 WINDOW 8")
@@ -2380,6 +2358,7 @@ mod tests {
         paged.save(&dir.join("again.tsq")).unwrap();
         let exported = paged.export("walks").unwrap();
         assert_eq!(exported, cat.export("walks").unwrap());
+        assert_eq!(paged.shard_layout("walks"), cat.shard_layout("walks"));
         assert_eq!(materialized(&paged), vec![false]);
         // The one path that does: `relation`, on its first call, and only
         // for the relation it names.
@@ -2442,13 +2421,13 @@ mod tests {
         assert_one_buffer_per_series(&cat, "register");
         probe(&cat, "window built");
         // SHARD moves the records and keeps the ST-index over them.
-        cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
-        assert_one_buffer_per_series(&cat, "4 range shards");
-        probe(&cat, "4 range shards, window built");
-        cat.run_mut("SHARD walks INTO 1 BY RANGE").unwrap();
+        cat.run_mut("SHARD walks INTO 4 BY HASH").unwrap();
+        assert_one_buffer_per_series(&cat, "4 hash shards");
+        probe(&cat, "4 hash shards, window built");
+        cat.run_mut("SHARD walks INTO 1 BY HASH").unwrap();
         probe(&cat, "back to 1 shard, window built");
-        cat.run_mut("SHARD walks INTO 4 BY RANGE").unwrap();
-        probe(&cat, "4 range shards again");
+        cat.run_mut("SHARD walks INTO 4 BY HASH").unwrap();
+        probe(&cat, "4 hash shards again");
         cat.run_mut("APPEND walks CSV (s7, 1.5, 2.5) (fresh, 1, 2, 3, 4, 5, 6, 7, 8, 9) (s7, -1)")
             .unwrap();
         assert_eq!(cat.relation("walks").unwrap().get(7).unwrap().len(), 35);

@@ -14,7 +14,7 @@
 //! join_query   := JOIN ident WITHIN number [APPLY tlist] [with]
 //! append_query := APPEND ident ident VALUES '(' number (, number)* ')'
 //!               | APPEND ident CSV row+ ; row := '(' ident (, number)* ')'
-//! shard_query  := SHARD ident INTO number BY (HASH | RANGE)
+//! shard_query  := SHARD ident INTO number BY HASH
 //! with         := WITH '(' opt (',' opt)* ')'
 //! opt          := FORCE '=' (SCAN | SCANFULL | INDEX)
 //!               | THREADS '=' number | SHARDS '=' number
@@ -30,8 +30,9 @@
 //! actual counters.
 //! The `WITH (...)` clause is the unified override surface
 //! ([`QueryOptions`]): `force` pins the access path, `threads` sizes the
-//! worker pool, `shards` caps the scatter width of whole-match statements
-//! and joins on sharded relations.
+//! worker pool, `shards` caps the scatter width of range and k-NN
+//! statements on sharded relations (joins and subsequence statements run
+//! once, over the whole relation).
 //! `force` names one of Table 1's methods — `scan` (early abandoning),
 //! `scanfull` (full distances, joins only) or `index` — and nothing else
 //! is an alias for one of them.
@@ -43,7 +44,6 @@
 //! `EXPLAIN SHARD` are rejected (a mutation has no physical plan to
 //! show).
 
-use tsq_core::shard::ShardBy;
 use tsq_core::{ForceOp, QueryOptions};
 
 use crate::ast::{AppendRow, Query, Source, TransformSpec, WindowSpec};
@@ -214,24 +214,14 @@ impl Parser {
         }
     }
 
-    /// `SHARD <relation> INTO <n> BY HASH|RANGE` — repartition a relation.
+    /// `SHARD <relation> INTO <n> BY HASH` — repartition a relation.
     fn shard_query(&mut self) -> Result<Query, LangError> {
         let relation = self.ident()?;
         self.expect_kw("INTO")?;
         let count = self.positive_count("SHARD count")?;
         self.expect_kw("BY")?;
-        let by = if self.take_kw("HASH") {
-            ShardBy::Hash
-        } else if self.take_kw("RANGE") {
-            ShardBy::Range
-        } else {
-            return self.error("expected HASH or RANGE after BY");
-        };
-        Ok(Query::Shard {
-            relation,
-            count,
-            by,
-        })
+        self.expect_kw("HASH")?;
+        Ok(Query::Shard { relation, count })
     }
 
     /// A positive integer count (bounded so the f64 → usize cast is
@@ -668,17 +658,22 @@ mod tests {
             Query::Shard {
                 relation: "stocks".into(),
                 count: 4,
-                by: ShardBy::Hash,
             }
         );
         assert_eq!(
-            parse("shard stocks into 1 by range").unwrap(),
+            parse("shard stocks into 1 by hash").unwrap(),
             Query::Shard {
                 relation: "stocks".into(),
                 count: 1,
-                by: ShardBy::Range,
             }
         );
+        // Range sharding is gone; the error names the one rule left.
+        match parse("shard stocks into 2 by range") {
+            Err(LangError::Parse { message, .. }) => {
+                assert!(message.contains("expected HASH"), "{message}")
+            }
+            other => panic!("BY RANGE must be a parse error, got {other:?}"),
+        }
         for src in [
             "SHARD stocks",                  // no INTO
             "SHARD stocks INTO 0 BY HASH",   // zero shards

@@ -1,23 +1,22 @@
 //! Catalog persistence: [`Catalog::save`] / [`Catalog::open`] /
 //! [`Catalog::load`] snapshot an entire catalog — every relation with its
-//! labels, its shard rule, each shard's series and the base window it
-//! holds its ST-index at — to a single `tsq-store` file.
+//! labels, its hash-shard count, each shard's series and the base window
+//! it holds its ST-index at — to a single `tsq-store` file.
 //!
-//! There is one section layout, at every shard count (format version 9):
+//! There is one section layout, at every shard count (format version 10):
 //!
 //! ```text
 //! relation section
 //! ----------------
 //! name
 //! label count, labels
-//! shard rule (0 hash, 1 range), shard count
-//! boundary count, boundaries
+//! shard count
 //! per shard, shard order: index configuration, series count, series
 //! held window (0: none)
 //! ```
 //!
 //! A snapshot stores what cannot be derived and nothing else, so it is a
-//! pure function of the labels, the shard rule, each shard's series and
+//! pure function of the labels, the shard count, each shard's series and
 //! the relation's held window. Derived, and so rebuilt on restore by the
 //! one function that builds them anywhere
 //! ([`SimilarityIndex::read_from`] is "decode the series, call `build`"):
@@ -25,16 +24,17 @@
 //! FFT, of which a record keeps only what the filter reads), each
 //! shard's whole-match R\*-tree (a pure function of the features, packed
 //! identically) and the planner statistics profiled from it. Shard
-//! membership is derived too (the rule is a pure function of the label,
+//! membership is derived too (a label's hash modulo the count places it,
 //! so [`ShardMap::build`] over the labels reproduces it), and so is the
 //! ST-index: a restored relation holds its saved window, unbuilt
 //! ([`ShardedIndex::hold_window`]), and the first subsequence statement or
 //! `EXPLAIN` of at least that length builds it over the restored series —
 //! a window that saw appends before the save comes back as the fresh build
-//! over the appended series. Version 8 stored a list of up to four windows
-//! in recency order, and version 7 each window's trail trees, whose node
-//! layout depended on the append schedule; neither has a reader, and both
-//! are refused by [`StoreError::UnsupportedVersion`].
+//! over the appended series. Version 9 stored a shard rule tag and range
+//! boundaries beside the count, version 8 a list of up to four windows in
+//! recency order, and version 7 each window's trail trees, whose node
+//! layout depended on the append schedule; none has a reader, and each is
+//! refused by [`StoreError::UnsupportedVersion`].
 //!
 //! ## Guarantees
 //!
@@ -57,7 +57,7 @@
 
 use std::path::Path;
 
-use tsq_core::shard::{ShardBy, ShardMap, ShardSpec, ShardedIndex};
+use tsq_core::shard::{ShardMap, ShardSpec, ShardedIndex};
 use tsq_core::{executor, store as core_store, SeriesRelation, SimilarityIndex};
 use tsq_store::{read_payload, seal, unseal, write_file, Decoder, Encoder, StoreError};
 
@@ -85,16 +85,7 @@ impl Catalog {
             for id in 0..rel.len() {
                 section.str(rel.label(id).expect("label within len"));
             }
-            let spec = index.map().spec();
-            section.u8(match spec.by() {
-                ShardBy::Hash => SHARD_BY_HASH,
-                ShardBy::Range => SHARD_BY_RANGE,
-            });
-            section.usize(spec.count());
-            section.usize(spec.boundaries().len());
-            for boundary in spec.boundaries() {
-                section.str(boundary);
-            }
+            section.usize(index.shard_count());
             // Each shard travels as its configuration and series; a paged
             // shard reads its series through its record pool (no node
             // page is read) and writes the bytes it wrote in memory.
@@ -259,10 +250,6 @@ impl Catalog {
     }
 }
 
-/// [`ShardBy`] tags within a relation section.
-const SHARD_BY_HASH: u8 = 0;
-const SHARD_BY_RANGE: u8 = 1;
-
 fn store_err(e: StoreError) -> LangError {
     LangError::Engine(tsq_core::Error::Store(e))
 }
@@ -340,27 +327,13 @@ fn decode_relation_section(bytes: &[u8]) -> Result<(String, Relation), StoreErro
     for _ in 0..label_count {
         labels.push(dec.str("series label")?);
     }
-    let by = match dec.u8("shard rule")? {
-        SHARD_BY_HASH => ShardBy::Hash,
-        SHARD_BY_RANGE => ShardBy::Range,
-        other => {
-            return Err(StoreError::corrupt(format!(
-                "relation {name:?} has unknown shard rule tag {other}"
-            )))
-        }
-    };
     let count = dec.seq(1, "shard count")?;
-    let boundary_count = dec.seq(1, "shard boundary count")?;
-    let mut boundaries = Vec::with_capacity(boundary_count);
-    for _ in 0..boundary_count {
-        boundaries.push(dec.str("shard boundary")?);
-    }
-    let spec = ShardSpec::from_parts(by, count, boundaries).map_err(unwrap_core)?;
+    let spec = ShardSpec::hash(count).map_err(unwrap_core)?;
     let mut parts = Vec::with_capacity(count);
     for _ in 0..count {
         parts.push(SimilarityIndex::read_from(&mut dec).map_err(unwrap_core)?);
     }
-    // Membership is the rule applied to the labels; from_parts checks it
+    // Membership is the hash rule applied to the labels; from_parts checks it
     // against the part sizes, so a label count that disagrees with the
     // stored series is caught here.
     let label_refs: Vec<&str> = labels.iter().map(String::as_str).collect();

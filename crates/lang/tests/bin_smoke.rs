@@ -400,6 +400,77 @@ fn paged_catalog_rejects_append_in_the_shell() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `.rel` reads a relation's layout off its index: a paged relation whose
+/// record files were truncated after the open still lists, with its series
+/// count, length and shard sizes, because no sample is read to print them.
+#[test]
+fn rel_lists_a_paged_relation_without_reading_its_records() {
+    let dir = std::env::temp_dir().join(format!("tsq-rel-paged-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snap = dir.join("paged.tsq");
+    let snap_str = snap.to_str().unwrap();
+
+    // 3 000 x 64 samples (1.5 MB) do not fit the 1 MiB pool budget below,
+    // so a read of every record cannot be served from the pool alone.
+    let mut child = Command::new(BIN)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tsq");
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(
+            format!(".gen w rw 3000 64 1\nSHARD w INTO 2 BY HASH\n.save {snap_str}\n.quit\n")
+                .as_bytes(),
+        )
+        .expect("write stdin");
+    assert!(child.wait_with_output().expect("wait tsq").status.success());
+
+    let mut child = Command::new(BIN)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tsq");
+    let rx = stdout_lines(&mut child);
+    let mut stdin = child.stdin.take().unwrap();
+    writeln!(stdin, ".open {snap_str} --paged 1").expect("write stdin");
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        let line = rx.recv_timeout(left).expect("the open never answered");
+        assert!(!line.contains("error:"), "{line}");
+        if line.contains("restored 1 paged relation(s)") {
+            break;
+        }
+    }
+    let mut truncated = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|ext| ext == "records") {
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            file.set_len(0).unwrap();
+            truncated += 1;
+        }
+    }
+    assert_eq!(truncated, 2, "one record file per shard");
+    stdin.write_all(b".rel\n.quit\n").expect("write stdin");
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait tsq");
+    assert!(out.status.success());
+    let listed: Vec<String> = rx.iter().collect();
+    assert!(
+        listed
+            .iter()
+            .any(|l| l.contains("w: 3000 series of length 64, 2 shard(s) by hash [")),
+        "{listed:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tiny_session_generates_and_queries() {
     let mut child = Command::new(BIN)

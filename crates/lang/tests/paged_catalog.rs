@@ -182,7 +182,7 @@ fn a_paged_catalog_saves_the_bytes_it_was_restored_from() {
         if shards > 1 {
             cat.run_mut(&format!("SHARD walks INTO {shards} BY HASH"))
                 .unwrap();
-            cat.run_mut(&format!("SHARD stocks INTO {shards} BY RANGE"))
+            cat.run_mut(&format!("SHARD stocks INTO {shards} BY HASH"))
                 .unwrap();
         }
         // A held window travels too.

@@ -388,37 +388,52 @@ fn corrupt_inputs_are_typed_errors() {
 
     // Future format version.
     let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&10u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&11u32.to_le_bytes());
     assert!(matches!(
         Catalog::new().restore_bytes(&bad).unwrap_err(),
         LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got: 10,
+            got: 11,
             supported: tsq_store::FORMAT_VERSION
         }))
     ));
 
-    // The previous format versions (8, which stored a list of held
-    // windows, and 7, which stored every held window's trail trees): no
-    // reader for their layouts exists, so a sealed v8 or v7 file is
-    // refused on the version field, not decoded as the current one — and
-    // the target catalog is left as it was.
+    // The previous format versions (9, which stored a shard rule tag and
+    // range boundaries beside the shard count, 8, which stored a list of
+    // held windows, and 7, which stored every held window's trail trees):
+    // no reader for their layouts exists, so a sealed v9, v8 or v7 file is
+    // refused on the version field — from bytes, by `open` and by
+    // `open_paged` — not decoded as the current one, and the target
+    // catalog is left as it was.
     let mut target = catalog();
     target
         .run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 10 WINDOW 32")
         .unwrap();
     let before = target.snapshot_bytes().unwrap();
-    for old in [8u32, 7] {
+    let path = temp_path("previous-version.tsq");
+    for old in [9u32, 8, 7] {
         let mut bad = Catalog::new().snapshot_bytes().unwrap();
         bad[8..12].copy_from_slice(&old.to_le_bytes());
-        assert!(matches!(
+        std::fs::write(&path, &bad).unwrap();
+        let refusals = [
             target.restore_bytes(&bad).unwrap_err(),
-            LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-                got,
-                supported: 9
-            })) if got == old
-        ));
+            target.open(&path).unwrap_err(),
+            target.open_paged(&path, 1).unwrap_err(),
+        ];
+        for err in refusals {
+            assert!(
+                matches!(
+                    err,
+                    LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
+                        got,
+                        supported: 10
+                    })) if got == old
+                ),
+                "v{old}: {err:?}"
+            );
+        }
         assert_eq!(target.snapshot_bytes().unwrap(), before);
     }
+    std::fs::remove_file(&path).ok();
 
     // Byte-swapped endianness marker.
     let mut bad = good.clone();
@@ -463,9 +478,7 @@ fn hostile_index_sections_are_typed_errors() {
         for label in labels {
             section.str(label);
         }
-        section.u8(0);
         section.usize(1);
-        section.usize(0);
         tsq_core::store::write_index_config(&mut section, &config);
         section.usize(series.len());
         for s in series {

@@ -1,7 +1,7 @@
 //! Surviving a restart: snapshot a catalog, "restart" the process, and
 //! restore it — with every query answering identically.
 //!
-//! A snapshot stores what cannot be derived: labels, shard rules, each
+//! A snapshot stores what cannot be derived: labels, shard counts, each
 //! shard's series and the base window each relation holds its ST-index
 //! at. Every index is a function of those, so a restore re-derives the
 //! whole-match R\*-trees from the series, and holds the window for its

@@ -609,7 +609,7 @@ fn one_shard_catalog_equals_the_bare_engine() {
             "{text}"
         );
     }
-    assert!(cat.shard_layout("walks").is_none());
+    assert_eq!(cat.shard_layout("walks").map(|layout| layout.1), Some(1));
 }
 
 /// Relation `w` over `series` in the four configurations the boundary

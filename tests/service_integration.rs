@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use tsq::core::SeriesRelation;
-use tsq::lang::QueryOutput;
+use tsq::lang::{LangError, QueryOutput};
 use tsq::series::generate::RandomWalkGenerator;
 use tsq::service::{Client, ClientError, ErrorCode, ServiceConfig};
 use tsq::{Catalog, SharedCatalog};
@@ -132,6 +132,41 @@ fn a_rejected_subsequence_statement_builds_nothing_through_the_wire() {
 
     let snap = handle.shutdown();
     assert_eq!(snap.queries_err, 1);
+}
+
+/// Range sharding is gone: `SHARD … BY RANGE` is a parse error that names
+/// `HASH`, the one rule left, in process and as `BadQuery` over the wire,
+/// and the relation keeps its layout; `BY HASH` still shards it.
+#[test]
+fn shard_by_range_is_a_typed_parse_error_naming_hash() {
+    const RANGE: &str = "SHARD walks INTO 2 BY RANGE";
+    let mut cat = Catalog::new();
+    cat.register(
+        SeriesRelation::from_series("walks", RandomWalkGenerator::new(41).relation(60, 64))
+            .unwrap(),
+    )
+    .unwrap();
+    match cat.run_mut(RANGE) {
+        Err(LangError::Parse { message, .. }) => assert!(message.contains("HASH"), "{message}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    assert_eq!(cat.shard_layout("walks").map(|layout| layout.1), Some(1));
+
+    let shared = shared_catalog();
+    let handle = tsq::lang::serve("127.0.0.1:0", shared.clone(), config()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+    match client.query(RANGE) {
+        Err(ClientError::Remote(e)) => {
+            assert_eq!(e.code, ErrorCode::BadQuery, "{e}");
+            assert!(e.message.contains("HASH"), "{e}");
+        }
+        other => panic!("expected a remote BadQuery, got {other:?}"),
+    }
+    let reply = client.query("SHARD walks INTO 2 BY HASH").unwrap();
+    assert_eq!((reply.plan.as_str(), reply.rows.len()), ("Shard", 2));
+    let snap = handle.shutdown();
+    assert_eq!((snap.queries_ok, snap.queries_err), (1, 1));
 }
 
 #[test]

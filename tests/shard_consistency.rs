@@ -7,8 +7,8 @@
 //!
 //! Four levels:
 //!
-//! - a property test drives randomized shard counts (hash and range) and
-//!   randomized append/query interleavings against an unsharded oracle
+//! - a property test drives randomized hash-shard counts and randomized
+//!   append/query interleavings against an unsharded oracle
 //!   catalog receiving the same appends;
 //! - a tie-determinism test duplicates series so kNN distance ties cross
 //!   shard boundaries, and demands the unsharded tie order survives the
@@ -107,7 +107,7 @@ fn assert_sharded_matches(sharded: &QueryOutput, oracle: &QueryOutput, q: &str) 
 /// point count to every series (and introduces new, full-length ones), so
 /// the relation stays uniform and every query form keeps answering
 /// between rounds.
-type ShardScript = (Vec<Vec<f64>>, Vec<Vec<f64>>, usize, usize);
+type ShardScript = (Vec<Vec<f64>>, Vec<Vec<f64>>, usize);
 
 fn shard_script() -> impl Strategy<Value = ShardScript> {
     (4usize..8, 12usize..16).prop_flat_map(|(count, len)| {
@@ -119,8 +119,6 @@ fn shard_script() -> impl Strategy<Value = ShardScript> {
             // 1-3 append rounds of 1-3 points each (applied to every series).
             prop::collection::vec(prop::collection::vec(-50.0f64..50.0, 1..4), 1..4),
             1usize..6,
-            // 0 = hash, 1 = range (the shim has no bool strategy).
-            0usize..2,
         )
     })
 }
@@ -166,18 +164,17 @@ fn catalog_with(config: IndexConfig, init: &[Vec<f64>]) -> Catalog {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The oracle invariant, property-tested: random shard counts × hash
-    /// and range partitioning × append/query interleavings, always
+    /// The oracle invariant, property-tested: random hash-shard counts ×
+    /// append/query interleavings, always
     /// byte-identical to the unsharded engine on the same data.
     #[test]
     fn sharded_answers_are_byte_identical_under_append_interleavings(
-        (init, rounds, shards, by_pick) in shard_script()
+        (init, rounds, shards) in shard_script()
     ) {
         let mut sharded = catalog_from(&init);
         let mut oracle = catalog_from(&init);
-        let by = if by_pick == 0 { "HASH" } else { "RANGE" };
         sharded
-            .run_mut(&format!("SHARD w INTO {shards} BY {by}"))
+            .run_mut(&format!("SHARD w INTO {shards} BY HASH"))
             .unwrap();
 
         // Prime the subsequence cache on both sides so appends exercise
@@ -188,9 +185,8 @@ proptest! {
 
         // One append path at every shard count: a catalog sharded first
         // and appended to after must snapshot to the bytes of one that
-        // received the same appends first and was sharded after (hash
-        // sharding: the rule, unlike range boundaries, does not depend on
-        // when it is applied). Neither primes an ST-index, so the
+        // received the same appends first and was sharded after (a label's
+        // hash does not depend on when the rule is applied). Neither primes an ST-index, so the
         // snapshots hold relation sections only; a fan-out of 4 gives
         // even these small shards trees of several levels, where growing
         // a tree entry by entry and packing it afresh part ways.
@@ -263,31 +259,29 @@ fn knn_tie_order_survives_the_shard_merge() {
         .register(SeriesRelation::from_labeled("w", items.clone()).unwrap())
         .unwrap();
 
-    for by in ["HASH", "RANGE"] {
-        for shards in [2usize, 3, 5] {
-            let mut sharded = Catalog::new();
-            sharded
-                .register(SeriesRelation::from_labeled("w", items.clone()).unwrap())
-                .unwrap();
-            sharded
-                .run_mut(&format!("SHARD w INTO {shards} BY {by}"))
-                .unwrap();
-            for q in [
-                // k cuts through a tie group: every answer holds ties.
-                "FIND 3 NEAREST TO w.s0 IN w",
-                "FIND 9 NEAREST TO w.s0 IN w",
-                "FIND 16 NEAREST TO w.s3 IN w",
-            ] {
-                let got = sharded.run(q).unwrap();
-                let want = oracle.run(q).unwrap();
-                assert_sharded_matches(&got, &want, &format!("{q} [{shards} by {by}]"));
-            }
+    for shards in [2usize, 3, 5] {
+        let mut sharded = Catalog::new();
+        sharded
+            .register(SeriesRelation::from_labeled("w", items.clone()).unwrap())
+            .unwrap();
+        sharded
+            .run_mut(&format!("SHARD w INTO {shards} BY HASH"))
+            .unwrap();
+        for q in [
+            // k cuts through a tie group: every answer holds ties.
+            "FIND 3 NEAREST TO w.s0 IN w",
+            "FIND 9 NEAREST TO w.s0 IN w",
+            "FIND 16 NEAREST TO w.s3 IN w",
+        ] {
+            let got = sharded.run(q).unwrap();
+            let want = oracle.run(q).unwrap();
+            assert_sharded_matches(&got, &want, &format!("{q} [{shards} by hash]"));
         }
     }
 }
 
 /// The join matrix: every `force` a join can carry, and none, at 1, 2, 4
-/// and 8 shards, hash- and range-partitioned, plus a layout with empty
+/// and 8 hash shards, plus a layout with empty
 /// shards. A join is not scattered: it runs once under one plainly named
 /// plan, with no per-shard counters. Rows — multiplicity (once per pair,
 /// twice under `index`), order and distance bits — equal the one-shard
@@ -304,15 +298,13 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
         cat
     };
     let walks = RandomWalkGenerator::new(83).relation(36, 24);
-    // (series, shard count, rule): the full matrix, then five series over
-    // eight hash shards, which leaves at least three shards empty.
-    let mut layouts: Vec<(&[TimeSeries], usize, &str)> = Vec::new();
-    for by in ["HASH", "RANGE"] {
-        for shards in [1usize, 2, 4, 8] {
-            layouts.push((&walks, shards, by));
-        }
+    // (series, shard count): the full matrix, then five series over eight
+    // shards, which leaves at least three shards empty.
+    let mut layouts: Vec<(&[TimeSeries], usize)> = Vec::new();
+    for shards in [1usize, 2, 4, 8] {
+        layouts.push((&walks, shards));
     }
-    layouts.push((&walks[..5], 8, "HASH"));
+    layouts.push((&walks[..5], 8));
     // The lines of an `EXPLAIN ANALYZE` text that begin with `prefix`.
     let lines = |text: &str, prefix: &str| -> Vec<String> {
         let found = text.lines().filter(|l| l.trim_start().starts_with(prefix));
@@ -326,11 +318,11 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
         scans.map(|alt| alt.trim().to_string()).collect()
     };
 
-    for (series, shards, by) in layouts {
+    for (series, shards) in layouts {
         let one = catalog(series.to_vec());
         let mut sharded = catalog(series.to_vec());
         sharded
-            .run_mut(&format!("SHARD w INTO {shards} BY {by}"))
+            .run_mut(&format!("SHARD w INTO {shards} BY HASH"))
             .unwrap();
         if series.len() == 5 {
             let (_, _, sizes) = sharded.shard_layout("w").unwrap();
@@ -344,7 +336,7 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
                 format!(" WITH (force = {force})")
             };
             let q = format!("JOIN w WITHIN 4 APPLY mavg(4){with}");
-            let cell = format!("{q} [{} series, {shards} by {by}]", series.len());
+            let cell = format!("{q} [{} series, {shards} by hash]", series.len());
             let got = sharded.run(&q).unwrap();
             let want = one.run(&q).unwrap();
             assert!(
@@ -388,38 +380,51 @@ fn sharded_join_matrix_matches_the_one_shard_relation() {
     }
 }
 
-/// One plan per statement: a range-sharded relation whose shards hold 1,
+/// One plan per statement: a hash-sharded relation whose shards hold 1,
 /// 1 and 2 001 series, where each shard costed alone would choose its own
 /// operator (the one-series shards a scan, the big shard its index). The
+/// labels are drawn for that layout: the three first series hash to shards
+/// 0, 1 and 2, and the 2 000 appended ones to shard 2. The
 /// relation's range and k-NN statements run one operator on every shard,
 /// whose `considered:` estimates are the per-shard sums, and answer the
 /// unsharded relation's rows.
 #[test]
 fn a_statement_runs_one_plan_on_every_shard() {
+    let spec = ShardSpec::hash(3).unwrap();
     let walks = RandomWalkGenerator::new(7).relation(3, 64);
+    let items: Vec<(String, TimeSeries)> = ["s0", "s1", "s3"]
+        .into_iter()
+        .map(String::from)
+        .zip(walks)
+        .collect();
     let mut gen = RandomWalkGenerator::new(8);
-    let fresh: Vec<AppendRow> = (0..2000)
-        .map(|i| AppendRow {
-            label: format!("t{i}"),
+    let labels = (0..).map(|i| format!("t{i}"));
+    let fresh: Vec<AppendRow> = labels
+        .filter(|label| spec.assign(label) == 2)
+        .take(2000)
+        .map(|label| AppendRow {
+            label,
             values: gen.series(64).values().to_vec(),
         })
         .collect();
+    let probe = fresh[5].label.clone();
     let mut oracle = Catalog::new();
     let mut sharded = Catalog::new();
     for cat in [&mut oracle, &mut sharded] {
-        cat.register(SeriesRelation::from_series("w", walks.clone()).unwrap())
+        cat.register(SeriesRelation::from_labeled("w", items.clone()).unwrap())
             .unwrap();
     }
-    sharded.run_mut("SHARD w INTO 3 BY RANGE").unwrap();
+    sharded.run_mut("SHARD w INTO 3 BY HASH").unwrap();
     for cat in [&mut oracle, &mut sharded] {
         cat.append("w", &fresh).unwrap();
     }
     let (_, _, sizes) = sharded.shard_layout("w").unwrap();
     assert_eq!(sizes, [1, 1, 2001]);
     for q in [
-        "FIND SIMILAR TO w.t5 IN w WITHIN 1",
-        "FIND 3 NEAREST TO w.t5 IN w",
+        format!("FIND SIMILAR TO w.{probe} IN w WITHIN 1"),
+        format!("FIND 3 NEAREST TO w.{probe} IN w"),
     ] {
+        let q = q.as_str();
         let got = sharded.run(q).unwrap();
         let want = oracle.run(q).unwrap();
         assert_eq!(got.plan, format!("Sharded(3):{}", want.plan), "{q}");
@@ -430,17 +435,15 @@ fn a_statement_runs_one_plan_on_every_shard() {
             .explain
             .unwrap();
         assert_eq!(text.matches("=>").count(), 1, "{q}\n{text}");
-        assert!(text.contains("sharded: 3 shard(s) by range"), "{q}\n{text}");
+        assert!(text.contains("sharded: 3 shard(s) by hash"), "{q}\n{text}");
     }
 
     // The same relation through the engine: each shard's own plan, next to
     // the relation's.
     let rel = oracle.relation("w").unwrap();
-    let labels: Vec<&str> = (0..rel.len()).map(|id| rel.label(id).unwrap()).collect();
-    let spec = ShardSpec::range(3, &labels[..3]).unwrap();
     let index = ShardedIndex::build(IndexConfig::default(), rel, spec).unwrap();
     let query = rel.get(8).unwrap().clone();
-    assert_eq!(rel.label(8), Some("t5"));
+    assert_eq!(rel.label(8), Some(probe.as_str()));
     let statements = [
         LogicalPlan::Range {
             relation: "w".into(),
@@ -494,7 +497,7 @@ fn sharded_snapshot_save_open_save_round_trips() {
     sharded
         .register(SeriesRelation::from_series("w", walks.clone()).unwrap())
         .unwrap();
-    sharded.run_mut("SHARD w INTO 4 BY RANGE").unwrap();
+    sharded.run_mut("SHARD w INTO 4 BY HASH").unwrap();
     // Append after sharding so the saved state exercises shard routing.
     sharded
         .run_mut("APPEND w CSV (s0, 1.5, -0.5) (s23, 0.25, 2)")
@@ -675,7 +678,7 @@ fn sharded_answers_match_the_oracle_through_a_live_server() {
 }
 
 /// Subsequence statements are not scattered: on a relation sharded 2, 3
-/// and 4 ways, by hash and by range, every subsequence statement — range
+/// and 4 ways by hash, every subsequence statement — range
 /// and kNN, at the held window and past it (PrefixSearch), before and
 /// after an `APPEND` chain that grows known labels and adds new ones —
 /// returns the unsharded relation's output exactly, and its
@@ -717,69 +720,67 @@ fn subsequence_statements_answer_and_explain_like_the_unsharded_relation() {
         let found = text.lines().filter(|l| l.trim_start().starts_with(prefix));
         found.map(str::to_string).collect()
     };
-    for by in ["HASH", "RANGE"] {
-        for shards in [2usize, 3, 4] {
-            let mut oracle = Catalog::new();
-            let mut sharded = Catalog::new();
-            for cat in [&mut oracle, &mut sharded] {
-                cat.register(SeriesRelation::from_series("w", walks.clone()).unwrap())
-                    .unwrap();
-            }
-            sharded
-                .run_mut(&format!("SHARD w INTO {shards} BY {by}"))
+    for shards in [2usize, 3, 4] {
+        let mut oracle = Catalog::new();
+        let mut sharded = Catalog::new();
+        for cat in [&mut oracle, &mut sharded] {
+            cat.register(SeriesRelation::from_series("w", walks.clone()).unwrap())
                 .unwrap();
-            for round in 0..=appends.len() {
-                if round > 0 {
-                    oracle.run_mut(appends[round - 1]).unwrap();
-                    sharded.run_mut(appends[round - 1]).unwrap();
-                }
-                let total = oracle.relation("w").unwrap().len();
-                for q in &statements {
-                    let cell = format!("{q} [{shards} by {by}, round {round}]");
-                    let want = oracle.run(q).unwrap();
-                    let got = sharded.run(q).unwrap();
-                    assert_eq!(want.plan, "SubseqIndexProbe", "{cell}");
-                    assert!(!want.rows.is_empty(), "{cell}: the statement must answer");
-                    assert_sharded_matches(&got, &want, &cell);
+        }
+        sharded
+            .run_mut(&format!("SHARD w INTO {shards} BY HASH"))
+            .unwrap();
+        for round in 0..=appends.len() {
+            if round > 0 {
+                oracle.run_mut(appends[round - 1]).unwrap();
+                sharded.run_mut(appends[round - 1]).unwrap();
+            }
+            let total = oracle.relation("w").unwrap().len();
+            for q in &statements {
+                let cell = format!("{q} [{shards} by hash, round {round}]");
+                let want = oracle.run(q).unwrap();
+                let got = sharded.run(q).unwrap();
+                assert_eq!(want.plan, "SubseqIndexProbe", "{cell}");
+                assert!(!want.rows.is_empty(), "{cell}: the statement must answer");
+                assert_sharded_matches(&got, &want, &cell);
 
-                    let explain = format!("EXPLAIN ANALYZE {q}");
-                    let want = oracle.run(&explain).unwrap();
-                    let got = sharded.run(&explain).unwrap();
-                    assert_eq!(
-                        got,
-                        QueryOutput {
-                            explain: got.explain.clone(),
-                            ..want.clone()
-                        },
-                        "{cell}"
-                    );
-                    let (got, want) = (got.explain.unwrap(), want.explain.unwrap());
-                    assert!(
-                        !got.contains("shard"),
-                        "{cell}: one plan, not shard blocks\n{got}"
-                    );
-                    for prefix in ["=>", "considered:", "actual:"] {
-                        assert_eq!(lines(&got, prefix), lines(&want, prefix), "{cell}\n{got}");
-                        assert_eq!(lines(&got, prefix).len(), 1, "{cell}\n{got}");
-                    }
-                    // The relation line counts the relation, not shard 0.
-                    let relation = lines(&got, "relation:");
-                    let counted = |line: &String| line.split(';').next().unwrap().to_string();
-                    assert_eq!(relation.len(), 1, "{cell}\n{got}");
-                    assert_eq!(
-                        relation.iter().map(counted).collect::<Vec<_>>(),
-                        lines(&want, "relation:")
-                            .iter()
-                            .map(counted)
-                            .collect::<Vec<_>>(),
-                        "{cell}"
-                    );
-                    assert!(relation[0].contains(&format!(" {total} series ")), "{cell}");
-                    assert!(
-                        relation[0].contains(&format!(" {shards} 6-d R*-trees")),
-                        "{cell}"
-                    );
+                let explain = format!("EXPLAIN ANALYZE {q}");
+                let want = oracle.run(&explain).unwrap();
+                let got = sharded.run(&explain).unwrap();
+                assert_eq!(
+                    got,
+                    QueryOutput {
+                        explain: got.explain.clone(),
+                        ..want.clone()
+                    },
+                    "{cell}"
+                );
+                let (got, want) = (got.explain.unwrap(), want.explain.unwrap());
+                assert!(
+                    !got.contains("shard"),
+                    "{cell}: one plan, not shard blocks\n{got}"
+                );
+                for prefix in ["=>", "considered:", "actual:"] {
+                    assert_eq!(lines(&got, prefix), lines(&want, prefix), "{cell}\n{got}");
+                    assert_eq!(lines(&got, prefix).len(), 1, "{cell}\n{got}");
                 }
+                // The relation line counts the relation, not shard 0.
+                let relation = lines(&got, "relation:");
+                let counted = |line: &String| line.split(';').next().unwrap().to_string();
+                assert_eq!(relation.len(), 1, "{cell}\n{got}");
+                assert_eq!(
+                    relation.iter().map(counted).collect::<Vec<_>>(),
+                    lines(&want, "relation:")
+                        .iter()
+                        .map(counted)
+                        .collect::<Vec<_>>(),
+                    "{cell}"
+                );
+                assert!(relation[0].contains(&format!(" {total} series ")), "{cell}");
+                assert!(
+                    relation[0].contains(&format!(" {shards} 6-d R*-trees")),
+                    "{cell}"
+                );
             }
         }
     }

@@ -404,7 +404,7 @@ fn lifecycle(shards: usize) {
     warm(&cat, "after APPEND + run");
 
     // Re-sharding keeps every global id, and so the relation's ST-index.
-    cat.run_mut("SHARD r INTO 3 BY RANGE").unwrap();
+    cat.run_mut("SHARD r INTO 3 BY HASH").unwrap();
     warm(&cat, "after SHARD");
     assert_answers_follow_the_data(&cat, &statements, "after SHARD");
     warm(&cat, "after SHARD + run");
