@@ -28,7 +28,9 @@ use tsq_dft::FftPlanner;
 use tsq_rtree::knn::nearest_with_tie;
 use tsq_rtree::page::PagePin;
 use tsq_rtree::search::search_with;
-use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, RectView, SearchStats};
+use tsq_rtree::{
+    NodeStore, PageCache, PagedTree, RStarTree, RTreeConfig, Rect, RectView, SearchStats,
+};
 use tsq_series::distance::{limit_sq, sum_sq_blocks, sum_sq_within, ABANDON_BLOCK};
 use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError};
@@ -280,9 +282,9 @@ impl SeriesId for u64 {
 ///
 /// Storage comes in two modes. By default the R\*-tree and the samples
 /// live in memory. [`SimilarityIndex::attach_paged`] moves the nodes into
-/// a page file and the samples into a record file, each behind a
-/// pin-counted LRU buffer pool; every traversal then fetches nodes, and
-/// every exact check its record, through a pool, and query statistics
+/// a page file and the samples into a record file, both behind one
+/// pin-counted buffer cache; every traversal then fetches nodes, and
+/// every exact check its record, through the cache, and query statistics
 /// carry *measured* pool hits and misses next to the simulated
 /// node-visit counters.
 #[derive(Debug, Clone)]
@@ -300,8 +302,8 @@ pub struct SimilarityIndex {
     packed: OnceLock<Packed>,
     /// Paged storage; when set, the packed tree is empty, every record's
     /// series is empty, and traversals and exact checks go through the
-    /// page and record files' buffer pools. Shared so clones reuse the
-    /// pools (and their cumulative counters).
+    /// page and record files' handles onto the cache. Shared so clones
+    /// reuse the handles (and their cumulative counters).
     paged: Option<Arc<Paged>>,
 }
 
@@ -644,54 +646,36 @@ impl SimilarityIndex {
     /// `path` holding the R\*-tree's nodes one per fixed-size page, and a
     /// record file beside it (`path` with the extension `records`) holding
     /// the samples, in id order, whole records per frame ([`crate::records`]
-    /// has the layout). Each file sits behind a pin-counted LRU buffer pool
-    /// of `capacity_pages` frames; the in-memory nodes and every sample
-    /// buffer the index held are dropped, the planner's profile and each
-    /// record's features stay. Every subsequent traversal fetches nodes,
-    /// and every exact check its record, through a pool, so query
-    /// statistics carry measured `pool_hits`/`pool_misses` and record
-    /// hits and misses. Answers and the other counters are the in-memory
-    /// index's: the refine reads the same values in the same order.
+    /// has the layout). Both files join `cache`, whose one byte budget
+    /// bounds every node page and record frame of every relation attached
+    /// to it (each frame charged its slot size); the in-memory nodes and
+    /// every sample buffer the index held are dropped, the planner's
+    /// profile and each record's features stay. Every subsequent traversal
+    /// fetches nodes, and every exact check its record, through the cache,
+    /// so query statistics carry measured `pool_hits`/`pool_misses` and
+    /// record hits and misses — each file's handle counts its own. Answers
+    /// and the other counters are the in-memory index's: the refine reads
+    /// the same values in the same order.
     ///
     /// The relation becomes append-proof
     /// ([`SimilarityIndex::push_series_batch`] is rejected); snapshots
     /// still work — [`SimilarityIndex::write_to`] reads every record
-    /// through the record pool.
+    /// through the cache.
     ///
     /// # Errors
     /// [`Error::Unsupported`] if paged storage is already attached;
     /// [`Error::Store`] on I/O failure or when the configured fan-out
     /// exceeds the maximum page size.
-    pub fn attach_paged(&mut self, path: &Path, capacity_pages: usize) -> Result<()> {
-        self.attach(path, capacity_pages, capacity_pages)
-    }
-
-    /// [`SimilarityIndex::attach_paged`] with each pool sized by a byte
-    /// budget instead of a page count: the node pool caches as many whole
-    /// pages, and the record pool as many whole frames, as fit into
-    /// `budget_bytes` (always at least one — a pool must be able to hold
-    /// the page it is decoding).
-    ///
-    /// # Errors
-    /// Same failure modes as [`SimilarityIndex::attach_paged`].
-    pub fn attach_paged_budget(&mut self, path: &Path, budget_bytes: u64) -> Result<()> {
-        let page_size = self.tree().paged_page_size()?;
-        let capacity = usize::try_from(budget_bytes / page_size as u64).unwrap_or(usize::MAX);
-        let frames = RecordFile::frames_within(&self.store, page_size, budget_bytes);
-        self.attach(path, capacity.max(1), frames)
-    }
-
-    fn attach(&mut self, path: &Path, node_pages: usize, record_frames: usize) -> Result<()> {
+    pub fn attach_paged(&mut self, path: &Path, cache: &Arc<PageCache>) -> Result<()> {
         if self.paged.is_some() {
             return Err(Error::Unsupported(
                 "paged storage is already attached".to_string(),
             ));
         }
         self.tree().write_paged(path, |&id| id as u64)?;
-        let tree = PagedTree::open(path, node_pages)?;
+        let tree = PagedTree::open(path, cache)?;
         let records_path = path.with_extension("records");
-        let records =
-            RecordFile::create(&records_path, &self.store, tree.page_size(), record_frames)?;
+        let records = RecordFile::create(&records_path, &self.store, tree.page_size(), cache)?;
         let packed = self.packed.get_mut().expect("packed to write the pages");
         packed.tree = RStarTree::new(self.config.rtree);
         // One empty buffer shared by every record: the samples are in the
@@ -704,11 +688,21 @@ impl SimilarityIndex {
         Ok(())
     }
 
+    /// [`SimilarityIndex::attach_paged`] into a cache of its own of
+    /// `budget_bytes`, which bounds this relation's node pages and record
+    /// frames together.
+    ///
+    /// # Errors
+    /// Same failure modes as [`SimilarityIndex::attach_paged`].
+    pub fn attach_paged_budget(&mut self, path: &Path, budget_bytes: u64) -> Result<()> {
+        self.attach_paged(path, &PageCache::new(budget_bytes))
+    }
+
     /// Serializes what the index cannot derive — its configuration and
     /// the stored series, in id order — into `enc` (see [`crate::store`]
     /// for the encodings). Features, tree and planner statistics are
     /// functions of these and are not written. A paged index reads every
-    /// record through its record pool (in id order, so the file is read
+    /// record through its record file (in id order, so the file is read
     /// front to back) and writes the bytes the in-memory index writes; no
     /// node page is read.
     ///
@@ -1610,7 +1604,8 @@ mod tests {
         let fresh = build_default(rel.clone());
         let dir = std::env::temp_dir().join(format!("tsq-attach-lazy-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        idx.attach_paged(&dir.join("idx.pages"), 4).unwrap();
+        idx.attach_paged_budget(&dir.join("idx.pages"), 4 << 12)
+            .unwrap();
         // The nodes moved out, the profile of them stayed.
         assert!(idx.is_packed() && idx.tree().is_empty());
         assert_eq!(idx.stats(), fresh.stats());
@@ -1638,7 +1633,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tsq-extend-paged-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("idx.pages");
-        idx.attach_paged(&path, 8).unwrap();
+        idx.attach_paged_budget(&path, 8 << 12).unwrap();
         assert!(matches!(
             idx.extend_series_batch(&[(0, TimeSeries::new(vec![0.0; 33]))]),
             Err(Error::Unsupported(_))
@@ -1901,7 +1896,9 @@ mod tests {
         let mut paged = idx.clone();
         let dir = std::env::temp_dir().join(format!("tsq-knn-bound-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        paged.attach_paged(&dir.join("idx.pages"), 8).unwrap();
+        paged
+            .attach_paged_budget(&dir.join("idx.pages"), 8 << 12)
+            .unwrap();
         let mut queries: Vec<TimeSeries> = (0..4)
             .map(|i| RandomWalkGenerator::new(900 + i).series(n))
             .collect();

@@ -125,6 +125,8 @@ pub use subseq::{
     SubseqConfig, SubseqIndex, SubseqMatch, SubseqScanStats, SubseqStats, TrailIndex,
 };
 pub use transform::LinearTransform;
+/// The buffer cache [`SimilarityIndex::attach_paged`] joins.
+pub use tsq_rtree::PageCache;
 /// The series crate, for dependents that reach it through the engine: the
 /// network service reads append rows with [`series::io::parse_rows`].
 pub use tsq_series as series;

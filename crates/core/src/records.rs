@@ -1,5 +1,6 @@
 //! Paged records: an index's samples in a record file, read through a
-//! pin-counted [`BufferPool`].
+//! pin-counted [`BufferPool`] handle onto the cache its relation was
+//! opened with.
 //!
 //! [`SimilarityIndex::attach_paged`](crate::SimilarityIndex::attach_paged)
 //! writes one record file beside the node page file and drops every
@@ -38,10 +39,10 @@ use std::io::{BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use tsq_rtree::config::PAGE_ALIGN;
-use tsq_rtree::page::{seal_in_place, BufferPool, PageId, PagePin, PAGE_PREFIX_BYTES};
+use tsq_rtree::page::{seal_in_place, BufferPool, PageCache, PageId, PagePin, PAGE_PREFIX_BYTES};
 use tsq_store::{crc32, Decoder, StoreError, StoreResult};
 
 use crate::index::StoredSeries;
@@ -67,11 +68,11 @@ fn record_bytes(len: usize) -> usize {
     4 + 8 * len
 }
 
-/// The frames a record pool hands out: every sample of one frame's
-/// records, back to back.
+/// The frames a record file's handle hands out: every sample of one
+/// frame's records, back to back.
 pub type RecordFrame = Box<[f64]>;
 
-/// Record-pool traffic: pins served from a resident frame, and frames
+/// Record-file traffic: pins served from a resident frame, and frames
 /// read from the file — of those, the ones read right after the frame the
 /// file's previous read fetched (the rest are random reads).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -93,7 +94,7 @@ impl RecordIo {
     }
 }
 
-/// One index's record file and the buffer pool over it.
+/// One index's record file and its handle onto a cache.
 #[derive(Debug)]
 pub struct RecordFile {
     path: PathBuf,
@@ -101,8 +102,10 @@ pub struct RecordFile {
     /// First record id of every frame, ascending.
     starts: Vec<usize>,
     records: usize,
-    capacity: usize,
-    /// The pool, opened — header and file size checked — by the first pin.
+    /// The cache the handle joins.
+    cache: Arc<PageCache>,
+    /// The handle, opened — header and file size checked — by the first
+    /// pin.
     pool: OnceLock<StoreResult<BufferPool<RecordFrame>>>,
     /// Frame the file's last miss read; `u64::MAX` before the first.
     last_miss: AtomicU64,
@@ -145,8 +148,8 @@ fn pack(lens: impl Iterator<Item = usize>, frame_size: usize) -> Vec<usize> {
 
 impl RecordFile {
     /// Writes `store`'s samples to a record file at `path`, frames of at
-    /// least `page_size` bytes, and returns it with a pool of `capacity`
-    /// frames (at least one), not yet opened.
+    /// least `page_size` bytes, and returns it, to join `cache` at its
+    /// first pin.
     ///
     /// # Errors
     /// [`StoreError::Io`] on write failures, [`StoreError::Corrupt`] when
@@ -155,7 +158,7 @@ impl RecordFile {
         path: &Path,
         store: &[StoredSeries],
         page_size: usize,
-        capacity: usize,
+        cache: &Arc<PageCache>,
     ) -> StoreResult<Self> {
         let longest = store.iter().map(|s| s.series.len()).max().unwrap_or(0);
         let frame_size = frame_size_for(page_size, longest)?;
@@ -204,20 +207,10 @@ impl RecordFile {
             frame_size,
             starts,
             records: store.len(),
-            capacity: capacity.max(1),
+            cache: Arc::clone(cache),
             pool: OnceLock::new(),
             last_miss: AtomicU64::new(u64::MAX),
         })
-    }
-
-    /// How many frames of the size `store`'s records need (at least
-    /// `page_size` bytes each) fit into `budget` bytes, at least one.
-    pub(crate) fn frames_within(store: &[StoredSeries], page_size: usize, budget: u64) -> usize {
-        let longest = store.iter().map(|s| s.series.len()).max().unwrap_or(0);
-        let frame_size = frame_size_for(page_size, longest).unwrap_or(page_size) as u64;
-        usize::try_from(budget / frame_size)
-            .unwrap_or(usize::MAX)
-            .max(1)
     }
 
     /// Bytes per frame.
@@ -230,7 +223,7 @@ impl RecordFile {
         self.starts.len()
     }
 
-    /// The buffer pool over the file (for its counters and `flush`),
+    /// The file's handle onto its cache (for its counters and `flush`),
     /// opened now if no record was read yet.
     ///
     /// # Errors
@@ -291,11 +284,11 @@ impl RecordFile {
                 "record file of {got} byte(s), its header implies {want}"
             )));
         }
-        Ok(BufferPool::new(
+        Ok(BufferPool::in_cache(
+            &self.cache,
             file,
             self.frame_size,
             self.starts.len() as u64,
-            self.capacity,
         ))
     }
 

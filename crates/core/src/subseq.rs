@@ -35,11 +35,12 @@
 //! of its own beside the relation's node file and drops the nodes, as
 //! [`crate::SimilarityIndex::attach_paged`] does for the whole-match tree.
 //! A leaf entry is stored as one word, `series << 32 | start`; its window
-//! count is re-derived from the series' length. The file sits behind a
-//! buffer pool of as many bytes as the relation's node pools together,
-//! and goes when the index does. The range and k-NN kernels are written
-//! once over [`NodeStore`], so a paged trail tree answers with the
-//! in-memory one's rows and counters, plus its pool's hits and misses.
+//! count is re-derived from the series' length. The file joins the cache
+//! the relation's node and record files are in, under the same byte
+//! budget, and goes — its frames with it — when the index does. The range
+//! and k-NN kernels are written once over [`NodeStore`], so a paged trail
+//! tree answers with the in-memory one's rows and counters, plus its
+//! handle's hits and misses.
 //!
 //! ## Why there are no false dismissals
 //!
@@ -74,7 +75,9 @@ use tsq_dft::sliding::SlidingCursor;
 use tsq_dft::Complex64;
 use tsq_rtree::knn::nearest_with_tie;
 use tsq_rtree::search::search_with;
-use tsq_rtree::{NodeStore, PagedTree, RStarTree, RTreeConfig, Rect, RectView, SearchStats};
+use tsq_rtree::{
+    NodeStore, PageCache, PagedTree, RStarTree, RTreeConfig, Rect, RectView, SearchStats,
+};
 use tsq_series::distance::{distance_sq_within, limit_sq};
 use tsq_series::TimeSeries;
 
@@ -222,10 +225,10 @@ pub(crate) trait SampleSource: Sync {
 }
 
 /// Where a paged source's trail tree goes: a scratch page file beside
-/// `near`, behind a pool of at most `budget` bytes.
+/// `near`, joining `cache`.
 pub(crate) struct TrailPages<'a> {
     near: &'a Path,
-    budget: u64,
+    cache: &'a Arc<PageCache>,
 }
 
 impl SampleSource for [TimeSeries] {
@@ -259,19 +262,15 @@ impl SampleSource for ShardedIndex {
         Ok(f(self.parts()[shard].record(local, io)?.samples()))
     }
 
-    /// Beside shard 0's node file, when every shard is paged, with the
-    /// bytes the shards' node pools may hold: the relation's budget slice
-    /// ([`crate::SimilarityIndex::attach_paged_budget`]).
+    /// Beside shard 0's node file, in its cache, when every shard is
+    /// paged.
     fn pages(&self) -> Option<TrailPages<'_>> {
-        let mut budget = 0u64;
-        for part in self.parts() {
-            let tree = part.paged()?;
-            let bytes =
-                (tree.pool().capacity_pages() as u64).saturating_mul(tree.page_size() as u64);
-            budget = budget.saturating_add(bytes);
-        }
-        let near = self.parts()[0].paged()?.path();
-        Some(TrailPages { near, budget })
+        let tree = self.parts()[0].paged()?;
+        let paged = self.parts().iter().all(crate::SimilarityIndex::is_paged);
+        paged.then(|| TrailPages {
+            near: tree.path(),
+            cache: tree.pool().cache(),
+        })
     }
 }
 
@@ -296,8 +295,8 @@ pub struct TrailIndex {
     profile: OnceLock<SpaceProfile>,
 }
 
-/// A trail tree's scratch page file, open behind its pool, and removed
-/// when the last index sharing it drops.
+/// A trail tree's scratch page file, open in its relation's cache, and
+/// removed — its frames purged — when the last index sharing it drops.
 #[derive(Debug)]
 struct TrailFile(PagedTree);
 
@@ -306,16 +305,14 @@ static TRAIL_FILES: AtomicU64 = AtomicU64::new(0);
 
 impl TrailFile {
     /// Writes `tree` to a fresh scratch file beside `pages.near` and opens
-    /// it behind a pool of as many pages as `pages.budget` holds (at least
-    /// one). A file that cannot be written or opened is removed.
+    /// it in `pages.cache`. A file that cannot be written or opened is
+    /// removed.
     fn create(tree: &RStarTree<TrailEntry>, pages: TrailPages<'_>) -> Result<Self> {
         let build = TRAIL_FILES.fetch_add(1, Ordering::Relaxed);
         let path = scratch_path(pages.near, build);
-        let page_size = tree.paged_page_size()?;
-        let capacity = usize::try_from(pages.budget / page_size as u64).unwrap_or(usize::MAX);
         let opened = tree
             .write_paged(&path, word)
-            .and_then(|()| PagedTree::open(&path, capacity.max(1)));
+            .and_then(|()| PagedTree::open(&path, pages.cache));
         opened.map(TrailFile).map_err(|e| {
             let _ = std::fs::remove_file(&path);
             e.into()
@@ -1763,7 +1760,7 @@ mod tests {
     }
 
     /// A relation of `count` walks of 64 samples in two hash shards, each
-    /// paged in `dir` at a two-page pool.
+    /// paged in `dir` in a two-page cache of its own.
     fn paged_relation(dir: &Path, count: usize) -> ShardedIndex {
         std::fs::create_dir_all(dir).unwrap();
         let walks = RandomWalkGenerator::new(17).relation(count, 64);
@@ -1771,7 +1768,7 @@ mod tests {
         let spec = ShardSpec::hash(2).unwrap();
         let mut paged = ShardedIndex::build(IndexConfig::default(), &rel, spec).unwrap();
         for (shard, part) in paged.parts_mut().iter_mut().enumerate() {
-            part.attach_paged(&dir.join(format!("r_s{shard}.pages")), 2)
+            part.attach_paged_budget(&dir.join(format!("r_s{shard}.pages")), 2 << 12)
                 .unwrap();
         }
         paged

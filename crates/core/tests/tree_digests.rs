@@ -13,7 +13,7 @@
 //! decoded pages included.
 
 use tsq_core::{IndexConfig, SimilarityIndex, SubseqConfig, SubseqIndex};
-use tsq_rtree::{NodeStore, PagedTree, SearchStats, Slot};
+use tsq_rtree::{NodeStore, PageCache, PagedTree, SearchStats, Slot};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
 
@@ -147,7 +147,9 @@ fn a_paged_tree_decodes_to_the_same_nodes() {
     let path = dir.join("walks.pages");
     index.tree().write_paged(&path, |&id| id as u64).unwrap();
     for capacity in [1usize, 64, usize::MAX] {
-        let paged = PagedTree::open(&path, capacity).unwrap();
+        let page_size = index.tree().paged_page_size().unwrap() as u64;
+        let cache = PageCache::new((capacity as u64).saturating_mul(page_size));
+        let paged = PagedTree::open(&path, &cache).unwrap();
         let got = digest(&paged, |hash, word| hash.word(word));
         assert_eq!(got, 0x77d4_fb5e_2d97_baba, "pool of {capacity} page(s)");
     }

@@ -35,10 +35,10 @@ meta-commands:
   .load <name> <path>                       load a CSV relation (one series per line)
   .save <path>                              snapshot the whole catalog (relations + indexes)
   .open <path>                              restore a snapshot into this catalog
-  .open <path> --paged <MiB>                restore with R*-trees and records behind paged
-                                            buffer pools (<MiB> split evenly across
-                                            relations); EXPLAIN ANALYZE then reports
-                                            measured I/O
+  .open <path> --paged <MiB>                restore with R*-trees and records behind one
+                                            buffer cache (<MiB> bounds every page and
+                                            frame the restored relations cache);
+                                            EXPLAIN ANALYZE then reports measured I/O
   .save <name> <path>                       write one relation back to CSV
   .batch <path> [threads]                   run a file of queries (one per line) on a worker pool
                                             (thread counts are clamped to the machine)
@@ -411,7 +411,7 @@ fn meta(
                     }
                     println!(
                         "  restored {} paged relation(s) from {path} \
-                         ({mib} MiB pool budget): {}",
+                         ({mib} MiB cache budget): {}",
                         restored.len(),
                         restored.join(", ")
                     );

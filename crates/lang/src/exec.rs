@@ -2452,4 +2452,96 @@ mod tests {
         probe(&paged, "open_paged, window built");
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Bytes charged to the frames of every live handle onto a paged
+    /// catalog's cache: each shard's node and record files, and the held
+    /// ST-index's trail file.
+    fn live_frame_bytes(cat: &Catalog) -> u64 {
+        let mut bytes = 0;
+        for relation in cat.relations.values() {
+            let index = &relation.index;
+            for part in index.parts() {
+                let (Some(tree), Some(records)) = (part.paged(), part.records()) else {
+                    continue;
+                };
+                let pool = records.pool().unwrap();
+                bytes += (tree.pool().resident_pages() * tree.page_size()) as u64;
+                bytes += (pool.resident_pages() * records.frame_size()) as u64;
+            }
+            if let Some((_, Some(trails))) = index.subseq_held() {
+                if let Some(tree) = trails.paged() {
+                    bytes += (tree.pool().resident_pages() * tree.page_size()) as u64;
+                }
+            }
+        }
+        bytes
+    }
+
+    #[test]
+    fn dead_files_leave_the_cache() {
+        // A statement shorter than the held window replaces the ST-index,
+        // and with it its trail file; re-registering a paged relation
+        // drops its node and record files. Their frames go with them:
+        // after every step the cache holds its live handles' frames alone,
+        // within the budget.
+        let dir = std::env::temp_dir().join(format!("tsq-dead-frames-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cat.tsq");
+        let mut cat = catalog();
+        let walks = RandomWalkGenerator::new(53).relation(500, 128);
+        cat.register(SeriesRelation::from_series("big", walks.clone()).unwrap())
+            .unwrap();
+        cat.save(&path).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        let part = &paged.relations["big"].index.parts()[0];
+        let cache = Arc::clone(part.paged().unwrap().pool().cache());
+        let check = |cat: &Catalog, what: &str| {
+            let resident = cache.resident_bytes();
+            assert!(resident <= cache.budget(), "{what}: {resident} B resident");
+            assert_eq!(
+                live_frame_bytes(cat),
+                resident,
+                "{what}: a dead file's frames"
+            );
+        };
+        let mut replaced = 0;
+        for (step, window) in [64, 56, 48, 40, 32, 24, 16, 12, 10, 8]
+            .into_iter()
+            .enumerate()
+        {
+            let held = paged.subseq_window("big");
+            let pattern: Vec<String> = walks[step].values()[..window]
+                .iter()
+                .map(|v| v.to_string())
+                .collect();
+            paged
+                .run(&format!(
+                    "FIND 3 NEAREST SUBSEQUENCE OF [{}] IN big WINDOW {window}",
+                    pattern.join(", ")
+                ))
+                .unwrap();
+            replaced += usize::from(held.is_some_and(|w| w > window));
+            check(&paged, &format!("window {window}"));
+            paged
+                .run("FIND SIMILAR TO big.s1 IN big WITHIN 2 WITH (force = scan)")
+                .unwrap();
+            check(&paged, &format!("a scan after window {window}"));
+        }
+        assert_eq!(
+            replaced, 9,
+            "every statement after the first replaced the ST-index"
+        );
+        assert!(
+            cache.resident_bytes() > cache.budget() / 2,
+            "the cache was filled"
+        );
+        paged
+            .register(SeriesRelation::from_series("big", walks).unwrap())
+            .unwrap();
+        check(&paged, "big re-registered");
+        paged.run("FIND 3 NEAREST TO walks.s1 IN walks").unwrap();
+        check(&paged, "walks after the re-registration");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -58,7 +58,7 @@
 use std::path::Path;
 
 use tsq_core::shard::{ShardMap, ShardSpec, ShardedIndex};
-use tsq_core::{executor, store as core_store, SeriesRelation, SimilarityIndex};
+use tsq_core::{executor, store as core_store, PageCache, SeriesRelation, SimilarityIndex};
 use tsq_store::{read_payload, seal, unseal, write_file, Decoder, Encoder, StoreError};
 
 use crate::error::LangError;
@@ -87,7 +87,7 @@ impl Catalog {
             }
             section.usize(index.shard_count());
             // Each shard travels as its configuration and series; a paged
-            // shard reads its series through its record pool (no node
+            // shard reads its series through its record file (no node
             // page is read) and writes the bytes it wrote in memory.
             for part in index.parts() {
                 part.write_to(&mut section)?;
@@ -173,21 +173,19 @@ impl Catalog {
     }
 
     /// [`Catalog::open`] followed by attaching paged storage to every
-    /// restored relation ([`SimilarityIndex::attach_paged_budget`]): each
+    /// restored relation ([`SimilarityIndex::attach_paged`]): each
     /// shard's whole-match R\*-tree is written to a sidecar page file next
     /// to the snapshot (`<path>.<relation>_s<shard>.pages`, at every shard
     /// count) and its samples to a record file beside it
     /// (`<path>.<relation>_s<shard>.records`, whole records in id order).
     /// The in-memory nodes and every decoded sample buffer are then
     /// dropped — the relation keeps its labels, each record its features —
-    /// and queries fetch nodes and records through pin-counted LRU buffer
-    /// pools; their statistics carry *measured* `pool_hits`/`pool_misses`
-    /// and record hits and misses. The `budget_mib` pool budget (MiB,
-    /// minimum 1) is split evenly across the restored relations, and a
-    /// relation's slice evenly across its shards; a shard's node pool and
-    /// its record pool are each bounded by the shard's slice, and the
-    /// relation's trail pool (below) by the bytes its node pools hold
-    /// together, about the relation's slice.
+    /// and queries fetch nodes and records through one pin-counted
+    /// segmented-LRU buffer cache; their statistics carry *measured*
+    /// `pool_hits`/`pool_misses` and record hits and misses. One budget of
+    /// `budget_mib` MiB (minimum 1) bounds every node page, record frame
+    /// and trail page the relations restored here cache, whichever relation
+    /// or shard they belong to: the cache evicts across all of them.
     ///
     /// Planner statistics were profiled from the rebuilt trees before the
     /// nodes moved out, so plan choices are identical to the in-memory
@@ -195,24 +193,23 @@ impl Catalog {
     /// read-only until re-registered; [`Catalog::save`] still works, and
     /// reads every record back to write the bytes the in-memory catalog
     /// writes. A relation's held subsequence ST-index reads its records
-    /// through the record pool, to build and to refine, and keeps none;
-    /// its build writes the trail tree to a scratch page file of its own
+    /// through the cache, to build and to refine, and keeps none; its
+    /// build writes the trail tree to a scratch page file of its own
     /// beside shard 0's node file (`<path>.<relation>_s0.<pid>-<n>.trails`),
-    /// removed when the index drops, and its statements read the trail
-    /// nodes through the trail pool, counted as their
-    /// `pool_hits`/`pool_misses`.
+    /// removed — its cached pages with it — when the index drops, and its
+    /// statements read the trail nodes through the same cache, counted as
+    /// their `pool_hits`/`pool_misses`.
     ///
     /// # Errors
     /// Same as [`Catalog::open`], plus I/O failures while writing or
     /// reopening the sidecar files.
     pub fn open_paged(&mut self, path: &Path, budget_mib: usize) -> Result<Vec<String>, LangError> {
         let restored = self.open(path)?;
-        let budget_bytes = (budget_mib.max(1) as u64) << 20;
-        let per_relation = (budget_bytes / restored.len().max(1) as u64).max(1);
+        let cache = PageCache::new((budget_mib.max(1) as u64) << 20);
         let mut taken = std::collections::HashSet::new();
         // Distinct hostile names can sanitize to the same sidecar; suffix
         // until unique so one page file is never truncated out from under
-        // another relation's open pool.
+        // another relation's open handle.
         let mut claim = |name: &str| {
             let mut sidecar = paged_sidecar(path, name, 0);
             let mut bump = 0usize;
@@ -224,11 +221,9 @@ impl Catalog {
         };
         for name in &restored {
             let relation = self.relations.get_mut(name).expect("restored");
-            let index = &mut relation.index;
-            let per_shard = (per_relation / index.shard_count() as u64).max(1);
-            for (shard, part) in index.parts_mut().iter_mut().enumerate() {
+            for (shard, part) in relation.index.parts_mut().iter_mut().enumerate() {
                 let sidecar = claim(&format!("{name}.s{shard}"));
-                part.attach_paged_budget(&sidecar, per_shard)?;
+                part.attach_paged(&sidecar, &cache)?;
             }
             relation.page_out();
         }

@@ -71,7 +71,7 @@ mod split;
 pub use config::RTreeConfig;
 pub use knn::Neighbor;
 pub use node::{NodeStore, Slot};
-pub use page::{BufferPool, PageId};
+pub use page::{BufferPool, PageCache, PageId};
 pub use paged::PagedTree;
 pub use rect::{Rect, RectView};
 pub use stats::{LevelStats, SearchStats};

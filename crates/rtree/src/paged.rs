@@ -1,5 +1,6 @@
 //! A file-backed R\*-tree: one node per page, fetched through a
-//! [`BufferPool`] — the only form a tree is persisted in.
+//! [`BufferPool`] handle onto a [`PageCache`] — the only form a tree is
+//! persisted in.
 //!
 //! A [`PagedTree`] is created *from* an in-memory [`RStarTree`] (its
 //! structure is copied node-for-node, child pointers becoming
@@ -13,8 +14,8 @@
 //! Pins follow the traversal's guards: the range visitor holds a node's
 //! pin while it descends below it (an ancestor chain of at most
 //! tree-height pages), the best-first kNN loop drops each pin before it
-//! pops the next heap entry (one page at a time). The pool soft-overflows
-//! rather than deadlocks when every frame is pinned, so a capacity-1 pool
+//! pops the next heap entry (one page at a time). The cache soft-overflows
+//! rather than deadlocks when every frame is pinned, so a one-page cache
 //! still answers.
 //!
 //! Payloads are fixed to `u64` (the id-shaped types every index in this
@@ -24,12 +25,13 @@
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use tsq_store::{crc32, Decoder, Encoder, StoreError, StoreResult};
 
 use crate::config::{RTreeConfig, MAX_PAGE_BYTES, PAGE_ALIGN, PAGE_HEADER_BYTES};
 use crate::node::{Kids, Node, NodeStore, Slot};
-use crate::page::{seal_page, BufferPool, PageId, PagePin};
+use crate::page::{seal_page, BufferPool, PageCache, PageId, PagePin};
 use crate::persist::read_bounds;
 use crate::rect::RectView;
 use crate::stats::SearchStats;
@@ -70,7 +72,7 @@ pub struct PagedNode {
 }
 
 /// A read-only R\*-tree stored one-node-per-page in a file, fetched
-/// through a pin-counted LRU [`BufferPool`].
+/// through a pin-counted [`BufferPool`] handle onto a shared cache.
 #[derive(Debug)]
 pub struct PagedTree {
     pool: BufferPool<PagedNode>,
@@ -171,13 +173,12 @@ impl PagedTree {
         Ok(())
     }
 
-    /// Opens a page file with a buffer pool of `capacity_pages` frames
-    /// (clamped to at least 1; `usize::MAX` for unbounded).
+    /// Opens a page file whose nodes join `cache`, each charged one page.
     ///
     /// # Errors
     /// Typed [`StoreError`]s for I/O failures, bad magic/version, header
     /// corruption, or geometry that disagrees with the file's size.
-    pub fn open(path: &Path, capacity_pages: usize) -> StoreResult<Self> {
+    pub fn open(path: &Path, cache: &Arc<PageCache>) -> StoreResult<Self> {
         let mut file = File::open(path)?;
         let mut header = [0u8; HEADER_BYTES];
         file.read_exact(&mut header)
@@ -190,7 +191,7 @@ impl PagedTree {
                 "page file is {actual_len} byte(s), header implies {expected_len}"
             )));
         }
-        let pool = BufferPool::new(file, parsed.page_size, parsed.page_count, capacity_pages);
+        let pool = BufferPool::in_cache(cache, file, parsed.page_size, parsed.page_count);
         // Every traversal enters through the root: keep it exempt from
         // eviction so a warm pool never re-faults level 0 of the search.
         pool.mark_sticky(parsed.root);
@@ -247,7 +248,7 @@ impl PagedTree {
         self.page_count
     }
 
-    /// The buffer pool (for its counters and `flush`).
+    /// The tree's handle onto its cache (for its counters and `flush`).
     pub fn pool(&self) -> &BufferPool<PagedNode> {
         &self.pool
     }
@@ -468,7 +469,7 @@ fn decode_header(h: &[u8; HEADER_BYTES]) -> StoreResult<ParsedHeader> {
     let u32_at = |o: usize| u32::from_le_bytes(h[o..o + 4].try_into().expect("4 bytes"));
     let u64_at = |o: usize| u64::from_le_bytes(h[o..o + 8].try_into().expect("8 bytes"));
     let version = u32_at(8);
-    if version > VERSION {
+    if version != VERSION {
         return Err(StoreError::UnsupportedVersion {
             got: version,
             supported: VERSION,
@@ -565,6 +566,11 @@ mod tests {
         dir.join(name)
     }
 
+    /// `tree`'s page file at `path`, behind a cache of `pages` pages.
+    fn open(path: &Path, pages: u64) -> StoreResult<PagedTree> {
+        PagedTree::open(path, &PageCache::new(pages * PAGE_ALIGN as u64))
+    }
+
     fn sample_tree(n: usize, fanout: usize) -> RStarTree<usize> {
         let mut t = RStarTree::new(RTreeConfig::with_max_entries(fanout));
         for i in 0..n {
@@ -606,7 +612,7 @@ mod tests {
         let p = temp_path("hdr-magic.pages");
         std::fs::write(&p, &bad).unwrap();
         assert!(matches!(
-            PagedTree::open(&p, 4),
+            open(&p, 4),
             Err(StoreError::BadMagic | StoreError::ChecksumMismatch { .. })
         ));
 
@@ -616,8 +622,20 @@ mod tests {
         let p = temp_path("hdr-ver.pages");
         std::fs::write(&p, &bad).unwrap();
         assert!(matches!(
-            PagedTree::open(&p, 4),
+            open(&p, 4),
             Err(StoreError::UnsupportedVersion { got: 99, .. })
+        ));
+
+        // A past version, resealed: every version but this one is refused.
+        let mut bad = good.clone();
+        bad[8..12].copy_from_slice(&0u32.to_le_bytes());
+        let crc = crc32(&bad[..HEADER_BYTES - 4]);
+        bad[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+        let p = temp_path("hdr-ver0.pages");
+        std::fs::write(&p, &bad).unwrap();
+        assert!(matches!(
+            open(&p, 4),
+            Err(StoreError::UnsupportedVersion { got: 0, .. })
         ));
 
         // Flipped header byte: checksum mismatch.
@@ -626,17 +644,14 @@ mod tests {
         let p = temp_path("hdr-flip.pages");
         std::fs::write(&p, &bad).unwrap();
         assert!(matches!(
-            PagedTree::open(&p, 4),
+            open(&p, 4),
             Err(StoreError::ChecksumMismatch { .. })
         ));
 
         // Truncated file: size disagrees with the header.
         let p = temp_path("hdr-trunc.pages");
         std::fs::write(&p, &good[..good.len() - 100]).unwrap();
-        assert!(matches!(
-            PagedTree::open(&p, 4),
-            Err(StoreError::Corrupt { .. })
-        ));
+        assert!(matches!(open(&p, 4), Err(StoreError::Corrupt { .. })));
 
         // A well-sealed header declaring more pages of the largest size
         // than a file can hold: refused, the implied size never overflows.
@@ -655,7 +670,7 @@ mod tests {
             let p = temp_path("hdr-pages.pages");
             std::fs::write(&p, &bad).unwrap();
             assert!(
-                matches!(PagedTree::open(&p, 4), Err(StoreError::Corrupt { .. })),
+                matches!(open(&p, 4), Err(StoreError::Corrupt { .. })),
                 "{pages} pages"
             );
         }
@@ -671,7 +686,7 @@ mod tests {
         let off = PAGE_ALIGN + crate::page::PAGE_PREFIX_BYTES + 3;
         bytes[off] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let paged = PagedTree::open(&path, 8).unwrap();
+        let paged = open(&path, 8).unwrap();
         let err = crate::search::search_with(&paged, |_| true, |_, _| {})
             .expect_err("a traversal must not read past a corrupt page");
         assert!(matches!(

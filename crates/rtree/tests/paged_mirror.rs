@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use tsq_rtree::config::PAGE_ALIGN;
 use tsq_rtree::stats::SearchStats;
-use tsq_rtree::{PagedTree, RStarTree, RTreeConfig, Rect};
+use tsq_rtree::{PageCache, PagedTree, RStarTree, RTreeConfig, Rect};
 use tsq_store::{crc32, StoreError};
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -25,10 +25,16 @@ fn build(points: &[(f64, f64)], fanout: usize) -> RStarTree<usize> {
     tree
 }
 
+/// A cache of `capacity` pages of `page_size` bytes.
+fn cache_of(capacity: usize, page_size: usize) -> std::sync::Arc<PageCache> {
+    PageCache::new((capacity as u64).saturating_mul(page_size as u64))
+}
+
 fn paged_copy(tree: &RStarTree<usize>, tag: &str, capacity: usize) -> PagedTree {
     let path = temp_path(tag);
     PagedTree::create_from(&path, tree, |&i| i as u64).unwrap();
-    PagedTree::open(&path, capacity).unwrap()
+    let page_size = tree.paged_page_size().unwrap();
+    PagedTree::open(&path, &cache_of(capacity, page_size)).unwrap()
 }
 
 /// Traversal counters must agree exactly; the pool counters are extra
@@ -212,7 +218,7 @@ fn hostile_pages_are_typed_errors_from_every_traversal() {
     PagedTree::create_from(&path, &tree, |&i| i as u64).unwrap();
     let good = std::fs::read(&path).unwrap();
     let (page_size, pages) = {
-        let paged = PagedTree::open(&path, 4).unwrap();
+        let paged = PagedTree::open(&path, &cache_of(4, tree.paged_page_size().unwrap())).unwrap();
         (paged.page_size(), paged.page_count())
     };
     // Pages are written children first: page 0 is a leaf every full
@@ -242,7 +248,7 @@ fn hostile_pages_are_typed_errors_from_every_traversal() {
         let path = temp_path(&format!("hostile-{tag}"));
         std::fs::write(&path, &bytes).unwrap();
         for capacity in [1usize, usize::MAX] {
-            let paged = PagedTree::open(&path, capacity).unwrap();
+            let paged = PagedTree::open(&path, &cache_of(capacity, page_size)).unwrap();
             let errors = [
                 (
                     "search",

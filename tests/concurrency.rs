@@ -14,13 +14,16 @@
 //! 3. **Typed rejection of non-finite inputs** — NaN/∞ die at the lexer
 //!    or engine boundary with typed errors, never inside a comparison.
 //! 4. **Cache discipline** — the per-(relation, window) ST-index cache is
-//!    invalidated on relation mutation and LRU-bounded.
+//!    invalidated on relation mutation and LRU-bounded, and paged
+//!    relations read concurrently through one page cache answer as they
+//!    do alone, with the cache's pins exactly its handles' traffic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use tsq::core::{
-    executor, IndexConfig, LinearTransform, QueryWindow, SeriesRelation, SimilarityIndex,
+    executor, ExecStats, IndexConfig, LinearTransform, LogicalPlan, PageCache, PlanRows,
+    QueryWindow, SeriesRelation, ShardSpec, ShardedIndex, SimilarityIndex,
 };
 use tsq::lang::LangError;
 use tsq::series::generate::{RandomWalkGenerator, StockGenerator};
@@ -295,4 +298,137 @@ fn parallel_build_threads_never_change_answers() {
             "threads = {threads}"
         );
     }
+}
+
+/// Rows with their distances as bits.
+fn row_bits(rows: &PlanRows) -> Vec<(usize, usize, u64)> {
+    match rows {
+        PlanRows::Whole(v) => v.iter().map(|m| (m.id, 0, m.distance.to_bits())).collect(),
+        PlanRows::Pairs(v) => v.iter().map(|p| (p.a, p.b, p.distance.to_bits())).collect(),
+        PlanRows::Windows(v) => v
+            .iter()
+            .map(|m| (m.series, m.offset, m.distance.to_bits()))
+            .collect(),
+    }
+}
+
+/// Every counter but the measured page and record traffic.
+fn unmeasured(exec: &ExecStats) -> ExecStats {
+    ExecStats {
+        pool_hits: 0,
+        pool_misses: 0,
+        record_hits: 0,
+        record_misses: 0,
+        record_seq_misses: 0,
+        ..*exec
+    }
+}
+
+/// Hits plus misses of every handle onto a paged relation's cache: each
+/// shard's node and record files, and the held ST-index's trail file.
+fn handle_pins(index: &ShardedIndex) -> u64 {
+    let mut pins = 0;
+    for part in index.parts() {
+        let nodes = part.paged().expect("paged").pool();
+        let records = part.records().expect("paged").pool().unwrap();
+        pins += nodes.hits() + nodes.misses() + records.hits() + records.misses();
+    }
+    if let Some((_, Some(trails))) = index.subseq_held() {
+        let pool = trails
+            .paged()
+            .expect("a paged relation pages its trails")
+            .pool();
+        pins += pool.hits() + pool.misses();
+    }
+    pins
+}
+
+#[test]
+fn concurrent_readers_share_one_page_cache() {
+    // Two relations, one in two hash shards, paged into one 256 KiB cache
+    // that neither fits: four threads of range, kNN and subsequence
+    // statements evict each other's node pages, record frames and trail
+    // pages, and each statement still answers as it does alone.
+    let dir = std::env::temp_dir().join(format!("tsq-shared-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = PageCache::new(256 << 10);
+    let walks = RandomWalkGenerator::new(33).relation(600, 64);
+    let stocks = StockGenerator::new(34).relation(60, 512);
+    let mut indexes = Vec::new();
+    for (name, series, shards) in [("walks", &walks, 2), ("stocks", &stocks, 1)] {
+        let relation = SeriesRelation::from_series(name, series.clone()).unwrap();
+        let spec = ShardSpec::hash(shards).unwrap();
+        let mut index = ShardedIndex::build(IndexConfig::default(), &relation, spec).unwrap();
+        for (shard, part) in index.parts_mut().iter_mut().enumerate() {
+            let path = dir.join(format!("{name}_s{shard}.pages"));
+            part.attach_paged(&path, &cache).unwrap();
+        }
+        indexes.push(index);
+    }
+    let mut statements = Vec::new();
+    for i in 0..3 {
+        let (walk, stock) = (walks[i].clone(), stocks[i].clone());
+        let window = QueryWindow::default();
+        statements.push((
+            0,
+            LogicalPlan::Range {
+                relation: "walks".into(),
+                query: walk.clone(),
+                eps: 2.5,
+                transform: LinearTransform::identity(64),
+                window,
+            },
+        ));
+        statements.push((
+            1,
+            LogicalPlan::Knn {
+                relation: "stocks".into(),
+                query: stock.clone(),
+                k: 4,
+                transform: LinearTransform::moving_average(512, 8),
+            },
+        ));
+        let part = TimeSeries::new(walk.values()[8..40].to_vec());
+        statements.push((
+            0,
+            LogicalPlan::SubseqRange {
+                relation: "walks".into(),
+                query: part,
+                eps: 3.0,
+                window: 32,
+            },
+        ));
+        let part = TimeSeries::new(stock.values()[100..164].to_vec());
+        statements.push((
+            1,
+            LogicalPlan::SubseqKnn {
+                relation: "stocks".into(),
+                query: part,
+                k: 3,
+                window: 64,
+            },
+        ));
+    }
+    // Sequentially first, which also builds both ST-indexes: no handle is
+    // dropped while the threads run.
+    let answer = |(relation, logical): &(usize, LogicalPlan)| {
+        let out = indexes[*relation].execute(logical, None, 1).unwrap();
+        (row_bits(&out.rows), unmeasured(&out.merged))
+    };
+    let oracle: Vec<_> = statements.iter().map(answer).collect();
+    std::thread::scope(|scope| {
+        for thread in 0..4 {
+            let (statements, oracle, answer) = (&statements, &oracle, &answer);
+            scope.spawn(move || {
+                for i in 0..statements.len() {
+                    let at = (i + thread * 5) % statements.len();
+                    assert_eq!(answer(&statements[at]), oracle[at], "statement {at}");
+                }
+            });
+        }
+    });
+    assert!(cache.resident_bytes() <= cache.budget());
+    let pins: u64 = indexes.iter().map(handle_pins).sum();
+    assert_eq!(pins, cache.pins(), "the cache counts its handles' pins");
+    std::fs::remove_dir_all(&dir).ok();
 }
