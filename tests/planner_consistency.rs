@@ -1,41 +1,29 @@
-//! Planner correctness property suite.
+//! Planner correctness suite: what the differential harness
+//! (`tests/differential.rs`) cannot reach.
 //!
-//! Two invariants across randomized catalogs and every query form:
-//!
-//! 1. **Plan-independence of answers.** The planner-chosen plan returns
-//!    rows identical to the forced-scan oracle (same ids/pairs/offsets;
-//!    distances within float tolerance) — whatever access path the cost
-//!    model picks, the *answer* never changes. Forced-index plans agree
-//!    too.
-//! 2. **Snapshot plan stability.** A `save → open` round trip restores
-//!    the trees the [`RelationStats`] are derived from, so the restored
-//!    catalog renders byte-for-byte identical `EXPLAIN` output and picks
-//!    the same plans.
-//!
-//! Plus the `EXPLAIN ANALYZE` contract: the counters in the rendered text
-//! are exactly the [`tsq_lang::QueryOutput::stats`] of the run — and the
-//! reference for the catalog's only execution path: a one-shard relation
-//! answers exactly like the planner and executor over a bare
-//! [`SimilarityIndex`], which never passes through `ShardedIndex`.
+//! - The cost gates: the planner never costs more than the better forced
+//!   plan (Figure 12), and the benchmark's sharded stock joins plan the
+//!   scan join.
+//! - The `EXPLAIN ANALYZE` contract: the counters in the rendered text
+//!   are exactly the [`tsq_lang::QueryOutput::stats`] of the run.
+//! - The reference for the catalog's only execution path: a one-shard
+//!   relation answers exactly like the planner and executor over a bare
+//!   [`SimilarityIndex`], which never passes through `ShardedIndex`.
+//! - The membership boundary: a reported distance is within itself, and
+//!   Lemma 1 holds within ±4 ulps of the threshold, on the layouts of
+//!   `common`'s configuration list.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{Config, Storage};
 use tsq_core::plan::{render_analyze, render_plan};
 use tsq_core::{
     execute_plan, ForceOp, LinearTransform, LogicalPlan, PlanRows, Planner, QueryWindow,
-    RelationStats, ScanMode, SeriesRelation, SimilarityIndex, SubseqConfig, SubseqIndex,
+    RelationStats, SeriesRelation, SimilarityIndex, SubseqConfig, SubseqIndex,
 };
 use tsq_lang::{Catalog, Row};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
-
-fn relation(max_count: usize, max_len: usize) -> impl Strategy<Value = Vec<TimeSeries>> {
-    (4usize..=max_count, 8usize..=max_len).prop_flat_map(|(count, len)| {
-        prop::collection::vec(
-            prop::collection::vec(-1e2f64..1e2, len..=len).prop_map(TimeSeries::new),
-            count..=count,
-        )
-    })
-}
 
 fn assert_whole_rows_equal(a: &PlanRows, b: &PlanRows, what: &str) {
     let (PlanRows::Whole(a), PlanRows::Whole(b)) = (a, b) else {
@@ -53,137 +41,6 @@ fn assert_whole_rows_equal(a: &PlanRows, b: &PlanRows, what: &str) {
             x.distance,
             y.distance
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Range queries: unforced, `scan` and `index` all return the
-    /// forced-scan oracle's rows, across selectivities.
-    #[test]
-    fn range_plans_agree_with_scan_oracle(
-        rel in relation(24, 40),
-        eps in 0.0f64..30.0,
-        smooth in 0u8..2,
-    ) {
-        let len = rel[0].len();
-        let idx = SimilarityIndex::build(Default::default(), rel).unwrap();
-        let stats = RelationStats::from_index(&idx);
-        let t = if smooth == 1 && len >= 4 {
-            LinearTransform::moving_average(len, 3)
-        } else {
-            LinearTransform::identity(len)
-        };
-        let logical = LogicalPlan::Range {
-            relation: "r".into(),
-            query: idx.series(0).unwrap().clone(),
-            eps,
-            transform: t,
-            window: QueryWindow::default(),
-        };
-        let run = |force: Option<ForceOp>| {
-            let choice = Planner::new(&idx, &stats).plan(&logical, force, None).unwrap();
-            execute_plan(&logical, &choice.plan, &idx, None).unwrap().0
-        };
-        let oracle = run(Some(ForceOp::Scan));
-        assert_whole_rows_equal(&run(None), &oracle, "auto vs scan");
-        assert_whole_rows_equal(&run(Some(ForceOp::Index)), &oracle, "index vs scan");
-    }
-
-    /// K-NN queries: both access paths produce the same neighbor set.
-    #[test]
-    fn knn_plans_agree_with_scan_oracle(rel in relation(20, 32), k in 1usize..8) {
-        let len = rel[0].len();
-        let idx = SimilarityIndex::build(Default::default(), rel).unwrap();
-        let stats = RelationStats::from_index(&idx);
-        let logical = LogicalPlan::Knn {
-            relation: "r".into(),
-            query: idx.series(1).unwrap().clone(),
-            k,
-            transform: LinearTransform::identity(len),
-        };
-        let run = |force: Option<ForceOp>| {
-            let choice = Planner::new(&idx, &stats).plan(&logical, force, None).unwrap();
-            execute_plan(&logical, &choice.plan, &idx, None).unwrap().0
-        };
-        let oracle = run(Some(ForceOp::Scan));
-        // Neighbor *distances* must agree exactly (ids may permute only
-        // between exactly-tied distances, which random data never hits).
-        assert_whole_rows_equal(&run(None), &oracle, "auto vs scan");
-        assert_whole_rows_equal(&run(Some(ForceOp::Index)), &oracle, "index vs scan");
-    }
-
-    /// Joins: the planner's own pick and both scan forces return the
-    /// scan oracle's unordered pair set, once per pair; the index force
-    /// keeps the paper's twice-per-pair accounting.
-    #[test]
-    fn join_plans_agree_with_scan_oracle(rel in relation(16, 24), eps in 0.0f64..20.0) {
-        let len = rel[0].len();
-        let idx = SimilarityIndex::build(Default::default(), rel).unwrap();
-        let stats = RelationStats::from_index(&idx);
-        let t = LinearTransform::identity(len);
-        let logical = LogicalPlan::Join {
-            relation: "r".into(),
-            eps,
-            transform: t.clone(),
-        };
-        let oracle = idx.join_scan(eps, &t, ScanMode::Naive).unwrap();
-        let want: Vec<(usize, usize)> = oracle.pairs.iter().map(|p| (p.a, p.b)).collect();
-        let run = |force: Option<ForceOp>| {
-            let choice = Planner::new(&idx, &stats).plan(&logical, force, None).unwrap();
-            let (rows, _) = execute_plan(&logical, &choice.plan, &idx, None).unwrap();
-            let PlanRows::Pairs(pairs) = rows else { panic!("join returns pairs") };
-            pairs.iter().map(|p| (p.a, p.b)).collect::<Vec<(usize, usize)>>()
-        };
-        for force in [None, Some(ForceOp::Scan), Some(ForceOp::ScanFull)] {
-            prop_assert_eq!(&run(force), &want, "{:?}", force);
-        }
-        let mut twice = run(Some(ForceOp::Index));
-        prop_assert_eq!(twice.len(), 2 * want.len());
-        twice.retain(|(a, b)| a < b);
-        prop_assert_eq!(&twice, &want);
-    }
-}
-
-/// End-to-end through the language: the planner-run answer equals the
-/// subsequence sliding-scan oracle, and range answers equal the forced
-/// scan, on a realistic catalog.
-#[test]
-fn language_level_answers_are_plan_independent() {
-    let mut cat = Catalog::new();
-    let rel = SeriesRelation::from_series("walks", RandomWalkGenerator::new(4242).relation(80, 48))
-        .unwrap();
-    cat.register(rel).unwrap();
-    // Range across selectivities: compare against the core scan oracle.
-    let index = |name: &str, cat: &Catalog| -> SimilarityIndex {
-        // Rebuild an identical index for oracle scans (catalog internals
-        // are private; registration is deterministic).
-        let rel = cat.relation(name).unwrap();
-        SimilarityIndex::build(Default::default(), rel.series().to_vec()).unwrap()
-    };
-    let idx = index("walks", &cat);
-    for eps in [0.1, 1.0, 4.0, 50.0] {
-        let out = cat
-            .run(&format!("FIND SIMILAR TO walks.s7 IN walks WITHIN {eps}"))
-            .unwrap();
-        let (oracle, _) = idx
-            .scan_range(
-                &idx.series(7).unwrap(),
-                eps,
-                &LinearTransform::identity(48),
-                ScanMode::Naive,
-            )
-            .unwrap();
-        assert_eq!(
-            out.rows.len(),
-            oracle.len(),
-            "eps={eps}: planner answer diverges from scan oracle"
-        );
-        for (row, m) in out.rows.iter().zip(&oracle) {
-            assert_eq!(row.a, format!("s{}", m.id), "eps={eps}");
-            assert!((row.distance - m.distance).abs() < 1e-9);
-        }
     }
 }
 
@@ -295,62 +152,6 @@ fn sharded_stock_joins_plan_the_scan_join() {
                 assert_eq!(bits(&planned.rows), bits(&forced.rows), "{what}");
             }
         }
-    }
-}
-
-/// Snapshot round trip: the restored catalog plans byte-for-byte
-/// identically — same EXPLAIN text (estimates included) and same chosen
-/// plans, for every query form.
-#[test]
-fn snapshot_round_trip_preserves_plan_choices() {
-    let mut cat = Catalog::new();
-    for (name, seed, count, len) in [("walks", 7u64, 90usize, 64usize), ("small", 8, 12, 32)] {
-        let rel =
-            SeriesRelation::from_series(name, RandomWalkGenerator::new(seed).relation(count, len))
-                .unwrap();
-        cat.register(rel).unwrap();
-    }
-    // Prime a subseq cache entry so its plan is "cached" on both sides.
-    cat.run("FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 5 WINDOW 64")
-        .unwrap();
-    let queries = [
-        "EXPLAIN FIND SIMILAR TO walks.s1 IN walks WITHIN 0.5",
-        "EXPLAIN FIND SIMILAR TO walks.s1 IN walks WITHIN 40",
-        "EXPLAIN FIND SIMILAR TO small.s2 IN small WITHIN 3 APPLY mavg(4)",
-        "EXPLAIN FIND 5 NEAREST TO walks.s3 IN walks",
-        "EXPLAIN JOIN small WITHIN 1.5 APPLY mavg(4)",
-        "EXPLAIN JOIN small WITHIN 1.5 WITH (force = index)",
-        "EXPLAIN FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 5 WINDOW 64",
-    ];
-    let before: Vec<String> = queries
-        .iter()
-        .map(|q| cat.run(q).unwrap().explain.expect("explain text"))
-        .collect();
-
-    let bytes = cat.snapshot_bytes().unwrap();
-    let mut restored = Catalog::new();
-    restored.restore_bytes(&bytes).unwrap();
-    // The primed window travels with the snapshot, and an EXPLAIN of a
-    // held window builds it, so the subseq EXPLAIN still sees a cached
-    // index.
-    assert_eq!(restored.subseq_window("walks"), Some(64));
-    let after: Vec<String> = queries
-        .iter()
-        .map(|q| restored.run(q).unwrap().explain.expect("explain text"))
-        .collect();
-    assert_eq!(before, after, "plan choices changed across the round trip");
-
-    // Executed plans agree too (plan label + stats + rows).
-    for q in [
-        "FIND SIMILAR TO walks.s1 IN walks WITHIN 0.5",
-        "FIND SIMILAR TO walks.s1 IN walks WITHIN 40",
-        "FIND 5 NEAREST TO walks.s3 IN walks",
-        "JOIN small WITHIN 1.5 APPLY mavg(4)",
-        "FIND SUBSEQUENCE OF walks.s0 IN walks WITHIN 5 WINDOW 64",
-    ] {
-        let a = cat.run(q).unwrap();
-        let b = restored.run(q).unwrap();
-        assert_eq!(a, b, "{q}");
     }
 }
 
@@ -625,17 +426,15 @@ fn boundary_configs(
     std::fs::create_dir_all(&dir).unwrap();
     let mut configs: Vec<(String, Catalog)> = Vec::new();
     for shards in [1usize, 4] {
-        let mut cat = Catalog::new();
-        cat.register(SeriesRelation::from_series("w", series.to_vec()).unwrap())
-            .unwrap();
-        cat.run_mut(&format!("SHARD w INTO {shards} BY HASH"))
-            .unwrap();
-        let path = dir.join(format!("cat{shards}.tsq"));
-        cat.save(&path).unwrap();
-        let mut paged = Catalog::new();
-        paged.open_paged(&path, 1).unwrap();
-        configs.push((format!("{shards} shard(s), in memory"), cat));
-        configs.push((format!("{shards} shard(s), paged"), paged));
+        for storage in [Storage::Memory, Storage::Paged] {
+            let config = Config {
+                shards,
+                storage,
+                ..Config::REFERENCE
+            };
+            let cat = common::layout(&config, "w", series, &dir);
+            configs.push((format!("{config:?}"), cat));
+        }
     }
     (dir, configs)
 }

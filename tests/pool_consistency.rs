@@ -1,96 +1,17 @@
 //! Pool oracle: the persistent work-stealing executor is an *execution
-//! detail*, never a semantic change. Every parallel path — batch
-//! fan-out, parallel range refinement, kNN, join, subsequence scans,
-//! sharded scatter-gather — must answer byte-identically to sequential
-//! execution at every worker count, because `parallel_map` preserves
-//! order and the per-item work is deterministic.
+//! detail*, never a semantic change. That every query form answers
+//! byte-identically at 1, 2 and 4 workers is the differential harness's
+//! (`tests/differential.rs`); this suite pins the pool itself:
 //!
-//! Three levels:
-//!
-//! - a property test drives randomized relations through every query
-//!   form at worker counts {1, 2, hardware}, plain and sharded, and
-//!   demands byte-identical outputs (rows, order, counters);
 //! - a panic-isolation test proves a panicking task poisons only its
 //!   own result slot — the panic resurfaces on the caller and the pool
 //!   keeps serving;
 //! - a nested-fan-out test runs maps inside maps on a two-worker pool,
 //!   which must complete (inner maps run inline on the owning worker)
-//!   and still preserve order.
+//!   and still preserve order;
+//! - the process-wide pool counters are visible and monotone.
 
-use proptest::prelude::*;
 use tsq::core::executor::{self, Pool};
-use tsq::core::SeriesRelation;
-use tsq::lang::{Catalog, QueryOutput};
-use tsq::TimeSeries;
-
-/// Every parallel execution path, phrased over relation `w`. The
-/// `WITH (threads = 2)` forms force a nested fan-out when the batch
-/// itself already runs on the pool.
-fn oracle_queries() -> Vec<String> {
-    vec![
-        "FIND SIMILAR TO w.s0 IN w WITHIN 3".to_string(),
-        "FIND SIMILAR TO w.s0 IN w WITHIN 3 WITH (threads = 2)".to_string(),
-        "FIND SIMILAR TO w.s1 IN w WITHIN 40 APPLY mavg(4)".to_string(),
-        "FIND 5 NEAREST TO w.s1 IN w".to_string(),
-        "FIND 5 NEAREST TO w.s1 IN w WITH (threads = 2)".to_string(),
-        "JOIN w WITHIN 2".to_string(),
-        "FIND SUBSEQUENCE OF [0, 0.5, 1, 0.5, 0, -0.5] IN w WITHIN 4 WINDOW 6".to_string(),
-        "FIND 3 NEAREST SUBSEQUENCE OF [0, 0.5, 1, 0.5, 0, -0.5] IN w WINDOW 6".to_string(),
-    ]
-}
-
-fn catalog_from(init: &[Vec<f64>], shards: usize) -> Catalog {
-    let items: Vec<(String, TimeSeries)> = init
-        .iter()
-        .enumerate()
-        .map(|(i, vals)| (format!("s{i}"), TimeSeries::new(vals.clone())))
-        .collect();
-    let mut cat = Catalog::new();
-    cat.register(SeriesRelation::from_labeled("w", items).unwrap())
-        .unwrap();
-    if shards > 1 {
-        cat.run_mut(&format!("SHARD w INTO {shards} BY HASH"))
-            .unwrap();
-    }
-    cat
-}
-
-fn run_all(cat: &Catalog, threads: usize) -> Vec<QueryOutput> {
-    let (results, summary) = cat.run_batch(oracle_queries(), threads);
-    assert_eq!(summary.threads, threads);
-    results
-        .into_iter()
-        .map(|r| r.expect("oracle query must parse and execute"))
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Byte-identity across worker counts: for random data, plain and
-    /// sharded, every query form answers identically at 1, 2, and
-    /// hardware-width threads — rows, row order, and counters.
-    #[test]
-    fn pool_backed_execution_is_byte_identical_to_sequential(
-        init in prop::collection::vec(
-            prop::collection::vec(-50.0f64..50.0, 14..=14),
-            5..=7,
-        )
-    ) {
-        let widths = [1usize, 2, executor::default_threads()];
-        for shards in [1usize, 3] {
-            let cat = catalog_from(&init, shards);
-            let want = run_all(&cat, 1);
-            for &threads in &widths {
-                let got = run_all(&cat, threads);
-                prop_assert_eq!(
-                    &got, &want,
-                    "shards = {}, threads = {}", shards, threads
-                );
-            }
-        }
-    }
-}
 
 /// A panicking task poisons only its own result slot: the caller sees
 /// the original panic payload after every item settles, and the pool's

@@ -1,12 +1,13 @@
-//! Property-based round-trip suite for the persistence subsystem:
-//! arbitrary catalogs (randomized relation counts, cardinalities, series
-//! lengths and values — including varied-length relations for the
-//! subsequence index) survive `save → open` with
+//! Property-based round-trip suite for the persistence subsystem below
+//! the catalog (whole catalogs through `save → open` are the differential
+//! harness's, `tests/differential.rs`): arbitrary indexes (randomized
+//! cardinalities, series lengths and values — including varied-length
+//! relations for the subsequence index) survive a round trip with
 //!
 //! - **byte-identical snapshots** on re-serialization (which pins every
 //!   stored `f64` bit, label and held window), and
-//! - **identical answers and identical traversal statistics** for every
-//!   query form: range, k-NN, join, and subsequence range/k-NN.
+//! - **identical answers and identical traversal statistics** for range,
+//!   k-NN and subsequence range/k-NN.
 //!
 //! This is the Lemma-1 promise extended across a process boundary: every
 //! index is a pure function of what a snapshot stores, so a restored
@@ -117,39 +118,6 @@ proptest! {
         for q in &queries[..3] {
             let scan = fresh.run(&format!("{q} WITH (force = scan)")).unwrap();
             prop_assert_eq!(&scan.rows, &fresh.run(q).unwrap().rows, "{}", q);
-        }
-    }
-
-    /// Whole catalogs through the language layer: every query form
-    /// (range, k-NN, join, subsequence) answers identically — rows and
-    /// simulated disk accesses — on the restored catalog.
-    #[test]
-    fn catalog_round_trips(
-        rel_a in whole_relation(8, 32),
-        rel_b in whole_relation(6, 24),
-    ) {
-        let mut cat = Catalog::new();
-        let len_a = rel_a[0].len();
-        let len_b = rel_b[0].len();
-        cat.register(tsq_core::SeriesRelation::from_series("alpha", rel_a).unwrap()).unwrap();
-        cat.register(tsq_core::SeriesRelation::from_series("beta", rel_b).unwrap()).unwrap();
-        let queries = [
-            "FIND SIMILAR TO alpha.s0 IN alpha WITHIN 10".to_string(),
-            "FIND 3 NEAREST TO beta.s1 IN beta".to_string(),
-            "JOIN alpha WITHIN 2 WITH (force = index)".to_string(),
-            "JOIN beta WITHIN 2 APPLY mavg(3)".to_string(),
-            format!("FIND SUBSEQUENCE OF alpha.s1 IN alpha WITHIN 20 WINDOW {len_a}"),
-            format!("FIND 2 NEAREST SUBSEQUENCE OF beta.s0 IN beta WINDOW {len_b}"),
-        ];
-        // Prime the subsequence cache so the snapshot carries ST-indexes.
-        let want: Vec<_> = queries.iter().map(|q| cat.run(q).unwrap()).collect();
-        let fresh = round_trip_catalog(&cat);
-        for rel in ["alpha", "beta"] {
-            prop_assert_eq!(fresh.subseq_window(rel), cat.subseq_window(rel));
-        }
-        for (q, want) in queries.iter().zip(&want) {
-            let got = fresh.run(q).unwrap();
-            prop_assert_eq!(&got, want, "{}", q);
         }
     }
 }
