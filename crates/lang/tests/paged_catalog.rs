@@ -1,14 +1,13 @@
-//! Paged catalogs: what storage changes, and how it fails.
+//! Paged catalogs answer byte-identically to in-memory catalogs.
 //!
 //! `Catalog::open_paged` restores a snapshot and then moves every
-//! relation's R\*-tree and samples behind pin-counted buffer pools. That
-//! every query form then answers with the in-memory catalog's rows, plans
-//! and traversal counters, and that a paged catalog saves the bytes it was
-//! restored from, is the differential harness's (`tests/differential.rs`
-//! at the workspace root). This suite pins what differs: the measured pool
-//! counters (zero in memory, real page and record-frame traffic when
-//! paged), the refusals (`APPEND`, a double attach), and that a damaged
-//! record file or trail page file is a typed error, never a panic.
+//! relation's R\*-tree and samples behind pin-counted buffer pools. Storage
+//! mode is an execution detail: every query form — range, k-NN, both
+//! joins, and subsequence search — returns the same rows, plans, and
+//! traversal counters; only the measured pool counters differ (zero in
+//! memory, real page and record-frame traffic when paged). A paged
+//! catalog saves the bytes it was restored from, and a damaged record file
+//! or trail page file is a typed error, never a panic.
 
 use std::path::{Path, PathBuf};
 
@@ -36,6 +35,53 @@ fn catalog() -> Catalog {
     )
     .unwrap();
     cat
+}
+
+/// Every query form, including the subsequence paths (whose ST-indexes
+/// are built on demand by reading the paged records through the pool).
+fn workload() -> Vec<String> {
+    vec![
+        "FIND SIMILAR TO walks.s1 IN walks WITHIN 2.5".into(),
+        "FIND SIMILAR TO walks.s0 IN walks WITHIN 5 APPLY mavg(4)".into(),
+        "FIND 6 NEAREST TO stocks.s3 IN stocks".into(),
+        "FIND 4 NEAREST TO walks.s2 IN walks APPLY reverse".into(),
+        "JOIN stocks WITHIN 1.5 APPLY mavg(4) WITH (force = index)".into(),
+        "JOIN walks WITHIN 1.0".into(),
+        "FIND SUBSEQUENCE OF walks.s5 IN walks WITHIN 40 WINDOW 32".into(),
+        "FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32".into(),
+    ]
+}
+
+#[test]
+fn open_paged_answers_every_query_form_identically() {
+    let cat = catalog();
+    let path = temp_path("equivalence.tsq");
+    cat.save(&path).unwrap();
+
+    let mut mem = Catalog::new();
+    mem.open(&path).unwrap();
+    // A thrashing 1 MiB pool and an effectively unbounded one must both
+    // agree with memory — capacity only moves hit/miss traffic around.
+    for budget_mib in [1usize, 4096] {
+        let paged_path = temp_path(&format!("equivalence-{budget_mib}.tsq"));
+        std::fs::copy(&path, &paged_path).unwrap();
+        let mut paged = Catalog::new();
+        let restored = paged.open_paged(&paged_path, budget_mib).unwrap();
+        assert_eq!(restored, vec!["stocks".to_string(), "walks".to_string()]);
+        for q in workload() {
+            let a = mem.run(&q).unwrap();
+            let b = paged.run(&q).unwrap();
+            assert_eq!(a.rows, b.rows, "{q}: rows differ at {budget_mib} MiB");
+            assert_eq!(a.plan, b.plan, "{q}: plan differs at {budget_mib} MiB");
+            assert_eq!(a.stats.candidates, b.stats.candidates, "{q}");
+            assert_eq!(a.stats.refined, b.stats.refined, "{q}");
+            assert_eq!(a.stats.false_hits, b.stats.false_hits, "{q}");
+            assert_eq!(a.stats.nodes_visited, b.stats.nodes_visited, "{q}");
+            assert_eq!(a.stats.disk_accesses, b.stats.disk_accesses, "{q}");
+            // Memory never touches a pool.
+            assert_eq!(a.stats.pool_hits + a.stats.pool_misses, 0, "{q}");
+        }
+    }
 }
 
 #[test]
@@ -127,6 +173,50 @@ fn open_paged_rejects_double_attach_and_missing_snapshot() {
         .open_paged(&temp_path("does-not-exist.tsq"), 8)
         .is_err());
     assert!(fresh.relation_names().is_empty());
+}
+
+#[test]
+fn a_paged_catalog_saves_the_bytes_it_was_restored_from() {
+    for shards in [1usize, 3] {
+        let mut cat = catalog();
+        if shards > 1 {
+            cat.run_mut(&format!("SHARD walks INTO {shards} BY HASH"))
+                .unwrap();
+            cat.run_mut(&format!("SHARD stocks INTO {shards} BY HASH"))
+                .unwrap();
+        }
+        // A held window travels too.
+        cat.run("FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32")
+            .unwrap();
+        let path = temp_path(&format!("save-{shards}.tsq"));
+        cat.save(&path).unwrap();
+        let bytes = cat.snapshot_bytes().unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        assert_eq!(paged.snapshot_bytes().unwrap(), bytes, "{shards} shard(s)");
+        // save -> open_paged -> save reproduces the file byte for byte.
+        let again = temp_path(&format!("save-again-{shards}.tsq"));
+        paged.save(&again).unwrap();
+        assert_eq!(
+            std::fs::read(&again).unwrap(),
+            std::fs::read(&path).unwrap()
+        );
+        let mut reopened = Catalog::new();
+        reopened.open_paged(&again, 1).unwrap();
+        assert_eq!(
+            reopened.snapshot_bytes().unwrap(),
+            bytes,
+            "{shards} shard(s)"
+        );
+        // After every query form has moved the pools (and held a window),
+        // still the in-memory catalog's bytes.
+        for q in workload() {
+            cat.run(&q).unwrap();
+            paged.run(&q).unwrap();
+        }
+        let bytes = cat.snapshot_bytes().unwrap();
+        assert_eq!(paged.snapshot_bytes().unwrap(), bytes, "{shards} shard(s)");
+    }
 }
 
 /// Where `open_paged` of `snapshot` put the one-shard relation `name`'s

@@ -1,11 +1,15 @@
 //! The execution layouts the cross-layout suites compare, as one list in
-//! one place: `tests/differential.rs` draws from it, and so do the
-//! boundary suites of `tests/planner_consistency.rs`. A layout never
+//! one place, and the differential harness over them ([`differential`]):
+//! `tests/differential.rs` draws layouts from the list, the pairwise
+//! suites pin the harness to the layouts they name, and the boundary
+//! suites of `tests/planner_consistency.rs` build from it. A layout never
 //! changes an answer: every [`Config`] must return the rows, order and
 //! distance bits of [`Config::REFERENCE`] — one shard, in memory, in
 //! process.
 
 #![allow(dead_code)] // each suite uses its own part of the module
+
+pub mod differential;
 
 use std::path::Path;
 

@@ -2,8 +2,8 @@
 //! interleaved with queries and batches, reach the state a sequential
 //! replay of the append script builds, and every query form then answers
 //! exactly like a catalog freshly registered from it. Appends against a
-//! rebuilt catalog, one statement at a time and through every layout, are
-//! the differential harness's (`tests/differential.rs`).
+//! rebuilt catalog, one statement at a time, are the differential
+//! harness's, pinned here to `save → open` at one and three shards.
 //!
 //! Counter policy: whole-series forms repack canonically, so rows, plans
 //! and *all* counters match a fresh build. An incrementally-extended
@@ -12,6 +12,10 @@
 //! canonicalized rows plus the candidate-level counters
 //! (`candidates`/`refined`/`false_hits`) and leave
 //! `nodes_visited`/`disk_accesses` to the layout.
+
+mod common;
+
+use common::{differential, Config, Storage};
 
 use std::time::Duration;
 
@@ -223,4 +227,31 @@ fn concurrent_appends_through_a_live_server_match_a_sequential_oracle() {
     let snap = handle.shutdown();
     assert_eq!(snap.in_flight, 0);
     assert!(snap.plans.get("Append").copied().unwrap_or(0) >= (THREADS * ROUNDS) as u64);
+}
+
+/// The reference's layout, its reads answered from what its last save
+/// restores, at `shards` hash shards.
+fn restored(shards: usize) -> Config {
+    Config {
+        shards,
+        storage: Storage::SaveOpen,
+        ..Config::REFERENCE
+    }
+}
+
+/// After every `APPEND` (new labels, ragged stretches and their refusals)
+/// a catalog rebuilt from the appended series by `save → open` answers
+/// like the appended reference: rows, counters, `EXPLAIN` text and the
+/// first error.
+#[test]
+fn appends_match_a_freshly_rebuilt_catalog() {
+    differential::pinned(1000, 4, &[], &[restored(1)]);
+}
+
+/// An appended catalog's snapshot survives its own save and restore byte
+/// for byte, and equals a catalog freshly registered from its series, at
+/// one and three shards.
+#[test]
+fn appended_catalog_snapshot_round_trips_byte_identically() {
+    differential::pinned(1100, 4, &[], &[restored(1), restored(3)]);
 }

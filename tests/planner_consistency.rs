@@ -12,10 +12,12 @@
 //! - The membership boundary: a reported distance is within itself, and
 //!   Lemma 1 holds within ±4 ulps of the threshold, on the layouts of
 //!   `common`'s configuration list.
+//! - The harness pinned to forced plans and to `save → open`: range, k-NN
+//!   and join statements under each force, and every form restored.
 
 mod common;
 
-use common::{Config, Storage};
+use common::{differential, Config, Storage};
 use tsq_core::plan::{render_analyze, render_plan};
 use tsq_core::{
     execute_plan, ForceOp, LinearTransform, LogicalPlan, PlanRows, Planner, QueryWindow,
@@ -851,4 +853,59 @@ fn lemma_1_holds_within_four_ulps_of_the_threshold() {
         failures.len(),
         failures[..failures.len().min(8)].join("\n")
     );
+}
+
+/// A layout of the reference's but for `force`.
+fn forced(force: ForceOp) -> Config {
+    Config {
+        force: Some(force),
+        ..Config::REFERENCE
+    }
+}
+
+/// Range statements (`APPLY` chains, `WHERE` windows) forced to the scan
+/// and to the index answer like the planned reference: rows, order,
+/// distance bits, and counters and plan lines where the operator is the
+/// reference's.
+#[test]
+fn range_plans_agree_with_scan_oracle() {
+    let configs = [forced(ForceOp::Scan), forced(ForceOp::Index)];
+    differential::pinned(100, 4, &["range"], &configs);
+}
+
+/// k-NN statements forced to the scan and to the index answer like the
+/// planned reference; coarse values make distance ties common, so the
+/// tie order is pinned too.
+#[test]
+fn knn_plans_agree_with_scan_oracle() {
+    let configs = [forced(ForceOp::Scan), forced(ForceOp::Index)];
+    differential::pinned(200, 4, &["knn"], &configs);
+}
+
+/// Self-joins under every join force answer like the planned reference:
+/// rows in order where the force keeps the pair multiplicity, else as
+/// unordered pairs, a forced index join holding each pair both ways.
+#[test]
+fn join_plans_agree_with_scan_oracle() {
+    let forces = [ForceOp::Scan, ForceOp::ScanFull, ForceOp::Index];
+    differential::pinned(300, 4, &["join"], &forces.map(forced));
+}
+
+/// Every statement form, run through `Catalog::execute_with` with the
+/// scan forced, answers like the planned reference.
+#[test]
+fn language_level_answers_are_plan_independent() {
+    differential::pinned(400, 4, &[], &[forced(ForceOp::Scan)]);
+}
+
+/// A catalog restored by `save → open` plans and explains every statement
+/// as its in-memory peer does (plan name, non-pool counters, `EXPLAIN`
+/// text) and keeps its held windows and snapshot bytes.
+#[test]
+fn snapshot_round_trip_preserves_plan_choices() {
+    let restored = Config {
+        storage: Storage::SaveOpen,
+        ..Config::REFERENCE
+    };
+    differential::pinned(500, 4, &[], &[restored]);
 }

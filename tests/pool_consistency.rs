@@ -1,7 +1,8 @@
 //! Pool oracle: the persistent work-stealing executor is an *execution
 //! detail*, never a semantic change. That every query form answers
-//! byte-identically at 1, 2 and 4 workers is the differential harness's
-//! (`tests/differential.rs`); this suite pins the pool itself:
+//! byte-identically at 1, 2 and 4 workers is the differential harness's,
+//! pinned here to every worker count × shard count; this suite also pins
+//! the pool itself:
 //!
 //! - a panic-isolation test proves a panicking task poisons only its
 //!   own result slot — the panic resurfaces on the caller and the pool
@@ -10,6 +11,10 @@
 //!   which must complete (inner maps run inline on the owning worker)
 //!   and still preserve order;
 //! - the process-wide pool counters are visible and monotone.
+
+mod common;
+
+use common::{differential, Config, SHARDS, THREADS};
 
 use tsq::core::executor::{self, Pool};
 
@@ -60,4 +65,20 @@ fn global_pool_counters_are_monotone_and_visible() {
     let after = executor::pool_stats();
     assert!(after.tasks > before.tasks, "helper tasks must be counted");
     assert!(after.steals >= before.steals);
+}
+
+/// Every statement form at 1, 2 and 4 workers, one and three shards,
+/// through `Catalog::execute_with`, answers byte-identically to the
+/// sequential one-shard reference.
+#[test]
+fn pool_backed_execution_is_byte_identical_to_sequential() {
+    let configs = THREADS.iter().flat_map(|&threads| {
+        SHARDS.map(|shards| Config {
+            threads,
+            shards,
+            ..Config::REFERENCE
+        })
+    });
+    let configs: Vec<Config> = configs.filter(|c| *c != Config::REFERENCE).collect();
+    differential::pinned(1300, 3, &[], &configs);
 }

@@ -8,13 +8,20 @@
 //! - a relation whose shards, costed alone, would each pick their own
 //!   operator runs one plan on every shard;
 //! - subsequence statements answer and explain like the unsharded
-//!   relation's, line for line.
+//!   relation's, line for line;
+//! - the harness pinned to three hash shards: appends interleaved with
+//!   `SHARD`, the join force matrix, `save → open`, and a live server.
 //!
 //! Counter policy: `WITH (force = scan)` plans visit exactly the same
 //! series in the same per-shard order as the unsharded scan, so *all*
 //! counters match. Index plans prune per-shard trees whose layouts
 //! differ from the single big tree, so rows must still match exactly but
 //! only the merged == Σ per-shard identity is pinned.
+
+mod common;
+
+use common::{differential, Config, Storage, Transport};
+use tsq::core::ForceOp;
 
 use tsq::core::plan::ExecStats;
 use tsq::core::{
@@ -321,4 +328,64 @@ fn subsequence_statements_answer_and_explain_like_the_unsharded_relation() {
             }
         }
     }
+}
+
+/// The reference's layout at `shards` hash shards.
+fn sharded(shards: usize) -> Config {
+    Config {
+        shards,
+        ..Config::REFERENCE
+    }
+}
+
+/// Scripts that interleave `APPEND`s (new labels, ragged stretches) and
+/// `SHARD` statements with every query form answer at three hash shards
+/// like the one-shard reference: rows and distance bits, merged counters
+/// summing one block per shard, and a final snapshot equal to a fresh
+/// catalog's at three shards.
+#[test]
+fn sharded_answers_are_byte_identical_under_append_interleavings() {
+    differential::pinned(600, 4, &[], &[sharded(3)]);
+}
+
+/// Self-joins under every force at three hash shards answer like the
+/// one-shard relation: one unscattered plan, no shard blocks, the same
+/// rows, scan counters and index-join candidate counters.
+#[test]
+fn sharded_join_matrix_matches_the_one_shard_relation() {
+    let forces = [
+        None,
+        Some(ForceOp::Scan),
+        Some(ForceOp::ScanFull),
+        Some(ForceOp::Index),
+    ];
+    let configs = forces.map(|force| Config {
+        force,
+        ..sharded(3)
+    });
+    differential::pinned(700, 3, &["join"], &configs);
+}
+
+/// A sharded catalog restored by `save → open` answers like the
+/// reference, and its final snapshot is its own save and restore's and a
+/// fresh catalog's at the same shard count.
+#[test]
+fn sharded_snapshot_save_open_save_round_trips() {
+    let restored = Config {
+        storage: Storage::SaveOpen,
+        ..sharded(3)
+    };
+    differential::pinned(800, 4, &[], &[restored]);
+}
+
+/// Over a live server's binary protocol, at one and three shards, every
+/// statement answers like the reference; each read renders alike over
+/// HTTP and the server's metrics count what its client saw.
+#[test]
+fn sharded_answers_match_the_oracle_through_a_live_server() {
+    let configs = [1, 3].map(|shards| Config {
+        transport: Transport::Wire,
+        ..sharded(shards)
+    });
+    differential::pinned(900, 3, &[], &configs);
 }

@@ -1,8 +1,9 @@
 //! Property-based round-trip suite for the persistence subsystem below
-//! the catalog (whole catalogs through `save → open` are the differential
-//! harness's, `tests/differential.rs`): arbitrary indexes (randomized
-//! cardinalities, series lengths and values — including varied-length
-//! relations for the subsequence index) survive a round trip with
+//! the catalog (whole catalogs through `save → open` and `open_paged` are
+//! the differential harness's, pinned in `catalog_round_trips`): arbitrary
+//! indexes (randomized cardinalities, series lengths and values —
+//! including varied-length relations for the subsequence index) survive a
+//! round trip with
 //!
 //! - **byte-identical snapshots** on re-serialization (which pins every
 //!   stored `f64` bit, label and held window), and
@@ -12,6 +13,10 @@
 //! This is the Lemma-1 promise extended across a process boundary: every
 //! index is a pure function of what a snapshot stores, so a restored
 //! index is indistinguishable from the one that was saved.
+
+mod common;
+
+use common::{differential, Config, Storage};
 
 use proptest::prelude::*;
 use tsq_core::{IndexConfig, LinearTransform, QueryWindow, SimilarityIndex};
@@ -120,4 +125,16 @@ proptest! {
             prop_assert_eq!(&scan.rows, &fresh.run(q).unwrap().rows, "{}", q);
         }
     }
+}
+
+/// Catalogs of two relations through `save → open` and
+/// `save → open_paged`: every statement answers like the reference and its
+/// in-memory peer, and the held windows and snapshot bytes survive.
+#[test]
+fn catalog_round_trips() {
+    let configs = [Storage::SaveOpen, Storage::Paged].map(|storage| Config {
+        storage,
+        ..Config::REFERENCE
+    });
+    differential::pinned(1200, 4, &[], &configs);
 }
