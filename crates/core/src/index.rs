@@ -40,7 +40,7 @@ use crate::features::{FeatureSchema, Features, Normalize};
 use crate::plan::{RelationStats, SpaceProfile};
 use crate::records::{RecordFile, RecordFrame, RecordIo};
 use crate::scan::ScanMode;
-use crate::space::{QueryWindow, SpaceKind, UNBOUNDED};
+use crate::space::{QueryWindow, SpaceKind};
 use crate::transform::LinearTransform;
 
 /// Configuration of a [`SimilarityIndex`].
@@ -955,21 +955,9 @@ impl SimilarityIndex {
         let stats = if t.is_identity(1e-12) {
             search_with(store, |r| r.intersects(qrect.view()), collect)?
         } else {
-            // A `WHERE` window bounds the stored series' own mean and std
-            // (`QueryWindow`, as the scan reads it), not its image's: a
-            // rectangle meets those dimensions untransformed, the rest
-            // transformed.
-            let aux = schema.aux_dims();
-            let (qlo, qhi) = (qrect.lo(), qrect.hi());
-            let (mut lo, mut hi) = (qlo.to_vec(), qhi.to_vec());
-            lo[..aux].fill(-UNBOUNDED);
-            hi[..aux].fill(UNBOUNDED);
-            let image = Rect::new(lo, hi);
-            let in_window =
-                |r: RectView<'_>| (0..aux).all(|d| r.lo()[d] <= qhi[d] && qlo[d] <= r.hi()[d]);
             search_with(
                 store,
-                |r| in_window(r) && space.transformed_intersects(r, t, schema, &image),
+                |r| space.windowed_intersects(r, t, schema, qrect),
                 collect,
             )?
         };

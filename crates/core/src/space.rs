@@ -8,10 +8,11 @@
 //! implementation: it applies `T` to a stored rectangle dimension by
 //! dimension, in index order, and hands each transformed, padded bound
 //! pair to its caller, which may stop early. The range filter
-//! ([`SpaceKind::transformed_intersects`]) stops at the first disjoint
-//! dimension; kNN's MINDIST ([`SpaceKind::transformed_lower_bound`]) sums
-//! per-coefficient distances from the pairs. Neither builds `T(rect)` nor
-//! allocates. The anti-rounding pad `1e-9·(1 + max(|lo|, |hi|))` lives in
+//! ([`SpaceKind::transformed_intersects`], and
+//! [`SpaceKind::windowed_intersects`] under a `WHERE` window) stops at the
+//! first disjoint dimension; kNN's MINDIST
+//! ([`SpaceKind::transformed_lower_bound`]) sums per-coefficient distances
+//! from the pairs. None of them builds `T(rect)` or allocates. The anti-rounding pad `1e-9·(1 + max(|lo|, |hi|))` lives in
 //! one helper, `padded`, which the ST-index's trail rectangles
 //! ([`crate::subseq`]) call too.
 //!
@@ -325,6 +326,31 @@ impl SpaceKind {
             }
         })
         .is_continue()
+    }
+
+    /// The range filter under a `WHERE` window: whether the stored
+    /// rectangle meets the query's window in its own mean and std (the
+    /// first `aux_dims` dimensions, untransformed: a window bounds the
+    /// stored series, as [`QueryWindow`] and the scan read it) and
+    /// `T(rect)` meets the query rectangle in every indexed coefficient.
+    pub fn windowed_intersects(
+        &self,
+        rect: RectView<'_>,
+        t: &LinearTransform,
+        schema: FeatureSchema,
+        query: &Rect,
+    ) -> bool {
+        let aux = schema.aux_dims();
+        let (lo, hi, qlo, qhi) = (rect.lo(), rect.hi(), query.lo(), query.hi());
+        (0..aux).all(|d| lo[d] <= qhi[d] && qlo[d] <= hi[d])
+            && self
+                .transformed_dims(rect, t, schema, |d, lo, hi| {
+                    match d < aux || (lo <= qhi[d] && qlo[d] <= hi) {
+                        true => ControlFlow::Continue(()),
+                        false => ControlFlow::Break(()),
+                    }
+                })
+                .is_continue()
     }
 
     /// Algorithm 1 on one stored rectangle: the node-wise construction of

@@ -245,7 +245,7 @@ fn restored(shards: usize) -> Config {
 /// first error.
 #[test]
 fn appends_match_a_freshly_rebuilt_catalog() {
-    differential::pinned(1000, 4, &[], &[restored(1)]);
+    differential::pinned(1000, 4, &[restored(1)]);
 }
 
 /// An appended catalog's snapshot survives its own save and restore byte
@@ -253,5 +253,5 @@ fn appends_match_a_freshly_rebuilt_catalog() {
 /// one and three shards.
 #[test]
 fn appended_catalog_snapshot_round_trips_byte_identically() {
-    differential::pinned(1100, 4, &[], &[restored(1), restored(3)]);
+    differential::pinned(1100, 4, &[restored(1), restored(3)]);
 }

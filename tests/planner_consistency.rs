@@ -863,39 +863,40 @@ fn forced(force: ForceOp) -> Config {
     }
 }
 
-/// Range statements (`APPLY` chains, `WHERE` windows) forced to the scan
-/// and to the index answer like the planned reference: rows, order,
-/// distance bits, and counters and plan lines where the operator is the
-/// reference's.
+/// Seeded scripts forced to the scan and to the index answer like the
+/// planned reference; for range statements (`APPLY` chains, `WHERE`
+/// windows), rows, order, distance bits, and counters and plan lines where
+/// the operator is the reference's.
 #[test]
 fn range_plans_agree_with_scan_oracle() {
     let configs = [forced(ForceOp::Scan), forced(ForceOp::Index)];
-    differential::pinned(100, 4, &["range"], &configs);
+    differential::pinned(100, 4, &configs);
 }
 
-/// k-NN statements forced to the scan and to the index answer like the
-/// planned reference; coarse values make distance ties common, so the
-/// tie order is pinned too.
+/// Seeded scripts forced to the scan and to the index answer like the
+/// planned reference; for k-NN statements, coarse values make distance
+/// ties common, so the tie order is pinned too.
 #[test]
 fn knn_plans_agree_with_scan_oracle() {
     let configs = [forced(ForceOp::Scan), forced(ForceOp::Index)];
-    differential::pinned(200, 4, &["knn"], &configs);
+    differential::pinned(200, 4, &configs);
 }
 
-/// Self-joins under every join force answer like the planned reference:
-/// rows in order where the force keeps the pair multiplicity, else as
-/// unordered pairs, a forced index join holding each pair both ways.
+/// Seeded scripts under every join force answer like the planned
+/// reference; for self-joins, rows in order where the force keeps the pair
+/// multiplicity, else as unordered pairs, a forced index join holding each
+/// pair both ways.
 #[test]
 fn join_plans_agree_with_scan_oracle() {
     let forces = [ForceOp::Scan, ForceOp::ScanFull, ForceOp::Index];
-    differential::pinned(300, 4, &["join"], &forces.map(forced));
+    differential::pinned(300, 4, &forces.map(forced));
 }
 
 /// Every statement form, run through `Catalog::execute_with` with the
 /// scan forced, answers like the planned reference.
 #[test]
 fn language_level_answers_are_plan_independent() {
-    differential::pinned(400, 4, &[], &[forced(ForceOp::Scan)]);
+    differential::pinned(400, 4, &[forced(ForceOp::Scan)]);
 }
 
 /// A catalog restored by `save → open` plans and explains every statement
@@ -907,5 +908,5 @@ fn snapshot_round_trip_preserves_plan_choices() {
         storage: Storage::SaveOpen,
         ..Config::REFERENCE
     };
-    differential::pinned(500, 4, &[], &[restored]);
+    differential::pinned(500, 4, &[restored]);
 }

@@ -80,5 +80,5 @@ fn pool_backed_execution_is_byte_identical_to_sequential() {
         })
     });
     let configs: Vec<Config> = configs.filter(|c| *c != Config::REFERENCE).collect();
-    differential::pinned(1300, 3, &[], &configs);
+    differential::pinned(1300, 3, &configs);
 }

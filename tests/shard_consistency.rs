@@ -9,8 +9,11 @@
 //!   operator runs one plan on every shard;
 //! - subsequence statements answer and explain like the unsharded
 //!   relation's, line for line;
-//! - the harness pinned to three hash shards: appends interleaved with
-//!   `SHARD`, the join force matrix, `save → open`, and a live server.
+//! - the join force matrix at 1, 2, 4 and 8 hash shards and over an
+//!   empty shard;
+//! - the harness pinned to sharded layouts: appends interleaved with
+//!   `SHARD` at one to five shards, `save → open` and a live server at
+//!   three.
 //!
 //! Counter policy: `WITH (force = scan)` plans visit exactly the same
 //! series in the same per-shard order as the unsharded scan, so *all*
@@ -21,7 +24,6 @@
 mod common;
 
 use common::{differential, Config, Storage, Transport};
-use tsq::core::ForceOp;
 
 use tsq::core::plan::ExecStats;
 use tsq::core::{
@@ -339,31 +341,114 @@ fn sharded(shards: usize) -> Config {
 }
 
 /// Scripts that interleave `APPEND`s (new labels, ragged stretches) and
-/// `SHARD` statements with every query form answer at three hash shards
-/// like the one-shard reference: rows and distance bits, merged counters
-/// summing one block per shard, and a final snapshot equal to a fresh
-/// catalog's at three shards.
+/// `SHARD` statements with every query form answer at one to five hash
+/// shards like the one-shard reference: rows and distance bits, merged
+/// counters summing one block per shard, and a final snapshot equal to a
+/// fresh catalog's at the same shard count.
 #[test]
 fn sharded_answers_are_byte_identical_under_append_interleavings() {
-    differential::pinned(600, 4, &[], &[sharded(3)]);
+    let configs: Vec<Config> = (1..=5).map(sharded).collect();
+    differential::pinned(600, 4, &configs);
 }
 
-/// Self-joins under every force at three hash shards answer like the
-/// one-shard relation: one unscattered plan, no shard blocks, the same
-/// rows, scan counters and index-join candidate counters.
+/// The join matrix: every `force` a join can carry, and none, at 1, 2, 4
+/// and 8 hash shards, plus a layout with empty
+/// shards. A join is not scattered: it runs once under one plainly named
+/// plan, with no per-shard counters. Rows — multiplicity (once per pair,
+/// twice under `index`), order and distance bits — equal the one-shard
+/// relation's; so does the whole output under the scan forces, and the
+/// candidates, refines and false hits under `index`. `EXPLAIN ANALYZE`
+/// renders one plan, whose scan estimates cover every pair of the
+/// relation, and no shard lines.
 #[test]
 fn sharded_join_matrix_matches_the_one_shard_relation() {
-    let forces = [
-        None,
-        Some(ForceOp::Scan),
-        Some(ForceOp::ScanFull),
-        Some(ForceOp::Index),
-    ];
-    let configs = forces.map(|force| Config {
-        force,
-        ..sharded(3)
-    });
-    differential::pinned(700, 3, &["join"], &configs);
+    let catalog = |series: Vec<TimeSeries>| {
+        let mut cat = Catalog::new();
+        cat.register(SeriesRelation::from_series("w", series).unwrap())
+            .unwrap();
+        cat
+    };
+    let walks = RandomWalkGenerator::new(83).relation(36, 24);
+    // (series, shard count): the full matrix, then five series over eight
+    // shards, which leaves at least three shards empty.
+    let mut layouts: Vec<(&[TimeSeries], usize)> = Vec::new();
+    for shards in [1usize, 2, 4, 8] {
+        layouts.push((&walks, shards));
+    }
+    layouts.push((&walks[..5], 8));
+    // The lines of an `EXPLAIN ANALYZE` text that begin with `prefix`.
+    let lines = |text: &str, prefix: &str| -> Vec<String> {
+        let found = text.lines().filter(|l| l.trim_start().starts_with(prefix));
+        found.map(str::to_string).collect()
+    };
+    // The `considered:` alternatives that scan, with their totals.
+    let scans = |text: &str| -> Vec<String> {
+        let considered = lines(text, "considered:").concat();
+        let alternatives = considered.split(':').nth(1).unwrap().split('|');
+        let scans = alternatives.filter(|alt| alt.contains("JoinScan"));
+        scans.map(|alt| alt.trim().to_string()).collect()
+    };
+
+    for (series, shards) in layouts {
+        let one = catalog(series.to_vec());
+        let mut sharded = catalog(series.to_vec());
+        sharded
+            .run_mut(&format!("SHARD w INTO {shards} BY HASH"))
+            .unwrap();
+        if series.len() == 5 {
+            let (_, _, sizes) = sharded.shard_layout("w").unwrap();
+            assert!(sizes.contains(&0), "the layout must hold an empty shard");
+        }
+        let pairs = series.len() * (series.len() - 1) / 2;
+        for force in ["", "scan", "scanfull", "index"] {
+            let with = if force.is_empty() {
+                String::new()
+            } else {
+                format!(" WITH (force = {force})")
+            };
+            let q = format!("JOIN w WITHIN 4 APPLY mavg(4){with}");
+            let cell = format!("{q} [{} series, {shards} by hash]", series.len());
+            let got = sharded.run(&q).unwrap();
+            let want = one.run(&q).unwrap();
+            assert!(
+                !want.rows.is_empty() && want.rows.len() < 2 * pairs,
+                "{cell}: the join must be selective, found {} rows",
+                want.rows.len()
+            );
+            let key = |out: &QueryOutput| -> Vec<(String, Option<String>, u64)> {
+                out.rows
+                    .iter()
+                    .map(|r| (r.a.clone(), r.b.clone(), r.distance.to_bits()))
+                    .collect()
+            };
+            assert_eq!(key(&got), key(&want), "{cell}");
+            assert!(!got.plan.contains("Sharded"), "{cell}: {}", got.plan);
+            assert!(got.shard_stats.is_empty(), "{cell}");
+            if force.is_empty() {
+                assert_eq!(got.plan, want.plan, "{cell}: the planned join");
+            }
+            assert_sharded_matches(&got, &want, &cell);
+            if force != "index" {
+                assert_eq!(got, want, "{cell}");
+            }
+
+            let explain = format!("EXPLAIN ANALYZE {q}");
+            let got = sharded.run(&explain).unwrap().explain.unwrap();
+            let want = one.run(&explain).unwrap().explain.unwrap();
+            assert!(!got.contains("shard"), "{cell}: no shard lines\n{got}");
+            for prefix in ["=>", "considered:", "actual:"] {
+                assert_eq!(lines(&got, prefix).len(), 1, "{cell}\n{got}");
+            }
+            assert_eq!(scans(&got), scans(&want), "{cell}\n{got}");
+            if force.starts_with("scan") {
+                let every_pair = format!("candidates {pairs}.0, refines {pairs}.0)");
+                assert!(lines(&got, "=>")[0].ends_with(&every_pair), "{cell}\n{got}");
+                for prefix in ["=>", "actual:"] {
+                    assert_eq!(lines(&got, prefix), lines(&want, prefix), "{cell}");
+                }
+            }
+        }
+    }
 }
 
 /// A sharded catalog restored by `save → open` answers like the
@@ -375,7 +460,7 @@ fn sharded_snapshot_save_open_save_round_trips() {
         storage: Storage::SaveOpen,
         ..sharded(3)
     };
-    differential::pinned(800, 4, &[], &[restored]);
+    differential::pinned(800, 4, &[restored]);
 }
 
 /// Over a live server's binary protocol, at one and three shards, every
@@ -387,5 +472,5 @@ fn sharded_answers_match_the_oracle_through_a_live_server() {
         transport: Transport::Wire,
         ..sharded(shards)
     });
-    differential::pinned(900, 3, &[], &configs);
+    differential::pinned(900, 3, &configs);
 }

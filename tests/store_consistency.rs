@@ -136,5 +136,5 @@ fn catalog_round_trips() {
         storage,
         ..Config::REFERENCE
     });
-    differential::pinned(1200, 4, &[], &configs);
+    differential::pinned(1200, 4, &configs);
 }
