@@ -6,8 +6,6 @@
 //! names (ticker symbols in the stock examples); the query language
 //! resolves identifiers against it.
 
-use std::collections::HashMap;
-
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
@@ -25,17 +23,52 @@ pub struct SeriesRelation {
     series: Vec<TimeSeries>,
 }
 
-/// A relation's names without its samples: the relation name, each
-/// series' label in id order, and the label → id map. A relation whose
-/// samples live in record files keeps only this.
+/// A relation's names without its samples: the relation name and each
+/// series' label in id order, held once. A relation whose samples live in
+/// record files keeps only this.
+///
+/// Every label sits in one arena, `text`, ending at its id's offset in
+/// `ends`; `sorted` lists the ids in label order, so [`Labels::id`] is a
+/// binary search. A label costs its bytes and two words, with no string
+/// or hash table of its own.
 #[derive(Debug, Clone, Default)]
 pub struct Labels {
     name: String,
-    labels: Vec<String>,
-    by_label: HashMap<String, usize>,
+    text: String,
+    ends: Vec<usize>,
+    sorted: Vec<usize>,
 }
 
 impl Labels {
+    /// The labels of `labels`, in id order, under relation `name`: the
+    /// arena is sized once and the ids sorted once.
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] naming the first label, in id order, that
+    /// repeats an earlier one.
+    fn new(name: String, labels: &[String]) -> Result<Self> {
+        let mut text = String::with_capacity(labels.iter().map(String::len).sum());
+        let mut ends = Vec::with_capacity(labels.len());
+        for label in labels {
+            text.push_str(label);
+            ends.push(text.len());
+        }
+        let mut sorted: Vec<usize> = (0..labels.len()).collect();
+        sorted.sort_unstable_by_key(|&id| (&labels[id], id));
+        // Equal labels sort next to each other, by id: the first repeat in
+        // id order is the least id that follows an equal label.
+        let repeats = sorted.windows(2).filter(|w| labels[w[0]] == labels[w[1]]);
+        if let Some(id) = repeats.map(|w| w[1]).min() {
+            return Err(duplicate(&labels[id]));
+        }
+        Ok(Labels {
+            name,
+            text,
+            ends,
+            sorted,
+        })
+    }
+
     /// Relation name.
     pub fn name(&self) -> &str {
         &self.name
@@ -43,23 +76,49 @@ impl Labels {
 
     /// Number of labelled series.
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.ends.len()
     }
 
     /// True when no series is labelled.
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.ends.is_empty()
     }
 
     /// Label of an id.
     pub fn label(&self, id: usize) -> Option<&str> {
-        self.labels.get(id).map(String::as_str)
+        let end = *self.ends.get(id)?;
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        Some(&self.text[start..end])
     }
 
     /// Id of a label.
     pub fn id(&self, label: &str) -> Option<usize> {
-        self.by_label.get(label).copied()
+        self.position(label).ok().map(|at| self.sorted[at])
     }
+
+    /// Where `label` is, or would go, in label order.
+    fn position(&self, label: &str) -> std::result::Result<usize, usize> {
+        self.sorted
+            .binary_search_by(|&id| self.label(id).expect("a sorted id is labelled").cmp(label))
+    }
+
+    /// Labels one more series, returning its id.
+    ///
+    /// # Errors
+    /// [`Error::Unsupported`] when `label` is taken; nothing changes.
+    fn push(&mut self, label: &str) -> Result<usize> {
+        let at = self.position(label).err().ok_or_else(|| duplicate(label))?;
+        let id = self.len();
+        self.text.push_str(label);
+        self.ends.push(self.text.len());
+        self.sorted.insert(at, id);
+        Ok(id)
+    }
+}
+
+/// The error of a label that is taken.
+fn duplicate(label: &str) -> Error {
+    Error::Unsupported(format!("duplicate label {label:?}"))
 }
 
 impl SeriesRelation {
@@ -79,11 +138,11 @@ impl SeriesRelation {
     /// # Errors
     /// Duplicate labels are rejected as [`Error::Unsupported`].
     pub fn from_labeled(name: impl Into<String>, items: Vec<(String, TimeSeries)>) -> Result<Self> {
-        let mut rel = SeriesRelation::new(name);
-        for (label, series) in items {
-            rel.push(label, series)?;
-        }
-        Ok(rel)
+        let (labels, series): (Vec<String>, Vec<TimeSeries>) = items.into_iter().unzip();
+        Ok(SeriesRelation {
+            labels: Labels::new(name.into(), &labels)?,
+            series,
+        })
     }
 
     /// Builds a relation with synthesized labels `s0, s1, ...`.
@@ -101,14 +160,7 @@ impl SeriesRelation {
     /// series mid-stream); the relation is then ragged until appends even
     /// the lengths out.
     pub fn push(&mut self, label: impl Into<String>, series: TimeSeries) -> Result<usize> {
-        let label = label.into();
-        let names = &mut self.labels;
-        if names.by_label.contains_key(&label) {
-            return Err(Error::Unsupported(format!("duplicate label {label:?}")));
-        }
-        let id = self.series.len();
-        names.by_label.insert(label.clone(), id);
-        names.labels.push(label);
+        let id = self.labels.push(&label.into())?;
         self.series.push(series);
         Ok(id)
     }
@@ -229,7 +281,38 @@ mod tests {
     fn duplicate_labels_rejected() {
         let mut rel = SeriesRelation::new("r");
         rel.push("X", TimeSeries::from([1.0])).unwrap();
-        assert!(rel.push("X", TimeSeries::from([2.0])).is_err());
+        let taken = Err(Error::Unsupported("duplicate label \"X\"".to_string()));
+        assert_eq!(rel.push("X", TimeSeries::from([2.0])), taken);
+        assert_eq!((rel.len(), rel.labels().len()), (1, 1));
+        // A build names the first label, in id order, that repeats an
+        // earlier one, as pushing them one at a time would.
+        let items = ["b", "a", "c", "a", "b"].map(|l| (l.to_string(), TimeSeries::from([0.0])));
+        assert_eq!(
+            SeriesRelation::from_labeled("r", items.to_vec()).map(|_| ()),
+            Err(Error::Unsupported("duplicate label \"a\"".to_string()))
+        );
+    }
+
+    #[test]
+    fn labels_are_found_by_binary_search_in_any_push_order() {
+        let items = ["m", "", "zz", "b", "ab"].map(|l| (l.to_string(), TimeSeries::from([0.0])));
+        let mut rel = SeriesRelation::from_labeled("r", items.to_vec()).unwrap();
+        for label in ["a", "zzz", "c", "aa"] {
+            rel.push(label, TimeSeries::from([1.0])).unwrap();
+        }
+        let labels = rel.labels();
+        assert_eq!(labels.len(), 9);
+        for (id, label) in ["m", "", "zz", "b", "ab", "a", "zzz", "c", "aa"]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(labels.label(id), Some(label));
+            assert_eq!(labels.id(label), Some(id), "{label:?}");
+        }
+        assert_eq!(labels.label(9), None);
+        for absent in ["n", "zzzz", "abc", " "] {
+            assert_eq!(labels.id(absent), None, "{absent:?}");
+        }
     }
 
     #[test]

@@ -30,12 +30,15 @@
 //! refine sorts its accepted trails by `(series, start)` and reads each
 //! series once; a k-NN's best-first pass reads once per trail it visits.
 //!
+//! A leaf entry is one word, `series << 32 | start`, in memory and on a
+//! page alike; its window count is re-derived from the series' length
+//! ([`TrailIndex::entry`]), so a trail costs its bounds and 8 bytes.
+//!
 //! When the source is paged, so is the trail tree: the build packs it in
 //! memory, profiles it for the planner, writes it to a scratch page file
 //! of its own beside the relation's node file and drops the nodes, as
 //! [`crate::SimilarityIndex::attach_paged`] does for the whole-match tree.
-//! A leaf entry is stored as one word, `series << 32 | start`; its window
-//! count is re-derived from the series' length. The file joins the cache
+//! The words go to the page as they are. The file joins the cache
 //! the relation's node and record files are in, under the same byte
 //! budget, and goes — its frames with it — when the index does. The range
 //! and k-NN kernels are written once over [`NodeStore`], so a paged trail
@@ -64,6 +67,7 @@
 //! query rectangle by a pad of its own, so the guarantee survives
 //! floating-point rounding.
 
+use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -160,8 +164,8 @@ impl Default for SubseqConfig {
     }
 }
 
-/// Payload of one R\*-tree entry: a run of consecutive windows of one
-/// stored series, bounded by the entry's MBR.
+/// One trail decoded from its tree word ([`TrailIndex::entry`]): a run of
+/// consecutive windows of one stored series, bounded by the entry's MBR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrailEntry {
     /// Stored-series id.
@@ -282,8 +286,9 @@ impl SampleSource for ShardedIndex {
 #[derive(Debug, Clone)]
 pub struct TrailIndex {
     config: SubseqConfig,
-    /// The trail tree; empty when it is paged.
-    tree: RStarTree<TrailEntry>,
+    /// The trail tree, one word per trail ([`TrailIndex::entry`]); empty
+    /// when it is paged.
+    tree: RStarTree<u64>,
     /// The paged trail tree, shared by clones; when set, `tree` is empty.
     paged: Option<Arc<TrailFile>>,
     lengths: Vec<usize>,
@@ -307,11 +312,11 @@ impl TrailFile {
     /// Writes `tree` to a fresh scratch file beside `pages.near` and opens
     /// it in `pages.cache`. A file that cannot be written or opened is
     /// removed.
-    fn create(tree: &RStarTree<TrailEntry>, pages: TrailPages<'_>) -> Result<Self> {
+    fn create(tree: &RStarTree<u64>, pages: TrailPages<'_>) -> Result<Self> {
         let build = TRAIL_FILES.fetch_add(1, Ordering::Relaxed);
         let path = scratch_path(pages.near, build);
         let opened = tree
-            .write_paged(&path, word)
+            .write_paged(&path, |&word| word)
             .and_then(|()| PagedTree::open(&path, pages.cache));
         opened.map(TrailFile).map_err(|e| {
             let _ = std::fs::remove_file(&path);
@@ -333,59 +338,26 @@ fn scratch_path(near: &Path, build: u64) -> PathBuf {
     near.with_extension(format!("{}-{build}.trails", std::process::id()))
 }
 
-/// What a trail tree's leaves hand a kernel: an entry in memory, a stored
-/// word when paged.
-trait TrailItem: Copy {
-    /// The entry, checked against `index` when it is read off a page.
-    fn entry(self, index: &TrailIndex) -> Result<TrailEntry>;
+/// A trail as its tree stores it: `series << 32 | start`, both fitting 32
+/// bits ([`check_words`]).
+fn word(series: usize, start: usize) -> u64 {
+    ((series as u64) << 32) | start as u64
 }
 
-impl TrailItem for &TrailEntry {
-    fn entry(self, _: &TrailIndex) -> Result<TrailEntry> {
-        Ok(*self)
-    }
-}
-
-/// A trail as a paged trail tree stores it: `series << 32 | start`, both
-/// fitting 32 bits ([`check_words`]).
-fn word(trail: &TrailEntry) -> u64 {
-    ((trail.series as u64) << 32) | trail.start as u64
-}
-
-/// A stored [`word`], its window count re-derived from the series' length
-/// as the build derived it.
-impl TrailItem for u64 {
-    fn entry(self, index: &TrailIndex) -> Result<TrailEntry> {
-        let (series, start) = ((self >> 32) as usize, (self & u64::from(u32::MAX)) as usize);
-        let windows = index
-            .lengths
-            .get(series)
-            .map(|&len| index.config.windows(len));
-        match windows {
-            Some(windows) if start < windows && start % index.config.trail == 0 => Ok(TrailEntry {
-                series,
-                start,
-                len: index.config.trail.min(windows - start),
-            }),
-            _ => Err(Error::Store(tsq_store::StoreError::corrupt(format!(
-                "trail page word {self:#x} names no trail of the index"
-            )))),
-        }
-    }
-}
-
-/// A paged trail tree stores a trail as `series << 32 | start`: every
-/// series id, and every window offset, must fit 32 bits.
+/// A trail tree stores a trail as `series << 32 | start`: every series id,
+/// and every window offset, must fit 32 bits, or a word would name another
+/// trail.
 ///
 /// # Errors
-/// [`Error::Unsupported`] for a relation past either.
+/// [`Error::Unsupported`] for `series` series, or a series of `windows`
+/// windows, past either.
 fn check_words(series: usize, windows: impl IntoIterator<Item = usize>) -> Result<()> {
     let fits = |n: usize| n as u64 <= 1 << 32;
     if fits(series) && windows.into_iter().all(fits) {
         return Ok(());
     }
     Err(Error::Unsupported(
-        "a paged ST-index holds at most 2^32 series of at most 2^32 windows".to_string(),
+        "an ST-index holds at most 2^32 series of at most 2^32 windows".to_string(),
     ))
 }
 
@@ -408,9 +380,9 @@ impl TrailIndex {
     /// reads its nodes through that file's pool (see the module docs).
     ///
     /// # Errors
-    /// [`SubseqConfig::validate`] failures, and the first read `source`
-    /// fails; nothing is built then. Over a paged source, also
-    /// [`Error::Unsupported`] for series or offsets past 32 bits, and
+    /// [`SubseqConfig::validate`] failures, [`Error::Unsupported`] for
+    /// series or offsets past 32 bits ([`check_words`]), and the first read
+    /// `source` fails; nothing is built then. Over a paged source, also
     /// typed [`Error::Store`] failures to write or open the trail file.
     pub(crate) fn build<S: SampleSource + ?Sized>(
         config: SubseqConfig,
@@ -420,11 +392,15 @@ impl TrailIndex {
         config.validate()?;
         let threads = threads.max(1);
         let lengths = source.lengths();
+        check_words(
+            lengths.len(),
+            lengths.iter().map(|&len| config.windows(len)),
+        )?;
         let trail_count = |len: &usize| config.windows(*len).div_ceil(config.trail);
         let total: usize = lengths.iter().map(trail_count).sum();
-        let mut entries = Vec::with_capacity(total);
+        let mut words = Vec::with_capacity(total);
         for (id, &len) in lengths.iter().enumerate() {
-            entries.extend(trail_entries(&config, id, 0, config.windows(len)));
+            words.extend(trail_words(&config, id, 0, config.windows(len)));
         }
         let run = lengths.len().div_ceil(threads).max(1);
         let mut read: Result<()> = Ok(());
@@ -457,7 +433,7 @@ impl TrailIndex {
                 Ok(())
             });
             read = reads.into_iter().collect();
-            entries
+            words
         });
         read?;
         let mut index = TrailIndex {
@@ -480,8 +456,6 @@ impl TrailIndex {
 
     /// Moves the trail tree into a scratch page file, keeping its profile.
     fn page_out(&mut self, pages: TrailPages<'_>) -> Result<()> {
-        let windows = self.lengths.iter().map(|&len| self.config.windows(len));
-        check_words(self.lengths.len(), windows)?;
         self.profile();
         let file = TrailFile::create(&self.tree, pages)?;
         self.tree = RStarTree::new(self.config.rtree);
@@ -494,7 +468,7 @@ impl TrailIndex {
     /// # Errors
     /// [`Error::Unsupported`] when the tree is paged: paged relations are
     /// read-only.
-    fn held_mut(&mut self) -> Result<&mut RStarTree<TrailEntry>> {
+    fn held_mut(&mut self) -> Result<&mut RStarTree<u64>> {
         match self.paged {
             None => Ok(&mut self.tree),
             Some(_) => Err(Error::Unsupported("append to a paged ST-index".to_string())),
@@ -506,12 +480,16 @@ impl TrailIndex {
     /// ([`RStarTree::bulk_extend`]).
     ///
     /// # Errors
-    /// [`Error::Unsupported`] when the tree is paged; nothing changes.
+    /// [`Error::Unsupported`] when the tree is paged, or when the series'
+    /// id or windows would not fit a word ([`check_words`]); nothing
+    /// changes.
     pub(crate) fn insert(&mut self, values: &[f64]) -> Result<usize> {
         let id = self.lengths.len();
         let windows = self.config.windows(values.len());
-        let (bounds, entries) = trails(&self.config, id, values, 0, windows);
-        self.held_mut()?.bulk_extend(&bounds, entries);
+        self.held_mut()?;
+        check_words(id + 1, [windows])?;
+        let (bounds, words) = trails(&self.config, id, values, 0, windows);
+        self.tree.bulk_extend(&bounds, words);
         self.profile.take();
         self.push_length(values.len());
         Ok(id)
@@ -539,9 +517,11 @@ impl TrailIndex {
     /// # Errors
     /// [`Error::UnknownSeries`] for a bad id, [`Error::LengthMismatch`] for
     /// samples fewer than the series holds, [`Error::Unsupported`] when
-    /// the tree is paged.
+    /// the tree is paged or the series' windows would not fit a word
+    /// ([`check_words`]).
     pub(crate) fn extend_series(&mut self, id: usize, values: &[f64]) -> Result<()> {
         self.held_mut()?;
+        let series = self.lengths.len();
         let Some(held) = self.lengths.get_mut(id) else {
             return Err(Error::UnknownSeries(id));
         };
@@ -554,6 +534,7 @@ impl TrailIndex {
         let trail = self.config.trail;
         let old_windows = self.config.windows(*held);
         let new_windows = self.config.windows(values.len());
+        check_words(series, [new_windows])?;
         *held = values.len();
         // Nothing can fail past this point — the mutation is committed.
         if new_windows == old_windows {
@@ -564,7 +545,7 @@ impl TrailIndex {
         // windows); when it was full — or there were no windows at all —
         // it is the next, brand-new chunk.
         let first_chunk = old_windows / trail;
-        let (bounds, mut entries) = trails(&self.config, id, values, first_chunk, new_windows);
+        let (bounds, mut words) = trails(&self.config, id, values, first_chunk, new_windows);
         let mut grown = 0;
         if old_windows % trail != 0 {
             // Recompute the partial chunk's rectangle exactly as it was
@@ -575,20 +556,19 @@ impl TrailIndex {
             // entry in place (`O(height)`, no structural churn) instead
             // of paying a remove + reinsert pair.
             let (old, _) = trails(&self.config, id, values, first_chunk, old_windows);
-            let start = first_chunk * trail;
-            let entry = entries[0];
-            debug_assert_eq!(entry.start, start);
+            let partial = words[0];
+            debug_assert_eq!(partial, word(id, first_chunk * trail));
             grown = old.len();
             let updated = self.tree.grow_entry(
                 RectView::new(&old),
-                |t| t.series == id && t.start == start,
+                |&w| w == partial,
                 RectView::new(&bounds[..grown]),
-                entry,
+                partial,
             );
             assert!(updated, "indexed partial trail must be present");
         }
-        let entries = entries.split_off(usize::from(grown > 0));
-        self.tree.bulk_extend(&bounds[grown..], entries);
+        let words = words.split_off(usize::from(grown > 0));
+        self.tree.bulk_extend(&bounds[grown..], words);
         self.profile.take();
         self.windows_total += new_windows - old_windows;
         self.trails_total += new_windows.div_ceil(trail) - old_windows.div_ceil(trail);
@@ -633,10 +613,37 @@ impl TrailIndex {
         self.trails_total
     }
 
-    /// Access to the underlying R\*-tree (read-only). Empty when the tree
-    /// is paged ([`TrailIndex::paged`]).
-    pub fn tree(&self) -> &RStarTree<TrailEntry> {
+    /// Access to the underlying R\*-tree (read-only): one word per trail,
+    /// decoded by [`TrailIndex::entry`]. Empty when the tree is paged
+    /// ([`TrailIndex::paged`]).
+    pub fn tree(&self) -> &RStarTree<u64> {
         &self.tree
+    }
+
+    /// The trail a tree word names — `series << 32 | start`, its window
+    /// count re-derived from the series' length as the build derived it —
+    /// checked against the index: in memory every word passes, and a word
+    /// read off a page may not.
+    ///
+    /// # Errors
+    /// [`Error::Store`] (corrupt) for a word that names no trail of the
+    /// index.
+    pub fn entry(&self, word: u64) -> Result<TrailEntry> {
+        let (series, start) = ((word >> 32) as usize, (word & u64::from(u32::MAX)) as usize);
+        let windows = self
+            .lengths
+            .get(series)
+            .map(|&len| self.config.windows(len));
+        match windows {
+            Some(windows) if start < windows && start % self.config.trail == 0 => Ok(TrailEntry {
+                series,
+                start,
+                len: self.config.trail.min(windows - start),
+            }),
+            _ => Err(Error::Store(tsq_store::StoreError::corrupt(format!(
+                "trail page word {word:#x} names no trail of the index"
+            )))),
+        }
     }
 
     /// The paged trail tree, when the relation it was built over is
@@ -711,7 +718,7 @@ impl TrailIndex {
     ) -> Result<(Vec<SubseqMatch>, SubseqStats)>
     where
         N: NodeStore,
-        N::Item: TrailItem,
+        N::Item: Borrow<u64>,
         Error: From<N::Error>,
         S: SampleSource + ?Sized,
     {
@@ -739,15 +746,17 @@ impl TrailIndex {
     ) -> Result<(Vec<SubseqMatch>, SubseqStats)>
     where
         N: NodeStore,
-        N::Item: TrailItem,
+        N::Item: Borrow<u64>,
         Error: From<N::Error>,
         S: SampleSource + ?Sized,
     {
         let mut trails: Vec<TrailEntry> = Vec::new();
         let mut bad = Ok(());
-        let index_stats = search_with(store, filter, |_, item: N::Item| match item.entry(self) {
-            Ok(t) => trails.push(t),
-            Err(e) => bad = Err(e),
+        let index_stats = search_with(store, filter, |_, item: N::Item| {
+            match self.entry(*item.borrow()) {
+                Ok(t) => trails.push(t),
+                Err(e) => bad = Err(e),
+            }
         })?;
         bad?;
         // A series' trails cover disjoint offset runs, so this order is
@@ -810,7 +819,7 @@ impl TrailIndex {
     ) -> Result<(Vec<SubseqMatch>, SubseqStats)>
     where
         N: NodeStore,
-        N::Item: TrailItem,
+        N::Item: Borrow<u64>,
         Error: From<N::Error>,
         S: SampleSource + ?Sized,
     {
@@ -832,7 +841,7 @@ impl TrailIndex {
                 if read.is_err() {
                     return Some(f64::INFINITY);
                 }
-                let best = item.entry(self).and_then(|trail| {
+                let best = self.entry(*item.borrow()).and_then(|trail| {
                     let offsets = self.fitting(&trail, q.len());
                     if offsets.is_empty() {
                         return Ok(f64::INFINITY);
@@ -959,10 +968,14 @@ impl SubseqIndex {
 
     /// Appends one series, returning its id. The new trails enter the tree
     /// through the STR-sorted batch path ([`RStarTree::bulk_extend`]).
+    ///
+    /// # Panics
+    /// When a trail word cannot name the series: the index holds 2^32
+    /// series already, or the series has more than 2^32 windows.
     pub fn insert(&mut self, series: TimeSeries) -> usize {
         let id = self.trails.insert(series.values());
         self.store.push(series);
-        id.expect("a standalone index holds its trail tree")
+        id.expect("a standalone index holds its trail tree, and its words fit")
     }
 
     /// Takes one stored series' extended value (the value it held is its
@@ -996,8 +1009,9 @@ impl SubseqIndex {
         self.trails.windows_total()
     }
 
-    /// Access to the underlying R\*-tree (read-only).
-    pub fn tree(&self) -> &RStarTree<TrailEntry> {
+    /// Access to the underlying R\*-tree (read-only): one word per trail,
+    /// decoded by [`TrailIndex::entry`].
+    pub fn tree(&self) -> &RStarTree<u64> {
         self.trails.tree()
     }
 
@@ -1121,7 +1135,7 @@ impl SubseqIndex {
 
 /// The trails of one series from `first_chunk` onward, over its first
 /// `windows` windows: their rectangles flat, `lo` then `hi` each (see
-/// [`chunks_of`]), and their entries. What an insert or an append hands the
+/// [`chunks_of`]), and their words. What an insert or an append hands the
 /// tree.
 fn trails(
     config: &SubseqConfig,
@@ -1129,35 +1143,31 @@ fn trails(
     values: &[f64],
     first_chunk: usize,
     windows: usize,
-) -> (Vec<f64>, Vec<TrailEntry>) {
-    let entries: Vec<TrailEntry> = trail_entries(config, id, first_chunk, windows).collect();
-    let mut bounds = Vec::with_capacity(entries.len() * 4 * config.k);
+) -> (Vec<f64>, Vec<u64>) {
+    let words: Vec<u64> = trail_words(config, id, first_chunk, windows).collect();
+    let mut bounds = Vec::with_capacity(words.len() * 4 * config.k);
     chunks_of(config, values, first_chunk, windows, |b| {
         bounds.extend_from_slice(b)
     });
-    (bounds, entries)
+    (bounds, words)
 }
 
-/// The entries of one series' trails from `first_chunk` onward, over its
+/// The words of one series' trails from `first_chunk` onward, over its
 /// first `windows` windows: chunk `c` starts at window `c·trail` (an
-/// absolute offset) and holds up to `trail` of them.
-fn trail_entries(
+/// absolute offset) and holds up to `trail` of them. The id and `windows`
+/// have passed [`check_words`].
+fn trail_words(
     config: &SubseqConfig,
     id: usize,
     first_chunk: usize,
     windows: usize,
-) -> impl Iterator<Item = TrailEntry> {
-    let trail = config.trail;
-    let starts = (first_chunk * trail..windows).step_by(trail);
-    starts.map(move |start| TrailEntry {
-        series: id,
-        start,
-        len: trail.min(windows - start),
-    })
+) -> impl Iterator<Item = u64> {
+    let starts = (first_chunk * config.trail..windows).step_by(config.trail);
+    starts.map(move |start| word(id, start))
 }
 
 /// The rectangles of one series' trails from `first_chunk` onward — those
-/// of [`trail_entries`], in order — handed to `emit` one at a time as
+/// of [`trail_words`], in order — handed to `emit` one at a time as
 /// `2·dims` bounds (`lo`, then `hi`), computed by *resuming* the sliding-DFT
 /// recurrence at that chunk's first window instead of recomputing the
 /// prefix: the `O(k)`-per-point incremental path behind
@@ -1553,19 +1563,19 @@ mod tests {
         for (id, series) in data.iter().enumerate() {
             assert_eq!(idx.trails().length(id), Some(series.len()), "series {id}");
         }
-        // Identical (rect, entry) sets.
+        // Identical (rect, trail) sets.
         let key = |t: &SubseqIndex| {
             let mut v: Vec<(Vec<u64>, TrailEntry)> = t
                 .tree()
                 .iter()
-                .map(|(r, &e)| {
+                .map(|(r, &w)| {
                     let bits: Vec<u64> = r
                         .lo()
                         .iter()
                         .chain(r.hi().iter())
                         .map(|x| x.to_bits())
                         .collect();
-                    (bits, e)
+                    (bits, t.trails().entry(w).unwrap())
                 })
                 .collect();
             v.sort_by(|a, b| (&a.0, a.1.series, a.1.start).cmp(&(&b.0, b.1.series, b.1.start)));
@@ -1667,7 +1677,7 @@ mod tests {
         values: &[f64],
         first_chunk: usize,
         windows: usize,
-    ) -> Vec<(Rect, TrailEntry)> {
+    ) -> Vec<(Rect, u64)> {
         let trail = config.trail;
         let mut offset = first_chunk * trail;
         if offset >= windows {
@@ -1688,14 +1698,7 @@ mod tests {
                 .zip(mbr.hi())
                 .map(|(&l, &h)| padded(l, h))
                 .unzip();
-            out.push((
-                Rect::new(lo, hi),
-                TrailEntry {
-                    series: id,
-                    start: offset,
-                    len,
-                },
-            ));
+            out.push((Rect::new(lo, hi), word(id, offset)));
             offset += len;
             if offset < windows {
                 cursor.advance(values);
@@ -1706,7 +1709,7 @@ mod tests {
 
     #[test]
     fn trail_rects_are_the_per_window_fold_bit_for_bit() {
-        let bits = |chunks: &[(Rect, TrailEntry)]| -> Vec<(Vec<u64>, TrailEntry)> {
+        let bits = |chunks: &[(Rect, u64)]| -> Vec<(Vec<u64>, u64)> {
             chunks
                 .iter()
                 .map(|(r, e)| {
@@ -1743,11 +1746,10 @@ mod tests {
                             let what = format!(
                                 "trail {trail}, k {k}, windows {windows}, first chunk {first_chunk}"
                             );
-                            let (bounds, entries) =
-                                trails(&config, 7, values, first_chunk, windows);
+                            let (bounds, words) = trails(&config, 7, values, first_chunk, windows);
                             let rects = bounds.chunks_exact(4 * k).map(RectView::new);
-                            let got: Vec<(Rect, TrailEntry)> =
-                                rects.map(RectView::to_rect).zip(entries).collect();
+                            let got: Vec<(Rect, u64)> =
+                                rects.map(RectView::to_rect).zip(words).collect();
                             let want =
                                 chunks_by_point_rects(&config, 7, values, first_chunk, windows);
                             assert_eq!(got.len(), want.len(), "{what}");
@@ -1831,12 +1833,11 @@ mod tests {
         let paged = paged_relation(&dir, 6);
         let mut st = TrailIndex::build(SubseqConfig::new(16), &paged, 1).unwrap();
         // 64 samples: 49 windows, trails at 0, 8, …, 48; the last of one.
-        let last = (5u64 << 32) | 48;
-        let entry = last.entry(&st).unwrap();
+        let entry = st.entry(word(5, 48)).unwrap();
         assert_eq!((entry.series, entry.start, entry.len), (5, 48, 1));
         for stored in [6u64 << 32, (2 << 32) | 49, (2 << 32) | 3] {
             assert!(
-                matches!(stored.entry(&st), Err(Error::Store(_))),
+                matches!(st.entry(stored), Err(Error::Store(_))),
                 "{stored:#x}"
             );
         }
@@ -1846,17 +1847,31 @@ mod tests {
             Err(Error::Unsupported(_))
         ));
         assert_eq!(st.length(0), Some(64));
-        // Series ids and offsets past 32 bits cannot be stored.
-        let words = 1usize << 32;
-        assert!(check_words(words, [words]).is_ok());
-        for (series, windows) in [(words + 1, 1), (1, words + 1)] {
-            assert!(matches!(
-                check_words(series, [windows]),
-                Err(Error::Unsupported(_))
-            ));
-        }
         drop(st);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn words_past_32_bits_are_refused_before_anything_is_built() {
+        // Counts only: a relation this large is never allocated. Every
+        // build, insert and extend checks its counts so, in memory or
+        // paged, before it writes a word.
+        let words = 1usize << 32;
+        assert!(check_words(words, [words, 0, 1]).is_ok());
+        assert!(check_words(0, []).is_ok());
+        for (series, windows) in [(words + 1, 1), (1, words + 1), (words, words + 1)] {
+            assert!(matches!(
+                check_words(series, [1, windows]),
+                Err(Error::Unsupported(m)) if m.contains("2^32")
+            ));
+        }
+        // The last series' last window fits, and decodes back.
+        let last = word(words - 1, words - 1);
+        assert_eq!(last, u64::MAX);
+        assert_eq!(
+            (last >> 32, last & u64::from(u32::MAX)),
+            (words as u64 - 1, words as u64 - 1)
+        );
     }
 
     #[test]

@@ -376,7 +376,8 @@ fn candidate_series(st: &TrailIndex, q: &TimeSeries, eps: f64) -> BTreeSet<usize
     let mut series = BTreeSet::new();
     st.tree().search_with(
         |r| r.intersects(qrect.view()),
-        |_, t| {
+        |_, &word| {
+            let t = st.entry(word).unwrap();
             let len = st.length(t.series).unwrap();
             if t.start + q.len() <= len {
                 series.insert(t.series);

@@ -65,10 +65,14 @@ fn id(hash: &mut Fnv, id: &usize) {
     hash.word(*id as u64);
 }
 
-fn trail(hash: &mut Fnv, t: &tsq_core::subseq::TrailEntry) {
-    hash.word(t.series as u64);
-    hash.word(t.start as u64);
-    hash.word(t.len as u64);
+/// Hashes a trail word of `index` as its decoded `(series, start, len)`.
+fn trail(index: &SubseqIndex) -> impl Fn(&mut Fnv, &u64) + Copy + '_ {
+    move |hash, &word| {
+        let t = index.trails().entry(word).unwrap();
+        hash.word(t.series as u64);
+        hash.word(t.start as u64);
+        hash.word(t.len as u64);
+    }
 }
 
 fn walks(count: usize) -> Vec<TimeSeries> {
@@ -83,7 +87,7 @@ fn subseq_digest(relation: &[TimeSeries], what: &str) -> u64 {
             let index =
                 SubseqIndex::build_parallel(SubseqConfig::new(64), relation.to_vec(), threads)
                     .unwrap();
-            digest(index.tree(), trail)
+            digest(index.tree(), trail(&index))
         })
         .collect();
     assert_eq!(
@@ -136,7 +140,7 @@ fn an_st_index_after_an_append_chain() {
         }
     }
     index.tree().validate();
-    assert_eq!(digest(index.tree(), trail), 0x0a1c_2563_e25c_8574);
+    assert_eq!(digest(index.tree(), trail(&index)), 0x0a1c_2563_e25c_8574);
 }
 
 #[test]

@@ -59,7 +59,7 @@ use std::path::Path;
 
 use tsq_core::shard::{ShardMap, ShardSpec, ShardedIndex};
 use tsq_core::{executor, store as core_store, PageCache, SeriesRelation, SimilarityIndex};
-use tsq_store::{read_payload, seal, unseal, write_file, Decoder, Encoder, StoreError};
+use tsq_store::{seal, unseal, write_file, Decoder, Encoder, StoreError};
 
 use crate::error::LangError;
 use crate::exec::{Catalog, Labelled, Relation};
@@ -168,8 +168,8 @@ impl Catalog {
     /// # Errors
     /// Same as [`Catalog::restore_bytes`], plus I/O failures.
     pub fn open(&mut self, path: &Path) -> Result<Vec<String>, LangError> {
-        let payload = read_payload(path).map_err(store_err)?;
-        self.restore_payload(&payload)
+        let bytes = read_file(path)?;
+        self.restore_bytes(&bytes)
     }
 
     /// [`Catalog::open`] followed by attaching paged storage to every
@@ -236,13 +236,19 @@ impl Catalog {
     /// # Errors
     /// Same as [`Catalog::open`].
     pub fn load(path: &Path) -> Result<Catalog, LangError> {
-        let payload = read_payload(path).map_err(store_err)?;
-        let mut dec = Decoder::new(&payload);
+        let bytes = read_file(path)?;
+        let payload = unseal(&bytes).map_err(store_err)?;
+        let mut dec = Decoder::new(payload);
         let config = core_store::read_index_config(&mut dec).map_err(store_err)?;
         let mut catalog = Catalog::with_config(config);
-        catalog.restore_payload(&payload)?;
+        catalog.restore_payload(payload)?;
         Ok(catalog)
     }
+}
+
+/// A snapshot file's bytes, to unseal in place: no copy of the payload.
+fn read_file(path: &Path) -> Result<Vec<u8>, LangError> {
+    std::fs::read(path).map_err(|e| store_err(e.into()))
 }
 
 fn store_err(e: StoreError) -> LangError {

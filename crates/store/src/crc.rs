@@ -13,7 +13,11 @@
 
 /// Sixteen 256-entry tables: `TABLES[j][b]` is the CRC contribution of
 /// byte `b` positioned `j` bytes before the end of a 16-byte block.
-const TABLES: [[u32; 256]; 16] = build_tables();
+///
+/// A `static`, built at compile time, so every lookup reads the one copy:
+/// each use of a `const` array is a fresh value, which an unoptimized
+/// build copies whole (16 KiB) per lookup — 256 KiB per 16 input bytes.
+static TABLES: [[u32; 256]; 16] = build_tables();
 
 const fn build_tables() -> [[u32; 256]; 16] {
     let mut tables = [[0u32; 256]; 16];

@@ -104,14 +104,26 @@ pub fn parse_header(header: &[u8]) -> StoreResult<u64> {
 
 /// Wraps a payload in the snapshot frame: header + payload + CRC trailer.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&ENDIAN_MARKER.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    out.extend_from_slice(&header(payload));
     out.extend_from_slice(payload);
-    out.extend_from_slice(&chunked_crc32(payload).to_le_bytes());
+    out.extend_from_slice(&trailer(payload));
     out
+}
+
+/// The frame header of `payload`: magic, version, endianness, length.
+fn header(payload: &[u8]) -> [u8; HEADER_LEN] {
+    let mut header = [0; HEADER_LEN];
+    header[..8].copy_from_slice(MAGIC);
+    header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[12..16].copy_from_slice(&ENDIAN_MARKER.to_le_bytes());
+    header[16..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header
+}
+
+/// The frame trailer of `payload`: its chunked CRC-32.
+fn trailer(payload: &[u8]) -> [u8; TRAILER_LEN] {
+    chunked_crc32(payload).to_le_bytes()
 }
 
 /// Validates a framed snapshot and returns its payload slice.
@@ -157,13 +169,16 @@ pub fn unseal(file: &[u8]) -> StoreResult<&[u8]> {
 /// Seals `payload` and writes it to `path` atomically-enough for a
 /// snapshot: the bytes go to a `.tmp` sibling first and are renamed into
 /// place, so a crash mid-write never leaves a half-written file under the
-/// final name. Returns the total file size in bytes.
+/// final name. The header, payload and trailer are written straight from
+/// `payload`, with no framed copy: the file holds [`seal`]'s bytes.
+/// Returns the total file size in bytes.
 pub fn write_file(path: &Path, payload: &[u8]) -> StoreResult<u64> {
-    let framed = seal(payload);
     let tmp = tmp_sibling(path);
     let result = (|| -> StoreResult<()> {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&framed)?;
+        f.write_all(&header(payload))?;
+        f.write_all(payload)?;
+        f.write_all(&trailer(payload))?;
         f.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok(())
@@ -171,13 +186,17 @@ pub fn write_file(path: &Path, payload: &[u8]) -> StoreResult<u64> {
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
-    result.map(|()| framed.len() as u64)
+    result.map(|()| (HEADER_LEN + payload.len() + TRAILER_LEN) as u64)
 }
 
-/// Reads `path`, validates the frame, and returns the payload bytes.
+/// Reads `path`, validates the frame, and returns the payload bytes: the
+/// read buffer, its header and trailer cut off in place.
 pub fn read_payload(path: &Path) -> StoreResult<Vec<u8>> {
-    let bytes = std::fs::read(path)?;
-    Ok(unseal(&bytes)?.to_vec())
+    let mut bytes = std::fs::read(path)?;
+    let len = unseal(&bytes)?.len();
+    bytes.truncate(HEADER_LEN + len);
+    bytes.drain(..HEADER_LEN);
+    Ok(bytes)
 }
 
 fn tmp_sibling(path: &Path) -> std::path::PathBuf {
