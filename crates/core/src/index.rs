@@ -657,6 +657,11 @@ impl SimilarityIndex {
     /// and the other counters are the in-memory index's: the refine reads
     /// the same values in the same order.
     ///
+    /// Both files are created new — a file already at either path is
+    /// unlinked, never written into, so a live handle on it keeps its
+    /// bytes — and read only through the handles they were written with.
+    /// The index owns them: they are removed when its last clone drops.
+    ///
     /// The relation becomes append-proof
     /// ([`SimilarityIndex::push_series_batch`] is rejected); snapshots
     /// still work — [`SimilarityIndex::write_to`] reads every record
@@ -672,8 +677,7 @@ impl SimilarityIndex {
                 "paged storage is already attached".to_string(),
             ));
         }
-        self.tree().write_paged(path, |&id| id as u64)?;
-        let tree = PagedTree::open(path, cache)?;
+        let tree = PagedTree::create(path, self.tree(), |&id| id as u64, cache)?;
         let records_path = path.with_extension("records");
         let records = RecordFile::create(&records_path, &self.store, tree.page_size(), cache)?;
         let packed = self.packed.get_mut().expect("packed to write the pages");
@@ -909,6 +913,9 @@ impl SimilarityIndex {
         ids.sort_unstable();
         let mut matches = Vec::new();
         for id in ids {
+            if !self.in_window(id, qrect) {
+                continue;
+            }
             let record = self.record(id, &mut stats.records)?;
             if let Some(distance) = refine.within(&record, ScanMode::EarlyAbandon) {
                 matches.push(Match { id, distance });
@@ -916,6 +923,22 @@ impl SimilarityIndex {
         }
         stats.false_hits = stats.exact_checks - matches.len();
         Ok((matches, stats))
+    }
+
+    /// Whether record `id`'s mean and std lie in the search rectangle's
+    /// first `aux_dims` dimensions — the query's `WHERE` window, which
+    /// bounds the stored series untransformed. The filter meets the
+    /// window on stored bounds rounded outward to `f32`, so a candidate
+    /// within an `f32` ulp outside it reaches the refine; this check is
+    /// the window's exact test.
+    fn in_window(&self, id: usize, qrect: &Rect) -> bool {
+        let features = &self.store[id].features;
+        let (lo, hi) = (qrect.lo(), qrect.hi());
+        let inside = |d: usize, v: f64| lo[d] <= v && v <= hi[d];
+        match self.config.schema.aux_dims() {
+            2 => inside(0, features.mean) && inside(1, features.std),
+            _ => true,
+        }
     }
 
     /// Candidate traversal against a prebuilt search rectangle — the
@@ -1891,7 +1914,20 @@ mod tests {
         // so far returns the rows, distance bits and counters of the one
         // that sums every candidate in full — and does give up.
         let n = 128;
-        let rel = small_relation(1500, n, 41);
+        let mut rel = small_relation(1500, n, 41);
+        // Near-duplicates nearest to the first query, their distances
+        // apart by a thousandth of a percent: whichever of them the search
+        // checks first, a later one's distance lies within 0.1 % below the
+        // k-th found so far, so a check giving up short of the k-th
+        // distance drops a row of the answer.
+        let first = RandomWalkGenerator::new(900).series(n);
+        let nudge = RandomWalkGenerator::new(899).series(n);
+        let norm = nudge.values().iter().map(|v| v * v).sum::<f64>().sqrt();
+        rel.extend((0..24).map(|j| {
+            let scale = 0.5 * (1.0 + 1e-5 * j as f64) / norm;
+            let near = first.values().iter().zip(nudge.values());
+            TimeSeries::new(near.map(|(q, v)| q + scale * v).collect())
+        }));
         let idx = build_default(rel.clone());
         let mut paged = idx.clone();
         let dir = std::env::temp_dir().join(format!("tsq-knn-bound-{}", std::process::id()));

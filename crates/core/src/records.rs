@@ -27,6 +27,11 @@
 //! a scan reads the file front to back. The frame size is the node page
 //! size, grown to the [`PAGE_ALIGN`] multiple the longest record needs.
 //!
+//! The file is written through a handle of its own, created new (a file
+//! already at the path is unlinked, never written into), and every later
+//! read goes through that handle: nothing reopens the file by its path.
+//! The file is removed when its [`RecordFile`] drops.
+//!
 //! Which records a frame holds is a function of the record lengths, which
 //! the index knows from the features it keeps: the file is checked against
 //! them, never trusted. The header is read by the first pin, and a header
@@ -34,15 +39,16 @@
 //! whose checksum or record lengths disagree, or a non-finite sample is a
 //! typed [`StoreError`]; nothing is allocated from a declared length.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use tsq_rtree::config::PAGE_ALIGN;
 use tsq_rtree::page::{seal_in_place, BufferPool, PageCache, PageId, PagePin, PAGE_PREFIX_BYTES};
+use tsq_rtree::paged::create_new;
 use tsq_store::{crc32, Decoder, StoreError, StoreResult};
 
 use crate::index::StoredSeries;
@@ -94,10 +100,14 @@ impl RecordIo {
     }
 }
 
-/// One index's record file and its handle onto a cache.
+/// One index's record file and its handle onto a cache. It owns the
+/// file: dropping it removes the file.
 #[derive(Debug)]
 pub struct RecordFile {
     path: PathBuf,
+    /// The handle the file was written with, until the first pin moves it
+    /// into the pool.
+    file: Mutex<Option<File>>,
     frame_size: usize,
     /// First record id of every frame, ascending.
     starts: Vec<usize>,
@@ -163,47 +173,14 @@ impl RecordFile {
         let longest = store.iter().map(|s| s.series.len()).max().unwrap_or(0);
         let frame_size = frame_size_for(page_size, longest)?;
         let starts = pack(store.iter().map(|s| s.series.len()), frame_size);
-        // An existing file (a snapshot opened paged again) is overwritten
-        // in place and cut to length, not truncated first: its blocks are
-        // reused instead of freed and allocated again.
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
-        let mut w = BufWriter::with_capacity(WRITE_BUFFER_BYTES, file);
-        w.write_all(&encode_header(frame_size, starts.len(), store.len()))?;
-        w.write_all(&[0u8; PAGE_ALIGN - HEADER_BYTES])?;
-        // One frame, filled in place and sealed: a record fits a frame,
-        // and `pack` fits a frame's records.
-        let mut page = vec![0u8; frame_size];
-        for (f, &first) in starts.iter().enumerate() {
-            let end = starts.get(f + 1).copied().unwrap_or(store.len());
-            let records = &store[first..end];
-            let payload = &mut page[PAGE_PREFIX_BYTES..];
-            payload[..8].copy_from_slice(&(first as u64).to_le_bytes());
-            payload[8..12].copy_from_slice(&(records.len() as u32).to_le_bytes());
-            let lengths = payload[FRAME_HEADER_BYTES..].chunks_exact_mut(4);
-            for (slot, record) in lengths.zip(records) {
-                slot.copy_from_slice(&(record.series.len() as u32).to_le_bytes());
-            }
-            let mut at = FRAME_HEADER_BYTES + 4 * records.len();
-            for record in records {
-                let values = record.series.values();
-                let samples = payload[at..at + 8 * values.len()].chunks_exact_mut(8);
-                for (slot, v) in samples.zip(values) {
-                    slot.copy_from_slice(&v.to_le_bytes());
-                }
-                at += 8 * values.len();
-            }
-            payload[at..].fill(0);
-            seal_in_place(&mut page, at);
-            w.write_all(&page)?;
-        }
-        let file = w.into_inner().map_err(|e| e.into_error())?;
-        file.set_len((PAGE_ALIGN + starts.len() * frame_size) as u64)?;
+        let written =
+            create_new(path).and_then(|file| write_frames(file, store, frame_size, &starts));
+        let file = written.inspect_err(|_| {
+            let _ = std::fs::remove_file(path);
+        })?;
         Ok(RecordFile {
             path: path.to_path_buf(),
+            file: Mutex::new(Some(file)),
             frame_size,
             starts,
             records: store.len(),
@@ -211,6 +188,11 @@ impl RecordFile {
             pool: OnceLock::new(),
             last_miss: AtomicU64::new(u64::MAX),
         })
+    }
+
+    /// Where the file lives.
+    pub fn path(&self) -> &Path {
+        &self.path
     }
 
     /// Bytes per frame.
@@ -236,10 +218,16 @@ impl RecordFile {
             .map_err(Clone::clone)
     }
 
-    /// Opens the file and checks its header against the records it must
-    /// hold and its size against the header.
+    /// Hands the file's handle to a pool, once its header is checked
+    /// against the records it must hold and its size against the header.
     fn open(&self) -> StoreResult<BufferPool<RecordFrame>> {
-        let mut file = File::open(&self.path)?;
+        let held = self
+            .file
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let mut file = held.expect("the pool is opened once");
+        file.seek(SeekFrom::Start(0))?;
         let mut header = [0u8; HEADER_BYTES];
         file.read_exact(&mut header)
             .map_err(|_| StoreError::truncated("record file header"))?;
@@ -327,6 +315,54 @@ impl RecordFile {
             .map(|s| s.features.n())
             .sum::<usize>();
         Ok((pin, offset..offset + store[id].features.n()))
+    }
+}
+
+/// Writes `store`'s samples into `file` (new and empty) as a record file
+/// of frames of `frame_size` bytes starting at `starts`, and hands the
+/// file back.
+fn write_frames(
+    file: File,
+    store: &[StoredSeries],
+    frame_size: usize,
+    starts: &[usize],
+) -> StoreResult<File> {
+    let mut w = BufWriter::with_capacity(WRITE_BUFFER_BYTES, file);
+    w.write_all(&encode_header(frame_size, starts.len(), store.len()))?;
+    w.write_all(&[0u8; PAGE_ALIGN - HEADER_BYTES])?;
+    // One frame, filled in place and sealed: a record fits a frame,
+    // and `pack` fits a frame's records.
+    let mut page = vec![0u8; frame_size];
+    for (f, &first) in starts.iter().enumerate() {
+        let end = starts.get(f + 1).copied().unwrap_or(store.len());
+        let records = &store[first..end];
+        let payload = &mut page[PAGE_PREFIX_BYTES..];
+        payload[..8].copy_from_slice(&(first as u64).to_le_bytes());
+        payload[8..12].copy_from_slice(&(records.len() as u32).to_le_bytes());
+        let lengths = payload[FRAME_HEADER_BYTES..].chunks_exact_mut(4);
+        for (slot, record) in lengths.zip(records) {
+            slot.copy_from_slice(&(record.series.len() as u32).to_le_bytes());
+        }
+        let mut at = FRAME_HEADER_BYTES + 4 * records.len();
+        for record in records {
+            let values = record.series.values();
+            let samples = payload[at..at + 8 * values.len()].chunks_exact_mut(8);
+            for (slot, v) in samples.zip(values) {
+                slot.copy_from_slice(&v.to_le_bytes());
+            }
+            at += 8 * values.len();
+        }
+        payload[at..].fill(0);
+        seal_in_place(&mut page, at);
+        w.write_all(&page)?;
+    }
+    w.into_inner().map_err(|e| e.into_error().into())
+}
+
+/// The record file is its handle's to remove: no other index reads it.
+impl Drop for RecordFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 

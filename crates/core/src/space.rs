@@ -64,7 +64,7 @@ use std::f64::consts::PI;
 use std::ops::ControlFlow;
 
 use tsq_dft::Complex64;
-use tsq_rtree::{Rect, RectView};
+use tsq_rtree::{Coord, Rect, RectView};
 
 use crate::error::{Error, Result};
 use crate::features::{FeatureSchema, Features};
@@ -263,9 +263,9 @@ impl SpaceKind {
     /// spectral distance (and hence, by Parseval, the true series
     /// distance), and the computed root moves one ulp down (the module
     /// docs' inequality).
-    pub fn transformed_lower_bound(
+    pub fn transformed_lower_bound<C: Coord>(
         &self,
-        rect: RectView<'_>,
+        rect: RectView<'_, C>,
         t: &LinearTransform,
         schema: FeatureSchema,
         query: &Features,
@@ -311,9 +311,9 @@ impl SpaceKind {
     /// Whether the transformed stored rectangle `T(rect)` meets the query
     /// rectangle: the filter of Algorithm 2, deciding at the first
     /// disjoint dimension without building `T(rect)`.
-    pub fn transformed_intersects(
+    pub fn transformed_intersects<C: Coord>(
         &self,
-        rect: RectView<'_>,
+        rect: RectView<'_, C>,
         t: &LinearTransform,
         schema: FeatureSchema,
         query: &Rect,
@@ -333,16 +333,16 @@ impl SpaceKind {
     /// first `aux_dims` dimensions, untransformed: a window bounds the
     /// stored series, as [`QueryWindow`] and the scan read it) and
     /// `T(rect)` meets the query rectangle in every indexed coefficient.
-    pub fn windowed_intersects(
+    pub fn windowed_intersects<C: Coord>(
         &self,
-        rect: RectView<'_>,
+        rect: RectView<'_, C>,
         t: &LinearTransform,
         schema: FeatureSchema,
         query: &Rect,
     ) -> bool {
         let aux = schema.aux_dims();
         let (lo, hi, qlo, qhi) = (rect.lo(), rect.hi(), query.lo(), query.hi());
-        (0..aux).all(|d| lo[d] <= qhi[d] && qlo[d] <= hi[d])
+        (0..aux).all(|d| lo.at(d) <= qhi[d] && qlo[d] <= hi.at(d))
             && self
                 .transformed_dims(rect, t, schema, |d, lo, hi| {
                     match d < aux || (lo <= qhi[d] && qlo[d] <= hi) {
@@ -366,12 +366,19 @@ impl SpaceKind {
     /// to the origin), is the full circle — conservative, never lossy,
     /// since stored angles are normalized.
     ///
+    /// The stored rectangle's bounds are read widened to `f64`, and each
+    /// stored angle bound clamped to `[−π, π]`: a bound rounded outward to
+    /// `f32` may sit just past ±π (`f32(π) > π`), while every stored angle
+    /// lies within, so the clamp keeps every member point and the wrap
+    /// test never reads the rounding as a wrap. A bound past `f32::MAX` is
+    /// ±∞, and a zero scale maps it to 0 rather than to `0·∞`.
+    ///
     /// The caller must have verified safety via
     /// [`SpaceKind::check_safety`]; debug assertions re-check.
     #[inline]
-    fn transformed_dims(
+    fn transformed_dims<C: Coord>(
         &self,
-        rect: RectView<'_>,
+        rect: RectView<'_, C>,
         t: &LinearTransform,
         schema: FeatureSchema,
         mut visit: impl FnMut(usize, f64, f64) -> ControlFlow<()>,
@@ -384,8 +391,8 @@ impl SpaceKind {
         };
         let mut d = 0;
         if schema.aux_dims() == 2 {
-            emit(0, affine(lo[0], hi[0], t.mean_map()))?;
-            emit(1, affine(lo[1], hi[1], t.std_map()))?;
+            emit(0, affine(lo.at(0), hi.at(0), t.mean_map()))?;
+            emit(1, affine(lo.at(1), hi.at(1), t.std_map()))?;
             d = 2;
         }
         for f in schema.coeff_indices() {
@@ -393,14 +400,19 @@ impl SpaceKind {
                 SpaceKind::Rectangular => {
                     let (a, b) = (t.a()[f], t.b()[f]);
                     debug_assert!(a.is_real(1e-6), "unsafe multiplier in S_rect");
-                    emit(d, affine(lo[d], hi[d], (a.re, b.re)))?;
-                    emit(d + 1, affine(lo[d + 1], hi[d + 1], (a.re, b.im)))?;
+                    emit(d, affine(lo.at(d), hi.at(d), (a.re, b.re)))?;
+                    emit(d + 1, affine(lo.at(d + 1), hi.at(d + 1), (a.re, b.im)))?;
                 }
                 SpaceKind::Polar => {
                     debug_assert!(t.b()[f].abs() <= 1e-6, "unsafe translation in S_pol");
                     let (scale, delta) = t.a_polar()[f];
-                    emit(d, (lo[d] * scale, hi[d] * scale))?;
-                    emit(d + 1, shifted_angle(lo[d + 1], hi[d + 1], scale, delta))?;
+                    let magnitude = match scale == 0.0 {
+                        true => (0.0, 0.0),
+                        false => (lo.at(d) * scale, hi.at(d) * scale),
+                    };
+                    emit(d, magnitude)?;
+                    let (alo, ahi) = (lo.at(d + 1).max(-PI), hi.at(d + 1).min(PI));
+                    emit(d + 1, shifted_angle(alo, ahi, scale, delta))?;
                 }
             }
             d += 2;
@@ -423,9 +435,13 @@ pub(crate) fn padded(lo: f64, hi: f64) -> (f64, f64) {
     (lo - pad, hi + pad)
 }
 
-/// The image of `[l, h]` under `x -> a·x + b`, ordered.
+/// The image of `[l, h]` under `x -> a·x + b`, ordered; `[b, b]` under a
+/// zero scale, whatever the bounds (a stored bound may be ±∞).
 #[inline]
 fn affine(l: f64, h: f64, (a, b): (f64, f64)) -> (f64, f64) {
+    if a == 0.0 {
+        return (b, b);
+    }
     let x = a * l + b;
     let y = a * h + b;
     if x <= y {

@@ -289,8 +289,10 @@ pub struct TrailIndex {
     /// The trail tree, one word per trail ([`TrailIndex::entry`]); empty
     /// when it is paged.
     tree: RStarTree<u64>,
-    /// The paged trail tree, shared by clones; when set, `tree` is empty.
-    paged: Option<Arc<TrailFile>>,
+    /// The paged trail tree in its scratch file, shared by clones, which
+    /// goes — its frames with it — when the last clone drops; when set,
+    /// `tree` is empty.
+    paged: Option<Arc<PagedTree>>,
     lengths: Vec<usize>,
     windows_total: usize,
     trails_total: usize,
@@ -300,36 +302,8 @@ pub struct TrailIndex {
     profile: OnceLock<SpaceProfile>,
 }
 
-/// A trail tree's scratch page file, open in its relation's cache, and
-/// removed — its frames purged — when the last index sharing it drops.
-#[derive(Debug)]
-struct TrailFile(PagedTree);
-
 /// Trail files created by this process: each build names its own.
 static TRAIL_FILES: AtomicU64 = AtomicU64::new(0);
-
-impl TrailFile {
-    /// Writes `tree` to a fresh scratch file beside `pages.near` and opens
-    /// it in `pages.cache`. A file that cannot be written or opened is
-    /// removed.
-    fn create(tree: &RStarTree<u64>, pages: TrailPages<'_>) -> Result<Self> {
-        let build = TRAIL_FILES.fetch_add(1, Ordering::Relaxed);
-        let path = scratch_path(pages.near, build);
-        let opened = tree
-            .write_paged(&path, |&word| word)
-            .and_then(|()| PagedTree::open(&path, pages.cache));
-        opened.map(TrailFile).map_err(|e| {
-            let _ = std::fs::remove_file(&path);
-            e.into()
-        })
-    }
-}
-
-impl Drop for TrailFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(self.0.path());
-    }
-}
 
 /// The scratch file of trail build `build` beside `near`:
 /// `<near stem>.<pid>-<build>.trails`, distinct for every build of every
@@ -457,7 +431,9 @@ impl TrailIndex {
     /// Moves the trail tree into a scratch page file, keeping its profile.
     fn page_out(&mut self, pages: TrailPages<'_>) -> Result<()> {
         self.profile();
-        let file = TrailFile::create(&self.tree, pages)?;
+        let build = TRAIL_FILES.fetch_add(1, Ordering::Relaxed);
+        let path = scratch_path(pages.near, build);
+        let file = PagedTree::create(&path, &self.tree, |&word| word, pages.cache)?;
         self.tree = RStarTree::new(self.config.rtree);
         self.paged = Some(Arc::new(file));
         Ok(())
@@ -649,7 +625,7 @@ impl TrailIndex {
     /// The paged trail tree, when the relation it was built over is
     /// paged: its scratch page file and the pool over it.
     pub fn paged(&self) -> Option<&PagedTree> {
-        self.paged.as_deref().map(|file| &file.0)
+        self.paged.as_deref()
     }
 
     /// Shape of the trail tree over the indexed windows, for the cost

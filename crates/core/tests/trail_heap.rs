@@ -1,7 +1,7 @@
 //! An in-memory ST-index holds each trail once, as its tree word: a trail
-//! costs its rectangle's `2·2k` bounds and one word, plus at most one word
-//! of node overhead (tsq-rtree's `entry_bytes`), and the index one length
-//! per series and a fixed part.
+//! costs its rectangle's `2·2k` bounds (`f32`s, rounded outward) and one
+//! word, plus at most one word of node overhead (tsq-rtree's
+//! `entry_bytes`), and the index one length per series and a fixed part.
 //!
 //! A binary of its own, because it installs a global allocator that counts
 //! live bytes across every thread (`live_heap`). It holds one test, so
@@ -44,7 +44,7 @@ fn an_in_memory_st_index_holds_a_trail_as_its_bounds_and_one_word() {
     assert!(st.paged().is_none(), "memory holds its trail tree");
     let trails = st.trails_total();
     assert_eq!(st.tree().len(), trails);
-    let bounds = 2 * 2 * st.config().k * 8;
+    let bounds = 2 * 2 * st.config().k * size_of::<f32>();
     let bound = trails * (bounds + 8 + 8) + 8 * relation.len() + FIXED;
     eprintln!(
         "{trails} trails leave {left} B ({:.1} B a trail), bound {bound} B",

@@ -1,11 +1,18 @@
 //! Every tree the engine builds, pinned by a digest of its stored layout.
 //!
 //! A digest hashes a tree in stored order: per node its level and entry
-//! count, then per entry its rectangle's bits (`lo`, then `hi`) followed by
-//! its payload, or by the child's digest in place. Two trees digest equally
-//! only if they hold the same nodes, the same entries in the same order and
-//! the same coordinate bits — so a change to how nodes are stored, loaded,
-//! split or decoded cannot move a single entry unnoticed.
+//! count, then per entry its rectangle's bits (`lo`, then `hi`, each bound
+//! widened to `f64` as it is read) followed by its payload, or by the
+//! child's digest in place. Two trees digest equally only if they hold the
+//! same nodes, the same entries in the same order and the same coordinate
+//! bits — so a change to how nodes are stored, loaded, split or decoded
+//! cannot move a single entry unnoticed.
+//!
+//! An order digest hashes the same walk without the coordinates: the
+//! nodes, their entry counts and the payloads in stored order. Bounds
+//! stored as `f32` rounded outward moved every coordinate digest but no
+//! order digest: the order digests pinned here are the ones the trees had
+//! when every bound was an `f64`.
 //!
 //! The pinned values were recorded on x86_64 Linux with glibc's libm (the
 //! features go through its `sin`, `cos` and `atan2`). Every tree is
@@ -34,16 +41,37 @@ fn digest<S: NodeStore>(store: S, item: impl Fn(&mut Fnv, S::Item) + Copy) -> u6
 where
     S::Error: std::fmt::Debug,
 {
+    walk(store, item, true)
+}
+
+/// The order digest of the tree behind `store`: [`digest`] without the
+/// coordinates.
+fn order<S: NodeStore>(store: S, item: impl Fn(&mut Fnv, S::Item) + Copy) -> u64
+where
+    S::Error: std::fmt::Debug,
+{
+    walk(store, item, false)
+}
+
+fn walk<S: NodeStore>(store: S, item: impl Fn(&mut Fnv, S::Item) + Copy, bounds: bool) -> u64
+where
+    S::Error: std::fmt::Debug,
+{
     let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
     hash.word(store.len() as u64);
     if !store.is_empty() {
-        node(store, store.root(), item, &mut hash);
+        node(store, store.root(), item, bounds, &mut hash);
     }
     hash.0
 }
 
-fn node<S: NodeStore>(store: S, at: S::Ref, item: impl Fn(&mut Fnv, S::Item) + Copy, hash: &mut Fnv)
-where
+fn node<S: NodeStore>(
+    store: S,
+    at: S::Ref,
+    item: impl Fn(&mut Fnv, S::Item) + Copy,
+    bounds: bool,
+    hash: &mut Fnv,
+) where
     S::Error: std::fmt::Debug,
 {
     let guard = store.fetch(at, &mut SearchStats::default()).unwrap();
@@ -51,12 +79,14 @@ where
     hash.word(S::entries(&guard).count() as u64);
     for slot in S::entries(&guard) {
         let rect = slot.rect();
-        for bound in rect.lo().iter().chain(rect.hi()) {
-            hash.word(bound.to_bits());
+        if bounds {
+            for bound in rect.lo().iter().chain(rect.hi()) {
+                hash.word(bound.to_bits());
+            }
         }
         match slot {
             Slot::Item(_, payload) => item(hash, payload),
-            Slot::Child(_, child) => node(store, child, item, hash),
+            Slot::Child(_, child) => node(store, child, item, bounds, hash),
         }
     }
 }
@@ -100,15 +130,15 @@ fn subseq_digest(relation: &[TimeSeries], what: &str) -> u64 {
 #[test]
 fn the_walks_whole_match_tree() {
     let index = SimilarityIndex::build(IndexConfig::default(), walks(8000)).unwrap();
-    assert_eq!(digest(index.tree(), id), 0x77d4_fb5e_2d97_baba);
+    assert_eq!(digest(index.tree(), id), 0x7b30_7b6b_6ce0_5dd8);
 }
 
 #[test]
 fn the_stocks_and_feed_st_indexes_at_one_and_two_threads() {
     let stocks = StockGenerator::new(2).relation(400, 1024);
-    assert_eq!(subseq_digest(&stocks, "stocks"), 0x24b7_a37a_916e_2746);
+    assert_eq!(subseq_digest(&stocks, "stocks"), 0x6681_d8ce_b972_b33f);
     let feed = RandomWalkGenerator::new(4).relation(500, 512);
-    assert_eq!(subseq_digest(&feed, "feed"), 0xe811_8707_5703_40a2);
+    assert_eq!(subseq_digest(&feed, "feed"), 0xb90c_c7a9_86f8_027f);
 }
 
 #[test]
@@ -118,7 +148,7 @@ fn an_insert_built_tree() {
         ..IndexConfig::default()
     };
     let index = SimilarityIndex::build(config, walks(3000)).unwrap();
-    assert_eq!(digest(index.tree(), id), 0xc1c1_bc87_9e73_34e3);
+    assert_eq!(digest(index.tree(), id), 0x16dc_e5ad_5a6b_6de8);
 }
 
 /// Appends of 1 to 13 points at a time to a few series of an ST-index:
@@ -140,7 +170,7 @@ fn an_st_index_after_an_append_chain() {
         }
     }
     index.tree().validate();
-    assert_eq!(digest(index.tree(), trail(&index)), 0x0a1c_2563_e25c_8574);
+    assert_eq!(digest(index.tree(), trail(&index)), 0xce07_11de_1bde_4471);
 }
 
 #[test]
@@ -155,7 +185,48 @@ fn a_paged_tree_decodes_to_the_same_nodes() {
         let cache = PageCache::new((capacity as u64).saturating_mul(page_size));
         let paged = PagedTree::open(&path, &cache).unwrap();
         let got = digest(&paged, |hash, word| hash.word(word));
-        assert_eq!(got, 0x77d4_fb5e_2d97_baba, "pool of {capacity} page(s)");
+        assert_eq!(got, 0x7b30_7b6b_6ce0_5dd8, "pool of {capacity} page(s)");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The order digests every tree had when its bounds were `f64`s: rounding
+/// them outward to `f32` moved no entry of any level.
+#[test]
+fn every_tree_keeps_its_entry_order() {
+    let walks8000 = walks(8000);
+    let index = SimilarityIndex::build(IndexConfig::default(), walks8000.clone()).unwrap();
+    let mut got = vec![order(index.tree(), id)];
+    let stocks = StockGenerator::new(2).relation(400, 1024);
+    let feed = RandomWalkGenerator::new(4).relation(500, 512);
+    for relation in [stocks, feed] {
+        let st = SubseqIndex::build(SubseqConfig::new(64), relation).unwrap();
+        got.push(order(st.tree(), trail(&st)));
+    }
+    let config = IndexConfig {
+        bulk_load: false,
+        ..IndexConfig::default()
+    };
+    let inserted = SimilarityIndex::build(config, walks(3000)).unwrap();
+    got.push(order(inserted.tree(), id));
+    let relation = RandomWalkGenerator::new(11).relation(60, 300);
+    let mut values: Vec<Vec<f64>> = relation.iter().map(|s| s.values().to_vec()).collect();
+    let mut chain = SubseqIndex::build(SubseqConfig::new(32), relation).unwrap();
+    let mut gen = RandomWalkGenerator::new(12);
+    for round in 0..40usize {
+        for series in [round % 60, (round * 7 + 3) % 60, (round * 13 + 5) % 60] {
+            values[series].extend_from_slice(gen.series(1 + (round * 5 + series) % 13).values());
+            let grown = TimeSeries::new(values[series].clone());
+            chain.extend_series(series, grown).unwrap();
+        }
+    }
+    got.push(order(chain.tree(), trail(&chain)));
+    let want = [
+        0x9d6b_2b23_7622_d9b2,
+        0x61ab_bbc2_f4b5_1b6c,
+        0x1bb0_3c14_3aac_e361,
+        0x081a_2b40_6d1c_47d8,
+        0x87c4_2ce9_dd77_b19b,
+    ];
+    assert_eq!(got, want, "walks, stocks, feed, insert-built, append chain");
 }

@@ -42,6 +42,7 @@
 //! panics mid-flight must not take the whole catalog down with it.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -214,6 +215,25 @@ impl Catalog {
     pub fn subseq_window(&self, name: &str) -> Option<usize> {
         let (window, _) = self.relations.get(name)?.index.subseq_held()?;
         Some(window)
+    }
+
+    /// The files a relation restored by [`Catalog::open_paged`] reads, and
+    /// will remove when it drops: per shard, in shard order, its node page
+    /// file and its record file, then its held ST-index's trail file once
+    /// built. Empty for an in-memory or unknown relation.
+    pub fn paged_files(&self, name: &str) -> Vec<PathBuf> {
+        let Some(relation) = self.relations.get(name) else {
+            return Vec::new();
+        };
+        let mut files = Vec::new();
+        for part in relation.index.parts() {
+            files.extend(part.paged().map(|tree| tree.path().to_path_buf()));
+            files.extend(part.records().map(|records| records.path().to_path_buf()));
+        }
+        if let Some((_, Some(trails))) = relation.index.subseq_held() {
+            files.extend(trails.paged().map(|tree| tree.path().to_path_buf()));
+        }
+        files
     }
 
     /// Looks up a relation. A relation restored by

@@ -56,6 +56,7 @@
 //!   `save → open → save` reproduces the original file byte for byte.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use tsq_core::shard::{ShardMap, ShardSpec, ShardedIndex};
 use tsq_core::{executor, store as core_store, PageCache, SeriesRelation, SimilarityIndex};
@@ -175,9 +176,16 @@ impl Catalog {
     /// [`Catalog::open`] followed by attaching paged storage to every
     /// restored relation ([`SimilarityIndex::attach_paged`]): each
     /// shard's whole-match R\*-tree is written to a sidecar page file next
-    /// to the snapshot (`<path>.<relation>_s<shard>.pages`, at every shard
-    /// count) and its samples to a record file beside it
-    /// (`<path>.<relation>_s<shard>.records`, whole records in id order).
+    /// to the snapshot (`<path>.<relation>_s<shard>.<pid>-<n>.pages`, at
+    /// every shard count) and its samples to a record file beside it
+    /// (`<path>.<relation>_s<shard>.<pid>-<n>.records`, whole records in id
+    /// order). `<pid>` is this process's id and `<n>` a number no other
+    /// sidecar of this process draws, so no two opens — of one snapshot,
+    /// in one process or in two — ever share a file: each open writes its
+    /// own files, reads them through the handles it wrote them with, and
+    /// removes them when its relations drop ([`Catalog::paged_files`]
+    /// lists them). A crash leaves its sidecars behind: one whose `<pid>`
+    /// no running process has is a leftover, safe to delete.
     /// The in-memory nodes and every decoded sample buffer are then
     /// dropped — the relation keeps its labels, each record its features —
     /// and queries fetch nodes and records through one pin-counted
@@ -202,27 +210,14 @@ impl Catalog {
     ///
     /// # Errors
     /// Same as [`Catalog::open`], plus I/O failures while writing or
-    /// reopening the sidecar files.
+    /// opening the sidecar files.
     pub fn open_paged(&mut self, path: &Path, budget_mib: usize) -> Result<Vec<String>, LangError> {
         let restored = self.open(path)?;
         let cache = PageCache::new((budget_mib.max(1) as u64) << 20);
-        let mut taken = std::collections::HashSet::new();
-        // Distinct hostile names can sanitize to the same sidecar; suffix
-        // until unique so one page file is never truncated out from under
-        // another relation's open handle.
-        let mut claim = |name: &str| {
-            let mut sidecar = paged_sidecar(path, name, 0);
-            let mut bump = 0usize;
-            while !taken.insert(sidecar.clone()) {
-                bump += 1;
-                sidecar = paged_sidecar(path, name, bump);
-            }
-            sidecar
-        };
         for name in &restored {
             let relation = self.relations.get_mut(name).expect("restored");
             for (shard, part) in relation.index.parts_mut().iter_mut().enumerate() {
-                let sidecar = claim(&format!("{name}.s{shard}"));
+                let sidecar = paged_sidecar(path, &format!("{name}.s{shard}"));
                 part.attach_paged(&sidecar, &cache)?;
             }
             relation.page_out();
@@ -255,11 +250,16 @@ fn store_err(e: StoreError) -> LangError {
     LangError::Engine(tsq_core::Error::Store(e))
 }
 
-/// Sidecar page-file path for one shard (`<relation>.s<shard>`) of a
-/// paged catalog. Relation names are file-system-hostile in general, so
-/// everything outside `[A-Za-z0-9_-]` is flattened to `_`; `bump > 0`
-/// disambiguates names that collide after flattening.
-fn paged_sidecar(snapshot: &Path, relation: &str, bump: usize) -> std::path::PathBuf {
+/// Sidecar files named by this process: each draws its own number.
+static SIDECARS: AtomicU64 = AtomicU64::new(0);
+
+/// A new sidecar page-file path for one shard (`<relation>.s<shard>`) of
+/// a paged catalog: `<snapshot>.<relation>_s<shard>.<pid>-<n>.pages`.
+/// Relation names are file-system-hostile in general, so everything
+/// outside `[A-Za-z0-9_-]` is flattened to `_`; the process id and the
+/// number drawn keep names that collide after flattening, and every other
+/// open's names, apart.
+fn paged_sidecar(snapshot: &Path, relation: &str) -> std::path::PathBuf {
     let safe: String = relation
         .chars()
         .map(|c| {
@@ -270,12 +270,9 @@ fn paged_sidecar(snapshot: &Path, relation: &str, bump: usize) -> std::path::Pat
             }
         })
         .collect();
+    let n = SIDECARS.fetch_add(1, Ordering::Relaxed);
     let mut os = snapshot.as_os_str().to_os_string();
-    if bump == 0 {
-        os.push(format!(".{safe}.pages"));
-    } else {
-        os.push(format!(".{safe}.{bump}.pages"));
-    }
+    os.push(format!(".{safe}.{}-{n}.pages", std::process::id()));
     std::path::PathBuf::from(os)
 }
 

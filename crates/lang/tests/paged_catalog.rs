@@ -219,10 +219,15 @@ fn a_paged_catalog_saves_the_bytes_it_was_restored_from() {
     }
 }
 
-/// Where `open_paged` of `snapshot` put the one-shard relation `name`'s
-/// record file.
-fn record_file(snapshot: &Path, name: &str) -> PathBuf {
-    PathBuf::from(format!("{}.{name}_s0.records", snapshot.display()))
+/// Where `open_paged` put the paged one-shard relation `name`'s record
+/// file, as the catalog lists it.
+fn record_file(paged: &Catalog, name: &str) -> PathBuf {
+    let files = paged.paged_files(name);
+    let mut records = files.iter().filter(|p| p.extension().unwrap() == "records");
+    let (Some(file), None) = (records.next(), records.next()) else {
+        panic!("{name}: one record file in {files:?}");
+    };
+    file.clone()
 }
 
 /// The record file's layout, as `tsq_core::records` documents it: a
@@ -306,7 +311,7 @@ fn hostile_record_files_are_typed_errors_at_the_first_pin() {
         std::fs::copy(&path, &snapshot).unwrap();
         let mut paged = Catalog::new();
         paged.open_paged(&snapshot, 1).unwrap();
-        let records = record_file(&snapshot, "walks");
+        let records = record_file(&paged, "walks");
         let mut bytes = std::fs::read(&records).unwrap();
         damage(&mut bytes);
         std::fs::write(&records, &bytes).unwrap();
@@ -446,7 +451,7 @@ fn a_damaged_record_file_is_a_typed_error_on_the_subsequence_path() {
         std::fs::copy(&path, &snapshot).unwrap();
         let mut paged = Catalog::new();
         paged.open_paged(&snapshot, 1).unwrap();
-        let records = record_file(&snapshot, "stocks");
+        let records = record_file(&paged, "stocks");
         let mut bytes = std::fs::read(&records).unwrap();
         assert!(
             frame_bytes(&bytes) > 512 << 10,
@@ -513,6 +518,13 @@ fn trail_files(snapshot: &Path, name: &str) -> Vec<PathBuf> {
         .collect();
     files.sort();
     files
+}
+
+/// The trail file of the paged relation `name`'s built ST-index, as the
+/// catalog lists it.
+fn built_trail_file(paged: &Catalog, name: &str) -> Option<PathBuf> {
+    let mut files = paged.paged_files(name).into_iter();
+    files.find(|p| p.extension().unwrap() == "trails")
 }
 
 /// A paged relation's subsequence statement reads its records through the
@@ -615,7 +627,7 @@ fn a_damaged_trail_file_is_a_typed_error() {
         let mut paged = Catalog::new();
         paged.open_paged(&snapshot, 1).unwrap();
         paged.run(&format!("EXPLAIN {}", statements[0])).unwrap();
-        let [trails] = &trail_files(&snapshot, "stocks")[..] else {
+        let Some(trails) = &built_trail_file(&paged, "stocks") else {
             panic!("{what}: one trail file once built");
         };
         let mut bytes = std::fs::read(trails).unwrap();

@@ -9,12 +9,14 @@
 //! One loader serves every caller ([`RStarTree::bulk_load_flat`];
 //! [`RStarTree::bulk_load`] adapts owned rectangles to it). The number of
 //! entries fixes the node layout of every level before anything is sorted
-//! — chunk sizes depend on the count alone — so each level's rectangles are
-//! written straight into the coordinate slabs of the nodes that will hold
-//! them, in input order, and the STR order is then applied in place by
-//! swapping entries between slabs. No per-entry allocation and no copy of a
-//! whole level's coordinates is ever made, and every slab has exactly its
-//! node's capacity.
+//! — chunk sizes depend on the count alone. The callers write a level's
+//! `f64` rectangles into one flat buffer, the STR order is computed on
+//! their centres, and each node's `f32` slab is then gathered in that
+//! order, every bound rounded outward ([`crate::rect`]), at exactly its
+//! node's capacity. The level above sorts on its nodes' `f64` MBRs, folded
+//! during the gather: rounding outward is monotone, so every level orders
+//! and groups its entries exactly as an all-`f64` tree would, and each
+//! stored MBR is still the union of its child's stored bounds.
 //!
 //! Every sort pass sorts entry indices on each entry's centre coordinate,
 //! computed once per pass (a cached key); the stable sort gives the
@@ -25,7 +27,7 @@ use std::cmp::Ordering;
 use crate::config::RTreeConfig;
 use crate::node::{Kids, Node};
 use crate::par::par_for_each_slice;
-use crate::rect::Rect;
+use crate::rect::{store_extend, union_into, Rect};
 use crate::tree::RStarTree;
 
 /// A level's centre coordinates: `center(i, dim)` of entry `i`.
@@ -61,9 +63,9 @@ impl<T> RStarTree<T> {
     /// from rectangles written in place: `fill` receives one slot of
     /// `2·dims` bounds per entry, in entry order, writes each entry's
     /// rectangle into its slot (`lo`, then `hi`) and returns the entries'
-    /// payloads in the same order. The slots are the coordinate slabs of
-    /// the leaves the entries will be packed into, so no rectangle is
-    /// allocated or copied on its own.
+    /// payloads in the same order. The slots are one flat `f64` buffer
+    /// that lives while the leaves are packed; no rectangle is allocated
+    /// on its own.
     ///
     /// Sorting a level fans out over up to `threads` worker threads. The
     /// tree is *identical* at every thread count: the top-level sort is
@@ -71,8 +73,8 @@ impl<T> RStarTree<T> {
     /// others, and chunk boundaries are position-based, so thread count
     /// never changes entry placement.
     ///
-    /// The bounds are stored as written: like [`Rect::from_point`]'s, they
-    /// are not validated.
+    /// The bounds are stored rounded outward to `f32` ([`crate::rect`]):
+    /// like [`Rect::from_point`]'s, they are not validated.
     ///
     /// # Panics
     /// Panics if `fill` returns other than `len` payloads, or if `dims` is
@@ -134,14 +136,14 @@ impl<T> RStarTree<T> {
         str_sort(&mut order, &centers, 0, dims, self.config.max_entries);
         permute(&order, |a, b| items.swap(a, b));
         for (&i, item) in order.iter().zip(items) {
-            self.insert(Rect::from_bounds(bounds[i * w..(i + 1) * w].to_vec()), item);
+            self.insert_bounds(&bounds[i * w..(i + 1) * w], item);
         }
     }
 }
 
-/// The one STR loader: allocate the leaf slabs for `len` entries, let
-/// `fill` write the rectangles and hand over the payloads, then pack level
-/// by level — ordering each level with `sort` — until one node remains.
+/// The one STR loader: let `fill` write the `len` rectangles into one
+/// flat `f64` buffer and hand over the payloads, then pack level by level —
+/// ordering each level with `sort` — until one node remains.
 fn str_load<T, F, S>(config: RTreeConfig, dims: usize, len: usize, fill: F, sort: S) -> RStarTree<T>
 where
     F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>) -> Vec<T>,
@@ -155,31 +157,75 @@ where
         return tree;
     }
     assert!(dims > 0, "a rectangle needs at least one dimension");
-    let cap = config.max_entries;
-    let mut slabs = Slabs::new(len, cap, 2 * dims);
-    let items = fill(&mut slabs.slots_mut());
+    let shape = (dims, config.max_entries);
+    // A level's stored slabs are allocated before its `f64` rectangles,
+    // which live only while the level is packed.
+    let leaves = reserve(len, shape);
+    let mut coords = scratch(len * 2 * dims);
+    let items = fill(&mut coords.chunks_exact_mut(2 * dims));
     assert_eq!(items.len(), len, "one payload per rectangle");
-    let mut nodes = pack(0, dims, slabs, items, Kids::Items, &sort);
+    let mut nodes = pack(0, shape, &mut coords, leaves, items, Kids::Items, &sort);
     let mut level = 1;
     while nodes.len() > 1 {
-        let mut slabs = Slabs::new(nodes.len(), cap, 2 * dims);
-        for (slot, node) in slabs.slots_mut().zip(&nodes) {
-            node.mbr_into(slot);
-        }
-        nodes = pack(level, dims, slabs, nodes, Kids::Nodes, &sort);
+        let parents = reserve(nodes.len(), shape);
+        nodes = pack(
+            level,
+            shape,
+            &mut coords,
+            parents,
+            nodes,
+            Kids::Nodes,
+            &sort,
+        );
         level += 1;
     }
     tree.set_root(nodes.pop().expect("one root"), len);
     tree
 }
 
-/// Packs one level: puts its entries in STR order — unless they all fit
-/// one node, which then keeps them in input order — and carves the slabs
-/// and payloads into nodes at `level`.
+/// A zeroed buffer of `n` bounds for one level's `f64` rectangles. Past
+/// 128 KiB it asks for room for 32 MiB, of which only the first `n` bounds
+/// are touched: glibc's malloc serves a request that large with a mapping
+/// of its own and unmaps it whole when it is freed, so a large build's
+/// scratch never grows a thread's arena, where freed memory can stay
+/// resident.
+fn scratch(n: usize) -> Vec<f64> {
+    const MAPPED: usize = (32 << 20) / size_of::<f64>();
+    let room = match n >= (128 << 10) / size_of::<f64>() {
+        true => n.max(MAPPED),
+        false => n,
+    };
+    let mut buffer = Vec::with_capacity(room);
+    buffer.resize(n, 0.0);
+    buffer
+}
+
+/// A node's entry count and its empty stored slab, at exactly its
+/// entries' capacity.
+type Reserved = (usize, Vec<f32>);
+
+/// The stored slabs of the nodes a level of `n` entries packs into: one
+/// node when all fit one, else [`chunk_sizes`].
+fn reserve(n: usize, (dims, cap): (usize, usize)) -> Vec<Reserved> {
+    let sizes = match n <= cap {
+        true => vec![n],
+        false => chunk_sizes(n, cap),
+    };
+    let slab = |size| (size, Vec::with_capacity(size * 2 * dims));
+    sizes.into_iter().map(slab).collect()
+}
+
+/// Packs one level whose `f64` rectangles are `coords` (`2·dims` per
+/// payload, in payload order) into the `nodes` [`reserve`] made for it:
+/// puts its entries in STR order — unless they all fit one node, which
+/// then keeps them in input order — and fills each node's slab with its
+/// entries' bounds in stored form. Leaves `coords` holding the nodes'
+/// `f64` MBRs, the next level's rectangles.
 fn pack<P, T, S>(
     level: u32,
-    dims: usize,
-    mut slabs: Slabs,
+    (dims, cap): (usize, usize),
+    coords: &mut Vec<f64>,
+    nodes: Vec<Reserved>,
     mut payloads: Vec<P>,
     kids: fn(Vec<P>) -> Kids<T>,
     sort: &S,
@@ -187,100 +233,43 @@ fn pack<P, T, S>(
 where
     S: Fn(&mut [usize], &Centers<'_>, usize, usize),
 {
-    if slabs.slabs.len() > 1 {
-        let mut order: Vec<usize> = (0..payloads.len()).collect();
-        let centers = |i: usize, dim: usize| center(slabs.get(i), dim);
-        sort(&mut order, &centers, dims, slabs.cap);
-        permute(&order, |a, b| {
-            slabs.swap(a, b);
-            payloads.swap(a, b);
-        });
-    }
-    let w = slabs.width;
-    let mut payloads = payloads.into_iter();
-    let nodes = slabs.slabs.into_iter().map(|coords| {
-        let count = coords.len() / w;
-        Node {
-            level,
-            dims: dims as u32,
-            coords,
-            kids: kids(payloads.by_ref().take(count).collect()),
-        }
-    });
-    nodes.collect()
-}
-
-/// One level's rectangles, `width` bounds each, held in the coordinate
-/// slabs of the nodes the level packs into: slab `j` has room for chunk
-/// `j` of [`chunk_sizes`] (one slab when everything fits one node). Entry
-/// `i` is the `i`-th slot across the slabs in order.
-struct Slabs {
-    slabs: Vec<Vec<f64>>,
-    width: usize,
-    cap: usize,
-    /// Entries in each of the last slabs; the first `extra` hold one more.
-    base: usize,
-    extra: usize,
-}
-
-impl Slabs {
-    fn new(n: usize, cap: usize, width: usize) -> Self {
-        let sizes = if n <= cap {
-            vec![n]
-        } else {
-            chunk_sizes(n, cap)
-        };
-        let base = n / sizes.len();
-        Slabs {
-            slabs: sizes.iter().map(|&size| vec![0.0; size * width]).collect(),
-            width,
+    let (w, n) = (2 * dims, payloads.len());
+    let mut order: Vec<usize> = (0..n).collect();
+    if nodes.len() > 1 {
+        let rects: &[f64] = coords;
+        sort(
+            &mut order,
+            &|i, dim| center(&rects[i * w..(i + 1) * w], dim),
+            dims,
             cap,
-            base,
-            extra: n % sizes.len(),
-        }
+        );
+        permute(&order, |a, b| payloads.swap(a, b));
     }
-
-    /// Entry `i`'s slab and its slot there.
-    fn locate(&self, i: usize) -> (usize, usize) {
-        let big = self.base + 1;
-        match i.checked_sub(self.extra * big) {
-            None => (i / big, i % big),
-            Some(rest) => (self.extra + rest / self.base, rest % self.base),
-        }
-    }
-
-    fn get(&self, i: usize) -> &[f64] {
-        let (slab, slot) = self.locate(i);
-        &self.slabs[slab][slot * self.width..(slot + 1) * self.width]
-    }
-
-    fn slots_mut(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        let w = self.width;
-        self.slabs
-            .iter_mut()
-            .flat_map(move |s| s.chunks_exact_mut(w))
-    }
-
-    /// Swaps entries `a` and `b`'s rectangles.
-    fn swap(&mut self, a: usize, b: usize) {
-        let w = self.width;
-        let ((sa, oa), (sb, ob)) = (self.locate(a), self.locate(b));
-        if sa == sb {
-            let slab = &mut self.slabs[sa];
-            let (lo, hi) = (oa.min(ob), oa.max(ob));
-            let (head, tail) = slab.split_at_mut(hi * w);
-            head[lo * w..(lo + 1) * w].swap_with_slice(&mut tail[..w]);
-        } else {
-            let (lo, hi) = if sa < sb {
-                ((sa, oa), (sb, ob))
-            } else {
-                ((sb, ob), (sa, oa))
-            };
-            let (head, tail) = self.slabs.split_at_mut(hi.0);
-            head[lo.0][lo.1 * w..(lo.1 + 1) * w]
-                .swap_with_slice(&mut tail[0][hi.1 * w..(hi.1 + 1) * w]);
-        }
-    }
+    let mut mbrs = Vec::with_capacity(nodes.len() * w);
+    let mut payloads = payloads.into_iter();
+    let mut order = order.iter();
+    let nodes = nodes
+        .into_iter()
+        .map(|(size, mut slab)| {
+            let start = mbrs.len();
+            for (j, &i) in order.by_ref().take(size).enumerate() {
+                let rect = &coords[i * w..(i + 1) * w];
+                store_extend(&mut slab, rect);
+                match j {
+                    0 => mbrs.extend_from_slice(rect),
+                    _ => union_into(&mut mbrs[start..], rect),
+                }
+            }
+            Node {
+                level,
+                dims: dims as u32,
+                coords: slab,
+                kids: kids(payloads.by_ref().take(size).collect()),
+            }
+        })
+        .collect();
+    *coords = mbrs;
+    nodes
 }
 
 /// Rearranges a sequence in place so that position `p` holds what was at
@@ -613,7 +602,7 @@ mod tests {
         let leaves = tree
             .iter()
             .map(|(r, &i)| {
-                let bits = r.bounds().iter().map(|x| x.to_bits()).collect();
+                let bits = r.lo().iter().chain(r.hi()).map(f64::to_bits).collect();
                 (bits, i)
             })
             .collect();
@@ -680,15 +669,6 @@ mod tests {
                 for &s in &sizes {
                     assert!(s <= cap);
                     assert!(s >= cap / 2, "chunk {s} below half fill (cap {cap}, n {n})");
-                }
-                // Every entry has a slot, in order, across the slabs.
-                let slabs = Slabs::new(n, cap, 2);
-                let mut at = 0;
-                for (j, &size) in sizes.iter().enumerate() {
-                    for slot in 0..size {
-                        assert_eq!(slabs.locate(at), (j, slot), "n {n}, cap {cap}");
-                        at += 1;
-                    }
                 }
             }
         }

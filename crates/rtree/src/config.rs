@@ -15,8 +15,8 @@ pub const MAX_PAGE_BYTES: usize = 1 << 22;
 pub const PAGE_HEADER_BYTES: usize = 16;
 
 /// Smallest possible serialized entry: a 1-dimensional rectangle
-/// (`lo f64` + `hi f64`) plus an 8-byte payload or child pointer.
-pub const MIN_ENTRY_BYTES: usize = 24;
+/// (`lo f32` + `hi f32`) plus an 8-byte payload or child pointer.
+pub const MIN_ENTRY_BYTES: usize = 16;
 
 /// Maximum fan-out any stored tree may declare, derived from the page
 /// geometry: the most 1-dimensional entries that fit in the largest
@@ -29,7 +29,9 @@ pub const MAX_FANOUT: usize = (MAX_PAGE_BYTES - PAGE_HEADER_BYTES) / MIN_ENTRY_B
 /// The defaults correspond to a simulated 4 KiB disk page holding
 /// 6-dimensional `f64` rectangles plus a child pointer (~100 bytes/entry →
 /// fanout ≈ 40; we use 32 to leave header room), with the R\*-tree paper's
-/// recommended 40% minimum fill and 30% forced-reinsert fraction.
+/// recommended 40% minimum fill and 30% forced-reinsert fraction. Stored
+/// bounds are `f32`s (56 bytes per 6-d entry), so such a node fills 1.8 KiB
+/// of its page; the fan-out stays 32, which keeps every tree's shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeConfig {
     /// Maximum entries per node (`M`). Must be at least 4.

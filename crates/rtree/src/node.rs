@@ -4,14 +4,15 @@
 //! ## Node layout
 //!
 //! A [`Node`] keeps its entries in two parallel arrays: one coordinate
-//! slab holding every entry's rectangle as `2·dims` `f64`s back to back, in
-//! entry order (each rectangle's `lo` then its `hi`), and one array of what
-//! sits under them — the payloads of a leaf, the child nodes of an internal
-//! node. No rectangle is boxed on its own: a traversal reads entry `i`'s
-//! rectangle as a [`RectView`] into the slab. A bulk-loaded node's arrays
-//! have exactly its entries' capacity, and an insert grows a node one entry
-//! at a time, so no node reserves room beyond the `M + 1` entries an
-//! overflowing node briefly holds.
+//! slab holding every entry's rectangle as `2·dims` `f32`s back to back, in
+//! entry order (each rectangle's `lo` then its `hi`, rounded outward — see
+//! [`crate::rect`]), and one array of what sits under them — the payloads
+//! of a leaf, the child nodes of an internal node. No rectangle is boxed on
+//! its own: a traversal reads entry `i`'s rectangle as a [`RectView`] into
+//! the slab, which widens each bound to `f64` as it is read. A bulk-loaded
+//! node's arrays have exactly its entries' capacity, and an insert grows a
+//! node one entry at a time, so no node reserves room beyond the `M + 1`
+//! entries an overflowing node briefly holds.
 //!
 //! ## Stores
 //!
@@ -164,9 +165,9 @@ pub(crate) enum Kids<T> {
 }
 
 /// One entry held apart from any node while an insertion moves it: its
-/// rectangle and what sits under it.
+/// rectangle in stored form and what sits under it.
 pub(crate) struct Entry<T> {
-    pub(crate) rect: Rect,
+    pub(crate) bounds: Vec<f32>,
     pub(crate) kid: Kid<T>,
 }
 
@@ -187,6 +188,11 @@ impl<T> Entry<T> {
             Kid::Node(child) => child.level + 1,
         }
     }
+
+    /// The entry's stored rectangle.
+    pub(crate) fn rect(&self) -> RectView<'_> {
+        RectView::new(&self.bounds)
+    }
 }
 
 /// A tree node. `level == 0` means leaf; the root is the highest level.
@@ -198,8 +204,8 @@ pub struct Node<T> {
     /// Dimensionality of every rectangle in the slab.
     pub(crate) dims: u32,
     /// `2·dims` bounds per entry, in entry order: each rectangle's `lo`,
-    /// then its `hi`.
-    pub(crate) coords: Vec<f64>,
+    /// then its `hi`, rounded outward to `f32`.
+    pub(crate) coords: Vec<f32>,
     pub(crate) kids: Kids<T>,
 }
 
@@ -257,7 +263,7 @@ impl<T> Node<T> {
     /// Appends an entry, growing each array by exactly one entry when it
     /// is full: an insert-built node never reserves more room than the
     /// entries it holds.
-    pub(crate) fn push(&mut self, bounds: &[f64], kid: Kid<T>) {
+    pub(crate) fn push(&mut self, bounds: &[f32], kid: Kid<T>) {
         debug_assert_eq!(bounds.len(), self.width());
         self.coords.reserve_exact(bounds.len());
         self.coords.extend_from_slice(bounds);
@@ -313,22 +319,19 @@ impl<T> Node<T> {
     /// The entries, detached, in entry order.
     pub(crate) fn into_entries(self) -> Vec<Entry<T>> {
         let w = self.width();
-        let rects = self
-            .coords
-            .chunks_exact(w)
-            .map(|b| Rect::from_bounds(b.to_vec()));
+        let rects = self.coords.chunks_exact(w).map(<[f32]>::to_vec);
         match self.kids {
             Kids::Items(items) => rects
                 .zip(items)
-                .map(|(rect, item)| Entry {
-                    rect,
+                .map(|(bounds, item)| Entry {
+                    bounds,
                     kid: Kid::Item(item),
                 })
                 .collect(),
             Kids::Nodes(children) => rects
                 .zip(children)
-                .map(|(rect, child)| Entry {
-                    rect,
+                .map(|(bounds, child)| Entry {
+                    bounds,
                     kid: Kid::Node(child),
                 })
                 .collect(),
@@ -342,7 +345,7 @@ impl<T> Node<T> {
     /// # Panics
     /// Panics on an empty node (only the empty-tree root has no entries and
     /// callers guard that case).
-    pub(crate) fn mbr_into(&self, out: &mut [f64]) {
+    pub(crate) fn mbr_into(&self, out: &mut [f32]) {
         let mut rects = self.coords.chunks_exact(self.width());
         out.copy_from_slice(rects.next().expect("mbr of empty node"));
         for bounds in rects {
@@ -350,11 +353,17 @@ impl<T> Node<T> {
         }
     }
 
-    /// The minimum bounding rectangle of all entries ([`Node::mbr_into`]).
-    pub(crate) fn mbr(&self) -> Rect {
+    /// The minimum bounding rectangle of all entries, stored form
+    /// ([`Node::mbr_into`]).
+    pub(crate) fn mbr_bounds(&self) -> Vec<f32> {
         let mut bounds = vec![0.0; self.width()];
         self.mbr_into(&mut bounds);
-        Rect::from_bounds(bounds)
+        bounds
+    }
+
+    /// The minimum bounding rectangle of all entries, widened.
+    pub(crate) fn mbr(&self) -> Rect {
+        RectView::new(&self.mbr_bounds()).to_rect()
     }
 }
 

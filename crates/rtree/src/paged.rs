@@ -22,8 +22,8 @@
 //! workspace stores); `create_from` bridges from the generic item type
 //! with a caller-supplied conversion.
 
-use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ use tsq_store::{crc32, Decoder, Encoder, StoreError, StoreResult};
 use crate::config::{RTreeConfig, MAX_PAGE_BYTES, PAGE_ALIGN, PAGE_HEADER_BYTES};
 use crate::node::{Kids, Node, NodeStore, Slot};
 use crate::page::{seal_page, BufferPool, PageCache, PageId, PagePin};
-use crate::persist::read_bounds;
+use crate::persist::{read_bounds, write_bounds};
 use crate::rect::RectView;
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
@@ -40,8 +40,10 @@ use crate::tree::RStarTree;
 /// Page-file magic bytes.
 const MAGIC: &[u8; 8] = b"TSQPAGE\0";
 
-/// Page-file format version.
-const VERSION: u32 = 1;
+/// Page-file format version: 2 since bounds are stored as `f32`s rounded
+/// outward (1 held `f64`s). A page file is derived when a snapshot is
+/// opened, so no snapshot holds one.
+const VERSION: u32 = 2;
 
 /// Levels are bounded to keep recursion depth trivially safe: a tree of
 /// height 64 with fan-out ≥ 2 would hold more items than a `u64` counts.
@@ -58,14 +60,14 @@ const MAX_PAGE_COUNT: u64 = 1 << 40;
 const _: () = assert!(MAX_PAGE_COUNT * (MAX_PAGE_BYTES as u64) < u64::MAX - PAGE_ALIGN as u64);
 
 /// One decoded page: a node whose children are page references, in the
-/// in-memory node's layout — one coordinate slab of `2·dims` bounds per
-/// entry, in entry order, beside the words under them.
+/// in-memory node's layout — one coordinate slab of `2·dims` stored `f32`
+/// bounds per entry, in entry order, beside the words under them.
 #[derive(Debug)]
 pub struct PagedNode {
     /// Distance from the leaves (0 = leaf).
     level: u32,
     /// Every entry's rectangle, `lo` then `hi`, back to back.
-    coords: Vec<f64>,
+    coords: Vec<f32>,
     /// Under each rectangle: the payload at level 0, the child's page id
     /// above.
     words: Vec<u64>,
@@ -73,10 +75,16 @@ pub struct PagedNode {
 
 /// A read-only R\*-tree stored one-node-per-page in a file, fetched
 /// through a pin-counted [`BufferPool`] handle onto a shared cache.
+///
+/// Every page is read through the one file handle the tree was opened
+/// with. A tree [`PagedTree::create`]d from a tree in memory owns its file:
+/// it wrote it through that handle, and removes it when it drops.
 #[derive(Debug)]
 pub struct PagedTree {
     pool: BufferPool<PagedNode>,
     path: PathBuf,
+    /// Whether dropping the tree removes its file.
+    owned: bool,
     root: PageId,
     root_level: u32,
     config: RTreeConfig,
@@ -93,7 +101,7 @@ pub struct PagedTree {
 /// [`StoreError::Corrupt`] when a full node cannot fit [`MAX_PAGE_BYTES`].
 pub fn page_size_for(config: &RTreeConfig, dims: usize) -> StoreResult<usize> {
     let entry_bytes = dims
-        .checked_mul(16)
+        .checked_mul(8)
         .and_then(|r| r.checked_add(8))
         .ok_or_else(|| StoreError::corrupt("page entry size overflows"))?;
     let payload = config
@@ -143,34 +151,40 @@ impl PagedTree {
     pub fn create_from<T, F: FnMut(&T) -> u64>(
         path: &Path,
         tree: &RStarTree<T>,
-        mut to_u64: F,
+        to_u64: F,
     ) -> StoreResult<()> {
-        let config = *tree.config();
-        let dims = tree.dims();
-        let page_size = tree.paged_page_size()?;
-        let file = File::create(path)?;
-        let mut w = BufWriter::new(file);
-        // Pages go first conceptually, but the header block leads the
-        // file; its page_count/root fields are known up front because the
-        // node count is just a walk.
-        let page_count = count_nodes(&tree.root);
-        let root = PageId(page_count - 1);
-        let header = encode_header(
-            page_size,
-            page_count,
-            root,
-            &config,
-            tree.len(),
-            tree.root.level,
-            dims,
-        );
-        w.write_all(&header)?;
-        w.write_all(&vec![0u8; PAGE_ALIGN - HEADER_BYTES])?;
-        let mut next = 0u64;
-        write_subtree(&mut w, &tree.root, &mut to_u64, &mut next, page_size)?;
-        debug_assert_eq!(next, page_count);
-        w.flush()?;
-        Ok(())
+        write_file(File::create(path)?, tree, to_u64).map(drop)
+    }
+
+    /// Writes `tree` to a new page file at `path`, as
+    /// [`PagedTree::create_from`] does, and opens it in `cache` through the
+    /// handle it was written with; the tree owns the file and removes it
+    /// when it drops. A file already at `path` is unlinked first, never
+    /// written into: a live handle on it keeps reading its own pages. A
+    /// file that cannot be written or opened is removed.
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] on write failures, [`StoreError::Corrupt`] when
+    /// the configuration cannot fit a page.
+    pub fn create<T, F: FnMut(&T) -> u64>(
+        path: &Path,
+        tree: &RStarTree<T>,
+        to_u64: F,
+        cache: &Arc<PageCache>,
+    ) -> StoreResult<Self> {
+        let file = create_new(path)?;
+        let opened =
+            write_file(file, tree, to_u64).and_then(|file| Self::from_file(file, path, cache));
+        match opened {
+            Ok(mut paged) => {
+                paged.owned = true;
+                Ok(paged)
+            }
+            Err(e) => {
+                let _ = std::fs::remove_file(path);
+                Err(e)
+            }
+        }
     }
 
     /// Opens a page file whose nodes join `cache`, each charged one page.
@@ -179,7 +193,13 @@ impl PagedTree {
     /// Typed [`StoreError`]s for I/O failures, bad magic/version, header
     /// corruption, or geometry that disagrees with the file's size.
     pub fn open(path: &Path, cache: &Arc<PageCache>) -> StoreResult<Self> {
-        let mut file = File::open(path)?;
+        Self::from_file(File::open(path)?, path, cache)
+    }
+
+    /// Checks the page file behind `file` (header, size) and joins it to
+    /// `cache`; `path` is where it lives.
+    fn from_file(mut file: File, path: &Path, cache: &Arc<PageCache>) -> StoreResult<Self> {
+        file.seek(SeekFrom::Start(0))?;
         let mut header = [0u8; HEADER_BYTES];
         file.read_exact(&mut header)
             .map_err(|_| StoreError::truncated("page file header"))?;
@@ -198,6 +218,7 @@ impl PagedTree {
         Ok(PagedTree {
             pool,
             path: path.to_path_buf(),
+            owned: false,
             root: parsed.root,
             root_level: parsed.root_level,
             config: parsed.config,
@@ -338,6 +359,65 @@ impl<'a> NodeStore for &'a PagedTree {
     }
 }
 
+/// The tree removes the file it created ([`PagedTree::create`]); its
+/// pool's handle, and with it the cached frames, goes right after.
+impl Drop for PagedTree {
+    fn drop(&mut self) {
+        if self.owned {
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
+}
+
+/// A new file at `path`, open for reading and writing: a file already
+/// there is unlinked first, so no handle on it sees a byte change.
+///
+/// # Errors
+/// [`StoreError::Io`] when the file cannot be created.
+pub fn create_new(path: &Path) -> StoreResult<File> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+        _ => {}
+    }
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(path)?;
+    Ok(file)
+}
+
+/// Writes `tree` as a page file into `file` (one node per page, children
+/// before parents, the root last) and hands the file back.
+fn write_file<T, F: FnMut(&T) -> u64>(
+    file: File,
+    tree: &RStarTree<T>,
+    mut to_u64: F,
+) -> StoreResult<File> {
+    let page_size = tree.paged_page_size()?;
+    let mut w = BufWriter::new(file);
+    // Pages go first conceptually, but the header block leads the file;
+    // its page_count/root fields are known up front because the node
+    // count is just a walk.
+    let page_count = count_nodes(&tree.root);
+    let root = PageId(page_count - 1);
+    let header = encode_header(
+        page_size,
+        page_count,
+        root,
+        tree.config(),
+        tree.len(),
+        tree.root.level,
+        tree.dims(),
+    );
+    w.write_all(&header)?;
+    w.write_all(&vec![0u8; PAGE_ALIGN - HEADER_BYTES])?;
+    let mut next = 0u64;
+    write_subtree(&mut w, &tree.root, &mut to_u64, &mut next, page_size)?;
+    debug_assert_eq!(next, page_count);
+    w.into_inner().map_err(|e| e.into_error().into())
+}
+
 fn count_nodes<T>(node: &Node<T>) -> u64 {
     match &node.kids {
         Kids::Items(_) => 1,
@@ -367,7 +447,7 @@ fn write_subtree<T, F: FnMut(&T) -> u64>(
     enc.u32(node.level);
     enc.u32(words.len() as u32);
     for (rect, word) in node.rects().zip(words) {
-        enc.f64_slice(rect.bounds());
+        write_bounds(&mut enc, rect.bounds());
         enc.u64(word);
     }
     let payload = enc.into_bytes();
@@ -586,7 +666,7 @@ mod tests {
         let cfg = RTreeConfig::default();
         let size = page_size_for(&cfg, 6).unwrap();
         assert_eq!(size % PAGE_ALIGN, 0);
-        assert!(size >= 32 * (6 * 16 + 8));
+        assert!(size >= 32 * (6 * 8 + 8));
         // A fan-out too large for any page is a typed error.
         let huge = RTreeConfig {
             max_entries: crate::config::MAX_FANOUT,

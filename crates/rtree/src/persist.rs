@@ -6,13 +6,16 @@
 //!
 //! ```text
 //! config     max_entries u32 · min_entries u32 · reinsert_count u32
-//! rect       lo f64×dims · hi f64×dims     (a node slab's layout)
+//! rect       lo f32×dims · hi f32×dims     (a node slab's layout)
 //! ```
 //!
-//! Readers enforce what `RTreeConfig::validate` and `Rect::new` assert —
-//! fan-out bounds, finite non-inverted bounds — with typed
-//! [`StoreError`]s instead of panics, so corrupt input past a checksum
-//! still cannot panic or allocate absurdly.
+//! A rectangle is written in its stored form: `f32` bounds rounded outward
+//! ([`crate::rect`]), so a `lo` may be −∞ and a `hi` +∞ (a feature past
+//! `f32::MAX`), never the other way round. Readers enforce what
+//! `RTreeConfig::validate` asserts and what outward rounding can produce —
+//! fan-out bounds, no NaN, no `lo` of +∞ or `hi` of −∞, no inverted pair —
+//! with typed [`StoreError`]s instead of panics, so corrupt input past a
+//! checksum still cannot panic or allocate absurdly.
 
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
@@ -59,6 +62,13 @@ pub fn read_config(dec: &mut Decoder<'_>) -> StoreResult<RTreeConfig> {
     })
 }
 
+/// Writes one stored rectangle: its `2·dims` `f32` bounds, `lo` then `hi`.
+pub(crate) fn write_bounds(enc: &mut Encoder, bounds: &[f32]) {
+    for b in bounds {
+        enc.u32(b.to_bits());
+    }
+}
+
 /// Reads one rectangle of `dims` dimensions and appends its bounds to
 /// `slab`: the wire layout (`lo` array then `hi` array) is a node slab's,
 /// so a page decodes straight into its node's slab in one block read, one
@@ -66,24 +76,24 @@ pub fn read_config(dec: &mut Decoder<'_>) -> StoreResult<RTreeConfig> {
 pub(crate) fn read_bounds(
     dec: &mut Decoder<'_>,
     dims: usize,
-    slab: &mut Vec<f64>,
+    slab: &mut Vec<f32>,
 ) -> StoreResult<()> {
     let bytes = dec.bytes(
-        dims.checked_mul(16)
+        dims.checked_mul(8)
             .ok_or_else(|| StoreError::corrupt("rect dimensionality overflows"))?,
         "rect bounds",
     )?;
     let start = slab.len();
     slab.extend(
         bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8"))),
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunk of 4"))),
     );
     let bounds = &slab[start..];
     for i in 0..dims {
         let (l, h) = (bounds[i], bounds[dims + i]);
-        let error = if !l.is_finite() || !h.is_finite() {
-            format!("non-finite rect bound in dim {i}: [{l}, {h}]")
+        let error = if l.is_nan() || h.is_nan() || l == f32::INFINITY || h == f32::NEG_INFINITY {
+            format!("rect bound in dim {i} outside what outward rounding stores: [{l}, {h}]")
         } else if l > h {
             format!("inverted rect bounds in dim {i}: {l} > {h}")
         } else {
@@ -98,15 +108,15 @@ pub(crate) fn read_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rect::Rect;
+    use crate::rect::{stored, Rect};
 
     fn rect_bytes(rect: &Rect) -> Vec<u8> {
         let mut enc = Encoder::new();
-        enc.f64_slice(rect.view().bounds());
+        write_bounds(&mut enc, &stored(rect.view().bounds()));
         enc.into_bytes()
     }
 
-    fn read_rect(dec: &mut Decoder<'_>, dims: usize) -> StoreResult<Vec<f64>> {
+    fn read_rect(dec: &mut Decoder<'_>, dims: usize) -> StoreResult<Vec<f32>> {
         let mut slab = vec![7.0];
         read_bounds(dec, dims, &mut slab)?;
         assert_eq!(slab[0], 7.0, "appended after what the slab held");
@@ -134,7 +144,7 @@ mod tests {
         let rect = Rect::new(vec![0.0, -1.5], vec![2.0, 3.0]);
         let good = rect_bytes(&rect);
         let mut dec = Decoder::new(&good);
-        assert_eq!(read_rect(&mut dec, 2).unwrap(), rect.view().bounds());
+        assert_eq!(read_rect(&mut dec, 2).unwrap(), [0.0, -1.5, 2.0, 3.0]);
         dec.finish().unwrap();
         let corrupt = |bytes: &[u8], what: &str| {
             let mut slab = vec![1.0, 2.0];
@@ -142,14 +152,27 @@ mod tests {
             assert!(matches!(err, StoreError::Corrupt { .. }), "{what}: {err:?}");
             assert_eq!(slab, [1.0, 2.0], "{what}: the slab is left as it was");
         };
-        // Non-finite bound (lo of dimension 0).
+        // NaN bound (lo of dimension 0).
         let mut bad = good.clone();
-        bad[0..8].copy_from_slice(&f64::NAN.to_le_bytes());
+        bad[0..4].copy_from_slice(&f32::NAN.to_le_bytes());
         corrupt(&bad, "NaN bound");
+        // A `lo` of +∞ and a `hi` of −∞: never stored by rounding outward.
+        let mut bad = good.clone();
+        bad[0..4].copy_from_slice(&f32::INFINITY.to_le_bytes());
+        corrupt(&bad, "+∞ lo");
+        let mut bad = good.clone();
+        bad[8..12].copy_from_slice(&f32::NEG_INFINITY.to_le_bytes());
+        corrupt(&bad, "−∞ hi");
         // Inverted bounds (lo of dimension 1 above its hi).
         let mut bad = good.clone();
-        bad[8..16].copy_from_slice(&4.0f64.to_le_bytes());
+        bad[4..8].copy_from_slice(&4.0f32.to_le_bytes());
         corrupt(&bad, "inverted bounds");
+        // A −∞ lo and a +∞ hi: what a feature past `f32::MAX` stores.
+        let mut wide = good.clone();
+        wide[0..4].copy_from_slice(&f32::NEG_INFINITY.to_le_bytes());
+        wide[12..16].copy_from_slice(&f32::INFINITY.to_le_bytes());
+        let got = read_rect(&mut Decoder::new(&wide), 2).unwrap();
+        assert_eq!(got, [f32::NEG_INFINITY, -1.5, 2.0, f32::INFINITY]);
         // A dimensionality whose byte count overflows.
         let err = read_rect(&mut Decoder::new(&good), usize::MAX).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");

@@ -3,15 +3,123 @@
 //!
 //! The index stores feature points in a `2k+2`-dimensional space whose
 //! dimensionality is chosen at runtime (it depends on the number of Fourier
-//! coefficients kept), so a rectangle is a run of `2·dims` `f64` bounds
-//! rather than a const-generic array: `lo` in the first half, `hi` in the
-//! second. A tree node keeps its entries' runs back to back in one
-//! coordinate slab and hands traversals a [`RectView`] into it; a [`Rect`]
-//! owns its run in one allocation, for query rectangles and for what is
-//! built one rectangle at a time. Every geometric test lives on the view;
-//! [`Rect::view`] borrows an owned rectangle as one.
+//! coefficients kept), so a rectangle is a run of `2·dims` bounds rather
+//! than a const-generic array: `lo` in the first half, `hi` in the second.
+//! A [`Rect`] owns its run as `f64`s in one allocation, for query
+//! rectangles and for what is built one rectangle at a time.
+//!
+//! ## Stored bounds are `f32`, rounded outward
+//!
+//! A tree node keeps its entries' runs back to back in one coordinate slab
+//! of `f32`s and hands traversals a [`RectView`] into it. A stored
+//! rectangle only has to *contain* what it covers (Lemma 1 asks no more of
+//! the filter), so each `f64` bound is rounded outward when it is stored:
+//! `lo` toward −∞, `hi` toward +∞. A bound whose cast is exact is stored as
+//! it is (0, ±0 and every `f32`-exact value stay exact); one past
+//! `f32::MAX` becomes `f32::MAX` on its inner side and ±∞ on its outer
+//! one. The union of stored bounds is exact in `f32`, and rounding outward
+//! is monotone, so a parent's stored rectangle is both the union of its
+//! children's and the outward rounding of their `f64` union.
+//!
+//! Every geometric test lives on the view and runs in `f64`: a stored bound
+//! widens to `f64` exactly when it is read ([`Coord::widen`], [`Side`]), so
+//! the same code reads a node's `f32` slab and a [`Rect`]'s `f64` run
+//! ([`Rect::view`]).
 
 use std::fmt;
+use std::iter::Map;
+use std::slice;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
+}
+
+/// A type a rectangle's bounds are held in: `f64` in a [`Rect`], `f32` in
+/// a tree node's slab. Sealed; read through [`Coord::widen`].
+pub trait Coord: Copy + PartialOrd + fmt::Debug + sealed::Sealed {
+    /// The bound as an `f64` (exact for both types).
+    fn widen(self) -> f64;
+}
+
+impl Coord for f64 {
+    #[inline]
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
+impl Coord for f32 {
+    #[inline]
+    fn widen(self) -> f64 {
+        f64::from(self)
+    }
+}
+
+/// The neighbouring `f32` toward `+∞` of `v`; `+∞` and NaN themselves
+/// (`f32::next_up` is past the MSRV; a value's neighbours are its bit
+/// pattern's).
+fn f32_up(v: f32) -> f32 {
+    if v.is_nan() || v == f32::INFINITY {
+        v
+    } else if v == 0.0 {
+        f32::from_bits(1)
+    } else if v > 0.0 {
+        f32::from_bits(v.to_bits() + 1)
+    } else {
+        f32::from_bits(v.to_bits() - 1)
+    }
+}
+
+/// The largest `f32` at or below `v` (`−∞` below `−f32::MAX`).
+#[inline]
+pub(crate) fn round_down(v: f64) -> f32 {
+    let f = v as f32;
+    match f64::from(f) > v {
+        true => -f32_up(-f),
+        false => f,
+    }
+}
+
+/// The smallest `f32` at or above `v` (`+∞` above `f32::MAX`).
+#[inline]
+pub(crate) fn round_up(v: f64) -> f32 {
+    let f = v as f32;
+    match f64::from(f) < v {
+        true => f32_up(f),
+        false => f,
+    }
+}
+
+/// Writes the stored form of a rectangle's `f64` bounds (`lo` then `hi`)
+/// into `out`: each `lo` rounded down, each `hi` rounded up.
+#[inline]
+pub(crate) fn store_into<C: Coord>(bounds: &[C], out: &mut [f32]) {
+    debug_assert_eq!(bounds.len(), out.len());
+    let d = bounds.len() / 2;
+    for (i, (slot, b)) in out.iter_mut().zip(bounds).enumerate() {
+        *slot = match i < d {
+            true => round_down(b.widen()),
+            false => round_up(b.widen()),
+        };
+    }
+}
+
+/// The stored form of a rectangle's bounds ([`store_into`]).
+pub(crate) fn stored<C: Coord>(bounds: &[C]) -> Vec<f32> {
+    let mut out = vec![0.0; bounds.len()];
+    store_into(bounds, &mut out);
+    out
+}
+
+/// [`store_into`], appended to a slab.
+#[inline]
+pub(crate) fn store_extend<C: Coord>(slab: &mut Vec<f32>, bounds: &[C]) {
+    let start = slab.len();
+    slab.resize(start + bounds.len(), 0.0);
+    store_into(bounds, &mut slab[start..]);
+}
 
 /// An axis-aligned (hyper-)rectangle that owns its bounds: per-dimension
 /// closed intervals `[lo_i, hi_i]`.
@@ -23,12 +131,64 @@ pub struct Rect {
     bounds: Box<[f64]>,
 }
 
-/// A borrowed rectangle: `2·dims` bounds stored elsewhere — in a tree
-/// node's coordinate slab, or in a [`Rect`] — `lo` then `hi`. What every
-/// traversal hands its callbacks; `Copy`, so it is passed by value.
+/// A borrowed rectangle: `2·dims` bounds stored elsewhere, `lo` then `hi`
+/// — `f32`s in a tree node's coordinate slab (the default), or a
+/// [`Rect`]'s `f64`s. What every traversal hands its callbacks; `Copy`, so
+/// it is passed by value. Every bound it reads widens to `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RectView<'a> {
-    bounds: &'a [f64],
+pub struct RectView<'a, C = f32> {
+    bounds: &'a [C],
+}
+
+/// One side of a [`RectView`]: its `lo` bounds or its `hi` bounds, each
+/// widened to `f64` when read.
+#[derive(Debug, Clone, Copy)]
+pub struct Side<'a, C = f32> {
+    bounds: &'a [C],
+}
+
+/// A [`Side`]'s bounds in order, as `f64`s.
+pub type SideIter<'a, C> = Map<slice::Iter<'a, C>, fn(&C) -> f64>;
+
+impl<'a, C: Coord> Side<'a, C> {
+    /// Number of bounds (the rectangle's dimensionality).
+    #[inline]
+    pub fn len(self) -> usize {
+        self.bounds.len()
+    }
+
+    /// True for a zero-dimensional rectangle.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.bounds.is_empty()
+    }
+
+    /// Bound `i`, widened.
+    #[inline]
+    pub fn at(self, i: usize) -> f64 {
+        self.bounds[i].widen()
+    }
+
+    /// The bounds in order, widened.
+    #[inline]
+    pub fn iter(self) -> SideIter<'a, C> {
+        self.bounds.iter().map(|b| b.widen())
+    }
+
+    /// The bounds, widened, in a vector.
+    pub fn to_vec(self) -> Vec<f64> {
+        self.iter().collect()
+    }
+}
+
+impl<'a, C: Coord> IntoIterator for Side<'a, C> {
+    type Item = f64;
+    type IntoIter = SideIter<'a, C>;
+
+    #[inline]
+    fn into_iter(self) -> SideIter<'a, C> {
+        self.iter()
+    }
 }
 
 impl Rect {
@@ -73,7 +233,7 @@ impl Rect {
 
     /// This rectangle as a borrowed view.
     #[inline]
-    pub fn view(&self) -> RectView<'_> {
+    pub fn view(&self) -> RectView<'_, f64> {
         RectView {
             bounds: &self.bounds,
         }
@@ -82,19 +242,19 @@ impl Rect {
     /// Number of dimensions.
     #[inline]
     pub fn dims(&self) -> usize {
-        self.view().dims()
+        self.bounds.len() / 2
     }
 
     /// Lower bounds.
     #[inline]
     pub fn lo(&self) -> &[f64] {
-        self.view().lo()
+        &self.bounds[..self.dims()]
     }
 
     /// Upper bounds.
     #[inline]
     pub fn hi(&self) -> &[f64] {
-        self.view().hi()
+        &self.bounds[self.dims()..]
     }
 
     /// [`RectView::min_dist2`].
@@ -103,8 +263,15 @@ impl Rect {
     }
 
     /// Grows `self` in place to cover `other`.
-    pub fn union_assign(&mut self, other: RectView<'_>) {
-        union_into(&mut self.bounds, other.bounds);
+    pub fn union_assign<C: Coord>(&mut self, other: RectView<'_, C>) {
+        debug_assert_eq!(self.bounds.len(), other.bounds.len());
+        let d = self.dims();
+        for (i, (acc, b)) in self.bounds.iter_mut().zip(other.bounds).enumerate() {
+            let b = b.widen();
+            if (i < d && b < *acc) || (i >= d && b > *acc) {
+                *acc = b;
+            }
+        }
     }
 
     /// Returns a copy grown by `pad >= 0` in every direction.
@@ -120,21 +287,21 @@ impl Rect {
     }
 }
 
-impl<'a> RectView<'a> {
+impl<'a, C: Coord> RectView<'a, C> {
     /// A view of `2·dims` bounds, `lo` then `hi` (not validated: a view
     /// reads bounds, it does not vouch for them).
     ///
     /// # Panics
     /// Panics on an odd number of bounds.
     #[inline]
-    pub fn new(bounds: &'a [f64]) -> Self {
+    pub fn new(bounds: &'a [C]) -> Self {
         assert!(bounds.len() % 2 == 0, "a rectangle's bounds come in pairs");
         RectView { bounds }
     }
 
     /// The bounds as stored: `lo` then `hi`.
     #[inline]
-    pub fn bounds(self) -> &'a [f64] {
+    pub fn bounds(self) -> &'a [C] {
         self.bounds
     }
 
@@ -144,21 +311,31 @@ impl<'a> RectView<'a> {
         self.bounds.len() / 2
     }
 
-    /// Lower bounds.
+    /// Lower bounds, widened when read.
     #[inline]
-    pub fn lo(self) -> &'a [f64] {
-        &self.bounds[..self.dims()]
+    pub fn lo(self) -> Side<'a, C> {
+        Side {
+            bounds: &self.bounds[..self.dims()],
+        }
     }
 
-    /// Upper bounds.
+    /// Upper bounds, widened when read.
     #[inline]
-    pub fn hi(self) -> &'a [f64] {
-        &self.bounds[self.dims()..]
+    pub fn hi(self) -> Side<'a, C> {
+        Side {
+            bounds: &self.bounds[self.dims()..],
+        }
     }
 
-    /// An owned copy.
+    /// Dimension `i`'s bounds `(lo, hi)`, widened.
+    #[inline]
+    pub fn interval(self, i: usize) -> (f64, f64) {
+        (self.bounds[i].widen(), self.bounds[self.dims() + i].widen())
+    }
+
+    /// An owned copy, widened to `f64`.
     pub fn to_rect(self) -> Rect {
-        Rect::from_bounds(self.bounds.to_vec())
+        Rect::from_bounds(self.bounds.iter().map(|b| b.widen()).collect())
     }
 
     /// The center point.
@@ -166,7 +343,7 @@ impl<'a> RectView<'a> {
         self.lo()
             .iter()
             .zip(self.hi())
-            .map(|(&l, &h)| 0.5 * (l + h))
+            .map(|(l, h)| 0.5 * (l + h))
             .collect()
     }
 
@@ -175,14 +352,14 @@ impl<'a> RectView<'a> {
         self.lo()
             .iter()
             .zip(self.hi())
-            .map(|(&l, &h)| h - l)
+            .map(|(l, h)| h - l)
             .product()
     }
 
     /// Margin (sum of extents) — the R\*-tree split heuristic minimizes the
     /// sum of margins over candidate distributions.
     pub fn margin(self) -> f64 {
-        self.lo().iter().zip(self.hi()).map(|(&l, &h)| h - l).sum()
+        self.lo().iter().zip(self.hi()).map(|(l, h)| h - l).sum()
     }
 
     /// True when `self` and `other` intersect (closed intervals: touching
@@ -191,35 +368,35 @@ impl<'a> RectView<'a> {
     /// # Panics
     /// Debug-asserts equal dimensionality.
     #[inline]
-    pub fn intersects(self, other: RectView<'_>) -> bool {
+    pub fn intersects<D: Coord>(self, other: RectView<'_, D>) -> bool {
         debug_assert_eq!(self.dims(), other.dims());
-        self.lo().iter().zip(other.hi()).all(|(&l, &h)| l <= h)
-            && other.lo().iter().zip(self.hi()).all(|(&l, &h)| l <= h)
+        self.lo().iter().zip(other.hi()).all(|(l, h)| l <= h)
+            && other.lo().iter().zip(self.hi()).all(|(l, h)| l <= h)
     }
 
     /// True when `other` lies entirely inside `self`.
-    pub fn contains_rect(self, other: RectView<'_>) -> bool {
+    pub fn contains_rect<D: Coord>(self, other: RectView<'_, D>) -> bool {
         debug_assert_eq!(self.dims(), other.dims());
-        self.lo().iter().zip(other.lo()).all(|(&a, &b)| a <= b)
-            && self.hi().iter().zip(other.hi()).all(|(&a, &b)| a >= b)
+        self.lo().iter().zip(other.lo()).all(|(a, b)| a <= b)
+            && self.hi().iter().zip(other.hi()).all(|(a, b)| a >= b)
     }
 
     /// True when the point lies inside `self` (boundary included).
     pub fn contains_point(self, p: &[f64]) -> bool {
         debug_assert_eq!(self.dims(), p.len());
-        self.lo().iter().zip(p).all(|(&l, &v)| l <= v)
-            && self.hi().iter().zip(p).all(|(&h, &v)| v <= h)
+        self.lo().iter().zip(p).all(|(l, &v)| l <= v)
+            && self.hi().iter().zip(p).all(|(h, &v)| v <= h)
     }
 
     /// Volume of the intersection; zero when disjoint.
-    pub fn intersection_area(self, other: RectView<'_>) -> f64 {
+    pub fn intersection_area<D: Coord>(self, other: RectView<'_, D>) -> f64 {
         debug_assert_eq!(self.dims(), other.dims());
-        let (slo, shi) = (self.lo(), self.hi());
-        let (olo, ohi) = (other.lo(), other.hi());
         let mut area = 1.0;
         for i in 0..self.dims() {
-            let l = slo[i].max(olo[i]);
-            let h = shi[i].min(ohi[i]);
+            let (slo, shi) = self.interval(i);
+            let (olo, ohi) = other.interval(i);
+            let l = slo.max(olo);
+            let h = shi.min(ohi);
             if l >= h {
                 return 0.0;
             }
@@ -229,7 +406,7 @@ impl<'a> RectView<'a> {
     }
 
     /// Smallest rectangle containing both.
-    pub fn union(self, other: RectView<'_>) -> Rect {
+    pub fn union<D: Coord>(self, other: RectView<'_, D>) -> Rect {
         debug_assert_eq!(self.dims(), other.dims());
         let mut out = self.to_rect();
         out.union_assign(other);
@@ -237,7 +414,7 @@ impl<'a> RectView<'a> {
     }
 
     /// Area increase required for `self` to cover `other`.
-    pub fn enlargement(self, other: RectView<'_>) -> f64 {
+    pub fn enlargement<D: Coord>(self, other: RectView<'_, D>) -> f64 {
         self.union(other).view().area() - self.area()
     }
 
@@ -246,13 +423,13 @@ impl<'a> RectView<'a> {
     /// inside.
     pub fn min_dist2(self, p: &[f64]) -> f64 {
         debug_assert_eq!(self.dims(), p.len());
-        let (lo, hi) = (self.lo(), self.hi());
         let mut acc = 0.0;
         for (i, &v) in p.iter().enumerate() {
-            let d = if v < lo[i] {
-                lo[i] - v
-            } else if v > hi[i] {
-                v - hi[i]
+            let (lo, hi) = self.interval(i);
+            let d = if v < lo {
+                lo - v
+            } else if v > hi {
+                v - hi
             } else {
                 0.0
             };
@@ -275,8 +452,9 @@ impl<'a> RectView<'a> {
         assert_eq!(b.len(), d, "affine shift length mismatch");
         let mut bounds = vec![0.0; 2 * d];
         for i in 0..d {
-            let x = a[i] * self.bounds[i] + b[i];
-            let y = a[i] * self.bounds[d + i] + b[i];
+            let (lo, hi) = self.interval(i);
+            let x = a[i] * lo + b[i];
+            let y = a[i] * hi + b[i];
             let (l, h) = if x <= y { (x, y) } else { (y, x) };
             bounds[i] = l;
             bounds[d + i] = h;
@@ -291,7 +469,7 @@ impl<'a> RectView<'a> {
 /// bound moves only when the other's is strictly beyond it, so of two
 /// equal bounds (`-0.0` and `+0.0` included) the one already held stays.
 #[inline]
-pub(crate) fn union_into(acc: &mut [f64], other: &[f64]) {
+pub(crate) fn union_into<C: Coord>(acc: &mut [C], other: &[C]) {
     debug_assert_eq!(acc.len(), other.len());
     let d = acc.len() / 2;
     for i in 0..d {

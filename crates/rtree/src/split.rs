@@ -30,15 +30,13 @@ pub(crate) fn rstar_split<T>(node: &Node<T>, min: usize) -> Vec<bool> {
     for axis in 0..dims {
         let mut by_lo: Vec<usize> = (0..total).collect();
         by_lo.sort_by(|&a, &b| {
-            rect(a).lo()[axis]
-                .total_cmp(&rect(b).lo()[axis])
-                .then(rect(a).hi()[axis].total_cmp(&rect(b).hi()[axis]))
+            let ((alo, ahi), (blo, bhi)) = (rect(a).interval(axis), rect(b).interval(axis));
+            alo.total_cmp(&blo).then(ahi.total_cmp(&bhi))
         });
         let mut by_hi: Vec<usize> = (0..total).collect();
         by_hi.sort_by(|&a, &b| {
-            rect(a).hi()[axis]
-                .total_cmp(&rect(b).hi()[axis])
-                .then(rect(a).lo()[axis].total_cmp(&rect(b).lo()[axis]))
+            let ((alo, ahi), (blo, bhi)) = (rect(a).interval(axis), rect(b).interval(axis));
+            ahi.total_cmp(&bhi).then(alo.total_cmp(&blo))
         });
 
         let mut margin_sum = 0.0;
@@ -83,9 +81,9 @@ pub(crate) fn rstar_split<T>(node: &Node<T>, min: usize) -> Vec<bool> {
     first
 }
 
-/// `count` rectangles of `2·dims` bounds each, back to back.
+/// `count` rectangles of `2·dims` stored bounds each, back to back.
 struct Mbrs {
-    bounds: Vec<f64>,
+    bounds: Vec<f32>,
     width: usize,
 }
 
@@ -124,12 +122,13 @@ fn prefix_suffix_mbrs<T>(node: &Node<T>, order: &[usize]) -> (Mbrs, Mbrs) {
 mod tests {
     use super::*;
     use crate::node::Kid;
+    use crate::rect::stored;
 
     /// A leaf holding one 2-d rectangle per `(lo, hi)`, its index the item.
     fn leaf(rects: &[([f64; 2], [f64; 2])]) -> Node<usize> {
         let mut node = Node::empty(0, 2);
         for (id, (lo, hi)) in rects.iter().enumerate() {
-            node.push(&[lo[0], lo[1], hi[0], hi[1]], Kid::Item(id));
+            node.push(&stored(&[lo[0], lo[1], hi[0], hi[1]]), Kid::Item(id));
         }
         node
     }
@@ -184,7 +183,7 @@ mod tests {
         let (prefix, suffix) = prefix_suffix_mbrs(&node, &order);
         // prefix of everything == suffix of everything == total MBR
         assert_eq!(prefix.rect(3), suffix.rect(0));
-        assert_eq!(node.mbr().view(), prefix.rect(3));
+        assert_eq!(&node.mbr_bounds()[..], prefix.rect(3).bounds());
         // prefix[0] is just the first entry's rect
         assert_eq!(prefix.rect(0), node.rect(2));
         assert_eq!(suffix.rect(3), node.rect(1));

@@ -4,7 +4,7 @@
 
 use crate::config::RTreeConfig;
 use crate::node::{Entry, Kid, Kids, Node};
-use crate::rect::{union_into, Rect, RectView};
+use crate::rect::{stored, union_into, Coord, Rect, RectView};
 use crate::split::rstar_split;
 
 /// An in-memory R\*-tree (Beckmann, Kriegel, Schneider, Seeger 1990) over
@@ -126,10 +126,16 @@ impl<T> RStarTree<T> {
     /// Panics if the rectangle's dimensionality differs from previously
     /// inserted data, or is zero.
     pub fn insert(&mut self, rect: Rect, item: T) {
-        self.check_dims(rect.dims());
+        self.insert_bounds(rect.view().bounds(), item);
+    }
+
+    /// Inserts an item under the rectangle `bounds` (`lo` then `hi`),
+    /// stored rounded outward.
+    pub(crate) fn insert_bounds(&mut self, bounds: &[f64], item: T) {
+        self.check_dims(bounds.len() / 2);
         self.len += 1;
         let entry = Entry {
-            rect,
+            bounds: stored(bounds),
             kid: Kid::Item(item),
         };
         self.insert_entries(vec![(entry, 0)]);
@@ -187,15 +193,16 @@ impl<T> RStarTree<T> {
         let dims = self.root.dims as usize;
         let old_root = std::mem::replace(&mut self.root, Node::empty(0, dims));
         let mut root = Node::empty(old_root.level + 1, dims);
-        root.push(old_root.mbr().view().bounds(), Kid::Node(old_root));
-        root.push(sibling.rect.view().bounds(), sibling.kid);
+        root.push(&old_root.mbr_bounds(), Kid::Node(old_root));
+        root.push(&sibling.bounds, sibling.kid);
         self.root = root;
     }
 
     /// Replaces one entry in place with a **grown** version of itself:
-    /// finds the leaf entry whose stored rectangle equals `old` and whose
-    /// payload satisfies `pred`, swaps in `grown` and `item`, and unions
-    /// `grown` into the stored MBR of every node on the path down.
+    /// finds the leaf entry whose stored rectangle equals `old`'s stored
+    /// form (rounded outward) and whose payload satisfies `pred`, swaps in
+    /// `grown`'s stored form and `item`, and unions it into the stored MBR
+    /// of every node on the path down.
     ///
     /// Because `grown` must contain `old`, bounds only loosen: no split,
     /// reinsertion or condensation can be needed, so the whole update is
@@ -208,11 +215,11 @@ impl<T> RStarTree<T> {
     /// # Panics
     /// Panics when `grown` does not contain `old` or on a dimensionality
     /// mismatch.
-    pub fn grow_entry<F: Fn(&T) -> bool>(
+    pub fn grow_entry<F: Fn(&T) -> bool, C: Coord, D: Coord>(
         &mut self,
-        old: RectView<'_>,
+        old: RectView<'_, C>,
         pred: F,
-        grown: RectView<'_>,
+        grown: RectView<'_, D>,
         item: T,
     ) -> bool {
         assert!(
@@ -225,8 +232,15 @@ impl<T> RStarTree<T> {
         if self.len == 0 {
             return false;
         }
+        let (old, grown) = (stored(old.bounds()), stored(grown.bounds()));
         let mut item = Some(item);
-        grow_rec(&mut self.root, old, &pred, grown, &mut item)
+        grow_rec(
+            &mut self.root,
+            RectView::new(&old),
+            &pred,
+            RectView::new(&grown),
+            &mut item,
+        )
     }
 
     /// Iterates over all `(rect, item)` pairs in unspecified order.
@@ -300,8 +314,8 @@ fn validate_node<T>(node: &Node<T>, cfg: &RTreeConfig, is_root: bool) -> usize {
                 assert_eq!(child.level + 1, node.level, "level discontinuity");
                 assert_eq!(child.dims, node.dims, "dimensionality discontinuity");
                 assert_eq!(
-                    child.mbr().view(),
-                    node.rect(i),
+                    &child.mbr_bounds()[..],
+                    node.rect(i).bounds(),
                     "stored MBR differs from computed MBR"
                 );
                 count += validate_node(child, cfg, false);
@@ -319,14 +333,14 @@ fn insert_rec<T>(
     cfg: &RTreeConfig,
 ) -> Action<T> {
     if node.level == target_level {
-        node.push(entry.rect.view().bounds(), entry.kid);
+        node.push(&entry.bounds, entry.kid);
         if node.len() > cfg.max_entries {
             return overflow(node, ctx, cfg);
         }
         return Action::None;
     }
     debug_assert!(node.level > target_level, "descended past target level");
-    let idx = choose_subtree(node, entry.rect.view());
+    let idx = choose_subtree(node, entry.rect());
     let Kids::Nodes(children) = &mut node.kids else {
         unreachable!("leaf entry in internal node")
     };
@@ -336,7 +350,7 @@ fn insert_rec<T>(
         Action::None => Action::None,
         Action::Reinsert(es) => Action::Reinsert(es),
         Action::Split(sibling) => {
-            node.push(sibling.rect.view().bounds(), sibling.kid);
+            node.push(&sibling.bounds, sibling.kid);
             if node.len() > cfg.max_entries {
                 overflow(node, ctx, cfg)
             } else {
@@ -421,7 +435,7 @@ fn overflow<T>(node: &mut Node<T>, ctx: &mut InsertCtx, cfg: &RTreeConfig) -> Ac
             let mut removed = node.split_off(&keep).into_entries();
             // Close reinsert: nearest first. `removed` currently holds
             // entries in original order; sort by distance ascending.
-            removed.sort_by(|a, b| dist2(a.rect.view()).total_cmp(&dist2(b.rect.view())));
+            removed.sort_by(|a, b| dist2(a.rect()).total_cmp(&dist2(b.rect())));
             // The work list is a stack (LIFO), so push farthest-first to
             // process nearest-first.
             removed.reverse();
@@ -431,7 +445,7 @@ fn overflow<T>(node: &mut Node<T>, ctx: &mut InsertCtx, cfg: &RTreeConfig) -> Ac
     let keep = rstar_split(node, cfg.min_entries);
     let sibling = node.split_off(&keep);
     Action::Split(Entry {
-        rect: sibling.mbr(),
+        bounds: sibling.mbr_bounds(),
         kid: Kid::Node(sibling),
     })
 }
@@ -466,7 +480,7 @@ fn grow_rec<T, F: Fn(&T) -> bool>(
                 if grow_rec(child, old, pred, grown, item) {
                     // Growth can only widen, so the union with the child's
                     // recomputed MBR is exact.
-                    union_into(bounds, child.mbr().view().bounds());
+                    union_into(bounds, &child.mbr_bounds());
                     return true;
                 }
             }

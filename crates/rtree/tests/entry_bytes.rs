@@ -1,7 +1,8 @@
 //! What a bulk-loaded tree costs per entry on the heap: its rectangle's
-//! `2·dims` coordinates, its payload, and at most one word of node overhead
-//! (node headers, child links and the parents' rectangles, shared by the
-//! entries of a node) — no box per rectangle and no slack in a node.
+//! `2·dims` coordinates as stored (`f32`s, rounded outward), its payload,
+//! and at most one word of node overhead (node headers, child links and the
+//! parents' rectangles, shared by the entries of a node) — no box per
+//! rectangle and no slack in a node.
 //!
 //! A binary of its own with one test, because it installs a global
 //! allocator that tracks the live bytes every allocation requested.
@@ -57,8 +58,8 @@ static GLOBAL: Tracking = Tracking;
 const N: usize = 48_400;
 /// A trail's dimensionality: three DFT coefficients.
 const DIMS: usize = 6;
-/// A trail entry's size: series, first window, window count.
-type Payload = [u64; 3];
+/// A trail entry: the word `series << 32 | start`.
+type Payload = u64;
 
 /// Small boxes scattered over a cube, like trail rectangles.
 fn rects() -> Vec<(Rect, Payload)> {
@@ -73,7 +74,7 @@ fn rects() -> Vec<(Rect, Payload)> {
         .map(|i| {
             let lo: Vec<f64> = (0..DIMS).map(|_| 100.0 * unit()).collect();
             let hi = lo.iter().map(|l| l + unit()).collect();
-            (Rect::new(lo, hi), [i as u64, 8 * i as u64, 8])
+            (Rect::new(lo, hi), ((i as u64) << 32) | (8 * i as u64))
         })
         .collect()
 }
@@ -85,7 +86,7 @@ fn a_bulk_loaded_entry_costs_its_coordinates_its_payload_and_one_word() {
     let held = LIVE.load(Ordering::Relaxed) - before;
     assert_eq!(tree.len(), N);
     let per_entry = held as f64 / N as f64;
-    let budget = 2 * DIMS * size_of::<f64>() + size_of::<Payload>() + size_of::<usize>();
+    let budget = 2 * DIMS * size_of::<f32>() + size_of::<Payload>() + size_of::<usize>();
     eprintln!("{held} live bytes for {N} entries: {per_entry:.2} B per entry (budget {budget})");
     assert!(
         per_entry <= budget as f64,

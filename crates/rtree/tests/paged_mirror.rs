@@ -113,13 +113,11 @@ proptest! {
             // Descending ids: the key order is not the insertion order.
             |&i| u64::MAX - i as u64,
         );
-        // The retained set is the k smallest by (distance, key).
-        let mut want: Vec<(f64, u64)> = duplicated
+        // The retained set is the k smallest by (distance, key), each
+        // distance taken to the item's stored (outward-rounded) rectangle.
+        let mut want: Vec<(f64, u64)> = tree
             .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| {
-                (Rect::from_point(&[x, y]).min_dist2(&point).sqrt(), u64::MAX - i as u64)
-            })
+            .map(|(rect, &i)| (rect.min_dist2(&point).sqrt(), u64::MAX - i as u64))
             .collect();
         want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         want.truncate(k);

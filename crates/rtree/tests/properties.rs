@@ -50,9 +50,14 @@ proptest! {
             tree.insert_point(&pt(p), i);
         }
         let (got, _) = tree.nearest_to_point(k, &pt(q));
-        let mut dists: Vec<f64> = points
+        // The brute force reads what the tree stores: each point's box,
+        // its bounds rounded outward to `f32`, which contains the point.
+        let mut dists: Vec<f64> = tree
             .iter()
-            .map(|&(x, y)| ((x - q.0).powi(2) + (y - q.1).powi(2)).sqrt())
+            .map(|(rect, &i)| {
+                assert!(rect.contains_point(&pt(points[i])));
+                rect.min_dist2(&pt(q)).sqrt()
+            })
             .collect();
         dists.sort_by(f64::total_cmp);
         dists.truncate(k);

@@ -47,7 +47,7 @@ use std::io::{self, Read, Write};
 
 use tsq_core::plan::ExecStats;
 use tsq_store::{
-    parse_header, seal, unseal, Decoder, Encoder, StoreError, HEADER_LEN, TRAILER_LEN,
+    parse_header, unseal_vec, write_sealed, Decoder, Encoder, StoreError, HEADER_LEN, TRAILER_LEN,
 };
 
 use crate::engine::{EngineError, IngestRow, QueryReply, WireRow};
@@ -115,9 +115,10 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-/// Writes one sealed frame.
+/// Writes one sealed frame: header, payload and trailer straight from
+/// `payload`, no framed copy.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&seal(payload))?;
+    write_sealed(w, payload)?;
     w.flush()
 }
 
@@ -162,7 +163,7 @@ pub fn read_frame_prefixed(
             "frame body ({got} of {body_len} byte(s))"
         ))));
     }
-    Ok(unseal(&frame)?.to_vec())
+    Ok(unseal_vec(frame)?)
 }
 
 /// Reads one frame from the start (no sniffed prefix).

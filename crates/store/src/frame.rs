@@ -23,7 +23,7 @@
 //! snapshots hash on every available core without changing the stored
 //! value.
 
-use std::io::Write;
+use std::io::{IoSlice, Write};
 use std::path::Path;
 
 use crate::crc::chunked_crc32;
@@ -111,6 +111,38 @@ pub fn seal(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Writes [`seal`]'s bytes for `payload` to `w` — header, payload and
+/// trailer in one vectored write where the writer takes one — without
+/// building the framed copy.
+///
+/// # Errors
+/// The writer's; [`std::io::ErrorKind::WriteZero`] when it takes no more.
+pub fn write_sealed(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    let (header, trailer) = (header(payload), trailer(payload));
+    let parts = [&header[..], payload, &trailer[..]];
+    let total = HEADER_LEN + payload.len() + TRAILER_LEN;
+    let mut done = 0;
+    while done < total {
+        let mut slices = [IoSlice::new(&[]); 3];
+        let (mut n, mut skip) = (0, done);
+        for part in parts {
+            if skip >= part.len() {
+                skip -= part.len();
+                continue;
+            }
+            slices[n] = IoSlice::new(&part[skip..]);
+            (n, skip) = (n + 1, 0);
+        }
+        match w.write_vectored(&slices[..n]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(k) => done += k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// The frame header of `payload`: magic, version, endianness, length.
 fn header(payload: &[u8]) -> [u8; HEADER_LEN] {
     let mut header = [0; HEADER_LEN];
@@ -166,6 +198,18 @@ pub fn unseal(file: &[u8]) -> StoreResult<&[u8]> {
     Ok(payload)
 }
 
+/// Validates framed `bytes` ([`unseal`]) and cuts them down to their
+/// payload in place: the payload is not copied into a buffer of its own.
+///
+/// # Errors
+/// [`unseal`]'s.
+pub fn unseal_vec(mut bytes: Vec<u8>) -> StoreResult<Vec<u8>> {
+    let len = unseal(&bytes)?.len();
+    bytes.truncate(HEADER_LEN + len);
+    bytes.drain(..HEADER_LEN);
+    Ok(bytes)
+}
+
 /// Seals `payload` and writes it to `path` atomically-enough for a
 /// snapshot: the bytes go to a `.tmp` sibling first and are renamed into
 /// place, so a crash mid-write never leaves a half-written file under the
@@ -176,9 +220,7 @@ pub fn write_file(path: &Path, payload: &[u8]) -> StoreResult<u64> {
     let tmp = tmp_sibling(path);
     let result = (|| -> StoreResult<()> {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&header(payload))?;
-        f.write_all(payload)?;
-        f.write_all(&trailer(payload))?;
+        write_sealed(&mut f, payload)?;
         f.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok(())
@@ -192,11 +234,7 @@ pub fn write_file(path: &Path, payload: &[u8]) -> StoreResult<u64> {
 /// Reads `path`, validates the frame, and returns the payload bytes: the
 /// read buffer, its header and trailer cut off in place.
 pub fn read_payload(path: &Path) -> StoreResult<Vec<u8>> {
-    let mut bytes = std::fs::read(path)?;
-    let len = unseal(&bytes)?.len();
-    bytes.truncate(HEADER_LEN + len);
-    bytes.drain(..HEADER_LEN);
-    Ok(bytes)
+    unseal_vec(std::fs::read(path)?)
 }
 
 fn tmp_sibling(path: &Path) -> std::path::PathBuf {
@@ -216,6 +254,37 @@ mod tests {
         assert_eq!(unseal(&framed).unwrap(), &payload[..]);
         // Empty payloads frame fine too.
         assert_eq!(unseal(&seal(&[])).unwrap(), &[] as &[u8]);
+    }
+
+    /// A writer that takes at most 5 bytes a call and one slice at a time.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(5);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn written_and_cut_in_place_frames_are_sealed_ones() {
+        for payload in [&b""[..], b"x", b"hello snapshot, in pieces"] {
+            let mut out = Trickle(Vec::new());
+            write_sealed(&mut out, payload).unwrap();
+            assert_eq!(out.0, seal(payload));
+            let mut whole = Vec::new();
+            write_sealed(&mut whole, payload).unwrap();
+            assert_eq!(whole, seal(payload));
+            assert_eq!(unseal_vec(whole).unwrap(), payload);
+        }
+        let mut bad = seal(b"x");
+        bad[0] ^= 0xFF;
+        assert_eq!(unseal_vec(bad).unwrap_err(), StoreError::BadMagic);
     }
 
     #[test]

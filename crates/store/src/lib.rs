@@ -39,6 +39,6 @@ pub use codec::{Decoder, Encoder};
 pub use crc::crc32;
 pub use error::{StoreError, StoreResult};
 pub use frame::{
-    parse_header, read_payload, seal, unseal, write_file, FORMAT_VERSION, HEADER_LEN, MAGIC,
-    TRAILER_LEN,
+    parse_header, read_payload, seal, unseal, unseal_vec, write_file, write_sealed, FORMAT_VERSION,
+    HEADER_LEN, MAGIC, TRAILER_LEN,
 };
