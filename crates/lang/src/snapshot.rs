@@ -203,7 +203,7 @@ impl Catalog {
     /// writes. A relation's held subsequence ST-index reads its records
     /// through the cache, to build and to refine, and keeps none; its
     /// build writes the trail tree to a scratch page file of its own
-    /// beside shard 0's node file (`<path>.<relation>_s0.<pid>-<n>.trails`),
+    /// beside shard 0's node file (`<node file stem>.<pid>-<m>.trails`),
     /// removed — its cached pages with it — when the index drops, and its
     /// statements read the trail nodes through the same cache, counted as
     /// their `pool_hits`/`pool_misses`.

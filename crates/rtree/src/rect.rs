@@ -92,33 +92,21 @@ pub(crate) fn round_up(v: f64) -> f32 {
     }
 }
 
-/// Writes the stored form of a rectangle's `f64` bounds (`lo` then `hi`)
-/// into `out`: each `lo` rounded down, each `hi` rounded up.
-#[inline]
-pub(crate) fn store_into<C: Coord>(bounds: &[C], out: &mut [f32]) {
-    debug_assert_eq!(bounds.len(), out.len());
-    let d = bounds.len() / 2;
-    for (i, (slot, b)) in out.iter_mut().zip(bounds).enumerate() {
-        *slot = match i < d {
-            true => round_down(b.widen()),
-            false => round_up(b.widen()),
-        };
-    }
-}
-
-/// The stored form of a rectangle's bounds ([`store_into`]).
-pub(crate) fn stored<C: Coord>(bounds: &[C]) -> Vec<f32> {
-    let mut out = vec![0.0; bounds.len()];
-    store_into(bounds, &mut out);
-    out
-}
-
-/// [`store_into`], appended to a slab.
+/// Appends the stored form of a rectangle's bounds (`lo` then `hi`) to a
+/// slab: each `lo` rounded down, each `hi` rounded up.
 #[inline]
 pub(crate) fn store_extend<C: Coord>(slab: &mut Vec<f32>, bounds: &[C]) {
-    let start = slab.len();
-    slab.resize(start + bounds.len(), 0.0);
-    store_into(bounds, &mut slab[start..]);
+    let d = bounds.len() / 2;
+    let (lo, hi) = bounds.split_at(d);
+    slab.extend(lo.iter().map(|b| round_down(b.widen())));
+    slab.extend(hi.iter().map(|b| round_up(b.widen())));
+}
+
+/// The stored form of a rectangle's bounds ([`store_extend`]).
+pub(crate) fn stored<C: Coord>(bounds: &[C]) -> Vec<f32> {
+    let mut slab = Vec::with_capacity(bounds.len());
+    store_extend(&mut slab, bounds);
+    slab
 }
 
 /// An axis-aligned (hyper-)rectangle that owns its bounds: per-dimension
@@ -151,18 +139,6 @@ pub struct Side<'a, C = f32> {
 pub type SideIter<'a, C> = Map<slice::Iter<'a, C>, fn(&C) -> f64>;
 
 impl<'a, C: Coord> Side<'a, C> {
-    /// Number of bounds (the rectangle's dimensionality).
-    #[inline]
-    pub fn len(self) -> usize {
-        self.bounds.len()
-    }
-
-    /// True for a zero-dimensional rectangle.
-    #[inline]
-    pub fn is_empty(self) -> bool {
-        self.bounds.is_empty()
-    }
-
     /// Bound `i`, widened.
     #[inline]
     pub fn at(self, i: usize) -> f64 {
@@ -173,11 +149,6 @@ impl<'a, C: Coord> Side<'a, C> {
     #[inline]
     pub fn iter(self) -> SideIter<'a, C> {
         self.bounds.iter().map(|b| b.widen())
-    }
-
-    /// The bounds, widened, in a vector.
-    pub fn to_vec(self) -> Vec<f64> {
-        self.iter().collect()
     }
 }
 
