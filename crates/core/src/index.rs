@@ -78,9 +78,9 @@ impl Default for IndexConfig {
 /// A stored series with its extracted features.
 #[derive(Debug, Clone)]
 pub struct StoredSeries {
-    /// The original series: the relation's own value, one buffer shared
-    /// with the catalog (an ST-index reads it, and keeps none). Empty once the
-    /// index is paged: the samples then live in its record file, and
+    /// The original series, held here alone: a catalog relation keeps its
+    /// labels beside the index and no copy (an ST-index reads it, and keeps
+    /// none). Empty once the index is paged: the samples then live in its record file, and
     /// [`SimilarityIndex::record`] reads them.
     pub series: TimeSeries,
     /// What the filter reads: mean, std and the indexed coefficients of
@@ -366,8 +366,8 @@ fn extract_all(config: &IndexConfig, series: Vec<TimeSeries>) -> Result<Vec<Stor
     Ok(stored)
 }
 
-/// An append hands an index the relation's extended value to hold in
-/// place of `old`: one that is shorter is refused, and the old samples are
+/// An append hands an index a series' extended value to hold in place
+/// of `old`: one that is shorter is refused, and the old samples are
 /// its prefix.
 pub(crate) fn check_extends(old: &TimeSeries, extended: &TimeSeries) -> Result<()> {
     if extended.len() < old.len() {
@@ -456,8 +456,8 @@ impl SimilarityIndex {
     /// and while the relation is ragged nothing can read a tree anyway.
     /// The next reader packs once, so the result is indistinguishable —
     /// features, tree, query answers, traversal statistics — from an index
-    /// freshly built over the final data. The values are the relation's
-    /// own ([`TimeSeries`] clones share one buffer); the old samples are
+    /// freshly built over the final data. The index holds the values it is
+    /// handed ([`TimeSeries`] clones share one buffer); the old samples are
     /// each one's prefix.
     ///
     /// Validation is atomic across the batch: every feature is extracted

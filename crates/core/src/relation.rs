@@ -24,8 +24,8 @@ pub struct SeriesRelation {
 }
 
 /// A relation's names without its samples: the relation name and each
-/// series' label in id order, held once. A relation whose samples live in
-/// record files keeps only this.
+/// series' label in id order, held once. A catalog relation keeps only
+/// this beside its index, which holds the samples.
 ///
 /// Every label sits in one arena, `text`, ending at its id's offset in
 /// `ends`; `sorted` lists the ids in label order, so [`Labels::id`] is a
@@ -46,7 +46,7 @@ impl Labels {
     /// # Errors
     /// [`Error::Unsupported`] naming the first label, in id order, that
     /// repeats an earlier one.
-    fn new(name: String, labels: &[String]) -> Result<Self> {
+    pub fn new(name: String, labels: &[String]) -> Result<Self> {
         let mut text = String::with_capacity(labels.iter().map(String::len).sum());
         let mut ends = Vec::with_capacity(labels.len());
         for label in labels {
@@ -106,7 +106,7 @@ impl Labels {
     ///
     /// # Errors
     /// [`Error::Unsupported`] when `label` is taken; nothing changes.
-    fn push(&mut self, label: &str) -> Result<usize> {
+    pub fn push(&mut self, label: &str) -> Result<usize> {
         let at = self.position(label).err().ok_or_else(|| duplicate(label))?;
         let id = self.len();
         self.text.push_str(label);
@@ -165,12 +165,9 @@ impl SeriesRelation {
         Ok(id)
     }
 
-    /// Appends values to the end of one stored series (the `APPEND` verb's
-    /// storage-level operation), returning its id. This is the one place a
-    /// served series is extended: the indexes are handed the resulting
-    /// value ([`crate::ShardedIndex::extend_series_batch`]) and share its
-    /// buffer. Validation is atomic: on any error the series — and
-    /// therefore the relation — is exactly as it was.
+    /// Appends values to the end of one stored series, returning its id.
+    /// Validation is atomic: on any error the series — and therefore the
+    /// relation — is exactly as it was.
     ///
     /// # Errors
     /// [`Error::UnknownSeries`] for an unknown label (mapped by callers

@@ -8,7 +8,10 @@
 //! `tsq-lang`. Every reader validates what it decodes (finite samples,
 //! in-range enum tags, coherent configurations) and reports violations as
 //! typed [`StoreError`]s, so corrupt bytes that survive the frame
-//! checksum still cannot panic the engine.
+//! checksum still cannot panic the engine. [`sidecar_tag`] names the
+//! files written beside a snapshot.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use tsq_rtree::RTreeConfig;
 use tsq_series::TimeSeries;
@@ -124,6 +127,18 @@ pub fn read_index_config(dec: &mut Decoder<'_>) -> StoreResult<IndexConfig> {
         rtree: read_rtree_config(dec)?,
         bulk_load: dec.bool("index bulk_load")?,
     })
+}
+
+/// Files beside a snapshot named by this process: each draws its own number.
+static SIDECARS: AtomicU64 = AtomicU64::new(0);
+
+/// `<pid>-<n>`: this process's id and a number no other file beside a
+/// snapshot named by this process draws. A paged open's node and record
+/// files and an ST-index build's trail file each carry one, so no two
+/// opens or builds — in one process or in two — ever share a file.
+pub fn sidecar_tag() -> String {
+    let n = SIDECARS.fetch_add(1, Ordering::Relaxed);
+    format!("{}-{n}", std::process::id())
 }
 
 #[cfg(test)]

@@ -71,7 +71,6 @@ use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use tsq_dft::dft::dft_prefix;
@@ -302,14 +301,12 @@ pub struct TrailIndex {
     profile: OnceLock<SpaceProfile>,
 }
 
-/// Trail files created by this process: each build names its own.
-static TRAIL_FILES: AtomicU64 = AtomicU64::new(0);
-
-/// The scratch file of trail build `build` beside `near`:
-/// `<near stem>.<pid>-<build>.trails`, distinct for every build of every
-/// process, so two builds racing over one relation never share a file.
-fn scratch_path(near: &Path, build: u64) -> PathBuf {
-    near.with_extension(format!("{}-{build}.trails", std::process::id()))
+/// A new scratch file for a trail build beside `near`:
+/// `<near stem>.<pid>-<n>.trails` ([`crate::store::sidecar_tag`]), distinct
+/// for every build of every process, so two builds racing over one
+/// relation never share a file.
+fn scratch_path(near: &Path) -> PathBuf {
+    near.with_extension(format!("{}.trails", crate::store::sidecar_tag()))
 }
 
 /// A trail as its tree stores it: `series << 32 | start`, both fitting 32
@@ -431,8 +428,7 @@ impl TrailIndex {
     /// Moves the trail tree into a scratch page file, keeping its profile.
     fn page_out(&mut self, pages: TrailPages<'_>) -> Result<()> {
         self.profile();
-        let build = TRAIL_FILES.fetch_add(1, Ordering::Relaxed);
-        let path = scratch_path(pages.near, build);
+        let path = scratch_path(pages.near);
         let file = PagedTree::create(&path, &self.tree, |&word| word, pages.cache)?;
         self.tree = RStarTree::new(self.config.rtree);
         self.paged = Some(Arc::new(file));

@@ -12,7 +12,14 @@
 //! [`Catalog::run`] and the batch paths are thin wrappers over it.
 //! `EXPLAIN` / `EXPLAIN ANALYZE` surface the choice.
 //!
-//! Every relation is a [`ShardedIndex`] with n >= 1 shards — there is no
+//! A relation is its [`Labels`] and its [`ShardedIndex`], and nothing
+//! else: each series is held once, by the shard that owns it — in memory,
+//! or in the shard's record file once paged. A named query source, an
+//! export and [`Catalog::relation`] read series through
+//! [`ShardedIndex::series`], and a save through each shard, whichever the
+//! storage.
+//!
+//! Every relation's index has n >= 1 shards — there is no
 //! second, unsharded code path. `register` builds one hash shard;
 //! `SHARD <rel> INTO <n> BY HASH` rebuilds with n. Range and k-NN
 //! statements run scatter-gather ([`ShardedIndex::execute`]): the one
@@ -56,102 +63,52 @@ use tsq_series::TimeSeries;
 use crate::ast::{AppendRow, Query, Source, TransformSpec, WindowSpec};
 use crate::error::LangError;
 
-/// One registered relation: its labels and, in memory, its series (name
-/// resolution, answer labelling), and its index — n >= 1 shards, each
-/// with its whole-match R\*-tree and planner statistics, and the one
-/// ST-index it holds, if any.
+/// One registered relation: its labels (name resolution, answer
+/// labelling) and its index — n >= 1 shards, each with its whole-match
+/// R\*-tree, planner statistics and its series' records, and the one
+/// ST-index it holds, if any. Each series is held once, by its shard: in
+/// memory, or in the shard's record file once paged.
 #[derive(Debug)]
 pub(crate) struct Relation {
-    pub(crate) labelled: Labelled,
+    pub(crate) labels: Labels,
     pub(crate) index: ShardedIndex,
-}
-
-/// What a relation holds beside its index.
-#[derive(Debug)]
-pub(crate) enum Labelled {
-    /// In memory: the labelled series, every buffer shared with the index.
-    Held(SeriesRelation),
-    /// Paged ([`Catalog::open_paged`]): the labels alone; the samples are
-    /// in the shards' record files, and every engine path reads them
-    /// through the index. `materialized` is the labelled relation
-    /// [`Catalog::relation`] reads back from the record files on its first
-    /// call, for callers that want one — nothing else fills it.
-    Paged {
-        labels: Labels,
-        materialized: OnceLock<SeriesRelation>,
-    },
-}
-
-impl Labelled {
-    /// The relation's names.
-    fn labels(&self) -> &Labels {
-        match self {
-            Labelled::Held(rel) => rel.labels(),
-            Labelled::Paged { labels, .. } => labels,
-        }
-    }
+    /// The labelled relation [`Catalog::relation`] reads out of the index
+    /// on its first call, kept until the next `APPEND`; nothing else fills
+    /// it.
+    materialized: OnceLock<SeriesRelation>,
 }
 
 impl Relation {
-    /// The relation's names.
-    pub(crate) fn labels(&self) -> &Labels {
-        self.labelled.labels()
-    }
-
-    /// The series labelled `label`: the held value (a clone shares its
-    /// buffer), or a copy read through the index when paged.
-    fn series_by_label(&self, label: &str) -> Result<Option<TimeSeries>, LangError> {
-        match &self.labelled {
-            Labelled::Held(rel) => Ok(rel.get_by_label(label).cloned()),
-            Labelled::Paged { labels, .. } => match labels.id(label) {
-                Some(id) => Ok(Some(self.index.series(id)?)),
-                None => Ok(None),
-            },
-        }
-    }
-
-    /// Every series in id order, read through the index when paged.
-    pub(crate) fn all_series(&self) -> Result<Vec<TimeSeries>, LangError> {
-        match &self.labelled {
-            Labelled::Held(rel) => Ok(rel.series().to_vec()),
-            Labelled::Paged { labels, .. } => (0..labels.len())
-                .map(|id| self.index.series(id).map_err(LangError::Engine))
-                .collect(),
-        }
-    }
-
-    /// The labelled relation: the held one, or one read back from the
-    /// record files by the first call (`None` while they cannot be read).
-    fn materialized(&self) -> Option<&SeriesRelation> {
-        match &self.labelled {
-            Labelled::Held(rel) => Some(rel),
-            Labelled::Paged {
-                labels,
-                materialized,
-            } => {
-                if let Some(rel) = materialized.get() {
-                    return Some(rel);
-                }
-                let series = self.all_series().ok()?;
-                let rel = SeriesRelation::from_labels(labels.clone(), series).ok()?;
-                Some(materialized.get_or_init(|| rel))
-            }
-        }
-    }
-
-    /// Drops the held samples once every shard of the index is paged:
-    /// the record files hold them now.
-    pub(crate) fn page_out(&mut self) {
-        let paged = Labelled::Paged {
-            labels: Labels::default(),
+    pub(crate) fn new(labels: Labels, index: ShardedIndex) -> Self {
+        Relation {
+            labels,
+            index,
             materialized: OnceLock::new(),
-        };
-        if let Labelled::Held(rel) = std::mem::replace(&mut self.labelled, paged) {
-            self.labelled = Labelled::Paged {
-                labels: rel.into_labels(),
-                materialized: OnceLock::new(),
-            };
         }
+    }
+
+    /// The series labelled `label`, read through the index: a shared
+    /// buffer in memory, a copy of its record when paged.
+    fn series_by_label(&self, label: &str) -> Result<Option<TimeSeries>, LangError> {
+        let id = self.labels.id(label);
+        Ok(id.map(|id| self.index.series(id)).transpose()?)
+    }
+
+    /// Every series in id order, read through the index.
+    fn all_series(&self) -> Result<Vec<TimeSeries>, LangError> {
+        let series = (0..self.labels.len()).map(|id| self.index.series(id));
+        Ok(series.collect::<Result<_, _>>()?)
+    }
+
+    /// The labelled relation, read out of the index by the first call
+    /// (`None` while a record file cannot be read).
+    fn materialized(&self) -> Option<&SeriesRelation> {
+        if let Some(rel) = self.materialized.get() {
+            return Some(rel);
+        }
+        let series = self.all_series().ok()?;
+        let rel = SeriesRelation::from_labels(self.labels.clone(), series).ok()?;
+        Some(self.materialized.get_or_init(|| rel))
     }
 }
 
@@ -191,8 +148,8 @@ impl Catalog {
     pub fn register(&mut self, relation: SeriesRelation) -> Result<(), LangError> {
         let name = relation.name().to_string();
         let index = ShardedIndex::build(self.config, &relation, ShardSpec::hash(1)?)?;
-        let labelled = Labelled::Held(relation);
-        self.relations.insert(name, Relation { labelled, index });
+        let relation = Relation::new(relation.into_labels(), index);
+        self.relations.insert(name, relation);
         Ok(())
     }
 
@@ -236,18 +193,20 @@ impl Catalog {
         files
     }
 
-    /// Looks up a relation. A relation restored by
-    /// [`Catalog::open_paged`] keeps its labels alone: its first call here
-    /// materializes the labelled relation from the record files (a copy of
-    /// every sample, kept from then on; `None` while they cannot be read).
-    /// No statement, `EXPLAIN`, save or export does — they read samples
-    /// through the index.
+    /// Looks up a relation. A catalog relation holds its labels and its
+    /// index, which holds each series once: the first call here
+    /// materializes the labelled relation from the index — in memory, a
+    /// handle per series sharing the shard's buffer; paged, a copy of every
+    /// sample read from the record files — and keeps it until the next
+    /// `APPEND` to the relation (`None` while a record file cannot be
+    /// read). No statement, `EXPLAIN`, save or export does: they read
+    /// samples through the index.
     pub fn relation(&self, name: &str) -> Option<&SeriesRelation> {
         self.relations.get(name)?.materialized()
     }
 
     /// Every series of a relation, in id order — what the shell's CSV
-    /// `save` writes. A paged relation's are read through its index.
+    /// `save` writes — read through its index.
     ///
     /// # Errors
     /// [`LangError::Resolve`] for an unknown relation; typed
@@ -331,7 +290,7 @@ impl Catalog {
     /// index-build failures of any shard.
     pub fn shard(&mut self, relation: &str, count: usize) -> Result<QueryOutput, LangError> {
         self.resolve_relation(relation)?;
-        let Relation { labelled, index } =
+        let Relation { labels, index, .. } =
             self.relations.get_mut(relation).expect("resolved above");
         if index.is_paged() {
             return Err(LangError::Engine(tsq_core::Error::Unsupported(
@@ -339,9 +298,8 @@ impl Catalog {
                     .to_string(),
             )));
         }
-        let names = labelled.labels();
-        let labels: Vec<&str> = (0..names.len())
-            .map(|id| names.label(id).expect("id < len"))
+        let labels: Vec<&str> = (0..labels.len())
+            .map(|id| labels.label(id).expect("id < len"))
             .collect();
         index.reshard(ShardSpec::hash(count)?, &labels)?;
         let rows = (0..index.shard_count())
@@ -365,13 +323,15 @@ impl Catalog {
     /// *incrementally* and dropping what is derived from the relation as a
     /// whole, which nothing can read while the lengths are uneven:
     ///
-    /// - the relation extends each touched series once, at its
-    ///   statement-end length ([`SeriesRelation::extend_series`], the one
-    ///   place samples are appended); an unknown label starts a new series
-    ///   (the relation is then ragged until appends even the lengths out);
-    /// - each owning shard's whole-series index is handed the extended
-    ///   values — it shares their buffers — re-extracts features for those
-    ///   series only and drops its R\*-tree and planner statistics
+    /// - each touched series is built once, at its statement-end length:
+    ///   the index's value ([`ShardedIndex::series`]) followed by the
+    ///   statement's tail ([`TimeSeries::try_extend`], a copy into a new
+    ///   buffer); an unknown label takes the relation's next id
+    ///   ([`Labels::push`]) and starts a new series (the relation is then
+    ///   ragged until appends even the lengths out);
+    /// - each owning shard's whole-series index is handed those values,
+    ///   holds them in place of the old ones, re-extracts features for
+    ///   those series only and drops its R\*-tree and planner statistics
     ///   ([`ShardedIndex::extend_series_batch`] /
     ///   [`ShardedIndex::push_series_batch`]); the next whole-match
     ///   statement or `EXPLAIN` packs them once, as a fresh build over the
@@ -381,7 +341,9 @@ impl Catalog {
     ///   the relation holds, next to the shard's features — its trails
     ///   resume the sliding-DFT recurrence at `O(k)` per appended point
     ///   and keep the new length, not the samples — clone-on-write so
-    ///   in-flight readers keep their consistent pre-append snapshot.
+    ///   in-flight readers keep their consistent pre-append snapshot;
+    /// - the labelled relation [`Catalog::relation`] kept, if any, is
+    ///   dropped: its next call reads the appended one.
     ///
     /// The statement is **atomic**: everything is validated up front
     /// (unknown relation, paged storage, non-finite values, a schema that
@@ -402,16 +364,13 @@ impl Catalog {
     pub fn append(&mut self, relation: &str, rows: &[AppendRow]) -> Result<QueryOutput, LangError> {
         // Validation phase: nothing is mutated until every row has been
         // checked against the final state it would produce.
-        let Relation {
-            labelled: Labelled::Held(rel),
-            index,
-        } = self.resolve_relation(relation)?
-        else {
+        let Relation { labels, index, .. } = self.resolve_relation(relation)?;
+        if index.is_paged() {
             return Err(LangError::Engine(tsq_core::Error::Unsupported(
                 "APPEND to a relation with paged storage attached (the page file is immutable)"
                     .to_string(),
             )));
-        };
+        }
         if rows.is_empty() {
             return Err(LangError::Resolve("APPEND carries no rows".to_string()));
         }
@@ -443,46 +402,48 @@ impl Catalog {
                 None => tails.push((row.label.as_str(), row.values.clone())),
             }
         }
-        for (label, tail) in &tails {
-            let held = rel.get_by_label(label).map_or(0, TimeSeries::len);
-            schema
-                .validate(held + tail.len())
-                .map_err(LangError::Engine)?;
-        }
-        // Apply phase: validated above, so no step below can fail. The
-        // relation extends (or gains) each series; the index is handed the
-        // resulting values and shares their buffers.
-        let Some(Relation {
-            labelled: Labelled::Held(rel),
-            index,
-        }) = self.relations.get_mut(relation)
-        else {
-            unreachable!("resolved and held above")
-        };
+        // Each touched series, built once at its statement-end length and
+        // checked against the schema.
         let mut edits: Vec<(usize, TimeSeries)> = Vec::new();
         let mut pushed: Vec<(&str, TimeSeries)> = Vec::new();
         // One answer row per distinct label, in first-touch order.
         let mut out_rows = Vec::with_capacity(tails.len());
         for (label, tail) in tails {
             let appended = tail.len();
-            if rel.get_by_label(label).is_some() {
-                let id = rel.extend_series(label, &tail).expect("validated upfront");
-                edits.push((id, rel.get(id).expect("just extended").clone()));
-            } else {
-                let series = TimeSeries::try_new(tail).expect("checked finite");
-                rel.push(label, series.clone()).expect("label is new");
-                pushed.push((label, series));
-            }
+            let id = labels.id(label);
+            let series = match id {
+                Some(id) => {
+                    let mut series = index.series(id)?;
+                    series.try_extend(&tail).expect("checked finite");
+                    series
+                }
+                None => TimeSeries::try_new(tail).expect("checked finite"),
+            };
+            schema.validate(series.len()).map_err(LangError::Engine)?;
             out_rows.push(Row {
                 a: label.to_string(),
                 b: None,
-                offset: rel.get_by_label(label).map(TimeSeries::len),
+                offset: Some(series.len()),
                 distance: appended as f64,
             });
+            match id {
+                Some(id) => edits.push((id, series)),
+                None => pushed.push((label, series)),
+            }
         }
-        // Each extended and each new series routes to its owning shard —
-        // one batch per touched shard — which drops its tree and planner
+        // Apply phase: validated above, so no step below can fail. Each
+        // extended and each new series routes to its owning shard — one
+        // batch per touched shard — which drops its tree and planner
         // statistics; the relation's built ST-index takes them by global id.
+        let Relation {
+            labels,
+            index,
+            materialized,
+        } = self.relations.get_mut(relation).expect("resolved above");
+        for (label, _) in &pushed {
+            labels.push(label).expect("label is new");
+        }
+        materialized.take();
         if !edits.is_empty() {
             index.extend_series_batch(edits).expect("validated upfront");
         }
@@ -547,7 +508,7 @@ impl Catalog {
         let options = query.options().merged(overrides);
         let logical = self.lower(query)?;
         let relation = self.resolve_relation(logical.relation())?;
-        let (labels, index) = (relation.labels(), &relation.index);
+        let (labels, index) = (&relation.labels, &relation.index);
         let width = scatter_width(index.shard_count(), &options);
         let outcome = index.execute(&logical, options.force, width)?;
         let plan = sharded_plan_name(index, &logical, &outcome.plan);
@@ -2038,13 +1999,10 @@ mod tests {
                 cat.run_mut("SHARD walks INTO 4 BY HASH").unwrap();
                 cat.run_mut(&format!("SHARD walks INTO {count} BY HASH"))
                     .unwrap();
-                let Relation {
-                    labelled: Labelled::Held(rel),
-                    index,
-                } = &cat.relations["walks"]
-                else {
-                    unreachable!("in memory")
-                };
+                let (rel, index) = (
+                    cat.relation("walks").unwrap(),
+                    &cat.relations["walks"].index,
+                );
                 let spec = ShardSpec::hash(count).unwrap();
                 let fresh = ShardedIndex::build(*index.config(), rel, spec).unwrap();
                 assert_eq!(index.map(), fresh.map(), "{what}");
@@ -2351,12 +2309,9 @@ mod tests {
         let mut paged = Catalog::new();
         paged.open_paged(&path, 1).unwrap();
         let materialized = |cat: &Catalog| -> Vec<bool> {
-            let labelled = cat.relations.values().map(|rel| &rel.labelled);
-            labelled
-                .map(|held| match held {
-                    Labelled::Held(_) => panic!("open_paged keeps labels alone"),
-                    Labelled::Paged { materialized, .. } => materialized.get().is_some(),
-                })
+            let relations = cat.relations.values();
+            relations
+                .map(|rel| rel.materialized.get().is_some())
                 .collect()
         };
         let statements = [
@@ -2392,19 +2347,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn relation_reads_after_an_append_see_the_append() {
+        const APPEND: &str = "APPEND walks CSV (s0, 1.5, 2.5) (fresh, 1, 2, 3, 4, 5, 6, 7, 8, 9)";
+        let s0 = catalog().relation("walks").unwrap().series()[0].clone();
+        let appended = [s0.values(), &[1.5, 2.5]].concat();
+        let fresh: Vec<f64> = (1..=9).map(f64::from).collect();
+        let check = |rel: Option<&SeriesRelation>, step: &str| {
+            let rel = rel.expect(step);
+            assert_eq!(rel.len(), 61, "{step}");
+            assert_eq!(rel.get_by_label("s0").unwrap().values(), appended, "{step}");
+            assert_eq!(rel.label(60), Some("fresh"), "{step}");
+            assert_eq!(rel.get_by_label("fresh").unwrap().values(), fresh, "{step}");
+        };
+        let mut cat = catalog();
+        let before = cat.relation("walks").unwrap();
+        assert_eq!((before.len(), before.get_by_label("fresh")), (60, None));
+        assert_eq!(before.get_by_label("s0"), Some(&s0));
+        cat.run_mut(APPEND).unwrap();
+        check(cat.relation("walks"), "Catalog::relation after the append");
+
+        let shared = SharedCatalog::new(catalog());
+        shared.with_relation("walks", |rel| {
+            let rel = rel.unwrap();
+            assert_eq!((rel.len(), rel.get_by_label("s0")), (60, Some(&s0)));
+        });
+        shared.run(APPEND).unwrap();
+        shared.with_relation("walks", |rel| check(rel, "with_relation after the append"));
+
+        // Paged: `relation` reads the record files, and an APPEND is still
+        // refused, leaving what it reads as it was.
+        let dir = std::env::temp_dir().join(format!("tsq-stale-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cat.tsq");
+        cat.save(&path).unwrap();
+        let mut paged = Catalog::new();
+        paged.open_paged(&path, 1).unwrap();
+        check(paged.relation("walks"), "open_paged");
+        match paged.run_mut("APPEND walks CSV (s0, 3.5)") {
+            Err(LangError::Engine(tsq_core::Error::Unsupported(msg))) => {
+                assert!(msg.contains("paged"), "{msg}")
+            }
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
+        check(paged.relation("walks"), "open_paged, the append refused");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// The sharing oracle: for every label of every in-memory relation,
-    /// the catalog's series and its owning shard's stored record hand out
-    /// one and the same buffer, and the built ST-index, which holds no
-    /// samples, knows its length. (A paged relation holds no samples.)
+    /// the series [`Catalog::relation`] hands out and its owning shard's
+    /// stored record are one and the same buffer, and the built ST-index,
+    /// which holds no samples, knows its length. (A paged relation's
+    /// shards hold no samples.)
     fn assert_one_buffer_per_series(cat: &Catalog, step: &str) {
         for (name, relation) in &cat.relations {
-            let Relation {
-                labelled: Labelled::Held(labels),
-                index,
-            } = relation
-            else {
+            let index = &relation.index;
+            if index.is_paged() {
                 continue;
-            };
+            }
+            let labels = cat.relation(name).expect(step);
             let built = index.subseq_held().and_then(|(_, built)| built);
             for id in 0..labels.len() {
                 let held = labels.get(id).unwrap();

@@ -56,14 +56,13 @@
 //!   `save → open → save` reproduces the original file byte for byte.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use tsq_core::shard::{ShardMap, ShardSpec, ShardedIndex};
-use tsq_core::{executor, store as core_store, PageCache, SeriesRelation, SimilarityIndex};
+use tsq_core::{executor, store as core_store, Labels, PageCache, SimilarityIndex};
 use tsq_store::{seal, unseal, write_file, Decoder, Encoder, StoreError};
 
 use crate::error::LangError;
-use crate::exec::{Catalog, Labelled, Relation};
+use crate::exec::{Catalog, Relation};
 
 impl Catalog {
     /// The unsealed snapshot payload (no header/checksum frame yet).
@@ -79,7 +78,7 @@ impl Catalog {
         enc.usize(names.len());
         for name in &names {
             let relation = &self.relations[name];
-            let (rel, index) = (relation.labels(), &relation.index);
+            let (rel, index) = (&relation.labels, &relation.index);
             let mut section = Encoder::new();
             section.str(name);
             section.usize(rel.len());
@@ -180,15 +179,17 @@ impl Catalog {
     /// every shard count) and its samples to a record file beside it
     /// (`<path>.<relation>_s<shard>.<pid>-<n>.records`, whole records in id
     /// order). `<pid>` is this process's id and `<n>` a number no other
-    /// sidecar of this process draws, so no two opens — of one snapshot,
+    /// sidecar or trail file of this process draws
+    /// ([`tsq_core::store::sidecar_tag`]), so no two opens — of one snapshot,
     /// in one process or in two — ever share a file: each open writes its
     /// own files, reads them through the handles it wrote them with, and
     /// removes them when its relations drop ([`Catalog::paged_files`]
     /// lists them). A crash leaves its sidecars behind: one whose `<pid>`
     /// no running process has is a leftover, safe to delete.
     /// The in-memory nodes and every decoded sample buffer are then
-    /// dropped — the relation keeps its labels, each record its features —
-    /// and queries fetch nodes and records through one pin-counted
+    /// dropped — the relation is its labels and its index, as after
+    /// [`Catalog::open`], and each record keeps its features alone — and
+    /// queries fetch nodes and records through one pin-counted
     /// segmented-LRU buffer cache; their statistics carry *measured*
     /// `pool_hits`/`pool_misses` and record hits and misses. One budget of
     /// `budget_mib` MiB (minimum 1) bounds every node page, record frame
@@ -198,9 +199,9 @@ impl Catalog {
     /// Planner statistics were profiled from the rebuilt trees before the
     /// nodes moved out, so plan choices are identical to the in-memory
     /// catalog's, and so are answers and counters. Paged relations are
-    /// read-only until re-registered; [`Catalog::save`] still works, and
-    /// reads every record back to write the bytes the in-memory catalog
-    /// writes. A relation's held subsequence ST-index reads its records
+    /// read-only until re-registered (`APPEND` and `SHARD` are refused);
+    /// [`Catalog::save`] still works, and reads every record back to write
+    /// the bytes the in-memory catalog writes. A relation's held subsequence ST-index reads its records
     /// through the cache, to build and to refine, and keeps none; its
     /// build writes the trail tree to a scratch page file of its own
     /// beside shard 0's node file (`<node file stem>.<pid>-<m>.trails`),
@@ -220,7 +221,6 @@ impl Catalog {
                 let sidecar = paged_sidecar(path, &format!("{name}.s{shard}"));
                 part.attach_paged(&sidecar, &cache)?;
             }
-            relation.page_out();
         }
         Ok(restored)
     }
@@ -250,14 +250,12 @@ fn store_err(e: StoreError) -> LangError {
     LangError::Engine(tsq_core::Error::Store(e))
 }
 
-/// Sidecar files named by this process: each draws its own number.
-static SIDECARS: AtomicU64 = AtomicU64::new(0);
-
 /// A new sidecar page-file path for one shard (`<relation>.s<shard>`) of
 /// a paged catalog: `<snapshot>.<relation>_s<shard>.<pid>-<n>.pages`.
 /// Relation names are file-system-hostile in general, so everything
 /// outside `[A-Za-z0-9_-]` is flattened to `_`; the process id and the
-/// number drawn keep names that collide after flattening, and every other
+/// number drawn ([`core_store::sidecar_tag`], one counter with the trail
+/// files) keep names that collide after flattening, and every other
 /// open's names, apart.
 fn paged_sidecar(snapshot: &Path, relation: &str) -> std::path::PathBuf {
     let safe: String = relation
@@ -270,9 +268,8 @@ fn paged_sidecar(snapshot: &Path, relation: &str) -> std::path::PathBuf {
             }
         })
         .collect();
-    let n = SIDECARS.fetch_add(1, Ordering::Relaxed);
     let mut os = snapshot.as_os_str().to_os_string();
-    os.push(format!(".{safe}.{}-{n}.pages", std::process::id()));
+    os.push(format!(".{safe}.{}.pages", core_store::sidecar_tag()));
     std::path::PathBuf::from(os)
 }
 
@@ -344,14 +341,8 @@ fn decode_relation_section(bytes: &[u8]) -> Result<(String, Relation), StoreErro
         index.hold_window(window).map_err(unwrap_core)?;
     }
     dec.finish()?;
-    // A `TimeSeries` clone shares its buffer: each series is decoded once
-    // and held once, by its shard and by the labelled relation.
-    let mut items = Vec::with_capacity(labels.len());
-    for (id, label) in labels.into_iter().enumerate() {
-        items.push((label, index.series(id).map_err(unwrap_core)?));
-    }
-    let rel = SeriesRelation::from_labeled(&name, items)
+    // Each series is decoded once, into its shard, which holds it alone.
+    let labels = Labels::new(name.clone(), &labels)
         .map_err(|e| StoreError::corrupt(format!("relation {name:?} cannot be rebuilt: {e}")))?;
-    let labelled = Labelled::Held(rel);
-    Ok((name, Relation { labelled, index }))
+    Ok((name, Relation::new(labels, index)))
 }
