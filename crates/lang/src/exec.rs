@@ -79,6 +79,7 @@ pub(crate) struct Relation {
 }
 
 impl Relation {
+    /// The relation `labels` name over `index`, nothing materialized.
     pub(crate) fn new(labels: Labels, index: ShardedIndex) -> Self {
         Relation {
             labels,

@@ -78,12 +78,12 @@ impl Catalog {
         enc.usize(names.len());
         for name in &names {
             let relation = &self.relations[name];
-            let (rel, index) = (&relation.labels, &relation.index);
+            let (labels, index) = (&relation.labels, &relation.index);
             let mut section = Encoder::new();
             section.str(name);
-            section.usize(rel.len());
-            for id in 0..rel.len() {
-                section.str(rel.label(id).expect("label within len"));
+            section.usize(labels.len());
+            for id in 0..labels.len() {
+                section.str(labels.label(id).expect("label within len"));
             }
             section.usize(index.shard_count());
             // Each shard travels as its configuration and series; a paged
@@ -180,13 +180,13 @@ impl Catalog {
     /// (`<path>.<relation>_s<shard>.<pid>-<n>.records`, whole records in id
     /// order). `<pid>` is this process's id and `<n>` a number no other
     /// sidecar or trail file of this process draws
-    /// ([`tsq_core::store::sidecar_tag`]), so no two opens — of one snapshot,
-    /// in one process or in two — ever share a file: each open writes its
-    /// own files, reads them through the handles it wrote them with, and
-    /// removes them when its relations drop ([`Catalog::paged_files`]
-    /// lists them). A crash leaves its sidecars behind: one whose `<pid>`
-    /// no running process has is a leftover, safe to delete.
-    /// The in-memory nodes and every decoded sample buffer are then
+    /// ([`tsq_core::store::sidecar_tag`]), so no two opens — of one
+    /// snapshot, in one process or in two — ever share a file: each open
+    /// writes its own files, reads them through the handles it wrote them
+    /// with, and removes them when its relations drop
+    /// ([`Catalog::paged_files`] lists them). A crash leaves its sidecars
+    /// behind: one whose `<pid>` no running process has is a leftover,
+    /// safe to delete. The in-memory nodes and every decoded sample buffer are then
     /// dropped — the relation is its labels and its index, as after
     /// [`Catalog::open`], and each record keeps its features alone — and
     /// queries fetch nodes and records through one pin-counted
@@ -201,8 +201,9 @@ impl Catalog {
     /// catalog's, and so are answers and counters. Paged relations are
     /// read-only until re-registered (`APPEND` and `SHARD` are refused);
     /// [`Catalog::save`] still works, and reads every record back to write
-    /// the bytes the in-memory catalog writes. A relation's held subsequence ST-index reads its records
-    /// through the cache, to build and to refine, and keeps none; its
+    /// the bytes the in-memory catalog writes. A relation's held
+    /// subsequence ST-index reads its records through the cache, to build
+    /// and to refine, and keeps none; its
     /// build writes the trail tree to a scratch page file of its own
     /// beside shard 0's node file (`<node file stem>.<pid>-<m>.trails`),
     /// removed — its cached pages with it — when the index drops, and its
