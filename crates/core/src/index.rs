@@ -659,8 +659,12 @@ impl SimilarityIndex {
     ///
     /// Both files are created new — a file already at either path is
     /// unlinked, never written into, so a live handle on it keeps its
-    /// bytes — and read only through the handles they were written with.
-    /// The index owns them: they are removed when its last clone drops.
+    /// bytes — and read only through the handles they were written with
+    /// ([`tsq_rtree::page::PageFile`]). Each is checked at its first pin
+    /// against the header block its writer wrote, the writer's tag
+    /// included: a file written over it in place — by another open of the
+    /// same snapshot, say — is a typed error, never other rows. The index
+    /// owns them: they are removed when its last clone drops.
     ///
     /// The relation becomes append-proof
     /// ([`SimilarityIndex::push_series_batch`] is rejected); snapshots

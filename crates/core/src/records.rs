@@ -12,8 +12,9 @@
 //! ## File layout
 //!
 //! ```text
-//! offset 0            header: magic 8 · version 4 · frame size 4 ·
-//!                     frame count 8 · record count 8 · CRC-32 4
+//! offset 0            header: magic 8 · version 4 · frame size u32 ·
+//!                     frame count u64 · record count u64 · CRC-32 4 ·
+//!                     the writer's tag (pid u32 · n u64)
 //! offset PAGE_ALIGN   frame 0
 //! ...                 frame f at PAGE_ALIGN + f * frame_size
 //! ```
@@ -27,41 +28,40 @@
 //! a scan reads the file front to back. The frame size is the node page
 //! size, grown to the [`PAGE_ALIGN`] multiple the longest record needs.
 //!
-//! The file is written through a handle of its own, created new (a file
-//! already at the path is unlinked, never written into), and every later
-//! read goes through that handle: nothing reopens the file by its path.
-//! The file is removed when its [`RecordFile`] drops.
+//! The file is a [`PageFile`]: created new (a file already at the path is
+//! unlinked, never written into), written through a handle of its own
+//! that every later read goes through — nothing reopens the file by its
+//! path — and removed when its [`RecordFile`] drops.
 //!
 //! Which records a frame holds is a function of the record lengths, which
 //! the index knows from the features it keeps: the file is checked against
-//! them, never trusted. The header is read by the first pin, and a header
-//! that disagrees with the records, a file of the wrong size, a frame
-//! whose checksum or record lengths disagree, or a non-finite sample is a
-//! typed [`StoreError`]; nothing is allocated from a declared length.
+//! them, never trusted. The first pin compares the header block with the
+//! one the writer wrote and the file's size with its frames; every frame
+//! is checked as it is read. A header the writer did not write, a file of
+//! the wrong size, a frame whose checksum or record lengths disagree, or a
+//! non-finite sample is a typed [`StoreError`]; nothing is allocated from
+//! a declared length.
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Write};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 
 use tsq_rtree::config::PAGE_ALIGN;
-use tsq_rtree::page::{seal_in_place, BufferPool, PageCache, PageId, PagePin, PAGE_PREFIX_BYTES};
-use tsq_rtree::paged::create_new;
-use tsq_store::{crc32, Decoder, StoreError, StoreResult};
+use tsq_rtree::page::{
+    seal_in_place, BufferPool, FileKind, PageCache, PageFile, PageId, PagePin, PAGE_PREFIX_BYTES,
+};
+use tsq_store::{Decoder, StoreError, StoreResult};
 
 use crate::index::StoredSeries;
 
-/// Record-file magic bytes.
-const MAGIC: &[u8; 8] = b"TSQRECS\0";
-
-/// Record-file format version.
-const VERSION: u32 = 1;
-
-/// Header length: magic 8 · version 4 · frame size 4 · frame count 8 ·
-/// record count 8 · CRC-32 4.
-const HEADER_BYTES: usize = 36;
+/// Record files, derived at open like page files.
+const KIND: FileKind = FileKind {
+    magic: *b"TSQRECS\0",
+    version: 2,
+};
 
 /// A frame payload's fixed part: first id `u64` · record count `u32`.
 const FRAME_HEADER_BYTES: usize = 12;
@@ -104,19 +104,10 @@ impl RecordIo {
 /// file: dropping it removes the file.
 #[derive(Debug)]
 pub struct RecordFile {
-    path: PathBuf,
-    /// The handle the file was written with, until the first pin moves it
-    /// into the pool.
-    file: Mutex<Option<File>>,
-    frame_size: usize,
+    file: PageFile<RecordFrame>,
     /// First record id of every frame, ascending.
     starts: Vec<usize>,
     records: usize,
-    /// The cache the handle joins.
-    cache: Arc<PageCache>,
-    /// The handle, opened — header and file size checked — by the first
-    /// pin.
-    pool: OnceLock<StoreResult<BufferPool<RecordFrame>>>,
     /// Frame the file's last miss read; `u64::MAX` before the first.
     last_miss: AtomicU64,
 }
@@ -158,8 +149,7 @@ fn pack(lens: impl Iterator<Item = usize>, frame_size: usize) -> Vec<usize> {
 
 impl RecordFile {
     /// Writes `store`'s samples to a record file at `path`, frames of at
-    /// least `page_size` bytes, and returns it, to join `cache` at its
-    /// first pin.
+    /// least `page_size` bytes, and joins it to `cache`.
     ///
     /// # Errors
     /// [`StoreError::Io`] on write failures, [`StoreError::Corrupt`] when
@@ -173,31 +163,27 @@ impl RecordFile {
         let longest = store.iter().map(|s| s.series.len()).max().unwrap_or(0);
         let frame_size = frame_size_for(page_size, longest)?;
         let starts = pack(store.iter().map(|s| s.series.len()), frame_size);
-        let written =
-            create_new(path).and_then(|file| write_frames(file, store, frame_size, &starts));
-        let file = written.inspect_err(|_| {
-            let _ = std::fs::remove_file(path);
+        let slots = (frame_size, starts.len() as u64);
+        let geometry = (store.len() as u64).to_le_bytes();
+        let file = PageFile::create(path, KIND, slots, &geometry, cache, |file| {
+            write_frames(file, store, frame_size, &starts)
         })?;
         Ok(RecordFile {
-            path: path.to_path_buf(),
-            file: Mutex::new(Some(file)),
-            frame_size,
+            file,
             starts,
             records: store.len(),
-            cache: Arc::clone(cache),
-            pool: OnceLock::new(),
             last_miss: AtomicU64::new(u64::MAX),
         })
     }
 
     /// Where the file lives.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 
     /// Bytes per frame.
     pub fn frame_size(&self) -> usize {
-        self.frame_size
+        self.file.page_size()
     }
 
     /// Frames in the file.
@@ -205,79 +191,9 @@ impl RecordFile {
         self.starts.len()
     }
 
-    /// The file's handle onto its cache (for its counters and `flush`),
-    /// opened now if no record was read yet.
-    ///
-    /// # Errors
-    /// The typed [`StoreError`] the file's header or size fails with, at
-    /// every call.
-    pub fn pool(&self) -> StoreResult<&BufferPool<RecordFrame>> {
-        self.pool
-            .get_or_init(|| self.open())
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// Hands the file's handle to a pool, once its header is checked
-    /// against the records it must hold and its size against the header.
-    fn open(&self) -> StoreResult<BufferPool<RecordFrame>> {
-        let held = self
-            .file
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        let mut file = held.expect("the pool is opened once");
-        file.seek(SeekFrom::Start(0))?;
-        let mut header = [0u8; HEADER_BYTES];
-        file.read_exact(&mut header)
-            .map_err(|_| StoreError::truncated("record file header"))?;
-        if &header[..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let u32_at = |o: usize| u32::from_le_bytes(header[o..o + 4].try_into().expect("4 bytes"));
-        let u64_at = |o: usize| u64::from_le_bytes(header[o..o + 8].try_into().expect("8 bytes"));
-        let version = u32_at(8);
-        if version != VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                got: version,
-                supported: VERSION,
-            });
-        }
-        let (stored, computed) = (u32_at(HEADER_BYTES - 4), crc32(&header[..HEADER_BYTES - 4]));
-        if stored != computed {
-            return Err(StoreError::ChecksumMismatch { stored, computed });
-        }
-        let declared = (u32_at(12) as u64, u64_at(16), u64_at(24));
-        let expected = (
-            self.frame_size as u64,
-            self.starts.len() as u64,
-            self.records as u64,
-        );
-        if declared != expected {
-            return Err(StoreError::corrupt(format!(
-                "record file declares {} record(s) in {} frame(s) of {} byte(s); the index \
-                 holds {} record(s), which pack into {} frame(s) of {} byte(s)",
-                declared.2, declared.1, declared.0, expected.2, expected.1, expected.0
-            )));
-        }
-        let want = PAGE_ALIGN as u64 + expected.1 * expected.0;
-        let got = file.metadata()?.len();
-        if got < want {
-            return Err(StoreError::truncated(format!(
-                "record file of {got} byte(s), its header implies {want}"
-            )));
-        }
-        if got > want {
-            return Err(StoreError::corrupt(format!(
-                "record file of {got} byte(s), its header implies {want}"
-            )));
-        }
-        Ok(BufferPool::in_cache(
-            &self.cache,
-            file,
-            self.frame_size,
-            self.starts.len() as u64,
-        ))
+    /// The file's handle onto its cache (for its counters and `flush`).
+    pub fn pool(&self) -> &BufferPool<RecordFrame> {
+        self.file.pool()
     }
 
     /// Pins the frame holding record `id` of `store` (the index's records,
@@ -293,12 +209,11 @@ impl RecordFile {
         store: &[StoredSeries],
         io: &mut RecordIo,
     ) -> StoreResult<(PagePin<'a, RecordFrame>, Range<usize>)> {
-        let pool = self.pool()?;
         let frame = self.starts.partition_point(|&first| first <= id) - 1;
         let first = self.starts[frame];
         let end = self.starts.get(frame + 1).copied().unwrap_or(self.records);
         let held = &store[first..end];
-        let (pin, hit) = pool.pin(PageId(frame as u64), |payload| {
+        let (pin, hit) = self.file.pin(PageId(frame as u64), |payload| {
             decode_frame(payload, first, held)
         })?;
         if hit {
@@ -318,18 +233,15 @@ impl RecordFile {
     }
 }
 
-/// Writes `store`'s samples into `file` (new and empty) as a record file
-/// of frames of `frame_size` bytes starting at `starts`, and hands the
-/// file back.
+/// Writes `store`'s samples into `file`, after its header block, as
+/// frames of `frame_size` bytes starting at `starts`.
 fn write_frames(
-    file: File,
+    file: &mut File,
     store: &[StoredSeries],
     frame_size: usize,
     starts: &[usize],
-) -> StoreResult<File> {
+) -> StoreResult<()> {
     let mut w = BufWriter::with_capacity(WRITE_BUFFER_BYTES, file);
-    w.write_all(&encode_header(frame_size, starts.len(), store.len()))?;
-    w.write_all(&[0u8; PAGE_ALIGN - HEADER_BYTES])?;
     // One frame, filled in place and sealed: a record fits a frame,
     // and `pack` fits a frame's records.
     let mut page = vec![0u8; frame_size];
@@ -356,26 +268,7 @@ fn write_frames(
         seal_in_place(&mut page, at);
         w.write_all(&page)?;
     }
-    w.into_inner().map_err(|e| e.into_error().into())
-}
-
-/// The record file is its handle's to remove: no other index reads it.
-impl Drop for RecordFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-fn encode_header(frame_size: usize, frames: usize, records: usize) -> [u8; HEADER_BYTES] {
-    let mut h = [0u8; HEADER_BYTES];
-    h[..8].copy_from_slice(MAGIC);
-    h[8..12].copy_from_slice(&VERSION.to_le_bytes());
-    h[12..16].copy_from_slice(&(frame_size as u32).to_le_bytes());
-    h[16..24].copy_from_slice(&(frames as u64).to_le_bytes());
-    h[24..32].copy_from_slice(&(records as u64).to_le_bytes());
-    let crc = crc32(&h[..HEADER_BYTES - 4]);
-    h[HEADER_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
-    h
+    Ok(w.flush()?)
 }
 
 /// Decodes the frame that must hold `held`, the records from id `first`

@@ -181,21 +181,6 @@ impl SeriesRelation {
         Ok(id)
     }
 
-    /// `(min, max)` series lengths, or `None` for an empty relation.
-    pub fn length_range(&self) -> Option<(usize, usize)> {
-        let mut lens = self.series.iter().map(TimeSeries::len);
-        let first = lens.next()?;
-        Some(lens.fold((first, first), |(lo, hi), l| (lo.min(l), hi.max(l))))
-    }
-
-    /// True when every stored series has the same length (vacuously true
-    /// when empty). Whole-series queries require this; see
-    /// [`Error::Ragged`].
-    pub fn is_uniform(&self) -> bool {
-        // `map_or(true, ..)` rather than `is_none_or`: MSRV is 1.80.
-        self.length_range().map_or(true, |(lo, hi)| lo == hi)
-    }
-
     /// Relation name.
     pub fn name(&self) -> &str {
         self.labels.name()
@@ -317,12 +302,13 @@ mod tests {
         let mut rel = SeriesRelation::new("r");
         rel.push("X", TimeSeries::from([1.0, 2.0])).unwrap();
         rel.push("Y", TimeSeries::from([1.0])).unwrap();
-        assert_eq!(rel.length_range(), Some((1, 2)));
-        assert!(!rel.is_uniform());
+        let lengths =
+            |rel: &SeriesRelation| rel.series().iter().map(TimeSeries::len).collect::<Vec<_>>();
+        assert_eq!(lengths(&rel), [2, 1]);
         // Appending the short series up to length 2 heals it.
         let id = rel.extend_series("Y", &[5.0]).unwrap();
         assert_eq!(id, 1);
-        assert!(rel.is_uniform());
+        assert_eq!(lengths(&rel), [2, 2]);
         assert_eq!(rel.get_by_label("Y").unwrap().values(), &[1.0, 5.0]);
     }
 

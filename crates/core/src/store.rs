@@ -11,8 +11,7 @@
 //! checksum still cannot panic the engine. [`sidecar_tag`] names the
 //! files written beside a snapshot.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
+pub use tsq_rtree::page::sidecar_tag;
 use tsq_rtree::RTreeConfig;
 use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
@@ -127,18 +126,6 @@ pub fn read_index_config(dec: &mut Decoder<'_>) -> StoreResult<IndexConfig> {
         rtree: read_rtree_config(dec)?,
         bulk_load: dec.bool("index bulk_load")?,
     })
-}
-
-/// Files beside a snapshot named by this process: each draws its own number.
-static SIDECARS: AtomicU64 = AtomicU64::new(0);
-
-/// `<pid>-<n>`: this process's id and a number no other file beside a
-/// snapshot named by this process draws. A paged open's node and record
-/// files and an ST-index build's trail file each carry one, so no two
-/// opens or builds — in one process or in two — ever share a file.
-pub fn sidecar_tag() -> String {
-    let n = SIDECARS.fetch_add(1, Ordering::Relaxed);
-    format!("{}-{n}", std::process::id())
 }
 
 #[cfg(test)]

@@ -230,7 +230,7 @@ fn every_operator_reads_records_through_the_pool_identically() {
         for capacity in [2usize, usize::MAX] {
             let paged = paged_copy(&mem, &format!("ops-{ti}-{capacity}"), capacity);
             let records = paged.records().expect("paged");
-            let pool = records.pool().unwrap();
+            let pool = records.pool();
             for logical in &statements {
                 let chosen = Planner::new(&paged, &stats)
                     .plan(logical, None, None)
@@ -345,7 +345,7 @@ fn budget_is_divided_by_the_files_page_size() {
         let records = index.records().unwrap();
         assert_eq!(records.frame_size(), paged.page_size(), "{tag}");
         assert_eq!(
-            records.pool().unwrap().capacity_pages() as u64,
+            records.pool().capacity_pages() as u64,
             (budget / records.frame_size() as u64).max(1),
             "{tag}"
         );
@@ -355,7 +355,7 @@ fn budget_is_divided_by_the_files_page_size() {
 /// Hits and misses of every record pool of a paged relation, summed.
 fn record_pool_counters(paged: &ShardedIndex) -> (u64, u64) {
     paged.parts().iter().fold((0, 0), |(h, m), part| {
-        let pool = part.records().expect("paged").pool().unwrap();
+        let pool = part.records().expect("paged").pool();
         (h + pool.hits(), m + pool.misses())
     })
 }

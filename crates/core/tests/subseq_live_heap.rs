@@ -52,7 +52,7 @@ fn sharded(relation: &SeriesRelation, shards: usize, tag: Option<&str>) -> Shard
 fn frame_capacity(index: &ShardedIndex) -> usize {
     let parts = index.parts().iter().map(|part| {
         let records = part.records().expect("paged");
-        records.pool().unwrap().capacity_pages() * records.frame_size()
+        records.pool().capacity_pages() * records.frame_size()
     });
     parts.sum()
 }

@@ -179,11 +179,10 @@ fn a_paged_tree_decodes_to_the_same_nodes() {
     let dir = std::env::temp_dir().join(format!("tsq-tree-digests-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("walks.pages");
-    index.tree().write_paged(&path, |&id| id as u64).unwrap();
     for capacity in [1usize, 64, usize::MAX] {
         let page_size = index.tree().paged_page_size().unwrap() as u64;
         let cache = PageCache::new((capacity as u64).saturating_mul(page_size));
-        let paged = PagedTree::open(&path, &cache).unwrap();
+        let paged = PagedTree::create(&path, index.tree(), |&id| id as u64, &cache).unwrap();
         let got = digest(&paged, |hash, word| hash.word(word));
         assert_eq!(got, 0x7b30_7b6b_6ce0_5dd8, "pool of {capacity} page(s)");
     }

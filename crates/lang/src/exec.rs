@@ -2486,7 +2486,7 @@ mod tests {
                 let (Some(tree), Some(records)) = (part.paged(), part.records()) else {
                     continue;
                 };
-                let pool = records.pool().unwrap();
+                let pool = records.pool();
                 bytes += (tree.pool().resident_pages() * tree.page_size()) as u64;
                 bytes += (pool.resident_pages() * records.frame_size()) as u64;
             }

@@ -471,6 +471,60 @@ fn rel_lists_a_paged_relation_without_reading_its_records() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A fresh shell reading `script` from its stdin.
+fn shell(script: &str) -> Child {
+    let mut child = Command::new(BIN)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn tsq");
+    let mut stdin = child.stdin.take().unwrap();
+    stdin.write_all(script.as_bytes()).expect("write stdin");
+    child
+}
+
+/// The answer rows a shell printed, prompt stripped.
+fn answer_rows(child: Child) -> Vec<String> {
+    let out = child.wait_with_output().expect("wait tsq");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(!stdout.contains("error:"), "{stdout}");
+    stdout
+        .lines()
+        .map(|l| l.trim_start_matches("tsq> ").to_string())
+        .filter(|l| l.contains("D = "))
+        .collect()
+}
+
+/// Two processes serving one snapshot paged, at once: each writes and
+/// reads files of its own beside the snapshot, answers as the in-memory
+/// shell does, and removes its files when it quits.
+#[test]
+fn two_shells_open_one_snapshot_paged_at_once() {
+    let dir = std::env::temp_dir().join(format!("tsq-paged-twice-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let snap = dir.join("walks.tsq");
+    let snap_str = snap.to_str().unwrap();
+    let statements = "FIND 5 NEAREST TO walks.s7 IN walks\n\
+                      FIND SIMILAR TO walks.s7 IN walks WITHIN 3 WITH (force = scan)\n";
+    let memory = answer_rows(shell(&format!(
+        ".gen walks rw 8000 128 1\n{statements}.save {snap_str}\n.quit\n"
+    )));
+    assert!(memory.len() >= 6, "{memory:?}");
+    let paged = format!(".open {snap_str} --paged 1\n{statements}.quit\n");
+    let shells = [shell(&paged), shell(&paged)];
+    for rows in shells.map(answer_rows) {
+        assert_eq!(rows, memory);
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert_eq!(left, ["walks.tsq"], "no sidecar outlives its shell");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn tiny_session_generates_and_queries() {
     let mut child = Command::new(BIN)

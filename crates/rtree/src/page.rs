@@ -12,15 +12,31 @@
 //! ## File layout
 //!
 //! ```text
-//! offset 0            header (see PagedHeader), CRC-32 protected
+//! offset 0            header block: magic 8 · version 4 · page_size u32 ·
+//!                     page_count u64 · the kind's geometry · CRC-32 4 ·
+//!                     writer's tag: pid u32 · n u64 · zero pad
 //! offset PAGE_ALIGN   page 0
 //! ...                 page i at PAGE_ALIGN + i * page_size
 //! ```
 //!
 //! Every page slot is `payload_len u32 · crc32 u32 · payload · zero pad`;
-//! the payload is the node encoding (level, entry count, rectangles,
-//! payload/child words). A corrupted page surfaces as a typed
-//! [`StoreError`] at pin time, never a panic.
+//! the payload is the kind's encoding (a node's level, entry count,
+//! rectangles and payload/child words; a record frame's records). A
+//! corrupted page surfaces as a typed [`StoreError`] at pin time, never a
+//! panic.
+//!
+//! ## Derived files
+//!
+//! Every file the cache reads is derived — from a tree in memory or an
+//! index's records — and read only by its writer: a [`PageFile`] is
+//! created new at its path (a file already there is unlinked, never
+//! written into), written through one handle, which then joins the cache,
+//! and removed when it drops. Nothing decodes its header: the first pin
+//! compares the header block with the bytes the writer wrote, which carry
+//! the writer's tag ([`sidecar_tag`]'s counter), so a file of the same
+//! shape written by anyone else — another catalog, another process — is a
+//! typed error, not other rows. The CRC-32 covers the header up to the
+//! tag, so damage there reads as [`StoreError::ChecksumMismatch`].
 //!
 //! ## Cache semantics
 //!
@@ -62,16 +78,20 @@
 //!   racing to fault the same page and double-counting a miss).
 
 use std::any::Any;
+use std::cmp::Ordering as Size;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::hash::BuildHasherDefault;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use tsq_store::{crc32, StoreError, StoreResult};
+use tsq_store::{crc32, Encoder, StoreError, StoreResult};
+
+use crate::config::PAGE_ALIGN;
 
 /// Identifies one fixed-size page in a page file (zero-based slot index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -530,7 +550,7 @@ impl<N> BufferPool<N> {
                 self.page_count
             )));
         }
-        let offset = crate::config::PAGE_ALIGN as u64 + id.0 * self.page_size as u64;
+        let offset = PAGE_ALIGN as u64 + id.0 * self.page_size as u64;
         buf.resize(self.page_size, 0);
         (&self.file).seek(SeekFrom::Start(offset))?;
         (&self.file).read_exact(buf).map_err(|e| match e.kind() {
@@ -586,6 +606,217 @@ impl<N> Drop for PagePin<'_, N> {
     fn drop(&mut self) {
         self.pool.unpin(self.id);
     }
+}
+
+/// Tags drawn by this process so far.
+static TAGS: AtomicU64 = AtomicU64::new(0);
+
+/// `<pid>-<n>`: this process's id and a number no other derived file of
+/// this process draws — every [`PageFile`]'s header tag comes from the
+/// same counter. Sidecar file names carry one, so no two opens or builds
+/// — in one process or in two — ever share a file.
+pub fn sidecar_tag() -> String {
+    let (pid, n) = draw_tag();
+    format!("{pid}-{n}")
+}
+
+fn draw_tag() -> (u32, u64) {
+    (std::process::id(), TAGS.fetch_add(1, Ordering::Relaxed))
+}
+
+/// Header bytes after the CRC: the writer's tag, pid `u32` · n `u64`.
+const TAG_BYTES: usize = 12;
+
+/// The magic bytes and format version that lead a kind of page file's
+/// header.
+#[derive(Debug, Clone, Copy)]
+pub struct FileKind {
+    /// The kind's magic bytes.
+    pub magic: [u8; 8],
+    /// The one format version this build writes and reads.
+    pub version: u32,
+}
+
+/// A derived page file — a tree's node or trail file, an index's record
+/// file — and its handle onto a [`PageCache`]. It is created new at its
+/// path, written through one handle that then joins the cache, checked
+/// at its first pin against the header block its writer wrote, and
+/// removed when it drops (see the module docs).
+#[derive(Debug)]
+pub struct PageFile<N> {
+    path: PathBuf,
+    /// The header the writer wrote at offset 0; the rest of the header
+    /// block is zero.
+    header: Box<[u8]>,
+    pool: BufferPool<N>,
+    /// The first pin's check of the file, answered to every later pin.
+    checked: OnceLock<StoreResult<()>>,
+}
+
+impl<N: Any + Send + Sync> PageFile<N> {
+    /// Creates a file of `kind` at `path` — a file already there is
+    /// unlinked first — holding a header with `geometry` and a fresh tag,
+    /// then the `page_count` slots of `page_size` bytes that `write_pages`
+    /// writes (and flushes), and joins it to `cache`. A file that cannot
+    /// be written is removed.
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] on write failures, [`StoreError::Corrupt`] for a
+    /// page size past `u32`, and whatever `write_pages` fails with.
+    ///
+    /// # Panics
+    /// When the header does not fit one [`PAGE_ALIGN`] block.
+    pub fn create(
+        path: &Path,
+        kind: FileKind,
+        (page_size, page_count): (usize, u64),
+        geometry: &[u8],
+        cache: &Arc<PageCache>,
+        write_pages: impl FnOnce(&mut File) -> StoreResult<()>,
+    ) -> StoreResult<Self> {
+        let size = u32::try_from(page_size)
+            .map_err(|_| StoreError::corrupt(format!("a {page_size}-byte page")))?;
+        let mut enc = Encoder::new();
+        enc.raw(&kind.magic);
+        enc.u32(kind.version);
+        enc.u32(size);
+        enc.u64(page_count);
+        enc.raw(geometry);
+        let mut header = enc.into_bytes();
+        header.extend_from_slice(&crc32(&header).to_le_bytes());
+        let (pid, n) = draw_tag();
+        header.extend_from_slice(&pid.to_le_bytes());
+        header.extend_from_slice(&n.to_le_bytes());
+        let mut block = vec![0u8; PAGE_ALIGN];
+        block[..header.len()].copy_from_slice(&header);
+        let written = create_new(path).and_then(|mut file| {
+            file.write_all(&block)?;
+            write_pages(&mut file)?;
+            Ok(file)
+        });
+        let file = written.inspect_err(|_| {
+            let _ = std::fs::remove_file(path);
+        })?;
+        Ok(PageFile {
+            path: path.to_path_buf(),
+            header: header.into_boxed_slice(),
+            pool: BufferPool::in_cache(cache, file, page_size, page_count),
+            checked: OnceLock::new(),
+        })
+    }
+
+    /// [`BufferPool::pin`], once the file is checked: the first pin
+    /// compares the header block with the one the writer wrote and the
+    /// file's size with its slots, and every pin answers with that check's
+    /// error while it fails.
+    ///
+    /// # Errors
+    /// The check's [`StoreError::BadMagic`],
+    /// [`StoreError::UnsupportedVersion`], [`StoreError::ChecksumMismatch`]
+    /// (a header that fails its CRC), [`StoreError::Truncated`] (a short
+    /// file) or [`StoreError::Corrupt`] (a long file, or any other header
+    /// byte the writer did not write), and whatever the pin fails with.
+    pub fn pin<F>(&self, id: PageId, decode: F) -> StoreResult<(PagePin<'_, N>, bool)>
+    where
+        F: FnOnce(&[u8]) -> StoreResult<N>,
+    {
+        self.checked.get_or_init(|| self.check()).clone()?;
+        self.pool.pin(id, decode)
+    }
+}
+
+impl<N> PageFile<N> {
+    /// Where the file lives.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// The file's handle onto its cache (for its counters and `flush`).
+    pub fn pool(&self) -> &BufferPool<N> {
+        &self.pool
+    }
+
+    /// Bytes per page slot.
+    pub fn page_size(&self) -> usize {
+        self.pool.page_size
+    }
+
+    /// Page slots in the file.
+    pub(crate) fn page_count(&self) -> u64 {
+        self.pool.page_count
+    }
+
+    /// Compares the file's header block with the one its writer wrote, and
+    /// its size with the slots it holds. Reads under the cache lock, as
+    /// page reads do: they share the handle's file offset.
+    fn check(&self) -> StoreResult<()> {
+        let mut block = vec![0u8; PAGE_ALIGN];
+        let len = {
+            let _reads = self.pool.cache.lock();
+            let mut file = &self.pool.file;
+            file.seek(SeekFrom::Start(0))?;
+            file.read_exact(&mut block).map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => StoreError::truncated("page file header"),
+                _ => e.into(),
+            })?;
+            file.metadata()?.len()
+        };
+        let h = &*self.header;
+        let u32_at =
+            |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"));
+        if block[..8] != h[..8] {
+            return Err(StoreError::BadMagic);
+        }
+        let (got, supported) = (u32_at(&block, 8), u32_at(h, 8));
+        if got != supported {
+            return Err(StoreError::UnsupportedVersion { got, supported });
+        }
+        let crc_at = h.len() - TAG_BYTES - 4;
+        let (stored, computed) = (u32_at(&block, crc_at), crc32(&block[..crc_at]));
+        if stored != computed {
+            return Err(StoreError::ChecksumMismatch { stored, computed });
+        }
+        let (written, pad) = block.split_at(h.len());
+        if written != h || pad.iter().any(|&b| b != 0) {
+            return Err(StoreError::corrupt(format!(
+                "{} holds a header its writer did not write",
+                self.path.display()
+            )));
+        }
+        let want = PAGE_ALIGN as u64 + self.page_count() * self.page_size() as u64;
+        let size = format!(
+            "{} is {len} byte(s) where {want} were written",
+            self.path.display()
+        );
+        match len.cmp(&want) {
+            Size::Less => Err(StoreError::truncated(size)),
+            Size::Greater => Err(StoreError::corrupt(size)),
+            Size::Equal => Ok(()),
+        }
+    }
+}
+
+/// The file is its writer's to remove: nothing else reads it. The handle,
+/// and with it the cached frames, goes right after.
+impl<N> Drop for PageFile<N> {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// A new file at `path`, open for reading and writing: a file already
+/// there is unlinked first, so no handle on it sees a byte change.
+fn create_new(path: &Path) -> StoreResult<File> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+        _ => {}
+    }
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(path)?;
+    Ok(file)
 }
 
 /// Serializes one page slot: length prefix, CRC, payload, zero padding.

@@ -11,6 +11,13 @@
 //! are the *measured* `pool_hits`/`pool_misses` counters and typed errors
 //! for pages that cannot be read.
 //!
+//! The file is a [`PageFile`]: the tree writes it, reads it through the
+//! handle it wrote it with, and removes it when it drops. Its header
+//! holds the tree's geometry (`root u64 · config 12 · len u64 ·
+//! root_level u32 · dims flag u8 · dims u64` after the page size and
+//! count) for whoever inspects the file; nothing decodes it — the first
+//! pin checks the file against it byte for byte.
+//!
 //! Pins follow the traversal's guards: the range visitor holds a node's
 //! pin while it descends below it (an ancestor chain of at most
 //! tree-height pages), the best-first kNN loop drops each pin before it
@@ -19,45 +26,34 @@
 //! still answers.
 //!
 //! Payloads are fixed to `u64` (the id-shaped types every index in this
-//! workspace stores); `create_from` bridges from the generic item type
-//! with a caller-supplied conversion.
+//! workspace stores); [`PagedTree::create`] bridges from the generic item
+//! type with a caller-supplied conversion.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::Path;
 use std::sync::Arc;
 
-use tsq_store::{crc32, Decoder, Encoder, StoreError, StoreResult};
+use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
 use crate::config::{RTreeConfig, MAX_PAGE_BYTES, PAGE_ALIGN, PAGE_HEADER_BYTES};
 use crate::node::{Kids, Node, NodeStore, Slot};
-use crate::page::{seal_page, BufferPool, PageCache, PageId, PagePin};
-use crate::persist::{read_bounds, write_bounds};
+use crate::page::{seal_page, BufferPool, FileKind, PageCache, PageFile, PageId, PagePin};
+use crate::persist::{read_bounds, write_bounds, write_config};
 use crate::rect::RectView;
 use crate::stats::SearchStats;
 use crate::tree::RStarTree;
 
-/// Page-file magic bytes.
-const MAGIC: &[u8; 8] = b"TSQPAGE\0";
-
-/// Page-file format version: 2 since bounds are stored as `f32`s rounded
-/// outward (1 held `f64`s). A page file is derived when a snapshot is
-/// opened, so no snapshot holds one.
-const VERSION: u32 = 2;
+/// Node and trail files. A page file is derived when a snapshot is
+/// opened, so no snapshot holds one, and its version can change freely.
+const KIND: FileKind = FileKind {
+    magic: *b"TSQPAGE\0",
+    version: 3,
+};
 
 /// Levels are bounded to keep recursion depth trivially safe: a tree of
 /// height 64 with fan-out ≥ 2 would hold more items than a `u64` counts.
 const MAX_LEVEL: u32 = 64;
-
-/// Fixed header length: magic 8 · version 4 · page_size 4 · page_count 8
-/// · root 8 · config 12 · len 8 · root_level 4 · dims flag 1 · dims 8 ·
-/// CRC-32 4.
-const HEADER_BYTES: usize = 69;
-
-/// Most pages a page file may declare: the header check refuses more, so
-/// the file size a header implies is computed without overflow.
-const MAX_PAGE_COUNT: u64 = 1 << 40;
-const _: () = assert!(MAX_PAGE_COUNT * (MAX_PAGE_BYTES as u64) < u64::MAX - PAGE_ALIGN as u64);
 
 /// One decoded page: a node whose children are page references, in the
 /// in-memory node's layout — one coordinate slab of `2·dims` stored `f32`
@@ -73,25 +69,17 @@ pub struct PagedNode {
     words: Vec<u64>,
 }
 
-/// A read-only R\*-tree stored one-node-per-page in a file, fetched
-/// through a pin-counted [`BufferPool`] handle onto a shared cache.
-///
-/// Every page is read through the one file handle the tree was opened
-/// with. A tree [`PagedTree::create`]d from a tree in memory owns its file:
-/// it wrote it through that handle, and removes it when it drops.
+/// A read-only R\*-tree stored one-node-per-page in a file of its own,
+/// fetched through a pin-counted [`BufferPool`] handle onto a shared
+/// cache.
 #[derive(Debug)]
 pub struct PagedTree {
-    pool: BufferPool<PagedNode>,
-    path: PathBuf,
-    /// Whether dropping the tree removes its file.
-    owned: bool,
+    file: PageFile<PagedNode>,
     root: PageId,
     root_level: u32,
     config: RTreeConfig,
     len: usize,
     dims: Option<usize>,
-    page_size: usize,
-    page_count: u64,
 }
 
 /// Page size for a tree of the given fan-out and dimensionality: the
@@ -120,19 +108,8 @@ pub fn page_size_for(config: &RTreeConfig, dims: usize) -> StoreResult<usize> {
 }
 
 impl<T> RStarTree<T> {
-    /// Writes this tree as a page file at `path` (one node per page,
-    /// children before parents, the root last), converting each item to
-    /// its stored `u64` with `to_u64`.
-    ///
-    /// # Errors
-    /// [`StoreError::Io`] on write failures, [`StoreError::Corrupt`] when
-    /// the configuration cannot fit a page.
-    pub fn write_paged<F: FnMut(&T) -> u64>(&self, path: &Path, to_u64: F) -> StoreResult<()> {
-        PagedTree::create_from(path, self, to_u64)
-    }
-
-    /// Bytes per page of the file [`RStarTree::write_paged`] writes for
-    /// this tree (an empty tree has no dimensionality yet; its one empty
+    /// Bytes per page of the file [`PagedTree::create`] writes for this
+    /// tree (an empty tree has no dimensionality yet; its one empty
     /// page is sized for one dimension).
     ///
     /// # Errors
@@ -143,25 +120,11 @@ impl<T> RStarTree<T> {
 }
 
 impl PagedTree {
-    /// Creates a page file at `path` mirroring `tree` node-for-node.
-    ///
-    /// # Errors
-    /// [`StoreError::Io`] on write failures, [`StoreError::Corrupt`] when
-    /// the configuration cannot fit a page.
-    pub fn create_from<T, F: FnMut(&T) -> u64>(
-        path: &Path,
-        tree: &RStarTree<T>,
-        to_u64: F,
-    ) -> StoreResult<()> {
-        write_file(File::create(path)?, tree, to_u64).map(drop)
-    }
-
-    /// Writes `tree` to a new page file at `path`, as
-    /// [`PagedTree::create_from`] does, and opens it in `cache` through the
-    /// handle it was written with; the tree owns the file and removes it
-    /// when it drops. A file already at `path` is unlinked first, never
-    /// written into: a live handle on it keeps reading its own pages. A
-    /// file that cannot be written or opened is removed.
+    /// Writes `tree` node-for-node to a new page file at `path` (one node
+    /// per page, children before parents, the root last), converting each
+    /// item to its stored `u64` with `to_u64`, and joins it to `cache`:
+    /// a [`PageFile`], so a file already at `path` is unlinked, never
+    /// written into, and the tree removes the file when it drops.
     ///
     /// # Errors
     /// [`StoreError::Io`] on write failures, [`StoreError::Corrupt`] when
@@ -169,63 +132,42 @@ impl PagedTree {
     pub fn create<T, F: FnMut(&T) -> u64>(
         path: &Path,
         tree: &RStarTree<T>,
-        to_u64: F,
+        mut to_u64: F,
         cache: &Arc<PageCache>,
     ) -> StoreResult<Self> {
-        let file = create_new(path)?;
-        let opened =
-            write_file(file, tree, to_u64).and_then(|file| Self::from_file(file, path, cache));
-        match opened {
-            Ok(mut paged) => {
-                paged.owned = true;
-                Ok(paged)
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(path);
-                Err(e)
-            }
-        }
-    }
-
-    /// Opens a page file whose nodes join `cache`, each charged one page.
-    ///
-    /// # Errors
-    /// Typed [`StoreError`]s for I/O failures, bad magic/version, header
-    /// corruption, or geometry that disagrees with the file's size.
-    pub fn open(path: &Path, cache: &Arc<PageCache>) -> StoreResult<Self> {
-        Self::from_file(File::open(path)?, path, cache)
-    }
-
-    /// Checks the page file behind `file` (header, size) and joins it to
-    /// `cache`; `path` is where it lives.
-    fn from_file(mut file: File, path: &Path, cache: &Arc<PageCache>) -> StoreResult<Self> {
-        file.seek(SeekFrom::Start(0))?;
-        let mut header = [0u8; HEADER_BYTES];
-        file.read_exact(&mut header)
-            .map_err(|_| StoreError::truncated("page file header"))?;
-        let parsed = decode_header(&header)?;
-        let expected_len = PAGE_ALIGN as u64 + parsed.page_count * parsed.page_size as u64;
-        let actual_len = file.metadata()?.len();
-        if actual_len != expected_len {
-            return Err(StoreError::corrupt(format!(
-                "page file is {actual_len} byte(s), header implies {expected_len}"
-            )));
-        }
-        let pool = BufferPool::in_cache(cache, file, parsed.page_size, parsed.page_count);
+        let page_size = tree.paged_page_size()?;
+        // The root is the last page written: the node count is a walk.
+        let page_count = count_nodes(&tree.root);
+        let root = PageId(page_count - 1);
+        let (config, len, root_level, dims) =
+            (*tree.config(), tree.len(), tree.root.level, tree.dims());
+        let mut geometry = Encoder::new();
+        geometry.u64(root.0);
+        write_config(&mut geometry, &config);
+        geometry.usize(len);
+        geometry.u32(root_level);
+        geometry.bool(dims.is_some());
+        geometry.usize(dims.unwrap_or(0));
+        let write_pages = |file: &mut File| {
+            let mut w = BufWriter::new(file);
+            let mut next = 0u64;
+            write_subtree(&mut w, &tree.root, &mut to_u64, &mut next, page_size)?;
+            debug_assert_eq!(next, page_count);
+            Ok(w.flush()?)
+        };
+        let geometry = geometry.into_bytes();
+        let slots = (page_size, page_count);
+        let file = PageFile::create(path, KIND, slots, &geometry, cache, write_pages)?;
         // Every traversal enters through the root: keep it exempt from
         // eviction so a warm pool never re-faults level 0 of the search.
-        pool.mark_sticky(parsed.root);
+        file.pool().mark_sticky(root);
         Ok(PagedTree {
-            pool,
-            path: path.to_path_buf(),
-            owned: false,
-            root: parsed.root,
-            root_level: parsed.root_level,
-            config: parsed.config,
-            len: parsed.len,
-            dims: parsed.dims,
-            page_size: parsed.page_size,
-            page_count: parsed.page_count,
+            file,
+            root,
+            root_level,
+            config,
+            len,
+            dims,
         })
     }
 
@@ -256,22 +198,22 @@ impl PagedTree {
 
     /// The page file backing this tree.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 
     /// Bytes per page.
     pub fn page_size(&self) -> usize {
-        self.page_size
+        self.file.page_size()
     }
 
     /// Pages in the file (= nodes in the tree).
     pub fn page_count(&self) -> u64 {
-        self.page_count
+        self.file.page_count()
     }
 
     /// The tree's handle onto its cache (for its counters and `flush`).
     pub fn pool(&self) -> &BufferPool<PagedNode> {
-        &self.pool
+        self.file.pool()
     }
 
     /// Pins the page holding one node, recording the hit/miss in `stats`
@@ -286,9 +228,9 @@ impl PagedTree {
     ) -> StoreResult<PagePin<'_, PagedNode>> {
         let config = &self.config;
         let dims = self.dims.unwrap_or(0);
-        let page_count = self.page_count;
+        let page_count = self.page_count();
         let (pin, hit) = self
-            .pool
+            .file
             .pin(id, |payload| decode_node(payload, config, dims, page_count))?;
         if hit {
             stats.pool_hits += 1;
@@ -359,65 +301,6 @@ impl<'a> NodeStore for &'a PagedTree {
     }
 }
 
-/// The tree removes the file it created ([`PagedTree::create`]); its
-/// pool's handle, and with it the cached frames, goes right after.
-impl Drop for PagedTree {
-    fn drop(&mut self) {
-        if self.owned {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-}
-
-/// A new file at `path`, open for reading and writing: a file already
-/// there is unlinked first, so no handle on it sees a byte change.
-///
-/// # Errors
-/// [`StoreError::Io`] when the file cannot be created.
-pub fn create_new(path: &Path) -> StoreResult<File> {
-    match std::fs::remove_file(path) {
-        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-        _ => {}
-    }
-    let file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create_new(true)
-        .open(path)?;
-    Ok(file)
-}
-
-/// Writes `tree` as a page file into `file` (one node per page, children
-/// before parents, the root last) and hands the file back.
-fn write_file<T, F: FnMut(&T) -> u64>(
-    file: File,
-    tree: &RStarTree<T>,
-    mut to_u64: F,
-) -> StoreResult<File> {
-    let page_size = tree.paged_page_size()?;
-    let mut w = BufWriter::new(file);
-    // Pages go first conceptually, but the header block leads the file;
-    // its page_count/root fields are known up front because the node
-    // count is just a walk.
-    let page_count = count_nodes(&tree.root);
-    let root = PageId(page_count - 1);
-    let header = encode_header(
-        page_size,
-        page_count,
-        root,
-        tree.config(),
-        tree.len(),
-        tree.root.level,
-        tree.dims(),
-    );
-    w.write_all(&header)?;
-    w.write_all(&vec![0u8; PAGE_ALIGN - HEADER_BYTES])?;
-    let mut next = 0u64;
-    write_subtree(&mut w, &tree.root, &mut to_u64, &mut next, page_size)?;
-    debug_assert_eq!(next, page_count);
-    w.into_inner().map_err(|e| e.into_error().into())
-}
-
 fn count_nodes<T>(node: &Node<T>) -> u64 {
     match &node.kids {
         Kids::Items(_) => 1,
@@ -430,7 +313,7 @@ fn count_nodes<T>(node: &Node<T>) -> u64 {
 /// means the file is written front to back in one pass while every
 /// parent already knows its children's ids.
 fn write_subtree<T, F: FnMut(&T) -> u64>(
-    w: &mut BufWriter<File>,
+    w: &mut impl Write,
     node: &Node<T>,
     to_u64: &mut F,
     next: &mut u64,
@@ -504,151 +387,19 @@ fn decode_node(
     })
 }
 
-struct ParsedHeader {
-    page_size: usize,
-    page_count: u64,
-    root: PageId,
-    config: RTreeConfig,
-    len: usize,
-    root_level: u32,
-    dims: Option<usize>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn encode_header(
-    page_size: usize,
-    page_count: u64,
-    root: PageId,
-    config: &RTreeConfig,
-    len: usize,
-    root_level: u32,
-    dims: Option<usize>,
-) -> [u8; HEADER_BYTES] {
-    let mut h = [0u8; HEADER_BYTES];
-    h[0..8].copy_from_slice(MAGIC);
-    h[8..12].copy_from_slice(&VERSION.to_le_bytes());
-    h[12..16].copy_from_slice(&(page_size as u32).to_le_bytes());
-    h[16..24].copy_from_slice(&page_count.to_le_bytes());
-    h[24..32].copy_from_slice(&root.0.to_le_bytes());
-    h[32..36].copy_from_slice(&(config.max_entries as u32).to_le_bytes());
-    h[36..40].copy_from_slice(&(config.min_entries as u32).to_le_bytes());
-    h[40..44].copy_from_slice(&(config.reinsert_count as u32).to_le_bytes());
-    h[44..52].copy_from_slice(&(len as u64).to_le_bytes());
-    h[52..56].copy_from_slice(&root_level.to_le_bytes());
-    h[56] = dims.is_some() as u8;
-    h[57..65].copy_from_slice(&(dims.unwrap_or(0) as u64).to_le_bytes());
-    let crc = crc32(&h[..HEADER_BYTES - 4]);
-    h[HEADER_BYTES - 4..].copy_from_slice(&crc.to_le_bytes());
-    h
-}
-
-fn decode_header(h: &[u8; HEADER_BYTES]) -> StoreResult<ParsedHeader> {
-    if &h[0..8] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let u32_at = |o: usize| u32::from_le_bytes(h[o..o + 4].try_into().expect("4 bytes"));
-    let u64_at = |o: usize| u64::from_le_bytes(h[o..o + 8].try_into().expect("8 bytes"));
-    let version = u32_at(8);
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            got: version,
-            supported: VERSION,
-        });
-    }
-    let stored = u32_at(HEADER_BYTES - 4);
-    let computed = crc32(&h[..HEADER_BYTES - 4]);
-    if stored != computed {
-        return Err(StoreError::ChecksumMismatch { stored, computed });
-    }
-    let page_size = u32_at(12) as usize;
-    if !(PAGE_ALIGN..=MAX_PAGE_BYTES).contains(&page_size) || page_size % PAGE_ALIGN != 0 {
-        return Err(StoreError::corrupt(format!(
-            "page size {page_size} outside {PAGE_ALIGN}..={MAX_PAGE_BYTES} or unaligned"
-        )));
-    }
-    let page_count = u64_at(16);
-    if page_count == 0 {
-        return Err(StoreError::corrupt("page file with zero pages"));
-    }
-    if page_count > MAX_PAGE_COUNT {
-        return Err(StoreError::corrupt(format!(
-            "page count {page_count} exceeds what a page file can address"
-        )));
-    }
-    let root = PageId(u64_at(24));
-    if root.0 >= page_count {
-        return Err(StoreError::corrupt(format!(
-            "root {} out of range (file holds {page_count} page(s))",
-            root.0
-        )));
-    }
-    // The config codec's bounds (fan-out within page geometry, minimum
-    // fill, reinsert fraction) are re-checked through the shared reader.
-    let mut cfg_enc = Encoder::new();
-    cfg_enc.u32(u32_at(32));
-    cfg_enc.u32(u32_at(36));
-    cfg_enc.u32(u32_at(40));
-    let cfg_bytes = cfg_enc.into_bytes();
-    let mut cfg_dec = Decoder::new(&cfg_bytes);
-    let config = crate::persist::read_config(&mut cfg_dec)?;
-    let len = usize::try_from(u64_at(44))
-        .map_err(|_| StoreError::corrupt("tree length exceeds usize"))?;
-    let root_level = u32_at(52);
-    if root_level >= MAX_LEVEL {
-        return Err(StoreError::corrupt(format!(
-            "root level {root_level} exceeds the maximum tree height {MAX_LEVEL}"
-        )));
-    }
-    let dims = match h[56] {
-        0 => None,
-        1 => Some(
-            usize::try_from(u64_at(57))
-                .map_err(|_| StoreError::corrupt("dimensionality exceeds usize"))?,
-        ),
-        other => {
-            return Err(StoreError::corrupt(format!("dims flag byte {other}")));
-        }
-    };
-    if len == 0 && (root_level != 0 || dims.is_some()) {
-        return Err(StoreError::corrupt(
-            "empty tree must have a level-0 root and no dimensionality",
-        ));
-    }
-    if len > 0 && dims.is_none() {
-        return Err(StoreError::corrupt("non-empty tree without dimensionality"));
-    }
-    // A consistent page must be able to hold a full node.
-    if page_size_for(&config, dims.unwrap_or(1))? > page_size {
-        return Err(StoreError::corrupt(format!(
-            "page size {page_size} cannot hold a node of {} {}-dimensional entries",
-            config.max_entries,
-            dims.unwrap_or(1)
-        )));
-    }
-    Ok(ParsedHeader {
-        page_size,
-        page_count,
-        root,
-        config,
-        len,
-        root_level,
-        dims,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsq_store::crc32;
 
-    fn temp_path(name: &str) -> PathBuf {
+    /// A node file's header up to its tag: magic, version, page size and
+    /// count, the tree's geometry, the CRC-32.
+    const HEADER_BYTES: usize = 69;
+
+    fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tsq-paged-test-{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         dir.join(name)
-    }
-
-    /// `tree`'s page file at `path`, behind a cache of `pages` pages.
-    fn open(path: &Path, pages: u64) -> StoreResult<PagedTree> {
-        PagedTree::open(path, &PageCache::new(pages * PAGE_ALIGN as u64))
     }
 
     fn sample_tree(n: usize, fanout: usize) -> RStarTree<usize> {
@@ -659,6 +410,29 @@ mod tests {
             t.insert_point(&[x, y, (i % 5) as f64], i);
         }
         t
+    }
+
+    /// What a full traversal of `tree`'s page file, behind a cache of 8
+    /// pages, fails with once `damage` rewrote the live file in place.
+    fn damaged(
+        tree: &RStarTree<usize>,
+        name: &str,
+        damage: impl FnOnce(&mut Vec<u8>),
+    ) -> StoreError {
+        let path = temp_path(name);
+        let cache = PageCache::new(8 * PAGE_ALIGN as u64);
+        let paged = PagedTree::create(&path, tree, |&i| i as u64, &cache).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        damage(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        crate::search::search_with(&paged, |_| true, |_, _| {})
+            .expect_err("a traversal must not read a damaged file")
+    }
+
+    /// Re-seals a node file header's CRC over its edited bytes.
+    fn reseal(bytes: &mut [u8]) {
+        let crc = crc32(&bytes[..HEADER_BYTES - 4]);
+        bytes[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -682,75 +456,56 @@ mod tests {
     #[test]
     fn header_corruption_is_typed() {
         let t = sample_tree(50, 8);
-        let path = temp_path("hdr.pages");
-        PagedTree::create_from(&path, &t, |&i| i as u64).unwrap();
-        let good = std::fs::read(&path).unwrap();
 
         // Bad magic.
-        let mut bad = good.clone();
-        bad[0] ^= 0xff;
-        let p = temp_path("hdr-magic.pages");
-        std::fs::write(&p, &bad).unwrap();
         assert!(matches!(
-            open(&p, 4),
-            Err(StoreError::BadMagic | StoreError::ChecksumMismatch { .. })
+            damaged(&t, "hdr-magic.pages", |bad| bad[0] ^= 0xff),
+            StoreError::BadMagic | StoreError::ChecksumMismatch { .. }
         ));
 
         // Future version.
-        let mut bad = good.clone();
-        bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let p = temp_path("hdr-ver.pages");
-        std::fs::write(&p, &bad).unwrap();
         assert!(matches!(
-            open(&p, 4),
-            Err(StoreError::UnsupportedVersion { got: 99, .. })
+            damaged(&t, "hdr-ver.pages", |bad| bad[8..12]
+                .copy_from_slice(&99u32.to_le_bytes())),
+            StoreError::UnsupportedVersion { got: 99, .. }
         ));
 
         // A past version, resealed: every version but this one is refused.
-        let mut bad = good.clone();
-        bad[8..12].copy_from_slice(&0u32.to_le_bytes());
-        let crc = crc32(&bad[..HEADER_BYTES - 4]);
-        bad[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
-        let p = temp_path("hdr-ver0.pages");
-        std::fs::write(&p, &bad).unwrap();
+        let past = |bad: &mut Vec<u8>| {
+            bad[8..12].copy_from_slice(&0u32.to_le_bytes());
+            reseal(bad);
+        };
         assert!(matches!(
-            open(&p, 4),
-            Err(StoreError::UnsupportedVersion { got: 0, .. })
+            damaged(&t, "hdr-ver0.pages", past),
+            StoreError::UnsupportedVersion { got: 0, .. }
         ));
 
         // Flipped header byte: checksum mismatch.
-        let mut bad = good.clone();
-        bad[44] ^= 0x01;
-        let p = temp_path("hdr-flip.pages");
-        std::fs::write(&p, &bad).unwrap();
         assert!(matches!(
-            open(&p, 4),
-            Err(StoreError::ChecksumMismatch { .. })
+            damaged(&t, "hdr-flip.pages", |bad| bad[44] ^= 0x01),
+            StoreError::ChecksumMismatch { .. }
         ));
 
-        // Truncated file: size disagrees with the header.
-        let p = temp_path("hdr-trunc.pages");
-        std::fs::write(&p, &good[..good.len() - 100]).unwrap();
-        assert!(matches!(open(&p, 4), Err(StoreError::Corrupt { .. })));
+        // Truncated file: shorter than its writer wrote it.
+        assert!(matches!(
+            damaged(&t, "hdr-trunc.pages", |bad| bad.truncate(bad.len() - 100)),
+            StoreError::Truncated { .. }
+        ));
 
         // A well-sealed header declaring more pages of the largest size
-        // than a file can hold: refused, the implied size never overflows.
-        for pages in [MAX_PAGE_COUNT, MAX_PAGE_COUNT + 1, 1 << 45, u64::MAX] {
-            let mut bad = good.clone();
-            let header = encode_header(
-                MAX_PAGE_BYTES,
-                pages,
-                PageId(0),
-                t.config(),
-                t.len(),
-                t.height() - 1,
-                t.dims(),
-            );
-            bad[..HEADER_BYTES].copy_from_slice(&header);
-            let p = temp_path("hdr-pages.pages");
-            std::fs::write(&p, &bad).unwrap();
+        // than a file can hold: refused, and no size is computed from it.
+        for pages in [1u64 << 40, (1 << 40) + 1, 1 << 45, u64::MAX] {
+            let forged = |bad: &mut Vec<u8>| {
+                bad[12..16].copy_from_slice(&(MAX_PAGE_BYTES as u32).to_le_bytes());
+                bad[16..24].copy_from_slice(&pages.to_le_bytes());
+                bad[24..32].copy_from_slice(&0u64.to_le_bytes());
+                reseal(bad);
+            };
             assert!(
-                matches!(open(&p, 4), Err(StoreError::Corrupt { .. })),
+                matches!(
+                    damaged(&t, "hdr-pages.pages", forged),
+                    StoreError::Corrupt { .. }
+                ),
                 "{pages} pages"
             );
         }
@@ -759,16 +514,9 @@ mod tests {
     #[test]
     fn page_corruption_surfaces_at_fetch_time() {
         let t = sample_tree(120, 8);
-        let path = temp_path("pagecorrupt.pages");
-        PagedTree::create_from(&path, &t, |&i| i as u64).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
         // Flip a byte inside the first page's payload.
         let off = PAGE_ALIGN + crate::page::PAGE_PREFIX_BYTES + 3;
-        bytes[off] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let paged = open(&path, 8).unwrap();
-        let err = crate::search::search_with(&paged, |_| true, |_, _| {})
-            .expect_err("a traversal must not read past a corrupt page");
+        let err = damaged(&t, "pagecorrupt.pages", |bytes| bytes[off] ^= 0xff);
         assert!(matches!(
             err,
             StoreError::ChecksumMismatch { .. } | StoreError::Corrupt { .. }

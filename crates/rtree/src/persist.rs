@@ -1,8 +1,9 @@
 //! The R\*-tree's byte codecs: tuning parameters and rectangles, in the
-//! `tsq-store` binary format. Their one client is the page file
-//! ([`crate::paged`]), the only form a tree is persisted in — snapshots
-//! store series and rebuild every tree from them, so no node structure is
-//! ever serialized whole.
+//! `tsq-store` binary format. Their clients are the page file
+//! ([`crate::paged`]), the only form a tree is persisted in, and the
+//! index configurations `tsq-core` snapshots — snapshots store series and
+//! rebuild every tree from them, so no node structure is ever serialized
+//! whole.
 //!
 //! ```text
 //! config     max_entries u32 · min_entries u32 · reinsert_count u32

@@ -32,9 +32,8 @@ fn cache_of(capacity: usize, page_size: usize) -> std::sync::Arc<PageCache> {
 
 fn paged_copy(tree: &RStarTree<usize>, tag: &str, capacity: usize) -> PagedTree {
     let path = temp_path(tag);
-    PagedTree::create_from(&path, tree, |&i| i as u64).unwrap();
     let page_size = tree.paged_page_size().unwrap();
-    PagedTree::open(&path, &cache_of(capacity, page_size)).unwrap()
+    PagedTree::create(&path, tree, |&i| i as u64, &cache_of(capacity, page_size)).unwrap()
 }
 
 /// Traversal counters must agree exactly; the pool counters are extra
@@ -205,6 +204,13 @@ fn patch_page(bytes: &mut [u8], page_size: usize, page: u64, patch: impl FnOnce(
     bytes[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// A 2-D entry is 32 bytes of bounds then its word; the first entry
+/// follows the 8-byte level/count prefix.
+const FIRST_WORD: std::ops::Range<usize> = 8 + 32..8 + 32 + 8;
+
+/// Damages a page file's bytes, given its page size and page count.
+type Damage = fn(&mut Vec<u8>, usize, u64);
+
 #[test]
 fn hostile_pages_are_typed_errors_from_every_traversal() {
     let points: Vec<(f64, f64)> = (0..200)
@@ -212,41 +218,45 @@ fn hostile_pages_are_typed_errors_from_every_traversal() {
         .collect();
     let tree = build(&points, 5);
     assert!(tree.height() >= 3);
-    let path = temp_path("hostile-good");
-    PagedTree::create_from(&path, &tree, |&i| i as u64).unwrap();
-    let good = std::fs::read(&path).unwrap();
-    let (page_size, pages) = {
-        let paged = PagedTree::open(&path, &cache_of(4, tree.paged_page_size().unwrap())).unwrap();
-        (paged.page_size(), paged.page_count())
-    };
+    let page_size = tree.paged_page_size().unwrap();
     // Pages are written children first: page 0 is a leaf every full
     // traversal reaches with its ancestors pinned, the root is the last.
-    // A 2-D entry is 32 bytes of bounds then its word; the first entry
-    // follows the 8-byte level/count prefix.
-    let root = pages - 1;
-    let first_word = 8 + 32..8 + 32 + 8;
-    let mut flipped_crc = good.clone();
-    flipped_crc[PAGE_ALIGN + 8 + 3] ^= 0xff;
-    // The root's first child is the root itself: unchecked, a traversal
-    // would recurse without end.
-    let mut wrong_level_child = good.clone();
-    patch_page(&mut wrong_level_child, page_size, root, |p| {
-        p[first_word.clone()].copy_from_slice(&root.to_le_bytes())
-    });
-    let mut child_out_of_range = good.clone();
-    patch_page(&mut child_out_of_range, page_size, root, |p| {
-        p[first_word.clone()].copy_from_slice(&(pages + 7).to_le_bytes())
-    });
-    let cases = [
-        ("flipped-crc", flipped_crc, "checksum"),
-        ("wrong-level-child", wrong_level_child, "corrupt"),
-        ("child-out-of-range", child_out_of_range, "corrupt"),
+    let cases: [(&str, Damage, &str); 3] = [
+        (
+            "flipped-crc",
+            |bytes, _, _| bytes[PAGE_ALIGN + 8 + 3] ^= 0xff,
+            "checksum",
+        ),
+        // The root's first child is the root itself: unchecked, a
+        // traversal would recurse without end.
+        (
+            "wrong-level-child",
+            |bytes, page_size, pages| {
+                let root = pages - 1;
+                patch_page(bytes, page_size, root, |p| {
+                    p[FIRST_WORD].copy_from_slice(&root.to_le_bytes())
+                })
+            },
+            "corrupt",
+        ),
+        (
+            "child-out-of-range",
+            |bytes, page_size, pages| {
+                patch_page(bytes, page_size, pages - 1, |p| {
+                    p[FIRST_WORD].copy_from_slice(&(pages + 7).to_le_bytes())
+                })
+            },
+            "corrupt",
+        ),
     ];
-    for (tag, bytes, want) in cases {
+    for (tag, damage, want) in cases {
         let path = temp_path(&format!("hostile-{tag}"));
-        std::fs::write(&path, &bytes).unwrap();
         for capacity in [1usize, usize::MAX] {
-            let paged = PagedTree::open(&path, &cache_of(capacity, page_size)).unwrap();
+            let cache = cache_of(capacity, page_size);
+            let paged = PagedTree::create(&path, &tree, |&i| i as u64, &cache).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            damage(&mut bytes, paged.page_size(), paged.page_count());
+            std::fs::write(&path, &bytes).unwrap();
             let errors = [
                 (
                     "search",

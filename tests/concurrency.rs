@@ -330,7 +330,7 @@ fn handle_pins(index: &ShardedIndex) -> u64 {
     let mut pins = 0;
     for part in index.parts() {
         let nodes = part.paged().expect("paged").pool();
-        let records = part.records().expect("paged").pool().unwrap();
+        let records = part.records().expect("paged").pool();
         pins += nodes.hits() + nodes.misses() + records.hits() + records.misses();
     }
     if let Some((_, Some(trails))) = index.subseq_held() {
