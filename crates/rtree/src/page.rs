@@ -687,7 +687,7 @@ impl<N: Any + Send + Sync> PageFile<N> {
         let (pid, n) = draw_tag();
         header.extend_from_slice(&pid.to_le_bytes());
         header.extend_from_slice(&n.to_le_bytes());
-        let mut block = vec![0u8; PAGE_ALIGN];
+        let mut block = [0u8; PAGE_ALIGN];
         block[..header.len()].copy_from_slice(&header);
         let written = create_new(path).and_then(|mut file| {
             file.write_all(&block)?;
@@ -750,7 +750,7 @@ impl<N> PageFile<N> {
     /// its size with the slots it holds. Reads under the cache lock, as
     /// page reads do: they share the handle's file offset.
     fn check(&self) -> StoreResult<()> {
-        let mut block = vec![0u8; PAGE_ALIGN];
+        let mut block = [0u8; PAGE_ALIGN];
         let len = {
             let _reads = self.pool.cache.lock();
             let mut file = &self.pool.file;

@@ -512,6 +512,18 @@ mod tests {
     }
 
     #[test]
+    fn another_writers_copy_of_the_same_tree_is_corrupt() {
+        // Two files of one tree differ in their writers' tags alone.
+        let t = sample_tree(50, 8);
+        let theirs = temp_path("copy-theirs.pages");
+        let cache = PageCache::new(8 * PAGE_ALIGN as u64);
+        let _other = PagedTree::create(&theirs, &t, |&i| i as u64, &cache).unwrap();
+        let copy = std::fs::read(&theirs).unwrap();
+        let err = damaged(&t, "copy-mine.pages", |bytes| *bytes = copy);
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
+    }
+
+    #[test]
     fn page_corruption_surfaces_at_fetch_time() {
         let t = sample_tree(120, 8);
         // Flip a byte inside the first page's payload.
