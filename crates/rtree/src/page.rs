@@ -78,7 +78,6 @@
 //!   racing to fault the same page and double-counting a miss).
 
 use std::any::Any;
-use std::cmp::Ordering as Size;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::hash::BuildHasherDefault;
@@ -784,15 +783,15 @@ impl<N> PageFile<N> {
             )));
         }
         let want = PAGE_ALIGN as u64 + self.page_count() * self.page_size() as u64;
-        let size = format!(
-            "{} is {len} byte(s) where {want} were written",
-            self.path.display()
-        );
-        match len.cmp(&want) {
-            Size::Less => Err(StoreError::truncated(size)),
-            Size::Greater => Err(StoreError::corrupt(size)),
-            Size::Equal => Ok(()),
+        if len == want {
+            return Ok(());
         }
+        let size = format!("{} is {len} byte(s), not {want}", self.path.display());
+        Err(if len < want {
+            StoreError::truncated(size)
+        } else {
+            StoreError::corrupt(size)
+        })
     }
 }
 
