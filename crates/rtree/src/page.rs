@@ -27,16 +27,18 @@
 //!
 //! ## Derived files
 //!
-//! Every file the cache reads is derived — from a tree in memory or an
-//! index's records — and read only by its writer: a [`PageFile`] is
+//! Every file a catalog's cache reads is derived — from a tree in memory
+//! or an index's records — and read only by its writer: a [`PageFile`] is
 //! created new at its path (a file already there is unlinked, never
 //! written into), written through one handle, which then joins the cache,
 //! and removed when it drops. Nothing decodes its header: the first pin
 //! compares the header block with the bytes the writer wrote, which carry
 //! the writer's tag ([`sidecar_tag`]'s counter), so a file of the same
-//! shape written by anyone else — another catalog, another process — is a
-//! typed error, not other rows. The CRC-32 covers the header up to the
-//! tag, so damage there reads as [`StoreError::ChecksumMismatch`].
+//! shape written over it before then by anyone else — another catalog,
+//! another process — is a typed error, not other rows. Later, each page
+//! is checked as it is read (its CRC, then the kind's decode). The CRC-32
+//! covers the header up to the tag, so damage there reads as
+//! [`StoreError::ChecksumMismatch`].
 //!
 //! ## Cache semantics
 //!
