@@ -12,7 +12,7 @@
 //! files written beside a snapshot.
 
 pub use tsq_rtree::page::sidecar_tag;
-use tsq_rtree::RTreeConfig;
+use tsq_rtree::persist::{read_config, write_config};
 use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
@@ -92,26 +92,11 @@ pub fn read_space(dec: &mut Decoder<'_>) -> StoreResult<SpaceKind> {
     }
 }
 
-/// Writes R\*-tree tuning parameters (delegates to the single codec in
-/// [`tsq_rtree::persist`], which page files use too).
-pub fn write_rtree_config(enc: &mut Encoder, cfg: &RTreeConfig) {
-    tsq_rtree::persist::write_config(enc, cfg);
-}
-
-/// Reads R\*-tree tuning parameters (the [`tsq_rtree::persist`] codec:
-/// `RTreeConfig::validate`'s bounds enforced as typed errors).
-///
-/// # Errors
-/// [`StoreError::Corrupt`] on out-of-range parameters.
-pub fn read_rtree_config(dec: &mut Decoder<'_>) -> StoreResult<RTreeConfig> {
-    tsq_rtree::persist::read_config(dec)
-}
-
 /// Writes a whole-match index configuration.
 pub fn write_index_config(enc: &mut Encoder, cfg: &IndexConfig) {
     write_schema(enc, cfg.schema);
     write_space(enc, cfg.space);
-    write_rtree_config(enc, &cfg.rtree);
+    write_config(enc, &cfg.rtree);
     enc.bool(cfg.bulk_load);
 }
 
@@ -123,7 +108,7 @@ pub fn read_index_config(dec: &mut Decoder<'_>) -> StoreResult<IndexConfig> {
     Ok(IndexConfig {
         schema: read_schema(dec)?,
         space: read_space(dec)?,
-        rtree: read_rtree_config(dec)?,
+        rtree: read_config(dec)?,
         bulk_load: dec.bool("index bulk_load")?,
     })
 }
@@ -207,7 +192,7 @@ mod tests {
         enc.u32(2);
         let bytes = enc.into_bytes();
         assert!(matches!(
-            read_rtree_config(&mut Decoder::new(&bytes)),
+            read_config(&mut Decoder::new(&bytes)),
             Err(StoreError::Corrupt { .. })
         ));
     }

@@ -29,19 +29,26 @@
 //! batch size for batches) for its job's answer; past that the client
 //! gets a typed `Timeout` error. The job itself runs to completion on
 //! the pool — answers are discarded, not interrupted — so admission
-//! accounting stays exact.
+//! accounting stays exact. Sockets are read by blocking reads: the wait
+//! for a frame's first byte has no timeout, and from that byte on the
+//! whole frame or HTTP request — sniffing prefix, header, payload and
+//! trailer — must arrive within one `frame_timeout`, each read waiting at
+//! most the time left (the slow-loris bound).
 //!
 //! **Graceful shutdown.** A [`tsq_core::executor::CancelToken`] flips
 //! once: acceptors stop admitting work (typed `ShuttingDown` errors),
 //! drain their current connections, and exit; then dropping the executor
 //! pool runs everything already admitted before joining its workers.
-//! In-flight work is never dropped.
+//! In-flight work is never dropped. Each acceptor keeps a handle on the
+//! connection it serves, and shutdown shuts that connection's read half:
+//! a read blocked on an idle client returns end-of-file, and the session
+//! closes as if the client had left. A session waiting on its query still
+//! answers it first.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,11 +79,9 @@ pub struct ServiceConfig {
     pub query_timeout: Duration,
     /// Cap on a single wire frame's payload and an HTTP body.
     pub max_frame_len: usize,
-    /// Socket read-timeout granularity: how often blocked reads check
-    /// for shutdown.
-    pub poll_interval: Duration,
-    /// How long a started frame / HTTP request may dribble before the
-    /// connection is dropped (slow-loris bound).
+    /// How long a frame or an HTTP request may take to arrive, from the
+    /// frame's first byte, prefix included, before the connection is
+    /// dropped (slow-loris bound). Also each reply's write timeout.
     pub frame_timeout: Duration,
 }
 
@@ -88,7 +93,6 @@ impl Default for ServiceConfig {
             max_inflight: 64,
             query_timeout: Duration::from_secs(10),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            poll_interval: Duration::from_millis(25),
             frame_timeout: Duration::from_secs(10),
         }
     }
@@ -105,6 +109,9 @@ struct Shared {
     /// is dropped by [`ServerHandle::wait`], never by a worker of the
     /// pool.
     exec: Pool,
+    /// One slot per acceptor: a handle on the connection it serves, which
+    /// [`initiate_shutdown`] uses to wake a read blocked on it.
+    conns: Vec<Mutex<Option<TcpStream>>>,
 }
 
 /// A running server. Obtain with [`Server::start`]; stop with
@@ -142,6 +149,7 @@ impl Server {
             config,
             addr: local,
             exec: Pool::new(exec_threads),
+            conns: (0..workers).map(|_| Mutex::new(None)).collect(),
         });
         let listener = Arc::new(listener);
         let acceptors: Vec<JoinHandle<()>> = (0..workers)
@@ -150,7 +158,7 @@ impl Server {
                 let listener = Arc::clone(&listener);
                 std::thread::Builder::new()
                     .name(format!("tsq-conn-{i}"))
-                    .spawn(move || accept_loop(&shared, &listener))
+                    .spawn(move || accept_loop(&shared, &listener, &shared.conns[i]))
                     .expect("spawn acceptor")
             })
             .collect();
@@ -200,7 +208,8 @@ impl ServerHandle {
     }
 }
 
-/// Flips the cancel token and unblocks every acceptor with wake
+/// Flips the cancel token, shuts the read half of every connection an
+/// acceptor serves, and unblocks every idle acceptor with wake
 /// connections. Idempotent; callable from a handler thread (remote
 /// shutdown) or the handle.
 fn initiate_shutdown(shared: &Shared) {
@@ -208,6 +217,13 @@ fn initiate_shutdown(shared: &Shared) {
         return;
     }
     shared.cancel.cancel();
+    // An acceptor fills its slot before it reads the token, so a
+    // connection that is not in a slot here is never served.
+    for slot in &shared.conns {
+        if let Some(conn) = &*slot.lock().unwrap_or_else(PoisonError::into_inner) {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+    }
     for _ in 0..shared.config.workers {
         // Each throwaway connection unblocks at most one accept(); an
         // acceptor that is busy with a real connection re-checks the
@@ -216,121 +232,82 @@ fn initiate_shutdown(shared: &Shared) {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener) {
-    loop {
-        if shared.cancel.is_cancelled() {
-            break;
+fn accept_loop(shared: &Shared, listener: &TcpListener, slot: &Mutex<Option<TcpStream>>) {
+    let fill = |conn| *slot.lock().unwrap_or_else(PoisonError::into_inner) = conn;
+    while !shared.cancel.is_cancelled() {
+        let Ok((stream, _)) = listener.accept() else {
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        // A connection that shutdown could not wake is closed, not served.
+        let Ok(waker) = stream.try_clone() else {
+            continue;
+        };
+        fill(Some(waker));
+        // The token is read only once the slot is filled: flipped now,
+        // it marks a shutdown wake-up, not a client.
+        if !shared.cancel.is_cancelled() {
+            handle_connection(shared, &stream);
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.cancel.is_cancelled() {
-                    break; // a shutdown wake-up, not a client
-                }
-                handle_connection(shared, &stream);
-            }
-            Err(_) => {
-                if shared.cancel.is_cancelled() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+        fill(None);
     }
 }
 
-/// A `Read` over a socket that retries its read-timeout ticks until data
-/// arrives, the optional deadline passes, or the server is cancelled.
-struct TimedReader<'a> {
+/// A `Read` over a socket that must be done by `deadline`: each read
+/// waits at most the time left.
+struct Deadlined<'a> {
     stream: &'a TcpStream,
-    cancel: &'a CancelToken,
-    deadline: Option<Instant>,
+    deadline: Instant,
 }
 
-impl Read for TimedReader<'_> {
+impl Read for Deadlined<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            if self.cancel.is_cancelled() {
-                return Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "server shutting down",
-                ));
-            }
-            if let Some(d) = self.deadline {
-                if Instant::now() >= d {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "frame read deadline exceeded",
-                    ));
-                }
-            }
-            let mut s = self.stream;
-            match s.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue
-                }
-                r => return r,
-            }
+        // Checked first: `std` refuses a zero read timeout.
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "frame read deadline exceeded",
+            ));
         }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut s = self.stream;
+        s.read(buf)
     }
 }
 
-/// Reads the 8 protocol-sniffing bytes. `None` means "close quietly":
-/// clean EOF, a mid-prefix stall past the frame timeout, cancellation
-/// while idle, or a socket error.
-fn read_prefix(shared: &Shared, stream: &TcpStream) -> Option<[u8; 8]> {
-    let mut buf = [0u8; 8];
-    let mut filled = 0;
-    let mut started: Option<Instant> = None;
-    loop {
-        if shared.cancel.is_cancelled() {
-            return None;
-        }
-        if let Some(t) = started {
-            if t.elapsed() > shared.config.frame_timeout {
-                return None; // slow-loris: a dribbled prefix
-            }
-        }
-        let mut s = stream;
-        match s.read(&mut buf[filled..]) {
-            Ok(0) => return None,
-            Ok(n) => {
-                if started.is_none() {
-                    started = Some(Instant::now());
-                }
-                filled += n;
-                if filled == 8 {
-                    return Some(buf);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue
-            }
-            Err(_) => return None,
-        }
-    }
+/// Waits, with no timeout, for the first byte of a frame or an HTTP
+/// request, then reads the rest of its 8 protocol-sniffing bytes within
+/// `frame_timeout` of that byte. Returns them with the reader that holds
+/// the same deadline for the rest of the frame. `None` means "close
+/// quietly": clean EOF (shutdown's wake included), a stall past the
+/// deadline, or a socket error.
+fn read_prefix<'a>(shared: &Shared, stream: &'a TcpStream) -> Option<([u8; 8], Deadlined<'a>)> {
+    let mut prefix = [0u8; 8];
+    stream.set_read_timeout(None).ok()?;
+    let mut s = stream;
+    let first = match s.read(&mut prefix) {
+        Ok(0) | Err(_) => return None,
+        Ok(n) => n,
+    };
+    let mut reader = Deadlined {
+        stream,
+        deadline: Instant::now() + shared.config.frame_timeout,
+    };
+    reader.read_exact(&mut prefix[first..]).ok()?;
+    Some((prefix, reader))
 }
 
 fn handle_connection(shared: &Shared, stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
     let _ = stream.set_write_timeout(Some(shared.config.frame_timeout));
-    let Some(prefix) = read_prefix(shared, stream) else {
+    let Some((prefix, reader)) = read_prefix(shared, stream) else {
         return;
     };
     if prefix == *tsq_store::MAGIC {
-        binary_session(shared, stream, prefix);
+        binary_session(shared, prefix, reader);
     } else if http::looks_like_http(&prefix) {
-        http_session(shared, stream, &prefix);
+        http_session(shared, &prefix, reader);
     }
     // Anything else: an unknown protocol; close without a word.
 }
@@ -340,73 +317,55 @@ fn respond(stream: &TcpStream, resp: &Response) -> io::Result<()> {
     wire::write_frame(&mut s, &wire::encode_response(resp))
 }
 
-fn binary_session(shared: &Shared, stream: &TcpStream, first_prefix: [u8; 8]) {
-    let mut prefix = Some(first_prefix);
-    loop {
-        let head = match prefix.take() {
-            Some(p) => p,
-            None => {
-                if shared.cancel.is_cancelled() {
-                    return; // drained our last answer; stop serving
-                }
-                match read_prefix(shared, stream) {
-                    Some(p) => p,
-                    None => return,
-                }
+/// Counts a refused request under `code` and returns its error frame.
+fn refuse(shared: &Shared, code: ErrorCode, message: impl Into<String>) -> Response {
+    shared.metrics.record_err(code);
+    Response::Error(WireError::new(code, message))
+}
+
+fn binary_session(shared: &Shared, mut prefix: [u8; 8], mut reader: Deadlined<'_>) {
+    let stream = reader.stream;
+    // Anything but the magic: the client lost frame sync; nothing sane
+    // to say.
+    while prefix == *tsq_store::MAGIC {
+        let max_len = shared.config.max_frame_len;
+        let payload = match wire::read_frame_prefixed(&mut reader, &prefix, max_len) {
+            Ok(payload) => payload,
+            // A reset or a stall past the deadline: close quietly.
+            Err(FrameError::Closed | FrameError::Io(_)) => return,
+            // Cut short by shutdown's wake: close as if the client left.
+            Err(_) if shared.cancel.is_cancelled() => return,
+            Err(FrameError::TooLarge { len, max }) => {
+                // Refused before allocation; the unread payload makes the
+                // stream unusable, so answer typed and close.
+                let message = format!("frame declares {len} byte(s), cap is {max}");
+                let _ = respond(stream, &refuse(shared, ErrorCode::TooLarge, message));
+                return;
+            }
+            Err(FrameError::Malformed(e)) => {
+                // The bytes arrived but failed validation (version,
+                // endianness, CRC): typed error, then close — the stream
+                // position is untrustworthy.
+                let _ = respond(stream, &refuse(shared, ErrorCode::Malformed, e.to_string()));
+                return;
             }
         };
-        if head != *tsq_store::MAGIC {
-            return; // the client lost frame sync; nothing sane to say
-        }
-        let mut reader = TimedReader {
-            stream,
-            cancel: &shared.cancel,
-            deadline: Some(Instant::now() + shared.config.frame_timeout),
-        };
-        let payload =
-            match wire::read_frame_prefixed(&mut reader, &head, shared.config.max_frame_len) {
-                Ok(p) => p,
-                Err(FrameError::TooLarge { len, max }) => {
-                    // Refused before allocation; the unread payload makes
-                    // the stream unusable, so answer typed and close.
-                    shared.metrics.record_err(ErrorCode::TooLarge);
-                    let err = WireError::new(
-                        ErrorCode::TooLarge,
-                        format!("frame declares {len} byte(s), cap is {max}"),
-                    );
-                    let _ = respond(stream, &Response::Error(err));
-                    return;
-                }
-                Err(FrameError::Malformed(e)) => {
-                    // The bytes arrived but failed validation (version,
-                    // endianness, CRC): typed error, then close — the
-                    // stream position is untrustworthy.
-                    shared.metrics.record_err(ErrorCode::Malformed);
-                    let err = WireError::new(ErrorCode::Malformed, e.to_string());
-                    let _ = respond(stream, &Response::Error(err));
-                    return;
-                }
-                Err(_) => return, // disconnect / timeout mid-frame
-            };
         shared.metrics.tcp_request();
-        let req = match wire::decode_request(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                // The frame passed its checksum, so we are still in sync:
-                // answer typed and keep the session.
-                shared.metrics.record_err(ErrorCode::Malformed);
-                let err = WireError::new(ErrorCode::Malformed, e.to_string());
-                if respond(stream, &Response::Error(err)).is_err() {
-                    return;
-                }
-                continue;
-            }
+        let resp = match wire::decode_request(&payload) {
+            Ok(req) => dispatch(shared, req),
+            // The frame passed its checksum, so we are still in sync:
+            // answer typed and keep the session.
+            Err(e) => refuse(shared, ErrorCode::Malformed, e.to_string()),
         };
-        let resp = dispatch(shared, req);
         let done = matches!(resp, Response::Bye);
-        if respond(stream, &resp).is_err() || done {
+        // Once shutdown has begun, the answer just sent is the last.
+        if respond(stream, &resp).is_err() || done || shared.cancel.is_cancelled() {
             return;
         }
+        let Some(next) = read_prefix(shared, stream) else {
+            return;
+        };
+        (prefix, reader) = next;
     }
 }
 
@@ -445,10 +404,7 @@ fn dispatch(shared: &Shared, req: Request) -> Response {
                         .map(|slot| record(shared, slot.map_err(WireError::from)))
                         .collect(),
                 ),
-                Err(err) => {
-                    shared.metrics.record_err(err.code);
-                    Response::Error(err)
-                }
+                Err(err) => refuse(shared, err.code, err.message),
             }
         }
     }
@@ -538,43 +494,33 @@ fn submit<R: Send + 'static>(
 // HTTP facade
 // ---------------------------------------------------------------------
 
-fn http_session(shared: &Shared, stream: &TcpStream, prefix: &[u8]) {
-    let mut reader = TimedReader {
-        stream,
-        cancel: &shared.cancel,
-        deadline: Some(Instant::now() + shared.config.frame_timeout),
-    };
+fn http_session(shared: &Shared, prefix: &[u8], mut reader: Deadlined<'_>) {
     let bytes = match http::read_request(&mut reader, prefix, shared.config.max_frame_len) {
         Ok(req) => {
             shared.metrics.http_request();
             http_dispatch(shared, &req)
         }
-        Err(HttpError::TooLarge { len, max }) => {
-            shared.metrics.record_err(ErrorCode::TooLarge);
-            http::response(
-                413,
-                "Payload Too Large",
-                "application/json",
-                &http::error_body(
-                    ErrorCode::TooLarge.name(),
-                    &format!("body declares {len} byte(s), cap is {max}"),
-                ),
-            )
-        }
-        Err(HttpError::Malformed(m)) => {
-            shared.metrics.record_err(ErrorCode::Malformed);
-            http::response(
-                400,
-                "Bad Request",
-                "application/json",
-                &http::error_body(ErrorCode::Malformed.name(), &m),
-            )
-        }
+        // A reset or a stall past the deadline: close quietly.
         Err(HttpError::Io(_)) => return,
+        // Cut short by shutdown's wake: close as if the client left.
+        Err(_) if shared.cancel.is_cancelled() => return,
+        Err(HttpError::TooLarge { len, max }) => http_refuse(
+            shared,
+            ErrorCode::TooLarge,
+            format!("body declares {len} byte(s), cap is {max}"),
+        ),
+        Err(HttpError::Malformed(m)) => http_refuse(shared, ErrorCode::Malformed, m),
     };
-    let mut s = stream;
+    let mut s = reader.stream;
     let _ = s.write_all(&bytes);
     let _ = s.flush();
+}
+
+/// Counts a refused HTTP request under `code` and returns its error
+/// response.
+fn http_refuse(shared: &Shared, code: ErrorCode, message: impl Into<String>) -> Vec<u8> {
+    shared.metrics.record_err(code);
+    http_error_response(&WireError::new(code, message))
 }
 
 fn http_dispatch(shared: &Shared, req: &HttpRequest) -> Vec<u8> {
@@ -607,48 +553,22 @@ fn http_dispatch(shared: &Shared, req: &HttpRequest) -> Vec<u8> {
         }
         ("POST", "/query") => {
             let Ok(query) = std::str::from_utf8(&req.body) else {
-                shared.metrics.record_err(ErrorCode::Malformed);
-                return http::response(
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &http::error_body(ErrorCode::Malformed.name(), "body is not utf-8"),
-                );
+                return http_refuse(shared, ErrorCode::Malformed, "body is not utf-8");
             };
             let query = query.trim();
             if query.is_empty() {
-                shared.metrics.record_err(ErrorCode::BadQuery);
-                return http::response(
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &http::error_body(ErrorCode::BadQuery.name(), "empty query body"),
-                );
+                return http_refuse(shared, ErrorCode::BadQuery, "empty query body");
             }
             let query = query.to_string();
             http_reply(run_one(shared, move |engine| engine.execute(&query)))
         }
         ("POST", "/append") => {
             let Ok(body) = std::str::from_utf8(&req.body) else {
-                shared.metrics.record_err(ErrorCode::Malformed);
-                return http::response(
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &http::error_body(ErrorCode::Malformed.name(), "body is not utf-8"),
-                );
+                return http_refuse(shared, ErrorCode::Malformed, "body is not utf-8");
             };
             let (relation, rows) = match parse_append_body(body) {
                 Ok(parsed) => parsed,
-                Err(m) => {
-                    shared.metrics.record_err(ErrorCode::BadQuery);
-                    return http::response(
-                        400,
-                        "Bad Request",
-                        "application/json",
-                        &http::error_body(ErrorCode::BadQuery.name(), &m),
-                    );
-                }
+                Err(m) => return http_refuse(shared, ErrorCode::BadQuery, m),
             };
             http_reply(run_one(shared, move |engine| {
                 engine.append(&relation, rows)

@@ -37,7 +37,6 @@ fn hostile_config() -> ServiceConfig {
         workers: 2,
         exec_threads: 1,
         max_frame_len: 4 * 1024,
-        poll_interval: Duration::from_millis(5),
         frame_timeout: Duration::from_millis(300),
         ..ServiceConfig::default()
     }

@@ -128,7 +128,6 @@ fn quick_config() -> ServiceConfig {
         workers: 3,
         exec_threads: 2,
         query_timeout: Duration::from_secs(5),
-        poll_interval: Duration::from_millis(5),
         frame_timeout: Duration::from_secs(2),
         ..ServiceConfig::default()
     }

@@ -307,7 +307,6 @@ impl Served {
         let shared = SharedCatalog::new(cat);
         let mut config = ServiceConfig::default();
         (config.workers, config.exec_threads) = (2, 2);
-        config.poll_interval = Duration::from_millis(2);
         let handle = tsq_lang::serve("127.0.0.1:0", shared.clone(), config).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
         client.set_timeout(Some(Duration::from_secs(30))).unwrap();

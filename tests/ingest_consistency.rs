@@ -83,7 +83,6 @@ fn concurrent_appends_through_a_live_server_match_a_sequential_oracle() {
     let config = ServiceConfig {
         workers: 6,
         exec_threads: 2,
-        poll_interval: Duration::from_millis(5),
         ..ServiceConfig::default()
     };
     let handle = tsq::lang::serve("127.0.0.1:0", shared.clone(), config).unwrap();

@@ -28,7 +28,6 @@ fn config() -> ServiceConfig {
     ServiceConfig {
         workers: 4,
         exec_threads: 2,
-        poll_interval: Duration::from_millis(5),
         ..ServiceConfig::default()
     }
 }
