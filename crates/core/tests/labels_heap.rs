@@ -3,13 +3,15 @@
 //! their own.
 //!
 //! A binary of its own, because it installs a global allocator that counts
-//! live bytes across every thread (`live_heap`). It holds one test, so
-//! nothing else allocates while it measures.
-
-mod live_heap;
+//! live bytes across every thread (`tsq_testkit::heap`). It holds one
+//! test, so nothing else allocates while it measures.
 
 use tsq_core::SeriesRelation;
 use tsq_series::TimeSeries;
+use tsq_testkit::heap::live;
+
+#[global_allocator]
+static GLOBAL: tsq_testkit::heap::Tracking = tsq_testkit::heap::Tracking;
 
 /// The labels' fixed part: the relation's name.
 const FIXED: usize = 64;
@@ -17,7 +19,7 @@ const FIXED: usize = 64;
 #[test]
 fn labels_hold_each_label_once_in_one_arena() {
     for count in [1usize, 100, 8000] {
-        let before = live_heap::live();
+        let before = live();
         let (labels, bytes) = {
             let items: Vec<(String, TimeSeries)> = (0..count)
                 .map(|i| (format!("s{i}"), TimeSeries::new(vec![0.0])))
@@ -26,7 +28,7 @@ fn labels_hold_each_label_once_in_one_arena() {
             let relation = SeriesRelation::from_labeled("walks", items).unwrap();
             (relation.into_labels(), bytes)
         };
-        let held = live_heap::live() - before;
+        let held = live() - before;
         let bound = bytes + 2 * 8 * count + FIXED;
         eprintln!(
             "{count} label(s) of {bytes} B hold {held} B ({:.1} B a label), bound {bound} B",

@@ -10,7 +10,6 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use tsq_core::plan::{execute_plan, LogicalPlan, Planner, RelationStats};
 use tsq_core::{
     render_sharded_plan, ExecStats, IndexConfig, LinearTransform, PageCache, PhysicalOp, PlanRows,
@@ -21,6 +20,7 @@ use tsq_dft::dft::dft_prefix;
 use tsq_rtree::Rect;
 use tsq_series::generate::RandomWalkGenerator;
 use tsq_series::TimeSeries;
+use tsq_testkit::{property, Rng};
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tsq-core-paged-{}", std::process::id()));
@@ -42,18 +42,19 @@ fn paged_copy(mem: &SimilarityIndex, tag: &str, capacity: usize) -> SimilarityIn
     paged
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Range, kNN and index-join answers (and their traversal counters)
-    /// are identical between memory and paged storage.
-    #[test]
-    fn queries_are_identical_across_storage_modes(
-        count in 20usize..90,
-        seed in 0u64..500,
-        eps in 0.2f64..4.0,
-        k in 1usize..8,
-    ) {
+/// Range, kNN and index-join answers (and their traversal counters)
+/// are identical between memory and paged storage.
+#[test]
+fn queries_are_identical_across_storage_modes() {
+    let draw = |rng: &mut Rng| {
+        let (count, seed) = (rng.range(20, 89), rng.range(0, 499) as u64);
+        (
+            Vec::<()>::new(),
+            (count, seed, rng.float(0.2..4.0), rng.range(1, 7)),
+        )
+    };
+    let name = "queries_are_identical_across_storage_modes";
+    property(name, 12, draw, |_, &(count, seed, eps, k)| {
         let rel = RandomWalkGenerator::new(seed).relation(count, 32);
         let mem = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
         let window = QueryWindow::default();
@@ -70,29 +71,29 @@ proptest! {
             for capacity in [1usize, usize::MAX] {
                 let paged = paged_copy(&mem, &format!("pq-{seed}-{ti}-{capacity}"), capacity);
                 let (range, rs) = paged.range_query(&rel[0], eps, t, &window).unwrap();
-                prop_assert_eq!(&range, &mem_range, "range capacity {}", capacity);
-                prop_assert_eq!(rs.index.nodes_visited, mem_rs.index.nodes_visited);
-                prop_assert_eq!(rs.candidates, mem_rs.candidates);
-                prop_assert_eq!(rs.false_hits, mem_rs.false_hits);
+                assert_eq!(&range, &mem_range, "range capacity {capacity}");
+                assert_eq!(rs.index.nodes_visited, mem_rs.index.nodes_visited);
+                assert_eq!(rs.candidates, mem_rs.candidates);
+                assert_eq!(rs.false_hits, mem_rs.false_hits);
                 let (knn, ks) = paged.knn_query(&rel[1], k, t).unwrap();
-                prop_assert_eq!(&knn, &mem_knn, "knn capacity {}", capacity);
-                prop_assert_eq!(ks.index.nodes_visited, mem_ks.index.nodes_visited);
-                prop_assert_eq!(ks.exact_checks, mem_ks.exact_checks);
+                assert_eq!(&knn, &mem_knn, "knn capacity {capacity}");
+                assert_eq!(ks.index.nodes_visited, mem_ks.index.nodes_visited);
+                assert_eq!(ks.exact_checks, mem_ks.exact_checks);
                 let join = paged.join_index(eps, t).unwrap();
-                prop_assert_eq!(&join.pairs, &mem_join.pairs, "join capacity {}", capacity);
-                prop_assert_eq!(
+                assert_eq!(&join.pairs, &mem_join.pairs, "join capacity {capacity}");
+                assert_eq!(
                     join.stats.index.nodes_visited,
                     mem_join.stats.index.nodes_visited
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     join.stats.index.entries_tested,
                     mem_join.stats.index.entries_tested
                 );
-                prop_assert_eq!(join.stats.candidates, mem_join.stats.candidates);
-                prop_assert_eq!(join.stats.exact_checks, mem_join.stats.exact_checks);
+                assert_eq!(join.stats.candidates, mem_join.stats.candidates);
+                assert_eq!(join.stats.exact_checks, mem_join.stats.exact_checks);
             }
         }
-    }
+    });
 }
 
 /// The acceptance criterion: `EXPLAIN ANALYZE`'s measured `pool_misses`

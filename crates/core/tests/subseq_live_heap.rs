@@ -6,16 +6,17 @@
 //! own, never keeping a copy of the samples or of the nodes.
 //!
 //! A binary of its own, because it installs a global allocator that counts
-//! live bytes across every thread (`live_heap`): the build fans out over
-//! the worker pool, and what its workers leave behind counts too. It holds
-//! one test, so nothing else allocates while it measures.
+//! live bytes across every thread (`tsq_testkit::heap`): the build fans
+//! out over the worker pool, and what its workers leave behind counts too.
+//! It holds one test, so nothing else allocates while it measures.
 
-mod live_heap;
-
-use live_heap::left_by;
 use tsq_core::{IndexConfig, LogicalPlan, SeriesRelation, ShardSpec, ShardedIndex};
 use tsq_series::generate::RandomWalkGenerator;
 use tsq_series::TimeSeries;
+use tsq_testkit::heap::left_by;
+
+#[global_allocator]
+static GLOBAL: tsq_testkit::heap::Tracking = tsq_testkit::heap::Tracking;
 
 const WINDOW: usize = 16;
 

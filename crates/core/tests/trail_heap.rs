@@ -4,15 +4,16 @@
 //! `entry_bytes`), and the index one length per series and a fixed part.
 //!
 //! A binary of its own, because it installs a global allocator that counts
-//! live bytes across every thread (`live_heap`). It holds one test, so
-//! nothing else allocates while it measures.
+//! live bytes across every thread (`tsq_testkit::heap`). It holds one
+//! test, so nothing else allocates while it measures.
 
-mod live_heap;
-
-use live_heap::left_by;
 use tsq_core::{IndexConfig, LogicalPlan, SeriesRelation, ShardSpec, ShardedIndex};
 use tsq_series::generate::RandomWalkGenerator;
 use tsq_series::TimeSeries;
+use tsq_testkit::heap::left_by;
+
+#[global_allocator]
+static GLOBAL: tsq_testkit::heap::Tracking = tsq_testkit::heap::Tracking;
 
 const WINDOW: usize = 16;
 

@@ -42,8 +42,9 @@
 //!   subsequence) on a restored catalog returns exactly the answers — and
 //!   the same traversal statistics — as the catalog that was saved; a
 //!   held window that saw appends answers with the same rows as the saved
-//!   catalog and the counters of a fresh build. The proptest suite in
-//!   `tests/store_consistency.rs` asserts this across randomized catalogs.
+//!   catalog and the counters of a fresh build. The property suite in
+//!   `tests/store_consistency.rs` (run by `tsq-testkit`'s seeded property
+//!   runner) asserts this across randomized catalogs.
 //! - **Atomic, collision-checked restore.** [`Catalog::open`] decodes the
 //!   whole snapshot *before* touching the catalog; a relation name that is
 //!   already registered aborts the restore with a typed

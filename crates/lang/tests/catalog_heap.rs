@@ -7,16 +7,17 @@
 //! `TimeSeries` handle per series beside it held 128 000 B more.
 //!
 //! A binary of its own, because it installs a global allocator that counts
-//! live bytes across every thread (`crates/core/tests/live_heap`, shared
-//! with tsq-core's heap tests): the index build fans out over the worker
+//! live bytes across every thread (`tsq_testkit::heap`, shared with
+//! tsq-core's heap tests): the index build fans out over the worker
 //! pool. It holds one test, so nothing else allocates while it measures.
-
-#[path = "../../core/tests/live_heap/mod.rs"]
-mod live_heap;
 
 use tsq_core::{IndexConfig, SeriesRelation, ShardSpec, ShardedIndex};
 use tsq_lang::Catalog;
 use tsq_series::generate::RandomWalkGenerator;
+use tsq_testkit::heap::live;
+
+#[global_allocator]
+static GLOBAL: tsq_testkit::heap::Tracking = tsq_testkit::heap::Tracking;
 
 const SERIES: usize = 8000;
 const LEN: usize = 128;
@@ -41,19 +42,19 @@ fn a_catalog_relation_holds_its_labels_and_its_index() {
 
     let index = {
         let rel = relation();
-        let before = live_heap::live();
+        let before = live();
         let index = build(&rel);
-        let held = live_heap::live() - before;
+        let held = live() - before;
         drop((index, rel));
         held
     };
     let label_bytes: usize = (0..SERIES).map(|i| format!("s{i}").len()).sum();
     let labels = label_bytes + 2 * 8 * SERIES + LABELS_FIXED;
 
-    let before = live_heap::live();
+    let before = live();
     let mut catalog = Catalog::with_config(config);
     catalog.register(relation()).unwrap();
-    let held = live_heap::live() - before;
+    let held = live() - before;
     let bound = index + (labels + SLACK) as isize;
     eprintln!(
         "{SERIES} x {LEN} walks: the catalog holds {held} B; the index alone {index} B, \

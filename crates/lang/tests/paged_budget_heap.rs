@@ -22,65 +22,15 @@
 //! and what its workers leave behind counts too. It holds one test, so
 //! nothing else allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicIsize, Ordering};
 
 use tsq_core::SeriesRelation;
 use tsq_lang::Catalog;
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
-
-/// Bytes allocated and not yet freed, by every thread.
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-/// The system allocator, keeping [`LIVE`].
-struct Tracking;
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are this allocator's; the counter is
-// an atomic, which neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Tracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
-        // `ptr` came from this allocator, i.e. from `System`.
-        let grown = unsafe { System.realloc(ptr, layout, new_size) };
-        if !grown.is_null() {
-            LIVE.fetch_add(
-                new_size as isize - layout.size() as isize,
-                Ordering::Relaxed,
-            );
-        }
-        grown
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract, and
-        // `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-    }
-}
+use tsq_testkit::heap::live;
 
 #[global_allocator]
-static GLOBAL: Tracking = Tracking;
+static GLOBAL: tsq_testkit::heap::Tracking = tsq_testkit::heap::Tracking;
 
 /// The budget `open_paged` is given, in MiB.
 const BUDGET_MIB: usize = 1;
@@ -170,12 +120,12 @@ fn a_paged_catalog_caches_at_most_its_budget() {
     drop(warmed);
 
     let paged = open(&path);
-    let opened = LIVE.load(Ordering::Relaxed);
+    let opened = live();
     let bound = ((BUDGET_MIB as isize) << 20) + SLACK;
     let mut most = 0;
     for q in &script {
         let rows = paged.run(q).unwrap().rows.len();
-        let grown = LIVE.load(Ordering::Relaxed) - opened;
+        let grown = live() - opened;
         most = most.max(grown);
         let q: String = q.chars().take(48).collect();
         eprintln!("{grown:>9} B above the open after {q}… ({rows} rows)");

@@ -16,6 +16,7 @@ use tsq_lang::{Catalog, LangError, SharedCatalog};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_service::{ClientError, ErrorCode, ServiceConfig};
 use tsq_store::StoreError;
+use tsq_testkit::{differential, Config, Storage};
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tsq-paged-catalog-{}", std::process::id()));
@@ -37,51 +38,20 @@ fn catalog() -> Catalog {
     cat
 }
 
-/// Every query form, including the subsequence paths (whose ST-indexes
-/// are built on demand by reading the paged records through the pool).
-fn workload() -> Vec<String> {
-    vec![
-        "FIND SIMILAR TO walks.s1 IN walks WITHIN 2.5".into(),
-        "FIND SIMILAR TO walks.s0 IN walks WITHIN 5 APPLY mavg(4)".into(),
-        "FIND 6 NEAREST TO stocks.s3 IN stocks".into(),
-        "FIND 4 NEAREST TO walks.s2 IN walks APPLY reverse".into(),
-        "JOIN stocks WITHIN 1.5 APPLY mavg(4) WITH (force = index)".into(),
-        "JOIN walks WITHIN 1.0".into(),
-        "FIND SUBSEQUENCE OF walks.s5 IN walks WITHIN 40 WINDOW 32".into(),
-        "FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32".into(),
-    ]
-}
-
+/// Paged storage answers the harness's scripts — every query form,
+/// `EXPLAIN [ANALYZE]`, appends taken by a writer and restored — like
+/// memory: a `save → open_paged(…, 1)` layout at three shards against the
+/// `save → open` one before it (the plan and every non-pool counter, per
+/// shard), and both against the one-shard in-memory reference (the rows,
+/// and no pool traffic in memory).
 #[test]
 fn open_paged_answers_every_query_form_identically() {
-    let cat = catalog();
-    let path = temp_path("equivalence.tsq");
-    cat.save(&path).unwrap();
-
-    let mut mem = Catalog::new();
-    mem.open(&path).unwrap();
-    // A thrashing 1 MiB pool and an effectively unbounded one must both
-    // agree with memory — capacity only moves hit/miss traffic around.
-    for budget_mib in [1usize, 4096] {
-        let paged_path = temp_path(&format!("equivalence-{budget_mib}.tsq"));
-        std::fs::copy(&path, &paged_path).unwrap();
-        let mut paged = Catalog::new();
-        let restored = paged.open_paged(&paged_path, budget_mib).unwrap();
-        assert_eq!(restored, vec!["stocks".to_string(), "walks".to_string()]);
-        for q in workload() {
-            let a = mem.run(&q).unwrap();
-            let b = paged.run(&q).unwrap();
-            assert_eq!(a.rows, b.rows, "{q}: rows differ at {budget_mib} MiB");
-            assert_eq!(a.plan, b.plan, "{q}: plan differs at {budget_mib} MiB");
-            assert_eq!(a.stats.candidates, b.stats.candidates, "{q}");
-            assert_eq!(a.stats.refined, b.stats.refined, "{q}");
-            assert_eq!(a.stats.false_hits, b.stats.false_hits, "{q}");
-            assert_eq!(a.stats.nodes_visited, b.stats.nodes_visited, "{q}");
-            assert_eq!(a.stats.disk_accesses, b.stats.disk_accesses, "{q}");
-            // Memory never touches a pool.
-            assert_eq!(a.stats.pool_hits + a.stats.pool_misses, 0, "{q}");
-        }
-    }
+    let configs = [Storage::SaveOpen, Storage::Paged].map(|storage| Config {
+        storage,
+        shards: 3,
+        ..Config::REFERENCE
+    });
+    differential::pinned(1400, 4, &configs);
 }
 
 #[test]
@@ -210,9 +180,18 @@ fn a_paged_catalog_saves_the_bytes_it_was_restored_from() {
         );
         // After every query form has moved the pools (and held a window),
         // still the in-memory catalog's bytes.
-        for q in workload() {
-            cat.run(&q).unwrap();
-            paged.run(&q).unwrap();
+        for q in [
+            "FIND SIMILAR TO walks.s1 IN walks WITHIN 2.5",
+            "FIND SIMILAR TO walks.s0 IN walks WITHIN 5 APPLY mavg(4)",
+            "FIND 6 NEAREST TO stocks.s3 IN stocks",
+            "FIND 4 NEAREST TO walks.s2 IN walks APPLY reverse",
+            "JOIN stocks WITHIN 1.5 APPLY mavg(4) WITH (force = index)",
+            "JOIN walks WITHIN 1.0",
+            "FIND SUBSEQUENCE OF walks.s5 IN walks WITHIN 40 WINDOW 32",
+            "FIND 3 NEAREST SUBSEQUENCE OF stocks.s1 IN stocks WINDOW 32",
+        ] {
+            cat.run(q).unwrap();
+            paged.run(q).unwrap();
         }
         let bytes = cat.snapshot_bytes().unwrap();
         assert_eq!(paged.snapshot_bytes().unwrap(), bytes, "{shards} shard(s)");

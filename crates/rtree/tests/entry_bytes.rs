@@ -5,54 +5,14 @@
 //! rectangle and no slack in a node.
 //!
 //! A binary of its own with one test, because it installs a global
-//! allocator that tracks the live bytes every allocation requested.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
+//! allocator that tracks the live bytes every allocation requested
+//! (`tsq_testkit::heap`).
 
 use tsq_rtree::{RStarTree, RTreeConfig, Rect};
-
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-/// The system allocator, keeping the sum of the sizes of live blocks.
-struct Tracking;
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are this allocator's; the counter is
-// an atomic, which neither allocates nor re-enters the allocator.
-unsafe impl GlobalAlloc for Tracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract, and
-        // `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract, and
-        // `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use tsq_testkit::heap::live;
 
 #[global_allocator]
-static GLOBAL: Tracking = Tracking;
+static GLOBAL: tsq_testkit::heap::Tracking = tsq_testkit::heap::Tracking;
 
 /// As many entries as the benchmark's `stocks` ST-index holds trails.
 const N: usize = 48_400;
@@ -81,9 +41,9 @@ fn rects() -> Vec<(Rect, Payload)> {
 
 #[test]
 fn a_bulk_loaded_entry_costs_its_coordinates_its_payload_and_one_word() {
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = live();
     let tree = RStarTree::bulk_load(RTreeConfig::default(), rects());
-    let held = LIVE.load(Ordering::Relaxed) - before;
+    let held = live() - before;
     assert_eq!(tree.len(), N);
     let per_entry = held as f64 / N as f64;
     let budget = 2 * DIMS * size_of::<f32>() + size_of::<Payload>() + size_of::<usize>();

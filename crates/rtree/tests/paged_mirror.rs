@@ -5,11 +5,14 @@
 //! page and an unbounded pool. On a fully warm pool, `pool_misses` must be
 //! exactly zero, and a hostile page is a typed error from every traversal.
 
-use proptest::prelude::*;
 use tsq_rtree::config::PAGE_ALIGN;
 use tsq_rtree::stats::SearchStats;
 use tsq_rtree::{PageCache, PagedTree, RStarTree, RTreeConfig, Rect};
 use tsq_store::{crc32, StoreError};
+use tsq_testkit::{property, Rng};
+
+/// Cases per property.
+const CASES: u32 = 24;
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("tsq-paged-mirror-{}", std::process::id()));
@@ -47,17 +50,20 @@ fn assert_counters_match(mem: &SearchStats, paged: &SearchStats, what: &str) {
     assert_eq!(mem.pool_misses, 0, "{what}: mem trees never touch a pool");
 }
 
-fn points_strategy(max: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
-    prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..=max)
+fn point(rng: &mut Rng) -> (f64, f64) {
+    (rng.float(-1e3..1e3), rng.float(-1e3..1e3))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn points(rng: &mut Rng, max: usize) -> Vec<(f64, f64)> {
+    rng.list(1..=max, point)
+}
 
-    /// Range queries agree at pool capacities 1, 3, and unbounded.
-    #[test]
-    fn range_mirrors_memory(points in points_strategy(250), fanout in 4usize..12) {
-        let tree = build(&points, fanout);
+/// Range queries agree at pool capacities 1, 3, and unbounded.
+#[test]
+fn range_mirrors_memory() {
+    let draw = |rng: &mut Rng| (points(rng, 250), rng.range(4, 11));
+    property("range_mirrors_memory", CASES, draw, |points, &fanout| {
+        let tree = build(points, fanout);
         let q = Rect::new(vec![-300.0, -450.0], vec![500.0, 350.0]);
         let mut mem_rows = Vec::new();
         let mem_stats = tree.search(&q, |_, &i| mem_rows.push(i));
@@ -65,83 +71,95 @@ proptest! {
             let paged = paged_copy(&tree, &format!("range-{fanout}-{capacity}"), capacity);
             let mut rows = Vec::new();
             let stats = paged.search(&q, |_, i| rows.push(i as usize)).unwrap();
-            prop_assert_eq!(&rows, &mem_rows, "capacity {}", capacity);
+            assert_eq!(&rows, &mem_rows, "capacity {capacity}");
             assert_counters_match(&mem_stats, &stats, "range");
-            prop_assert_eq!(
+            assert_eq!(
                 stats.pool_hits + stats.pool_misses,
                 paged.pool().hits() + paged.pool().misses(),
                 "per-query pool counters must equal the pool's own (fresh pool)"
             );
         }
-    }
+    });
+}
 
-    /// kNN agrees — results, order, ties, counters — at extreme capacities.
-    #[test]
-    fn knn_mirrors_memory(points in points_strategy(200),
-                          q in (-1e3f64..1e3, -1e3f64..1e3),
-                          k in 1usize..16) {
-        let tree = build(&points, 6);
+/// kNN agrees — results, order, ties, counters — at extreme capacities.
+#[test]
+fn knn_mirrors_memory() {
+    let draw = |rng: &mut Rng| (points(rng, 200), (point(rng), rng.range(1, 15)));
+    property("knn_mirrors_memory", CASES, draw, |points, &(q, k)| {
+        let tree = build(points, 6);
         let (mem_res, mem_stats) = tree.nearest_to_point(k, &[q.0, q.1]);
         for capacity in [1usize, usize::MAX] {
             let paged = paged_copy(&tree, &format!("knn-{k}-{capacity}"), capacity);
             let (res, stats) = paged.nearest_to_point(k, &[q.0, q.1]).unwrap();
-            prop_assert_eq!(res.len(), mem_res.len());
+            assert_eq!(res.len(), mem_res.len());
             for (got, want) in res.iter().zip(&mem_res) {
-                prop_assert_eq!(got.item as usize, *want.item, "capacity {}", capacity);
-                prop_assert_eq!(got.distance.to_bits(), want.distance.to_bits());
+                assert_eq!(got.item as usize, *want.item, "capacity {capacity}");
+                assert_eq!(got.distance.to_bits(), want.distance.to_bits());
             }
             assert_counters_match(&mem_stats, &stats, "knn");
         }
-    }
+    });
+}
 
-    /// Duplicated points put several items at exactly the k-th distance:
-    /// the `(distance, key)` boundary picks the same ones on both stores.
-    #[test]
-    fn knn_ties_mirror_memory(points in points_strategy(40),
-                              copies in 2usize..5,
-                              q in (-1e3f64..1e3, -1e3f64..1e3),
-                              k in 1usize..24) {
-        let duplicated: Vec<(f64, f64)> =
-            points.iter().flat_map(|&p| std::iter::repeat(p).take(copies)).collect();
-        let tree = build(&duplicated, 5);
-        let point = [q.0, q.1];
-        let (mem_res, mem_stats) = tree.nearest_with_tie(
-            k,
-            |rect| rect.min_dist2(&point).sqrt(),
-            |rect, _| rect.min_dist2(&point).sqrt(),
-            // Descending ids: the key order is not the insertion order.
-            |&i| u64::MAX - i as u64,
-        );
-        // The retained set is the k smallest by (distance, key), each
-        // distance taken to the item's stored (outward-rounded) rectangle.
-        let mut want: Vec<(f64, u64)> = tree
-            .iter()
-            .map(|(rect, &i)| (rect.min_dist2(&point).sqrt(), u64::MAX - i as u64))
-            .collect();
-        want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        want.truncate(k);
-        let got: Vec<(f64, u64)> =
-            mem_res.iter().map(|n| (n.distance, u64::MAX - *n.item as u64)).collect();
-        prop_assert_eq!(got, want);
-        for capacity in [1usize, 3, usize::MAX] {
-            let paged = paged_copy(&tree, &format!("ties-{k}-{copies}-{capacity}"), capacity);
-            let (res, stats) = paged
-                .nearest_with_tie(
-                    k,
-                    |rect| rect.min_dist2(&point).sqrt(),
-                    |rect, _| rect.min_dist2(&point).sqrt(),
-                    |i| u64::MAX - i,
-                )
-                .unwrap();
-            prop_assert_eq!(res.len(), mem_res.len());
-            for (got, want) in res.iter().zip(&mem_res) {
-                prop_assert_eq!(got.item as usize, *want.item, "capacity {}", capacity);
-                prop_assert_eq!(got.distance.to_bits(), want.distance.to_bits());
+/// Duplicated points put several items at exactly the k-th distance:
+/// the `(distance, key)` boundary picks the same ones on both stores.
+#[test]
+fn knn_ties_mirror_memory() {
+    let draw = |rng: &mut Rng| {
+        let points = points(rng, 40);
+        (points, (rng.range(2, 4), point(rng), rng.range(1, 23)))
+    };
+    property(
+        "knn_ties_mirror_memory",
+        CASES,
+        draw,
+        |points, &(copies, q, k)| {
+            let duplicated: Vec<(f64, f64)> = points
+                .iter()
+                .flat_map(|&p| std::iter::repeat(p).take(copies))
+                .collect();
+            let tree = build(&duplicated, 5);
+            let point = [q.0, q.1];
+            let (mem_res, mem_stats) = tree.nearest_with_tie(
+                k,
+                |rect| rect.min_dist2(&point).sqrt(),
+                |rect, _| rect.min_dist2(&point).sqrt(),
+                // Descending ids: the key order is not the insertion order.
+                |&i| u64::MAX - i as u64,
+            );
+            // The retained set is the k smallest by (distance, key), each
+            // distance taken to the item's stored (outward-rounded) rectangle.
+            let mut want: Vec<(f64, u64)> = tree
+                .iter()
+                .map(|(rect, &i)| (rect.min_dist2(&point).sqrt(), u64::MAX - i as u64))
+                .collect();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            want.truncate(k);
+            let got: Vec<(f64, u64)> = mem_res
+                .iter()
+                .map(|n| (n.distance, u64::MAX - *n.item as u64))
+                .collect();
+            assert_eq!(got, want);
+            for capacity in [1usize, 3, usize::MAX] {
+                let paged = paged_copy(&tree, &format!("ties-{k}-{copies}-{capacity}"), capacity);
+                let (res, stats) = paged
+                    .nearest_with_tie(
+                        k,
+                        |rect| rect.min_dist2(&point).sqrt(),
+                        |rect, _| rect.min_dist2(&point).sqrt(),
+                        |i| u64::MAX - i,
+                    )
+                    .unwrap();
+                assert_eq!(res.len(), mem_res.len());
+                for (got, want) in res.iter().zip(&mem_res) {
+                    assert_eq!(got.item as usize, *want.item, "capacity {capacity}");
+                    assert_eq!(got.distance.to_bits(), want.distance.to_bits());
+                }
+                assert_counters_match(&mem_stats, &stats, "knn ties");
             }
-            assert_counters_match(&mem_stats, &stats, "knn ties");
-        }
-    }
-
+        },
+    );
 }
 
 #[test]

@@ -1,30 +1,36 @@
 //! Property-based tests for the R*-tree: structural invariants hold and
 //! queries agree with brute force under arbitrary insert workloads.
 
-use proptest::prelude::*;
 use tsq_rtree::{RStarTree, RTreeConfig, Rect};
+use tsq_testkit::{property, Rng};
+
+/// Cases per property.
+const CASES: u32 = 48;
 
 fn pt(xy: (f64, f64)) -> Vec<f64> {
     vec![xy.0, xy.1]
 }
 
-fn points_strategy(max: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
-    prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..=max)
+fn point(rng: &mut Rng) -> (f64, f64) {
+    (rng.float(-1e3..1e3), rng.float(-1e3..1e3))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+fn points(rng: &mut Rng, max: usize) -> Vec<(f64, f64)> {
+    rng.list(1..=max, point)
+}
 
-    /// Every inserted item is found by a window query covering it, and
-    /// invariants hold after each insertion batch.
-    #[test]
-    fn insert_then_query_exact(points in points_strategy(300), fanout in 4usize..16) {
+/// Every inserted item is found by a window query covering it, and
+/// invariants hold after each insertion batch.
+#[test]
+fn insert_then_query_exact() {
+    let draw = |rng: &mut Rng| (points(rng, 300), rng.range(4, 15));
+    property("insert_then_query_exact", CASES, draw, |points, &fanout| {
         let mut tree = RStarTree::new(RTreeConfig::with_max_entries(fanout));
         for (i, &p) in points.iter().enumerate() {
             tree.insert_point(&pt(p), i);
         }
         tree.validate();
-        prop_assert_eq!(tree.len(), points.len());
+        assert_eq!(tree.len(), points.len());
         // Window query equals brute-force filtering.
         let q = Rect::new(vec![-250.0, -250.0], vec![400.0, 300.0]);
         let (mut got, _) = tree.search_collect(&q);
@@ -37,14 +43,15 @@ proptest! {
             .map(|(i, _)| i)
             .collect();
         want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
+        assert_eq!(got, want);
+    });
+}
 
-    /// KNN agrees with a brute-force scan for arbitrary data and queries.
-    #[test]
-    fn knn_matches_brute(points in points_strategy(200),
-                         q in (-1e3f64..1e3, -1e3f64..1e3),
-                         k in 1usize..20) {
+/// KNN agrees with a brute-force scan for arbitrary data and queries.
+#[test]
+fn knn_matches_brute() {
+    let draw = |rng: &mut Rng| (points(rng, 200), (point(rng), rng.range(1, 19)));
+    property("knn_matches_brute", CASES, draw, |points, &(q, k)| {
         let mut tree = RStarTree::new(RTreeConfig::with_max_entries(8));
         for (i, &p) in points.iter().enumerate() {
             tree.insert_point(&pt(p), i);
@@ -61,17 +68,24 @@ proptest! {
             .collect();
         dists.sort_by(f64::total_cmp);
         dists.truncate(k);
-        prop_assert_eq!(got.len(), dists.len());
+        assert_eq!(got.len(), dists.len());
         for (g, w) in got.iter().zip(&dists) {
-            prop_assert!((g.distance - w).abs() < 1e-6);
+            assert!((g.distance - w).abs() < 1e-6);
         }
-    }
+    });
+}
 
-    /// Bulk load produces a valid tree answering queries identically to
-    /// incremental insertion.
-    #[test]
-    fn bulk_equals_incremental(points in points_strategy(400),
-                               window in (-1e3f64..0.0, -1e3f64..0.0, 0.0f64..1e3, 0.0f64..1e3)) {
+/// Bulk load produces a valid tree answering queries identically to
+/// incremental insertion.
+#[test]
+fn bulk_equals_incremental() {
+    let draw = |rng: &mut Rng| {
+        let points = points(rng, 400);
+        let (lo_x, lo_y) = (rng.float(-1e3..0.0), rng.float(-1e3..0.0));
+        let (hi_x, hi_y) = (rng.float(0.0..1e3), rng.float(0.0..1e3));
+        (points, Rect::new(vec![lo_x, lo_y], vec![hi_x, hi_y]))
+    };
+    property("bulk_equals_incremental", CASES, draw, |points, q| {
         let items: Vec<(Rect, usize)> = points
             .iter()
             .enumerate()
@@ -83,11 +97,10 @@ proptest! {
         for (r, i) in items {
             incr.insert(r, i);
         }
-        let q = Rect::new(vec![window.0, window.1], vec![window.2, window.3]);
-        let (mut a, _) = bulk.search_collect(&q);
-        let (mut b, _) = incr.search_collect(&q);
+        let (mut a, _) = bulk.search_collect(q);
+        let (mut b, _) = incr.search_collect(q);
         a.sort_unstable();
         b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
 }

@@ -71,9 +71,9 @@ pub fn looks_like_http(prefix: &[u8]) -> bool {
 }
 
 /// Reads one HTTP/1.1 request whose first `prefix` bytes were already
-/// consumed by protocol sniffing. The head is capped at 16 KiB, the body
-/// at `max_body` — a hostile `Content-Length` is refused before any
-/// allocation.
+/// consumed by protocol sniffing, in reads of up to 1 KiB. The head is
+/// capped at 16 KiB, the body at `max_body` — a hostile `Content-Length`
+/// is refused before any allocation.
 ///
 /// # Errors
 /// [`HttpError::Malformed`], [`HttpError::TooLarge`], [`HttpError::Io`].
@@ -82,20 +82,30 @@ pub fn read_request(
     prefix: &[u8],
     max_body: usize,
 ) -> Result<HttpRequest, HttpError> {
-    // Accumulate until the blank line ending the head.
+    // Read in chunks until the blank line ending the head; what follows
+    // it starts the body.
+    let too_long = || HttpError::Malformed(format!("request head exceeds {MAX_HEAD_LEN} bytes"));
     let mut head: Vec<u8> = prefix.to_vec();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
+    let mut chunk = [0u8; 1024];
+    let mut from = 0;
+    let head_len = loop {
+        if let Some(at) = head[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + at + 4;
+        }
         if head.len() >= MAX_HEAD_LEN {
-            return Err(HttpError::Malformed(format!(
-                "request head exceeds {MAX_HEAD_LEN} bytes"
-            )));
+            return Err(too_long());
         }
-        match r.read(&mut byte)? {
+        // The blank line may straddle this read and the last.
+        from = head.len().saturating_sub(3);
+        match r.read(&mut chunk)? {
             0 => return Err(HttpError::Malformed("eof before end of headers".into())),
-            _ => head.push(byte[0]),
+            n => head.extend_from_slice(&chunk[..n]),
         }
+    };
+    if head_len > MAX_HEAD_LEN {
+        return Err(too_long());
     }
+    let early = head.split_off(head_len);
     let head = String::from_utf8(head)
         .map_err(|_| HttpError::Malformed("non-utf8 request head".into()))?;
     let mut lines = head.split("\r\n");
@@ -149,8 +159,11 @@ pub fn read_request(
             }
         }
     }
+    // One request per connection: bytes past the body are dropped with it.
     let mut body = vec![0u8; content_length.unwrap_or(0) as usize];
-    r.read_exact(&mut body)?;
+    let early = &early[..early.len().min(body.len())];
+    body[..early.len()].copy_from_slice(early);
+    r.read_exact(&mut body[early.len()..])?;
     Ok(HttpRequest {
         method: method.to_ascii_uppercase(),
         path: path.to_string(),
@@ -215,6 +228,68 @@ mod tests {
         let raw = b"GET /health?probe=1&x=a?b HTTP/1.1\r\n\r\n";
         let req = read_request(&mut &raw[8..], &raw[..8], 1024).unwrap();
         assert_eq!(req.path, "/health");
+    }
+
+    /// A reader over `data` that hands out at most `most` bytes a read and
+    /// counts its reads.
+    struct Counting<'a> {
+        data: &'a [u8],
+        most: usize,
+        reads: usize,
+    }
+
+    impl Read for Counting<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.most);
+            self.data.read(&mut buf[..n])
+        }
+    }
+
+    fn counting(data: &[u8], most: usize) -> Counting<'_> {
+        Counting {
+            data,
+            most,
+            reads: 0,
+        }
+    }
+
+    #[test]
+    fn the_head_is_read_in_chunks() {
+        // A 33-byte request, its first 8 bytes sniffed: one read for the
+        // rest, not one per byte.
+        let raw = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n";
+        assert_eq!(raw.len(), 33);
+        let mut r = counting(&raw[8..], usize::MAX);
+        let req = read_request(&mut r, &raw[..8], 1024).unwrap();
+        assert_eq!(req.path, "/health");
+        assert!(r.reads <= 2, "{} reads for 25 bytes", r.reads);
+
+        // Head and body in one segment: the bytes after the blank line
+        // start the body.
+        let raw = b"POST /query HTTP/1.1\r\nContent-Length: 11\r\n\r\nJOIN walks ";
+        let mut r = counting(&raw[8..], usize::MAX);
+        let req = read_request(&mut r, &raw[..8], 1024).unwrap();
+        assert_eq!(req.body, b"JOIN walks ");
+        assert!(r.reads <= 2, "{} reads for one segment", r.reads);
+
+        // Dribbled three bytes a read, the blank line straddles reads.
+        let mut r = counting(&raw[8..], 3);
+        assert_eq!(
+            read_request(&mut r, &raw[..8], 1024).unwrap().body,
+            b"JOIN walks "
+        );
+
+        // The cap is on the head alone: a head of exactly 16 KiB is read
+        // with its body behind it, one byte longer is refused.
+        for (pad, ok) in [(0, true), (1, false)] {
+            let head = b"POST /q HTTP/1.1\r\nContent-Length: 4\r\nX: ";
+            let mut raw = head.to_vec();
+            raw.resize(MAX_HEAD_LEN - 4 + pad, b'x');
+            raw.extend_from_slice(b"\r\n\r\nJOIN");
+            let got = read_request(&mut counting(&raw, usize::MAX), &[], 1024);
+            assert_eq!(got.is_ok(), ok, "pad {pad}: {got:?}");
+        }
     }
 
     #[test]

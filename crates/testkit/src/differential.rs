@@ -1,7 +1,8 @@
 //! The differential harness: a seeded script generator, the execution
-//! layouts of [`super::Config`], the comparison policy and delta debugging.
-//! `tests/differential.rs` describes it and runs it over drawn layouts; the
-//! pairwise suites' tests run it over the layouts they name ([`pinned`]).
+//! layouts of [`crate::Config`], the comparison policy and delta debugging.
+//! The root package's `tests/differential.rs` describes it and runs it over
+//! drawn layouts; the pairwise suites' tests run it over the layouts they
+//! name ([`pinned`]).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -10,7 +11,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use super::{Config, Storage, Transport, FORCES, SHARDS, STORAGES, THREADS, TRANSPORTS};
+use crate::{
+    ddmin, Config, Rng, Storage, Transport, FORCES, SHARDS, STORAGES, THREADS, TRANSPORTS,
+};
 use tsq_core::plan::ExecStats;
 use tsq_core::{ForceOp, IndexConfig, QueryOptions, SeriesRelation};
 use tsq_lang::{parse, AppendRow, Catalog, LangError, Query, QueryOutput, Row, SharedCatalog};
@@ -28,32 +31,6 @@ fn index_config() -> IndexConfig {
     IndexConfig {
         rtree,
         ..IndexConfig::default()
-    }
-}
-
-/// SplitMix64.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    /// Uniform in `lo..=hi`.
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next() % (hi.max(lo) - lo + 1) as u64) as usize
-    }
-    fn chance(&mut self, percent: usize) -> bool {
-        self.range(1, 100) <= percent
-    }
-    fn pick<T: Clone>(&mut self, from: &[T]) -> T {
-        from[self.range(0, from.len() - 1)].clone()
-    }
-    /// One of the `|`-separated `choices`.
-    fn one_of(&mut self, choices: &'static str) -> &'static str {
-        self.pick(&choices.split('|').collect::<Vec<_>>())
     }
 }
 
@@ -530,7 +507,7 @@ impl Layout {
         let path = self.dir.join(format!("{n}.tsq"));
         lang(writer.save(&path))?;
         std::mem::replace(&mut self.live, Live::Local(Catalog::new())).into_catalog()?;
-        let restored = super::restore(index_config(), &path, self.config.storage);
+        let restored = crate::restore(index_config(), &path, self.config.storage);
         self.live = Live::new(&self.config, restored);
         Ok(())
     }
@@ -540,7 +517,7 @@ impl Layout {
         let cat = std::mem::replace(&mut self.live, Live::Local(Catalog::new())).into_catalog()?;
         let (bytes, path) = (lang(cat.snapshot_bytes())?, self.dir.join("end.tsq"));
         lang(cat.save(&path))?;
-        let again = super::restore(index_config(), &path, self.config.storage);
+        let again = crate::restore(index_config(), &path, self.config.storage);
         if lang(again.snapshot_bytes())? != bytes {
             return Err("its own save and restore changed its snapshot".to_string());
         }
@@ -757,25 +734,6 @@ fn check(configs: &[Config], script: &[String], reference: &Trace) -> Check {
     Ok(())
 }
 
-/// Delta debugging over statements: drop chunks of the script while
-/// `fails` still holds, halving the chunk when no drop does, down to
-/// single statements — a 1-minimal failing script.
-fn ddmin(mut script: Vec<String>, fails: impl Fn(&[String]) -> bool) -> Vec<String> {
-    let mut chunk = script.len().div_ceil(2);
-    while chunk > 0 {
-        let drop = |lo: usize| {
-            let mut rest = script.clone();
-            rest.drain(lo..(lo + chunk).min(script.len()));
-            fails(&rest).then_some(rest)
-        };
-        match (0..script.len()).step_by(chunk).find_map(drop) {
-            Some(rest) => script = rest,
-            None => chunk /= 2,
-        }
-    }
-    script
-}
-
 /// Replays a printed script on the reference and `configs`, panicking at
 /// the first divergence.
 pub fn replay(configs: &[Config], script: &str) {
@@ -800,7 +758,7 @@ pub fn case(
     fixed: Option<&[Config]>,
     mut coverage: Coverage,
 ) -> Result<Coverage, String> {
-    let mut rng = Rng(seed);
+    let mut rng = Rng::new(seed);
     let mut layout = Layout::new(Config::REFERENCE);
     let (mut script, mut tags, mut answers) = (Vec::new(), Vec::new(), Vec::new());
     while script.len() < STATEMENTS {
@@ -859,7 +817,7 @@ pub fn case(
     let again = check(&configs, &small, &trace(Config::REFERENCE, &small));
     let why = again.err().unwrap_or(why);
     let (from, to, small) = (script.len(), small.len(), small.join("\n"));
-    let scope = "use tsq_core::ForceOp::*;\n    use common::{Storage::*, Transport::*};";
+    let scope = "use tsq_core::ForceOp::*;\n    use tsq_testkit::{Storage::*, Transport::*};";
     Err(format!("seed {seed:#x}: {why}\nminimized from {from} to {to} statement(s); as a test body:\n    {scope}\n    replay(&{configs:?}, r#\"\n{small}\n\"#);"))
 }
 

@@ -1,6 +1,14 @@
 //! A global allocator that counts live bytes across every thread, for the
-//! heap tests. Each test binary that uses it holds one test, so nothing
-//! else allocates while it measures.
+//! heap tests. A test binary installs it as its own:
+//!
+//! ```ignore
+//! #[global_allocator]
+//! static GLOBAL: tsq_testkit::heap::Tracking = tsq_testkit::heap::Tracking;
+//! ```
+//!
+//! The kit never installs it itself, so only the binaries that ask are
+//! tracked. Such a binary holds one test, so nothing else allocates while
+//! it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -8,12 +16,13 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 /// Bytes allocated and not yet freed, by every thread.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 
-/// The system allocator, keeping [`LIVE`].
-struct Tracking;
+/// The system allocator, keeping the sum of the sizes of live blocks.
+pub struct Tracking;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are this allocator's; the counter is
 // an atomic, which neither allocates nor re-enters the allocator.
+#[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Tracking {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
@@ -54,16 +63,13 @@ unsafe impl GlobalAlloc for Tracking {
     }
 }
 
-#[global_allocator]
-static GLOBAL: Tracking = Tracking;
-
-/// Bytes live now.
+/// Bytes live now (zero growth in a binary that does not install
+/// [`Tracking`]).
 pub fn live() -> isize {
     LIVE.load(Ordering::Relaxed)
 }
 
 /// The live bytes `f` leaves behind once its result is dropped.
-#[allow(dead_code)]
 pub fn left_by<R>(f: impl FnOnce() -> R) -> isize {
     let before = live();
     drop(f());

@@ -1,15 +1,30 @@
-//! The execution layouts the cross-layout suites compare, as one list in
-//! one place, and the differential harness over them ([`differential`]):
-//! `tests/differential.rs` draws layouts from the list, the pairwise
-//! suites pin the harness to the layouts they name, and the boundary
-//! suites of `tests/planner_consistency.rs` build from it. A layout never
-//! changes an answer: every [`Config`] must return the rows, order and
-//! distance bits of [`Config::REFERENCE`] — one shard, in memory, in
-//! process.
+//! The workspace's one test kit, for the `tests/` directories of every
+//! crate (never a `#[cfg(test)]` module, so a crate under test links
+//! once):
+//!
+//! - [`Rng`], a seeded SplitMix64 generator, and [`ddmin`], delta
+//!   debugging over a list;
+//! - [`property`], the property runner over them: seeded cases, a failing
+//!   input's list minimized by [`ddmin`], and a report that names the
+//!   test, the case, the seed and the minimized input;
+//! - the execution layouts the cross-layout suites compare, as one list in
+//!   one place, and the differential harness over them ([`differential`]):
+//!   the root package's `tests/differential.rs` draws layouts from the
+//!   list, the pairwise suites pin the harness to the layouts they name,
+//!   and the boundary suites of `tests/planner_consistency.rs` build from
+//!   it. A layout never changes an answer: every [`Config`] must return the
+//!   rows, order and distance bits of [`Config::REFERENCE`] — one shard, in
+//!   memory, in process;
+//! - [`heap::Tracking`], a global allocator counting live bytes, which a
+//!   heap test installs in its own binary.
 
-#![allow(dead_code)] // each suite uses its own part of the module
+#![deny(unsafe_code)]
 
 pub mod differential;
+pub mod heap;
+mod property;
+
+pub use property::{ddmin, property, seed, Rng};
 
 use std::path::Path;
 

@@ -1,10 +1,11 @@
 //! One differential harness over every execution layout.
 //!
 //! The paper promises that the transformed-index answer *is* the scan's
-//! (Lemma 1; Table 1's join methods agree). Here every layout of `common`'s
-//! list — a `force`, worker threads, hash shards, storage restored by
-//! `save → open` or `save → open_paged(…, 1)`, a live `tsq-service` socket
-//! — answers as the one-shard, in-memory, in-process reference does.
+//! (Lemma 1; Table 1's join methods agree). Here every layout of
+//! `tsq-testkit`'s list — a `force`, worker threads, hash shards, storage
+//! restored by `save → open` or `save → open_paged(…, 1)`, a live
+//! `tsq-service` socket — answers as the one-shard, in-memory, in-process
+//! reference does.
 //!
 //! **Scripts.** A seeded generator writes statements against the reference
 //! catalog it runs as it goes: `REGISTER` (a relation as `APPEND`'s CSV
@@ -33,14 +34,12 @@
 //! and renders each read alike over HTTP. A divergence is delta-debugged
 //! and printed as a [`replay`] call with the seed and the layouts.
 //!
-//! The harness itself is `common::differential`; the pairwise suites' tests
+//! The harness itself is `tsq_testkit::differential`; the pairwise suites' tests
 //! run it pinned to the layouts they name.
 
-mod common;
-
-use common::differential::{case, replay, Coverage, SEED};
-use common::{Config, Storage, Transport, FORCES, SHARDS, STORAGES, THREADS, TRANSPORTS};
 use tsq_core::ForceOp;
+use tsq_testkit::differential::{case, replay, Coverage, SEED};
+use tsq_testkit::{Config, Storage, Transport, FORCES, SHARDS, STORAGES, THREADS, TRANSPORTS};
 
 /// The committed budget: cases from [`SEED`], two threads.
 const CASES: u64 = 24;

@@ -13,9 +13,7 @@
 //! (`candidates`/`refined`/`false_hits`) and leave
 //! `nodes_visited`/`disk_accesses` to the layout.
 
-mod common;
-
-use common::{differential, Config, Storage};
+use tsq_testkit::{differential, Config, Storage};
 
 use std::time::Duration;
 

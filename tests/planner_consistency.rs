@@ -11,13 +11,10 @@
 //!   [`SimilarityIndex`], which never passes through `ShardedIndex`.
 //! - The membership boundary: a reported distance is within itself, and
 //!   Lemma 1 holds within ±4 ulps of the threshold, on the layouts of
-//!   `common`'s configuration list.
+//!   `tsq-testkit`'s configuration list.
 //! - The harness pinned to forced plans and to `save → open`: range, k-NN
 //!   and join statements under each force, and every form restored.
 
-mod common;
-
-use common::{differential, Config, Storage};
 use tsq_core::plan::{render_analyze, render_plan};
 use tsq_core::{
     execute_plan, ForceOp, LinearTransform, LogicalPlan, PlanRows, Planner, QueryWindow,
@@ -26,6 +23,7 @@ use tsq_core::{
 use tsq_lang::{Catalog, Row};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
+use tsq_testkit::{differential, Config, Storage};
 
 fn assert_whole_rows_equal(a: &PlanRows, b: &PlanRows, what: &str) {
     let (PlanRows::Whole(a), PlanRows::Whole(b)) = (a, b) else {
@@ -434,7 +432,7 @@ fn boundary_configs(
                 storage,
                 ..Config::REFERENCE
             };
-            let cat = common::layout(&config, "w", series, &dir);
+            let cat = tsq_testkit::layout(&config, "w", series, &dir);
             configs.push((format!("{config:?}"), cat));
         }
     }

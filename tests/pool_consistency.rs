@@ -12,9 +12,7 @@
 //!   and still preserve order;
 //! - the process-wide pool counters are visible and monotone.
 
-mod common;
-
-use common::{differential, Config, SHARDS, THREADS};
+use tsq_testkit::{differential, Config, SHARDS, THREADS};
 
 use tsq::core::executor::{self, Pool};
 

@@ -21,9 +21,7 @@
 //! differ from the single big tree, so rows must still match exactly but
 //! only the merged == Σ per-shard identity is pinned.
 
-mod common;
-
-use common::{differential, Config, Storage, Transport};
+use tsq_testkit::{differential, Config, Storage, Transport};
 
 use tsq::core::plan::ExecStats;
 use tsq::core::{

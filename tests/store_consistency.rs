@@ -14,36 +14,35 @@
 //! index is a pure function of what a snapshot stores, so a restored
 //! index is indistinguishable from the one that was saved.
 
-mod common;
-
-use common::{differential, Config, Storage};
-
-use proptest::prelude::*;
 use tsq_core::{IndexConfig, LinearTransform, QueryWindow, SimilarityIndex};
 use tsq_lang::Catalog;
 use tsq_series::TimeSeries;
 use tsq_store::{Decoder, Encoder};
+use tsq_testkit::{differential, property, Config, Rng, Storage};
 
-/// An equal-length relation for the whole-match index: `count` series of
-/// length `len` with bounded values.
-fn whole_relation(max_count: usize, max_len: usize) -> impl Strategy<Value = Vec<TimeSeries>> {
-    (2usize..=max_count, 8usize..=max_len).prop_flat_map(|(count, len)| {
-        prop::collection::vec(
-            prop::collection::vec(-1e3f64..1e3, len..=len).prop_map(TimeSeries::new),
-            count..=count,
-        )
-    })
+/// Cases per property.
+const CASES: u32 = 24;
+
+/// `len` bounded values.
+fn series(rng: &mut Rng, len: usize) -> TimeSeries {
+    TimeSeries::new((0..len).map(|_| rng.float(-1e3..1e3)).collect())
+}
+
+/// An equal-length relation for the whole-match index: 2 to `max_count`
+/// series of one length in 8 to `max_len`, with bounded values.
+fn whole_relation(rng: &mut Rng, max_count: usize, max_len: usize) -> Vec<TimeSeries> {
+    let len = rng.range(8, max_len);
+    rng.list(2..=max_count, |rng| series(rng, len))
 }
 
 /// A varied-length relation for the ST-index (lengths deliberately
-/// heterogeneous; some may fall below the window and contribute nothing).
-fn varied_relation(max_count: usize) -> impl Strategy<Value = Vec<TimeSeries>> {
-    prop::collection::vec(
-        (6usize..48).prop_flat_map(|len| {
-            prop::collection::vec(-1e3f64..1e3, len..=len).prop_map(TimeSeries::new)
-        }),
-        2..=max_count,
-    )
+/// heterogeneous, 6 to 47; some may fall below the window and contribute
+/// nothing).
+fn varied_relation(rng: &mut Rng, max_count: usize) -> Vec<TimeSeries> {
+    rng.list(2..=max_count, |rng| {
+        let len = rng.range(6, 47);
+        series(rng, len)
+    })
 }
 
 fn round_trip_catalog(cat: &Catalog) -> Catalog {
@@ -58,14 +57,13 @@ fn round_trip_catalog(cat: &Catalog) -> Catalog {
     fresh
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Whole-match indexes: range + k-NN answers and traversal stats are
-    /// identical after an in-memory save/open round trip.
-    #[test]
-    fn similarity_index_round_trips(rel in whole_relation(10, 40)) {
-        let idx = SimilarityIndex::build(IndexConfig::default(), rel.clone()).unwrap();
+/// Whole-match indexes: range + k-NN answers and traversal stats are
+/// identical after an in-memory save/open round trip.
+#[test]
+fn similarity_index_round_trips() {
+    let draw = |rng: &mut Rng| (whole_relation(rng, 10, 40), ());
+    property("similarity_index_round_trips", CASES, draw, |rel, _| {
+        let idx = SimilarityIndex::build(IndexConfig::default(), rel.to_vec()).unwrap();
         let mut enc = Encoder::new();
         idx.write_to(&mut enc).unwrap();
         let bytes = enc.into_bytes();
@@ -75,56 +73,68 @@ proptest! {
         restored.tree().validate();
         let mut enc2 = Encoder::new();
         restored.write_to(&mut enc2).unwrap();
-        prop_assert_eq!(&bytes, &enc2.into_bytes(), "byte-identical tree state");
+        assert_eq!(&bytes, &enc2.into_bytes(), "byte-identical tree state");
 
         let n = rel[0].len();
         let t = LinearTransform::identity(n);
         let ma = LinearTransform::moving_average(n, 3.min(n));
         for q in [&rel[0], &rel[rel.len() - 1]] {
             for eps in [0.0, 1.0, 25.0] {
-                let (a, sa) = idx.range_query(q, eps, &t, &QueryWindow::default()).unwrap();
-                let (b, sb) = restored.range_query(q, eps, &t, &QueryWindow::default()).unwrap();
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(sa.index, sb.index, "traversal stats must match");
-                prop_assert_eq!(sa.candidates, sb.candidates);
-                prop_assert_eq!(sa.false_hits, sb.false_hits);
+                let (a, sa) = idx
+                    .range_query(q, eps, &t, &QueryWindow::default())
+                    .unwrap();
+                let (b, sb) = restored
+                    .range_query(q, eps, &t, &QueryWindow::default())
+                    .unwrap();
+                assert_eq!(a, b);
+                assert_eq!(sa.index, sb.index, "traversal stats must match");
+                assert_eq!(sa.candidates, sb.candidates);
+                assert_eq!(sa.false_hits, sb.false_hits);
             }
             let (ka, ksa) = idx.knn_query(q, 3, &ma).unwrap();
             let (kb, ksb) = restored.knn_query(q, 3, &ma).unwrap();
-            prop_assert_eq!(ka, kb);
-            prop_assert_eq!(ksa.index, ksb.index);
+            assert_eq!(ka, kb);
+            assert_eq!(ksa.index, ksb.index);
         }
-    }
+    });
+}
 
-    /// ST-indexes over varied-length relations: a held window survives
-    /// the round trip, and the restored catalog's subsequence range + k-NN
-    /// statements — the first of which builds it — answer like the saved
-    /// catalog's (rows and stats), and as the sliding-scan oracle does.
-    #[test]
-    fn subseq_index_round_trips(rel in varied_relation(8), window in 4usize..12) {
+/// ST-indexes over varied-length relations: a held window survives
+/// the round trip, and the restored catalog's subsequence range + k-NN
+/// statements — the first of which builds it — answer like the saved
+/// catalog's (rows and stats), and as the sliding-scan oracle does.
+#[test]
+fn subseq_index_round_trips() {
+    let draw = |rng: &mut Rng| (varied_relation(rng, 8), rng.range(4, 11));
+    property("subseq_index_round_trips", CASES, draw, |rel, &window| {
         // Query with a window cut from the longest stored series (one is
         // always >= 6; skip the rare case where none fits the window).
-        let Some(src) = rel.iter().find(|s| s.len() >= window) else { return; };
+        let Some(src) = rel.iter().find(|s| s.len() >= window) else {
+            return;
+        };
         let q: Vec<String> = src.values()[..window].iter().map(f64::to_string).collect();
         let q = q.join(", ");
         let mut queries: Vec<String> = [0.0, 2.0, 50.0]
             .iter()
             .map(|eps| format!("FIND SUBSEQUENCE OF [{q}] IN v WITHIN {eps} WINDOW {window}"))
             .collect();
-        queries.push(format!("FIND 5 NEAREST SUBSEQUENCE OF [{q}] IN v WINDOW {window}"));
+        queries.push(format!(
+            "FIND 5 NEAREST SUBSEQUENCE OF [{q}] IN v WINDOW {window}"
+        ));
         let mut cat = Catalog::new();
-        cat.register(tsq_core::SeriesRelation::from_series("v", rel).unwrap()).unwrap();
+        let rel = tsq_core::SeriesRelation::from_series("v", rel.to_vec()).unwrap();
+        cat.register(rel).unwrap();
         let want: Vec<_> = queries.iter().map(|q| cat.run(q).unwrap()).collect();
         let fresh = round_trip_catalog(&cat);
-        prop_assert_eq!(fresh.subseq_window("v"), cat.subseq_window("v"));
+        assert_eq!(fresh.subseq_window("v"), cat.subseq_window("v"));
         for (q, want) in queries.iter().zip(&want) {
-            prop_assert_eq!(&fresh.run(q).unwrap(), want, "{}", q);
+            assert_eq!(&fresh.run(q).unwrap(), want, "{q}");
         }
         for q in &queries[..3] {
             let scan = fresh.run(&format!("{q} WITH (force = scan)")).unwrap();
-            prop_assert_eq!(&scan.rows, &fresh.run(q).unwrap().rows, "{}", q);
+            assert_eq!(&scan.rows, &fresh.run(q).unwrap().rows, "{q}");
         }
-    }
+    });
 }
 
 /// Catalogs of two relations through `save → open` and
