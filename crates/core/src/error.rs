@@ -84,7 +84,7 @@ impl Error {
     /// otherwise: [`Error::NonFinite`] for NaN/∞, since `d <= NaN` is
     /// false for every distance (silently empty answers) and `d <= ∞` is
     /// true for all of them; [`Error::NegativeThreshold`] for `eps < 0`.
-    pub fn check_threshold(eps: f64) -> Result<f64> {
+    pub(crate) fn check_threshold(eps: f64) -> Result<f64> {
         if !eps.is_finite() {
             return Err(Error::NonFinite {
                 context: format!("threshold eps = {eps}"),
@@ -165,7 +165,7 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {}
 
 /// Convenient result alias.
-pub type Result<T> = std::result::Result<T, Error>;
+pub(crate) type Result<T> = std::result::Result<T, Error>;
 
 #[cfg(test)]
 mod tests {

@@ -62,7 +62,7 @@ pub fn default_threads() -> usize {
 /// add scheduler pressure and per-thread stacks — a request like
 /// `.batch file 1000000` used to take this literally and spawn a million
 /// OS threads.
-pub const MAX_THREAD_MULTIPLIER: usize = 4;
+pub(crate) const MAX_THREAD_MULTIPLIER: usize = 4;
 
 /// Clamps a requested worker count to `[1, MAX_THREAD_MULTIPLIER ×
 /// available_parallelism]`. `0` means "let the machine decide" and maps

@@ -81,7 +81,7 @@ impl FeatureSchema {
 
     /// Number of auxiliary (mean/std) dimensions preceding the coefficient
     /// blocks.
-    pub fn aux_dims(&self) -> usize {
+    pub(crate) fn aux_dims(&self) -> usize {
         match self {
             FeatureSchema::NormalForm { .. } => 2,
             FeatureSchema::Raw { .. } => 0,
@@ -89,7 +89,7 @@ impl FeatureSchema {
     }
 
     /// Spectrum indices of the kept coefficients, in index order.
-    pub fn coeff_indices(&self) -> std::ops::Range<usize> {
+    pub(crate) fn coeff_indices(&self) -> std::ops::Range<usize> {
         match self {
             FeatureSchema::NormalForm { k } => 1..(k + 1),
             FeatureSchema::Raw { k } => 0..*k,
@@ -241,7 +241,7 @@ impl Features {
     }
 
     /// Series length this feature vector came from.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 

@@ -12,7 +12,7 @@ use std::f64::consts::PI;
 use tsq_dft::Complex64;
 
 /// Normalizes an angle to `(-pi, pi]`.
-pub fn normalize_angle(a: f64) -> f64 {
+pub(crate) fn normalize_angle(a: f64) -> f64 {
     let mut x = a.rem_euclid(2.0 * PI); // [0, 2pi)
     if x > PI {
         x -= 2.0 * PI;
@@ -40,7 +40,7 @@ pub struct AnnularSector {
 
 impl AnnularSector {
     /// A full annulus.
-    pub fn annulus(m_lo: f64, m_hi: f64) -> Self {
+    pub(crate) fn annulus(m_lo: f64, m_hi: f64) -> Self {
         assert!(m_lo >= 0.0 && m_hi >= m_lo, "invalid magnitudes");
         AnnularSector {
             m_lo,
@@ -69,7 +69,7 @@ impl AnnularSector {
     }
 
     /// True if the (normalized) angle lies on the arc.
-    pub fn contains_angle(&self, angle: f64) -> bool {
+    pub(crate) fn contains_angle(&self, angle: f64) -> bool {
         if self.full_angle {
             return true;
         }
@@ -92,7 +92,7 @@ impl AnnularSector {
 
     /// Exact minimum Euclidean distance from `p` to the sector (0 when `p`
     /// lies inside).
-    pub fn min_dist(&self, p: Complex64) -> f64 {
+    pub(crate) fn min_dist(&self, p: Complex64) -> f64 {
         let m = p.abs();
         if self.full_angle {
             // Pure radial clamping.
@@ -138,7 +138,7 @@ mod tests {
     use super::*;
 
     fn cp(m: f64, a: f64) -> Complex64 {
-        Complex64::from_polar(m, a)
+        Complex64::cis(a).scale(m)
     }
 
     #[test]

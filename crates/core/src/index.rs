@@ -107,7 +107,7 @@ enum Samples<'a> {
 
 impl Record<'_> {
     /// The record's samples, in time order.
-    pub fn samples(&self) -> &[f64] {
+    pub(crate) fn samples(&self) -> &[f64] {
         match &self.samples {
             Samples::Held(values) => values,
             Samples::Pinned(frame, at) => &frame[at.clone()],
@@ -216,7 +216,7 @@ impl<'a> Refine<'a> {
     /// is reported with, if that is within the statement's threshold.
     /// [`ScanMode::EarlyAbandon`] stops summing once the answer is "no",
     /// [`ScanMode::Naive`] tests after the full sum: same loop, same limit.
-    pub fn within(&self, record: &Record<'_>, mode: ScanMode) -> Option<f64> {
+    pub(crate) fn within(&self, record: &Record<'_>, mode: ScanMode) -> Option<f64> {
         self.sum_sq(record, mode.abandon_at(self.limit))
             .filter(|sum| *sum <= self.limit)
             .map(f64::sqrt)
@@ -469,7 +469,7 @@ impl SimilarityIndex {
     /// [`Error::UnknownSeries`] for a bad id, [`Error::LengthMismatch`]
     /// for a value shorter than the stored one, [`Error::InvalidCutoff`]
     /// if a length does not fit the schema.
-    pub fn extend_series_batch(&mut self, edits: &[(usize, TimeSeries)]) -> Result<()> {
+    pub(crate) fn extend_series_batch(&mut self, edits: &[(usize, TimeSeries)]) -> Result<()> {
         self.check_appendable()?;
         let mut planner = FftPlanner::new();
         let mut ready = Vec::with_capacity(edits.len());
@@ -491,7 +491,7 @@ impl SimilarityIndex {
     }
 
     /// Appends new series, returning their ids in order, and empties the
-    /// derived cell as [`SimilarityIndex::extend_series_batch`] does. A
+    /// derived cell as `SimilarityIndex::extend_series_batch` does. A
     /// new series may differ in length from the others (the relation is
     /// then ragged and whole-series queries are gated until appends even
     /// the lengths out). Feature extraction for every series happens
@@ -538,7 +538,7 @@ impl SimilarityIndex {
 
     /// Length of the longest stored series — the length of *every* series
     /// whenever the relation is uniform (the steady state; see
-    /// [`SimilarityIndex::check_uniform`]).
+    /// `SimilarityIndex::check_uniform`).
     pub fn series_len(&self) -> usize {
         self.series_len
     }
@@ -548,7 +548,7 @@ impl SimilarityIndex {
     /// forms call this first: Euclidean distance across unequal lengths is
     /// undefined, so a mid-ingest ragged relation is rejected with a typed
     /// error instead of answered wrongly.
-    pub fn check_uniform(&self) -> Result<()> {
+    pub(crate) fn check_uniform(&self) -> Result<()> {
         match self.len_bounds() {
             (min, max) if min != max => Err(Error::Ragged { min, max }),
             _ => Ok(()),
@@ -638,14 +638,14 @@ impl SimilarityIndex {
     }
 
     /// True when the relation's nodes and records live in files.
-    pub fn is_paged(&self) -> bool {
+    pub(crate) fn is_paged(&self) -> bool {
         self.paged.is_some()
     }
 
     /// Switches the relation to paged storage. Writes a page file at
     /// `path` holding the R\*-tree's nodes one per fixed-size page, and a
     /// record file beside it (`path` with the extension `records`) holding
-    /// the samples, in id order, whole records per frame ([`crate::records`]
+    /// the samples, in id order, whole records per frame (`crate::records`
     /// has the layout). Both files join `cache`, whose one byte budget
     /// bounds every node page and record frame of every relation attached
     /// to it (each frame charged its slot size); the in-memory nodes and
@@ -1105,7 +1105,6 @@ pub(crate) fn derived_bytes(index: &SimilarityIndex) -> Vec<u8> {
 mod tests {
     use super::*;
     use tsq_dft::complex::{ONE, ZERO};
-    use tsq_dft::energy::euclidean_complex;
     use tsq_dft::Complex64;
     use tsq_series::generate::RandomWalkGenerator;
     use tsq_series::normal::normal_form;
@@ -1122,6 +1121,17 @@ mod tests {
     /// take the spectrum route, `T` as `a .* X + b`.
     fn spectrum(s: &TimeSeries) -> Vec<Complex64> {
         FftPlanner::new().dft_real(normal_form(s).values())
+    }
+
+    /// Equation 8 over two spectra: the root of the summed squared
+    /// differences.
+    fn euclidean_complex(x: &[Complex64], y: &[Complex64]) -> f64 {
+        assert_eq!(x.len(), y.len(), "distance requires equal lengths");
+        x.iter()
+            .zip(y)
+            .map(|(&a, &b)| (a - b).norm_sqr())
+            .sum::<f64>()
+            .sqrt()
     }
 
     /// What the relation hands down after appending `tail` to `held`.
@@ -1170,7 +1180,7 @@ mod tests {
         assert!(matches!(err, Error::Ragged { min: 16, max: 32 }));
         // Appending the short series up to length 32 heals the relation.
         let mut idx = idx;
-        let tail: Vec<f64> = RandomWalkGenerator::new(78).series(16).into_values();
+        let tail: Vec<f64> = RandomWalkGenerator::new(78).series(16).values().to_vec();
         idx.extend_series_batch(&[(3, extended(&rel[3], &tail))])
             .unwrap();
         idx.check_uniform().unwrap();
@@ -1490,7 +1500,12 @@ mod tests {
             let rel = small_relation(40, 32, 21);
             let mut idx = SimilarityIndex::build(cfg, rel.clone()).unwrap();
             let tails: Vec<Vec<f64>> = (0..40)
-                .map(|i| RandomWalkGenerator::new(500 + i).series(8).into_values())
+                .map(|i| {
+                    RandomWalkGenerator::new(500 + i)
+                        .series(8)
+                        .values()
+                        .to_vec()
+                })
                 .collect();
             // Append in two uneven waves so the relation goes ragged and
             // heals, plus one brand-new series via the canonical push.
@@ -1586,7 +1601,12 @@ mod tests {
         assert!(idx.is_packed(), "a build returns with its tree");
         // One series grows: ragged, nothing packed, nothing to read.
         let tails: Vec<Vec<f64>> = (0..30)
-            .map(|i| RandomWalkGenerator::new(700 + i).series(2).into_values())
+            .map(|i| {
+                RandomWalkGenerator::new(700 + i)
+                    .series(2)
+                    .values()
+                    .to_vec()
+            })
             .collect();
         let grown = |id: usize| extended(&rel[id], &tails[id]);
         idx.extend_series_batch(&[(0, grown(0))]).unwrap();
@@ -1786,7 +1806,7 @@ mod tests {
             let q = walks.series(n);
             let norm = Normalize::of(&stored.features, schema);
             let qf = Features::extract(&q, schema, &mut FftPlanner::new()).unwrap();
-            let target = normal_form(&q).into_values();
+            let target = normal_form(&q).values().to_vec();
             for t in language(n) {
                 let what = format!("n = {n}, {}", t.name());
                 let full = per_term(&t, &stored, norm, &target, f64::INFINITY).unwrap();

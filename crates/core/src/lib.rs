@@ -8,25 +8,26 @@
 //!
 //! ## The pipeline
 //!
-//! 1. Every series is reduced to a feature point ([`features`]): its mean
+//! 1. Every series is reduced to a feature point ([`Features`]): its mean
 //!    and standard deviation plus the first `k` DFT coefficients of its
 //!    normal form (the paper's Section-5 layout; a raw AFS93 schema is also
 //!    available).
-//! 2. Feature points live in a coordinate space ([`space`]): rectangular
+//! 2. Feature points live in a coordinate space (`space`): rectangular
 //!    (`S_rect`, re/im) or polar (`S_pol`, magnitude/angle). Safety of a
 //!    transformation — rectangles map to rectangles, insides stay inside
 //!    (Definition 1) — depends on the space: Theorems 1–3 are enforced by
-//!    [`space::SpaceKind::check_safety`].
-//! 3. Queries carry a [`transform::LinearTransform`] `T = (a, b)`:
+//!    [`SpaceKind::check_safety`].
+//! 3. Queries carry a [`LinearTransform`] `T = (a, b)`:
 //!    moving averages, reversal, shifts/scales (negative allowed), time
 //!    warps. The R\*-tree is never rebuilt: every node MBR is mapped through
-//!    `T` during the search (Algorithms 1–2, [`index::SimilarityIndex`]),
+//!    `T` during the search (Algorithms 1–2, [`SimilarityIndex`]),
 //!    and candidates are verified against full records. Lemma 1 guarantees
 //!    the index level never dismisses a true answer.
-//! 4. Range, nearest-neighbor and all-pairs queries ([`queries`]) all
-//!    support transformations; sequential-scan baselines ([`scan`]) and the
-//!    cost-bounded Equation-10 dissimilarity ([`cost`]) complete the
-//!    paper's toolbox.
+//! 4. Range, nearest-neighbor and all-pairs queries all support
+//!    transformations, as do the sequential-scan baselines
+//!    ([`SimilarityIndex::scan_range`]). The cost-bounded Equation-10
+//!    dissimilarity, which no statement computes, is a reference in
+//!    `tsq-testkit`.
 //! 5. Every statement is *bound* once before anything runs ([`plan`]):
 //!    Algorithm 2's preprocessing — validation in one fixed order (ragged
 //!    relation, threshold, transformation, query length), the query's
@@ -36,7 +37,7 @@
 //!
 //! ## Subsequence queries
 //!
-//! The [`subseq`] module extends the same feature-space machinery to
+//! The [`SubseqIndex`] extends the same feature-space machinery to
 //! *subsequence* matching (FRM-style ST-index): a window of length `w`
 //! slides over every stored series, each window's first `k` DFT
 //! coefficients — maintained incrementally in `O(k)` per step by
@@ -63,7 +64,7 @@
 //! ST-index build ([`SubseqIndex::build_parallel`]) extracts sliding-DFT
 //! trails per run of series and sorts the STR levels in parallel. A
 //! whole-match tree is packed on the calling thread (`pack`, in
-//! [`index`]). Every parallel path returns results byte-identical to its
+//! `index`). Every parallel path returns results byte-identical to its
 //! sequential oracle regardless of thread count.
 //!
 //! ## Persistence
@@ -80,31 +81,30 @@
 //! its first reader builds it over the restored series. No tree is serialized whole; the
 //! one file a tree's nodes are written to is `tsq-rtree`'s page file, and
 //! the one file a paged index's samples are written to is its record file
-//! ([`records`]).
+//! (`records`).
 //! Malformed snapshot bytes are rejected with typed [`Error::Store`]
 //! values at every boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cost;
-pub mod error;
+mod error;
 pub mod executor;
-pub mod features;
+mod features;
 pub mod geometry;
-pub mod index;
+mod index;
 pub mod plan;
-pub mod queries;
-pub mod records;
-pub mod relation;
-pub mod scan;
+mod queries;
+mod records;
+mod relation;
+mod scan;
 pub mod shard;
-pub mod space;
+mod space;
 pub mod store;
-pub mod subseq;
-pub mod transform;
+mod subseq;
+mod transform;
 
-pub use error::{Error, Result};
+pub use error::Error;
 pub use executor::CancelToken;
 pub use features::{FeatureSchema, Features};
 pub use index::{IndexConfig, Match, QueryStats, Record, Refine, SimilarityIndex, StoredSeries};

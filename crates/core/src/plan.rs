@@ -45,9 +45,9 @@
 //! | `SeqScan` | range | — | [`SimilarityIndex::scan_range_features`] | `scan_estimate` | `ExecStats::scan` |
 //! | `IndexKnn` | k-NN | `index` | [`SimilarityIndex::knn_query`]'s best-first search | `plan_knn` | `ExecStats::index` |
 //! | `SeqScan` | k-NN | `scan` | [`SimilarityIndex::scan_knn`]'s sort | `scan_estimate` | `ExecStats::scan` |
-//! | `JoinIndex` | join | `index` | [`crate::queries`]' `probe_pairs` | `plan_join` | `ExecStats::index` |
-//! | `JoinScan` | join | `scan` | [`crate::queries`]' `scan_pairs`, early abandoning | `scan_estimate` (per pair) | `ExecStats::scan` |
-//! | `JoinScan(full)` | join | `scanfull` | [`crate::queries`]' `scan_pairs`, full distances | `scan_estimate` (per pair) | `ExecStats::scan` |
+//! | `JoinIndex` | join | `index` | `crate::queries`' `probe_pairs` | `plan_join` | `ExecStats::index` |
+//! | `JoinScan` | join | `scan` | `crate::queries`' `scan_pairs`, early abandoning | `scan_estimate` (per pair) | `ExecStats::scan` |
+//! | `JoinScan(full)` | join | `scanfull` | `crate::queries`' `scan_pairs`, full distances | `scan_estimate` (per pair) | `ExecStats::scan` |
 //! | `SubseqIndexProbe` | subsequence | — | [`SubseqIndex::subseq_range`] / [`SubseqIndex::subseq_knn`] | `plan_subseq` | `ExecStats::index` |
 //!
 //! The join rows run once over a relation's shards ([`crate::shard`]); a
@@ -83,7 +83,7 @@
 //!
 //! The unit of cost is one simulated page read. CPU work (exact distance
 //! refines, per-node MBR transformation — the Figure 8/9 overhead) is
-//! converted at [`POINT_OPS_PER_PAGE`] floating-point operations per page
+//! converted at `POINT_OPS_PER_PAGE` floating-point operations per page
 //! read. A transformation's user-assigned Equation-10 cost
 //! ([`LinearTransform::with_cost`], the `cost.rs` machinery) is folded in
 //! as a planning surcharge per transformed traversal, so a user can
@@ -112,7 +112,7 @@ use crate::transform::LinearTransform;
 
 /// Floating-point operations assumed equivalent to one simulated page
 /// read when converting CPU work into cost units.
-pub const POINT_OPS_PER_PAGE: f64 = 4096.0;
+pub(crate) const POINT_OPS_PER_PAGE: f64 = 4096.0;
 
 /// Fraction of a full distance computation an early-abandoning check is
 /// assumed to cost on average (the paper reports roughly an order of
@@ -208,7 +208,7 @@ impl LogicalPlan {
     ///
     /// # Errors
     /// [`Error::Unsupported`] for a join-only force on a non-join form.
-    pub fn check_force(&self, forced: Option<ForceOp>) -> Result<()> {
+    pub(crate) fn check_force(&self, forced: Option<ForceOp>) -> Result<()> {
         match forced {
             Some(force @ ForceOp::ScanFull) if !matches!(self, LogicalPlan::Join { .. }) => {
                 Err(Error::Unsupported(format!(
@@ -412,7 +412,7 @@ pub struct CostEstimate {
     /// Predicted simulated disk accesses (nodes + record fetches; a scan
     /// charges one access per stored record).
     pub disk: f64,
-    /// Predicted CPU cost in page-read units (see [`POINT_OPS_PER_PAGE`]).
+    /// Predicted CPU cost in page-read units (see `POINT_OPS_PER_PAGE`).
     pub cpu: f64,
 }
 
@@ -428,7 +428,7 @@ impl std::ops::AddAssign for CostEstimate {
 
 impl CostEstimate {
     /// Total cost in page-read units — what the planner minimizes.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.disk + self.cpu
     }
 
@@ -516,11 +516,6 @@ pub struct QueryOptions {
 }
 
 impl QueryOptions {
-    /// True when every field is the engine default.
-    pub fn is_default(&self) -> bool {
-        *self == QueryOptions::default()
-    }
-
     /// Field-wise overlay: any field set in `over` wins over `self`.
     pub fn merged(&self, over: &QueryOptions) -> QueryOptions {
         QueryOptions {
@@ -550,7 +545,7 @@ impl SpaceProfile {
     /// Profiles a built tree; `population` is the logical point count the
     /// caller indexes (tree items for whole-series indexes, total windows
     /// for trail-compressed ST-indexes).
-    pub fn of_tree<T>(tree: &RStarTree<T>, population: u64) -> Self {
+    pub(crate) fn of_tree<T>(tree: &RStarTree<T>, population: u64) -> Self {
         let (bounds_lo, bounds_hi) = match tree.bounds() {
             Some(b) => (b.lo().to_vec(), b.hi().to_vec()),
             None => (Vec::new(), Vec::new()),
@@ -564,7 +559,7 @@ impl SpaceProfile {
     }
 
     /// Total tree nodes.
-    pub fn nodes_total(&self) -> u64 {
+    pub(crate) fn nodes_total(&self) -> u64 {
         self.levels.iter().map(|l| l.nodes).sum()
     }
 
@@ -598,7 +593,7 @@ impl SpaceProfile {
     /// rectangle given by per-dimension sides (Kamel & Faloutsos: a node
     /// is read when the rectangle grown by the node's average extent
     /// covers it). The root is always visited.
-    pub fn visit_estimate(&self, sides: &[f64]) -> (f64, f64) {
+    pub(crate) fn visit_estimate(&self, sides: &[f64]) -> (f64, f64) {
         let Some((_root, below)) = self.levels.split_last() else {
             return (0.0, 0.0);
         };
@@ -638,7 +633,7 @@ impl RelationStats {
     }
 
     /// Height of the profiled tree.
-    pub fn height(&self) -> u32 {
+    pub(crate) fn height(&self) -> u32 {
         self.profile.levels.len() as u32
     }
 }
@@ -1112,7 +1107,7 @@ impl ExecStats {
     }
 
     /// The `measured:` counters of `EXPLAIN ANALYZE`, after its label.
-    pub fn render_measured(&self) -> String {
+    pub(crate) fn render_measured(&self) -> String {
         format!(
             "pool_hits={}, pool_misses={}, record_hits={}, record_misses={} (sequential={}, random={})",
             self.pool_hits,
@@ -1127,7 +1122,7 @@ impl ExecStats {
     /// Adds every counter of `other` into `self` — the scatter-gather
     /// merge rule: the merged stats of a sharded execution are the exact
     /// sum of the per-shard counters, buffer-pool traffic included.
-    pub fn absorb(&mut self, other: &ExecStats) {
+    pub(crate) fn absorb(&mut self, other: &ExecStats) {
         self.candidates += other.candidates;
         self.refined += other.refined;
         self.false_hits += other.false_hits;

@@ -76,7 +76,7 @@ fn record_bytes(len: usize) -> usize {
 
 /// The frames a record file's handle hands out: every sample of one
 /// frame's records, back to back.
-pub type RecordFrame = Box<[f64]>;
+pub(crate) type RecordFrame = Box<[f64]>;
 
 /// Record-file traffic: pins served from a resident frame, and frames
 /// read from the file — of those, the ones read right after the frame the
@@ -93,7 +93,7 @@ pub struct RecordIo {
 
 impl RecordIo {
     /// Adds every counter of `other` into `self`.
-    pub fn absorb(&mut self, other: &RecordIo) {
+    pub(crate) fn absorb(&mut self, other: &RecordIo) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.sequential += other.sequential;

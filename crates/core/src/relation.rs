@@ -70,7 +70,7 @@ impl Labels {
     }
 
     /// Relation name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -159,7 +159,8 @@ impl SeriesRelation {
     /// differ in length from the others (streaming ingest starts new
     /// series mid-stream); the relation is then ragged until appends even
     /// the lengths out.
-    pub fn push(&mut self, label: impl Into<String>, series: TimeSeries) -> Result<usize> {
+    #[cfg(test)]
+    pub(crate) fn push(&mut self, label: impl Into<String>, series: TimeSeries) -> Result<usize> {
         let id = self.labels.push(&label.into())?;
         self.series.push(series);
         Ok(id)
@@ -173,7 +174,8 @@ impl SeriesRelation {
     /// [`Error::UnknownSeries`] for an unknown label (mapped by callers
     /// that know the label), [`Error::NonFinite`] when the appended values
     /// contain NaN/±∞.
-    pub fn extend_series(&mut self, label: &str, appended: &[f64]) -> Result<usize> {
+    #[cfg(test)]
+    pub(crate) fn extend_series(&mut self, label: &str, appended: &[f64]) -> Result<usize> {
         let Some(id) = self.labels.id(label) else {
             return Err(Error::UnknownSeries(usize::MAX));
         };
@@ -217,7 +219,8 @@ impl SeriesRelation {
     }
 
     /// The relation's names.
-    pub fn labels(&self) -> &Labels {
+    #[cfg(test)]
+    pub(crate) fn labels(&self) -> &Labels {
         &self.labels
     }
 

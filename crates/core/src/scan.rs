@@ -82,7 +82,7 @@ impl SimilarityIndex {
     /// stored series the mean/std filter `window` admits — the scan-side
     /// equivalent of the search rectangle's bounds on the two auxiliary
     /// dimensions — is checked with the statement's refine, in either
-    /// mode ([`Refine::within`]). Records are read in id order: a paged
+    /// mode (`Refine::within`). Records are read in id order: a paged
     /// index's record file front to back.
     ///
     /// # Errors

@@ -12,7 +12,7 @@
 //! once, for the relation: the [`crate::plan::Planner`] costs each
 //! operator over all of the relation's active shards, and that one
 //! operator runs. A join runs once over the relation's records, in
-//! global-id order ([`crate::queries`]), as does a subsequence statement
+//! global-id order (`crate::queries`), as does a subsequence statement
 //! (below). Only a range or k-NN statement is scattered: its plan runs on
 //! every active shard concurrently, on the worker pool
 //! ([`crate::executor::parallel_map`]), and a typed merge reassembles the
@@ -90,7 +90,7 @@ use crate::subseq::{SubseqConfig, TrailIndex};
 
 /// 64-bit FNV-1a over the label bytes — tiny, dependency-free, and
 /// stable across platforms and sessions (snapshots rely on it).
-pub fn hash_label(label: &str) -> u64 {
+pub(crate) fn hash_label(label: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in label.as_bytes() {
         h ^= u64::from(*b);
@@ -100,7 +100,7 @@ pub fn hash_label(label: &str) -> u64 {
 }
 
 /// A deterministic label → shard assignment rule: FNV-1a of the label
-/// ([`hash_label`]) modulo the shard count.
+/// (`hash_label`) modulo the shard count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSpec {
     count: usize,
@@ -121,7 +121,7 @@ impl ShardSpec {
     }
 
     /// Number of shards.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 
@@ -163,7 +163,7 @@ impl ShardMap {
     }
 
     /// The assignment rule.
-    pub fn spec(&self) -> &ShardSpec {
+    pub(crate) fn spec(&self) -> &ShardSpec {
         &self.spec
     }
 
@@ -178,18 +178,18 @@ impl ShardMap {
     }
 
     /// Global id of `(shard, local)`.
-    pub fn to_global(&self, shard: usize, local: usize) -> usize {
+    pub(crate) fn to_global(&self, shard: usize, local: usize) -> usize {
         self.members[shard][local]
     }
 
     /// Total series across all shards.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.owner.len()
     }
 
     /// Registers a brand-new series (the next global id) and returns its
     /// `(shard, local)` slot.
-    pub fn push_label(&mut self, label: &str) -> (usize, usize) {
+    pub(crate) fn push_label(&mut self, label: &str) -> (usize, usize) {
         let shard = self.spec.assign(label);
         let local = self.members[shard].len();
         self.members[shard].push(self.owner.len());
@@ -535,13 +535,8 @@ impl ShardedIndex {
     }
 
     /// Total stored series across shards.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.total()
-    }
-
-    /// True when no series are stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.total() == 0
     }
 
     /// Shared index configuration (identical across parts).
@@ -551,7 +546,7 @@ impl ShardedIndex {
 
     /// Series length of the relation — its longest series', as for one
     /// [`SimilarityIndex`] (shards of a uniform relation agree; use
-    /// [`ShardedIndex::check_uniform`] to gate whole-series forms).
+    /// `ShardedIndex::check_uniform` to gate whole-series forms).
     pub fn series_len(&self) -> usize {
         let lens = self.parts.iter().map(SimilarityIndex::series_len);
         lens.max().unwrap_or(0)
@@ -610,7 +605,7 @@ impl ShardedIndex {
     /// shard may be internally uniform at a different length), so
     /// whole-series forms check the global `(min, max)` first and report
     /// the same [`Error::Ragged`] the unsharded engine would.
-    pub fn check_uniform(&self) -> Result<()> {
+    pub(crate) fn check_uniform(&self) -> Result<()> {
         let bounds = self
             .parts
             .iter()
@@ -635,7 +630,7 @@ impl ShardedIndex {
     /// the index's atomic batch append.
     ///
     /// # Errors
-    /// The same failures [`SimilarityIndex::extend_series_batch`] reports.
+    /// The same failures `SimilarityIndex::extend_series_batch` reports.
     pub fn extend_series_batch(&mut self, edits: Vec<(usize, TimeSeries)>) -> Result<()> {
         let mut per_shard: Vec<Vec<(usize, TimeSeries)>> = vec![Vec::new(); self.parts.len()];
         for (global, series) in &edits {
@@ -692,7 +687,7 @@ impl ShardedIndex {
     /// Whether a statement runs scatter-gather: a range or k-NN statement
     /// on a relation of several shards. A join or a subsequence statement
     /// runs once, and a one-shard relation has nothing to scatter.
-    pub fn scatters(&self, logical: &LogicalPlan) -> bool {
+    pub(crate) fn scatters(&self, logical: &LogicalPlan) -> bool {
         let whole = matches!(logical, LogicalPlan::Range { .. } | LogicalPlan::Knn { .. });
         whole && self.parts.len() > 1
     }
@@ -834,7 +829,7 @@ impl ShardedIndex {
 
 /// The reported plan name of a statement's one plan: `Sharded(n):<op>`
 /// when it runs scatter-gather over `n` shards
-/// ([`ShardedIndex::scatters`]), else the bare operator name.
+/// (`ShardedIndex::scatters`), else the bare operator name.
 pub fn sharded_plan_name(
     sharded: &ShardedIndex,
     logical: &LogicalPlan,

@@ -73,12 +73,12 @@ use crate::transform::LinearTransform;
 
 /// Stand-in for an unbounded coordinate in search rectangles (the mean/std
 /// filter dimensions are unconstrained unless the query says otherwise).
-pub const UNBOUNDED: f64 = 1e300;
+pub(crate) const UNBOUNDED: f64 = 1e300;
 
 /// Relative widening of a polar block's angle half-width `asin(eps/m)`: it
 /// covers the rounding of `eps/m` (half an ulp), of `asin` (within an ulp
 /// in the platform's libm) and their product's, with room to spare.
-pub const ANGLE_PAD: f64 = 8.0 * f64::EPSILON;
+pub(crate) const ANGLE_PAD: f64 = 8.0 * f64::EPSILON;
 
 /// The neighbouring `f64` toward `+∞` of a finite `v`, and a non-finite
 /// `v` itself (`f64::next_up` is past the MSRV; a finite value's
@@ -118,7 +118,7 @@ pub enum SpaceKind {
 impl SpaceKind {
     /// Coordinates of one complex coefficient in this space.
     #[inline]
-    pub fn coeff_coords(&self, c: Complex64) -> [f64; 2] {
+    pub(crate) fn coeff_coords(&self, c: Complex64) -> [f64; 2] {
         match self {
             SpaceKind::Rectangular => [c.re, c.im],
             SpaceKind::Polar => [c.abs(), c.angle()],
@@ -230,7 +230,7 @@ impl SpaceKind {
     /// conservative, never lossy).
     ///
     /// Every bound is rounded outward (the module docs' `e_polar`): each
-    /// `± eps` one ulp, the angle half-width by [`ANGLE_PAD`] and each
+    /// `± eps` one ulp, the angle half-width by `ANGLE_PAD` and each
     /// angle bound one more ulp.
     pub fn ball_block(&self, c: Complex64, eps: f64) -> ([f64; 2], [f64; 2]) {
         let below = |v: f64| ulp_down(v - eps);
@@ -484,7 +484,7 @@ pub struct QueryWindow {
 impl QueryWindow {
     /// Whether a stored series' mean and standard deviation lie inside
     /// the window.
-    pub fn admits(&self, features: &Features) -> bool {
+    pub(crate) fn admits(&self, features: &Features) -> bool {
         let inside = |bounds: Option<(f64, f64)>, v: f64| match bounds {
             Some((lo, hi)) => !(v < lo || v > hi),
             None => true,
@@ -545,7 +545,7 @@ mod tests {
         assert_eq!(ulp_down(f64::NEG_INFINITY), f64::NEG_INFINITY);
         assert!(ulp_up(f64::NAN).is_nan());
         // A polar block's bounds sit strictly outside the rounded ones.
-        let c = Complex64::from_polar(2.0, 0.5);
+        let c = Complex64::cis(0.5).scale(2.0);
         let (lo, hi) = SpaceKind::Polar.ball_block(c, 0.6);
         let da = (0.6f64 / c.abs()).asin();
         assert!(lo[0] < c.abs() - 0.6 && hi[0] > c.abs() + 0.6);
@@ -564,7 +564,7 @@ mod tests {
     #[test]
     fn polar_ball_block_figure7() {
         // m = 2, eps = 1: magnitude [1, 3], angle alpha ± asin(1/2).
-        let c = Complex64::from_polar(2.0, 0.3);
+        let c = Complex64::cis(0.3).scale(2.0);
         let (lo, hi) = SpaceKind::Polar.ball_block(c, 1.0);
         assert!((lo[0] - 1.0).abs() < 1e-12);
         assert!((hi[0] - 3.0).abs() < 1e-12);
@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn polar_ball_block_large_eps() {
         // eps >= m: full annulus of radius m + eps around the origin.
-        let c = Complex64::from_polar(0.5, 1.0);
+        let c = Complex64::cis(1.0).scale(0.5);
         let (lo, hi) = SpaceKind::Polar.ball_block(c, 1.0);
         assert_eq!(lo[0], 0.0);
         assert!((hi[0] - 1.5).abs() < 1e-12);
@@ -587,12 +587,12 @@ mod tests {
     #[test]
     fn polar_ball_block_contains_disk_boundary() {
         // Every point within eps of c must fall inside the block.
-        let c = Complex64::from_polar(3.0, 2.0);
+        let c = Complex64::cis(2.0).scale(3.0);
         let eps = 0.8;
         let (lo, hi) = SpaceKind::Polar.ball_block(c, eps);
         for i in 0..64 {
             let th = i as f64 / 64.0 * 2.0 * PI;
-            let p = c + Complex64::from_polar(eps * 0.999, th);
+            let p = c + Complex64::cis(th).scale(eps * 0.999);
             let m = p.abs();
             let a = p.angle();
             assert!(m >= lo[0] - 1e-9 && m <= hi[0] + 1e-9, "magnitude {m}");
@@ -603,7 +603,7 @@ mod tests {
     #[test]
     fn polar_ball_block_wraparound_widens() {
         // Query angle near pi: the asin interval crosses the cut.
-        let c = Complex64::from_polar(2.0, PI - 0.01);
+        let c = Complex64::cis(PI - 0.01).scale(2.0);
         let (lo, hi) = SpaceKind::Polar.ball_block(c, 0.5);
         assert_eq!(lo[1], -PI);
         assert_eq!(hi[1], PI);

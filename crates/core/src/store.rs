@@ -27,7 +27,7 @@ pub fn write_series(enc: &mut Encoder, series: &TimeSeries) {
 
 /// Writes a series given as its samples: the bytes [`write_series`]
 /// writes for a series of these values.
-pub fn write_samples(enc: &mut Encoder, values: &[f64]) {
+pub(crate) fn write_samples(enc: &mut Encoder, values: &[f64]) {
     enc.usize(values.len());
     enc.f64_slice(values);
 }
@@ -36,7 +36,7 @@ pub fn write_samples(enc: &mut Encoder, values: &[f64]) {
 ///
 /// # Errors
 /// [`StoreError::Truncated`] / [`StoreError::Corrupt`].
-pub fn read_series(dec: &mut Decoder<'_>) -> StoreResult<TimeSeries> {
+pub(crate) fn read_series(dec: &mut Decoder<'_>) -> StoreResult<TimeSeries> {
     let len = dec.seq(8, "series length")?;
     let values = dec.f64_vec(len, "series values")?;
     TimeSeries::try_new(values).map_err(|e| {
@@ -45,7 +45,7 @@ pub fn read_series(dec: &mut Decoder<'_>) -> StoreResult<TimeSeries> {
 }
 
 /// Writes a feature schema as a tag byte plus its cut-off.
-pub fn write_schema(enc: &mut Encoder, schema: FeatureSchema) {
+pub(crate) fn write_schema(enc: &mut Encoder, schema: FeatureSchema) {
     match schema {
         FeatureSchema::NormalForm { k } => {
             enc.u8(0);
@@ -62,7 +62,7 @@ pub fn write_schema(enc: &mut Encoder, schema: FeatureSchema) {
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] on an unknown tag.
-pub fn read_schema(dec: &mut Decoder<'_>) -> StoreResult<FeatureSchema> {
+pub(crate) fn read_schema(dec: &mut Decoder<'_>) -> StoreResult<FeatureSchema> {
     let tag = dec.u8("feature schema tag")?;
     let k = dec.usize("feature schema k")?;
     match tag {
@@ -73,7 +73,7 @@ pub fn read_schema(dec: &mut Decoder<'_>) -> StoreResult<FeatureSchema> {
 }
 
 /// Writes a coordinate-space kind as a tag byte.
-pub fn write_space(enc: &mut Encoder, space: SpaceKind) {
+pub(crate) fn write_space(enc: &mut Encoder, space: SpaceKind) {
     enc.u8(match space {
         SpaceKind::Rectangular => 0,
         SpaceKind::Polar => 1,
@@ -84,7 +84,7 @@ pub fn write_space(enc: &mut Encoder, space: SpaceKind) {
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] on an unknown tag.
-pub fn read_space(dec: &mut Decoder<'_>) -> StoreResult<SpaceKind> {
+pub(crate) fn read_space(dec: &mut Decoder<'_>) -> StoreResult<SpaceKind> {
     match dec.u8("coordinate space tag")? {
         0 => Ok(SpaceKind::Rectangular),
         1 => Ok(SpaceKind::Polar),

@@ -631,7 +631,7 @@ impl TrailIndex {
     /// over a static relation plans without touching the tree, and an
     /// append does not pay for a walk no statement may ever need. A paged
     /// tree is profiled by its build, before its nodes leave memory.
-    pub fn profile(&self) -> &SpaceProfile {
+    pub(crate) fn profile(&self) -> &SpaceProfile {
         self.profile
             .get_or_init(|| SpaceProfile::of_tree(&self.tree, self.windows_total as u64))
     }
@@ -944,7 +944,8 @@ impl SubseqIndex {
     /// # Panics
     /// When a trail word cannot name the series: the index holds 2^32
     /// series already, or the series has more than 2^32 windows.
-    pub fn insert(&mut self, series: TimeSeries) -> usize {
+    #[cfg(test)]
+    pub(crate) fn insert(&mut self, series: TimeSeries) -> usize {
         let id = self.trails.insert(series.values());
         self.store.push(series);
         id.expect("a standalone index holds its trail tree, and its words fit")
@@ -971,7 +972,8 @@ impl SubseqIndex {
     }
 
     /// Stored series by id.
-    pub fn series(&self, id: usize) -> Option<&TimeSeries> {
+    #[cfg(test)]
+    pub(crate) fn series(&self, id: usize) -> Option<&TimeSeries> {
         self.store.get(id)
     }
 
@@ -1503,7 +1505,9 @@ mod tests {
         // trail hits agree exactly (node layout, hence nodes_visited, may
         // differ).
         let mut g = RandomWalkGenerator::new(40);
-        let mut data: Vec<Vec<f64>> = (0..6).map(|i| g.series(20 + 9 * i).into_values()).collect();
+        let mut data: Vec<Vec<f64>> = (0..6)
+            .map(|i| g.series(20 + 9 * i).values().to_vec())
+            .collect();
         let mut idx = SubseqIndex::build(
             SubseqConfig::new(16),
             data.iter()
@@ -1516,7 +1520,7 @@ mod tests {
         for (round, step) in [3usize, 8, 1, 13, 24].into_iter().enumerate() {
             for (id, series) in data.iter_mut().enumerate() {
                 if (id + round) % 2 == 0 {
-                    series.extend(g.series(step).into_values());
+                    series.extend(g.series(step).values().to_vec());
                     idx.extend_series(id, TimeSeries::new(series.clone()))
                         .unwrap();
                 }
@@ -1694,7 +1698,7 @@ mod tests {
         // 512, with a partial last chunk at every trail size below. A
         // constant stretch ties its windows' coordinates, and a zero stretch
         // across the re-anchor at 256 zeroes them.
-        let mut walk = RandomWalkGenerator::new(28).series(616).into_values();
+        let mut walk = RandomWalkGenerator::new(28).series(616).values().to_vec();
         walk[240..300].fill(0.0);
         walk[400..440].fill(-3.5);
         let series = [

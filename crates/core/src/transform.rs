@@ -335,7 +335,7 @@ impl LinearTransform {
     /// is the *unnormalized* DFT of the kernel `m_l` — exactly the
     /// multiplier that makes `a .* X` the unitary spectrum of
     /// `conv(x, m_l)`. (The paper's Eq. 6 elides the `sqrt(n)`; see
-    /// `tsq_dft::convolution`.)
+    /// `tsq_testkit::convolution`.)
     pub fn moving_average(n: usize, window: usize) -> Self {
         let w = vec![1.0 / window as f64; window];
         Self::weighted_moving_average(n, &w)
@@ -529,24 +529,24 @@ impl LinearTransform {
     }
 
     /// Translations `b`.
-    pub fn b(&self) -> &[Complex64] {
+    pub(crate) fn b(&self) -> &[Complex64] {
         &self.b
     }
 
     /// Cached polar decomposition of the multipliers: `(|a_f|, angle(a_f))`
     /// per coefficient.
     #[inline]
-    pub fn a_polar(&self) -> &[(f64, f64)] {
+    pub(crate) fn a_polar(&self) -> &[(f64, f64)] {
         &self.a_polar
     }
 
     /// Affine map `(scale, offset)` on the mean dimension.
-    pub fn mean_map(&self) -> (f64, f64) {
+    pub(crate) fn mean_map(&self) -> (f64, f64) {
         self.mean_map
     }
 
     /// Affine map `(scale, offset)` on the std dimension.
-    pub fn std_map(&self) -> (f64, f64) {
+    pub(crate) fn std_map(&self) -> (f64, f64) {
         self.std_map
     }
 
@@ -569,7 +569,7 @@ impl LinearTransform {
     }
 
     /// True when this is (numerically) the identity.
-    pub fn is_identity(&self, tol: f64) -> bool {
+    pub(crate) fn is_identity(&self, tol: f64) -> bool {
         self.warp() == 1
             && self.a.iter().all(|c| (*c - ONE).abs() <= tol)
             && self.b.iter().all(|c| c.abs() <= tol)

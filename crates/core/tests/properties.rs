@@ -300,7 +300,8 @@ fn time_domain_action_equals_the_spectrum_route() {
                     ..IndexConfig::default()
                 };
                 let idx = SimilarityIndex::build(config, vec![x.clone()]).unwrap();
-                let definition = tsq_dft::energy::euclidean_complex(&t.apply_spectrum(&sx), &sy);
+                let definition =
+                    tsq_testkit::energy::euclidean_complex(&t.apply_spectrum(&sx), &sy);
                 // The query bound from its series, and from its features.
                 let bound = idx.knn_query(&y, 1, t).unwrap().0[0].distance;
                 let refine = idx

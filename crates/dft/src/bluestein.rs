@@ -20,7 +20,7 @@ use crate::fft::Radix2Tables;
 
 /// Precomputed state for a Bluestein transform of fixed size `n`.
 #[derive(Debug, Clone)]
-pub struct Bluestein {
+pub(crate) struct Bluestein {
     n: usize,
     /// Chirp `w^{k^2/2} = e^{-j pi k^2 / n}` for `k in 0..n` (forward).
     chirp: Box<[Complex64]>,
@@ -36,7 +36,7 @@ impl Bluestein {
     ///
     /// # Panics
     /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "Bluestein size must be positive");
         let m = (2 * n - 1).next_power_of_two();
         let inner = Radix2Tables::new(m);
@@ -67,20 +67,8 @@ impl Bluestein {
         }
     }
 
-    /// The transform size this plan serves.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false; present to satisfy the `len`/`is_empty` convention.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// In-place forward unitary DFT (matches [`crate::dft::dft`]).
-    pub fn forward(&self, data: &mut [Complex64]) {
+    pub(crate) fn forward(&self, data: &mut [Complex64]) {
         self.run(data, false);
     }
 
@@ -89,7 +77,7 @@ impl Bluestein {
     /// Implemented via the conjugation identity
     /// `idft(x) = conj(dft(conj(x)))` (valid because both directions share
     /// the `1/sqrt(n)` factor).
-    pub fn inverse(&self, data: &mut [Complex64]) {
+    pub(crate) fn inverse(&self, data: &mut [Complex64]) {
         self.run(data, true);
     }
 

@@ -23,9 +23,6 @@ pub struct Complex64 {
     pub im: f64,
 }
 
-/// The imaginary unit `j` (the paper uses `j = sqrt(-1)`).
-pub const J: Complex64 = Complex64 { re: 0.0, im: 1.0 };
-
 /// Complex zero.
 pub const ZERO: Complex64 = Complex64 { re: 0.0, im: 0.0 };
 
@@ -47,7 +44,7 @@ impl Complex64 {
 
     /// Creates a complex number from polar components: `abs * e^{j*angle}`.
     #[inline]
-    pub fn from_polar(abs: f64, angle: f64) -> Self {
+    pub(crate) fn from_polar(abs: f64, angle: f64) -> Self {
         let (s, c) = angle.sin_cos();
         Self::new(abs * c, abs * s)
     }
@@ -85,7 +82,7 @@ impl Complex64 {
     /// Multiplicative inverse. Returns infinities if `self` is zero, matching
     /// IEEE division semantics.
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         let d = self.norm_sqr();
         Self::new(self.re / d, -self.im / d)
     }
@@ -96,24 +93,12 @@ impl Complex64 {
         Self::new(self.re * k, self.im * k)
     }
 
-    /// True when both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
-    }
-
     /// True when the imaginary part is within `tol` of zero, i.e. the value
     /// is (numerically) a real number. Safety of transformations in the
     /// rectangular space requires real multipliers (Theorem 2).
     #[inline]
     pub fn is_real(self, tol: f64) -> bool {
         self.im.abs() <= tol
-    }
-
-    /// Euclidean distance to another complex number.
-    #[inline]
-    pub fn distance(self, other: Self) -> f64 {
-        (self - other).abs()
     }
 }
 
@@ -256,11 +241,6 @@ mod tests {
         assert_eq!(a - b, Complex64::new(-2.0, 6.0));
         assert_eq!(a * b, Complex64::new(11.0, 2.0));
         assert!(close(a / b * b, a));
-    }
-
-    #[test]
-    fn j_squares_to_minus_one() {
-        assert_eq!(J * J, Complex64::new(-1.0, 0.0));
     }
 
     #[test]

@@ -10,19 +10,10 @@
 //!
 //! With this convention the transform is unitary, so energy and Euclidean
 //! distance are preserved (Parseval, Equations 7–8). The fast implementations
-//! in [`crate::fft`] and [`crate::bluestein`] are verified against this
+//! in `crate::fft` and `crate::bluestein` are verified against this
 //! module in tests.
 
 use crate::complex::{Complex64, ZERO};
-
-/// Computes the unitary DFT of a real-valued sequence (Equation 1).
-///
-/// Returns all `n` coefficients. `O(n^2)`; prefer [`crate::planner::FftPlanner`]
-/// for large inputs.
-pub fn dft_real(x: &[f64]) -> Vec<Complex64> {
-    let cx: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
-    dft(&cx)
-}
 
 /// Computes the unitary DFT of a complex sequence (Equation 1).
 pub fn dft(x: &[Complex64]) -> Vec<Complex64> {
@@ -82,10 +73,17 @@ pub fn dft_prefix(x: &[f64], k: usize) -> Vec<Complex64> {
     out
 }
 
+/// Computes the unitary DFT of a real-valued sequence (Equation 1): all
+/// `n` coefficients, `O(n^2)`.
+#[cfg(test)]
+pub(crate) fn dft_real(x: &[f64]) -> Vec<Complex64> {
+    let cx: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
+    dft(&cx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::energy::{energy_complex, energy_real};
 
     fn assert_close(a: &[Complex64], b: &[Complex64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -132,8 +130,8 @@ mod tests {
     fn parseval_energy_preserved() {
         let x: Vec<f64> = (0..31).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let spec = dft_real(&x);
-        let e_time = energy_real(&x);
-        let e_freq = energy_complex(&spec);
+        let e_time: f64 = x.iter().map(|v| v * v).sum();
+        let e_freq: f64 = spec.iter().map(|c| c.norm_sqr()).sum();
         assert!((e_time - e_freq).abs() < 1e-9 * e_time.max(1.0));
     }
 

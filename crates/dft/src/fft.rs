@@ -11,7 +11,7 @@ use crate::complex::Complex64;
 
 /// Precomputed tables for a power-of-two FFT of a fixed size.
 #[derive(Debug, Clone)]
-pub struct Radix2Tables {
+pub(crate) struct Radix2Tables {
     n: usize,
     /// Twiddles `e^{-j 2 pi k / n}` for `k in 0..n/2` (forward direction).
     twiddles: Box<[Complex64]>,
@@ -25,7 +25,7 @@ impl Radix2Tables {
     ///
     /// # Panics
     /// Panics if `n` is not a power of two.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(
             n.is_power_of_two(),
             "radix-2 FFT requires power-of-two size, got {n}"
@@ -50,24 +50,18 @@ impl Radix2Tables {
 
     /// The transform size these tables serve.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// True when `n == 0` (never, in practice; present for API completeness).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// In-place forward FFT with unitary scaling.
-    pub fn forward(&self, data: &mut [Complex64]) {
+    pub(crate) fn forward(&self, data: &mut [Complex64]) {
         self.run(data, Direction::Forward);
         scale(data, 1.0 / (self.n as f64).sqrt());
     }
 
     /// In-place inverse FFT with unitary scaling.
-    pub fn inverse(&self, data: &mut [Complex64]) {
+    pub(crate) fn inverse(&self, data: &mut [Complex64]) {
         self.run(data, Direction::Inverse);
         scale(data, 1.0 / (self.n as f64).sqrt());
     }
@@ -75,13 +69,13 @@ impl Radix2Tables {
     /// In-place forward FFT **without** any scaling (raw butterflies).
     /// Useful as a building block (e.g. Bluestein) where scaling is applied
     /// once at the end.
-    pub fn forward_raw(&self, data: &mut [Complex64]) {
+    pub(crate) fn forward_raw(&self, data: &mut [Complex64]) {
         self.run(data, Direction::Forward);
     }
 
     /// In-place inverse FFT scaled by `1/n` (so that
     /// `inverse_raw(forward_raw(x)) == x`).
-    pub fn inverse_raw(&self, data: &mut [Complex64]) {
+    pub(crate) fn inverse_raw(&self, data: &mut [Complex64]) {
         self.run(data, Direction::Inverse);
         scale(data, 1.0 / self.n as f64);
     }

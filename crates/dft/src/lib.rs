@@ -4,40 +4,36 @@
 //! paper *Similarity-Based Queries for Time Series Data* (Rafiei &
 //! Mendelzon, SIGMOD 1997) relies on:
 //!
-//! - [`complex::Complex64`] — dependency-free complex arithmetic with both
+//! - [`Complex64`] — dependency-free complex arithmetic with both
 //!   rectangular and polar views (Section 3.1 of the paper indexes features
 //!   in either representation);
-//! - [`dft`] — the unitary DFT exactly as defined by Equations 1–2
-//!   (`1/sqrt(n)` in both directions), used as the correctness reference;
-//! - [`fft::Radix2Tables`] — iterative power-of-two Cooley–Tukey FFT;
-//! - [`bluestein::Bluestein`] — chirp-z FFT for arbitrary lengths (the
-//!   paper's examples use lengths 15 and 1067);
-//! - [`planner::FftPlanner`] — per-size plan cache choosing naive / radix-2 /
-//!   Bluestein;
-//! - [`convolution`] — circular convolution and the convolution–
-//!   multiplication property (Equations 4 and 6), including the `sqrt(n)`
-//!   factor the paper elides;
-//! - [`energy`] — energy, Parseval's relation and Euclidean distances in
-//!   either domain (Equations 3, 7, 8) — the reference definitions the
-//!   engine's one distance loop is tested against;
+//! - [`dft`] — the first `k` unitary coefficients of a series (Equation 1,
+//!   `1/sqrt(n)` in both directions), and the transform's defining sums,
+//!   which the planner runs for the smallest sizes;
+//! - [`FftPlanner`] — per-size plan cache choosing the defining sums, an
+//!   iterative power-of-two Cooley–Tukey FFT, or Bluestein's chirp-z FFT
+//!   for arbitrary lengths (the paper's examples use lengths 15 and 1067);
 //! - [`sliding`] — the incremental sliding-window DFT that updates the
 //!   first `k` coefficients in `O(k)` per window step, powering the
 //!   subsequence ST-index in `tsq-core`.
+//!
+//! The paper's formulas no statement runs — energy and Euclidean distance
+//! in either domain (Equations 3, 7, 8) and circular convolution
+//! (Equations 4 and 6) — are references in `tsq-testkit`, which checks
+//! this crate against them.
 //!
 //! Everything is pure safe Rust with no dependencies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bluestein;
+mod bluestein;
 pub mod complex;
-pub mod convolution;
 pub mod dft;
-pub mod energy;
-pub mod fft;
-pub mod planner;
+mod fft;
+mod planner;
 pub mod sliding;
 
 pub use complex::Complex64;
-pub use planner::{FftPlan, FftPlanner};
-pub use sliding::{SlidingCursor, SlidingDft};
+pub use planner::FftPlanner;
+pub use sliding::SlidingCursor;

@@ -20,7 +20,7 @@ const NAIVE_CUTOFF: usize = 8;
 
 /// A ready-to-run transform plan for one fixed length.
 #[derive(Debug, Clone)]
-pub enum FftPlan {
+pub(crate) enum FftPlan {
     /// Direct evaluation of the defining sums.
     Naive(usize),
     /// Power-of-two Cooley–Tukey.
@@ -30,22 +30,8 @@ pub enum FftPlan {
 }
 
 impl FftPlan {
-    /// The transform length this plan serves.
-    pub fn len(&self) -> usize {
-        match self {
-            FftPlan::Naive(n) => *n,
-            FftPlan::Radix2(t) => t.len(),
-            FftPlan::Bluestein(b) => b.len(),
-        }
-    }
-
-    /// True only for the degenerate zero-length plan.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// In-place unitary forward DFT.
-    pub fn forward(&self, data: &mut [Complex64]) {
+    pub(crate) fn forward(&self, data: &mut [Complex64]) {
         match self {
             FftPlan::Naive(n) => {
                 assert_eq!(data.len(), *n, "plan size mismatch");
@@ -58,7 +44,7 @@ impl FftPlan {
     }
 
     /// In-place unitary inverse DFT.
-    pub fn inverse(&self, data: &mut [Complex64]) {
+    pub(crate) fn inverse(&self, data: &mut [Complex64]) {
         match self {
             FftPlan::Naive(n) => {
                 assert_eq!(data.len(), *n, "plan size mismatch");
@@ -74,7 +60,7 @@ impl FftPlan {
 /// Caches transform plans per size.
 ///
 /// Not thread-safe by design (plans are cheap `Rc`s); create one planner per
-/// thread, or share immutable [`FftPlan`]s after planning.
+/// thread, or share immutable `FftPlan`s after planning.
 #[derive(Debug, Default)]
 pub struct FftPlanner {
     radix2: HashMap<usize, Rc<Radix2Tables>>,
@@ -88,7 +74,7 @@ impl FftPlanner {
     }
 
     /// Returns a plan for transforms of length `n`.
-    pub fn plan(&mut self, n: usize) -> FftPlan {
+    pub(crate) fn plan(&mut self, n: usize) -> FftPlan {
         if n <= NAIVE_CUTOFF {
             return FftPlan::Naive(n);
         }

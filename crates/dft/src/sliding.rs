@@ -26,28 +26,28 @@
 //!
 //! Each step multiplies by a unit-magnitude twiddle factor, so rounding
 //! error grows (slowly, and only additively) with the number of steps. The
-//! driver [`sliding_prefix`] therefore re-anchors the recurrence with an
-//! exact prefix transform every [`REFRESH_INTERVAL`] steps, keeping the
+//! cursor [`SlidingCursor`] therefore re-anchors the recurrence with an
+//! exact prefix transform every `REFRESH_INTERVAL` steps, keeping the
 //! worst-case deviation from an independently recomputed DFT far below the
 //! `1e-9` the property suite demands.
 
 use crate::complex::Complex64;
 use crate::dft::dft_prefix;
 
-/// Steps between exact re-anchorings in [`sliding_prefix`]. At ~1 ulp of
+/// Steps between exact re-anchorings in [`SlidingCursor`]. At ~1 ulp of
 /// accumulated phase error per step this bounds drift near `1e-12` for
 /// typical magnitudes, with a refresh cost amortized to `O(w*k / 256)` per
 /// step — negligible against the `O(k)` update itself.
-pub const REFRESH_INTERVAL: usize = 256;
+pub(crate) const REFRESH_INTERVAL: usize = 256;
 
 /// Incremental sliding-window DFT over the first `k` coefficients.
 ///
 /// Low-level interface: the caller feeds outgoing/incoming sample pairs via
 /// [`SlidingDft::slide`]. No re-anchoring is performed here (the struct
-/// never sees the full window); use [`sliding_prefix`] to walk a whole
+/// never sees the full window); use [`SlidingCursor`] to walk a whole
 /// series with periodic exact refreshes.
 #[derive(Debug, Clone)]
-pub struct SlidingDft {
+pub(crate) struct SlidingDft {
     window: usize,
     scale: f64,
     /// `e^{+i 2 pi f / w}` for `f = 0..k`.
@@ -60,7 +60,7 @@ impl SlidingDft {
     ///
     /// # Panics
     /// Panics when `initial.len() != window`, `window == 0`, or `k == 0`.
-    pub fn new(window: usize, k: usize, initial: &[f64]) -> Self {
+    pub(crate) fn new(window: usize, k: usize, initial: &[f64]) -> Self {
         assert!(window > 0, "sliding DFT window must be non-empty");
         assert!(k > 0, "sliding DFT needs at least one coefficient");
         assert_eq!(initial.len(), window, "initial window length mismatch");
@@ -76,24 +76,19 @@ impl SlidingDft {
     }
 
     /// Window length `w`.
-    pub fn window(&self) -> usize {
+    pub(crate) fn window(&self) -> usize {
         self.window
     }
 
-    /// Number of maintained coefficients.
-    pub fn k(&self) -> usize {
-        self.coeffs.len()
-    }
-
     /// Current coefficients `X_0..X_{k-1}` of the window.
-    pub fn coeffs(&self) -> &[Complex64] {
+    pub(crate) fn coeffs(&self) -> &[Complex64] {
         &self.coeffs
     }
 
     /// Advances the window one step: `outgoing` is the sample leaving the
     /// window (`x_t`), `incoming` the one entering (`x_{t+w}`). `O(k)`.
     #[inline]
-    pub fn slide(&mut self, outgoing: f64, incoming: f64) {
+    pub(crate) fn slide(&mut self, outgoing: f64, incoming: f64) {
         let delta = (incoming - outgoing) * self.scale;
         for (c, &tw) in self.coeffs.iter_mut().zip(&self.twiddles) {
             *c = (*c + Complex64::from_real(delta)) * tw;
@@ -105,15 +100,15 @@ impl SlidingDft {
     ///
     /// # Panics
     /// Panics when `window.len() != self.window()`.
-    pub fn refresh(&mut self, window: &[f64]) {
+    pub(crate) fn refresh(&mut self, window: &[f64]) {
         assert_eq!(window.len(), self.window, "refresh window length mismatch");
         self.coeffs = dft_prefix(window, self.coeffs.len());
     }
 }
 
 /// A resumable walk over the window offsets of one sequence: the
-/// [`SlidingDft`] recurrence plus the *absolute* offset it is anchored at,
-/// with re-anchoring on the fixed [`REFRESH_INTERVAL`] schedule.
+/// `SlidingDft` recurrence plus the *absolute* offset it is anchored at,
+/// with re-anchoring on the fixed `REFRESH_INTERVAL` schedule.
 ///
 /// Because the refresh schedule is keyed on absolute offsets (`t %
 /// REFRESH_INTERVAL == 0`) and both the initial window and every refresh
@@ -163,18 +158,13 @@ impl SlidingCursor {
         cursor
     }
 
-    /// The window offset the coefficients currently describe.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Coefficients `X_0..X_{k-1}` of the window at [`SlidingCursor::offset`].
+    /// Coefficients `X_0..X_{k-1}` of the window at the cursor's offset.
     pub fn coeffs(&self) -> &[Complex64] {
         self.sdft.coeffs()
     }
 
     /// Steps to the next window offset, refreshing exactly when the new
-    /// offset lands on the [`REFRESH_INTERVAL`] schedule.
+    /// offset lands on the `REFRESH_INTERVAL` schedule.
     ///
     /// # Panics
     /// Panics when the next window would run past the end of `x`.
@@ -200,7 +190,8 @@ impl SlidingCursor {
 /// window. It is implemented over [`SlidingCursor`] — the walk the
 /// ST-index builds and extends its trails with, without materialising a
 /// vector per window — so the two agree bit for bit.
-pub fn sliding_prefix(x: &[f64], window: usize, k: usize) -> Vec<Vec<Complex64>> {
+#[cfg(test)]
+pub(crate) fn sliding_prefix(x: &[f64], window: usize, k: usize) -> Vec<Vec<Complex64>> {
     assert!(window > 0, "sliding DFT window must be non-empty");
     if x.len() < window {
         return Vec::new();
@@ -257,7 +248,7 @@ mod tests {
     fn k_clamped_to_window() {
         let x = [1.0, 2.0, 3.0, 4.0, 5.0];
         let s = SlidingDft::new(3, 10, &x[..3]);
-        assert_eq!(s.k(), 3);
+        assert_eq!(s.coeffs().len(), 3);
     }
 
     #[test]
@@ -303,7 +294,7 @@ mod tests {
         let all = sliding_prefix(&x, w, k);
         for offset in [0, 1, 7, 255, 256, 257, 511, 512, 700, all.len() - 1] {
             let cursor = SlidingCursor::resume(&x, w, k, offset);
-            assert_eq!(cursor.offset(), offset);
+            assert_eq!(cursor.offset, offset);
             // Bit-identical, not merely close: streaming extension relies
             // on reproducing the original walk exactly.
             assert_eq!(cursor.coeffs(), &all[offset][..], "offset {offset}");

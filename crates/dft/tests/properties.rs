@@ -1,10 +1,11 @@
 //! Property-based tests for the Fourier substrate.
 
 use tsq_dft::complex::Complex64;
-use tsq_dft::convolution::{conv, conv_fft};
 use tsq_dft::dft::{dft, idft};
-use tsq_dft::energy::{energy_complex, euclidean_complex, euclidean_real};
 use tsq_dft::FftPlanner;
+use tsq_testkit::convolution::{conv, conv_fft};
+use tsq_testkit::energy::{energy_complex, euclidean_complex, euclidean_real};
+use tsq_testkit::reference::{dft_real, sliding_prefix};
 use tsq_testkit::{property, Rng};
 
 /// Cases per property.
@@ -74,8 +75,8 @@ fn distance_invariance() {
     property("distance_invariance", CASES, draw, |xy, _| {
         let (x, y): (Vec<f64>, Vec<f64>) = xy.iter().copied().unzip();
         let dt = euclidean_real(&x, &y);
-        let fx: Vec<Complex64> = tsq_dft::dft::dft_real(&x);
-        let fy: Vec<Complex64> = tsq_dft::dft::dft_real(&y);
+        let fx: Vec<Complex64> = dft_real(&x);
+        let fy: Vec<Complex64> = dft_real(&y);
         let df = euclidean_complex(&fx, &fy);
         assert!((dt - df).abs() <= 1e-6 * dt.max(1.0));
     });
@@ -88,8 +89,8 @@ fn prefix_lower_bound() {
     let draw = |rng: &mut Rng| (real_pair(rng), ());
     property("prefix_lower_bound", CASES, draw, |xy, _| {
         let (x, y): (Vec<f64>, Vec<f64>) = xy.iter().copied().unzip();
-        let fx = tsq_dft::dft::dft_real(&x);
-        let fy = tsq_dft::dft::dft_real(&y);
+        let fx = dft_real(&x);
+        let fy = dft_real(&y);
         let full = euclidean_complex(&fx, &fy);
         let mut prev = 0.0;
         for k in 0..=fx.len() {
@@ -125,7 +126,7 @@ fn conv_fft_matches_direct() {
 fn real_input_conjugate_symmetry() {
     let draw = |rng: &mut Rng| (real_vec(rng, 64), ());
     property("real_input_conjugate_symmetry", CASES, draw, |x, _| {
-        let spec = tsq_dft::dft::dft_real(x);
+        let spec = dft_real(x);
         let n = spec.len();
         for f in 1..n {
             let a = spec[f];
@@ -144,8 +145,8 @@ fn shift_preserves_magnitudes() {
         let n = x.len();
         let shift = s % n;
         let shifted: Vec<f64> = (0..n).map(|i| x[(i + shift) % n]).collect();
-        let fa = tsq_dft::dft::dft_real(x);
-        let fb = tsq_dft::dft::dft_real(&shifted);
+        let fa = dft_real(x);
+        let fb = dft_real(&shifted);
         for (a, b) in fa.iter().zip(&fb) {
             assert!((a.abs() - b.abs()).abs() < 1e-6 * a.abs().max(1.0));
         }
@@ -183,7 +184,7 @@ fn sliding_dft_matches_full_recomputation() {
         draw,
         |x, &(k, w)| {
             let k = k.min(w);
-            let windows = tsq_dft::sliding::sliding_prefix(x, w, k);
+            let windows = sliding_prefix(x, w, k);
             assert_eq!(windows.len(), x.len() - w + 1);
             let mut planner = FftPlanner::new();
             for (t, got) in windows.iter().enumerate() {
@@ -218,7 +219,7 @@ fn sliding_prefix_is_lower_bound() {
         |x, (q, k, w)| {
             let (k, w) = ((*k).min(*w), *w);
             let fq = tsq_dft::dft::dft_prefix(q, k);
-            for (t, fw) in tsq_dft::sliding::sliding_prefix(x, w, k).iter().enumerate() {
+            for (t, fw) in sliding_prefix(x, w, k).iter().enumerate() {
                 let prefix = euclidean_complex(fw, &fq);
                 let full = euclidean_real(&x[t..t + w], q);
                 assert!(prefix <= full + 1e-6, "offset {t}: {prefix} > {full}");

@@ -254,7 +254,7 @@ impl Catalog {
 
     /// Parses and executes a statement that may mutate the catalog:
     /// `APPEND` routes to [`Catalog::append`], `SHARD` to
-    /// [`Catalog::shard`], everything else to [`Catalog::execute`].
+    /// `Catalog::shard`, everything else to [`Catalog::execute`].
     /// Shells and single-owner embedders use this; shared topologies
     /// route through [`SharedCatalog::run`], which takes the write lock
     /// only for mutations.
@@ -289,7 +289,7 @@ impl Catalog {
     /// paged storage is attached (page files are immutable — shard
     /// before `open_paged`, or re-register first) or `count` is zero;
     /// index-build failures of any shard.
-    pub fn shard(&mut self, relation: &str, count: usize) -> Result<QueryOutput, LangError> {
+    pub(crate) fn shard(&mut self, relation: &str, count: usize) -> Result<QueryOutput, LangError> {
         self.resolve_relation(relation)?;
         let Relation { labels, index, .. } =
             self.relations.get_mut(relation).expect("resolved above");
@@ -767,7 +767,7 @@ impl SharedCatalog {
     ///
     /// # Errors
     /// Same failure modes as [`Catalog::execute`] / [`Catalog::append`] /
-    /// [`Catalog::shard`].
+    /// `Catalog::shard`.
     pub fn execute(&self, query: &Query) -> Result<QueryOutput, LangError> {
         self.execute_with(query, &QueryOptions::default())
     }
@@ -952,7 +952,10 @@ fn to_window(w: &WindowSpec) -> QueryWindow {
 /// Resolves the APPLY list to a single composed transformation for series
 /// length `n`. Transformations compose left to right; `warp(m)` must be
 /// the only transformation (it changes the series length).
-pub fn resolve_transforms(specs: &[TransformSpec], n: usize) -> Result<LinearTransform, LangError> {
+pub(crate) fn resolve_transforms(
+    specs: &[TransformSpec],
+    n: usize,
+) -> Result<LinearTransform, LangError> {
     if specs.is_empty() {
         return Ok(LinearTransform::identity(n));
     }
@@ -1091,6 +1094,7 @@ mod tests {
             .unwrap()
             .get_by_label("s1")
             .unwrap()
+            .values()
             .iter()
             .map(|v| format!("{v}"))
             .collect();

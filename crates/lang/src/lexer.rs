@@ -7,7 +7,7 @@ use crate::token::{Token, TokenKind};
 ///
 /// # Errors
 /// [`LangError::Lex`] on unexpected characters or malformed numbers.
-pub fn tokenize(src: &str) -> Result<Vec<Token>, LangError> {
+pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>, LangError> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -58,14 +58,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
-pub mod error;
-pub mod exec;
-pub mod lexer;
-pub mod parser;
-pub mod serve;
+mod ast;
+mod error;
+mod exec;
+mod lexer;
+mod parser;
+mod serve;
 mod snapshot;
-pub mod token;
+mod token;
 
 pub use ast::{AppendRow, Query, Source, TransformSpec, WindowSpec};
 pub use error::LangError;

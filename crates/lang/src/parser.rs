@@ -545,7 +545,7 @@ mod tests {
                 window,
                 options,
             } => {
-                assert!(options.is_default());
+                assert_eq!(options, QueryOptions::default());
                 assert_eq!(
                     source,
                     Source::Ref {
@@ -579,7 +579,7 @@ mod tests {
                 transforms,
                 options,
             } => {
-                assert!(options.is_default());
+                assert_eq!(options, QueryOptions::default());
                 assert_eq!(source, Source::Literal(vec![1.0, 2.0, 3.5]));
                 assert_eq!(relation, "walks");
                 assert_eq!(k, 3);
@@ -756,7 +756,7 @@ mod tests {
                 window,
                 options,
             } => {
-                assert!(options.is_default());
+                assert_eq!(options, QueryOptions::default());
                 assert_eq!(source, Source::Literal(vec![1.0, 2.0, 3.0]));
                 assert_eq!(relation, "walks");
                 assert_eq!(eps, 0.5);
@@ -777,7 +777,7 @@ mod tests {
                 window,
                 options,
             } => {
-                assert!(options.is_default());
+                assert_eq!(options, QueryOptions::default());
                 assert_eq!(
                     source,
                     Source::Ref {
@@ -879,7 +879,7 @@ mod tests {
     #[test]
     fn join_without_force_is_auto() {
         match parse("JOIN r WITHIN 1").unwrap() {
-            Query::Join { options, .. } => assert!(options.is_default()),
+            Query::Join { options, .. } => assert_eq!(options, QueryOptions::default()),
             other => panic!("unexpected {other:?}"),
         }
     }

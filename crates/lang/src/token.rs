@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token with its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Byte offset in the source text (for error messages).
     pub pos: usize,
     /// The token kind.
@@ -14,7 +14,7 @@ pub struct Token {
 /// Token kinds. Keywords are recognized case-insensitively by the parser;
 /// the lexer only distinguishes identifiers, numbers and punctuation.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword.
     Ident(String),
     /// Numeric literal.

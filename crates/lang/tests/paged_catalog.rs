@@ -638,3 +638,71 @@ fn a_damaged_trail_file_is_a_typed_error() {
         handle.shutdown();
     }
 }
+
+/// A reply carries every `ExecStats` counter over each transport: a cold
+/// kNN-5 on a paged relation reads record frames, and the counters a
+/// client decodes off the wire, and those the HTTP facade renders, are
+/// the ones `Catalog::run` returns in process — record traffic included.
+/// Each transport gets a catalog of its own, opened paged from the same
+/// snapshot, so each statement starts from the same cold cache.
+#[test]
+fn wire_and_http_replies_carry_every_exec_stats_counter() {
+    let path = temp_path("counters.tsq");
+    catalog().save(&path).unwrap();
+    let paged = || {
+        let mut cat = Catalog::new();
+        cat.open_paged(&path, 1).unwrap();
+        cat
+    };
+    let q = "FIND 5 NEAREST TO walks.s3 IN walks";
+    let local = paged().run(q).unwrap().stats;
+    assert!(
+        local.record_misses > 0,
+        "a cold kNN reads records: {local:?}"
+    );
+
+    let handle = tsq_lang::serve(
+        "127.0.0.1:0",
+        SharedCatalog::new(paged()),
+        ServiceConfig::default(),
+    )
+    .unwrap();
+    let mut client = tsq_service::Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.query(q).unwrap().stats, local, "over the wire");
+    drop(client);
+    handle.shutdown();
+
+    let handle = tsq_lang::serve(
+        "127.0.0.1:0",
+        SharedCatalog::new(paged()),
+        ServiceConfig::default(),
+    )
+    .unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let request = format!(
+        "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{q}",
+        q.len()
+    );
+    std::io::Write::write_all(&mut stream, request.as_bytes()).unwrap();
+    let mut answer = String::new();
+    std::io::Read::read_to_string(&mut stream, &mut answer).unwrap();
+    let want = format!(
+        "\"stats\":{{\"candidates\":{},\"refined\":{},\"false_hits\":{},\
+         \"nodes_visited\":{},\"disk_accesses\":{},\"pool_hits\":{},\
+         \"pool_misses\":{},\"record_hits\":{},\"record_misses\":{},\
+         \"record_seq_misses\":{}}}",
+        local.candidates,
+        local.refined,
+        local.false_hits,
+        local.nodes_visited,
+        local.disk_accesses,
+        local.pool_hits,
+        local.pool_misses,
+        local.record_hits,
+        local.record_misses,
+        local.record_seq_misses
+    );
+    assert!(answer.contains(&want), "over HTTP: want {want} in {answer}");
+    handle.shutdown();
+    std::fs::remove_file(&path).ok();
+}

@@ -73,7 +73,7 @@ impl<T> RStarTree<T> {
     /// others, and chunk boundaries are position-based, so thread count
     /// never changes entry placement.
     ///
-    /// The bounds are stored rounded outward to `f32` ([`crate::rect`]):
+    /// The bounds are stored rounded outward to `f32` (`crate::rect`):
     /// like [`Rect::from_point`]'s, they are not validated.
     ///
     /// # Panics

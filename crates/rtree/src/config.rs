@@ -8,21 +8,21 @@ pub const PAGE_ALIGN: usize = 4096;
 /// Hard ceiling on one page (4 MiB). A node larger than this cannot be
 /// stored, which in turn bounds the fan-out a snapshot or page file may
 /// declare.
-pub const MAX_PAGE_BYTES: usize = 1 << 22;
+pub(crate) const MAX_PAGE_BYTES: usize = 1 << 22;
 
 /// Fixed per-page header: payload length `u32`, CRC-32 `u32`, node level
 /// `u32`, entry count `u32`.
-pub const PAGE_HEADER_BYTES: usize = 16;
+pub(crate) const PAGE_HEADER_BYTES: usize = 16;
 
 /// Smallest possible serialized entry: a 1-dimensional rectangle
 /// (`lo f32` + `hi f32`) plus an 8-byte payload or child pointer.
-pub const MIN_ENTRY_BYTES: usize = 16;
+pub(crate) const MIN_ENTRY_BYTES: usize = 16;
 
 /// Maximum fan-out any stored tree may declare, derived from the page
 /// geometry: the most 1-dimensional entries that fit in the largest
 /// page. Persist and page readers reject anything above this with a
 /// typed error instead of allocating for it.
-pub const MAX_FANOUT: usize = (MAX_PAGE_BYTES - PAGE_HEADER_BYTES) / MIN_ENTRY_BYTES;
+pub(crate) const MAX_FANOUT: usize = (MAX_PAGE_BYTES - PAGE_HEADER_BYTES) / MIN_ENTRY_BYTES;
 
 /// Tuning parameters of an [`crate::RStarTree`].
 ///
@@ -58,12 +58,6 @@ impl RTreeConfig {
             min_entries,
             reinsert_count,
         }
-    }
-
-    /// Disables forced reinsertion (ablation).
-    pub fn without_reinsert(mut self) -> Self {
-        self.reinsert_count = 0;
-        self
     }
 
     pub(crate) fn validate(&self) {
@@ -105,13 +99,6 @@ mod tests {
     #[should_panic(expected = "at least 4")]
     fn tiny_fanout_rejected() {
         let _ = RTreeConfig::with_max_entries(3);
-    }
-
-    #[test]
-    fn without_reinsert() {
-        let c = RTreeConfig::default().without_reinsert();
-        assert_eq!(c.reinsert_count, 0);
-        c.validate();
     }
 
     #[test]

@@ -40,9 +40,9 @@
 //! stored bounds, exact in `f32`, and add no further loss. Queries, query
 //! rectangles, [`Rect`] and every caller's arithmetic stay `f64`: a stored
 //! bound widens to `f64`, exactly, when it is read ([`RectView::lo`],
-//! [`RectView::interval`]). STR orders every level on centres computed in
+//! `RectView::interval`). STR orders every level on centres computed in
 //! `f64` before rounding, so a bulk-loaded tree's entries sit where an
-//! all-`f64` tree's would (see [`bulk`]).
+//! all-`f64` tree's would (see `bulk`).
 //!
 //! The range visitor and the kNN loop each exist once, written against a
 //! [`NodeStore`]: "fetch a node by reference, get a guard exposing its
@@ -68,16 +68,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bulk;
+mod bulk;
 pub mod config;
 pub mod knn;
 pub mod page;
-pub mod paged;
+mod paged;
 pub mod persist;
-pub mod rect;
+mod rect;
 pub mod search;
-pub mod stats;
-pub mod tree;
+mod stats;
+mod tree;
 
 pub mod par;
 

@@ -66,7 +66,7 @@
 //!   eviction line) while the rest of the segment fills 3/4 of it. Each
 //!   segment is kept in stamp order (the protected one as a list a hit
 //!   relinks in constant time), so a victim is found without scanning
-//!   every frame. Frames marked **sticky** ([`BufferPool::mark_sticky`] —
+//!   every frame. Frames marked **sticky** (`BufferPool::mark_sticky` —
 //!   a tree's root) are never eviction victims, though
 //!   [`BufferPool::flush`] still drops them: a cold-cache reset must
 //!   measure true cold I/O.
@@ -421,7 +421,12 @@ impl<N: Any + Send + Sync> BufferPool<N> {
 
     /// Joins an open page file of `page_count` slots of `page_size` bytes
     /// to `cache`, under a file number no handle of it had before.
-    pub fn in_cache(cache: &Arc<PageCache>, file: File, page_size: usize, page_count: u64) -> Self {
+    pub(crate) fn in_cache(
+        cache: &Arc<PageCache>,
+        file: File,
+        page_size: usize,
+        page_count: u64,
+    ) -> Self {
         BufferPool {
             cache: Arc::clone(cache),
             file_no: cache.files.fetch_add(1, Ordering::Relaxed),
@@ -501,7 +506,7 @@ impl<N> BufferPool<N> {
     /// current and future residency, and survives [`BufferPool::flush`]
     /// (which still drops the frame itself — a cold reset re-reads the
     /// root once, then it sticks again).
-    pub fn mark_sticky(&self, id: PageId) {
+    pub(crate) fn mark_sticky(&self, id: PageId) {
         self.cache.lock().sticky.insert((self.file_no, id.0));
     }
 
@@ -824,7 +829,7 @@ fn create_new(path: &Path) -> StoreResult<File> {
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] when the payload cannot fit the page.
-pub fn seal_page(payload: &[u8], page_size: usize) -> StoreResult<Vec<u8>> {
+pub(crate) fn seal_page(payload: &[u8], page_size: usize) -> StoreResult<Vec<u8>> {
     if payload.len() > page_size - PAGE_PREFIX_BYTES {
         return Err(StoreError::corrupt(format!(
             "node payload of {} byte(s) exceeds the {page_size}-byte page",
@@ -839,7 +844,7 @@ pub fn seal_page(payload: &[u8], page_size: usize) -> StoreResult<Vec<u8>> {
 
 /// Seals a page slot whose `payload_len`-byte payload already sits after
 /// the prefix (and whose tail is zero): writes the length and the CRC
-/// into the prefix — [`seal_page`] without a buffer of its own.
+/// into the prefix — `seal_page` without a buffer of its own.
 ///
 /// # Panics
 /// When the payload does not fit `page`.

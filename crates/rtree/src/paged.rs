@@ -87,7 +87,7 @@ pub struct PagedTree {
 ///
 /// # Errors
 /// [`StoreError::Corrupt`] when a full node cannot fit [`MAX_PAGE_BYTES`].
-pub fn page_size_for(config: &RTreeConfig, dims: usize) -> StoreResult<usize> {
+pub(crate) fn page_size_for(config: &RTreeConfig, dims: usize) -> StoreResult<usize> {
     let entry_bytes = dims
         .checked_mul(8)
         .and_then(|r| r.checked_add(8))
@@ -181,18 +181,8 @@ impl PagedTree {
         self.len == 0
     }
 
-    /// Dimensionality of the stored rectangles (`None` when empty).
-    pub fn dims(&self) -> Option<usize> {
-        self.dims
-    }
-
-    /// The tree's tuning parameters.
-    pub fn config(&self) -> &RTreeConfig {
-        &self.config
-    }
-
     /// Height in levels (1 for a root-only tree).
-    pub fn height(&self) -> u32 {
+    pub(crate) fn height(&self) -> u32 {
         self.root_level + 1
     }
 

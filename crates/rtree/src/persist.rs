@@ -1,6 +1,6 @@
 //! The R\*-tree's byte codecs: tuning parameters and rectangles, in the
 //! `tsq-store` binary format. Their clients are the page file
-//! ([`crate::paged`]), the only form a tree is persisted in, and the
+//! (`crate::paged`), the only form a tree is persisted in, and the
 //! index configurations `tsq-core` snapshots — snapshots store series and
 //! rebuild every tree from them, so no node structure is ever serialized
 //! whole.
@@ -11,7 +11,7 @@
 //! ```
 //!
 //! A rectangle is written in its stored form: `f32` bounds rounded outward
-//! ([`crate::rect`]), so a `lo` may be −∞ and a `hi` +∞ (a feature past
+//! (`crate::rect`), so a `lo` may be −∞ and a `hi` +∞ (a feature past
 //! `f32::MAX`), never the other way round. Readers enforce what
 //! `RTreeConfig::validate` asserts and what outward rounding can produce —
 //! fan-out bounds, no NaN, no `lo` of +∞ or `hi` of −∞, no inverted pair —

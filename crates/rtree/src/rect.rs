@@ -136,7 +136,7 @@ pub struct Side<'a, C = f32> {
 }
 
 /// A [`Side`]'s bounds in order, as `f64`s.
-pub type SideIter<'a, C> = Map<slice::Iter<'a, C>, fn(&C) -> f64>;
+pub(crate) type SideIter<'a, C> = Map<slice::Iter<'a, C>, fn(&C) -> f64>;
 
 impl<'a, C: Coord> Side<'a, C> {
     /// Bound `i`, widened.
@@ -229,7 +229,8 @@ impl Rect {
     }
 
     /// [`RectView::min_dist2`].
-    pub fn min_dist2(&self, p: &[f64]) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min_dist2(&self, p: &[f64]) -> f64 {
         self.view().min_dist2(p)
     }
 
@@ -272,7 +273,7 @@ impl<'a, C: Coord> RectView<'a, C> {
 
     /// The bounds as stored: `lo` then `hi`.
     #[inline]
-    pub fn bounds(self) -> &'a [C] {
+    pub(crate) fn bounds(self) -> &'a [C] {
         self.bounds
     }
 
@@ -300,7 +301,7 @@ impl<'a, C: Coord> RectView<'a, C> {
 
     /// Dimension `i`'s bounds `(lo, hi)`, widened.
     #[inline]
-    pub fn interval(self, i: usize) -> (f64, f64) {
+    pub(crate) fn interval(self, i: usize) -> (f64, f64) {
         (self.bounds[i].widen(), self.bounds[self.dims() + i].widen())
     }
 
@@ -310,7 +311,7 @@ impl<'a, C: Coord> RectView<'a, C> {
     }
 
     /// The center point.
-    pub fn center(self) -> Vec<f64> {
+    pub(crate) fn center(self) -> Vec<f64> {
         self.lo()
             .iter()
             .zip(self.hi())
@@ -319,7 +320,7 @@ impl<'a, C: Coord> RectView<'a, C> {
     }
 
     /// Volume (product of extents). Zero for degenerate rectangles.
-    pub fn area(self) -> f64 {
+    pub(crate) fn area(self) -> f64 {
         self.lo()
             .iter()
             .zip(self.hi())
@@ -329,7 +330,7 @@ impl<'a, C: Coord> RectView<'a, C> {
 
     /// Margin (sum of extents) — the R\*-tree split heuristic minimizes the
     /// sum of margins over candidate distributions.
-    pub fn margin(self) -> f64 {
+    pub(crate) fn margin(self) -> f64 {
         self.lo().iter().zip(self.hi()).map(|(l, h)| h - l).sum()
     }
 
@@ -346,7 +347,7 @@ impl<'a, C: Coord> RectView<'a, C> {
     }
 
     /// True when `other` lies entirely inside `self`.
-    pub fn contains_rect<D: Coord>(self, other: RectView<'_, D>) -> bool {
+    pub(crate) fn contains_rect<D: Coord>(self, other: RectView<'_, D>) -> bool {
         debug_assert_eq!(self.dims(), other.dims());
         self.lo().iter().zip(other.lo()).all(|(a, b)| a <= b)
             && self.hi().iter().zip(other.hi()).all(|(a, b)| a >= b)
@@ -360,7 +361,7 @@ impl<'a, C: Coord> RectView<'a, C> {
     }
 
     /// Volume of the intersection; zero when disjoint.
-    pub fn intersection_area<D: Coord>(self, other: RectView<'_, D>) -> f64 {
+    pub(crate) fn intersection_area<D: Coord>(self, other: RectView<'_, D>) -> f64 {
         debug_assert_eq!(self.dims(), other.dims());
         let mut area = 1.0;
         for i in 0..self.dims() {
@@ -377,7 +378,7 @@ impl<'a, C: Coord> RectView<'a, C> {
     }
 
     /// Smallest rectangle containing both.
-    pub fn union<D: Coord>(self, other: RectView<'_, D>) -> Rect {
+    pub(crate) fn union<D: Coord>(self, other: RectView<'_, D>) -> Rect {
         debug_assert_eq!(self.dims(), other.dims());
         let mut out = self.to_rect();
         out.union_assign(other);
@@ -385,7 +386,7 @@ impl<'a, C: Coord> RectView<'a, C> {
     }
 
     /// Area increase required for `self` to cover `other`.
-    pub fn enlargement<D: Coord>(self, other: RectView<'_, D>) -> f64 {
+    pub(crate) fn enlargement<D: Coord>(self, other: RectView<'_, D>) -> f64 {
         self.union(other).view().area() - self.area()
     }
 
@@ -417,7 +418,8 @@ impl<'a, C: Coord> RectView<'a, C> {
     ///
     /// # Panics
     /// Panics if `a`/`b` lengths differ from the dimensionality.
-    pub fn affine(self, a: &[f64], b: &[f64]) -> Rect {
+    #[cfg(test)]
+    pub(crate) fn affine(self, a: &[f64], b: &[f64]) -> Rect {
         let d = self.dims();
         assert_eq!(a.len(), d, "affine scale length mismatch");
         assert_eq!(b.len(), d, "affine shift length mismatch");

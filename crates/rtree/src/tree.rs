@@ -102,12 +102,12 @@ impl<T> RStarTree<T> {
     }
 
     /// Dimensionality, if fixed by a first insert.
-    pub fn dims(&self) -> Option<usize> {
+    pub(crate) fn dims(&self) -> Option<usize> {
         self.dims
     }
 
     /// The configuration in use.
-    pub fn config(&self) -> &RTreeConfig {
+    pub(crate) fn config(&self) -> &RTreeConfig {
         &self.config
     }
 
@@ -599,7 +599,11 @@ mod tests {
     #[test]
     fn reinsert_disabled_still_correct() {
         let pts = grid(12);
-        let t = point_tree(&pts, RTreeConfig::with_max_entries(6).without_reinsert());
+        let config = RTreeConfig {
+            reinsert_count: 0,
+            ..RTreeConfig::with_max_entries(6)
+        };
+        let t = point_tree(&pts, config);
         assert_eq!(t.len(), 144);
         t.validate();
     }

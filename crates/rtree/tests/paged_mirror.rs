@@ -6,7 +6,7 @@
 //! exactly zero, and a hostile page is a typed error from every traversal.
 
 use tsq_rtree::config::PAGE_ALIGN;
-use tsq_rtree::stats::SearchStats;
+use tsq_rtree::SearchStats;
 use tsq_rtree::{PageCache, PagedTree, RStarTree, RTreeConfig, Rect};
 use tsq_store::{crc32, StoreError};
 use tsq_testkit::{property, Rng};

@@ -3,7 +3,8 @@
 //! Value types and sequence operations underlying the paper *Similarity-
 //! Based Queries for Time Series Data* (Rafiei & Mendelzon, SIGMOD 1997):
 //!
-//! - [`series::TimeSeries`] — the sequence type (finite `f64` values);
+//! - [`TimeSeries`] — the sequence type (finite `f64` values), with the
+//!   value-wise shift, scale and negation of Example 2.2;
 //! - [`normal::NormalForm`] — Goldin–Kanellakis normal forms (Equation 9),
 //!   the representation the paper indexes;
 //! - [`moving_average`] — the paper's circular moving average (equal to a
@@ -14,9 +15,12 @@
 //!   every exact check runs (the optimization behind the paper's fast
 //!   sequential-scan baseline) and its threshold, plus the reference
 //!   Euclidean, city-block and Chebyshev distances;
+//! - [`stats`] — mean, population standard deviation and Pearson
+//!   correlation;
 //! - [`generate`] — the paper's random-walk workload and a synthetic
 //!   stock-market generator substituting for the defunct MIT stock archive;
-//! - [`io`] — one-series-per-line CSV persistence.
+//! - [`io`] — one-series-per-line CSV persistence and the `label, v1, …`
+//!   rows an `APPEND` body carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +30,7 @@ pub mod generate;
 pub mod io;
 pub mod moving_average;
 pub mod normal;
-pub mod series;
+mod series;
 pub mod stats;
 pub mod warp;
 

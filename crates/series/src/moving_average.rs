@@ -69,23 +69,28 @@ pub fn moving_average(s: &TimeSeries, window: usize) -> TimeSeries {
     TimeSeries::new(out)
 }
 
-/// The frequency-domain kernel of the `window`-point circular moving
-/// average as a length-`n` time-domain vector (the paper's `m_l`):
-/// `(1/l, ..., 1/l, 0, ..., 0)`.
-pub fn kernel(n: usize, window: usize) -> Vec<f64> {
-    assert!(window > 0 && window <= n, "invalid kernel size");
-    let mut k = vec![0.0; n];
-    let w = 1.0 / window as f64;
-    for v in &mut k[..window] {
-        *v = w;
-    }
-    k
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distance::euclidean;
+
+    /// The frequency-domain kernel of the `window`-point circular moving
+    /// average as a length-`n` time-domain vector (the paper's `m_l`):
+    /// `(1/l, ..., 1/l, 0, ..., 0)`.
+    fn kernel(n: usize, window: usize) -> Vec<f64> {
+        let mut k = vec![0.0; n];
+        k[..window].fill(1.0 / window as f64);
+        k
+    }
+
+    /// Direct circular convolution (Equation 4):
+    /// `out_i = sum_k x_k * y_{(i - k) mod n}`.
+    fn conv_real(x: &[f64], y: &[f64]) -> Vec<f64> {
+        let n = x.len();
+        (0..n)
+            .map(|i| (0..n).map(|k| x[k] * y[(i + n - k) % n]).sum())
+            .collect()
+    }
 
     #[test]
     fn circular_ma_small_example() {
@@ -100,7 +105,7 @@ mod tests {
     fn circular_ma_equals_convolution() {
         let s = TimeSeries::from([36.0, 38.0, 40.0, 38.0, 42.0, 38.0, 36.0]);
         let k = kernel(7, 3);
-        let conv = tsq_dft::convolution::conv_real(s.values(), &k);
+        let conv = conv_real(s.values(), &k);
         let ma = circular_moving_average(&s, 3);
         for (a, b) in conv.iter().zip(ma.iter()) {
             assert!((a - b).abs() < 1e-12);

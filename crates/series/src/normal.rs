@@ -25,8 +25,8 @@ impl NormalForm {
     ///
     /// A constant series has zero standard deviation; its normal form is
     /// defined here as the all-zero series (the limit of vanishing
-    /// fluctuation), with `std` recorded as 0 so [`NormalForm::restore`]
-    /// still reconstructs the original.
+    /// fluctuation), with `std` recorded as 0 so `v * std + mean` still
+    /// reconstructs the original.
     pub fn of(s: &TimeSeries) -> NormalForm {
         let mean = s.mean();
         let std = s.std();
@@ -39,7 +39,8 @@ impl NormalForm {
     }
 
     /// Undoes the normalization: `v * std + mean`.
-    pub fn restore(&self) -> TimeSeries {
+    #[cfg(test)]
+    fn restore(&self) -> TimeSeries {
         self.series.map(|v| v * self.std + self.mean)
     }
 }

@@ -119,13 +119,8 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Consumes the series, returning its values.
-    pub fn into_values(self) -> Vec<f64> {
-        self.values.to_vec()
-    }
-
     /// Iterator over values.
-    pub fn iter(&self) -> std::slice::Iter<'_, f64> {
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.values.iter()
     }
 
@@ -140,7 +135,7 @@ impl TimeSeries {
     }
 
     /// Element-wise map, producing a new series.
-    pub fn map(&self, f: impl FnMut(f64) -> f64) -> TimeSeries {
+    pub(crate) fn map(&self, f: impl FnMut(f64) -> f64) -> TimeSeries {
         TimeSeries::new(self.values.iter().copied().map(f).collect())
     }
 

@@ -2,7 +2,7 @@
 //! extraction.
 
 /// Arithmetic mean; 0 for an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
+pub(crate) fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -10,7 +10,7 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Population variance (divides by `n`); 0 for slices shorter than 1.
-pub fn variance_population(values: &[f64]) -> f64 {
+pub(crate) fn variance_population(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
@@ -19,7 +19,7 @@ pub fn variance_population(values: &[f64]) -> f64 {
 }
 
 /// Population standard deviation (GK95 normal forms standardize by this).
-pub fn std_population(values: &[f64]) -> f64 {
+pub(crate) fn std_population(values: &[f64]) -> f64 {
     variance_population(values).sqrt()
 }
 

@@ -165,7 +165,7 @@ fn classical_ma_length() {
         let s = ts(s);
         assert_eq!(moving_average(&s, w).len(), s.len() - w + 1);
         assert_eq!(circular_moving_average(&s, 1), s.clone());
-        for (a, b) in moving_average(&s, 1).iter().zip(s.iter()) {
+        for (a, b) in moving_average(&s, 1).values().iter().zip(s.values().iter()) {
             assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
         }
     });
@@ -179,7 +179,7 @@ fn weighted_ma_equal_weights() {
         let s = ts(s);
         let a = circular_moving_average(&s, w);
         let b = weighted_circular_moving_average(&s, &vec![1.0 / w as f64; w]);
-        for (x, y) in a.iter().zip(b.iter()) {
+        for (x, y) in a.values().iter().zip(b.values().iter()) {
             assert!((x - y).abs() < 1e-9);
         }
     });
@@ -237,7 +237,7 @@ fn compress_rejects_tampered() {
     let draw = |rng: &mut Rng| (series(rng, 32), rng.range(2, 4));
     property("compress_rejects_tampered", CASES, draw, |s, &m| {
         let s = ts(s);
-        let mut vals = stretch(&s, m).into_values();
+        let mut vals = stretch(&s, m).values().to_vec();
         vals[0] += 1.0; // break constancy of the first block
         let tampered = TimeSeries::new(vals);
         assert_eq!(compress_exact(&tampered, m), None);
@@ -270,16 +270,16 @@ fn extension_never_touches_an_earlier_clone() {
                 let at = format!("seed {seed}, length {len}, step {step}");
                 let clone = live.clone();
                 assert_eq!(clone.values().as_ptr(), live.values().as_ptr(), "{at}");
-                let bits = live.iter().map(|v| v.to_bits()).collect();
+                let bits = live.values().iter().map(|v| v.to_bits()).collect();
                 history.push((clone, bits, live.values().as_ptr()));
-                let tail = g.series(1 + 3 * step).into_values();
+                let tail = g.series(1 + 3 * step).values().to_vec();
                 live.try_extend(&tail).unwrap();
                 let (last, ..) = history.last().unwrap();
                 assert_eq!(&live.values()[..last.len()], last.values(), "{at}");
                 assert_eq!(&live.values()[last.len()..], &tail[..], "{at}");
                 for (earlier, bits, ptr) in &history {
                     assert_eq!(earlier.values().as_ptr(), *ptr, "{at}");
-                    let now: Vec<u64> = earlier.iter().map(|v| v.to_bits()).collect();
+                    let now: Vec<u64> = earlier.values().iter().map(|v| v.to_bits()).collect();
                     assert_eq!(&now, bits, "{at}");
                 }
             }
@@ -302,7 +302,7 @@ fn rejected_extension_leaves_value_length_and_buffer() {
         let mut g = RandomWalkGenerator::new(seed as u64);
         let mut series = g.series(len);
         let (before, ptr) = (series.clone(), series.values().as_ptr());
-        let mut tail = g.series(tail_len).into_values();
+        let mut tail = g.series(tail_len).values().to_vec();
         let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][pick % 3];
         tail[pick % tail_len] = bad;
         let err = series.try_extend(&tail).unwrap_err();

@@ -15,7 +15,7 @@ const MAX_HEAD_LEN: usize = 16 * 1024;
 
 /// A parsed HTTP request: method, path, body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
+pub(crate) struct HttpRequest {
     /// Uppercase method token (`GET`, `POST`, ...).
     pub method: String,
     /// Path of the request target (e.g. `/metrics`); a query string is
@@ -27,7 +27,7 @@ pub struct HttpRequest {
 
 /// Why an HTTP request could not be read.
 #[derive(Debug)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// Not parseable as HTTP/1.1 (bad request line, header overflow,
     /// bad `Content-Length`).
     Malformed(String),
@@ -63,7 +63,7 @@ impl From<std::io::Error> for HttpError {
 }
 
 /// True when the sniffed first bytes look like an HTTP request line.
-pub fn looks_like_http(prefix: &[u8]) -> bool {
+pub(crate) fn looks_like_http(prefix: &[u8]) -> bool {
     const METHODS: [&[u8]; 7] = [
         b"GET ", b"POST", b"PUT ", b"HEAD", b"DELE", b"OPTI", b"PATC",
     ];
@@ -77,7 +77,7 @@ pub fn looks_like_http(prefix: &[u8]) -> bool {
 ///
 /// # Errors
 /// [`HttpError::Malformed`], [`HttpError::TooLarge`], [`HttpError::Io`].
-pub fn read_request(
+pub(crate) fn read_request(
     r: &mut impl Read,
     prefix: &[u8],
     max_body: usize,
@@ -172,7 +172,7 @@ pub fn read_request(
 }
 
 /// Renders a complete HTTP/1.1 response with a JSON (or plain) body.
-pub fn response(status: u16, reason: &str, content_type: &str, body: &str) -> Vec<u8> {
+pub(crate) fn response(status: u16, reason: &str, content_type: &str, body: &str) -> Vec<u8> {
     format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -182,7 +182,7 @@ pub fn response(status: u16, reason: &str, content_type: &str, body: &str) -> Ve
 }
 
 /// Renders a JSON error body `{"error": code, "message": ...}`.
-pub fn error_body(code: &str, message: &str) -> String {
+pub(crate) fn error_body(code: &str, message: &str) -> String {
     format!(
         "{{\"error\":\"{}\",\"message\":\"{}\"}}",
         json_escape(code),
@@ -191,7 +191,7 @@ pub fn error_body(code: &str, message: &str) -> String {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

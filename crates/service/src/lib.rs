@@ -11,28 +11,28 @@
 //!   corruption detection ([`wire`]);
 //! * **HTTP/1.1 JSON** — a minimal facade for `curl` and scrapers:
 //!   `POST /query`, `POST /append`, `GET /metrics`, `GET /health`,
-//!   `POST /shutdown` ([`http`]).
+//!   `POST /shutdown`.
 //!
-//! The server ([`server`]) is generic over the object-safe
+//! The server ([`Server`]) is generic over the object-safe
 //! [`engine::Engine`] trait — `tsq-lang` implements it for its shared
 //! catalog — and provides per-query timeouts, admission control with
 //! typed `Overloaded`/`Timeout` errors, cumulative metrics
-//! ([`metrics`]), and graceful shutdown that drains admitted work. A
-//! blocking [`client::Client`] and the `tsq-client` binary speak the
-//! binary protocol.
+//! ([`MetricsSnapshot`]), and graceful shutdown that drains admitted work.
+//! A blocking [`Client`] and the `tsq-client` binary speak the binary
+//! protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
+mod client;
 pub mod engine;
-pub mod http;
-pub mod metrics;
-pub mod server;
+mod http;
+mod metrics;
+mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use engine::{Engine, EngineError, IngestRow, QueryReply, WireRow};
-pub use metrics::{Metrics, MetricsSnapshot};
-pub use server::{reply_json, Server, ServerHandle, ServiceConfig};
-pub use wire::{ErrorCode, FrameError, Request, Response, WireError, DEFAULT_MAX_FRAME_LEN};
+pub use metrics::MetricsSnapshot;
+pub use server::{Server, ServerHandle, ServiceConfig};
+pub use wire::{ErrorCode, FrameError, Request, Response, WireError};

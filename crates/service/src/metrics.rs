@@ -17,7 +17,7 @@ use crate::wire::ErrorCode;
 /// Live counters for one server. Shared behind an `Arc`; all methods
 /// take `&self`.
 #[derive(Debug)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     started: Instant,
     queries_ok: AtomicU64,
     queries_err: AtomicU64,
@@ -80,35 +80,35 @@ impl Default for Metrics {
 
 impl Metrics {
     /// Fresh, all-zero metrics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Metrics::default()
     }
 
     /// Records one request arriving over the binary protocol.
-    pub fn tcp_request(&self) {
+    pub(crate) fn tcp_request(&self) {
         self.tcp_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one request arriving over the HTTP facade.
-    pub fn http_request(&self) {
+    pub(crate) fn http_request(&self) {
         self.http_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a query entering execution; pair with
     /// [`Metrics::query_done`]. Returns the previous in-flight count so
     /// admission control can bound the gauge exactly.
-    pub fn query_started(&self) -> u64 {
+    pub(crate) fn query_started(&self) -> u64 {
         self.in_flight.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Records a query leaving execution (success or failure).
-    pub fn query_done(&self) {
+    pub(crate) fn query_done(&self) {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records a successful query: its row count, execution counters,
     /// and the planner's operator choice.
-    pub fn record_ok(&self, reply: &QueryReply) {
+    pub(crate) fn record_ok(&self, reply: &QueryReply) {
         self.queries_ok.fetch_add(1, Ordering::Relaxed);
         self.rows
             .fetch_add(reply.rows.len() as u64, Ordering::Relaxed);
@@ -142,7 +142,7 @@ impl Metrics {
     }
 
     /// Records a failed request under its wire-level error code.
-    pub fn record_err(&self, code: ErrorCode) {
+    pub(crate) fn record_err(&self, code: ErrorCode) {
         match code {
             ErrorCode::Timeout => self.timeouts.fetch_add(1, Ordering::Relaxed),
             ErrorCode::Overloaded => self.overloads.fetch_add(1, Ordering::Relaxed),
@@ -161,7 +161,7 @@ impl Metrics {
     /// work-stealing pool's counters sampled live (the pool is shared by
     /// every relation and request, so the numbers are service-level by
     /// construction; zeros until something fans out).
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let pool = tsq_core::executor::pool_stats();
         let plans = self
             .plans
@@ -200,12 +200,12 @@ impl Metrics {
     }
 
     /// Current in-flight query count (the admission-control gauge).
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Relaxed)
     }
 }
 
-/// A frozen copy of [`Metrics`], plain data for rendering and asserting.
+/// A frozen copy of `Metrics`, plain data for rendering and asserting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Seconds since the server started.
@@ -272,7 +272,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Renders the snapshot as a JSON object (stable key order).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut plans = String::from("{");
         for (i, (plan, count)) in self.plans.iter().enumerate() {
             if i > 0 {

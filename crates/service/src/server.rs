@@ -178,11 +178,6 @@ impl ServerHandle {
         self.shared.addr
     }
 
-    /// A point-in-time copy of the server's cumulative metrics.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
-    }
-
     /// Initiates graceful shutdown and blocks until the drain completes:
     /// acceptors finish their current connections, then the executor pool
     /// finishes every admitted job. Returns the final metrics.
@@ -636,24 +631,18 @@ fn http_error_response(err: &WireError) -> Vec<u8> {
 /// Renders one counters object as JSON (shared by the merged `stats`
 /// field and the per-shard `shards` array).
 fn stats_json(stats: &tsq_core::plan::ExecStats) -> String {
-    format!(
-        "{{\"candidates\":{},\"refined\":{},\"false_hits\":{},\
-         \"nodes_visited\":{},\"disk_accesses\":{},\
-         \"pool_hits\":{},\"pool_misses\":{}}}",
-        stats.candidates,
-        stats.refined,
-        stats.false_hits,
-        stats.nodes_visited,
-        stats.disk_accesses,
-        stats.pool_hits,
-        stats.pool_misses
-    )
+    let fields: Vec<String> = wire::COUNTERS
+        .iter()
+        .zip(wire::counters(stats))
+        .map(|(name, v)| format!("\"{name}\":{v}"))
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 /// Renders a [`QueryReply`] as the HTTP facade's JSON answer. A
 /// scatter-gather reply carries a `shards` array with one counters
 /// object per shard; `stats` is always their exact sum.
-pub fn reply_json(reply: &QueryReply) -> String {
+pub(crate) fn reply_json(reply: &QueryReply) -> String {
     let mut rows = String::from("[");
     for (i, row) in reply.rows.iter().enumerate() {
         if i > 0 {

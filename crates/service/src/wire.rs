@@ -32,11 +32,12 @@
 //! counters   := u64(candidates) u64(refined) u64(false_hits)
 //!               u64(nodes_visited) u64(disk_accesses)
 //!               u64(pool_hits) u64(pool_misses)
+//!               u64(record_hits) u64(record_misses)
+//!               u64(record_seq_misses)
 //! ```
 //!
-//! The counters carry no record-pool traffic: a decoded reply's
-//! `record_*` counters read zero (`EXPLAIN ANALYZE` text and `/metrics`
-//! report them).
+//! The counters are every field of `ExecStats`, in the order of
+//! `COUNTERS`, which also names them in the HTTP facade's JSON.
 //!
 //! A reader never trusts a declared length: the frame header's payload
 //! length is capped by the caller's `max_frame_len` *before* any
@@ -53,7 +54,7 @@ use tsq_store::{
 use crate::engine::{EngineError, IngestRow, QueryReply, WireRow};
 
 /// Default cap on a single frame's payload (requests and responses).
-pub const DEFAULT_MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+pub(crate) const DEFAULT_MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Why a frame could not be read off a socket.
 #[derive(Debug)]
@@ -131,7 +132,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// when `prefix` is empty), [`FrameError::Io`] mid-frame,
 /// [`FrameError::TooLarge`] past the cap, [`FrameError::Malformed`] for
 /// anything `tsq-store` rejects (magic, version, endianness, CRC).
-pub fn read_frame_prefixed(
+pub(crate) fn read_frame_prefixed(
     r: &mut impl Read,
     prefix: &[u8],
     max_len: usize,
@@ -236,7 +237,7 @@ pub struct WireError {
 
 impl WireError {
     /// Convenience constructor.
-    pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: ErrorCode, message: impl Into<String>) -> Self {
         WireError {
             code,
             message: message.into(),
@@ -402,30 +403,63 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, StoreError> {
     Ok(req)
 }
 
+/// Every `ExecStats` counter by name, in the order a reply's counter
+/// block and the HTTP facade's counters object carry them.
+pub(crate) const COUNTERS: [&str; 10] = [
+    "candidates",
+    "refined",
+    "false_hits",
+    "nodes_visited",
+    "disk_accesses",
+    "pool_hits",
+    "pool_misses",
+    "record_hits",
+    "record_misses",
+    "record_seq_misses",
+];
+
+/// `stats`' counters in [`COUNTERS`] order.
+pub(crate) fn counters(stats: &ExecStats) -> [u64; 10] {
+    [
+        stats.candidates as u64,
+        stats.refined as u64,
+        stats.false_hits as u64,
+        stats.nodes_visited,
+        stats.disk_accesses,
+        stats.pool_hits,
+        stats.pool_misses,
+        stats.record_hits,
+        stats.record_misses,
+        stats.record_seq_misses,
+    ]
+}
+
 fn encode_counters(enc: &mut Encoder, stats: &ExecStats) {
-    enc.u64(stats.candidates as u64);
-    enc.u64(stats.refined as u64);
-    enc.u64(stats.false_hits as u64);
-    enc.u64(stats.nodes_visited);
-    enc.u64(stats.disk_accesses);
-    enc.u64(stats.pool_hits);
-    enc.u64(stats.pool_misses);
+    for v in counters(stats) {
+        enc.u64(v);
+    }
 }
 
 fn decode_counters(dec: &mut Decoder<'_>) -> Result<ExecStats, StoreError> {
-    let narrow = |v: u64, what: &str| -> Result<usize, StoreError> {
-        usize::try_from(v).map_err(|_| StoreError::corrupt(format!("{what} {v} exceeds usize")))
+    let mut v = [0; 10];
+    for (slot, name) in v.iter_mut().zip(COUNTERS) {
+        *slot = dec.u64(name)?;
+    }
+    let narrow = |i: usize| -> Result<usize, StoreError> {
+        usize::try_from(v[i])
+            .map_err(|_| StoreError::corrupt(format!("{} {} exceeds usize", COUNTERS[i], v[i])))
     };
     Ok(ExecStats {
-        candidates: narrow(dec.u64("candidates")?, "candidates")?,
-        refined: narrow(dec.u64("refined")?, "refined")?,
-        false_hits: narrow(dec.u64("false hits")?, "false hits")?,
-        nodes_visited: dec.u64("nodes visited")?,
-        disk_accesses: dec.u64("disk accesses")?,
-        pool_hits: dec.u64("pool hits")?,
-        pool_misses: dec.u64("pool misses")?,
-        // The block predates the record counters and does not carry them.
-        ..ExecStats::default()
+        candidates: narrow(0)?,
+        refined: narrow(1)?,
+        false_hits: narrow(2)?,
+        nodes_visited: v[3],
+        disk_accesses: v[4],
+        pool_hits: v[5],
+        pool_misses: v[6],
+        record_hits: v[7],
+        record_misses: v[8],
+        record_seq_misses: v[9],
     })
 }
 
@@ -460,8 +494,8 @@ fn encode_reply_body(enc: &mut Encoder, reply: &QueryReply) {
 fn decode_reply_body(dec: &mut Decoder<'_>) -> Result<QueryReply, StoreError> {
     let plan = dec.str("plan name")?;
     let stats = decode_counters(dec)?;
-    // Per-shard counter blocks are 7 u64s each.
-    let shard_count = dec.seq(56, "shard stats")?;
+    // Per-shard counter blocks are 10 u64s each.
+    let shard_count = dec.seq(80, "shard stats")?;
     let mut shard_stats = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
         shard_stats.push(decode_counters(dec)?);

@@ -105,7 +105,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -179,7 +179,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self, what: &str) -> StoreResult<f64> {
+    pub(crate) fn f64(&mut self, what: &str) -> StoreResult<f64> {
         let b = self.take(8, what)?;
         Ok(f64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],

@@ -97,7 +97,7 @@ const CHUNK: usize = 1 << 20;
 /// - **Same detection power.** Any bit flip changes its chunk's digest,
 ///   which changes the combined digest; the frame tests assert this for
 ///   every byte position.
-pub fn chunked_crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn chunked_crc32(bytes: &[u8]) -> u32 {
     let n_chunks = bytes.len().div_ceil(CHUNK).max(1);
     let mut digests = vec![0u32; n_chunks];
     let threads = if n_chunks >= 3 {

@@ -231,12 +231,6 @@ pub fn write_file(path: &Path, payload: &[u8]) -> StoreResult<u64> {
     result.map(|()| (HEADER_LEN + payload.len() + TRAILER_LEN) as u64)
 }
 
-/// Reads `path`, validates the frame, and returns the payload bytes: the
-/// read buffer, its header and trailer cut off in place.
-pub fn read_payload(path: &Path) -> StoreResult<Vec<u8>> {
-    unseal_vec(std::fs::read(path)?)
-}
-
 fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
@@ -246,6 +240,11 @@ fn tmp_sibling(path: &Path) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reads `path`, validates the frame, and returns the payload bytes.
+    fn read_payload(path: &Path) -> StoreResult<Vec<u8>> {
+        unseal_vec(std::fs::read(path)?)
+    }
 
     #[test]
     fn seal_unseal_round_trip() {

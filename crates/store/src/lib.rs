@@ -30,15 +30,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
-pub mod crc;
-pub mod error;
-pub mod frame;
+mod codec;
+mod crc;
+mod error;
+mod frame;
 
 pub use codec::{Decoder, Encoder};
 pub use crc::crc32;
 pub use error::{StoreError, StoreResult};
 pub use frame::{
-    parse_header, read_payload, seal, unseal, unseal_vec, write_file, write_sealed, FORMAT_VERSION,
-    HEADER_LEN, MAGIC, TRAILER_LEN,
+    parse_header, seal, unseal, unseal_vec, write_file, write_sealed, FORMAT_VERSION, HEADER_LEN,
+    MAGIC, TRAILER_LEN,
 };

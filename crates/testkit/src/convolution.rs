@@ -14,8 +14,8 @@
 //! for it so that e.g. the moving-average transformation applied in the
 //! frequency domain matches the time-domain moving average exactly.)
 
-use crate::complex::{Complex64, ZERO};
-use crate::planner::FftPlanner;
+use tsq_dft::complex::ZERO;
+use tsq_dft::{Complex64, FftPlanner};
 
 /// Direct `O(n^2)` circular convolution of two equal-length real sequences.
 ///
@@ -82,30 +82,20 @@ pub fn conv_fft(planner: &mut FftPlanner, x: &[Complex64], y: &[Complex64]) -> V
     }
     let fx = planner.dft(x);
     let fy = planner.dft(y);
-    let mut prod: Vec<Complex64> = fx.iter().zip(&fy).map(|(&a, &b)| a * b).collect();
-    let plan = planner.plan(n);
-    plan.inverse(&mut prod);
+    let prod: Vec<Complex64> = fx.iter().zip(&fy).map(|(&a, &b)| a * b).collect();
     let s = (n as f64).sqrt();
-    for v in &mut prod {
-        *v = v.scale(s);
-    }
-    prod
-}
-
-/// `O(n log n)` circular convolution of real sequences via FFT.
-pub fn conv_real_fft(planner: &mut FftPlanner, x: &[f64], y: &[f64]) -> Vec<f64> {
-    let cx: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
-    let cy: Vec<Complex64> = y.iter().map(|&v| Complex64::from_real(v)).collect();
-    conv_fft(planner, &cx, &cy)
+    planner
+        .idft(&prod)
         .into_iter()
-        .map(|c| c.re)
+        .map(|v| v.scale(s))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dft::{dft, dft_real};
+    use crate::reference::dft_real;
+    use tsq_dft::dft::dft;
 
     #[test]
     fn tiny_example_by_hand() {
@@ -173,22 +163,6 @@ mod tests {
             for (d, f) in direct.iter().zip(&fast) {
                 assert!((*d - *f).abs() < 1e-8 * (n as f64).max(1.0), "n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn real_fft_conv_matches_direct() {
-        let mut planner = FftPlanner::new();
-        let x: Vec<f64> = (0..15).map(|i| (i as f64 * 0.4).sin() * 2.0).collect();
-        // 3-day moving-average kernel from Example 1.1.
-        let mut y = vec![0.0; 15];
-        y[0] = 1.0 / 3.0;
-        y[1] = 1.0 / 3.0;
-        y[2] = 1.0 / 3.0;
-        let direct = conv_real(&x, &y);
-        let fast = conv_real_fft(&mut planner, &x, &y);
-        for (d, f) in direct.iter().zip(&fast) {
-            assert!((d - f).abs() < 1e-10);
         }
     }
 

@@ -23,11 +23,11 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use tsq_core::{Error, LinearTransform};
 use tsq_series::distance::distance_sq_within;
 use tsq_series::TimeSeries;
 
-use crate::error::{Error, Result};
-use crate::transform::LinearTransform;
+type Result<T> = std::result::Result<T, Error>;
 
 /// Search limits for [`transformation_distance`].
 #[derive(Debug, Clone, Copy)]

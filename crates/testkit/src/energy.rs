@@ -7,15 +7,9 @@
 //! the blocked loop `tsq_series::distance::sum_sq_within`, which sums the
 //! same terms in the same order (so the two agree bit for bit).
 
-use crate::complex::Complex64;
+use tsq_dft::Complex64;
 
-/// Energy of a real signal: `E(x) = sum |x_t|^2` (Equation 3).
-#[inline]
-pub fn energy_real(x: &[f64]) -> f64 {
-    x.iter().map(|&v| v * v).sum()
-}
-
-/// Energy of a complex signal.
+/// Energy of a complex signal: `E(x) = sum |x_t|^2` (Equation 3).
 #[inline]
 pub fn energy_complex(x: &[Complex64]) -> f64 {
     x.iter().map(|c| c.norm_sqr()).sum()
@@ -60,13 +54,7 @@ pub fn euclidean_complex(x: &[Complex64], y: &[Complex64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dft::dft_real;
-
-    #[test]
-    fn energy_matches_by_hand() {
-        assert_eq!(energy_real(&[3.0, 4.0]), 25.0);
-        assert_eq!(energy_real(&[]), 0.0);
-    }
+    use crate::reference::dft_real;
 
     #[test]
     fn parseval_distance_preserved() {

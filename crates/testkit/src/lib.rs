@@ -16,13 +16,23 @@
 //!   rows, order and distance bits of [`Config::REFERENCE`] — one shard, in
 //!   memory, in process;
 //! - [`heap::Tracking`], a global allocator counting live bytes, which a
-//!   heap test installs in its own binary.
+//!   heap test installs in its own binary;
+//! - the paper's formulas as references the product code is checked
+//!   against: a real series' DFT by the defining sums and the
+//!   coefficients of every window ([`mod@reference`]), energy and
+//!   Euclidean distance in either domain ([`energy`], Equations 3, 7 and
+//!   8), circular convolution ([`convolution`], Equations 4 and 6), and
+//!   the cost-bounded dissimilarity of Equation 10 ([`cost`]).
 
 #![deny(unsafe_code)]
 
+pub mod convolution;
+pub mod cost;
 pub mod differential;
+pub mod energy;
 pub mod heap;
 mod property;
+pub mod reference;
 
 pub use property::{ddmin, property, seed, Rng};
 

@@ -6,16 +6,22 @@
 //! and it owns the top-level integration suites (`tests/`) and example
 //! programs (`examples/`).
 //!
-//! The crate DAG underneath:
+//! The crate DAG underneath (arrows point at dependents):
 //!
 //! ```text
-//! tsq-pool ──────────────────┐
-//! tsq-series ─→ tsq-dft ─→ tsq-rtree ─→ tsq-core ─→ tsq-service ─→ tsq-lang
+//! tsq-series ──────────────┐
+//!                          ├──→ tsq-core ──→ tsq-service ──→ tsq-lang
+//! tsq-dft ─────────────────┤
+//! tsq-store ──→ tsq-rtree ─┘
+//! tsq-pool ───→ tsq-rtree (and tsq-core directly)
 //! ```
 //!
-//! `tsq-pool` is the persistent work-stealing executor every parallel
-//! path fans out over; it sits below `tsq-rtree` (the lowest crate that
-//! fans out) and is re-exported through `tsq_core::executor`.
+//! `tsq-series`, `tsq-dft`, `tsq-store` and `tsq-pool` depend on no
+//! workspace crate. `tsq-service` also uses `tsq-store` directly (its
+//! wire frames), and `tsq-lang` uses `tsq-series` and `tsq-store`
+//! directly. `tsq-pool` is the persistent work-stealing executor every
+//! parallel path fans out over; it sits below `tsq-rtree` (the lowest
+//! crate that fans out) and is re-exported through `tsq_core::executor`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,7 +2,6 @@
 //! the data, and shape-wise where it relies on unavailable stock data.
 //! Section 5's figures and Table 1 are judged in `paper_shapes.rs`.
 
-use tsq_core::cost::{transformation_distance, CostBudget};
 use tsq_core::geometry::AnnularSector;
 use tsq_core::{
     FeatureSchema, IndexConfig, LinearTransform, QueryWindow, SimilarityIndex, SpaceKind,
@@ -13,6 +12,7 @@ use tsq_series::distance::euclidean;
 use tsq_series::moving_average::circular_moving_average;
 use tsq_series::warp::stretch;
 use tsq_series::TimeSeries;
+use tsq_testkit::cost::{transformation_distance, CostBudget};
 
 fn s1() -> TimeSeries {
     TimeSeries::from([
@@ -47,7 +47,7 @@ fn example_1_1_in_frequency_domain() {
     let t = LinearTransform::moving_average(15, 3);
     let f1 = t.apply_spectrum(&planner.dft_real(s1().values()));
     let f2 = t.apply_spectrum(&planner.dft_real(s2().values()));
-    let d = tsq_dft::energy::euclidean_complex(&f1, &f2);
+    let d = tsq_testkit::energy::euclidean_complex(&f1, &f2);
     assert!((d - 0.4714).abs() < 0.001, "got {d}");
 }
 
@@ -124,7 +124,7 @@ fn theorem_2_counterexample() {
 #[test]
 fn figure_7_search_rectangle() {
     // Magnitude range [m - eps, m + eps]; angle range alpha +- asin(eps/m).
-    let c = Complex64::from_polar(2.0, 0.5);
+    let c = Complex64::cis(0.5).scale(2.0);
     let (lo, hi) = SpaceKind::Polar.ball_block(c, 0.6);
     assert!((lo[0] - 1.4).abs() < 1e-12);
     assert!((hi[0] - 2.6).abs() < 1e-12);
@@ -135,7 +135,7 @@ fn figure_7_search_rectangle() {
     let sector = AnnularSector::new(lo[0], hi[0], lo[1], hi[1]);
     for i in 0..256 {
         let th = i as f64 / 256.0 * std::f64::consts::TAU;
-        assert!(sector.contains(c + Complex64::from_polar(0.599, th)));
+        assert!(sector.contains(c + Complex64::cis(th).scale(0.599)));
     }
 }
 

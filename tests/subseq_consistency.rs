@@ -596,7 +596,8 @@ fn subsequence_lemma_1_holds_within_four_ulps_across_appends() {
             tails
                 .series(SCHEDULE.iter().sum())
                 .shift(LEVEL)
-                .into_values()
+                .values()
+                .to_vec()
         })
         .collect();
     let mut appends: Vec<String> = Vec::new();
