@@ -20,9 +20,12 @@
 //!
 //! Two things fan out over it at query time — the statements of a batch,
 //! and the shards of one statement ([`crate::shard`]); inside one shard a
-//! query's filter and refine steps run sequentially. Every parallel path
-//! is deterministic: results are byte-identical to the sequential oracle
-//! regardless of thread count, which the concurrency test suite asserts.
+//! query's filter and refine steps run sequentially. A large build fans
+//! out too: a whole-match index's feature extraction and an ST-index's
+//! trail extraction over runs of series, and the STR bulk load's sorts and
+//! gather under both. Every parallel path is deterministic: results are
+//! byte-identical to the sequential oracle regardless of thread count,
+//! which the concurrency test suite asserts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -210,28 +210,50 @@ impl Features {
         planner: &mut FftPlanner,
         kept: usize,
     ) -> Result<Features> {
-        let n = series.len();
-        schema.validate(n)?;
-        let (mean, std, full) = match schema {
+        schema.validate(series.len())?;
+        let mut features = Features::room(series.len(), kept);
+        features.compute(series, schema, planner);
+        Ok(features)
+    }
+
+    /// Room for the features of a series of `n` samples keeping `kept`
+    /// coefficients, all zero until [`Features::compute`] fills them: the
+    /// spectrum at exactly the kept length, so no record holds all `n`
+    /// coefficients allocated. The caller has validated the schema
+    /// against `n`.
+    pub(crate) fn room(n: usize, kept: usize) -> Features {
+        Features {
+            mean: 0.0,
+            std: 0.0,
+            n,
+            spectrum: vec![Complex64::default(); kept],
+        }
+    }
+
+    /// Fills [`Features::room`] made for `series` with its features under
+    /// `schema`. Its temporaries are freed before it returns, and only
+    /// `planner` keeps a plan: a build runs it on pool workers over records
+    /// its calling thread allocated.
+    pub(crate) fn compute(
+        &mut self,
+        series: &TimeSeries,
+        schema: FeatureSchema,
+        planner: &mut FftPlanner,
+    ) {
+        debug_assert_eq!(self.n, series.len());
+        let full = match schema {
             FeatureSchema::NormalForm { .. } => {
                 let nf = NormalForm::of(series);
-                (nf.mean, nf.std, planner.dft_real(nf.series.values()))
+                (self.mean, self.std) = (nf.mean, nf.std);
+                planner.dft_real(nf.series.values())
             }
-            FeatureSchema::Raw { .. } => (
-                series.mean(),
-                series.std(),
-                planner.dft_real(series.values()),
-            ),
+            FeatureSchema::Raw { .. } => {
+                (self.mean, self.std) = (series.mean(), series.std());
+                planner.dft_real(series.values())
+            }
         };
-        // A copy at exactly the kept length: truncating `full` would keep
-        // all `n` coefficients allocated behind every stored record.
-        let spectrum = full[..kept].to_vec();
-        Ok(Features {
-            mean,
-            std,
-            n,
-            spectrum,
-        })
+        let kept = self.spectrum.len();
+        self.spectrum.copy_from_slice(&full[..kept]);
     }
 
     /// The indexed coefficients (a slice of the spectrum).

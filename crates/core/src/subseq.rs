@@ -333,14 +333,16 @@ fn check_words(series: usize, windows: impl IntoIterator<Item = usize>) -> Resul
 }
 
 impl TrailIndex {
-    /// Builds the trails of every series `source` holds, with the two
+    /// Builds the trails of every series `source` holds, with the three
     /// heavy phases partitioned across up to `threads` worker threads:
     /// sliding-DFT trail extraction fans out over runs of consecutive
     /// series, each reading its series from `source`, and the STR bulk
-    /// load sorts levels in parallel ([`RStarTree::bulk_load_flat`]). The
-    /// index is *identical* to a sequential build for every thread count —
-    /// trail order is fixed before the fan-out and STR packing is
-    /// position-deterministic — so queries cannot tell how it was built.
+    /// load ([`RStarTree::bulk_load_flat`]) sorts a large level's slabs in
+    /// parallel and then gathers its nodes' stored bounds over groups of
+    /// nodes. The index is *identical* to a sequential build for every
+    /// thread count — trail order is fixed before the fan-out and STR
+    /// packing is position-deterministic — so queries cannot tell how it
+    /// was built.
     ///
     /// Each run writes its trails' rectangles straight into the slots the
     /// loader hands out, which are the leaf slabs they end up in: no

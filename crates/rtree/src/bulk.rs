@@ -21,17 +21,37 @@
 //! Every sort pass sorts entry indices on each entry's centre coordinate,
 //! computed once per pass (a cached key); the stable sort gives the
 //! comparator sort's order bit for bit.
+//!
+//! A level of at least [`FAN_OUT_MIN`] entries fans out over the
+//! [`tsq_pool`] executor three times: the dimension-0 sort, as two halves
+//! merged on the calling thread; the per-slab sorts below it; and the
+//! gather, over contiguous groups of nodes. The caller reserves every
+//! slab, allocates the level's MBR buffer and splits the payloads into
+//! each node's kids; in the gather a worker only rounds its nodes' entries
+//! into their slabs (within the capacity reserved for them) and folds
+//! their `f64` MBRs into its own slice of that buffer. Nothing a worker
+//! allocates outlives the load, and the tree is the sequential one at
+//! every thread count.
 
 use std::cmp::Ordering;
 
 use crate::config::RTreeConfig;
 use crate::node::{Kids, Node};
-use crate::par::par_for_each_slice;
+use crate::par::{par_for_each_slice, parallel_map};
 use crate::rect::{store_extend, union_into, Rect};
 use crate::tree::RStarTree;
 
 /// A level's centre coordinates: `center(i, dim)` of entry `i`.
 type Centers<'a> = dyn Fn(usize, usize) -> f64 + Sync + 'a;
+
+/// Fewest entries a level needs before its sorts and its gather fan out;
+/// a smaller level is packed on the calling thread. Handing a batch to the
+/// pool costs about 9 µs (`pool.map_submit_us`), and the gather alone
+/// takes 70–110 ns an entry on one thread (8 000 6-d points in 0.56 ms,
+/// 48 400 6-d trails in 5.0 ms, 2-vCPU VM), so 4 096 entries are about
+/// 0.3–0.45 ms of gather: the hand-off is 2–3 % of it. An append's repack
+/// of a few hundred series stays on the calling thread.
+const FAN_OUT_MIN: usize = 4096;
 
 impl<T> RStarTree<T> {
     /// Builds a tree from `(rect, item)` pairs using STR packing: the
@@ -67,11 +87,14 @@ impl<T> RStarTree<T> {
     /// that lives while the leaves are packed; no rectangle is allocated
     /// on its own.
     ///
-    /// Sorting a level fans out over up to `threads` worker threads. The
-    /// tree is *identical* at every thread count: the top-level sort is
-    /// shared, every slab is sorted on the same key independently of the
-    /// others, and chunk boundaries are position-based, so thread count
-    /// never changes entry placement.
+    /// Sorting a level and gathering its nodes fan out over up to
+    /// `threads` worker threads once the level holds a few thousand
+    /// entries (see the module docs). The tree is *identical* at every
+    /// thread count: the top-level sort orders ties as a stable sort
+    /// does, every slab is sorted on the same key independently of the
+    /// others, chunk boundaries are position-based, and each node is
+    /// gathered from the same entries into the slab reserved for it, so
+    /// thread count never changes entry placement.
     ///
     /// The bounds are stored rounded outward to `f32` (`crate::rect`):
     /// like [`Rect::from_point`]'s, they are not validated.
@@ -89,9 +112,7 @@ impl<T> RStarTree<T> {
     where
         F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>) -> Vec<T>,
     {
-        str_load(config, dims, len, fill, |order, centers, dims, cap| {
-            str_sort_parallel(order, centers, dims, cap, threads)
-        })
+        str_load(config, dims, len, threads, fill, str_sort_parallel)
     }
 
     /// Inserts a batch of entries: entry `i`'s rectangle is
@@ -143,11 +164,19 @@ impl<T> RStarTree<T> {
 
 /// The one STR loader: let `fill` write the `len` rectangles into one
 /// flat `f64` buffer and hand over the payloads, then pack level by level —
-/// ordering each level with `sort` — until one node remains.
-fn str_load<T, F, S>(config: RTreeConfig, dims: usize, len: usize, fill: F, sort: S) -> RStarTree<T>
+/// ordering each level with `sort` — until one node remains, a level of
+/// [`FAN_OUT_MIN`] entries or more on up to `threads` threads.
+fn str_load<T, F, S>(
+    config: RTreeConfig,
+    dims: usize,
+    len: usize,
+    threads: usize,
+    fill: F,
+    sort: S,
+) -> RStarTree<T>
 where
     F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>) -> Vec<T>,
-    S: Fn(&mut [usize], &Centers<'_>, usize, usize),
+    S: Fn(&mut [usize], &Centers<'_>, usize, usize, usize),
 {
     config.validate();
     let mut tree = RStarTree::new(config);
@@ -157,7 +186,7 @@ where
         return tree;
     }
     assert!(dims > 0, "a rectangle needs at least one dimension");
-    let shape = (dims, config.max_entries);
+    let shape = (dims, config.max_entries, threads);
     // A level's stored slabs are allocated before its `f64` rectangles,
     // which live only while the level is packed.
     let leaves = reserve(len, shape);
@@ -204,9 +233,12 @@ fn scratch(n: usize) -> Vec<f64> {
 /// entries' capacity.
 type Reserved = (usize, Vec<f32>);
 
+/// A load's dimensionality, node capacity and thread count.
+type Shape = (usize, usize, usize);
+
 /// The stored slabs of the nodes a level of `n` entries packs into: one
 /// node when all fit one, else [`chunk_sizes`].
-fn reserve(n: usize, (dims, cap): (usize, usize)) -> Vec<Reserved> {
+fn reserve(n: usize, (dims, cap, _): Shape) -> Vec<Reserved> {
     let sizes = match n <= cap {
         true => vec![n],
         false => chunk_sizes(n, cap),
@@ -219,21 +251,25 @@ fn reserve(n: usize, (dims, cap): (usize, usize)) -> Vec<Reserved> {
 /// payload, in payload order) into the `nodes` [`reserve`] made for it:
 /// puts its entries in STR order — unless they all fit one node, which
 /// then keeps them in input order — and fills each node's slab with its
-/// entries' bounds in stored form. Leaves `coords` holding the nodes'
-/// `f64` MBRs, the next level's rectangles.
+/// entries' bounds in stored form ([`gather`]). Leaves `coords` holding
+/// the nodes' `f64` MBRs, the next level's rectangles.
 fn pack<P, T, S>(
     level: u32,
-    (dims, cap): (usize, usize),
+    (dims, cap, threads): Shape,
     coords: &mut Vec<f64>,
-    nodes: Vec<Reserved>,
+    mut nodes: Vec<Reserved>,
     mut payloads: Vec<P>,
     kids: fn(Vec<P>) -> Kids<T>,
     sort: &S,
 ) -> Vec<Node<T>>
 where
-    S: Fn(&mut [usize], &Centers<'_>, usize, usize),
+    S: Fn(&mut [usize], &Centers<'_>, usize, usize, usize),
 {
     let (w, n) = (2 * dims, payloads.len());
+    let threads = match n >= FAN_OUT_MIN {
+        true => threads,
+        false => 1,
+    };
     let mut order: Vec<usize> = (0..n).collect();
     if nodes.len() > 1 {
         let rects: &[f64] = coords;
@@ -242,34 +278,67 @@ where
             &|i, dim| center(&rects[i * w..(i + 1) * w], dim),
             dims,
             cap,
+            threads,
         );
         permute(&order, |a, b| payloads.swap(a, b));
     }
-    let mut mbrs = Vec::with_capacity(nodes.len() * w);
+    let mut mbrs = vec![0.0; nodes.len() * w];
+    gather(coords, &order, &mut nodes, &mut mbrs, w, threads);
+    *coords = mbrs;
     let mut payloads = payloads.into_iter();
-    let mut order = order.iter();
-    let nodes = nodes
+    nodes
         .into_iter()
-        .map(|(size, mut slab)| {
-            let start = mbrs.len();
-            for (j, &i) in order.by_ref().take(size).enumerate() {
-                let rect = &coords[i * w..(i + 1) * w];
-                store_extend(&mut slab, rect);
+        .map(|(size, slab)| Node {
+            level,
+            dims: dims as u32,
+            coords: slab,
+            kids: kids(payloads.by_ref().take(size).collect()),
+        })
+        .collect()
+}
+
+/// Fills each node's slab with the stored bounds of its entries — the
+/// next `size` of `order`, reading rectangles `w` bounds wide from
+/// `rects` — and folds its `f64` MBR into its `w` bounds of `mbrs`. On
+/// up to `threads` threads, each taking a contiguous group of nodes and
+/// the disjoint slices of `order` and `mbrs` that group owns; every slab
+/// was reserved at its node's capacity, so no thread allocates here.
+fn gather(
+    rects: &[f64],
+    order: &[usize],
+    nodes: &mut [Reserved],
+    mbrs: &mut [f64],
+    w: usize,
+    threads: usize,
+) {
+    let fill = |(order, nodes, mbrs): (&[usize], &mut [Reserved], &mut [f64])| {
+        let mut order = order.iter();
+        for ((size, slab), mbr) in nodes.iter_mut().zip(mbrs.chunks_exact_mut(w)) {
+            for (j, &i) in order.by_ref().take(*size).enumerate() {
+                let rect = &rects[i * w..(i + 1) * w];
+                store_extend(slab, rect);
                 match j {
-                    0 => mbrs.extend_from_slice(rect),
-                    _ => union_into(&mut mbrs[start..], rect),
+                    0 => mbr.copy_from_slice(rect),
+                    _ => union_into(mbr, rect),
                 }
             }
-            Node {
-                level,
-                dims: dims as u32,
-                coords: slab,
-                kids: kids(payloads.by_ref().take(size).collect()),
-            }
+        }
+    };
+    if threads <= 1 {
+        return fill((order, nodes, mbrs));
+    }
+    let per = nodes.len().div_ceil(threads);
+    let mut rest = order;
+    let groups = nodes
+        .chunks_mut(per)
+        .zip(mbrs.chunks_mut(per * w))
+        .map(|(group, mbrs)| {
+            let (ids, tail) = rest.split_at(group.iter().map(|&(size, _)| size).sum());
+            rest = tail;
+            (ids, group, mbrs)
         })
         .collect();
-    *coords = mbrs;
-    nodes
+    parallel_map(threads, groups, fill);
 }
 
 /// Rearranges a sequence in place so that position `p` holds what was at
@@ -291,12 +360,12 @@ fn permute(order: &[usize], mut swap: impl FnMut(usize, usize)) {
 }
 
 /// The parallel form of [`str_sort`] at the top recursion level: the
-/// dimension-0 sort stays sequential (one global ordering), then the
-/// per-slab recursions — independent by construction — fan out across
-/// workers. Slab boundaries come from the same [`slab_len`] as the
-/// sequential path and each slab runs the identical sequential `str_sort`,
-/// so the resulting ordering matches it exactly. `threads <= 1` is the
-/// sequential sort.
+/// dimension-0 sort sorts two halves at once and merges them
+/// ([`sort_by_center_in_halves`]), then the per-slab recursions —
+/// independent by construction — fan out across workers. Slab boundaries
+/// come from the same [`slab_len`] as the sequential path and each slab
+/// runs the identical sequential `str_sort`, so the resulting ordering
+/// matches it exactly. `threads <= 1` is the sequential sort.
 fn str_sort_parallel(
     order: &mut [usize],
     centers: &Centers<'_>,
@@ -308,7 +377,7 @@ fn str_sort_parallel(
     if threads <= 1 || n <= cap || dims == 1 {
         return str_sort(order, centers, 0, dims, cap);
     }
-    sort_by_center(order, centers, 0);
+    sort_by_center_in_halves(order, centers);
     let slices: Vec<&mut [usize]> = order.chunks_mut(slab_len(n, cap, dims)).collect();
     par_for_each_slice(threads, slices, |slab| {
         str_sort(slab, centers, 1, dims, cap)
@@ -337,6 +406,36 @@ fn str_sort(order: &mut [usize], centers: &Centers<'_>, dim: usize, dims: usize,
 /// keep their input order, so the order is the comparator sort's exactly.
 fn sort_by_center(order: &mut [usize], centers: &Centers<'_>, dim: usize) {
     order.sort_by_cached_key(|&i| Center(centers(i, dim)));
+}
+
+/// [`sort_by_center`] along dimension 0 on two threads, for an `order`
+/// listing its entries in ascending order, as a level's does before its
+/// sort. Each half is keyed by `(centre, entry)` into its half of one
+/// buffer the caller allocated (the buffer a cached-key sort allocates)
+/// and sorted there in place; the caller then merges the halves into
+/// `order`. An entry's index is its input position, so ties keep their
+/// input order: the order is the stable sort's, bit for bit.
+fn sort_by_center_in_halves(order: &mut [usize], centers: &Centers<'_>) {
+    debug_assert!(order.windows(2).all(|w| w[0] < w[1]), "entries in order");
+    let mid = order.len() / 2;
+    let mut keyed: Vec<(Center, usize)> = order.iter().map(|&i| (Center(0.0), i)).collect();
+    let (left, right) = keyed.split_at_mut(mid);
+    parallel_map(2, vec![left, right], |half| {
+        for (key, i) in half.iter_mut() {
+            *key = Center(centers(*i, 0));
+        }
+        half.sort_unstable();
+    });
+    let (left, right) = keyed.split_at(mid);
+    let (mut l, mut r) = (left.iter().peekable(), right.iter().peekable());
+    for slot in order.iter_mut() {
+        let next = match (l.peek(), r.peek()) {
+            (Some(a), Some(b)) if b < a => r.next(),
+            (Some(_), _) => l.next(),
+            (None, _) => r.next(),
+        };
+        *slot = next.expect("an entry per slot").1;
+    }
 }
 
 /// A centre coordinate under `f64::total_cmp`'s total order.
@@ -498,6 +597,36 @@ mod tests {
                 assert_eq!(a, b, "n = {n}, threads = {threads}: leaf layout differs");
             }
         }
+        // A load whose two lowest levels fan out, of rectangles whose
+        // centres tie often: every node's level, payloads and stored
+        // slab — the leaves' bounds and the inner nodes' MBRs — bit for
+        // bit those of the sequential load.
+        let (dims, config) = (3, RTreeConfig::with_max_entries(4));
+        let items = tied(4 * FAN_OUT_MIN + 3, dims, 7);
+        let seq = load_flat(config, &items, 1);
+        assert!(seq.height() >= 3, "a deep tree");
+        for threads in [2usize, 3, 8] {
+            let par = load_flat(config, &items, threads);
+            assert!(
+                slabs(&par.root) == slabs(&seq.root),
+                "threads = {threads}: a node differs"
+            );
+        }
+    }
+
+    /// Every node in pre-order: its level, its stored slab's bits and, for
+    /// a leaf, its payloads.
+    fn slabs(node: &Node<usize>) -> Vec<(u32, Vec<u32>, Vec<usize>)> {
+        let bits = node.coords.iter().map(|b| b.to_bits()).collect();
+        match &node.kids {
+            Kids::Items(items) => vec![(node.level, bits, items.clone())],
+            Kids::Nodes(children) => {
+                let below = children.iter().flat_map(slabs);
+                std::iter::once((node.level, bits, Vec::new()))
+                    .chain(below)
+                    .collect()
+            }
+        }
     }
 
     #[test]
@@ -626,8 +755,9 @@ mod tests {
                     config,
                     dims,
                     n,
+                    1,
                     fill,
-                    |order, centers, dims, cap| {
+                    |order, centers, dims, cap, _| {
                         str_sort_by_comparator(order, centers, 0, dims, cap)
                     },
                 ));
