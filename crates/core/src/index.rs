@@ -441,6 +441,10 @@ impl SimilarityIndex {
     /// coefficients would be holes no `malloc_trim` returns once the tree
     /// moves to a page file.
     ///
+    /// A large build fans out over the worker pool and waits for its
+    /// workers, so it must not run under a lock that pool work may be
+    /// waiting on.
+    ///
     /// # Errors
     /// [`Error::InvalidCutoff`] if the schema's `k` does not fit some
     /// series.
@@ -466,8 +470,10 @@ impl SimilarityIndex {
     /// moved out of another index under the same configuration
     /// ([`SimilarityIndex::into_records`]). Features depend on the series
     /// alone, so the index is the one a build over the series would be.
+    /// Packed on the calling thread: a reshard runs under its catalog's
+    /// write lock, which pool work may be waiting on.
     pub(crate) fn from_records(config: IndexConfig, store: Vec<StoredSeries>) -> Self {
-        Self::packed_on(config, store, default_threads())
+        Self::packed_on(config, store, 1)
     }
 
     /// An index over `store` with its tree packed on up to `threads`
@@ -490,10 +496,13 @@ impl SimilarityIndex {
         self.store
     }
 
-    /// The derived state, packed now if an append emptied the cell.
+    /// The derived state, packed now if an append emptied the cell. The
+    /// first reader packs it on its own thread while later readers wait:
+    /// a fan-out here could wait for pool workers that are themselves
+    /// waiting for the cell.
     fn packed(&self) -> &Packed {
         self.packed
-            .get_or_init(|| pack(&self.config, &self.store, default_threads()))
+            .get_or_init(|| pack(&self.config, &self.store, 1))
     }
 
     /// True while the derived state is held (an append empties it).
@@ -556,14 +565,15 @@ impl SimilarityIndex {
     /// then ragged and whole-series queries are gated until appends even
     /// the lengths out). Feature extraction for every series happens
     /// before anything is committed, so a failure leaves the index exactly
-    /// as it was.
+    /// as it was. It runs on the calling thread: an append holds its
+    /// catalog's write lock, which pool work may be waiting on.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when paged storage is attached,
     /// [`Error::InvalidCutoff`] if the schema does not fit a new series.
     pub fn push_series_batch(&mut self, series: Vec<TimeSeries>) -> Result<Vec<usize>> {
         self.check_appendable()?;
-        let staged = extract_all(&self.config, series, default_threads())?;
+        let staged = extract_all(&self.config, series, 1)?;
         let first = self.store.len();
         self.store.extend(staged);
         self.store_changed();

@@ -5,7 +5,7 @@
 //!
 //! A binary of its own, because it installs a global allocator that counts
 //! live bytes across every thread (`tsq_testkit::heap`). It holds one
-//! test, so nothing else allocates while it measures.
+//! test, so no other test allocates while it measures.
 
 use std::sync::{Arc, Barrier};
 
@@ -89,8 +89,14 @@ fn a_build_holds_the_same_heap_on_one_thread_and_on_two() {
         walks.len()
     );
     assert!(inline > 0);
-    assert_eq!(
-        fanned, inline,
+    // `Tracking` counts every thread's blocks, so a few bytes another
+    // thread holds while a count is read (a pool task's 16-byte box, or
+    // libtest's own bookkeeping) may ride on either side. A spectrum kept
+    // twice is 48 B here (three coefficients), a series or a node slab
+    // over a kilobyte: each would be more than this.
+    const SLACK: isize = 32;
+    assert!(
+        (fanned - inline).abs() <= SLACK,
         "a fanned-out build holds {fanned} B, an inline one {inline} B"
     );
 }

@@ -147,9 +147,7 @@ impl Catalog {
     /// # Errors
     /// Propagates index-construction failures.
     pub fn register(&mut self, relation: SeriesRelation) -> Result<(), LangError> {
-        let name = relation.name().to_string();
-        let index = ShardedIndex::build(self.config, &relation, ShardSpec::hash(1)?)?;
-        let relation = Relation::new(relation.into_labels(), index);
+        let (name, relation) = indexed(self.config, relation)?;
         self.relations.insert(name, relation);
         Ok(())
     }
@@ -742,12 +740,18 @@ impl SharedCatalog {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a relation under the write lock.
+    /// Registers a relation: its index is built with no lock held (a
+    /// large build fans out over the worker pool, whose workers may be
+    /// running a batch's statements that wait for the lock), then put in
+    /// place under the write lock.
     ///
     /// # Errors
     /// Propagates index-construction failures.
     pub fn register(&self, relation: SeriesRelation) -> Result<(), LangError> {
-        self.write().register(relation)
+        let config = self.read().config;
+        let (name, relation) = indexed(config, relation)?;
+        self.write().relations.insert(name, relation);
+        Ok(())
     }
 
     /// Parses and executes one statement: queries run under the read
@@ -826,6 +830,14 @@ impl SharedCatalog {
     pub fn with_relation<R>(&self, name: &str, f: impl FnOnce(Option<&SeriesRelation>) -> R) -> R {
         f(self.read().relation(name))
     }
+}
+
+/// A relation's name and its catalog entry, its one-shard index built
+/// under `config`.
+fn indexed(config: IndexConfig, relation: SeriesRelation) -> Result<(String, Relation), LangError> {
+    let name = relation.name().to_string();
+    let index = ShardedIndex::build(config, &relation, ShardSpec::hash(1)?)?;
+    Ok((name, Relation::new(relation.into_labels(), index)))
 }
 
 /// The one batch loop behind [`Catalog::run_batch`] and

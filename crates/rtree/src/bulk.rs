@@ -23,8 +23,8 @@
 //! comparator sort's order bit for bit.
 //!
 //! A level of at least [`FAN_OUT_MIN`] entries fans out over the
-//! [`tsq_pool`] executor three times: the dimension-0 sort, as two halves
-//! merged on the calling thread; the per-slab sorts below it; and the
+//! [`tsq_pool`] executor twice: for the per-slab sorts below its
+//! dimension-0 sort, which stays on the calling thread, and for the
 //! gather, over contiguous groups of nodes. The caller reserves every
 //! slab, allocates the level's MBR buffer and splits the payloads into
 //! each node's kids; in the gather a worker only rounds its nodes' entries
@@ -90,11 +90,11 @@ impl<T> RStarTree<T> {
     /// Sorting a level and gathering its nodes fan out over up to
     /// `threads` worker threads once the level holds a few thousand
     /// entries (see the module docs). The tree is *identical* at every
-    /// thread count: the top-level sort orders ties as a stable sort
-    /// does, every slab is sorted on the same key independently of the
-    /// others, chunk boundaries are position-based, and each node is
-    /// gathered from the same entries into the slab reserved for it, so
-    /// thread count never changes entry placement.
+    /// thread count: the top-level sort is shared, every slab is sorted
+    /// on the same key independently of the others, chunk boundaries are
+    /// position-based, and each node is gathered from the same entries
+    /// into the slab reserved for it, so thread count never changes entry
+    /// placement.
     ///
     /// The bounds are stored rounded outward to `f32` (`crate::rect`):
     /// like [`Rect::from_point`]'s, they are not validated.
@@ -186,26 +186,24 @@ where
         return tree;
     }
     assert!(dims > 0, "a rectangle needs at least one dimension");
-    let shape = (dims, config.max_entries, threads);
+    let cap = config.max_entries;
+    let load = Load {
+        dims,
+        cap,
+        threads,
+        sort,
+    };
     // A level's stored slabs are allocated before its `f64` rectangles,
     // which live only while the level is packed.
-    let leaves = reserve(len, shape);
+    let leaves = reserve(len, dims, cap);
     let mut coords = scratch(len * 2 * dims);
     let items = fill(&mut coords.chunks_exact_mut(2 * dims));
     assert_eq!(items.len(), len, "one payload per rectangle");
-    let mut nodes = pack(0, shape, &mut coords, leaves, items, Kids::Items, &sort);
+    let mut nodes = pack(0, &load, &mut coords, leaves, items, Kids::Items);
     let mut level = 1;
     while nodes.len() > 1 {
-        let parents = reserve(nodes.len(), shape);
-        nodes = pack(
-            level,
-            shape,
-            &mut coords,
-            parents,
-            nodes,
-            Kids::Nodes,
-            &sort,
-        );
+        let parents = reserve(nodes.len(), dims, cap);
+        nodes = pack(level, &load, &mut coords, parents, nodes, Kids::Nodes);
         level += 1;
     }
     tree.set_root(nodes.pop().expect("one root"), len);
@@ -233,12 +231,21 @@ fn scratch(n: usize) -> Vec<f64> {
 /// entries' capacity.
 type Reserved = (usize, Vec<f32>);
 
-/// A load's dimensionality, node capacity and thread count.
-type Shape = (usize, usize, usize);
+/// What a load holds fixed from level to level: the rectangles'
+/// dimensionality, the node capacity, the threads a level of
+/// [`FAN_OUT_MIN`] entries or more fans out over, and the sort that puts
+/// a level in STR order.
+struct Load<S> {
+    dims: usize,
+    cap: usize,
+    threads: usize,
+    sort: S,
+}
 
-/// The stored slabs of the nodes a level of `n` entries packs into: one
-/// node when all fit one, else [`chunk_sizes`].
-fn reserve(n: usize, (dims, cap, _): Shape) -> Vec<Reserved> {
+/// The stored slabs of the nodes a level of `n` entries of `dims`
+/// dimensions packs into at capacity `cap`: one node when all fit one,
+/// else [`chunk_sizes`].
+fn reserve(n: usize, dims: usize, cap: usize) -> Vec<Reserved> {
     let sizes = match n <= cap {
         true => vec![n],
         false => chunk_sizes(n, cap),
@@ -255,16 +262,21 @@ fn reserve(n: usize, (dims, cap, _): Shape) -> Vec<Reserved> {
 /// the nodes' `f64` MBRs, the next level's rectangles.
 fn pack<P, T, S>(
     level: u32,
-    (dims, cap, threads): Shape,
+    load: &Load<S>,
     coords: &mut Vec<f64>,
     mut nodes: Vec<Reserved>,
     mut payloads: Vec<P>,
     kids: fn(Vec<P>) -> Kids<T>,
-    sort: &S,
 ) -> Vec<Node<T>>
 where
     S: Fn(&mut [usize], &Centers<'_>, usize, usize, usize),
 {
+    let Load {
+        dims,
+        cap,
+        threads,
+        ref sort,
+    } = *load;
     let (w, n) = (2 * dims, payloads.len());
     let threads = match n >= FAN_OUT_MIN {
         true => threads,
@@ -360,12 +372,12 @@ fn permute(order: &[usize], mut swap: impl FnMut(usize, usize)) {
 }
 
 /// The parallel form of [`str_sort`] at the top recursion level: the
-/// dimension-0 sort sorts two halves at once and merges them
-/// ([`sort_by_center_in_halves`]), then the per-slab recursions —
-/// independent by construction — fan out across workers. Slab boundaries
-/// come from the same [`slab_len`] as the sequential path and each slab
-/// runs the identical sequential `str_sort`, so the resulting ordering
-/// matches it exactly. `threads <= 1` is the sequential sort.
+/// dimension-0 sort stays sequential (one global ordering), then the
+/// per-slab recursions — independent by construction — fan out across
+/// workers. Slab boundaries come from the same [`slab_len`] as the
+/// sequential path and each slab runs the identical sequential `str_sort`,
+/// so the resulting ordering matches it exactly. `threads <= 1` is the
+/// sequential sort.
 fn str_sort_parallel(
     order: &mut [usize],
     centers: &Centers<'_>,
@@ -377,7 +389,7 @@ fn str_sort_parallel(
     if threads <= 1 || n <= cap || dims == 1 {
         return str_sort(order, centers, 0, dims, cap);
     }
-    sort_by_center_in_halves(order, centers);
+    sort_by_center(order, centers, 0);
     let slices: Vec<&mut [usize]> = order.chunks_mut(slab_len(n, cap, dims)).collect();
     par_for_each_slice(threads, slices, |slab| {
         str_sort(slab, centers, 1, dims, cap)
@@ -406,36 +418,6 @@ fn str_sort(order: &mut [usize], centers: &Centers<'_>, dim: usize, dims: usize,
 /// keep their input order, so the order is the comparator sort's exactly.
 fn sort_by_center(order: &mut [usize], centers: &Centers<'_>, dim: usize) {
     order.sort_by_cached_key(|&i| Center(centers(i, dim)));
-}
-
-/// [`sort_by_center`] along dimension 0 on two threads, for an `order`
-/// listing its entries in ascending order, as a level's does before its
-/// sort. Each half is keyed by `(centre, entry)` into its half of one
-/// buffer the caller allocated (the buffer a cached-key sort allocates)
-/// and sorted there in place; the caller then merges the halves into
-/// `order`. An entry's index is its input position, so ties keep their
-/// input order: the order is the stable sort's, bit for bit.
-fn sort_by_center_in_halves(order: &mut [usize], centers: &Centers<'_>) {
-    debug_assert!(order.windows(2).all(|w| w[0] < w[1]), "entries in order");
-    let mid = order.len() / 2;
-    let mut keyed: Vec<(Center, usize)> = order.iter().map(|&i| (Center(0.0), i)).collect();
-    let (left, right) = keyed.split_at_mut(mid);
-    parallel_map(2, vec![left, right], |half| {
-        for (key, i) in half.iter_mut() {
-            *key = Center(centers(*i, 0));
-        }
-        half.sort_unstable();
-    });
-    let (left, right) = keyed.split_at(mid);
-    let (mut l, mut r) = (left.iter().peekable(), right.iter().peekable());
-    for slot in order.iter_mut() {
-        let next = match (l.peek(), r.peek()) {
-            (Some(a), Some(b)) if b < a => r.next(),
-            (Some(_), _) => l.next(),
-            (None, _) => r.next(),
-        };
-        *slot = next.expect("an entry per slot").1;
-    }
 }
 
 /// A centre coordinate under `f64::total_cmp`'s total order.

@@ -19,7 +19,8 @@
 //!    do alone, with the cache's pins exactly its handles' traffic.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::sync::mpsc::RecvTimeoutError;
+use std::time::{Duration, Instant};
 
 use tsq::core::{
     executor, ExecStats, IndexConfig, LinearTransform, LogicalPlan, PageCache, PlanRows,
@@ -153,6 +154,111 @@ fn register_completes_while_long_batch_in_flight() {
     assert_eq!(results, oracle);
     assert_eq!(summary.queries, queries.len());
     assert_eq!(summary.errors, 0);
+}
+
+/// Runs `scenario` on a thread outside the worker pool and fails if it
+/// has not returned within two minutes: the one way a deadlock shows.
+fn within_deadline(scenario: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        scenario();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(Duration::from_secs(120)) {
+        Ok(()) => runner.join().unwrap(),
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = runner.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("deadlocked: a build waited on pool workers that waited on it")
+        }
+    }
+}
+
+/// Runs `action` on this thread while a batch occupies every pool worker:
+/// `JOIN`s of `walks` first, then reads of `big`, which a worker can only
+/// reach after `action` has begun. Every statement of the batch succeeds.
+fn mid_batch(shared: &SharedCatalog, action: impl FnOnce()) {
+    let slow = "JOIN walks WITHIN 1.25 APPLY mavg(6) WITH (force = index)";
+    let sequential = Instant::now();
+    shared.run(slow).unwrap();
+    let sequential = sequential.elapsed();
+    // Every worker, and the batch's own thread, runs statements.
+    let threads = executor::Pool::global().workers() + 1;
+    let queries: Vec<String> = (0..40 * threads)
+        .map(|_| slow.to_string())
+        .chain((0..4 * threads).map(|i| format!("FIND 2 NEAREST TO big.s{i} IN big")))
+        .collect();
+    let batch = {
+        let shared = shared.clone();
+        std::thread::spawn(move || shared.run_batch(queries, threads))
+    };
+    // About five joins into each thread's forty.
+    std::thread::sleep(sequential * 5);
+    action();
+    let (_, summary) = batch.join().unwrap();
+    assert_eq!(summary.errors, 0);
+}
+
+#[test]
+fn a_build_never_waits_on_workers_that_wait_for_it() {
+    // Regression: a build of 4 096 series or more fans out over the pool
+    // and waits for its workers, while a batch's statements on those
+    // workers wait for the catalog lock, or for the first reader of an
+    // appended relation to repack its tree. A repack by a first reader
+    // outside the pool, and an APPEND's feature extraction, a SHARD's
+    // packs and a registration's build under the write lock, each waited
+    // forever.
+    within_deadline(|| {
+        let (count, len) = (4200, 64);
+        let mut cat = Catalog::new();
+        for (name, rel) in [
+            ("walks", RandomWalkGenerator::new(31).relation(80, 64)),
+            ("big", RandomWalkGenerator::new(36).relation(count, len)),
+        ] {
+            cat.register(SeriesRelation::from_series(name, rel).unwrap())
+                .unwrap();
+        }
+        let shared = SharedCatalog::new(cat);
+        let values = |seed: u64| {
+            let series = RandomWalkGenerator::new(seed).series(len);
+            let values: Vec<String> = series.values().iter().map(f64::to_string).collect();
+            values.join(", ")
+        };
+        let first = "FIND 2 NEAREST TO big.s1 IN big";
+
+        // The first read after an append repacks the tree.
+        let row = format!("APPEND big CSV (late0, {})", values(1));
+        shared.run(&row).unwrap();
+        mid_batch(&shared, || {
+            assert_eq!(shared.run(first).unwrap().rows.len(), 2)
+        });
+
+        // An append of 2^16 samples extracts its features under the lock.
+        let rows: Vec<String> = (0..1024)
+            .map(|i| format!("(late{}, {})", i + 1, values(i + 2)))
+            .collect();
+        let append = format!("APPEND big CSV {}", rows.join(" "));
+        mid_batch(&shared, || {
+            assert_eq!(shared.run(&append).unwrap().rows.len(), 1024);
+        });
+        assert_eq!(shared.run(first).unwrap().rows.len(), 2);
+
+        // A reshard packs its parts under the lock.
+        mid_batch(&shared, || {
+            shared.run("SHARD big INTO 1 BY HASH").unwrap();
+        });
+        assert_eq!(shared.run(first).unwrap().rows.len(), 2);
+
+        // A registration builds an index as large as `big`'s.
+        let wide = RandomWalkGenerator::new(37).relation(count, len);
+        let wide = SeriesRelation::from_series("wide", wide).unwrap();
+        mid_batch(&shared, || shared.register(wide).unwrap());
+        let read = "FIND 2 NEAREST TO wide.s0 IN wide";
+        assert_eq!(shared.run(read).unwrap().rows.len(), 2);
+    });
 }
 
 #[test]
