@@ -1164,7 +1164,8 @@ fn trail_words(
 /// coordinates go straight from the cursor into one bounds buffer, reused
 /// across trails, under `Rect::union_assign`'s strict `<`/`>` tests, so the
 /// bounds are the per-window union's bit for bit; the buffer is then
-/// padded in place and emitted.
+/// padded in place and emitted. Each test selects rather than branches
+/// (whether a window extends its trail's box is a coin flip per bound).
 fn chunks_of(
     config: &SubseqConfig,
     values: &[f64],
@@ -1197,12 +1198,8 @@ fn chunks_of(
                 .zip(hi.iter_mut())
                 .zip(coords(cursor.coeffs()))
             {
-                if x < *l {
-                    *l = x;
-                }
-                if x > *h {
-                    *h = x;
-                }
+                *l = if x < *l { x } else { *l };
+                *h = if x > *h { x } else { *h };
             }
         }
         // The anti-drift padding.

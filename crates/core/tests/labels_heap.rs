@@ -3,8 +3,11 @@
 //! their own.
 //!
 //! A binary of its own, because it installs a global allocator that counts
-//! live bytes across every thread (`tsq_testkit::heap`). It holds one
-//! test, so nothing else allocates while it measures.
+//! live bytes across every thread (`tsq_testkit::heap`). It runs without
+//! libtest (`harness = false`), its one test on the main thread, so no
+//! other thread allocates while it measures: under load, libtest's main
+//! thread once added 900 B of its bookkeeping to the 8 000-label count,
+//! past the bound's 59 B of slack.
 
 use tsq_core::SeriesRelation;
 use tsq_series::TimeSeries;
@@ -16,7 +19,13 @@ static GLOBAL: tsq_testkit::heap::Tracking = tsq_testkit::heap::Tracking;
 /// The labels' fixed part: the relation's name.
 const FIXED: usize = 64;
 
-#[test]
+fn main() {
+    tsq_testkit::heap::run_alone(&[(
+        "labels_hold_each_label_once_in_one_arena",
+        labels_hold_each_label_once_in_one_arena,
+    )]);
+}
+
 fn labels_hold_each_label_once_in_one_arena() {
     for count in [1usize, 100, 8000] {
         let before = live();

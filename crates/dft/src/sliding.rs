@@ -30,13 +30,27 @@
 //! exact prefix transform every `REFRESH_INTERVAL` steps, keeping the
 //! worst-case deviation from an independently recomputed DFT far below the
 //! `1e-9` the property suite demands.
+//!
+//! ## One phase table per cursor
+//!
+//! An exact prefix transform of a window needs the phases
+//! `e^{-i 2 pi (j f mod w) / w}`, and the reduced index `j f mod w` takes
+//! only the `w` values `0..w`. A [`SlidingCursor`] computes those `w` unit
+//! values once, with the very expression [`dft_prefix`] evaluates per
+//! term, and both its initial transform and every re-anchor look them up:
+//! the same products summed in the same order, so every coefficient is
+//! [`dft_prefix`]'s bit for bit, at `w` sine–cosine pairs per cursor
+//! instead of `k·w` per anchor. A re-anchor overwrites the coefficients
+//! in place and allocates nothing.
+//!
+//! [`dft_prefix`]: crate::dft::dft_prefix
 
-use crate::complex::Complex64;
-use crate::dft::dft_prefix;
+use crate::complex::{Complex64, ZERO};
 
 /// Steps between exact re-anchorings in [`SlidingCursor`]. At ~1 ulp of
 /// accumulated phase error per step this bounds drift near `1e-12` for
-/// typical magnitudes, with a refresh cost amortized to `O(w*k / 256)` per
+/// typical magnitudes. A re-anchor is `k·w` complex multiply-adds over the
+/// cursor's phase table (no trigonometry), amortized to `O(w·k / 256)` per
 /// step — negligible against the `O(k)` update itself.
 pub(crate) const REFRESH_INTERVAL: usize = 256;
 
@@ -52,6 +66,9 @@ pub(crate) struct SlidingDft {
     scale: f64,
     /// `e^{+i 2 pi f / w}` for `f = 0..k`.
     twiddles: Vec<Complex64>,
+    /// `e^{-i 2 pi j / w}` for `j = 0..w`, as `dft_prefix` computes the
+    /// phase of reduced index `j`.
+    phases: Vec<Complex64>,
     coeffs: Vec<Complex64>,
 }
 
@@ -67,12 +84,20 @@ impl SlidingDft {
         let k = k.min(window);
         let step = std::f64::consts::TAU / window as f64;
         let twiddles = (0..k).map(|f| Complex64::cis(step * f as f64)).collect();
-        SlidingDft {
+        // `dft_prefix`'s step and phase expression, bit for bit.
+        let back = -std::f64::consts::TAU / window as f64;
+        let phases = (0..window)
+            .map(|j| Complex64::cis(back * j as f64))
+            .collect();
+        let mut sdft = SlidingDft {
             window,
             scale: 1.0 / (window as f64).sqrt(),
             twiddles,
-            coeffs: dft_prefix(initial, k),
-        }
+            phases,
+            coeffs: vec![ZERO; k],
+        };
+        sdft.refresh(initial);
+        sdft
     }
 
     /// Window length `w`.
@@ -96,13 +121,26 @@ impl SlidingDft {
     }
 
     /// Replaces the maintained coefficients with an exactly recomputed
-    /// prefix transform of `window` (re-anchoring the recurrence).
+    /// prefix transform of `window` (re-anchoring the recurrence): term
+    /// `t` of coefficient `f` is `x_t` times the phase of `t·f mod w`,
+    /// summed over `t` in order and scaled, as `dft_prefix` does.
     ///
     /// # Panics
     /// Panics when `window.len() != self.window()`.
     pub(crate) fn refresh(&mut self, window: &[f64]) {
-        assert_eq!(window.len(), self.window, "refresh window length mismatch");
-        self.coeffs = dft_prefix(window, self.coeffs.len());
+        let w = self.window;
+        assert_eq!(window.len(), w, "refresh window length mismatch");
+        for (f, c) in self.coeffs.iter_mut().enumerate() {
+            let mut acc = ZERO;
+            // `t·f mod w`, kept by adding `f < w` and wrapping once.
+            let mut j = 0;
+            for &xt in window {
+                acc += Complex64::from_real(xt) * self.phases[j];
+                j += f;
+                j -= if j >= w { w } else { 0 };
+            }
+            *c = acc * self.scale;
+        }
     }
 }
 
@@ -210,6 +248,7 @@ pub(crate) fn sliding_prefix(x: &[f64], window: usize, k: usize) -> Vec<Vec<Comp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dft::dft_prefix;
 
     fn max_err(a: &[Complex64], b: &[Complex64]) -> f64 {
         a.iter()
@@ -304,6 +343,35 @@ mod tests {
         for (t, expected) in all.iter().enumerate().skip(301) {
             cursor.advance(&x);
             assert_eq!(cursor.coeffs(), &expected[..], "offset {t}");
+        }
+    }
+
+    #[test]
+    fn every_anchor_is_dft_prefix_bit_for_bit() {
+        let bits = |c: &[Complex64]| -> Vec<(u64, u64)> {
+            c.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        // Past four anchors, with a sign change and a zero among the
+        // samples.
+        let x: Vec<f64> = (0..1_100)
+            .map(|i| (i as f64 * 0.29).sin() * 40.0 - 0.03 * i as f64 + (i % 7) as f64)
+            .collect();
+        for w in [15, 16, 64] {
+            for k in [1, 3, w] {
+                let mut cursor = SlidingCursor::new(&x, w, k);
+                let mut anchors = 0;
+                for t in 0..=x.len() - w {
+                    if t > 0 {
+                        cursor.advance(&x);
+                    }
+                    if t % REFRESH_INTERVAL == 0 {
+                        let want = dft_prefix(&x[t..t + w], k);
+                        assert_eq!(bits(cursor.coeffs()), bits(&want), "w {w} k {k} t {t}");
+                        anchors += 1;
+                    }
+                }
+                assert_eq!(anchors, 5, "w {w} k {k}");
+            }
         }
     }
 

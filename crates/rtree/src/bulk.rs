@@ -46,11 +46,14 @@ type Centers<'a> = dyn Fn(usize, usize) -> f64 + Sync + 'a;
 
 /// Fewest entries a level needs before its sorts and its gather fan out;
 /// a smaller level is packed on the calling thread. Handing a batch to the
-/// pool costs about 9 µs (`pool.map_submit_us`), and the gather alone
-/// takes 70–110 ns an entry on one thread (8 000 6-d points in 0.56 ms,
-/// 48 400 6-d trails in 5.0 ms, 2-vCPU VM), so 4 096 entries are about
-/// 0.3–0.45 ms of gather: the hand-off is 2–3 % of it. An append's repack
-/// of a few hundred series stays on the calling thread.
+/// pool costs about 9 µs (`pool.map_submit_us`). On one thread a level's
+/// sorts take about 170 ns an entry and its gather 17–24 ns, the rounding
+/// and the MBR fold being branch-free (8 000 6-d points: 1.4 and 0.14 ms;
+/// 48 400 6-d trails: 8.0 and 1.2 ms; 2-vCPU VM), so 4 096 entries are
+/// about 0.7 ms of sorting, of which the hand-off is 1 %, and 0.07–0.10 ms
+/// of gather, of which it is 9–13 %: the second thread still halves the
+/// rest. An append's repack of a few hundred series stays on the calling
+/// thread.
 const FAN_OUT_MIN: usize = 4096;
 
 impl<T> RStarTree<T> {

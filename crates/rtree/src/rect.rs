@@ -21,6 +21,14 @@
 //! is monotone, so a parent's stored rectangle is both the union of its
 //! children's and the outward rounding of their `f64` union.
 //!
+//! A bulk load rounds every bound it stores and folds every entry into its
+//! node's MBR, so both kernels are branch-free: whether a cast landed past
+//! its bound, or an entry's bound lies beyond its node's, is a coin flip
+//! per bound, and a branch on it mispredicts about half the time. The
+//! rounding steps the cast's bits by arithmetic on the compare's result;
+//! the fold selects, keeping its strict `<`/`>` tests, so `±0` and ties
+//! keep their bits.
+//!
 //! Every geometric test lives on the view and runs in `f64`: a stored bound
 //! widens to `f64` exactly when it is read ([`Coord::widen`], [`Side`]), so
 //! the same code reads a node's `f32` slab and a [`Rect`]'s `f64` run
@@ -57,39 +65,37 @@ impl Coord for f32 {
     }
 }
 
-/// The neighbouring `f32` toward `+∞` of `v`; `+∞` and NaN themselves
-/// (`f32::next_up` is past the MSRV; a value's neighbours are its bit
-/// pattern's).
-fn f32_up(v: f32) -> f32 {
-    if v.is_nan() || v == f32::INFINITY {
-        v
-    } else if v == 0.0 {
-        f32::from_bits(1)
-    } else if v > 0.0 {
-        f32::from_bits(v.to_bits() + 1)
-    } else {
-        f32::from_bits(v.to_bits() - 1)
-    }
-}
-
 /// The largest `f32` at or below `v` (`−∞` below `−f32::MAX`).
 #[inline]
-pub(crate) fn round_down(v: f64) -> f32 {
+fn round_down(v: f64) -> f32 {
     let f = v as f32;
-    match f64::from(f) > v {
-        true => -f32_up(-f),
-        false => f,
-    }
+    step_past(f, f64::from(f) > v, true)
 }
 
 /// The smallest `f32` at or above `v` (`+∞` above `f32::MAX`).
 #[inline]
-pub(crate) fn round_up(v: f64) -> f32 {
+fn round_up(v: f64) -> f32 {
     let f = v as f32;
-    match f64::from(f) < v {
-        true => f32_up(f),
-        false => f,
-    }
+    step_past(f, f64::from(f) < v, false)
+}
+
+/// `f`, a cast, moved one `f32` toward `−∞` (`down`) or `+∞` when it is
+/// `past` the value it was cast from, by arithmetic on its bits rather
+/// than a branch (the module docs say why).
+///
+/// An `f32`'s neighbour is its bit pattern's: `+1` on the bits steps away
+/// from zero, `−1` toward it. A cast keeps its value's sign, so a cast
+/// that lands on zero past its value is the zero of the step's direction
+/// (`+0` past a tiny positive, `−0` past a tiny negative), and `+1` takes
+/// it to the least subnormal of that sign; `±∞` steps to `±f32::MAX`.
+#[inline]
+fn step_past(f: f32, past: bool, down: bool) -> f32 {
+    let bits = f.to_bits();
+    let past = u32::from(past);
+    // 1 when the step moves toward zero: a positive value down, a
+    // negative one up.
+    let inward = (bits >> 31) ^ u32::from(down);
+    f32::from_bits(bits.wrapping_add(past).wrapping_sub((past & inward) << 1))
 }
 
 /// Appends the stored form of a rectangle's bounds (`lo` then `hi`) to a
@@ -441,17 +447,19 @@ impl<'a, C: Coord> RectView<'a, C> {
 /// Grows the run `acc` to cover the run `other` (both `lo` then `hi`). A
 /// bound moves only when the other's is strictly beyond it, so of two
 /// equal bounds (`-0.0` and `+0.0` included) the one already held stays.
+/// Every bound is written through a select, not a branch (the module docs
+/// say why).
 #[inline]
 pub(crate) fn union_into<C: Coord>(acc: &mut [C], other: &[C]) {
     debug_assert_eq!(acc.len(), other.len());
     let d = acc.len() / 2;
     for i in 0..d {
-        if other[i] < acc[i] {
-            acc[i] = other[i];
-        }
-        if other[d + i] > acc[d + i] {
-            acc[d + i] = other[d + i];
-        }
+        acc[i] = if other[i] < acc[i] { other[i] } else { acc[i] };
+        acc[d + i] = if other[d + i] > acc[d + i] {
+            other[d + i]
+        } else {
+            acc[d + i]
+        };
     }
 }
 
@@ -580,6 +588,118 @@ mod tests {
     fn expanded_pads_all_dims() {
         let r = r2([0.0, 1.0], [1.0, 2.0]);
         assert_eq!(r.expanded(0.5), r2([-0.5, 0.5], [1.5, 2.5]));
+    }
+
+    /// The neighbouring `f32` toward `+∞` of `v`; `+∞` and NaN themselves.
+    fn f32_up(v: f32) -> f32 {
+        if v.is_nan() || v == f32::INFINITY {
+            v
+        } else if v == 0.0 {
+            f32::from_bits(1)
+        } else if v > 0.0 {
+            f32::from_bits(v.to_bits() + 1)
+        } else {
+            f32::from_bits(v.to_bits() - 1)
+        }
+    }
+
+    /// The rounding as first written, a branch on the side of `v` the cast
+    /// landed: the reference the branch-free one is held to.
+    fn branchy_round_down(v: f64) -> f32 {
+        let f = v as f32;
+        match f64::from(f) > v {
+            true => -f32_up(-f),
+            false => f,
+        }
+    }
+
+    /// [`branchy_round_down`]'s upward twin.
+    fn branchy_round_up(v: f64) -> f32 {
+        let f = v as f32;
+        match f64::from(f) < v {
+            true => f32_up(f),
+            false => f,
+        }
+    }
+
+    /// The edges of `f32`'s range and precision that the core crate's
+    /// `stored_bounds` suite pairs every way.
+    const EDGES: [f64; 26] = [
+        0.0,
+        -0.0,
+        1.401_298_464_324_817e-45,
+        -1.401_298_464_324_817e-45,
+        1e-46,
+        -1e-46,
+        1e-40,
+        -1e-40,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        1.175_494_350_822_287_5e-38,
+        0.1,
+        -1.0 / 3.0,
+        0.5,
+        std::f64::consts::PI,
+        -std::f64::consts::PI,
+        16_777_217.0,
+        3.402_823_466_385_288_6e38,
+        -3.402_823_466_385_288_6e38,
+        3.402_823_5e38,
+        1e39,
+        -1e39,
+        1e300,
+        -1e300,
+        f64::MAX,
+        -f64::MAX,
+    ];
+
+    /// `store_extend` of the run `[lo.., hi..]` against the branchy
+    /// rounding of each bound, compared bit for bit.
+    fn check_stored(lo: &[f64], hi: &[f64]) {
+        let bounds: Vec<f64> = lo.iter().chain(hi).copied().collect();
+        let mut slab = Vec::new();
+        store_extend(&mut slab, &bounds);
+        let want = lo
+            .iter()
+            .map(|&v| branchy_round_down(v))
+            .chain(hi.iter().map(|&v| branchy_round_up(v)));
+        for ((got, want), v) in slab.iter().zip(want).zip(&bounds) {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "bound {v:e} ({:#x})",
+                v.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn branch_free_rounding_is_the_branchy_rounding_bit_for_bit() {
+        for &a in &EDGES {
+            for &b in &EDGES {
+                check_stored(&[a], &[b]);
+            }
+        }
+        // Seeded random bit patterns (every exponent, both signs, NaNs
+        // included), each with the f32-exact values beside it and their
+        // f64 neighbours: the casts that land exactly, just inside and
+        // just outside.
+        let mut state = 0x0b0a_d5f3_2b17_u64;
+        let mut values = Vec::new();
+        for _ in 0..1_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let v = f64::from_bits(state);
+            let f = v as f32;
+            values.clear();
+            values.push(v);
+            for g in [f, f32_up(f), -f32_up(-f)] {
+                let e = f64::from(g).to_bits();
+                values.extend([e, e.wrapping_add(1), e.wrapping_sub(1)].map(f64::from_bits));
+            }
+            check_stored(&values, &values);
+        }
     }
 
     #[test]
