@@ -41,7 +41,7 @@
 //! may rely on ([`crate::space`] states the floating-point inequality).
 
 use tsq_dft::{Complex64, FftPlanner};
-use tsq_series::{NormalForm, TimeSeries};
+use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
 use crate::transform::LinearTransform;
@@ -231,9 +231,13 @@ impl Features {
     }
 
     /// Fills [`Features::room`] made for `series` with its features under
-    /// `schema`. Its temporaries are freed before it returns, and only
-    /// `planner` keeps a plan: a build runs it on pool workers over records
-    /// its calling thread allocated.
+    /// `schema`: the mean, once, then the standard deviation about it, and
+    /// the spectrum's first `spectrum.len()` coefficients of the indexed
+    /// representation, whose samples — `(v − mean) / std`, or all zeros
+    /// for a constant series, under [`FeatureSchema::NormalForm`] — go
+    /// straight into `planner`'s scratch. It allocates nothing once
+    /// `planner` has a plan and scratch for this length: a build runs it
+    /// on pool workers over records its calling thread allocated.
     pub(crate) fn compute(
         &mut self,
         series: &TimeSeries,
@@ -241,19 +245,20 @@ impl Features {
         planner: &mut FftPlanner,
     ) {
         debug_assert_eq!(self.n, series.len());
-        let full = match schema {
+        let (mean, std) = series.mean_std();
+        (self.mean, self.std) = (mean, std);
+        let (values, out) = (series.values().iter(), &mut self.spectrum[..]);
+        match schema {
+            FeatureSchema::NormalForm { .. } if std == 0.0 => {
+                planner.dft_real_prefix(values.map(|_| 0.0), out)
+            }
+            // A division, as the normal form's: `(v − mean)·(1/std)` is
+            // not always the same bits.
             FeatureSchema::NormalForm { .. } => {
-                let nf = NormalForm::of(series);
-                (self.mean, self.std) = (nf.mean, nf.std);
-                planner.dft_real(nf.series.values())
+                planner.dft_real_prefix(values.map(|&v| (v - mean) / std), out)
             }
-            FeatureSchema::Raw { .. } => {
-                (self.mean, self.std) = (series.mean(), series.std());
-                planner.dft_real(series.values())
-            }
-        };
-        let kept = self.spectrum.len();
-        self.spectrum.copy_from_slice(&full[..kept]);
+            FeatureSchema::Raw { .. } => planner.dft_real_prefix(values.copied(), out),
+        }
     }
 
     /// The indexed coefficients (a slice of the spectrum).
@@ -298,6 +303,7 @@ impl Features {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tsq_series::NormalForm;
 
     fn series() -> TimeSeries {
         TimeSeries::from([36.0, 38.0, 40.0, 38.0, 42.0, 38.0, 36.0, 36.0])
@@ -413,6 +419,90 @@ mod tests {
         let normal = NormalForm::of(&s).series;
         for (got, want) in f.samples().unwrap().iter().zip(normal.values()) {
             assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        }
+    }
+
+    /// The features as a normal form and a whole spectrum give them: the
+    /// normal form allocated as a series, its full transform, the first
+    /// `kept` coefficients copied out. The reference the extraction must
+    /// reproduce bit for bit.
+    fn by_normal_form(series: &TimeSeries, schema: FeatureSchema, kept: usize) -> Features {
+        let mut planner = FftPlanner::new();
+        let (mean, std, full) = match schema {
+            FeatureSchema::NormalForm { .. } => {
+                let nf = NormalForm::of(series);
+                (nf.mean, nf.std, planner.dft_real(nf.series.values()))
+            }
+            FeatureSchema::Raw { .. } => (
+                series.mean(),
+                series.std(),
+                planner.dft_real(series.values()),
+            ),
+        };
+        Features {
+            mean,
+            std,
+            n: series.len(),
+            spectrum: full[..kept].to_vec(),
+        }
+    }
+
+    /// The bits of features: mean, std and every coefficient.
+    fn bits(f: &Features) -> Vec<u64> {
+        let spectrum = f.spectrum.iter().flat_map(|c| [c.re, c.im]);
+        [f.mean, f.std]
+            .into_iter()
+            .chain(spectrum)
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn extraction_is_the_normal_form_route_bit_for_bit() {
+        let walk = |n: usize, seed: u64| -> Vec<f64> {
+            let mut gen = tsq_series::generate::RandomWalkGenerator::new(seed);
+            gen.series(n).values().to_vec()
+        };
+        let mut cases: Vec<Vec<f64>> = Vec::new();
+        for n in [4usize, 8, 9, 64, 100, 128, 513, 1024] {
+            cases.push(walk(n, n as u64));
+            // A constant series: std 0, its normal form all zeros.
+            cases.push(vec![-3.25; n]);
+            // Signed zeros, subnormals and values near overflow.
+            cases.push((0..n).map(|i| [0.0, -0.0][i % 2]).collect());
+            let tiny = f64::from_bits(3);
+            cases.push((0..n).map(|i| tiny * (i % 5) as f64 - tiny).collect());
+            cases.push((0..n).map(|i| 1e300 * [1.0, -0.5, 0.25][i % 3]).collect());
+        }
+        let mut planner = FftPlanner::new();
+        let schemas = [
+            FeatureSchema::NormalForm { k: 2 },
+            FeatureSchema::NormalForm { k: 3 },
+            FeatureSchema::Raw { k: 3 },
+        ];
+        for values in cases {
+            let s = TimeSeries::new(values);
+            let n = s.len();
+            for schema in schemas {
+                let record = Features::indexed(&s, schema, &mut planner).unwrap();
+                let want = by_normal_form(&s, schema, schema.coeff_indices().end);
+                assert_eq!(
+                    bits(&record),
+                    bits(&want),
+                    "indexed, {schema:?}, {:?}",
+                    s.values()
+                );
+                let query = Features::extract(&s, schema, &mut planner).unwrap();
+                let kept = query.spectrum.len();
+                assert_eq!(kept, (n / 2 + 1).max(schema.coeff_indices().end));
+                let want = by_normal_form(&s, schema, kept);
+                assert_eq!(
+                    bits(&query),
+                    bits(&want),
+                    "extract, {schema:?}, {:?}",
+                    s.values()
+                );
+            }
         }
     }
 

@@ -335,12 +335,12 @@ fn pack(config: &IndexConfig, store: &[StoredSeries], threads: usize) -> Packed 
     let tree = if config.bulk_load {
         // Each point goes straight into its leaf slot, as a degenerate
         // rectangle: `lo` and `hi` both the point.
-        RStarTree::bulk_load_flat(config.rtree, dims, store.len(), threads, |slots| {
+        RStarTree::bulk_load_flat(config.rtree, dims, store.len(), threads, |slots, ids| {
             for (slot, s) in slots.zip(store) {
                 space.point_into(&s.features, schema, &mut slot[..dims]);
                 slot.copy_within(..dims, dims);
             }
-            (0..store.len()).collect()
+            ids.extend(0..store.len())
         })
     } else {
         let mut t = RStarTree::new(config.rtree);
@@ -360,9 +360,10 @@ fn pack(config: &IndexConfig, store: &[StoredSeries], threads: usize) -> Packed 
 
 /// Fewest samples a build's feature extraction needs before it fans out:
 /// a smaller one runs on the calling thread. Handing a batch to the pool
-/// costs about 9 µs (`pool.map_submit_us`), and extraction about 9 ns a
-/// sample (8 000 × 128 `walks` in 9.5 ms on a 2-vCPU VM), so 2^16 samples
-/// are about 0.6 ms of work: the hand-off is under 2 % of it.
+/// costs about 9 µs (`pool.map_submit_us`), and extraction about 4 ns a
+/// sample on one thread (8 000 × 128 `walks` in 4.2 ms, 400 × 1 024 in
+/// 1.5 ms, 2-vCPU VM), so 2^16 samples are about 0.27 ms of work: the
+/// hand-off is 3 % of it.
 const EXTRACT_FAN_OUT_MIN: usize = 1 << 16;
 
 /// Extracts the features of `series`, in order, on up to `threads`

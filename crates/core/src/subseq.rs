@@ -371,13 +371,13 @@ impl TrailIndex {
         )?;
         let trail_count = |len: &usize| config.windows(*len).div_ceil(config.trail);
         let total: usize = lengths.iter().map(trail_count).sum();
-        let mut words = Vec::with_capacity(total);
-        for (id, &len) in lengths.iter().enumerate() {
-            words.extend(trail_words(&config, id, 0, config.windows(len)));
-        }
         let run = lengths.len().div_ceil(threads).max(1);
         let mut read: Result<()> = Ok(());
-        let tree = RStarTree::bulk_load_flat(config.rtree, 2 * config.k, total, threads, |slots| {
+        let dims = 2 * config.k;
+        let tree = RStarTree::bulk_load_flat(config.rtree, dims, total, threads, |slots, words| {
+            for (id, &len) in lengths.iter().enumerate() {
+                words.extend(trail_words(&config, id, 0, config.windows(len)));
+            }
             let runs: Vec<(Range<usize>, Vec<&mut [f64]>)> = (0..lengths.len())
                 .step_by(run)
                 .map(|first| {
@@ -406,7 +406,6 @@ impl TrailIndex {
                 Ok(())
             });
             read = reads.into_iter().collect();
-            words
         });
         read?;
         let mut index = TrailIndex {

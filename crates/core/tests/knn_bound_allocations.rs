@@ -24,7 +24,7 @@ use tsq_core::{
     ShardSpec, ShardedIndex, SimilarityIndex, SpaceKind, SubseqConfig, SubseqIndex,
 };
 use tsq_dft::FftPlanner;
-use tsq_rtree::Rect;
+use tsq_rtree::{RStarTree, RTreeConfig, Rect};
 use tsq_series::generate::{RandomWalkGenerator, StockGenerator};
 use tsq_series::TimeSeries;
 
@@ -301,4 +301,59 @@ fn a_scan_join_allocates_its_rows_plus_a_constant_at_one_and_four_shards() {
         answers.push(outcome.rows);
     }
     assert_eq!(answers[0], answers[1], "rows at 1 and at 4 shards");
+}
+
+/// `tree`'s node and level counts.
+fn nodes_and_levels<T>(tree: &RStarTree<T>) -> (u64, u64) {
+    let profile = tree.level_profile();
+    (profile.iter().map(|l| l.nodes).sum(), profile.len() as u64)
+}
+
+#[test]
+fn a_build_allocates_a_block_per_record_and_its_sorts_one_per_level() {
+    // Blocks a bulk load may take per node (its stored slab and its
+    // kids) and per level (its sizes, order, MBRs and sort scratch, the
+    // permutation's marks and the level's node list), besides the load's
+    // own rectangles and payloads.
+    const PER_NODE: u64 = 2;
+    const PER_LEVEL: u64 = 8;
+    // 400 × 128 is 51 200 samples and 400 entries: below both fan-out
+    // cut-offs, so the whole build runs on this thread. Its records take
+    // one block each (the indexed coefficients); the rest is the planner's
+    // plan and scratch, the store and the index's fixed parts.
+    const FIXED: u64 = 48;
+    let relation = RandomWalkGenerator::new(13).relation(400, N);
+    let (index, counts) =
+        allocations_during(move || SimilarityIndex::build(IndexConfig::default(), relation));
+    let index = index.unwrap();
+    let (nodes, levels) = nodes_and_levels(index.tree());
+    let records = index.len() as u64;
+    let budget = records + PER_NODE * nodes + PER_LEVEL * levels + FIXED;
+    eprintln!("build of {records} records, {nodes} nodes, {levels} levels: {counts:?}");
+    assert!(
+        counts.allocations <= budget,
+        "{} allocations over {records} records and {nodes} nodes (budget {budget})",
+        counts.allocations
+    );
+
+    // A deep STR load, 3 000 6-d points at 4 entries a node: one sort
+    // scratch per level, however many slabs each sorts (over 400 at the
+    // leaf level).
+    let mut gen = RandomWalkGenerator::new(17);
+    let points: Vec<(Rect, usize)> = (0..3000)
+        .map(|i| (Rect::from_point(gen.series(6).values()), i))
+        .collect();
+    let config = RTreeConfig::with_max_entries(4);
+    let (tree, counts) = allocations_during(move || RStarTree::bulk_load(config, points));
+    let (nodes, levels) = nodes_and_levels(&tree);
+    let budget = PER_NODE * nodes + PER_LEVEL * levels + 2;
+    eprintln!(
+        "STR load of {} points, {nodes} nodes, {levels} levels: {counts:?}",
+        tree.len()
+    );
+    assert!(
+        counts.allocations <= budget,
+        "{} allocations over {nodes} nodes and {levels} levels (budget {budget})",
+        counts.allocations
+    );
 }

@@ -6,6 +6,12 @@
 //!
 //! The scaling convention matches [`crate::dft`]: both directions carry a
 //! `1/sqrt(n)` factor so the transform is unitary.
+//!
+//! One stage loop serves every transform. Given a count `kept` it runs
+//! only the butterflies that outputs `0..kept` read: a feature extraction
+//! keeping three coefficients of 128 runs about half of the butterflies,
+//! with the same arithmetic on each, so the kept outputs have the whole
+//! transform's bits.
 
 use crate::complex::Complex64;
 
@@ -56,13 +62,13 @@ impl Radix2Tables {
 
     /// In-place forward FFT with unitary scaling.
     pub(crate) fn forward(&self, data: &mut [Complex64]) {
-        self.run(data, Direction::Forward);
+        self.run::<false>(data);
         scale(data, 1.0 / (self.n as f64).sqrt());
     }
 
     /// In-place inverse FFT with unitary scaling.
     pub(crate) fn inverse(&self, data: &mut [Complex64]) {
-        self.run(data, Direction::Inverse);
+        self.run::<true>(data);
         scale(data, 1.0 / (self.n as f64).sqrt());
     }
 
@@ -70,17 +76,50 @@ impl Radix2Tables {
     /// Useful as a building block (e.g. Bluestein) where scaling is applied
     /// once at the end.
     pub(crate) fn forward_raw(&self, data: &mut [Complex64]) {
-        self.run(data, Direction::Forward);
+        self.run::<false>(data);
     }
 
     /// In-place inverse FFT scaled by `1/n` (so that
     /// `inverse_raw(forward_raw(x)) == x`).
     pub(crate) fn inverse_raw(&self, data: &mut [Complex64]) {
-        self.run(data, Direction::Inverse);
+        self.run::<true>(data);
         scale(data, 1.0 / self.n as f64);
     }
 
-    fn run(&self, data: &mut [Complex64], dir: Direction) {
+    /// The first `out.len()` coefficients of the unitary forward FFT of the
+    /// real sequence `samples` (`n` of them), bit for bit those of
+    /// [`Radix2Tables::forward`]: each sample is loaded into `scratch` at
+    /// its bit-reversed place, only the butterflies those coefficients
+    /// read are run, and only they are scaled.
+    pub(crate) fn forward_real_prefix(
+        &self,
+        samples: impl Iterator<Item = f64>,
+        scratch: &mut [Complex64],
+        out: &mut [Complex64],
+    ) {
+        let n = self.n;
+        assert_eq!(
+            scratch.len(),
+            n,
+            "FFT size mismatch: planned {n}, got {}",
+            scratch.len()
+        );
+        assert!(out.len() <= n, "{} coefficients of {n}", out.len());
+        let mut loaded = 0;
+        for (&j, v) in self.rev.iter().zip(samples) {
+            scratch[j as usize] = Complex64::from_real(v);
+            loaded += 1;
+        }
+        assert_eq!(loaded, n, "FFT size mismatch: planned {n}, got {loaded}");
+        self.butterflies::<false>(scratch, out.len());
+        let k = 1.0 / (n as f64).sqrt();
+        for (o, v) in out.iter_mut().zip(scratch.iter()) {
+            *o = v.scale(k);
+        }
+    }
+
+    /// Bit-reverses `data` in place, then runs every butterfly.
+    fn run<const INVERSE: bool>(&self, data: &mut [Complex64]) {
         let n = self.n;
         assert_eq!(
             data.len(),
@@ -88,44 +127,53 @@ impl Radix2Tables {
             "FFT size mismatch: planned {n}, got {}",
             data.len()
         );
-        if n <= 1 {
-            return;
-        }
-        // Bit-reversal permutation.
         for i in 0..n {
             let j = self.rev[i] as usize;
             if i < j {
                 data.swap(i, j);
             }
         }
-        // Iterative butterflies. Twiddle stride for a block of size `len`
-        // is n/len, indexing into the length-n/2 forward table.
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for k in 0..half {
-                    let mut w = self.twiddles[k * stride];
-                    if matches!(dir, Direction::Inverse) {
-                        w = w.conj();
-                    }
-                    let t = w * hi[k];
-                    let u = lo[k];
-                    lo[k] = u + t;
-                    hi[k] = u - t;
+        self.butterflies::<INVERSE>(data, n);
+    }
+
+    /// The butterflies over `data`, in bit-reversed order, that outputs
+    /// `0..kept` read. Position `p` of a block of `2h` reads positions
+    /// `p mod h` of its two halves, so outputs `0..kept` read positions
+    /// `0..min(kept, 2h)` of every block at each stage: a pair `k` writes
+    /// both positions while `k + h < kept`, its low one alone while
+    /// `k < kept`, and nothing after. `kept = n` is the whole transform.
+    /// Each pair `k` reads its stage's twiddle, entry `k·n/2h` of the
+    /// table, once and runs down every block with it, so a stage of many
+    /// small blocks costs no set-up per block.
+    fn butterflies<const INVERSE: bool>(&self, data: &mut [Complex64], kept: usize) {
+        let n = self.n;
+        // The inverse direction's twiddle is the forward one's conjugate.
+        let turn = |w: Complex64| if INVERSE { w.conj() } else { w };
+        let mut half = 1;
+        while half < n {
+            let len = 2 * half;
+            let mut twiddles = self.twiddles.iter().step_by(n / len);
+            let both = kept.saturating_sub(half).min(half);
+            let lows = kept.min(half) - both;
+            for (k, &w) in twiddles.by_ref().take(both).enumerate() {
+                let w = turn(w);
+                for i in (k..n).step_by(len) {
+                    let t = w * data[i + half];
+                    let u = data[i];
+                    data[i] = u + t;
+                    data[i + half] = u - t;
                 }
             }
-            len <<= 1;
+            for (k, &w) in (both..).zip(twiddles.take(lows)) {
+                let w = turn(w);
+                for i in (k..n).step_by(len) {
+                    let t = w * data[i + half];
+                    data[i] += t;
+                }
+            }
+            half = len;
         }
     }
-}
-
-#[derive(Clone, Copy)]
-enum Direction {
-    Forward,
-    Inverse,
 }
 
 #[inline]

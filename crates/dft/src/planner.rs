@@ -57,7 +57,7 @@ impl FftPlan {
     }
 }
 
-/// Caches transform plans per size.
+/// Caches transform plans per size, and one transform's worth of scratch.
 ///
 /// Not thread-safe by design (plans are cheap `Rc`s); create one planner per
 /// thread, or share immutable `FftPlan`s after planning.
@@ -65,6 +65,9 @@ impl FftPlan {
 pub struct FftPlanner {
     radix2: HashMap<usize, Rc<Radix2Tables>>,
     bluestein: HashMap<usize, Rc<Bluestein>>,
+    /// The working buffer of [`FftPlanner::dft_real_prefix`], kept at the
+    /// last length it served.
+    scratch: Vec<Complex64>,
 }
 
 impl FftPlanner {
@@ -101,6 +104,35 @@ impl FftPlanner {
         let mut data: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
         self.plan(x.len()).forward(&mut data);
         data
+    }
+
+    /// The first `out.len()` coefficients of the unitary forward DFT of the
+    /// real sequence `samples`, written to `out`: bit for bit the prefix of
+    /// [`FftPlanner::dft_real`]'s. A power-of-two length runs only the
+    /// butterflies those coefficients read; another runs the whole
+    /// transform. The samples are read once, into the planner's scratch,
+    /// so nothing is allocated once this length's plan and scratch exist.
+    ///
+    /// # Panics
+    /// Panics if `out` is longer than `samples`.
+    pub fn dft_real_prefix(
+        &mut self,
+        samples: impl ExactSizeIterator<Item = f64>,
+        out: &mut [Complex64],
+    ) {
+        let n = samples.len();
+        assert!(out.len() <= n, "{} coefficients of {n} samples", out.len());
+        let plan = self.plan(n);
+        self.scratch.resize(n, Complex64::default());
+        let scratch = &mut self.scratch[..];
+        if let FftPlan::Radix2(t) = plan {
+            return t.forward_real_prefix(samples, scratch, out);
+        }
+        for (slot, v) in scratch.iter_mut().zip(samples) {
+            *slot = Complex64::from_real(v);
+        }
+        plan.forward(scratch);
+        out.copy_from_slice(&scratch[..out.len()]);
     }
 
     /// Convenience: unitary forward DFT of a complex sequence.
@@ -145,6 +177,54 @@ mod tests {
                     (*g - *w).abs() < 1e-8 * (n as f64).max(1.0),
                     "n={n}: {g} vs {w}"
                 );
+            }
+        }
+    }
+
+    /// Inputs whose rounding and special values a pruned or reordered
+    /// butterfly would show: a wave, signed zeros, a constant, subnormals
+    /// of both signs and values whose sums overflow.
+    fn awkward_inputs(n: usize) -> Vec<Vec<f64>> {
+        let tiny = f64::from_bits(1);
+        vec![
+            (0..n)
+                .map(|i| (i as f64 * 0.9).sin() + 0.05 * i as f64)
+                .collect(),
+            vec![0.0; n],
+            (0..n).map(|i| [-0.0, 0.0, -0.0][i % 3]).collect(),
+            vec![7.25; n],
+            (0..n)
+                .map(|i| tiny * [3.0, -1.0, 0.0, 2.0][i % 4])
+                .collect(),
+            (0..n).map(|i| 1e300 * [1.0, 0.75, -1.0][i % 3]).collect(),
+        ]
+    }
+
+    fn bits(c: &[Complex64]) -> Vec<(u64, u64)> {
+        c.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn prefix_is_the_full_transform_bit_for_bit() {
+        let mut planner = FftPlanner::new();
+        let naive = 1..=NAIVE_CUTOFF;
+        let radix2 = (4..=12).map(|b| 1usize << b);
+        let bluestein = [9usize, 100, 513];
+        for n in naive.chain(radix2).chain(bluestein) {
+            for x in awkward_inputs(n) {
+                let full = planner.dft_real(&x);
+                for kept in [1, 2, 3, n / 4, n / 2, n / 2 + 1, n] {
+                    if kept == 0 || kept > n {
+                        continue;
+                    }
+                    let mut got = vec![Complex64::new(f64::NAN, f64::NAN); kept];
+                    planner.dft_real_prefix(x.iter().copied(), &mut got);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&full[..kept]),
+                        "n = {n}, kept = {kept}, {x:?}"
+                    );
+                }
             }
         }
     }

@@ -18,9 +18,13 @@
 //! and groups its entries exactly as an all-`f64` tree would, and each
 //! stored MBR is still the union of its child's stored bounds.
 //!
-//! Every sort pass sorts entry indices on each entry's centre coordinate,
-//! computed once per pass (a cached key); the stable sort gives the
-//! comparator sort's order bit for bit.
+//! Every sort pass computes each entry's centre coordinate once, as a
+//! `u64` key in `f64::total_cmp`'s order packed into one `u128` word above
+//! the entry's position and index, and sorts the words: positions break
+//! ties as a stable sort would, so the order is the comparator sort's bit
+//! for bit. One scratch buffer of a word an entry serves a level's whole
+//! sort run, each slab sorting in its own part of it, so a level's sorts
+//! allocate once, on the calling thread.
 //!
 //! A level of at least [`FAN_OUT_MIN`] entries fans out over the
 //! [`tsq_pool`] executor twice: for the per-slab sorts below its
@@ -33,11 +37,9 @@
 //! allocates outlives the load, and the tree is the sequential one at
 //! every thread count.
 
-use std::cmp::Ordering;
-
 use crate::config::RTreeConfig;
 use crate::node::{Kids, Node};
-use crate::par::{par_for_each_slice, parallel_map};
+use crate::par::{par_for_each, parallel_map};
 use crate::rect::{store_extend, union_into, Rect};
 use crate::tree::RStarTree;
 
@@ -46,11 +48,11 @@ type Centers<'a> = dyn Fn(usize, usize) -> f64 + Sync + 'a;
 
 /// Fewest entries a level needs before its sorts and its gather fan out;
 /// a smaller level is packed on the calling thread. Handing a batch to the
-/// pool costs about 9 µs (`pool.map_submit_us`). On one thread a level's
-/// sorts take about 170 ns an entry and its gather 17–24 ns, the rounding
-/// and the MBR fold being branch-free (8 000 6-d points: 1.4 and 0.14 ms;
-/// 48 400 6-d trails: 8.0 and 1.2 ms; 2-vCPU VM), so 4 096 entries are
-/// about 0.7 ms of sorting, of which the hand-off is 1 %, and 0.07–0.10 ms
+/// pool costs about 9 µs (`pool.map_submit_us`). On one thread a build's
+/// sorts take about 100 ns an entry and its gather 17–24 ns, the rounding
+/// and the MBR fold being branch-free (8 000 6-d points: 0.80 and 0.14 ms;
+/// 48 400 6-d trails: 5.0 and 1.2 ms; 2-vCPU VM), so 4 096 entries are
+/// about 0.4 ms of sorting, of which the hand-off is 2 %, and 0.07–0.10 ms
 /// of gather, of which it is 9–13 %: the second thread still halves the
 /// rest. An append's repack of a few hundred series stays on the calling
 /// thread.
@@ -72,23 +74,23 @@ impl<T> RStarTree<T> {
             assert_eq!(r.dims(), dims, "dimensionality mismatch in bulk load");
         }
         let len = items.len();
-        Self::bulk_load_flat(config, dims, len, 1, |slots| {
-            let mut payloads = Vec::with_capacity(len);
+        Self::bulk_load_flat(config, dims, len, 1, |slots, payloads| {
             for ((rect, item), slot) in items.into_iter().zip(slots) {
                 slot.copy_from_slice(rect.view().bounds());
                 payloads.push(item);
             }
-            payloads
         })
     }
 
     /// Builds a tree of `len` entries of `dims` dimensions by STR packing,
     /// from rectangles written in place: `fill` receives one slot of
-    /// `2·dims` bounds per entry, in entry order, writes each entry's
-    /// rectangle into its slot (`lo`, then `hi`) and returns the entries'
-    /// payloads in the same order. The slots are one flat `f64` buffer
-    /// that lives while the leaves are packed; no rectangle is allocated
-    /// on its own.
+    /// `2·dims` bounds per entry, in entry order, and an empty payload
+    /// vector with room for `len`; it writes each entry's rectangle into
+    /// its slot (`lo`, then `hi`) and pushes the entries' payloads in the
+    /// same order. The slots are one flat `f64` buffer that lives while the
+    /// leaves are packed; no rectangle is allocated on its own. Past 128
+    /// KiB, each of the two buffers is a mapping of its own, as the
+    /// loader's scratch is (see `room`).
     ///
     /// Sorting a level and gathering its nodes fan out over up to
     /// `threads` worker threads once the level holds a few thousand
@@ -103,7 +105,7 @@ impl<T> RStarTree<T> {
     /// like [`Rect::from_point`]'s, they are not validated.
     ///
     /// # Panics
-    /// Panics if `fill` returns other than `len` payloads, or if `dims` is
+    /// Panics if `fill` pushes other than `len` payloads, or if `dims` is
     /// zero for a non-empty load.
     pub fn bulk_load_flat<F>(
         config: RTreeConfig,
@@ -113,8 +115,13 @@ impl<T> RStarTree<T> {
         fill: F,
     ) -> Self
     where
-        F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>) -> Vec<T>,
+        F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>, &mut Vec<T>),
     {
+        let fill = |slots: &mut dyn Iterator<Item = &mut [f64]>| {
+            let mut payloads = Vec::with_capacity(room::<T>(len));
+            fill(slots, &mut payloads);
+            payloads
+        };
         str_load(config, dims, len, threads, fill, str_sort_parallel)
     }
 
@@ -145,11 +152,11 @@ impl<T> RStarTree<T> {
         );
         let rects = || bounds.chunks_exact(w);
         if self.is_empty() {
-            *self = RStarTree::bulk_load_flat(self.config, w / 2, n, 1, |slots| {
+            *self = RStarTree::bulk_load_flat(self.config, w / 2, n, 1, |slots, payloads| {
                 for (slot, rect) in slots.zip(rects()) {
                     slot.copy_from_slice(rect);
                 }
-                items
+                payloads.append(&mut items);
             });
             return;
         }
@@ -157,7 +164,8 @@ impl<T> RStarTree<T> {
         assert_eq!(w / 2, dims, "dimensionality mismatch in bulk extend");
         let mut order: Vec<usize> = (0..n).collect();
         let centers = |i: usize, dim: usize| center(&bounds[i * w..(i + 1) * w], dim);
-        str_sort(&mut order, &centers, 0, dims, self.config.max_entries);
+        let room = &mut scratch(n);
+        str_sort(&mut order, room, &centers, 0, dims, self.config.max_entries);
         permute(&order, |a, b| items.swap(a, b));
         for (&i, item) in order.iter().zip(items) {
             self.insert_bounds(&bounds[i * w..(i + 1) * w], item);
@@ -213,20 +221,30 @@ where
     tree
 }
 
-/// A zeroed buffer of `n` bounds for one level's `f64` rectangles. Past
-/// 128 KiB it asks for room for 32 MiB, of which only the first `n` bounds
-/// are touched: glibc's malloc serves a request that large with a mapping
-/// of its own and unmaps it whole when it is freed, so a large build's
-/// scratch never grows a thread's arena, where freed memory can stay
-/// resident.
-fn scratch(n: usize) -> Vec<f64> {
-    const MAPPED: usize = (32 << 20) / size_of::<f64>();
-    let room = match n >= (128 << 10) / size_of::<f64>() {
-        true => n.max(MAPPED),
+/// Room for `n` values of a load's buffers — its payloads, and every
+/// [`scratch`] buffer: past 128 KiB, room for 32 MiB, of which only the
+/// first `n` values are touched. glibc's malloc serves a request that
+/// large with a mapping of its own, which the kernel zeroes page by page
+/// as it is first touched and which is unmapped whole when it is freed,
+/// so a large build's buffers never grow a thread's arena or leave a hole
+/// in it: freed arena memory can stay resident, and later allocations that
+/// land in a hole below a tree keep the tree's memory at the arena's top
+/// once it is dropped, where `malloc_trim` does not reach in a thread's
+/// arena.
+fn room<T>(n: usize) -> usize {
+    let size = size_of::<T>();
+    match n * size >= 128 << 10 {
+        true => n.max((32 << 20) / size),
         false => n,
-    };
-    let mut buffer = Vec::with_capacity(room);
-    buffer.resize(n, 0.0);
+    }
+}
+
+/// A zeroed buffer of `n` values, at [`room`]: one level's `f64`
+/// rectangles, its STR order and MBRs, or a sort run's words. A mapping is
+/// zeroed by the kernel, so nothing `memset`s it.
+fn scratch<T: Copy + Default>(n: usize) -> Vec<T> {
+    let mut buffer = vec![T::default(); room::<T>(n)];
+    buffer.truncate(n);
     buffer
 }
 
@@ -285,7 +303,10 @@ where
         true => threads,
         false => 1,
     };
-    let mut order: Vec<usize> = (0..n).collect();
+    let mut order: Vec<usize> = scratch(n);
+    for (i, slot) in order.iter_mut().enumerate() {
+        *slot = i;
+    }
     if nodes.len() > 1 {
         let rects: &[f64] = coords;
         sort(
@@ -297,7 +318,7 @@ where
         );
         permute(&order, |a, b| payloads.swap(a, b));
     }
-    let mut mbrs = vec![0.0; nodes.len() * w];
+    let mut mbrs = scratch(nodes.len() * w);
     gather(coords, &order, &mut nodes, &mut mbrs, w, threads);
     *coords = mbrs;
     let mut payloads = payloads.into_iter();
@@ -380,7 +401,8 @@ fn permute(order: &[usize], mut swap: impl FnMut(usize, usize)) {
 /// workers. Slab boundaries come from the same [`slab_len`] as the
 /// sequential path and each slab runs the identical sequential `str_sort`,
 /// so the resulting ordering matches it exactly. `threads <= 1` is the
-/// sequential sort.
+/// sequential sort. The run's one scratch buffer is allocated here, on
+/// the calling thread; each slab sorts in its own part of it.
 fn str_sort_parallel(
     order: &mut [usize],
     centers: &Centers<'_>,
@@ -389,63 +411,70 @@ fn str_sort_parallel(
     threads: usize,
 ) {
     let n = order.len();
+    let room = &mut scratch(n);
     if threads <= 1 || n <= cap || dims == 1 {
-        return str_sort(order, centers, 0, dims, cap);
+        return str_sort(order, room, centers, 0, dims, cap);
     }
-    sort_by_center(order, centers, 0);
-    let slices: Vec<&mut [usize]> = order.chunks_mut(slab_len(n, cap, dims)).collect();
-    par_for_each_slice(threads, slices, |slab| {
-        str_sort(slab, centers, 1, dims, cap)
+    sort_by_center(order, room, centers, 0);
+    let len = slab_len(n, cap, dims);
+    let slabs = order.chunks_mut(len).zip(room.chunks_mut(len));
+    par_for_each(threads, slabs.collect(), |(slab, room)| {
+        str_sort(slab, room, centers, 1, dims, cap)
     });
 }
 
 /// Recursively orders entries in STR fashion: sort the current dimension,
 /// slice into vertical slabs sized so each slab packs into roughly equal
-/// tiles, recurse on the next dimension within each slab.
-fn str_sort(order: &mut [usize], centers: &Centers<'_>, dim: usize, dims: usize, cap: usize) {
+/// tiles, recurse on the next dimension within each slab. `room` is
+/// `order.len()` words of scratch; each slab sorts in its own part.
+fn str_sort(
+    order: &mut [usize],
+    room: &mut [u128],
+    centers: &Centers<'_>,
+    dim: usize,
+    dims: usize,
+    cap: usize,
+) {
     let n = order.len();
     if n <= cap || dim >= dims {
         return;
     }
-    sort_by_center(order, centers, dim);
+    sort_by_center(order, room, centers, dim);
     if dim + 1 == dims {
         return;
     }
-    for chunk in order.chunks_mut(slab_len(n, cap, dims - dim)) {
-        str_sort(chunk, centers, dim + 1, dims, cap);
+    let len = slab_len(n, cap, dims - dim);
+    for (slab, room) in order.chunks_mut(len).zip(room.chunks_mut(len)) {
+        str_sort(slab, room, centers, dim + 1, dims, cap);
     }
 }
 
-/// Stable sort by the centre coordinate along `dim`. The key is computed
-/// once per entry per pass, so a comparison reads two cached `f64`s; ties
-/// keep their input order, so the order is the comparator sort's exactly.
-fn sort_by_center(order: &mut [usize], centers: &Centers<'_>, dim: usize) {
-    order.sort_by_cached_key(|&i| Center(centers(i, dim)));
-}
-
-/// A centre coordinate under `f64::total_cmp`'s total order.
-#[derive(Clone, Copy)]
-struct Center(f64);
-
-impl Ord for Center {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
+/// Stable sort by the centre coordinate along `dim` under
+/// `f64::total_cmp`'s order: ties keep their input order, so the order is
+/// the comparator sort's exactly. Each entry's key is computed once, into
+/// `room` (`order.len()` words), as one word: its centre's [`total_key`]
+/// above its position and its index, so sorting the words orders by key,
+/// then position.
+fn sort_by_center(order: &mut [usize], room: &mut [u128], centers: &Centers<'_>, dim: usize) {
+    let n = order.len();
+    assert!(u32::try_from(n).is_ok(), "{n} entries overflow a sort word");
+    for (p, (word, &i)) in room.iter_mut().zip(order.iter()).enumerate() {
+        let key = u128::from(total_key(centers(i, dim)));
+        *word = key << 64 | (p as u128) << 32 | i as u128;
+    }
+    room.sort_unstable();
+    for (i, &word) in order.iter_mut().zip(room.iter()) {
+        *i = word as u32 as usize;
     }
 }
 
-impl PartialOrd for Center {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// `x`'s bits as an unsigned key whose order is `f64::total_cmp`'s: a
+/// negative value's bits all flipped, a positive value's sign bit set.
+#[inline]
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
 }
-
-impl PartialEq for Center {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Center {}
 
 /// Length of one vertical slab: `n` entries split into
 /// `ceil(pages^(1/dims_remaining))` slabs (Leutenegger et al.). Shared by
@@ -506,11 +535,11 @@ mod tests {
     /// [`RStarTree::bulk_load_flat`] over `items`.
     fn load_flat(config: RTreeConfig, items: &[(Rect, usize)], threads: usize) -> RStarTree<usize> {
         let dims = items.first().map_or(1, |(r, _)| r.dims());
-        RStarTree::bulk_load_flat(config, dims, items.len(), threads, |slots| {
+        RStarTree::bulk_load_flat(config, dims, items.len(), threads, |slots, payloads| {
             for (slot, (rect, _)) in slots.zip(items) {
                 slot.copy_from_slice(rect.view().bounds());
             }
-            flat(items).1
+            payloads.extend(flat(items).1)
         })
     }
 
@@ -768,6 +797,59 @@ mod tests {
                 got.bulk_extend(&bounds, payloads);
                 got.validate();
                 assert!(layout(&got) == layout(&want), "bulk_extend, {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_str_order_is_the_comparator_order() {
+        // Centres from short lists, so exact ties are common: every class
+        // of `f64` in the first (NaNs of both signs among them), and
+        // values a few units in the last place apart in the second, whose
+        // keys differ in their lowest bits alone — 31 in 40 of them 1.0.
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_00ff),
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            2.5e-300,
+            -7.0e12,
+        ];
+        let close: Vec<f64> = (0..40u64)
+            .map(|j| f64::from_bits(1.0f64.to_bits() + j.saturating_sub(30)))
+            .collect();
+        let n = FAN_OUT_MIN + 5;
+        let cap = 4;
+        for (values, dims) in [(&special[..], 3usize), (&close[..], 2), (&special[..], 1)] {
+            let mut state = 0x5eed_u64 + dims as u64;
+            let table: Vec<f64> = (0..n * dims)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    values[(state >> 33) as usize % values.len()]
+                })
+                .collect();
+            let centers = |i: usize, dim: usize| table[i * dims + dim];
+            let mut want: Vec<usize> = (0..n).collect();
+            str_sort_by_comparator(&mut want, &centers, 0, dims, cap);
+            for threads in [1usize, 2, 3] {
+                let mut got: Vec<usize> = (0..n).collect();
+                str_sort_parallel(&mut got, &centers, dims, cap, threads);
+                assert!(got == want, "dims {dims}, threads {threads}");
             }
         }
     }

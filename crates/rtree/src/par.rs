@@ -35,36 +35,36 @@ where
     tsq_pool::Pool::global().map(threads, items, f)
 }
 
-/// Runs `f` over a set of mutable slices using up to `threads`-way
-/// concurrency.
+/// Runs `f` over `items` — disjoint mutable slices, or tuples of them —
+/// using up to `threads`-way concurrency.
 ///
-/// The slices are distributed in contiguous groups; each group is one
+/// The items are distributed in contiguous groups; each group is one
 /// pool item owned exclusively by whoever claims it, so no
 /// synchronization is needed beyond the map itself.
-pub(crate) fn par_for_each_slice<T, F>(threads: usize, slices: Vec<&mut [T]>, f: F)
+pub(crate) fn par_for_each<T, F>(threads: usize, items: Vec<T>, f: F)
 where
     T: Send,
-    F: Fn(&mut [T]) + Sync,
+    F: Fn(T) + Sync,
 {
-    let n = slices.len();
+    let n = items.len();
     let threads = threads.max(1).min(n.max(1));
     if threads == 1 {
-        for s in slices {
-            f(s);
+        for item in items {
+            f(item);
         }
         return;
     }
     let chunk = n.div_ceil(threads);
-    let mut parts: Vec<Vec<&mut [T]>> = Vec::with_capacity(threads);
-    let mut rest = slices;
+    let mut parts: Vec<Vec<T>> = Vec::with_capacity(threads);
+    let mut rest = items;
     while !rest.is_empty() {
         let tail = rest.split_off(chunk.min(rest.len()));
         parts.push(std::mem::replace(&mut rest, tail));
     }
     let f = &f;
     parallel_map(threads, parts, |part| {
-        for s in part {
-            f(s);
+        for item in part {
+            f(item);
         }
     });
 }
@@ -93,7 +93,7 @@ mod tests {
         for threads in [1usize, 2, 7] {
             data.fill(0);
             let slices: Vec<&mut [u32]> = data.chunks_mut(13).collect();
-            par_for_each_slice(threads, slices, |s| {
+            par_for_each(threads, slices, |s| {
                 for v in s.iter_mut() {
                     *v += 1;
                 }

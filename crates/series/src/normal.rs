@@ -28,8 +28,7 @@ impl NormalForm {
     /// fluctuation), with `std` recorded as 0 so `v * std + mean` still
     /// reconstructs the original.
     pub fn of(s: &TimeSeries) -> NormalForm {
-        let mean = s.mean();
-        let std = s.std();
+        let (mean, std) = s.mean_std();
         let series = if std == 0.0 {
             TimeSeries::new(vec![0.0; s.len()])
         } else {

@@ -134,6 +134,12 @@ impl TimeSeries {
         crate::stats::std_population(&self.values)
     }
 
+    /// [`TimeSeries::mean`] and [`TimeSeries::std`] at once, bit for bit,
+    /// the mean computed once.
+    pub fn mean_std(&self) -> (f64, f64) {
+        crate::stats::mean_std(&self.values)
+    }
+
     /// Element-wise map, producing a new series.
     pub(crate) fn map(&self, f: impl FnMut(f64) -> f64) -> TimeSeries {
         TimeSeries::new(self.values.iter().copied().map(f).collect())

@@ -9,18 +9,24 @@ pub(crate) fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Population variance (divides by `n`); 0 for slices shorter than 1.
-pub(crate) fn variance_population(values: &[f64]) -> f64 {
+/// Population variance about the slice's mean `m`; 0 for an empty slice.
+fn variance_about(values: &[f64], m: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let m = mean(values);
     values.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
 /// Population standard deviation (GK95 normal forms standardize by this).
 pub(crate) fn std_population(values: &[f64]) -> f64 {
-    variance_population(values).sqrt()
+    mean_std(values).1
+}
+
+/// The mean and the population standard deviation about it, the mean
+/// computed once.
+pub(crate) fn mean_std(values: &[f64]) -> (f64, f64) {
+    let m = mean(values);
+    (m, variance_about(values, m).sqrt())
 }
 
 /// Pearson correlation of two equal-length slices; 0 when either side is
@@ -53,6 +59,11 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Population variance (divides by `n`); 0 for an empty slice.
+    fn variance_population(values: &[f64]) -> f64 {
+        variance_about(values, mean(values))
+    }
 
     #[test]
     fn mean_basic() {
