@@ -10,9 +10,12 @@
 //!   running on the persistent work-stealing [`Pool`] (no rayon in the
 //!   build image; no per-call thread spawning either). Query costs vary
 //!   wildly between a selective range probe and a whole-relation KNN, so
-//!   indices are claimed one at a time rather than pre-chunked. Nested
-//!   fan-outs (a sharded query inside a batch) run inline on the owning
-//!   worker. Batches of statements fan out over it one layer up
+//!   indices are claimed one at a time rather than pre-chunked. Its
+//!   caller never waits on a helper that has not started, so a fan-out
+//!   may run anywhere — under the catalog's locks, inside a cell other
+//!   readers wait on — without waiting on pool workers that wait on it.
+//!   Nested fan-outs (a sharded query inside a batch) run inline on the
+//!   owning worker. Batches of statements fan out over it one layer up
 //!   (`tsq_lang::Catalog::run_batch`).
 //! - [`clamp_threads`] / [`default_threads`] — the one place a requested
 //!   worker count becomes an actual one.
@@ -23,9 +26,10 @@
 //! query's filter and refine steps run sequentially. A large build fans
 //! out too: a whole-match index's feature extraction and an ST-index's
 //! trail extraction over runs of series, and the STR bulk load's sorts and
-//! gather under both. Every parallel path is deterministic: results are
-//! byte-identical to the sequential oracle regardless of thread count,
-//! which the concurrency test suite asserts.
+//! gather under both, whether from a registration, an `APPEND`, a `SHARD`
+//! or a relation's first read after an append. Every parallel path is
+//! deterministic: results are byte-identical to the sequential oracle
+//! regardless of thread count, which the concurrency test suite asserts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -60,11 +60,11 @@
 //! ([`executor::parallel_map`], over the persistent work-stealing pool):
 //! a sharded relation scatters one statement over its shards
 //! ([`ShardedIndex::execute`]), batches of statements fan out one layer
-//! up, and one build path partitions its input across threads: the
+//! up, and both build paths partition their input across threads: the
 //! ST-index build ([`SubseqIndex::build_parallel`]) extracts sliding-DFT
-//! trails per run of series and sorts the STR levels in parallel. A
-//! whole-match tree is packed on the calling thread (`pack`, in
-//! `index`). Every parallel path returns results byte-identical to its
+//! trails per run of series, a whole-match build
+//! ([`SimilarityIndex::build`]) extracts features per run of series, and
+//! both sort the STR levels in parallel. Every parallel path returns results byte-identical to its
 //! sequential oracle regardless of thread count.
 //!
 //! ## Persistence

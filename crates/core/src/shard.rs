@@ -57,9 +57,8 @@
 //! shrinks and alternating lengths cannot rebuild back and forth. The held
 //! index is a cell that starts empty and is filled once, by the first
 //! subsequence statement or `EXPLAIN` that needs it, with a build that
-//! reads the records and keeps no sample; racing first readers wait (a
-//! batch's statement on a pool worker builds a copy of its own instead of
-//! waiting on a build that may be waiting for the pool). *Who owns:* the
+//! reads the records and keeps no sample; racing first readers wait.
+//! *Who owns:* the
 //! `ShardedIndex`, so whatever replaces it (`register`, a restore) drops
 //! the cell with it and nothing is ever invalidated; `SHARD` keeps it, as
 //! resharding keeps every global id; a clone shares the cell by `Arc`.
@@ -491,10 +490,7 @@ impl ShardedIndex {
 
     /// A held cell's index, built now if nobody has yet: by one reader,
     /// fanned out over the worker pool, while later first readers wait for
-    /// it. A reader that is itself pool work (a batch's statement) never
-    /// waits on another's build, which may be waiting for its worker: it
-    /// builds a copy of its own (nested fan-outs run inline, so that build
-    /// waits on nothing) and leaves the cell to the builder.
+    /// it.
     ///
     /// # Errors
     /// What [`SimilarityIndex::record`] reports for a paged shard whose
@@ -508,7 +504,6 @@ impl ShardedIndex {
         let _building = match cell.building.try_lock() {
             Ok(guard) => guard,
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) if tsq_pool::in_pool_work() => return build(),
             Err(TryLockError::WouldBlock) => {
                 let guard = cell.building.lock();
                 guard.unwrap_or_else(PoisonError::into_inner)

@@ -740,10 +740,8 @@ impl SharedCatalog {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a relation: its index is built with no lock held (a
-    /// large build fans out over the worker pool, whose workers may be
-    /// running a batch's statements that wait for the lock), then put in
-    /// place under the write lock.
+    /// Registers a relation: its index is built with no lock held, so the
+    /// build blocks no reader, then put in place under the write lock.
     ///
     /// # Errors
     /// Propagates index-construction failures.

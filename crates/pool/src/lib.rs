@@ -35,21 +35,23 @@
 //! [`Pool::spawn`] queues one detached task: the query service runs
 //! each admitted request that way on a pool of its own.
 //!
-//! Two rules keep pools from waiting on each other forever:
+//! One rule keeps a fan-out from waiting on work that waits on it: **a
+//! map's caller waits only for helpers that have started on its job.**
+//! A queued helper passes its job's gate before it touches the job; once
+//! the caller's own claim loop runs dry, it takes its helpers that no
+//! worker has dequeued back off the queues, closes the gate and waits for
+//! the helpers inside to leave. A helper dequeued in between finds the
+//! gate closed and returns without touching the job. So a caller never
+//! waits on a queue, and leaves nothing queued behind it: when every worker is busy (or blocked on a lock the
+//! caller holds), the caller runs the whole job itself, and a map may be
+//! issued from any thread, under any lock, from any pool's task.
 //!
-//! - **Nesting is per pool.** A map issued from inside a task of the
-//!   *same* pool (a sharded query inside a batch, a parallel bulk load
-//!   inside a scatter) executes sequentially on the owning thread
-//!   instead of re-entering the pool. That rules out both deadlock (no
-//!   worker ever blocks waiting on its own pool's work) and
-//!   oversubscription, and costs nothing: the outer fan-out already
-//!   saturates the pool. A map on pool A issued from a task of pool B
-//!   fans out over A as from any other thread.
-//! - **Waits across pools go one way.** A pool's tasks may wait on
-//!   another pool's helpers only if that pool's tasks never wait back.
-//!   The one such edge in the workspace is the service's executor →
-//!   [`Pool::global`]: a served statement fans out over the global
-//!   pool, whose tasks never touch the executor.
+//! **Nesting is per pool.** A map issued from inside a task of the *same*
+//! pool (a sharded query inside a batch, a parallel bulk load inside a
+//! scatter) executes sequentially on the owning thread instead of queuing
+//! helpers: the outer fan-out already saturates the pool, so more helpers
+//! would only oversubscribe it. A map on pool A issued from a task of
+//! pool B fans out over A as from any other thread.
 //!
 //! ## Why this crate may use `unsafe` when no other crate does
 //!
@@ -57,9 +59,10 @@
 //! that outlive the call — exactly the lifetime erasure `rayon` and
 //! `crossbeam` hide behind their own `unsafe` internals, which the
 //! offline build image cannot provide. The erasure here is a single
-//! documented `unsafe` block in [`Pool::map`], sound because the caller
-//! blocks until every helper task has finished before the borrowed job
-//! can be freed. Every other crate in the workspace keeps
+//! documented `unsafe` block in [`Pool::map`], sound because a helper
+//! touches the borrowed job only inside its gate, and the caller closes
+//! the gate and waits for every helper inside to leave before the job can
+//! be freed. Every other crate in the workspace keeps
 //! `#![forbid(unsafe_code)]`.
 
 #![deny(unsafe_code)]
@@ -73,10 +76,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::{self, JoinHandle};
 
-/// A queued unit of pool work: one erased "runner" of a [`Pool::map`]
-/// call (not one item — a runner claims items until the job is dry), or
-/// one [`Pool::spawn`]ed task.
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A queued unit of pool work.
+enum Task {
+    /// One [`Pool::spawn`]ed task.
+    Spawned(Box<dyn FnOnce() + Send + 'static>),
+    /// One helper of a [`Pool::map`] call (not one item — a helper claims
+    /// items until the job is dry), and the gate it enters the job by.
+    Helper(RawJob, Arc<Gate>),
+}
 
 /// Source of pool identities; 0 means "no pool".
 static NEXT_ID: AtomicUsize = AtomicUsize::new(1);
@@ -89,14 +96,6 @@ thread_local! {
     /// task, or a `map` caller participating in its own job), or 0.
     /// Nested fan-outs over that same pool consult it and run inline.
     static ENGAGED: Cell<usize> = const { Cell::new(0) };
-}
-
-/// True when the current thread is already executing work for the
-/// global pool, in which case a nested [`Pool::global`] fan-out runs
-/// inline rather than re-entering the pool. Work for any other pool
-/// does not count.
-pub fn in_pool_work() -> bool {
-    Pool::try_global().is_some_and(Pool::is_engaged)
 }
 
 /// RAII guard marking the current thread as engaged in one pool's work.
@@ -151,7 +150,9 @@ pub fn default_workers() -> usize {
 /// service `/metrics` endpoint instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks executed by pool workers since the pool started.
+    /// Tasks queued on the pool since it started: each spawned task and
+    /// each helper a map queued, counted when queued, so a map's helpers
+    /// count even when it takes them back before a worker dequeues them.
     pub tasks: u64,
     /// Tasks a worker stole from a sibling's deque.
     pub steals: u64,
@@ -265,7 +266,7 @@ impl Pool {
         }
     }
 
-    /// Enqueues one erased task: round-robin onto a worker deque, or
+    /// Enqueues one task: round-robin onto a worker deque, or
     /// into the injector when that deque is busy, then wakes one parked
     /// worker.
     fn submit(&self, task: Task) {
@@ -278,6 +279,7 @@ impl Pool {
             q.injector.push_back(task);
         }
         drop(q);
+        self.shared.tasks.fetch_add(1, Ordering::Relaxed);
         self.shared.work.notify_one();
     }
 
@@ -286,7 +288,18 @@ impl Pool {
     /// on to the next one. Dropping the pool runs every task queued
     /// before the drop.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        self.submit(Box::new(task));
+        self.submit(Task::Spawned(Box::new(task)));
+    }
+
+    /// Takes the helpers that no worker has dequeued off the queues, by
+    /// the gate of the map that queued them.
+    fn retract(&self, gate: &Arc<Gate>) {
+        let others = |t: &Task| !matches!(t, Task::Helper(_, g) if Arc::ptr_eq(g, gate));
+        let mut q = lock(&self.shared.queues);
+        q.injector.retain(others);
+        for deque in &mut q.deques {
+            deque.retain(others);
+        }
     }
 
     /// Maps `f` over `items` with up to `threads`-way concurrency,
@@ -300,6 +313,9 @@ impl Pool {
     /// `threads <= 1`, a single item, or when called from inside this
     /// pool's own work (nested fan-out), this is a plain sequential map
     /// that touches no queues at all.
+    ///
+    /// The caller waits only for helpers that have started on the job, so
+    /// a map answers even while every worker is busy.
     ///
     /// # Panics
     /// If one or more closure invocations panic, the panic payload of
@@ -323,29 +339,25 @@ impl Pool {
             tasks: items.into_iter().map(|t| Mutex::new(Some(t))).collect(),
             slots: (0..n).map(|_| Mutex::new(None)).collect(),
             next: AtomicUsize::new(0),
-            remaining: Mutex::new(helpers),
-            done: Condvar::new(),
             f: &f,
         };
+        let gate = Arc::new(Gate::default());
         // SAFETY (the one lifetime erasure in the workspace): `raw`
         // points at `job`, which lives on this stack frame, while the
-        // submitted tasks are 'static as far as the type system knows.
-        // They cannot outlive the *actual* job: every submitted task
-        // decrements `job.remaining` (under its mutex) as its final
-        // touch of the job, and this function does not proceed past the
-        // wait loop below — let alone return or unwind — until
-        // `remaining == 0`, i.e. until every submitted task has
-        // finished. Nothing between the first submission and that wait
-        // can unwind, and workers never drop queued tasks (shutdown
-        // cannot race a live `&self` borrow of the pool), so every task
-        // runs exactly once. Cross-thread access is sound because `Job`
-        // is `Sync` here: `T: Send`, `R: Send`, `F: Sync`.
+        // submitted tasks are 'static as far as the type system knows. A
+        // helper touches the job only between a successful `enter` and its
+        // `leave`, and `close` below returns only after the last `leave`;
+        // a helper that a worker dequeues later finds the gate closed and
+        // drops `raw` unread. Nothing between the first submission and `close` can
+        // unwind (every item's panic is caught in the claim loop), so the
+        // job outlives every touch. Cross-thread access is sound because
+        // `Job` is `Sync` here: `T: Send`, `R: Send`, `F: Sync`.
         let raw = RawJob {
             data: std::ptr::from_ref(&job).cast::<()>(),
             run: run_erased::<T, R, F>,
         };
         for _ in 0..helpers {
-            self.submit(Box::new(move || raw.invoke()));
+            self.submit(Task::Helper(raw, Arc::clone(&gate)));
         }
         {
             // The caller participates in its own job; nested fan-outs
@@ -353,13 +365,11 @@ impl Pool {
             let _engaged = engage(self.id);
             job.claim_loop();
         }
-        let mut rem = lock(&job.remaining);
-        while *rem > 0 {
-            rem = wait(&job.done, rem);
-        }
-        drop(rem);
-        // All helpers have signalled completion: the job is exclusively
-        // ours again.
+        // Every index is claimed. Take back the helpers no worker has
+        // dequeued, and wait for those inside to finish the items they
+        // hold: past this point the job is exclusively ours again.
+        self.retract(&gate);
+        gate.close();
         let mut first_panic = None;
         let mut out = Vec::with_capacity(n);
         for slot in job.slots {
@@ -416,22 +426,28 @@ fn worker_loop(shared: &Shared, id: usize, me: usize) {
                 q = wait(&shared.work, q);
             }
         };
-        shared.tasks.fetch_add(1, Ordering::Relaxed);
-        // Map runners already catch per-item panics; a spawned task may
-        // not, and whatever unwinds must not take the worker down with it.
-        let _ = catch_unwind(AssertUnwindSafe(task));
+        match task {
+            // A helper catches per-item panics; a spawned task may not,
+            // and whatever unwinds must not take the worker down with it.
+            Task::Spawned(task) => {
+                let _ = catch_unwind(AssertUnwindSafe(task));
+            }
+            Task::Helper(raw, gate) => {
+                if gate.enter() {
+                    raw.invoke();
+                    gate.leave();
+                }
+            }
+        }
     }
 }
 
-/// One in-flight [`Pool::map`] job: the items, their result slots, the
-/// claim counter, and the helper-completion latch.
+/// One in-flight [`Pool::map`] job: the items, their result slots and
+/// the claim counter.
 struct Job<'a, T, R, F> {
     tasks: Vec<Mutex<Option<T>>>,
     slots: Vec<Mutex<Option<thread::Result<R>>>>,
     next: AtomicUsize,
-    /// Helpers still running (or queued); the caller blocks until zero.
-    remaining: Mutex<usize>,
-    done: Condvar,
     f: &'a F,
 }
 
@@ -459,29 +475,46 @@ where
     }
 }
 
-impl<T, R, F> Job<'_, T, R, F>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    /// Helper-side entry: drain the claim loop, then signal completion.
-    fn run_helper(&self) {
-        self.claim_loop();
-        let mut rem = lock(&self.remaining);
-        *rem -= 1;
-        if *rem == 0 {
-            // Notify while holding the lock: the caller can only observe
-            // zero (and free the job) after we release it, and past this
-            // point the task never touches the job again.
-            self.done.notify_all();
+/// The door between a [`Pool::map`] caller and its queued helpers: whether
+/// the caller has closed it, and how many helpers are inside the job.
+#[derive(Default)]
+struct Gate {
+    state: Mutex<(bool, usize)>,
+    /// The caller waits here for the last helper inside to leave.
+    left: Condvar,
+}
+
+impl Gate {
+    /// A helper's way in: false once the caller has closed the gate.
+    fn enter(&self) -> bool {
+        let mut state = lock(&self.state);
+        state.1 += usize::from(!state.0);
+        !state.0
+    }
+
+    /// A helper's way out, its last touch of the job.
+    fn leave(&self) {
+        let mut state = lock(&self.state);
+        state.1 -= 1;
+        if state.1 == 0 {
+            self.left.notify_all();
+        }
+    }
+
+    /// Keeps later helpers out and returns once every helper inside has
+    /// left.
+    fn close(&self) {
+        let mut state = lock(&self.state);
+        state.0 = true;
+        while state.1 > 0 {
+            state = wait(&self.left, state);
         }
     }
 }
 
 /// Type-erased handle to an in-flight [`Job`], the payload of a queued
 /// helper task. Erasing through a data pointer plus a monomorphized shim
-/// keeps the queued closure's type free of the job's generics (and their
+/// keeps the queued task's type free of the job's generics (and their
 /// lifetimes), which is what lets a non-`'static` job ride a `'static`
 /// task queue.
 #[derive(Clone, Copy)]
@@ -504,9 +537,8 @@ unsafe impl Send for RawJob {}
 
 impl RawJob {
     fn invoke(self) {
-        // SAFETY: `Pool::map` keeps the pointee alive until every
-        // submitted task has run this to completion; see the SAFETY
-        // comment there.
+        // SAFETY: called only inside the job's gate, which `Pool::map`
+        // keeps the pointee alive across; see the SAFETY comment there.
         #[allow(unsafe_code)]
         unsafe {
             (self.run)(self.data)
@@ -528,7 +560,7 @@ where
     F: Fn(T) -> R + Sync,
 {
     let job = &*ptr.cast::<Job<'_, T, R, F>>();
-    job.run_helper();
+    job.claim_loop();
 }
 
 #[cfg(test)]
@@ -580,6 +612,61 @@ mod tests {
         // The same pool still answers, with full results.
         let out = pool.map(2, (0..50).collect::<Vec<usize>>(), |i| i * 2);
         assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_map_answers_while_every_worker_is_busy() {
+        // Both workers wait for a release that comes only after the map
+        // has answered, so its helpers stay queued behind them: the
+        // caller must run the whole job itself rather than wait for them.
+        const DEADLINE: Duration = Duration::from_secs(5);
+        let pool = Pool::new(2);
+        let (arrive, arrived) = mpsc::channel();
+        let mut release = Vec::new();
+        for _ in 0..2 {
+            let (go, held) = mpsc::channel::<()>();
+            release.push(go);
+            let arrive = arrive.clone();
+            pool.spawn(move || {
+                arrive.send(()).unwrap();
+                let _ = held.recv();
+            });
+        }
+        for _ in 0..2 {
+            arrived.recv_timeout(DEADLINE).unwrap();
+        }
+        // The watchdog releases the workers at the deadline, so a map
+        // that waits for its queued helpers fails here instead of hanging.
+        let (answer, answered) = mpsc::channel::<()>();
+        let watchdog = thread::spawn(move || {
+            let late = answered.recv_timeout(DEADLINE).is_err();
+            drop(release);
+            late
+        });
+        let out = pool.map(3, (0..100).collect::<Vec<usize>>(), |i| i * 7 + 1);
+        let _ = answer.send(());
+        assert!(
+            !watchdog.join().unwrap(),
+            "the map waited for helpers queued behind busy workers"
+        );
+        assert_eq!(out, (0..100).map(|i| i * 7 + 1).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_closed_gate_waits_for_the_helpers_inside_and_keeps_later_ones_out() {
+        let gate = Arc::new(Gate::default());
+        assert!(gate.enter(), "an open gate lets a helper in");
+        let (inside, left) = (Arc::clone(&gate), Arc::new(AtomicUsize::new(0)));
+        let leaving = Arc::clone(&left);
+        let helper = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            leaving.store(1, Ordering::SeqCst);
+            inside.leave();
+        });
+        gate.close();
+        assert_eq!(left.load(Ordering::SeqCst), 1, "close returned first");
+        assert!(!gate.enter(), "a closed gate lets a helper in");
+        helper.join().unwrap();
     }
 
     #[test]

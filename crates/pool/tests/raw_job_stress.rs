@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Once};
+use std::sync::{Arc, Barrier, Once};
 use std::thread;
 use std::time::Duration;
 
@@ -25,7 +25,8 @@ const CALLERS: usize = 8;
 const ROUNDS: usize = 240;
 
 /// Items per call: more than the pool's workers and the caller can each
-/// take one at a time, so every helper runs.
+/// take one at a time, so a helper that starts before the caller runs dry
+/// finds items left to claim.
 const ITEMS: usize = 48;
 
 /// What a run may take before it counts as deadlocked.
@@ -244,5 +245,63 @@ fn tasks_of_another_pool_get_exact_answers_from_borrowed_jobs() {
         let mut done: Vec<usize> = answered.iter().collect();
         done.sort_unstable();
         assert_eq!(done, (0..CALLERS).collect::<Vec<_>>());
+    });
+}
+
+#[test]
+fn maps_answer_while_both_workers_are_held_and_after_release() {
+    within_deadline("held workers", || {
+        let pool = Pool::new(2);
+        let calls = AtomicUsize::new(0);
+        // Both workers wait for a release while the callers' first maps
+        // run, so those maps answer with no helper started: each runs its
+        // job alone and takes its helpers back off the queues.
+        let (arrive, arrived) = mpsc::channel();
+        let mut release = Vec::new();
+        for _ in 0..2 {
+            let (go, held) = mpsc::channel::<()>();
+            release.push(go);
+            let arrive = arrive.clone();
+            pool.spawn(move || {
+                arrive.send(()).expect("the test is listening");
+                let _ = held.recv();
+            });
+        }
+        for _ in 0..2 {
+            arrived.recv().expect("a worker took its hold");
+        }
+        // Each caller's first rounds run while both workers are held.
+        const HELD: usize = 16;
+        let held_done = Barrier::new(CALLERS + 1);
+        thread::scope(|scope| {
+            for caller in 0..CALLERS {
+                let (pool, calls, held_done) = (&pool, &calls, &held_done);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        if round == HELD {
+                            held_done.wait();
+                        }
+                        // The job, its closure's prefix and its items die
+                        // with this frame: a helper left queued that
+                        // touched them later would read freed memory.
+                        let prefix = format!("{caller}:{round}:");
+                        let items: Vec<Vec<usize>> =
+                            (0..ITEMS).map(|i| vec![i; i % 5 + 1]).collect();
+                        let out = pool.map(3, items, |v| {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            format!("{prefix}{}", v[0] * v[0])
+                        });
+                        let want: Vec<String> =
+                            (0..ITEMS).map(|i| expected(caller, round, i)).collect();
+                        assert_eq!(out, want, "caller {caller}, round {round}");
+                    }
+                });
+            }
+            // Every caller's first maps have answered: release the
+            // workers while the next maps run.
+            held_done.wait();
+            drop(release);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), CALLERS * ROUNDS * ITEMS);
     });
 }

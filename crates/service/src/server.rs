@@ -22,8 +22,9 @@
 //! `exec_threads` workers, not the global one: a served statement's
 //! fan-outs (a scatter, an ST-index build, a batch's statements) run over
 //! [`Pool::global`] exactly as they would from any other thread, because
-//! nesting is per pool. The global pool's tasks never wait on the
-//! executor, so that one-way edge cannot deadlock.
+//! nesting is per pool. A fan-out's caller never waits on a helper that
+//! has not started, so a statement waits on no queued work, whichever
+//! pool it runs on and whatever lock it holds.
 //!
 //! **Timeouts.** The connection worker waits `query_timeout` (scaled by
 //! batch size for batches) for its job's answer; past that the client

@@ -210,13 +210,20 @@ fn a_build_never_waits_on_workers_that_wait_for_it() {
     // appended relation to repack its tree. A repack by a first reader
     // outside the pool, and an APPEND's feature extraction, a SHARD's
     // packs and a registration's build under the write lock, each waited
-    // forever.
+    // forever. So did a fan-out under the read lock with an APPEND queued
+    // behind it: a first subsequence read building its ST-index, or a
+    // k-NN scattering over shards. The writer waits for the reader, the
+    // batch's next statements wait for the writer, and the reader waited
+    // for helpers queued behind those statements. A fan-out's caller now
+    // waits only for helpers that have started on its job.
     within_deadline(|| {
         let (count, len) = (4200, 64);
         let mut cat = Catalog::new();
         for (name, rel) in [
             ("walks", RandomWalkGenerator::new(31).relation(80, 64)),
             ("big", RandomWalkGenerator::new(36).relation(count, len)),
+            ("long", RandomWalkGenerator::new(38).relation(400, 1024)),
+            ("q", RandomWalkGenerator::new(39).relation(4, 64)),
         ] {
             cat.register(SeriesRelation::from_series(name, rel).unwrap())
                 .unwrap();
@@ -258,7 +265,40 @@ fn a_build_never_waits_on_workers_that_wait_for_it() {
         mid_batch(&shared, || shared.register(wide).unwrap());
         let read = "FIND 2 NEAREST TO wide.s0 IN wide";
         assert_eq!(shared.run(read).unwrap().rows.len(), 2);
+
+        // A first subsequence read builds `long`'s ST-index under the
+        // read lock while an APPEND queues for the write lock.
+        let subseq = "FIND SUBSEQUENCE OF q.s1 IN long WITHIN 40 WINDOW 64";
+        mid_batch(&shared, || {
+            with_append_queued(&shared, || shared.run(subseq).unwrap());
+        });
+        assert!(shared.run(subseq).is_ok());
+
+        // A k-NN scatters over four shards under the read lock while an
+        // APPEND queues for the write lock.
+        shared.run("SHARD long INTO 4 BY HASH").unwrap();
+        let knn = "FIND 50 NEAREST TO long.s1 IN long APPLY mavg(8)";
+        mid_batch(&shared, || {
+            let rows = with_append_queued(&shared, || shared.run(knn).unwrap().rows);
+            assert_eq!(rows.len(), 50);
+        });
     });
+}
+
+/// Runs `read` on this thread while another thread, 2 ms after it
+/// starts, appends to `q`: the append queues for the catalog's write lock
+/// behind `read`'s read lock.
+fn with_append_queued<R>(shared: &SharedCatalog, read: impl FnOnce() -> R) -> R {
+    let writer = {
+        let shared = shared.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(2));
+            shared.run("APPEND q s0 VALUES (1.0)").unwrap();
+        })
+    };
+    let answer = read();
+    writer.join().unwrap();
+    answer
 }
 
 #[test]
