@@ -42,9 +42,10 @@
 //! worker has dequeued back off the queues, closes the gate and waits for
 //! the helpers inside to leave. A helper dequeued in between finds the
 //! gate closed and returns without touching the job. So a caller never
-//! waits on a queue, and leaves nothing queued behind it: when every worker is busy (or blocked on a lock the
-//! caller holds), the caller runs the whole job itself, and a map may be
-//! issued from any thread, under any lock, from any pool's task.
+//! waits on a queue and leaves nothing queued behind it: when every
+//! worker is busy (or blocked on a lock the caller holds), the caller
+//! runs the whole job itself, and a map may be issued from any thread,
+//! under any lock, from any pool's task.
 //!
 //! **Nesting is per pool.** A map issued from inside a task of the *same*
 //! pool (a sharded query inside a batch, a parallel bulk load inside a
@@ -345,13 +346,14 @@ impl Pool {
         // SAFETY (the one lifetime erasure in the workspace): `raw`
         // points at `job`, which lives on this stack frame, while the
         // submitted tasks are 'static as far as the type system knows. A
-        // helper touches the job only between a successful `enter` and its
-        // `leave`, and `close` below returns only after the last `leave`;
-        // a helper that a worker dequeues later finds the gate closed and
-        // drops `raw` unread. Nothing between the first submission and `close` can
-        // unwind (every item's panic is caught in the claim loop), so the
-        // job outlives every touch. Cross-thread access is sound because
-        // `Job` is `Sync` here: `T: Send`, `R: Send`, `F: Sync`.
+        // helper touches the job only between a successful `enter` and
+        // its `leave`, and `close` below returns only after the last
+        // `leave`; a helper that a worker dequeues later finds the gate
+        // closed and drops `raw` unread. Nothing between the first
+        // submission and `close` can unwind (every item's panic is caught
+        // in the claim loop), so the job outlives every touch. Cross-thread
+        // access is sound because `Job` is `Sync` here: `T: Send`,
+        // `R: Send`, `F: Sync`.
         let raw = RawJob {
             data: std::ptr::from_ref(&job).cast::<()>(),
             run: run_erased::<T, R, F>,
