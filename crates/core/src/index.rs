@@ -47,10 +47,11 @@ use crate::transform::LinearTransform;
 /// Configuration of a [`SimilarityIndex`].
 ///
 /// No statement, CLI flag or wire message sets any of this.
-/// [`FeatureSchema::Raw`], [`SpaceKind::Rectangular`] and
-/// `bulk_load: false` are **reference-only**: reachable through
-/// `Catalog::with_config` alone, kept for the tests that compare against
-/// them (`S_rect` vs `S_pol`, insert vs bulk load, Theorem 2, AFS93).
+/// [`FeatureSchema::Raw`] and [`SpaceKind::Rectangular`] are
+/// **reference-only**: reachable through `Catalog::with_config` alone,
+/// kept for the tests that compare against them (`S_rect` vs `S_pol`,
+/// Theorem 2, AFS93). There is no build knob: every tree is STR-packed
+/// (`tsq_rtree`'s one way to build a tree).
 #[derive(Debug, Clone, Copy)]
 pub struct IndexConfig {
     /// Feature schema (default: the paper's NormalForm layout with `k = 2`,
@@ -60,9 +61,6 @@ pub struct IndexConfig {
     pub space: SpaceKind,
     /// R\*-tree tuning.
     pub rtree: RTreeConfig,
-    /// Build the tree with STR bulk loading (faster) instead of repeated
-    /// insertion.
-    pub bulk_load: bool,
 }
 
 impl Default for IndexConfig {
@@ -71,7 +69,6 @@ impl Default for IndexConfig {
             schema: FeatureSchema::NormalForm { k: 2 },
             space: SpaceKind::Polar,
             rtree: RTreeConfig::default(),
-            bulk_load: true,
         }
     }
 }
@@ -323,32 +320,23 @@ struct Packed {
 }
 
 /// The one construction of a whole-match tree and its profile: a feature
-/// point per stored series, in id order, bulk-loaded (or inserted one by
-/// one, per the configuration). Identical features produce an identical
-/// tree, which is what lets an appended or restored index match one built
-/// from scratch in answers and traversal statistics.
-/// The bulk load sorts and gathers on up to `threads` threads; the tree
-/// is the same at every count.
+/// point per stored series, in id order, STR-packed. Identical features
+/// produce an identical tree, which is what lets an appended or restored
+/// index match one built from scratch in answers and traversal
+/// statistics. The bulk load sorts and gathers on up to `threads`
+/// threads; the tree is the same at every count.
 fn pack(config: &IndexConfig, store: &[StoredSeries], threads: usize) -> Packed {
     let (space, schema) = (config.space, config.schema);
     let dims = schema.dims();
-    let tree = if config.bulk_load {
-        // Each point goes straight into its leaf slot, as a degenerate
-        // rectangle: `lo` and `hi` both the point.
-        RStarTree::bulk_load_flat(config.rtree, dims, store.len(), threads, |slots, ids| {
-            for (slot, s) in slots.zip(store) {
-                space.point_into(&s.features, schema, &mut slot[..dims]);
-                slot.copy_within(..dims, dims);
-            }
-            ids.extend(0..store.len())
-        })
-    } else {
-        let mut t = RStarTree::new(config.rtree);
-        for (id, s) in store.iter().enumerate() {
-            t.insert_point(&space.point(&s.features, schema), id);
+    // Each point goes straight into its leaf slot, as a degenerate
+    // rectangle: `lo` and `hi` both the point.
+    let tree = RStarTree::bulk_load_flat(config.rtree, dims, store.len(), threads, |rects, ids| {
+        for (slot, s) in rects.chunks_exact_mut(2 * dims).zip(store) {
+            space.point_into(&s.features, schema, &mut slot[..dims]);
+            slot.copy_within(..dims, dims);
         }
-        t
-    };
+        ids.extend(0..store.len())
+    });
     let stats = RelationStats {
         cardinality: store.len(),
         series_len: len_bounds(store).1,
@@ -1554,76 +1542,63 @@ mod tests {
         // extend_series_batch / push_series_batch is indistinguishable —
         // snapshot bytes, features, tree, answers, traversal statistics —
         // from rebuilding over the final data.
-        for bulk_load in [true, false] {
-            let cfg = IndexConfig {
-                bulk_load,
-                ..IndexConfig::default()
-            };
-            let rel = small_relation(40, 32, 21);
-            let mut idx = SimilarityIndex::build(cfg, rel.clone()).unwrap();
-            let tails: Vec<Vec<f64>> = (0..40)
-                .map(|i| {
-                    RandomWalkGenerator::new(500 + i)
-                        .series(8)
-                        .values()
-                        .to_vec()
-                })
-                .collect();
-            // Append in two uneven waves so the relation goes ragged and
-            // heals, plus one brand-new series via the canonical push.
-            for wave in [0..3, 3..8] {
-                let edits: Vec<(usize, TimeSeries)> = tails
-                    .iter()
-                    .enumerate()
-                    .map(|(id, tail)| (id, extended(&idx.series(id).unwrap(), &tail[wave.clone()])))
-                    .collect();
-                // One statement per series, then the rest as one batch.
-                idx.extend_series_batch(&edits[..1]).unwrap();
-                idx.extend_series_batch(&edits[1..]).unwrap();
-            }
-            let newcomer = RandomWalkGenerator::new(999).series(40);
-            idx.push_series_batch(vec![newcomer.clone()]).unwrap();
-            // Fresh build over the final data.
-            let mut final_rel: Vec<TimeSeries> = rel
+        let cfg = IndexConfig::default();
+        let rel = small_relation(40, 32, 21);
+        let mut idx = SimilarityIndex::build(cfg, rel.clone()).unwrap();
+        let tails: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                RandomWalkGenerator::new(500 + i)
+                    .series(8)
+                    .values()
+                    .to_vec()
+            })
+            .collect();
+        // Append in two uneven waves so the relation goes ragged and
+        // heals, plus one brand-new series via the canonical push.
+        for wave in [0..3, 3..8] {
+            let edits: Vec<(usize, TimeSeries)> = tails
                 .iter()
-                .zip(&tails)
-                .map(|(s, tail)| {
-                    let mut v = s.values().to_vec();
-                    v.extend_from_slice(tail);
-                    TimeSeries::new(v)
-                })
+                .enumerate()
+                .map(|(id, tail)| (id, extended(&idx.series(id).unwrap(), &tail[wave.clone()])))
                 .collect();
-            final_rel.push(newcomer);
-            let fresh = SimilarityIndex::build(cfg, final_rel.clone()).unwrap();
-            let mut enc_a = Encoder::new();
-            idx.write_to(&mut enc_a).unwrap();
-            let mut enc_b = Encoder::new();
-            fresh.write_to(&mut enc_b).unwrap();
-            assert_eq!(
-                enc_a.into_bytes(),
-                enc_b.into_bytes(),
-                "bulk_load={bulk_load}"
-            );
-            // The snapshot carries the series alone: hold the features and
-            // the tree the appended index packs to the fresh build's too.
-            assert_eq!(
-                derived_bytes(&idx),
-                derived_bytes(&fresh),
-                "bulk_load={bulk_load}"
-            );
-            assert_eq!(idx.stats(), fresh.stats(), "bulk_load={bulk_load}");
-            let t = LinearTransform::moving_average(40, 4);
-            let (ma, sa) = idx
-                .range_query(&final_rel[7], 2.0, &t, &QueryWindow::default())
-                .unwrap();
-            let (mb, sb) = fresh
-                .range_query(&final_rel[7], 2.0, &t, &QueryWindow::default())
-                .unwrap();
-            assert_eq!(ma, mb);
-            assert_eq!(sa.index, sb.index);
-            assert_eq!(sa.candidates, sb.candidates);
-            assert_eq!(sa.false_hits, sb.false_hits);
+            // One statement per series, then the rest as one batch.
+            idx.extend_series_batch(&edits[..1]).unwrap();
+            idx.extend_series_batch(&edits[1..]).unwrap();
         }
+        let newcomer = RandomWalkGenerator::new(999).series(40);
+        idx.push_series_batch(vec![newcomer.clone()]).unwrap();
+        // Fresh build over the final data.
+        let mut final_rel: Vec<TimeSeries> = rel
+            .iter()
+            .zip(&tails)
+            .map(|(s, tail)| {
+                let mut v = s.values().to_vec();
+                v.extend_from_slice(tail);
+                TimeSeries::new(v)
+            })
+            .collect();
+        final_rel.push(newcomer);
+        let fresh = SimilarityIndex::build(cfg, final_rel.clone()).unwrap();
+        let mut enc_a = Encoder::new();
+        idx.write_to(&mut enc_a).unwrap();
+        let mut enc_b = Encoder::new();
+        fresh.write_to(&mut enc_b).unwrap();
+        assert_eq!(enc_a.into_bytes(), enc_b.into_bytes());
+        // The snapshot carries the series alone: hold the features and
+        // the tree the appended index packs to the fresh build's too.
+        assert_eq!(derived_bytes(&idx), derived_bytes(&fresh));
+        assert_eq!(idx.stats(), fresh.stats());
+        let t = LinearTransform::moving_average(40, 4);
+        let (ma, sa) = idx
+            .range_query(&final_rel[7], 2.0, &t, &QueryWindow::default())
+            .unwrap();
+        let (mb, sb) = fresh
+            .range_query(&final_rel[7], 2.0, &t, &QueryWindow::default())
+            .unwrap();
+        assert_eq!(ma, mb);
+        assert_eq!(sa.index, sb.index);
+        assert_eq!(sa.candidates, sb.candidates);
+        assert_eq!(sa.false_hits, sb.false_hits);
     }
 
     #[test]
@@ -1797,24 +1772,25 @@ mod tests {
 
     #[test]
     fn bulk_and_incremental_agree() {
+        // A build over every series, and one over a third of them that
+        // takes the rest twenty at a time: its next reader packs the
+        // build's tree, so the answers and the traversal agree.
         let rel = small_relation(90, 32, 12);
         let bulk = build_default(rel.clone());
-        let cfg = IndexConfig {
-            bulk_load: false,
-            ..IndexConfig::default()
-        };
-        let incr = SimilarityIndex::build(cfg, rel.clone()).unwrap();
+        let mut incr = build_default(rel[..30].to_vec());
+        for batch in rel[30..].chunks(20) {
+            incr.push_series_batch(batch.to_vec()).unwrap();
+        }
         let t = LinearTransform::moving_average(32, 3);
         let q = &rel[7];
-        let a = bulk
+        let (a, sa) = bulk
             .range_query(q, 2.0, &t, &QueryWindow::default())
-            .unwrap()
-            .0;
-        let b = incr
+            .unwrap();
+        let (b, sb) = incr
             .range_query(q, 2.0, &t, &QueryWindow::default())
-            .unwrap()
-            .0;
+            .unwrap();
         assert_eq!(a, b);
+        assert_eq!(sa.index, sb.index);
     }
 
     /// The reference for *how* the refine sums: `T(x̂)` as the one function

@@ -97,7 +97,6 @@ pub fn write_index_config(enc: &mut Encoder, cfg: &IndexConfig) {
     write_schema(enc, cfg.schema);
     write_space(enc, cfg.space);
     write_config(enc, &cfg.rtree);
-    enc.bool(cfg.bulk_load);
 }
 
 /// Reads a whole-match index configuration.
@@ -109,7 +108,6 @@ pub fn read_index_config(dec: &mut Decoder<'_>) -> StoreResult<IndexConfig> {
         schema: read_schema(dec)?,
         space: read_space(dec)?,
         rtree: read_config(dec)?,
-        bulk_load: dec.bool("index bulk_load")?,
     })
 }
 
@@ -170,7 +168,6 @@ mod tests {
         assert_eq!(got.schema, icfg.schema);
         assert_eq!(got.space, icfg.space);
         assert_eq!(got.rtree, icfg.rtree);
-        assert_eq!(got.bulk_load, icfg.bulk_load);
     }
 
     #[test]
@@ -185,11 +182,9 @@ mod tests {
             read_space(&mut dec),
             Err(StoreError::Corrupt { .. })
         ));
-        // min_entries above max/2.
+        // A fan-out below 4.
         let mut enc = Encoder::new();
-        enc.u32(8);
-        enc.u32(5);
-        enc.u32(2);
+        enc.u32(3);
         let bytes = enc.into_bytes();
         assert!(matches!(
             read_config(&mut Decoder::new(&bytes)),

@@ -71,7 +71,7 @@ use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use tsq_dft::dft::dft_prefix;
 use tsq_dft::sliding::SlidingCursor;
@@ -85,6 +85,7 @@ use tsq_series::distance::{distance_sq_within, limit_sq};
 use tsq_series::TimeSeries;
 
 use crate::error::{Error, Result};
+use crate::executor::default_threads;
 use crate::plan::SpaceProfile;
 use crate::records::RecordIo;
 use crate::scan::ScanMode;
@@ -282,12 +283,25 @@ impl SampleSource for ShardedIndex {
 /// queries read them by series id from a source (see the module docs).
 /// This is what a relation holds; a paged relation's keeps its trail tree
 /// in a scratch page file (see the module docs).
-#[derive(Debug, Clone)]
+///
+/// The trail tree is the STR packing of every trail in word order, the
+/// build's input order, and an append keeps it so, as an append to
+/// [`crate::SimilarityIndex`] keeps its tree: one that only widens a
+/// partial trail widens its entry in place ([`RStarTree::grow_entry`]),
+/// and one that adds trails sets them aside and empties the tree's cell.
+/// The next reader repacks the old tree's entries with the trails set
+/// aside, once, while racing readers wait for it — the tree a build over
+/// the same series packs ([`TrailIndex::tree`]).
+#[derive(Debug)]
 pub struct TrailIndex {
     config: SubseqConfig,
-    /// The trail tree, one word per trail ([`TrailIndex::entry`]); empty
-    /// when it is paged.
-    tree: RStarTree<u64>,
+    /// The packed trail tree, one word per trail ([`TrailIndex::entry`]);
+    /// empty between a trail-adding append and the next reader, which
+    /// repacks it from `aside` ([`TrailIndex::tree`] is the one accessor);
+    /// an empty tree when it is paged.
+    tree: OnceLock<RStarTree<u64>>,
+    /// What the next reader packs while `tree` is empty.
+    aside: Mutex<Aside>,
     /// The paged trail tree in its scratch file, shared by clones, which
     /// goes — its frames with it — when the last clone drops; when set,
     /// `tree` is empty.
@@ -299,6 +313,34 @@ pub struct TrailIndex {
     /// that asks until the next append (see [`TrailIndex::profile`]), and
     /// taken before a paged build drops the nodes.
     profile: OnceLock<SpaceProfile>,
+}
+
+/// An unpacked trail tree's entries: the tree it was, and the trails
+/// appended since — their rectangles flat, `lo` then `hi` each, beside
+/// their words.
+#[derive(Debug, Default)]
+struct Aside {
+    tree: RStarTree<u64>,
+    bounds: Vec<f64>,
+    words: Vec<u64>,
+}
+
+impl Clone for TrailIndex {
+    /// A copy of the packed index: a reader repacking the original while
+    /// it is cloned has taken its entries, so the copy waits for the tree
+    /// it packs.
+    fn clone(&self) -> Self {
+        TrailIndex {
+            config: self.config,
+            tree: OnceLock::from(self.tree().clone()),
+            aside: Mutex::default(),
+            paged: self.paged.clone(),
+            lengths: self.lengths.clone(),
+            windows_total: self.windows_total,
+            trails_total: self.trails_total,
+            profile: self.profile.clone(),
+        }
+    }
 }
 
 /// A new scratch file for a trail build beside `near`:
@@ -313,6 +355,11 @@ fn scratch_path(near: &Path) -> PathBuf {
 /// bits ([`check_words`]).
 fn word(series: usize, start: usize) -> u64 {
     ((series as u64) << 32) | start as u64
+}
+
+/// The `(series, start)` a [`word`] names.
+fn unword(word: u64) -> (usize, usize) {
+    ((word >> 32) as usize, (word & u64::from(u32::MAX)) as usize)
 }
 
 /// A trail tree stores a trail as `series << 32 | start`: every series id,
@@ -374,22 +421,21 @@ impl TrailIndex {
         let run = lengths.len().div_ceil(threads).max(1);
         let mut read: Result<()> = Ok(());
         let dims = 2 * config.k;
-        let tree = RStarTree::bulk_load_flat(config.rtree, dims, total, threads, |slots, words| {
-            for (id, &len) in lengths.iter().enumerate() {
-                words.extend(trail_words(&config, id, 0, config.windows(len)));
-            }
-            let runs: Vec<(Range<usize>, Vec<&mut [f64]>)> = (0..lengths.len())
+        let tree = RStarTree::bulk_load_flat(config.rtree, dims, total, threads, |rects, words| {
+            words.extend(all_words(&config, &lengths));
+            let mut rest = rects;
+            let runs: Vec<(Range<usize>, &mut [f64])> = (0..lengths.len())
                 .step_by(run)
                 .map(|first| {
                     let ids = first..(first + run).min(lengths.len());
-                    let count = lengths[ids.clone()].iter().map(trail_count).sum();
-                    let mut part = Vec::with_capacity(count);
-                    part.extend((&mut *slots).take(count));
+                    let count: usize = lengths[ids.clone()].iter().map(trail_count).sum();
+                    let (part, tail) = std::mem::take(&mut rest).split_at_mut(count * 2 * dims);
+                    rest = tail;
                     (ids, part)
                 })
                 .collect();
-            let reads = crate::executor::parallel_map(threads, runs, |(ids, slots)| {
-                let mut slots = slots.into_iter();
+            let reads = crate::executor::parallel_map(threads, runs, |(ids, part)| {
+                let mut slots = part.chunks_exact_mut(2 * dims);
                 // A build reads outside any statement: its traffic is
                 // nobody's to report.
                 let mut io = RecordIo::default();
@@ -410,7 +456,8 @@ impl TrailIndex {
         read?;
         let mut index = TrailIndex {
             config,
-            tree,
+            tree: OnceLock::from(tree),
+            aside: Mutex::default(),
             paged: None,
             lengths: Vec::with_capacity(lengths.len()),
             windows_total: 0,
@@ -430,27 +477,26 @@ impl TrailIndex {
     fn page_out(&mut self, pages: TrailPages<'_>) -> Result<()> {
         self.profile();
         let path = scratch_path(pages.near);
-        let file = PagedTree::create(&path, &self.tree, |&word| word, pages.cache)?;
-        self.tree = RStarTree::new(self.config.rtree);
+        let file = PagedTree::create(&path, self.tree(), |&word| word, pages.cache)?;
+        self.tree = OnceLock::from(RStarTree::new(self.config.rtree));
         self.paged = Some(Arc::new(file));
         Ok(())
     }
 
-    /// The in-memory trail tree, to append to.
+    /// An append needs the trail tree in memory.
     ///
     /// # Errors
     /// [`Error::Unsupported`] when the tree is paged: paged relations are
     /// read-only.
-    fn held_mut(&mut self) -> Result<&mut RStarTree<u64>> {
+    fn check_held(&self) -> Result<()> {
         match self.paged {
-            None => Ok(&mut self.tree),
+            None => Ok(()),
             Some(_) => Err(Error::Unsupported("append to a paged ST-index".to_string())),
         }
     }
 
-    /// Appends a series of `values`, returning its id. The new trails
-    /// enter the tree through the STR-sorted batch path
-    /// ([`RStarTree::bulk_extend`]).
+    /// Appends a series of `values`, returning its id. Its trails are set
+    /// aside for the next reader to pack ([`TrailIndex::set_aside`]).
     ///
     /// # Errors
     /// [`Error::Unsupported`] when the tree is paged, or when the series'
@@ -459,11 +505,10 @@ impl TrailIndex {
     pub(crate) fn insert(&mut self, values: &[f64]) -> Result<usize> {
         let id = self.lengths.len();
         let windows = self.config.windows(values.len());
-        self.held_mut()?;
+        self.check_held()?;
         check_words(id + 1, [windows])?;
         let (bounds, words) = trails(&self.config, id, values, 0, windows);
-        self.tree.bulk_extend(&bounds, words);
-        self.profile.take();
+        self.set_aside(&bounds, &words);
         self.push_length(values.len());
         Ok(id)
     }
@@ -473,17 +518,20 @@ impl TrailIndex {
     /// recurrence is resumed from the last indexed window (no prefix
     /// recomputation — `O(k)` per appended point), the final trail MBR —
     /// if it was partial — is closed out (re-emitted with its new
-    /// windows), and the MBRs of the new chunks enter the tree through the
-    /// STR-sorted batch path ([`RStarTree::bulk_extend`]). The series'
-    /// length follows on every extend, one that adds no window included.
+    /// windows and widened in place), and the MBRs of the new chunks are
+    /// set aside for the next reader to pack ([`TrailIndex::set_aside`]).
+    /// The series' length follows on every extend, one that adds no window
+    /// included.
     ///
     /// Trail chunk boundaries are fixed absolute offsets
     /// (`start = chunk * trail`) and the sliding DFT re-anchors on absolute
     /// offsets too, so every emitted rectangle is bit-identical to the one
     /// a from-scratch rebuild over the final data would produce: the tree
-    /// holds the *same entry set* either way (its node structure may
-    /// differ, so `nodes_visited` can differ while answers, candidates and
-    /// trail hits cannot).
+    /// holds the *same entry set* either way. Once a reader follows an
+    /// append that adds a trail, it is the same tree, node for node; after
+    /// appends that only widen partial trails, the widened entries sit
+    /// where their narrower bounds were packed, so `nodes_visited` can
+    /// differ while answers, candidates and trail hits cannot.
     ///
     /// Validation is atomic: on any error the index is exactly as it was.
     ///
@@ -493,7 +541,7 @@ impl TrailIndex {
     /// the tree is paged or the series' windows would not fit a word
     /// ([`check_words`]).
     pub(crate) fn extend_series(&mut self, id: usize, values: &[f64]) -> Result<()> {
-        self.held_mut()?;
+        self.check_held()?;
         let series = self.lengths.len();
         let Some(held) = self.lengths.get_mut(id) else {
             return Err(Error::UnknownSeries(id));
@@ -518,34 +566,103 @@ impl TrailIndex {
         // windows); when it was full — or there were no windows at all —
         // it is the next, brand-new chunk.
         let first_chunk = old_windows / trail;
-        let (bounds, mut words) = trails(&self.config, id, values, first_chunk, new_windows);
+        let (bounds, words) = trails(&self.config, id, values, first_chunk, new_windows);
         let mut grown = 0;
         if old_windows % trail != 0 {
             // Recompute the partial chunk's rectangle exactly as it was
             // emitted (the old windows read only pre-append samples, and
             // the resumed cursor is bit-identical to the original walk).
             // Its re-emitted rectangle only absorbs new window points, so
-            // it *contains* the old one — the tree widens the stored
-            // entry in place (`O(height)`, no structural churn) instead
-            // of paying a remove + reinsert pair.
+            // it *contains* the old one, and it is widened where it is.
             let (old, _) = trails(&self.config, id, values, first_chunk, old_windows);
-            let partial = words[0];
-            debug_assert_eq!(partial, word(id, first_chunk * trail));
             grown = old.len();
-            let updated = self.tree.grow_entry(
-                RectView::new(&old),
-                |&w| w == partial,
-                RectView::new(&bounds[..grown]),
-                partial,
-            );
-            assert!(updated, "indexed partial trail must be present");
+            self.grow(words[0], &old, &bounds[..grown]);
         }
-        let words = words.split_off(usize::from(grown > 0));
-        self.tree.bulk_extend(&bounds[grown..], words);
-        self.profile.take();
+        self.set_aside(&bounds[grown..], &words[usize::from(grown > 0)..]);
         self.windows_total += new_windows - old_windows;
         self.trails_total += new_windows.div_ceil(trail) - old_windows.div_ceil(trail);
         Ok(())
+    }
+
+    /// Widens the trail `word` from `old` to `grown`, which contains it,
+    /// wherever it is: among the trails set aside, or in the tree (the
+    /// packed one in place, `O(height)`, which stays packed).
+    fn grow(&mut self, word: u64, old: &[f64], grown: &[f64]) {
+        let aside = self.aside.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(i) = aside.words.iter().rposition(|&w| w == word) {
+            let w = grown.len();
+            aside.bounds[i * w..(i + 1) * w].copy_from_slice(grown);
+            return;
+        }
+        let tree = match self.tree.get_mut() {
+            Some(packed) => packed,
+            None => &mut aside.tree,
+        };
+        let (old, grown) = (RectView::new(old), RectView::new(grown));
+        let updated = tree.grow_entry(old, |&w| w == word, grown, word);
+        assert!(updated, "indexed partial trail must be present");
+        self.profile.take();
+    }
+
+    /// Sets new trails — `bounds`, `2·2k` a trail, beside their `words` —
+    /// aside for the next reader to pack, and empties the tree's cell for
+    /// it: the packed tree moves aside first, so the index holds one tree
+    /// either way.
+    fn set_aside(&mut self, bounds: &[f64], words: &[u64]) {
+        if words.is_empty() {
+            return;
+        }
+        let aside = self.aside.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(packed) = self.tree.take() {
+            aside.tree = packed;
+        }
+        aside.bounds.extend_from_slice(bounds);
+        aside.words.extend_from_slice(words);
+        self.profile.take();
+    }
+
+    /// The tree a build over the same series packs: every trail's
+    /// rectangle — the old tree's stored bounds, widened, and the
+    /// rectangles set aside — in the build's slot for it, word order,
+    /// STR-packed on up to `threads` threads. The old tree is taken out
+    /// of the index and dropped once its entries are in the loader's
+    /// buffer, before anything is packed. STR keys on stored bounds
+    /// (`tsq_rtree`'s bulk load), so an entry read back off the old tree
+    /// packs as its rectangle first did.
+    fn repack(&self, threads: usize) -> RStarTree<u64> {
+        let aside = std::mem::take(&mut *self.aside.lock().unwrap_or_else(PoisonError::into_inner));
+        let config = &self.config;
+        let w = 4 * config.k;
+        // Each series' first slot, then the slot of the trail a word names.
+        let mut first = Vec::with_capacity(self.lengths.len());
+        let mut total = 0;
+        for &len in &self.lengths {
+            first.push(total);
+            total += config.windows(len).div_ceil(config.trail);
+        }
+        let slot = |word: u64| {
+            let (series, start) = unword(word);
+            let at = (first[series] + start / config.trail) * w;
+            at..at + w
+        };
+        RStarTree::bulk_load_flat(config.rtree, w / 2, total, threads, |rects, words| {
+            let Aside {
+                tree: old,
+                bounds,
+                words: set_aside,
+            } = aside;
+            words.extend(all_words(config, &self.lengths));
+            for (rect, &word) in old.iter() {
+                let stored = rect.lo().iter().chain(rect.hi().iter());
+                for (slot, bound) in rects[slot(word)].iter_mut().zip(stored) {
+                    *slot = bound;
+                }
+            }
+            drop(old);
+            for (rect, &word) in bounds.chunks_exact(w).zip(&set_aside) {
+                rects[slot(word)].copy_from_slice(rect);
+            }
+        })
     }
 
     fn push_length(&mut self, len: usize) {
@@ -587,10 +704,19 @@ impl TrailIndex {
     }
 
     /// Access to the underlying R\*-tree (read-only): one word per trail,
-    /// decoded by [`TrailIndex::entry`]. Empty when the tree is paged
-    /// ([`TrailIndex::paged`]).
+    /// decoded by [`TrailIndex::entry`], repacked first if an append set
+    /// trails aside. The first reader repacks it at
+    /// [`crate::executor::default_threads`] while later readers wait.
+    /// Empty when the tree is paged ([`TrailIndex::paged`]).
     pub fn tree(&self) -> &RStarTree<u64> {
-        &self.tree
+        self.tree.get_or_init(|| self.repack(default_threads()))
+    }
+
+    /// True while the packed tree is held (a trail-adding append empties
+    /// it).
+    #[cfg(test)]
+    pub(crate) fn is_packed(&self) -> bool {
+        self.tree.get().is_some()
     }
 
     /// The trail a tree word names — `series << 32 | start`, its window
@@ -602,7 +728,7 @@ impl TrailIndex {
     /// [`Error::Store`] (corrupt) for a word that names no trail of the
     /// index.
     pub fn entry(&self, word: u64) -> Result<TrailEntry> {
-        let (series, start) = ((word >> 32) as usize, (word & u64::from(u32::MAX)) as usize);
+        let (series, start) = unword(word);
         let windows = self
             .lengths
             .get(series)
@@ -634,7 +760,7 @@ impl TrailIndex {
     /// tree is profiled by its build, before its nodes leave memory.
     pub(crate) fn profile(&self) -> &SpaceProfile {
         self.profile
-            .get_or_init(|| SpaceProfile::of_tree(&self.tree, self.windows_total as u64))
+            .get_or_init(|| SpaceProfile::of_tree(self.tree(), self.windows_total as u64))
     }
 
     /// A query is at least one window long.
@@ -673,7 +799,7 @@ impl TrailIndex {
         self.check_query(q, eps)?;
         match self.paged() {
             Some(paged) => self.range_in(paged, source, q, eps),
-            None => self.range_in(&self.tree, source, q, eps),
+            None => self.range_in(self.tree(), source, q, eps),
         }
     }
 
@@ -778,7 +904,7 @@ impl TrailIndex {
         }
         match self.paged() {
             Some(paged) => self.knn_in(paged, source, q, k),
-            None => self.knn_in(&self.tree, source, q, k),
+            None => self.knn_in(self.tree(), source, q, k),
         }
     }
 
@@ -939,8 +1065,8 @@ impl SubseqIndex {
         })
     }
 
-    /// Appends one series, returning its id. The new trails enter the tree
-    /// through the STR-sorted batch path ([`RStarTree::bulk_extend`]).
+    /// Appends one series, returning its id. Its trails are set aside for
+    /// the next reader to pack into the tree (see [`TrailIndex`]).
     ///
     /// # Panics
     /// When a trail word cannot name the series: the index holds 2^32
@@ -1110,8 +1236,8 @@ impl SubseqIndex {
 
 /// The trails of one series from `first_chunk` onward, over its first
 /// `windows` windows: their rectangles flat, `lo` then `hi` each (see
-/// [`chunks_of`]), and their words. What an insert or an append hands the
-/// tree.
+/// [`chunks_of`]), and their words. What an insert or an append sets
+/// aside.
 fn trails(
     config: &SubseqConfig,
     id: usize,
@@ -1139,6 +1265,13 @@ fn trail_words(
 ) -> impl Iterator<Item = u64> {
     let starts = (first_chunk * config.trail..windows).step_by(config.trail);
     starts.map(move |start| word(id, start))
+}
+
+/// The words of every trail of series of `lengths`, in id order: the order
+/// a build hands the loader its trails in.
+fn all_words<'a>(config: &'a SubseqConfig, lengths: &'a [usize]) -> impl Iterator<Item = u64> + 'a {
+    let series = lengths.iter().enumerate();
+    series.flat_map(|(id, &len)| trail_words(config, id, 0, config.windows(len)))
 }
 
 /// The rectangles of one series' trails from `first_chunk` onward — those
@@ -1489,7 +1622,7 @@ mod tests {
         let q = TimeSeries::new(extra.values()[10..26].to_vec());
         let (matches, _) = idx.subseq_range(&q, 1e-9).unwrap();
         assert!(matches.iter().any(|m| m.series == id && m.offset == 10));
-        // Still oracle-exact after the incremental insert.
+        // Still oracle-exact after the insert.
         let (indexed, _) = idx.subseq_range(&q, 4.0).unwrap();
         let (scan, _) = idx.scan_subseq_range(&q, 4.0, ScanMode::Naive).unwrap();
         assert_eq!(indexed, scan);
@@ -1500,8 +1633,8 @@ mod tests {
         // The oracle invariant at the trail level: after any append
         // schedule, the tree holds the same (rect, entry) set as a fresh
         // build over the final data — so answers, candidate counts and
-        // trail hits agree exactly (node layout, hence nodes_visited, may
-        // differ).
+        // trail hits agree exactly — and once a read follows a
+        // trail-adding append, the same nodes too.
         let mut g = RandomWalkGenerator::new(40);
         let mut data: Vec<Vec<f64>> = (0..6)
             .map(|i| g.series(20 + 9 * i).values().to_vec())
@@ -1556,6 +1689,7 @@ mod tests {
             v
         };
         assert_eq!(key(&idx), key(&fresh));
+        assert_eq!(format!("{:?}", idx.tree()), format!("{:?}", fresh.tree()));
         // Query-level agreement, candidate counters included.
         let q = TimeSeries::new(data[3][data[3].len() - 16..].to_vec());
         for eps in [0.0, 1.0, 6.0] {
@@ -1571,6 +1705,55 @@ mod tests {
         let (ka, _) = idx.subseq_knn(&q, 7).unwrap();
         let (kb, _) = fresh.subseq_knn(&q, 7).unwrap();
         assert_eq!(ka, kb);
+    }
+
+    #[test]
+    fn an_append_sets_new_trails_aside_and_the_next_reader_repacks_once() {
+        // Series of 40 samples: 25 windows of 16, the last trail of 8
+        // holding one.
+        let mut g = RandomWalkGenerator::new(61);
+        let mut data: Vec<Vec<f64>> = (0..6).map(|_| g.series(40).values().to_vec()).collect();
+        let series = |data: &[Vec<f64>]| -> Vec<TimeSeries> {
+            data.iter().map(|v| TimeSeries::new(v.clone())).collect()
+        };
+        let mut idx = SubseqIndex::build(SubseqConfig::new(16), series(&data)).unwrap();
+        assert!(idx.trails().is_packed(), "a build returns with its tree");
+        let packed: *const RStarTree<u64> = idx.tree();
+        // Three points widen series 2's partial trail where it is packed.
+        data[2].extend(g.series(3).values());
+        idx.extend_series(2, TimeSeries::new(data[2].clone()))
+            .unwrap();
+        assert!(
+            idx.trails().is_packed(),
+            "a grow-only append keeps the tree"
+        );
+        assert!(std::ptr::eq(packed, idx.tree()), "the same tree");
+        // Five more close that trail and add one, and a newcomer adds
+        // its own: set aside, and nothing is packed until a reader comes.
+        data[2].extend(g.series(5).values());
+        idx.extend_series(2, TimeSeries::new(data[2].clone()))
+            .unwrap();
+        assert!(!idx.trails().is_packed(), "a trail-adding append unpacks");
+        let newcomer = g.series(30);
+        data.push(newcomer.values().to_vec());
+        idx.insert(newcomer);
+        assert!(!idx.trails().is_packed());
+        // Two racing readers see one tree, repacked once: a rebuild's.
+        let start = std::sync::Barrier::new(2);
+        let seen: Vec<usize> = std::thread::scope(|scope| {
+            let read = || {
+                start.wait();
+                idx.tree() as *const RStarTree<u64> as usize
+            };
+            let readers = [scope.spawn(read), scope.spawn(read)];
+            readers.map(|r| r.join().unwrap()).to_vec()
+        });
+        assert_eq!(seen[0], seen[1], "repacked once");
+        assert!(idx.trails().is_packed());
+        let aside = idx.trails().aside.lock().unwrap();
+        assert!(aside.tree.is_empty() && aside.words.is_empty() && aside.bounds.is_empty());
+        let fresh = SubseqIndex::build(SubseqConfig::new(16), series(&data)).unwrap();
+        assert_eq!(format!("{:?}", idx.tree()), format!("{:?}", fresh.tree()));
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! An order digest hashes the same walk without the coordinates: the
 //! nodes, their entry counts and the payloads in stored order. Bounds
 //! stored as `f32` rounded outward moved every coordinate digest but no
-//! order digest: the order digests pinned here are the ones the trees had
-//! when every bound was an `f64`.
+//! order digest, and neither did STR keying on those stored bounds.
 //!
 //! The pinned values were recorded on x86_64 Linux with glibc's libm (the
 //! features go through its `sin`, `cos` and `atan2`). Every tree is
@@ -141,19 +140,9 @@ fn the_stocks_and_feed_st_indexes_at_one_and_two_threads() {
     assert_eq!(subseq_digest(&feed, "feed"), 0xb90c_c7a9_86f8_027f);
 }
 
-#[test]
-fn an_insert_built_tree() {
-    let config = IndexConfig {
-        bulk_load: false,
-        ..IndexConfig::default()
-    };
-    let index = SimilarityIndex::build(config, walks(3000)).unwrap();
-    assert_eq!(digest(index.tree(), id), 0x16dc_e5ad_5a6b_6de8);
-}
-
 /// Appends of 1 to 13 points at a time to a few series of an ST-index:
-/// partial trails widen in place, full ones enter by R\* insertion (split
-/// and forced reinsert included).
+/// partial trails widen in place and new ones are set aside, and the read
+/// that follows repacks the tree a build over the final series packs.
 #[test]
 fn an_st_index_after_an_append_chain() {
     let relation = RandomWalkGenerator::new(11).relation(60, 300);
@@ -170,7 +159,11 @@ fn an_st_index_after_an_append_chain() {
         }
     }
     index.tree().validate();
-    assert_eq!(digest(index.tree(), trail(&index)), 0xce07_11de_1bde_4471);
+    let got = digest(index.tree(), trail(&index));
+    let series = values.into_iter().map(TimeSeries::new).collect();
+    let fresh = SubseqIndex::build(SubseqConfig::new(32), series).unwrap();
+    assert_eq!(got, digest(fresh.tree(), trail(&fresh)), "a rebuild's tree");
+    assert_eq!(got, 0x73f6_de72_72ad_9a07);
 }
 
 #[test]
@@ -189,8 +182,10 @@ fn a_paged_tree_decodes_to_the_same_nodes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The order digests every tree had when its bounds were `f64`s: rounding
-/// them outward to `f32` moved no entry of any level.
+/// The walks, stocks and feed trees keep the order digests they had when
+/// their bounds were `f64`s: neither rounding the bounds outward to `f32`
+/// nor keying STR on those stored bounds moved an entry of any level. The
+/// append chain's order is the one a build over its final series packs.
 #[test]
 fn every_tree_keeps_its_entry_order() {
     let walks8000 = walks(8000);
@@ -202,12 +197,6 @@ fn every_tree_keeps_its_entry_order() {
         let st = SubseqIndex::build(SubseqConfig::new(64), relation).unwrap();
         got.push(order(st.tree(), trail(&st)));
     }
-    let config = IndexConfig {
-        bulk_load: false,
-        ..IndexConfig::default()
-    };
-    let inserted = SimilarityIndex::build(config, walks(3000)).unwrap();
-    got.push(order(inserted.tree(), id));
     let relation = RandomWalkGenerator::new(11).relation(60, 300);
     let mut values: Vec<Vec<f64>> = relation.iter().map(|s| s.values().to_vec()).collect();
     let mut chain = SubseqIndex::build(SubseqConfig::new(32), relation).unwrap();
@@ -224,8 +213,7 @@ fn every_tree_keeps_its_entry_order() {
         0x9d6b_2b23_7622_d9b2,
         0x61ab_bbc2_f4b5_1b6c,
         0x1bb0_3c14_3aac_e361,
-        0x081a_2b40_6d1c_47d8,
-        0x87c4_2ce9_dd77_b19b,
+        0xe5b5_1bae_074e_5718,
     ];
-    assert_eq!(got, want, "walks, stocks, feed, insert-built, append chain");
+    assert_eq!(got, want, "walks, stocks, feed, append chain");
 }

@@ -3,7 +3,7 @@
 //! labels, its hash-shard count, each shard's series and the base window
 //! it holds its ST-index at — to a single `tsq-store` file.
 //!
-//! There is one section layout, at every shard count (format version 10):
+//! There is one section layout, at every shard count (format version 11):
 //!
 //! ```text
 //! relation section
@@ -30,10 +30,12 @@
 //! ([`ShardedIndex::hold_window`]), and the first subsequence statement or
 //! `EXPLAIN` of at least that length builds it over the restored series —
 //! a window that saw appends before the save comes back as the fresh build
-//! over the appended series. Version 9 stored a shard rule tag and range
-//! boundaries beside the count, version 8 a list of up to four windows in
-//! recency order, and version 7 each window's trail trees, whose node
-//! layout depended on the append schedule; none has a reader, and each is
+//! over the appended series. Version 10 stored each index configuration's
+//! minimum fill, forced-reinsert count and insert-or-pack flag beside its
+//! fan-out, version 9 a shard rule tag and range boundaries beside the
+//! count, version 8 a list of up to four windows in recency order, and
+//! version 7 each window's trail trees, whose node layout depended on the
+//! append schedule; none has a reader, and each is
 //! refused by [`StoreError::UnsupportedVersion`].
 //!
 //! ## Guarantees

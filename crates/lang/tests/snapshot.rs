@@ -388,20 +388,22 @@ fn corrupt_inputs_are_typed_errors() {
 
     // Future format version.
     let mut bad = good.clone();
-    bad[8..12].copy_from_slice(&11u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&12u32.to_le_bytes());
     assert!(matches!(
         Catalog::new().restore_bytes(&bad).unwrap_err(),
         LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
-            got: 11,
+            got: 12,
             supported: tsq_store::FORMAT_VERSION
         }))
     ));
 
-    // The previous format versions (9, which stored a shard rule tag and
-    // range boundaries beside the shard count, 8, which stored a list of
-    // held windows, and 7, which stored every held window's trail trees):
-    // no reader for their layouts exists, so a sealed v9, v8 or v7 file is
-    // refused on the version field — from bytes, by `open` and by
+    // The previous format versions (10, which stored each index
+    // configuration's minimum fill, forced-reinsert count and
+    // insert-or-pack flag, 9, which stored a shard rule tag and range
+    // boundaries beside the shard count, 8, which stored a list of held
+    // windows, and 7, which stored every held window's trail trees): no
+    // reader for their layouts exists, so a sealed v10, v9, v8 or v7 file
+    // is refused on the version field — from bytes, by `open` and by
     // `open_paged` — not decoded as the current one, and the target
     // catalog is left as it was.
     let mut target = catalog();
@@ -410,7 +412,7 @@ fn corrupt_inputs_are_typed_errors() {
         .unwrap();
     let before = target.snapshot_bytes().unwrap();
     let path = temp_path("previous-version.tsq");
-    for old in [9u32, 8, 7] {
+    for old in [10u32, 9, 8, 7] {
         let mut bad = Catalog::new().snapshot_bytes().unwrap();
         bad[8..12].copy_from_slice(&old.to_le_bytes());
         std::fs::write(&path, &bad).unwrap();
@@ -425,7 +427,7 @@ fn corrupt_inputs_are_typed_errors() {
                     err,
                     LangError::Engine(Error::Store(StoreError::UnsupportedVersion {
                         got,
-                        supported: 10
+                        supported: 11
                     })) if got == old
                 ),
                 "v{old}: {err:?}"

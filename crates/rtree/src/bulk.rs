@@ -1,22 +1,26 @@
 //! Sort-Tile-Recursive (STR) bulk loading, straight into flat nodes.
 //!
-//! Building the index over a whole relation at once (the common case in the
-//! paper's experiments, where the data set is loaded and then queried) is
-//! much faster with bottom-up packing than with repeated insertion, and
-//! produces well-clustered leaves. Repeated insertion remains available for
-//! incremental workloads.
+//! This is the one way a tree is built. Building the index over a whole
+//! relation at once (the common case in the paper's experiments, where the
+//! data set is loaded and then queried) is much faster with bottom-up
+//! packing than with repeated insertion, and produces well-clustered
+//! leaves; a relation that grows is packed again by its next reader.
 //!
 //! One loader serves every caller ([`RStarTree::bulk_load_flat`];
 //! [`RStarTree::bulk_load`] adapts owned rectangles to it). The number of
 //! entries fixes the node layout of every level before anything is sorted
-//! — chunk sizes depend on the count alone. The callers write a level's
-//! `f64` rectangles into one flat buffer, the STR order is computed on
-//! their centres, and each node's `f32` slab is then gathered in that
-//! order, every bound rounded outward ([`crate::rect`]), at exactly its
-//! node's capacity. The level above sorts on its nodes' `f64` MBRs, folded
-//! during the gather: rounding outward is monotone, so every level orders
-//! and groups its entries exactly as an all-`f64` tree would, and each
-//! stored MBR is still the union of its child's stored bounds.
+//! — chunk sizes depend on the count alone. The callers write the leaves'
+//! `f64` rectangles into one flat buffer, and every bound there is rounded
+//! outward in place, once, to the `f32` its leaf stores ([`crate::rect`]).
+//! The STR order is computed on the centres of those stored bounds, and
+//! each node's `f32` slab is then gathered in that order — a copy of exact
+//! values — at exactly its node's capacity. The level above sorts on its
+//! nodes' MBRs, folded during the gather from the same exact values, so
+//! each stored MBR is the union of its child's stored bounds. STR thus
+//! keys on nothing but the bounds it stores: a tree's own leaf entries,
+//! loaded again in the order they were first given, pack to the same tree
+//! bit for bit, which is how a grown ST-index repacks to what a rebuild
+//! over the same series builds (`tsq-core`).
 //!
 //! Every sort pass computes each entry's centre coordinate once, as a
 //! `u64` key in `f64::total_cmp`'s order packed into one `u128` word above
@@ -31,16 +35,16 @@
 //! dimension-0 sort, which stays on the calling thread, and for the
 //! gather, over contiguous groups of nodes. The caller reserves every
 //! slab, allocates the level's MBR buffer and splits the payloads into
-//! each node's kids; in the gather a worker only rounds its nodes' entries
+//! each node's kids; in the gather a worker only copies its nodes' entries
 //! into their slabs (within the capacity reserved for them) and folds
-//! their `f64` MBRs into its own slice of that buffer. Nothing a worker
+//! their MBRs into its own slice of that buffer. Nothing a worker
 //! allocates outlives the load, and the tree is the sequential one at
 //! every thread count.
 
 use crate::config::RTreeConfig;
 use crate::node::{Kids, Node};
 use crate::par::{par_for_each, parallel_map};
-use crate::rect::{store_extend, union_into, Rect};
+use crate::rect::{round_outward, union_into, Rect};
 use crate::tree::RStarTree;
 
 /// A level's centre coordinates: `center(i, dim)` of entry `i`.
@@ -54,7 +58,7 @@ type Centers<'a> = dyn Fn(usize, usize) -> f64 + Sync + 'a;
 /// 48 400 6-d trails: 5.0 and 1.2 ms; 2-vCPU VM), so 4 096 entries are
 /// about 0.4 ms of sorting, of which the hand-off is 2 %, and 0.07–0.10 ms
 /// of gather, of which it is 9–13 %: the second thread still halves the
-/// rest. An append's repack of a few hundred series stays on the calling
+/// rest. A whole-match repack of a few hundred series stays on the calling
 /// thread.
 const FAN_OUT_MIN: usize = 4096;
 
@@ -74,8 +78,8 @@ impl<T> RStarTree<T> {
             assert_eq!(r.dims(), dims, "dimensionality mismatch in bulk load");
         }
         let len = items.len();
-        Self::bulk_load_flat(config, dims, len, 1, |slots, payloads| {
-            for ((rect, item), slot) in items.into_iter().zip(slots) {
+        Self::bulk_load_flat(config, dims, len, 1, |rects, payloads| {
+            for ((rect, item), slot) in items.into_iter().zip(rects.chunks_exact_mut(2 * dims)) {
                 slot.copy_from_slice(rect.view().bounds());
                 payloads.push(item);
             }
@@ -83,14 +87,14 @@ impl<T> RStarTree<T> {
     }
 
     /// Builds a tree of `len` entries of `dims` dimensions by STR packing,
-    /// from rectangles written in place: `fill` receives one slot of
-    /// `2·dims` bounds per entry, in entry order, and an empty payload
-    /// vector with room for `len`; it writes each entry's rectangle into
-    /// its slot (`lo`, then `hi`) and pushes the entries' payloads in the
-    /// same order. The slots are one flat `f64` buffer that lives while the
-    /// leaves are packed; no rectangle is allocated on its own. Past 128
-    /// KiB, each of the two buffers is a mapping of its own, as the
-    /// loader's scratch is (see `room`).
+    /// from rectangles written in place: `fill` receives one flat `f64`
+    /// buffer of `len` slots of `2·dims` bounds, back to back in entry
+    /// order, and an empty payload vector with room for `len`; it writes
+    /// entry `i`'s rectangle into slot `i` (`lo`, then `hi`), in any order,
+    /// and pushes the entries' payloads in entry order. The buffer lives
+    /// while the leaves are packed; no rectangle is allocated on its own.
+    /// Past 128 KiB, each of the two buffers is a mapping of its own, as
+    /// the loader's scratch is (see `room`).
     ///
     /// Sorting a level and gathering its nodes fan out over up to
     /// `threads` worker threads once the level holds a few thousand
@@ -101,8 +105,9 @@ impl<T> RStarTree<T> {
     /// into the slab reserved for it, so thread count never changes entry
     /// placement.
     ///
-    /// The bounds are stored rounded outward to `f32` (`crate::rect`):
-    /// like [`Rect::from_point`]'s, they are not validated.
+    /// The bounds are stored rounded outward to `f32` (`crate::rect`), and
+    /// STR orders the entries on those stored bounds (see the module
+    /// docs); like [`Rect::from_point`]'s, they are not validated.
     ///
     /// # Panics
     /// Panics if `fill` pushes other than `len` payloads, or if `dims` is
@@ -115,61 +120,14 @@ impl<T> RStarTree<T> {
         fill: F,
     ) -> Self
     where
-        F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>, &mut Vec<T>),
+        F: FnOnce(&mut [f64], &mut Vec<T>),
     {
-        let fill = |slots: &mut dyn Iterator<Item = &mut [f64]>| {
+        let fill = |rects: &mut [f64]| {
             let mut payloads = Vec::with_capacity(room::<T>(len));
-            fill(slots, &mut payloads);
+            fill(rects, &mut payloads);
             payloads
         };
         str_load(config, dims, len, threads, fill, str_sort_parallel)
-    }
-
-    /// Inserts a batch of entries: entry `i`'s rectangle is
-    /// `bounds[i·w..(i + 1)·w]` (`lo`, then `hi`), `w = bounds.len() /
-    /// items.len()`, and its payload `items[i]`.
-    ///
-    /// Into an empty tree this is a full STR bulk load. Into a non-empty
-    /// tree the batch is STR-sorted first and then inserted in that order,
-    /// which clusters sibling entries (consecutive trail rectangles of a
-    /// subsequence index land in the same leaves) and measurably reduces
-    /// node splits versus insertion in arrival order.
-    ///
-    /// # Panics
-    /// Panics if the bounds do not split evenly into one rectangle per
-    /// item, or if the rectangles' dimensionality differs from the tree's.
-    pub fn bulk_extend(&mut self, bounds: &[f64], mut items: Vec<T>) {
-        if items.is_empty() {
-            assert!(bounds.is_empty(), "bounds for no items");
-            return;
-        }
-        let n = items.len();
-        let w = bounds.len() / n;
-        assert!(
-            w * n == bounds.len() && w % 2 == 0,
-            "{} bounds do not make {n} rectangles",
-            bounds.len()
-        );
-        let rects = || bounds.chunks_exact(w);
-        if self.is_empty() {
-            *self = RStarTree::bulk_load_flat(self.config, w / 2, n, 1, |slots, payloads| {
-                for (slot, rect) in slots.zip(rects()) {
-                    slot.copy_from_slice(rect);
-                }
-                payloads.append(&mut items);
-            });
-            return;
-        }
-        let dims = self.dims().expect("non-empty tree has dimensionality");
-        assert_eq!(w / 2, dims, "dimensionality mismatch in bulk extend");
-        let mut order: Vec<usize> = (0..n).collect();
-        let centers = |i: usize, dim: usize| center(&bounds[i * w..(i + 1) * w], dim);
-        let room = &mut scratch(n);
-        str_sort(&mut order, room, &centers, 0, dims, self.config.max_entries);
-        permute(&order, |a, b| items.swap(a, b));
-        for (&i, item) in order.iter().zip(items) {
-            self.insert_bounds(&bounds[i * w..(i + 1) * w], item);
-        }
     }
 }
 
@@ -186,13 +144,13 @@ fn str_load<T, F, S>(
     sort: S,
 ) -> RStarTree<T>
 where
-    F: FnOnce(&mut dyn Iterator<Item = &mut [f64]>) -> Vec<T>,
+    F: FnOnce(&mut [f64]) -> Vec<T>,
     S: Fn(&mut [usize], &Centers<'_>, usize, usize, usize),
 {
     config.validate();
     let mut tree = RStarTree::new(config);
     if len == 0 {
-        let none = fill(&mut std::iter::empty::<&mut [f64]>());
+        let none = fill(&mut []);
         assert!(none.is_empty(), "payloads for no entries");
         return tree;
     }
@@ -208,8 +166,12 @@ where
     // which live only while the level is packed.
     let leaves = reserve(len, dims, cap);
     let mut coords = scratch(len * 2 * dims);
-    let items = fill(&mut coords.chunks_exact_mut(2 * dims));
+    let items = fill(&mut coords);
     assert_eq!(items.len(), len, "one payload per rectangle");
+    // STR keys on the bounds the leaves store: rounded here, once.
+    for rect in coords.chunks_exact_mut(2 * dims) {
+        round_outward(rect);
+    }
     let mut nodes = pack(0, &load, &mut coords, leaves, items, Kids::Items);
     let mut level = 1;
     while nodes.len() > 1 {
@@ -275,12 +237,13 @@ fn reserve(n: usize, dims: usize, cap: usize) -> Vec<Reserved> {
     sizes.into_iter().map(slab).collect()
 }
 
-/// Packs one level whose `f64` rectangles are `coords` (`2·dims` per
-/// payload, in payload order) into the `nodes` [`reserve`] made for it:
+/// Packs one level whose rectangles are `coords` (`2·dims` per payload, in
+/// payload order, each bound an `f32` widened) into the `nodes`
+/// [`reserve`] made for it:
 /// puts its entries in STR order — unless they all fit one node, which
 /// then keeps them in input order — and fills each node's slab with its
-/// entries' bounds in stored form ([`gather`]). Leaves `coords` holding
-/// the nodes' `f64` MBRs, the next level's rectangles.
+/// entries' bounds ([`gather`]). Leaves `coords` holding the nodes' MBRs,
+/// the next level's rectangles.
 fn pack<P, T, S>(
     level: u32,
     load: &Load<S>,
@@ -333,9 +296,10 @@ where
         .collect()
 }
 
-/// Fills each node's slab with the stored bounds of its entries — the
-/// next `size` of `order`, reading rectangles `w` bounds wide from
-/// `rects` — and folds its `f64` MBR into its `w` bounds of `mbrs`. On
+/// Fills each node's slab with the bounds of its entries — the next
+/// `size` of `order`, reading rectangles `w` bounds wide from `rects`,
+/// whose every bound is an `f32` widened, so each cast is exact — and
+/// folds its MBR into its `w` bounds of `mbrs`. On
 /// up to `threads` threads, each taking a contiguous group of nodes and
 /// the disjoint slices of `order` and `mbrs` that group owns; every slab
 /// was reserved at its node's capacity, so no thread allocates here.
@@ -352,7 +316,7 @@ fn gather(
         for ((size, slab), mbr) in nodes.iter_mut().zip(mbrs.chunks_exact_mut(w)) {
             for (j, &i) in order.by_ref().take(*size).enumerate() {
                 let rect = &rects[i * w..(i + 1) * w];
-                store_extend(slab, rect);
+                slab.extend(rect.iter().map(|&b| b as f32));
                 match j {
                     0 => mbr.copy_from_slice(rect),
                     _ => union_into(mbr, rect),
@@ -496,9 +460,9 @@ fn center(bounds: &[f64], dim: usize) -> f64 {
 }
 
 /// Splits `n` entries into chunks of at most `cap`, sized as evenly as
-/// possible so that every chunk (not just all but the last) meets the 40%
-/// minimum fill: with `k = ceil(n / cap)` chunks, sizes are `n/k` or
-/// `n/k + 1`, and `n/k >= cap/2 >= min_entries`.
+/// possible so that every chunk (not just all but the last) is at least
+/// half full: with `k = ceil(n / cap)` chunks, sizes are `n/k` or
+/// `n/k + 1`, and `n/k >= cap/2` (what `RStarTree::validate` checks).
 fn chunk_sizes(n: usize, cap: usize) -> Vec<usize> {
     debug_assert!(n > cap);
     let k = n.div_ceil(cap);
@@ -526,20 +490,14 @@ mod tests {
             .collect()
     }
 
-    /// `items` as flat bounds and payloads.
-    fn flat(items: &[(Rect, usize)]) -> (Vec<f64>, Vec<usize>) {
-        let bounds = items.iter().flat_map(|(r, _)| r.view().bounds().to_vec());
-        (bounds.collect(), items.iter().map(|&(_, i)| i).collect())
-    }
-
     /// [`RStarTree::bulk_load_flat`] over `items`.
     fn load_flat(config: RTreeConfig, items: &[(Rect, usize)], threads: usize) -> RStarTree<usize> {
         let dims = items.first().map_or(1, |(r, _)| r.dims());
-        RStarTree::bulk_load_flat(config, dims, items.len(), threads, |slots, payloads| {
-            for (slot, (rect, _)) in slots.zip(items) {
+        RStarTree::bulk_load_flat(config, dims, items.len(), threads, |rects, payloads| {
+            for (slot, (rect, _)) in rects.chunks_exact_mut(2 * dims).zip(items) {
                 slot.copy_from_slice(rect.view().bounds());
             }
-            payloads.extend(flat(items).1)
+            payloads.extend(items.iter().map(|&(_, i)| i))
         })
     }
 
@@ -565,32 +523,6 @@ mod tests {
     fn bulk_load_empty() {
         let t: RStarTree<usize> = RStarTree::bulk_load(RTreeConfig::default(), Vec::new());
         assert!(t.is_empty());
-        t.validate();
-    }
-
-    #[test]
-    fn bulk_load_queries_agree_with_incremental() {
-        let data = points(300);
-        let bulk = RStarTree::bulk_load(RTreeConfig::with_max_entries(8), data.clone());
-        let mut incr = RStarTree::new(RTreeConfig::with_max_entries(8));
-        for (r, i) in data {
-            incr.insert(r, i);
-        }
-        let q = Rect::new(vec![20.0, 20.0], vec![120.0, 120.0]);
-        let (mut a, _) = bulk.search_collect(&q);
-        let (mut b, _) = incr.search_collect(&q);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bulk_load_supports_inserts_afterwards() {
-        let mut t = RStarTree::bulk_load(RTreeConfig::with_max_entries(8), points(100));
-        for i in 100..150 {
-            t.insert_point(&[i as f64, i as f64], i);
-        }
-        assert_eq!(t.len(), 150);
         t.validate();
     }
 
@@ -650,41 +582,6 @@ mod tests {
         let t = load_flat(RTreeConfig::with_max_entries(8), &points(3), 4);
         assert_eq!(t.len(), 3);
         t.validate();
-    }
-
-    #[test]
-    fn bulk_extend_empty_tree_is_bulk_load() {
-        let mut t: RStarTree<usize> = RStarTree::new(RTreeConfig::with_max_entries(8));
-        let (bounds, items) = flat(&points(300));
-        t.bulk_extend(&bounds, items);
-        assert_eq!(t.len(), 300);
-        t.validate();
-        // Packing quality: same height as a direct bulk load.
-        let packed = RStarTree::bulk_load(RTreeConfig::with_max_entries(8), points(300));
-        assert_eq!(t.height(), packed.height());
-    }
-
-    #[test]
-    fn bulk_extend_into_existing_tree() {
-        let mut t = RStarTree::bulk_load(RTreeConfig::with_max_entries(8), points(120));
-        let extra: Vec<(Rect, usize)> = (0..180)
-            .map(|i| {
-                let x = 300.0 + ((i * 41) % 97) as f64;
-                let y = 300.0 + ((i * 59) % 89) as f64;
-                (Rect::from_point(&[x, y]), 1000 + i)
-            })
-            .collect();
-        let (bounds, items) = flat(&extra);
-        t.bulk_extend(&bounds, items);
-        assert_eq!(t.len(), 300);
-        t.validate();
-        // Every batch item is findable.
-        let q = Rect::new(vec![300.0, 300.0], vec![400.0, 400.0]);
-        let (found, _) = t.search_collect(&q);
-        assert_eq!(found.len(), 180);
-        // Empty batch is a no-op.
-        t.bulk_extend(&[], Vec::new());
-        assert_eq!(t.len(), 300);
     }
 
     /// The STR order as a comparator sort computed it, reading both
@@ -759,11 +656,11 @@ mod tests {
             for (n, seed) in [(3usize, 1u64), (9, 2), (64, 3), (300, 4), (1000, 5)] {
                 let items = tied(n, dims, seed);
                 let what = format!("dims {dims}, n {n}, seed {seed}");
-                let fill = |slots: &mut dyn Iterator<Item = &mut [f64]>| {
-                    for (slot, (rect, _)) in slots.zip(&items) {
+                let fill = |rects: &mut [f64]| {
+                    for (slot, (rect, _)) in rects.chunks_exact_mut(2 * dims).zip(&items) {
                         slot.copy_from_slice(rect.view().bounds());
                     }
-                    flat(&items).1
+                    items.iter().map(|&(_, i)| i).collect()
                 };
                 let want = layout(&str_load(
                     config,
@@ -782,21 +679,6 @@ mod tests {
                     let got = load_flat(config, &items, threads);
                     assert!(layout(&got) == want, "bulk_load_flat({threads}), {what}");
                 }
-
-                // A batch into a non-empty tree is inserted in STR order.
-                let base = tied(40, dims, seed + 100);
-                let mut want = RStarTree::bulk_load(config, base.clone());
-                let mut order: Vec<usize> = (0..n).collect();
-                let centers = |i: usize, dim: usize| center(items[i].0.view().bounds(), dim);
-                str_sort_by_comparator(&mut order, &centers, 0, dims, config.max_entries);
-                for i in order {
-                    want.insert(items[i].0.clone(), items[i].1);
-                }
-                let mut got = RStarTree::bulk_load(config, base);
-                let (bounds, payloads) = flat(&items);
-                got.bulk_extend(&bounds, payloads);
-                got.validate();
-                assert!(layout(&got) == layout(&want), "bulk_extend, {what}");
             }
         }
     }
@@ -851,6 +733,37 @@ mod tests {
                 str_sort_parallel(&mut got, &centers, dims, cap, threads);
                 assert!(got == want, "dims {dims}, threads {threads}");
             }
+        }
+    }
+
+    /// STR keys on the bounds it stores, so a tree's own leaf entries —
+    /// stored bounds, widened — loaded again in their first order build
+    /// the same tree, at every thread count, though few of the first
+    /// load's bounds were `f32`s.
+    #[test]
+    fn a_tree_repacked_from_its_own_entries_is_the_same_tree() {
+        let items: Vec<(Rect, usize)> = (0..3 * FAN_OUT_MIN)
+            .map(|i| {
+                let x = ((i * 37) % 211) as f64 / 3.0;
+                let y = 1e-3 * ((i * 73) % 197) as f64;
+                (Rect::new(vec![x, y, -y], vec![x + 0.1, y, 0.7 * x]), i)
+            })
+            .collect();
+        let config = RTreeConfig::with_max_entries(8);
+        let first = load_flat(config, &items, 2);
+        let mut entries: Vec<(Rect, usize)> =
+            first.iter().map(|(r, &i)| (r.to_rect(), i)).collect();
+        assert!(entries
+            .iter()
+            .zip(&items)
+            .any(|((r, _), (item, _))| r != item));
+        entries.sort_by_key(|&(_, i)| i);
+        for threads in [1usize, 2] {
+            let again = load_flat(config, &entries, threads);
+            assert!(
+                slabs(&again.root) == slabs(&first.root),
+                "threads = {threads}"
+            );
         }
     }
 

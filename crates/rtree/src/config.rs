@@ -26,50 +26,28 @@ pub(crate) const MAX_FANOUT: usize = (MAX_PAGE_BYTES - PAGE_HEADER_BYTES) / MIN_
 
 /// Tuning parameters of an [`crate::RStarTree`].
 ///
-/// The defaults correspond to a simulated 4 KiB disk page holding
+/// The default corresponds to a simulated 4 KiB disk page holding
 /// 6-dimensional `f64` rectangles plus a child pointer (~100 bytes/entry →
-/// fanout ≈ 40; we use 32 to leave header room), with the R\*-tree paper's
-/// recommended 40% minimum fill and 30% forced-reinsert fraction. Stored
-/// bounds are `f32`s (56 bytes per 6-d entry), so such a node fills 1.8 KiB
-/// of its page; the fan-out stays 32, which keeps every tree's shape.
+/// fanout ≈ 40; we use 32 to leave header room). Stored bounds are `f32`s
+/// (56 bytes per 6-d entry), so such a node fills 1.8 KiB of its page; the
+/// fan-out stays 32, which keeps every tree's shape. STR packs every node
+/// to at least half of it (`crate::bulk`), so a minimum fill is not a knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeConfig {
     /// Maximum entries per node (`M`). Must be at least 4.
     pub max_entries: usize,
-    /// Minimum entries per non-root node (`m`). Must satisfy
-    /// `1 <= m <= M/2`.
-    pub min_entries: usize,
-    /// Number of entries removed and re-inserted on the first overflow of
-    /// each level per insertion (`p`, the R\*-tree forced reinsert). Zero
-    /// disables forced reinsertion (degrading to a quadratic-style split-only
-    /// R-tree) — exposed for tests that compare against it.
-    pub reinsert_count: usize,
 }
 
 impl RTreeConfig {
-    /// Config with the given fanout, deriving `m = 40%` and `p = 30%` as the
-    /// R\*-tree paper recommends.
+    /// Config with the given fanout.
     pub fn with_max_entries(max_entries: usize) -> Self {
-        assert!(max_entries >= 4, "max_entries must be at least 4");
-        let min_entries = ((max_entries as f64 * 0.4) as usize).max(2);
-        let reinsert_count = ((max_entries as f64 * 0.3) as usize).max(1);
-        Self {
-            max_entries,
-            min_entries,
-            reinsert_count,
-        }
+        let config = Self { max_entries };
+        config.validate();
+        config
     }
 
     pub(crate) fn validate(&self) {
         assert!(self.max_entries >= 4, "max_entries must be at least 4");
-        assert!(
-            self.min_entries >= 1 && self.min_entries <= self.max_entries / 2,
-            "min_entries must be in 1..=max_entries/2"
-        );
-        assert!(
-            self.reinsert_count < self.max_entries,
-            "reinsert_count must be below max_entries"
-        );
     }
 }
 
@@ -86,13 +64,6 @@ mod tests {
     #[test]
     fn default_is_valid() {
         RTreeConfig::default().validate();
-    }
-
-    #[test]
-    fn derived_fractions() {
-        let c = RTreeConfig::with_max_entries(10);
-        assert_eq!(c.min_entries, 4);
-        assert_eq!(c.reinsert_count, 3);
     }
 
     #[test]

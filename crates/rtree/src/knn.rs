@@ -308,15 +308,12 @@ impl PagedTree {
 mod tests {
     use super::*;
     use crate::config::RTreeConfig;
+    use crate::rect::Rect;
 
     fn grid_tree(n: usize) -> RStarTree<(usize, usize)> {
-        let mut t = RStarTree::new(RTreeConfig::with_max_entries(8));
-        for i in 0..n {
-            for j in 0..n {
-                t.insert_point(&[i as f64, j as f64], (i, j));
-            }
-        }
-        t
+        let cells = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+        let items = cells.map(|(i, j)| (Rect::from_point(&[i as f64, j as f64]), (i, j)));
+        RStarTree::bulk_load(RTreeConfig::with_max_entries(8), items.collect())
     }
 
     /// Brute-force reference.
@@ -394,9 +391,9 @@ mod tests {
             1,
             |rect| rect.affine(&[-1.0, -1.0], &[0.0, 0.0]).min_dist2(&q).sqrt(),
             |rect, _| {
-                let c = rect.center();
-                let dx = -c[0] - q[0];
-                let dy = -c[1] - q[1];
+                // Every item is a point: its `lo` is the point.
+                let dx = -rect.lo().at(0) - q[0];
+                let dy = -rect.lo().at(1) - q[1];
                 (dx * dx + dy * dy).sqrt()
             },
         );
@@ -408,14 +405,14 @@ mod tests {
     fn boundary_ties_break_by_key() {
         // Eight points at identical distance from the query; k = 3 must
         // keep exactly the three smallest payloads regardless of the
-        // insertion (and therefore traversal) order.
+        // load (and therefore traversal) order.
         for perm in 0..8u64 {
-            let mut t = RStarTree::new(RTreeConfig::with_max_entries(4));
-            for i in 0..8u64 {
+            let items = (0..8u64).map(|i| {
                 let id = (i + perm) % 8;
                 let angle = id as f64 * std::f64::consts::FRAC_PI_4;
-                t.insert_point(&[angle.cos(), angle.sin()], id);
-            }
+                (Rect::from_point(&[angle.cos(), angle.sin()]), id)
+            });
+            let t = RStarTree::bulk_load(RTreeConfig::with_max_entries(4), items.collect());
             let (got, _) = t.nearest_with_tie(
                 3,
                 |rect| rect.min_dist2(&[0.0, 0.0]).sqrt(),
@@ -466,11 +463,10 @@ mod tests {
     #[test]
     fn ties_all_returned() {
         // Four symmetric points around the query at identical distance.
-        let mut t = RStarTree::new(RTreeConfig::with_max_entries(4));
-        t.insert_point(&[1.0, 0.0], 0);
-        t.insert_point(&[-1.0, 0.0], 1);
-        t.insert_point(&[0.0, 1.0], 2);
-        t.insert_point(&[0.0, -1.0], 3);
+        let points = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]];
+        let items = points.iter().enumerate();
+        let items = items.map(|(i, p)| (Rect::from_point(p), i)).collect();
+        let t = RStarTree::bulk_load(RTreeConfig::with_max_entries(4), items);
         let (got, _) = t.nearest_to_point(4, &[0.0, 0.0]);
         assert_eq!(got.len(), 4);
         for n in &got {

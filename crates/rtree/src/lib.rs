@@ -1,9 +1,15 @@
 //! # tsq-rtree — R\*-tree substrate for similarity-based time-series queries
 //!
-//! A from-scratch implementation of the R\*-tree (Beckmann, Kriegel,
-//! Schneider, Seeger, SIGMOD 1990), the index the paper *Similarity-Based
-//! Queries for Time Series Data* (Rafiei & Mendelzon, SIGMOD 1997) builds
-//! on. The pieces the paper's Algorithms 1 and 2 need are first-class:
+//! The R\*-tree's queries over STR-packed nodes. The paper
+//! *Similarity-Based Queries for Time Series Data* (Rafiei & Mendelzon,
+//! SIGMOD 1997) runs on Beckmann's R\*-tree (Beckmann, Kriegel, Schneider,
+//! Seeger, SIGMOD 1990), which grows by insertion: ChooseSubtree, forced
+//! reinsertion and the topological split. This tree never inserts. Every
+//! tree is packed whole by Sort-Tile-Recursive ([`RStarTree::bulk_load_flat`])
+//! and a relation that grows is packed again by its next reader, so a tree
+//! is a function of its entries; one entry may widen in place
+//! ([`RStarTree::grow_entry`]). The pieces the paper's Algorithms 1 and 2
+//! need are first-class:
 //!
 //! - [`search::search_with`] exposes every stored MBR to a caller-supplied
 //!   acceptance test, so a safe transformation can be applied to the index
@@ -14,7 +20,8 @@
 //!   with pluggable lower-bound metrics (MINDIST et al., Roussopoulos 1995),
 //!   again allowing transformed metrics;
 //! - [`RStarTree::bulk_load_flat`] packs a whole relation with STR
-//!   ([`RStarTree::bulk_load`] from owned rectangles);
+//!   ([`RStarTree::bulk_load`] from owned rectangles), the one way a tree
+//!   is built;
 //! - every query returns [`stats::SearchStats`], whose node-visit counter
 //!   stands in for the paper's disk-access measurements.
 //!
@@ -40,9 +47,9 @@
 //! stored bounds, exact in `f32`, and add no further loss. Queries, query
 //! rectangles, [`Rect`] and every caller's arithmetic stay `f64`: a stored
 //! bound widens to `f64`, exactly, when it is read ([`RectView::lo`],
-//! `RectView::interval`). STR orders every level on centres computed in
-//! `f64` before rounding, so a bulk-loaded tree's entries sit where an
-//! all-`f64` tree's would (see `bulk`).
+//! `RectView::interval`). STR orders every level on the centres of the
+//! bounds it stores, so packing a tree's own leaf entries again builds the
+//! same tree (see `bulk`).
 //!
 //! The range visitor and the kNN loop each exist once, written against a
 //! [`NodeStore`]: "fetch a node by reference, get a guard exposing its
@@ -82,7 +89,6 @@ mod tree;
 pub mod par;
 
 mod node;
-mod split;
 
 pub use config::RTreeConfig;
 pub use knn::Neighbor;

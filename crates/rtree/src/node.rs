@@ -9,10 +9,8 @@
 //! [`crate::rect`]), and one array of what sits under them — the payloads
 //! of a leaf, the child nodes of an internal node. No rectangle is boxed on
 //! its own: a traversal reads entry `i`'s rectangle as a [`RectView`] into
-//! the slab, which widens each bound to `f64` as it is read. A bulk-loaded
-//! node's arrays have exactly its entries' capacity, and an insert grows a
-//! node one entry at a time, so no node reserves room beyond the `M + 1`
-//! entries an overflowing node briefly holds.
+//! the slab, which widens each bound to `f64` as it is read. Every node is
+//! packed whole, so its arrays have exactly its entries' capacity.
 //!
 //! ## Stores
 //!
@@ -164,37 +162,6 @@ pub(crate) enum Kids<T> {
     Nodes(Vec<Node<T>>),
 }
 
-/// One entry held apart from any node while an insertion moves it: its
-/// rectangle in stored form and what sits under it.
-pub(crate) struct Entry<T> {
-    pub(crate) bounds: Vec<f32>,
-    pub(crate) kid: Kid<T>,
-}
-
-/// What sits under a detached [`Entry`].
-pub(crate) enum Kid<T> {
-    /// A payload, which belongs at level 0.
-    Item(T),
-    /// A subtree, which belongs one level above its root.
-    Node(Node<T>),
-}
-
-impl<T> Entry<T> {
-    /// The level this entry belongs *at* (leaf entries live at level 0;
-    /// an internal entry at level `child.level + 1`).
-    pub(crate) fn target_level(&self) -> u32 {
-        match &self.kid {
-            Kid::Item(_) => 0,
-            Kid::Node(child) => child.level + 1,
-        }
-    }
-
-    /// The entry's stored rectangle.
-    pub(crate) fn rect(&self) -> RectView<'_> {
-        RectView::new(&self.bounds)
-    }
-}
-
 /// A tree node. `level == 0` means leaf; the root is the highest level.
 /// Public only so the in-memory [`NodeStore`] can name it as its node
 /// reference; the module is private and the fields are crate-internal.
@@ -260,104 +227,19 @@ impl<T> Node<T> {
             .map(RectView::new)
     }
 
-    /// Appends an entry, growing each array by exactly one entry when it
-    /// is full: an insert-built node never reserves more room than the
-    /// entries it holds.
-    pub(crate) fn push(&mut self, bounds: &[f32], kid: Kid<T>) {
-        debug_assert_eq!(bounds.len(), self.width());
-        self.coords.reserve_exact(bounds.len());
-        self.coords.extend_from_slice(bounds);
-        match (&mut self.kids, kid) {
-            (Kids::Items(items), Kid::Item(item)) => {
-                items.reserve_exact(1);
-                items.push(item);
-            }
-            (Kids::Nodes(children), Kid::Node(child)) => {
-                children.reserve_exact(1);
-                children.push(child);
-            }
-            _ => unreachable!("an entry of the wrong kind for the node's level"),
-        }
-    }
-
-    /// Moves the entries `keep` does not select into a new node at the
-    /// same level. Both nodes keep their entries' order, each array at
-    /// exactly its entries' capacity.
-    pub(crate) fn split_off(&mut self, keep: &[bool]) -> Node<T> {
-        debug_assert_eq!(keep.len(), self.len());
-        let w = self.width();
-        let kept = keep.iter().filter(|&&k| k).count();
-        let (mut coords, mut rest) = (
-            Vec::with_capacity(kept * w),
-            Vec::with_capacity((keep.len() - kept) * w),
-        );
-        for (bounds, &k) in self.coords.chunks_exact(w).zip(keep) {
-            let side = if k { &mut coords } else { &mut rest };
-            side.extend_from_slice(bounds);
-        }
-        self.coords = coords;
-        let kids = match &mut self.kids {
-            Kids::Items(items) => {
-                let (kept, rest) = partition(std::mem::take(items), keep);
-                *items = kept;
-                Kids::Items(rest)
-            }
-            Kids::Nodes(children) => {
-                let (kept, rest) = partition(std::mem::take(children), keep);
-                *children = kept;
-                Kids::Nodes(rest)
-            }
-        };
-        Node {
-            level: self.level,
-            dims: self.dims,
-            coords: rest,
-            kids,
-        }
-    }
-
-    /// The entries, detached, in entry order.
-    pub(crate) fn into_entries(self) -> Vec<Entry<T>> {
-        let w = self.width();
-        let rects = self.coords.chunks_exact(w).map(<[f32]>::to_vec);
-        match self.kids {
-            Kids::Items(items) => rects
-                .zip(items)
-                .map(|(bounds, item)| Entry {
-                    bounds,
-                    kid: Kid::Item(item),
-                })
-                .collect(),
-            Kids::Nodes(children) => rects
-                .zip(children)
-                .map(|(bounds, child)| Entry {
-                    bounds,
-                    kid: Kid::Node(child),
-                })
-                .collect(),
-        }
-    }
-
-    /// Writes the minimum bounding rectangle of all entries into `out`:
-    /// the first entry's rectangle, grown by each following one in entry
+    /// The minimum bounding rectangle of all entries, stored form: the
+    /// first entry's rectangle, grown by each following one in entry
     /// order.
     ///
     /// # Panics
     /// Panics on an empty node (only the empty-tree root has no entries and
     /// callers guard that case).
-    pub(crate) fn mbr_into(&self, out: &mut [f32]) {
-        let mut rects = self.coords.chunks_exact(self.width());
-        out.copy_from_slice(rects.next().expect("mbr of empty node"));
-        for bounds in rects {
-            union_into(out, bounds);
-        }
-    }
-
-    /// The minimum bounding rectangle of all entries, stored form
-    /// ([`Node::mbr_into`]).
     pub(crate) fn mbr_bounds(&self) -> Vec<f32> {
-        let mut bounds = vec![0.0; self.width()];
-        self.mbr_into(&mut bounds);
+        let mut rects = self.coords.chunks_exact(self.width());
+        let mut bounds = rects.next().expect("mbr of empty node").to_vec();
+        for rect in rects {
+            union_into(&mut bounds, rect);
+        }
         bounds
     }
 
@@ -365,21 +247,4 @@ impl<T> Node<T> {
     pub(crate) fn mbr(&self) -> Rect {
         RectView::new(&self.mbr_bounds()).to_rect()
     }
-}
-
-/// `items` split by `keep` into the selected and the others, each in
-/// order and at exactly its length's capacity.
-fn partition<X>(items: Vec<X>, keep: &[bool]) -> (Vec<X>, Vec<X>) {
-    let kept = keep.iter().filter(|&&k| k).count();
-    let mut sides = (
-        Vec::with_capacity(kept),
-        Vec::with_capacity(items.len() - kept),
-    );
-    for (item, &k) in items.into_iter().zip(keep) {
-        match k {
-            true => sides.0.push(item),
-            false => sides.1.push(item),
-        }
-    }
-    sides
 }

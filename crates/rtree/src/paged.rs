@@ -48,7 +48,7 @@ use crate::tree::RStarTree;
 /// opened, so no snapshot holds one, and its version can change freely.
 const KIND: FileKind = FileKind {
     magic: *b"TSQPAGE\0",
-    version: 3,
+    version: 4,
 };
 
 /// Levels are bounded to keep recursion depth trivially safe: a tree of
@@ -380,11 +380,12 @@ fn decode_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rect::Rect;
     use tsq_store::crc32;
 
     /// A node file's header up to its tag: magic, version, page size and
     /// count, the tree's geometry, the CRC-32.
-    const HEADER_BYTES: usize = 69;
+    const HEADER_BYTES: usize = 61;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tsq-paged-test-{}", std::process::id()));
@@ -393,13 +394,12 @@ mod tests {
     }
 
     fn sample_tree(n: usize, fanout: usize) -> RStarTree<usize> {
-        let mut t = RStarTree::new(RTreeConfig::with_max_entries(fanout));
-        for i in 0..n {
+        let items = (0..n).map(|i| {
             let x = (i % 17) as f64;
             let y = (i / 17) as f64;
-            t.insert_point(&[x, y, (i % 5) as f64], i);
-        }
-        t
+            (Rect::from_point(&[x, y, (i % 5) as f64]), i)
+        });
+        RStarTree::bulk_load(RTreeConfig::with_max_entries(fanout), items.collect())
     }
 
     /// What a full traversal of `tree`'s page file, behind a cache of 8
@@ -434,8 +434,6 @@ mod tests {
         // A fan-out too large for any page is a typed error.
         let huge = RTreeConfig {
             max_entries: crate::config::MAX_FANOUT,
-            min_entries: 2,
-            reinsert_count: 0,
         };
         assert!(matches!(
             page_size_for(&huge, 64),

@@ -6,7 +6,7 @@
 //! whole.
 //!
 //! ```text
-//! config     max_entries u32 · min_entries u32 · reinsert_count u32
+//! config     max_entries u32
 //! rect       lo f32×dims · hi f32×dims     (a node slab's layout)
 //! ```
 //!
@@ -22,45 +22,26 @@ use tsq_store::{Decoder, Encoder, StoreError, StoreResult};
 
 use crate::config::{RTreeConfig, MAX_FANOUT};
 
-/// Writes R\*-tree tuning parameters (three `u32`s). The single config
-/// codec shared by page files and the higher-level index configurations
-/// in `tsq-core`.
+/// Writes R\*-tree tuning parameters (one `u32`, the fan-out). The single
+/// config codec shared by page files and the higher-level index
+/// configurations in `tsq-core`.
 pub fn write_config(enc: &mut Encoder, cfg: &RTreeConfig) {
     enc.u32(cfg.max_entries as u32);
-    enc.u32(cfg.min_entries as u32);
-    enc.u32(cfg.reinsert_count as u32);
 }
 
 /// Reads R\*-tree tuning parameters, enforcing the same bounds
 /// `RTreeConfig::validate` asserts — but as typed errors, not panics.
 ///
 /// # Errors
-/// [`StoreError::Corrupt`] on out-of-range parameters.
+/// [`StoreError::Corrupt`] on an out-of-range fan-out.
 pub fn read_config(dec: &mut Decoder<'_>) -> StoreResult<RTreeConfig> {
     let max_entries = dec.u32("rtree max_entries")? as usize;
-    let min_entries = dec.u32("rtree min_entries")? as usize;
-    let reinsert_count = dec.u32("rtree reinsert_count")? as usize;
     if !(4..=MAX_FANOUT).contains(&max_entries) {
         return Err(StoreError::corrupt(format!(
             "rtree max_entries {max_entries} outside 4..={MAX_FANOUT}"
         )));
     }
-    if min_entries < 1 || min_entries > max_entries / 2 {
-        return Err(StoreError::corrupt(format!(
-            "rtree min_entries {min_entries} outside 1..={}",
-            max_entries / 2
-        )));
-    }
-    if reinsert_count >= max_entries {
-        return Err(StoreError::corrupt(format!(
-            "rtree reinsert_count {reinsert_count} not below max_entries {max_entries}"
-        )));
-    }
-    Ok(RTreeConfig {
-        max_entries,
-        min_entries,
-        reinsert_count,
-    })
+    Ok(RTreeConfig { max_entries })
 }
 
 /// Writes one stored rectangle: its `2·dims` `f32` bounds, `lo` then `hi`.
@@ -180,8 +161,6 @@ mod tests {
         // Absurd fan-out in a config.
         let mut enc = Encoder::new();
         enc.u32(u32::MAX);
-        enc.u32(2);
-        enc.u32(0);
         let bytes = enc.into_bytes();
         assert!(matches!(
             read_config(&mut Decoder::new(&bytes)),
@@ -195,8 +174,6 @@ mod tests {
         // derived page-geometry cap decodes fine.
         let mut enc = Encoder::new();
         enc.u32(100_000);
-        enc.u32(2);
-        enc.u32(0);
         let bytes = enc.into_bytes();
         let config = read_config(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(config.max_entries, 100_000);
@@ -205,8 +182,6 @@ mod tests {
         // or an allocation.
         let mut enc = Encoder::new();
         enc.u32((MAX_FANOUT + 1) as u32);
-        enc.u32(2);
-        enc.u32(0);
         let bytes = enc.into_bytes();
         let mut dec = Decoder::new(&bytes);
         assert!(matches!(

@@ -21,10 +21,11 @@
 //! is monotone, so a parent's stored rectangle is both the union of its
 //! children's and the outward rounding of their `f64` union.
 //!
-//! A bulk load rounds every bound it stores and folds every entry into its
-//! node's MBR, so both kernels are branch-free: whether a cast landed past
-//! its bound, or an entry's bound lies beyond its node's, is a coin flip
-//! per bound, and a branch on it mispredicts about half the time. The
+//! A bulk load rounds every leaf bound outward before it orders them
+//! ([`round_outward`]) and folds every entry into its node's MBR, so both
+//! kernels are branch-free: whether a cast landed past its bound, or an
+//! entry's bound lies beyond its node's, is a coin flip per bound, and a
+//! branch on it mispredicts about half the time. The
 //! rounding steps the cast's bits by arithmetic on the compare's result;
 //! the fold selects, keeping its strict `<`/`>` tests, so `±0` and ties
 //! keep their bits.
@@ -98,21 +99,25 @@ fn step_past(f: f32, past: bool, down: bool) -> f32 {
     f32::from_bits(bits.wrapping_add(past).wrapping_sub((past & inward) << 1))
 }
 
-/// Appends the stored form of a rectangle's bounds (`lo` then `hi`) to a
-/// slab: each `lo` rounded down, each `hi` rounded up.
-#[inline]
-pub(crate) fn store_extend<C: Coord>(slab: &mut Vec<f32>, bounds: &[C]) {
+/// The stored form of a rectangle's bounds (`lo` then `hi`): each `lo`
+/// rounded down, each `hi` rounded up.
+pub(crate) fn stored<C: Coord>(bounds: &[C]) -> Vec<f32> {
     let d = bounds.len() / 2;
     let (lo, hi) = bounds.split_at(d);
-    slab.extend(lo.iter().map(|b| round_down(b.widen())));
-    slab.extend(hi.iter().map(|b| round_up(b.widen())));
+    let lo = lo.iter().map(|b| round_down(b.widen()));
+    lo.chain(hi.iter().map(|b| round_up(b.widen()))).collect()
 }
 
-/// The stored form of a rectangle's bounds ([`store_extend`]).
-pub(crate) fn stored<C: Coord>(bounds: &[C]) -> Vec<f32> {
-    let mut slab = Vec::with_capacity(bounds.len());
-    store_extend(&mut slab, bounds);
-    slab
+/// Rounds a rectangle's `f64` bounds (`lo` then `hi`) outward in place:
+/// each becomes the `f32` [`stored`] would store for it, widened back, so
+/// its cast to `f32` is exact.
+#[inline]
+pub(crate) fn round_outward(bounds: &mut [f64]) {
+    let d = bounds.len() / 2;
+    for i in 0..d {
+        bounds[i] = f64::from(round_down(bounds[i]));
+        bounds[d + i] = f64::from(round_up(bounds[d + i]));
+    }
 }
 
 /// An axis-aligned (hyper-)rectangle that owns its bounds: per-dimension
@@ -316,30 +321,6 @@ impl<'a, C: Coord> RectView<'a, C> {
         Rect::from_bounds(self.bounds.iter().map(|b| b.widen()).collect())
     }
 
-    /// The center point.
-    pub(crate) fn center(self) -> Vec<f64> {
-        self.lo()
-            .iter()
-            .zip(self.hi())
-            .map(|(l, h)| 0.5 * (l + h))
-            .collect()
-    }
-
-    /// Volume (product of extents). Zero for degenerate rectangles.
-    pub(crate) fn area(self) -> f64 {
-        self.lo()
-            .iter()
-            .zip(self.hi())
-            .map(|(l, h)| h - l)
-            .product()
-    }
-
-    /// Margin (sum of extents) — the R\*-tree split heuristic minimizes the
-    /// sum of margins over candidate distributions.
-    pub(crate) fn margin(self) -> f64 {
-        self.lo().iter().zip(self.hi()).map(|(l, h)| h - l).sum()
-    }
-
     /// True when `self` and `other` intersect (closed intervals: touching
     /// counts).
     ///
@@ -364,36 +345,6 @@ impl<'a, C: Coord> RectView<'a, C> {
         debug_assert_eq!(self.dims(), p.len());
         self.lo().iter().zip(p).all(|(l, &v)| l <= v)
             && self.hi().iter().zip(p).all(|(h, &v)| v <= h)
-    }
-
-    /// Volume of the intersection; zero when disjoint.
-    pub(crate) fn intersection_area<D: Coord>(self, other: RectView<'_, D>) -> f64 {
-        debug_assert_eq!(self.dims(), other.dims());
-        let mut area = 1.0;
-        for i in 0..self.dims() {
-            let (slo, shi) = self.interval(i);
-            let (olo, ohi) = other.interval(i);
-            let l = slo.max(olo);
-            let h = shi.min(ohi);
-            if l >= h {
-                return 0.0;
-            }
-            area *= h - l;
-        }
-        area
-    }
-
-    /// Smallest rectangle containing both.
-    pub(crate) fn union<D: Coord>(self, other: RectView<'_, D>) -> Rect {
-        debug_assert_eq!(self.dims(), other.dims());
-        let mut out = self.to_rect();
-        out.union_assign(other);
-        out
-    }
-
-    /// Area increase required for `self` to cover `other`.
-    pub(crate) fn enlargement<D: Coord>(self, other: RectView<'_, D>) -> f64 {
-        self.union(other).view().area() - self.area()
     }
 
     /// Squared minimum Euclidean distance from a point to this rectangle
@@ -489,9 +440,6 @@ mod tests {
     fn basics() {
         let r = r2([0.0, 0.0], [2.0, 3.0]);
         assert_eq!(r.dims(), 2);
-        assert_eq!(r.view().area(), 6.0);
-        assert_eq!(r.view().margin(), 5.0);
-        assert_eq!(r.view().center(), vec![1.0, 1.5]);
         assert_eq!(r.view().bounds(), &[0.0, 0.0, 2.0, 3.0]);
         assert_eq!(r.view().to_rect(), r);
     }
@@ -520,20 +468,18 @@ mod tests {
             "touching rectangles intersect"
         );
         assert!(!a.view().intersects(d.view()));
-        assert_eq!(a.view().intersection_area(b.view()), 1.0);
-        assert_eq!(a.view().intersection_area(c.view()), 0.0);
     }
 
     #[test]
     fn union_and_enlargement() {
         let a = r2([0.0, 0.0], [1.0, 1.0]);
         let b = r2([2.0, 2.0], [3.0, 3.0]);
-        let u = a.view().union(b.view());
-        assert_eq!(u, r2([0.0, 0.0], [3.0, 3.0]));
-        assert_eq!(a.view().enlargement(b.view()), 9.0 - 1.0);
         let mut c = a.clone();
         c.union_assign(b.view());
-        assert_eq!(c, u);
+        assert_eq!(c, r2([0.0, 0.0], [3.0, 3.0]));
+        // Covering what it covers already leaves it as it is.
+        c.union_assign(a.view());
+        assert_eq!(c, r2([0.0, 0.0], [3.0, 3.0]));
     }
 
     #[test]
@@ -653,22 +599,24 @@ mod tests {
         -f64::MAX,
     ];
 
-    /// `store_extend` of the run `[lo.., hi..]` against the branchy
-    /// rounding of each bound, compared bit for bit.
+    /// `stored` and `round_outward` of the run `[lo.., hi..]` against the
+    /// branchy rounding of each bound, compared bit for bit.
     fn check_stored(lo: &[f64], hi: &[f64]) {
         let bounds: Vec<f64> = lo.iter().chain(hi).copied().collect();
-        let mut slab = Vec::new();
-        store_extend(&mut slab, &bounds);
+        let slab = stored(&bounds);
+        let mut rounded = bounds.clone();
+        round_outward(&mut rounded);
         let want = lo
             .iter()
             .map(|&v| branchy_round_down(v))
             .chain(hi.iter().map(|&v| branchy_round_up(v)));
-        for ((got, want), v) in slab.iter().zip(want).zip(&bounds) {
+        for (((got, widened), want), v) in slab.iter().zip(&rounded).zip(want).zip(&bounds) {
+            let what = format!("bound {v:e} ({:#x})", v.to_bits());
+            assert_eq!(got.to_bits(), want.to_bits(), "{what}");
             assert_eq!(
-                got.to_bits(),
+                (*widened as f32).to_bits(),
                 want.to_bits(),
-                "bound {v:e} ({:#x})",
-                v.to_bits()
+                "{what} in place"
             );
         }
     }

@@ -163,13 +163,9 @@ mod tests {
     use crate::config::RTreeConfig;
 
     fn grid_tree(n: usize, fanout: usize) -> RStarTree<(usize, usize)> {
-        let mut t = RStarTree::new(RTreeConfig::with_max_entries(fanout));
-        for i in 0..n {
-            for j in 0..n {
-                t.insert_point(&[i as f64, j as f64], (i, j));
-            }
-        }
-        t
+        let cells = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+        let items = cells.map(|(i, j)| (Rect::from_point(&[i as f64, j as f64]), (i, j)));
+        RStarTree::bulk_load(RTreeConfig::with_max_entries(fanout), items.collect())
     }
 
     #[test]

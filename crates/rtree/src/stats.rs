@@ -65,7 +65,7 @@ pub struct LevelStats {
 
 impl<T> RStarTree<T> {
     /// Per-level shape statistics, leaf level first, root last. Empty for
-    /// an empty tree. The walk is deterministic (insertion structure), so
+    /// an empty tree. The walk is deterministic (stored order), so
     /// two structurally identical trees — e.g. one restored from a
     /// snapshot — profile identically, bit for bit.
     pub fn level_profile(&self) -> Vec<LevelStats> {
@@ -112,17 +112,18 @@ fn profile_node<T>(node: &Node<T>, profile: &mut [LevelStats]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RTreeConfig;
     use crate::rect::Rect;
 
     #[test]
     fn level_profile_counts_nodes_and_extents() {
-        let mut tree = RStarTree::default();
-        assert!(tree.level_profile().is_empty());
-        for i in 0..200 {
+        assert!(RStarTree::<usize>::default().level_profile().is_empty());
+        let items = (0..200).map(|i| {
             let x = (i % 20) as f64;
             let y = (i / 20) as f64;
-            tree.insert(Rect::from_point(&[x, y]), i);
-        }
+            (Rect::from_point(&[x, y]), i)
+        });
+        let tree = RStarTree::bulk_load(RTreeConfig::default(), items.collect());
         let profile = tree.level_profile();
         assert_eq!(profile.len() as u32, tree.height());
         // Leaf level first, root last; the root level has exactly one node.

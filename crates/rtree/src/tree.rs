@@ -1,65 +1,32 @@
-//! The R\*-tree proper: insertion (ChooseSubtree + forced reinsert +
-//! topological split), in-place growth of an entry, and structural
-//! invariant checking.
+//! The R\*-tree's in-memory form: a tree packed by STR (`crate::bulk`),
+//! in-place growth of an entry, and structural invariant checking.
 
 use crate::config::RTreeConfig;
-use crate::node::{Entry, Kid, Kids, Node};
+use crate::node::{Kids, Node};
 use crate::rect::{stored, union_into, Coord, Rect, RectView};
-use crate::split::rstar_split;
 
-/// An in-memory R\*-tree (Beckmann, Kriegel, Schneider, Seeger 1990) over
-/// items of type `T`.
+/// An in-memory R\*-tree over items of type `T`.
 ///
 /// The paper's experiments (Section 5) run on "Norbert Beckmann's Version 2
-/// implementation of the R\*-tree"; this is a faithful reimplementation of
-/// the published algorithms: ChooseSubtree with overlap-minimization at the
-/// leaf level, forced reinsertion of the 30% farthest entries on first
-/// overflow per level, and the margin-driven topological split.
+/// implementation of the R\*-tree" (Beckmann, Kriegel, Schneider, Seeger
+/// 1990), which builds its tree by insertion: ChooseSubtree, forced
+/// reinsertion and the topological split. This tree is never built that
+/// way. Every tree is packed whole by STR ([`RStarTree::bulk_load_flat`]),
+/// and a relation that grows is packed again by its next reader, so a tree
+/// is a function of its entries alone. The queries are the R\*-tree's:
+/// range search and best-first nearest neighbours over the same nodes of
+/// at most `M` rectangles. One entry may widen in place
+/// ([`RStarTree::grow_entry`]).
 ///
-/// Dimensionality is dynamic: it is fixed by the first rectangle inserted
-/// and enforced afterwards. Each node stores its rectangles flat, in one
-/// coordinate slab (see the crate docs); traversals read them as
-/// [`RectView`]s.
+/// Dimensionality is dynamic: it is fixed by the load. Each node stores
+/// its rectangles flat, in one coordinate slab (see the crate docs);
+/// traversals read them as [`RectView`]s.
 #[derive(Debug, Clone)]
 pub struct RStarTree<T> {
     pub(crate) config: RTreeConfig,
     pub(crate) root: Node<T>,
     len: usize,
     dims: Option<usize>,
-}
-
-enum Action<T> {
-    None,
-    Split(Entry<T>),
-    Reinsert(Vec<Entry<T>>),
-}
-
-struct InsertCtx {
-    root_level: u32,
-    /// `reinserted[level]` is set after the first overflow at that level.
-    reinserted: Vec<bool>,
-}
-
-impl InsertCtx {
-    fn new(root_level: u32) -> Self {
-        InsertCtx {
-            root_level,
-            reinserted: vec![false; root_level as usize + 1],
-        }
-    }
-
-    fn may_reinsert(&mut self, level: u32) -> bool {
-        if level == self.root_level {
-            return false;
-        }
-        let slot = &mut self.reinserted[level as usize];
-        if *slot {
-            false
-        } else {
-            *slot = true;
-            true
-        }
-    }
 }
 
 impl<T> Default for RStarTree<T> {
@@ -101,7 +68,7 @@ impl<T> RStarTree<T> {
         }
     }
 
-    /// Dimensionality, if fixed by a first insert.
+    /// Dimensionality, if fixed by a load.
     pub(crate) fn dims(&self) -> Option<usize> {
         self.dims
     }
@@ -120,82 +87,11 @@ impl<T> RStarTree<T> {
         }
     }
 
-    /// Inserts an item under a bounding rectangle.
-    ///
-    /// # Panics
-    /// Panics if the rectangle's dimensionality differs from previously
-    /// inserted data, or is zero.
-    pub fn insert(&mut self, rect: Rect, item: T) {
-        self.insert_bounds(rect.view().bounds(), item);
-    }
-
-    /// Inserts an item under the rectangle `bounds` (`lo` then `hi`),
-    /// stored rounded outward.
-    pub(crate) fn insert_bounds(&mut self, bounds: &[f64], item: T) {
-        self.check_dims(bounds.len() / 2);
-        self.len += 1;
-        let entry = Entry {
-            bounds: stored(bounds),
-            kid: Kid::Item(item),
-        };
-        self.insert_entries(vec![(entry, 0)]);
-    }
-
-    /// Inserts an item stored at a point.
-    pub fn insert_point(&mut self, point: &[f64], item: T) {
-        self.insert(Rect::from_point(point), item);
-    }
-
     /// Installs a bulk-built root holding `len` items (crate-internal).
     pub(crate) fn set_root(&mut self, root: Node<T>, len: usize) {
         self.dims = Some(root.dims as usize);
         self.root = root;
         self.len = len;
-    }
-
-    fn check_dims(&mut self, d: usize) {
-        match self.dims {
-            None => {
-                assert!(d > 0, "a rectangle needs at least one dimension");
-                self.dims = Some(d);
-                self.root.dims = d as u32;
-            }
-            Some(existing) => assert_eq!(
-                existing, d,
-                "dimensionality mismatch: tree holds {existing}-d data, got {d}-d"
-            ),
-        }
-    }
-
-    /// Drives a work-list of (entry, target level) insertions, handling root
-    /// splits and forced-reinsert queues.
-    fn insert_entries(&mut self, mut pending: Vec<(Entry<T>, u32)>) {
-        let mut ctx = InsertCtx::new(self.root.level);
-        while let Some((entry, level)) = pending.pop() {
-            match insert_rec(&mut self.root, entry, level, &mut ctx, &self.config) {
-                Action::None => {}
-                Action::Split(sibling) => {
-                    self.grow_root(sibling);
-                    ctx.root_level = self.root.level;
-                    ctx.reinserted.resize(self.root.level as usize + 1, false);
-                }
-                Action::Reinsert(entries) => {
-                    for e in entries {
-                        let lvl = e.target_level();
-                        pending.push((e, lvl));
-                    }
-                }
-            }
-        }
-    }
-
-    fn grow_root(&mut self, sibling: Entry<T>) {
-        let dims = self.root.dims as usize;
-        let old_root = std::mem::replace(&mut self.root, Node::empty(0, dims));
-        let mut root = Node::empty(old_root.level + 1, dims);
-        root.push(&old_root.mbr_bounds(), Kid::Node(old_root));
-        root.push(&sibling.bounds, sibling.kid);
-        self.root = root;
     }
 
     /// Replaces one entry in place with a **grown** version of itself:
@@ -204,10 +100,9 @@ impl<T> RStarTree<T> {
     /// `grown`'s stored form and `item`, and unions it into the stored MBR
     /// of every node on the path down.
     ///
-    /// Because `grown` must contain `old`, bounds only loosen: no split,
-    /// reinsertion or condensation can be needed, so the whole update is
-    /// `O(height)`. This is how streaming appends widen a partial trail
-    /// chunk without paying the R\*-tree's insertion constants.
+    /// Because `grown` must contain `old`, bounds only loosen and no node
+    /// changes shape, so the whole update is `O(height)`. This is how
+    /// streaming appends widen a partial trail chunk without repacking.
     ///
     /// Returns `true` when an entry was updated, `false` when no entry
     /// matched (the tree is unchanged).
@@ -243,7 +138,7 @@ impl<T> RStarTree<T> {
         )
     }
 
-    /// Iterates over all `(rect, item)` pairs in unspecified order.
+    /// Iterates over all `(rect, item)` pairs, depth first in stored order.
     pub fn iter(&self) -> Iter<'_, T> {
         let mut stack = Vec::new();
         if self.len > 0 {
@@ -252,7 +147,7 @@ impl<T> RStarTree<T> {
         Iter { stack }
     }
 
-    /// Verifies structural invariants; panics with a description on
+    /// Verifies what STR packing guarantees; panics with a description on
     /// violation. Intended for tests and debugging.
     #[doc(hidden)]
     pub fn validate(&self) {
@@ -288,16 +183,16 @@ impl<'a, T> Iterator for Iter<'a, T> {
     }
 }
 
+/// Checks one node and counts the items below it. STR fills a node to at
+/// most `M` entries and, when a level needs more than one node, every
+/// node of it to at least `M/2` (`bulk`'s `chunk_sizes`); an inner root
+/// holds at least two.
 fn validate_node<T>(node: &Node<T>, cfg: &RTreeConfig, is_root: bool) -> usize {
     let len = node.len();
     assert!(len <= cfg.max_entries, "node exceeds max_entries");
     if !is_root {
-        assert!(
-            len >= cfg.min_entries,
-            "non-root node below min_entries: {} < {}",
-            len,
-            cfg.min_entries
-        );
+        let half = cfg.max_entries / 2;
+        assert!(len >= half, "non-root node below half fill: {len} < {half}");
     } else if !node.is_leaf() {
         assert!(len >= 2, "internal root must have >= 2 entries");
     }
@@ -323,131 +218,6 @@ fn validate_node<T>(node: &Node<T>, cfg: &RTreeConfig, is_root: bool) -> usize {
             count
         }
     }
-}
-
-fn insert_rec<T>(
-    node: &mut Node<T>,
-    entry: Entry<T>,
-    target_level: u32,
-    ctx: &mut InsertCtx,
-    cfg: &RTreeConfig,
-) -> Action<T> {
-    if node.level == target_level {
-        node.push(&entry.bounds, entry.kid);
-        if node.len() > cfg.max_entries {
-            return overflow(node, ctx, cfg);
-        }
-        return Action::None;
-    }
-    debug_assert!(node.level > target_level, "descended past target level");
-    let idx = choose_subtree(node, entry.rect());
-    let Kids::Nodes(children) = &mut node.kids else {
-        unreachable!("leaf entry in internal node")
-    };
-    let action = insert_rec(&mut children[idx], entry, target_level, ctx, cfg);
-    refresh_child_rect(node, idx);
-    match action {
-        Action::None => Action::None,
-        Action::Reinsert(es) => Action::Reinsert(es),
-        Action::Split(sibling) => {
-            node.push(&sibling.bounds, sibling.kid);
-            if node.len() > cfg.max_entries {
-                overflow(node, ctx, cfg)
-            } else {
-                Action::None
-            }
-        }
-    }
-}
-
-/// Stores child `idx`'s recomputed MBR as its entry's rectangle.
-fn refresh_child_rect<T>(node: &mut Node<T>, idx: usize) {
-    let w = node.width();
-    if let Kids::Nodes(children) = &node.kids {
-        children[idx].mbr_into(&mut node.coords[idx * w..(idx + 1) * w]);
-    }
-}
-
-/// R\*-tree ChooseSubtree: at the level just above the leaves, minimize
-/// overlap enlargement (ties: area enlargement, then area); higher up,
-/// minimize area enlargement (ties: area).
-fn choose_subtree<T>(node: &Node<T>, rect: RectView<'_>) -> usize {
-    debug_assert!(!node.is_leaf());
-    let n = node.len();
-    debug_assert!(n > 0);
-    if node.level == 1 {
-        // Children are leaves: overlap-enlargement criterion.
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for (i, ri) in node.rects().enumerate() {
-            let enlarged = ri.union(rect);
-            let mut overlap_delta = 0.0;
-            for (j, rj) in node.rects().enumerate() {
-                if j == i {
-                    continue;
-                }
-                overlap_delta += enlarged.view().intersection_area(rj) - ri.intersection_area(rj);
-            }
-            let key = (overlap_delta, ri.enlargement(rect), ri.area());
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
-    } else {
-        let mut best = 0usize;
-        let mut best_key = (f64::INFINITY, f64::INFINITY);
-        for (i, ri) in node.rects().enumerate() {
-            let key = (ri.enlargement(rect), ri.area());
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
-    }
-}
-
-fn overflow<T>(node: &mut Node<T>, ctx: &mut InsertCtx, cfg: &RTreeConfig) -> Action<T> {
-    let len = node.len();
-    if cfg.reinsert_count > 0 && ctx.may_reinsert(node.level) {
-        // Forced reinsert: remove the `p` entries whose centers lie farthest
-        // from the node center, re-inserting the closer ones first
-        // ("close reinsert" of the R* paper).
-        let center = node.mbr().view().center();
-        let p = cfg.reinsert_count.min(len - cfg.min_entries);
-        if p > 0 {
-            let dist2 = |r: RectView<'_>| -> f64 {
-                r.center()
-                    .iter()
-                    .zip(&center)
-                    .map(|(a, b)| (a - b) * (a - b))
-                    .sum()
-            };
-            let mut order: Vec<usize> = (0..len).collect();
-            order.sort_by(|&a, &b| dist2(node.rect(a)).total_cmp(&dist2(node.rect(b))));
-            // Farthest p entries leave the node; the rest keep their order.
-            let mut keep = vec![true; len];
-            for &i in &order[len - p..] {
-                keep[i] = false;
-            }
-            let mut removed = node.split_off(&keep).into_entries();
-            // Close reinsert: nearest first. `removed` currently holds
-            // entries in original order; sort by distance ascending.
-            removed.sort_by(|a, b| dist2(a.rect()).total_cmp(&dist2(b.rect())));
-            // The work list is a stack (LIFO), so push farthest-first to
-            // process nearest-first.
-            removed.reverse();
-            return Action::Reinsert(removed);
-        }
-    }
-    let keep = rstar_split(node, cfg.min_entries);
-    let sibling = node.split_off(&keep);
-    Action::Split(Entry {
-        bounds: sibling.mbr_bounds(),
-        kid: Kid::Node(sibling),
-    })
 }
 
 /// Recursive worker for [`RStarTree::grow_entry`]: descend into every
@@ -494,11 +264,8 @@ mod tests {
     use super::*;
 
     fn point_tree(points: &[[f64; 2]], cfg: RTreeConfig) -> RStarTree<usize> {
-        let mut t = RStarTree::new(cfg);
-        for (i, p) in points.iter().enumerate() {
-            t.insert_point(p, i);
-        }
-        t
+        let items = points.iter().enumerate();
+        RStarTree::bulk_load(cfg, items.map(|(i, p)| (Rect::from_point(p), i)).collect())
     }
 
     fn grid(n: usize) -> Vec<[f64; 2]> {
@@ -524,7 +291,7 @@ mod tests {
 
     #[test]
     fn insert_grows_and_validates() {
-        let pts = grid(20); // 400 points, forces several levels at fanout 8
+        let pts = grid(20); // 400 points, several levels at fanout 8
         let t = point_tree(&pts, RTreeConfig::with_max_entries(8));
         assert_eq!(t.len(), 400);
         assert!(t.height() >= 3);
@@ -547,10 +314,7 @@ mod tests {
 
     #[test]
     fn duplicate_points_supported() {
-        let mut t = RStarTree::new(RTreeConfig::with_max_entries(4));
-        for i in 0..50 {
-            t.insert_point(&[1.0, 1.0], i);
-        }
+        let t = point_tree(&[[1.0, 1.0]; 50], RTreeConfig::with_max_entries(4));
         assert_eq!(t.len(), 50);
         t.validate();
     }
@@ -558,9 +322,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimensionality mismatch")]
     fn mixed_dims_panic() {
-        let mut t = RStarTree::default();
-        t.insert_point(&[0.0, 0.0], 0usize);
-        t.insert_point(&[0.0, 0.0, 0.0], 1usize);
+        let items = vec![
+            (Rect::from_point(&[0.0, 0.0]), 0usize),
+            (Rect::from_point(&[0.0, 0.0, 0.0]), 1usize),
+        ];
+        RStarTree::bulk_load(RTreeConfig::default(), items);
     }
 
     #[test]
@@ -597,25 +363,13 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_disabled_still_correct() {
-        let pts = grid(12);
-        let config = RTreeConfig {
-            reinsert_count: 0,
-            ..RTreeConfig::with_max_entries(6)
-        };
-        let t = point_tree(&pts, config);
-        assert_eq!(t.len(), 144);
-        t.validate();
-    }
-
-    #[test]
     fn rect_items_supported() {
-        let mut t = RStarTree::new(RTreeConfig::with_max_entries(4));
-        for i in 0..30 {
+        let items = (0..30).map(|i| {
             let x = (i % 6) as f64 * 2.0;
             let y = (i / 6) as f64 * 2.0;
-            t.insert(Rect::new(vec![x, y], vec![x + 1.5, y + 1.5]), i);
-        }
+            (Rect::new(vec![x, y], vec![x + 1.5, y + 1.5]), i)
+        });
+        let t = RStarTree::bulk_load(RTreeConfig::with_max_entries(4), items.collect());
         assert_eq!(t.len(), 30);
         t.validate();
     }

@@ -21,11 +21,11 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 }
 
 fn build(points: &[(f64, f64)], fanout: usize) -> RStarTree<usize> {
-    let mut tree = RStarTree::new(RTreeConfig::with_max_entries(fanout));
-    for (i, &(x, y)) in points.iter().enumerate() {
-        tree.insert_point(&[x, y], i);
-    }
-    tree
+    let items = points.iter().enumerate();
+    let items = items
+        .map(|(i, &(x, y))| (Rect::from_point(&[x, y]), i))
+        .collect();
+    RStarTree::bulk_load(RTreeConfig::with_max_entries(fanout), items)
 }
 
 /// A cache of `capacity` pages of `page_size` bytes.
@@ -125,7 +125,7 @@ fn knn_ties_mirror_memory() {
                 k,
                 |rect| rect.min_dist2(&point).sqrt(),
                 |rect, _| rect.min_dist2(&point).sqrt(),
-                // Descending ids: the key order is not the insertion order.
+                // Descending ids: the key order is not the load order.
                 |&i| u64::MAX - i as u64,
             );
             // The retained set is the k smallest by (distance, key), each

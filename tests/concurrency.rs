@@ -215,7 +215,9 @@ fn a_build_never_waits_on_workers_that_wait_for_it() {
     // k-NN scattering over shards. The writer waits for the reader, the
     // batch's next statements wait for the writer, and the reader waited
     // for helpers queued behind those statements. A fan-out's caller now
-    // waits only for helpers that have started on its job.
+    // waits only for helpers that have started on its job. The first
+    // subsequence read after an APPEND that adds a trail repacks the
+    // ST-index in a cell racing readers wait on, fanned out the same way.
     within_deadline(|| {
         let (count, len) = (4200, 64);
         let mut cat = Catalog::new();
@@ -280,6 +282,15 @@ fn a_build_never_waits_on_workers_that_wait_for_it() {
         mid_batch(&shared, || {
             let rows = with_append_queued(&shared, || shared.run(knn).unwrap().rows);
             assert_eq!(rows.len(), 50);
+        });
+
+        // Last, as it leaves `long` ragged: eight points close `long.s1`'s
+        // partial trail and add one, so the first subsequence read after
+        // them repacks `long`'s 48 400 trails, fanned out over the pool.
+        let eight = "APPEND long s1 VALUES (0.5, -0.5, 1, -1, 0.25, -0.25, 2, -2)";
+        shared.run(eight).unwrap();
+        mid_batch(&shared, || {
+            shared.run(subseq).unwrap();
         });
     });
 }

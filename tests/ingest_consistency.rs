@@ -7,8 +7,10 @@
 //!
 //! Counter policy: whole-series forms repack canonically, so rows, plans
 //! and *all* counters match a fresh build. An incrementally-extended
-//! ST-index holds the same trail entries as a fresh one but may pack them
-//! into a different node layout, so subsequence forms compare
+//! ST-index holds the same trail entries as a fresh one. A read after an
+//! append that adds a trail repacks them into the fresh build's tree, but
+//! an append that only widens a partial trail widens its entry where it
+//! is packed, so the layout may still differ: subsequence forms compare
 //! canonicalized rows plus the candidate-level counters
 //! (`candidates`/`refined`/`false_hits`) and leave
 //! `nodes_visited`/`disk_accesses` to the layout.
